@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test short race vet fmt-check bench-smoke bench-gate bench-baseline profile resize-demo trace-demo trace-smoke drain-churn autoscale-churn overload-demo ann-demo topo-demo scenario-demo ci
+.PHONY: build test short race vet fmt-check loc flake-guard bench-smoke bench-gate bench-baseline profile resize-demo trace-demo trace-smoke drain-churn autoscale-churn overload-demo ann-demo topo-demo scenario-demo ci
 
 # Gate benchmarks: TailFanout (hedging), LeafBatching (cross-request
 # coalescing), HotPathAllocs (per-call allocation budget), the leaf
@@ -38,6 +38,16 @@ fmt-check:
 		echo "$$unformatted" >&2; \
 		exit 1; \
 	fi
+
+# Non-test, non-generated Go lines per package (benchmarks/ excluded) — the
+# LOC trajectory CHANGES.md reports each PR.
+loc:
+	@./scripts/loc.sh
+
+# The stats-contract flake guard (the nightly flake-guard CI job): twenty
+# passes over the packages whose tests read counters right after a reply.
+flake-guard:
+	$(GO) test -short -count=20 ./internal/core ./internal/topo ./internal/cluster ./internal/autoscale
 
 bench-smoke: build
 	$(GO) run ./cmd/musuite-bench -experiment tableII

@@ -123,10 +123,10 @@ func benchmarkFig11to14(b *testing.B, name string) {
 	b.StopTimer()
 	delta := inst.Probe.Snapshot().Delta(before)
 	n := float64(b.N)
-	b.ReportMetric(float64(delta.Syscalls[telemetry.SysFutex])/n, "futex/query")
-	b.ReportMetric(float64(delta.Syscalls[telemetry.SysSendmsg])/n, "sendmsg/query")
-	b.ReportMetric(float64(delta.Syscalls[telemetry.SysRecvmsg])/n, "recvmsg/query")
-	b.ReportMetric(float64(delta.Syscalls[telemetry.SysEpollPwait])/n, "epoll/query")
+	b.ReportMetric(float64(delta[telemetry.SysFutex])/n, "futex/query")
+	b.ReportMetric(float64(delta[telemetry.SysSendmsg])/n, "sendmsg/query")
+	b.ReportMetric(float64(delta[telemetry.SysRecvmsg])/n, "recvmsg/query")
+	b.ReportMetric(float64(delta[telemetry.SysEpollPwait])/n, "epoll/query")
 }
 
 func BenchmarkFig11SyscallsHDSearch(b *testing.B)   { benchmarkFig11to14(b, "HDSearch") }
@@ -147,8 +147,8 @@ func benchmarkFig15to18(b *testing.B, name string) {
 		syncQuery(b, inst, done)
 	}
 	b.StopTimer()
-	ae := inst.Probe.OverheadQuantile(telemetry.OverheadActiveExe, 0.99)
-	net := inst.Probe.OverheadQuantile(telemetry.OverheadNet, 0.99)
+	ae := inst.Probe.OverheadSnapshot(telemetry.OverheadActiveExe).P99
+	net := inst.Probe.OverheadSnapshot(telemetry.OverheadNet).P99
 	b.ReportMetric(float64(ae), "ActiveExe-p99-ns")
 	b.ReportMetric(float64(net), "Net-p99-ns")
 	if net > 0 {
@@ -175,8 +175,8 @@ func benchmarkFig19(b *testing.B, name string) {
 	b.StopTimer()
 	delta := inst.Probe.Snapshot().Delta(before)
 	n := float64(b.N)
-	b.ReportMetric(float64(delta.ContextSwitch)/n, "CS/query")
-	b.ReportMetric(float64(delta.HITM)/n, "HITM/query")
+	b.ReportMetric(float64(delta[telemetry.CtxSwitch])/n, "CS/query")
+	b.ReportMetric(float64(delta[telemetry.HITM])/n, "HITM/query")
 }
 
 func BenchmarkFig19ContentionHDSearch(b *testing.B)   { benchmarkFig19(b, "HDSearch") }

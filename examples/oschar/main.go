@@ -64,8 +64,8 @@ func main() {
 
 		fmt.Println("syscall proxies per query (Figs. 11-14 analog):")
 		for _, sys := range musuite.Syscalls() {
-			if n := delta.Syscalls[sys]; n > 0 {
-				fmt.Printf("  %-12s %.2f\n", sys, float64(n)/float64(res.Completed))
+			if n := delta[sys]; n > 0 {
+				fmt.Printf("  %-12s %.2f\n", sys.Name(), float64(n)/float64(res.Completed))
 			}
 		}
 
@@ -76,7 +76,7 @@ func main() {
 			}
 		}
 		fmt.Printf("context switches: %d, lock handoffs (HITM proxy): %d\n\n",
-			delta.ContextSwitch, delta.HITM)
+			delta[musuite.CtxSwitch], delta[musuite.HITM])
 	}
 
 	fmt.Print(tracer.Report())

@@ -70,7 +70,8 @@ type Config struct {
 	// MinLeaves and MaxLeaves bound the capacity the loop may reach.
 	// MaxLeaves 0 means "whatever the target can provide".
 	MinLeaves, MaxLeaves int
-	// Probe receives scale-decision telemetry; nil disables it.
+	// Probe receives the loop's scale.* counters alongside the
+	// autoscaler's own table; nil disables the forwarding.
 	Probe *telemetry.Probe
 }
 
@@ -111,25 +112,17 @@ type Event struct {
 	Reason string
 }
 
-// Stats counts the loop's decisions.
-type Stats struct {
-	// Polls is the number of completed stat reads.
-	Polls uint64
-	// Ups and Downs count scale actions; Holds counts breaches withheld
-	// by hysteresis, cooldown, or a capacity bound.
-	Ups, Downs, Holds uint64
-	// Errors counts failed polls or failed actions.
-	Errors uint64
-}
-
 // Autoscaler runs the poll→decide→act loop on its own goroutine.
 type Autoscaler struct {
 	cfg    Config
 	target Target
+	// counters books the loop's decisions (the scale.* family): polls,
+	// ups, downs, holds (breaches withheld by hysteresis, cooldown, or a
+	// capacity bound) and errors (failed polls or actions).
+	counters *telemetry.Table
 
 	mu       sync.Mutex
 	events   []Event
-	stats    Stats
 	lastErr  error
 	stopCh   chan struct{}
 	doneCh   chan struct{}
@@ -145,10 +138,11 @@ type Autoscaler struct {
 // New builds an autoscaler over target; Start arms it.
 func New(target Target, cfg Config) *Autoscaler {
 	return &Autoscaler{
-		cfg:    cfg.withDefaults(),
-		target: target,
-		stopCh: make(chan struct{}),
-		doneCh: make(chan struct{}),
+		cfg:      cfg.withDefaults(),
+		target:   target,
+		counters: telemetry.NewTable(cfg.Probe.Table()),
+		stopCh:   make(chan struct{}),
+		doneCh:   make(chan struct{}),
 	}
 }
 
@@ -193,12 +187,8 @@ func (a *Autoscaler) Events() []Event {
 	return out
 }
 
-// Stats returns the decision counters.
-func (a *Autoscaler) Stats() Stats {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.stats
-}
+// Counters snapshots the loop's decision counters (the scale.* family).
+func (a *Autoscaler) Counters() telemetry.Snapshot { return a.counters.Snapshot() }
 
 // LastErr reports the most recent poll or action failure, nil if none.
 func (a *Autoscaler) LastErr() error {
@@ -228,12 +218,12 @@ func (a *Autoscaler) Poll() {
 	st, err := a.target.Stats()
 	a.mu.Lock()
 	if err != nil {
-		a.stats.Errors++
+		a.counters.Add(telemetry.ScaleError, 1)
 		a.lastErr = err
 		a.mu.Unlock()
 		return
 	}
-	a.stats.Polls++
+	a.counters.Add(telemetry.ScalePoll, 1)
 
 	// Shed deltas: any typed shed since the last poll is the strongest
 	// "out of capacity" signal — the admission controller is refusing
@@ -276,8 +266,7 @@ func (a *Autoscaler) Poll() {
 
 	if hot && a.upRun >= a.cfg.UpAfter {
 		if cooling || (a.cfg.MaxLeaves > 0 && st.Leaves >= a.cfg.MaxLeaves) {
-			a.stats.Holds++
-			a.cfg.Probe.IncScale(telemetry.ScaleHold)
+			a.counters.Add(telemetry.ScaleHold, 1)
 			a.mu.Unlock()
 			return
 		}
@@ -285,11 +274,10 @@ func (a *Autoscaler) Poll() {
 		shard, err := a.target.ScaleUp()
 		a.mu.Lock()
 		if err != nil {
-			a.stats.Errors++
+			a.counters.Add(telemetry.ScaleError, 1)
 			a.lastErr = err
 		} else {
-			a.stats.Ups++
-			a.cfg.Probe.IncScale(telemetry.ScaleUp)
+			a.counters.Add(telemetry.ScaleUp, 1)
 			a.events = append(a.events, Event{
 				When: now, Dir: "up", Shard: shard,
 				Leaves: st.Leaves + 1, Reason: reason,
@@ -303,8 +291,7 @@ func (a *Autoscaler) Poll() {
 	if cold && a.downRun >= a.cfg.DownAfter {
 		if cooling || st.Leaves <= a.cfg.MinLeaves {
 			if st.Leaves > a.cfg.MinLeaves {
-				a.stats.Holds++
-				a.cfg.Probe.IncScale(telemetry.ScaleHold)
+				a.counters.Add(telemetry.ScaleHold, 1)
 			}
 			a.mu.Unlock()
 			return
@@ -313,11 +300,10 @@ func (a *Autoscaler) Poll() {
 		err := a.target.ScaleDown()
 		a.mu.Lock()
 		if err != nil {
-			a.stats.Errors++
+			a.counters.Add(telemetry.ScaleError, 1)
 			a.lastErr = err
 		} else {
-			a.stats.Downs++
-			a.cfg.Probe.IncScale(telemetry.ScaleDown)
+			a.counters.Add(telemetry.ScaleDown, 1)
 			a.events = append(a.events, Event{
 				When: now, Dir: "down", Shard: -1,
 				Leaves: st.Leaves - 1, Reason: "idle",

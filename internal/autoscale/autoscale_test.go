@@ -12,6 +12,7 @@ import (
 
 	"musuite/internal/core"
 	"musuite/internal/services/router"
+	"musuite/internal/telemetry"
 )
 
 // fakeTarget is a scriptable Target: stats are whatever the test sets,
@@ -110,7 +111,7 @@ func TestCooldownHoldsActions(t *testing.T) {
 	if ft.ups != 1 {
 		t.Fatalf("scaled during cooldown (ups=%d)", ft.ups)
 	}
-	if a.Stats().Holds == 0 {
+	if a.Counters()[telemetry.ScaleHold] == 0 {
 		t.Fatal("cooldown holds not counted")
 	}
 	time.Sleep(60 * time.Millisecond)
@@ -363,9 +364,9 @@ func TestAutoscaleChurnStress(t *testing.T) {
 	default:
 	}
 
-	st := a.Stats()
-	if st.Ups != uint64(cycles) || st.Downs != uint64(cycles) {
-		t.Fatalf("ups=%d downs=%d, want %d each", st.Ups, st.Downs, cycles)
+	st := a.Counters()
+	if st[telemetry.ScaleUp] != uint64(cycles) || st[telemetry.ScaleDown] != uint64(cycles) {
+		t.Fatalf("ups=%d downs=%d, want %d each", st[telemetry.ScaleUp], st[telemetry.ScaleDown], cycles)
 	}
 	if err := a.LastErr(); err != nil {
 		t.Fatalf("autoscaler recorded error: %v", err)
@@ -381,10 +382,10 @@ func TestStartStopLifecycle(t *testing.T) {
 	a.Start()
 	a.Start() // second Start is a no-op
 	deadline := time.Now().Add(time.Second)
-	for a.Stats().Polls == 0 && time.Now().Before(deadline) {
+	for a.Counters()[telemetry.ScalePoll] == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if a.Stats().Polls == 0 {
+	if a.Counters()[telemetry.ScalePoll] == 0 {
 		t.Fatal("background loop never polled")
 	}
 	a.Stop()

@@ -103,7 +103,7 @@ func TestCharacterizeProducesAllFigures(t *testing.T) {
 		}
 		// Figs 11-14: futex must be among the most-invoked syscalls —
 		// the paper's central syscall observation.
-		futex := p.SyscallsPerQPS[telemetry.SysFutex]
+		futex := p.PerQuery(telemetry.SysFutex)
 		if futex <= 0 {
 			t.Fatalf("load %g: no futex proxies", p.Load)
 		}
@@ -115,13 +115,13 @@ func TestCharacterizeProducesAllFigures(t *testing.T) {
 			t.Fatalf("load %g: no Net observations", p.Load)
 		}
 		// Fig 19: CS and HITM counters moved.
-		if p.CS == 0 {
+		if p.Counters[telemetry.CtxSwitch] == 0 {
 			t.Fatalf("load %g: no context-switch proxies", p.Load)
 		}
 	}
 	// Fig 19 shape: absolute CS counts rise with load.
-	if points[1].CS <= points[0].CS {
-		t.Logf("warning: CS did not rise with load: %d → %d", points[0].CS, points[1].CS)
+	if cs0, cs1 := points[0].Counters[telemetry.CtxSwitch], points[1].Counters[telemetry.CtxSwitch]; cs1 <= cs0 {
+		t.Logf("warning: CS did not rise with load: %d → %d", cs0, cs1)
 	}
 	for _, render := range []string{
 		RenderFig10(points),

@@ -66,18 +66,26 @@ type LoadPoint struct {
 	// Violin is the end-to-end latency distribution (Fig. 10).
 	Violin stats.Violin
 
-	// Syscalls holds the window's proxy invocation counts; SyscallsPerQPS
-	// normalizes by completed queries (Figs. 11–14).
-	Syscalls       map[telemetry.Syscall]uint64
-	SyscallsPerQPS map[telemetry.Syscall]float64
+	// Counters is the probe's counter delta over the window: the syscall
+	// proxies (Figs. 11–14, per query via PerQuery) and the context-switch,
+	// contention and tcpretrans proxies (Fig. 19; the last expected ≈0).
+	Counters telemetry.Snapshot
 
 	// Overheads holds per-class latency summaries (Figs. 15–18).
 	Overheads map[telemetry.Overhead]stats.Snapshot
+}
 
-	// CS and HITM are the context-switch and contention proxy counts for
-	// the window (Fig. 19); TCPRetrans mirrors the paper's tcpretrans
-	// observation (expected ≈0).
-	CS, HITM, TCPRetrans uint64
+// PerQuery normalizes the window's count of c by completed queries.
+func (p LoadPoint) PerQuery(c telemetry.Counter) float64 {
+	return perQuery(p.Counters, c, p.Open.Completed)
+}
+
+// perQuery normalizes a window's count of c by its completed queries.
+func perQuery(window telemetry.Snapshot, c telemetry.Counter, completed uint64) float64 {
+	if completed == 0 {
+		return 0
+	}
+	return float64(window[c]) / float64(completed)
 }
 
 // Characterize runs the open-loop characterization at every configured load
@@ -101,22 +109,12 @@ func Characterize(s Scale, services []string, mode FrameworkMode) ([]LoadPoint, 
 			delta := inst.Probe.Snapshot().Delta(before)
 
 			lp := LoadPoint{
-				Service:        name,
-				Load:           load,
-				Open:           open,
-				Violin:         stats.NewViolin(fmt.Sprintf("%s@%g", name, load), open.Raw, 16),
-				Syscalls:       delta.Syscalls,
-				SyscallsPerQPS: make(map[telemetry.Syscall]float64),
-				Overheads:      make(map[telemetry.Overhead]stats.Snapshot),
-				CS:             delta.ContextSwitch,
-				HITM:           delta.HITM,
-				TCPRetrans:     delta.TCPRetransmits,
-			}
-			completed := float64(open.Completed)
-			if completed > 0 {
-				for sys, n := range delta.Syscalls {
-					lp.SyscallsPerQPS[sys] = float64(n) / completed
-				}
+				Service:   name,
+				Load:      load,
+				Open:      open,
+				Violin:    stats.NewViolin(fmt.Sprintf("%s@%g", name, load), open.Raw, 16),
+				Counters:  delta,
+				Overheads: make(map[telemetry.Overhead]stats.Snapshot),
 			}
 			for _, o := range telemetry.Overheads() {
 				lp.Overheads[o] = inst.Probe.OverheadSnapshot(o)
@@ -177,10 +175,8 @@ func Ablation(s Scale, services []string, load float64) ([]AblationRow, error) {
 				Load:     load,
 				Median:   open.Latency.Median,
 				P99:      open.Latency.P99,
-			}
-			if open.Completed > 0 {
-				row.Futex = float64(delta.Syscalls[telemetry.SysFutex]) / float64(open.Completed)
-				row.CSPerQ = float64(delta.ContextSwitch) / float64(open.Completed)
+				Futex:    perQuery(delta, telemetry.SysFutex, open.Completed),
+				CSPerQ:   perQuery(delta, telemetry.CtxSwitch, open.Completed),
 			}
 			out = append(out, row)
 		}

@@ -52,8 +52,8 @@ func WriteTSV(dir string, fig9 []Fig9Row, points []LoadPoint) error {
 		b.WriteString("service\tload_qps\tsyscall\tcalls_per_query\n")
 		for _, p := range points {
 			for _, sys := range telemetry.Syscalls() {
-				if v := p.SyscallsPerQPS[sys]; v > 0 {
-					fmt.Fprintf(b, "%s\t%g\t%s\t%.4f\n", p.Service, p.Load, sys, v)
+				if v := p.PerQuery(sys); v > 0 {
+					fmt.Fprintf(b, "%s\t%g\t%s\t%.4f\n", p.Service, p.Load, sys.Name(), v)
 				}
 			}
 		}
@@ -80,7 +80,8 @@ func WriteTSV(dir string, fig9 []Fig9Row, points []LoadPoint) error {
 	return write("fig19.tsv", func(b *strings.Builder) {
 		b.WriteString("service\tload_qps\tcontext_switches\thitm\ttcp_retransmits\n")
 		for _, p := range points {
-			fmt.Fprintf(b, "%s\t%g\t%d\t%d\t%d\n", p.Service, p.Load, p.CS, p.HITM, p.TCPRetrans)
+			fmt.Fprintf(b, "%s\t%g\t%d\t%d\t%d\n", p.Service, p.Load,
+				p.Counters[telemetry.CtxSwitch], p.Counters[telemetry.HITM], p.Counters[telemetry.TCPRetransmit])
 		}
 	})
 }

@@ -58,8 +58,8 @@ type OverloadResult struct {
 	Steps []OverloadStep
 	// Events are the autoscaler's scale actions across the ramp.
 	Events []autoscale.Event
-	// Scaler counts the autoscaler's decisions.
-	Scaler autoscale.Stats
+	// Scaler counts the autoscaler's decisions (the scale.* counters).
+	Scaler telemetry.Snapshot
 	// PeakGoodput is the best completed QPS of the pre-knee windows
 	// (Mult < 1); KneeGoodput the worst completed QPS of the windows at
 	// or past the knee (Mult ≥ 1).
@@ -188,7 +188,7 @@ func Overload(s Scale, mode FrameworkMode) (*OverloadResult, error) {
 	}
 	scaler.Stop()
 	out.Events = scaler.Events()
-	out.Scaler = scaler.Stats()
+	out.Scaler = scaler.Counters()
 
 	// Acceptance: goodput past the knee holds ≥ 85% of the peak, and every
 	// lost request is a typed shed — zero untyped errors or drain drops.
@@ -235,7 +235,7 @@ func RenderOverload(r *OverloadResult) string {
 			st.Leaves, st.AdmitLimit, "", r2.Latency.P99)
 	}
 	fmt.Fprintf(&b, "  autoscaler: %d ups, %d downs, %d holds",
-		r.Scaler.Ups, r.Scaler.Downs, r.Scaler.Holds)
+		r.Scaler[telemetry.ScaleUp], r.Scaler[telemetry.ScaleDown], r.Scaler[telemetry.ScaleHold])
 	for _, ev := range r.Events {
 		fmt.Fprintf(&b, "; %s(%s)->%d leaves", ev.Dir, ev.Reason, ev.Leaves)
 	}

@@ -99,16 +99,16 @@ func RenderFig11to14(points []LoadPoint) string {
 		for _, sys := range telemetry.Syscalls() {
 			any := false
 			for _, p := range pts {
-				if p.SyscallsPerQPS[sys] > 0 {
+				if p.PerQuery(sys) > 0 {
 					any = true
 				}
 			}
 			if !any {
 				continue
 			}
-			fmt.Fprintf(&b, "    %-12s", sys.String())
+			fmt.Fprintf(&b, "    %-12s", sys.Name())
 			for _, p := range pts {
-				fmt.Fprintf(&b, " %-13.2f", p.SyscallsPerQPS[sys])
+				fmt.Fprintf(&b, " %-13.2f", p.PerQuery(sys))
 			}
 			b.WriteString("\n")
 		}
@@ -158,7 +158,8 @@ func RenderFig19(points []LoadPoint) string {
 	b.WriteString("Fig. 19: context switches (CS) and lock contention (HITM proxies) per window\n")
 	fmt.Fprintf(&b, "  %-11s %-10s %-12s %-12s %-10s\n", "service", "load", "CS", "HITM", "tcp-retx")
 	for _, p := range points {
-		fmt.Fprintf(&b, "  %-11s %-10g %-12d %-12d %-10d\n", p.Service, p.Load, p.CS, p.HITM, p.TCPRetrans)
+		fmt.Fprintf(&b, "  %-11s %-10g %-12d %-12d %-10d\n", p.Service, p.Load,
+			p.Counters[telemetry.CtxSwitch], p.Counters[telemetry.HITM], p.Counters[telemetry.TCPRetransmit])
 	}
 	b.WriteString("  (paper: both rise with load; HITM > CS; TCP retransmissions single-digit)\n")
 	return b.String()

@@ -104,7 +104,7 @@ func Resize(s Scale, mode FrameworkMode, qps float64) ([]ResizePhase, error) {
 		out = append(out, ResizePhase{
 			Phase:  name,
 			Leaves: cl.NumLeaves(),
-			Epoch:  topo.Stats().Epoch,
+			Epoch:  topo.Current().Epoch(),
 			Result: res,
 		})
 		return nil

@@ -52,10 +52,8 @@ func ThreadPoolSweep(s Scale, service string, workerCounts []int, load float64) 
 			Service: service, Workers: w, Load: load,
 			Median: open.Latency.Median, P99: open.Latency.P99,
 			SaturationQPS: sat.Throughput,
-		}
-		if open.Completed > 0 {
-			row.FutexPerQ = float64(delta.Syscalls[telemetry.SysFutex]) / float64(open.Completed)
-			row.HITMPerQ = float64(delta.HITM) / float64(open.Completed)
+			FutexPerQ:     perQuery(delta, telemetry.SysFutex, open.Completed),
+			HITMPerQ:      perQuery(delta, telemetry.HITM, open.Completed),
 		}
 		out = append(out, row)
 	}

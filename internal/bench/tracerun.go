@@ -23,10 +23,13 @@ func TraceRun(service string, s Scale, mode FrameworkMode, qps float64, duration
 	if err != nil {
 		return nil, loadgen.OpenLoopResult{}, err
 	}
-	defer inst.Close()
 	res := loadgen.RunOpenLoop(inst.Issue, loadgen.OpenLoopConfig{
 		QPS: qps, Duration: duration, Seed: s.Seed,
 	})
+	// A tier records its server span after the reply is written, so the last
+	// requests' spans can trail the load run: closing the deployment waits
+	// for every worker, after which the recorder is complete.
+	inst.Close()
 	return rec.Snapshot(), res, nil
 }
 

@@ -50,8 +50,9 @@ type Config struct {
 	NewBatcher func(pool *rpc.Pool) *rpc.Batcher
 	// Router is the shard placement strategy (default Modulo).
 	Router Router
-	// Probe receives topology-change telemetry; nil disables it.
-	Probe *telemetry.Probe
+	// Counters receives the topo.* mutation counters — the owning tier's
+	// table; nil disables counting.
+	Counters *telemetry.Table
 }
 
 // Snapshot is one immutable epoch of the topology.  Everything a request
@@ -126,8 +127,6 @@ type Topology struct {
 	// observed at zero; drains wait for this list to empty.
 	retired []*Snapshot
 	closed  bool
-
-	adds, drains, removes, drainTimeouts atomic.Uint64
 }
 
 // New creates an empty topology (epoch 0, no leaves).  Bootstrap publishes
@@ -315,8 +314,7 @@ func (t *Topology) AddGroup(addrs []string) (int, error) {
 	groups = append(groups, g)
 	s := t.publishLocked(groups)
 	t.mu.Unlock()
-	t.adds.Add(1)
-	t.cfg.Probe.IncTopo(telemetry.TopoAdd)
+	t.cfg.Counters.Add(telemetry.TopoAdd, 1)
 	return s.NumLeaves() - 1, nil
 }
 
@@ -360,8 +358,7 @@ func (t *Topology) DrainGroup(shard int, deadline time.Duration) error {
 	if err != nil {
 		return err
 	}
-	t.drains.Add(1)
-	t.cfg.Probe.IncTopo(telemetry.TopoDrain)
+	t.cfg.Counters.Add(telemetry.TopoDrain, 1)
 	if deadline <= 0 {
 		deadline = DefaultDrainDeadline
 	}
@@ -379,8 +376,7 @@ func (t *Topology) DrainGroup(shard int, deadline time.Duration) error {
 	}
 	g.Close()
 	if err != nil {
-		t.drainTimeouts.Add(1)
-		t.cfg.Probe.IncTopo(telemetry.TopoDrainTimeout)
+		t.cfg.Counters.Add(telemetry.TopoDrainTimeout, 1)
 	}
 	return err
 }
@@ -395,30 +391,9 @@ func (t *Topology) RemoveGroup(shard int) error {
 	if err != nil {
 		return err
 	}
-	t.removes.Add(1)
-	t.cfg.Probe.IncTopo(telemetry.TopoRemove)
+	t.cfg.Counters.Add(telemetry.TopoRemove, 1)
 	g.Close()
 	return nil
-}
-
-// Stats are the topology's lifetime mutation counters and current epoch.
-type Stats struct {
-	// Epoch is the current snapshot's version.
-	Epoch uint64
-	// Adds, Drains, Removes count completed mutations; DrainTimeouts the
-	// drains whose quiescence wait exceeded its deadline.
-	Adds, Drains, Removes, DrainTimeouts uint64
-}
-
-// Stats snapshots the mutation counters.
-func (t *Topology) Stats() Stats {
-	return Stats{
-		Epoch:         t.cur.Load().epoch,
-		Adds:          t.adds.Load(),
-		Drains:        t.drains.Load(),
-		Removes:       t.removes.Load(),
-		DrainTimeouts: t.drainTimeouts.Load(),
-	}
 }
 
 // Close shuts down every group in the current snapshot and rejects further

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"musuite/internal/rpc"
+	"musuite/internal/telemetry"
 )
 
 // startLeaf starts one echo leaf server for topology tests.
@@ -39,8 +40,12 @@ func testConfig() Config {
 		Dial: func(addr string) (*rpc.Pool, error) {
 			return rpc.DialPool(addr, 1, nil)
 		},
+		Counters: telemetry.NewTable(nil),
 	}
 }
+
+// count reads one of the topology's mutation counters.
+func count(topo *Topology, c telemetry.Counter) uint64 { return topo.cfg.Counters.Load(c) }
 
 func TestBootstrapPublishesEpochOne(t *testing.T) {
 	addrs := startLeaves(t, 3)
@@ -110,8 +115,8 @@ func TestAddGroupAppendsHighestShard(t *testing.T) {
 	if s.NumLeaves() != 3 || s.Epoch() != 2 {
 		t.Errorf("after add: leaves=%d epoch=%d, want 3/2", s.NumLeaves(), s.Epoch())
 	}
-	if st := topo.Stats(); st.Adds != 1 || st.Epoch != 2 {
-		t.Errorf("Stats = %+v, want Adds=1 Epoch=2", st)
+	if got := count(topo, telemetry.TopoAdd); got != 1 {
+		t.Errorf("topo.add = %d, want 1", got)
 	}
 
 	// The same address cannot serve two shards.
@@ -143,8 +148,8 @@ func TestDrainGroupShiftsShardsDown(t *testing.T) {
 	if got := s.Group(1).Addrs()[0]; got != addrs[2] {
 		t.Errorf("shard 1 addr = %s, want %s (shifted down)", got, addrs[2])
 	}
-	if st := topo.Stats(); st.Drains != 1 || st.DrainTimeouts != 0 {
-		t.Errorf("Stats = %+v, want Drains=1 DrainTimeouts=0", st)
+	if d, dt := count(topo, telemetry.TopoDrain), count(topo, telemetry.TopoDrainTimeout); d != 1 || dt != 0 {
+		t.Errorf("topo.drain=%d topo.drain-timeout=%d, want 1/0", d, dt)
 	}
 }
 
@@ -163,8 +168,8 @@ func TestDrainGroupTimesOutUnderPinnedReader(t *testing.T) {
 	if !errors.Is(err, ErrDrainTimeout) {
 		t.Fatalf("DrainGroup under pin = %v, want ErrDrainTimeout", err)
 	}
-	if st := topo.Stats(); st.DrainTimeouts != 1 {
-		t.Errorf("Stats.DrainTimeouts = %d, want 1", st.DrainTimeouts)
+	if got := count(topo, telemetry.TopoDrainTimeout); got != 1 {
+		t.Errorf("topo.drain-timeout = %d, want 1", got)
 	}
 	// The topology stayed consistent despite the overrun.
 	if got := topo.Current().NumLeaves(); got != 1 {
@@ -190,8 +195,8 @@ func TestRemoveGroupRefusesLastAndBadShard(t *testing.T) {
 	if err := topo.RemoveGroup(0); err == nil || !strings.Contains(err.Error(), "last leaf group") {
 		t.Errorf("RemoveGroup(last) = %v, want last-group refusal", err)
 	}
-	if st := topo.Stats(); st.Removes != 1 {
-		t.Errorf("Stats.Removes = %d, want 1", st.Removes)
+	if got := count(topo, telemetry.TopoRemove); got != 1 {
+		t.Errorf("topo.remove = %d, want 1", got)
 	}
 }
 

@@ -92,8 +92,9 @@ const admitFloorAlpha = 0.1
 // admitted request; the hot path is two atomics, with the AIMD adjustment
 // and the p99 refresh amortized over admitAdjustEvery completions.
 type admitController struct {
-	pol   AdmitPolicy
-	probe *telemetry.Probe
+	pol AdmitPolicy
+	// counters is the owning tier's table; it receives the admit.* events.
+	counters *telemetry.Table
 
 	inflight atomic.Int64
 	limit    atomic.Int64 // current AIMD concurrency limit
@@ -112,15 +113,11 @@ type admitController struct {
 	winSum  time.Duration
 	winN    int
 	floorNs atomic.Int64 // EWMA of window minima (the no-queueing baseline)
-
-	admitted     atomic.Uint64
-	shedLimit    atomic.Uint64
-	shedDeadline atomic.Uint64
 }
 
-func newAdmitController(pol AdmitPolicy, probe *telemetry.Probe) *admitController {
+func newAdmitController(pol AdmitPolicy, counters *telemetry.Table) *admitController {
 	pol = pol.withDefaults()
-	a := &admitController{pol: pol, probe: probe, svcLat: stats.NewHistogram()}
+	a := &admitController{pol: pol, counters: counters, svcLat: stats.NewHistogram()}
 	a.setLimit(int64(pol.InitInflight))
 	return a
 }
@@ -151,12 +148,10 @@ func (a *admitController) acquire(pri Priority) bool {
 	}
 	if a.inflight.Add(1) > lim {
 		a.inflight.Add(-1)
-		a.shedLimit.Add(1)
-		a.probe.IncAdmit(telemetry.AdmitShedLimit)
+		a.counters.Add(telemetry.AdmitShedLimit, 1)
 		return false
 	}
-	a.admitted.Add(1)
-	a.probe.IncAdmit(telemetry.AdmitAdmitted)
+	a.counters.Add(telemetry.AdmitAdmitted, 1)
 	return true
 }
 
@@ -219,12 +214,12 @@ func (a *admitController) release(d time.Duration) {
 		}
 		a.setLimit(next)
 		if a.limit.Load() < lim {
-			a.probe.IncAdmit(telemetry.AdmitLimitDown)
+			a.counters.Add(telemetry.AdmitLimitDown, 1)
 		}
 	} else if lim < int64(a.pol.MaxInflight) {
 		// Additive increase: probe for headroom one slot at a time.
 		a.setLimit(lim + 1)
-		a.probe.IncAdmit(telemetry.AdmitLimitUp)
+		a.counters.Add(telemetry.AdmitLimitUp, 1)
 	}
 }
 
@@ -239,14 +234,8 @@ func (a *admitController) doomed(arrival time.Time) bool {
 		return false
 	}
 	remaining := dl - time.Since(arrival)
-	if remaining <= 0 {
-		a.shedDeadline.Add(1)
-		a.probe.IncAdmit(telemetry.AdmitShedDeadline)
-		return true
-	}
-	if p99 := time.Duration(a.p99Ns.Load()); p99 > 0 && remaining < p99 {
-		a.shedDeadline.Add(1)
-		a.probe.IncAdmit(telemetry.AdmitShedDeadline)
+	if p99 := time.Duration(a.p99Ns.Load()); remaining <= 0 || (p99 > 0 && remaining < p99) {
+		a.counters.Add(telemetry.AdmitShedDeadline, 1)
 		return true
 	}
 	return false

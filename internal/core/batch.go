@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"musuite/internal/rpc"
-	"musuite/internal/telemetry"
 )
 
 // Adaptive cross-request batching.  Every front-end request fans out to all
@@ -51,12 +50,12 @@ const (
 )
 
 // newBatcher wraps one replica's connection pool with a batcher driven by
-// this edge's adaptive delay and the tier's telemetry.
+// this edge's adaptive delay, counting flushes into the tier's table.
 func (e *edge) newBatcher(pool *rpc.Pool) *rpc.Batcher {
 	return rpc.NewBatcher(pool, rpc.BatcherOptions{
 		MaxBatch: e.policy.Batch.MaxBatch,
 		Delay:    e.batchDelay,
-		OnFlush:  e.mt.onBatchFlush,
+		Counters: e.mt.counters,
 	})
 }
 
@@ -107,23 +106,3 @@ func (e *edge) refreshBatchDelay() {
 // batchDelay is the default edge's flush delay, kept under its old name for
 // in-package tests that assert the adaptive tracking.
 func (m *MidTier) batchDelay() time.Duration { return m.def.batchDelay() }
-
-// onBatchFlush feeds the occupancy and flush-cause counters surfaced
-// through core.stats and the probe.
-func (m *MidTier) onBatchFlush(items int, cause rpc.FlushCause) {
-	m.batchCarriers.Add(1)
-	m.batchMembers.Add(uint64(items))
-	m.probe.IncBatch(telemetry.BatchCarriers)
-	m.probe.AddBatch(telemetry.BatchMembers, uint64(items))
-	switch cause {
-	case rpc.FlushSize:
-		m.batchFlushSize.Add(1)
-		m.probe.IncBatch(telemetry.BatchFlushSize)
-	case rpc.FlushDeadline:
-		m.batchFlushDeadline.Add(1)
-		m.probe.IncBatch(telemetry.BatchFlushDeadline)
-	case rpc.FlushShutdown:
-		m.batchFlushShutdown.Add(1)
-		m.probe.IncBatch(telemetry.BatchFlushShutdown)
-	}
-}

@@ -1,13 +1,25 @@
 package core
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"musuite/internal/kernel"
 	"musuite/internal/rpc"
 	"musuite/internal/telemetry"
 )
+
+// kernelTestStore is a tiny corpus for leaves that must exercise an engine.
+func kernelTestStore(t *testing.T) *kernel.Store {
+	t.Helper()
+	s, err := kernel.FromFlat([]float32{0, 0, 0, 0, 1, 2, 3, 4}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
 
 // TestBatchingCoalescesFanout drives a batching mid-tier with enough
 // concurrency that cross-request coalescing must occur, and checks the
@@ -16,10 +28,8 @@ import (
 func TestBatchingCoalescesFanout(t *testing.T) {
 	addrA, leafA := startWorkLeaf(t, noDelay)
 	addrB, leafB := startWorkLeaf(t, noDelay)
-	probe := telemetry.NewProbe()
 	addr, mt := startTailMidTier(t, [][]string{{addrA}, {addrB}}, &Options{
 		Workers: 4,
-		Probe:   probe,
 		Batch:   BatchPolicy{MaxBatch: 8, Delay: 200 * time.Microsecond},
 	}, nil)
 
@@ -46,10 +56,10 @@ func TestBatchingCoalescesFanout(t *testing.T) {
 	wg.Wait()
 
 	const total = goroutines * perG
-	if served := leafA.Served() + leafB.Served(); served != 2*total {
+	if served := leafA.Stats().Served + leafB.Stats().Served; served != 2*total {
 		t.Fatalf("leaves served %d calls, want %d", served, 2*total)
 	}
-	st := mt.stats()
+	st := mt.Stats()
 	if st.BatchMembers != 2*total {
 		t.Fatalf("BatchMembers=%d, want every leaf call (%d) to pass through a batcher",
 			st.BatchMembers, 2*total)
@@ -65,11 +75,79 @@ func TestBatchingCoalescesFanout(t *testing.T) {
 	if st.BatchDelay <= 0 {
 		t.Fatalf("BatchDelay=%v, want positive while batching is enabled", st.BatchDelay)
 	}
-	snap := probe.Snapshot()
-	if snap.Batch[telemetry.BatchCarriers] != st.BatchCarriers ||
-		snap.Batch[telemetry.BatchMembers] != st.BatchMembers {
-		t.Fatalf("probe batch counters %v disagree with stats (%d carriers / %d members)",
-			snap.Batch, st.BatchCarriers, st.BatchMembers)
+}
+
+// TestProbeIsSumOfTierTables: every event is booked once, in the table of
+// the tier it happened in, and forwarded to the shared probe — so a probe
+// shared by a mid-tier and two leaves holds exactly the sum of the three
+// tables, and no tier books the sys/os proxies the rpc and pool layers write
+// to the probe directly.
+func TestProbeIsSumOfTierTables(t *testing.T) {
+	probe := telemetry.NewProbe()
+	var leaves [2]*Leaf
+	var groups [][]string
+	for i := range leaves {
+		opts := EnsureLeafKernel(&LeafOptions{Workers: 2, Probe: probe})
+		eng, store := opts.Kernel, kernelTestStore(t)
+		leaves[i] = NewLeaf(func(_ string, payload []byte) ([]byte, error) {
+			_, err := eng.Scan(store, []float32{1, 2, 3, 4}, 1, nil)
+			return payload, err
+		}, opts)
+		addr, err := leaves[i].Start("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(leaves[i].Close)
+		groups = append(groups, []string{addr})
+	}
+	addr, mt := startTailMidTier(t, groups, &Options{
+		Workers: 2,
+		Probe:   probe,
+		Batch:   BatchPolicy{MaxBatch: 4, Delay: 100 * time.Microsecond},
+		Admit:   AdmitPolicy{MaxInflight: 64, InitInflight: 64},
+	}, nil)
+	c, err := rpc.Dial(addr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const n = 50
+	done := make(chan *rpc.Call, n)
+	for i := 0; i < n; i++ {
+		c.Go("q", []byte("x"), nil, done)
+	}
+	for i := 0; i < n; i++ {
+		if call := <-done; call.Err != nil {
+			t.Fatal(call.Err)
+		}
+	}
+
+	tiers := []telemetry.Snapshot{mt.counters.Snapshot(), leaves[0].counters.Snapshot(), leaves[1].counters.Snapshot()}
+	got := probe.Snapshot()
+	for c := telemetry.Counter(0); c < telemetry.NumCounters; c++ {
+		var sum uint64
+		for _, tab := range tiers {
+			sum += tab[c]
+		}
+		switch fam, _, _ := strings.Cut(c.String(), "."); fam {
+		case "sys", "os":
+			if sum != 0 {
+				t.Errorf("%v: tiers booked %d; the proxies belong to the probe alone", c, sum)
+			}
+		default:
+			if got[c] != sum {
+				t.Errorf("%v: probe=%d, sum of tier tables=%d", c, got[c], sum)
+			}
+		}
+	}
+	// The sum is over something: each family the run exercises moved.
+	for c, want := range map[telemetry.Counter]uint64{
+		telemetry.TierServed: 3 * n, telemetry.AdmitAdmitted: n,
+		telemetry.BatchMembers: 2 * n, telemetry.KernelScans: 2 * n,
+	} {
+		if got[c] != want {
+			t.Errorf("%v = %d, want %d", c, got[c], want)
+		}
 	}
 }
 
@@ -88,7 +166,7 @@ func TestBatchDisabledByDefault(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := mt.stats()
+	st := mt.Stats()
 	if st.BatchCarriers != 0 || st.BatchMembers != 0 || st.BatchDelay != 0 {
 		t.Fatalf("batching disabled yet stats show %+v", st)
 	}
@@ -146,7 +224,6 @@ func TestBatchDelayAdaptsToLeafLatency(t *testing.T) {
 // down, so in-flight front-end requests complete rather than hang.
 func TestBatchShutdownFlushDelivery(t *testing.T) {
 	addrA, _ := startWorkLeaf(t, noDelay)
-	probe := telemetry.NewProbe()
 	mt := NewMidTier(func(ctx *Ctx) {
 		ctx.FanoutAll("work", ctx.Req.Payload, func(results []LeafResult) {
 			for _, r := range results {
@@ -159,7 +236,6 @@ func TestBatchShutdownFlushDelivery(t *testing.T) {
 		})
 	}, &Options{
 		Workers: 2,
-		Probe:   probe,
 		// A flush delay far beyond the test's lifetime: only Close can
 		// flush whatever sits in a queue at teardown.
 		Batch: BatchPolicy{MaxBatch: 64, Delay: time.Hour},
@@ -184,7 +260,11 @@ func TestBatchShutdownFlushDelivery(t *testing.T) {
 	// Give the fan-out time to enqueue the leaf calls into the batcher,
 	// then close: the shutdown flush must deliver them.
 	time.Sleep(50 * time.Millisecond)
-	go mt.Close()
+	closed := make(chan struct{})
+	go func() {
+		mt.Close()
+		close(closed)
+	}()
 	for i := 0; i < 4; i++ {
 		select {
 		case <-done:
@@ -195,7 +275,11 @@ func TestBatchShutdownFlushDelivery(t *testing.T) {
 			t.Fatal("request hung across close: queued batch members were dropped, not flushed")
 		}
 	}
-	if got := mt.batchFlushShutdown.Load(); got == 0 {
+	// Close drops the front-end connection (failing the client's calls)
+	// before it flushes the batchers, so the flush is only certain to have
+	// been counted once Close returns.
+	<-closed
+	if got := mt.Stats().BatchFlushShutdown; got == 0 {
 		t.Fatal("no shutdown flush recorded despite queued members at close")
 	}
 }

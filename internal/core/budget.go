@@ -1,6 +1,10 @@
 package core
 
-import "sync"
+import (
+	"sync"
+
+	"musuite/internal/telemetry"
+)
 
 // Retry-budget defaults: tail-recovery traffic (hedges plus retries) is
 // bounded to DefaultRetryBudgetRatio of primary leaf traffic, with a
@@ -23,17 +27,19 @@ type retryBudget struct {
 	ratio  float64
 	burst  float64
 	tokens float64
+	// counters is the owning tier's table; every spend books its outcome.
+	counters *telemetry.Table
 }
 
 // newRetryBudget builds a bucket, substituting defaults for zero values.
-func newRetryBudget(ratio float64, burst int) *retryBudget {
+func newRetryBudget(ratio float64, burst int, counters *telemetry.Table) *retryBudget {
 	if ratio <= 0 {
 		ratio = DefaultRetryBudgetRatio
 	}
 	if burst <= 0 {
 		burst = DefaultRetryBudgetBurst
 	}
-	return &retryBudget{ratio: ratio, burst: float64(burst), tokens: float64(burst)}
+	return &retryBudget{ratio: ratio, burst: float64(burst), tokens: float64(burst), counters: counters}
 }
 
 // earn credits the budget for one primary call.
@@ -47,13 +53,17 @@ func (b *retryBudget) earn() {
 }
 
 // spend consumes one token if available, reporting whether the hedge or
-// retry may proceed.
-func (b *retryBudget) spend() bool {
+// retry may proceed, and counts the outcome: what (tail.hedge or tail.retry)
+// when it may, tail.budget-denied when the bucket is dry.
+func (b *retryBudget) spend(what telemetry.Counter) bool {
 	b.mu.Lock()
 	ok := b.tokens >= 1
 	if ok {
 		b.tokens--
+	} else {
+		what = telemetry.TailBudgetDenied
 	}
 	b.mu.Unlock()
+	b.counters.Add(what, 1)
 	return ok
 }

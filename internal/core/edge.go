@@ -41,8 +41,8 @@ type EdgePolicy struct {
 
 // edge is one named downstream of a mid-tier: a live cluster topology plus
 // the per-edge adaptive state (latency digest, cached hedge and batch flush
-// delays) that used to live on the MidTier itself.  Action counters stay
-// tier-global so TierStats keeps its shape.
+// delays).  Action counters are tier-global: every edge counts into the
+// tier's one table.
 type edge struct {
 	name   string
 	mt     *MidTier
@@ -78,8 +78,8 @@ func (m *MidTier) newEdge(name string, p EdgePolicy) *edge {
 				DisableWriteCoalesce: m.opts.DisableWriteCoalesce,
 			})
 		},
-		Router: p.Routing,
-		Probe:  m.probe,
+		Router:   p.Routing,
+		Counters: m.counters,
 	}
 	if p.Batch.enabled() {
 		cfg.NewBatcher = e.newBatcher

@@ -93,7 +93,7 @@ func TestReplicaGroupPicksLeastOutstanding(t *testing.T) {
 	}
 	wg.Wait()
 
-	fastServed, slowServed := fast.Served(), slow.Served()
+	fastServed, slowServed := fast.Stats().Served, slow.Stats().Served
 	if fastServed+slowServed != goroutines*perG {
 		t.Fatalf("served %d+%d, want %d total", fastServed, slowServed, goroutines*perG)
 	}
@@ -147,7 +147,7 @@ func TestHedgingReducesTailLatency(t *testing.T) {
 			}
 			lat = append(lat, time.Since(start))
 		}
-		return p99(lat), mt.stats()
+		return p99(lat), mt.Stats()
 	}
 
 	unhedgedP99, _ := run(TailPolicy{})
@@ -200,7 +200,7 @@ func TestRetryBudgetCapsHedging(t *testing.T) {
 	// reading the leaf counters.
 	time.Sleep(50 * time.Millisecond)
 
-	st := mt.stats()
+	st := mt.Stats()
 	// Budget supply: 5 burst tokens + 0.1 per primary → ≤ 35 hedges.
 	const maxHedges = 5 + requests/10 + 1
 	if st.Hedges > maxHedges {
@@ -212,7 +212,7 @@ func TestRetryBudgetCapsHedging(t *testing.T) {
 	if st.BudgetDenied < 200 {
 		t.Fatalf("only %d hedges denied, expected the bucket to run dry (~%d denials)", st.BudgetDenied, requests-maxHedges)
 	}
-	extra := leafA.Served() + leafB.Served() - requests
+	extra := leafA.Stats().Served + leafB.Stats().Served - requests
 	if extra > maxHedges {
 		t.Fatalf("leaves served %d extra calls, budget should cap recovery traffic at %d", extra, maxHedges)
 	}
@@ -269,7 +269,7 @@ func TestHedgeCancellationNoDoubleMerge(t *testing.T) {
 	if got := merges.Load(); got != total {
 		t.Fatalf("merge ran %d times for %d requests: hedge cancellation double-merged", got, total)
 	}
-	if st := mt.stats(); st.Hedges == 0 {
+	if st := mt.Stats(); st.Hedges == 0 {
 		t.Fatalf("no hedges issued: test exercised nothing (stats=%+v)", st)
 	}
 }

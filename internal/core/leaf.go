@@ -55,27 +55,33 @@ type LeafOptions struct {
 	DisableWriteCoalesce bool
 	// Probe receives telemetry; nil disables instrumentation.
 	Probe *telemetry.Probe
-	// Kernel is the compute engine the leaf's handlers scan with; services
-	// call EnsureLeafKernel so a leaf always has one, and its counters feed
-	// the leaf's TierStats (KernelPoints/KernelNanos).
+	// Kernel configures the compute engine the leaf's handlers scan with
+	// (parallelism, kernel selection).  Services call EnsureLeafKernel,
+	// which rebinds it to count into the leaf's own table, so a leaf always
+	// has an engine and its TierStats kernel counters are per-leaf even
+	// when several leaves were configured from one engine.
 	Kernel *kernel.Engine
 	// Spans, when set, records a server span for every sampled request
 	// (and every sampled member of a batched carrier), parented to the
 	// caller's client span carried on the wire.
 	Spans *trace.Recorder
+
+	// counters is the leaf's table once EnsureLeafKernel has created it (the
+	// engine must count into it before the leaf exists); nil otherwise.
+	counters *telemetry.Table
 }
 
-// EnsureLeafKernel clones opts (nil allowed) and fills in a compute engine
-// wired to the options' probe if the caller did not supply one — the hook
-// services use so every leaf owns per-leaf kernel counters.
+// EnsureLeafKernel clones opts (nil allowed), creates the table of the leaf
+// the options will build, and binds the compute engine (the caller's, or a
+// default one) to it — the hook services use so every leaf owns per-leaf
+// kernel counters.  Each call's result configures exactly one leaf.
 func EnsureLeafKernel(opts *LeafOptions) *LeafOptions {
 	var out LeafOptions
 	if opts != nil {
 		out = *opts
 	}
-	if out.Kernel == nil {
-		out.Kernel = kernel.New(kernel.Config{Probe: out.Probe})
-	}
+	out.counters = telemetry.NewTable(out.Probe.Table())
+	out.Kernel = out.Kernel.WithCounters(out.counters)
 	return &out
 }
 
@@ -106,10 +112,12 @@ type Leaf struct {
 	// per-request submit carries no closure.
 	runFn   func(any)
 	batchFn func(any)
-	kern    *kernel.Engine
 	spans   *trace.Recorder
-	served  atomic.Uint64
-	closed  atomic.Bool
+	// counters is the leaf's one counter table (served requests, and the
+	// kernel.* events of the engine EnsureLeafKernel bound to it);
+	// core.stats serves it.
+	counters *telemetry.Table
+	closed   atomic.Bool
 }
 
 // NewLeaf creates a leaf microserver around handler.
@@ -129,42 +137,29 @@ func NewLeafEncoded(handler EncodedLeafHandler, opts *LeafOptions) *Leaf {
 }
 
 func newLeaf(opts *LeafOptions) *Leaf {
-	var (
-		workers  = 4
-		wait     = WaitBlocking
-		probe    *telemetry.Probe
-		batch    LeafBatchHandler
-		kern     *kernel.Engine
-		coalesce = true
-		spans    *trace.Recorder
-	)
+	var o LeafOptions
 	if opts != nil {
-		if opts.Workers > 0 {
-			workers = opts.Workers
-		}
-		wait = opts.Wait
-		probe = opts.Probe
-		batch = opts.BatchHandler
-		kern = opts.Kernel
-		coalesce = !opts.DisableWriteCoalesce
-		spans = opts.Spans
+		o = *opts
 	}
-	l := &Leaf{batch: batch, kern: kern, spans: spans}
+	if o.Workers <= 0 {
+		o.Workers = 4
+	}
+	if o.counters == nil {
+		o.counters = telemetry.NewTable(o.Probe.Table())
+	}
+	l := &Leaf{batch: o.BatchHandler, counters: o.counters, spans: o.Spans}
 	l.runFn = l.runScalar
 	l.batchFn = l.runBatchTask
-	l.workers = NewWorkerPool(workers, wait, probe, telemetry.OverheadActiveExe)
+	l.workers = NewWorkerPool(o.Workers, o.Wait, o.Probe, telemetry.OverheadActiveExe)
 	l.server = rpc.NewServer(l.onRequest, &rpc.ServerOptions{
-		Probe:                probe,
-		DisableWriteCoalesce: !coalesce,
+		Probe:                o.Probe,
+		DisableWriteCoalesce: o.DisableWriteCoalesce,
 	})
 	return l
 }
 
 // Start binds the leaf server and begins serving.
 func (l *Leaf) Start(addr string) (string, error) { return l.server.Start(addr) }
-
-// Served reports the number of requests completed.
-func (l *Leaf) Served() uint64 { return l.served.Load() }
 
 // Close shuts the leaf down.
 func (l *Leaf) Close() {
@@ -177,7 +172,7 @@ func (l *Leaf) Close() {
 
 func (l *Leaf) onRequest(req *rpc.Request) {
 	if req.Method == StatsMethod {
-		req.Reply(encodeTierStats(l.stats()))
+		req.Reply(encodeTierStats(l.Stats()))
 		return
 	}
 	// The payload must outlive the poller's read buffer; a pooled copy
@@ -204,33 +199,27 @@ func (l *Leaf) onRequest(req *rpc.Request) {
 // runScalar executes one plain request on a worker thread.
 func (l *Leaf) runScalar(a any) {
 	req := a.(*rpc.Request)
-	defer l.served.Add(1)
 	defer req.ReleasePayload()
-	defer func() {
-		if r := recover(); r != nil {
-			req.ReplyError(fmt.Errorf("leaf handler panic: %v", r))
-		}
-	}()
-	var handlerErr error
+	var reply []byte
+	var err error
 	if l.encoded != nil {
 		e := wire.GetEncoder()
-		if err := l.encoded(req.Method, req.Payload, e); err != nil {
-			handlerErr = err
-			req.ReplyError(err)
-		} else {
-			req.Reply(e.Bytes())
+		defer wire.PutEncoder(e)
+		if err = l.runOneEncoded(req.Method, req.Payload, e); err == nil {
+			reply = e.Bytes()
 		}
-		wire.PutEncoder(e)
 	} else {
-		reply, err := l.handler(req.Method, req.Payload)
-		if err != nil {
-			handlerErr = err
-			req.ReplyError(err)
-		} else {
-			req.Reply(reply)
-		}
+		reply, err = l.runOne(req.Method, req.Payload)
 	}
-	l.recordServerSpan(req.TraceContext(), req.Method, req, handlerErr, false)
+	// Counted before the reply is handed to the wire — the TierStats
+	// contract: a counter is visible no later than the reply it describes.
+	l.counters.Add(telemetry.TierServed, 1)
+	if err != nil {
+		req.ReplyError(err)
+	} else {
+		req.Reply(reply)
+	}
+	l.recordServerSpan(req.TraceContext(), req.Method, req, err, false)
 }
 
 // recordServerSpan emits the leaf's server span for one sampled request:
@@ -305,7 +294,7 @@ func (l *Leaf) runBatchTask(a any) {
 	}
 	enc := wire.GetEncoder()
 	l.appendBatchReplies(enc, sc)
-	l.served.Add(uint64(len(sc.methods)))
+	l.counters.Add(telemetry.TierServed, uint64(len(sc.methods)))
 	req.Reply(enc.Bytes())
 	wire.PutEncoder(enc)
 	if l.spans != nil {
@@ -379,7 +368,7 @@ func (l *Leaf) runVectorized(methods []string, payloads [][]byte) (replies [][]b
 	return replies, errs, true
 }
 
-// runOne guards one scalar execution within a batch.
+// runOne guards one scalar execution (a plain request or a batch member).
 func (l *Leaf) runOne(method string, payload []byte) (reply []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -389,8 +378,9 @@ func (l *Leaf) runOne(method string, payload []byte) (reply []byte, err error) {
 	return l.handler(method, payload)
 }
 
-// runOneEncoded guards one encoded scalar execution within a batch.  On
-// panic e may hold a partial encoding; callers must discard it.
+// runOneEncoded guards one encoded scalar execution (a plain request or a
+// batch member).  On panic e may hold a partial encoding; callers must
+// discard it.
 func (l *Leaf) runOneEncoded(method string, payload []byte, e *wire.Encoder) (err error) {
 	defer func() {
 		if r := recover(); r != nil {

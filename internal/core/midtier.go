@@ -155,7 +155,11 @@ type MidTier struct {
 	opts    Options
 	handler Handler
 	probe   *telemetry.Probe
-	spans   *trace.Recorder
+	// counters is the tier's one counter table: every event the tier, its
+	// admission controller, batchers and topologies count is booked here
+	// (and forwarded to the probe), and core.stats serves it.
+	counters *telemetry.Table
+	spans    *trace.Recorder
 
 	server    *rpc.Server
 	workers   *WorkerPool
@@ -177,42 +181,28 @@ type MidTier struct {
 	closed  atomic.Bool
 
 	arrivals *rateMeter // DispatchAuto's load signal
-	inlined  atomic.Uint64
-	served   atomic.Uint64
 
 	// admit is the adaptive admission controller; nil when Options.Admit
 	// is zero, so the unlimited path costs nothing.
 	admit *admitController
 
-	// Tail-tolerance state: the hedge/retry token budget (tier-global, so
-	// one edge's recovery traffic cannot starve another's) and the action
-	// counters surfaced through core.stats.  The latency digests and
+	// budget is the hedge/retry token budget (tier-global, so one edge's
+	// recovery traffic cannot starve another's).  The latency digests and
 	// cached hedge delays live per edge.
-	budget       *retryBudget
-	hedges       atomic.Uint64
-	hedgeWins    atomic.Uint64
-	retries      atomic.Uint64
-	budgetDenied atomic.Uint64
-
-	// Batching occupancy/flush-cause counters surfaced through core.stats
-	// (the cached digest-tracked flush delay lives per edge).
-	batchCarriers      atomic.Uint64
-	batchMembers       atomic.Uint64
-	batchFlushSize     atomic.Uint64
-	batchFlushDeadline atomic.Uint64
-	batchFlushShutdown atomic.Uint64
+	budget *retryBudget
 }
 
 // NewMidTier creates a mid-tier with the given request handler.
 func NewMidTier(handler Handler, opts *Options) *MidTier {
 	o := opts.withDefaults()
 	m := &MidTier{opts: o, handler: handler, probe: o.Probe, spans: o.Spans}
+	m.counters = telemetry.NewTable(o.Probe.Table())
 	if o.AutoDispatchQPS <= 0 {
 		o.AutoDispatchQPS = 500
 		m.opts.AutoDispatchQPS = 500
 	}
 	m.arrivals = newRateMeter(100 * time.Millisecond)
-	m.budget = newRetryBudget(o.Tail.RetryBudgetRatio, o.Tail.RetryBudgetBurst)
+	m.budget = newRetryBudget(o.Tail.RetryBudgetRatio, o.Tail.RetryBudgetBurst, m.counters)
 	m.workers = NewBoundedWorkerPool(o.Workers, o.MaxQueueDepth, o.Wait, o.Probe, telemetry.OverheadActiveExe)
 	m.responses = NewWorkerPool(o.ResponseThreads, o.Wait, o.Probe, telemetry.OverheadSched)
 	m.deliverFn = func(a any) {
@@ -220,7 +210,7 @@ func NewMidTier(handler Handler, opts *Options) *MidTier {
 		call.Data.(*fanoutSlot).fo.deliver(call)
 	}
 	if o.Admit.enabled() {
-		m.admit = newAdmitController(o.Admit, o.Probe)
+		m.admit = newAdmitController(o.Admit, m.counters)
 	}
 	m.handleFn = func(a any) {
 		ctx := a.(*Ctx)
@@ -311,12 +301,6 @@ func (m *MidTier) NumLeaves() int { return m.def.topo.Current().NumLeaves() }
 // (default edge).
 func (m *MidTier) NumReplicas() int { return m.def.topo.Current().NumReplicas() }
 
-// Shed reports how many requests the dispatch-queue bound rejected.
-func (m *MidTier) Shed() uint64 { return m.workers.Shed() }
-
-// Inlined reports how many requests DispatchAuto ran in-line.
-func (m *MidTier) Inlined() uint64 { return m.inlined.Load() }
-
 // Start binds the mid-tier server and begins serving.
 func (m *MidTier) Start(addr string) (string, error) {
 	m.started.Store(true)
@@ -343,7 +327,7 @@ func (m *MidTier) Close() {
 // onRequest runs on the network poller goroutine for every incoming RPC.
 func (m *MidTier) onRequest(req *rpc.Request) {
 	if req.Method == StatsMethod {
-		req.Reply(encodeTierStats(m.stats()))
+		req.Reply(encodeTierStats(m.Stats()))
 		return
 	}
 	// Priority is classified before admission so the controller's
@@ -392,7 +376,7 @@ func (m *MidTier) onRequest(req *rpc.Request) {
 		// In-line design (§VII): no hand-off, no worker wakeup; the
 		// poller executes the handler and is blocked for its duration.
 		if m.opts.Dispatch == DispatchAuto {
-			m.inlined.Add(1)
+			m.counters.Add(telemetry.TierInlined, 1)
 		}
 		ctx.tr.Stamp(trace.StageWorkerStart)
 		m.handler(ctx)
@@ -411,7 +395,7 @@ func (m *MidTier) onRequest(req *rpc.Request) {
 			// The dispatch queue is the hard backstop behind the adaptive
 			// limit; its sheds carry the same typed overload error so the
 			// client treats both identically (no retry, no budget spend).
-			m.probe.IncAdmit(telemetry.AdmitShedQueue)
+			m.counters.Add(telemetry.AdmitShedQueue, 1)
 			req.ReplyError(rpc.Overloadf("dispatch queue full"))
 		} else {
 			req.ReplyError(err)
@@ -514,12 +498,17 @@ func (c *Ctx) Snapshot() *cluster.Snapshot { return c.snap }
 
 // Reply completes the request successfully.
 func (c *Ctx) Reply(payload []byte) {
-	c.Req.Reply(payload)
-	c.finish()
+	if c.claim() {
+		c.Req.Reply(payload)
+		c.finish()
+	}
 }
 
 // ReplyError completes the request with an error.
 func (c *Ctx) ReplyError(err error) {
+	if !c.claim() {
+		return
+	}
 	if err != nil && c.span.Sampled() {
 		c.errText = err.Error()
 	}
@@ -527,12 +516,21 @@ func (c *Ctx) ReplyError(err error) {
 	c.finish()
 }
 
-// finish counts the completion, releases the topology pin, records the
-// server span, and closes out the sampled trace, once.
-func (c *Ctx) finish() {
+// claim wins the right to answer the request, once, and counts it served
+// before the reply is handed to the wire — the TierStats contract: a counter
+// is visible no later than the reply it describes.
+func (c *Ctx) claim() bool {
 	if !c.fin.CompareAndSwap(false, true) {
-		return
+		return false
 	}
+	c.mt.counters.Add(telemetry.TierServed, 1)
+	return true
+}
+
+// finish runs after the reply is written: it releases the topology pins and
+// the admission slot, records the server span, and closes out the sampled
+// trace.
+func (c *Ctx) finish() {
 	c.snap.Release()
 	c.pinMu.Lock()
 	pins := c.pins
@@ -548,7 +546,6 @@ func (c *Ctx) finish() {
 			c.mt.admit.release(time.Since(c.Req.Arrival))
 		}
 	}
-	c.mt.served.Add(1)
 	if c.tr == nil {
 		return
 	}
@@ -732,13 +729,9 @@ func (c *Ctx) callOn(e *edge, snap *cluster.Snapshot, shard int, method string, 
 		if attempt >= e.policy.Tail.LeafRetries || !rpc.Retryable(err) {
 			return nil, err
 		}
-		if !m.budget.spend() {
-			m.budgetDenied.Add(1)
-			m.probe.IncTail(telemetry.TailBudgetDenied)
+		if !m.budget.spend(telemetry.TailRetry) {
 			return nil, err
 		}
-		m.retries.Add(1)
-		m.probe.IncTail(telemetry.TailRetry)
 		exclude = idx
 	}
 }
@@ -859,13 +852,9 @@ func (m *MidTier) hedge(slot *fanoutSlot) {
 	slot.hedged = true
 	primary := slot.attempts[0].replica
 	slot.mu.Unlock()
-	if !m.budget.spend() {
-		m.budgetDenied.Add(1)
-		m.probe.IncTail(telemetry.TailBudgetDenied)
+	if !m.budget.spend(telemetry.TailHedge) {
 		return
 	}
-	m.hedges.Add(1)
-	m.probe.IncTail(telemetry.TailHedge)
 	m.issueAttempt(slot, primary, attemptHedge)
 }
 
@@ -892,13 +881,9 @@ func (m *MidTier) maybeRetry(slot *fanoutSlot, failed *rpc.Call) bool {
 		}
 	}
 	slot.mu.Unlock()
-	if !m.budget.spend() {
-		m.budgetDenied.Add(1)
-		m.probe.IncTail(telemetry.TailBudgetDenied)
+	if !m.budget.spend(telemetry.TailRetry) {
 		return false
 	}
-	m.retries.Add(1)
-	m.probe.IncTail(telemetry.TailRetry)
 	// The failed copy never reaches deliverSlot (the retry supersedes it),
 	// so its span retires here, carrying the error that triggered the
 	// retry.  Had the budget denied, the failure would have completed the
@@ -1260,8 +1245,7 @@ func (f *fanout) deliverSlot(slot *fanoutSlot, res LeafResult, winner *rpc.Call)
 	}
 	if win, ok := slot.cancelLosers(winnerRef, end); ok {
 		if win.kind == attemptHedge {
-			f.mt.hedgeWins.Add(1)
-			f.mt.probe.IncTail(telemetry.TailHedgeWin)
+			f.mt.counters.Add(telemetry.TailHedgeWin, 1)
 		}
 		f.mt.recordAttemptSpan(slot.method, slot.shard, &win, end, errText, false)
 	}

@@ -10,7 +10,6 @@ package core
 import (
 	"errors"
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"musuite/internal/telemetry"
@@ -172,7 +171,6 @@ type WorkerPool struct {
 	done     chan struct{} // closed when all workers exit
 	workers  int
 	maxDepth int // 0 = unbounded
-	shed     atomic.Uint64
 }
 
 // NewWorkerPool starts n workers.  overhead selects the telemetry class for
@@ -200,7 +198,7 @@ func NewBoundedWorkerPool(n, maxDepth int, mode WaitMode, probe *telemetry.Probe
 	exited := make(chan struct{}, n)
 	for i := 0; i < n; i++ {
 		// Spawning a worker is the clone(2) analog.
-		probe.IncSyscall(telemetry.SysClone)
+		probe.Add(telemetry.SysClone, 1)
 		go func() {
 			p.run()
 			exited <- struct{}{}
@@ -217,9 +215,6 @@ func NewBoundedWorkerPool(n, maxDepth int, mode WaitMode, probe *telemetry.Probe
 
 // Workers reports the pool size.
 func (p *WorkerPool) Workers() int { return p.workers }
-
-// Shed reports how many submits the queue bound rejected.
-func (p *WorkerPool) Shed() uint64 { return p.shed.Load() }
 
 // Submit enqueues fn at normal priority.  It returns ErrPoolClosed after
 // Stop.
@@ -256,7 +251,6 @@ func (p *WorkerPool) enqueue(t task, pri Priority) error {
 	}
 	if p.maxDepth > 0 && p.queue.len()+p.urgent.len() >= p.maxDepth {
 		p.mu.Unlock()
-		p.shed.Add(1)
 		return ErrQueueFull
 	}
 	if pri == PriorityHigh {
@@ -266,7 +260,7 @@ func (p *WorkerPool) enqueue(t task, pri Priority) error {
 	}
 	// The hand-off signal is the write(2)-on-eventfd analog.  Polling
 	// workers never park, so only the modes with parked waiters signal.
-	p.probe.IncSyscall(telemetry.SysWrite)
+	p.probe.Add(telemetry.SysWrite, 1)
 	if p.mode != WaitPolling {
 		p.cond.Signal()
 	}
@@ -356,7 +350,7 @@ func (p *WorkerPool) next() (task, bool) {
 			t = p.queue.pop()
 		}
 		// Consuming the hand-off is the read(2)-on-eventfd analog.
-		p.probe.IncSyscall(telemetry.SysRead)
+		p.probe.Add(telemetry.SysRead, 1)
 		p.mu.Unlock()
 		return t, true
 	}

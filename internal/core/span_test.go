@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -42,28 +43,38 @@ func tracedCall(t *testing.T, c *rpc.Client) {
 	}
 }
 
-// snapshotWhen polls the recorder until cond accepts the span set (the
-// mid-tier records spans in finish(), which can trail the client's reply by
-// a scheduling quantum).
+// snapshotWhen polls the recorder until cond accepts the span set and every
+// trace in it is connected.  Spans are recorded where the work ends — a
+// tier's server span after its reply is written, a loser's when it is
+// cancelled — so the last few can trail the client's reply by a scheduling
+// quantum, in any order.
 func snapshotWhen(t *testing.T, rec *trace.Recorder, cond func([]trace.Span) bool) []trace.Span {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		spans := rec.Snapshot()
-		if cond(spans) || time.Now().After(deadline) {
+		if (cond(spans) && disconnected(spans) == nil) || time.Now().After(deadline) {
 			return spans
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
 
-func assertConnected(t *testing.T, spans []trace.Span) {
-	t.Helper()
+// disconnected returns the first trace whose spans do not form one tree.
+func disconnected(spans []trace.Span) *trace.Tree {
 	for _, tree := range trace.BuildTrees(spans) {
 		if !tree.Connected() {
-			t.Fatalf("trace %x not connected: %d spans, %d roots",
-				tree.TraceID, len(tree.Spans), len(tree.Roots))
+			return tree
 		}
+	}
+	return nil
+}
+
+func assertConnected(t *testing.T, spans []trace.Span) {
+	t.Helper()
+	if tree := disconnected(spans); tree != nil {
+		t.Fatalf("trace %x not connected: %d spans, %d roots",
+			tree.TraceID, len(tree.Spans), len(tree.Roots))
 	}
 }
 
@@ -146,9 +157,15 @@ func TestHedgeLoserSpansParented(t *testing.T) {
 // "retry", and the two parented as siblings under the request's span.
 func TestRetrySpansRecorded(t *testing.T) {
 	rec := trace.NewRecorder("test", 1<<16)
-	slow := echoAfter(10 * time.Millisecond)
-	addrA, leafA := startSpanLeaf(t, rec, slow)
-	addrB, _ := startSpanLeaf(t, rec, slow)
+	// Replica A holds each request 50ms and reports the first one to enter
+	// its handler, so the kill below provably lands on in-flight work.
+	var inA atomic.Int32
+	holdA := echoAfter(50 * time.Millisecond)
+	addrA, leafA := startSpanLeaf(t, rec, func(method string, payload []byte) ([]byte, error) {
+		inA.Add(1)
+		return holdA(method, payload)
+	})
+	addrB, _ := startSpanLeaf(t, rec, echoAfter(10*time.Millisecond))
 	addr, mt := startTailMidTier(t, [][]string{{addrA, addrB}}, &Options{
 		Workers: 4,
 		Spans:   rec,
@@ -183,10 +200,16 @@ func TestRetrySpansRecorded(t *testing.T) {
 			}
 		}()
 	}
-	// Let every request reach a replica (leaves hold them 10ms), then kill
-	// A while they are pending — closing earlier risks a request issuing
-	// its primary to the already-dead replica and burning its retries on
-	// the same corpse (a fresh JSQ pick favours the idle dead replica).
+	// Wait until A is executing a request, give the rest of the burst a
+	// moment to reach a replica, then kill A while they are pending —
+	// closing earlier risks a request issuing its primary to the
+	// already-dead replica and burning its retries on the same corpse (a
+	// fresh JSQ pick favours the idle dead replica).
+	for deadline := time.Now().Add(5 * time.Second); inA.Load() == 0; time.Sleep(200 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("replica A never received a request")
+		}
+	}
 	time.Sleep(5 * time.Millisecond)
 	leafA.Close()
 	wg.Wait()
@@ -194,7 +217,7 @@ func TestRetrySpansRecorded(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if mt.stats().Retries == 0 {
+	if mt.Stats().Retries == 0 {
 		t.Fatal("no retries fired: the leaf kill raced past the in-flight window")
 	}
 
@@ -296,11 +319,12 @@ func TestBatchedMemberSpansParented(t *testing.T) {
 		n := 0
 		for i := range spans {
 			if spans[i].Kind == trace.KindServer && spans[i].ParentID != 0 && spans[i].Name == "work" {
-				// leaf server spans
+				// one mid-tier server span (the members' parent, recorded
+				// after the reply) and two leaf server spans per request
 				n++
 			}
 		}
-		return n >= 2*total
+		return n >= 3*total
 	})
 
 	batched := 0

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"reflect"
 	"time"
 
 	"musuite/internal/rpc"
+	"musuite/internal/telemetry"
 	"musuite/internal/wire"
 )
 
@@ -13,16 +15,27 @@ import (
 // imagines) reads.
 const StatsMethod = "core.stats"
 
-// TierStats are one tier's operational counters.
+// TierStats are one tier's operational counters and gauges.
+//
+// The counters are read from the tier's telemetry.Table: every event is
+// booked once, into that table, and a counter is visible no later than the
+// reply it describes — a caller that has read a reply sees that request in
+// Served (and its scans in KernelPoints, its hedge in Hedges, …) on its next
+// stats read.  Gauges are sampled when the snapshot is taken.
+//
+// The struct is its own description: a field tagged `counter:"family.name"`
+// is filled from that slot of the table, and every field is encoded by kind
+// in declaration order.  Surfacing a counter is one tagged field, a new
+// gauge one untagged field; neither touches the codec.
 type TierStats struct {
 	// Role is "midtier" or "leaf".
 	Role string
 	// Served counts completed requests.
-	Served uint64
+	Served uint64 `counter:"tier.served"`
 	// Shed counts requests rejected by the dispatch-queue bound.
-	Shed uint64
+	Shed uint64 `counter:"admit.shed-queue"`
 	// Inlined counts requests DispatchAuto ran in-line.
-	Inlined uint64
+	Inlined uint64 `counter:"tier.inlined"`
 	// QueueDepth is the instantaneous dispatch-queue occupancy.
 	QueueDepth int
 	// Workers and ResponseThreads are the pool sizes (ResponseThreads is
@@ -36,35 +49,47 @@ type TierStats struct {
 	// Tail-tolerance counters (mid-tier only): hedges issued, hedges
 	// whose duplicate won, retries issued, and hedges/retries suppressed
 	// by the retry budget.
-	Hedges, HedgeWins, Retries, BudgetDenied uint64
+	Hedges       uint64 `counter:"tail.hedge"`
+	HedgeWins    uint64 `counter:"tail.hedge-win"`
+	Retries      uint64 `counter:"tail.retry"`
+	BudgetDenied uint64 `counter:"tail.budget-denied"`
 	// HedgeDelay is the current (fixed or percentile-tracked) hedge
 	// delay; zero when hedging is disarmed.
 	HedgeDelay time.Duration
 	// Cross-request batching counters (mid-tier only): carrier RPCs sent,
 	// member calls they transported (BatchMembers / BatchCarriers is the
 	// mean batch occupancy), and the flush-cause breakdown.
-	BatchCarriers, BatchMembers                            uint64
-	BatchFlushSize, BatchFlushDeadline, BatchFlushShutdown uint64
+	BatchCarriers      uint64 `counter:"batch.carriers"`
+	BatchMembers       uint64 `counter:"batch.members"`
+	BatchFlushSize     uint64 `counter:"batch.flush-size"`
+	BatchFlushDeadline uint64 `counter:"batch.flush-deadline"`
+	BatchFlushShutdown uint64 `counter:"batch.flush-shutdown"`
 	// BatchDelay is the current (fixed or digest-tracked) flush delay;
 	// zero when batching is disabled.
 	BatchDelay time.Duration
-	// Epoch is the cluster topology version (mid-tier only); it increments
-	// on every add/drain/remove, so a monitor can detect a resize by
-	// watching this gauge.
+	// Epoch is the default edge's cluster topology version (mid-tier
+	// only); it increments on every add/drain/remove, so a monitor can
+	// detect a resize by watching this gauge.
 	Epoch uint64
-	// Topology mutation counters (mid-tier only): leaf groups added,
-	// gracefully drained, forcefully removed, and drains whose quiescence
-	// wait exceeded its deadline.
-	TopoAdds, TopoDrains, TopoRemoves, TopoDrainTimeouts uint64
+	// Topology mutation counters (mid-tier only, summed over its edges):
+	// leaf groups added, gracefully drained, forcefully removed, and drains
+	// whose quiescence wait exceeded its deadline.
+	TopoAdds          uint64 `counter:"topo.add"`
+	TopoDrains        uint64 `counter:"topo.drain"`
+	TopoRemoves       uint64 `counter:"topo.remove"`
+	TopoDrainTimeouts uint64 `counter:"topo.drain-timeout"`
 	// Compute-engine counters (leaf only): candidate points scored by the
 	// leaf's kernel scans and wall nanoseconds spent inside them —
 	// KernelPoints/KernelNanos·1e9 is the points-scanned/s throughput that
 	// says whether the leaf is compute-bound.
-	KernelPoints, KernelNanos uint64
+	KernelPoints uint64 `counter:"kernel.points"`
+	KernelNanos  uint64 `counter:"kernel.nanos"`
 	// Admission-control counters (mid-tier only, zero with admission
 	// off): requests admitted, shed at the adaptive limit, and shed
 	// deadline-doomed at worker pickup.
-	Admitted, ShedLimit, ShedDeadline uint64
+	Admitted     uint64 `counter:"admit.admitted"`
+	ShedLimit    uint64 `counter:"admit.shed-limit"`
+	ShedDeadline uint64 `counter:"admit.shed-deadline"`
 	// AdmitLimit and AdmitInflight are the live AIMD concurrency limit
 	// and the admitted requests currently in flight — the gauges an
 	// autoscaler reads to tell "limited by policy" from "limited by
@@ -75,84 +100,75 @@ type TierStats struct {
 	AdmitP99 time.Duration
 }
 
-// encodeTierStats serializes stats for the wire.
+// counterFields maps the index of every TierStats field tagged
+// `counter:"family.name"` to the table slot it reads.
+var counterFields = func() map[int]telemetry.Counter {
+	byLabel := make(map[string]telemetry.Counter, telemetry.NumCounters)
+	for c := telemetry.Counter(0); c < telemetry.NumCounters; c++ {
+		byLabel[c.String()] = c
+	}
+	fields := make(map[int]telemetry.Counter)
+	t := reflect.TypeOf(TierStats{})
+	for i := 0; i < t.NumField(); i++ {
+		label, tagged := t.Field(i).Tag.Lookup("counter")
+		if !tagged {
+			continue
+		}
+		c, known := byLabel[label]
+		if !known {
+			panic("core: TierStats." + t.Field(i).Name + " names unknown counter " + label)
+		}
+		fields[i] = c
+	}
+	return fields
+}()
+
+// fillCounters sets every tagged field from a table snapshot.
+func (s *TierStats) fillCounters(snap telemetry.Snapshot) {
+	v := reflect.ValueOf(s).Elem()
+	for i, c := range counterFields {
+		v.Field(i).SetUint(snap[c])
+	}
+}
+
+// encodeTierStats serializes stats for the wire: every field, by kind, in
+// declaration order (a field of a kind it does not know fails
+// TestTierStatsRoundTrip).
 func encodeTierStats(s TierStats) []byte {
-	e := wire.NewEncoder(64)
-	e.String(s.Role)
-	e.Uint64(s.Served)
-	e.Uint64(s.Shed)
-	e.Uint64(s.Inlined)
-	e.Uvarint(uint64(s.QueueDepth))
-	e.Uvarint(uint64(s.Workers))
-	e.Uvarint(uint64(s.ResponseThreads))
-	e.Uvarint(uint64(s.Leaves))
-	e.Uvarint(uint64(s.Replicas))
-	e.Uint64(s.Hedges)
-	e.Uint64(s.HedgeWins)
-	e.Uint64(s.Retries)
-	e.Uint64(s.BudgetDenied)
-	e.Uint64(uint64(s.HedgeDelay))
-	e.Uint64(s.BatchCarriers)
-	e.Uint64(s.BatchMembers)
-	e.Uint64(s.BatchFlushSize)
-	e.Uint64(s.BatchFlushDeadline)
-	e.Uint64(s.BatchFlushShutdown)
-	e.Uint64(uint64(s.BatchDelay))
-	e.Uint64(s.Epoch)
-	e.Uint64(s.TopoAdds)
-	e.Uint64(s.TopoDrains)
-	e.Uint64(s.TopoRemoves)
-	e.Uint64(s.TopoDrainTimeouts)
-	e.Uint64(s.KernelPoints)
-	e.Uint64(s.KernelNanos)
-	e.Uint64(s.Admitted)
-	e.Uint64(s.ShedLimit)
-	e.Uint64(s.ShedDeadline)
-	e.Uvarint(uint64(s.AdmitLimit))
-	e.Uvarint(uint64(s.AdmitInflight))
-	e.Uint64(uint64(s.AdmitP99))
+	e := wire.NewEncoder(128)
+	v := reflect.ValueOf(s)
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.String:
+			e.String(f.String())
+		case reflect.Uint64:
+			e.Uvarint(f.Uint())
+		case reflect.Int, reflect.Int64:
+			e.Uvarint(uint64(f.Int()))
+		}
+	}
 	return e.Bytes()
 }
 
 // DecodeTierStats deserializes a StatsMethod reply.
 func DecodeTierStats(b []byte) (TierStats, error) {
+	var s TierStats
 	d := wire.NewDecoder(b)
-	s := TierStats{
-		Role:    d.String(),
-		Served:  d.Uint64(),
-		Shed:    d.Uint64(),
-		Inlined: d.Uint64(),
+	v := reflect.ValueOf(&s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.String:
+			f.SetString(d.String())
+		case reflect.Uint64:
+			f.SetUint(d.Uvarint())
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(d.Uvarint()))
+		}
 	}
-	s.QueueDepth = int(d.Uvarint())
-	s.Workers = int(d.Uvarint())
-	s.ResponseThreads = int(d.Uvarint())
-	s.Leaves = int(d.Uvarint())
-	s.Replicas = int(d.Uvarint())
-	s.Hedges = d.Uint64()
-	s.HedgeWins = d.Uint64()
-	s.Retries = d.Uint64()
-	s.BudgetDenied = d.Uint64()
-	s.HedgeDelay = time.Duration(d.Uint64())
-	s.BatchCarriers = d.Uint64()
-	s.BatchMembers = d.Uint64()
-	s.BatchFlushSize = d.Uint64()
-	s.BatchFlushDeadline = d.Uint64()
-	s.BatchFlushShutdown = d.Uint64()
-	s.BatchDelay = time.Duration(d.Uint64())
-	s.Epoch = d.Uint64()
-	s.TopoAdds = d.Uint64()
-	s.TopoDrains = d.Uint64()
-	s.TopoRemoves = d.Uint64()
-	s.TopoDrainTimeouts = d.Uint64()
-	s.KernelPoints = d.Uint64()
-	s.KernelNanos = d.Uint64()
-	s.Admitted = d.Uint64()
-	s.ShedLimit = d.Uint64()
-	s.ShedDeadline = d.Uint64()
-	s.AdmitLimit = int(d.Uvarint())
-	s.AdmitInflight = int(d.Uvarint())
-	s.AdmitP99 = time.Duration(d.Uint64())
-	return s, d.Err()
+	if err := d.Err(); err != nil {
+		return TierStats{}, err
+	}
+	return s, nil
 }
 
 // QueryStats fetches a tier's counters over an existing client connection.
@@ -164,12 +180,12 @@ func QueryStats(c *rpc.Client) (TierStats, error) {
 	return DecodeTierStats(reply)
 }
 
-// stats snapshots the mid-tier's counters.  Leaves/Replicas sum across all
-// connected edges (identical to the classic values when only the default
-// edge exists); the epoch and topology-mutation gauges come from the default
+// Stats snapshots the mid-tier's table and gauges — what StatsMethod serves
+// over the wire, in-process for collocated consumers like the autoscaler.
+// Leaves/Replicas sum across all connected edges (identical to the classic
+// values when only the default edge exists); the epoch comes from the default
 // edge, whose topology the admin surface binds to.
-func (m *MidTier) stats() TierStats {
-	topo := m.def.topo.Stats()
+func (m *MidTier) Stats() TierStats {
 	leaves, replicas := 0, 0
 	m.edgeMu.Lock()
 	for _, e := range m.edges {
@@ -180,31 +196,14 @@ func (m *MidTier) stats() TierStats {
 	m.edgeMu.Unlock()
 	s := TierStats{
 		Role:            "midtier",
-		Served:          m.served.Load(),
-		Shed:            m.workers.Shed(),
-		Inlined:         m.inlined.Load(),
 		QueueDepth:      m.workers.QueueDepth(),
 		Workers:         m.workers.Workers(),
 		ResponseThreads: m.responses.Workers(),
 		Leaves:          leaves,
 		Replicas:        replicas,
-		Hedges:          m.hedges.Load(),
-		HedgeWins:       m.hedgeWins.Load(),
-		Retries:         m.retries.Load(),
-		BudgetDenied:    m.budgetDenied.Load(),
-
-		BatchCarriers:      m.batchCarriers.Load(),
-		BatchMembers:       m.batchMembers.Load(),
-		BatchFlushSize:     m.batchFlushSize.Load(),
-		BatchFlushDeadline: m.batchFlushDeadline.Load(),
-		BatchFlushShutdown: m.batchFlushShutdown.Load(),
-
-		Epoch:             topo.Epoch,
-		TopoAdds:          topo.Adds,
-		TopoDrains:        topo.Drains,
-		TopoRemoves:       topo.Removes,
-		TopoDrainTimeouts: topo.DrainTimeouts,
+		Epoch:           m.def.topo.Current().Epoch(),
 	}
+	s.fillCounters(m.counters.Snapshot())
 	if m.def.policy.Tail.hedging() {
 		s.HedgeDelay = m.def.hedgeDelay()
 	}
@@ -212,9 +211,6 @@ func (m *MidTier) stats() TierStats {
 		s.BatchDelay = m.def.batchDelay()
 	}
 	if m.admit != nil {
-		s.Admitted = m.admit.admitted.Load()
-		s.ShedLimit = m.admit.shedLimit.Load()
-		s.ShedDeadline = m.admit.shedDeadline.Load()
 		s.AdmitLimit = m.admit.currentLimit()
 		s.AdmitInflight = m.admit.currentInflight()
 		s.AdmitP99 = m.admit.p99()
@@ -222,23 +218,14 @@ func (m *MidTier) stats() TierStats {
 	return s
 }
 
-// Stats snapshots the mid-tier's operational counters in-process — the
-// same data StatsMethod serves over the wire, for collocated consumers
-// like the autoscaler.
-func (m *MidTier) Stats() TierStats { return m.stats() }
-
-// statsLeaf snapshots a leaf's counters.
-func (l *Leaf) stats() TierStats {
+// Stats snapshots the leaf's table and gauges — what StatsMethod serves
+// over the wire.
+func (l *Leaf) Stats() TierStats {
 	s := TierStats{
 		Role:       "leaf",
-		Served:     l.served.Load(),
 		QueueDepth: l.workers.QueueDepth(),
 		Workers:    l.workers.Workers(),
 	}
-	if l.kern != nil {
-		ks := l.kern.Stats()
-		s.KernelPoints = ks.Points
-		s.KernelNanos = ks.Nanos
-	}
+	s.fillCounters(l.counters.Snapshot())
 	return s
 }

@@ -1,26 +1,73 @@
 package core
 
 import (
+	"reflect"
 	"testing"
+	"testing/quick"
+	"time"
 
 	"musuite/internal/rpc"
+	"musuite/internal/telemetry"
 )
 
+// TestTierStatsRoundTrip: encode→decode is the identity over every field.
 func TestTierStatsRoundTrip(t *testing.T) {
-	in := TierStats{
-		Role: "midtier", Served: 42, Shed: 3, Inlined: 7,
-		QueueDepth: 2, Workers: 4, ResponseThreads: 2, Leaves: 16,
-		KernelPoints: 123456, KernelNanos: 7890,
+	roundTrip := func(in TierStats) bool {
+		got, err := DecodeTierStats(encodeTierStats(in))
+		if err != nil || got != in {
+			t.Logf("got %+v (err %v)\nwant %+v", got, err, in)
+			return false
+		}
+		return true
 	}
-	got, err := DecodeTierStats(encodeTierStats(in))
-	if err != nil {
+	if err := quick.Check(roundTrip, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got != in {
-		t.Fatalf("got %+v want %+v", got, in)
+}
+
+// TestTierStatsRejectsTruncation: every strict prefix of a valid encoding is
+// an error, never a silently zero-filled TierStats.
+func TestTierStatsRejectsTruncation(t *testing.T) {
+	var snap telemetry.Snapshot
+	for c := range snap {
+		snap[c] = uint64(c) << (c % 40) // one- to six-byte varints
 	}
-	if _, err := DecodeTierStats([]byte{0xFF}); err == nil {
-		t.Fatal("garbage stats accepted")
+	in := TierStats{Role: "midtier", QueueDepth: 2, Workers: 4, Leaves: 16, HedgeDelay: time.Millisecond, AdmitP99: 300}
+	in.fillCounters(snap)
+	full := encodeTierStats(in)
+	for cut := 0; cut < len(full); cut++ {
+		if _, err := DecodeTierStats(full[:cut]); err == nil {
+			t.Fatalf("stats truncated to %d of %d bytes accepted", cut, len(full))
+		}
+	}
+	if got, err := DecodeTierStats(full); err != nil || got != in {
+		t.Fatalf("full encoding: got %+v (err %v), want %+v", got, err, in)
+	}
+}
+
+// TestTierStatsFieldsReadTheirCounters: every tagged field names a real
+// counter (checked when the package initializes) and reads exactly that slot,
+// and no two fields read the same one.
+func TestTierStatsFieldsReadTheirCounters(t *testing.T) {
+	var snap telemetry.Snapshot
+	for c := range snap {
+		snap[c] = 1000 + uint64(c)
+	}
+	var st TierStats
+	st.fillCounters(snap)
+	v, seen := reflect.ValueOf(st), map[telemetry.Counter]string{}
+	for i, c := range counterFields {
+		name := v.Type().Field(i).Name
+		if got := v.Field(i).Uint(); got != snap[c] {
+			t.Errorf("%s = %d, want the %v slot (%d)", name, got, c, snap[c])
+		}
+		if prev, dup := seen[c]; dup {
+			t.Errorf("%s and %s both read %v", prev, name, c)
+		}
+		seen[c] = name
+	}
+	if st.Served != snap[telemetry.TierServed] || st.KernelPoints != snap[telemetry.KernelPoints] {
+		t.Errorf("Served=%d KernelPoints=%d read the wrong slots", st.Served, st.KernelPoints)
 	}
 }
 

@@ -136,11 +136,11 @@ func TestSnapshotPinnedAcrossEpochBump(t *testing.T) {
 	if churns == 0 {
 		t.Fatal("no topology churn happened during the test")
 	}
-	st := mt.Topology().Stats()
-	if st.Adds == 0 || st.Drains == 0 {
+	st := mt.Stats()
+	if st.TopoAdds == 0 || st.TopoDrains == 0 {
 		t.Fatalf("stats show no churn: %+v", st)
 	}
-	if st.DrainTimeouts != 0 {
+	if st.TopoDrainTimeouts != 0 {
 		t.Fatalf("drains timed out under short requests: %+v", st)
 	}
 }
@@ -226,12 +226,12 @@ func TestDrainChurnStress(t *testing.T) {
 	if completed.Load() == 0 {
 		t.Fatal("no traffic completed during the churn")
 	}
-	st := mt.Topology().Stats()
-	if want := uint64(cycles * len(spares)); st.Adds != want || st.Drains != want {
+	st := mt.Stats()
+	if want := uint64(cycles * len(spares)); st.TopoAdds != want || st.TopoDrains != want {
 		t.Fatalf("stats = %+v, want %d adds and drains", st, want)
 	}
-	if st.DrainTimeouts != 0 {
-		t.Fatalf("%d drains timed out", st.DrainTimeouts)
+	if st.TopoDrainTimeouts != 0 {
+		t.Fatalf("%d drains timed out", st.TopoDrainTimeouts)
 	}
 	t.Logf("drain churn: %d cycles, %d requests completed, epoch %d",
 		cycles, completed.Load(), st.Epoch)

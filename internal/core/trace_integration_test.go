@@ -30,6 +30,8 @@ func TestTracerCapturesFullPipeline(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A trace completes when its ReplySent stage is stamped, after the reply.
+	waitFor(t, "every trace to complete", func() bool { return tracer.Completed() >= n })
 	if got := tracer.Completed(); got != n {
 		t.Fatalf("completed traces=%d want %d", got, n)
 	}
@@ -79,6 +81,7 @@ func TestTracerSamplingThroughMidTier(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	waitFor(t, "every sampled trace to complete", func() bool { return tracer.Completed() >= n/5 })
 	if got := tracer.Completed(); got != n/5 {
 		t.Fatalf("completed=%d want %d", got, n/5)
 	}
@@ -99,6 +102,7 @@ func TestTracerInlineMode(t *testing.T) {
 	if _, err := c.Call("sum", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
+	waitFor(t, "the trace to complete", func() bool { return tracer.Completed() >= 1 })
 	trs := tracer.Recent(1)
 	if len(trs) != 1 {
 		t.Fatal("no trace")

@@ -4,7 +4,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"musuite/internal/knn"
@@ -21,22 +20,17 @@ type Config struct {
 	// (diff-squared distance, no tiling, no parallelism) — the
 	// -scalar-kernels flag, kept so equivalence is testable end to end.
 	ForceScalar bool
-	// Probe receives kernel counters alongside the engine's own; nil
-	// disables.
-	Probe *telemetry.Probe
 }
 
-// Engine executes leaf scans.  It is a thin config plus counters — the
+// Engine executes leaf scans.  It is a thin config plus a counter sink — the
 // helper goroutines live in one process-global pool — so every leaf can own
 // an engine (making its TierStats counters per-leaf) without goroutine cost.
 type Engine struct {
 	par    int
 	scalar bool
-	probe  *telemetry.Probe
-
-	scans  atomic.Uint64
-	points atomic.Uint64
-	nanos  atomic.Uint64
+	// counters receives the kernel.* counters — the owning leaf's table,
+	// bound by WithCounters; nil (a freshly built engine) counts nothing.
+	counters *telemetry.Table
 }
 
 // New builds an engine.
@@ -45,7 +39,7 @@ func New(cfg Config) *Engine {
 	if par <= 0 {
 		par = runtime.NumCPU()
 	}
-	return &Engine{par: par, scalar: cfg.ForceScalar, probe: cfg.Probe}
+	return &Engine{par: par, scalar: cfg.ForceScalar}
 }
 
 var (
@@ -72,32 +66,19 @@ func (e *Engine) orDefault() *Engine {
 // engine's configured core budget.
 func (e *Engine) Parallelism() int { return e.orDefault().par }
 
-// Stats is the engine's cumulative accounting.
-type Stats struct {
-	// Scans counts kernel invocations; Points the candidate rows scored;
-	// Nanos the wall time inside the kernels.  Points/Nanos is the
-	// points-scanned/s throughput TierStats and telemetry surface.
-	Scans, Points, Nanos uint64
-}
-
-// Stats snapshots the counters.
-func (e *Engine) Stats() Stats {
-	if e == nil {
-		return Stats{}
-	}
-	return Stats{Scans: e.scans.Load(), Points: e.points.Load(), Nanos: e.nanos.Load()}
+// WithCounters returns a copy of the engine (same parallelism and kernel
+// selection; nil means the default engine) that counts into t — how one
+// configured engine becomes a per-leaf engine.
+func (e *Engine) WithCounters(t *telemetry.Table) *Engine {
+	c := *e.orDefault()
+	c.counters = t
+	return &c
 }
 
 func (e *Engine) account(points int, start time.Time) {
-	d := uint64(time.Since(start))
-	e.scans.Add(1)
-	e.points.Add(uint64(points))
-	e.nanos.Add(d)
-	if e.probe != nil {
-		e.probe.AddKernel(telemetry.KernelScans, 1)
-		e.probe.AddKernel(telemetry.KernelPoints, uint64(points))
-		e.probe.AddKernel(telemetry.KernelNanos, d)
-	}
+	e.counters.Add(telemetry.KernelScans, 1)
+	e.counters.Add(telemetry.KernelPoints, uint64(points))
+	e.counters.Add(telemetry.KernelNanos, uint64(time.Since(start)))
 }
 
 // --- inner kernels ---

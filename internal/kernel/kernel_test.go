@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"musuite/internal/knn"
+	"musuite/internal/telemetry"
 	"musuite/internal/vec"
 )
 
@@ -323,7 +324,8 @@ func TestParallelScanStress(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	eng := New(Config{Parallelism: 8})
+	tab := telemetry.NewTable(nil)
+	eng := New(Config{Parallelism: 8}).WithCounters(tab)
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {
@@ -351,9 +353,9 @@ func TestParallelScanStress(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	st := eng.Stats()
-	if st.Scans == 0 || st.Points == 0 {
-		t.Fatalf("engine counters not accounted: %+v", st)
+	// 8 goroutines × iters scans of all n rows, each booked exactly once.
+	if scans := tab.Load(telemetry.KernelScans); scans == 0 || tab.Load(telemetry.KernelPoints) != scans*n {
+		t.Fatalf("engine counters not accounted: %d scans, %d points (n=%d)", scans, tab.Load(telemetry.KernelPoints), n)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"musuite/internal/telemetry"
 	"musuite/internal/trace"
 	"musuite/internal/wire"
 )
@@ -241,31 +242,6 @@ func DecodeBatchReply(b []byte, want int) (replies [][]byte, errs []error, err e
 	return replies, errs, nil
 }
 
-// FlushCause says why a batch left the queue.
-type FlushCause int
-
-const (
-	// FlushSize — the queue reached MaxBatch members.
-	FlushSize FlushCause = iota
-	// FlushDeadline — the flush delay armed at first enqueue expired.
-	FlushDeadline
-	// FlushShutdown — the batcher closed with members still queued.
-	FlushShutdown
-)
-
-// String names the cause.
-func (c FlushCause) String() string {
-	switch c {
-	case FlushSize:
-		return "size"
-	case FlushDeadline:
-		return "deadline"
-	case FlushShutdown:
-		return "shutdown"
-	}
-	return "unknown"
-}
-
 // BatcherOptions configures a Batcher.
 type BatcherOptions struct {
 	// MaxBatch caps members per carrier RPC; reaching it flushes
@@ -276,9 +252,9 @@ type BatcherOptions struct {
 	// fraction of the tracked leaf-latency digest) takes effect without
 	// reconfiguring the batcher.  nil means a fixed 50µs.
 	Delay func() time.Duration
-	// OnFlush, when set, observes every flush with its member count and
-	// cause — the occupancy/flush-cause telemetry feed.
-	OnFlush func(items int, cause FlushCause)
+	// Counters receives the occupancy/flush-cause batch.* counters — the
+	// owning tier's table; nil disables counting.
+	Counters *telemetry.Table
 }
 
 // memberSlices recycles the member slices a flush hands to its demux.
@@ -300,7 +276,7 @@ type Batcher struct {
 	pool       *Pool
 	maxBatch   int
 	delay      func() time.Duration
-	onFlush    func(int, FlushCause)
+	counters   *telemetry.Table
 	onResponse func(*Call) bool
 	spans      *trace.Recorder
 
@@ -319,7 +295,7 @@ func NewBatcher(pool *Pool, opts BatcherOptions) *Batcher {
 		pool:     pool,
 		maxBatch: opts.MaxBatch,
 		delay:    opts.Delay,
-		onFlush:  opts.OnFlush,
+		counters: opts.Counters,
 	}
 	if b.maxBatch < 1 {
 		b.maxBatch = 1
@@ -392,7 +368,7 @@ func (b *Batcher) enqueue(call *Call) {
 	if len(b.queue) >= b.maxBatch {
 		members := b.takeLocked()
 		b.mu.Unlock()
-		b.send(members, FlushSize)
+		b.send(members, telemetry.BatchFlushSize)
 		return
 	}
 	if len(b.queue) == 1 {
@@ -422,7 +398,7 @@ func (b *Batcher) deadlineFlush(gen uint64) {
 	}
 	members := b.takeLocked()
 	b.mu.Unlock()
-	b.send(members, FlushDeadline)
+	b.send(members, telemetry.BatchFlushDeadline)
 }
 
 // Abandon cancels a batched call.  Valid only while the caller still owns
@@ -475,13 +451,13 @@ func (b *Batcher) Close() {
 	members := b.takeLocked()
 	b.mu.Unlock()
 	if len(members) > 0 {
-		b.send(members, FlushShutdown)
+		b.send(members, telemetry.BatchFlushShutdown)
 	}
 }
 
 // send ships claimed members as one carrier RPC (or, for a lone survivor,
 // as a plain call — no carrier overhead when nothing coalesced).
-func (b *Batcher) send(members []*Call, cause FlushCause) {
+func (b *Batcher) send(members []*Call, cause telemetry.Counter) {
 	live := members[:0]
 	for _, m := range members {
 		if m.isCancelled() {
@@ -496,9 +472,9 @@ func (b *Batcher) send(members []*Call, cause FlushCause) {
 		putMemberSlice(members)
 		return
 	}
-	if b.onFlush != nil {
-		b.onFlush(len(live), cause)
-	}
+	b.counters.Add(telemetry.BatchCarriers, 1)
+	b.counters.Add(telemetry.BatchMembers, uint64(len(live)))
+	b.counters.Add(cause, 1)
 	if len(live) == 1 {
 		call := live[0]
 		putMemberSlice(members)

@@ -4,10 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"musuite/internal/telemetry"
 )
 
 // --- carrier codec ---
@@ -132,31 +133,14 @@ func startBatcher(t *testing.T, addr string, opts BatcherOptions) *Batcher {
 	return b
 }
 
-// flushLog records OnFlush observations for ordering assertions.
-type flushLog struct {
-	mu      sync.Mutex
-	flushes []struct {
-		items int
-		cause FlushCause
+// wantFlush asserts tab saw exactly one flush, of items members, for cause.
+func wantFlush(t *testing.T, tab *telemetry.Table, items uint64, cause telemetry.Counter) {
+	t.Helper()
+	var want telemetry.Snapshot
+	want[telemetry.BatchCarriers], want[telemetry.BatchMembers], want[cause] = 1, items, 1
+	if got := tab.Snapshot(); got != want {
+		t.Fatalf("batch counters %v, want one %v flush of %d", got, cause, items)
 	}
-}
-
-func (l *flushLog) record(items int, cause FlushCause) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.flushes = append(l.flushes, struct {
-		items int
-		cause FlushCause
-	}{items, cause})
-}
-
-func (l *flushLog) snapshot() []struct {
-	items int
-	cause FlushCause
-} {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append(l.flushes[:0:0], l.flushes...)
 }
 
 func waitCalls(t *testing.T, calls []*Call) {
@@ -172,11 +156,11 @@ func waitCalls(t *testing.T, calls []*Call) {
 
 func TestBatcherFlushOnSize(t *testing.T) {
 	addr, carriers, plains := batchEchoServer(t)
-	var log flushLog
+	tab := telemetry.NewTable(nil)
 	b := startBatcher(t, addr, BatcherOptions{
 		MaxBatch: 4,
 		Delay:    func() time.Duration { return time.Hour }, // size must trigger, not time
-		OnFlush:  log.record,
+		Counters: tab,
 	})
 	calls := make([]*Call, 4)
 	for i := range calls {
@@ -197,19 +181,16 @@ func TestBatcherFlushOnSize(t *testing.T) {
 	if got := plains.Load(); got != 0 {
 		t.Fatalf("%d plain calls sent, want 0", got)
 	}
-	fl := log.snapshot()
-	if len(fl) != 1 || fl[0].items != 4 || fl[0].cause != FlushSize {
-		t.Fatalf("flush log %+v, want one size-flush of 4", fl)
-	}
+	wantFlush(t, tab, 4, telemetry.BatchFlushSize)
 }
 
 func TestBatcherFlushOnDeadline(t *testing.T) {
 	addr, carriers, _ := batchEchoServer(t)
-	var log flushLog
+	tab := telemetry.NewTable(nil)
 	b := startBatcher(t, addr, BatcherOptions{
 		MaxBatch: 64, // never reached: the deadline must trigger
 		Delay:    func() time.Duration { return 2 * time.Millisecond },
-		OnFlush:  log.record,
+		Counters: tab,
 	})
 	c1 := b.Go("echo", []byte("x"), nil, nil)
 	c2 := b.Go("echo", []byte("y"), nil, nil)
@@ -220,19 +201,16 @@ func TestBatcherFlushOnDeadline(t *testing.T) {
 	if got := carriers.Load(); got != 1 {
 		t.Fatalf("%d carriers sent, want 1", got)
 	}
-	fl := log.snapshot()
-	if len(fl) != 1 || fl[0].items != 2 || fl[0].cause != FlushDeadline {
-		t.Fatalf("flush log %+v, want one deadline-flush of 2", fl)
-	}
+	wantFlush(t, tab, 2, telemetry.BatchFlushDeadline)
 }
 
 func TestBatcherFlushOnShutdown(t *testing.T) {
 	addr, carriers, _ := batchEchoServer(t)
-	var log flushLog
+	tab := telemetry.NewTable(nil)
 	b := startBatcher(t, addr, BatcherOptions{
 		MaxBatch: 64,
 		Delay:    func() time.Duration { return time.Hour },
-		OnFlush:  log.record,
+		Counters: tab,
 	})
 	calls := make([]*Call, 3)
 	for i := range calls {
@@ -248,10 +226,7 @@ func TestBatcherFlushOnShutdown(t *testing.T) {
 	if got := carriers.Load(); got != 1 {
 		t.Fatalf("%d carriers sent, want 1", got)
 	}
-	fl := log.snapshot()
-	if len(fl) != 1 || fl[0].items != 3 || fl[0].cause != FlushShutdown {
-		t.Fatalf("flush log %+v, want one shutdown-flush of 3", fl)
-	}
+	wantFlush(t, tab, 3, telemetry.BatchFlushShutdown)
 	// Post-close enqueues are rejected, not silently queued.
 	late := b.Go("echo", []byte("late"), nil, nil)
 	waitCalls(t, []*Call{late})

@@ -314,7 +314,7 @@ func Dial(addr string, opts *ClientOptions) (*Client, error) {
 	} else {
 		c.wmu = telemetry.NewMutex(probe)
 	}
-	probe.IncSyscall(telemetry.SysClone)
+	probe.Add(telemetry.SysClone, 1)
 	go c.readLoop()
 	return c, nil
 }
@@ -634,7 +634,7 @@ func (c *Client) closeConn() error {
 		return nil
 	}
 	err := c.conn.Close()
-	c.probe.IncSyscall(telemetry.SysClose)
+	c.probe.Add(telemetry.SysClose, 1)
 	return err
 }
 

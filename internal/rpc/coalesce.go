@@ -67,9 +67,11 @@ func (q *writeQueue) enqueue(kind byte, id uint64, sc trace.SpanContext, method 
 	for q.err == nil && len(q.buf) > 0 {
 		q.buf, q.scratch = q.scratch[:0], q.buf
 		q.mu.Unlock()
+		// Counted before the write so the proxy is visible no later than
+		// any reply the write carries.
+		q.probe.Add(telemetry.SysSendmsg, 1)
 		start := time.Now()
 		_, werr := q.conn.Write(q.scratch)
-		q.probe.IncSyscall(telemetry.SysSendmsg)
 		q.probe.ObserveOverhead(telemetry.OverheadNetTx, time.Since(start))
 		q.mu.Lock()
 		if werr != nil && q.err == nil {

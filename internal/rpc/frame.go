@@ -149,9 +149,11 @@ func writeFrame(w io.Writer, buf *[]byte, kind byte, id uint64, sc trace.SpanCon
 		return err
 	}
 	*buf = enc
+	// Counted before the write so the proxy is visible no later than the
+	// reply the write carries.
+	probe.Add(telemetry.SysSendmsg, 1)
 	start := time.Now()
 	_, err = w.Write(enc)
-	probe.IncSyscall(telemetry.SysSendmsg)
 	probe.ObserveOverhead(telemetry.OverheadNetTx, time.Since(start))
 	return err
 }
@@ -167,8 +169,8 @@ func readFrame(br *bufio.Reader, f *frame, probe *telemetry.Probe) (firstByte ti
 	if br.Buffered() == 0 {
 		// The poller blocks awaiting work, as in the paper's
 		// block-based front-end design.
-		probe.IncSyscall(telemetry.SysEpollPwait)
-		probe.IncContextSwitch()
+		probe.Add(telemetry.SysEpollPwait, 1)
+		probe.Add(telemetry.CtxSwitch, 1)
 	}
 	if _, err = br.Peek(1); err != nil {
 		return time.Time{}, err
@@ -233,6 +235,6 @@ type countingConn struct {
 
 func (c *countingConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
-	c.probe.IncSyscall(telemetry.SysRecvmsg)
+	c.probe.Add(telemetry.SysRecvmsg, 1)
 	return n, err
 }

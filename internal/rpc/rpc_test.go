@@ -299,20 +299,25 @@ func TestTelemetryCountsFlow(t *testing.T) {
 	}
 	// Request + response per call, both directions instrumented on the
 	// same probe: ≥ 2n sendmsg.
-	if got := probe.SyscallCount(telemetry.SysSendmsg); got < 2*n {
+	if got := probe.Load(telemetry.SysSendmsg); got < 2*n {
 		t.Errorf("sendmsg=%d want ≥%d", got, 2*n)
 	}
-	if got := probe.SyscallCount(telemetry.SysRecvmsg); got == 0 {
+	if got := probe.Load(telemetry.SysRecvmsg); got == 0 {
 		t.Error("recvmsg=0")
 	}
-	if got := probe.SyscallCount(telemetry.SysEpollPwait); got == 0 {
+	if got := probe.Load(telemetry.SysEpollPwait); got == 0 {
 		t.Error("epoll_pwait=0")
 	}
-	if probe.SyscallCount(telemetry.SysClone) < 2 {
+	if probe.Load(telemetry.SysClone) < 2 {
 		t.Error("clone<2 (poller + client reader)")
 	}
 	if probe.OverheadSnapshot(telemetry.OverheadNetTx).Count == 0 {
 		t.Error("no Net_tx observations")
+	}
+	// The Net sample times the response write, so the last one lands after
+	// the client already has its reply.
+	for deadline := time.Now().Add(2 * time.Second); probe.OverheadSnapshot(telemetry.OverheadNet).Count < n && time.Now().Before(deadline); {
+		time.Sleep(200 * time.Microsecond)
 	}
 	if probe.OverheadSnapshot(telemetry.OverheadNet).Count != n {
 		t.Errorf("Net observations=%d want %d", probe.OverheadSnapshot(telemetry.OverheadNet).Count, n)

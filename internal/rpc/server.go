@@ -204,7 +204,7 @@ func (s *Server) acceptLoop(lis net.Listener) {
 		s.mu.Unlock()
 		// One network poller thread per connection; spawning it is the
 		// clone(2) analog.
-		s.probe.IncSyscall(telemetry.SysClone)
+		s.probe.Add(telemetry.SysClone, 1)
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
@@ -262,7 +262,7 @@ type serverConn struct {
 func (sc *serverConn) readLoop() {
 	defer func() {
 		sc.conn.Close()
-		sc.srv.probe.IncSyscall(telemetry.SysClose)
+		sc.srv.probe.Add(telemetry.SysClose, 1)
 		sc.srv.dropConn(sc)
 	}()
 	var f frame

@@ -291,23 +291,23 @@ func clamp(r float64) float64 {
 // scalar handler uses the encoded form, streaming each prediction into the
 // leaf's pooled reply encoder; batched carriers take the multi-pair
 // prediction path, where predictions sharing a user reuse one neighborhood
-// scan (PredictBatch).  The leaf and model share one compute engine: a
-// model trained with an engine hands it to the leaf, and a model trained
-// without one adopts the leaf's (EnsureLeafKernel supplies it), so the
-// neighborhood scans feed the leaf's TierStats kernel counters either way.
+// scan (PredictBatch).  The leaf and model share one compute engine: the
+// options' engine configuration (else the one the model was trained with,
+// else the default), bound by EnsureLeafKernel to the leaf's counter table,
+// so the serving-time neighborhood scans feed the leaf's TierStats kernel
+// counters either way.
 func NewLeaf(lm *LeafModel, opts *core.LeafOptions) *core.Leaf {
-	if opts == nil || opts.Kernel == nil {
-		o := core.EnsureLeafKernel(opts)
-		if lm.eng != nil {
-			o.Kernel = lm.eng
-		}
-		opts = o
+	var o core.LeafOptions
+	if opts != nil {
+		o = *opts
 	}
-	if lm.eng == nil {
-		// Pre-serving, single-threaded: the model is not yet handling
-		// requests when the leaf is constructed.
-		lm.eng = opts.Kernel
+	if o.Kernel == nil {
+		o.Kernel = lm.eng
 	}
+	opts = core.EnsureLeafKernel(&o)
+	// Pre-serving, single-threaded: the model is not yet handling requests
+	// when the leaf is constructed.
+	lm.eng = opts.Kernel
 	return core.NewLeafEncoded(func(method string, payload []byte, reply *wire.Encoder) error {
 		switch method {
 		case MethodPredict:

@@ -18,25 +18,33 @@
 //   - A context-switch proxy (every voluntary block of a framework thread)
 //     and a HITM/contention proxy (every mutex acquisition that found the
 //     lock held), mirroring paper Fig. 19.
+//
+// Every counted event is one Counter, booked once, at one call site, into
+// one Table.  Each tier owns a Table (what core.stats serves); a Table's
+// parent pointer forwards every Add to the deployment-wide Probe, so the
+// Probe always equals the sum of the tables attached to it.  Adding a
+// counter is one line in the Counter enum plus its name in counterNames.
 package telemetry
 
 import (
 	"fmt"
-	"sync"
+	"strings"
 	"sync/atomic"
 	"time"
 
 	"musuite/internal/stats"
 )
 
-// Syscall enumerates the system calls the paper's syscount breakdown tracks
-// (Figs. 11–14).  The framework increments the proxy counter at the point
-// where a native thread-pool server would issue the real call.
-type Syscall int
+// Counter names one counted event.  Labels are "family.name"; the family
+// groups counters for display (Family, Syscalls).
+type Counter uint8
 
-// The tracked syscall classes, in the order the paper's figures list them.
 const (
-	SysMprotect Syscall = iota
+	// The sys family: the system calls the paper's syscount breakdown
+	// tracks (Figs. 11–14), in the order the paper's figures list them.  The
+	// framework increments the proxy counter at the point where a native
+	// thread-pool server would issue the real call.
+	SysMprotect Counter = iota
 	SysOpenat
 	SysBrk
 	SysSendmsg
@@ -49,28 +57,236 @@ const (
 	SysClone
 	SysMmap
 	SysMunmap
-	numSyscalls
+
+	// The os family (paper Fig. 19).
+	//
+	// CtxSwitch — one voluntary thread block (CS proxy).
+	CtxSwitch
+	// HITM — one contended lock acquisition (HITM proxy).
+	HITM
+	// TCPRetransmit — one transport-level retry (the paper reports only
+	// single-digit counts here; ours stays at zero on loopback unless a
+	// connection-level retry fires).
+	TCPRetransmit
+
+	// The tier family: a tier's request accounting.
+	//
+	// TierServed — a request completed (a leaf counts each batch member).
+	TierServed
+	// TierInlined — a request DispatchAuto ran in-line on the poller.
+	TierInlined
+
+	// The tail family: the tail-tolerance actions of the hedged-request /
+	// retry-budget machinery, counted so the win rate (and the budget's
+	// bite) can be read alongside the latency distributions they reshape.
+	//
+	// TailHedge — a duplicate leaf request was issued after the hedge
+	// delay elapsed without a response.
+	TailHedge
+	// TailHedgeWin — the hedge, not the primary, produced the winning
+	// response.
+	TailHedgeWin
+	// TailRetry — a leaf call was re-issued after a retryable
+	// (timeout/connection-class) failure.
+	TailRetry
+	// TailBudgetDenied — a wanted hedge or retry was suppressed because
+	// the retry budget was exhausted.
+	TailBudgetDenied
+
+	// The batch family: the cross-request leaf-batching actions of the
+	// mid-tier's per-replica batchers, counted so batch occupancy
+	// (BatchMembers / BatchCarriers) and the flush-cause mix can be read
+	// alongside the per-RPC overheads batching amortizes.
+	//
+	// BatchCarriers — carrier RPCs (including lone-member sends) that left
+	// a batcher.
+	BatchCarriers
+	// BatchMembers — member calls those carriers transported.
+	BatchMembers
+	// BatchFlushSize — flushes triggered by the queue reaching MaxBatch.
+	BatchFlushSize
+	// BatchFlushDeadline — flushes triggered by the adaptive delay expiring.
+	BatchFlushDeadline
+	// BatchFlushShutdown — flushes triggered by batcher close.
+	BatchFlushShutdown
+
+	// The topo family: the cluster-topology mutations of the mid-tier's
+	// epoch-versioned leaf maps, counted so elastic operation (groups
+	// entering and leaving service under load) can be read alongside the
+	// latency distributions the transitions may disturb.
+	//
+	// TopoAdd — a leaf replica group was dialed and placed in service.
+	TopoAdd
+	// TopoDrain — a leaf group was removed gracefully: routing stopped,
+	// outstanding and batched calls completed, pools closed.
+	TopoDrain
+	// TopoRemove — a leaf group was removed forcefully, failing its
+	// in-flight calls.
+	TopoRemove
+	// TopoDrainTimeout — a drain's quiescence wait exceeded its deadline
+	// and the group was closed with work still pending.
+	TopoDrainTimeout
+
+	// The admit family: the adaptive admission controller's actions — how
+	// many requests were admitted, how many were shed (and by which rule),
+	// and which way the AIMD concurrency limit last moved — counted so the
+	// overload experiment can read goodput and shed mix alongside the
+	// latency distributions admission protects.
+	//
+	// AdmitAdmitted — a request passed admission and entered the pipeline.
+	AdmitAdmitted
+	// AdmitShedLimit — a request was rejected at arrival because the
+	// adaptive concurrency limit (plus any priority headroom) was full.
+	AdmitShedLimit
+	// AdmitShedDeadline — a request was rejected at worker pickup because
+	// its remaining deadline budget could not cover the tracked p99
+	// service time.
+	AdmitShedDeadline
+	// AdmitShedQueue — a request passed the limit but the dispatch queue
+	// was full; shed with the same typed overload error.
+	AdmitShedQueue
+	// AdmitLimitUp — the AIMD controller raised the concurrency limit
+	// (additive increase: observed latency near its EWMA floor).
+	AdmitLimitUp
+	// AdmitLimitDown — the AIMD controller cut the concurrency limit
+	// (multiplicative decrease: observed latency above tolerance × floor).
+	AdmitLimitDown
+
+	// The scale family: the autoscaler's decisions, counted so elastic
+	// capacity (groups added and drained by the control loop, not an
+	// operator) can be read alongside the shed counters it exists to
+	// suppress.
+	//
+	// ScalePoll — the autoscaler completed one stats read.
+	ScalePoll
+	// ScaleUp — the autoscaler added a leaf group.
+	ScaleUp
+	// ScaleDown — the autoscaler drained a leaf group.
+	ScaleDown
+	// ScaleHold — a breach was observed but hysteresis, cooldown, or a
+	// capacity bound withheld the action.
+	ScaleHold
+	// ScaleError — a stats poll or a scale action failed.
+	ScaleError
+
+	// The kernel family: the leaf compute-engine counters — how many kernel
+	// scans ran, how many candidate points they scored, and how long they
+	// spent doing it — together giving the points-scanned/s throughput that
+	// tells whether a leaf is compute-bound (the paper's post-RPC regime)
+	// or still framework-bound.
+	//
+	// KernelScans — kernel invocations (one per leaf scan).
+	KernelScans
+	// KernelPoints — candidate rows scored across all scans.
+	KernelPoints
+	// KernelNanos — wall nanoseconds spent inside the kernels.
+	KernelNanos
+
+	// NumCounters is the table size; it is not a counter.
+	NumCounters
 )
 
-// String returns the kernel name of the syscall.
-func (s Syscall) String() string {
-	names := [...]string{
-		"mprotect", "openat", "brk", "sendmsg", "epoll_pwait", "write",
-		"read", "recvmsg", "close", "futex", "clone", "mmap", "munmap",
+// counterNames labels every counter "family.name"; sys names are the
+// kernel's, so the figure rows read futex, sendmsg, ….
+var counterNames = [NumCounters]string{
+	SysMprotect: "sys.mprotect", SysOpenat: "sys.openat", SysBrk: "sys.brk",
+	SysSendmsg: "sys.sendmsg", SysEpollPwait: "sys.epoll_pwait", SysWrite: "sys.write",
+	SysRead: "sys.read", SysRecvmsg: "sys.recvmsg", SysClose: "sys.close",
+	SysFutex: "sys.futex", SysClone: "sys.clone", SysMmap: "sys.mmap", SysMunmap: "sys.munmap",
+	CtxSwitch: "os.ctx-switch", HITM: "os.hitm", TCPRetransmit: "os.tcp-retransmit",
+	TierServed: "tier.served", TierInlined: "tier.inlined",
+	TailHedge: "tail.hedge", TailHedgeWin: "tail.hedge-win", TailRetry: "tail.retry",
+	TailBudgetDenied: "tail.budget-denied",
+	BatchCarriers:    "batch.carriers", BatchMembers: "batch.members", BatchFlushSize: "batch.flush-size",
+	BatchFlushDeadline: "batch.flush-deadline", BatchFlushShutdown: "batch.flush-shutdown",
+	TopoAdd: "topo.add", TopoDrain: "topo.drain", TopoRemove: "topo.remove",
+	TopoDrainTimeout: "topo.drain-timeout",
+	AdmitAdmitted:    "admit.admitted", AdmitShedLimit: "admit.shed-limit",
+	AdmitShedDeadline: "admit.shed-deadline", AdmitShedQueue: "admit.shed-queue",
+	AdmitLimitUp: "admit.limit-up", AdmitLimitDown: "admit.limit-down",
+	ScalePoll: "scale.poll", ScaleUp: "scale.up", ScaleDown: "scale.down", ScaleHold: "scale.hold",
+	ScaleError:  "scale.error",
+	KernelScans: "kernel.scans", KernelPoints: "kernel.points", KernelNanos: "kernel.nanos",
+}
+
+// String returns the counter's "family.name" label.
+func (c Counter) String() string {
+	if c >= NumCounters {
+		return fmt.Sprintf("counter(%d)", int(c))
 	}
-	if s < 0 || int(s) >= len(names) {
-		return fmt.Sprintf("syscall(%d)", int(s))
+	return counterNames[c]
+}
+
+// Name returns the label without its family — the row label of the paper's
+// figures ("futex", "sendmsg", …).
+func (c Counter) Name() string {
+	_, name, _ := strings.Cut(c.String(), ".")
+	return name
+}
+
+// Family lists the counters labelled "family.*" in display order.
+func Family(family string) []Counter {
+	var out []Counter
+	prefix := family + "."
+	for c := Counter(0); c < NumCounters; c++ {
+		if strings.HasPrefix(counterNames[c], prefix) {
+			out = append(out, c)
+		}
 	}
-	return names[s]
+	return out
 }
 
 // Syscalls lists all tracked syscall classes in display order.
-func Syscalls() []Syscall {
-	out := make([]Syscall, numSyscalls)
-	for i := range out {
-		out[i] = Syscall(i)
+func Syscalls() []Counter { return Family("sys") }
+
+// Table is one owner's counters: a fixed-size array of atomics.  A nil
+// *Table is valid and makes every method a no-op.
+type Table struct {
+	v [NumCounters]atomic.Uint64
+	// parent receives every Add as well, so a deployment-wide table equals
+	// the sum of the tables attached to it.
+	parent *Table
+}
+
+// NewTable returns an empty table forwarding to parent (nil for none).
+func NewTable(parent *Table) *Table { return &Table{parent: parent} }
+
+// Add counts n occurrences of c here and in every ancestor.
+func (t *Table) Add(c Counter, n uint64) {
+	for ; t != nil; t = t.parent {
+		t.v[c].Add(n)
 	}
-	return out
+}
+
+// Load reports this table's count of c.
+func (t *Table) Load(c Counter) uint64 {
+	if t == nil {
+		return 0
+	}
+	return t.v[c].Load()
+}
+
+// Snapshot is a point-in-time copy of a table, indexed by Counter.
+type Snapshot [NumCounters]uint64
+
+// Snapshot captures the current counter values.
+func (t *Table) Snapshot() (s Snapshot) {
+	if t != nil {
+		for i := range s {
+			s[i] = t.v[i].Load()
+		}
+	}
+	return s
+}
+
+// Delta returns the per-counter difference cur − prev (clamped at zero).
+func (cur Snapshot) Delta(prev Snapshot) (d Snapshot) {
+	for i, v := range cur {
+		if v > prev[i] {
+			d[i] = v - prev[i]
+		}
+	}
+	return d
 }
 
 // Overhead enumerates the OS-operation latency classes of paper Figs. 15–18,
@@ -130,254 +346,13 @@ func Overheads() []Overhead {
 	return out
 }
 
-// TailEvent enumerates the tail-tolerance actions of the hedged-request /
-// retry-budget machinery, counted so the win rate (and the budget's bite)
-// can be read alongside the latency distributions they reshape.
-type TailEvent int
-
-const (
-	// TailHedge — a duplicate leaf request was issued after the hedge
-	// delay elapsed without a response.
-	TailHedge TailEvent = iota
-	// TailHedgeWin — the hedge, not the primary, produced the winning
-	// response.
-	TailHedgeWin
-	// TailRetry — a leaf call was re-issued after a retryable
-	// (timeout/connection-class) failure.
-	TailRetry
-	// TailBudgetDenied — a wanted hedge or retry was suppressed because
-	// the retry budget was exhausted.
-	TailBudgetDenied
-	numTailEvents
-)
-
-// String returns the event's display label.
-func (e TailEvent) String() string {
-	names := [...]string{"hedge", "hedge-win", "retry", "budget-denied"}
-	if e < 0 || int(e) >= len(names) {
-		return fmt.Sprintf("tail(%d)", int(e))
-	}
-	return names[e]
-}
-
-// TailEvents lists the tail-tolerance event classes in display order.
-func TailEvents() []TailEvent {
-	out := make([]TailEvent, numTailEvents)
-	for i := range out {
-		out[i] = TailEvent(i)
-	}
-	return out
-}
-
-// BatchEvent enumerates the cross-request leaf-batching actions of the
-// mid-tier's per-replica batchers, counted so batch occupancy
-// (BatchMembers / BatchCarriers) and the flush-cause mix can be read
-// alongside the per-RPC overheads batching amortizes.
-type BatchEvent int
-
-const (
-	// BatchCarriers — carrier RPCs (including lone-member sends) that left
-	// a batcher.
-	BatchCarriers BatchEvent = iota
-	// BatchMembers — member calls those carriers transported.
-	BatchMembers
-	// BatchFlushSize — flushes triggered by the queue reaching MaxBatch.
-	BatchFlushSize
-	// BatchFlushDeadline — flushes triggered by the adaptive delay expiring.
-	BatchFlushDeadline
-	// BatchFlushShutdown — flushes triggered by batcher close.
-	BatchFlushShutdown
-	numBatchEvents
-)
-
-// String returns the event's display label.
-func (e BatchEvent) String() string {
-	names := [...]string{"carriers", "members", "flush-size", "flush-deadline", "flush-shutdown"}
-	if e < 0 || int(e) >= len(names) {
-		return fmt.Sprintf("batch(%d)", int(e))
-	}
-	return names[e]
-}
-
-// BatchEvents lists the batching event classes in display order.
-func BatchEvents() []BatchEvent {
-	out := make([]BatchEvent, numBatchEvents)
-	for i := range out {
-		out[i] = BatchEvent(i)
-	}
-	return out
-}
-
-// TopoEvent enumerates the cluster-topology mutations of the mid-tier's
-// epoch-versioned leaf map, counted so elastic operation (groups entering
-// and leaving service under load) can be read alongside the latency
-// distributions the transitions may disturb.
-type TopoEvent int
-
-const (
-	// TopoAdd — a leaf replica group was dialed and placed in service.
-	TopoAdd TopoEvent = iota
-	// TopoDrain — a leaf group was removed gracefully: routing stopped,
-	// outstanding and batched calls completed, pools closed.
-	TopoDrain
-	// TopoRemove — a leaf group was removed forcefully, failing its
-	// in-flight calls.
-	TopoRemove
-	// TopoDrainTimeout — a drain's quiescence wait exceeded its deadline
-	// and the group was closed with work still pending.
-	TopoDrainTimeout
-	numTopoEvents
-)
-
-// String returns the event's display label.
-func (e TopoEvent) String() string {
-	names := [...]string{"add", "drain", "remove", "drain-timeout"}
-	if e < 0 || int(e) >= len(names) {
-		return fmt.Sprintf("topo(%d)", int(e))
-	}
-	return names[e]
-}
-
-// TopoEvents lists the topology event classes in display order.
-func TopoEvents() []TopoEvent {
-	out := make([]TopoEvent, numTopoEvents)
-	for i := range out {
-		out[i] = TopoEvent(i)
-	}
-	return out
-}
-
-// AdmitEvent enumerates the adaptive admission controller's actions: how
-// many requests were admitted, how many were shed (and by which rule), and
-// which way the AIMD concurrency limit last moved — counted so the overload
-// experiment can read goodput and shed mix alongside the latency
-// distributions admission protects.
-type AdmitEvent int
-
-const (
-	// AdmitAdmitted — a request passed admission and entered the pipeline.
-	AdmitAdmitted AdmitEvent = iota
-	// AdmitShedLimit — a request was rejected at arrival because the
-	// adaptive concurrency limit (plus any priority headroom) was full.
-	AdmitShedLimit
-	// AdmitShedDeadline — a request was rejected at worker pickup because
-	// its remaining deadline budget could not cover the tracked p99
-	// service time.
-	AdmitShedDeadline
-	// AdmitShedQueue — a request passed the limit but the dispatch queue
-	// was full; shed with the same typed overload error.
-	AdmitShedQueue
-	// AdmitLimitUp — the AIMD controller raised the concurrency limit
-	// (additive increase: observed latency near its EWMA floor).
-	AdmitLimitUp
-	// AdmitLimitDown — the AIMD controller cut the concurrency limit
-	// (multiplicative decrease: observed latency above tolerance × floor).
-	AdmitLimitDown
-	numAdmitEvents
-)
-
-// String returns the event's display label.
-func (e AdmitEvent) String() string {
-	names := [...]string{"admitted", "shed-limit", "shed-deadline", "shed-queue", "limit-up", "limit-down"}
-	if e < 0 || int(e) >= len(names) {
-		return fmt.Sprintf("admit(%d)", int(e))
-	}
-	return names[e]
-}
-
-// AdmitEvents lists the admission event classes in display order.
-func AdmitEvents() []AdmitEvent {
-	out := make([]AdmitEvent, numAdmitEvents)
-	for i := range out {
-		out[i] = AdmitEvent(i)
-	}
-	return out
-}
-
-// ScaleEvent enumerates the autoscaler's decisions, counted so elastic
-// capacity (groups added and drained by the control loop, not an operator)
-// can be read alongside the shed counters it exists to suppress.
-type ScaleEvent int
-
-const (
-	// ScaleUp — the autoscaler added a leaf group.
-	ScaleUp ScaleEvent = iota
-	// ScaleDown — the autoscaler drained a leaf group.
-	ScaleDown
-	// ScaleHold — a breach was observed but hysteresis, cooldown, or a
-	// capacity bound withheld the action.
-	ScaleHold
-	numScaleEvents
-)
-
-// String returns the event's display label.
-func (e ScaleEvent) String() string {
-	names := [...]string{"up", "down", "hold"}
-	if e < 0 || int(e) >= len(names) {
-		return fmt.Sprintf("scale(%d)", int(e))
-	}
-	return names[e]
-}
-
-// ScaleEvents lists the autoscaler event classes in display order.
-func ScaleEvents() []ScaleEvent {
-	out := make([]ScaleEvent, numScaleEvents)
-	for i := range out {
-		out[i] = ScaleEvent(i)
-	}
-	return out
-}
-
-// KernelEvent enumerates the leaf compute-engine counters: how many kernel
-// scans ran, how many candidate points they scored, and how long they spent
-// doing it — together giving the points-scanned/s throughput that tells
-// whether a leaf is compute-bound (the paper's post-RPC regime) or still
-// framework-bound.
-type KernelEvent int
-
-const (
-	// KernelScans — kernel invocations (one per leaf scan).
-	KernelScans KernelEvent = iota
-	// KernelPoints — candidate rows scored across all scans.
-	KernelPoints
-	// KernelNanos — wall nanoseconds spent inside the kernels.
-	KernelNanos
-	numKernelEvents
-)
-
-// String returns the event's display label.
-func (e KernelEvent) String() string {
-	names := [...]string{"scans", "points", "nanos"}
-	if e < 0 || int(e) >= len(names) {
-		return fmt.Sprintf("kernel(%d)", int(e))
-	}
-	return names[e]
-}
-
-// KernelEvents lists the kernel counter classes in display order.
-func KernelEvents() []KernelEvent {
-	out := make([]KernelEvent, numKernelEvents)
-	for i := range out {
-		out[i] = KernelEvent(i)
-	}
-	return out
-}
-
-// Probe collects all counters and distributions for one server under test.
-// A nil *Probe is valid and makes every method a no-op, so components can be
-// run uninstrumented at zero cost.
+// Probe collects all counters and distributions for one deployment under
+// test: the root counter Table the tiers' tables forward to, plus one
+// latency histogram per Overhead class.  A nil *Probe is valid and makes
+// every method a no-op, so components can be run uninstrumented at zero
+// cost.
 type Probe struct {
-	syscalls  [numSyscalls]atomic.Uint64
-	tails     [numTailEvents]atomic.Uint64
-	batches   [numBatchEvents]atomic.Uint64
-	topos     [numTopoEvents]atomic.Uint64
-	kernels   [numKernelEvents]atomic.Uint64
-	admits    [numAdmitEvents]atomic.Uint64
-	scales    [numScaleEvents]atomic.Uint64
-	ctxSwitch atomic.Uint64
-	hitm      atomic.Uint64
-	tcpRetx   atomic.Uint64
-
+	counters  Table
 	overheads [numOverheads]*stats.Histogram
 }
 
@@ -390,183 +365,24 @@ func NewProbe() *Probe {
 	return p
 }
 
-// IncSyscall counts one proxy invocation of s.
-func (p *Probe) IncSyscall(s Syscall) {
+// Table returns the probe's counter table — the parent a tier's table
+// forwards to — or nil for a nil probe.
+func (p *Probe) Table() *Table {
 	if p == nil {
-		return
+		return nil
 	}
-	p.syscalls[s].Add(1)
+	return &p.counters
 }
 
-// AddSyscall counts n proxy invocations of s.
-func (p *Probe) AddSyscall(s Syscall, n uint64) {
-	if p == nil {
-		return
-	}
-	p.syscalls[s].Add(n)
-}
+// Add counts n occurrences of c.
+func (p *Probe) Add(c Counter, n uint64) { p.Table().Add(c, n) }
 
-// SyscallCount reports the proxy invocation count of s.
-func (p *Probe) SyscallCount(s Syscall) uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.syscalls[s].Load()
-}
+// Load reports the count of c.
+func (p *Probe) Load(c Counter) uint64 { return p.Table().Load(c) }
 
-// IncTail counts one tail-tolerance event.
-func (p *Probe) IncTail(e TailEvent) {
-	if p == nil {
-		return
-	}
-	p.tails[e].Add(1)
-}
-
-// TailCount reports the tail-tolerance event count for e.
-func (p *Probe) TailCount(e TailEvent) uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.tails[e].Load()
-}
-
-// IncBatch counts one batching event.
-func (p *Probe) IncBatch(e BatchEvent) {
-	if p == nil {
-		return
-	}
-	p.batches[e].Add(1)
-}
-
-// AddBatch counts n batching events (member counts arrive per flush).
-func (p *Probe) AddBatch(e BatchEvent, n uint64) {
-	if p == nil {
-		return
-	}
-	p.batches[e].Add(n)
-}
-
-// BatchCount reports the batching event count for e.
-func (p *Probe) BatchCount(e BatchEvent) uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.batches[e].Load()
-}
-
-// IncTopo counts one topology mutation.
-func (p *Probe) IncTopo(e TopoEvent) {
-	if p == nil {
-		return
-	}
-	p.topos[e].Add(1)
-}
-
-// TopoCount reports the topology event count for e.
-func (p *Probe) TopoCount(e TopoEvent) uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.topos[e].Load()
-}
-
-// IncAdmit counts one admission event.
-func (p *Probe) IncAdmit(e AdmitEvent) {
-	if p == nil {
-		return
-	}
-	p.admits[e].Add(1)
-}
-
-// AdmitCount reports the admission event count for e.
-func (p *Probe) AdmitCount(e AdmitEvent) uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.admits[e].Load()
-}
-
-// IncScale counts one autoscaler decision.
-func (p *Probe) IncScale(e ScaleEvent) {
-	if p == nil {
-		return
-	}
-	p.scales[e].Add(1)
-}
-
-// ScaleCount reports the autoscaler event count for e.
-func (p *Probe) ScaleCount(e ScaleEvent) uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.scales[e].Load()
-}
-
-// AddKernel counts n kernel events (the engine adds per-scan aggregates).
-func (p *Probe) AddKernel(e KernelEvent, n uint64) {
-	if p == nil {
-		return
-	}
-	p.kernels[e].Add(n)
-}
-
-// KernelCount reports the kernel counter for e.
-func (p *Probe) KernelCount(e KernelEvent) uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.kernels[e].Load()
-}
-
-// IncContextSwitch counts one voluntary thread block (CS proxy).
-func (p *Probe) IncContextSwitch() {
-	if p == nil {
-		return
-	}
-	p.ctxSwitch.Add(1)
-}
-
-// ContextSwitches reports the CS proxy count.
-func (p *Probe) ContextSwitches() uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.ctxSwitch.Load()
-}
-
-// IncHITM counts one contended lock acquisition (HITM proxy).
-func (p *Probe) IncHITM() {
-	if p == nil {
-		return
-	}
-	p.hitm.Add(1)
-}
-
-// HITMs reports the contention proxy count.
-func (p *Probe) HITMs() uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.hitm.Load()
-}
-
-// IncTCPRetransmit counts one transport-level retry (the paper reports only
-// single-digit counts here; ours stays at zero on loopback unless a
-// connection-level retry fires).
-func (p *Probe) IncTCPRetransmit() {
-	if p == nil {
-		return
-	}
-	p.tcpRetx.Add(1)
-}
-
-// TCPRetransmits reports the transport retry count.
-func (p *Probe) TCPRetransmits() uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.tcpRetx.Load()
-}
+// Snapshot captures the current counter values; the experiment harness
+// differences two of them per measurement window.
+func (p *Probe) Snapshot() Snapshot { return p.Table().Snapshot() }
 
 // ObserveOverhead records one latency observation for class o.
 func (p *Probe) ObserveOverhead(o Overhead, d time.Duration) {
@@ -584,225 +400,16 @@ func (p *Probe) OverheadSnapshot(o Overhead) stats.Snapshot {
 	return p.overheads[o].Snapshot()
 }
 
-// OverheadQuantile returns quantile q of overhead class o.
-func (p *Probe) OverheadQuantile(o Overhead, q float64) time.Duration {
-	if p == nil {
-		return 0
-	}
-	return p.overheads[o].Quantile(q)
-}
-
-// Reset zeroes all counters and distributions.
+// Reset zeroes the probe's counters and distributions (not the tier tables
+// forwarding to it: those are lifetime counters).
 func (p *Probe) Reset() {
 	if p == nil {
 		return
 	}
-	for i := range p.syscalls {
-		p.syscalls[i].Store(0)
+	for i := range p.counters.v {
+		p.counters.v[i].Store(0)
 	}
-	for i := range p.tails {
-		p.tails[i].Store(0)
-	}
-	for i := range p.batches {
-		p.batches[i].Store(0)
-	}
-	for i := range p.topos {
-		p.topos[i].Store(0)
-	}
-	for i := range p.kernels {
-		p.kernels[i].Store(0)
-	}
-	for i := range p.admits {
-		p.admits[i].Store(0)
-	}
-	for i := range p.scales {
-		p.scales[i].Store(0)
-	}
-	p.ctxSwitch.Store(0)
-	p.hitm.Store(0)
-	p.tcpRetx.Store(0)
 	for _, h := range p.overheads {
 		h.Reset()
 	}
-}
-
-// Snapshot is a point-in-time copy of every probe counter, used by the
-// experiment harness to difference measurement windows.
-type Snapshot struct {
-	Syscalls       map[Syscall]uint64
-	Tail           map[TailEvent]uint64
-	Batch          map[BatchEvent]uint64
-	Topo           map[TopoEvent]uint64
-	Kernel         map[KernelEvent]uint64
-	Admit          map[AdmitEvent]uint64
-	Scale          map[ScaleEvent]uint64
-	ContextSwitch  uint64
-	HITM           uint64
-	TCPRetransmits uint64
-}
-
-// Snapshot captures the current counter values.
-func (p *Probe) Snapshot() Snapshot {
-	s := Snapshot{
-		Syscalls: make(map[Syscall]uint64, int(numSyscalls)),
-		Tail:     make(map[TailEvent]uint64, int(numTailEvents)),
-		Batch:    make(map[BatchEvent]uint64, int(numBatchEvents)),
-		Topo:     make(map[TopoEvent]uint64, int(numTopoEvents)),
-		Kernel:   make(map[KernelEvent]uint64, int(numKernelEvents)),
-		Admit:    make(map[AdmitEvent]uint64, int(numAdmitEvents)),
-		Scale:    make(map[ScaleEvent]uint64, int(numScaleEvents)),
-	}
-	if p == nil {
-		return s
-	}
-	for i := Syscall(0); i < numSyscalls; i++ {
-		s.Syscalls[i] = p.syscalls[i].Load()
-	}
-	for i := TailEvent(0); i < numTailEvents; i++ {
-		s.Tail[i] = p.tails[i].Load()
-	}
-	for i := BatchEvent(0); i < numBatchEvents; i++ {
-		s.Batch[i] = p.batches[i].Load()
-	}
-	for i := TopoEvent(0); i < numTopoEvents; i++ {
-		s.Topo[i] = p.topos[i].Load()
-	}
-	for i := KernelEvent(0); i < numKernelEvents; i++ {
-		s.Kernel[i] = p.kernels[i].Load()
-	}
-	for i := AdmitEvent(0); i < numAdmitEvents; i++ {
-		s.Admit[i] = p.admits[i].Load()
-	}
-	for i := ScaleEvent(0); i < numScaleEvents; i++ {
-		s.Scale[i] = p.scales[i].Load()
-	}
-	s.ContextSwitch = p.ctxSwitch.Load()
-	s.HITM = p.hitm.Load()
-	s.TCPRetransmits = p.tcpRetx.Load()
-	return s
-}
-
-// Delta returns the per-counter difference cur − prev (clamped at zero).
-func (cur Snapshot) Delta(prev Snapshot) Snapshot {
-	d := Snapshot{
-		Syscalls: make(map[Syscall]uint64, len(cur.Syscalls)),
-		Tail:     make(map[TailEvent]uint64, len(cur.Tail)),
-		Batch:    make(map[BatchEvent]uint64, len(cur.Batch)),
-		Topo:     make(map[TopoEvent]uint64, len(cur.Topo)),
-		Kernel:   make(map[KernelEvent]uint64, len(cur.Kernel)),
-		Admit:    make(map[AdmitEvent]uint64, len(cur.Admit)),
-		Scale:    make(map[ScaleEvent]uint64, len(cur.Scale)),
-	}
-	for k, v := range cur.Syscalls {
-		pv := prev.Syscalls[k]
-		if v > pv {
-			d.Syscalls[k] = v - pv
-		}
-	}
-	for k, v := range cur.Tail {
-		if pv := prev.Tail[k]; v > pv {
-			d.Tail[k] = v - pv
-		}
-	}
-	for k, v := range cur.Batch {
-		if pv := prev.Batch[k]; v > pv {
-			d.Batch[k] = v - pv
-		}
-	}
-	for k, v := range cur.Topo {
-		if pv := prev.Topo[k]; v > pv {
-			d.Topo[k] = v - pv
-		}
-	}
-	for k, v := range cur.Kernel {
-		if pv := prev.Kernel[k]; v > pv {
-			d.Kernel[k] = v - pv
-		}
-	}
-	for k, v := range cur.Admit {
-		if pv := prev.Admit[k]; v > pv {
-			d.Admit[k] = v - pv
-		}
-	}
-	for k, v := range cur.Scale {
-		if pv := prev.Scale[k]; v > pv {
-			d.Scale[k] = v - pv
-		}
-	}
-	sub := func(a, b uint64) uint64 {
-		if a > b {
-			return a - b
-		}
-		return 0
-	}
-	d.ContextSwitch = sub(cur.ContextSwitch, prev.ContextSwitch)
-	d.HITM = sub(cur.HITM, prev.HITM)
-	d.TCPRetransmits = sub(cur.TCPRetransmits, prev.TCPRetransmits)
-	return d
-}
-
-// Mutex is a mutual-exclusion lock that feeds the probe: a contended
-// acquisition (lock already held) counts one HITM proxy event and one futex
-// proxy call, matching how pthread mutexes fall back to futex(2) only under
-// contention and how cross-core lock handoffs raise HITM events.
-type Mutex struct {
-	mu    sync.Mutex
-	probe *Probe
-}
-
-// NewMutex returns a probed mutex. probe may be nil.
-func NewMutex(probe *Probe) *Mutex {
-	return &Mutex{probe: probe}
-}
-
-// Lock acquires the lock, recording contention if it must wait.
-func (m *Mutex) Lock() {
-	if m.mu.TryLock() {
-		return
-	}
-	m.probe.IncHITM()
-	m.probe.IncSyscall(SysFutex)
-	m.probe.IncContextSwitch()
-	m.mu.Lock()
-}
-
-// Unlock releases the lock.
-func (m *Mutex) Unlock() { m.mu.Unlock() }
-
-// Cond is a condition variable that feeds the probe: every Wait counts a
-// futex call plus a context switch (the thread parks), every Signal or
-// Broadcast counts a futex call (FUTEX_WAKE), and every Wait *return* counts
-// a HITM proxy — the woken thread re-acquires the associated mutex, the
-// cross-thread lock handoff that raises hit-Modified coherence events on
-// real multicore hardware (the paper: "various threads are woken up when a
-// futex returns, and they all contend ... to acquire a network socket
-// lock", which is why its HITM counts exceed its CS counts).
-type Cond struct {
-	c     *sync.Cond
-	probe *Probe
-}
-
-// NewCond returns a probed condition variable bound to a probed mutex.
-func NewCond(m *Mutex, probe *Probe) *Cond {
-	return &Cond{c: sync.NewCond(&m.mu), probe: probe}
-}
-
-// Wait blocks until signalled; the caller must hold the associated Mutex.
-func (c *Cond) Wait() {
-	c.probe.IncSyscall(SysFutex)
-	c.probe.IncContextSwitch()
-	c.c.Wait()
-	c.probe.IncHITM()
-}
-
-// Signal wakes one waiter.
-func (c *Cond) Signal() {
-	c.probe.IncSyscall(SysFutex)
-	c.c.Signal()
-}
-
-// Broadcast wakes all waiters.
-func (c *Cond) Broadcast() {
-	c.probe.IncSyscall(SysFutex)
-	c.c.Broadcast()
 }

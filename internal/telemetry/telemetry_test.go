@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -8,45 +9,69 @@ import (
 
 func TestNilProbeSafe(t *testing.T) {
 	var p *Probe
-	p.IncSyscall(SysFutex)
-	p.AddSyscall(SysSendmsg, 10)
-	p.IncContextSwitch()
-	p.IncHITM()
-	p.IncTCPRetransmit()
+	p.Add(SysFutex, 1)
+	p.Add(SysSendmsg, 10)
+	p.Add(CtxSwitch, 1)
 	p.ObserveOverhead(OverheadActiveExe, time.Millisecond)
 	p.Reset()
-	if p.SyscallCount(SysFutex) != 0 || p.ContextSwitches() != 0 || p.HITMs() != 0 || p.TCPRetransmits() != 0 {
+	if p.Load(SysFutex) != 0 || p.Load(CtxSwitch) != 0 || p.Table() != nil {
 		t.Fatal("nil probe returned non-zero")
 	}
-	if p.OverheadQuantile(OverheadNet, 0.5) != 0 {
-		t.Fatal("nil probe quantile non-zero")
+	if p.OverheadSnapshot(OverheadNet).Count != 0 {
+		t.Fatal("nil probe snapshot non-empty")
 	}
-	s := p.Snapshot()
-	if len(s.Syscalls) != 0 {
-		t.Fatal("nil probe snapshot has syscalls")
+	if p.Snapshot() != (Snapshot{}) {
+		t.Fatal("nil probe snapshot has counts")
+	}
+	var tab *Table
+	tab.Add(TailHedge, 1)
+	if tab.Load(TailHedge) != 0 || tab.Snapshot() != (Snapshot{}) {
+		t.Fatal("nil table returned non-zero")
 	}
 }
 
 func TestCounters(t *testing.T) {
 	p := NewProbe()
-	p.IncSyscall(SysFutex)
-	p.IncSyscall(SysFutex)
-	p.AddSyscall(SysRecvmsg, 5)
-	if p.SyscallCount(SysFutex) != 2 {
-		t.Errorf("futex=%d", p.SyscallCount(SysFutex))
+	p.Add(SysFutex, 1)
+	p.Add(SysFutex, 1)
+	p.Add(SysRecvmsg, 5)
+	if p.Load(SysFutex) != 2 {
+		t.Errorf("futex=%d", p.Load(SysFutex))
 	}
-	if p.SyscallCount(SysRecvmsg) != 5 {
-		t.Errorf("recvmsg=%d", p.SyscallCount(SysRecvmsg))
+	if p.Load(SysRecvmsg) != 5 {
+		t.Errorf("recvmsg=%d", p.Load(SysRecvmsg))
 	}
-	p.IncContextSwitch()
-	p.IncHITM()
-	p.IncTCPRetransmit()
-	if p.ContextSwitches() != 1 || p.HITMs() != 1 || p.TCPRetransmits() != 1 {
+	p.Add(CtxSwitch, 1)
+	p.Add(HITM, 1)
+	p.Add(TCPRetransmit, 1)
+	if p.Load(CtxSwitch) != 1 || p.Load(HITM) != 1 || p.Load(TCPRetransmit) != 1 {
 		t.Error("scalar counters wrong")
 	}
 	p.Reset()
-	if p.SyscallCount(SysFutex) != 0 || p.ContextSwitches() != 0 {
+	if p.Load(SysFutex) != 0 || p.Load(CtxSwitch) != 0 {
 		t.Error("reset failed")
+	}
+}
+
+// TestTableForwardsToParent: an Add lands in the table and every ancestor,
+// so the root equals the sum of its children; a child's counts stay its own
+// and survive a Reset of the probe they forward to.
+func TestTableForwardsToParent(t *testing.T) {
+	p := NewProbe()
+	a, b := NewTable(p.Table()), NewTable(p.Table())
+	a.Add(TierServed, 3)
+	b.Add(TierServed, 4)
+	b.Add(KernelPoints, 100)
+	p.Add(SysFutex, 9) // booked on the root directly: no child sees it
+	if a.Load(TierServed) != 3 || b.Load(TierServed) != 4 || p.Load(TierServed) != 7 {
+		t.Errorf("served: a=%d b=%d root=%d", a.Load(TierServed), b.Load(TierServed), p.Load(TierServed))
+	}
+	if a.Load(KernelPoints) != 0 || p.Load(KernelPoints) != 100 || a.Load(SysFutex) != 0 {
+		t.Error("counts leaked between sibling tables")
+	}
+	p.Reset()
+	if p.Load(TierServed) != 0 || b.Load(TierServed) != 4 {
+		t.Error("probe reset must clear the root and only the root")
 	}
 }
 
@@ -59,8 +84,7 @@ func TestOverheadDistributions(t *testing.T) {
 	if snap.Count != 100 {
 		t.Fatalf("count=%d", snap.Count)
 	}
-	med := p.OverheadQuantile(OverheadActiveExe, 0.5)
-	if med < 45*time.Microsecond || med > 55*time.Microsecond {
+	if med := snap.Median; med < 45*time.Microsecond || med > 55*time.Microsecond {
 		t.Errorf("median=%v", med)
 	}
 	// Other classes remain empty.
@@ -71,38 +95,80 @@ func TestOverheadDistributions(t *testing.T) {
 
 func TestSnapshotDelta(t *testing.T) {
 	p := NewProbe()
-	p.AddSyscall(SysSendmsg, 10)
-	p.IncContextSwitch()
+	p.Add(SysSendmsg, 10)
+	p.Add(CtxSwitch, 1)
 	before := p.Snapshot()
-	p.AddSyscall(SysSendmsg, 7)
-	p.IncHITM()
+	p.Add(SysSendmsg, 7)
+	p.Add(HITM, 1)
 	after := p.Snapshot()
 	d := after.Delta(before)
-	if d.Syscalls[SysSendmsg] != 7 {
-		t.Errorf("delta sendmsg=%d", d.Syscalls[SysSendmsg])
+	if d[SysSendmsg] != 7 {
+		t.Errorf("delta sendmsg=%d", d[SysSendmsg])
 	}
-	if d.HITM != 1 || d.ContextSwitch != 0 {
-		t.Errorf("delta hitm=%d cs=%d", d.HITM, d.ContextSwitch)
+	if d[HITM] != 1 || d[CtxSwitch] != 0 {
+		t.Errorf("delta hitm=%d cs=%d", d[HITM], d[CtxSwitch])
 	}
 	// Delta clamps when prev exceeds cur (after a Reset).
 	p.Reset()
-	clamped := p.Snapshot().Delta(after)
-	if clamped.Syscalls[SysSendmsg] != 0 {
+	if clamped := p.Snapshot().Delta(after); clamped != (Snapshot{}) {
 		t.Error("delta did not clamp")
 	}
 }
 
+// TestCounterLabels pins the one name table: every counter below the
+// sentinel has a unique, non-empty "family.name" label, and the family
+// listers partition the table in enum order.
+func TestCounterLabels(t *testing.T) {
+	seen := map[string]Counter{}
+	var families []string
+	for c := Counter(0); c < NumCounters; c++ {
+		label := c.String()
+		family, name, ok := strings.Cut(label, ".")
+		if !ok || family == "" || name == "" || strings.Contains(name, ".") {
+			t.Errorf("counter %d: label %q is not family.name", c, label)
+		}
+		if prev, dup := seen[label]; dup {
+			t.Errorf("counters %d and %d share label %q", prev, c, label)
+		}
+		seen[label] = c
+		if c.Name() != name {
+			t.Errorf("%v.Name() = %q, want %q", c, c.Name(), name)
+		}
+		if len(families) == 0 || families[len(families)-1] != family {
+			families = append(families, family)
+		}
+	}
+	var all []Counter
+	for _, f := range families {
+		all = append(all, Family(f)...)
+	}
+	if len(all) != int(NumCounters) {
+		t.Fatalf("families %v list %d counters, the table has %d", families, len(all), NumCounters)
+	}
+	for i, c := range all {
+		if c != Counter(i) {
+			t.Fatalf("families %v are not a partition in enum order: position %d holds %v", families, i, c)
+		}
+	}
+	if got := Syscalls(); len(got) != 13 || got[0] != SysMprotect || got[12] != SysMunmap {
+		t.Errorf("Syscalls() = %v", got)
+	}
+	if Family("nope") != nil || NumCounters.String() == "" || NumCounters.Name() != "" {
+		t.Error("unknown family / out-of-range counter mishandled")
+	}
+}
+
 func TestSyscallAndOverheadNames(t *testing.T) {
-	if SysFutex.String() != "futex" || SysEpollPwait.String() != "epoll_pwait" {
+	if SysFutex.Name() != "futex" || SysEpollPwait.Name() != "epoll_pwait" {
 		t.Error("syscall names wrong")
 	}
 	if OverheadActiveExe.String() != "Active-Exe" || OverheadNetTx.String() != "Net_tx" {
 		t.Error("overhead names wrong")
 	}
-	if Syscall(99).String() == "" || Overhead(99).String() == "" {
+	if Overhead(99).String() == "" {
 		t.Error("out-of-range names empty")
 	}
-	if len(Syscalls()) != int(numSyscalls) || len(Overheads()) != int(numOverheads) {
+	if len(Overheads()) != int(numOverheads) {
 		t.Error("enumerations wrong length")
 	}
 }
@@ -113,8 +179,8 @@ func TestProbedMutexContention(t *testing.T) {
 	// Uncontended: no HITM.
 	m.Lock()
 	m.Unlock()
-	if p.HITMs() != 0 {
-		t.Fatalf("uncontended lock counted HITM: %d", p.HITMs())
+	if p.Load(HITM) != 0 {
+		t.Fatalf("uncontended lock counted HITM: %d", p.Load(HITM))
 	}
 	// Force contention: goroutine holds the lock while we acquire.
 	m.Lock()
@@ -127,10 +193,10 @@ func TestProbedMutexContention(t *testing.T) {
 	time.Sleep(5 * time.Millisecond) // let the goroutine reach the contended path
 	m.Unlock()
 	<-done
-	if p.HITMs() == 0 {
+	if p.Load(HITM) == 0 {
 		t.Error("contended lock did not count HITM")
 	}
-	if p.SyscallCount(SysFutex) == 0 {
+	if p.Load(SysFutex) == 0 {
 		t.Error("contended lock did not count futex")
 	}
 }
@@ -156,11 +222,11 @@ func TestProbedCond(t *testing.T) {
 	m.Unlock()
 	<-done
 	// One Wait + one Signal = at least 2 futex proxies; Wait also counts a CS.
-	if p.SyscallCount(SysFutex) < 2 {
-		t.Errorf("futex=%d want ≥2", p.SyscallCount(SysFutex))
+	if p.Load(SysFutex) < 2 {
+		t.Errorf("futex=%d want ≥2", p.Load(SysFutex))
 	}
-	if p.ContextSwitches() < 1 {
-		t.Errorf("cs=%d want ≥1", p.ContextSwitches())
+	if p.Load(CtxSwitch) < 1 {
+		t.Errorf("cs=%d want ≥1", p.Load(CtxSwitch))
 	}
 }
 
@@ -172,14 +238,14 @@ func TestProbeConcurrency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				p.IncSyscall(SysFutex)
+				p.Add(SysFutex, 1)
 				p.ObserveOverhead(OverheadNet, time.Microsecond)
 			}
 		}()
 	}
 	wg.Wait()
-	if p.SyscallCount(SysFutex) != 8000 {
-		t.Fatalf("futex=%d", p.SyscallCount(SysFutex))
+	if p.Load(SysFutex) != 8000 {
+		t.Fatalf("futex=%d", p.Load(SysFutex))
 	}
 	if p.OverheadSnapshot(OverheadNet).Count != 8000 {
 		t.Fatalf("overhead count=%d", p.OverheadSnapshot(OverheadNet).Count)
@@ -210,7 +276,7 @@ func TestCondBroadcast(t *testing.T) {
 	c.Broadcast()
 	m.Unlock()
 	wg.Wait()
-	if p.ContextSwitches() < waiters {
-		t.Errorf("cs=%d want ≥%d", p.ContextSwitches(), waiters)
+	if p.Load(CtxSwitch) < waiters {
+		t.Errorf("cs=%d want ≥%d", p.Load(CtxSwitch), waiters)
 	}
 }

@@ -6,12 +6,12 @@ import (
 
 	"musuite/internal/core"
 	"musuite/internal/dataset"
-	"musuite/internal/kernel"
 	"musuite/internal/rpc"
 	"musuite/internal/services/hdsearch"
 	"musuite/internal/services/recommend"
 	"musuite/internal/services/router"
 	"musuite/internal/services/setalgebra"
+	"musuite/internal/telemetry"
 )
 
 // Golden equivalence: each of the four handwritten μSuite services,
@@ -36,11 +36,6 @@ func specEntryAddr(t *testing.T, src string) (*Deployment, string) {
 	}
 	t.Cleanup(d.Close)
 	return d, d.EntryAddrs()[0]
-}
-
-// goldenLeafOptions mirrors kindLeafOptions for the handwritten side.
-func goldenLeafOptions() core.LeafOptions {
-	return core.LeafOptions{Kernel: kernel.New(kernel.Config{})}
 }
 
 // tierStats queries a mid-tier's stats over the wire, exactly as an
@@ -90,7 +85,7 @@ services:
 		N: 500, Dim: 16, Clusters: 5, Seed: goldenSeed,
 	})
 	cl, err := hdsearch.StartCluster(hdsearch.ClusterConfig{
-		Corpus: corpus, Shards: 2, Leaf: goldenLeafOptions(),
+		Corpus: corpus, Shards: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +131,7 @@ services:
     params: {keys: 200, value-size: 32}
 `)
 	cl, err := router.StartCluster(router.ClusterConfig{
-		Leaves: 2, Replicas: 2, Leaf: goldenLeafOptions(),
+		Leaves: 2, Replicas: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +193,7 @@ services:
 		Docs: 300, VocabSize: 800, MeanDocLen: 30, Seed: goldenSeed + 300,
 	})
 	cl, err := setalgebra.StartCluster(setalgebra.ClusterConfig{
-		Corpus: corpus, Shards: 2, StopTerms: 5, Leaf: goldenLeafOptions(),
+		Corpus: corpus, Shards: 2, StopTerms: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +241,7 @@ services:
 		Users: 30, Items: 40, Ratings: 600, Seed: goldenSeed + 400,
 	})
 	cl, err := recommend.StartCluster(recommend.ClusterConfig{
-		Corpus: corpus, Shards: 2, Seed: goldenSeed + 401, Leaf: goldenLeafOptions(),
+		Corpus: corpus, Shards: 2, Seed: goldenSeed + 401,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -279,4 +274,42 @@ services:
 		}
 	}
 	assertStatsShape(t, specAddr, cl.Addr)
+}
+
+// TestSpecBuiltLeafKernelPointsSumToProbe: a spec-built 4-shard hdsearch
+// gives every leaf its own engine, so each leaf's KernelPoints is that
+// shard's work and their sum is the deployment total the shared probe
+// holds — not the shard count times it, as one engine shared by every leaf
+// would report.
+func TestSpecBuiltLeafKernelPointsSumToProbe(t *testing.T) {
+	probe := telemetry.NewProbe()
+	d := buildSpec(t, `
+topology: hdsearch-counters
+entry: search
+services:
+  search:
+    kind: hdsearch
+    shards: 4
+    params: {corpus: 800, dim: 16, clusters: 5, queries: 64}
+`, BuildOptions{Probe: probe})
+	done := make(chan *rpc.Call, 32)
+	for i := 0; i < cap(done); i++ {
+		d.Service("search").issue.Issue(done)
+	}
+	for i := 0; i < cap(done); i++ {
+		if call := <-done; call.Err != nil {
+			t.Fatal(call.Err)
+		}
+	}
+	var sum uint64
+	for _, g := range d.Service("search").MidTiers()[0].Topology().View().Groups {
+		st := tierStats(t, g.Addrs[0])
+		if st.Role != "leaf" || st.KernelPoints == 0 {
+			t.Fatalf("leaf %s: role=%q kernel points=%d", g.Addrs[0], st.Role, st.KernelPoints)
+		}
+		sum += st.KernelPoints
+	}
+	if total := probe.Load(telemetry.KernelPoints); sum != total {
+		t.Fatalf("Σ leaf KernelPoints = %d, the probe counted %d", sum, total)
+	}
 }

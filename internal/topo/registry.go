@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"musuite/internal/core"
 	"musuite/internal/loadgen"
 )
 
@@ -20,6 +21,8 @@ import (
 type RegisteredService struct {
 	// Groups lists replica addresses per shard for upstream dialing.
 	Groups [][]string
+	// MidTier is the deployment's mid-tier, for Service.Stats/MidTiers.
+	MidTier *core.MidTier
 	// Issue launches one request of the service's canonical workload.
 	Issue loadgen.IssueFunc
 	// Closers tear the deployment down, last first.

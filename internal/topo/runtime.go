@@ -123,7 +123,7 @@ func (d *Deployment) buildService(svc *ServiceSpec) (*Service, error) {
 		if err != nil {
 			return nil, fmt.Errorf("topo: building %s: %w", svc.Name, err)
 		}
-		return &Service{Spec: svc, Groups: built.Groups, issue: built, closer: built.Closers}, nil
+		return &Service{Spec: svc, Groups: built.Groups, mids: []*core.MidTier{built.MidTier}, issue: built, closer: built.Closers}, nil
 	}
 }
 

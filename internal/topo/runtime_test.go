@@ -105,7 +105,7 @@ func TestBuildFourDeepRoundTrip(t *testing.T) {
 	}
 	var leafServed uint64
 	for _, l := range d.Service("leaf").leaves {
-		leafServed += l.Served()
+		leafServed += l.Stats().Served
 	}
 	if leafServed < 3 {
 		t.Fatalf("leaf served=%d", leafServed)
@@ -135,7 +135,7 @@ services:
 func served(s *Service) uint64 {
 	var total uint64
 	for _, l := range s.leaves {
-		total += l.Served()
+		total += l.Stats().Served
 	}
 	return total
 }

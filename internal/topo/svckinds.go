@@ -5,7 +5,6 @@ import (
 
 	"musuite/internal/core"
 	"musuite/internal/dataset"
-	"musuite/internal/kernel"
 	"musuite/internal/rpc"
 	"musuite/internal/services/hdsearch"
 	"musuite/internal/services/recommend"
@@ -46,7 +45,6 @@ func kindLeafOptions(svc *ServiceSpec, opts BuildOptions) (core.LeafOptions, err
 		Workers: workers,
 		Probe:   opts.Probe,
 		Spans:   opts.Spans,
-		Kernel:  kernel.New(kernel.Config{Probe: opts.Probe}),
 	}, nil
 }
 
@@ -112,7 +110,8 @@ func buildHDSearch(spec *Spec, svc *ServiceSpec, opts BuildOptions) (*Registered
 	sampler := kindSampler(opts)
 	var next atomic.Uint64
 	return &RegisteredService{
-		Groups: [][]string{{cl.Addr}},
+		Groups:  [][]string{{cl.Addr}},
+		MidTier: cl.MidTier(),
 		Issue: func(done chan *rpc.Call) *rpc.Call {
 			q := queries[next.Add(1)%uint64(len(queries))]
 			if sc := sampler.Context(); sc.Sampled() {
@@ -165,7 +164,8 @@ func buildRouter(spec *Spec, svc *ServiceSpec, opts BuildOptions) (*RegisteredSe
 	sampler := kindSampler(opts)
 	var next atomic.Uint64
 	return &RegisteredService{
-		Groups: [][]string{{cl.Addr}},
+		Groups:  [][]string{{cl.Addr}},
+		MidTier: cl.MidTier(),
 		Issue: func(done chan *rpc.Call) *rpc.Call {
 			op := ops[next.Add(1)%uint64(len(ops))]
 			if sc := sampler.Context(); sc.Sampled() {
@@ -227,7 +227,8 @@ func buildSetAlgebra(spec *Spec, svc *ServiceSpec, opts BuildOptions) (*Register
 	sampler := kindSampler(opts)
 	var next atomic.Uint64
 	return &RegisteredService{
-		Groups: [][]string{{cl.Addr}},
+		Groups:  [][]string{{cl.Addr}},
+		MidTier: cl.MidTier(),
 		Issue: func(done chan *rpc.Call) *rpc.Call {
 			q := queries[next.Add(1)%uint64(len(queries))]
 			if sc := sampler.Context(); sc.Sampled() {
@@ -279,7 +280,8 @@ func buildRecommend(spec *Spec, svc *ServiceSpec, opts BuildOptions) (*Registere
 	sampler := kindSampler(opts)
 	var next atomic.Uint64
 	return &RegisteredService{
-		Groups: [][]string{{cl.Addr}},
+		Groups:  [][]string{{cl.Addr}},
+		MidTier: cl.MidTier(),
 		Issue: func(done chan *rpc.Call) *rpc.Call {
 			p := pairs[next.Add(1)%uint64(len(pairs))]
 			if sc := sampler.Context(); sc.Sampled() {

@@ -72,18 +72,20 @@ type (
 	// Probe is the telemetry sink reproducing the paper's eBPF/perf
 	// measurements in-process.
 	Probe = telemetry.Probe
-	// Syscall and Overhead enumerate the probe's proxy counters and
-	// OS-overhead latency classes (paper Figs. 11–18).
-	Syscall  = telemetry.Syscall
+	// Counter names one counted event (syscall proxies, context switches,
+	// tail/batch/topology/admission/kernel events); Overhead enumerates
+	// the OS-overhead latency classes (paper Figs. 11–18).
+	Counter  = telemetry.Counter
 	Overhead = telemetry.Overhead
-	// TelemetrySnapshot is a point-in-time copy of probe counters.
+	// TelemetrySnapshot is a point-in-time copy of a counter table,
+	// indexed by Counter.
 	TelemetrySnapshot = telemetry.Snapshot
 	// Tracer samples requests for per-stage latency attribution; Trace
 	// is one sampled request.
 	Tracer = trace.Tracer
 	Trace  = trace.Trace
 	// KernelConfig tunes a leaf compute engine (scan parallelism, the
-	// reference-scalar switch, an optional probe for kernel counters).
+	// reference-scalar switch).
 	KernelConfig = kernel.Config
 	// KernelEngine is the leaf compute engine: SoA vector stores,
 	// norm-trick distance kernels, intra-request parallel scans, and
@@ -103,6 +105,10 @@ const (
 	// WaitAdaptive is the spin-then-park hybrid of the paper's §VII
 	// blocking-vs-polling proposal.
 	WaitAdaptive = core.WaitAdaptive
+	// CtxSwitch and HITM index a TelemetrySnapshot's context-switch and
+	// lock-contention proxies (paper Fig. 19).
+	CtxSwitch = telemetry.CtxSwitch
+	HITM      = telemetry.HITM
 )
 
 // NewProbe creates a telemetry probe to attach to a mid-tier under study.
@@ -116,7 +122,7 @@ func NewKernel(cfg KernelConfig) *KernelEngine { return kernel.New(cfg) }
 func NewTracer(every, keep int) *Tracer { return trace.NewTracer(every, keep) }
 
 // Syscalls lists the tracked syscall proxy classes in display order.
-func Syscalls() []Syscall { return telemetry.Syscalls() }
+func Syscalls() []Counter { return telemetry.Syscalls() }
 
 // Overheads lists the OS-overhead latency classes in display order.
 func Overheads() []Overhead { return telemetry.Overheads() }

@@ -138,7 +138,7 @@ func TestFacadeProbe(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if probe.ContextSwitches() == 0 {
+	if probe.Load(musuite.CtxSwitch) == 0 {
 		t.Fatal("probe saw no activity")
 	}
 }
