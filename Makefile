@@ -45,9 +45,10 @@ loc:
 	@./scripts/loc.sh
 
 # The stats-contract flake guard (the nightly flake-guard CI job): twenty
-# passes over the packages whose tests read counters right after a reply.
+# passes over the packages whose tests read counters right after a reply,
+# plus the LSH index and the HDSearch service built on it.
 flake-guard:
-	$(GO) test -short -count=20 ./internal/core ./internal/topo ./internal/cluster ./internal/autoscale
+	$(GO) test -short -count=20 ./internal/core ./internal/topo ./internal/cluster ./internal/autoscale ./internal/lsh ./internal/services/hdsearch
 
 bench-smoke: build
 	$(GO) run ./cmd/musuite-bench -experiment tableII

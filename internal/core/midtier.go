@@ -648,6 +648,13 @@ func (c *Ctx) runFanout(fo *fanout) {
 	// complete the whole request — and recycle a pooled trace — before the
 	// issue loop below returns.
 	c.tr.Stamp(trace.StageFanoutIssued)
+	// The issuer's hold must exist before anything can complete the
+	// fan-out: with no hedge and no timeout the only other holds are the
+	// merge's and each attempt's own, so a reply landing while issueAttempt
+	// is still tracking its attempt would drop both and recycle the slots
+	// under this loop.
+	fo.refs.Add(1)
+	defer fo.unref()
 	if d := fo.e.policy.Timeout; d > 0 {
 		fo.refs.Add(1) // expiry hold: released by expire or a won Stop
 		fo.timer.Store(time.AfterFunc(d, fo.expire))
@@ -1011,10 +1018,10 @@ type fanout struct {
 	// store, in which case there is nothing left worth stopping.
 	timer atomic.Pointer[time.Timer]
 	// refs counts the outstanding holds on this struct: one for the merge,
-	// one per issued attempt (dropped on delivery, or by the abandoner when
-	// the abandon provably suppressed delivery), one per armed timer
-	// (dropped by the callback, or by whoever wins Stop).  At zero the
-	// fan-out recycles.
+	// one for runFanout's issue loop, one per issued attempt (dropped on
+	// delivery, or by the abandoner when the abandon provably suppressed
+	// delivery), one per armed timer (dropped by the callback, or by
+	// whoever wins Stop).  At zero the fan-out recycles.
 	refs atomic.Int32
 }
 

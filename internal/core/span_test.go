@@ -79,14 +79,14 @@ func assertConnected(t *testing.T, spans []trace.Span) {
 }
 
 // TestHedgeLoserSpansParented forces a hedge on every request (fixed 100µs
-// hedge delay against 2ms leaves) and checks the losing attempt is
+// hedge delay against 10ms leaves) and checks the losing attempt is
 // recorded: annotated "abandoned", kind client, and parented to the same
 // span as the winning attempt — so winner and loser are siblings in the
 // request's tree.
 func TestHedgeLoserSpansParented(t *testing.T) {
 	rec := trace.NewRecorder("test", 1<<16)
-	addrA, _ := startSpanLeaf(t, rec, echoAfter(2*time.Millisecond))
-	addrB, _ := startSpanLeaf(t, rec, echoAfter(2*time.Millisecond))
+	addrA, _ := startSpanLeaf(t, rec, echoAfter(10*time.Millisecond))
+	addrB, _ := startSpanLeaf(t, rec, echoAfter(10*time.Millisecond))
 	addr, _ := startTailMidTier(t, [][]string{{addrA, addrB}}, &Options{
 		Workers: 4,
 		Spans:   rec,
@@ -142,7 +142,7 @@ func TestHedgeLoserSpansParented(t *testing.T) {
 			t.Errorf("abandoned span %x in trace %x has no winning sibling", s.SpanID, s.TraceID)
 		}
 	}
-	// With a 100µs hedge against 2ms leaves, every request hedges and one
+	// With a 100µs hedge against 10ms leaves, every request hedges and one
 	// attempt always loses.
 	if abandoned < requests {
 		t.Errorf("recorded %d abandoned spans for %d always-hedged requests", abandoned, requests)

@@ -22,7 +22,8 @@ import (
 )
 
 // Ref identifies an indexed point: the leaf shard storing it and its local
-// point ID, mirroring lsh.Entry so HDSearch can swap indexes.
+// point ID — the tuple the LSH index also stores, so HDSearch can swap
+// indexes.
 type Ref struct {
 	Shard   int32
 	PointID uint32

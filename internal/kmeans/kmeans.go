@@ -20,7 +20,7 @@ import (
 	"musuite/internal/vec"
 )
 
-// Ref identifies an indexed point, mirroring lsh.Entry / kdtree.Ref.
+// Ref identifies an indexed point, mirroring kdtree.Ref.
 type Ref struct {
 	Shard   int32
 	PointID uint32

@@ -1,6 +1,8 @@
 package hdsearch
 
 import (
+	"runtime"
+
 	"musuite/internal/ann"
 	"musuite/internal/core"
 	"musuite/internal/dataset"
@@ -30,7 +32,9 @@ type ClusterConfig struct {
 	// from the cluster Kind and its Seed defaults to Index.Seed.
 	ANN ann.Config
 	// MidTier and Leaf configure the framework tiers.  MidTier.Probe is
-	// where the experiment harness attaches its telemetry.
+	// where the experiment harness attaches its telemetry.  Leaf.Workers
+	// left at zero gives each leaf its share of the host's cores (at least
+	// one worker), not core's per-process default: see StartCluster.
 	MidTier core.Options
 	Leaf    core.LeafOptions
 }
@@ -100,6 +104,16 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	replicas := cfg.LeafReplicas
 	if replicas <= 0 {
 		replicas = 1
+	}
+	// The paper pins every leaf to its own cores with a taskset; these
+	// leaves share one host, so an unsized pool gets the leaf's share of the
+	// cores, not core's per-process default.  Workers beyond that buy no
+	// parallelism and cost tail latency: every hand-off to a parked worker
+	// lets the Go runtime wake another thread, which on a busy two-core
+	// host displaces a thread mid-request for a scheduler tick
+	// (DESIGN §5.5.1).
+	if cfg.Leaf.Workers <= 0 {
+		cfg.Leaf.Workers = max(1, runtime.GOMAXPROCS(0)/(cfg.Shards*replicas))
 	}
 	leafGroups := make([][]string, cfg.Shards)
 	for s := 0; s < cfg.Shards; s++ {

@@ -310,26 +310,17 @@ func NewLeaf(data LeafData, opts *core.LeafOptions) *core.Leaf {
 type IndexConfig = lsh.Config
 
 // BuildIndex constructs the mid-tier's LSH tables over the sharded corpus
-// (the offline index-construction step).  Point IDs inserted are *local*
+// (the offline index-construction step).  Point IDs indexed are *local*
 // shard IDs so the leaf can use them directly.
 func BuildIndex(shards []LeafData, cfg IndexConfig) (*lsh.Index, error) {
 	if len(shards) == 0 {
 		return nil, errors.New("hdsearch: no shards")
 	}
-	cfg.Dim = shards[0].Store.Dim()
-	idx, err := lsh.New(cfg)
-	if err != nil {
-		return nil, err
-	}
+	stores := make([]*kernel.Store, len(shards))
 	for s, shard := range shards {
-		st := shard.Store
-		for local := 0; local < st.Len(); local++ {
-			if err := idx.Insert(vec.Vector(st.Row(local)), int32(s), uint32(local)); err != nil {
-				return nil, err
-			}
-		}
+		stores[s] = shard.Store
 	}
-	return idx, nil
+	return lsh.Build(stores, cfg)
 }
 
 // mergeScratch recycles the streaming top-k heap and drained result list the
@@ -359,6 +350,20 @@ func considerNeighborList(top *kernel.TopK, b []byte) error {
 	return d.Err()
 }
 
+// midScratch is one search request's working memory on the mid-tier: the
+// decoded query, the per-shard candidate lists the index fills, and the leaf
+// calls built from them.  Its lifetime is the handler's: the encoded leaf
+// payloads are fresh allocations and ctx.Fanout copies each LeafCall into
+// its own slots before returning, so nothing here outlives the handler and
+// core/rpc need no ownership rule for it.
+type midScratch struct {
+	query   []float32
+	byShard [][]uint32
+	calls   []core.LeafCall
+}
+
+var midScratches = sync.Pool{New: func() any { return new(midScratch) }}
+
 // NewMidTier builds the HDSearch mid-tier microservice around a prebuilt
 // candidate index (LSH by default; kd-tree and k-means alternatives are in
 // indexes.go).  Call ConnectLeaves then Start on the result.  Leaves return
@@ -369,11 +374,16 @@ func NewMidTier(index CandidateIndex, opts *core.Options) *core.MidTier {
 			ctx.ReplyError(fmt.Errorf("hdsearch mid-tier: unknown method %q", ctx.Req.Method))
 			return
 		}
-		query, k, err := DecodeSearchRequest(ctx.Req.Payload)
-		if err != nil {
+		sc := midScratches.Get().(*midScratch)
+		defer midScratches.Put(sc)
+		d := wire.NewDecoder(ctx.Req.Payload)
+		k := int(d.Uvarint())
+		sc.query = d.Float32sInto(sc.query[:0])
+		if err := d.Err(); err != nil {
 			ctx.ReplyError(err)
 			return
 		}
+		query := sc.query
 		if k <= 0 {
 			k = 1
 		}
@@ -392,21 +402,29 @@ func NewMidTier(index CandidateIndex, opts *core.Options) *core.MidTier {
 			return
 		}
 		// Request path: LSH lookup, map point IDs → leaf shards, launch
-		// clients to leaf microservers (paper Fig. 3).
-		byShard := index.LookupByShard(query)
-		if len(byShard) == 0 {
-			ctx.Reply(EncodeNeighbors(nil))
-			return
-		}
-		calls := make([]core.LeafCall, 0, len(byShard))
-		for shard, ids := range byShard {
+		// clients to leaf microservers (paper Fig. 3), in ascending shard
+		// order.
+		sc.byShard = index.LookupInto(query, sc.byShard)
+		calls := sc.calls[:0]
+		for shard, ids := range sc.byShard {
+			if len(ids) == 0 {
+				continue
+			}
 			calls = append(calls, core.LeafCall{
-				Shard:   int(shard),
+				Shard:   shard,
 				Method:  MethodLeafKNN,
 				Payload: EncodeLeafRequest(query, ids, k),
 			})
 		}
+		sc.calls = calls
+		if len(calls) == 0 {
+			ctx.Reply(EncodeNeighbors(nil))
+			return
+		}
 		ctx.Fanout(calls, mergeTopK(ctx, k))
+		// The payloads now belong to the fan-out; drop the scratch's
+		// references so the pool does not pin them.
+		clear(calls)
 	}, opts)
 }
 

@@ -1,12 +1,16 @@
 package hdsearch
 
 import (
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"musuite/internal/core"
 	"musuite/internal/dataset"
 	"musuite/internal/knn"
+	"musuite/internal/trace"
 	"musuite/internal/vec"
 )
 
@@ -19,9 +23,14 @@ func testCorpus(t *testing.T) *dataset.ImageCorpus {
 
 func startTestCluster(t *testing.T, corpus *dataset.ImageCorpus) *Cluster {
 	t.Helper()
+	return startShardedCluster(t, corpus, 4)
+}
+
+func startShardedCluster(t *testing.T, corpus *dataset.ImageCorpus, shards int) *Cluster {
+	t.Helper()
 	cl, err := StartCluster(ClusterConfig{
 		Corpus:  corpus,
-		Shards:  4,
+		Shards:  shards,
 		MidTier: core.Options{Workers: 2, ResponseThreads: 2},
 		Leaf:    core.LeafOptions{Workers: 2},
 	})
@@ -215,5 +224,129 @@ func TestMalformedQueryRejected(t *testing.T) {
 func TestBuildIndexNoShards(t *testing.T) {
 	if _, err := BuildIndex(nil, IndexConfig{}); err == nil {
 		t.Fatal("no-shard index accepted")
+	}
+}
+
+// TestLeafCallsIssuedInShardOrder: the mid-tier builds its leaf calls from
+// per-shard lists, not by ranging over a map, so a traced request's client
+// spans start in ascending shard order and two runs of one seed export
+// traces that line up span for span.
+func TestLeafCallsIssuedInShardOrder(t *testing.T) {
+	corpus := testCorpus(t)
+	rec := trace.NewRecorder("midtier", 1<<12)
+	cl, err := StartCluster(ClusterConfig{
+		Corpus:  corpus,
+		Shards:  4,
+		MidTier: core.Options{Workers: 2, ResponseThreads: 2, Spans: rec},
+		Leaf:    core.LeafOptions{Workers: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	client, err := DialClient(cl.Addr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	const requests = 20
+	for _, q := range corpus.Queries(requests, 23) {
+		call := client.GoSpan(q, 5, trace.NewRootContext(), nil)
+		<-call.Done
+		if call.Err != nil {
+			t.Fatal(call.Err)
+		}
+	}
+	// Client spans are recorded as replies land, all before the request's
+	// own reply; the mid-tier's server span trails it.
+	byTrace := make(map[trace.ID][]trace.Span)
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		clear(byTrace)
+		servers := 0
+		for _, s := range rec.Snapshot() {
+			if s.Kind == trace.KindClient && s.Name == MethodLeafKNN {
+				byTrace[s.TraceID] = append(byTrace[s.TraceID], s)
+			} else if s.Kind == trace.KindServer {
+				servers++
+			}
+		}
+		if servers == requests {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("recorded %d of %d server spans", servers, requests)
+		}
+	}
+	if len(byTrace) != requests {
+		t.Fatalf("%d traces with leaf calls, want %d", len(byTrace), requests)
+	}
+	multi := 0
+	for id, spans := range byTrace {
+		slices.SortStableFunc(spans, func(a, b trace.Span) int { return int(a.Start - b.Start) })
+		var order []string
+		for _, s := range spans {
+			order = append(order, s.Notes[len(s.Notes)-1]) // "shard=N", N < 10
+		}
+		if !slices.IsSorted(order) {
+			t.Fatalf("trace %x issued its leaf calls in order %v", id, order)
+		}
+		if len(order) > 1 {
+			multi++
+		}
+	}
+	if multi == 0 {
+		t.Fatal("no request fanned out to more than one shard: the order was never tested")
+	}
+}
+
+// TestMidTiersOfDifferentWidthsShareAProcess: the handler's request scratch
+// comes from a process-wide pool, so a 2-shard mid-tier is handed candidate
+// lists a 7-shard one filled.  It must not issue leaf calls from them.
+func TestMidTiersOfDifferentWidthsShareAProcess(t *testing.T) {
+	corpus := testCorpus(t)
+	queries := corpus.Queries(30, 29)
+	for _, shards := range []int{7, 2, 7} {
+		client, err := DialClient(startShardedCluster(t, corpus, shards).Addr, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range queries {
+			if ns, err := client.Search(q, 5); err != nil || len(ns) == 0 {
+				t.Fatalf("%d shards: %d neighbours, err %v", shards, len(ns), err)
+			}
+		}
+		client.Close()
+	}
+}
+
+// TestClusterLeavesShareTheCores: the leaves of an in-process cluster run on
+// one host, so an unsized leaf pool gets the leaf's share of the cores (never
+// less than one worker) and a pool the caller sized is left alone.
+func TestClusterLeavesShareTheCores(t *testing.T) {
+	corpus := testCorpus(t)
+	for _, tc := range []struct{ shards, replicas, set, want int }{
+		{shards: 4, replicas: 1, want: max(1, runtime.GOMAXPROCS(0)/4)},
+		{shards: 1, replicas: 2, want: max(1, runtime.GOMAXPROCS(0)/2)},
+		{shards: 64, replicas: 1, want: 1},
+		{shards: 4, replicas: 1, set: 3, want: 3},
+	} {
+		cl, err := StartCluster(ClusterConfig{
+			Corpus: corpus, Shards: tc.shards, LeafReplicas: tc.replicas,
+			Leaf: core.LeafOptions{Workers: tc.set},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cl.leaves) != tc.shards*tc.replicas {
+			t.Errorf("%+v: %d leaves", tc, len(cl.leaves))
+		}
+		for _, l := range cl.leaves {
+			if got := l.Stats().Workers; got != tc.want {
+				t.Errorf("%+v: leaf has %d workers, want %d", tc, got, tc.want)
+				break
+			}
+		}
+		cl.Close()
 	}
 }

@@ -17,7 +17,14 @@ import (
 // indexing structures, and all three are available here for the index
 // ablation.  *lsh.Index satisfies this interface directly.
 type CandidateIndex interface {
-	LookupByShard(q vec.Vector) map[int32][]uint32
+	// LookupInto truncates each list of dst and refills list s with the
+	// local point IDs shard s should score, growing dst to cover every
+	// shard that has candidates, and returns it.  Nothing dst held on
+	// entry survives — it may come from a pool shared with an index over
+	// more shards — so every non-empty list returned is a leaf call to
+	// make.  The lists stay the caller's, so a handler that reuses dst
+	// allocates no candidate memory per request.
+	LookupInto(q []float32, dst [][]uint32) [][]uint32
 	// Dim reports the indexed vectors' dimensionality (0 when unknown), so
 	// the mid-tier can reject mis-dimensioned queries before they reach
 	// kernels that assume rectangular input.
@@ -121,8 +128,8 @@ func NewLeafANN(dim, nprobe, rerank int) *LeafANN {
 	return x
 }
 
-// LookupByShard implements CandidateIndex; the ANN path never consults it.
-func (x *LeafANN) LookupByShard(vec.Vector) map[int32][]uint32 { return nil }
+// LookupInto implements CandidateIndex; the ANN path never consults it.
+func (x *LeafANN) LookupInto(_ []float32, dst [][]uint32) [][]uint32 { return dst[:0] }
 
 // Dim implements CandidateIndex.
 func (x *LeafANN) Dim() int { return x.dim }
@@ -154,8 +161,8 @@ type KDTreeIndex struct {
 	Candidates, Checks int
 }
 
-// LookupByShard implements CandidateIndex.
-func (x *KDTreeIndex) LookupByShard(q vec.Vector) map[int32][]uint32 {
+// LookupInto implements CandidateIndex.
+func (x *KDTreeIndex) LookupInto(q []float32, dst [][]uint32) [][]uint32 {
 	cand := x.Candidates
 	if cand <= 0 {
 		cand = 64
@@ -164,7 +171,7 @@ func (x *KDTreeIndex) LookupByShard(q vec.Vector) map[int32][]uint32 {
 	if checks <= 0 {
 		checks = 4 * cand
 	}
-	return x.Tree.LookupByShard(q, cand, checks)
+	return fillByShard(dst, x.Tree.LookupByShard(q, cand, checks))
 }
 
 // Dim implements CandidateIndex.
@@ -196,13 +203,13 @@ type KMeansIndex struct {
 	Probes int
 }
 
-// LookupByShard implements CandidateIndex.
-func (x *KMeansIndex) LookupByShard(q vec.Vector) map[int32][]uint32 {
+// LookupInto implements CandidateIndex.
+func (x *KMeansIndex) LookupInto(q []float32, dst [][]uint32) [][]uint32 {
 	probes := x.Probes
 	if probes <= 0 {
 		probes = 3
 	}
-	return x.Index.LookupByShard(q, probes)
+	return fillByShard(dst, x.Index.LookupByShard(q, probes))
 }
 
 // Dim implements CandidateIndex.
@@ -223,6 +230,21 @@ func BuildKMeansIndex(shards []LeafData, probes int, seed int64) (*KMeansIndex, 
 		return nil, err
 	}
 	return &KMeansIndex{Index: idx, Probes: probes}, nil
+}
+
+// fillByShard copies a shard → IDs map, the shape the kd-tree and k-means
+// indexes compute, into the CandidateIndex list form.
+func fillByShard(dst [][]uint32, byShard map[int32][]uint32) [][]uint32 {
+	for s := range dst {
+		dst[s] = dst[s][:0]
+	}
+	for shard, ids := range byShard {
+		for len(dst) <= int(shard) {
+			dst = append(dst, nil)
+		}
+		dst[shard] = append(dst[shard], ids...)
+	}
+	return dst
 }
 
 // indexRef is the shared {shard, local point} reference shape.

@@ -65,11 +65,17 @@ func TestBuildCandidateIndexKinds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", kind, err)
 		}
-		byShard := idx.LookupByShard(corpus.Queries(1, 19)[0])
+		// The stale list must be truncated, not appended to.
+		byShard := idx.LookupInto(corpus.Queries(1, 19)[0], [][]uint32{{1 << 30}})
+		if len(byShard) > 4 {
+			t.Fatalf("%q: %d shard lists for 4 shards", kind, len(byShard))
+		}
 		total := 0
 		for shard, ids := range byShard {
-			if shard < 0 || shard >= 4 {
-				t.Fatalf("%q: bad shard %d", kind, shard)
+			for _, id := range ids {
+				if int(id) >= shards[shard].Store.Len() {
+					t.Fatalf("%q: shard %d candidate %d out of range", kind, shard, id)
+				}
 			}
 			total += len(ids)
 		}

@@ -247,7 +247,6 @@ func (tr *Tracer) Finish(t *Trace) {
 	tr.leaf.Record(b.LeafWait)
 	tr.merge.Record(b.Merge)
 	tr.total.Record(b.Total)
-	tr.completed.Add(1)
 
 	tr.mu.Lock()
 	var evicted *Trace
@@ -258,6 +257,9 @@ func (tr *Tracer) Finish(t *Trace) {
 		tr.recent[tr.next] = t
 		tr.next = (tr.next + 1) % cap(tr.recent)
 	}
+	// Counted once the trace is in the ring, so a reader that waits on
+	// Completed finds it in Recent.
+	tr.completed.Add(1)
 	tr.mu.Unlock()
 	// Recent hands out clones, never ring pointers, so the evicted trace
 	// can be recycled immediately.
