@@ -127,8 +127,8 @@ ann-demo: build
 # its load shape with the timed degradation scenario armed (the topo-smoke
 # CI job).  Non-zero exit on any untyped error.
 topo-demo: build
-	$(GO) run ./cmd/topo -topo examples/social-network.yaml
-	$(GO) run ./cmd/topo -topo examples/hotel-reservation.yaml
+	$(GO) run ./cmd/musuite topo -topo examples/social-network.yaml
+	$(GO) run ./cmd/musuite topo -topo examples/hotel-reservation.yaml
 
 # The cascading-failure scenario gate (the scenario CI job): a store
 # slowdown mid-flash-crowd must surface only as typed admission sheds, and

@@ -22,6 +22,7 @@ import (
 	"musuite/internal/cluster"
 	"musuite/internal/cmdutil"
 	"musuite/internal/core"
+	"musuite/internal/topo"
 	"musuite/internal/trace"
 )
 
@@ -60,11 +61,11 @@ func main() {
 		traceReplay = flag.String("trace-replay", "", "replay a recorded trace file's arrival process instead of running -experiment (service inferred from the spans)")
 		replaySpeed = flag.Float64("replay-speed", 1, "with -trace-replay: replay clock scale (2 = twice the recorded rate)")
 
-		recoveryFloor = flag.Float64("scenario-recovery", bench.DefaultRecoveryFloor,
+		recoveryFloor = flag.Float64("scenario-recovery", topo.DefaultRecoveryFloor,
 			"scenario: final-phase goodput must recover this fraction of the first phase's (0 disables the gate)")
 	)
-	annFlags := cmdutil.RegisterANNFlags()
-	topoFlags := cmdutil.RegisterTopoFlags()
+	annFlags := cmdutil.RegisterANNFlags(flag.CommandLine)
+	topoFlags := cmdutil.RegisterTopoFlags(flag.CommandLine)
 	flag.Parse()
 
 	strategy, err := cluster.ParseRouting(*routing)
@@ -138,20 +139,12 @@ func main() {
 // and timed degradation events, gating on the scenario acceptance
 // criteria: zero untyped errors and post-degradation goodput recovery.
 func runScenario(f *cmdutil.TopoFlags, recoveryFloor float64) error {
-	if f.Path() == "" {
-		return fmt.Errorf("-experiment scenario requires -topo <spec.yaml>")
-	}
 	spec, err := f.LoadSpec()
 	if err != nil {
 		return err
 	}
-	res, err := bench.RunScenario(spec, f.RunOptions())
-	if err != nil {
+	if err := f.Run(spec, topo.BuildOptions{}, recoveryFloor); err != nil {
 		return err
-	}
-	fmt.Print(bench.RenderScenario(spec, res))
-	if v := bench.ScenarioViolations(res, recoveryFloor); len(v) > 0 {
-		return fmt.Errorf("scenario failed acceptance:\n  %s", strings.Join(v, "\n  "))
 	}
 	fmt.Println("(scenario acceptance: zero untyped errors, goodput recovered)")
 	return nil
@@ -205,41 +198,19 @@ func runTraceReplay(path string, scale bench.Scale, mode bench.FrameworkMode, sp
 }
 
 func parseServices(csv string) []string {
-	known := make(map[string]bool)
-	for _, s := range bench.ServiceNames {
-		known[strings.ToLower(s)] = true
-	}
 	var out []string
 	for _, s := range strings.Split(csv, ",") {
-		s = strings.TrimSpace(s)
-		if s == "" {
-			continue
-		}
-		for _, name := range bench.ServiceNames {
-			if strings.EqualFold(s, name) {
-				out = append(out, name)
-			}
+		if svc := bench.ServiceByKind(strings.ToLower(strings.TrimSpace(s))); svc != nil {
+			out = append(out, svc.Name)
 		}
 	}
 	return out
 }
 
 // figureService maps the per-service syscall/overhead figures to their
-// subject: Fig 11/15 HDSearch, 12/16 Router, 13/17 SetAlgebra, 14/18
-// Recommend.
-func figureService(fig int) string {
-	switch fig {
-	case 11, 15:
-		return "HDSearch"
-	case 12, 16:
-		return "Router"
-	case 13, 17:
-		return "SetAlgebra"
-	case 14, 18:
-		return "Recommend"
-	}
-	return ""
-}
+// subject, in the paper's service order: Fig 11/15 HDSearch, 12/16 Router,
+// 13/17 SetAlgebra, 14/18 Recommend.
+func figureService(fig int) string { return bench.ServiceNames[(fig-11)%4] }
 
 func run(experiment string, scale bench.Scale, mode bench.FrameworkMode, services []string, load float64, outDir string, recallFloor float64) error {
 	start := time.Now()

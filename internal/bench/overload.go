@@ -3,14 +3,11 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"musuite/internal/autoscale"
 	"musuite/internal/core"
-	"musuite/internal/dataset"
 	"musuite/internal/loadgen"
-	"musuite/internal/rpc"
 	"musuite/internal/services/router"
 	"musuite/internal/telemetry"
 )
@@ -88,40 +85,16 @@ func Overload(s Scale, mode FrameworkMode) (*OverloadResult, error) {
 			mode.Admit.MaxInflight = 256
 		}
 	}
-	probe := telemetry.NewProbe()
-	cl, err := router.StartCluster(router.ClusterConfig{
-		Leaves:   s.RouterLeaves,
-		Replicas: s.RouterReplicas,
-		MidTier:  midTierOptions(s, mode, probe),
-		Leaf:     leafOptions(s, mode),
-	})
+	// Router's canonical deployment and key stream, on the experiment's own
+	// seed namespace (the key trace lands on Seed+600).
+	rs := s
+	rs.Seed += 400
+	inst, err := StartService("Router", rs, mode)
 	if err != nil {
 		return nil, err
 	}
-	defer cl.Close()
-	client, err := router.DialClient(cl.Addr, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer client.Close()
-
-	kvtrace := dataset.NewKVTrace(dataset.KVTraceConfig{
-		Keys: s.RouterKeys, ValueSize: s.RouterValueSize, Seed: s.Seed + 600,
-	})
-	for _, op := range kvtrace.WarmupSets() {
-		if err := client.Set(op.Key, op.Value); err != nil {
-			return nil, err
-		}
-	}
-	ops := kvtrace.Ops(1 << 14)
-	var next atomic.Uint64
-	issue := func(done chan *rpc.Call) *rpc.Call {
-		op := ops[next.Add(1)%uint64(len(ops))]
-		if op.Kind == dataset.KVGet {
-			return client.GoGet(op.Key, done)
-		}
-		return client.GoSet(op.Key, op.Value, done)
-	}
+	defer inst.Close()
+	cl, issue, probe := inst.Cluster.(*router.Cluster), inst.Issue, inst.Probe
 
 	// Probe the knee the same way the ramp will drive it: open-loop, with
 	// admission already armed.  Offered load doubles until completions

@@ -3,14 +3,10 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"time"
 
-	"musuite/internal/dataset"
 	"musuite/internal/loadgen"
-	"musuite/internal/rpc"
 	"musuite/internal/services/router"
-	"musuite/internal/telemetry"
 )
 
 // Resize measures service latency while the leaf fleet resizes under
@@ -45,40 +41,16 @@ type ResizePhase struct {
 // given offered load.  The topology mutation of the add and drain windows
 // fires a third of the way in, so each window captures before/during/after.
 func Resize(s Scale, mode FrameworkMode, qps float64) ([]ResizePhase, error) {
-	probe := telemetry.NewProbe()
-	cl, err := router.StartCluster(router.ClusterConfig{
-		Leaves:   s.RouterLeaves,
-		Replicas: s.RouterReplicas,
-		MidTier:  midTierOptions(s, mode, probe),
-		Leaf:     leafOptions(s, mode),
-	})
+	// Router's canonical deployment and key stream, on the experiment's own
+	// seed namespace (the key trace lands on Seed+500).
+	rs := s
+	rs.Seed += 300
+	inst, err := StartService("Router", rs, mode)
 	if err != nil {
 		return nil, err
 	}
-	defer cl.Close()
-	client, err := router.DialClient(cl.Addr, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer client.Close()
-
-	kvtrace := dataset.NewKVTrace(dataset.KVTraceConfig{
-		Keys: s.RouterKeys, ValueSize: s.RouterValueSize, Seed: s.Seed + 500,
-	})
-	for _, op := range kvtrace.WarmupSets() {
-		if err := client.Set(op.Key, op.Value); err != nil {
-			return nil, err
-		}
-	}
-	ops := kvtrace.Ops(1 << 14)
-	var next atomic.Uint64
-	issue := func(done chan *rpc.Call) *rpc.Call {
-		op := ops[next.Add(1)%uint64(len(ops))]
-		if op.Kind == dataset.KVGet {
-			return client.GoGet(op.Key, done)
-		}
-		return client.GoSet(op.Key, op.Value, done)
-	}
+	defer inst.Close()
+	cl, issue := inst.Cluster.(*router.Cluster), inst.Issue
 
 	topo := cl.MidTier().Topology()
 	var out []ResizePhase

@@ -62,6 +62,20 @@ type Scale struct {
 	Seed int64
 }
 
+// Param names one dataset-sizing field of Scale.  A Service lists the
+// Params that size it, and every surface that accepts those sizes is
+// generated from that list with SmallScale as the only defaults: a topology
+// spec's params allowlist and the sizing flags of `musuite serve|load` —
+// one name resolving to one field, not a convention between binaries.
+type Param struct {
+	// Name is the spec param and flag name ("mean-doc-len").
+	Name string
+	// Help describes the size in a flag listing.
+	Help string
+	// Field addresses the Scale field the name sets.
+	Field func(*Scale) *int
+}
+
 // SmallScale returns a laptop-sized configuration used by tests and the
 // default bench run.
 func SmallScale() Scale {

@@ -56,17 +56,11 @@ func ReplayRun(service string, s Scale, mode FrameworkMode, spans []trace.Span, 
 // its span method names ("hdsearch.search" → "HDSearch"), so a replay can
 // deploy the right service without being told.
 func ServiceForTrace(spans []trace.Span) (string, bool) {
-	byPrefix := map[string]string{
-		"hdsearch":   "HDSearch",
-		"router":     "Router",
-		"setalgebra": "SetAlgebra",
-		"recommend":  "Recommend",
-	}
 	for i := range spans {
 		name := spans[i].Name
 		if j := strings.IndexByte(name, '.'); j > 0 {
-			if svc, ok := byPrefix[name[:j]]; ok {
-				return svc, true
+			if svc := ServiceByKind(name[:j]); svc != nil {
+				return svc.Name, true
 			}
 		}
 	}

@@ -1,3 +1,7 @@
+// Package cmdutil holds the flag groups musuite and musuite-bench share, so
+// both binaries expose one consistent surface: ANNFlags selects and tunes
+// HDSearch's candidate index, TopoFlags names a topology spec and overrides
+// its run shape.
 package cmdutil
 
 import (
@@ -7,9 +11,10 @@ import (
 	"musuite/internal/services/hdsearch"
 )
 
-// ANNFlags is the candidate-index flag group hdsearch and musuite-bench
-// share: the kind selector plus the IVF (-nlist/-nprobe/-rerank) and HNSW
-// (-m/-ef-construction/-ef-search) tuning knobs.
+// ANNFlags is the candidate-index flag group `musuite serve hdsearch` and
+// musuite-bench share: the kind selector plus the IVF
+// (-nlist/-nprobe/-rerank) and HNSW (-m/-ef-construction/-ef-search) tuning
+// knobs.
 type ANNFlags struct {
 	kind   *string
 	nlist  *int
@@ -20,22 +25,22 @@ type ANNFlags struct {
 	efSrch *int
 }
 
-// RegisterANNFlags registers the index flag group; call before flag.Parse.
-func RegisterANNFlags() *ANNFlags {
+// RegisterANNFlags registers the index flag group on fs; call before Parse.
+func RegisterANNFlags(fs *flag.FlagSet) *ANNFlags {
 	return &ANNFlags{
-		kind: flag.String("index", "lsh",
+		kind: fs.String("index", "lsh",
 			"candidate index: lsh | kdtree | kmeans | ivf | ivfsq | ivfpq | hnsw (leaf-resident kinds build per-shard indexes)"),
-		nlist: flag.Int("nlist", 0,
+		nlist: fs.Int("nlist", 0,
 			"ivf*: coarse clusters per leaf shard (0 = √shard-size)"),
-		nprobe: flag.Int("nprobe", 0,
+		nprobe: fs.Int("nprobe", 0,
 			"ivf*: clusters probed per query (0 = leaf default)"),
-		rerank: flag.Int("rerank", 0,
+		rerank: fs.Int("rerank", 0,
 			"ivfsq/ivfpq: exact re-rank depth over compressed candidates (0 = leaf default)"),
-		m: flag.Int("m", 0,
+		m: fs.Int("m", 0,
 			"hnsw: per-node degree bound on upper layers, base layer allows 2m (0 = default 16)"),
-		efCon: flag.Int("ef-construction", 0,
+		efCon: fs.Int("ef-construction", 0,
 			"hnsw: build-time beam width (0 = default 200)"),
-		efSrch: flag.Int("ef-search", 0,
+		efSrch: fs.Int("ef-search", 0,
 			"hnsw: query-time beam width (0 = leaf default 64)"),
 	}
 }
@@ -56,15 +61,3 @@ func (f *ANNFlags) Config() ann.Config {
 		EFSearch:       *f.efSrch,
 	}
 }
-
-// RouterKnob reports the mid-tier routing stub's initial breadth knob for
-// the selected kind: -ef-search for hnsw, -nprobe for the IVF kinds.
-func (f *ANNFlags) RouterKnob() int {
-	if f.Kind() == hdsearch.IndexHNSW {
-		return *f.efSrch
-	}
-	return *f.nprobe
-}
-
-// Rerank reports the -rerank flag (the routing stub's second knob).
-func (f *ANNFlags) Rerank() int { return *f.rerank }

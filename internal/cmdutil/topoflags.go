@@ -1,13 +1,16 @@
 package cmdutil
 
 import (
+	"errors"
 	"flag"
+	"fmt"
+	"strings"
 	"time"
 
 	"musuite/internal/topo"
 )
 
-// TopoFlags is the -topo/-scenario flag group shared by cmd/topo and
+// TopoFlags is the -topo/-scenario flag group shared by `musuite topo` and
 // musuite-bench: one spec path plus run-shape overrides, so a topology
 // behaves identically no matter which binary drives it.
 type TopoFlags struct {
@@ -19,31 +22,31 @@ type TopoFlags struct {
 	seed     *int64
 }
 
-// RegisterTopoFlags registers the topology flag group; call before
-// flag.Parse.
-func RegisterTopoFlags() *TopoFlags {
+// RegisterTopoFlags registers the topology flag group on fs; call before
+// Parse.
+func RegisterTopoFlags(fs *flag.FlagSet) *TopoFlags {
 	return &TopoFlags{
-		path: flag.String("topo", "",
+		path: fs.String("topo", "",
 			"topology spec (YAML) to deploy and drive"),
-		scenario: flag.Bool("scenario", true,
+		scenario: fs.Bool("scenario", true,
 			"arm the spec's scenario events (false = run the topology undisturbed)"),
-		duration: flag.Duration("topo-duration", 0,
+		duration: fs.Duration("topo-duration", 0,
 			"override the spec's offered-load window (0 = spec value)"),
-		qps: flag.Float64("topo-qps", 0,
+		qps: fs.Float64("topo-qps", 0,
 			"override the spec's base offered load (0 = spec value)"),
-		pattern: flag.String("topo-pattern", "",
+		pattern: fs.String("topo-pattern", "",
 			"override the spec's arrival pattern: steady | diurnal | flashcrowd | burst"),
-		seed: flag.Int64("topo-seed", 0,
+		seed: fs.Int64("topo-seed", 0,
 			"override the spec's deterministic seed (0 = spec value)"),
 	}
 }
 
-// Path is the -topo spec path ("" when unset).
-func (f *TopoFlags) Path() string { return *f.path }
-
 // LoadSpec parses and validates the -topo spec, stripping its scenario
 // section when -scenario=false.
 func (f *TopoFlags) LoadSpec() (*topo.Spec, error) {
+	if *f.path == "" {
+		return nil, errors.New("-topo <spec.yaml> is required")
+	}
 	spec, err := topo.LoadSpecFile(*f.path)
 	if err != nil {
 		return nil, err
@@ -54,13 +57,26 @@ func (f *TopoFlags) LoadSpec() (*topo.Spec, error) {
 	return spec, nil
 }
 
-// RunOptions builds the run-shape overrides the flags describe.
-func (f *TopoFlags) RunOptions() topo.RunOptions {
-	return topo.RunOptions{
+// Run deploys the spec instrumented by build, drives it with the run-shape
+// overrides the flags describe, and prints the scenario report.  A run that
+// fails acceptance — untyped errors, requests unresolved at the drain
+// timeout, or (recoveryFloor > 0) goodput that did not recover — is
+// returned as an error.
+func (f *TopoFlags) Run(spec *topo.Spec, build topo.BuildOptions, recoveryFloor float64) error {
+	res, err := topo.Run(spec, topo.RunOptions{
+		Build:        build,
 		QPS:          *f.qps,
 		Duration:     *f.duration,
 		Pattern:      *f.pattern,
 		Seed:         *f.seed,
 		DrainTimeout: 10 * time.Second,
+	})
+	if err != nil {
+		return err
 	}
+	fmt.Print(topo.RenderScenario(spec, res))
+	if v := topo.ScenarioViolations(res, recoveryFloor); len(v) > 0 {
+		return fmt.Errorf("run failed acceptance:\n  %s", strings.Join(v, "\n  "))
+	}
+	return nil
 }

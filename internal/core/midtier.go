@@ -815,21 +815,7 @@ func (m *MidTier) issueAttempt(slot *fanoutSlot, exclude int, kind attemptKind) 
 		a.client = pool.Pick()
 		a.ref = a.client.GoRefSpan(slot.method, slot.payload, a.span, slot, nil)
 	}
-	slot.mu.Lock()
-	slot.attempts = append(slot.attempts, a)
-	fired := slot.fired.Load()
-	record := false
-	if fired && a.span.Sampled() {
-		// Claim the recorded flag under the mutex: if the cancel sweep is
-		// yet to run it will skip this attempt, and if it already ran it
-		// missed it — either way this issuer owns the span.
-		la := &slot.attempts[len(slot.attempts)-1]
-		if !la.recorded {
-			la.recorded = true
-			record = true
-		}
-	}
-	slot.mu.Unlock()
+	fired, record := slot.track(a)
 	if fired {
 		// The slot completed while this attempt was being issued, so the
 		// cancel sweep may have run before the attempt was tracked.  The
@@ -1141,6 +1127,7 @@ type fanoutSlot struct {
 
 	mu         sync.Mutex // guards the fields below
 	attempts   []attempt
+	swept      bool // cancelLosers has run: attempts tracked later are the issuer's to retire
 	hedgeTimer *time.Timer
 	hedged     bool
 	retries    int
@@ -1158,7 +1145,29 @@ func (f *fanout) slot(index, shard int, method string, payload []byte) *fanoutSl
 	s.payload = payload
 	s.fired.Store(false)
 	s.attempts = s.attemptsArr[:0]
+	s.swept = false
 	return s
+}
+
+// track registers an attempt whose frame is already on the wire.  fired
+// reports that the slot has completed — the attempt's own reply may have
+// done it, having landed before the issuer got here.  record reports that
+// the issuer must emit the attempt's span: only when the cancel sweep has
+// already run and so never saw the attempt.  A sweep still to come finds it
+// tracked and retires it itself, as the winner or as a loser; were the
+// issuer to claim the span then too, a winner would be recorded twice under
+// one span ID — by the issuer as abandoned and by deliverSlot as the winner
+// — and the exported tree would no longer be a tree.
+func (s *fanoutSlot) track(a attempt) (fired, record bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.attempts = append(s.attempts, a)
+	fired = s.fired.Load()
+	if fired && s.swept && a.span.Sampled() {
+		s.attempts[len(s.attempts)-1].recorded = true
+		record = true
+	}
+	return fired, record
 }
 
 // cancelLosers stops the slot's hedge timer and abandons every attempt
@@ -1171,6 +1180,7 @@ func (s *fanoutSlot) cancelLosers(winner rpc.CallRef, end time.Time) (win attemp
 	released := 0
 	var losers []attempt
 	s.mu.Lock()
+	s.swept = true
 	if t := s.hedgeTimer; t != nil {
 		s.hedgeTimer = nil
 		if t.Stop() {

@@ -355,3 +355,31 @@ func TestBatchedMemberSpansParented(t *testing.T) {
 	}
 	assertConnected(t, spans)
 }
+
+// TestAttemptTrackedAfterFireRecordsOnce pins who retires an attempt whose
+// reply lands — and fires the slot — before the issuer has tracked it.  If
+// the issuer gets the slot lock ahead of the cancel sweep, the sweep will
+// still find the attempt and record it as the winner, so the issuer must
+// not claim the span; only an attempt tracked after the sweep is the
+// issuer's.  Both claiming was the one-span-too-many tree
+// bench.TestTraceRunProducesConnectedTrees read about 1 run in 25 beside a
+// CPU-bound neighbour: the same span ID recorded as abandoned and as winner.
+func TestAttemptTrackedAfterFireRecordsOnce(t *testing.T) {
+	root := trace.NewSampler(1).Context()
+	slot := &fanoutSlot{}
+	slot.attempts = slot.attemptsArr[:0]
+	won := attempt{ref: (&rpc.Call{}).Ref(), span: root.Child()}
+
+	slot.fired.Store(true) // the reply beat the issuer to the slot
+	if fired, record := slot.track(won); !fired || record {
+		t.Fatalf("tracked before the sweep: fired=%v record=%v, want the sweep to retire it", fired, record)
+	}
+	if win, found := slot.cancelLosers(won.ref, time.Now()); !found || win.span != won.span {
+		t.Fatalf("sweep did not find the tracked winner (found=%v)", found)
+	}
+
+	late := attempt{ref: (&rpc.Call{}).Ref(), span: root.Child()}
+	if fired, record := slot.track(late); !fired || !record {
+		t.Fatalf("tracked after the sweep: fired=%v record=%v, want the issuer to retire it", fired, record)
+	}
+}

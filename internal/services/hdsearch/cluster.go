@@ -1,12 +1,14 @@
 package hdsearch
 
 import (
+	"fmt"
 	"runtime"
 
 	"musuite/internal/ann"
 	"musuite/internal/core"
 	"musuite/internal/dataset"
 	"musuite/internal/knn"
+	"musuite/internal/lsh"
 	"musuite/internal/vec"
 )
 
@@ -39,17 +41,17 @@ type ClusterConfig struct {
 	Leaf    core.LeafOptions
 }
 
-// Cluster is a running HDSearch deployment.
+// Cluster is a running HDSearch deployment.  HDSearch shards its corpus by
+// table position, so a resize shifts which vectors each shard index serves:
+// add/drain on MidTier().Topology() is for failure drills, not data-aware
+// resharding.
 type Cluster struct {
-	// Addr is the mid-tier address front-ends dial.
-	Addr string
+	*core.Tiers
 	// Index is the mid-tier's LSH index (exposed for diagnostics).
 	Index IndexStats
 
-	corpus  *dataset.ImageCorpus
-	leaves  []*core.Leaf
-	midTier *core.MidTier
-	annRt   *LeafANN
+	corpus *dataset.ImageCorpus
+	annRt  *LeafANN
 }
 
 // ANNRouter exposes the mid-tier's ANN routing stub (nil for the
@@ -62,49 +64,80 @@ type IndexStats struct {
 	Tables, Entries, Buckets, MaxBucketSize int
 }
 
-// StartCluster launches the leaves and mid-tier and returns the deployment.
-func StartCluster(cfg ClusterConfig) (*Cluster, error) {
+// Assembly is the offline half of a deployment — the sharded corpus, plus
+// the indexes over it, each built when the tier that serves it is first
+// constructed — so a process hosting one tier does only that tier's work:
+// a leaf never builds another shard's ANN index, and only the mid-tier
+// builds the candidate index.  A deployment is assembled from one goroutine;
+// an Assembly is not safe for concurrent use.
+type Assembly struct {
+	kind   IndexKind
+	index  IndexConfig
+	annCfg ann.Config
+	shards []LeafData // shards[s].ANN is set once shard s's leaf is built
+
+	midIndex CandidateIndex // set by MidTier
+}
+
+// Prepare shards cfg.Corpus and resolves the index kind.  It reads cfg's
+// data fields only; the tiers' framework options go to Leaf and MidTier.
+func Prepare(cfg ClusterConfig) *Assembly {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 4
 	}
-	shards := ShardCorpus(cfg.Corpus, cfg.Shards)
-	cl := &Cluster{corpus: cfg.Corpus}
-	var index CandidateIndex
+	a := &Assembly{
+		kind:   cfg.Kind,
+		index:  cfg.Index,
+		shards: ShardCorpus(cfg.Corpus, cfg.Shards),
+	}
 	if annCfg, ok := LeafANNConfig(cfg.Kind, cfg.ANN); ok {
 		if annCfg.Seed == 0 {
 			annCfg.Seed = cfg.Index.Seed
 		}
-		if err := BuildLeafANN(shards, annCfg); err != nil {
-			return nil, err
-		}
-		knob := annCfg.NProbe
-		if cfg.Kind == IndexHNSW {
-			knob = annCfg.EFSearch
-		}
-		cl.annRt = NewLeafANN(shards[0].Store.Dim(), knob, annCfg.Rerank)
-		index = cl.annRt
-		cl.Index = IndexStats{Entries: len(cfg.Corpus.Vectors)}
-	} else if cfg.Kind == IndexLSH || cfg.Kind == "" {
-		lshIndex, err := BuildIndex(shards, cfg.Index)
-		if err != nil {
-			return nil, err
-		}
-		st := lshIndex.Stats()
-		cl.Index = IndexStats{Tables: st.Tables, Entries: st.Entries, Buckets: st.Buckets, MaxBucketSize: st.MaxBucketSize}
-		index = lshIndex
-	} else {
-		var err error
-		index, err = BuildCandidateIndex(cfg.Kind, shards, cfg.Index.Seed)
-		if err != nil {
-			return nil, err
-		}
-		cl.Index = IndexStats{Entries: len(cfg.Corpus.Vectors)}
+		a.annCfg = annCfg
 	}
+	return a
+}
 
-	replicas := cfg.LeafReplicas
-	if replicas <= 0 {
-		replicas = 1
+// Leaf builds an unstarted leaf over one shard, first building the shard's
+// leaf-resident index when the kind has one (once per shard: replicas share
+// it).
+func (a *Assembly) Leaf(shard int, opts *core.LeafOptions) (*core.Leaf, error) {
+	if shard < 0 || shard >= len(a.shards) {
+		return nil, fmt.Errorf("hdsearch: shard %d outside 0..%d", shard, len(a.shards)-1)
 	}
+	if IsLeafANN(a.kind) && a.shards[shard].ANN == nil {
+		if err := buildLeafANN(&a.shards[shard], a.annCfg, shard); err != nil {
+			return nil, err
+		}
+	}
+	return NewLeaf(a.shards[shard], opts), nil
+}
+
+// MidTier builds the unconnected mid-tier: around the candidate index the
+// kind names, or, for the leaf-resident kinds, around the routing stub that
+// broadcasts the query with the breadth and rerank knobs.
+func (a *Assembly) MidTier(opts *core.Options) (*core.MidTier, error) {
+	if IsLeafANN(a.kind) {
+		knob := a.annCfg.NProbe
+		if a.kind == IndexHNSW {
+			knob = a.annCfg.EFSearch
+		}
+		a.midIndex = NewLeafANN(a.shards[0].Store.Dim(), knob, a.annCfg.Rerank)
+	} else {
+		index, err := BuildCandidateIndex(a.kind, a.shards, a.index)
+		if err != nil {
+			return nil, err
+		}
+		a.midIndex = index
+	}
+	return NewMidTier(a.midIndex, opts), nil
+}
+
+// StartCluster launches the leaves and mid-tier and returns the deployment.
+func StartCluster(cfg ClusterConfig) (*Cluster, error) {
+	a := Prepare(cfg)
+	shards, replicas := len(a.shards), max(1, cfg.LeafReplicas)
 	// The paper pins every leaf to its own cores with a taskset; these
 	// leaves share one host, so an unsized pool gets the leaf's share of the
 	// cores, not core's per-process default.  Workers beyond that buy no
@@ -113,37 +146,21 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	// host displaces a thread mid-request for a scheduler tick
 	// (DESIGN §5.5.1).
 	if cfg.Leaf.Workers <= 0 {
-		cfg.Leaf.Workers = max(1, runtime.GOMAXPROCS(0)/(cfg.Shards*replicas))
+		cfg.Leaf.Workers = max(1, runtime.GOMAXPROCS(0)/(shards*replicas))
 	}
-	leafGroups := make([][]string, cfg.Shards)
-	for s := 0; s < cfg.Shards; s++ {
-		for r := 0; r < replicas; r++ {
-			leafOpts := cfg.Leaf
-			leaf := NewLeaf(shards[s], &leafOpts)
-			addr, err := leaf.Start("127.0.0.1:0")
-			if err != nil {
-				cl.Close()
-				return nil, err
-			}
-			cl.leaves = append(cl.leaves, leaf)
-			leafGroups[s] = append(leafGroups[s], addr)
-		}
-	}
-
-	mtOpts := cfg.MidTier
-	mt := NewMidTier(index, &mtOpts)
-	if err := mt.ConnectLeafGroups(leafGroups); err != nil {
-		cl.Close()
-		return nil, err
-	}
-	addr, err := mt.Start("127.0.0.1:0")
+	tiers, err := core.StartTiers(shards, replicas,
+		func(s int) (*core.Leaf, error) { return a.Leaf(s, &cfg.Leaf) },
+		func() (*core.MidTier, error) { return a.MidTier(&cfg.MidTier) })
 	if err != nil {
-		mt.Close()
-		cl.Close()
 		return nil, err
 	}
-	cl.midTier = mt
-	cl.Addr = addr
+	cl := &Cluster{Tiers: tiers, corpus: cfg.Corpus, Index: IndexStats{Entries: len(cfg.Corpus.Vectors)}}
+	switch index := a.midIndex.(type) {
+	case *LeafANN:
+		cl.annRt = index
+	case *lsh.Index:
+		cl.Index = IndexStats(index.Stats())
+	}
 	return cl, nil
 }
 
@@ -162,21 +179,4 @@ func (c *Cluster) Accuracy(query vec.Vector, reported []Neighbor) float32 {
 	got := c.corpus.Vectors[reported[0].PointID]
 	want := c.corpus.Vectors[truth[0].ID]
 	return vec.CosineSimilarity(got, want)
-}
-
-// MidTier exposes the deployment's framework mid-tier — the runtime
-// topology admin surface (cluster.ServeAdmin on MidTier().Topology())
-// hangs off it.  HDSearch shards its LSH corpus by table position, so a
-// resize shifts which vectors each shard index serves; add/drain here is
-// for failure drills, not data-aware resharding.
-func (c *Cluster) MidTier() *core.MidTier { return c.midTier }
-
-// Close tears the deployment down.
-func (c *Cluster) Close() {
-	if c.midTier != nil {
-		c.midTier.Close()
-	}
-	for _, l := range c.leaves {
-		l.Close()
-	}
 }

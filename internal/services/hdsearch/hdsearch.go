@@ -161,25 +161,23 @@ type LeafData struct {
 
 // ShardSeed namespaces a base build seed per shard: replicas of the same
 // shard build the identical index while distinct shards initialize
-// independently.  Every shard build — in-process (BuildLeafANN) and the
-// distributed binary (cmd/hdsearch) — derives its seed here, which is what
-// the byte-identity reproducibility test pins.
+// independently.  Every shard build derives its seed here — whether one
+// process builds every shard (StartCluster) or each leaf process builds its
+// own (Assembly.Leaf) — which is what the byte-identity reproducibility
+// test pins.
 func ShardSeed(base int64, shard int) int64 {
 	return base + int64(shard)*1_000_003
 }
 
-// BuildLeafANN builds each shard's leaf-resident index in place, with the
+// buildLeafANN builds one shard's leaf-resident index in place, with the
 // seed namespaced per shard through ShardSeed.
-func BuildLeafANN(shards []LeafData, cfg ann.Config) error {
-	base := cfg.Seed
-	for s := range shards {
-		cfg.Seed = ShardSeed(base, s)
-		idx, err := ann.BuildKind(shards[s].Store, cfg)
-		if err != nil {
-			return fmt.Errorf("hdsearch: shard %d ann build: %w", s, err)
-		}
-		shards[s].ANN = idx
+func buildLeafANN(data *LeafData, cfg ann.Config, shard int) error {
+	cfg.Seed = ShardSeed(cfg.Seed, shard)
+	idx, err := ann.BuildKind(data.Store, cfg)
+	if err != nil {
+		return fmt.Errorf("hdsearch: shard %d ann build: %w", shard, err)
 	}
+	data.ANN = idx
 	return nil
 }
 

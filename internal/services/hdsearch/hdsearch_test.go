@@ -10,6 +10,7 @@ import (
 	"musuite/internal/core"
 	"musuite/internal/dataset"
 	"musuite/internal/knn"
+	"musuite/internal/rpc"
 	"musuite/internal/trace"
 	"musuite/internal/vec"
 )
@@ -338,14 +339,26 @@ func TestClusterLeavesShareTheCores(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(cl.leaves) != tc.shards*tc.replicas {
-			t.Errorf("%+v: %d leaves", tc, len(cl.leaves))
-		}
-		for _, l := range cl.leaves {
-			if got := l.Stats().Workers; got != tc.want {
-				t.Errorf("%+v: leaf has %d workers, want %d", tc, got, tc.want)
-				break
+		leaves := 0
+		for _, g := range cl.MidTier().Topology().View().Groups {
+			for _, addr := range g.Addrs {
+				leaves++
+				c, err := rpc.Dial(addr, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := core.QueryStats(c)
+				c.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Workers != tc.want {
+					t.Errorf("%+v: leaf %s has %d workers, want %d", tc, addr, st.Workers, tc.want)
+				}
 			}
+		}
+		if leaves != tc.shards*tc.replicas {
+			t.Errorf("%+v: %d leaves", tc, leaves)
 		}
 		cl.Close()
 	}

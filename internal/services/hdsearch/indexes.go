@@ -270,17 +270,17 @@ func flattenShards(shards []LeafData) ([]vec.Vector, []indexRef, error) {
 	return points, refs, nil
 }
 
-// BuildCandidateIndex constructs the named index kind with its default
-// tuning (LSH at the paper-tuned parameters, kd-tree with a 64-candidate
-// budget, k-means with 3 probes).
-func BuildCandidateIndex(kind IndexKind, shards []LeafData, seed int64) (CandidateIndex, error) {
+// BuildCandidateIndex constructs the named mid-tier candidate index: LSH
+// at cfg's tuning (zero = the paper-tuned parameters), kd-tree with a
+// 64-candidate budget, k-means with 3 probes seeded from cfg.Seed.
+func BuildCandidateIndex(kind IndexKind, shards []LeafData, cfg IndexConfig) (CandidateIndex, error) {
 	switch kind {
 	case IndexLSH, "":
-		return BuildIndex(shards, IndexConfig{Seed: seed})
+		return BuildIndex(shards, cfg)
 	case IndexKDTree:
 		return BuildKDTreeIndex(shards, 64)
 	case IndexKMeans:
-		return BuildKMeansIndex(shards, 3, seed)
+		return BuildKMeansIndex(shards, 3, cfg.Seed)
 	}
 	return nil, fmt.Errorf("hdsearch: unknown index kind %q", kind)
 }

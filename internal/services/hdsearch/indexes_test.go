@@ -61,7 +61,7 @@ func TestBuildCandidateIndexKinds(t *testing.T) {
 	corpus := testCorpus(t)
 	shards := ShardCorpus(corpus, 4)
 	for _, kind := range []IndexKind{IndexLSH, IndexKDTree, IndexKMeans, ""} {
-		idx, err := BuildCandidateIndex(kind, shards, 1)
+		idx, err := BuildCandidateIndex(kind, shards, IndexConfig{Seed: 1})
 		if err != nil {
 			t.Fatalf("%q: %v", kind, err)
 		}
@@ -86,10 +86,10 @@ func TestBuildCandidateIndexKinds(t *testing.T) {
 			t.Fatalf("%q: %d candidates — not pruning", kind, total)
 		}
 	}
-	if _, err := BuildCandidateIndex("btree", shards, 1); err == nil {
+	if _, err := BuildCandidateIndex("btree", shards, IndexConfig{}); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
-	if _, err := BuildCandidateIndex(IndexKDTree, nil, 1); err == nil {
+	if _, err := BuildCandidateIndex(IndexKDTree, nil, IndexConfig{}); err == nil {
 		t.Fatal("empty shards accepted")
 	}
 }

@@ -23,48 +23,56 @@ func leafANNKinds(t *testing.T) []IndexKind {
 }
 
 // TestShardBuildsReproduceAcrossDeployments pins the seed-plumbing contract
-// for every leaf-resident kind: the in-process cluster path (BuildLeafANN)
-// and the distributed binary's per-shard path (cmd/hdsearch: ShardSeed +
-// ann.BuildKind on one shard) must produce byte-identical indexes, asserted
-// through the structure fingerprints.  If either site drifts from the
-// ShardSeed convention — or a new kind's build reads nondeterministic state
-// — the fingerprints split.
+// for every leaf-resident kind: one Assembly building every shard (what
+// StartCluster does) and a fresh Assembly per leaf process building only its
+// own shard (what `musuite serve -role leaf` does) must produce the index
+// that ShardSeed + ann.BuildKind name, byte for byte, asserted through the
+// structure fingerprints.  If the build site drifts from the ShardSeed
+// convention — or a new kind's build reads nondeterministic state — the
+// fingerprints split.
 func TestShardBuildsReproduceAcrossDeployments(t *testing.T) {
 	corpus := testCorpus(t)
 	const shards = 4
 	const baseSeed = int64(77)
 	for _, kind := range leafANNKinds(t) {
 		t.Run(string(kind), func(t *testing.T) {
-			cfg, ok := LeafANNConfig(kind, ann.Config{NList: 10, Seed: baseSeed})
-			if !ok {
-				t.Fatalf("LeafANNConfig rejected leaf kind %q", kind)
-			}
-
-			// In-process path: one call builds every shard.
-			inProc := ShardCorpus(corpus, shards)
-			if err := BuildLeafANN(inProc, cfg); err != nil {
-				t.Fatal(err)
-			}
-
-			// Distributed path: each leaf process regenerates the corpus,
-			// shards it, and builds only its own shard — exactly what
-			// cmd/hdsearch does.
-			for s := 0; s < shards; s++ {
-				remote := ShardCorpus(corpus, shards)
-				shardCfg := cfg
-				shardCfg.Seed = ShardSeed(baseSeed, s)
-				idx, err := ann.BuildKind(remote[s].Store, shardCfg)
+			cfg := ClusterConfig{Corpus: corpus, Shards: shards, Kind: kind, ANN: ann.Config{NList: 10, Seed: baseSeed}}
+			buildLeaf := func(a *Assembly, s int) {
+				leaf, err := a.Leaf(s, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got, want := idx.Fingerprint(), inProc[s].ANN.Fingerprint(); got != want {
-					t.Fatalf("shard %d: distributed build fingerprint %x != in-process %x", s, got, want)
+				leaf.Close()
+			}
+
+			inProc := Prepare(cfg)
+			for s := 0; s < shards; s++ {
+				buildLeaf(inProc, s)
+			}
+			want, _ := LeafANNConfig(kind, cfg.ANN)
+			for s := 0; s < shards; s++ {
+				remote := Prepare(cfg)
+				buildLeaf(remote, s)
+				for other := range remote.shards {
+					if built := remote.shards[other].ANN != nil; built != (other == s) {
+						t.Fatalf("leaf process for shard %d: shard %d's index built = %v", s, other, built)
+					}
+				}
+				shardCfg := want
+				shardCfg.Seed = ShardSeed(baseSeed, s)
+				ref, err := ann.BuildKind(ShardCorpus(corpus, shards)[s].Store, shardCfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, in := remote.shards[s].ANN.Fingerprint(), inProc.shards[s].ANN.Fingerprint()
+				if got != in || got != ref.Fingerprint() {
+					t.Fatalf("shard %d: per-process %x, in-process %x, ShardSeed reference %x", s, got, in, ref.Fingerprint())
 				}
 			}
 
 			// Distinct shards must not share a fingerprint (the namespacing
 			// is live, not a constant seed).
-			if inProc[0].ANN.Fingerprint() == inProc[1].ANN.Fingerprint() {
+			if inProc.shards[0].ANN.Fingerprint() == inProc.shards[1].ANN.Fingerprint() {
 				t.Fatal("shards 0 and 1 built identical indexes — per-shard seed namespacing lost")
 			}
 		})

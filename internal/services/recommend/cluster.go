@@ -1,6 +1,8 @@
 package recommend
 
 import (
+	"fmt"
+
 	"musuite/internal/core"
 	"musuite/internal/dataset"
 )
@@ -29,83 +31,77 @@ type ClusterConfig struct {
 	Leaf    core.LeafOptions
 }
 
-// Cluster is a running Recommend deployment.
+// Cluster is a running Recommend deployment.  Recommend partitions its
+// trained models per shard, so add/drain on MidTier().Topology() is for
+// failure drills, not data-aware resharding.
 type Cluster struct {
-	// Addr is the mid-tier address front-ends dial.
-	Addr string
+	*core.Tiers
 	// Models exposes the trained per-shard models (tests and ablations).
 	Models []*LeafModel
+}
 
-	leaves  []*core.Leaf
-	midTier *core.MidTier
+// Assembly is the offline half of a deployment: the sharded ratings, plus
+// one NMF model per shard, trained when that shard's first leaf is
+// constructed — so a leaf process never trains another shard's model and
+// the mid-tier process trains none.  A deployment is assembled from one
+// goroutine; an Assembly is not safe for concurrent use.
+type Assembly struct {
+	cfg     ClusterConfig
+	ratings [][]dataset.Rating
+	models  []*LeafModel // nil until the shard's first leaf is built
+}
+
+// Prepare shards cfg.Corpus round-robin.  It reads cfg's data fields only;
+// the tiers' framework options go to Leaf and MidTier.
+func Prepare(cfg ClusterConfig) *Assembly {
+	if cfg.Shards <= 0 {
+		cfg.Shards = 4
+	}
+	return &Assembly{
+		cfg:     cfg,
+		ratings: cfg.Corpus.ShardRoundRobin(cfg.Shards),
+		models:  make([]*LeafModel, cfg.Shards),
+	}
+}
+
+// Leaf builds an unstarted leaf over one shard's model, training it (the
+// offline step) on first use; replicas of a shard share the trained model.
+func (a *Assembly) Leaf(shard int, opts *core.LeafOptions) (*core.Leaf, error) {
+	if shard < 0 || shard >= len(a.ratings) {
+		return nil, fmt.Errorf("recommend: shard %d outside 0..%d", shard, len(a.ratings)-1)
+	}
+	if a.models[shard] == nil {
+		cfg := LeafConfig{
+			Users: a.cfg.Corpus.Users, Items: a.cfg.Corpus.Items,
+			Rank: a.cfg.Rank, Iterations: a.cfg.Iterations,
+			Neighbors: a.cfg.Neighbors,
+			Seed:      a.cfg.Seed + int64(shard),
+		}
+		if opts != nil {
+			cfg.Core = *opts
+		}
+		lm, err := TrainLeaf(a.ratings[shard], cfg)
+		if err != nil {
+			return nil, err
+		}
+		a.models[shard] = lm
+	}
+	return NewLeaf(a.models[shard], opts), nil
+}
+
+// MidTier builds the unconnected forwarding/averaging mid-tier.
+func (a *Assembly) MidTier(opts *core.Options) (*core.MidTier, error) {
+	return NewMidTier(opts), nil
 }
 
 // StartCluster trains the leaves (offline) and launches the deployment.
 func StartCluster(cfg ClusterConfig) (*Cluster, error) {
-	if cfg.Shards <= 0 {
-		cfg.Shards = 4
-	}
-	shards := cfg.Corpus.ShardRoundRobin(cfg.Shards)
-	cl := &Cluster{}
-	replicas := cfg.LeafReplicas
-	if replicas <= 0 {
-		replicas = 1
-	}
-	leafGroups := make([][]string, cfg.Shards)
-	for s := 0; s < cfg.Shards; s++ {
-		lm, err := TrainLeaf(shards[s], LeafConfig{
-			Users: cfg.Corpus.Users, Items: cfg.Corpus.Items,
-			Rank: cfg.Rank, Iterations: cfg.Iterations,
-			Neighbors: cfg.Neighbors,
-			Seed:      cfg.Seed + int64(s),
-			Core:      cfg.Leaf,
-		})
-		if err != nil {
-			cl.Close()
-			return nil, err
-		}
-		cl.Models = append(cl.Models, lm)
-		for r := 0; r < replicas; r++ {
-			leafOpts := cfg.Leaf
-			leaf := NewLeaf(lm, &leafOpts)
-			addr, err := leaf.Start("127.0.0.1:0")
-			if err != nil {
-				cl.Close()
-				return nil, err
-			}
-			cl.leaves = append(cl.leaves, leaf)
-			leafGroups[s] = append(leafGroups[s], addr)
-		}
-	}
-	mtOpts := cfg.MidTier
-	mt := NewMidTier(&mtOpts)
-	if err := mt.ConnectLeafGroups(leafGroups); err != nil {
-		cl.Close()
-		return nil, err
-	}
-	addr, err := mt.Start("127.0.0.1:0")
+	a := Prepare(cfg)
+	tiers, err := core.StartTiers(len(a.ratings), cfg.LeafReplicas,
+		func(s int) (*core.Leaf, error) { return a.Leaf(s, &cfg.Leaf) },
+		func() (*core.MidTier, error) { return a.MidTier(&cfg.MidTier) })
 	if err != nil {
-		mt.Close()
-		cl.Close()
 		return nil, err
 	}
-	cl.midTier = mt
-	cl.Addr = addr
-	return cl, nil
-}
-
-// MidTier exposes the deployment's framework mid-tier — the runtime
-// topology admin surface (cluster.ServeAdmin on MidTier().Topology())
-// hangs off it.  Recommend partitions its trained models per shard, so
-// add/drain here is for failure drills, not data-aware resharding.
-func (c *Cluster) MidTier() *core.MidTier { return c.midTier }
-
-// Close tears the deployment down.
-func (c *Cluster) Close() {
-	if c.midTier != nil {
-		c.midTier.Close()
-	}
-	for _, l := range c.leaves {
-		l.Close()
-	}
+	return &Cluster{Tiers: tiers, Models: a.models}, nil
 }

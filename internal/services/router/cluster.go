@@ -55,44 +55,70 @@ type Cluster struct {
 	// Addr is the mid-tier address front-ends dial.
 	Addr string
 
-	cfg     ClusterConfig
+	asm     *Assembly
 	midTier *core.MidTier
 
 	mu    sync.Mutex
 	nodes []*leafNode
 }
 
-// startLeaf spawns one leaf node (store + serving leaf + optional sweeper).
-func startLeaf(cfg *ClusterConfig) (*leafNode, error) {
-	store := memcache.New(memcache.Config{MaxBytes: cfg.StoreBytes})
-	leafOpts := cfg.Leaf
-	leaf := NewLeaf(store, &leafOpts)
-	addr, err := leaf.Start("127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	n := &leafNode{addr: addr, store: store, leaf: leaf}
-	if cfg.SweepInterval > 0 {
-		n.sweeper = store.StartSweeper(cfg.SweepInterval)
-	}
-	return n, nil
+// Assembly is a Router deployment's definition with its defaults resolved.
+// Router has no offline step — leaves start empty and the load generator
+// warms them — so it only carries the config to the tier constructors.
+type Assembly struct {
+	cfg ClusterConfig
 }
 
-// StartCluster launches the deployment.
-func StartCluster(cfg ClusterConfig) (*Cluster, error) {
+// Prepare resolves cfg's defaults.  It reads cfg's data fields only; the
+// tiers' framework options go to Leaf and MidTier.
+func Prepare(cfg ClusterConfig) *Assembly {
 	if cfg.Leaves <= 0 {
 		cfg.Leaves = 4
 	}
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = 2
 	}
-	if cfg.Replicas > cfg.Leaves {
-		cfg.Replicas = cfg.Leaves
+	cfg.Replicas = min(cfg.Replicas, cfg.Leaves)
+	return &Assembly{cfg: cfg}
+}
+
+// Leaf builds an unstarted leaf over a fresh store; every Router leaf is
+// alike, so the shard index is unused.
+func (a *Assembly) Leaf(_ int, opts *core.LeafOptions) (*core.Leaf, error) {
+	return NewLeaf(memcache.New(memcache.Config{MaxBytes: a.cfg.StoreBytes}), opts), nil
+}
+
+// MidTier builds the unconnected replicating mid-tier.
+func (a *Assembly) MidTier(opts *core.Options) (*core.MidTier, error) {
+	cfg := MidTierConfig{Replicas: a.cfg.Replicas, PrefixRules: a.cfg.PrefixRules}
+	if opts != nil {
+		cfg.Core = *opts
 	}
-	cl := &Cluster{cfg: cfg}
-	leafAddrs := make([]string, cfg.Leaves)
-	for i := 0; i < cfg.Leaves; i++ {
-		n, err := startLeaf(&cfg)
+	return NewMidTier(cfg), nil
+}
+
+// startLeaf spawns one leaf node (store + serving leaf + optional sweeper).
+func (a *Assembly) startLeaf() (*leafNode, error) {
+	store := memcache.New(memcache.Config{MaxBytes: a.cfg.StoreBytes})
+	n := &leafNode{store: store, leaf: NewLeaf(store, &a.cfg.Leaf)}
+	addr, err := n.leaf.Start("127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	n.addr = addr
+	if a.cfg.SweepInterval > 0 {
+		n.sweeper = n.store.StartSweeper(a.cfg.SweepInterval)
+	}
+	return n, nil
+}
+
+// StartCluster launches the deployment.
+func StartCluster(cfg ClusterConfig) (*Cluster, error) {
+	a := Prepare(cfg)
+	cl := &Cluster{asm: a}
+	leafAddrs := make([]string, a.cfg.Leaves)
+	for i := range leafAddrs {
+		n, err := a.startLeaf()
 		if err != nil {
 			cl.Close()
 			return nil, err
@@ -101,8 +127,11 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		leafAddrs[i] = n.addr
 	}
 
-	mt := NewMidTier(MidTierConfig{Replicas: cfg.Replicas, PrefixRules: cfg.PrefixRules, Core: cfg.MidTier})
-	if err := mt.ConnectLeaves(leafAddrs); err != nil {
+	mt, err := a.MidTier(&a.cfg.MidTier)
+	if err == nil {
+		err = mt.ConnectLeaves(leafAddrs)
+	}
+	if err != nil {
 		cl.Close()
 		return nil, err
 	}
@@ -124,7 +153,7 @@ func (c *Cluster) MidTier() *core.MidTier { return c.midTier }
 // AddLeaf spins up a whole new leaf node — store, serving leaf — and places
 // it in the mid-tier's topology at runtime, returning its shard index.
 func (c *Cluster) AddLeaf() (int, error) {
-	n, err := startLeaf(&c.cfg)
+	n, err := c.asm.startLeaf()
 	if err != nil {
 		return 0, err
 	}

@@ -342,74 +342,60 @@ type ClusterConfig struct {
 	Leaf    core.LeafOptions
 }
 
-// Cluster is a running Set Algebra deployment.
+// Cluster is a running Set Algebra deployment.  Set Algebra partitions
+// posting lists per shard, so add/drain on MidTier().Topology() is for
+// failure drills, not data-aware resharding.
 type Cluster struct {
-	// Addr is the mid-tier address front-ends dial.
-	Addr string
+	*core.Tiers
 	// Shards exposes the indexed shards (tests verify stop-listing).
 	Shards []LeafData
-
-	leaves  []*core.Leaf
-	midTier *core.MidTier
 }
 
-// StartCluster launches the deployment.
-func StartCluster(cfg ClusterConfig) (*Cluster, error) {
+// Assembly is the offline half of a deployment: the corpus, sharded and
+// indexed when the first leaf is constructed, so the mid-tier process —
+// which only fans out and merges — indexes nothing.  A deployment is
+// assembled from one goroutine; an Assembly is not safe for concurrent use.
+type Assembly struct {
+	cfg    ClusterConfig
+	shards []LeafData // nil until the first leaf is built
+}
+
+// Prepare resolves cfg's defaults.  It reads cfg's data fields only; the
+// tiers' framework options go to Leaf and MidTier.
+func Prepare(cfg ClusterConfig) *Assembly {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 4
 	}
 	if cfg.StopTerms <= 0 {
 		cfg.StopTerms = 10
 	}
-	shards := ShardCorpus(cfg.Corpus, cfg.Shards, cfg.StopTerms)
-	cl := &Cluster{Shards: shards}
-	replicas := cfg.LeafReplicas
-	if replicas <= 0 {
-		replicas = 1
-	}
-	leafGroups := make([][]string, cfg.Shards)
-	for s := 0; s < cfg.Shards; s++ {
-		for r := 0; r < replicas; r++ {
-			leafOpts := cfg.Leaf
-			leaf := NewLeaf(shards[s], &leafOpts)
-			addr, err := leaf.Start("127.0.0.1:0")
-			if err != nil {
-				cl.Close()
-				return nil, err
-			}
-			cl.leaves = append(cl.leaves, leaf)
-			leafGroups[s] = append(leafGroups[s], addr)
-		}
-	}
-	mtOpts := cfg.MidTier
-	mt := NewMidTier(&mtOpts)
-	if err := mt.ConnectLeafGroups(leafGroups); err != nil {
-		cl.Close()
-		return nil, err
-	}
-	addr, err := mt.Start("127.0.0.1:0")
-	if err != nil {
-		mt.Close()
-		cl.Close()
-		return nil, err
-	}
-	cl.midTier = mt
-	cl.Addr = addr
-	return cl, nil
+	return &Assembly{cfg: cfg}
 }
 
-// MidTier exposes the deployment's framework mid-tier — the runtime
-// topology admin surface (cluster.ServeAdmin on MidTier().Topology())
-// hangs off it.  Set Algebra partitions posting lists per shard, so
-// add/drain here is for failure drills, not data-aware resharding.
-func (c *Cluster) MidTier() *core.MidTier { return c.midTier }
+// Leaf builds an unstarted leaf over one shard's inverted index.
+func (a *Assembly) Leaf(shard int, opts *core.LeafOptions) (*core.Leaf, error) {
+	if shard < 0 || shard >= a.cfg.Shards {
+		return nil, fmt.Errorf("setalgebra: shard %d outside 0..%d", shard, a.cfg.Shards-1)
+	}
+	if a.shards == nil {
+		a.shards = ShardCorpus(a.cfg.Corpus, a.cfg.Shards, a.cfg.StopTerms)
+	}
+	return NewLeaf(a.shards[shard], opts), nil
+}
 
-// Close tears the deployment down.
-func (c *Cluster) Close() {
-	if c.midTier != nil {
-		c.midTier.Close()
+// MidTier builds the unconnected fan-out/union mid-tier.
+func (a *Assembly) MidTier(opts *core.Options) (*core.MidTier, error) {
+	return NewMidTier(opts), nil
+}
+
+// StartCluster launches the deployment.
+func StartCluster(cfg ClusterConfig) (*Cluster, error) {
+	a := Prepare(cfg)
+	tiers, err := core.StartTiers(a.cfg.Shards, cfg.LeafReplicas,
+		func(s int) (*core.Leaf, error) { return a.Leaf(s, &cfg.Leaf) },
+		func() (*core.MidTier, error) { return a.MidTier(&cfg.MidTier) })
+	if err != nil {
+		return nil, err
 	}
-	for _, l := range c.leaves {
-		l.Close()
-	}
+	return &Cluster{Tiers: tiers, Shards: a.shards}, nil
 }

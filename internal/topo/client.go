@@ -27,22 +27,12 @@ type LoadClient struct {
 // NewLoadClient dials the deployment's entry service.
 func (d *Deployment) NewLoadClient() (*LoadClient, error) {
 	entry := d.Entry()
-	lc := &LoadClient{seed: uint64(d.Spec.Seed)}
-	if d.opts.Spans != nil {
-		every := d.opts.SpanSample
-		if every < 1 {
-			every = 1
-		}
-		lc.sampler = trace.NewSampler(every)
-	}
+	lc := &LoadClient{seed: uint64(d.Spec.Seed), sampler: d.opts.frontEnd().Sampler()}
 	if entry.issue != nil {
 		lc.issue = entry.issue.Issue
 		return lc, nil
 	}
-	var clientOpts *rpc.ClientOptions
-	if d.opts.Spans != nil {
-		clientOpts = &rpc.ClientOptions{Spans: d.opts.Spans}
-	}
+	clientOpts := d.opts.frontEnd().ClientOptions()
 	for _, addr := range d.EntryAddrs() {
 		c, err := rpc.Dial(addr, clientOpts)
 		if err != nil {
@@ -62,7 +52,7 @@ func (d *Deployment) NewLoadClient() (*LoadClient, error) {
 // counter realizes the mix exactly.
 func expandMix(entry *ServiceSpec, mix map[string]int) []string {
 	if len(mix) == 0 {
-		return sortedOpNames(entry.Ops)
+		return sortedKeys(entry.Ops)
 	}
 	names := make([]string, 0, len(mix))
 	for op := range mix {
@@ -87,10 +77,8 @@ func (lc *LoadClient) Issue(done chan *rpc.Call) *rpc.Call {
 	op := lc.ops[i%uint64(len(lc.ops))]
 	c := lc.clients[i%uint64(len(lc.clients))]
 	payload := encodeSynthetic(splitmix64(lc.seed+i), 0)
-	if sc := lc.sampler.Context(); sc.Sampled() {
-		return c.GoSpan(op, payload, sc, nil, done)
-	}
-	return c.Go(op, payload, nil, done)
+	// An unsampled request's zero context makes GoSpan exactly Go.
+	return c.GoSpan(op, payload, lc.sampler.Context(), nil, done)
 }
 
 // Close tears the client down (registered-entry clients are owned by the

@@ -1,31 +1,22 @@
-package bench
+package topo
 
 import (
 	"fmt"
 	"strings"
-
-	"musuite/internal/topo"
 )
 
-// The scenario experiment drives a declarative topology spec through its
-// own load shape and timed degradation events (musuite-bench -experiment
-// scenario -topo <spec.yaml>): the spec-driven generalization of the
-// flash-crowd and overload experiments, runnable against any DAG the
-// topology runtime can build.
+// Reporting and acceptance for a spec run (Run): what `musuite topo` and
+// `musuite-bench -experiment scenario -topo <spec.yaml>` print and gate on
+// — the spec-driven generalization of the flash-crowd and overload
+// experiments, runnable against any DAG the topology runtime can build.
 
 // DefaultRecoveryFloor is the acceptance threshold the CI scenario gate
 // uses: after the spec's degradation windows revert, the final phase must
 // recover at least this fraction of the first phase's goodput.
 const DefaultRecoveryFloor = 0.85
 
-// RunScenario builds the spec, offers its load with the scenario armed,
-// and tears everything down.
-func RunScenario(spec *topo.Spec, opts topo.RunOptions) (*topo.RunResult, error) {
-	return topo.Run(spec, opts)
-}
-
 // RenderScenario prints the per-phase results and the scenario event log.
-func RenderScenario(spec *topo.Spec, res *topo.RunResult) string {
+func RenderScenario(spec *Spec, res *RunResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Scenario run: topology %q (%d services, entry %s)\n",
 		spec.Name, len(spec.Services), spec.Entry)
@@ -54,7 +45,7 @@ func RenderScenario(spec *topo.Spec, res *topo.RunResult) string {
 // never produce untyped errors or drops, and when recoveryFloor > 0 the
 // final phase must recover that fraction of the first phase's goodput
 // once the degradation windows have reverted.
-func ScenarioViolations(res *topo.RunResult, recoveryFloor float64) []string {
+func ScenarioViolations(res *RunResult, recoveryFloor float64) []string {
 	var v []string
 	_, _, errors, _, dropped := res.Totals()
 	if errors > 0 {

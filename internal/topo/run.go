@@ -43,7 +43,7 @@ func (r *RunResult) Totals() (offered, completed, errors, shed, dropped uint64) 
 }
 
 // Run builds the spec, arms its scenario, offers its load shape at the
-// entry, and tears everything down: the one-call path behind `cmd/topo`
+// entry, and tears everything down: the one-call path behind `musuite topo`
 // and `musuite-bench -experiment scenario`.
 func Run(spec *Spec, opts RunOptions) (*RunResult, error) {
 	load := spec.Load

@@ -3,6 +3,7 @@ package topo
 import (
 	"fmt"
 
+	"musuite/internal/bench"
 	"musuite/internal/core"
 	"musuite/internal/telemetry"
 	"musuite/internal/trace"
@@ -22,6 +23,12 @@ type BuildOptions struct {
 	Probe *telemetry.Probe
 }
 
+// frontEnd is the load client's share of the instrumentation: the root span
+// sampler and the recorder its connections report to.
+func (o BuildOptions) frontEnd() bench.FrameworkMode {
+	return bench.FrameworkMode{Spans: o.Spans, SpanSample: o.SpanSample}
+}
+
 // Service is one spec service's live instances.
 type Service struct {
 	// Spec is the service's definition.
@@ -33,7 +40,7 @@ type Service struct {
 	mids   []*core.MidTier
 	leaves []*core.Leaf
 	deg    *degrade
-	issue  *RegisteredService
+	issue  *bench.Instance
 	closer []func()
 }
 
@@ -78,7 +85,7 @@ func Build(spec *Spec, opts BuildOptions) (*Deployment, error) {
 	}
 	for _, name := range spec.ServiceNames() {
 		svc := spec.Services[name]
-		for _, en := range sortedEdgeNames(svc.Edges) {
+		for _, en := range sortedKeys(svc.Edges) {
 			d.injections[name+"/"+en] = &edgeDelay{}
 		}
 	}
@@ -89,7 +96,7 @@ func Build(spec *Spec, opts BuildOptions) (*Deployment, error) {
 			return nil
 		}
 		svc := spec.Services[name]
-		for _, en := range sortedEdgeNames(svc.Edges) {
+		for _, en := range sortedKeys(svc.Edges) {
 			if err := build(svc.Edges[en].To); err != nil {
 				return err
 			}
@@ -118,12 +125,11 @@ func (d *Deployment) buildService(svc *ServiceSpec) (*Service, error) {
 	case svc.Kind == KindSynthetic:
 		return d.buildSyntheticMid(svc)
 	default:
-		reg := registry[svc.Kind]
-		built, err := reg.build(d.Spec, svc, d.opts)
+		built, err := buildRegistered(d.Spec, svc, d.opts)
 		if err != nil {
 			return nil, fmt.Errorf("topo: building %s: %w", svc.Name, err)
 		}
-		return &Service{Spec: svc, Groups: built.Groups, mids: []*core.MidTier{built.MidTier}, issue: built, closer: built.Closers}, nil
+		return &Service{Spec: svc, Groups: [][]string{{built.Addr}}, mids: []*core.MidTier{built.Cluster.MidTier()}, issue: built, closer: []func(){built.Close}}, nil
 	}
 }
 
@@ -135,24 +141,15 @@ func (d *Deployment) buildLeafService(svc *ServiceSpec) (*Service, error) {
 		Probe:   d.opts.Probe,
 		Spans:   d.opts.Spans,
 	}
-	for shard := 0; shard < svc.Shards; shard++ {
-		var group []string
-		for r := 0; r < svc.Replicas; r++ {
-			leaf, err := newSyntheticLeaf(svc, s.deg, core.EnsureLeafKernel(opts))
-			if err != nil {
-				s.close()
-				return nil, err
-			}
-			addr, err := leaf.Start("127.0.0.1:0")
-			if err != nil {
-				s.close()
-				return nil, fmt.Errorf("topo: starting %s leaf: %w", svc.Name, err)
-			}
-			s.leaves = append(s.leaves, leaf)
-			s.closer = append(s.closer, leaf.Close)
-			group = append(group, addr)
-		}
-		s.Groups = append(s.Groups, group)
+	leaves, groups, err := core.StartLeaves(svc.Shards, svc.Replicas, func(int) (*core.Leaf, error) {
+		return newSyntheticLeaf(svc, s.deg, core.EnsureLeafKernel(opts))
+	})
+	if err != nil {
+		return nil, fmt.Errorf("topo: starting %s leaves: %w", svc.Name, err)
+	}
+	s.leaves, s.Groups = leaves, groups
+	for _, leaf := range leaves {
+		s.closer = append(s.closer, leaf.Close)
 	}
 	return s, nil
 }
@@ -163,7 +160,7 @@ func (d *Deployment) buildLeafService(svc *ServiceSpec) (*Service, error) {
 func (d *Deployment) buildSyntheticMid(svc *ServiceSpec) (*Service, error) {
 	s := &Service{Spec: svc, deg: &degrade{}}
 	delays := map[string]*edgeDelay{}
-	for _, en := range sortedEdgeNames(svc.Edges) {
+	for _, en := range sortedKeys(svc.Edges) {
 		delays[en] = d.injections[svc.Name+"/"+en]
 	}
 	node := newSvcNode(d.Spec, svc, s.deg, delays)
@@ -179,7 +176,7 @@ func (d *Deployment) buildSyntheticMid(svc *ServiceSpec) (*Service, error) {
 				opts.Admit = core.AdmitPolicy{MaxInflight: svc.MaxInflight}
 			}
 			mt := core.NewMidTier(node.handler, opts)
-			for _, en := range sortedEdgeNames(svc.Edges) {
+			for _, en := range sortedKeys(svc.Edges) {
 				e := svc.Edges[en]
 				target := d.services[e.To]
 				if err := mt.ConnectEdge(en, target.Groups, edgePolicy(e)); err != nil {

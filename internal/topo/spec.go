@@ -331,8 +331,9 @@ func (o *obj) finish() error {
 	return nil
 }
 
-// sortedKeys iterates a decoded mapping deterministically.
-func sortedKeys(m map[string]any) []string {
+// sortedKeys iterates a mapping — decoded YAML, edges, ops, params —
+// deterministically.
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

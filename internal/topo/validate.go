@@ -2,9 +2,10 @@ package topo
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
+
+	"musuite/internal/bench"
 )
 
 // Synthetic service kinds instantiable from a spec alone.  "synthetic" is a
@@ -72,7 +73,7 @@ func (s *Spec) Validate() error {
 }
 
 func (s *Spec) validateService(svc *ServiceSpec) error {
-	if !isSyntheticKind(svc.Kind) && !registeredKind(svc.Kind) {
+	if !isSyntheticKind(svc.Kind) && bench.ServiceByKind(svc.Kind) == nil {
 		return fmt.Errorf("topo: services.%s: unknown kind %q", svc.Name, svc.Kind)
 	}
 	if err := checkParams(svc); err != nil {
@@ -99,7 +100,7 @@ func (s *Spec) validateService(svc *ServiceSpec) error {
 	if len(svc.Ops) == 0 {
 		return fmt.Errorf("topo: services.%s: synthetic service declares no ops", svc.Name)
 	}
-	for _, en := range sortedEdgeNames(svc.Edges) {
+	for _, en := range sortedKeys(svc.Edges) {
 		e := svc.Edges[en]
 		target, ok := s.Services[e.To]
 		if !ok {
@@ -112,7 +113,7 @@ func (s *Spec) validateService(svc *ServiceSpec) error {
 			return fmt.Errorf("topo: services.%s.edges.%s: hedge-pct must be in [0,1)", svc.Name, en)
 		}
 	}
-	for _, on := range sortedOpNames(svc.Ops) {
+	for _, on := range sortedKeys(svc.Ops) {
 		if err := s.validateOp(svc, svc.Ops[on]); err != nil {
 			return err
 		}
@@ -194,7 +195,7 @@ func (s *Spec) checkAcyclic() error {
 		}
 		state[name] = visiting
 		svc := s.Services[name]
-		for _, en := range sortedEdgeNames(svc.Edges) {
+		for _, en := range sortedKeys(svc.Edges) {
 			if err := visit(svc.Edges[en].To, append(path, name)); err != nil {
 				return err
 			}
@@ -261,7 +262,7 @@ func (s *Spec) checkBudgets() error {
 		var b time.Duration
 		switch {
 		case svc.Kind == KindSynthetic:
-			for _, on := range sortedOpNames(svc.Ops) {
+			for _, on := range sortedKeys(svc.Ops) {
 				if ob := opBudget(svc, svc.Ops[on]); ob > b {
 					b = ob
 				}
@@ -275,7 +276,7 @@ func (s *Spec) checkBudgets() error {
 
 	for _, name := range s.ServiceNames() {
 		svc := s.Services[name]
-		for _, en := range sortedEdgeNames(svc.Edges) {
+		for _, en := range sortedKeys(svc.Edges) {
 			e := svc.Edges[en]
 			if e.Timeout <= 0 {
 				continue
@@ -344,22 +345,4 @@ func (s *Spec) validateScenario() error {
 		}
 	}
 	return nil
-}
-
-func sortedEdgeNames(m map[string]*EdgeSpec) []string {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func sortedOpNames(m map[string]*OpSpec) []string {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

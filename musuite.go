@@ -549,5 +549,5 @@ func TopologyKinds() []string { return topo.RegisteredKinds() }
 // errors, unresolved requests, or (recoveryFloor > 0) final-phase goodput
 // below recoveryFloor× the first phase's.
 func ScenarioViolations(res *TopoRunResult, recoveryFloor float64) []string {
-	return bench.ScenarioViolations(res, recoveryFloor)
+	return topo.ScenarioViolations(res, recoveryFloor)
 }

@@ -2,19 +2,22 @@
 # trace_smoke.sh — full-stack distributed-tracing smoke.
 #
 # For each of the four μSuite services this script boots a real multi-process
-# deployment (leaf processes + mid-tier, each exporting its own spans), drives
-# it with loadgen at 1-in-1 sampling, shuts the tiers down to flush their span
-# files, and then asserts — via traceview -check — that every exported trace
-# reassembles into ONE connected span tree whose critical-path segments sum to
-# the recorded end-to-end latency.  HDSearch additionally runs with replicated
-# leaves and an aggressive hedge delay so abandoned hedge losers must appear
-# as annotated spans, and its recorded trace file is replayed back through
-# loadgen (zero failed requests required).
+# deployment (`musuite serve` leaf processes + mid-tier, each exporting its own
+# spans), has `musuite load -mode verify` check the tiers' first replies byte
+# for byte against the in-process deployment of the same seed and sizes (the
+# multi-process half of the tier-per-process ≡ in-process anchor), drives it
+# with `musuite load` at 1-in-1 sampling, shuts the tiers down to flush their
+# span files, and then asserts — via traceview -check — that every exported
+# trace reassembles into ONE connected span tree whose critical-path segments
+# sum to the recorded end-to-end latency.  HDSearch additionally runs with
+# replicated leaves and an aggressive hedge delay so abandoned hedge losers
+# must appear as annotated spans, and its recorded trace file is replayed back
+# through the load generator (zero failed requests required).
 #
 # Environment knobs (all optional):
 #   TRACE_SMOKE_DIR       output directory      (default: a fresh temp dir;
 #                         CI pins it to trace-smoke/ for artifact upload)
-#   TRACE_SMOKE_DURATION  loadgen window per service (default: 3s)
+#   TRACE_SMOKE_DURATION  load window per service    (default: 3s)
 #   TRACE_SMOKE_QPS       offered load per service   (default: 150)
 #   TRACE_SMOKE_MIN       minimum connected traces   (default: 100)
 set -euo pipefail
@@ -34,8 +37,7 @@ rm -rf "$OUT"
 mkdir -p "$BIN"
 
 echo "== building =="
-go build -o "$BIN" ./cmd/hdsearch ./cmd/router ./cmd/setalgebra ./cmd/recommend \
-	./cmd/loadgen ./cmd/traceview ./cmd/topo
+go build -o "$BIN" ./cmd/musuite ./cmd/traceview
 
 PIDS=()
 cleanup() {
@@ -81,9 +83,14 @@ check_traces() {
 		"$OUT/$svc"-*.jsonl
 }
 
-run_loadgen() {
-	local svc=$1 target=$2
-	"$BIN/loadgen" -service "$svc" -target "$target" -mode open \
+# run_load service target shards — verify the tiers against the in-process
+# deployment with as many shards (a mismatch exits non-zero, and pipefail
+# stops the script), then offer the traced open-loop load.
+run_load() {
+	local svc=$1 target=$2 shards=$3
+	"$BIN/musuite" load "$svc" -target "$target" -mode verify -shards "$shards" \
+		| tee "$OUT/$svc-verify.log"
+	"$BIN/musuite" load "$svc" -target "$target" -mode open \
 		-qps "$QPS" -duration "$DURATION" \
 		-trace-sample 1 -trace-out "$OUT/$svc-loadgen.jsonl" \
 		| tee "$OUT/$svc-loadgen.log"
@@ -91,25 +98,25 @@ run_loadgen() {
 
 # ---- HDSearch: 1 shard × 2 replicas, forced hedging → abandoned losers ----
 echo "== hdsearch (replicated leaves, forced hedging) =="
-"$BIN/hdsearch" -role leaf -addr 127.0.0.1:7101 -shard 0 -shards 1 \
+"$BIN/musuite" serve hdsearch -role leaf -addr 127.0.0.1:7101 -shard 0 -shards 1 \
 	-trace-out "$OUT/hdsearch-leaf0.jsonl" &
 PIDS+=($!)
-"$BIN/hdsearch" -role leaf -addr 127.0.0.1:7102 -shard 0 -shards 1 \
+"$BIN/musuite" serve hdsearch -role leaf -addr 127.0.0.1:7102 -shard 0 -shards 1 \
 	-trace-out "$OUT/hdsearch-leaf1.jsonl" &
 PIDS+=($!)
 wait_port 127.0.0.1:7101
 wait_port 127.0.0.1:7102
-"$BIN/hdsearch" -role midtier -addr 127.0.0.1:7100 \
+"$BIN/musuite" serve hdsearch -role midtier -addr 127.0.0.1:7100 \
 	-leaves 127.0.0.1:7101,127.0.0.1:7102 -shards 1 -replicas 2 \
 	-hedge-delay 100us -retry-budget 2 \
 	-trace-out "$OUT/hdsearch-mid.jsonl" &
 PIDS+=($!)
 wait_port 127.0.0.1:7100
 
-run_loadgen hdsearch 127.0.0.1:7100
+run_load hdsearch 127.0.0.1:7100 1
 
 echo "-- hdsearch: replaying the recorded arrival process at 2x --"
-"$BIN/loadgen" -service hdsearch -target 127.0.0.1:7100 -mode open \
+"$BIN/musuite" load hdsearch -target 127.0.0.1:7100 -mode open \
 	-trace-replay "$OUT/hdsearch-loadgen.jsonl" -replay-speed 2 \
 	| tee "$OUT/hdsearch-replay.log"
 grep -q ' errors=0 ' "$OUT/hdsearch-replay.log" || {
@@ -122,61 +129,61 @@ check_traces hdsearch -require-note hedge,abandoned
 
 # ---- Router: 2-replica store ----
 echo "== router =="
-"$BIN/router" -role leaf -addr 127.0.0.1:7201 \
+"$BIN/musuite" serve router -role leaf -addr 127.0.0.1:7201 \
 	-trace-out "$OUT/router-leaf0.jsonl" &
 PIDS+=($!)
-"$BIN/router" -role leaf -addr 127.0.0.1:7202 \
+"$BIN/musuite" serve router -role leaf -addr 127.0.0.1:7202 \
 	-trace-out "$OUT/router-leaf1.jsonl" &
 PIDS+=($!)
 wait_port 127.0.0.1:7201
 wait_port 127.0.0.1:7202
-"$BIN/router" -role midtier -addr 127.0.0.1:7200 \
+"$BIN/musuite" serve router -role midtier -addr 127.0.0.1:7200 \
 	-leaves 127.0.0.1:7201,127.0.0.1:7202 -replicas 2 \
 	-trace-out "$OUT/router-mid.jsonl" &
 PIDS+=($!)
 wait_port 127.0.0.1:7200
 
-run_loadgen router 127.0.0.1:7200
+run_load router 127.0.0.1:7200 2
 stop_stack
 check_traces router
 
 # ---- Set Algebra: 2 shards ----
 echo "== setalgebra =="
-"$BIN/setalgebra" -role leaf -addr 127.0.0.1:7301 -shard 0 -shards 2 \
+"$BIN/musuite" serve setalgebra -role leaf -addr 127.0.0.1:7301 -shard 0 -shards 2 \
 	-trace-out "$OUT/setalgebra-leaf0.jsonl" &
 PIDS+=($!)
-"$BIN/setalgebra" -role leaf -addr 127.0.0.1:7302 -shard 1 -shards 2 \
+"$BIN/musuite" serve setalgebra -role leaf -addr 127.0.0.1:7302 -shard 1 -shards 2 \
 	-trace-out "$OUT/setalgebra-leaf1.jsonl" &
 PIDS+=($!)
 wait_port 127.0.0.1:7301
 wait_port 127.0.0.1:7302
-"$BIN/setalgebra" -role midtier -addr 127.0.0.1:7300 \
+"$BIN/musuite" serve setalgebra -role midtier -addr 127.0.0.1:7300 \
 	-leaves 127.0.0.1:7301,127.0.0.1:7302 -shards 2 \
 	-trace-out "$OUT/setalgebra-mid.jsonl" &
 PIDS+=($!)
 wait_port 127.0.0.1:7300
 
-run_loadgen setalgebra 127.0.0.1:7300
+run_load setalgebra 127.0.0.1:7300 2
 stop_stack
 check_traces setalgebra
 
 # ---- Recommend: 2 shards ----
 echo "== recommend =="
-"$BIN/recommend" -role leaf -addr 127.0.0.1:7401 -shard 0 -shards 2 \
+"$BIN/musuite" serve recommend -role leaf -addr 127.0.0.1:7401 -shard 0 -shards 2 \
 	-trace-out "$OUT/recommend-leaf0.jsonl" &
 PIDS+=($!)
-"$BIN/recommend" -role leaf -addr 127.0.0.1:7402 -shard 1 -shards 2 \
+"$BIN/musuite" serve recommend -role leaf -addr 127.0.0.1:7402 -shard 1 -shards 2 \
 	-trace-out "$OUT/recommend-leaf1.jsonl" &
 PIDS+=($!)
 wait_port 127.0.0.1:7401
 wait_port 127.0.0.1:7402
-"$BIN/recommend" -role midtier -addr 127.0.0.1:7400 \
+"$BIN/musuite" serve recommend -role midtier -addr 127.0.0.1:7400 \
 	-leaves 127.0.0.1:7401,127.0.0.1:7402 -shards 2 \
 	-trace-out "$OUT/recommend-mid.jsonl" &
 PIDS+=($!)
 wait_port 127.0.0.1:7400
 
-run_loadgen recommend 127.0.0.1:7400
+run_load recommend 127.0.0.1:7400 2
 stop_stack
 check_traces recommend
 
@@ -187,7 +194,7 @@ check_traces recommend
 # path sums to the end-to-end latency, exactly like the two-level
 # handwritten services above.
 echo "== topo (4-deep spec-driven DAG) =="
-"$BIN/topo" -topo examples/social-network.yaml -scenario=false \
+"$BIN/musuite" topo -topo examples/social-network.yaml -scenario=false \
 	-topo-duration "$DURATION" -topo-qps "$QPS" \
 	-trace-sample 1 -trace-out "$OUT/topo-social-all.jsonl" \
 	| tee "$OUT/topo-social.log"
