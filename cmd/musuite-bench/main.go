@@ -216,6 +216,15 @@ func run(experiment string, scale bench.Scale, mode bench.FrameworkMode, service
 	start := time.Now()
 	defer func() { fmt.Printf("\n(total experiment time: %v)\n", time.Since(start).Round(time.Millisecond)) }()
 
+	// Figs. 10–19 characterise the paper's §IV pipeline — Active-Exe is a
+	// worker's wake-up latency, the futex counts are its hand-offs — so they
+	// pin its dispatched design; "ablation" sets it beside the in-line and
+	// automatic modes.
+	characterize := func(services []string) ([]bench.LoadPoint, error) {
+		paper := mode
+		paper.Dispatch = core.Dispatched
+		return bench.Characterize(scale, services, paper)
+	}
 	switch experiment {
 	case "tableII":
 		fmt.Print(bench.RenderTableII(bench.Host()))
@@ -228,7 +237,7 @@ func run(experiment string, scale bench.Scale, mode bench.FrameworkMode, service
 		fmt.Print(bench.RenderFig9(rows))
 		return nil
 	case "fig10", "fig19":
-		points, err := bench.Characterize(scale, services, mode)
+		points, err := characterize(services)
 		if err != nil {
 			return err
 		}
@@ -242,7 +251,7 @@ func run(experiment string, scale bench.Scale, mode bench.FrameworkMode, service
 		var fig int
 		fmt.Sscanf(experiment, "fig%d", &fig)
 		svc := figureService(fig)
-		points, err := bench.Characterize(scale, []string{svc}, mode)
+		points, err := characterize([]string{svc})
 		if err != nil {
 			return err
 		}
@@ -338,7 +347,7 @@ func run(experiment string, scale bench.Scale, mode bench.FrameworkMode, service
 		}
 		fmt.Print(bench.RenderFig9(rows))
 		fmt.Println()
-		points, err := bench.Characterize(scale, services, mode)
+		points, err := characterize(services)
 		if err != nil {
 			return err
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"musuite/internal/core"
 	"musuite/internal/rpc"
 	"musuite/internal/services/hdsearch"
 	"musuite/internal/telemetry"
@@ -87,7 +88,9 @@ func TestCharacterizeProducesAllFigures(t *testing.T) {
 		t.Skip("integration experiment")
 	}
 	s := tinyScale()
-	points, err := Characterize(s, []string{"SetAlgebra"}, FrameworkMode{})
+	// The figures' classes are the paper's dispatched pipeline's: a worker's
+	// wake-up (Active-Exe), the hand-off futexes.
+	points, err := Characterize(s, []string{"SetAlgebra"}, FrameworkMode{Dispatch: core.Dispatched})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -139,9 +139,10 @@ type AblationRow struct {
 	CSPerQ   float64
 }
 
-// AblationModes are the framework variants §VII discusses: the default
-// blocking+dispatch design, the polling variant, the in-line variant, and
-// the adaptive spin-then-park hybrid the paper proposes exploring.
+// AblationModes are the framework variants §VII discusses: the paper's
+// blocking+dispatch design, its polling variant, the adaptive spin-then-park
+// hybrid the paper proposes exploring, the in-line variant, and the default —
+// in-line unless more input is waiting behind the request.
 var AblationModes = []FrameworkMode{
 	{Dispatch: core.Dispatched, Wait: core.WaitBlocking},
 	{Dispatch: core.Dispatched, Wait: core.WaitPolling},

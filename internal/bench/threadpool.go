@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"musuite/internal/core"
 	"musuite/internal/loadgen"
 	"musuite/internal/telemetry"
 )
@@ -32,7 +33,9 @@ func ThreadPoolSweep(s Scale, service string, workerCounts []int, load float64) 
 	for _, w := range workerCounts {
 		cfg := s
 		cfg.Workers = w
-		inst, err := StartService(service, cfg, FrameworkMode{})
+		// Dispatched: the sweep's subject is the worker pool, which the
+		// default mode bypasses for every request that arrives alone.
+		inst, err := StartService(service, cfg, FrameworkMode{Dispatch: core.Dispatched})
 		if err != nil {
 			return nil, fmt.Errorf("threadpool %s workers=%d: %w", service, w, err)
 		}

@@ -186,7 +186,6 @@ func (a *AdminServer) onRequest(req *rpc.Request) {
 			req.ReplyError(err)
 			return
 		}
-		req.DetachPayload()
 		go func() {
 			if err := a.topo.DrainGroup(shard, deadline); err != nil {
 				req.ReplyError(err)

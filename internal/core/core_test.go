@@ -381,7 +381,9 @@ func TestMidTierTelemetryPipeline(t *testing.T) {
 	for i := range leafAddrs {
 		leafAddrs[i], _ = startLeaf(t, nil)
 	}
-	opts := Options{Probe: probe}
+	// The paper's pipeline, sample by sample: the default's counterpart is
+	// TestLoneRequestRunsOnItsPoller.
+	opts := Options{Dispatch: Dispatched, Probe: probe}
 	addr, _ := startMidTier(t, leafAddrs, &opts)
 	c, err := rpc.Dial(addr, nil)
 	if err != nil {

@@ -14,12 +14,12 @@ import (
 	"musuite/internal/wire"
 )
 
-// LeafHandler computes one leaf response.  It runs on a leaf worker thread
-// and may take the tens-to-hundreds of microseconds that leaf computation
-// (distance kernels, set intersections, kNN prediction) typically costs.
-// The payload is valid only for the duration of the call; the returned
-// reply may alias it (the reply is copied to the wire before the payload's
-// backing storage is recycled).
+// LeafHandler computes one leaf response.  It runs on the network poller or
+// a leaf worker thread and may take the tens-to-hundreds of microseconds
+// that leaf computation (distance kernels, set intersections, kNN
+// prediction) typically costs.  The payload is valid only for the duration
+// of the call; the returned reply may alias it (the reply is copied to the
+// wire before the payload's backing storage is recycled).
 type LeafHandler func(method string, payload []byte) ([]byte, error)
 
 // EncodedLeafHandler is the allocation-free form of LeafHandler: instead of
@@ -99,9 +99,10 @@ func LeafOptionsWithBatch(opts *LeafOptions, batch LeafBatchHandler) *LeafOption
 	return &out
 }
 
-// Leaf is a leaf microserver: an RPC server that dispatches requests to a
-// worker pool and replies when the handler completes.  It serves multiple
-// concurrent requests from several mid-tier connections.
+// Leaf is a leaf microserver: an RPC server that runs each request's handler
+// — on the poller, or on a worker when more input is waiting behind the
+// request — and replies when it completes.  It serves multiple concurrent
+// requests from several mid-tier connections.
 type Leaf struct {
 	server  *rpc.Server
 	workers *WorkerPool
@@ -117,7 +118,11 @@ type Leaf struct {
 	// kernel.* events of the engine EnsureLeafKernel bound to it);
 	// core.stats serves it.
 	counters *telemetry.Table
-	closed   atomic.Bool
+	// running counts the requests whose handler is queued or executing, on a
+	// worker or a poller, up to the point their reply is handed to the wire
+	// (see MidTier.running).
+	running atomic.Int32
+	closed  atomic.Bool
 }
 
 // NewLeaf creates a leaf microserver around handler.
@@ -175,15 +180,20 @@ func (l *Leaf) onRequest(req *rpc.Request) {
 		req.Reply(encodeTierStats(l.Stats()))
 		return
 	}
-	// The payload must outlive the poller's read buffer; a pooled copy
-	// costs no steady-state allocation and is recycled once the worker has
-	// replied (every reply/payload byte is copied to the wire before then).
-	req.DetachPayloadPooled()
 	fn := l.runFn
 	if req.Method == rpc.BatchMethod {
 		fn = l.batchFn
 	}
+	if l.running.Add(1) == 1 && !req.Backlogged {
+		// Run to completion (see DispatchAuto): nothing is waiting behind
+		// this frame and no other handler is queued or running, so a worker
+		// would overlap with nothing.
+		l.counters.Add(telemetry.TierInlined, 1)
+		fn(req)
+		return
+	}
 	if err := l.workers.SubmitArg(fn, req); err != nil {
+		l.running.Add(-1)
 		if errors.Is(err, ErrQueueFull) {
 			// A leaf past its queue bound sheds with the typed overload
 			// error: the mid-tier's retry machinery must not re-issue
@@ -192,14 +202,12 @@ func (l *Leaf) onRequest(req *rpc.Request) {
 		} else {
 			req.ReplyError(err)
 		}
-		req.ReleasePayload()
 	}
 }
 
-// runScalar executes one plain request on a worker thread.
+// runScalar executes one plain request.
 func (l *Leaf) runScalar(a any) {
 	req := a.(*rpc.Request)
-	defer req.ReleasePayload()
 	var reply []byte
 	var err error
 	if l.encoded != nil {
@@ -213,7 +221,10 @@ func (l *Leaf) runScalar(a any) {
 	}
 	// Counted before the reply is handed to the wire — the TierStats
 	// contract: a counter is visible no later than the reply it describes.
+	// The handler stops counting as running at the same point, so the
+	// caller's next request never finds its predecessor still in the way.
 	l.counters.Add(telemetry.TierServed, 1)
+	l.running.Add(-1)
 	if err != nil {
 		req.ReplyError(err)
 	} else {
@@ -276,25 +287,25 @@ func putBatchScratch(sc *batchScratch) {
 	batchScratches.Put(sc)
 }
 
-// runBatchTask executes a batched carrier RPC on a worker thread.  The
-// whole carrier is one worker task — the member requests share a single
-// dispatch hand-off and a single reply write, which is the point of
-// batching — and each member's result rides back as a per-item status, so
-// one poisoned item fails alone.
+// runBatchTask executes a batched carrier RPC.  The whole carrier is one
+// task — the member requests share a single dispatch decision and a single
+// reply write, which is the point of batching — and each member's result
+// rides back as a per-item status, so one poisoned item fails alone.
 func (l *Leaf) runBatchTask(a any) {
 	req := a.(*rpc.Request)
-	defer req.ReleasePayload()
 	sc := getBatchScratch()
 	defer putBatchScratch(sc)
 	var err error
 	sc.methods, sc.payloads, sc.spans, err = rpc.DecodeBatchInto(req.Payload, sc.methods, sc.payloads, sc.spans)
 	if err != nil {
+		l.running.Add(-1)
 		req.ReplyError(err)
 		return
 	}
 	enc := wire.GetEncoder()
 	l.appendBatchReplies(enc, sc)
 	l.counters.Add(telemetry.TierServed, uint64(len(sc.methods)))
+	l.running.Add(-1)
 	req.Reply(enc.Bytes())
 	wire.PutEncoder(enc)
 	if l.spans != nil {

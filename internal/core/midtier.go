@@ -63,7 +63,10 @@ type Options struct {
 	Workers int
 	// ResponseThreads sizes the leaf-response pool (default 2).
 	ResponseThreads int
-	// Dispatch selects dispatched (default) or in-line execution.
+	// Dispatch selects where handlers run.  The zero value runs a request
+	// on its poller unless more input is already waiting behind it or
+	// another request's handler is still queued or running; Dispatched and
+	// Inline fix the choice (the §VII ablation).
 	Dispatch DispatchMode
 	// Wait selects blocking (default) or polling idle threads.
 	Wait WaitMode
@@ -74,10 +77,6 @@ type Options struct {
 	// shed with a fast error instead of queueing unboundedly past
 	// saturation (0 = unbounded, the paper's configuration).
 	MaxQueueDepth int
-	// AutoDispatchQPS is the arrival-rate threshold for DispatchAuto:
-	// below it requests run in-line, above it they dispatch (default
-	// 500 QPS).
-	AutoDispatchQPS float64
 	// FanoutTimeout bounds each fan-out; leaves that have not responded
 	// by then contribute ErrFanoutTimeout results so the merge (and the
 	// front-end) never hangs on a wedged leaf (0 = wait forever, the
@@ -142,15 +141,15 @@ func (o *Options) withDefaults() Options {
 	return out
 }
 
-// Handler is the service-specific mid-tier request logic.  It runs on a
-// worker thread (or the poller in in-line mode), typically: decode the
+// Handler is the service-specific mid-tier request logic.  It runs on the
+// network poller or a worker thread (Options.Dispatch), typically: decode the
 // request, compute the per-leaf sub-queries, call Ctx.Fanout, and return.
 // The reply is sent later by the fan-out merge callback.
 type Handler func(*Ctx)
 
 // MidTier is a mid-tier microserver: an RPC server whose requests flow
-// through the §IV pipeline (poller → dispatch queue → worker → async fan-out
-// → response threads → merged reply).
+// through the §IV pipeline (poller [→ dispatch queue → worker] → async
+// fan-out → response threads → merged reply).
 type MidTier struct {
 	opts    Options
 	handler Handler
@@ -180,7 +179,11 @@ type MidTier struct {
 	started atomic.Bool
 	closed  atomic.Bool
 
-	arrivals *rateMeter // DispatchAuto's load signal
+	// running counts the requests whose handler is queued or executing, on a
+	// worker or a poller.  DispatchAuto runs a request in-line only when it
+	// is the only one: the queue behind the workers is then empty, so there
+	// is nothing to reorder, shed or bound that the request would bypass.
+	running atomic.Int32
 
 	// admit is the adaptive admission controller; nil when Options.Admit
 	// is zero, so the unlimited path costs nothing.
@@ -197,11 +200,6 @@ func NewMidTier(handler Handler, opts *Options) *MidTier {
 	o := opts.withDefaults()
 	m := &MidTier{opts: o, handler: handler, probe: o.Probe, spans: o.Spans}
 	m.counters = telemetry.NewTable(o.Probe.Table())
-	if o.AutoDispatchQPS <= 0 {
-		o.AutoDispatchQPS = 500
-		m.opts.AutoDispatchQPS = 500
-	}
-	m.arrivals = newRateMeter(100 * time.Millisecond)
 	m.budget = newRetryBudget(o.Tail.RetryBudgetRatio, o.Tail.RetryBudgetBurst, m.counters)
 	m.workers = NewBoundedWorkerPool(o.Workers, o.MaxQueueDepth, o.Wait, o.Probe, telemetry.OverheadActiveExe)
 	m.responses = NewWorkerPool(o.ResponseThreads, o.Wait, o.Probe, telemetry.OverheadSched)
@@ -213,6 +211,7 @@ func NewMidTier(handler Handler, opts *Options) *MidTier {
 		m.admit = newAdmitController(o.Admit, m.counters)
 	}
 	m.handleFn = func(a any) {
+		defer m.running.Add(-1)
 		ctx := a.(*Ctx)
 		if m.admit != nil && m.admit.doomed(ctx.Req.Arrival) {
 			// Deadline-aware shed at worker pickup: the queue wait has
@@ -365,26 +364,17 @@ func (m *MidTier) onRequest(req *rpc.Request) {
 		}
 	}
 	ctx.tr.StampAt(trace.StageArrival, req.Arrival)
-	inline := m.opts.Dispatch == Inline
-	if m.opts.Dispatch == DispatchAuto {
-		// Adaptive choice (§VII): in-line while the recent arrival
-		// rate is low (the regime where dispatch wakeups dominate),
-		// dispatched once it rises.
-		inline = m.arrivals.tick() < m.opts.AutoDispatchQPS
-	}
-	if inline {
-		// In-line design (§VII): no hand-off, no worker wakeup; the
-		// poller executes the handler and is blocked for its duration.
-		if m.opts.Dispatch == DispatchAuto {
-			m.counters.Add(telemetry.TierInlined, 1)
-		}
+	alone := m.running.Add(1) == 1
+	if m.opts.Dispatch == Inline || m.opts.Dispatch == DispatchAuto && alone && !req.Backlogged {
+		// Run to completion: no hand-off, no worker wake-up; the poller
+		// executes the handler and reads the next frame when it returns.
+		m.counters.Add(telemetry.TierInlined, 1)
 		ctx.tr.Stamp(trace.StageWorkerStart)
 		m.handler(ctx)
+		m.running.Add(-1)
 		return
 	}
-	// Dispatch design: the payload must outlive the poller's read buffer.
-	req.DetachPayload()
-	handoffStart := time.Now()
+	handoffStart := m.probe.Start()
 	// Stamped before the hand-off: a fast worker can reply — and recycle a
 	// pooled trace — before SubmitPriorityArg even returns, so a stamp
 	// after it could land on the trace's next occupant.
@@ -403,6 +393,7 @@ func (m *MidTier) onRequest(req *rpc.Request) {
 		// Shed before the handler ever ran: release the pin (and the
 		// admission slot, without feeding the latency signal) directly —
 		// not via finish, which would count the request as served.
+		m.running.Add(-1)
 		ctx.snap.Release()
 		if ctx.admitted {
 			m.admit.cancel()
@@ -414,7 +405,7 @@ func (m *MidTier) onRequest(req *rpc.Request) {
 	}
 	// The poller's hand-off cost before it re-enters its blocking read —
 	// the Block overhead class.
-	m.probe.ObserveOverhead(telemetry.OverheadBlock, time.Since(handoffStart))
+	m.probe.ObserveSince(telemetry.OverheadBlock, handoffStart)
 }
 
 // onLeafResponse runs on a leaf connection's reader goroutine; it forwards
@@ -613,7 +604,7 @@ func (c *Ctx) fanoutOn(e *edge, snap *cluster.Snapshot, calls []LeafCall, merge 
 		merge(nil)
 		return
 	}
-	fo := getFanout(e, snap, len(calls), merge, c.tr, c.span)
+	fo := getFanout(c, e, snap, len(calls), merge)
 	// Slots must be fully initialized before the expiry timer can fire.
 	for i, lc := range calls {
 		fo.slot(i, lc.Shard, lc.Method, lc.Payload)
@@ -634,7 +625,7 @@ func (c *Ctx) fanoutAllOn(e *edge, snap *cluster.Snapshot, method string, payloa
 		merge(nil)
 		return
 	}
-	fo := getFanout(e, snap, n, merge, c.tr, c.span)
+	fo := getFanout(c, e, snap, n, merge)
 	for i := 0; i < n; i++ {
 		fo.slot(i, i, method, payload)
 	}
@@ -815,15 +806,20 @@ func (m *MidTier) issueAttempt(slot *fanoutSlot, exclude int, kind attemptKind) 
 		a.client = pool.Pick()
 		a.ref = a.client.GoRefSpan(slot.method, slot.payload, a.span, slot, nil)
 	}
-	fired, record := slot.track(a)
+	fired, record, won := slot.track(a)
 	if fired {
 		// The slot completed while this attempt was being issued, so the
 		// cancel sweep may have run before the attempt was tracked.  The
 		// frame is already on the wire though — the leaf will serve it and
-		// record a server span — so the loser's client span must still be
-		// emitted or the exported tree ends up with an orphan.
+		// record a server span — so the attempt's client span must still be
+		// emitted or the exported tree ends up with an orphan.  The attempt
+		// may even be what completed the slot: a leaf that answers on its
+		// poller can beat the issuer to the slot's lock.
+		if won && kind == attemptHedge {
+			m.counters.Add(telemetry.TailHedgeWin, 1)
+		}
 		if record {
-			m.recordAttemptSpan(method, shard, &a, time.Now(), "", true)
+			m.recordAttemptSpan(method, shard, &a, time.Now(), "", !won)
 		}
 		if a.abandon() {
 			slot.fo.unref()
@@ -998,8 +994,13 @@ type fanout struct {
 	tr        *trace.Trace
 	// span is the parent request's server span; each attempt's client span
 	// is derived from it.  Zero when the request is unsampled.
-	span  trace.SpanContext
-	slots []fanoutSlot
+	span trace.SpanContext
+	// reqBuf is a hold on the parent request's payload bytes: handlers
+	// forward Req.Payload as slot payloads, and a slot's payload is read for
+	// as long as something can still issue it — a hedge timer, a retry, a
+	// batch queue — which can be after the reply.  Dropped on recycle.
+	reqBuf *rpc.Buf
+	slots  []fanoutSlot
 	// timer is set after AfterFunc returns; the callback can beat the
 	// store, in which case there is nothing left worth stopping.
 	timer atomic.Pointer[time.Timer]
@@ -1014,15 +1015,16 @@ type fanout struct {
 // fanoutPool recycles fan-out machinery across requests.
 var fanoutPool = sync.Pool{New: func() any { return new(fanout) }}
 
-// getFanout readies a pooled fan-out for n slots.
-func getFanout(e *edge, snap *cluster.Snapshot, n int, merge func([]LeafResult), tr *trace.Trace, span trace.SpanContext) *fanout {
+// getFanout readies a pooled fan-out of request c for n slots.
+func getFanout(c *Ctx, e *edge, snap *cluster.Snapshot, n int, merge func([]LeafResult)) *fanout {
 	f := fanoutPool.Get().(*fanout)
 	f.mt = e.mt
 	f.e = e
 	f.snap = snap
 	f.merge = merge
-	f.tr = tr
-	f.span = span
+	f.tr = c.tr
+	f.span = c.span
+	f.reqBuf = c.Req.HoldPayload()
 	if cap(f.slots) < n {
 		f.results = make([]LeafResult, n)
 		f.bufs = make([]*rpc.Buf, n)
@@ -1054,6 +1056,8 @@ func (f *fanout) recycle() {
 	f.merge = nil
 	f.tr = nil
 	f.span = trace.SpanContext{}
+	f.reqBuf.Release()
+	f.reqBuf = nil
 	f.timer.Store(nil)
 	for i := range f.results {
 		f.results[i] = LeafResult{}
@@ -1127,7 +1131,8 @@ type fanoutSlot struct {
 
 	mu         sync.Mutex // guards the fields below
 	attempts   []attempt
-	swept      bool // cancelLosers has run: attempts tracked later are the issuer's to retire
+	swept      bool        // cancelLosers has run: attempts tracked later are the issuer's to retire
+	winner     rpc.CallRef // the call the sweep ran for, which it may not have found tracked yet
 	hedgeTimer *time.Timer
 	hedged     bool
 	retries    int
@@ -1146,6 +1151,7 @@ func (f *fanout) slot(index, shard int, method string, payload []byte) *fanoutSl
 	s.fired.Store(false)
 	s.attempts = s.attemptsArr[:0]
 	s.swept = false
+	s.winner = rpc.CallRef{}
 	return s
 }
 
@@ -1157,17 +1163,22 @@ func (f *fanout) slot(index, shard int, method string, payload []byte) *fanoutSl
 // tracked and retires it itself, as the winner or as a loser; were the
 // issuer to claim the span then too, a winner would be recorded twice under
 // one span ID — by the issuer as abandoned and by deliverSlot as the winner
-// — and the exported tree would no longer be a tree.
-func (s *fanoutSlot) track(a attempt) (fired, record bool) {
+// — and the exported tree would no longer be a tree.  won reports that the
+// sweep ran for this very attempt: its reply completed the slot before the
+// issuer got here, so it is the issuer that books the win.
+func (s *fanoutSlot) track(a attempt) (fired, record, won bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.attempts = append(s.attempts, a)
 	fired = s.fired.Load()
-	if fired && s.swept && a.span.Sampled() {
-		s.attempts[len(s.attempts)-1].recorded = true
-		record = true
+	if fired && s.swept {
+		won = a.ref == s.winner
+		if a.span.Sampled() {
+			s.attempts[len(s.attempts)-1].recorded = true
+			record = true
+		}
 	}
-	return fired, record
+	return fired, record, won
 }
 
 // cancelLosers stops the slot's hedge timer and abandons every attempt
@@ -1181,6 +1192,7 @@ func (s *fanoutSlot) cancelLosers(winner rpc.CallRef, end time.Time) (win attemp
 	var losers []attempt
 	s.mu.Lock()
 	s.swept = true
+	s.winner = winner
 	if t := s.hedgeTimer; t != nil {
 		s.hedgeTimer = nil
 		if t.Stop() {

@@ -50,33 +50,39 @@ func (w WaitMode) String() string {
 	return "blocking"
 }
 
-// DispatchMode selects whether requests are handed to the worker pool or
-// executed in-line on the network poller (§VII's dispatch-vs-in-line).
+// DispatchMode selects where a request's handler runs: on the network poller
+// that decoded it, or on a worker the poller hands it to (§VII's
+// dispatch-vs-in-line).
 type DispatchMode int
 
 const (
-	// Dispatched hands each request to the worker pool — μSuite's default.
-	Dispatched DispatchMode = iota
-	// Inline runs the handler directly on the network poller thread.
+	// DispatchAuto — the zero value — runs each request to completion on its
+	// poller unless more input was already buffered behind its frame
+	// (rpc.Request.Backlogged) or another request's handler is still queued
+	// or running: the cases in which a hand-off buys overlap — the worker
+	// computes while the poller decodes the next frame — and in which the
+	// queue has something to order, bound or shed.  Otherwise the poller
+	// would only go back to sleep, and the hand-off would cost a wake-up
+	// (DESIGN §5.3) for nothing.  §VII's "dynamic adaptation system that
+	// judiciously chooses to dispatch requests", with no threshold.
+	DispatchAuto DispatchMode = iota
+	// Dispatched always hands the request to the worker pool — the paper's
+	// §IV design, kept as a fixed mode for the §VII ablation.
+	Dispatched
+	// Inline always runs the handler on the network poller thread — the
+	// ablation's other fixed mode.
 	Inline
-	// DispatchAuto switches per request between in-line and dispatched
-	// execution based on the observed arrival rate — the "dynamic
-	// adaptation system that judiciously chooses to dispatch requests"
-	// the paper's §VII proposes (and its μTune successor builds).  Low
-	// load runs in-line, skipping the worker wakeup that dominates
-	// low-load latency; high load dispatches, keeping pollers free.
-	DispatchAuto
 )
 
 // String names the dispatch mode.
 func (d DispatchMode) String() string {
 	switch d {
+	case Dispatched:
+		return "dispatched"
 	case Inline:
 		return "inline"
-	case DispatchAuto:
-		return "auto"
 	}
-	return "dispatched"
+	return "auto"
 }
 
 // ErrPoolClosed reports a submit to a stopped pool.
@@ -100,8 +106,9 @@ const (
 	PriorityHigh
 )
 
-// task carries one queued unit of work and its enqueue instant, from which
-// the dispatch/wakeup latency (the paper's Active-Exe analog) is measured.
+// task carries one queued unit of work and — when a probe will record it —
+// its enqueue instant, from which the dispatch/wakeup latency (the paper's
+// Active-Exe analog) is measured.
 // Work arrives either as a closure (fn) or, on the hot path, as a shared
 // function plus argument (argFn/arg) so per-task closure allocation is
 // avoided.
@@ -225,7 +232,7 @@ func (p *WorkerPool) Submit(fn func()) error {
 // SubmitPriority enqueues fn in the given class; high-priority work is
 // executed before any queued normal work.
 func (p *WorkerPool) SubmitPriority(fn func(), pri Priority) error {
-	return p.enqueue(task{fn: fn, enqueued: time.Now()}, pri)
+	return p.enqueue(task{fn: fn, enqueued: p.probe.Start()}, pri)
 }
 
 // SubmitArg enqueues fn(arg) at normal priority.  Passing a long-lived fn
@@ -233,14 +240,14 @@ func (p *WorkerPool) SubmitPriority(fn func(), pri Priority) error {
 // the leaf-response hot path routes every completed call this way (a
 // pointer arg boxes into the interface word without allocating).
 func (p *WorkerPool) SubmitArg(fn func(any), arg any) error {
-	return p.enqueue(task{argFn: fn, arg: arg, enqueued: time.Now()}, PriorityNormal)
+	return p.enqueue(task{argFn: fn, arg: arg, enqueued: p.probe.Start()}, PriorityNormal)
 }
 
 // SubmitPriorityArg is SubmitArg with a priority class — the request
 // dispatch hot path, where the closure SubmitPriority would allocate per
 // request is replaced by one long-lived fn and the request context as arg.
 func (p *WorkerPool) SubmitPriorityArg(fn func(any), arg any, pri Priority) error {
-	return p.enqueue(task{argFn: fn, arg: arg, enqueued: time.Now()}, pri)
+	return p.enqueue(task{argFn: fn, arg: arg, enqueued: p.probe.Start()}, pri)
 }
 
 func (p *WorkerPool) enqueue(t task, pri Priority) error {
@@ -303,7 +310,7 @@ func (p *WorkerPool) run() {
 		if !ok {
 			return
 		}
-		p.probe.ObserveOverhead(p.overhead, time.Since(t.enqueued))
+		p.probe.ObserveSince(p.overhead, t.enqueued)
 		if t.argFn != nil {
 			t.argFn(t.arg)
 		} else {

@@ -3,7 +3,6 @@ package core
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"musuite/internal/rpc"
 	"musuite/internal/telemetry"
@@ -61,8 +60,16 @@ func TestPriorityOvertakesQueuedWork(t *testing.T) {
 
 // TestMidTierClassifierPrioritizesRequests wires a classifier that marks
 // "urgent" methods high-priority and verifies they overtake a backlog of
-// slow normal requests through the full RPC path.
+// slow normal requests through the full RPC path — under the zero-value
+// Options too: the requests arrive in one Write, so none of them is alone and
+// every one goes through the queue that reorders.
 func TestMidTierClassifierPrioritizesRequests(t *testing.T) {
+	for _, mode := range []DispatchMode{DispatchAuto, Dispatched} {
+		t.Run(mode.String(), func(t *testing.T) { classifierPrioritizes(t, mode) })
+	}
+}
+
+func classifierPrioritizes(t *testing.T, mode DispatchMode) {
 	leafAddr, _ := startLeaf(t, nil)
 
 	var mu sync.Mutex
@@ -71,10 +78,7 @@ func TestMidTierClassifierPrioritizesRequests(t *testing.T) {
 	started := make(chan struct{}, 1)
 	mt := NewMidTier(func(ctx *Ctx) {
 		if ctx.Req.Method == "block" {
-			select {
-			case started <- struct{}{}:
-			default:
-			}
+			started <- struct{}{}
 			<-gate
 			ctx.Reply(nil)
 			return
@@ -84,7 +88,8 @@ func TestMidTierClassifierPrioritizesRequests(t *testing.T) {
 		mu.Unlock()
 		ctx.Reply(nil)
 	}, &Options{
-		Workers: 1, // single worker so queueing order is observable
+		Dispatch: mode,
+		Workers:  1, // single worker so queueing order is observable
 		Classify: func(req *rpc.Request) Priority {
 			if req.Method == "urgent" {
 				return PriorityHigh
@@ -101,36 +106,29 @@ func TestMidTierClassifierPrioritizesRequests(t *testing.T) {
 	}
 	t.Cleanup(mt.Close)
 
-	c, err := rpc.Dial(addr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	done := make(chan *rpc.Call, 8)
-	// Occupy the worker, then build a backlog.
-	c.Go("block", nil, nil, done)
+	// "block" occupies the worker with the backlog queued behind it.  (Were
+	// the worker slow to wake, it would find "urgent" first and "block"
+	// second: the order among the other three is the same.)
+	conn := sendBurst(t, addr, []string{"block", "normal-a", "normal-b", "urgent"}, nil)
 	<-started
-	c.Go("normal-a", nil, nil, done)
-	c.Go("normal-b", nil, nil, done)
-	c.Go("urgent", nil, nil, done)
-	// Let the backlog enqueue before releasing the worker.
-	time.Sleep(50 * time.Millisecond)
+	waitFor(t, "the backlog to enqueue", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return mt.workers.QueueDepth()+len(handled) == 3
+	})
 	close(gate)
 
-	for i := 0; i < 4; i++ {
-		select {
-		case call := <-done:
-			if call.Err != nil {
-				t.Fatal(call.Err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("requests hung")
+	for id, kind := range readReplies(t, conn, 4) {
+		if kind != wireResponse {
+			t.Fatalf("request %d: reply kind %d", id, kind)
 		}
 	}
 	mu.Lock()
 	defer mu.Unlock()
 	if len(handled) != 3 || handled[0] != "urgent" {
 		t.Fatalf("handled order %v: urgent did not overtake", handled)
+	}
+	if got := mt.Stats().Inlined; got != 0 {
+		t.Fatalf("%d requests bypassed the queue on the poller", got)
 	}
 }

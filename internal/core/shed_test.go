@@ -4,9 +4,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
-	"musuite/internal/rpc"
 	"musuite/internal/telemetry"
 )
 
@@ -69,63 +67,63 @@ func TestUnboundedPoolNeverSheds(t *testing.T) {
 
 // TestMidTierShedsUnderOverload floods a deliberately tiny mid-tier: shed
 // requests must fail fast with the queue-full error while accepted ones
-// complete, and the shed counter must account for the rejections.
+// complete, and the shed counter must account for the rejections.  The flood
+// is one Write, so it meets the dispatch queue under the zero-value Options
+// too: a request in-lines only when no other is queued or running.
 func TestMidTierShedsUnderOverload(t *testing.T) {
-	leafAddr, _ := startLeaf(t, nil)
-	gate := make(chan struct{})
-	mt := NewMidTier(func(ctx *Ctx) {
-		<-gate // every request blocks until released
-		ctx.Reply(nil)
-	}, &Options{Workers: 1, MaxQueueDepth: 2})
-	if err := mt.ConnectLeaves([]string{leafAddr}); err != nil {
-		t.Fatal(err)
-	}
-	addr, err := mt.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(mt.Close)
-
-	c, err := rpc.Dial(addr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	const n = 12
-	done := make(chan *rpc.Call, n)
-	for i := 0; i < n; i++ {
-		c.Go("q", nil, nil, done)
-	}
-	// Let the poller process the whole burst (shed replies arrive while
-	// accepted requests still block on the gate), then release.
-	time.Sleep(300 * time.Millisecond)
-	close(gate)
-
-	successes, sheds := 0, 0
-	timeout := time.After(20 * time.Second)
-	for i := 0; i < n; i++ {
-		select {
-		case call := <-done:
-			if call.Err != nil {
-				sheds++
-			} else {
-				successes++
+	for _, mode := range []DispatchMode{DispatchAuto, Dispatched} {
+		t.Run(mode.String(), func(t *testing.T) {
+			leafAddr, _ := startLeaf(t, nil)
+			gate := make(chan struct{})
+			mt := NewMidTier(func(ctx *Ctx) {
+				<-gate // every request blocks until released
+				ctx.Reply(nil)
+			}, &Options{Dispatch: mode, Workers: 1, MaxQueueDepth: 2})
+			if err := mt.ConnectLeaves([]string{leafAddr}); err != nil {
+				t.Fatal(err)
 			}
-		case <-timeout:
-			t.Fatalf("resolved only %d of %d", successes+sheds, n)
-		}
-	}
-	// At most 1 running + 2 queued are accepted; pickup timing may shed
-	// one more.  The load must be mostly shed, quickly, and accounted.
-	if successes < 1 || successes > 3 {
-		t.Fatalf("successes=%d want 1..3", successes)
-	}
-	if sheds != n-successes {
-		t.Fatalf("sheds=%d successes=%d", sheds, successes)
-	}
-	if got := mt.Stats().Shed; got != uint64(sheds) {
-		t.Fatalf("Shed()=%d want %d", got, sheds)
+			addr, err := mt.Start("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(mt.Close)
+
+			const n = 12
+			methods := make([]string, n)
+			for i := range methods {
+				methods[i] = "q"
+			}
+			conn := sendBurst(t, addr, methods, nil)
+			// At most 1 running + 2 queued are accepted; pickup timing may
+			// shed one more.  The sheds are answered while the accepted
+			// requests still block on the gate.
+			waitFor(t, "the burst to be shed", func() bool { return mt.Stats().Shed >= n-3 })
+			close(gate)
+
+			successes, sheds := 0, 0
+			for id, kind := range readReplies(t, conn, n) {
+				switch kind {
+				case wireResponse:
+					successes++
+				case wireReject:
+					sheds++
+				default:
+					t.Fatalf("request %d: reply kind %d", id, kind)
+				}
+			}
+			if successes < 1 || successes > 3 {
+				t.Fatalf("successes=%d want 1..3", successes)
+			}
+			if sheds != n-successes {
+				t.Fatalf("sheds=%d successes=%d", sheds, successes)
+			}
+			if got := mt.Stats().Shed; got != uint64(sheds) {
+				t.Fatalf("Shed()=%d want %d", got, sheds)
+			}
+			if got := mt.Stats().Inlined; got != 0 {
+				t.Fatalf("%d requests of the flood bypassed the queue on the poller", got)
+			}
+		})
 	}
 }
 

@@ -371,15 +371,27 @@ func TestAttemptTrackedAfterFireRecordsOnce(t *testing.T) {
 	won := attempt{ref: (&rpc.Call{}).Ref(), span: root.Child()}
 
 	slot.fired.Store(true) // the reply beat the issuer to the slot
-	if fired, record := slot.track(won); !fired || record {
-		t.Fatalf("tracked before the sweep: fired=%v record=%v, want the sweep to retire it", fired, record)
+	if fired, record, booked := slot.track(won); !fired || record || booked {
+		t.Fatalf("tracked before the sweep: fired=%v record=%v won=%v, want the sweep to retire it", fired, record, booked)
 	}
 	if win, found := slot.cancelLosers(won.ref, time.Now()); !found || win.span != won.span {
 		t.Fatalf("sweep did not find the tracked winner (found=%v)", found)
 	}
 
 	late := attempt{ref: (&rpc.Call{}).Ref(), span: root.Child()}
-	if fired, record := slot.track(late); !fired || !record {
-		t.Fatalf("tracked after the sweep: fired=%v record=%v, want the issuer to retire it", fired, record)
+	if fired, record, booked := slot.track(late); !fired || !record || booked {
+		t.Fatalf("tracked after the sweep: fired=%v record=%v won=%v, want the issuer to retire it as a loser", fired, record, booked)
+	}
+
+	// The sweep ran for an attempt it could not find yet — a leaf answering
+	// on its poller beat the issuer to the slot lock: the issuer books the win.
+	slot = &fanoutSlot{}
+	slot.attempts = slot.attemptsArr[:0]
+	slot.fired.Store(true)
+	if _, found := slot.cancelLosers(won.ref, time.Now()); found {
+		t.Fatal("sweep found an attempt nobody tracked")
+	}
+	if fired, record, booked := slot.track(won); !fired || !record || !booked {
+		t.Fatalf("winner tracked after its own sweep: fired=%v record=%v won=%v, want the issuer to book it", fired, record, booked)
 	}
 }

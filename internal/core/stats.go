@@ -34,7 +34,7 @@ type TierStats struct {
 	Served uint64 `counter:"tier.served"`
 	// Shed counts requests rejected by the dispatch-queue bound.
 	Shed uint64 `counter:"admit.shed-queue"`
-	// Inlined counts requests DispatchAuto ran in-line.
+	// Inlined counts requests run to completion on their poller.
 	Inlined uint64 `counter:"tier.inlined"`
 	// QueueDepth is the instantaneous dispatch-queue occupancy.
 	QueueDepth int

@@ -148,12 +148,12 @@ func TestStatsReflectSheds(t *testing.T) {
 	}
 	defer c.Close()
 
-	done := make(chan *rpc.Call, 6)
-	for i := 0; i < 6; i++ {
-		c.Go("q", nil, nil, done)
-	}
+	// One Write, so the requests meet the queue: a lone first request would
+	// run on its poller and hold the others back in the socket.
+	conn := sendBurst(t, addr, []string{"q", "q", "q", "q", "q", "q"}, nil)
 	// Stats remain answerable while workers are saturated (served on the
 	// poller, not dispatched).
+	waitFor(t, "a shed", func() bool { return mt.Stats().Shed > 0 })
 	st, err := QueryStats(c)
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +162,5 @@ func TestStatsReflectSheds(t *testing.T) {
 		t.Fatalf("stats show no sheds under overload: %+v", st)
 	}
 	close(gate)
-	for i := 0; i < 6; i++ {
-		<-done
-	}
+	readReplies(t, conn, 6)
 }

@@ -8,15 +8,22 @@ import (
 	"musuite/internal/trace"
 )
 
-// TestTracerCapturesFullPipeline drives traced requests through the whole
-// dispatch pipeline and verifies every stage was stamped in order.
+// TestTracerCapturesFullPipeline drives traced requests through the mid-tier
+// and verifies every stage was stamped in order: all of them under Dispatched
+// (the whole dispatch pipeline), and under the zero-value Options — lone
+// requests, which run on their poller — everything but the queue stages.
 func TestTracerCapturesFullPipeline(t *testing.T) {
+	t.Run("default", func(t *testing.T) { traceFullPipeline(t, DispatchAuto) })
+	t.Run("dispatched", func(t *testing.T) { traceFullPipeline(t, Dispatched) })
+}
+
+func traceFullPipeline(t *testing.T, mode DispatchMode) {
 	leafAddrs := make([]string, 2)
 	for i := range leafAddrs {
 		leafAddrs[i], _ = startLeaf(t, nil)
 	}
 	tracer := trace.NewTracer(1, 16) // sample everything
-	opts := Options{Workers: 2, ResponseThreads: 2, Tracer: tracer}
+	opts := Options{Dispatch: mode, Workers: 2, ResponseThreads: 2, Tracer: tracer}
 	addr, _ := startMidTier(t, leafAddrs, &opts)
 	c, err := rpc.Dial(addr, nil)
 	if err != nil {
@@ -37,16 +44,19 @@ func TestTracerCapturesFullPipeline(t *testing.T) {
 	}
 	for _, tr := range tracer.Recent(16) {
 		b := tr.Breakdown()
-		if !b.Complete {
-			t.Fatalf("incomplete trace: %s", b)
+		if dispatched := mode == Dispatched; b.Complete != dispatched {
+			t.Fatalf("queue stages stamped=%v, want %v: %s", b.Complete, dispatched, b)
 		}
 		if b.Total <= 0 || b.Total > 5*time.Second {
 			t.Fatalf("implausible total: %s", b)
 		}
-		// Stage ordering: every timestamp non-decreasing.
+		// Stage ordering: every stamped timestamp non-decreasing.
 		prev := tr.At(trace.StageArrival)
 		for s := trace.StageEnqueued; s <= trace.StageReplySent; s++ {
 			at := tr.At(s)
+			if at.IsZero() && mode != Dispatched && s == trace.StageEnqueued {
+				continue // no hand-off: the poller ran the handler
+			}
 			if at.Before(prev) {
 				t.Fatalf("stage %v precedes predecessor", s)
 			}

@@ -2,6 +2,7 @@ package postlist
 
 import (
 	"math/bits"
+	"slices"
 )
 
 // Dense-range bitset intersection: when two lists overlap a doc-ID range
@@ -22,8 +23,8 @@ func useBitset(a, b *PostingList) bool {
 	if len(a.ids) == 0 || len(b.ids) == 0 {
 		return false
 	}
-	lo := max32(a.ids[0], b.ids[0])
-	hi := min32(a.ids[len(a.ids)-1], b.ids[len(b.ids)-1])
+	lo := max(a.ids[0], b.ids[0])
+	hi := min(a.ids[len(a.ids)-1], b.ids[len(b.ids)-1])
 	if hi < lo {
 		return false
 	}
@@ -40,8 +41,8 @@ func Intersect2Bitset(a, b *PostingList) *PostingList {
 	if len(a.ids) == 0 || len(b.ids) == 0 {
 		return fromSorted(nil, a.skipSize)
 	}
-	lo := max32(a.ids[0], b.ids[0])
-	hi := min32(a.ids[len(a.ids)-1], b.ids[len(b.ids)-1])
+	lo := max(a.ids[0], b.ids[0])
+	hi := min(a.ids[len(a.ids)-1], b.ids[len(b.ids)-1])
 	if hi < lo {
 		return fromSorted(nil, a.skipSize)
 	}
@@ -85,51 +86,78 @@ func fillBits(words []uint64, ids []uint32, lo, hi uint32) {
 	}
 }
 
-// MergeSortedInto merges already-sorted, deduplicated segments into dst with
-// a linear k-way merge, deduplicating across segments — the mid-tier union
-// for leaf results, which arrive sorted, so re-sorting the concatenation
-// (O(n log n)) is wasted work.  dst is appended to and returned.
+// MergeSortedInto merges already-sorted, deduplicated segments into dst,
+// deduplicating across segments — the mid-tier union for leaf results, which
+// arrive sorted, so re-sorting the concatenation (O(n log n)) is wasted
+// work.  dst is appended to and returned.
+//
+// The merge is a tournament of two-way merges: each round merges the runs in
+// pairs, so an ID is moved ⌈log₂ k⌉ times by a two-cursor loop instead of
+// being compared against all k cursors twice.  The rounds ping-pong between
+// the output region and a second one of the same size, both carved from
+// dst's spare capacity: a caller that reuses dst — the mid-tier's pooled
+// merge scratch — merges without allocating.
 func MergeSortedInto(dst []uint32, segs [][]uint32) []uint32 {
-	// Cursor per segment; each step picks the minimal head.  For the small
-	// k of a fan-out (leaf count) a linear min scan beats a heap.
-	pos := make([]int, len(segs))
-	for {
-		best := -1
-		var bestID uint32
-		for s, seg := range segs {
-			if pos[s] >= len(seg) {
-				continue
-			}
-			if id := seg[pos[s]]; best == -1 || id < bestID {
-				best, bestID = s, id
-			}
-		}
-		if best == -1 {
-			return dst
-		}
-		if len(dst) == 0 || dst[len(dst)-1] != bestID {
-			dst = append(dst, bestID)
-		}
-		// Advance every segment sitting on bestID so duplicates collapse in
-		// one step.
-		for s, seg := range segs {
-			if pos[s] < len(seg) && seg[pos[s]] == bestID {
-				pos[s]++
-			}
+	var runsArr [8][]uint32
+	runs := runsArr[:0]
+	total := 0
+	for _, seg := range segs {
+		if len(seg) > 0 {
+			runs = append(runs, seg)
+			total += len(seg)
 		}
 	}
+	switch len(runs) {
+	case 0:
+		return dst
+	case 1:
+		return append(dst, runs[0]...)
+	}
+	rounds := bits.Len(uint(len(runs) - 1))
+	base := len(dst)
+	dst = slices.Grow(dst, min(rounds, 2)*total)
+	// The last round must land in the output region, so the first starts in
+	// whichever region an alternation from it ends there.
+	regions := [2][]uint32{dst[base : base+total], nil}
+	if rounds > 1 {
+		regions[1] = dst[base+total : base+2*total]
+	}
+	for r := rounds; r > 0; r-- {
+		// Merged runs replace the pairs they came from in place: run i/2 is
+		// written after runs i and i+1 were read.
+		out, n := regions[(r-1)%2], 0
+		next := runs[:0]
+		for i := 0; i < len(runs); i += 2 {
+			var m int
+			if i+1 < len(runs) {
+				m = merge2(out[n:], runs[i], runs[i+1])
+			} else {
+				// The odd run out moves too, so no run is ever read from
+				// the region a later round writes.
+				m = copy(out[n:], runs[i])
+			}
+			next = append(next, out[n:n+m])
+			n += m
+		}
+		runs = next
+	}
+	return dst[:base+len(runs[0])]
 }
 
-func min32(a, b uint32) uint32 {
-	if a < b {
-		return a
+// merge2 merges the ascending, duplicate-free a and b into out (which has
+// room for both), keeping one copy of a shared ID, and returns the count
+// written.  Cursors advance by the borrow bit of a subtraction, not by a
+// branch that interleaved inputs would mispredict every other ID.
+func merge2(out, a, b []uint32) int {
+	i, j, n := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		x, y := uint64(a[i]), uint64(b[j])
+		out[n] = uint32(min(x, y))
+		n++
+		i += int((x - y - 1) >> 63) // x ≤ y
+		j += int((y - x - 1) >> 63) // y ≤ x
 	}
-	return b
-}
-
-func max32(a, b uint32) uint32 {
-	if a > b {
-		return a
-	}
-	return b
+	n += copy(out[n:], a[i:])
+	n += copy(out[n:], b[j:])
+	return n
 }

@@ -1,8 +1,10 @@
 package postlist
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -79,33 +81,80 @@ func TestIntersectBitsetHeuristic(t *testing.T) {
 	}
 }
 
-// TestMergeSortedEquivalence: the k-way merge union equals sort+dedup of the
-// concatenation, for any number of segments including empty ones.
+// mergeSortedScan is the k-way merge MergeSortedInto used to be — one pass
+// over all k cursors to find the minimal head and another to advance every
+// segment sitting on it, per output ID — kept as the oracle.
+func mergeSortedScan(dst []uint32, segs [][]uint32) []uint32 {
+	pos := make([]int, len(segs))
+	for {
+		best := -1
+		var bestID uint32
+		for s, seg := range segs {
+			if pos[s] >= len(seg) {
+				continue
+			}
+			if id := seg[pos[s]]; best == -1 || id < bestID {
+				best, bestID = s, id
+			}
+		}
+		if best == -1 {
+			return dst
+		}
+		if len(dst) == 0 || dst[len(dst)-1] != bestID {
+			dst = append(dst, bestID)
+		}
+		for s, seg := range segs {
+			if pos[s] < len(seg) && seg[pos[s]] == bestID {
+				pos[s]++
+			}
+		}
+	}
+}
+
+// TestMergeSortedEquivalence: the tournament merge returns what the scan
+// merge returns, for 0 to 9 segments, empty and nil ones among them, with
+// IDs drawn from a range small enough that segments share many — and it
+// appends after whatever dst already held.
 func TestMergeSortedEquivalence(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		nseg := r.Intn(6)
-		segs := make([][]uint32, nseg)
-		var all []uint32
+		segs := make([][]uint32, r.Intn(10))
 		for s := range segs {
-			if r.Intn(5) == 0 {
-				continue // leave a nil segment
-			}
-			segs[s] = randList(r, 1+r.Intn(200), uint32(1+r.Intn(1000)))
-			all = append(all, segs[s]...)
-		}
-		got := MergeSortedInto(nil, segs)
-		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-		var want []uint32
-		for i, id := range all {
-			if i == 0 || id != want[len(want)-1] {
-				want = append(want, id)
+			switch r.Intn(6) {
+			case 0: // leave a nil segment
+			case 1:
+				segs[s] = []uint32{}
+			default:
+				segs[s] = randList(r, 1+r.Intn(200), uint32(1+r.Intn(1000)))
 			}
 		}
-		return reflect.DeepEqual(got, want)
+		prefix := make([]uint32, r.Intn(3), 8)
+		for i := range prefix {
+			prefix[i] = math.MaxUint32 // no ID: the scan merge would dedupe against it
+		}
+		want := mergeSortedScan(slices.Clone(prefix), segs)
+		got := MergeSortedInto(prefix, segs)
+		if len(want) == 0 {
+			return len(got) == 0
+		}
+		return slices.Equal(got, want)
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMergeSortedIntoSteadyStateAllocatesNothing: once dst has grown to hold
+// the merge's two regions, merging into it again allocates nothing.
+func TestMergeSortedIntoSteadyStateAllocatesNothing(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	segs := make([][]uint32, 4)
+	for s := range segs {
+		segs[s] = randList(r, 500, 4000)
+	}
+	dst := MergeSortedInto(nil, segs)
+	if allocs := testing.AllocsPerRun(20, func() { dst = MergeSortedInto(dst[:0], segs) }); allocs != 0 {
+		t.Fatalf("%v allocations per merge into a warmed dst", allocs)
 	}
 }
 

@@ -104,6 +104,11 @@ func (x *Index) Postings(term int) *PostingList { return x.postings[term] }
 // query (standard IR practice — they select nothing).  A term that is
 // neither stopped nor indexed matches no documents, so the result is empty.
 // A query of only stop words matches nothing.
+//
+// The result is read-only: a query with one live term is answered with that
+// term's posting list itself, not a copy of it (a single-term reply is the
+// longest the index produces, and copying it only to return it was a fifth
+// of what a leaf allocated).
 func (x *Index) Search(terms []int) []uint32 {
 	lists := make([]*PostingList, 0, len(terms))
 	for _, t := range terms {
@@ -116,8 +121,11 @@ func (x *Index) Search(terms []int) []uint32 {
 		}
 		lists = append(lists, p)
 	}
-	if len(lists) == 0 {
+	switch len(lists) {
+	case 0:
 		return nil
+	case 1:
+		return lists[0].ids
 	}
 	return Intersect(lists...).IDs()
 }

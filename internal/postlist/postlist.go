@@ -205,10 +205,3 @@ func fromSorted(sorted []uint32, skipSize int) *PostingList {
 	}
 	return p
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -6,13 +6,14 @@ import (
 	"sync/atomic"
 )
 
-// Reply-buffer pooling.  The reader goroutine copies each response payload
-// out of the connection's frame buffer (which is reused for the next frame)
-// into a Buf drawn from a size-classed pool.  Whoever consumes the reply —
-// the mid-tier merge path, a synchronous caller, the batch demultiplexer —
-// releases the Buf once the bytes are dead, so steady-state reception
-// allocates nothing.  Bufs are reference counted because one carrier reply
-// can back many batch members' reply views at once.
+// Frame-buffer pooling.  A reader goroutine reads every frame body straight
+// into a Buf from a size-classed pool, and the frame's consumer owns that
+// Buf from then on — a server Request until its reply is written, a client
+// Call until it is released — so reception neither copies nor, in steady
+// state, allocates.  Bufs are reference counted because the bytes can have
+// several holders: one carrier reply backs many batch members' views, and a
+// fan-out's late hedge or retry may re-send a request's payload after the
+// reply.
 
 // bufMinBits..bufMaxBits bound the pooled size classes (256 B … 1 MiB).
 // Replies above the top class are plainly allocated and never pooled; one
@@ -24,31 +25,34 @@ const (
 
 var bufPools [bufMaxBits - bufMinBits + 1]sync.Pool
 
-// Buf is a pooled, reference-counted byte buffer holding one reply payload.
+// Buf is a pooled, reference-counted byte buffer holding one frame body.
 type Buf struct {
 	b     []byte
 	class int8 // pool index, -1 for unpooled oversize buffers
 	refs  atomic.Int32
 }
 
+// bufsInUse counts the Bufs taken and not yet released for the last time.
+var bufsInUse atomic.Int64
+
+// BufsInUse reports how many frame buffers are held process-wide.  A closed
+// deployment holds none: tests assert the count returns to where it started.
+func BufsInUse() int64 { return bufsInUse.Load() }
+
 // grabBuf returns a Buf with at least n bytes of capacity, length n, and a
 // reference count of one.
 func grabBuf(n int) *Buf {
-	cls := bufClass(n)
-	if cls < 0 {
-		b := &Buf{b: make([]byte, n), class: -1}
-		b.refs.Store(1)
-		return b
+	var b *Buf
+	if cls := bufClass(n); cls < 0 {
+		b = &Buf{b: make([]byte, n), class: -1}
+	} else if v := bufPools[cls].Get(); v == nil {
+		b = &Buf{b: make([]byte, n, 1<<(cls+bufMinBits)), class: int8(cls)}
+	} else {
+		b = v.(*Buf)
+		b.b = b.b[:n]
 	}
-	v := bufPools[cls].Get()
-	if v == nil {
-		b := &Buf{b: make([]byte, n, 1<<(cls+bufMinBits)), class: int8(cls)}
-		b.refs.Store(1)
-		return b
-	}
-	b := v.(*Buf)
-	b.b = b.b[:n]
 	b.refs.Store(1)
+	bufsInUse.Add(1)
 	return b
 }
 
@@ -64,7 +68,7 @@ func bufClass(n int) int {
 	return bitsLen - bufMinBits
 }
 
-// bytes returns the buffer's payload slice.
+// bytes returns the buffer's n bytes.
 func (b *Buf) bytes() []byte { return b.b }
 
 // Retain adds a reference; every Retain needs a matching Release.
@@ -72,7 +76,7 @@ func (b *Buf) Retain() { b.refs.Add(1) }
 
 // Release drops a reference and recycles the buffer when the last one goes.
 // After the caller's Release, any slice aliasing the Buf is invalid: the
-// memory may back an unrelated reply on another connection.
+// memory may back an unrelated frame on another connection.
 func (b *Buf) Release() {
 	if b == nil {
 		return
@@ -80,6 +84,7 @@ func (b *Buf) Release() {
 	if b.refs.Add(-1) != 0 {
 		return
 	}
+	bufsInUse.Add(-1)
 	if b.class < 0 {
 		return
 	}

@@ -248,11 +248,14 @@ type Client struct {
 
 	// The pending table, sharded by call ID so concurrent senders and the
 	// reader contend per-stripe, with an atomic in-flight count so load
-	// probes (JSQ replica selection) never touch a lock.
+	// probes (JSQ replica selection) never touch a lock.  inflight counts
+	// the requests whose response the peer still owes — abandoned of them
+	// have left the table and wait only to be discarded.
 	shards    []pendingShard
 	shardMask uint64
 	nextID    atomic.Uint64
 	inflight  atomic.Int64
+	abandoned atomic.Int64
 
 	closed     atomic.Bool
 	connClosed atomic.Bool
@@ -524,20 +527,28 @@ func (c *Client) AbandonRef(r CallRef) bool {
 	sh.mu.Lock()
 	_, ok := sh.calls[r.id]
 	if ok {
+		// The abandoned call is never completed or released here — the
+		// abandoner does not own it; the struct falls to the collector.  It
+		// stays in the in-flight count until the reader discards its
+		// response, so it is booked under the lock the reader's lookup takes:
+		// a reader that finds the entry gone also finds it counted.
 		delete(sh.calls, r.id)
+		c.abandoned.Add(1)
 	}
 	sh.mu.Unlock()
-	if ok {
-		// The abandoned call is never completed or released here — the
-		// abandoner does not own it; the struct falls to the collector.
-		c.inflight.Add(-1)
-	}
 	return ok
 }
 
-// Pending reports the number of in-flight calls awaiting responses.  Reads
-// one atomic: the JSQ load probe costs no lock.
+// Pending reports the number of requests the peer has not answered yet.  An
+// abandoned call counts until its discarded response arrives: the server is
+// still working on it — and if that work runs on the connection's poller,
+// nothing sent behind it is read before it ends — so replica selection must
+// keep seeing it.  A closed connection is owed nothing.  Reads two atomics:
+// the JSQ load probe costs no lock.
 func (c *Client) Pending() int {
+	if c.closed.Load() {
+		return 0
+	}
 	return int(c.inflight.Load())
 }
 
@@ -568,9 +579,9 @@ func (c *Client) failCall(id uint64, err error) {
 func (c *Client) readLoop() {
 	defer close(c.readerDone)
 	var f frame
+	defer func() { f.take().Release() }()
 	for {
-		_, err := readFrame(c.br, &f, c.probe)
-		if err != nil {
+		if err := readFrame(c.br, &f, c.probe); err != nil {
 			c.failAll(err)
 			return
 		}
@@ -581,11 +592,17 @@ func (c *Client) readLoop() {
 
 		// Pending-table lookup under the shard lock: the read-mostly
 		// shared state access we classify as the RCU analog.
-		lookupStart := time.Now()
+		lookupStart := c.probe.Start()
 		call, ok := c.claim(f.id)
-		c.probe.ObserveOverhead(telemetry.OverheadRCU, time.Since(lookupStart))
+		c.probe.ObserveSince(telemetry.OverheadRCU, lookupStart)
 		if !ok {
-			continue // abandoned (timed-out) call
+			// An abandoned (hedged-out, timed-out) call: drop the frame; the
+			// peer no longer owes it.
+			if c.abandoned.Load() > 0 {
+				c.abandoned.Add(-1)
+				c.inflight.Add(-1)
+			}
+			continue
 		}
 
 		if f.kind == kindError {
@@ -593,12 +610,9 @@ func (c *Client) readLoop() {
 		} else if f.kind == kindReject {
 			call.Err = &OverloadError{Msg: string(f.payload)}
 		} else {
-			// Copy the payload out of the frame buffer (reused for the
-			// next frame) into a pooled reply buffer owned by the call.
-			buf := grabBuf(len(f.payload))
-			copy(buf.bytes(), f.payload)
-			call.replyBuf = buf
-			call.Reply = buf.bytes()
+			// The call takes over the buffer the frame was read into.
+			call.Reply = f.payload
+			call.replyBuf = f.take()
 		}
 		call.Received = received
 		c.complete(call)

@@ -2,7 +2,6 @@ package rpc
 
 import (
 	"io"
-	"time"
 
 	"musuite/internal/telemetry"
 	"musuite/internal/trace"
@@ -70,9 +69,9 @@ func (q *writeQueue) enqueue(kind byte, id uint64, sc trace.SpanContext, method 
 		// Counted before the write so the proxy is visible no later than
 		// any reply the write carries.
 		q.probe.Add(telemetry.SysSendmsg, 1)
-		start := time.Now()
+		start := q.probe.Start()
 		_, werr := q.conn.Write(q.scratch)
-		q.probe.ObserveOverhead(telemetry.OverheadNetTx, time.Since(start))
+		q.probe.ObserveSince(telemetry.OverheadNetTx, start)
 		q.mu.Lock()
 		if werr != nil && q.err == nil {
 			q.err = werr

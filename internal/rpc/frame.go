@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"time"
 
 	"musuite/internal/telemetry"
 	"musuite/internal/trace"
@@ -69,10 +68,9 @@ type frame struct {
 	payload []byte
 	// sc is the span context of a kindRequestTraced frame (zero otherwise).
 	sc trace.SpanContext
-	// buf is the full-capacity backing storage payload points into, kept
-	// separately so repeated reads reuse one allocation (payload's own
-	// capacity erodes by the header length on every frame).
-	buf []byte
+	// buf is the pooled buffer the body was read into (payload points into
+	// it); its one reference is the reader's to hand on (take) or release.
+	buf *Buf
 	// hdr is the length-prefix scratch; a function-local array would be
 	// heap-allocated per frame once it escapes into io.ReadFull.
 	hdr [4]byte
@@ -152,50 +150,58 @@ func writeFrame(w io.Writer, buf *[]byte, kind byte, id uint64, sc trace.SpanCon
 	// Counted before the write so the proxy is visible no later than the
 	// reply the write carries.
 	probe.Add(telemetry.SysSendmsg, 1)
-	start := time.Now()
+	start := probe.Start()
 	_, err = w.Write(enc)
-	probe.ObserveOverhead(telemetry.OverheadNetTx, time.Since(start))
+	probe.ObserveSince(telemetry.OverheadNetTx, start)
 	return err
 }
 
-// readFrame reads one frame from br into f, reusing f.payload capacity.
+// take hands the frame's buffer, and the duty to Release it, to the caller.
+func (f *frame) take() *Buf {
+	b := f.buf
+	f.buf = nil
+	return b
+}
+
+// readFrame reads one frame from br into f.  The body lands in a pooled
+// buffer of its own (f.buf), so the frame's consumer keeps the payload by
+// taking the buffer; one nobody takes is released by the next readFrame.
 //
 // Instrumentation: if no bytes are buffered, the reader is about to park in
 // the kernel, so one epoll_pwait proxy and one context switch are counted.
-// Once the first byte is available, the drain of the remaining bytes is
-// timed as Net_rx and the header decode as Hardirq.  firstByte reports the
-// instant data became available (the "interrupt" analog).
-func readFrame(br *bufio.Reader, f *frame, probe *telemetry.Probe) (firstByte time.Time, err error) {
+// Once the first byte is available (the "interrupt" analog), the drain of
+// the remaining bytes is timed as Net_rx and the header decode as Hardirq —
+// when a probe is attached; an unprobed reader reads no clock.
+func readFrame(br *bufio.Reader, f *frame, probe *telemetry.Probe) error {
+	f.take().Release()
 	if br.Buffered() == 0 {
 		// The poller blocks awaiting work, as in the paper's
 		// block-based front-end design.
 		probe.Add(telemetry.SysEpollPwait, 1)
 		probe.Add(telemetry.CtxSwitch, 1)
 	}
-	if _, err = br.Peek(1); err != nil {
-		return time.Time{}, err
+	if _, err := br.Peek(1); err != nil {
+		return err
 	}
-	firstByte = time.Now()
+	firstByte := probe.Start()
 
-	if _, err = io.ReadFull(br, f.hdr[:]); err != nil {
-		return firstByte, err
+	if _, err := io.ReadFull(br, f.hdr[:]); err != nil {
+		return err
 	}
 	body := int(f.hdr[0]) | int(f.hdr[1])<<8 | int(f.hdr[2])<<16 | int(f.hdr[3])<<24
 	if body < 1+8+2 {
-		return firstByte, fmt.Errorf("rpc: malformed frame body length %d", body)
+		return fmt.Errorf("rpc: malformed frame body length %d", body)
 	}
 	if body > MaxFrameSize {
-		return firstByte, ErrFrameTooLarge
+		return ErrFrameTooLarge
 	}
-	if cap(f.buf) < body {
-		f.buf = make([]byte, body)
+	f.buf = grabBuf(body)
+	raw := f.buf.bytes()
+	if _, err := io.ReadFull(br, raw); err != nil {
+		return err
 	}
-	raw := f.buf[:body]
-	if _, err = io.ReadFull(br, raw); err != nil {
-		return firstByte, err
-	}
-	drained := time.Now()
-	probe.ObserveOverhead(telemetry.OverheadNetRx, drained.Sub(firstByte))
+	probe.ObserveSince(telemetry.OverheadNetRx, firstByte)
+	drained := probe.Start()
 
 	f.kind = raw[0]
 	f.id = uint64(raw[1]) | uint64(raw[2])<<8 | uint64(raw[3])<<16 | uint64(raw[4])<<24 |
@@ -203,7 +209,7 @@ func readFrame(br *bufio.Reader, f *frame, probe *telemetry.Probe) (firstByte ti
 	off := 9
 	if f.kind == kindRequestTraced {
 		if body < 1+8+traceHdrLen+2 {
-			return firstByte, fmt.Errorf("rpc: traced frame body length %d too short", body)
+			return fmt.Errorf("rpc: traced frame body length %d too short", body)
 		}
 		f.sc = readTraceHeader(raw[9 : 9+traceHdrLen])
 		off += traceHdrLen
@@ -212,7 +218,7 @@ func readFrame(br *bufio.Reader, f *frame, probe *telemetry.Probe) (firstByte ti
 	}
 	ml := int(raw[off]) | int(raw[off+1])<<8
 	if off+2+ml > body {
-		return firstByte, fmt.Errorf("rpc: method length %d exceeds frame", ml)
+		return fmt.Errorf("rpc: method length %d exceeds frame", ml)
 	}
 	// Interned method: consecutive frames from one peer overwhelmingly
 	// repeat the same method, and string comparison against a []byte does
@@ -221,8 +227,8 @@ func readFrame(br *bufio.Reader, f *frame, probe *telemetry.Probe) (firstByte ti
 		f.method = string(mview)
 	}
 	f.payload = raw[off+2+ml : body]
-	probe.ObserveOverhead(telemetry.OverheadHardirq, time.Since(drained))
-	return firstByte, nil
+	probe.ObserveSince(telemetry.OverheadHardirq, drained)
+	return nil
 }
 
 // countingConn wraps a net.Conn so every kernel read crossing is counted as

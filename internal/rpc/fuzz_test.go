@@ -33,7 +33,7 @@ func FuzzFrameRead(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br := bufio.NewReader(bytes.NewReader(data))
 		var fr frame
-		if _, err := readFrame(br, &fr, nil); err != nil {
+		if err := readFrame(br, &fr, nil); err != nil {
 			return
 		}
 		if len(fr.payload) > len(data) {
@@ -44,7 +44,7 @@ func FuzzFrameRead(f *testing.F) {
 			t.Fatalf("re-encode of decoded frame failed: %v", err)
 		}
 		var fr2 frame
-		if _, err := readFrame(bufio.NewReader(bytes.NewReader(reenc)), &fr2, nil); err != nil {
+		if err := readFrame(bufio.NewReader(bytes.NewReader(reenc)), &fr2, nil); err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
 		// A traced frame whose flags lost the sampled bit re-encodes as a

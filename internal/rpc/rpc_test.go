@@ -27,7 +27,6 @@ func echoServer(t *testing.T, probe *telemetry.Probe) (*Server, string) {
 		case "fail":
 			req.ReplyError(errors.New("intentional failure"))
 		case "slow":
-			req.DetachPayload()
 			go func() {
 				time.Sleep(50 * time.Millisecond)
 				req.Reply(req.Payload)
@@ -366,7 +365,7 @@ func TestFrameEncodeDecodeProperty(t *testing.T) {
 		}
 		var out frame
 		br := newTestReader(enc)
-		if _, err := readFrame(br, &out, nil); err != nil {
+		if err := readFrame(br, &out, nil); err != nil {
 			return false
 		}
 		return out.kind == in.kind && out.id == in.id && out.method == in.method &&
@@ -388,7 +387,7 @@ func TestMalformedFrameRejected(t *testing.T) {
 	// Body length smaller than the fixed header must error, not panic.
 	bad := []byte{2, 0, 0, 0, 1, 2}
 	var f frame
-	if _, err := readFrame(newTestReader(bad), &f, nil); err == nil {
+	if err := readFrame(newTestReader(bad), &f, nil); err == nil {
 		t.Fatal("malformed frame accepted")
 	}
 }

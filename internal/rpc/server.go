@@ -3,7 +3,6 @@ package rpc
 import (
 	"bufio"
 	"errors"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -19,15 +18,18 @@ import (
 type Request struct {
 	// Method names the remote procedure.
 	Method string
-	// Payload is the encoded request body.  It is valid until Reply or
-	// ReplyError is called; handlers that dispatch asynchronously and
-	// need it longer must copy it.
+	// Payload is the encoded request body.  The request owns its bytes (the
+	// poller read them into a buffer of the request's own), so Payload is
+	// valid until Reply or ReplyError, wherever the handler runs and however
+	// many frames the connection has read since.  See HoldPayload.
 	Payload []byte
-	// FirstByte is when the request's first byte became readable (the
-	// hard-interrupt analog) and Arrival when the frame was fully
-	// decoded.  The mid-tier's Net overhead is measured from Arrival.
-	FirstByte time.Time
-	Arrival   time.Time
+	// Arrival is when the frame was fully decoded: the origin of the Net
+	// overhead, the admission deadline and the server span.
+	Arrival time.Time
+	// Backlogged reports that more input was already buffered behind this
+	// frame when the poller decoded it: the one case in which handing the
+	// request to another thread buys overlap (core.DispatchAuto).
+	Backlogged bool
 
 	id   uint64
 	conn *serverConn
@@ -39,7 +41,7 @@ type Request struct {
 	spanID     uint64
 	traceFlags uint8
 	replied    bool
-	payloadBuf *Buf
+	buf        *Buf // backs Payload; released once the reply is on the write path
 }
 
 // TraceContext returns the caller's span context as carried on the frame:
@@ -52,14 +54,14 @@ func (r *Request) TraceContext() trace.SpanContext {
 // Reply sends a successful response.  It is safe to call from any goroutine
 // but must be called exactly once per request.  The payload is copied into
 // the connection's write buffer before Reply returns, so the caller may
-// immediately reuse (or recycle) its storage.
+// immediately reuse (or recycle) its storage — and may pass a reply that
+// aliases the request's Payload, which dies only after that copy.
 func (r *Request) Reply(payload []byte) {
 	if r.replied {
 		return
 	}
-	r.replied = true
 	r.conn.send(kindResponse, r.id, payload)
-	r.conn.srv.probe.ObserveOverhead(telemetry.OverheadNet, time.Since(r.Arrival))
+	r.finish()
 }
 
 // ReplyError sends an error response.  An OverloadError travels as a typed
@@ -69,52 +71,39 @@ func (r *Request) ReplyError(err error) {
 	if r.replied {
 		return
 	}
-	r.replied = true
 	var oe *OverloadError
 	if errors.As(err, &oe) {
 		r.conn.send(kindReject, r.id, []byte(oe.Msg))
 	} else {
 		r.conn.send(kindError, r.id, []byte(err.Error()))
 	}
-	r.conn.srv.probe.ObserveOverhead(telemetry.OverheadNet, time.Since(r.Arrival))
+	r.finish()
 }
 
-// DetachPayload copies the payload so the Request outlives the read buffer.
-// Handlers that enqueue the request for a worker pool call this before
-// returning from the poller context.
-func (r *Request) DetachPayload() {
-	p := make([]byte, len(r.Payload))
-	copy(p, r.Payload)
-	r.Payload = p
+// finish marks the request answered and lets go of its payload bytes.
+func (r *Request) finish() {
+	r.replied = true
+	r.buf.Release()
+	r.conn.srv.probe.ObserveSince(telemetry.OverheadNet, r.Arrival)
 }
 
-// DetachPayloadPooled is DetachPayload drawing from the reply-buffer pool:
-// the copy costs no allocation in steady state, but the caller owes a
-// ReleasePayload once the payload bytes are dead (after Reply, and after
-// any slice aliasing them).  Handlers whose payload outlives the request in
-// ways they do not control — e.g. fan-out sub-payloads sitting in batch
-// queues — must use DetachPayload instead.
-func (r *Request) DetachPayloadPooled() {
-	buf := grabBuf(len(r.Payload))
-	copy(buf.bytes(), r.Payload)
-	r.payloadBuf = buf
-	r.Payload = buf.bytes()
-}
-
-// ReleasePayload recycles the pooled payload taken by DetachPayloadPooled;
-// a no-op otherwise.  The payload (and anything aliasing it) is invalid
-// afterwards.
-func (r *Request) ReleasePayload() {
-	if r.payloadBuf != nil {
-		r.payloadBuf.Release()
-		r.payloadBuf = nil
-		r.Payload = nil
+// HoldPayload takes a reference on the buffer behind Payload for a holder
+// that may read the bytes after the reply — a fan-out whose late hedge or
+// retry re-sends them, a batch queue they sit in — and Releases it when the
+// last such reader is done.  Nil once the request has been answered: Payload
+// is dead by then (a nil *Buf is safe to Release).  Like Reply, it is for
+// the goroutine that currently owns the request.
+func (r *Request) HoldPayload() *Buf {
+	if r.replied || r.buf == nil {
+		return nil
 	}
+	r.buf.Retain()
+	return r.buf
 }
 
 // Handler processes one request.  It runs on the network poller goroutine of
-// the connection that received the frame; implementations that follow the
-// paper's dispatch design immediately hand off to a worker pool.
+// the connection that received the frame, and may reply there or hand the
+// request on; frames behind this one are read once it returns.
 type Handler func(*Request)
 
 // ServerOptions configures a Server.
@@ -266,30 +255,26 @@ func (sc *serverConn) readLoop() {
 		sc.srv.dropConn(sc)
 	}()
 	var f frame
+	defer func() { f.take().Release() }()
 	for {
-		first, err := readFrame(sc.br, &f, sc.srv.probe)
-		if err != nil {
-			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
-				// Connection-level failure; nothing to salvage.
-				_ = err
-			}
-			return
+		if err := readFrame(sc.br, &f, sc.srv.probe); err != nil {
+			return // EOF, a closed connection or a malformed frame: nothing to salvage
 		}
 		if f.kind != kindRequest && f.kind != kindRequestTraced {
 			continue // tolerate stray frames
 		}
-		req := &Request{
+		sc.srv.handler(&Request{
 			Method:     f.method,
 			Payload:    f.payload,
-			FirstByte:  first,
 			Arrival:    time.Now(),
+			Backlogged: sc.br.Buffered() > 0,
 			id:         f.id,
 			conn:       sc,
 			traceID:    f.sc.TraceID,
 			spanID:     f.sc.SpanID,
 			traceFlags: f.sc.Flags,
-		}
-		sc.srv.handler(req)
+			buf:        f.take(),
+		})
 	}
 }
 

@@ -3,8 +3,11 @@ package rpc
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"io"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -175,15 +178,25 @@ func startRawEchoServer(t *testing.T) string {
 			}
 			go func(conn net.Conn) {
 				defer conn.Close()
+				// Untraced request frames parsed in place, into one reused
+				// body: readFrame would draw a pooled buffer per frame, and
+				// under -race sync.Pool drops some of what it is handed.
 				br := bufio.NewReaderSize(conn, 64<<10)
-				var f frame
-				var out []byte
+				var body, out []byte
+				hdr := make([]byte, 4)
 				for {
-					if _, err := readFrame(br, &f, nil); err != nil {
+					if _, err := io.ReadFull(br, hdr); err != nil {
 						return
 					}
+					n := int(binary.LittleEndian.Uint32(hdr))
+					body = slices.Grow(body[:0], n)[:n]
+					if _, err := io.ReadFull(br, body); err != nil {
+						return
+					}
+					id := binary.LittleEndian.Uint64(body[1:9])
+					payload := body[11+int(binary.LittleEndian.Uint16(body[9:11])):]
 					var werr error
-					out, werr = appendFrame(out[:0], kindResponse, f.id, trace.SpanContext{}, "", f.payload)
+					out, werr = appendFrame(out[:0], kindResponse, id, trace.SpanContext{}, "", payload)
 					if werr != nil {
 						return
 					}

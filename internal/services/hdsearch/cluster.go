@@ -2,7 +2,6 @@ package hdsearch
 
 import (
 	"fmt"
-	"runtime"
 
 	"musuite/internal/ann"
 	"musuite/internal/core"
@@ -35,8 +34,8 @@ type ClusterConfig struct {
 	ANN ann.Config
 	// MidTier and Leaf configure the framework tiers.  MidTier.Probe is
 	// where the experiment harness attaches its telemetry.  Leaf.Workers
-	// left at zero gives each leaf its share of the host's cores (at least
-	// one worker), not core's per-process default: see StartCluster.
+	// left at zero gives each leaf its share of the host's cores
+	// (core.ShareCores), as in every in-process cluster.
 	MidTier core.Options
 	Leaf    core.LeafOptions
 }
@@ -137,19 +136,7 @@ func (a *Assembly) MidTier(opts *core.Options) (*core.MidTier, error) {
 // StartCluster launches the leaves and mid-tier and returns the deployment.
 func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	a := Prepare(cfg)
-	shards, replicas := len(a.shards), max(1, cfg.LeafReplicas)
-	// The paper pins every leaf to its own cores with a taskset; these
-	// leaves share one host, so an unsized pool gets the leaf's share of the
-	// cores, not core's per-process default.  Workers beyond that buy no
-	// parallelism and cost tail latency: every hand-off to a parked worker
-	// lets the Go runtime wake another thread, which on a busy two-core
-	// host displaces a thread mid-request for a scheduler tick
-	// (DESIGN §5.5.1).
-	if cfg.Leaf.Workers <= 0 {
-		cfg.Leaf.Workers = max(1, runtime.GOMAXPROCS(0)/(shards*replicas))
-	}
-	tiers, err := core.StartTiers(shards, replicas,
-		func(s int) (*core.Leaf, error) { return a.Leaf(s, &cfg.Leaf) },
+	tiers, err := core.StartTiers(len(a.shards), cfg.LeafReplicas, &cfg.Leaf, a.Leaf,
 		func() (*core.MidTier, error) { return a.MidTier(&cfg.MidTier) })
 	if err != nil {
 		return nil, err

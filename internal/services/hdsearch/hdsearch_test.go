@@ -1,7 +1,6 @@
 package hdsearch
 
 import (
-	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -10,7 +9,6 @@ import (
 	"musuite/internal/core"
 	"musuite/internal/dataset"
 	"musuite/internal/knn"
-	"musuite/internal/rpc"
 	"musuite/internal/trace"
 	"musuite/internal/vec"
 )
@@ -318,48 +316,5 @@ func TestMidTiersOfDifferentWidthsShareAProcess(t *testing.T) {
 			}
 		}
 		client.Close()
-	}
-}
-
-// TestClusterLeavesShareTheCores: the leaves of an in-process cluster run on
-// one host, so an unsized leaf pool gets the leaf's share of the cores (never
-// less than one worker) and a pool the caller sized is left alone.
-func TestClusterLeavesShareTheCores(t *testing.T) {
-	corpus := testCorpus(t)
-	for _, tc := range []struct{ shards, replicas, set, want int }{
-		{shards: 4, replicas: 1, want: max(1, runtime.GOMAXPROCS(0)/4)},
-		{shards: 1, replicas: 2, want: max(1, runtime.GOMAXPROCS(0)/2)},
-		{shards: 64, replicas: 1, want: 1},
-		{shards: 4, replicas: 1, set: 3, want: 3},
-	} {
-		cl, err := StartCluster(ClusterConfig{
-			Corpus: corpus, Shards: tc.shards, LeafReplicas: tc.replicas,
-			Leaf: core.LeafOptions{Workers: tc.set},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		leaves := 0
-		for _, g := range cl.MidTier().Topology().View().Groups {
-			for _, addr := range g.Addrs {
-				leaves++
-				c, err := rpc.Dial(addr, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				st, err := core.QueryStats(c)
-				c.Close()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if st.Workers != tc.want {
-					t.Errorf("%+v: leaf %s has %d workers, want %d", tc, addr, st.Workers, tc.want)
-				}
-			}
-		}
-		if leaves != tc.shards*tc.replicas {
-			t.Errorf("%+v: %d leaves", tc, leaves)
-		}
-		cl.Close()
 	}
 }

@@ -97,8 +97,7 @@ func (a *Assembly) MidTier(opts *core.Options) (*core.MidTier, error) {
 // StartCluster trains the leaves (offline) and launches the deployment.
 func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	a := Prepare(cfg)
-	tiers, err := core.StartTiers(len(a.ratings), cfg.LeafReplicas,
-		func(s int) (*core.Leaf, error) { return a.Leaf(s, &cfg.Leaf) },
+	tiers, err := core.StartTiers(len(a.ratings), cfg.LeafReplicas, &cfg.Leaf, a.Leaf,
 		func() (*core.MidTier, error) { return a.MidTier(&cfg.MidTier) })
 	if err != nil {
 		return nil, err

@@ -115,6 +115,7 @@ func (a *Assembly) startLeaf() (*leafNode, error) {
 // StartCluster launches the deployment.
 func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	a := Prepare(cfg)
+	a.cfg.Leaf = *core.ShareCores(&a.cfg.Leaf, a.cfg.Leaves)
 	cl := &Cluster{asm: a}
 	leafAddrs := make([]string, a.cfg.Leaves)
 	for i := range leafAddrs {

@@ -302,11 +302,17 @@ func DialClient(addr string, opts *rpc.ClientOptions) (*Client, error) {
 // Search returns the global doc IDs containing all query terms (after each
 // shard's stop-list filtering), sorted ascending.
 func (c *Client) Search(terms []int) ([]uint32, error) {
-	reply, err := c.rpc.Call(MethodSearch, EncodeTerms(terms))
-	if err != nil {
-		return nil, err
+	// Go + Release rather than Call: the IDs are decoded out of the reply, so
+	// its buffer — tens of kilobytes for a one-term query — goes back to the
+	// pool instead of to the collector.
+	call := c.Go(terms, nil)
+	<-call.Done
+	ids, err := []uint32(nil), call.Err
+	if err == nil {
+		ids, err = DecodeDocIDs(call.Reply)
 	}
-	return DecodeDocIDs(reply)
+	call.Release()
+	return ids, err
 }
 
 // Go issues an asynchronous search (for load generators).
@@ -391,8 +397,7 @@ func (a *Assembly) MidTier(opts *core.Options) (*core.MidTier, error) {
 // StartCluster launches the deployment.
 func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	a := Prepare(cfg)
-	tiers, err := core.StartTiers(a.cfg.Shards, cfg.LeafReplicas,
-		func(s int) (*core.Leaf, error) { return a.Leaf(s, &cfg.Leaf) },
+	tiers, err := core.StartTiers(a.cfg.Shards, cfg.LeafReplicas, &cfg.Leaf, a.Leaf,
 		func() (*core.MidTier, error) { return a.MidTier(&cfg.MidTier) })
 	if err != nil {
 		return nil, err

@@ -73,7 +73,8 @@ const (
 	//
 	// TierServed — a request completed (a leaf counts each batch member).
 	TierServed
-	// TierInlined — a request DispatchAuto ran in-line on the poller.
+	// TierInlined — a request ran to completion on the poller that decoded
+	// it, with no hand-off to a worker.
 	TierInlined
 
 	// The tail family: the tail-tolerance actions of the hedged-request /
@@ -390,6 +391,22 @@ func (p *Probe) ObserveOverhead(o Overhead, d time.Duration) {
 		return
 	}
 	p.overheads[o].Record(d)
+}
+
+// Start opens an interval for ObserveSince.  A nil probe records nothing,
+// so it reads no clock: the uninstrumented path pays for no timestamp.
+func (p *Probe) Start() time.Time {
+	if p == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// ObserveSince records the time since start for class o.
+func (p *Probe) ObserveSince(o Overhead, start time.Time) {
+	if p != nil {
+		p.ObserveOverhead(o, time.Since(start))
+	}
 }
 
 // OverheadSnapshot returns the distribution summary for class o.

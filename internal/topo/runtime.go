@@ -141,7 +141,7 @@ func (d *Deployment) buildLeafService(svc *ServiceSpec) (*Service, error) {
 		Probe:   d.opts.Probe,
 		Spans:   d.opts.Spans,
 	}
-	leaves, groups, err := core.StartLeaves(svc.Shards, svc.Replicas, func(int) (*core.Leaf, error) {
+	leaves, groups, err := core.StartLeaves(svc.Shards, svc.Replicas, opts, func(_ int, opts *core.LeafOptions) (*core.Leaf, error) {
 		return newSyntheticLeaf(svc, s.deg, core.EnsureLeafKernel(opts))
 	})
 	if err != nil {

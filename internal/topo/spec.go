@@ -37,7 +37,8 @@ type ServiceSpec struct {
 	// Shards and Replicas size the tier: Shards data partitions, each
 	// served by Replicas instances (defaults 1/1).
 	Shards, Replicas int
-	// Workers sizes each instance's worker pool (default: core's).
+	// Workers sizes each instance's worker pool (default: core's; for a
+	// leaf service, the instance's share of the cores).
 	Workers int
 	// Work is the simulated service time per request of synthetic kinds.
 	Work time.Duration

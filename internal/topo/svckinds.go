@@ -19,7 +19,8 @@ import (
 // default.  The golden-equivalence tests pin spec-driven deployments to the
 // handwritten wiring: same responses, same TierStats shapes.
 
-// paramLeafWorkers sizes each leaf's worker pool (default: core's).
+// paramLeafWorkers sizes each leaf's worker pool (default: the leaf's share
+// of the cores, core.ShareCores).
 const paramLeafWorkers = "leaf-workers"
 
 // RegisteredKinds lists the benchmark kind names.

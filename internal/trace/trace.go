@@ -57,6 +57,9 @@ type Trace struct {
 
 // Stamp records the current time for stage s (first stamp wins).
 func (t *Trace) Stamp(s Stage) {
+	if t == nil {
+		return // unsampled: no clock read
+	}
 	t.StampAt(s, time.Now())
 }
 

@@ -95,11 +95,12 @@ type (
 
 // Framework mode constants.
 const (
-	Dispatched = core.Dispatched
-	Inline     = core.Inline
-	// DispatchAuto switches between in-line and dispatched execution by
-	// observed load — the §VII dynamic-adaptation proposal.
+	// DispatchAuto, the zero value, runs a request on the poller that
+	// decoded it unless more input is already waiting behind it — the §VII
+	// dynamic-adaptation proposal.  Dispatched and Inline fix the choice.
 	DispatchAuto = core.DispatchAuto
+	Dispatched   = core.Dispatched
+	Inline       = core.Inline
 	WaitBlocking = core.WaitBlocking
 	WaitPolling  = core.WaitPolling
 	// WaitAdaptive is the spin-then-park hybrid of the paper's §VII
