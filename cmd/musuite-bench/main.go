@@ -44,7 +44,6 @@ func main() {
 		maxBatch   = flag.Int("max-batch", 0, "coalesce up to this many leaf calls per batched RPC (≤1 disables)")
 		batchDelay = flag.Duration("batch-delay", 0, "fixed batch flush delay (0 tracks the leaf-latency digest)")
 
-		writeCoalesce = flag.Bool("write-coalesce", true, "coalesce concurrent frames into batched write syscalls on both tiers")
 		pendingShards = flag.Int("pending-shards", 0, "pending-table shards per leaf connection (0 = default 8, rounded to a power of two)")
 		routing       = flag.String("routing", "modulo", "mid-tier key placement strategy: modulo | jump (jump keeps placements stable through resizes)")
 		leafPar       = flag.Int("leaf-parallelism", 0, "worker goroutines per leaf kernel scan (0 = NumCPU, 1 = serial)")
@@ -95,12 +94,11 @@ func main() {
 			HedgePercentile: *hedgePct,
 			HedgeDelay:      *hedgeDelay,
 		},
-		Batch:                core.BatchPolicy{MaxBatch: *maxBatch, Delay: *batchDelay},
-		Routing:              strategy,
-		PendingShards:        *pendingShards,
-		DisableWriteCoalesce: !*writeCoalesce,
-		LeafParallelism:      *leafPar,
-		ScalarKernels:        *scalarKernels,
+		Batch:           core.BatchPolicy{MaxBatch: *maxBatch, Delay: *batchDelay},
+		Routing:         strategy,
+		PendingShards:   *pendingShards,
+		LeafParallelism: *leafPar,
+		ScalarKernels:   *scalarKernels,
 		Admit: core.AdmitPolicy{
 			MaxInflight: *admitLimit,
 			Deadline:    *admitDeadline,

@@ -43,7 +43,6 @@ func serve(args []string) error {
 		maxBatch    = fs.Int("max-batch", 0, "midtier: coalesce up to this many leaf calls per batched RPC (≤1 disables)")
 		batchDelay  = fs.Duration("batch-delay", 0, "midtier: fixed batch flush delay (0 tracks the leaf-latency digest)")
 
-		writeCoalesce = fs.Bool("write-coalesce", true, "coalesce concurrent response/request frames into batched write syscalls")
 		pendingShards = fs.Int("pending-shards", 0, "midtier: pending-table shards per leaf connection (0 = default 8, rounded to a power of two)")
 		routing       = fs.String("routing", "modulo", "midtier: key placement strategy: modulo | jump (jump keeps placements stable through resizes)")
 		adminAddr     = fs.String("admin", "", "midtier: topology admin listener (empty disables; \":0\" picks a port)")
@@ -85,10 +84,9 @@ func serve(args []string) error {
 	switch *role {
 	case "leaf":
 		leaf, err := svc.Leaf(*s, mode, *shard, core.LeafOptions{
-			Workers:              *workers,
-			DisableWriteCoalesce: !*writeCoalesce,
-			Spans:                spans,
-			Kernel:               kernel.New(kernel.Config{Parallelism: *leafPar, ForceScalar: *scalar}),
+			Workers: *workers,
+			Spans:   spans,
+			Kernel:  kernel.New(kernel.Config{Parallelism: *leafPar, ForceScalar: *scalar}),
 		})
 		if err != nil {
 			return err
@@ -117,13 +115,12 @@ func serve(args []string) error {
 				RetryBudgetRatio: *retryBudget,
 				LeafRetries:      *leafRetries,
 			},
-			Batch:                core.BatchPolicy{MaxBatch: *maxBatch, Delay: *batchDelay},
-			PendingShards:        *pendingShards,
-			Routing:              strategy,
-			DisableWriteCoalesce: !*writeCoalesce,
-			Spans:                spans,
-			Admit:                core.AdmitPolicy{MaxInflight: *admitLimit, Deadline: *admitDeadline, Tolerance: *admitTol},
-			Classify:             classifier(*admitPriority),
+			Batch:         core.BatchPolicy{MaxBatch: *maxBatch, Delay: *batchDelay},
+			PendingShards: *pendingShards,
+			Routing:       strategy,
+			Spans:         spans,
+			Admit:         core.AdmitPolicy{MaxInflight: *admitLimit, Deadline: *admitDeadline, Tolerance: *admitTol},
+			Classify:      classifier(*admitPriority),
 		})
 		if err != nil {
 			return err

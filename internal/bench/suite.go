@@ -139,9 +139,6 @@ type FrameworkMode struct {
 	// PendingShards overrides the mid-tier's per-connection pending-table
 	// shard count (0 = default 8, rounded to a power of two).
 	PendingShards int
-	// DisableWriteCoalesce reverts both tiers to one write syscall per
-	// frame instead of coalescing concurrent frames into batched writes.
-	DisableWriteCoalesce bool
 	// LeafParallelism caps the worker goroutines a leaf kernel scan may
 	// recruit (0 = NumCPU, 1 = serial).
 	LeafParallelism int
@@ -193,28 +190,26 @@ func (mode FrameworkMode) ClientOptions() *rpc.ClientOptions {
 // midTierOptions builds the instrumented mid-tier options for a scale.
 func midTierOptions(s Scale, mode FrameworkMode, probe *telemetry.Probe) core.Options {
 	return core.Options{
-		Workers:              s.Workers,
-		ResponseThreads:      s.ResponseThreads,
-		Dispatch:             mode.Dispatch,
-		Wait:                 mode.Wait,
-		LeafConnsPerShard:    s.LeafConns,
-		Tail:                 mode.Tail,
-		Batch:                mode.Batch,
-		Routing:              mode.Routing,
-		PendingShards:        mode.PendingShards,
-		DisableWriteCoalesce: mode.DisableWriteCoalesce,
-		Admit:                mode.Admit,
-		Tracer:               mode.Tracer,
-		Spans:                mode.Spans,
-		Probe:                probe,
+		Workers:           s.Workers,
+		ResponseThreads:   s.ResponseThreads,
+		Dispatch:          mode.Dispatch,
+		Wait:              mode.Wait,
+		LeafConnsPerShard: s.LeafConns,
+		Tail:              mode.Tail,
+		Batch:             mode.Batch,
+		Routing:           mode.Routing,
+		PendingShards:     mode.PendingShards,
+		Admit:             mode.Admit,
+		Tracer:            mode.Tracer,
+		Spans:             mode.Spans,
+		Probe:             probe,
 	}
 }
 
 func leafOptions(s Scale, mode FrameworkMode) core.LeafOptions {
 	return core.LeafOptions{
-		Workers:              s.LeafWorkers,
-		DisableWriteCoalesce: mode.DisableWriteCoalesce,
-		Spans:                mode.Spans,
+		Workers: s.LeafWorkers,
+		Spans:   mode.Spans,
 		Kernel: kernel.New(kernel.Config{
 			Parallelism: mode.LeafParallelism,
 			ForceScalar: mode.ScalarKernels,

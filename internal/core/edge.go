@@ -72,10 +72,9 @@ func (m *MidTier) newEdge(name string, p EdgePolicy) *edge {
 	cfg := cluster.Config{
 		Dial: func(addr string) (*rpc.Pool, error) {
 			return rpc.DialPool(addr, e.policy.ConnsPerShard, &rpc.ClientOptions{
-				Probe:                m.probe,
-				OnResponse:           m.onLeafResponse,
-				PendingShards:        m.opts.PendingShards,
-				DisableWriteCoalesce: m.opts.DisableWriteCoalesce,
+				Probe:         m.probe,
+				OnResponse:    m.onLeafResponse,
+				PendingShards: m.opts.PendingShards,
 			})
 		},
 		Router:   p.Routing,

@@ -50,9 +50,6 @@ type LeafOptions struct {
 	// Either way a whole carrier is one worker task, amortizing the
 	// dispatch hand-off across its members.
 	BatchHandler LeafBatchHandler
-	// DisableWriteCoalesce reverts the leaf's server to one write syscall
-	// per response frame instead of coalescing concurrent responses.
-	DisableWriteCoalesce bool
 	// Probe receives telemetry; nil disables instrumentation.
 	Probe *telemetry.Probe
 	// Kernel configures the compute engine the leaf's handlers scan with
@@ -156,10 +153,7 @@ func newLeaf(opts *LeafOptions) *Leaf {
 	l.runFn = l.runScalar
 	l.batchFn = l.runBatchTask
 	l.workers = NewWorkerPool(o.Workers, o.Wait, o.Probe, telemetry.OverheadActiveExe)
-	l.server = rpc.NewServer(l.onRequest, &rpc.ServerOptions{
-		Probe:                o.Probe,
-		DisableWriteCoalesce: o.DisableWriteCoalesce,
-	})
+	l.server = rpc.NewServer(l.onRequest, &rpc.ServerOptions{Probe: o.Probe})
 	return l
 }
 

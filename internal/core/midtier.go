@@ -108,10 +108,6 @@ type Options struct {
 	// PendingShards is the per-connection pending-table shard count
 	// (default 8, rounded up to a power of two by the rpc client).
 	PendingShards int
-	// DisableWriteCoalesce reverts both the server side and every leaf
-	// connection to one write syscall per frame instead of coalescing
-	// concurrent frames into batched writes.
-	DisableWriteCoalesce bool
 	// Tracer, when set, samples requests for per-stage latency
 	// attribution through the pipeline.
 	Tracer *trace.Tracer
@@ -224,10 +220,7 @@ func NewMidTier(handler Handler, opts *Options) *MidTier {
 		ctx.tr.Stamp(trace.StageWorkerStart)
 		m.handler(ctx)
 	}
-	m.server = rpc.NewServer(m.onRequest, &rpc.ServerOptions{
-		Probe:                o.Probe,
-		DisableWriteCoalesce: o.DisableWriteCoalesce,
-	})
+	m.server = rpc.NewServer(m.onRequest, &rpc.ServerOptions{Probe: o.Probe})
 	// The tier-wide fan-out knobs in Options become the default edge's
 	// policy; ConnectEdge can replace it (or add named siblings) before
 	// Start.

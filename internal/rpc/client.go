@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"bufio"
 	"errors"
 	"net"
 	"sync"
@@ -213,9 +212,6 @@ type ClientOptions struct {
 	// power of two (default 8).  More shards spread pending-table lock
 	// traffic at the cost of a little memory per connection.
 	PendingShards int
-	// DisableWriteCoalesce reverts to one write syscall per frame instead
-	// of coalescing concurrently submitted frames into batched writes.
-	DisableWriteCoalesce bool
 	// Spans, when set, records a client span for every sampled call this
 	// connection completes.  Leave nil on tiers that record their own
 	// attempt spans (the mid-tier fan-out) to avoid double counting.
@@ -237,14 +233,10 @@ type pendingShard struct {
 
 // Client is one TCP connection multiplexing many concurrent calls.
 type Client struct {
-	conn  net.Conn
-	br    *bufio.Reader
+	conn  *net.TCPConn
 	probe *telemetry.Probe
-
-	// wq coalesces writes; wmu/wbuf serve the uncoalesced fallback.
-	wq   *writeQueue
-	wmu  *telemetry.Mutex
-	wbuf []byte
+	// wq coalesces concurrently submitted frames into batched writes.
+	wq *writeQueue
 
 	// The pending table, sharded by call ID so concurrent senders and the
 	// reader contend per-stripe, with an atomic in-flight count so load
@@ -272,7 +264,6 @@ func Dial(addr string, opts *ClientOptions) (*Client, error) {
 		timeout    = 5 * time.Second
 		onResponse func(*Call) bool
 		nshards    = defaultPendingShards
-		coalesce   = true
 		spans      *trace.Recorder
 	)
 	if opts != nil {
@@ -287,20 +278,17 @@ func Dial(addr string, opts *ClientOptions) (*Client, error) {
 				nshards <<= 1
 			}
 		}
-		coalesce = !opts.DisableWriteCoalesce
 		spans = opts.Spans
 	}
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+	nc, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, err
 	}
-	if tc, ok := conn.(*net.TCPConn); ok {
-		// Microservice RPCs are latency-critical: never nagle.
-		tc.SetNoDelay(true)
-	}
+	conn := nc.(*net.TCPConn)
+	// Microservice RPCs are latency-critical: never nagle.
+	conn.SetNoDelay(true)
 	c := &Client{
 		conn:       conn,
-		br:         bufio.NewReaderSize(&countingConn{Conn: conn, probe: probe}, 64<<10),
 		probe:      probe,
 		shards:     make([]pendingShard, nshards),
 		shardMask:  uint64(nshards - 1),
@@ -312,11 +300,10 @@ func Dial(addr string, opts *ClientOptions) (*Client, error) {
 		c.shards[i].mu = telemetry.NewMutex(probe)
 		c.shards[i].calls = make(map[uint64]*Call)
 	}
-	if coalesce {
-		c.wq = newWriteQueue(conn, probe, func(error) { c.closeConn() })
-	} else {
-		c.wmu = telemetry.NewMutex(probe)
-	}
+	// A failed write hangs the connection up and leaves closing it to the
+	// reader: the send that failed may be a hedge or retry issued from an
+	// OnResponse hook, on the reader itself.
+	c.wq = newWriteQueue(conn, probe, func(error) { hangUp(conn) })
 	probe.Add(telemetry.SysClone, 1)
 	go c.readLoop()
 	return c, nil
@@ -409,15 +396,7 @@ func (c *Client) start(call *Call) CallRef {
 	c.inflight.Add(1)
 
 	call.Sent = time.Now()
-	var err error
-	if c.wq != nil {
-		err = c.wq.enqueue(kindRequest, id, call.Trace, call.Method, call.Payload)
-	} else {
-		c.wmu.Lock()
-		err = writeFrame(c.conn, &c.wbuf, kindRequest, id, call.Trace, call.Method, call.Payload, c.probe)
-		c.wmu.Unlock()
-	}
-	if err != nil {
+	if err := c.wq.enqueue(kindRequest, id, call.Trace, call.Method, call.Payload); err != nil {
 		c.failCall(id, err)
 	}
 	return ref
@@ -576,47 +555,49 @@ func (c *Client) failCall(id uint64, err error) {
 }
 
 // readLoop is the response reception thread shared by all in-flight calls.
+// When the connection ends — the peer's doing, a hang-up after a failed write
+// or a local Close — it fails what is pending and closes the socket.
 func (c *Client) readLoop() {
 	defer close(c.readerDone)
-	var f frame
-	defer func() { f.take().Release() }()
-	for {
-		if err := readFrame(c.br, &f, c.probe); err != nil {
-			c.failAll(err)
-			return
-		}
-		if f.kind != kindResponse && f.kind != kindError && f.kind != kindReject {
-			continue
-		}
-		received := time.Now()
+	err := newConnReader(c.conn, c.probe, c.onFrame).run()
+	c.failAll(err)
+	c.closeConn()
+}
 
-		// Pending-table lookup under the shard lock: the read-mostly
-		// shared state access we classify as the RCU analog.
-		lookupStart := c.probe.Start()
-		call, ok := c.claim(f.id)
-		c.probe.ObserveSince(telemetry.OverheadRCU, lookupStart)
-		if !ok {
-			// An abandoned (hedged-out, timed-out) call: drop the frame; the
-			// peer no longer owes it.
-			if c.abandoned.Load() > 0 {
-				c.abandoned.Add(-1)
-				c.inflight.Add(-1)
-			}
-			continue
-		}
-
-		if f.kind == kindError {
-			call.Err = &RemoteError{Msg: string(f.payload)}
-		} else if f.kind == kindReject {
-			call.Err = &OverloadError{Msg: string(f.payload)}
-		} else {
-			// The call takes over the buffer the frame was read into.
-			call.Reply = f.payload
-			call.replyBuf = f.take()
-		}
-		call.Received = received
-		c.complete(call)
+// onFrame runs on the reader for every decoded frame: it matches a response
+// to its pending call and completes it.
+func (c *Client) onFrame(f *frame, _ bool) {
+	if f.kind != kindResponse && f.kind != kindError && f.kind != kindReject {
+		return
 	}
+	received := time.Now()
+
+	// Pending-table lookup under the shard lock: the read-mostly
+	// shared state access we classify as the RCU analog.
+	lookupStart := c.probe.Start()
+	call, ok := c.claim(f.id)
+	c.probe.ObserveSince(telemetry.OverheadRCU, lookupStart)
+	if !ok {
+		// An abandoned (hedged-out, timed-out) call: drop the frame; the
+		// peer no longer owes it.
+		if c.abandoned.Load() > 0 {
+			c.abandoned.Add(-1)
+			c.inflight.Add(-1)
+		}
+		return
+	}
+
+	if f.kind == kindError {
+		call.Err = &RemoteError{Msg: string(f.payload)}
+	} else if f.kind == kindReject {
+		call.Err = &OverloadError{Msg: string(f.payload)}
+	} else {
+		// The call takes over the buffer the frame was read into.
+		call.Reply = f.payload
+		call.replyBuf = f.take()
+	}
+	call.Received = received
+	c.complete(call)
 }
 
 // failAll fails every pending call after a connection-level error.
@@ -642,7 +623,9 @@ func (c *Client) failAll(err error) {
 	}
 }
 
-// closeConn closes the socket once, counting the close syscall.
+// closeConn closes the socket once, counting the close syscall.  It waits
+// for the reader to leave its read callback, so only Close and the reader
+// itself (once out of it) call it.
 func (c *Client) closeConn() error {
 	if !c.connClosed.CompareAndSwap(false, true) {
 		return nil

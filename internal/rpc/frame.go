@@ -11,13 +11,9 @@
 package rpc
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"io"
-	"net"
 
-	"musuite/internal/telemetry"
 	"musuite/internal/trace"
 )
 
@@ -71,9 +67,6 @@ type frame struct {
 	// buf is the pooled buffer the body was read into (payload points into
 	// it); its one reference is the reader's to hand on (take) or release.
 	buf *Buf
-	// hdr is the length-prefix scratch; a function-local array would be
-	// heap-allocated per frame once it escapes into io.ReadFull.
-	hdr [4]byte
 }
 
 const frameHeaderLen = 4 + 1 + 8 + 2
@@ -138,24 +131,6 @@ func readTraceHeader(b []byte) trace.SpanContext {
 	}
 }
 
-// writeFrame sends one frame on w under the caller's write lock, counting
-// one sendmsg proxy and observing the Net_tx overhead class.  The
-// uncoalesced path (-write-coalesce=false).
-func writeFrame(w io.Writer, buf *[]byte, kind byte, id uint64, sc trace.SpanContext, method string, payload []byte, probe *telemetry.Probe) error {
-	enc, err := appendFrame((*buf)[:0], kind, id, sc, method, payload)
-	if err != nil {
-		return err
-	}
-	*buf = enc
-	// Counted before the write so the proxy is visible no later than the
-	// reply the write carries.
-	probe.Add(telemetry.SysSendmsg, 1)
-	start := probe.Start()
-	_, err = w.Write(enc)
-	probe.ObserveSince(telemetry.OverheadNetTx, start)
-	return err
-}
-
 // take hands the frame's buffer, and the duty to Release it, to the caller.
 func (f *frame) take() *Buf {
 	b := f.buf
@@ -163,46 +138,11 @@ func (f *frame) take() *Buf {
 	return b
 }
 
-// readFrame reads one frame from br into f.  The body lands in a pooled
-// buffer of its own (f.buf), so the frame's consumer keeps the payload by
-// taking the buffer; one nobody takes is released by the next readFrame.
-//
-// Instrumentation: if no bytes are buffered, the reader is about to park in
-// the kernel, so one epoll_pwait proxy and one context switch are counted.
-// Once the first byte is available (the "interrupt" analog), the drain of
-// the remaining bytes is timed as Net_rx and the header decode as Hardirq —
-// when a probe is attached; an unprobed reader reads no clock.
-func readFrame(br *bufio.Reader, f *frame, probe *telemetry.Probe) error {
-	f.take().Release()
-	if br.Buffered() == 0 {
-		// The poller blocks awaiting work, as in the paper's
-		// block-based front-end design.
-		probe.Add(telemetry.SysEpollPwait, 1)
-		probe.Add(telemetry.CtxSwitch, 1)
-	}
-	if _, err := br.Peek(1); err != nil {
-		return err
-	}
-	firstByte := probe.Start()
-
-	if _, err := io.ReadFull(br, f.hdr[:]); err != nil {
-		return err
-	}
-	body := int(f.hdr[0]) | int(f.hdr[1])<<8 | int(f.hdr[2])<<16 | int(f.hdr[3])<<24
-	if body < 1+8+2 {
-		return fmt.Errorf("rpc: malformed frame body length %d", body)
-	}
-	if body > MaxFrameSize {
-		return ErrFrameTooLarge
-	}
-	f.buf = grabBuf(body)
+// decode parses the frame's header fields out of its body (f.buf) and points
+// payload at the rest.
+func (f *frame) decode() error {
 	raw := f.buf.bytes()
-	if _, err := io.ReadFull(br, raw); err != nil {
-		return err
-	}
-	probe.ObserveSince(telemetry.OverheadNetRx, firstByte)
-	drained := probe.Start()
-
+	body := len(raw)
 	f.kind = raw[0]
 	f.id = uint64(raw[1]) | uint64(raw[2])<<8 | uint64(raw[3])<<16 | uint64(raw[4])<<24 |
 		uint64(raw[5])<<32 | uint64(raw[6])<<40 | uint64(raw[7])<<48 | uint64(raw[8])<<56
@@ -227,20 +167,5 @@ func readFrame(br *bufio.Reader, f *frame, probe *telemetry.Probe) error {
 		f.method = string(mview)
 	}
 	f.payload = raw[off+2+ml : body]
-	probe.ObserveSince(telemetry.OverheadHardirq, drained)
 	return nil
-}
-
-// countingConn wraps a net.Conn so every kernel read crossing is counted as
-// a recvmsg proxy.  bufio batches reads, so at high load many frames share
-// one recvmsg — reproducing the paper's per-QPS syscall economics.
-type countingConn struct {
-	net.Conn
-	probe *telemetry.Probe
-}
-
-func (c *countingConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	c.probe.Add(telemetry.SysRecvmsg, 1)
-	return n, err
 }

@@ -1,16 +1,16 @@
 package rpc
 
 import (
-	"bufio"
-	"bytes"
 	"testing"
 
 	"musuite/internal/trace"
 )
 
-// FuzzFrameRead feeds arbitrary bytes to readFrame.  Malformed input must
-// surface as an error, never a panic or an out-of-bounds payload view; a
-// frame that does decode must survive an appendFrame→readFrame round trip
+// FuzzFrameRead feeds arbitrary bytes to the connection reader's frame
+// parser.  Malformed input must surface as an error, never a panic, an
+// out-of-bounds payload view or a frame buffer that is not returned; cutting
+// the input into one-byte reads must not change what it decodes to; and the
+// frames that do decode must survive an appendFrame→parse round trip
 // bit-for-bit, which pins the header layout both directions at once.
 func FuzzFrameRead(f *testing.F) {
 	valid, _ := appendFrame(nil, kindRequest, 42, trace.SpanContext{}, "search.knn", []byte("query-bytes"))
@@ -21,6 +21,7 @@ func FuzzFrameRead(f *testing.F) {
 		trace.SpanContext{TraceID: 0xAB, SpanID: 0xCD, ParentID: 0xEF, Flags: trace.FlagSampled},
 		"search.knn", []byte("q"))
 	f.Add(traced)
+	f.Add(append(append(append([]byte(nil), valid...), traced...), empty...))
 	// Length prefix claiming far more body than follows.
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F, 1})
 	// Body length below the fixed header minimum.
@@ -31,32 +32,53 @@ func FuzzFrameRead(f *testing.F) {
 	f.Add([]byte{11, 0, 0, 0, 4, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		br := bufio.NewReader(bytes.NewReader(data))
-		var fr frame
-		if err := readFrame(br, &fr, nil); err != nil {
-			return
+		held := BufsInUse()
+		frames, err := feedParser(data)
+		if now := BufsInUse(); now != held {
+			t.Fatalf("parser kept %d frame buffers", now-held)
 		}
-		if len(fr.payload) > len(data) {
-			t.Fatalf("payload %d bytes exceeds %d-byte input", len(fr.payload), len(data))
+
+		bytewise, berr := feedParser(data, everyOffset(len(data))...)
+		if (err == nil) != (berr == nil) || len(bytewise) != len(frames) {
+			t.Fatalf("whole input: %d frames, err %v; byte by byte: %d frames, err %v",
+				len(frames), err, len(bytewise), berr)
 		}
-		reenc, err := appendFrame(nil, fr.kind, fr.id, fr.sc, fr.method, fr.payload)
-		if err != nil {
-			t.Fatalf("re-encode of decoded frame failed: %v", err)
+		var reenc []byte
+		for i, fr := range frames {
+			if len(fr.payload) > len(data) {
+				t.Fatalf("payload %d bytes exceeds %d-byte input", len(fr.payload), len(data))
+			}
+			if !bytewise[i].sameFrame(fr) {
+				t.Fatalf("frame %d: byte by byte %+v, whole %+v", i, bytewise[i], fr)
+			}
+			if reenc, err = appendFrame(reenc, fr.kind, fr.id, fr.sc, fr.method, fr.payload); err != nil {
+				t.Fatalf("re-encode of decoded frame failed: %v", err)
+			}
 		}
-		var fr2 frame
-		if err := readFrame(bufio.NewReader(bytes.NewReader(reenc)), &fr2, nil); err != nil {
-			t.Fatalf("re-decode failed: %v", err)
+		again, err := feedParser(reenc)
+		if err != nil || len(again) != len(frames) {
+			t.Fatalf("re-decode: %d of %d frames, err %v", len(again), len(frames), err)
 		}
-		// A traced frame whose flags lost the sampled bit re-encodes as a
-		// plain request (the header only travels when sampled); everything
-		// else must round trip exactly.
-		wantKind, wantSC := fr.kind, fr.sc
-		if fr.kind == kindRequestTraced && !fr.sc.Sampled() {
-			wantKind, wantSC = kindRequest, trace.SpanContext{}
-		}
-		if fr2.kind != wantKind || fr2.id != fr.id || fr2.method != fr.method ||
-			fr2.sc != wantSC || !bytes.Equal(fr2.payload, fr.payload) {
-			t.Fatalf("round trip mismatch: %+v vs %+v", fr2, fr)
+		for i, fr := range frames {
+			// A traced frame whose flags lost the sampled bit re-encodes as a
+			// plain request (the header only travels when sampled); everything
+			// else must round trip exactly.
+			if fr.kind == kindRequestTraced && !fr.sc.Sampled() {
+				fr.kind, fr.sc = kindRequest, trace.SpanContext{}
+			}
+			if !again[i].sameFrame(fr) {
+				t.Fatalf("round trip mismatch: %+v vs %+v", again[i], fr)
+			}
 		}
 	})
+}
+
+// everyOffset returns 1, 2, …, n-1: the cuts that feed a stream of n bytes
+// one byte at a time.
+func everyOffset(n int) []int {
+	var cuts []int
+	for i := 1; i < n; i++ {
+		cuts = append(cuts, i)
+	}
+	return cuts
 }

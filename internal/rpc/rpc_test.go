@@ -363,13 +363,12 @@ func TestFrameEncodeDecodeProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		var out frame
-		br := newTestReader(enc)
-		if err := readFrame(br, &out, nil); err != nil {
+		out, err := feedParser(enc)
+		if err != nil || len(out) != 1 {
 			return false
 		}
-		return out.kind == in.kind && out.id == in.id && out.method == in.method &&
-			bytes.Equal(out.payload, in.payload)
+		return out[0].kind == in.kind && out[0].id == in.id && out[0].method == in.method &&
+			bytes.Equal(out[0].payload, in.payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -386,8 +385,7 @@ func TestMethodTooLong(t *testing.T) {
 func TestMalformedFrameRejected(t *testing.T) {
 	// Body length smaller than the fixed header must error, not panic.
 	bad := []byte{2, 0, 0, 0, 1, 2}
-	var f frame
-	if err := readFrame(newTestReader(bad), &f, nil); err == nil {
+	if _, err := feedParser(bad); err == nil {
 		t.Fatal("malformed frame accepted")
 	}
 }

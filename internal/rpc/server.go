@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"bufio"
 	"errors"
 	"net"
 	"sync"
@@ -110,19 +109,15 @@ type Handler func(*Request)
 type ServerOptions struct {
 	// Probe receives telemetry; nil disables instrumentation.
 	Probe *telemetry.Probe
-	// DisableWriteCoalesce reverts to one write syscall per response frame
-	// instead of coalescing concurrent responses into batched writes.
-	DisableWriteCoalesce bool
 }
 
 // Server accepts connections and feeds decoded requests to its handler.
 type Server struct {
-	handler  Handler
-	probe    *telemetry.Probe
-	coalesce bool
+	handler Handler
+	probe   *telemetry.Probe
 
 	mu     sync.Mutex
-	lis    net.Listener
+	lis    *net.TCPListener
 	conns  map[*serverConn]struct{}
 	closed bool
 	wg     sync.WaitGroup
@@ -131,26 +126,24 @@ type Server struct {
 // NewServer returns a server that invokes handler for every request.
 func NewServer(handler Handler, opts *ServerOptions) *Server {
 	var probe *telemetry.Probe
-	coalesce := true
 	if opts != nil {
 		probe = opts.Probe
-		coalesce = !opts.DisableWriteCoalesce
 	}
 	return &Server{
-		handler:  handler,
-		probe:    probe,
-		coalesce: coalesce,
-		conns:    make(map[*serverConn]struct{}),
+		handler: handler,
+		probe:   probe,
+		conns:   make(map[*serverConn]struct{}),
 	}
 }
 
 // Start listens on addr ("host:port"; ":0" picks a free port), serves in the
 // background, and returns the bound address.
 func (s *Server) Start(addr string) (string, error) {
-	lis, err := net.Listen("tcp", addr)
+	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err
 	}
+	lis := l.(*net.TCPListener)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -167,22 +160,16 @@ func (s *Server) Start(addr string) (string, error) {
 	return lis.Addr().String(), nil
 }
 
-func (s *Server) acceptLoop(lis net.Listener) {
+func (s *Server) acceptLoop(lis *net.TCPListener) {
 	for {
-		conn, err := lis.Accept()
+		conn, err := lis.AcceptTCP()
 		if err != nil {
 			return
 		}
-		sc := &serverConn{
-			srv:  s,
-			conn: conn,
-			br:   bufio.NewReaderSize(&countingConn{Conn: conn, probe: s.probe}, 64<<10),
-		}
-		if s.coalesce {
-			sc.wq = newWriteQueue(conn, s.probe, func(error) { conn.Close() })
-		} else {
-			sc.wmu = telemetry.NewMutex(s.probe)
-		}
+		sc := &serverConn{srv: s, conn: conn}
+		// A failed write hangs the connection up and leaves closing it to the
+		// poller: the reply that failed may be running on the poller itself.
+		sc.wq = newWriteQueue(conn, s.probe, func(error) { hangUp(conn) })
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -233,64 +220,47 @@ func (s *Server) dropConn(c *serverConn) {
 	s.mu.Unlock()
 }
 
-// serverConn is one accepted connection: a blocking reader (network poller)
-// plus either a coalescing write queue or (with coalescing disabled) a
-// write lock shared by whichever goroutines send responses.
+// serverConn is one accepted connection: a network poller (readLoop) and a
+// coalescing write queue shared by whichever goroutines send responses.
 type serverConn struct {
 	srv  *Server
-	conn net.Conn
-	br   *bufio.Reader
-
+	conn *net.TCPConn
 	wq   *writeQueue
-	wmu  *telemetry.Mutex
-	wbuf []byte
 }
 
 // readLoop is the network poller: it blocks on the socket awaiting work and
-// hands each decoded request to the server handler.
+// hands each decoded request to the server handler.  It is the one place the
+// connection is closed from, apart from Server.Close.
 func (sc *serverConn) readLoop() {
-	defer func() {
-		sc.conn.Close()
-		sc.srv.probe.Add(telemetry.SysClose, 1)
-		sc.srv.dropConn(sc)
-	}()
-	var f frame
-	defer func() { f.take().Release() }()
-	for {
-		if err := readFrame(sc.br, &f, sc.srv.probe); err != nil {
-			return // EOF, a closed connection or a malformed frame: nothing to salvage
-		}
-		if f.kind != kindRequest && f.kind != kindRequestTraced {
-			continue // tolerate stray frames
-		}
-		sc.srv.handler(&Request{
-			Method:     f.method,
-			Payload:    f.payload,
-			Arrival:    time.Now(),
-			Backlogged: sc.br.Buffered() > 0,
-			id:         f.id,
-			conn:       sc,
-			traceID:    f.sc.TraceID,
-			spanID:     f.sc.SpanID,
-			traceFlags: f.sc.Flags,
-			buf:        f.take(),
-		})
-	}
+	// EOF, a closed connection or a malformed frame: nothing to salvage.
+	_ = newConnReader(sc.conn, sc.srv.probe, sc.onFrame).run()
+	sc.conn.Close()
+	sc.srv.probe.Add(telemetry.SysClose, 1)
+	sc.srv.dropConn(sc)
 }
 
-// send serializes one response frame onto the connection.  With coalescing,
-// concurrent response threads append under a short lock and share one write
-// syscall; the uncoalesced fallback contends on the write mutex per frame —
-// the socket-lock futex/HITM source the paper identifies.
+// onFrame runs on the poller for every decoded frame.
+func (sc *serverConn) onFrame(f *frame, backlogged bool) {
+	if f.kind != kindRequest && f.kind != kindRequestTraced {
+		return // tolerate stray frames
+	}
+	sc.srv.handler(&Request{
+		Method:     f.method,
+		Payload:    f.payload,
+		Arrival:    time.Now(),
+		Backlogged: backlogged,
+		id:         f.id,
+		conn:       sc,
+		traceID:    f.sc.TraceID,
+		spanID:     f.sc.SpanID,
+		traceFlags: f.sc.Flags,
+		buf:        f.take(),
+	})
+}
+
+// send queues one response frame: concurrent response threads append under a
+// short lock and share one write syscall.  A failed write tears the
+// connection down through the queue's onError; the response is lost with it.
 func (sc *serverConn) send(kind byte, id uint64, payload []byte) {
-	if sc.wq != nil {
-		_ = sc.wq.enqueue(kind, id, trace.SpanContext{}, "", payload)
-		return
-	}
-	sc.wmu.Lock()
-	err := writeFrame(sc.conn, &sc.wbuf, kind, id, trace.SpanContext{}, "", payload, sc.srv.probe)
-	sc.wmu.Unlock()
-	if err != nil {
-		sc.conn.Close()
-	}
+	_ = sc.wq.enqueue(kind, id, trace.SpanContext{}, "", payload)
 }

@@ -179,7 +179,7 @@ func startRawEchoServer(t *testing.T) string {
 			go func(conn net.Conn) {
 				defer conn.Close()
 				// Untraced request frames parsed in place, into one reused
-				// body: readFrame would draw a pooled buffer per frame, and
+				// body: the rpc reader draws a pooled buffer per frame, and
 				// under -race sync.Pool drops some of what it is handed.
 				br := bufio.NewReaderSize(conn, 64<<10)
 				var body, out []byte
