@@ -16,6 +16,15 @@ package kernel
 //go:noescape
 func dotSIMD(a, b *float32, n int) float32
 
+// dotRows computes out[i] = q · row ids[i] of the dim-strided block at data,
+// for i in [0, n), prefetching rows a fixed distance ahead of the one it
+// reduces.  dim must be a positive multiple of 8, q at least dim long and
+// every id a valid row; each out[i] is bit-identical to dotSIMD over that
+// row.  Implemented in dot_amd64.s.
+//
+//go:noescape
+func dotRows(data *float32, dim int, ids *uint32, n int, q, out *float32)
+
 // cpuidex executes CPUID with the given leaf/subleaf.
 func cpuidex(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 

@@ -3,6 +3,7 @@ package kernel
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -128,18 +129,48 @@ func RowDist(s *Store, i, j int) float32 {
 	return normDist(s.Row(i), s.norms[i], s.Row(j), s.norms[j])
 }
 
-// DistMany appends the norm-trick distance from q to each listed row.  The
-// iterations are independent, which is the point: a graph traversal's
-// neighbor rows are scattered, so evaluating a whole adjacency band in one
-// tight loop lets the core overlap the cache misses instead of serializing
-// them behind per-neighbor bookkeeping.  Each distance is bit-identical to
-// DistAt for the same pair.  Out-of-range ids are the caller's bug, as with
-// Row.
+// DistMany appends the norm-trick distance from q to each listed row — the
+// gather primitive under ScanSubset and the HNSW beam expansion.  A listed
+// row is scattered, so touching it first inside its own reduction exposes a
+// full cache-miss latency per row; distRows instead prefetches a fixed number
+// of rows ahead of the one it reduces, and a subset scan then runs at the
+// rate memory delivers rows rather than one miss at a time.  Each distance is
+// bit-identical to DistAt for the same pair.  An out-of-range id panics, as
+// Row would.
 func DistMany(s *Store, q []float32, qn float32, ids []uint32, dst []float32) []float32 {
 	for _, id := range ids {
-		dst = append(dst, normDist(q, qn, s.Row(int(id)), s.norms[id]))
+		if int(id) >= s.n {
+			panic("kernel: DistMany id out of range")
+		}
 	}
+	base := len(dst)
+	dst = slices.Grow(dst, len(ids))[:base+len(ids)]
+	distRows(s, q, qn, ids, dst[base:])
 	return dst
+}
+
+// distRows writes the norm-trick distance from q to row ids[i] into out[i].
+// Every id must be a valid row and out at least len(ids) long.  Where dot8
+// would take the vector kernel with no scalar tail, the rows go through
+// dotRows in one call; otherwise (no AVX2, short or ragged dim) each row is a
+// normDist, the same dispatch dot8 makes.  Both reduce a row in dot8's order,
+// so which one ran never shows in the result.
+func distRows(s *Store, q []float32, qn float32, ids []uint32, out []float32) {
+	if len(ids) == 0 {
+		return
+	}
+	out = out[:len(ids)]
+	if useSIMD && s.dim >= 32 && s.dim%8 == 0 {
+		q = q[:s.dim]
+		dotRows(&s.data[0], s.dim, &ids[0], len(ids), &q[0], &out[0])
+		for i, id := range ids {
+			out[i] = normFinish(qn, s.norms[id], out[i])
+		}
+		return
+	}
+	for i, id := range ids {
+		out[i] = normDist(q, qn, s.Row(int(id)), s.norms[id])
+	}
 }
 
 // dotGeneric is the portable 8-way unrolled dot product.
@@ -168,7 +199,12 @@ func dotGeneric(a, b []float32) float32 {
 // The clamp absorbs the small negative results cancellation can produce for
 // near-duplicate points.
 func normDist(q []float32, qn float32, row []float32, rowNorm float32) float32 {
-	d := qn + rowNorm - 2*dot8(q, row)
+	return normFinish(qn, rowNorm, dot8(q, row))
+}
+
+// normFinish turns q·p into ‖q−p‖² given both squared norms.
+func normFinish(qn, rowNorm, dot float32) float32 {
+	d := qn + rowNorm - 2*dot
 	if d < 0 {
 		return 0
 	}
@@ -265,6 +301,9 @@ func (e *Engine) ScanSubset(s *Store, q []float32, ids []uint32, k int, dst []kn
 		return dst, vec.ErrDimensionMismatch
 	}
 	start := time.Now()
+	// k sizes every worker's heap, and callers take it off the wire: a scan
+	// cannot keep more neighbours than it was given candidates.
+	k = min(k, len(ids))
 	sc := getScratch(e.par, k)
 	if e.scalar {
 		top := &sc.heaps[0]
@@ -276,25 +315,53 @@ func (e *Engine) ScanSubset(s *Store, q []float32, ids []uint32, k int, dst []kn
 		}
 	} else {
 		qn := dot8(q, q)
-		parallelFor(e.par, len(ids), func(w, lo, hi int) {
-			top := &sc.heaps[w]
-			thr := top.Threshold()
-			for _, id := range ids[lo:hi] {
-				if int(id) >= s.n {
-					continue
-				}
-				d := normDist(q, qn, s.Row(int(id)), s.norms[id])
-				if d <= thr {
-					top.Consider(id, d)
-					thr = top.Threshold()
-				}
-			}
-		})
+		if staysOnCaller(e.par, len(ids)) {
+			scanSubsetRange(s, q, qn, ids, &sc.heaps[0])
+		} else {
+			parallelFor(e.par, len(ids), func(w, lo, hi int) {
+				scanSubsetRange(s, q, qn, ids[lo:hi], &sc.heaps[w])
+			})
+		}
 	}
 	dst = mergeAppend(sc.heaps, dst)
 	scanScratches.Put(sc)
 	e.account(len(ids), start)
 	return dst, nil
+}
+
+// subsetBlock is how many candidate IDs one distRows call scores: enough that
+// the prefetch warm-up at a block's head is amortised over hundreds of rows,
+// small enough that the ID and distance buffers (2 KB) live on the stack.
+const subsetBlock = 256
+
+// scanSubsetRange is the tuned subset loop: range-check a block of IDs
+// (out-of-range ones are dropped here, so distRows sees only valid rows),
+// score the block in one gather call, then threshold-test into the heap.
+func scanSubsetRange(s *Store, q []float32, qn float32, ids []uint32, top *TopK) {
+	var (
+		blk  [subsetBlock]uint32
+		dist [subsetBlock]float32
+	)
+	thr := top.Threshold()
+	for len(ids) > 0 {
+		m := 0
+		take := min(len(ids), subsetBlock)
+		for _, id := range ids[:take] {
+			if int(id) < s.n {
+				blk[m] = id
+				m++
+			}
+		}
+		ids = ids[take:]
+		distRows(s, q, qn, blk[:m], dist[:m])
+		for i, d := range dist[:m] {
+			// ≤ for the same reason as scanRange.
+			if d <= thr {
+				top.Consider(blk[i], d)
+				thr = top.Threshold()
+			}
+		}
+	}
 }
 
 // --- multi-query tile scan ---

@@ -1,12 +1,15 @@
 package kernel
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"musuite/internal/knn"
 	"musuite/internal/telemetry"
@@ -96,6 +99,33 @@ func TestTopKReset(t *testing.T) {
 	want := []knn.Neighbor{{ID: 8, Distance: 1}, {ID: 7, Distance: 2}}
 	if !neighborsEqual(got, want) {
 		t.Fatalf("got %v want %v", got, want)
+	}
+}
+
+// TestTopKBoundedAtNothing: k ≤ 0 is reachable from the wire (a leaf request
+// may name it, and a scan clamps k to an empty candidate list); such a heap
+// admits nothing and its threshold says so instead of reading an empty heap.
+func TestTopKBoundedAtNothing(t *testing.T) {
+	for _, k := range []int{0, -5} {
+		top := NewTopK(k)
+		if thr := top.Threshold(); thr >= 0 {
+			t.Fatalf("k=%d: threshold %v would admit a distance", k, thr)
+		}
+		top.Consider(1, 0)
+		if got := top.AppendSorted(nil); len(got) != 0 {
+			t.Fatalf("k=%d: kept %v", k, got)
+		}
+	}
+	eng := New(Config{Parallelism: 1})
+	s := randStore(rand.New(rand.NewSource(3)), 50, 64)
+	for _, ids := range [][]uint32{nil, {1, 2, 3}} {
+		got, err := eng.ScanSubset(s, s.Row(0), ids, 0, nil)
+		if err != nil || len(got) != 0 {
+			t.Fatalf("ScanSubset(k=0, %v) = %v, %v", ids, got, err)
+		}
+	}
+	if got, err := eng.ScanSubset(s, s.Row(0), nil, 5, nil); err != nil || len(got) != 0 {
+		t.Fatalf("ScanSubset over no candidates = %v, %v", got, err)
 	}
 }
 
@@ -378,4 +408,322 @@ func TestStoreValidation(t *testing.T) {
 	if _, err := New(Config{}).Scan(s, q, 1, nil); err != vec.ErrDimensionMismatch {
 		t.Fatalf("dim mismatch not rejected: %v", err)
 	}
+}
+
+// --- the gather kernel ---
+
+// gatherDims are row widths on both sides of every dispatch edge in distRows
+// and dotRows: exactly one 32-block, a 32-block plus an 8-block, whole
+// 32-blocks only, and (200) a width whose rows never sit on a cache-line
+// boundary.  All are ≥ 32 and multiples of 8, so on an AVX2 host they take
+// the assembly; elsewhere the same tests pin the portable loop.
+var gatherDims = []int{32, 40, 64, 96, 128, 200}
+
+// gatherIDs is n row IDs of an rows-row store that include the first row, the
+// last row and repeats — the edges an address computation gets wrong.
+func gatherIDs(r *rand.Rand, n, rows int) []uint32 {
+	ids := make([]uint32, n)
+	for i := range ids {
+		switch r.Intn(8) {
+		case 0:
+			ids[i] = 0
+		case 1:
+			ids[i] = uint32(rows - 1)
+		case 2:
+			if i > 0 {
+				ids[i] = ids[i-1]
+				break
+			}
+			fallthrough
+		default:
+			ids[i] = uint32(r.Intn(rows))
+		}
+	}
+	return ids
+}
+
+// TestDotRowsEquivalence: the gather primitive computes, for every listed
+// row, the very float dot8 computes — same accumulator order, so the same
+// bits — whatever the width, the block length or the rows' order; and so the
+// distances distRows derives from it are normDist's.
+func TestDotRowsEquivalence(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	const rows = 300
+	for _, dim := range gatherDims {
+		s := randStore(r, rows, dim)
+		q := randQuery(r, dim)
+		qn := dot8(q, q)
+		for _, n := range []int{0, 1, 7, 255, 256, 257, 5000} {
+			ids := gatherIDs(r, n, rows)
+			got := make([]float32, n)
+			distRows(s, q, qn, ids, got)
+			for i, id := range ids {
+				if want := normDist(q, qn, s.Row(int(id)), s.norms[id]); math.Float32bits(got[i]) != math.Float32bits(want) {
+					t.Fatalf("dim %d n %d: distRows[%d] (row %d) = %x, normDist = %x", dim, n, i, id, math.Float32bits(got[i]), math.Float32bits(want))
+				}
+			}
+			if !useSIMD || n == 0 {
+				continue
+			}
+			dotRows(&s.data[0], dim, &ids[0], n, &q[0], &got[0])
+			for i, id := range ids {
+				if want := dot8(q, s.Row(int(id))); math.Float32bits(got[i]) != math.Float32bits(want) {
+					t.Fatalf("dim %d n %d: dotRows[%d] (row %d) = %x, dot8 = %x", dim, n, i, id, math.Float32bits(got[i]), math.Float32bits(want))
+				}
+			}
+		}
+	}
+}
+
+// TestDotRowsEquivalenceAtGuardPage: the look-ahead reads ids[i+rowsAhead]
+// only after comparing that index with n.  The ID list here ends on the last
+// bytes of a mapped page and the next page is PROT_NONE, so a kernel that
+// read ids[n] — to prefetch a row it will never reduce — would fault rather
+// than pass.  Lengths run from one ID to past a full subset block.
+func TestDotRowsEquivalenceAtGuardPage(t *testing.T) {
+	page := syscall.Getpagesize()
+	mem, err := syscall.Mmap(-1, 0, 2*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		t.Skipf("mmap: %v", err)
+	}
+	defer syscall.Munmap(mem)
+	if err := syscall.Mprotect(mem[page:], syscall.PROT_NONE); err != nil {
+		t.Skipf("mprotect: %v", err)
+	}
+	onPage := unsafe.Slice((*uint32)(unsafe.Pointer(&mem[0])), page/4)
+	r := rand.New(rand.NewSource(8))
+	const rows, dim = 300, 64
+	s := randStore(r, rows, dim)
+	q := randQuery(r, dim)
+	qn := dot8(q, q)
+	for _, n := range []int{1, 2, 7, 12, 13, 255, 256, 257, page / 4} {
+		ids := onPage[len(onPage)-n:]
+		copy(ids, gatherIDs(r, n, rows))
+		got := make([]float32, n)
+		distRows(s, q, qn, ids, got)
+		for i, id := range ids {
+			if want := normDist(q, qn, s.Row(int(id)), s.norms[id]); got[i] != want {
+				t.Fatalf("n %d: distRows[%d] = %v, normDist = %v", n, i, got[i], want)
+			}
+		}
+	}
+}
+
+// TestDistManyEquivalence: DistMany appends, pair for pair, what DistAt
+// returns, after whatever dst already held.
+func TestDistManyEquivalence(t *testing.T) {
+	prop := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		dim := gatherDims[r.Intn(len(gatherDims))]
+		if r.Intn(4) == 0 {
+			dim = 1 + r.Intn(70) // ragged and short widths: the portable loop
+		}
+		rows := 1 + r.Intn(200)
+		s := randStore(r, rows, dim)
+		q := randQuery(r, dim)
+		qn := dot8(q, q)
+		ids := gatherIDs(r, r.Intn(70), rows)
+		dst := DistMany(s, q, qn, ids, []float32{-1, -2})
+		if len(dst) != 2+len(ids) || dst[0] != -1 || dst[1] != -2 {
+			return false
+		}
+		for i, id := range ids {
+			if math.Float32bits(dst[2+i]) != math.Float32bits(DistAt(s, q, qn, int(id))) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestScanSubsetScanEquivalence: a subset scan returns exactly the full
+// scan's ranking restricted to the subset — the gather and the streaming loop
+// agree bit for bit — with out-of-range IDs mixed into the blocks and
+// skipped, at widths that take the assembly.
+func TestScanSubsetScanEquivalence(t *testing.T) {
+	eng := New(Config{Parallelism: 4})
+	prop := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		dim := gatherDims[r.Intn(len(gatherDims))]
+		rows := 200 + r.Intn(1200)
+		k := 1 + r.Intn(12)
+		s := randStore(r, rows, dim)
+		q := randQuery(r, dim)
+		in := make(map[uint32]bool)
+		var ids []uint32
+		for id := 0; id < rows; id++ {
+			if r.Intn(3) == 0 {
+				ids = append(ids, uint32(id))
+				in[uint32(id)] = true
+			}
+			if r.Intn(9) == 0 {
+				ids = append(ids, uint32(rows+r.Intn(1<<20)))
+			}
+		}
+		got, err := eng.ScanSubset(s, q, ids, k, nil)
+		if err != nil {
+			return false
+		}
+		all, err := eng.Scan(s, q, rows, nil)
+		if err != nil {
+			return false
+		}
+		var want []knn.Neighbor
+		for _, nb := range all {
+			if in[nb.ID] && len(want) < k {
+				want = append(want, nb)
+			}
+		}
+		return neighborsEqual(got, want)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestScanSubsetBoundsK: k arrives off the wire and sizes the heaps, so a
+// request naming 2⁴⁰ neighbours gets every candidate, sorted, from heaps no
+// larger than the candidate list — not an 8 TB make.
+func TestScanSubsetBoundsK(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	s := randStore(r, 500, 64)
+	q := randQuery(r, 64)
+	ids := []uint32{3, 77, 78, 400, 499, 9999}
+	for _, eng := range []*Engine{New(Config{Parallelism: 2}), New(Config{ForceScalar: true})} {
+		got, err := eng.ScanSubset(s, q, ids, 1<<40, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(ids)-1 {
+			t.Fatalf("k = 1<<40 over %d in-range candidates returned %d", len(ids)-1, len(got))
+		}
+		for i := 1; i < len(got); i++ {
+			if further(got[i-1], got[i]) {
+				t.Fatalf("result not sorted at %d: %v", i, got)
+			}
+		}
+	}
+}
+
+// poolsKeepPuts reports whether sync.Pool hands back what it was just given.
+// Under the race detector it drops a quarter of all Puts on purpose, and then
+// a pooled path's allocation count says nothing about the path.
+func poolsKeepPuts() bool {
+	news := 0
+	p := sync.Pool{New: func() any { news++; return new(int) }}
+	for i := 0; i < 200; i++ {
+		p.Put(p.Get())
+	}
+	return news <= 2
+}
+
+// TestScanSubsetAllocs: a steady-state subset scan allocates nothing — the
+// ID block and its distances are on the stack, the heaps pooled.
+func TestScanSubsetAllocs(t *testing.T) {
+	if !poolsKeepPuts() {
+		t.Skip("sync.Pool is dropping Puts (race detector)")
+	}
+	r := rand.New(rand.NewSource(10))
+	s := randStore(r, 3000, 64)
+	q := randQuery(r, 64)
+	ids := make([]uint32, 0, 1000)
+	for id := 0; id < 3000; id += 3 {
+		ids = append(ids, uint32(id))
+	}
+	eng := New(Config{Parallelism: 1})
+	dst := make([]knn.Neighbor, 0, 16)
+	scan := func() { dst, _ = eng.ScanSubset(s, q, ids, 10, dst[:0]) }
+	scan()
+	if a := testing.AllocsPerRun(100, scan); a != 0 {
+		t.Fatalf("steady-state ScanSubset allocates %v per scan", a)
+	}
+}
+
+// --- the scoring hop's located microbenchmark ---
+
+// gatherBench is hdsearch_lsh's leaf-side shape: four shard stores of
+// 25 000 × 64 (25 MB of rows together, past L2 and most of L3) and 512
+// candidate lists per store of ~2 200 strictly ascending IDs each, so
+// consecutive requests touch different rows and L2 cannot hold them.
+type gatherBench struct {
+	stores  []*Store
+	queries [][]float32
+	ids     [][][]uint32 // [set][store] → ascending local IDs
+}
+
+var (
+	gatherOnce sync.Once
+	gather     gatherBench
+)
+
+func gatherFixture() *gatherBench {
+	gatherOnce.Do(func() {
+		const stores, rows, dim, sets, density = 4, 25000, 64, 512, 0.088
+		r := rand.New(rand.NewSource(21))
+		for s := 0; s < stores; s++ {
+			gather.stores = append(gather.stores, randStore(r, rows, dim))
+		}
+		for i := 0; i < sets; i++ {
+			gather.queries = append(gather.queries, randQuery(r, dim))
+			perStore := make([][]uint32, stores)
+			for s := range perStore {
+				for id := 0; id < rows; id++ {
+					if r.Float64() < density {
+						perStore[s] = append(perStore[s], uint32(id))
+					}
+				}
+			}
+			gather.ids = append(gather.ids, perStore)
+		}
+	})
+	return &gather
+}
+
+// BenchmarkScanSubsetGather reports, as ns/point, the three numbers the
+// scoring hop is judged by: "gather" is ScanSubset at the workload's shape;
+// "stream" is a sequential Scan of the same stores, the rate this host
+// delivers 256 B rows from beyond L2 — the floor a gather can approach but
+// not beat; "resident" is a Scan of a 2 000-row store that stays in L2, the
+// compute floor under both.  One op is one request: all four stores.
+func BenchmarkScanSubsetGather(b *testing.B) {
+	f := gatherFixture()
+	eng := New(Config{Parallelism: 1})
+	const k = 10
+	var dst []knn.Neighbor
+	b.Run("gather", func(b *testing.B) {
+		points := 0
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			set := i % len(f.ids)
+			for s, st := range f.stores {
+				dst, _ = eng.ScanSubset(st, f.queries[set], f.ids[set][s], k, dst[:0])
+				points += len(f.ids[set][s])
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(points), "ns/point")
+	})
+	b.Run("stream", func(b *testing.B) {
+		points := 0
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, st := range f.stores {
+				dst, _ = eng.Scan(st, f.queries[i%len(f.queries)], k, dst[:0])
+				points += st.Len()
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(points), "ns/point")
+	})
+	b.Run("resident", func(b *testing.B) {
+		small := randStore(rand.New(rand.NewSource(22)), 2000, 64)
+		points := 0
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			dst, _ = eng.Scan(small, f.queries[i%len(f.queries)], k, dst[:0])
+			points += small.Len()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(points), "ns/point")
+	})
 }

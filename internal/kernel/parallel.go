@@ -83,6 +83,12 @@ func (j *job) run() {
 // inline on the caller.
 func ParallelFor(par, n int, fn func(worker, lo, hi int)) { parallelFor(par, n, fn) }
 
+// staysOnCaller reports whether a parallelFor over n items recruits nobody.
+// A caller that asks first can run its loop directly and spare the closure,
+// which otherwise escapes through the job and costs the scan's only
+// allocation.
+func staysOnCaller(par, n int) bool { return par <= 1 || n < minParallelPoints }
+
 // parallelFor runs fn over [0, n) with up to par participants (the caller
 // plus recruited idle helpers).  fn receives a stable worker index in
 // [0, par) — callers key per-worker state (top-k heaps) off it.  Small
@@ -91,7 +97,7 @@ func parallelFor(par, n int, fn func(worker, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	if par <= 1 || n < minParallelPoints {
+	if staysOnCaller(par, n) {
 		fn(0, 0, n)
 		return
 	}

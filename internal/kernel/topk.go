@@ -43,6 +43,10 @@ func (t *TopK) Threshold() float32 {
 	if len(t.h) < t.k {
 		return maxFloat32
 	}
+	if len(t.h) == 0 {
+		// Bounded at k ≤ 0: nothing is ever admitted.
+		return -maxFloat32
+	}
 	return t.h[0].Distance
 }
 

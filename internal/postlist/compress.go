@@ -3,6 +3,8 @@ package postlist
 import (
 	"errors"
 	"fmt"
+
+	"musuite/internal/wire"
 )
 
 // Posting lists compress extremely well as delta-encoded varints because
@@ -21,22 +23,12 @@ func CompressIDs(ids []uint32) ([]byte, error) {
 }
 
 // CompressIDsInto is CompressIDs appending to dst, so hot-path callers can
-// reuse a scratch buffer across requests.
+// reuse a scratch buffer across requests.  The gap codec itself is wire's
+// ascending-uint32 field, which HDSearch's leaf requests share.
 func CompressIDsInto(dst []byte, ids []uint32) ([]byte, error) {
-	out := dst
-	// Leading count makes the empty/garbage distinction unambiguous.
-	out = appendUvarint(out, uint64(len(ids)))
-	prev := uint32(0)
-	for i, id := range ids {
-		if i > 0 && id <= prev {
-			return nil, fmt.Errorf("postlist: CompressIDs input unsorted at %d (%d after %d)", i, id, prev)
-		}
-		delta := uint64(id - prev)
-		if i == 0 {
-			delta = uint64(id)
-		}
-		out = appendUvarint(out, delta)
-		prev = id
+	out, bad := wire.AppendAscendingUint32s(dst, ids)
+	if bad >= 0 {
+		return nil, fmt.Errorf("postlist: CompressIDs input unsorted at %d (%d after %d)", bad, ids[bad], ids[bad-1])
 	}
 	return out, nil
 }
@@ -49,58 +41,11 @@ func DecompressIDs(b []byte) ([]uint32, error) {
 // DecompressIDsInto reverses CompressIDs, appending the IDs to dst so
 // hot-path callers can reuse capacity; a decode error returns dst unchanged.
 func DecompressIDsInto(dst []uint32, b []byte) ([]uint32, error) {
-	n, rest, err := takeUvarint(b)
-	if err != nil {
-		return dst, err
-	}
-	if n > uint64(len(b))*5+1 {
-		// A varint encodes at least... each ID takes ≥1 byte, so a
-		// count beyond the remaining bytes is corruption.
+	var d wire.Decoder
+	d.Reset(b)
+	dst = d.AscendingUint32sInto(dst)
+	if d.Err() != nil {
 		return dst, ErrCorruptPostings
 	}
-	out := dst
-	prev := uint64(0)
-	for i := uint64(0); i < n; i++ {
-		var d uint64
-		d, rest, err = takeUvarint(rest)
-		if err != nil {
-			return dst, err
-		}
-		var v uint64
-		if i == 0 {
-			v = d
-		} else {
-			v = prev + d
-		}
-		if v > 0xFFFFFFFF || (i > 0 && d == 0) {
-			return dst, ErrCorruptPostings
-		}
-		out = append(out, uint32(v))
-		prev = v
-	}
-	return out, nil
-}
-
-func appendUvarint(b []byte, v uint64) []byte {
-	for v >= 0x80 {
-		b = append(b, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(b, byte(v))
-}
-
-func takeUvarint(b []byte) (uint64, []byte, error) {
-	var v uint64
-	var shift uint
-	for i := 0; i < len(b); i++ {
-		if shift > 63 {
-			return 0, nil, ErrCorruptPostings
-		}
-		v |= uint64(b[i]&0x7f) << shift
-		if b[i] < 0x80 {
-			return v, b[i+1:], nil
-		}
-		shift += 7
-	}
-	return 0, nil, ErrCorruptPostings
+	return dst, nil
 }

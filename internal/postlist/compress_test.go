@@ -1,6 +1,7 @@
 package postlist
 
 import (
+	"errors"
 	"math/rand"
 	"sort"
 	"testing"
@@ -45,16 +46,25 @@ func TestCompressRejectsUnsorted(t *testing.T) {
 	}
 }
 
+// TestDecompressRejectsGarbage runs the corrupt inputs through both wrappers
+// over wire's ascending field: each must report ErrCorruptPostings, and the
+// appending one must hand dst back as it came.
 func TestDecompressRejectsGarbage(t *testing.T) {
 	garbage := [][]byte{
-		{},        // no count
-		{0xFF},    // truncated varint
-		{5, 1, 2}, // count 5 but 2 deltas
+		{},           // no count
+		{0xFF},       // truncated varint
+		{5, 1, 2},    // count 5 but 2 deltas
+		{3, 5, 0, 1}, // zero gap: a duplicate
 		{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, // 70-bit varint
+		{2, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F},                               // gap carries past uint32
 	}
 	for i, g := range garbage {
-		if _, err := DecompressIDs(g); err == nil {
-			t.Fatalf("garbage %d accepted", i)
+		if _, err := DecompressIDs(g); !errors.Is(err, ErrCorruptPostings) {
+			t.Fatalf("garbage %d: DecompressIDs err = %v", i, err)
+		}
+		got, err := DecompressIDsInto([]uint32{7, 9}, g)
+		if !errors.Is(err, ErrCorruptPostings) || len(got) != 2 || got[0] != 7 || got[1] != 9 {
+			t.Fatalf("garbage %d: DecompressIDsInto = %v, %v", i, got, err)
 		}
 	}
 }

@@ -10,8 +10,10 @@
 package hdsearch
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"musuite/internal/ann"
@@ -63,21 +65,40 @@ func DecodeSearchRequest(b []byte) (query vec.Vector, k int, err error) {
 	return query, k, d.Err()
 }
 
-// EncodeLeafRequest encodes a mid-tier→leaf scoring call.
+// EncodeLeafRequest encodes a mid-tier→leaf scoring call: k, the query, then
+// the shard's candidate IDs as an ascending-uint32 field (count, first ID,
+// gaps — ~1.1 B per candidate at LSH's densities against 4 raw, and the list
+// is most of what the hop moves).  CandidateIndex.LookupInto promises
+// ascending, duplicate-free lists, so that is the only form the wire has; a
+// list that is neither is sorted and compacted in a copy first.  The result
+// is a fresh exact-size allocation — hedges, retries and the batcher hold it
+// past the handler — built in a pooled encoder.
 func EncodeLeafRequest(query vec.Vector, ids []uint32, k int) []byte {
-	e := wire.NewEncoder(16 + 4*len(query) + 4*len(ids))
+	e := wire.GetEncoder()
 	e.Uvarint(uint64(k))
 	e.Float32s(query)
-	e.Uint32s(ids)
-	return e.Bytes()
+	if e.AscendingUint32s(ids) >= 0 {
+		ids = slices.Clone(ids)
+		slices.Sort(ids)
+		e.AscendingUint32s(slices.Compact(ids))
+	}
+	out := bytes.Clone(e.Bytes())
+	wire.PutEncoder(e)
+	return out
 }
 
 // DecodeLeafRequest decodes a mid-tier→leaf scoring call.
 func DecodeLeafRequest(b []byte) (query vec.Vector, ids []uint32, k int, err error) {
+	return decodeLeafRequest(b, nil, nil)
+}
+
+// decodeLeafRequest is DecodeLeafRequest into the caller's scratch: the
+// query and the ID list reuse the capacity of the slices passed in.
+func decodeLeafRequest(b []byte, query []float32, ids []uint32) ([]float32, []uint32, int, error) {
 	d := wire.NewDecoder(b)
-	k = int(d.Uvarint())
-	query = vec.Vector(d.Float32s())
-	ids = d.Uint32s()
+	k := int(d.Uvarint())
+	query = d.Float32sInto(query[:0])
+	ids = d.AscendingUint32sInto(ids[:0])
 	return query, ids, k, d.Err()
 }
 
@@ -225,18 +246,16 @@ var leafScratches = sync.Pool{New: func() any { return new(leafScratch) }}
 func leafKNN(eng *kernel.Engine, data LeafData, payload []byte, reply *wire.Encoder) error {
 	sc := leafScratches.Get().(*leafScratch)
 	defer leafScratches.Put(sc)
-	d := wire.NewDecoder(payload)
-	k := int(d.Uvarint())
-	sc.query = d.Float32sInto(sc.query[:0])
-	sc.ids = d.Uint32sInto(sc.ids[:0])
-	if err := d.Err(); err != nil {
+	query, ids, k, err := decodeLeafRequest(payload, sc.query, sc.ids)
+	sc.query, sc.ids = query, ids
+	if err != nil {
 		return err
 	}
 	// Validate the query dimension once here; the kernels assume it.
-	if data.Store.Len() > 0 && len(sc.query) != data.Store.Dim() {
+	if data.Store.Len() > 0 && len(query) != data.Store.Dim() {
 		return vec.ErrDimensionMismatch
 	}
-	local, err := eng.ScanSubset(data.Store, sc.query, sc.ids, k, sc.nbrs[:0])
+	local, err := eng.ScanSubset(data.Store, query, ids, k, sc.nbrs[:0])
 	sc.nbrs = local[:0]
 	if err != nil {
 		return err
@@ -268,6 +287,9 @@ func leafANN(eng *kernel.Engine, data LeafData, payload []byte, reply *wire.Enco
 	if err := d.Err(); err != nil {
 		return err
 	}
+	// k comes off the wire and sizes the search's heaps; a shard cannot
+	// return more neighbours than it has points.
+	k = min(k, data.Store.Len())
 	local, err := data.ANN.Search(eng, sc.query, k, nprobe, rerank, sc.nbrs[:0])
 	sc.nbrs = local[:0]
 	if err != nil {
@@ -329,6 +351,20 @@ type mergeScratch struct {
 }
 
 var mergeScratches = sync.Pool{New: func() any { return new(mergeScratch) }}
+
+// neighborCount reads an encoded neighbor list's length, checked against the
+// bytes that follow it (8 per entry), so the merge can size its heap from it.
+func neighborCount(b []byte) (int, error) {
+	d := wire.NewDecoder(b)
+	n := d.Uvarint()
+	if err := d.Err(); err != nil {
+		return 0, err
+	}
+	if n > uint64(d.Remaining()/8) {
+		return 0, wire.ErrTruncated
+	}
+	return int(n), nil
+}
 
 // considerNeighborList decodes one shard's encoded neighbor list straight
 // into the streaming top-k — no flattened candidate list, no re-sort; each
@@ -436,12 +472,23 @@ func mergeTopK(ctx *core.Ctx, k int) func([]core.LeafResult) {
 	return func(results []core.LeafResult) {
 		sc := mergeScratches.Get().(*mergeScratch)
 		defer mergeScratches.Put(sc)
-		sc.top.Reset(k)
+		// k is the client's number and sizes the heap; the merge cannot
+		// keep more neighbours than the replies hold.
+		total := 0
 		for _, r := range results {
 			if r.Err != nil {
 				ctx.ReplyError(r.Err)
 				return
 			}
+			n, err := neighborCount(r.Reply)
+			if err != nil {
+				ctx.ReplyError(err)
+				return
+			}
+			total += n
+		}
+		sc.top.Reset(min(k, total))
+		for _, r := range results {
 			if err := considerNeighborList(&sc.top, r.Reply); err != nil {
 				ctx.ReplyError(err)
 				return

@@ -3,6 +3,7 @@ package hdsearch
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"musuite/internal/ann"
@@ -19,11 +20,13 @@ import (
 type CandidateIndex interface {
 	// LookupInto truncates each list of dst and refills list s with the
 	// local point IDs shard s should score, growing dst to cover every
-	// shard that has candidates, and returns it.  Nothing dst held on
-	// entry survives — it may come from a pool shared with an index over
-	// more shards — so every non-empty list returned is a leaf call to
-	// make.  The lists stay the caller's, so a handler that reuses dst
-	// allocates no candidate memory per request.
+	// shard that has candidates, and returns it.  Each list is strictly
+	// ascending, hence duplicate-free: the leaf request encodes it as gaps
+	// and the leaf's gather scan walks its rows in address order.  Nothing
+	// dst held on entry survives — it may come from a pool shared with an
+	// index over more shards — so every non-empty list returned is a leaf
+	// call to make.  The lists stay the caller's, so a handler that reuses
+	// dst allocates no candidate memory per request.
 	LookupInto(q []float32, dst [][]uint32) [][]uint32
 	// Dim reports the indexed vectors' dimensionality (0 when unknown), so
 	// the mid-tier can reject mis-dimensioned queries before they reach
@@ -233,7 +236,9 @@ func BuildKMeansIndex(shards []LeafData, probes int, seed int64) (*KMeansIndex, 
 }
 
 // fillByShard copies a shard → IDs map, the shape the kd-tree and k-means
-// indexes compute, into the CandidateIndex list form.
+// indexes compute, into the CandidateIndex list form, putting each list in
+// the ascending, duplicate-free order LookupInto promises (a tree traversal
+// or a cluster probe emits neither).
 func fillByShard(dst [][]uint32, byShard map[int32][]uint32) [][]uint32 {
 	for s := range dst {
 		dst[s] = dst[s][:0]
@@ -242,7 +247,9 @@ func fillByShard(dst [][]uint32, byShard map[int32][]uint32) [][]uint32 {
 		for len(dst) <= int(shard) {
 			dst = append(dst, nil)
 		}
-		dst[shard] = append(dst[shard], ids...)
+		list := append(dst[shard], ids...)
+		slices.Sort(list)
+		dst[shard] = slices.Compact(list)
 	}
 	return dst
 }

@@ -28,10 +28,14 @@ func FuzzWireDecoder(f *testing.F) {
 	e.Float32s([]float32{1, 2})
 	e.Uint32s([]uint32{9, 8})
 	e.Uint64s([]uint64{5})
-	f.Add(e.Bytes(), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13})
+	e.AscendingUint32s([]uint32{0, 1, 200, 1 << 31})
+	f.Add(e.Bytes(), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14})
 	f.Add([]byte{}, []byte{5, 5, 5})
 	// Pathological uvarint: max shift then length-prefix lies.
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 1}, []byte{5, 9, 9})
+	// Ascending fields: a zero gap, and a gap that carries past uint32.
+	f.Add([]byte{3, 5, 0, 1}, []byte{14})
+	f.Add([]byte{2, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1}, []byte{14})
 
 	f.Fuzz(func(t *testing.T, data []byte, ops []byte) {
 		d := NewDecoder(data)
@@ -39,7 +43,7 @@ func FuzzWireDecoder(f *testing.F) {
 		var scratchU32 []uint32
 		var scratchU64 []uint64
 		for _, op := range ops {
-			switch op % 14 {
+			switch op % 15 {
 			case 0:
 				d.Uint8()
 			case 1:
@@ -70,6 +74,20 @@ func FuzzWireDecoder(f *testing.F) {
 				scratchU64 = d.Uint64sInto(scratchU64[:0])
 			case 13:
 				d.BytesField()
+			case 14:
+				// Appends: the scratch is deliberately not truncated, so the
+				// bound covers what the field added to what was there.
+				before := len(scratchU32)
+				scratchU32 = d.AscendingUint32sInto(scratchU32)
+				if got := scratchU32[before:]; len(got) > len(data) {
+					t.Fatalf("AscendingUint32sInto returned %d values from a %d-byte input", len(got), len(data))
+				} else {
+					for i := 1; i < len(got); i++ {
+						if got[i] <= got[i-1] {
+							t.Fatalf("AscendingUint32sInto returned %d after %d", got[i], got[i-1])
+						}
+					}
+				}
 			}
 		}
 		if d.Err() == nil && d.Remaining() < 0 {

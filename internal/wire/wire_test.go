@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"bytes"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -247,5 +249,94 @@ func BenchmarkDecode1KVector(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		d := NewDecoder(raw)
 		d.Float32s()
+	}
+}
+
+// TestAscendingUint32sLayout pins the field's bytes — count, first value,
+// then gaps, all uvarints — because Set Algebra's replies and HDSearch's leaf
+// requests are both this field and a peer decodes what this encoder wrote.
+func TestAscendingUint32sLayout(t *testing.T) {
+	var e Encoder
+	if bad := e.AscendingUint32s([]uint32{5, 6, 300, 300 + 1<<14}); bad != -1 {
+		t.Fatalf("bad = %d on an ascending list", bad)
+	}
+	want := []byte{4, 5, 1, 0xA6, 0x02, 0x80, 0x80, 0x01}
+	if !bytes.Equal(e.Bytes(), want) {
+		t.Fatalf("encoded % x, want % x", e.Bytes(), want)
+	}
+	e.Reset()
+	e.AscendingUint32s(nil)
+	if !bytes.Equal(e.Bytes(), []byte{0}) {
+		t.Fatalf("empty list encoded % x", e.Bytes())
+	}
+}
+
+func TestAscendingUint32sRoundTrip(t *testing.T) {
+	prop := func(raw []uint32, prefix []uint32) bool {
+		slices.Sort(raw)
+		ids := slices.Compact(raw)
+		var e Encoder
+		if e.AscendingUint32s(ids) != -1 {
+			return false
+		}
+		e.Uint8(0xEE) // the field must stop where it ends
+		d := NewDecoder(e.Bytes())
+		got := d.AscendingUint32sInto(slices.Clone(prefix))
+		return d.Err() == nil && d.Uint8() == 0xEE &&
+			slices.Equal(got[:len(prefix)], prefix) && slices.Equal(got[len(prefix):], ids)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	// The extremes quick rarely rolls: 0 first, the last uint32, a 5-byte gap.
+	for _, ids := range [][]uint32{{0}, {0, 1, 2, 3}, {math.MaxUint32}, {0, math.MaxUint32}, {1, 1000, 1000000, math.MaxUint32}} {
+		if !prop(slices.Clone(ids), []uint32{9}) {
+			t.Fatalf("%v did not round-trip", ids)
+		}
+	}
+}
+
+// TestAscendingUint32sRejectsUnsorted: the encoder names the first value that
+// is not above its predecessor and appends nothing.
+func TestAscendingUint32sRejectsUnsorted(t *testing.T) {
+	for _, c := range []struct {
+		ids []uint32
+		bad int
+	}{{[]uint32{3, 2}, 1}, {[]uint32{3, 3}, 1}, {[]uint32{1, 5, 9, 9, 2}, 3}} {
+		var e Encoder
+		e.Uint8(7)
+		if bad := e.AscendingUint32s(c.ids); bad != c.bad {
+			t.Fatalf("%v: bad = %d, want %d", c.ids, bad, c.bad)
+		}
+		if !bytes.Equal(e.Bytes(), []byte{7}) {
+			t.Fatalf("%v: a rejected list left % x behind", c.ids, e.Bytes())
+		}
+	}
+}
+
+// TestAscendingUint32sRejectsCorrupt: every malformed field fails with a
+// sticky error and hands dst back at the length it came with.
+func TestAscendingUint32sRejectsCorrupt(t *testing.T) {
+	corrupt := map[string][]byte{
+		"no count":             {},
+		"truncated count":      {0xFF},
+		"count past the bytes": {5, 1, 2},
+		"count of 2^28":        {0x80, 0x80, 0x80, 0x80, 0x01, 1},
+		"truncated gap":        {2, 1, 0x80},
+		"zero gap":             {3, 5, 0, 1},
+		"gap overflows uint32": {2, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F},
+		"sum overflows uint32": {3, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1, 1},
+		"six-byte gap":         {2, 1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01},
+		"70-bit varint":        {1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F},
+	}
+	for name, b := range corrupt {
+		d := NewDecoder(b)
+		got := d.AscendingUint32sInto([]uint32{42})
+		if d.Err() == nil {
+			t.Errorf("%s: accepted as %v", name, got)
+		}
+		if !slices.Equal(got, []uint32{42}) {
+			t.Errorf("%s: dst came back as %v", name, got)
+		}
 	}
 }
