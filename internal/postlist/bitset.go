@@ -1,8 +1,10 @@
 package postlist
 
 import (
+	"math"
 	"math/bits"
 	"slices"
+	"sync"
 )
 
 // Dense-range bitset intersection: when two lists overlap a doc-ID range
@@ -18,18 +20,21 @@ import (
 // allocation + sweep is bounded by the work galloping would do anyway.
 const bitsetSpanFactor = 16
 
+// overlap returns the ID range both ascending lists cover; ok is false when
+// either is empty or they do not overlap.
+func overlap(a, b []uint32) (lo, hi uint32, ok bool) {
+	if len(a) == 0 || len(b) == 0 {
+		return 0, 0, false
+	}
+	lo = max(a[0], b[0])
+	hi = min(a[len(a)-1], b[len(b)-1])
+	return lo, hi, lo <= hi
+}
+
 // useBitset reports whether the dense-range kernel should intersect a and b.
-func useBitset(a, b *PostingList) bool {
-	if len(a.ids) == 0 || len(b.ids) == 0 {
-		return false
-	}
-	lo := max(a.ids[0], b.ids[0])
-	hi := min(a.ids[len(a.ids)-1], b.ids[len(b.ids)-1])
-	if hi < lo {
-		return false
-	}
-	span := uint64(hi-lo) + 1
-	return span <= uint64(bitsetSpanFactor)*uint64(len(a.ids)+len(b.ids))
+func useBitset(a, b []uint32) bool {
+	lo, hi, ok := overlap(a, b)
+	return ok && uint64(hi-lo)+1 <= uint64(bitsetSpanFactor)*uint64(len(a)+len(b))
 }
 
 // Intersect2Bitset intersects two lists with the dense-range bitset kernel:
@@ -38,34 +43,30 @@ func useBitset(a, b *PostingList) bool {
 // are converted back to doc IDs with trailing-zero extraction.  The result
 // is identical to Intersect2; only the cost shape differs.
 func Intersect2Bitset(a, b *PostingList) *PostingList {
-	if len(a.ids) == 0 || len(b.ids) == 0 {
-		return fromSorted(nil, a.skipSize)
-	}
-	lo := max(a.ids[0], b.ids[0])
-	hi := min(a.ids[len(a.ids)-1], b.ids[len(b.ids)-1])
-	if hi < lo {
-		return fromSorted(nil, a.skipSize)
+	var sc IntersectScratch
+	return fromSorted(sc.intersectBitset(nil, a.ids, b.ids), a.skipSize)
+}
+
+// intersectBitset appends a ∩ b to dst by the bitset kernel, on sc's bitmaps.
+// a is spent before the first ID is written, so dst may be a[:0].
+func (sc *IntersectScratch) intersectBitset(dst, a, b []uint32) []uint32 {
+	lo, hi, ok := overlap(a, b)
+	if !ok {
+		return dst
 	}
 	words := (int(hi-lo) >> 6) + 1
-	wa := make([]uint64, words)
-	wb := make([]uint64, words)
-	fillBits(wa, a.ids, lo, hi)
-	fillBits(wb, b.ids, lo, hi)
-	// AND in place and count survivors so the output allocates exactly once.
-	n := 0
-	for i := range wa {
-		wa[i] &= wb[i]
-		n += bits.OnesCount64(wa[i])
-	}
-	out := make([]uint32, 0, n)
+	sc.words = slices.Grow(sc.words[:0], 2*words)[:2*words]
+	clear(sc.words)
+	wa, wb := sc.words[:words], sc.words[words:]
+	fillBits(wa, a, lo, hi)
+	fillBits(wb, b, lo, hi)
 	for i, w := range wa {
 		base := lo + uint32(i<<6)
-		for w != 0 {
-			out = append(out, base+uint32(bits.TrailingZeros64(w)))
-			w &= w - 1
+		for w &= wb[i]; w != 0; w &= w - 1 {
+			dst = append(dst, base+uint32(bits.TrailingZeros64(w)))
 		}
 	}
-	return fromSorted(out, a.skipSize)
+	return dst
 }
 
 // fillBits sets the bit for every id in [lo, hi], bit index id−lo.
@@ -86,25 +87,38 @@ func fillBits(words []uint64, ids []uint32, lo, hi uint32) {
 	}
 }
 
+// unionSpanFactor gates the bitmap union the way bitsetSpanFactor gates the
+// bitset intersection: the segments' ID span must be at most this multiple of
+// their combined length.  Below it a word of the bitmap holds enough IDs that
+// setting and scanning bits beats moving every ID through ⌈log₂ k⌉ merges;
+// above it the scan is mostly over empty words.  Fixed by the sweep recorded
+// in DESIGN ("Set Algebra's result path").
+const unionSpanFactor = 32
+
+// bitmaps recycles the union's bitmap — at most unionSpanFactor bits per ID,
+// as many bytes as the IDs it unites.  A pooled bitmap is all zero: the union
+// clears each word as it reads it back.
+var bitmaps = sync.Pool{New: func() any { return new([]uint64) }}
+
 // MergeSortedInto merges already-sorted, deduplicated segments into dst,
 // deduplicating across segments — the mid-tier union for leaf results, which
 // arrive sorted, so re-sorting the concatenation (O(n log n)) is wasted
 // work.  dst is appended to and returned.
 //
-// The merge is a tournament of two-way merges: each round merges the runs in
-// pairs, so an ID is moved ⌈log₂ k⌉ times by a two-cursor loop instead of
-// being compared against all k cursors twice.  The rounds ping-pong between
-// the output region and a second one of the same size, both carved from
-// dst's spare capacity: a caller that reuses dst — the mid-tier's pooled
-// merge scratch — merges without allocating.
+// Dense segments (span ≤ unionSpanFactor × IDs) are united in a bitmap, sparse
+// ones by a tournament of two-way merges; the result is the same and which
+// runs is a property of the input.  A caller that reuses dst — the mid-tier's
+// pooled merge scratch — merges without allocating either way.
 func MergeSortedInto(dst []uint32, segs [][]uint32) []uint32 {
 	var runsArr [8][]uint32
 	runs := runsArr[:0]
 	total := 0
+	lo, hi := uint32(math.MaxUint32), uint32(0)
 	for _, seg := range segs {
 		if len(seg) > 0 {
 			runs = append(runs, seg)
 			total += len(seg)
+			lo, hi = min(lo, seg[0]), max(hi, seg[len(seg)-1])
 		}
 	}
 	switch len(runs) {
@@ -113,6 +127,58 @@ func MergeSortedInto(dst []uint32, segs [][]uint32) []uint32 {
 	case 1:
 		return append(dst, runs[0]...)
 	}
+	if useBitmap(lo, hi, total) {
+		return unionBitmap(dst, runs, lo, int(hi-lo)+1, total)
+	}
+	return unionTournament(dst, runs, total)
+}
+
+// useBitmap reports whether total IDs spanning [lo, hi] are dense enough for
+// the bitmap union.
+func useBitmap(lo, hi uint32, total int) bool {
+	return uint64(hi-lo)+1 <= unionSpanFactor*uint64(total)
+}
+
+// unionBitmap appends the union of runs — total IDs, all within span of lo —
+// to dst: every ID sets a bit at its offset from lo in a pooled bitmap, and
+// the bitmap is read back lowest bit first, which is ascending ID order with
+// shared IDs already one bit.  An ID is touched twice whatever the run count.
+func unionBitmap(dst []uint32, runs [][]uint32, lo uint32, span, total int) []uint32 {
+	pooled := bitmaps.Get().(*[]uint64)
+	nwords := (span + 63) >> 6
+	if cap(*pooled) < nwords {
+		*pooled = make([]uint64, nwords)
+	}
+	words := (*pooled)[:nwords]
+	for _, run := range runs {
+		for _, id := range run {
+			off := id - lo
+			words[off>>6] |= 1 << (off & 63)
+		}
+	}
+	base := len(dst)
+	dst = slices.Grow(dst, total)
+	out, n := dst[base:base+total], 0
+	for i, w := range words {
+		if w == 0 {
+			continue
+		}
+		words[i] = 0
+		first := lo + uint32(i<<6)
+		for ; w != 0; w &= w - 1 {
+			out[n] = first + uint32(bits.TrailingZeros64(w))
+			n++
+		}
+	}
+	bitmaps.Put(pooled)
+	return dst[:base+n]
+}
+
+// unionTournament appends the union of runs to dst by a tournament of two-way
+// merges: each round merges the runs in pairs, so an ID is moved ⌈log₂ k⌉
+// times by a two-cursor loop.  The rounds ping-pong between the output region
+// and a second one of the same size, both carved from dst's spare capacity.
+func unionTournament(dst []uint32, runs [][]uint32, total int) []uint32 {
 	rounds := bits.Len(uint(len(runs) - 1))
 	base := len(dst)
 	dst = slices.Grow(dst, min(rounds, 2)*total)

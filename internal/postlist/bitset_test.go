@@ -1,6 +1,7 @@
 package postlist
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -63,7 +64,7 @@ func TestIntersectBitsetEmpty(t *testing.T) {
 			t.Fatalf("expected empty, got %v", got.IDs())
 		}
 	}
-	if useBitset(empty, one) || useBitset(one, far) {
+	if useBitset(empty.ids, one.ids) || useBitset(one.ids, far.ids) {
 		t.Fatal("heuristic selected bitset for empty/disjoint lists")
 	}
 }
@@ -72,89 +73,113 @@ func TestIntersectBitsetEmpty(t *testing.T) {
 // huge spans don't.
 func TestIntersectBitsetHeuristic(t *testing.T) {
 	dense := New([]uint32{0, 1, 2, 3, 4, 5, 6, 7})
-	if !useBitset(dense, dense) {
+	if !useBitset(dense.ids, dense.ids) {
 		t.Fatal("dense overlap rejected")
 	}
 	sparse := New([]uint32{0, 1 << 30})
-	if useBitset(sparse, sparse) {
+	if useBitset(sparse.ids, sparse.ids) {
 		t.Fatal("sparse span accepted")
 	}
 }
 
-// mergeSortedScan is the k-way merge MergeSortedInto used to be — one pass
-// over all k cursors to find the minimal head and another to advance every
-// segment sitting on it, per output ID — kept as the oracle.
-func mergeSortedScan(dst []uint32, segs [][]uint32) []uint32 {
-	pos := make([]int, len(segs))
-	for {
-		best := -1
-		var bestID uint32
-		for s, seg := range segs {
-			if pos[s] >= len(seg) {
-				continue
-			}
-			if id := seg[pos[s]]; best == -1 || id < bestID {
-				best, bestID = s, id
-			}
-		}
-		if best == -1 {
-			return dst
-		}
-		if len(dst) == 0 || dst[len(dst)-1] != bestID {
-			dst = append(dst, bestID)
-		}
-		for s, seg := range segs {
-			if pos[s] < len(seg) && seg[pos[s]] == bestID {
-				pos[s]++
-			}
-		}
-	}
-}
-
-// TestMergeSortedEquivalence: the tournament merge returns what the scan
-// merge returns, for 0 to 9 segments, empty and nil ones among them, with
-// IDs drawn from a range small enough that segments share many — and it
-// appends after whatever dst already held.
-func TestMergeSortedEquivalence(t *testing.T) {
+// TestUnionEquivalence: MergeSortedInto, and each of its two unions forced on
+// inputs from either side of the crossover, returns the sorted, compacted
+// concatenation of its segments — for 1 to 8 segments with empty and nil ones
+// among them, IDs shared between segments, a single ID, dense spans and IDs
+// spread over all of uint32, spans that end at math.MaxUint32 (the span
+// arithmetic must not wrap), and a dst that already holds something.
+func TestUnionEquivalence(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		segs := make([][]uint32, r.Intn(10))
+		// IDs are drawn from [anchor, anchor+window].
+		var window, anchor uint32
+		switch r.Intn(4) {
+		case 0: // dense: MergeSortedInto takes the bitmap
+			window = uint32(1 + r.Intn(4000))
+			anchor = uint32(r.Int63n(math.MaxUint32 - 4000))
+		case 1: // dense, ending at the last uint32
+			window = uint32(1 + r.Intn(4000))
+			anchor = math.MaxUint32 - window
+		case 2: // past the crossover, ending at the last uint32, a bitmap still affordable
+			window = 1 << 20
+			anchor = math.MaxUint32 - window
+		case 3: // all of uint32
+			window, anchor = math.MaxUint32, 0
+		}
+		segs := make([][]uint32, 1+r.Intn(8))
 		for s := range segs {
 			switch r.Intn(6) {
 			case 0: // leave a nil segment
 			case 1:
 				segs[s] = []uint32{}
+			case 2:
+				segs[s] = []uint32{anchor + window} // a single ID, shared by every such segment
 			default:
-				segs[s] = randList(r, 1+r.Intn(200), uint32(1+r.Intn(1000)))
+				for _, id := range randList(r, 1+r.Intn(200), window) {
+					segs[s] = append(segs[s], anchor+id)
+				}
+				if r.Intn(2) == 0 {
+					segs[s] = append(segs[s], anchor+window)
+				}
 			}
 		}
-		prefix := make([]uint32, r.Intn(3), 8)
-		for i := range prefix {
-			prefix[i] = math.MaxUint32 // no ID: the scan merge would dedupe against it
+		prefix := []uint32{7, 7, 3}[:r.Intn(4)] // live, and not to be merged with
+		want := append(slices.Clone(prefix), naiveUnion(segs...)...)
+
+		var runs [][]uint32
+		total, lo, hi := 0, uint32(math.MaxUint32), uint32(0)
+		for _, seg := range segs {
+			if len(seg) > 0 {
+				runs = append(runs, seg)
+				total += len(seg)
+				lo, hi = min(lo, seg[0]), max(hi, seg[len(seg)-1])
+			}
 		}
-		want := mergeSortedScan(slices.Clone(prefix), segs)
-		got := MergeSortedInto(prefix, segs)
-		if len(want) == 0 {
-			return len(got) == 0
+		ok := slices.Equal(MergeSortedInto(slices.Clone(prefix), segs), want)
+		// Forcing the bitmap on a 2³²-ID span would take a 512 MB bitmap: the
+		// sparse draw is the tournament's, and MergeSortedInto's above.
+		if len(runs) >= 2 && window != math.MaxUint32 {
+			ok = ok && slices.Equal(unionBitmap(slices.Clone(prefix), runs, lo, int(hi-lo)+1, total), want)
 		}
-		return slices.Equal(got, want)
+		if len(runs) >= 2 {
+			ok = ok && slices.Equal(unionTournament(slices.Clone(prefix), runs, total), want)
+		}
+		return ok
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestUnionCrossover: which union runs is decided by the input's density, at
+// unionSpanFactor exactly, and a span that covers all of uint32 is not mistaken
+// for an empty one.
+func TestUnionCrossover(t *testing.T) {
+	if !useBitmap(10, 10+4*unionSpanFactor-1, 4) {
+		t.Error("span = factor × IDs did not take the bitmap")
+	}
+	if useBitmap(10, 10+4*unionSpanFactor, 4) {
+		t.Error("span = factor × IDs + 1 took the bitmap")
+	}
+	if useBitmap(0, math.MaxUint32, 2) {
+		t.Error("a span of 2³² took the bitmap")
+	}
+}
+
 // TestMergeSortedIntoSteadyStateAllocatesNothing: once dst has grown to hold
-// the merge's two regions, merging into it again allocates nothing.
+// the merge — and, for dense segments, the pooled bitmap exists — merging into
+// it again allocates nothing, whichever union the segments take.
 func TestMergeSortedIntoSteadyStateAllocatesNothing(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	segs := make([][]uint32, 4)
-	for s := range segs {
-		segs[s] = randList(r, 500, 4000)
-	}
-	dst := MergeSortedInto(nil, segs)
-	if allocs := testing.AllocsPerRun(20, func() { dst = MergeSortedInto(dst[:0], segs) }); allocs != 0 {
-		t.Fatalf("%v allocations per merge into a warmed dst", allocs)
+	for name, idRange := range map[string]uint32{"dense": 4000, "sparse": 1 << 30} {
+		segs := make([][]uint32, 4)
+		for s := range segs {
+			segs[s] = randList(r, 500, idRange)
+		}
+		dst := MergeSortedInto(nil, segs)
+		if allocs := testing.AllocsPerRun(20, func() { dst = MergeSortedInto(dst[:0], segs) }); allocs != 0 {
+			t.Errorf("%s: %v allocations per merge into a warmed dst", name, allocs)
+		}
 	}
 }
 
@@ -167,5 +192,54 @@ func TestMergeSortedIntoReusesDst(t *testing.T) {
 	}
 	if &out[0] != &dst[:1][0] {
 		t.Fatal("merge did not reuse dst's backing array")
+	}
+}
+
+// roundRobinSegs deals perSeg random IDs to each of k segments from a span of
+// docs IDs split round-robin (ID ≡ segment mod k): the shape of the leaf
+// replies a Set Algebra mid-tier unions.
+func roundRobinSegs(r *rand.Rand, k, perSeg, docs int) [][]uint32 {
+	segs := make([][]uint32, k)
+	for s := range segs {
+		for _, local := range randList(r, perSeg, uint32(docs/k)) {
+			segs[s] = append(segs[s], local*uint32(k)+uint32(s))
+		}
+	}
+	return segs
+}
+
+// BenchmarkUnionIDs times both unions on 4 round-robin segments, in ns per
+// input ID.  The first ten shapes are setalgebra_fanout's — a 20 000-document
+// span, from its median reply (2 IDs a shard) to its p99 (2 500) — where the
+// bitmap is 2.5 KB and wins up to a span of ~500 × the IDs.  The rest are
+// span/IDs ratios from 512 down to 8 over 2²⁴ documents, where the bitmap is
+// 2 MB and no longer cache-resident: they are what fixes unionSpanFactor, since
+// the rule must hold for any input (DESIGN §5.5.2 has the table).
+func BenchmarkUnionIDs(b *testing.B) {
+	const k = 4
+	for _, shape := range []struct{ docs, perSeg int }{
+		{20000, 2}, {20000, 5}, {20000, 10}, {20000, 20}, {20000, 40}, {20000, 80}, {20000, 160}, {20000, 250}, {20000, 1250}, {20000, 2500},
+		{1 << 24, 1 << 13}, {1 << 24, 1 << 14}, {1 << 24, 1 << 15}, {1 << 24, 1 << 16}, {1 << 24, 1 << 17}, {1 << 24, 1 << 19},
+	} {
+		docs, perSeg := shape.docs, shape.perSeg
+		segs := roundRobinSegs(rand.New(rand.NewSource(int64(perSeg))), k, perSeg, docs)
+		var dst []uint32
+		report := func(b *testing.B) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*k*perSeg), "ns/ID")
+		}
+		name := fmt.Sprintf("docs=%d/perSeg=%d/ratio=%d", docs, perSeg, docs/(k*perSeg))
+		b.Run(name+"/tournament", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				// The tournament reuses the run list it is handed.
+				dst = unionTournament(dst[:0], append(make([][]uint32, 0, k), segs...), k*perSeg)
+			}
+			report(b)
+		})
+		b.Run(name+"/bitmap", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				dst = unionBitmap(dst[:0], segs, 0, docs, k*perSeg)
+			}
+			report(b)
+		})
 	}
 }

@@ -19,7 +19,7 @@ var ErrCorruptPostings = errors.New("postlist: corrupt compressed postings")
 // CompressIDs delta+varint encodes a sorted, duplicate-free ID list.
 // Unsorted input is an error (the caller owns list discipline).
 func CompressIDs(ids []uint32) ([]byte, error) {
-	return CompressIDsInto(make([]byte, 0, len(ids)+4), ids)
+	return CompressIDsInto(nil, ids)
 }
 
 // CompressIDsInto is CompressIDs appending to dst, so hot-path callers can

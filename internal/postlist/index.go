@@ -110,7 +110,14 @@ func (x *Index) Postings(term int) *PostingList { return x.postings[term] }
 // longest the index produces, and copying it only to return it was a fifth
 // of what a leaf allocated).
 func (x *Index) Search(terms []int) []uint32 {
-	lists := make([]*PostingList, 0, len(terms))
+	return x.SearchInto(&IntersectScratch{lists: make([]*PostingList, 0, len(terms))}, terms)
+}
+
+// SearchInto is Search on caller scratch: a leaf that keeps sc across
+// requests searches without allocating.  The result is valid until sc is
+// used again.
+func (x *Index) SearchInto(sc *IntersectScratch, terms []int) []uint32 {
+	sc.lists = sc.lists[:0]
 	for _, t := range terms {
 		if x.stop[t] {
 			continue
@@ -119,13 +126,7 @@ func (x *Index) Search(terms []int) []uint32 {
 		if p == nil {
 			return nil
 		}
-		lists = append(lists, p)
+		sc.lists = append(sc.lists, p)
 	}
-	switch len(lists) {
-	case 0:
-		return nil
-	case 1:
-		return lists[0].ids
-	}
-	return Intersect(lists...).IDs()
+	return sc.intersect()
 }

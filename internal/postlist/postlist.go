@@ -6,6 +6,7 @@
 package postlist
 
 import (
+	"slices"
 	"sort"
 )
 
@@ -43,11 +44,7 @@ func NewWithSkipSize(ids []uint32, skipSize int) *PostingList {
 			out = append(out, id)
 		}
 	}
-	p := &PostingList{ids: out, skipSize: skipSize}
-	for i := skipSize; i < len(out); i += skipSize {
-		p.skips = append(p.skips, i)
-	}
-	return p
+	return fromSorted(out, skipSize)
 }
 
 // Len reports the number of documents in the list.
@@ -111,10 +108,16 @@ func Intersect2Skip(a, b *PostingList) *PostingList {
 	if len(a.ids) > len(b.ids) {
 		a, b = b, a
 	}
-	out := make([]uint32, 0, len(a.ids))
+	return fromSorted(intersectSkip(make([]uint32, 0, len(a.ids)), a.ids, b), a.skipSize)
+}
+
+// intersectSkip appends a ∩ b to dst, walking a and skipping through b's
+// blocks.  An output never passes the input it came from, so dst may be
+// a[:0]: an intermediate result is intersected in place.
+func intersectSkip(dst, a []uint32, b *PostingList) []uint32 {
 	j := 0        // position in b
 	nextSkip := 0 // index into b.skips
-	for _, doc := range a.ids {
+	for _, doc := range a {
 		// Fast-forward over skip blocks.
 		for nextSkip < len(b.skips) && b.ids[b.skips[nextSkip]] <= doc {
 			j = b.skips[nextSkip]
@@ -124,33 +127,59 @@ func Intersect2Skip(a, b *PostingList) *PostingList {
 			j++
 		}
 		if j < len(b.ids) && b.ids[j] == doc {
-			out = append(out, doc)
+			dst = append(dst, doc)
 		}
 	}
-	return fromSorted(out, a.skipSize)
+	return dst
 }
 
-// Intersect computes the intersection of any number of lists, shortest
-// first so intermediate results shrink fastest.  Each pairwise step picks
-// its kernel: the dense-range bitset when the lists' overlap span is small
-// relative to their sizes (high selectivity), skip-accelerated galloping
-// otherwise.  No lists yields an empty result; one list yields a copy.
+// Intersect computes the intersection of any number of lists (see
+// IntersectScratch for how).  No lists yields an empty result; one list
+// yields a copy.
 func Intersect(lists ...*PostingList) *PostingList {
 	if len(lists) == 0 {
 		return fromSorted(nil, DefaultSkipSize)
 	}
-	ordered := make([]*PostingList, len(lists))
-	copy(ordered, lists)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Len() < ordered[j].Len() })
-	acc := fromSorted(append([]uint32(nil), ordered[0].ids...), ordered[0].skipSize)
-	for _, l := range ordered[1:] {
-		if acc.Len() == 0 {
+	sc := IntersectScratch{lists: slices.Clone(lists)}
+	out := slices.Clone(sc.intersect())
+	return fromSorted(out, sc.lists[0].skipSize)
+}
+
+// IntersectScratch is the working state of a multi-list intersection: the
+// lists, the running result and the dense kernel's bitmaps.  A caller that
+// keeps one across queries (Index.SearchInto) intersects without allocating.
+type IntersectScratch struct {
+	lists []*PostingList
+	acc   []uint32
+	words []uint64
+}
+
+// intersect intersects sc.lists, shortest first so intermediate results
+// shrink fastest.  Each pairwise step picks its kernel: the dense-range bitset
+// when the lists' overlap span is small relative to their sizes (high
+// selectivity), skip-accelerated galloping otherwise.  The running result is a
+// plain ID slice in sc.acc, rewritten in place from the second step on — only
+// an indexed list needs a skip table, and an intermediate is always the
+// shorter side.  The result is read-only and valid until sc is used again: it
+// is sc.acc, or the list itself when there is one.
+func (sc *IntersectScratch) intersect() []uint32 {
+	switch len(sc.lists) {
+	case 0:
+		return nil
+	case 1:
+		return sc.lists[0].ids
+	}
+	slices.SortFunc(sc.lists, func(a, b *PostingList) int { return len(a.ids) - len(b.ids) })
+	acc := sc.lists[0].ids
+	sc.acc = slices.Grow(sc.acc[:0], len(acc))
+	for _, l := range sc.lists[1:] {
+		if len(acc) == 0 {
 			break
 		}
-		if useBitset(acc, l) {
-			acc = Intersect2Bitset(acc, l)
+		if useBitset(acc, l.ids) {
+			acc = sc.intersectBitset(sc.acc[:0], acc, l.ids)
 		} else {
-			acc = Intersect2Skip(acc, l)
+			acc = intersectSkip(sc.acc[:0], acc, l)
 		}
 	}
 	return acc
@@ -175,27 +204,6 @@ func Union(lists ...*PostingList) *PostingList {
 	}
 	out := MergeSortedInto(make([]uint32, 0, total), segs)
 	return fromSorted(out, lists[0].skipSize)
-}
-
-// UnionIDs unions raw sorted-or-not ID slices — the convenient form for the
-// mid-tier, which receives plain ID lists over RPC.
-func UnionIDs(lists ...[]uint32) []uint32 {
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	all := make([]uint32, 0, total)
-	for _, l := range lists {
-		all = append(all, l...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	out := all[:0]
-	for i, id := range all {
-		if i == 0 || id != out[len(out)-1] {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 func fromSorted(sorted []uint32, skipSize int) *PostingList {

@@ -2,6 +2,7 @@ package postlist
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -205,9 +206,6 @@ func TestUnion(t *testing.T) {
 		if got := Union(lists...); !equalIDs(ids(got), want) {
 			t.Fatalf("union got %v want %v", ids(got), want)
 		}
-		if got := UnionIDs(raws...); !equalIDs(got, want) {
-			t.Fatalf("unionIDs got %v want %v", got, want)
-		}
 	}
 	if got := Union(); got.Len() != 0 {
 		t.Fatal("0-ary union non-empty")
@@ -344,6 +342,89 @@ func TestIndexSearchMatchesNaiveOnCorpus(t *testing.T) {
 		if !equalIDs(got, want) {
 			t.Fatalf("query %d (%v): got %v want %v", qi, q, got, want)
 		}
+	}
+}
+
+// denseIndex indexes a corpus whose posting lists are long against its 3 000
+// documents, so that intersections take the bitset kernel as well as the skip
+// walk.
+func denseIndex() (*dataset.DocCorpus, *Index) {
+	corpus := dataset.NewDocCorpus(dataset.DocCorpusConfig{
+		Docs: 3000, VocabSize: 120, MeanDocLen: 30, Seed: 9,
+	})
+	return corpus, BuildIndex(corpus.Docs, IndexConfig{StopTerms: 5})
+}
+
+// TestSearchIntoMatchesPairwiseIntersect: the search on caller scratch — no
+// PostingList for an intermediate result, in place from the second step on,
+// one scratch reused across every query — returns what folding the two-list
+// linear merge over the query's posting lists returns, for 1 to 10 terms with
+// stop-listed, unindexed and repeated ones among them; Search, the wrapper on
+// fresh scratch, agrees; and the index's own lists are never written.
+func TestSearchIntoMatchesPairwiseIntersect(t *testing.T) {
+	corpus, idx := denseIndex()
+	before := make(map[int][]uint32)
+	for term, p := range idx.postings {
+		before[term] = slices.Clone(p.ids)
+	}
+	var sc IntersectScratch
+	prop := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		terms := make([]int, 1+r.Intn(10))
+		for i := range terms {
+			// 120 indexed or stop-listed terms, then a few no document has.
+			terms[i] = r.Intn(corpus.VocabSize + 4)
+		}
+		var want *PostingList
+		for _, term := range terms {
+			if idx.IsStopWord(term) {
+				continue
+			}
+			p := idx.Postings(term)
+			if p == nil {
+				p = New(nil)
+			}
+			if want == nil {
+				want = p
+			} else {
+				want = Intersect2(want, p)
+			}
+		}
+		var wantIDs []uint32
+		if want != nil {
+			wantIDs = want.IDs()
+		}
+		return equalIDs(idx.SearchInto(&sc, terms), wantIDs) && equalIDs(idx.Search(terms), wantIDs)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	for term, p := range idx.postings {
+		if !slices.Equal(p.ids, before[term]) {
+			t.Fatalf("term %d's posting list was written to", term)
+		}
+	}
+	// Both kernels ran: the corpus is dense enough for the bitmaps, and rare
+	// terms against common ones gallop.
+	if len(sc.words) == 0 {
+		t.Error("no query took the bitset kernel")
+	}
+}
+
+// TestSearchIntoSteadyStateAllocatesNothing: a search on warmed scratch
+// allocates nothing, whichever kernels its steps take.
+func TestSearchIntoSteadyStateAllocatesNothing(t *testing.T) {
+	corpus, idx := denseIndex()
+	queries := corpus.Queries(64, 10, 10)
+	var sc IntersectScratch
+	run := func() {
+		for _, q := range queries {
+			idx.SearchInto(&sc, q)
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+		t.Fatalf("%v allocations per %d searches on warmed scratch", allocs, len(queries))
 	}
 }
 

@@ -10,6 +10,7 @@ package setalgebra
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"musuite/internal/core"
@@ -42,65 +43,85 @@ func EncodeTerms(terms []int) []byte {
 
 // DecodeTerms decodes a term-ID query.
 func DecodeTerms(b []byte) ([]int, error) {
-	d := wire.NewDecoder(b)
-	n := int(d.Uvarint())
+	return decodeTermsInto(nil, b)
+}
+
+// decodeTermsInto is DecodeTerms appending to dst (the leaf's pooled scratch).
+func decodeTermsInto(dst []int, b []byte) ([]int, error) {
+	var d wire.Decoder
+	n, err := termCount(&d, b)
+	if err != nil {
+		return dst, err
+	}
+	dst = slices.Grow(dst, n)
+	for ; n > 0; n-- {
+		dst = append(dst, int(d.Uvarint()))
+	}
+	return dst, d.Err()
+}
+
+// CheckTerms reports whether b is a well-formed term-ID query, walking its
+// varints without keeping them: what a tier that only forwards the query
+// needs in order to reject a malformed one.
+func CheckTerms(b []byte) error {
+	var d wire.Decoder
+	n, err := termCount(&d, b)
+	for ; n > 0 && err == nil; n-- {
+		d.Uvarint()
+		err = d.Err()
+	}
+	return err
+}
+
+// termCount points d at a term-ID query and reads its count.  Every term is
+// at least one byte, so a count beyond the bytes that remain is rejected
+// before anything is sized from it.
+func termCount(d *wire.Decoder, b []byte) (int, error) {
+	d.Reset(b)
+	n := d.Uvarint()
 	if err := d.Err(); err != nil {
-		return nil, err
+		return 0, err
 	}
-	if n > wire.MaxSliceLen/4 {
-		return nil, wire.ErrTooLarge
+	if n > uint64(d.Remaining()) {
+		return 0, wire.ErrTruncated
 	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = int(d.Uvarint())
-	}
-	return out, d.Err()
+	return int(n), nil
 }
 
-// EncodeDocIDs encodes a posting-list result (plain fixed-width form, used
-// on the front-end wire where clients decode it).
-func EncodeDocIDs(ids []uint32) []byte {
-	e := wire.NewEncoder(4 + 4*len(ids))
-	e.Uint32s(ids)
-	return e.Bytes()
-}
-
-// DecodeDocIDs decodes a posting-list result.
-func DecodeDocIDs(b []byte) ([]uint32, error) {
-	d := wire.NewDecoder(b)
-	ids := d.Uint32s()
-	return ids, d.Err()
-}
-
-// EncodeCompressedDocIDs delta+varint compresses a sorted result list for
-// the leaf→mid-tier hop (§III-C's compressed posting-list representation).
-// Leaf results are sorted by construction (intersection preserves order and
-// global IDs are monotone in local IDs under round-robin sharding only per
-// shard — so the leaf sorts before compressing).
-func EncodeCompressedDocIDs(ids []uint32) ([]byte, error) {
+// EncodeDocIDs encodes a posting-list result, which must ascend strictly:
+// the ascending-gap field (§III-C's compressed posting-list representation:
+// uvarint count, first ID, then the difference to each next one) that both
+// hops of the response path carry — leaf to mid-tier and mid-tier to front-end.
+func EncodeDocIDs(ids []uint32) ([]byte, error) {
 	return postlist.CompressIDs(ids)
 }
 
-// DecodeCompressedDocIDs reverses EncodeCompressedDocIDs.
-func DecodeCompressedDocIDs(b []byte) ([]uint32, error) {
+// DecodeDocIDs decodes a posting-list result.  A reply is rejected, before
+// anything is sized from it, if it claims more IDs than it has bytes.
+func DecodeDocIDs(b []byte) ([]uint32, error) {
 	return postlist.DecompressIDs(b)
 }
 
 // --- leaf ---
 
-// LeafData is one shard of the corpus, indexed: localDocs[i] is the word
-// list of the document whose global ID is globalID[i].
+// LeafData is one shard of the corpus, indexed: the document with local ID i
+// has global ID GlobalID[i].  GlobalID ascends strictly — the leaf encodes its
+// reply as the gaps between the global IDs of an ascending local result, with
+// no sort in between, and fails a request whose IDs turn out not to ascend.
 type LeafData struct {
 	Index    *postlist.Index
 	GlobalID []uint32
 }
 
 // ShardCorpus splits the corpus round-robin and builds one inverted index
-// per shard.  stopTerms is the per-shard stop-list size.
+// per shard.  stopTerms is the per-shard stop-list size.  Local IDs are dealt
+// in ascending global order whatever order the split lists a shard's
+// documents in, which is what makes every LeafData's GlobalID ascend.
 func ShardCorpus(c *dataset.DocCorpus, n, stopTerms int) []LeafData {
 	idLists := c.Shard(n)
 	out := make([]LeafData, n)
 	for s, ids := range idLists {
+		slices.Sort(ids)
 		docs := make([][]int, len(ids))
 		gids := make([]uint32, len(ids))
 		for local, global := range ids {
@@ -115,68 +136,44 @@ func ShardCorpus(c *dataset.DocCorpus, n, stopTerms int) []LeafData {
 	return out
 }
 
-// intersect runs one multi-term intersection against the shard's index —
-// the slice-returning form the vectorized batch handler uses so duplicate
-// payloads can share one reply.
-func intersect(data LeafData, payload []byte) ([]byte, error) {
-	terms, err := DecodeTerms(payload)
-	if err != nil {
-		return nil, err
-	}
-	local := data.Index.Search(terms)
-	global := make([]uint32, len(local))
-	for i, id := range local {
-		global[i] = data.GlobalID[id]
-	}
-	// Local IDs are sorted; under round-robin sharding the global
-	// mapping is monotone, so the list stays sorted for compression.
-	return EncodeCompressedDocIDs(global)
-}
-
-// leafScratch recycles a scalar intersection's decoded term list, mapped
-// global-ID list, and compressed output across requests.
+// leafScratch recycles an intersection's decoded term list and the index
+// search's working state across requests.
 type leafScratch struct {
 	terms  []int
-	global []uint32
-	comp   []byte
+	search postlist.IntersectScratch
 }
 
 var leafScratches = sync.Pool{New: func() any { return new(leafScratch) }}
 
-// intersectEncoded is intersect in streaming form: the request decodes into
-// pooled scratch and the compressed posting list goes straight into the
-// leaf's pooled reply encoder, so a steady-state scalar intersection
-// allocates only what the index search itself does.
+// intersectEncoded runs one multi-term intersection against the shard's
+// index.  The request decodes into pooled scratch, the search intersects on
+// pooled scratch, and one loop maps each local ID to its global ID and writes
+// the gap to the one before straight into the leaf's pooled reply encoder, so
+// a steady-state intersection allocates nothing and touches a result ID once.
 func intersectEncoded(data LeafData, payload []byte, reply *wire.Encoder) error {
 	sc := leafScratches.Get().(*leafScratch)
 	defer leafScratches.Put(sc)
-	d := wire.NewDecoder(payload)
-	n := int(d.Uvarint())
-	if err := d.Err(); err != nil {
+	var err error
+	if sc.terms, err = decodeTermsInto(sc.terms[:0], payload); err != nil {
 		return err
 	}
-	if n > wire.MaxSliceLen/4 {
-		return wire.ErrTooLarge
+	local := data.Index.SearchInto(&sc.search, sc.terms)
+	if bad := reply.AscendingUint32sVia(local, data.GlobalID); bad >= 0 {
+		return fmt.Errorf("setalgebra leaf: global ID %d of local document %d does not ascend",
+			data.GlobalID[local[bad]], local[bad])
 	}
-	sc.terms = sc.terms[:0]
-	for i := 0; i < n; i++ {
-		sc.terms = append(sc.terms, int(d.Uvarint()))
-	}
-	if err := d.Err(); err != nil {
-		return err
-	}
-	local := data.Index.Search(sc.terms)
-	sc.global = sc.global[:0]
-	for _, id := range local {
-		sc.global = append(sc.global, data.GlobalID[id])
-	}
-	comp, err := postlist.CompressIDsInto(sc.comp[:0], sc.global)
-	if err != nil {
-		return err
-	}
-	sc.comp = comp
-	reply.Raw(comp)
 	return nil
+}
+
+// intersect is intersectEncoded returning the reply as its own slice — the
+// form the vectorized batch handler uses so duplicate payloads can share one.
+func intersect(data LeafData, payload []byte) ([]byte, error) {
+	e := wire.GetEncoder()
+	defer wire.PutEncoder(e)
+	if err := intersectEncoded(data, payload, e); err != nil {
+		return nil, err
+	}
+	return slices.Clone(e.Bytes()), nil
 }
 
 // NewLeaf builds the Set Algebra leaf microservice over one indexed shard.
@@ -214,8 +211,8 @@ func NewLeaf(data LeafData, opts *core.LeafOptions) *core.Leaf {
 // --- mid-tier ---
 
 // mergeScratch recycles the mid-tier union's working state: the flat slice
-// the per-shard compressed replies decompress into, the per-shard segment
-// offsets/views over it, and the merged output.
+// the per-shard replies decode into, the per-shard segment offsets/views over
+// it, and the merged output.
 type mergeScratch struct {
 	flat  []uint32
 	offs  []int
@@ -224,6 +221,47 @@ type mergeScratch struct {
 }
 
 var mergeScratches = sync.Pool{New: func() any { return new(mergeScratch) }}
+
+// unionEncoded is the response path: each shard's gap-coded list decodes
+// straight into one pooled flat slice (the replies may alias pooled buffers
+// recycled when the merge returns, so the IDs are materialized here).  Every
+// shard's list arrives strictly ascending — the gap decoder rejects one that
+// does not — so the union is a merge of the segments, not a re-sort of the
+// concatenation, and it leaves for the front-end as the same gap field, one
+// hop on.  Segment boundaries are recorded as offsets and sliced only after
+// every decode, since appends may reallocate the flat slice.
+func unionEncoded(results []core.LeafResult, reply *wire.Encoder) error {
+	sc := mergeScratches.Get().(*mergeScratch)
+	defer mergeScratches.Put(sc)
+	sc.flat = sc.flat[:0]
+	sc.offs = sc.offs[:0]
+	for _, r := range results {
+		if r.Err != nil {
+			return r.Err
+		}
+		sc.offs = append(sc.offs, len(sc.flat))
+		var err error
+		sc.flat, err = postlist.DecompressIDsInto(sc.flat, r.Reply)
+		if err != nil {
+			return err
+		}
+	}
+	sc.segs = sc.segs[:0]
+	for i, lo := range sc.offs {
+		hi := len(sc.flat)
+		if i+1 < len(sc.offs) {
+			hi = sc.offs[i+1]
+		}
+		if lo < hi {
+			sc.segs = append(sc.segs, sc.flat[lo:hi])
+		}
+	}
+	sc.union = postlist.MergeSortedInto(sc.union[:0], sc.segs)
+	if bad := reply.AscendingUint32s(sc.union); bad >= 0 {
+		return fmt.Errorf("setalgebra mid-tier: union does not ascend at %d", bad)
+	}
+	return nil
+}
 
 // NewMidTier builds the Set Algebra mid-tier: forward terms to every leaf,
 // union the intersected posting lists received.  Call ConnectLeaves then
@@ -234,51 +272,18 @@ func NewMidTier(opts *core.Options) *core.MidTier {
 			ctx.ReplyError(fmt.Errorf("setalgebra mid-tier: unknown method %q", ctx.Req.Method))
 			return
 		}
-		if _, err := DecodeTerms(ctx.Req.Payload); err != nil {
+		if err := CheckTerms(ctx.Req.Payload); err != nil {
 			ctx.ReplyError(err)
 			return
 		}
-		// Response path: each shard's compressed list decompresses
-		// straight into one pooled flat slice (the replies may alias
-		// pooled buffers recycled when this merge returns, so the IDs are
-		// materialized here).  Every shard's list arrives sorted — the
-		// leaves sort before compressing — so the union is a linear k-way
-		// merge of the segments, not a re-sort of the concatenation.
-		// Segment boundaries are recorded as offsets and sliced only after
-		// every decompress, since appends may reallocate the flat slice.
 		ctx.FanoutAll(MethodIntersect, ctx.Req.Payload, func(results []core.LeafResult) {
-			sc := mergeScratches.Get().(*mergeScratch)
-			defer mergeScratches.Put(sc)
-			sc.flat = sc.flat[:0]
-			sc.offs = sc.offs[:0]
-			for _, r := range results {
-				if r.Err != nil {
-					ctx.ReplyError(r.Err)
-					return
-				}
-				sc.offs = append(sc.offs, len(sc.flat))
-				var err error
-				sc.flat, err = postlist.DecompressIDsInto(sc.flat, r.Reply)
-				if err != nil {
-					ctx.ReplyError(err)
-					return
-				}
-			}
-			sc.segs = sc.segs[:0]
-			for i, lo := range sc.offs {
-				hi := len(sc.flat)
-				if i+1 < len(sc.offs) {
-					hi = sc.offs[i+1]
-				}
-				if lo < hi {
-					sc.segs = append(sc.segs, sc.flat[lo:hi])
-				}
-			}
-			sc.union = postlist.MergeSortedInto(sc.union[:0], sc.segs)
 			e := wire.GetEncoder()
-			e.Uint32s(sc.union)
+			defer wire.PutEncoder(e)
+			if err := unionEncoded(results, e); err != nil {
+				ctx.ReplyError(err)
+				return
+			}
 			ctx.Reply(e.Bytes())
-			wire.PutEncoder(e)
 		})
 	}, opts)
 }

@@ -1,12 +1,16 @@
 package setalgebra
 
 import (
+	"math"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"musuite/internal/core"
 	"musuite/internal/dataset"
+	"musuite/internal/wire"
 )
 
 func testCorpus(t *testing.T) *dataset.DocCorpus {
@@ -45,9 +49,16 @@ func TestCodecs(t *testing.T) {
 	if err != nil || len(empty) != 0 {
 		t.Fatalf("empty terms: %v %v", empty, err)
 	}
-	ids, err := DecodeDocIDs(EncodeDocIDs([]uint32{1, 2, 3}))
-	if err != nil || len(ids) != 3 || ids[2] != 3 {
+	enc, err := EncodeDocIDs([]uint32{1, 2, 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, err := DecodeDocIDs(enc)
+	if err != nil || !slices.Equal(ids, []uint32{1, 2, 300}) {
 		t.Fatalf("ids codec: %v %v", ids, err)
+	}
+	if _, err := EncodeDocIDs([]uint32{2, 2}); err == nil {
+		t.Fatal("a duplicate ID encoded")
 	}
 	if _, err := DecodeTerms([]byte{0xFF}); err == nil {
 		t.Fatal("garbage terms accepted")
@@ -232,4 +243,160 @@ func TestMalformedQueryRejected(t *testing.T) {
 	if _, err := client.rpc.Call(MethodSearch, []byte{0xFF}); err == nil {
 		t.Fatal("malformed query accepted")
 	}
+}
+
+// TestCheckTermsAgreesWithDecodeTerms: the walk that keeps nothing accepts
+// exactly the queries the decoder accepts — every prefix of a valid query, a
+// count with no terms behind it, an overlong varint — and allocates nothing.
+func TestCheckTermsAgreesWithDecodeTerms(t *testing.T) {
+	valid := EncodeTerms([]int{3, 0, 99999, 1 << 40})
+	inputs := [][]byte{nil, {0xFF}, {5}, {0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 1}}
+	for cut := 0; cut <= len(valid); cut++ {
+		inputs = append(inputs, valid[:cut])
+	}
+	for _, in := range inputs {
+		_, decodeErr := DecodeTerms(in)
+		if checkErr := CheckTerms(in); (checkErr == nil) != (decodeErr == nil) {
+			t.Errorf("%x: CheckTerms says %v, DecodeTerms %v", in, checkErr, decodeErr)
+		}
+	}
+	if err := CheckTerms(valid); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { CheckTerms(valid) }); allocs != 0 {
+		t.Fatalf("CheckTerms allocates %v times", allocs)
+	}
+	// A count is not believed beyond the bytes behind it.
+	lie := []byte{0xFF, 0xFF, 0xFF, 0x0F, 1}
+	if allocs := testing.AllocsPerRun(10, func() { DecodeTerms(lie) }); allocs != 0 {
+		t.Fatalf("DecodeTerms sized %v allocations from a count it then rejected", allocs)
+	}
+}
+
+// TestShardCorpusGlobalIDsAscend: every shard's local→global map ascends
+// strictly, which is all that stands between the leaf's one-pass map-and-gap
+// encode and an unsorted reply; and a LeafData whose map does not ascend fails
+// the request, it does not answer wrongly.
+func TestShardCorpusGlobalIDsAscend(t *testing.T) {
+	corpus := testCorpus(t)
+	for _, n := range []int{1, 3, 4, 7} {
+		for s, sh := range ShardCorpus(corpus, n, 5) {
+			for local := 1; local < len(sh.GlobalID); local++ {
+				if sh.GlobalID[local] <= sh.GlobalID[local-1] {
+					t.Fatalf("%d shards, shard %d: global ID %d follows %d at local %d",
+						n, s, sh.GlobalID[local], sh.GlobalID[local-1], local)
+				}
+			}
+		}
+	}
+	sh := ShardCorpus(corpus, 4, 5)[0]
+	term := longestTerm(corpus, sh)
+	slices.Reverse(sh.GlobalID)
+	var reply wire.Encoder
+	if err := intersectEncoded(sh, EncodeTerms([]int{term}), &reply); err == nil || reply.Len() != 0 {
+		t.Fatalf("a descending map answered (err %v, %d reply bytes)", err, reply.Len())
+	}
+}
+
+// longestTerm returns the indexed term with the longest posting list on sh.
+func longestTerm(corpus *dataset.DocCorpus, sh LeafData) int {
+	best, n := -1, 0
+	for w := 0; w < corpus.VocabSize; w++ {
+		if p := sh.Index.Postings(w); p != nil && p.Len() > n {
+			best, n = w, p.Len()
+		}
+	}
+	return best
+}
+
+// TestResultPathSteadyStateAllocatesNothing: on warmed pooled scratch a leaf
+// intersects and encodes, and the mid-tier decodes, unions and re-encodes,
+// without allocating — for a one-term query (the longest reply) and for
+// multi-term ones.
+func TestResultPathSteadyStateAllocatesNothing(t *testing.T) {
+	// Under the race detector sync.Pool drops a quarter of all Puts on
+	// purpose, and a pooled path's allocation count says nothing about it.
+	news := 0
+	probe := sync.Pool{New: func() any { news++; return new(int) }}
+	for i := 0; i < 200; i++ {
+		probe.Put(probe.Get())
+	}
+	if news > 2 {
+		t.Skip("sync.Pool is dropping Puts (race detector)")
+	}
+	corpus := testCorpus(t)
+	shards := ShardCorpus(corpus, 4, 5)
+	queries := append(corpus.Queries(16, 6, 21), []int{longestTerm(corpus, shards[0])})
+	for _, q := range queries {
+		payload := EncodeTerms(q)
+		results := make([]core.LeafResult, len(shards))
+		var leafReply, reply wire.Encoder
+		for s, sh := range shards {
+			leafReply.Reset()
+			if err := intersectEncoded(sh, payload, &leafReply); err != nil {
+				t.Fatal(err)
+			}
+			results[s] = core.LeafResult{Shard: s, Reply: slices.Clone(leafReply.Bytes())}
+			if allocs := testing.AllocsPerRun(20, func() {
+				leafReply.Reset()
+				intersectEncoded(sh, payload, &leafReply)
+			}); allocs != 0 {
+				t.Errorf("query %v, shard %d: %v allocations per intersectEncoded", q, s, allocs)
+			}
+		}
+		if err := unionEncoded(results, &reply); err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(20, func() {
+			reply.Reset()
+			unionEncoded(results, &reply)
+		}); allocs != 0 {
+			t.Errorf("query %v: %v allocations per unionEncoded", q, allocs)
+		}
+		// And the bytes are the answer.
+		got, err := DecodeDocIDs(reply.Bytes())
+		if want := referenceSearch(corpus, shards, q); err != nil || !slices.Equal(got, want) {
+			t.Errorf("query %v: got %v (%v), want %v", q, got, err, want)
+		}
+	}
+}
+
+// FuzzDocIDsDecode: no reply — valid, cut short, with a zero gap, with a gap
+// that carries past uint32, with a count it has not the bytes for — panics the
+// front-end decoder or makes it allocate more than four bytes per input byte,
+// and whatever it accepts ascends strictly and survives a round trip.
+func FuzzDocIDsDecode(f *testing.F) {
+	valid, _ := EncodeDocIDs([]uint32{0, 1, 200, 70000, 1 << 31, math.MaxUint32})
+	f.Add(valid)
+	f.Add(valid[:len(valid)-2])
+	f.Add([]byte{0})
+	f.Add([]byte{3, 5, 0, 1})                         // zero gap
+	f.Add([]byte{2, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1}) // carries past uint32
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F, 1, 1, 1})    // 2²⁸ IDs claimed
+	f.Fuzz(func(t *testing.T, reply []byte) {
+		ids, err := DecodeDocIDs(reply)
+		// The one slice the decode makes holds at most an ID per input byte
+		// (size classes round a small one up).
+		if 4*cap(ids) > 8*len(reply)+64 {
+			t.Fatalf("decoding %d bytes made a slice of %d IDs", len(reply), cap(ids))
+		}
+		if err != nil {
+			if len(ids) != 0 {
+				t.Fatalf("an error (%v) came with %d IDs", err, len(ids))
+			}
+			return
+		}
+		for i := 1; i < len(ids); i++ {
+			if ids[i] <= ids[i-1] {
+				t.Fatalf("accepted %d after %d", ids[i], ids[i-1])
+			}
+		}
+		again, err := EncodeDocIDs(ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back, err := DecodeDocIDs(again); err != nil || !slices.Equal(back, ids) {
+			t.Fatalf("re-encoded reply decodes to %v (%v), want %v", back, err, ids)
+		}
+	})
 }

@@ -2,6 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
+	"slices"
 	"testing"
 )
 
@@ -30,6 +33,9 @@ func FuzzWireDecoder(f *testing.F) {
 	e.Uint64s([]uint64{5})
 	e.AscendingUint32s([]uint32{0, 1, 200, 1 << 31})
 	f.Add(e.Bytes(), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14})
+	// Fixed-width slices: a count the bytes do not cover, a cut last element.
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F, 1, 2, 3, 4}, []byte{16, 15, 17})
+	f.Add([]byte{2, 1, 0, 0, 0, 2, 0, 0}, []byte{16})
 	f.Add([]byte{}, []byte{5, 5, 5})
 	// Pathological uvarint: max shift then length-prefix lies.
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 1}, []byte{5, 9, 9})
@@ -43,7 +49,7 @@ func FuzzWireDecoder(f *testing.F) {
 		var scratchU32 []uint32
 		var scratchU64 []uint64
 		for _, op := range ops {
-			switch op % 15 {
+			switch op % 18 {
 			case 0:
 				d.Uint8()
 			case 1:
@@ -88,6 +94,20 @@ func FuzzWireDecoder(f *testing.F) {
 						}
 					}
 				}
+			// The allocating forms size their result from the count: it must be
+			// one the input had the bytes for.
+			case 15:
+				if v := d.Float32s(); 4*len(v) > len(data) {
+					t.Fatalf("Float32s returned %d values from a %d-byte input", len(v), len(data))
+				}
+			case 16:
+				if v := d.Uint32s(); 4*len(v) > len(data) {
+					t.Fatalf("Uint32s returned %d values from a %d-byte input", len(v), len(data))
+				}
+			case 17:
+				if v := d.Uint64s(); 8*len(v) > len(data) {
+					t.Fatalf("Uint64s returned %d values from a %d-byte input", len(v), len(data))
+				}
 			}
 		}
 		if d.Err() == nil && d.Remaining() < 0 {
@@ -97,15 +117,55 @@ func FuzzWireDecoder(f *testing.F) {
 }
 
 // FuzzEncodeDecodeRoundTrip pins the codec pair: anything the Encoder emits
-// the Decoder must read back verbatim.
+// the Decoder must read back verbatim.  The blob doubles as the elements of the
+// fixed-width slices (its bytes, taken four and eight at a time) and of an
+// ascending list (its bytes as gaps), so the bulk paths see arbitrary values
+// and lengths.
 func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 	f.Add(uint64(300), []byte("payload"), "method")
 	f.Add(uint64(0), []byte{}, "")
+	f.Add(uint64(1), []byte{0, 0, 0x80, 0x7F, 0xFF, 0xFF, 0xFF, 0xFF, 1, 0, 0, 0, 0, 0, 0xC0, 0x7F}, "nan")
 	f.Fuzz(func(t *testing.T, v uint64, blob []byte, s string) {
+		var u32 []uint32
+		var u64 []uint64
+		var f32 []float32
+		for b := blob; len(b) >= 4; b = b[4:] {
+			u32 = append(u32, binary.LittleEndian.Uint32(b))
+			f32 = append(f32, math.Float32frombits(binary.LittleEndian.Uint32(b)))
+		}
+		for b := blob; len(b) >= 8; b = b[8:] {
+			u64 = append(u64, binary.LittleEndian.Uint64(b))
+		}
+		// asc is also its own table, reached through the indexes 0, 1, 2, …
+		var asc, idx []uint32
+		next := uint32(v)
+		for i, gap := range blob {
+			if next > math.MaxUint32-uint32(gap)-1 {
+				break
+			}
+			next += uint32(gap) + 1
+			asc = append(asc, next)
+			idx = append(idx, uint32(i))
+		}
+
 		var e Encoder
 		e.Uvarint(v)
 		e.BytesField(blob)
 		e.String(s)
+		e.Uint32s(u32)
+		e.Float32s(f32)
+		e.Uint64s(u64)
+		direct := e.Len()
+		if bad := e.AscendingUint32s(asc); bad != -1 {
+			t.Fatalf("AscendingUint32s rejected index %d of %v", bad, asc)
+		}
+		via := e.Len()
+		if bad := e.AscendingUint32sVia(idx, asc); bad != -1 {
+			t.Fatalf("AscendingUint32sVia rejected index %d", bad)
+		}
+		if b := e.Bytes(); !bytes.Equal(b[via:], b[direct:via]) {
+			t.Fatalf("the list through a table encoded as %x, directly as %x", b[via:], b[direct:via])
+		}
 		d := NewDecoder(e.Bytes())
 		if got := d.Uvarint(); got != v {
 			t.Fatalf("Uvarint: got %d, want %d", got, v)
@@ -116,8 +176,29 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 		if got := d.String(); got != s {
 			t.Fatalf("String: got %q, want %q", got, s)
 		}
-		if d.Err() != nil {
-			t.Fatalf("round trip error: %v", d.Err())
+		if got := d.Uint32s(); !slices.Equal(got, u32) {
+			t.Fatalf("Uint32s: got %v, want %v", got, u32)
+		}
+		// Floats compare by bits: the blob holds NaNs.
+		got32 := d.Float32sInto(make([]float32, 0, 2))
+		if len(got32) != len(f32) {
+			t.Fatalf("Float32sInto: got %d values, want %d", len(got32), len(f32))
+		}
+		for i := range f32 {
+			if math.Float32bits(got32[i]) != math.Float32bits(f32[i]) {
+				t.Fatalf("Float32sInto[%d]: got bits %x, want %x", i, math.Float32bits(got32[i]), math.Float32bits(f32[i]))
+			}
+		}
+		if got := d.Uint64sInto(make([]uint64, 0, 1)); !slices.Equal(got, u64) {
+			t.Fatalf("Uint64sInto: got %v, want %v", got, u64)
+		}
+		for range 2 {
+			if got := d.AscendingUint32sInto(nil); !slices.Equal(got, asc) {
+				t.Fatalf("AscendingUint32sInto: got %v, want %v", got, asc)
+			}
+		}
+		if d.Err() != nil || d.Remaining() != 0 {
+			t.Fatalf("round trip: err %v, %d bytes left", d.Err(), d.Remaining())
 		}
 	})
 }

@@ -9,6 +9,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"slices"
@@ -143,27 +144,40 @@ func (e *Encoder) String(s string) {
 	e.buf = append(e.buf, s...)
 }
 
+// fixed appends the uvarint count n and makes room for n elements of width
+// bytes, which it returns for the caller to fill: a fixed-width slice is sized
+// once and written by index, not appended to element by element.
+func (e *Encoder) fixed(n, width int) []byte {
+	e.Uvarint(uint64(n))
+	at := len(e.buf)
+	e.buf = slices.Grow(e.buf, n*width)[:at+n*width]
+	return e.buf[at:]
+}
+
 // Float32s appends a length-prefixed []float32.
 func (e *Encoder) Float32s(v []float32) {
-	e.Uvarint(uint64(len(v)))
+	b := e.fixed(len(v), 4)
 	for _, f := range v {
-		e.Float32(f)
+		binary.LittleEndian.PutUint32(b, math.Float32bits(f))
+		b = b[4:]
 	}
 }
 
 // Uint64s appends a length-prefixed []uint64.
 func (e *Encoder) Uint64s(v []uint64) {
-	e.Uvarint(uint64(len(v)))
+	b := e.fixed(len(v), 8)
 	for _, x := range v {
-		e.Uint64(x)
+		binary.LittleEndian.PutUint64(b, x)
+		b = b[8:]
 	}
 }
 
 // Uint32s appends a length-prefixed []uint32.
 func (e *Encoder) Uint32s(v []uint32) {
-	e.Uvarint(uint64(len(v)))
+	b := e.fixed(len(v), 4)
 	for _, x := range v {
-		e.Uint32(x)
+		binary.LittleEndian.PutUint32(b, x)
+		b = b[4:]
 	}
 }
 
@@ -173,18 +187,54 @@ func (e *Encoder) Uint32s(v []uint32) {
 // small number is one byte, so a posting list or a candidate list at density
 // 1/11 costs ~1.1 B per ID against 4 raw.  bad is -1 on success; otherwise it
 // is the index of the first value that is not above its predecessor and dst
-// is returned as it came.
+// is returned at the length it came with.
 func AppendAscendingUint32s(dst []byte, ids []uint32) (out []byte, bad int) {
-	out = appendUvarint(dst, uint64(len(ids)))
+	b, n := reserveGaps(dst, len(ids))
 	prev := uint32(0)
 	for i, id := range ids {
 		if i > 0 && id <= prev {
-			return dst, i
+			return b[:len(dst)], i
 		}
-		out = appendUvarint(out, uint64(id-prev))
+		n = putGap(b, n, id-prev)
 		prev = id
 	}
-	return out, -1
+	return b[:n], -1
+}
+
+// appendAscendingVia is AppendAscendingUint32s over table[idx[0]],
+// table[idx[1]], …: the same field, the values looked up on the way.  (Its own
+// loop: a per-value "is there a table" test costs the plain form a third.)
+func appendAscendingVia(dst []byte, idx, table []uint32) (out []byte, bad int) {
+	b, n := reserveGaps(dst, len(idx))
+	prev := uint32(0)
+	for i, at := range idx {
+		id := table[at]
+		if i > 0 && id <= prev {
+			return b[:len(dst)], i
+		}
+		n = putGap(b, n, id-prev)
+		prev = id
+	}
+	return b[:n], -1
+}
+
+// reserveGaps appends the count to dst and makes room for count gaps at their
+// worst — five bytes each — so that the encode loop stores by index and never
+// grows.  It returns the extended buffer and the offset of the first gap.
+func reserveGaps(dst []byte, count int) (b []byte, n int) {
+	b = appendUvarint(dst, uint64(count))
+	n = len(b)
+	return slices.Grow(b, 5*count)[:n+5*count], n
+}
+
+// putGap writes gap as a uvarint at b[n:] and returns the offset after it.
+func putGap(b []byte, n int, gap uint32) int {
+	for ; gap >= 0x80; gap >>= 7 {
+		b[n] = byte(gap) | 0x80
+		n++
+	}
+	b[n] = byte(gap)
+	return n + 1
 }
 
 // AscendingUint32s appends v as an ascending-uint32 field (see
@@ -192,6 +242,15 @@ func AppendAscendingUint32s(dst []byte, ids []uint32) (out []byte, bad int) {
 // appended).
 func (e *Encoder) AscendingUint32s(v []uint32) (bad int) {
 	e.buf, bad = AppendAscendingUint32s(e.buf, v)
+	return bad
+}
+
+// AscendingUint32sVia appends table[idx[0]], table[idx[1]], … as an
+// ascending-uint32 field, mapping and gap-encoding in one pass: the form a
+// shard takes to answer in global IDs from a result in local ones.  bad
+// indexes idx; every idx[i] must be inside table.
+func (e *Encoder) AscendingUint32sVia(idx, table []uint32) (bad int) {
+	e.buf, bad = appendAscendingVia(e.buf, idx, table)
 	return bad
 }
 
@@ -363,36 +422,46 @@ func (d *Decoder) prefixedLen(width int) int {
 	return n
 }
 
+// fixedInto reads a uvarint count n and takes the n×width bytes its elements
+// occupy — one bounds check for the whole slice — and returns them with dst
+// resized to n elements (a new allocation when dst is too small; empty on
+// error).
+func fixedInto[T any](d *Decoder, dst []T, width int) ([]T, []byte) {
+	n := d.prefixedLen(width)
+	if cap(dst) < n {
+		dst = make([]T, n)
+	}
+	return dst[:n], d.take(n * width)
+}
+
 // Float32sInto reads a length-prefixed []float32 into dst, reusing its
 // capacity.  It returns the filled slice (which may be a new allocation when
 // dst is too small) — the no-copy decode path for request scratch.
 func (d *Decoder) Float32sInto(dst []float32) []float32 {
-	n := d.prefixedLen(4)
-	if d.err != nil || n == 0 {
-		return dst[:0]
-	}
-	if cap(dst) < n {
-		dst = make([]float32, n)
-	}
-	dst = dst[:n]
+	dst, b := fixedInto(d, dst, 4)
 	for i := range dst {
-		dst[i] = d.Float32()
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(b))
+		b = b[4:]
 	}
 	return dst
 }
 
 // Uint32sInto reads a length-prefixed []uint32 into dst, reusing capacity.
 func (d *Decoder) Uint32sInto(dst []uint32) []uint32 {
-	n := d.prefixedLen(4)
-	if d.err != nil || n == 0 {
-		return dst[:0]
-	}
-	if cap(dst) < n {
-		dst = make([]uint32, n)
-	}
-	dst = dst[:n]
+	dst, b := fixedInto(d, dst, 4)
 	for i := range dst {
-		dst[i] = d.Uint32()
+		dst[i] = binary.LittleEndian.Uint32(b)
+		b = b[4:]
+	}
+	return dst
+}
+
+// Uint64sInto reads a length-prefixed []uint64 into dst, reusing capacity.
+func (d *Decoder) Uint64sInto(dst []uint64) []uint64 {
+	dst, b := fixedInto(d, dst, 8)
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint64(b)
+		b = b[8:]
 	}
 	return dst
 }
@@ -460,22 +529,6 @@ func readGaps(out []uint32, buf []byte) (used int, err error) {
 	return used, nil
 }
 
-// Uint64sInto reads a length-prefixed []uint64 into dst, reusing capacity.
-func (d *Decoder) Uint64sInto(dst []uint64) []uint64 {
-	n := d.prefixedLen(8)
-	if d.err != nil || n == 0 {
-		return dst[:0]
-	}
-	if cap(dst) < n {
-		dst = make([]uint64, n)
-	}
-	dst = dst[:n]
-	for i := range dst {
-		dst[i] = d.Uint64()
-	}
-	return dst
-}
-
 // String reads a length-prefixed string.
 func (d *Decoder) String() string {
 	n := d.sliceLen()
@@ -486,53 +539,14 @@ func (d *Decoder) String() string {
 	return string(b)
 }
 
-// Float32s reads a length-prefixed []float32.
-func (d *Decoder) Float32s() []float32 {
-	n := d.prefixedLen(4)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = d.Float32()
-		if d.err != nil {
-			return nil
-		}
-	}
-	return out
-}
+// Float32s reads a length-prefixed []float32 (nil when empty or on error).
+func (d *Decoder) Float32s() []float32 { return d.Float32sInto(nil) }
 
-// Uint64s reads a length-prefixed []uint64.
-func (d *Decoder) Uint64s() []uint64 {
-	n := d.prefixedLen(8)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = d.Uint64()
-		if d.err != nil {
-			return nil
-		}
-	}
-	return out
-}
+// Uint64s reads a length-prefixed []uint64 (nil when empty or on error).
+func (d *Decoder) Uint64s() []uint64 { return d.Uint64sInto(nil) }
 
-// Uint32s reads a length-prefixed []uint32.
-func (d *Decoder) Uint32s() []uint32 {
-	n := d.prefixedLen(4)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = d.Uint32()
-		if d.err != nil {
-			return nil
-		}
-	}
-	return out
-}
+// Uint32s reads a length-prefixed []uint32 (nil when empty or on error).
+func (d *Decoder) Uint32s() []uint32 { return d.Uint32sInto(nil) }
 
 // Strings reads a length-prefixed []string.  Each string costs at least one
 // length byte, so the element count is validated against Remaining before

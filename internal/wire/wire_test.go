@@ -340,3 +340,108 @@ func TestAscendingUint32sRejectsCorrupt(t *testing.T) {
 		}
 	}
 }
+
+// TestFixedWidthSliceLayout pins the bulk slice codecs to the bytes the
+// per-element loops they replaced wrote — a uvarint count, then each element
+// little-endian — in both directions, and to failing before anything is sized
+// when the count is a lie.
+func TestFixedWidthSliceLayout(t *testing.T) {
+	u32 := []uint32{0, 1, 0x01020304, math.MaxUint32}
+	f32 := []float32{0, -1.5, float32(math.Inf(1)), math.SmallestNonzeroFloat32}
+	u64 := []uint64{0, 1, 0x0102030405060708, math.MaxUint64}
+	for n := 0; n <= len(u32); n++ {
+		var bulk, loop Encoder
+		// A live prefix: the bulk form must append after it, not over it.
+		bulk.String("prefix")
+		loop.String("prefix")
+		bulk.Uint32s(u32[:n])
+		bulk.Float32s(f32[:n])
+		bulk.Uint64s(u64[:n])
+		loop.Uvarint(uint64(n))
+		for _, x := range u32[:n] {
+			loop.Uint32(x)
+		}
+		loop.Uvarint(uint64(n))
+		for _, x := range f32[:n] {
+			loop.Float32(x)
+		}
+		loop.Uvarint(uint64(n))
+		for _, x := range u64[:n] {
+			loop.Uint64(x)
+		}
+		if !bytes.Equal(bulk.Bytes(), loop.Bytes()) {
+			t.Fatalf("n=%d: bulk encoders wrote %x, the element loop %x", n, bulk.Bytes(), loop.Bytes())
+		}
+		// What the loop wrote, the bulk decoders read — into scratch that is
+		// too small, exact, and roomy — and element reads agree.
+		for _, room := range []int{0, n, n + 3} {
+			d := NewDecoder(loop.Bytes())
+			_ = d.String()
+			g32 := d.Uint32sInto(make([]uint32, 0, room))
+			gf := d.Float32sInto(make([]float32, 0, room))
+			g64 := d.Uint64sInto(make([]uint64, 0, room))
+			if d.Err() != nil || d.Remaining() != 0 {
+				t.Fatalf("n=%d room=%d: err %v, %d bytes left", n, room, d.Err(), d.Remaining())
+			}
+			if !slices.Equal(g32, u32[:n]) || !slices.Equal(gf, f32[:n]) || !slices.Equal(g64, u64[:n]) {
+				t.Fatalf("n=%d room=%d: decoded %v %v %v", n, room, g32, gf, g64)
+			}
+		}
+	}
+
+	reads := []struct {
+		name  string
+		width int
+		read  func(*Decoder) int
+	}{
+		{"Uint32s", 4, func(d *Decoder) int { return len(d.Uint32s()) }},
+		{"Float32s", 4, func(d *Decoder) int { return len(d.Float32s()) }},
+		{"Uint64s", 8, func(d *Decoder) int { return len(d.Uint64s()) }},
+		{"Uint32sInto", 4, func(d *Decoder) int { return len(d.Uint32sInto(make([]uint32, 0, 4))) }},
+		{"Float32sInto", 4, func(d *Decoder) int { return len(d.Float32sInto(make([]float32, 0, 4))) }},
+		{"Uint64sInto", 8, func(d *Decoder) int { return len(d.Uint64sInto(make([]uint64, 0, 4))) }},
+	}
+	for _, r := range reads {
+		cut := append([]byte{2}, make([]byte, 2*r.width-1)...) // two elements, the last a byte short
+		lie := appendUvarint(nil, MaxSliceLen)                 // 2²⁸ elements, one of them present
+		lie = append(lie, make([]byte, r.width)...)
+		for what, in := range map[string][]byte{"a truncated last element": cut, "a count beyond the input": lie} {
+			var d Decoder
+			var n int
+			allocs := testing.AllocsPerRun(1, func() { d.Reset(in); n = r.read(&d) })
+			if n != 0 || d.Err() != ErrTruncated {
+				t.Errorf("%s of %s: %d values, err %v; want none and ErrTruncated", r.name, what, n, d.Err())
+			}
+			// At most the test's own four-element scratch: nothing of the
+			// claimed size was made.
+			if allocs > 1 {
+				t.Errorf("%s of %s: %v allocations", r.name, what, allocs)
+			}
+		}
+	}
+}
+
+// TestAscendingUint32sVia: the mapped form writes exactly the bytes of the
+// plain form over the mapped list, and reports the position whose mapped value
+// fails to ascend.
+func TestAscendingUint32sVia(t *testing.T) {
+	table := []uint32{3, 40, 41, 9000, 1 << 31, math.MaxUint32}
+	idx := []uint32{0, 2, 3, 5}
+	var via, plain Encoder
+	via.Uint8(0xAA)
+	plain.Uint8(0xAA)
+	if bad := via.AscendingUint32sVia(idx, table); bad != -1 {
+		t.Fatalf("bad=%d", bad)
+	}
+	plain.AscendingUint32s([]uint32{3, 41, 9000, math.MaxUint32})
+	if !bytes.Equal(via.Bytes(), plain.Bytes()) {
+		t.Fatalf("via the table %x, plain %x", via.Bytes(), plain.Bytes())
+	}
+	before := via.Len()
+	if bad := via.AscendingUint32sVia([]uint32{1, 3, 2}, table); bad != 2 || via.Len() != before {
+		t.Fatalf("descending mapped value: bad=%d, %d bytes appended", bad, via.Len()-before)
+	}
+	if bad := via.AscendingUint32sVia(nil, nil); bad != -1 || via.Len() != before+1 {
+		t.Fatalf("empty list: bad=%d, %d bytes appended", bad, via.Len()-before)
+	}
+}
