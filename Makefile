@@ -46,10 +46,12 @@ loc:
 
 # The stats-contract flake guard (the nightly flake-guard CI job): twenty
 # passes over the packages whose tests read counters right after a reply,
-# plus the LSH index, the HDSearch service built on it, and internal/rpc
-# (syscall proxies against the kernel's count, teardown against a peer's reset).
+# plus the LSH index, the HDSearch service built on it, the ANN indexes its
+# leaves build (whose quality may not depend on a store's row order), and
+# internal/rpc (syscall proxies against the kernel's count, teardown against a
+# peer's reset).
 flake-guard:
-	$(GO) test -short -count=20 ./internal/core ./internal/topo ./internal/cluster ./internal/autoscale ./internal/lsh ./internal/services/hdsearch ./internal/rpc
+	$(GO) test -short -count=20 ./internal/core ./internal/topo ./internal/cluster ./internal/autoscale ./internal/lsh ./internal/services/hdsearch ./internal/ann ./internal/rpc
 
 bench-smoke: build
 	$(GO) run ./cmd/musuite-bench -experiment tableII

@@ -95,6 +95,23 @@ func nodeLevel(seed int64, i int, mL float64) int32 {
 	return lvl
 }
 
+// insertionOrder is the seeded permutation BuildHNSW inserts nodes in: a
+// Fisher–Yates shuffle on the level towers' splitmix64 stream (another
+// salt), a pure function of (seed, n).  Row order would tie graph quality to
+// the store's layout: over rows sorted by locality (an HDSearch shard) the
+// early nodes share one corner of the space and the base layer disconnects.
+func insertionOrder(seed int64, n int) []int32 {
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	for i := n - 1; i > 0; i-- {
+		j := splitmix64(uint64(seed)^splitmix64(uint64(i)+0x2545_F491_4F6C_DD1D)) % uint64(i+1)
+		order[i], order[j] = order[j], order[i]
+	}
+	return order
+}
+
 // --- build ---
 
 // spinLock is the per-node latch guarding a pending reciprocal-edge list
@@ -147,7 +164,8 @@ func (cfg *Config) fillHNSW() error {
 // captured, not copied.
 //
 // Construction is round-synchronized so it is both parallel and
-// deterministic: nodes are appended to the graph in fixed-size rounds, and
+// deterministic: nodes join the graph in a seeded permutation of the rows
+// (insertionOrder), in fixed-size rounds, and
 // within a round every insertion's beam search runs against the frozen
 // pre-round graph on the index-stealing parallel-for (the expensive part —
 // all distance evaluations — is embarrassingly parallel).  Each insertion
@@ -192,8 +210,10 @@ func BuildHNSW(store *kernel.Store, cfg Config) (*HNSW, error) {
 	h.up = make([]uint32, totUp*h.m)
 	h.upN = make([]int32, totUp)
 
-	// Node 0 seeds the graph; its tower sets the initial entry point.
-	h.entry, h.maxLevel = 0, h.levels[0]
+	// The first node in insertion order seeds the graph; its tower sets the
+	// initial entry point.
+	order := insertionOrder(cfg.Seed, n)
+	h.entry, h.maxLevel = order[0], h.levels[order[0]]
 
 	pend := make([]pendList, n)
 	par := kernel.Default().Parallelism()
@@ -223,7 +243,7 @@ func BuildHNSW(store *kernel.Store, cfg Config) (*HNSW, error) {
 		kernel.ParallelFor(par, batch, func(_, lo, hi int) {
 			sc := h.scratch.Get().(*hnswScratch)
 			for idx := lo; idx < hi; idx++ {
-				h.insert(done+idx, entry, maxLevel, pend, sc)
+				h.insert(int(order[done+idx]), entry, maxLevel, pend, sc)
 			}
 			h.scratch.Put(sc)
 		})
@@ -235,20 +255,20 @@ func BuildHNSW(store *kernel.Store, cfg Config) (*HNSW, error) {
 		// alone.
 		kernel.ParallelFor(par, done+batch, func(_, lo, hi int) {
 			sc := h.scratch.Get().(*hnswScratch)
-			for i := lo; i < hi; i++ {
+			for _, i := range order[lo:hi] {
 				if len(pend[i].edges) > 0 {
-					h.applyPending(i, &pend[i], sc)
+					h.applyPending(int(i), &pend[i], sc)
 				}
 			}
 			h.scratch.Put(sc)
 		})
 
 		// Entry update: the tallest tower wins; ties keep the earliest
-		// node, so the entry point is deterministic too.
-		for i := done; i < done+batch; i++ {
+		// inserted node, so the entry point is deterministic too.
+		for _, i := range order[done : done+batch] {
 			if h.levels[i] > h.maxLevel {
 				h.maxLevel = h.levels[i]
-				h.entry = int32(i)
+				h.entry = i
 			}
 		}
 		done += batch

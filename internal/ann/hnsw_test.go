@@ -2,6 +2,7 @@ package ann
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -11,10 +12,10 @@ import (
 	"musuite/internal/vec"
 )
 
-// TestHNSWRecall: the graph traversal at the default efSearch must land well
-// above the gate floor on a clustered corpus — the whole point of the index.
-func TestHNSWRecall(t *testing.T) {
-	corpus, store := clusteredStore(t, 8000, 32, 16, 51)
+// hnswRecall builds the default graph over store and returns recall@10 of the
+// default efSearch against the engine's brute-force scan of the same store.
+func hnswRecall(t *testing.T, store *kernel.Store, queries []vec.Vector) float64 {
+	t.Helper()
 	h, err := BuildHNSW(store, Config{Kind: KindHNSW, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -22,7 +23,7 @@ func TestHNSWRecall(t *testing.T) {
 	eng := kernel.Default()
 	const k = 10
 	hits, total := 0, 0
-	for _, q := range corpus.Queries(50, 52) {
+	for _, q := range queries {
 		got, err := h.Search(eng, q, k, 0, 0, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -42,8 +43,53 @@ func TestHNSWRecall(t *testing.T) {
 		}
 		total += k
 	}
-	if recall := float64(hits) / float64(total); recall < 0.95 {
+	return float64(hits) / float64(total)
+}
+
+// TestHNSWRecall: the graph traversal at the default efSearch must land well
+// above the gate floor on a clustered corpus — the whole point of the index.
+func TestHNSWRecall(t *testing.T) {
+	corpus, store := clusteredStore(t, 8000, 32, 16, 51)
+	if recall := hnswRecall(t, store, corpus.Queries(50, 52)); recall < 0.95 {
 		t.Fatalf("hnsw recall@10 = %.3f, want >= 0.95", recall)
+	}
+}
+
+// TestHNSWRecallInvariantToRowOrder: graph quality may not depend on how the
+// store's owner laid out its rows.  The same vectors in generation order,
+// shuffled, and sorted cluster after cluster — what an HDSearch shard in
+// locality order looks like, and the order that left the base layer
+// disconnected when nodes were inserted 0…n−1 — reach the same recall.
+//
+// IVF and PQ needed nothing: they train on a strided sample of the rows with
+// seeded k-means++, which a row order does not starve of any cluster, and
+// their tests pass unchanged over locality-ordered shards.
+func TestHNSWRecallInvariantToRowOrder(t *testing.T) {
+	corpus, _ := clusteredStore(t, 8000, 32, 16, 51)
+	queries := corpus.Queries(50, 52)
+	generation := make([]uint32, len(corpus.Vectors))
+	for i := range generation {
+		generation[i] = uint32(i)
+	}
+	shuffled := slices.Clone(generation)
+	rand.New(rand.NewSource(54)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	byCluster := slices.Clone(generation)
+	slices.SortStableFunc(byCluster, func(a, b uint32) int { return corpus.ClusterOf[a] - corpus.ClusterOf[b] })
+	lo, hi := 1.0, 0.0
+	for name, order := range map[string][]uint32{"generation": generation, "shuffled": shuffled, "by cluster": byCluster} {
+		store, err := kernel.BuildStoreOrdered(corpus.Vectors, order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recall := hnswRecall(t, store, queries)
+		t.Logf("%s order: recall@10 = %.3f", name, recall)
+		if recall < 0.95 {
+			t.Errorf("%s order: recall@10 = %.3f, want >= 0.95", name, recall)
+		}
+		lo, hi = min(lo, recall), max(hi, recall)
+	}
+	if hi-lo > 0.01 {
+		t.Errorf("recall@10 ranges %.3f–%.3f across row orders, want within 0.01", lo, hi)
 	}
 }
 

@@ -15,6 +15,9 @@
 package kernel
 
 import (
+	"runtime"
+	"sync/atomic"
+
 	"musuite/internal/vec"
 )
 
@@ -34,26 +37,50 @@ type Store struct {
 // row has the same dimension — the single place dimension checking happens,
 // so the kernels themselves can assume rectangular input.
 func BuildStore(vectors []vec.Vector) (*Store, error) {
-	if len(vectors) == 0 {
+	return buildStore(len(vectors), func(i int) vec.Vector { return vectors[i] })
+}
+
+// BuildStoreOrdered is BuildStore over a selection of vectors in a given
+// order: row i of the store is vectors[order[i]].  A caller that lays rows
+// out in its own order (an HDSearch shard, DESIGN §5.5 "Row order") builds
+// straight from the source vectors, with no gathered copy in between.
+func BuildStoreOrdered(vectors []vec.Vector, order []uint32) (*Store, error) {
+	return buildStore(len(order), func(i int) vec.Vector { return vectors[order[i]] })
+}
+
+// buildStore fills an n-row store whose row i is at(i), copying each row and
+// taking its norm while it is hot, on the parallel-for: rows are independent,
+// so the store does not depend on how the range was split.
+func buildStore(n int, at func(i int) vec.Vector) (*Store, error) {
+	if n == 0 {
 		return &Store{}, nil
 	}
-	dim := len(vectors[0])
+	dim := len(at(0))
 	if dim == 0 {
 		return nil, vec.ErrDimensionMismatch
 	}
 	s := &Store{
-		data:  make([]float32, len(vectors)*dim),
-		norms: make([]float32, len(vectors)),
-		n:     len(vectors),
+		data:  make([]float32, n*dim),
+		norms: make([]float32, n),
+		n:     n,
 		dim:   dim,
 	}
-	for i, v := range vectors {
-		if len(v) != dim {
-			return nil, vec.ErrDimensionMismatch
+	var ragged atomic.Bool
+	parallelFor(runtime.NumCPU(), n, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			v := at(i)
+			if len(v) != dim {
+				ragged.Store(true)
+				return
+			}
+			row := s.data[i*dim : (i+1)*dim]
+			copy(row, v)
+			s.norms[i] = dot8(row, row)
 		}
-		copy(s.data[i*dim:], v)
+	})
+	if ragged.Load() {
+		return nil, vec.ErrDimensionMismatch
 	}
-	s.fillNorms()
 	return s, nil
 }
 

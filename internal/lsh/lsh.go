@@ -151,18 +151,7 @@ func build(stores []*kernel.Store, cfg Config, par int) (*Index, error) {
 	}
 	idx.size = n
 
-	// Drawn in table → bit → dim order, the order the planes have always
-	// been drawn in, so a seed keeps meaning the same hyperplanes.
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	flat := make([]float32, cfg.Tables*cfg.Bits*idx.dim)
-	for i := range flat {
-		flat[i] = float32(rng.NormFloat64())
-	}
-	planes, err := kernel.FromFlat(flat, idx.dim)
-	if err != nil {
-		return nil, err
-	}
-	idx.planes = planes
+	idx.planes = NewPlanes(cfg.Seed, cfg.Tables*cfg.Bits, idx.dim)
 
 	// Every row's signatures, table-major.  Rows are independent, so the
 	// result does not depend on how the range is split.
@@ -238,9 +227,33 @@ func (idx *Index) Shards() int { return idx.shards }
 // signature computes the table-t hash of v.  A non-nil proj receives the
 // per-bit projections, whose magnitudes order the multi-probe flips.
 func (idx *Index) signature(t int, v []float32, proj []float32) uint32 {
+	return Signature(idx.planes, t*idx.cfg.Bits, idx.cfg.Bits, v, proj)
+}
+
+// NewPlanes draws n random hyperplane normals of dimension dim > 0 as one
+// kernel.Store, row → dim from one seeded stream — the order the index's
+// planes were always drawn in (table → bit → dim), so a seed keeps its planes.
+func NewPlanes(seed int64, n, dim int) *kernel.Store {
+	rng := rand.New(rand.NewSource(seed))
+	flat := make([]float32, n*dim)
+	for i := range flat {
+		flat[i] = float32(rng.NormFloat64())
+	}
+	planes, err := kernel.FromFlat(flat, dim)
+	if err != nil {
+		panic("lsh: " + err.Error())
+	}
+	return planes
+}
+
+// Signature is the sign pattern of v against planes first … first+bits−1,
+// bit b set when v is on the non-negative side of plane first+b — the hash
+// under the index's tables and under an HDSearch leaf store's row order.  A
+// non-nil proj receives the bits projections.
+func Signature(planes *kernel.Store, first, bits int, v, proj []float32) uint32 {
 	var sig uint32
-	for b := 0; b < idx.cfg.Bits; b++ {
-		p := kernel.Dot(idx.planes.Row(t*idx.cfg.Bits+b), v)
+	for b := 0; b < bits; b++ {
+		p := kernel.Dot(planes.Row(first+b), v)
 		if proj != nil {
 			proj[b] = p
 		}

@@ -106,8 +106,10 @@ func vecDot(a, b []float32) float32 { return vec.Dot(a, b) }
 
 // --- fixtures ---
 
-// shardStores splits vectors round-robin, as dataset.ImageCorpus.Shard and
-// hdsearch.ShardCorpus do: global point g is row g/shards of store g%shards.
+// shardStores splits vectors round-robin, as dataset.ImageCorpus.Shard does,
+// and keeps each shard in ascending global order: global point g is row
+// g/shards of store g%shards.  (hdsearch.ShardCorpus has the same membership
+// and its own row order; the index is indifferent to either.)
 func shardStores(t testing.TB, vectors []vec.Vector, shards int) []*kernel.Store {
 	t.Helper()
 	split := make([][]vec.Vector, shards)

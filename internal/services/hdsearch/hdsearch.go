@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -170,7 +171,9 @@ func DecodeNeighbors(b []byte) ([]Neighbor, error) {
 
 // LeafData is one shard's slice of the corpus: a flat structure-of-arrays
 // vector store indexed by local point ID, plus the mapping back to global
-// IDs.
+// IDs.  Local IDs are dealt in ShardCorpus's locality order, so GlobalID is a
+// permutation of the shard's members, not ascending (Set Algebra's leaf
+// relies on an ascending map; nothing here reads it as more than a table).
 type LeafData struct {
 	Store    *kernel.Store
 	GlobalID []uint32
@@ -202,21 +205,52 @@ func buildLeafANN(data *LeafData, cfg ann.Config, shard int) error {
 	return nil
 }
 
-// ShardCorpus splits a corpus round-robin into n leaf shards, copying each
-// shard's vectors into a flat kernel store (the corpus is rectangular by
-// construction, so the store build cannot fail).
+// The row order's signature: localityBits wide (fixed by the sweep in DESIGN
+// §5.5 "Row order", not an option) over planes drawn from the package's own
+// seed — not the mid-tier index's, so a layout depends on (corpus, shard
+// count) alone, whatever index is built over it.
+const (
+	localityBits = 16
+	localitySeed = 0x6c61796f7574
+)
+
+// ShardCorpus splits a corpus round-robin into n leaf shards and builds each
+// shard's flat kernel store in locality order: rows sorted by a random-
+// hyperplane sign signature, ties by global ID, so points that hash alike —
+// what every candidate list is made of — are stored side by side and a
+// leaf's gather walks runs of adjacent rows.  Membership is c.Shard(n)'s;
+// only the order local IDs are dealt in changes, and it is a pure function
+// of (corpus, n) on any number of CPUs.  (The corpus is rectangular by
+// construction, so the store build cannot fail.)
 func ShardCorpus(c *dataset.ImageCorpus, n int) []LeafData {
-	idLists := c.Shard(n)
-	out := make([]LeafData, n)
-	vecs := make([]vec.Vector, 0)
-	for s, ids := range idLists {
-		vecs = vecs[:0]
-		ld := LeafData{GlobalID: make([]uint32, len(ids))}
-		for local, global := range ids {
-			vecs = append(vecs, c.Vectors[global])
-			ld.GlobalID[local] = uint32(global)
+	return shardCorpus(c, n, localityBits)
+}
+
+// shardCorpus is ShardCorpus at a given signature width, for the sweep that
+// chose localityBits (0 bits is the round-robin order itself).
+func shardCorpus(c *dataset.ImageCorpus, n, bits int) []LeafData {
+	// One word per point, signature<<32 | global ID: the sort's tie-break
+	// and the ID it carries along are in the word.
+	planes := lsh.NewPlanes(localitySeed, bits, c.Dim)
+	words := make([]uint64, len(c.Vectors))
+	kernel.ParallelFor(runtime.NumCPU(), len(words), func(_, lo, hi int) {
+		for g := lo; g < hi; g++ {
+			words[g] = uint64(lsh.Signature(planes, 0, bits, c.Vectors[g], nil))<<32 | uint64(g)
 		}
-		st, err := kernel.BuildStore(vecs)
+	})
+	out := make([]LeafData, n)
+	var shard []uint64
+	for s, ids := range c.Shard(n) {
+		shard = shard[:0]
+		for _, global := range ids {
+			shard = append(shard, words[global])
+		}
+		slices.Sort(shard)
+		ld := LeafData{GlobalID: make([]uint32, len(shard))}
+		for local, w := range shard {
+			ld.GlobalID[local] = uint32(w)
+		}
+		st, err := kernel.BuildStoreOrdered(c.Vectors, ld.GlobalID)
 		if err != nil {
 			panic("hdsearch: ragged corpus: " + err.Error())
 		}

@@ -70,35 +70,6 @@ func TestCodecsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestShardCorpusMapsGlobalIDs(t *testing.T) {
-	corpus := testCorpus(t)
-	shards := ShardCorpus(corpus, 4)
-	total := 0
-	for s, sh := range shards {
-		if sh.Store.Len() != len(sh.GlobalID) {
-			t.Fatal("shard arrays misaligned")
-		}
-		total += sh.Store.Len()
-		for local, gid := range sh.GlobalID {
-			if int(gid)%4 != s {
-				t.Fatalf("global %d in shard %d", gid, s)
-			}
-			// The local row must hold the global vector's values (the
-			// SoA store copies into its flat block, so compare values,
-			// not addresses).
-			row := sh.Store.Row(local)
-			for d, v := range corpus.Vectors[gid] {
-				if row[d] != v {
-					t.Fatalf("shard %d row %d differs from corpus vector %d at dim %d", s, local, gid, d)
-				}
-			}
-		}
-	}
-	if total != len(corpus.Vectors) {
-		t.Fatalf("sharded %d of %d", total, len(corpus.Vectors))
-	}
-}
-
 func TestEndToEndSearchExactTopK(t *testing.T) {
 	corpus := testCorpus(t)
 	cl := startTestCluster(t, corpus)

@@ -260,18 +260,26 @@ type indexRef struct {
 	PointID uint32
 }
 
-// flattenShards linearizes sharded corpora for whole-corpus index builders.
+// flattenShards linearizes sharded corpora for whole-corpus index builders,
+// shard-major and, within a shard, in ascending global-ID order, not row
+// order: a k-means seeding or a kd-tree split depends on the sequence it is
+// given, and the candidates named may not depend on a leaf's row layout.
 func flattenShards(shards []LeafData) ([]vec.Vector, []indexRef, error) {
 	if len(shards) == 0 {
 		return nil, nil, errors.New("hdsearch: no shards")
 	}
 	var points []vec.Vector
 	var refs []indexRef
+	var byGlobal []uint64 // global<<32 | local
 	for s, shard := range shards {
-		st := shard.Store
-		for local := 0; local < st.Len(); local++ {
-			points = append(points, vec.Vector(st.Row(local)))
-			refs = append(refs, indexRef{Shard: int32(s), PointID: uint32(local)})
+		byGlobal = byGlobal[:0]
+		for local, global := range shard.GlobalID {
+			byGlobal = append(byGlobal, uint64(global)<<32|uint64(local))
+		}
+		slices.Sort(byGlobal)
+		for _, w := range byGlobal {
+			points = append(points, vec.Vector(shard.Store.Row(int(uint32(w)))))
+			refs = append(refs, indexRef{Shard: int32(s), PointID: uint32(w)})
 		}
 	}
 	return points, refs, nil
