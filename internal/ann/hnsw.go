@@ -65,6 +65,9 @@ type HNSW struct {
 	maxLevel int32 // entry's upper-layer count
 
 	scratch sync.Pool // *hnswScratch, sized to this index
+
+	// evals counts the distances searches have evaluated (DistanceEvals).
+	evals atomic.Uint64
 }
 
 // --- deterministic level assignment ---
@@ -292,7 +295,7 @@ func (h *HNSW) insert(node int, entry int32, maxLevel int32, pend []pendList, sc
 	ep := entry
 	epD := kernel.DistAt(h.store, q, qn, int(ep))
 	for L := maxLevel; L > h.levels[node]; L-- {
-		ep, epD = h.greedy(q, qn, ep, epD, L)
+		ep, epD = h.greedy(q, qn, ep, epD, L, sc)
 	}
 
 	top := min32(h.levels[node], maxLevel)
@@ -469,10 +472,12 @@ func (h *HNSW) neighbors(node int, L int32) []uint32 {
 
 // greedy is the upper-layer descent: hop to the strictly closest neighbor
 // until no neighbor improves — the ef=1 walk of the paper.
-func (h *HNSW) greedy(q []float32, qn float32, ep int32, epD float32, L int32) (int32, float32) {
+func (h *HNSW) greedy(q []float32, qn float32, ep int32, epD float32, L int32, sc *hnswScratch) (int32, float32) {
 	for {
 		improved := false
-		for _, nb := range h.neighbors(int(ep), L) {
+		band := h.neighbors(int(ep), L)
+		sc.evals += len(band)
+		for _, nb := range band {
 			if d := kernel.DistAt(h.store, q, qn, int(nb)); d < epD {
 				ep, epD = int32(nb), d
 				improved = true
@@ -505,6 +510,8 @@ type hnswScratch struct {
 	pruned  []uint32
 	nbrIDs  []uint32  // unvisited slice of the band being expanded
 	nbrD    []float32 // their batched distances
+	// evals counts the distances evaluated since a caller last zeroed it.
+	evals int
 }
 
 func newHNSWScratch(n int) *hnswScratch {
@@ -609,6 +616,7 @@ func (h *HNSW) searchLayer(q []float32, qn float32, ep int32, epD float32, ef in
 			}
 		}
 		sc.nbrD = kernel.DistMany(h.store, q, qn, sc.nbrIDs, sc.nbrD[:0])
+		sc.evals += len(sc.nbrIDs)
 		for i, nb := range sc.nbrIDs {
 			// Threshold returns +max until the heap fills, so this one
 			// test is both "still filling" and "beats the worst kept".
@@ -696,11 +704,12 @@ func (h *HNSW) Search(eng *kernel.Engine, q []float32, k, ef, _ int, dst []knn.N
 	}
 
 	sc := h.scratch.Get().(*hnswScratch)
+	sc.evals = 1 // the entry point's, next
 	qn := kernel.Dot(q, q)
 	ep := h.entry
 	epD := kernel.DistAt(h.store, q, qn, int(ep))
 	for L := h.maxLevel; L >= 1; L-- {
-		ep, epD = h.greedy(q, qn, ep, epD, L)
+		ep, epD = h.greedy(q, qn, ep, epD, L, sc)
 	}
 	found := h.searchLayer(q, qn, ep, epD, ef, 0, sc)
 	sc.ids = sc.ids[:0]
@@ -708,9 +717,18 @@ func (h *HNSW) Search(eng *kernel.Engine, q []float32, k, ef, _ int, dst []knn.N
 		sc.ids = append(sc.ids, n.ID)
 	}
 	dst, err := eng.ScanSubset(h.store, q, sc.ids, k, dst)
+	h.evals.Add(uint64(sc.evals + len(sc.ids)))
 	h.scratch.Put(sc)
 	return dst, err
 }
+
+// DistanceEvals reports how many (query, row) distances every Search so far
+// has evaluated between them: the entry point's, the upper layers' greedy
+// hops, the beam's expansions and the final selection over its survivors.  It
+// is a pure function of the graph and the queries — the work a traversal does
+// in the unit a full scan's n is in — so a gate can bound it where a latency
+// ratio moves with the host and with the scan kernel it is measured against.
+func (h *HNSW) DistanceEvals() uint64 { return h.evals.Load() }
 
 func min32(a, b int32) int32 {
 	if a < b {

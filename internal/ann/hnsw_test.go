@@ -230,6 +230,41 @@ func TestHNSWExhaustiveBeamMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestHNSWDistanceEvals: the counter the graph gate bounds starts at zero (a
+// build searches, but is not a Search), repeats exactly for repeated queries,
+// grows with the beam, and at the default beam is a small fraction of the
+// rows a full scan evaluates.
+func TestHNSWDistanceEvals(t *testing.T) {
+	corpus, store := clusteredStore(t, 8000, 32, 16, 51)
+	h, err := BuildHNSW(store, Config{Kind: KindHNSW, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := h.DistanceEvals(); n != 0 {
+		t.Fatalf("%d evaluations before any Search", n)
+	}
+	queries := corpus.Queries(20, 52)
+	pass := func(ef int) uint64 {
+		before := h.DistanceEvals()
+		for _, q := range queries {
+			if _, err := h.Search(kernel.Default(), q, 10, ef, 0, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return h.DistanceEvals() - before
+	}
+	narrow, again, wide := pass(0), pass(0), pass(400)
+	if narrow != again {
+		t.Fatalf("the same queries cost %d evaluations, then %d", narrow, again)
+	}
+	if wide <= narrow {
+		t.Fatalf("ef 400 cost %d evaluations, the default beam %d", wide, narrow)
+	}
+	if perQuery := narrow / uint64(len(queries)); perQuery < 10 || perQuery > uint64(store.Len())/4 {
+		t.Fatalf("%d evaluations a query over %d rows", perQuery, store.Len())
+	}
+}
+
 // TestHNSWConcurrentSearch: searches after Build are read-only — many
 // goroutines sharing one index must agree with a serial reference.  Run
 // under -race in the nightly battery.

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -335,14 +336,13 @@ func (e *Engine) ScanSubset(s *Store, q []float32, ids []uint32, k int, dst []kn
 const subsetBlock = 256
 
 // scanSubsetRange is the tuned subset loop: range-check a block of IDs
-// (out-of-range ones are dropped here, so distRows sees only valid rows),
-// score the block in one gather call, then threshold-test into the heap.
+// (out-of-range ones are dropped here, so distRows sees only valid rows) and
+// score it.
 func scanSubsetRange(s *Store, q []float32, qn float32, ids []uint32, top *TopK) {
 	var (
 		blk  [subsetBlock]uint32
 		dist [subsetBlock]float32
 	)
-	thr := top.Threshold()
 	for len(ids) > 0 {
 		m := 0
 		take := min(len(ids), subsetBlock)
@@ -353,15 +353,103 @@ func scanSubsetRange(s *Store, q []float32, qn float32, ids []uint32, top *TopK)
 			}
 		}
 		ids = ids[take:]
-		distRows(s, q, qn, blk[:m], dist[:m])
-		for i, d := range dist[:m] {
-			// ≤ for the same reason as scanRange.
-			if d <= thr {
-				top.Consider(blk[i], d)
-				thr = top.Threshold()
-			}
+		scoreBlock(s, q, qn, blk[:m], dist[:m], top)
+	}
+}
+
+// scoreBlock is the body every subset scan shares: score a block of valid
+// rows in one gather call, then threshold-test into the heap.
+func scoreBlock(s *Store, q []float32, qn float32, blk []uint32, dist []float32, top *TopK) {
+	distRows(s, q, qn, blk, dist)
+	thr := top.Threshold()
+	for i, d := range dist[:len(blk)] {
+		// ≤ for the same reason as scanRange.
+		if d <= thr {
+			top.Consider(blk[i], d)
+			thr = top.Threshold()
 		}
 	}
+}
+
+// --- row-set scan ---
+
+// ScanRowSet is ScanSubset over a sparse bitmap of rows — the HDSearch leaf's
+// per-request computation, on the form its candidates arrive in.  A word past
+// the store is skipped and bits past the last row are masked off (the wire
+// contract ScanSubset's skipped IDs kept), k is clamped to the set's count,
+// and the answer is bit-identical to ScanSubset over the same rows as IDs:
+// the masks expand into the same ID block in front of the same scoreBlock.
+func (e *Engine) ScanRowSet(s *Store, q []float32, set RowSet, k int, dst []knn.Neighbor) ([]knn.Neighbor, error) {
+	e = e.orDefault()
+	if len(q) != s.dim && s.n > 0 {
+		return dst, vec.ErrDimensionMismatch
+	}
+	if len(set.Words) != len(set.Masks) {
+		return dst, ErrRowSetShape
+	}
+	start := time.Now()
+	points := set.Count()
+	k = min(k, points)
+	sc := getScratch(e.par, k)
+	if e.scalar {
+		top := &sc.heaps[0]
+		for i, w := range set.Words {
+			base := w << 6
+			for m := storeMask(s, w, set.Masks[i]); m != 0; m &= m - 1 {
+				id := base + uint32(bits.TrailingZeros64(m))
+				top.Consider(id, vec.SquaredEuclidean(q, s.Row(int(id))))
+			}
+		}
+	} else {
+		qn := dot8(q, q)
+		// The split rule is ScanSubset's, on the same number — candidates —
+		// and a claim is at most as many rows: chunkPoints/64 words.
+		if staysOnCaller(e.par, points) {
+			scanRowSetRange(s, q, qn, set, &sc.heaps[0])
+		} else {
+			forkJoin(e.par, len(set.Words), chunkPoints/64, func(w, lo, hi int) {
+				scanRowSetRange(s, q, qn, RowSet{set.Words[lo:hi], set.Masks[lo:hi]}, &sc.heaps[w])
+			})
+		}
+	}
+	dst = mergeAppend(sc.heaps, dst)
+	scanScratches.Put(sc)
+	e.account(points, start)
+	return dst, nil
+}
+
+// storeMask cuts word w's mask down to the rows the store has.
+func storeMask(s *Store, w uint32, m uint64) uint64 {
+	last := (s.n - 1) >> 6 // −1 for an empty store: every word is past it
+	switch {
+	case int(w) > last:
+		return 0
+	case int(w) == last:
+		return m & (^uint64(0) >> (63 - uint(s.n-1)&63))
+	}
+	return m
+}
+
+// scanRowSetRange is scanSubsetRange with the block filled from masks: a word
+// is expanded whole, so a block is scored once fewer than 64 slots are left.
+func scanRowSetRange(s *Store, q []float32, qn float32, set RowSet, top *TopK) {
+	var (
+		blk  [subsetBlock]uint32
+		dist [subsetBlock]float32
+	)
+	n := 0
+	for i, w := range set.Words {
+		base := w << 6
+		for m := storeMask(s, w, set.Masks[i]); m != 0; m &= m - 1 {
+			blk[n] = base + uint32(bits.TrailingZeros64(m))
+			n++
+		}
+		if n > subsetBlock-64 {
+			scoreBlock(s, q, qn, blk[:n], dist[:n], top)
+			n = 0
+		}
+	}
+	scoreBlock(s, q, qn, blk[:n], dist[:n], top)
 }
 
 // --- multi-query tile scan ---

@@ -1,9 +1,11 @@
 package kernel
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -642,6 +644,156 @@ func TestScanSubsetAllocs(t *testing.T) {
 	}
 }
 
+// --- row sets ---
+
+// packRowSet is the set a list names.
+func packRowSet(ids []uint32) RowSet {
+	var set RowSet
+	set.Add(ids...)
+	return set
+}
+
+// TestRowSetForm: Add packs a list in any order, with repeats, into the one
+// set it names — words strictly ascending, no zero mask — AppendIDs is its
+// inverse on ascending lists, and Collect reads the same set off a dense
+// bitmap, leaving it zero.
+func TestRowSetForm(t *testing.T) {
+	prop := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		rows := 1 + r.Intn(5000)
+		var want []uint32
+		dense := make([]uint64, (rows+63)/64)
+		for id := 0; id < rows; id++ {
+			if r.Intn(1+r.Intn(40)) == 0 {
+				want = append(want, uint32(id))
+				dense[id>>6] |= 1 << (id & 63)
+			}
+		}
+		shuffled := append(slices.Clone(want), want[:len(want)/2]...)
+		r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		inOrder, anyOrder := packRowSet(want), packRowSet(shuffled)
+		collected := RowSet{Words: []uint32{9, 3}, Masks: []uint64{0}} // stale, malformed: Collect resets
+		collected.Collect(dense)
+		for _, w := range dense {
+			if w != 0 {
+				return false
+			}
+		}
+		for _, set := range []RowSet{inOrder, anyOrder, collected} {
+			if len(set.Words) != len(set.Masks) || set.Count() != len(want) || !slices.Equal(set.AppendIDs(nil), want) {
+				return false
+			}
+			for i, w := range set.Words {
+				if set.Masks[i] == 0 || (i > 0 && w <= set.Words[i-1]) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestScanRowSetEqualsScanSubset: scan(pack(ids)) ≡ ScanSubset(ids), bit for
+// bit — serial, at parallel widths 1/2/8 (sets large enough that the split is
+// real), in scalar mode, at dims that take the assembly and dims that do not,
+// with n not a multiple of 64 and with words and bits past the store.
+func TestScanRowSetEqualsScanSubset(t *testing.T) {
+	engines := []*Engine{New(Config{Parallelism: 1}), New(Config{Parallelism: 2}), New(Config{Parallelism: 8}), New(Config{ForceScalar: true})}
+	prop := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		dim := 1 + r.Intn(31) // the per-row loop; else a width on the assembly's edges
+		if i := r.Intn(len(gatherDims) + 1); i < len(gatherDims) {
+			dim = gatherDims[i]
+		}
+		rows := 1 + r.Intn(3*minParallelPoints)
+		if r.Intn(4) == 0 {
+			rows = 1 + r.Intn(200)
+		}
+		k := 1 + r.Intn(12)
+		s := randStore(r, rows, dim)
+		q := randQuery(r, dim)
+		var ids []uint32
+		density := 1 + r.Intn(12)
+		for id := 0; id < rows+200; id++ { // the last 200 are past the store
+			if r.Intn(density) == 0 {
+				ids = append(ids, uint32(id))
+			}
+		}
+		ids = append(ids, uint32(rows+1<<20))
+		set := packRowSet(ids)
+		for _, eng := range engines {
+			got, err := eng.ScanRowSet(s, q, set, k, nil)
+			want, err2 := eng.ScanSubset(s, q, ids, k, nil)
+			if err != nil || err2 != nil || !neighborsEqual(got, want) {
+				t.Logf("seed %d: %d rows × %d, %d ids: got %v (%v), want %v (%v)", seed, rows, dim, len(ids), got, err, want, err2)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestScanRowSetContract: unequal word and mask counts are an error, k is
+// clamped to the set's count (2⁴⁰ is not an 8 TB make), k ≤ 0 and an empty or
+// all-zero set answer nothing, and the counters see what ScanSubset's would.
+func TestScanRowSetContract(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	s := randStore(r, 500, 64) // words 0–7, the last 52 rows wide
+	q := randQuery(r, 64)
+	tab := telemetry.NewTable(nil)
+	eng := New(Config{Parallelism: 2}).WithCounters(tab)
+	if _, err := eng.ScanRowSet(s, q, RowSet{Words: []uint32{1, 2}, Masks: []uint64{1}}, 3, nil); !errors.Is(err, ErrRowSetShape) {
+		t.Fatalf("2 words, 1 mask: err %v", err)
+	}
+	if _, err := eng.ScanRowSet(s, q[:5], RowSet{}, 3, nil); !errors.Is(err, vec.ErrDimensionMismatch) {
+		t.Fatalf("short query: err %v", err)
+	}
+	ids := []uint32{3, 77, 78, 400, 499}
+	got, err := eng.ScanRowSet(s, q, packRowSet(append(ids, 500, 511, 9999)), 1<<40, nil)
+	if err != nil || len(got) != len(ids) {
+		t.Fatalf("k = 1<<40 over %d rows of the store returned %d, %v", len(ids), len(got), err)
+	}
+	if points := tab.Load(telemetry.KernelPoints); points != uint64(len(ids)+3) {
+		t.Fatalf("accounted %d points for a set of %d", points, len(ids)+3)
+	}
+	for _, c := range []struct {
+		set RowSet
+		k   int
+	}{{packRowSet(ids), 0}, {packRowSet(ids), -4}, {RowSet{}, 5}, {RowSet{Words: []uint32{0, 7}, Masks: []uint64{0, 0}}, 5}} {
+		if got, err := eng.ScanRowSet(s, q, c.set, c.k, nil); err != nil || len(got) != 0 {
+			t.Fatalf("ScanRowSet(%v, k=%d) = %v, %v", c.set, c.k, got, err)
+		}
+	}
+}
+
+// TestScanRowSetAllocs: as TestScanSubsetAllocs — the expansion block is on
+// the stack too.
+func TestScanRowSetAllocs(t *testing.T) {
+	if !poolsKeepPuts() {
+		t.Skip("sync.Pool is dropping Puts (race detector)")
+	}
+	r := rand.New(rand.NewSource(10))
+	s := randStore(r, 3000, 64)
+	q := randQuery(r, 64)
+	var set RowSet
+	for id := 0; id < 3000; id += 3 {
+		set.Add(uint32(id))
+	}
+	eng := New(Config{Parallelism: 1})
+	dst := make([]knn.Neighbor, 0, 16)
+	scan := func() { dst, _ = eng.ScanRowSet(s, q, set, 10, dst[:0]) }
+	scan()
+	if a := testing.AllocsPerRun(100, scan); a != 0 {
+		t.Fatalf("steady-state ScanRowSet allocates %v per scan", a)
+	}
+}
+
 // --- the scoring hop's located microbenchmark ---
 
 // gatherBench is hdsearch_lsh's leaf-side shape: four shard stores of
@@ -652,6 +804,7 @@ type gatherBench struct {
 	stores  []*Store
 	queries [][]float32
 	ids     [][][]uint32 // [set][store] → ascending local IDs
+	sets    [][]RowSet   // the same candidates, packed
 }
 
 var (
@@ -677,17 +830,25 @@ func gatherFixture() *gatherBench {
 				}
 			}
 			gather.ids = append(gather.ids, perStore)
+			packed := make([]RowSet, stores)
+			for s, ids := range perStore {
+				packed[s] = packRowSet(ids)
+			}
+			gather.sets = append(gather.sets, packed)
 		}
 	})
 	return &gather
 }
 
-// BenchmarkScanSubsetGather reports, as ns/point, the three numbers the
-// scoring hop is judged by: "gather" is ScanSubset at the workload's shape;
-// "stream" is a sequential Scan of the same stores, the rate this host
-// delivers 256 B rows from beyond L2 — the floor a gather can approach but
-// not beat; "resident" is a Scan of a 2 000-row store that stays in L2, the
-// compute floor under both.  One op is one request: all four stores.
+// BenchmarkScanSubsetGather reports, as ns/point, the numbers the scoring hop
+// is judged by: "gather" is ScanSubset at the workload's shape; "rowset" is
+// ScanRowSet over the same candidates packed — uniformly scattered here, ~5.6
+// rows a word, so mask expansion at its least amortised (the service's sets
+// are ~30 a word; hdsearch's "ordered-rowset" shape has those); "stream" is a
+// sequential Scan of the same stores, the rate this host delivers 256 B rows
+// from beyond L2 — the floor a gather can approach but not beat; "resident"
+// is a Scan of a 2 000-row store that stays in L2, the compute floor under
+// both.  One op is one request: all four stores.
 func BenchmarkScanSubsetGather(b *testing.B) {
 	f := gatherFixture()
 	eng := New(Config{Parallelism: 1})
@@ -700,6 +861,18 @@ func BenchmarkScanSubsetGather(b *testing.B) {
 			set := i % len(f.ids)
 			for s, st := range f.stores {
 				dst, _ = eng.ScanSubset(st, f.queries[set], f.ids[set][s], k, dst[:0])
+				points += len(f.ids[set][s])
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(points), "ns/point")
+	})
+	b.Run("rowset", func(b *testing.B) {
+		points := 0
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			set := i % len(f.sets)
+			for s, st := range f.stores {
+				dst, _ = eng.ScanRowSet(st, f.queries[set], f.sets[set][s], k, dst[:0])
 				points += len(f.ids[set][s])
 			}
 		}

@@ -28,11 +28,12 @@ const (
 // job is one parallel-for in flight; pooled so steady-state scans allocate
 // nothing.
 type job struct {
-	fn   func(worker, lo, hi int)
-	n    int64
-	next atomic.Int64
-	slot atomic.Int32
-	wg   sync.WaitGroup
+	fn    func(worker, lo, hi int)
+	n     int64
+	chunk int64
+	next  atomic.Int64
+	slot  atomic.Int32
+	wg    sync.WaitGroup
 }
 
 var jobPool = sync.Pool{New: func() any { return new(job) }}
@@ -64,11 +65,11 @@ func startHelpers() {
 func (j *job) run() {
 	w := int(j.slot.Add(1)) - 1
 	for {
-		lo := j.next.Add(chunkPoints) - chunkPoints
+		lo := j.next.Add(j.chunk) - j.chunk
 		if lo >= j.n {
 			return
 		}
-		hi := lo + chunkPoints
+		hi := lo + j.chunk
 		if hi > j.n {
 			hi = j.n
 		}
@@ -101,10 +102,18 @@ func parallelFor(par, n int, fn func(worker, lo, hi int)) {
 		fn(0, 0, n)
 		return
 	}
+	forkJoin(par, n, chunkPoints, fn)
+}
+
+// forkJoin is parallelFor past the stays-on-caller test, for a caller that
+// made it on a different number than n (a row set counts rows and splits
+// words): the range is claimed chunk items at a time.
+func forkJoin(par, n, chunk int, fn func(worker, lo, hi int)) {
 	startHelpers()
 	j := jobPool.Get().(*job)
 	j.fn = fn
 	j.n = int64(n)
+	j.chunk = int64(chunk)
 	j.next.Store(0)
 	j.slot.Store(0)
 	for i := 1; i < par; i++ {

@@ -11,9 +11,11 @@
 //
 // The index lives on flat arrays (DESIGN §5.5.1).  The hyperplanes are one
 // tables×bits-row kernel.Store, so a signature is one pass of the leaves'
-// dot kernel over it; each table's buckets are CSR ranges into one array of
-// local point IDs, grouped by shard when the index is built; and a query
-// dedups its candidates in a pooled per-shard bitmap, so a lookup into
+// dot kernel over it; each table's buckets are CSR ranges, grouped by shard
+// when the index is built, of (word, mask) entries — a bucket's members 64
+// local point IDs at a time; and a query ORs its buckets into a pooled
+// per-shard bitmap whose non-zero words are the answer as they stand
+// (kernel.RowSet), so no candidate is handled as an integer and a lookup into
 // caller-owned buffers allocates nothing.
 //
 // Signs are taken from kernel.Dot, which sums in a different order from the
@@ -96,21 +98,26 @@ type Index struct {
 	// in keys is its bucket ordinal.
 	keys       []uint32
 	tableStart []int
-	// offs delimits ids per (bucket, shard): bucket ordinal b holds shard
-	// s's points in ids[offs[b·shards+s]:offs[b·shards+s+1]], local IDs in
-	// ascending order.  len(offs) = len(keys)·shards + 1.
-	offs []uint32
-	ids  []uint32
+	// offs delimits the entries per (bucket, shard): bucket ordinal b holds
+	// shard s's points in entries offs[b·shards+s] to offs[b·shards+s+1],
+	// entry i being the points of 64-row word words[i] of the shard's local
+	// IDs that fall in the bucket, as the bits of masks[i]; words ascend
+	// within a range.  len(offs) = len(keys)·shards + 1.
+	offs  []uint32
+	words []uint32
+	masks []uint64
 	// wordStart[s] is where shard s's dedup bitmap begins in a scratch's
-	// words; wordStart[shards] is the total word count.
+	// dense words; wordStart[shards] is the total word count.
 	wordStart []int
 	scratch   sync.Pool
 }
 
 // lookupScratch is one lookup's dedup bitmap, one bit per indexed point.  It
-// is all zero between lookups: the drain clears what the gather set.
+// is all zero between lookups: collecting the answer clears what the gather
+// set.  sets is LookupByShard's answer before it is expanded.
 type lookupScratch struct {
-	words []uint64
+	dense []uint64
+	sets  []kernel.RowSet
 }
 
 // Build indexes every row of the given stores, one store per leaf shard;
@@ -146,8 +153,10 @@ func build(stores []*kernel.Store, cfg Config, par int) (*Index, error) {
 		return nil, errors.New("lsh: no vectors to index")
 	}
 	n := rowStart[len(stores)]
-	if uint64(cfg.Tables)*uint64(n) > math.MaxUint32 {
-		return nil, fmt.Errorf("lsh: %d tables × %d points overflow the 32-bit entry offsets", cfg.Tables, n)
+	// Entries are at most a point per table, a table's (bucket, shard)
+	// ranges at most its points times the shards: both are numbered in 32 bits.
+	if uint64(max(cfg.Tables, len(stores)))*uint64(n) > math.MaxUint32 {
+		return nil, fmt.Errorf("lsh: %d points in %d tables over %d shards overflow the 32-bit entry offsets", n, cfg.Tables, len(stores))
 	}
 	idx.size = n
 
@@ -169,13 +178,13 @@ func build(stores []*kernel.Store, cfg Config, par int) (*Index, error) {
 		}
 	})
 
-	// Counting sort per table into (bucket, shard) ranges.  Rows are
-	// visited in shard-major, local-ascending order, so each range comes
-	// out ascending.
+	// Counting sort per table into (bucket, shard) ranges of (word, mask)
+	// entries.  Rows are visited in shard-major, local-ascending order, so
+	// within a range a row either falls in the word of the row before it or
+	// opens the next entry.  The first pass overwrites each signature with
+	// its range and sizes the ranges; the second fills them.
 	idx.tableStart = make([]int, cfg.Tables+1)
-	idx.ids = make([]uint32, cfg.Tables*n)
-	slot := make([]int, n) // each row's (bucket, shard) range in the current table
-	var keys, counts []uint32
+	var keys, last []uint32
 	for t := 0; t < cfg.Tables; t++ {
 		tsigs := sigs[t*n : (t+1)*n]
 		keys = append(keys[:0], tsigs...)
@@ -184,34 +193,56 @@ func build(stores []*kernel.Store, cfg Config, par int) (*Index, error) {
 		idx.keys = append(idx.keys, keys...)
 		idx.tableStart[t+1] = len(idx.keys)
 
-		counts = slices.Grow(counts[:0], len(keys)*idx.shards)[:len(keys)*idx.shards]
-		clear(counts)
+		// offs holds each range's entry count until the prefix sum below;
+		// last is the word of the range's newest entry.
+		base := len(idx.offs)
+		idx.offs = append(idx.offs, make([]uint32, len(keys)*idx.shards)...)
+		counts := idx.offs[base:]
+		last = slices.Grow(last[:0], len(counts))[:len(counts)]
+		for i := range last {
+			last[i] = math.MaxUint32
+		}
 		for s := range stores {
 			for g := rowStart[s]; g < rowStart[s+1]; g++ {
 				b, _ := slices.BinarySearch(keys, tsigs[g])
-				slot[g] = b*idx.shards + s
-				counts[slot[g]]++
-			}
-		}
-		// counts → start offsets into ids, appended to offs; then reused
-		// as the fill cursors.
-		next := uint32(t * n)
-		for i, c := range counts {
-			idx.offs = append(idx.offs, next)
-			counts[i] = next
-			next += c
-		}
-		for s := range stores {
-			for g := rowStart[s]; g < rowStart[s+1]; g++ {
-				idx.ids[counts[slot[g]]] = uint32(g - rowStart[s])
-				counts[slot[g]]++
+				slot := uint32(b*idx.shards + s)
+				tsigs[g] = slot
+				if w := uint32(g-rowStart[s]) >> 6; last[slot] != w {
+					last[slot] = w
+					counts[slot]++
+				}
 			}
 		}
 	}
-	idx.offs = append(idx.offs, uint32(cfg.Tables*n))
+	entries := uint32(0)
+	for i, c := range idx.offs {
+		idx.offs[i] = entries
+		entries += c
+	}
+	idx.offs = append(idx.offs, entries)
+	idx.words = make([]uint32, entries)
+	idx.masks = make([]uint64, entries)
+	var next []uint32 // each range's fill cursor in the current table
+	for t := 0; t < cfg.Tables; t++ {
+		slots := sigs[t*n : (t+1)*n]
+		first := idx.tableStart[t] * idx.shards
+		next = append(next[:0], idx.offs[first:idx.tableStart[t+1]*idx.shards]...)
+		for s := range stores {
+			for g := rowStart[s]; g < rowStart[s+1]; g++ {
+				slot, local := slots[g], uint32(g-rowStart[s])
+				at := next[slot]
+				if at == idx.offs[first+int(slot)] || idx.words[at-1] != local>>6 {
+					idx.words[at] = local >> 6
+					at++
+					next[slot] = at
+				}
+				idx.masks[at-1] |= 1 << (local & 63)
+			}
+		}
+	}
 
-	words := idx.wordStart[idx.shards]
-	idx.scratch.New = func() any { return &lookupScratch{words: make([]uint64, words)} }
+	dense := idx.wordStart[idx.shards]
+	idx.scratch.New = func() any { return &lookupScratch{dense: make([]uint64, dense)} }
 	return idx, nil
 }
 
@@ -266,33 +297,41 @@ func Signature(planes *kernel.Store, first, bits int, v, proj []float32) uint32 
 
 // LookupInto gathers query q's candidates across all tables, with
 // multi-probe expansion, and writes them grouped by shard: dst is resized
-// to exactly Shards() lists — a longer dst, say one last used with an index
-// over more shards, is cut to size — and list s is truncated and refilled
-// with shard s's deduplicated candidate point IDs in ascending order.  The
-// lists are the caller's; reusing dst across calls makes a steady-state
-// lookup allocation-free.  len(q) must equal Dim().
-func (idx *Index) LookupInto(q []float32, dst [][]uint32) [][]uint32 {
-	dst = slices.Grow(dst[:0], idx.shards)[:idx.shards]
+// to exactly Shards() sets — a longer dst, say one last used with an index
+// over more shards, is cut to size — and set s is emptied and refilled with
+// shard s's candidate points, the non-zero words of the lookup's dedup
+// bitmap.  The sets are the caller's; reusing dst across calls makes a
+// steady-state lookup allocation-free.  len(q) must equal Dim().
+func (idx *Index) LookupInto(q []float32, dst []kernel.RowSet) []kernel.RowSet {
 	sc := idx.scratch.Get().(*lookupScratch)
-	idx.gather(sc.words, q)
-	for s := range dst {
-		dst[s] = idx.drain(sc.words, s, dst[s][:0])
-	}
+	dst = idx.lookup(sc.dense, q, dst)
 	idx.scratch.Put(sc)
 	return dst
 }
 
+// lookup is LookupInto on a given all-zero bitmap, which it leaves all zero.
+func (idx *Index) lookup(dense []uint64, q []float32, dst []kernel.RowSet) []kernel.RowSet {
+	dst = slices.Grow(dst[:0], idx.shards)[:idx.shards]
+	idx.gather(dense, q)
+	for s := range dst {
+		dst[s].Collect(dense[idx.wordStart[s]:idx.wordStart[s+1]])
+	}
+	return dst
+}
+
 // LookupByShard returns LookupInto's candidates as a freshly allocated map,
-// shard → point IDs, which the caller owns.  Shards with no candidates are
-// absent.
+// shard → ascending point IDs, which the caller owns — the list view of the
+// sets, for callers that hold IDs.  Shards with no candidates are absent.
 func (idx *Index) LookupByShard(q vec.Vector) map[int32][]uint32 {
 	out := make(map[int32][]uint32, idx.shards)
-	var lists [8][]uint32 // stays on the stack for up to 8 shards
-	for s, ids := range idx.LookupInto(q, lists[:0]) {
-		if len(ids) > 0 {
-			out[int32(s)] = ids
+	sc := idx.scratch.Get().(*lookupScratch)
+	sc.sets = idx.lookup(sc.dense, q, sc.sets)
+	for s, set := range sc.sets {
+		if n := set.Count(); n > 0 {
+			out[int32(s)] = set.AppendIDs(make([]uint32, 0, n))
 		}
 	}
+	idx.scratch.Put(sc)
 	return out
 }
 
@@ -300,13 +339,13 @@ func (idx *Index) LookupByShard(q vec.Vector) map[int32][]uint32 {
 // bucket with q: the exact bucket of each table plus, with Probes > 0, the
 // buckets across the Probes hyperplanes q lies closest to — the likeliest
 // misclassifications.
-func (idx *Index) gather(words []uint64, q []float32) {
+func (idx *Index) gather(dense []uint64, q []float32) {
 	nbits, probes := idx.cfg.Bits, idx.cfg.Probes
 	for t := 0; t < idx.cfg.Tables; t++ {
 		var projBuf [maxBits]float32
 		proj := projBuf[:nbits]
 		sig := idx.signature(t, q, proj)
-		idx.mark(words, t, sig)
+		idx.mark(dense, t, sig)
 		if probes == 0 {
 			continue
 		}
@@ -326,13 +365,14 @@ func (idx *Index) gather(words []uint64, q []float32) {
 			}
 		}
 		for _, b := range flip[:probes] {
-			idx.mark(words, t, sig^(1<<b))
+			idx.mark(dense, t, sig^(1<<b))
 		}
 	}
 }
 
-// mark sets the bitmap bit of every point in table t's bucket sig.
-func (idx *Index) mark(words []uint64, t int, sig uint32) {
+// mark ORs table t's bucket sig into the bitmap, a word of each shard's
+// members at a time; a range's words are distinct, so its ORs are independent.
+func (idx *Index) mark(dense []uint64, t int, sig uint32) {
 	first := idx.tableStart[t]
 	b, ok := slices.BinarySearch(idx.keys[first:idx.tableStart[t+1]], sig)
 	if !ok {
@@ -340,39 +380,13 @@ func (idx *Index) mark(words []uint64, t int, sig uint32) {
 	}
 	base := (first + b) * idx.shards
 	for s := 0; s < idx.shards; s++ {
-		w := words[idx.wordStart[s]:idx.wordStart[s+1]]
-		for _, id := range idx.ids[idx.offs[base+s]:idx.offs[base+s+1]] {
-			w[id>>6] |= 1 << (id & 63)
+		w := dense[idx.wordStart[s]:idx.wordStart[s+1]]
+		lo, hi := idx.offs[base+s], idx.offs[base+s+1]
+		masks := idx.masks[lo:hi]
+		for i, word := range idx.words[lo:hi] {
+			w[word] |= masks[i]
 		}
 	}
-}
-
-// drain appends shard s's marked point IDs to dst and zeroes its part of the
-// bitmap.  Each set bit is one candidate however many buckets marked it, and
-// taking bits lowest-first yields ascending IDs.  dst grows at most once, to
-// the exact count.
-func (idx *Index) drain(words []uint64, s int, dst []uint32) []uint32 {
-	words = words[idx.wordStart[s]:idx.wordStart[s+1]]
-	n := 0
-	for _, w := range words {
-		n += bits.OnesCount64(w)
-	}
-	if n == 0 {
-		return dst
-	}
-	if cap(dst)-len(dst) < n {
-		dst = append(make([]uint32, 0, len(dst)+n), dst...)
-	}
-	for wi, w := range words {
-		if w == 0 {
-			continue
-		}
-		words[wi] = 0
-		for ; w != 0; w &= w - 1 {
-			dst = append(dst, uint32(wi<<6+bits.TrailingZeros64(w)))
-		}
-	}
-	return dst
 }
 
 func abs32(x float32) float32 {
@@ -394,9 +408,11 @@ type Stats struct {
 func (idx *Index) Stats() Stats {
 	s := Stats{Tables: idx.cfg.Tables, Entries: idx.size, Buckets: len(idx.keys)}
 	for b := range idx.keys {
-		if n := int(idx.offs[(b+1)*idx.shards] - idx.offs[b*idx.shards]); n > s.MaxBucketSize {
-			s.MaxBucketSize = n
+		n := 0
+		for _, m := range idx.masks[idx.offs[b*idx.shards]:idx.offs[(b+1)*idx.shards]] {
+			n += bits.OnesCount64(m)
 		}
+		s.MaxBucketSize = max(s.MaxBucketSize, n)
 	}
 	return s
 }

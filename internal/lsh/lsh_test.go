@@ -142,12 +142,21 @@ func refOver(stores []*kernel.Store, cfg Config, dim int, dot func(a, b []float3
 // numbering.
 func globalCandidates(idx *Index, q vec.Vector) []uint32 {
 	var out []uint32
-	for s, ids := range idx.LookupInto(q, nil) {
-		for _, id := range ids {
+	for s, set := range idx.LookupInto(q, nil) {
+		for _, id := range set.AppendIDs(nil) {
 			out = append(out, id*uint32(idx.Shards())+uint32(s))
 		}
 	}
 	return out
+}
+
+// listsOf expands a lookup's sets to ascending ID lists, reusing dst's.
+func listsOf(sets []kernel.RowSet, dst [][]uint32) [][]uint32 {
+	dst = slices.Grow(dst[:0], len(sets))[:len(sets)]
+	for s, set := range sets {
+		dst[s] = set.AppendIDs(dst[s][:0])
+	}
+	return dst
 }
 
 const testShards = 4
@@ -170,9 +179,10 @@ func fingerprint(idx *Index) uint64 {
 	for r := 0; r < idx.planes.Len(); r++ {
 		binary.Write(h, binary.LittleEndian, idx.planes.Row(r))
 	}
-	for _, a := range [][]uint32{idx.keys, idx.offs, idx.ids} {
+	for _, a := range [][]uint32{idx.keys, idx.offs, idx.words} {
 		binary.Write(h, binary.LittleEndian, a)
 	}
+	binary.Write(h, binary.LittleEndian, idx.masks)
 	for _, v := range idx.tableStart {
 		binary.Write(h, binary.LittleEndian, uint64(v))
 	}
@@ -203,6 +213,30 @@ func TestStats(t *testing.T) {
 	}
 	if s.Buckets == 0 || s.MaxBucketSize == 0 {
 		t.Fatalf("empty stats=%+v", s)
+	}
+}
+
+// TestStatsMatchReference pins the occupancy numbers — a bucket's size is now
+// a popcount over its entries' masks — against the map-based reference's.
+func TestStatsMatchReference(t *testing.T) {
+	corpus := dataset.NewImageCorpus(dataset.ImageCorpusConfig{N: 3000, Dim: 40, Clusters: 6, Seed: 17})
+	for _, shards := range []int{1, 4, 7} {
+		stores := shardStores(t, corpus.Vectors, shards)
+		cfg := Config{Tables: 5, Bits: 9, Seed: 77}
+		idx, err := Build(stores, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := Stats{Tables: 5, Entries: 3000}
+		for _, table := range refOver(stores, cfg, 40, kernel.Dot).tables {
+			want.Buckets += len(table)
+			for _, entries := range table {
+				want.MaxBucketSize = max(want.MaxBucketSize, len(entries))
+			}
+		}
+		if got := idx.Stats(); got != want {
+			t.Fatalf("%d shards: stats %+v, reference %+v", shards, got, want)
+		}
 	}
 }
 
@@ -259,20 +293,29 @@ func TestBuildIdenticalAtAnyWidth(t *testing.T) {
 // --- equivalence with the reference ---
 
 // checkAgainstRef asserts the lookup contract for one query against the
-// reference on the same dot kernel: equal candidate sets per shard, each
-// list strictly ascending, every ID a row of its store.
-func checkAgainstRef(t *testing.T, idx *Index, ref *refIndex, stores []*kernel.Store, q []float32, dst [][]uint32) [][]uint32 {
+// reference on the same dot kernel: per shard a well-formed set — as many
+// masks as words, words strictly ascending, no zero mask — naming exactly the
+// reference's candidates, every one a row of its store.
+func checkAgainstRef(t *testing.T, idx *Index, ref *refIndex, stores []*kernel.Store, q []float32, dst []kernel.RowSet) []kernel.RowSet {
 	t.Helper()
 	dst = idx.LookupInto(q, dst)
+	if len(dst) != len(stores) {
+		t.Fatalf("%d sets for %d shards", len(dst), len(stores))
+	}
 	want := ref.lookup(q, len(stores))
-	for s, ids := range dst {
-		if len(ids) != len(want[s]) {
-			t.Fatalf("shard %d: %d candidates, reference %d", s, len(ids), len(want[s]))
+	for s, set := range dst {
+		if len(set.Words) != len(set.Masks) {
+			t.Fatalf("shard %d: %d words, %d masks", s, len(set.Words), len(set.Masks))
 		}
-		for i, id := range ids {
-			if i > 0 && id <= ids[i-1] {
-				t.Fatalf("shard %d: IDs not strictly ascending at %d: %v", s, i, ids)
+		for i, w := range set.Words {
+			if set.Masks[i] == 0 || (i > 0 && w <= set.Words[i-1]) {
+				t.Fatalf("shard %d: entry %d is word %d mask %#x after word %v", s, i, w, set.Masks[i], set.Words[:i])
 			}
+		}
+		if set.Count() != len(want[s]) {
+			t.Fatalf("shard %d: %d candidates, reference %d", s, set.Count(), len(want[s]))
+		}
+		for _, id := range set.AppendIDs(nil) {
 			if int(id) >= stores[s].Len() {
 				t.Fatalf("shard %d: ID %d beyond store of %d", s, id, stores[s].Len())
 			}
@@ -300,7 +343,7 @@ func TestLookupEqualsReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		ref := refOver(stores, cfg, dim, kernel.Dot)
-		var dst [][]uint32
+		var dst []kernel.RowSet
 		for _, q := range append(corpus.Queries(20, seed+1), corpus.Vectors[0], make(vec.Vector, dim)) {
 			dst = checkAgainstRef(t, idx, ref, stores, q, dst)
 		}
@@ -318,7 +361,7 @@ func assertScratchZero(t *testing.T, idx *Index) {
 	t.Helper()
 	sc := idx.scratch.Get().(*lookupScratch)
 	defer idx.scratch.Put(sc)
-	for i, w := range sc.words {
+	for i, w := range sc.dense {
 		if w != 0 {
 			t.Fatalf("pooled bitmap word %d = %#x after lookup", i, w)
 		}
@@ -385,11 +428,13 @@ func TestScalarReferenceDiffersOnlyAtZeroMargins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var sets []kernel.RowSet
 	var dst [][]uint32
 	var truth []knn.Neighbor
 	hitsNew, hitsRef, diffs := 0, 0, 0
 	for _, q := range corpus.Queries(nq, 5) {
-		dst = idx.LookupInto(q, dst)
+		sets = idx.LookupInto(q, sets)
+		dst = listsOf(sets, dst)
 		want := ref.lookup(q, testShards)
 		fragileQuery := fragile(q)
 		for s, ids := range dst {
@@ -519,7 +564,7 @@ func TestProbesZeroValueIsExactBucketOnly(t *testing.T) {
 func TestLookupByShardMatchesLookupInto(t *testing.T) {
 	corpus, idx := buildClustered(t, 400, 16)
 	for _, q := range corpus.Queries(10, 3) {
-		lists := idx.LookupInto(q, nil)
+		lists := listsOf(idx.LookupInto(q, nil), nil)
 		grouped := idx.LookupByShard(q)
 		for s, ids := range lists {
 			got, present := grouped[int32(s)]
@@ -539,12 +584,13 @@ func TestLookupByShardMatchesLookupInto(t *testing.T) {
 func TestLookupIntoCutsLongerDst(t *testing.T) {
 	corpus, idx := buildClustered(t, 400, 16)
 	for _, q := range corpus.Queries(5, 3) {
-		dst := make([][]uint32, idx.Shards()+3)
+		dst := make([]kernel.RowSet, idx.Shards()+3)
 		for s := range dst {
-			dst[s] = []uint32{1 << 30, 1<<30 + 1}
+			dst[s] = kernel.RowSet{Words: []uint32{1 << 24, 1<<24 + 1}, Masks: []uint64{1, 2}}
 		}
-		if got, want := idx.LookupInto(q, dst), idx.LookupInto(q, nil); !slices.EqualFunc(got, want, slices.Equal[[]uint32]) {
-			t.Fatalf("stale dst of %d lists: got %v, want %v", len(dst), got, want)
+		got, want := listsOf(idx.LookupInto(q, dst), nil), listsOf(idx.LookupInto(q, nil), nil)
+		if !slices.EqualFunc(got, want, slices.Equal[[]uint32]) {
+			t.Fatalf("stale dst of %d sets: got %v, want %v", len(dst), got, want)
 		}
 	}
 }
@@ -584,9 +630,9 @@ func TestSelfLookupProperty(t *testing.T) {
 func TestLookupAllocations(t *testing.T) {
 	corpus, idx := buildClustered(t, 3000, 32)
 	queries := corpus.Queries(16, 9)
-	dst := make([][]uint32, idx.Shards())
-	for s := range dst {
-		dst[s] = make([]uint32, 0, 3000) // warmed: capacity for any answer
+	dst := make([]kernel.RowSet, idx.Shards())
+	for s := range dst { // warmed: capacity for any answer
+		dst[s] = kernel.RowSet{Words: make([]uint32, 0, 3000/64+1), Masks: make([]uint64, 0, 3000/64+1)}
 	}
 	i := 0
 	if n := testing.AllocsPerRun(200, func() {
@@ -595,8 +641,13 @@ func TestLookupAllocations(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("LookupInto into reused buffers: %v allocs per lookup, want 0", n)
 	}
-	// The wrapper owes its caller fresh memory: the map and one exact-size
-	// list per shard.
+	assertScratchZero(t, idx)
+	// The wrapper owes its caller fresh memory — the map and one exact-size
+	// list per shard — and nothing else, when the pool keeps the sets it
+	// expands them from.
+	if !poolsKeepPuts() {
+		t.Skip("sync.Pool is dropping Puts (race detector)")
+	}
 	if n := testing.AllocsPerRun(200, func() {
 		idx.LookupByShard(queries[i%len(queries)])
 		i++
@@ -604,6 +655,18 @@ func TestLookupAllocations(t *testing.T) {
 		t.Fatalf("LookupByShard: %v allocs per lookup, want ≤ %d", n, testShards+2)
 	}
 	assertScratchZero(t, idx)
+}
+
+// poolsKeepPuts reports whether sync.Pool hands back what it was just given.
+// Under the race detector it drops a quarter of all Puts on purpose, and then
+// a pooled path's allocation count says nothing about the path.
+func poolsKeepPuts() bool {
+	news := 0
+	p := sync.Pool{New: func() any { news++; return new(int) }}
+	for i := 0; i < 200; i++ {
+		p.Put(p.Get())
+	}
+	return news <= 2
 }
 
 // TestConcurrentLookupsAgreeWithSerial runs under -race in CI: lookups share
@@ -648,10 +711,69 @@ func BenchmarkLookup(b *testing.B) {
 		b.Fatal(err)
 	}
 	q := corpus.Queries(1, 23)[0]
-	var dst [][]uint32
+	var dst []kernel.RowSet
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dst = idx.LookupInto(q, dst)
 	}
+}
+
+// localityStores lays a corpus out as hdsearch.ShardCorpus does (which this
+// package cannot import): round-robin membership, each shard's rows sorted by
+// a 16-bit sign signature over planes of that package's seed, ties by global
+// ID.  The index does not care; what a lookup costs does — in this order a
+// bucket's members share words.
+func localityStores(tb testing.TB, corpus *dataset.ImageCorpus, shards int) []*kernel.Store {
+	tb.Helper()
+	const bits, seed = 16, 0x6c61796f7574
+	planes := NewPlanes(seed, bits, corpus.Dim)
+	stores := make([]*kernel.Store, shards)
+	for s := range stores {
+		var keyed []uint64
+		for g := s; g < len(corpus.Vectors); g += shards {
+			keyed = append(keyed, uint64(Signature(planes, 0, bits, corpus.Vectors[g], nil))<<32|uint64(g))
+		}
+		slices.Sort(keyed)
+		order := make([]uint32, len(keyed))
+		for i, w := range keyed {
+			order[i] = uint32(w)
+		}
+		st, err := kernel.BuildStoreOrdered(corpus.Vectors, order)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		stores[s] = st
+	}
+	return stores
+}
+
+// BenchmarkLookupInto is the mid-tier half of hdsearch_lsh, located: the
+// benchmark's corpus shape (100 000 × 64 in 10 clusters on 4 shards, its seed)
+// in locality order, 512 queries, lookups into reused sets.  It reports ns per
+// lookup and what a lookup hands on — non-zero words and candidates per query.
+func BenchmarkLookupInto(b *testing.B) {
+	const seed = 20180930
+	corpus := dataset.NewImageCorpus(dataset.ImageCorpusConfig{N: 100000, Dim: 64, Clusters: 10, Seed: seed})
+	idx, err := Build(localityStores(b, corpus, testShards), Config{Seed: seed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	queries := corpus.Queries(512, 1)
+	var dst []kernel.RowSet
+	words, candidates := 0, 0
+	for _, q := range queries {
+		dst = idx.LookupInto(q, dst)
+		for _, set := range dst {
+			words, candidates = words+len(set.Words), candidates+set.Count()
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = idx.LookupInto(queries[i%len(queries)], dst)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/lookup")
+	b.ReportMetric(float64(words)/float64(len(queries)), "words/query")
+	b.ReportMetric(float64(candidates)/float64(len(queries)), "candidates/query")
 }

@@ -4,8 +4,9 @@
 // The mid-tier holds multi-probe LSH tables whose entries reference
 // {leaf shard, point ID} tuples — it stores no feature vectors.  On a query
 // it looks up candidate tuples, fans one RPC per involved shard carrying the
-// query vector and that shard's candidate point IDs, and merges the leaves'
-// distance-sorted lists into the global top-k.  Leaves hold the sharded
+// query vector and that shard's candidate points — as a sparse bitmap of the
+// leaf's rows, the form they have from the tables to the scan — and merges
+// the leaves' distance-sorted lists into the global top-k.  Leaves hold the sharded
 // feature vectors and run the embarrassingly parallel distance kernel.
 package hdsearch
 
@@ -66,41 +67,61 @@ func DecodeSearchRequest(b []byte) (query vec.Vector, k int, err error) {
 	return query, k, d.Err()
 }
 
-// EncodeLeafRequest encodes a mid-tier→leaf scoring call: k, the query, then
-// the shard's candidate IDs as an ascending-uint32 field (count, first ID,
-// gaps — ~1.1 B per candidate at LSH's densities against 4 raw, and the list
-// is most of what the hop moves).  CandidateIndex.LookupInto promises
-// ascending, duplicate-free lists, so that is the only form the wire has; a
-// list that is neither is sorted and compacted in a copy first.  The result
-// is a fresh exact-size allocation — hedges, retries and the batcher hold it
-// past the handler — built in a pooled encoder.
-func EncodeLeafRequest(query vec.Vector, ids []uint32, k int) []byte {
+// encodeLeafRequest encodes a mid-tier→leaf scoring call: k, the query, then
+// the shard's candidates as a sparse bitmap — the indices of its non-zero
+// 64-row words as an ascending-uint32 field (count, first, gaps), then their
+// masks as a uint64 field.  At LSH's densities a word names ~30 candidates
+// for its ~9.5 B, a third of what their gaps cost (DESIGN §5.5.1), and the
+// field is most of what the hop moves; it is the only form the wire has.  The
+// result is a fresh exact-size allocation — hedges, retries and the batcher
+// hold it past the handler — built in a pooled encoder.
+func encodeLeafRequest(query []float32, set kernel.RowSet, k int) []byte {
 	e := wire.GetEncoder()
 	e.Uvarint(uint64(k))
 	e.Float32s(query)
-	if e.AscendingUint32s(ids) >= 0 {
-		ids = slices.Clone(ids)
-		slices.Sort(ids)
-		e.AscendingUint32s(slices.Compact(ids))
+	if e.AscendingUint32s(set.Words) >= 0 {
+		panic("hdsearch: candidate words not strictly ascending")
 	}
+	e.Uint64s(set.Masks)
 	out := bytes.Clone(e.Bytes())
 	wire.PutEncoder(e)
 	return out
 }
 
-// DecodeLeafRequest decodes a mid-tier→leaf scoring call.
-func DecodeLeafRequest(b []byte) (query vec.Vector, ids []uint32, k int, err error) {
-	return decodeLeafRequest(b, nil, nil)
+// EncodeLeafRequest is encodeLeafRequest for a caller that holds the shard's
+// candidates as IDs: the list — in any order, repeats allowed — is packed
+// into the set it names.
+func EncodeLeafRequest(query vec.Vector, ids []uint32, k int) []byte {
+	var set kernel.RowSet
+	set.Add(ids...)
+	return encodeLeafRequest(query, set, k)
 }
 
-// decodeLeafRequest is DecodeLeafRequest into the caller's scratch: the
-// query and the ID list reuse the capacity of the slices passed in.
-func decodeLeafRequest(b []byte, query []float32, ids []uint32) ([]float32, []uint32, int, error) {
+// DecodeLeafRequest decodes a mid-tier→leaf scoring call, its candidates
+// expanded to ascending IDs.
+func DecodeLeafRequest(b []byte) (query vec.Vector, ids []uint32, k int, err error) {
+	query, set, k, err := decodeLeafRequest(b, nil, kernel.RowSet{})
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return query, set.AppendIDs(nil), k, nil
+}
+
+// decodeLeafRequest decodes a scoring call into the caller's scratch: the
+// query and the set reuse the capacity of what is passed in.  The decoder
+// refuses word indices that do not strictly ascend; a mask count that differs
+// from the word count is refused here, as the scan would refuse it.
+func decodeLeafRequest(b []byte, query []float32, set kernel.RowSet) ([]float32, kernel.RowSet, int, error) {
 	d := wire.NewDecoder(b)
 	k := int(d.Uvarint())
 	query = d.Float32sInto(query[:0])
-	ids = d.AscendingUint32sInto(ids[:0])
-	return query, ids, k, d.Err()
+	set.Words = d.AscendingUint32sInto(set.Words[:0])
+	set.Masks = d.Uint64sInto(set.Masks[:0])
+	err := d.Err()
+	if err == nil && len(set.Masks) != len(set.Words) {
+		err = kernel.ErrRowSetShape
+	}
+	return query, set, k, err
 }
 
 // EncodeLeafANNRequest encodes a mid-tier→leaf ANN probe: the query plus
@@ -260,12 +281,12 @@ func shardCorpus(c *dataset.ImageCorpus, n, bits int) []LeafData {
 	return out
 }
 
-// leafScratch recycles the decoded query vector, candidate-ID list, and
-// result buffer of a scoring call across requests served by the same leaf
-// worker pool.
+// leafScratch recycles the decoded query vector, candidate set, and result
+// buffer of a scoring call across requests served by the same leaf worker
+// pool.
 type leafScratch struct {
 	query []float32
-	ids   []uint32
+	set   kernel.RowSet
 	nbrs  []knn.Neighbor
 }
 
@@ -280,8 +301,8 @@ var leafScratches = sync.Pool{New: func() any { return new(leafScratch) }}
 func leafKNN(eng *kernel.Engine, data LeafData, payload []byte, reply *wire.Encoder) error {
 	sc := leafScratches.Get().(*leafScratch)
 	defer leafScratches.Put(sc)
-	query, ids, k, err := decodeLeafRequest(payload, sc.query, sc.ids)
-	sc.query, sc.ids = query, ids
+	query, set, k, err := decodeLeafRequest(payload, sc.query, sc.set)
+	sc.query, sc.set = query, set
 	if err != nil {
 		return err
 	}
@@ -289,7 +310,7 @@ func leafKNN(eng *kernel.Engine, data LeafData, payload []byte, reply *wire.Enco
 	if data.Store.Len() > 0 && len(query) != data.Store.Dim() {
 		return vec.ErrDimensionMismatch
 	}
-	local, err := eng.ScanSubset(data.Store, query, ids, k, sc.nbrs[:0])
+	local, err := eng.ScanRowSet(data.Store, query, set, k, sc.nbrs[:0])
 	sc.nbrs = local[:0]
 	if err != nil {
 		return err
@@ -419,14 +440,14 @@ func considerNeighborList(top *kernel.TopK, b []byte) error {
 }
 
 // midScratch is one search request's working memory on the mid-tier: the
-// decoded query, the per-shard candidate lists the index fills, and the leaf
+// decoded query, the per-shard candidate sets the index fills, and the leaf
 // calls built from them.  Its lifetime is the handler's: the encoded leaf
 // payloads are fresh allocations and ctx.Fanout copies each LeafCall into
 // its own slots before returning, so nothing here outlives the handler and
 // core/rpc need no ownership rule for it.
 type midScratch struct {
 	query   []float32
-	byShard [][]uint32
+	byShard []kernel.RowSet
 	calls   []core.LeafCall
 }
 
@@ -474,14 +495,14 @@ func NewMidTier(index CandidateIndex, opts *core.Options) *core.MidTier {
 		// order.
 		sc.byShard = index.LookupInto(query, sc.byShard)
 		calls := sc.calls[:0]
-		for shard, ids := range sc.byShard {
-			if len(ids) == 0 {
+		for shard, set := range sc.byShard {
+			if len(set.Words) == 0 {
 				continue
 			}
 			calls = append(calls, core.LeafCall{
 				Shard:   shard,
 				Method:  MethodLeafKNN,
-				Payload: EncodeLeafRequest(query, ids, k),
+				Payload: encodeLeafRequest(query, set, k),
 			})
 		}
 		sc.calls = calls

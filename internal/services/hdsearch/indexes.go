@@ -8,26 +8,29 @@ import (
 
 	"musuite/internal/ann"
 	"musuite/internal/kdtree"
+	"musuite/internal/kernel"
 	"musuite/internal/kmeans"
 	"musuite/internal/vec"
 )
 
 // CandidateIndex is the mid-tier's pluggable candidate source: given a query
-// vector, the point IDs each leaf shard should score.  The paper's HDSearch
+// vector, the points each leaf shard should score.  The paper's HDSearch
 // uses LSH; it names kd-trees and k-means clusters as the alternative
 // indexing structures, and all three are available here for the index
 // ablation.  *lsh.Index satisfies this interface directly.
 type CandidateIndex interface {
-	// LookupInto truncates each list of dst and refills list s with the
-	// local point IDs shard s should score, growing dst to cover every
-	// shard that has candidates, and returns it.  Each list is strictly
-	// ascending, hence duplicate-free: the leaf request encodes it as gaps
-	// and the leaf's gather scan walks its rows in address order.  Nothing
-	// dst held on entry survives — it may come from a pool shared with an
-	// index over more shards — so every non-empty list returned is a leaf
-	// call to make.  The lists stay the caller's, so a handler that reuses
-	// dst allocates no candidate memory per request.
-	LookupInto(q []float32, dst [][]uint32) [][]uint32
+	// LookupInto empties each set of dst and refills set s with the local
+	// points shard s should score — a sparse bitmap of the shard's rows —
+	// growing dst to cover every shard that has candidates, and returns it.
+	// Ascending and duplicate-free are properties of the form, not promises
+	// of the index: a set's words strictly ascend (the leaf request encodes
+	// them as gaps) and a row is one bit, so the leaf's gather scan walks
+	// each row once, in address order; no word has a zero mask.  Nothing dst
+	// held on entry survives — it may come from a pool shared with an index
+	// over more shards — so every non-empty set returned is a leaf call to
+	// make.  The sets stay the caller's, so a handler that reuses dst
+	// allocates no candidate memory per request.
+	LookupInto(q []float32, dst []kernel.RowSet) []kernel.RowSet
 	// Dim reports the indexed vectors' dimensionality (0 when unknown), so
 	// the mid-tier can reject mis-dimensioned queries before they reach
 	// kernels that assume rectangular input.
@@ -132,7 +135,7 @@ func NewLeafANN(dim, nprobe, rerank int) *LeafANN {
 }
 
 // LookupInto implements CandidateIndex; the ANN path never consults it.
-func (x *LeafANN) LookupInto(_ []float32, dst [][]uint32) [][]uint32 { return dst[:0] }
+func (x *LeafANN) LookupInto(_ []float32, dst []kernel.RowSet) []kernel.RowSet { return dst[:0] }
 
 // Dim implements CandidateIndex.
 func (x *LeafANN) Dim() int { return x.dim }
@@ -165,7 +168,7 @@ type KDTreeIndex struct {
 }
 
 // LookupInto implements CandidateIndex.
-func (x *KDTreeIndex) LookupInto(q []float32, dst [][]uint32) [][]uint32 {
+func (x *KDTreeIndex) LookupInto(q []float32, dst []kernel.RowSet) []kernel.RowSet {
 	cand := x.Candidates
 	if cand <= 0 {
 		cand = 64
@@ -207,7 +210,7 @@ type KMeansIndex struct {
 }
 
 // LookupInto implements CandidateIndex.
-func (x *KMeansIndex) LookupInto(q []float32, dst [][]uint32) [][]uint32 {
+func (x *KMeansIndex) LookupInto(q []float32, dst []kernel.RowSet) []kernel.RowSet {
 	probes := x.Probes
 	if probes <= 0 {
 		probes = 3
@@ -235,21 +238,18 @@ func BuildKMeansIndex(shards []LeafData, probes int, seed int64) (*KMeansIndex, 
 	return &KMeansIndex{Index: idx, Probes: probes}, nil
 }
 
-// fillByShard copies a shard → IDs map, the shape the kd-tree and k-means
-// indexes compute, into the CandidateIndex list form, putting each list in
-// the ascending, duplicate-free order LookupInto promises (a tree traversal
-// or a cluster probe emits neither).
-func fillByShard(dst [][]uint32, byShard map[int32][]uint32) [][]uint32 {
+// fillByShard sets, in the CandidateIndex form, the bit of every ID of a shard
+// → IDs map, the shape the kd-tree and k-means indexes compute.  A tree
+// traversal or a cluster probe emits IDs in no order; a set has one.
+func fillByShard(dst []kernel.RowSet, byShard map[int32][]uint32) []kernel.RowSet {
 	for s := range dst {
-		dst[s] = dst[s][:0]
+		dst[s].Reset()
 	}
 	for shard, ids := range byShard {
 		for len(dst) <= int(shard) {
-			dst = append(dst, nil)
+			dst = append(dst, kernel.RowSet{})
 		}
-		list := append(dst[shard], ids...)
-		slices.Sort(list)
-		dst[shard] = slices.Compact(list)
+		dst[shard].Add(ids...)
 	}
 	return dst
 }

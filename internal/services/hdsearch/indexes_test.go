@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"musuite/internal/core"
+	"musuite/internal/kernel"
 	"musuite/internal/knn"
 )
 
@@ -65,13 +66,14 @@ func TestBuildCandidateIndexKinds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", kind, err)
 		}
-		// The stale list must be truncated, not appended to.
-		byShard := idx.LookupInto(corpus.Queries(1, 19)[0], [][]uint32{{1 << 30}})
+		// The stale set must be emptied, not added to.
+		byShard := idx.LookupInto(corpus.Queries(1, 19)[0], []kernel.RowSet{packIDs([]uint32{1 << 30})})
 		if len(byShard) > 4 {
-			t.Fatalf("%q: %d shard lists for 4 shards", kind, len(byShard))
+			t.Fatalf("%q: %d shard sets for 4 shards", kind, len(byShard))
 		}
 		total := 0
-		for shard, ids := range byShard {
+		for shard, set := range byShard {
+			ids := set.AppendIDs(nil)
 			for _, id := range ids {
 				if int(id) >= shards[shard].Store.Len() {
 					t.Fatalf("%q: shard %d candidate %d out of range", kind, shard, id)

@@ -134,10 +134,12 @@ func shapeOf(t testing.TB, shards []LeafData, queries []vec.Vector) (rows, runs,
 	if err != nil {
 		t.Fatal(err)
 	}
-	var lists [][]uint32
+	var sets []kernel.RowSet
+	var ids []uint32
 	for _, q := range queries {
-		lists = index.LookupInto(q, lists)
-		for _, ids := range lists {
+		sets = index.LookupInto(q, sets)
+		for _, set := range sets {
+			ids = set.AppendIDs(ids[:0])
 			r, p := listShape(ids, index.Dim())
 			rows, runs, pages = rows+len(ids), runs+r, pages+p
 		}
@@ -219,13 +221,14 @@ func TestShardCorpusLayoutChangesNoAnswer(t *testing.T) {
 
 // orderedBench is hdsearch_lsh's leaf side as the service builds it: the
 // benchmark's corpus shape (100 000 × 64 in 10 clusters on 4 shards), the
-// stores at a given signature width, and the real per-shard candidate lists
-// of 512 queries.
+// stores at a given signature width, and the real per-shard candidates of 512
+// queries, as the sets the index names and as the ID lists they expand to.
 type orderedBench struct {
 	bits           int
 	stores         []*kernel.Store
 	queries        []vec.Vector
-	lists          [][][]uint32 // [query][shard]
+	sets           [][]kernel.RowSet // [query][shard]
+	lists          [][][]uint32      // [query][shard]
 	rows, runs, pg int
 }
 
@@ -253,12 +256,14 @@ func orderedFixture(b *testing.B, bits int) *orderedBench {
 		f.stores = append(f.stores, sh.Store)
 	}
 	for _, q := range f.queries {
-		lists := index.LookupInto(q, nil)
-		for _, ids := range lists {
-			r, p := listShape(ids, 64)
-			f.rows, f.runs, f.pg = f.rows+len(ids), f.runs+r, f.pg+p
+		sets := index.LookupInto(q, nil)
+		lists := make([][]uint32, len(sets))
+		for s, set := range sets {
+			lists[s] = set.AppendIDs(nil)
+			r, p := listShape(lists[s], 64)
+			f.rows, f.runs, f.pg = f.rows+len(lists[s]), f.runs+r, f.pg+p
 		}
-		f.lists = append(f.lists, lists)
+		f.sets, f.lists = append(f.sets, sets), append(f.lists, lists)
 	}
 	orderedLast = f
 	return f
@@ -267,14 +272,15 @@ func orderedFixture(b *testing.B, bits int) *orderedBench {
 // BenchmarkScanSubsetGather is the fourth shape of internal/kernel's
 // benchmark of the same name (`-bench ScanSubsetGather ./internal/kernel
 // ./internal/services/hdsearch` prints all four): "ordered" is ScanSubset
-// over the stores ShardCorpus lays out and the candidate lists BuildIndex
-// names over them — what the leaf executes — in ns per point, with the lists'
-// rows per run and 4 KB pages per list.  "sweep" is the same at other
-// signature widths; with BenchmarkShardCorpus's cost of each it chose
+// over the stores ShardCorpus lays out and the candidates BuildIndex names
+// over them, as ID lists, in ns per point, with the lists' rows per run and
+// 4 KB pages per list; "ordered-rowset" is ScanRowSet over the same candidates
+// as the sets they arrive in — what the leaf executes.  "sweep" is "ordered"
+// at other signature widths; with BenchmarkShardCorpus's cost of each it chose
 // localityBits (table in DESIGN §5.5 "Row order"; b=0 is the identity order).
 // One op is one request: all four shards.
 func BenchmarkScanSubsetGather(b *testing.B) {
-	run := func(bits int) func(b *testing.B) {
+	run := func(bits int, rowset bool) func(b *testing.B) {
 		return func(b *testing.B) {
 			f := orderedFixture(b, bits)
 			eng := kernel.New(kernel.Config{Parallelism: 1})
@@ -284,7 +290,11 @@ func BenchmarkScanSubsetGather(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				set := i % len(f.lists)
 				for s, st := range f.stores {
-					dst, _ = eng.ScanSubset(st, f.queries[set], f.lists[set][s], 10, dst[:0])
+					if rowset {
+						dst, _ = eng.ScanRowSet(st, f.queries[set], f.sets[set][s], 10, dst[:0])
+					} else {
+						dst, _ = eng.ScanSubset(st, f.queries[set], f.lists[set][s], 10, dst[:0])
+					}
 					points += len(f.lists[set][s])
 				}
 			}
@@ -293,9 +303,10 @@ func BenchmarkScanSubsetGather(b *testing.B) {
 			b.ReportMetric(float64(f.pg)/float64(4*len(f.lists)), "pages/list")
 		}
 	}
-	b.Run("ordered", run(localityBits))
+	b.Run("ordered", run(localityBits, false))
+	b.Run("ordered-rowset", run(localityBits, true))
 	for _, bits := range sweepBits {
-		b.Run(fmt.Sprintf("sweep/b=%d", bits), run(bits))
+		b.Run(fmt.Sprintf("sweep/b=%d", bits), run(bits, false))
 	}
 }
 
