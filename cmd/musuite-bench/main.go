@@ -299,12 +299,12 @@ func run(experiment string, scale bench.Scale, mode bench.FrameworkMode, service
 		if load <= 0 {
 			load = scale.Loads[len(scale.Loads)/2]
 		}
-		tracer, err := bench.TraceAttribution(scale, services[0], load)
+		spans, _, err := bench.TraceRun(services[0], scale, mode, load, scale.Window, 1)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("%s @ %g QPS — ", services[0], load)
-		fmt.Print(tracer.Report())
+		fmt.Print(trace.StageReport(spans))
 		return nil
 	case "resize":
 		if load <= 0 {

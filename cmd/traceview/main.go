@@ -9,7 +9,8 @@
 //
 // With -check, traceview is a CI gate: it exits non-zero unless every trace
 // forms one connected tree whose critical-path segments sum to the recorded
-// end-to-end latency within -tolerance.
+// end-to-end latency within -tolerance, and every mid-tier server span that
+// answered carries a stage record accounting for no more than its duration.
 package main
 
 import (
@@ -83,6 +84,11 @@ func checkTraces(trees []*trace.Tree, spans []trace.Span, tolerance time.Duratio
 			return fmt.Errorf("trace %016x: critical path sums to %v, end-to-end is %v (|diff| %v > tolerance %v)",
 				uint64(t.TraceID), got, want, diff, tolerance)
 		}
+		for _, root := range t.Roots {
+			if err := checkStages(root); err != nil {
+				return fmt.Errorf("trace %016x: %v", uint64(t.TraceID), err)
+			}
+		}
 	}
 	if connected < minTraces {
 		return fmt.Errorf("only %d connected traces, need at least %d", connected, minTraces)
@@ -101,6 +107,27 @@ func checkTraces(trees []*trace.Tree, spans []trace.Span, tolerance time.Duratio
 		}
 		if !found {
 			return fmt.Errorf("no span carries required note %q", note)
+		}
+	}
+	return nil
+}
+
+// checkStages walks a tree for the stage record, the one per-request account
+// of where a mid-tier's time went.  A server span with calls under it is a
+// mid-tier's: unless the request failed (a shed never reaches the handler) it
+// must carry the record, and no record may claim more than its span lasted.
+func checkStages(n *trace.Node) error {
+	s := &n.Span
+	if s.Stages == nil && s.Kind == trace.KindServer && s.Err == "" && len(n.Children) > 0 {
+		return fmt.Errorf("mid-tier server span %016x (%s) has no stage record", uint64(s.SpanID), s.Name)
+	}
+	if s.Stages != nil && s.Stages.Sum() > time.Duration(s.Duration) {
+		return fmt.Errorf("server span %016x (%s): stages %s exceed its duration %v",
+			uint64(s.SpanID), s.Name, s.Stages, time.Duration(s.Duration))
+	}
+	for _, c := range n.Children {
+		if err := checkStages(c); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -131,6 +158,9 @@ func dumpNode(n *trace.Node, base int64, depth int) {
 	}
 	if len(s.Notes) > 0 {
 		line += "  " + strings.Join(s.Notes, " ")
+	}
+	if s.Stages != nil {
+		line += "  " + s.Stages.String()
 	}
 	if s.Err != "" {
 		line += "  err=" + s.Err

@@ -1,9 +1,11 @@
 // OS/network characterization: the paper's actual experiment, in miniature.
 //
-// The example attaches a telemetry probe and a request tracer to a Set
-// Algebra mid-tier, drives it with open-loop Poisson load at two rates, and
-// prints (1) the syscall-per-query profile, (2) the OS-overhead classes,
-// (3) the per-request stage attribution — the data behind Figs. 11–18.
+// The example attaches a telemetry probe and a span recorder to a Set
+// Algebra mid-tier, drives it with open-loop Poisson load at two rates —
+// every request traced, which is the front end's decision alone — and prints
+// (1) the syscall-per-query profile, (2) the OS-overhead classes, (3) the
+// per-request stage attribution read off the mid-tier's server spans — the
+// data behind Figs. 11–18.
 //
 //	go run ./examples/oschar
 package main
@@ -15,11 +17,12 @@ import (
 	"time"
 
 	"musuite"
+	"musuite/internal/trace"
 )
 
 func main() {
 	probe := musuite.NewProbe()
-	tracer := musuite.NewTracer(1, 128)
+	spans := trace.NewRecorder("oschar", 0)
 
 	corpus := musuite.NewDocCorpus(musuite.DocCorpusConfig{
 		Docs: 1500, VocabSize: 4000, MeanDocLen: 70, Seed: 12,
@@ -31,7 +34,7 @@ func main() {
 			Workers:         2,
 			ResponseThreads: 2,
 			Probe:           probe,
-			Tracer:          tracer,
+			Spans:           spans,
 		},
 	})
 	if err != nil {
@@ -48,7 +51,7 @@ func main() {
 	queries := corpus.Queries(4096, 10, 13)
 	var next atomic.Uint64
 	issue := func(done chan *musuite.RPCCall) *musuite.RPCCall {
-		return client.Go(queries[next.Add(1)%uint64(len(queries))], done)
+		return client.GoSpan(queries[next.Add(1)%uint64(len(queries))], trace.NewRootContext(), done)
 	}
 
 	for _, qps := range []float64{50, 800} {
@@ -79,10 +82,14 @@ func main() {
 			delta[musuite.CtxSwitch], delta[musuite.HITM])
 	}
 
-	fmt.Print(tracer.Report())
+	recorded := spans.Snapshot()
+	fmt.Print(trace.StageReport(recorded))
 	fmt.Println()
 	fmt.Println("three sampled request traces:")
-	for _, tr := range tracer.Recent(3) {
-		fmt.Printf("  %s\n", tr.Breakdown())
+	for i, shown := len(recorded)-1, 0; i >= 0 && shown < 3; i-- {
+		if s := &recorded[i]; s.Stages != nil {
+			fmt.Printf("  %s total=%v\n", s.Stages, time.Duration(s.Duration))
+			shown++
+		}
 	}
 }

@@ -250,9 +250,6 @@ func (x *Index) Len() int { return x.store.Len() }
 // Dim reports the indexed dimensionality.
 func (x *Index) Dim() int { return x.store.Dim() }
 
-// Quant reports the candidate-scoring store kind.
-func (x *Index) Quant() Quant { return x.quant }
-
 // CompressedBytes reports the resident size of the compressed candidate
 // store (0 for QuantNone, which scores on the full store directly).
 func (x *Index) CompressedBytes() int {

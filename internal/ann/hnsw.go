@@ -638,21 +638,9 @@ func (h *HNSW) Len() int { return h.store.Len() }
 // Dim reports the indexed dimensionality.
 func (h *HNSW) Dim() int { return h.store.Dim() }
 
-// M reports the per-node degree bound (base layer allows 2M).
-func (h *HNSW) M() int { return h.m }
-
-// MaxLevel reports the entry point's upper-layer count.
-func (h *HNSW) MaxLevel() int { return int(h.maxLevel) }
-
 // CompressedBytes implements Searcher; HNSW keeps no compressed candidate
 // store (all scoring is exact float32), so it reports 0.
 func (h *HNSW) CompressedBytes() int { return 0 }
-
-// GraphBytes reports the resident size of the adjacency arenas — the memory
-// the graph adds on top of the vector store.
-func (h *HNSW) GraphBytes() int {
-	return 4 * (len(h.l0) + len(h.l0n) + len(h.up) + len(h.upN) + len(h.levels) + len(h.upOff))
-}
 
 // Fingerprint folds the complete graph structure — levels, adjacency bands,
 // and entry point — into one FNV-1a hash, so tests can assert two builds

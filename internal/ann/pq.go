@@ -136,9 +136,6 @@ func (st *PQStore) Len() int { return st.n }
 // Dim reports the original row dimensionality.
 func (st *PQStore) Dim() int { return st.dim }
 
-// M reports the subspace count.
-func (st *PQStore) M() int { return st.m }
-
 // Bytes reports the resident size: one byte per (row, subspace) plus the
 // shared codebooks.
 func (st *PQStore) Bytes() int { return len(st.codes) + 4*len(st.codebook) }

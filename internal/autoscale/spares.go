@@ -4,11 +4,9 @@ import (
 	"errors"
 	"strings"
 	"sync"
-	"time"
 
 	"musuite/internal/cluster"
 	"musuite/internal/core"
-	"musuite/internal/rpc"
 )
 
 // SpareTarget scales a live topology by moving pre-provisioned spare leaf
@@ -44,21 +42,6 @@ func NewSpareTarget(
 	pool := make([][]string, len(spares))
 	copy(pool, spares)
 	return &SpareTarget{statsFn: stats, addFn: add, drainFn: drain, spares: pool}
-}
-
-// NewAdminSpareTarget is a SpareTarget operating a *remote* mid-tier: stats
-// over its serving connection (core.stats), topology mutations over its
-// admin RPC, drains bounded by drainDeadline.
-func NewAdminSpareTarget(admin *cluster.AdminClient, stats *rpc.Client, spares [][]string, drainDeadline time.Duration) *SpareTarget {
-	if drainDeadline <= 0 {
-		drainDeadline = 5 * time.Second
-	}
-	return NewSpareTarget(
-		func() (core.TierStats, error) { return core.QueryStats(stats) },
-		admin.Add,
-		func(shard int) error { return admin.Drain(shard, drainDeadline) },
-		spares,
-	)
 }
 
 // Stats implements Target.

@@ -265,27 +265,6 @@ func TestFlashCrowdExperiment(t *testing.T) {
 	}
 }
 
-func TestTraceAttribution(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration experiment")
-	}
-	s := tinyScale()
-	s.Window = 300 * time.Millisecond
-	tracer, err := TraceAttribution(s, "SetAlgebra", 150)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tracer.Completed() == 0 {
-		t.Fatal("no traces completed")
-	}
-	if tracer.StageQuantile("total", 0.5) <= 0 {
-		t.Fatal("no total latency recorded")
-	}
-	if tracer.StageQuantile("leaf-wait", 0.5) <= 0 {
-		t.Fatal("no leaf-wait recorded")
-	}
-}
-
 func TestIndexComparison(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration experiment")

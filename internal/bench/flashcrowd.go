@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"musuite/internal/loadgen"
-	"musuite/internal/trace"
 )
 
 // FlashCrowdExperiment drives one service through a baseline→spike→recovery
@@ -35,20 +34,4 @@ func RenderFlashCrowd(service string, results []loadgen.PhaseResult) string {
 	}
 	b.WriteString("  (queue built during an over-capacity spike inflates spike and recovery tails)\n")
 	return b.String()
-}
-
-// TraceAttribution deploys one service with full request tracing, drives it
-// at the given open-loop load, and returns the tracer with its aggregate
-// per-stage breakdown — the per-request complement to Figs. 15–18.
-func TraceAttribution(s Scale, service string, load float64) (*trace.Tracer, error) {
-	tracer := trace.NewTracer(1, 256)
-	inst, err := StartService(service, s, FrameworkMode{Tracer: tracer})
-	if err != nil {
-		return nil, fmt.Errorf("trace %s: %w", service, err)
-	}
-	defer inst.Close()
-	loadgen.RunOpenLoop(inst.Issue, loadgen.OpenLoopConfig{
-		QPS: load, Duration: s.Window, Seed: s.Seed + 41,
-	})
-	return tracer, nil
 }

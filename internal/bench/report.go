@@ -137,21 +137,6 @@ func RenderFig15to18(points []LoadPoint) string {
 	return b.String()
 }
 
-// ActiveExeTailShare computes, for one load point, the Active-Exe share of
-// the Net (total mid-tier) tail — the paper's headline "up to ~87%" metric.
-func ActiveExeTailShare(p LoadPoint) float64 {
-	net := p.Overheads[telemetry.OverheadNet].P99
-	ae := p.Overheads[telemetry.OverheadActiveExe].P99
-	if net <= 0 {
-		return 0
-	}
-	share := float64(ae) / float64(net)
-	if share > 1 {
-		share = 1
-	}
-	return share
-}
-
 // RenderFig19 prints the context-switch / contention counts of Fig. 19.
 func RenderFig19(points []LoadPoint) string {
 	var b strings.Builder

@@ -157,8 +157,6 @@ type FrameworkMode struct {
 	// Admit configures the mid-tier's adaptive admission controller
 	// (zero value: disabled).
 	Admit core.AdmitPolicy
-	// Tracer, when set, samples requests for stage-level attribution.
-	Tracer *trace.Tracer
 	// Spans, when set, receives distributed-tracing spans from every tier
 	// of the deployment: the front-end client's root span, the mid-tier's
 	// server and leaf-attempt spans, and each leaf's server spans.
@@ -200,7 +198,6 @@ func midTierOptions(s Scale, mode FrameworkMode, probe *telemetry.Probe) core.Op
 		Routing:           mode.Routing,
 		PendingShards:     mode.PendingShards,
 		Admit:             mode.Admit,
-		Tracer:            mode.Tracer,
 		Spans:             mode.Spans,
 		Probe:             probe,
 	}

@@ -13,6 +13,8 @@ import (
 // yields a single connected span tree rooted at the front-end client span,
 // and the critical path through the tree partitions the root span exactly —
 // its segment sum equals the recorded end-to-end latency by construction.
+// The mid-tier's server span carries the request's stage record, which is
+// all the -experiment trace table is computed from.
 func TestTraceRunProducesConnectedTrees(t *testing.T) {
 	s := tinyScale()
 	for _, name := range ServiceNames {
@@ -45,7 +47,11 @@ func TestTraceRunProducesConnectedTrees(t *testing.T) {
 				t.Errorf("%s: root kind %q, want client", name, root.Span.Kind)
 			}
 			if len(root.Children) == 0 {
-				t.Errorf("%s: trace %x root has no server child", name, tree.TraceID)
+				t.Fatalf("%s: trace %x root has no server child", name, tree.TraceID)
+			}
+			mid := &root.Children[0].Span
+			if st := mid.Stages; mid.Err == "" && (st == nil || st.LeafWait <= 0 || st.Sum() > time.Duration(mid.Duration)) {
+				t.Errorf("%s: mid-tier span lasted %v with stage record %v", name, time.Duration(mid.Duration), st)
 			}
 			path := tree.CriticalPath()
 			if len(path) == 0 {

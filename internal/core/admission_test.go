@@ -29,12 +29,7 @@ func startAdmitMidTier(t *testing.T, pol AdmitPolicy, opts Options, work time.Du
 		if work > 0 {
 			time.Sleep(work)
 		}
-		reply, err := ctx.CallLeaf(0, "echo", ctx.Req.Payload)
-		if err != nil {
-			ctx.ReplyError(err)
-			return
-		}
-		ctx.Reply(reply)
+		forwardToLeaf(ctx, 0, "echo")
 	}, &opts)
 	if err := mt.ConnectLeaves([]string{leafAddr}); err != nil {
 		t.Fatal(err)
@@ -277,12 +272,7 @@ func TestOverloadDoesNotSpendRetryBudget(t *testing.T) {
 	t.Cleanup(leaf.Close)
 
 	mt := NewMidTier(func(ctx *Ctx) {
-		reply, err := ctx.CallLeaf(0, "q", ctx.Req.Payload)
-		if err != nil {
-			ctx.ReplyError(err)
-			return
-		}
-		ctx.Reply(reply)
+		forwardToLeaf(ctx, 0, "q")
 	}, &Options{Workers: 2, Tail: TailPolicy{LeafRetries: 3, RetryBudgetRatio: 1, RetryBudgetBurst: 100}})
 	if err := mt.ConnectLeaves([]string{leafAddr}); err != nil {
 		t.Fatal(err)

@@ -141,7 +141,7 @@ func TestPollingModeAvoidsFutex(t *testing.T) {
 
 // waitFor polls cond until it holds.  It is for observations the stats
 // contract does not cover because they time the reply write itself and so
-// land after it — Net/Block overhead samples, completed stage traces;
+// land after it — Net/Block overhead samples, server spans;
 // counters need no waiting.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -182,6 +182,19 @@ func startLeaf(t *testing.T, probe *telemetry.Probe) (string, *Leaf) {
 	return addr, leaf
 }
 
+// forwardToLeaf answers the request with one leaf's reply to the request's
+// own payload — a point read, made the way Router's get makes it: as a
+// one-call fan-out.
+func forwardToLeaf(ctx *Ctx, shard int, method string) {
+	ctx.Fanout([]LeafCall{{Shard: shard, Method: method, Payload: ctx.Req.Payload}}, func(results []LeafResult) {
+		if err := results[0].Err; err != nil {
+			ctx.ReplyError(err)
+			return
+		}
+		ctx.Reply(results[0].Reply)
+	})
+}
+
 // startMidTier wires a mid-tier that fans "sum" requests to all leaves
 // (each leaf doubles the integer; the mid-tier sums the results) and
 // forwards "echo1" to shard 0 only.
@@ -205,12 +218,7 @@ func startMidTier(t *testing.T, leafAddrs []string, opts *Options) (string, *Mid
 				ctx.Reply([]byte(strconv.Itoa(total)))
 			})
 		case "echo1":
-			reply, err := ctx.CallLeaf(0, "echo", ctx.Req.Payload)
-			if err != nil {
-				ctx.ReplyError(err)
-				return
-			}
-			ctx.Reply(reply)
+			forwardToLeaf(ctx, 0, "echo")
 		case "failall":
 			ctx.FanoutAll("fail", nil, func(results []LeafResult) {
 				for _, r := range results {

@@ -170,7 +170,7 @@ func TestBurstBehindAFrameDispatches(t *testing.T) {
 }
 
 // TestBlockingHandlerServesFramesBehindIt: a handler that blocks on the
-// poller (Router's synchronous CallLeaf) delays the frames that arrive
+// poller (here, waiting out its own leaf call) delays the frames that arrive
 // behind it only until it returns.
 func TestBlockingHandlerServesFramesBehindIt(t *testing.T) {
 	entered := make(chan struct{}, 3)
@@ -185,12 +185,16 @@ func TestBlockingHandlerServesFramesBehindIt(t *testing.T) {
 	t.Cleanup(leaf.Close)
 	mt := NewMidTier(func(ctx *Ctx) {
 		entered <- struct{}{}
-		reply, err := ctx.CallLeaf(0, "slow", nil)
-		if err != nil {
-			ctx.ReplyError(err)
-			return
-		}
-		ctx.Reply(reply)
+		answered := make(chan struct{})
+		ctx.Fanout([]LeafCall{{Shard: 0, Method: "slow"}}, func(results []LeafResult) {
+			defer close(answered)
+			if err := results[0].Err; err != nil {
+				ctx.ReplyError(err)
+				return
+			}
+			ctx.Reply(results[0].Reply)
+		})
+		<-answered
 	}, nil)
 	if err := mt.ConnectLeaves([]string{leafAddr}); err != nil {
 		t.Fatal(err)

@@ -129,33 +129,6 @@ func (m *MidTier) ConnectEdge(name string, groups [][]string, policy EdgePolicy)
 	return nil
 }
 
-// EdgeNames lists the mid-tier's connected edges (the default edge included
-// even before it is bootstrapped).  Stable only before Start mutations stop;
-// intended for introspection and tests.
-func (m *MidTier) EdgeNames() []string {
-	m.edgeMu.Lock()
-	defer m.edgeMu.Unlock()
-	names := make([]string, 0, len(m.edges))
-	for n := range m.edges {
-		names = append(names, n)
-	}
-	return names
-}
-
-// EdgeTopology exposes a named edge's live topology (the admin surface for
-// non-default edges); nil when the edge does not exist.
-func (m *MidTier) EdgeTopology(name string) *cluster.Topology {
-	if name == "" || name == DefaultEdge {
-		return m.def.topo
-	}
-	m.edgeMu.Lock()
-	defer m.edgeMu.Unlock()
-	if e := m.edges[name]; e != nil {
-		return e.topo
-	}
-	return nil
-}
-
 // observeLatency feeds the digest behind this edge's percentile-tracked
 // hedge delay and digest-tracked batch flush delay.  The quantile scans are
 // amortized: the cached delays refresh every hedgeRefreshEvery observations
@@ -240,16 +213,9 @@ func (c *Ctx) Edge(name string) (EdgeCtx, error) {
 	return EdgeCtx{c: c, e: e, snap: snap}, nil
 }
 
-// NumShards reports the edge's downstream shard count, stable for the
-// request's lifetime.
-func (ec EdgeCtx) NumShards() int { return ec.snap.NumLeaves() }
-
 // Shard maps a key hash to a downstream shard using the edge's routing
 // strategy, against the pinned snapshot.
 func (ec EdgeCtx) Shard(hash uint64) int { return ec.snap.Shard(hash) }
-
-// Snapshot is the topology snapshot pinned for this edge.
-func (ec EdgeCtx) Snapshot() *cluster.Snapshot { return ec.snap }
 
 // Fanout asynchronously issues calls to this edge's shards and invokes merge
 // with all results once the last response arrives — Ctx.Fanout, on a named
@@ -261,10 +227,4 @@ func (ec EdgeCtx) Fanout(calls []LeafCall, merge func([]LeafResult)) {
 // FanoutAll broadcasts one payload to every shard of this edge.
 func (ec EdgeCtx) FanoutAll(method string, payload []byte, merge func([]LeafResult)) {
 	ec.c.fanoutAllOn(ec.e, ec.snap, method, payload, merge)
-}
-
-// Call issues a single synchronous RPC to one shard of this edge, with the
-// edge's retry policy.
-func (ec EdgeCtx) Call(shard int, method string, payload []byte) ([]byte, error) {
-	return ec.c.callOn(ec.e, ec.snap, shard, method, payload)
 }

@@ -192,10 +192,13 @@ func (l *Leaf) onRequest(req *rpc.Request) {
 			// A leaf past its queue bound sheds with the typed overload
 			// error: the mid-tier's retry machinery must not re-issue
 			// (or spend budget on) deliberate backpressure.
-			req.ReplyError(rpc.Overloadf("leaf dispatch queue full"))
-		} else {
-			req.ReplyError(err)
+			err = rpc.Overloadf("leaf dispatch queue full")
 		}
+		req.ReplyError(err)
+		// A sampled request keeps its server span, so the caller's failed
+		// client span has the shed under it.  (A carrier is untraced; its
+		// members' contexts are inside the payload the shed never decodes.)
+		l.recordServerSpan(req.TraceContext(), req.Method, req, err, false)
 	}
 }
 

@@ -108,13 +108,10 @@ type Options struct {
 	// PendingShards is the per-connection pending-table shard count
 	// (default 8, rounded up to a power of two by the rpc client).
 	PendingShards int
-	// Tracer, when set, samples requests for per-stage latency
-	// attribution through the pipeline.
-	Tracer *trace.Tracer
 	// Spans, when set, records distributed-tracing spans for requests that
-	// arrive with a sampled span context: one server span per request (with
-	// the stage breakdown attached as notes) and one client span per leaf
-	// attempt — hedges, retries, and abandoned losers included.
+	// arrive with a sampled span context: one server span per request,
+	// carrying its stage record, and one client span per leaf attempt —
+	// hedges, retries, and abandoned losers included.
 	Spans *trace.Recorder
 	// Probe receives telemetry; nil disables instrumentation.
 	Probe *telemetry.Probe
@@ -246,9 +243,9 @@ func (m *MidTier) ConnectLeaves(addrs []string) error {
 
 // ConnectLeafGroups dials every leaf shard's replica set: groups[i] lists
 // the addresses of the replicas serving shard i (all must hold the same
-// shard data).  Fanout and CallLeaf route each call to the least-loaded
-// replica of its shard, and hedges/retries go to a different replica than
-// the attempt they back up.  Must be called before Start.
+// shard data).  Fanout routes each call to the least-loaded replica of its
+// shard, and hedges/retries go to a different replica than the attempt they
+// back up.  Must be called before Start.
 func (m *MidTier) ConnectLeafGroups(groups [][]string) error {
 	if m.started.Load() {
 		return errors.New("core: ConnectLeaves after Start")
@@ -278,12 +275,6 @@ func (m *MidTier) AddLeafGroup(addrs []string) (int, error) {
 // deadline bounds the wait (≤ 0 selects cluster.DefaultDrainDeadline).
 func (m *MidTier) DrainLeafGroup(shard int, deadline time.Duration) error {
 	return m.def.topo.DrainGroup(shard, deadline)
-}
-
-// RemoveLeafGroup forcefully removes shard's leaf group, failing its
-// in-flight calls.  Prefer DrainLeafGroup.
-func (m *MidTier) RemoveLeafGroup(shard int) error {
-	return m.def.topo.RemoveGroup(shard)
 }
 
 // NumLeaves reports the number of connected leaf shards (default edge).
@@ -329,11 +320,19 @@ func (m *MidTier) onRequest(req *rpc.Request) {
 	if m.opts.Classify != nil {
 		pri = m.opts.Classify(req)
 	}
+	// A request that arrived with a sampled span context gets this tier's
+	// server span, a child of the caller's client span; the leaf attempts
+	// below will be children of that.  Everything per-request tracing costs
+	// hangs off this one test: an unsampled request reads no clock.
+	var span trace.SpanContext
+	if m.spans != nil && req.TraceContext().Sampled() {
+		span = req.TraceContext().Child()
+	}
 	if m.admit != nil && !m.admit.acquire(pri) {
 		// Shed at the door: a typed reject on the poller, before any
 		// snapshot pin, payload copy, or worker wakeup is spent on a
 		// request the tier cannot absorb.
-		req.ReplyError(rpc.Overloadf("admission limit"))
+		m.shed(req, span, rpc.Overloadf("admission limit"))
 		return
 	}
 	// The request pins the topology snapshot it arrived under: every
@@ -341,22 +340,10 @@ func (m *MidTier) onRequest(req *rpc.Request) {
 	// hedges, retries) resolves against this one epoch, and a concurrent
 	// drain waits for the pin before closing anything the request may
 	// still call.  Released in finish (or below if dispatch sheds it).
-	ctx := &Ctx{Req: req, mt: m, snap: m.def.topo.Acquire(), admitted: m.admit != nil}
-	ctx.tr = m.opts.Tracer.Sample()
-	if m.spans != nil && req.TraceContext().Sampled() {
-		// The request arrived with a sampled span context: this tier's
-		// server span is its child, and the leaf attempts below will be
-		// children of that.  A stage trace rides along even when the local
-		// Tracer did not sample, so the breakdown can annotate the span;
-		// owned traces return to the pool in finish rather than through
-		// the Tracer's ring.
-		ctx.span = req.TraceContext().Child()
-		if ctx.tr == nil {
-			ctx.tr = trace.NewTrace()
-			ctx.trOwned = true
-		}
+	ctx := &Ctx{Req: req, mt: m, snap: m.def.topo.Acquire(), admitted: m.admit != nil, span: span}
+	if span.Sampled() {
+		ctx.tr = trace.NewStamps(req.Arrival)
 	}
-	ctx.tr.StampAt(trace.StageArrival, req.Arrival)
 	alone := m.running.Add(1) == 1
 	if m.opts.Dispatch == Inline || m.opts.Dispatch == DispatchAuto && alone && !req.Backlogged {
 		// Run to completion: no hand-off, no worker wake-up; the poller
@@ -368,9 +355,9 @@ func (m *MidTier) onRequest(req *rpc.Request) {
 		return
 	}
 	handoffStart := m.probe.Start()
-	// Stamped before the hand-off: a fast worker can reply — and recycle a
-	// pooled trace — before SubmitPriorityArg even returns, so a stamp
-	// after it could land on the trace's next occupant.
+	// Stamped before the hand-off: a fast worker can reply — and cut the
+	// record into the server span — before SubmitPriorityArg even returns,
+	// and a stamp after that would be lost.
 	ctx.tr.Stamp(trace.StageEnqueued)
 	err := m.workers.SubmitPriorityArg(m.handleFn, ctx, pri)
 	if err != nil {
@@ -379,10 +366,9 @@ func (m *MidTier) onRequest(req *rpc.Request) {
 			// limit; its sheds carry the same typed overload error so the
 			// client treats both identically (no retry, no budget spend).
 			m.counters.Add(telemetry.AdmitShedQueue, 1)
-			req.ReplyError(rpc.Overloadf("dispatch queue full"))
-		} else {
-			req.ReplyError(err)
+			err = rpc.Overloadf("dispatch queue full")
 		}
+		m.shed(req, span, err)
 		// Shed before the handler ever ran: release the pin (and the
 		// admission slot, without feeding the latency signal) directly —
 		// not via finish, which would count the request as served.
@@ -391,14 +377,21 @@ func (m *MidTier) onRequest(req *rpc.Request) {
 		if ctx.admitted {
 			m.admit.cancel()
 		}
-		if ctx.trOwned {
-			trace.PutTrace(ctx.tr)
-		}
 		return
 	}
 	// The poller's hand-off cost before it re-enters its blocking read —
 	// the Block overhead class.
 	m.probe.ObserveSince(telemetry.OverheadBlock, handoffStart)
+}
+
+// shed rejects a request the handler never ran for.  A sampled one keeps its
+// server span — the error, no stage record — so its trace does not end at a
+// failed client span with nothing under it.
+func (m *MidTier) shed(req *rpc.Request, span trace.SpanContext, err error) {
+	req.ReplyError(err)
+	if span.Sampled() {
+		m.recordServerSpan(span, req, time.Since(req.Arrival), err.Error(), nil)
+	}
 }
 
 // onLeafResponse runs on a leaf connection's reader goroutine; it forwards
@@ -448,13 +441,11 @@ type Ctx struct {
 	// decision this request makes reads it, so the leaf count and shard
 	// placement cannot change under a request mid-flight.
 	snap *cluster.Snapshot
-	tr   *trace.Trace
 	// span is this tier's server span (a child of the caller's client span),
-	// zero when the request arrived unsampled or span recording is off.
+	// zero when the request arrived unsampled or span recording is off; tr is
+	// the stage record that span will carry, nil exactly when span is zero.
+	tr   *trace.Stamps
 	span trace.SpanContext
-	// trOwned marks a trace drawn from the pool purely to annotate the span
-	// (the Tracer did not sample); finish returns it to the pool directly.
-	trOwned bool
 	// admitted marks a request holding an admission slot; finish must
 	// release it.  shed marks one rejected after admission (deadline
 	// shed), whose short latency must not feed the AIMD signal.
@@ -512,8 +503,7 @@ func (c *Ctx) claim() bool {
 }
 
 // finish runs after the reply is written: it releases the topology pins and
-// the admission slot, records the server span, and closes out the sampled
-// trace.
+// the admission slot, and records a sampled request's server span.
 func (c *Ctx) finish() {
 	c.snap.Release()
 	c.pinMu.Lock()
@@ -533,51 +523,29 @@ func (c *Ctx) finish() {
 	if c.tr == nil {
 		return
 	}
+	// Every other stamp happens-before this one (Enqueued before the worker
+	// hand-off, FanoutIssued before the first attempt is sent, the last
+	// response before the merge that replied), so the record is complete.
 	c.tr.Stamp(trace.StageReplySent)
-	if c.span.Sampled() {
-		c.recordServerSpan()
-	}
-	// Every stage stamp happens-before this point (Enqueued before the
-	// worker hand-off, FanoutIssued before the first attempt is sent), so
-	// recycling here cannot race a late stamp.
-	if c.trOwned {
-		trace.PutTrace(c.tr)
-	} else {
-		c.mt.opts.Tracer.Finish(c.tr)
-	}
+	c.mt.recordServerSpan(c.span, c.Req, c.tr.At(trace.StageReplySent), c.errText, c.tr.Stages())
 }
 
-// recordServerSpan emits this tier's server span, with the request's stage
-// breakdown attached as notes so trace consumers see where the time went
-// without a second data channel.
-func (c *Ctx) recordServerSpan() {
-	end := c.tr.At(trace.StageReplySent)
-	start := c.Req.Arrival
-	if end.Before(start) {
-		end = start
-	}
-	b := c.tr.Breakdown()
-	notes := make([]string, 0, 5)
-	addSeg := func(name string, d time.Duration) {
-		if d > 0 {
-			notes = append(notes, name+"="+d.String())
-		}
-	}
-	addSeg("handoff", b.Handoff)
-	addSeg("queue", b.Queue)
-	addSeg("compute", b.Compute)
-	addSeg("leaf-wait", b.LeafWait)
-	addSeg("merge", b.Merge)
-	c.mt.spans.Record(trace.Span{
-		TraceID:  trace.ID(c.span.TraceID),
-		SpanID:   trace.ID(c.span.SpanID),
-		ParentID: trace.ID(c.span.ParentID),
-		Name:     c.Req.Method,
+// recordServerSpan emits this tier's server span for one sampled request:
+// span is the server span's own context, dur the request's residency since
+// its arrival, and stages — nil for a request shed before its handler ran —
+// where inside the tier that time went, so trace consumers see it without a
+// second data channel.
+func (m *MidTier) recordServerSpan(span trace.SpanContext, req *rpc.Request, dur time.Duration, errText string, stages *trace.Stages) {
+	m.spans.Record(trace.Span{
+		TraceID:  trace.ID(span.TraceID),
+		SpanID:   trace.ID(span.SpanID),
+		ParentID: trace.ID(span.ParentID),
+		Name:     req.Method,
 		Kind:     trace.KindServer,
-		Start:    start.UnixNano(),
-		Duration: end.Sub(start).Nanoseconds(),
-		Err:      c.errText,
-		Notes:    notes,
+		Start:    req.Arrival.UnixNano(),
+		Duration: dur.Nanoseconds(),
+		Err:      errText,
+		Stages:   stages,
 	})
 }
 
@@ -629,8 +597,8 @@ func (c *Ctx) fanoutAllOn(e *edge, snap *cluster.Snapshot, method string, payloa
 func (c *Ctx) runFanout(fo *fanout) {
 	m := c.mt
 	// Stamped before the first attempt goes out: a leaf response can
-	// complete the whole request — and recycle a pooled trace — before the
-	// issue loop below returns.
+	// complete the whole request — and cut the record into the server span
+	// — before the issue loop below returns.
 	c.tr.Stamp(trace.StageFanoutIssued)
 	// The issuer's hold must exist before anything can complete the
 	// fan-out: with no hedge and no timeout the only other holds are the
@@ -650,80 +618,6 @@ func (c *Ctx) runFanout(fo *fanout) {
 			continue
 		}
 		m.issuePrimary(slot)
-	}
-}
-
-// CallLeaf issues a single synchronous leaf RPC (used by handlers that need
-// a point read rather than a fan-out, e.g. Router gets).  The call goes to
-// the shard's least-loaded replica; retryable failures are re-issued to
-// another replica, up to Tail.LeafRetries and subject to the retry budget.
-func (c *Ctx) CallLeaf(shard int, method string, payload []byte) ([]byte, error) {
-	return c.callOn(c.mt.def, c.snap, shard, method, payload)
-}
-
-// callOn is CallLeaf against one edge's policy and pinned snapshot.
-func (c *Ctx) callOn(e *edge, snap *cluster.Snapshot, shard int, method string, payload []byte) ([]byte, error) {
-	m := c.mt
-	if shard < 0 || shard >= snap.NumLeaves() {
-		return nil, fmt.Errorf("core: no such leaf shard %d", shard)
-	}
-	// The caller's pinned snapshot keeps the group's pools open for the
-	// whole (synchronous) call, retries included.
-	g := snap.Group(shard)
-	m.budget.earn()
-	traced := c.span.Sampled() && m.spans != nil
-	exclude := -1
-	for attempt := 0; ; attempt++ {
-		pool, idx := g.Pick(exclude)
-		var sc trace.SpanContext
-		var start time.Time
-		if traced {
-			sc = c.span.Child()
-			start = time.Now()
-		}
-		call := pool.Pick().GoSpan(method, payload, sc, nil, nil)
-		<-call.Done
-		if traced {
-			end := call.Received
-			if end.IsZero() {
-				end = time.Now()
-			}
-			var errText string
-			if call.Err != nil {
-				errText = call.Err.Error()
-			}
-			notes := make([]string, 0, 2)
-			if attempt > 0 {
-				notes = append(notes, "retry")
-			}
-			notes = append(notes, "shard="+strconv.Itoa(shard))
-			m.spans.Record(trace.Span{
-				TraceID:  trace.ID(sc.TraceID),
-				SpanID:   trace.ID(sc.SpanID),
-				ParentID: trace.ID(sc.ParentID),
-				Name:     method,
-				Kind:     trace.KindClient,
-				Start:    start.UnixNano(),
-				Duration: end.Sub(start).Nanoseconds(),
-				Err:      errText,
-				Notes:    notes,
-			})
-		}
-		if call.Err == nil {
-			e.observeLatency(call.Received.Sub(call.Sent))
-			reply := call.DetachReply()
-			call.Release()
-			return reply, nil
-		}
-		err := call.Err
-		call.Release()
-		if attempt >= e.policy.Tail.LeafRetries || !rpc.Retryable(err) {
-			return nil, err
-		}
-		if !m.budget.spend(telemetry.TailRetry) {
-			return nil, err
-		}
-		exclude = idx
 	}
 }
 
@@ -984,7 +878,7 @@ type fanout struct {
 	bufs      []*rpc.Buf
 	remaining atomic.Int32
 	merge     func([]LeafResult)
-	tr        *trace.Trace
+	tr        *trace.Stamps
 	// span is the parent request's server span; each attempt's client span
 	// is derived from it.  Zero when the request is unsampled.
 	span trace.SpanContext

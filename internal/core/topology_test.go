@@ -23,16 +23,18 @@ func startPinCheckMidTier(t *testing.T, leafAddrs []string) (string, *MidTier) {
 		case "pincheck":
 			before := ctx.NumLeaves()
 			// Hit the highest shard — the one an in-flight drain targets.
-			if _, err := ctx.CallLeaf(before-1, "echo", ctx.Req.Payload); err != nil {
-				ctx.ReplyError(err)
-				return
-			}
-			after := ctx.NumLeaves()
-			if before != after {
-				ctx.ReplyError(fmt.Errorf("leaf count changed mid-request: %d then %d", before, after))
-				return
-			}
-			ctx.Reply([]byte(strconv.Itoa(after)))
+			ctx.Fanout([]LeafCall{{Shard: before - 1, Method: "echo", Payload: ctx.Req.Payload}}, func(results []LeafResult) {
+				if err := results[0].Err; err != nil {
+					ctx.ReplyError(err)
+					return
+				}
+				after := ctx.NumLeaves()
+				if before != after {
+					ctx.ReplyError(fmt.Errorf("leaf count changed mid-request: %d then %d", before, after))
+					return
+				}
+				ctx.Reply([]byte(strconv.Itoa(after)))
+			})
 		case "sum":
 			payload := make([]byte, len(ctx.Req.Payload))
 			copy(payload, ctx.Req.Payload)

@@ -454,64 +454,6 @@ func scanRowSetRange(s *Store, q []float32, qn float32, set RowSet, top *TopK) {
 
 // --- multi-query tile scan ---
 
-// ScanMulti scores every query against every store row with the tile
-// kernel: the point block a chunk walks stays hot in cache while all queries
-// score it, so a batched carrier's queries share each row's memory traffic.
-// Results are per-query, each the k nearest appended fresh.
-func (e *Engine) ScanMulti(s *Store, queries [][]float32, k int) ([][]knn.Neighbor, error) {
-	e = e.orDefault()
-	for _, q := range queries {
-		if len(q) != s.dim && s.n > 0 {
-			return nil, vec.ErrDimensionMismatch
-		}
-	}
-	nq := len(queries)
-	if nq == 0 {
-		return nil, nil
-	}
-	start := time.Now()
-	out := make([][]knn.Neighbor, nq)
-	if e.scalar {
-		sc := getScratch(1, k)
-		for qi, q := range queries {
-			sc.heaps[0].Reset(k)
-			scanScalarRange(s, q, 0, s.n, &sc.heaps[0])
-			out[qi] = sc.heaps[0].AppendSorted(nil)
-		}
-		scanScratches.Put(sc)
-		e.account(s.n*nq, start)
-		return out, nil
-	}
-	qns := make([]float32, nq)
-	for qi, q := range queries {
-		qns[qi] = dot8(q, q)
-	}
-	sc := getScratch(e.par*nq, k)
-	parallelFor(e.par, s.n, func(w, lo, hi int) {
-		heaps := sc.heaps[w*nq : (w+1)*nq]
-		for i := lo; i < hi; i++ {
-			row := s.Row(i)
-			rn := s.norms[i]
-			for qi, q := range queries {
-				d := normDist(q, qns[qi], row, rn)
-				top := &heaps[qi]
-				if d <= top.Threshold() {
-					top.Consider(uint32(i), d)
-				}
-			}
-		}
-	})
-	for qi := 0; qi < nq; qi++ {
-		for w := 1; w < e.par; w++ {
-			sc.heaps[qi].Merge(&sc.heaps[w*nq+qi])
-		}
-		out[qi] = sc.heaps[qi].AppendSorted(nil)
-	}
-	scanScratches.Put(sc)
-	e.account(s.n*nq, start)
-	return out, nil
-}
-
 // --- cosine neighborhoods (Recommend) ---
 
 // cosineDist returns 1 − cosine similarity in the engine's float32 path;

@@ -236,38 +236,6 @@ func TestScanSubsetEquivalence(t *testing.T) {
 	}
 }
 
-// TestScanMultiEquivalence: the multi-query tile kernel returns exactly what
-// per-query scans return.
-func TestScanMultiEquivalence(t *testing.T) {
-	eng := New(Config{Parallelism: 4})
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := minParallelPoints + r.Intn(chunkPoints)
-		dim := 1 + r.Intn(24)
-		k := 1 + r.Intn(8)
-		nq := 1 + r.Intn(5)
-		s := randStore(r, n, dim)
-		queries := make([][]float32, nq)
-		for i := range queries {
-			queries[i] = randQuery(r, dim)
-		}
-		multi, err := eng.ScanMulti(s, queries, k)
-		if err != nil {
-			return false
-		}
-		for qi, q := range queries {
-			single, err := eng.Scan(s, q, k, nil)
-			if err != nil || !neighborsEqual(multi[qi], single) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 8}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestCosineEquivalence: the tile cosine kernel matches per-row scans bit
 // for bit, and the tuned float32 path stays within tolerance of the float64
 // reference arithmetic.

@@ -254,9 +254,6 @@ func (x *Index) Dim() int {
 // Size reports the number of indexed points.
 func (x *Index) Size() int { return len(x.points) }
 
-// Centroid returns cluster c's center (read-only).
-func (x *Index) Centroid(c int) vec.Vector { return x.centroids[c] }
-
 // ClusterSize reports cluster c's member count.
 func (x *Index) ClusterSize(c int) int { return len(x.members[c]) }
 

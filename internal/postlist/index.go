@@ -90,9 +90,6 @@ func BuildIndex(docs [][]int, cfg IndexConfig) *Index {
 // Docs reports the number of indexed documents.
 func (x *Index) Docs() int { return x.docs }
 
-// Terms reports the number of indexed (non-stopped) terms.
-func (x *Index) Terms() int { return len(x.postings) }
-
 // IsStopWord reports whether term was stop-listed.
 func (x *Index) IsStopWord(term int) bool { return x.stop[term] }
 

@@ -320,15 +320,6 @@ func (b *Batcher) Go(method string, payload []byte, data any, done chan *Call) *
 	return call
 }
 
-// GoRef is Go returning a generation-stamped reference, captured before the
-// call can complete (see Client.GoRef).
-func (b *Batcher) GoRef(method string, payload []byte, data any, done chan *Call) CallRef {
-	call := b.newCall(method, payload, data, done)
-	ref := call.Ref()
-	b.enqueue(call)
-	return ref
-}
-
 // GoRefSpan is GoRef for a traced member: sc rides the carrier as a
 // per-member span-context header (or the plain frame header if the member
 // ends up flushed alone), so batching never loses a request's identity.

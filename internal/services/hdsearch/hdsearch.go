@@ -138,16 +138,6 @@ func EncodeLeafANNRequest(query vec.Vector, k, nprobe, rerank int) []byte {
 	return e.Bytes()
 }
 
-// DecodeLeafANNRequest decodes a mid-tier→leaf ANN probe.
-func DecodeLeafANNRequest(b []byte) (query vec.Vector, k, nprobe, rerank int, err error) {
-	d := wire.NewDecoder(b)
-	k = int(d.Uvarint())
-	nprobe = int(d.Uvarint())
-	rerank = int(d.Uvarint())
-	query = vec.Vector(d.Float32s())
-	return query, k, nprobe, rerank, d.Err()
-}
-
 // AppendNeighbors appends a distance-sorted result list to e — the
 // streaming form the leaf and mid-tier reply paths use with pooled
 // encoders.

@@ -117,8 +117,7 @@ func LeafANNConfig(kind IndexKind, cfg ann.Config) (ann.Config, bool) {
 // mutable so experiment sweeps can retune a live cluster without rebuilding
 // the leaf indexes.  The first knob slot is the family's search-breadth
 // control — nprobe for the IVF kinds, efSearch for hnsw — carried in the
-// same wire position; the EFSearch accessors alias it under the graph
-// family's name.
+// same wire position; SetEFSearch aliases it under the graph family's name.
 type LeafANN struct {
 	dim    int
 	nprobe atomic.Int32
@@ -151,10 +150,6 @@ func (x *LeafANN) Rerank() int { return int(x.rerank.Load()) }
 
 // SetRerank retunes the re-rank depth for subsequent requests.
 func (x *LeafANN) SetRerank(n int) { x.rerank.Store(int32(n)) }
-
-// EFSearch reports the current hnsw beam width (the same knob slot NProbe
-// reads — the families share one wire position).
-func (x *LeafANN) EFSearch() int { return int(x.nprobe.Load()) }
 
 // SetEFSearch retunes the hnsw beam width for subsequent requests.
 func (x *LeafANN) SetEFSearch(n int) { x.nprobe.Store(int32(n)) }

@@ -10,7 +10,6 @@
 package router
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -403,11 +402,6 @@ func (c *Client) GoGet(key string, done chan *rpc.Call) *rpc.Call {
 	return c.rpc.Go(MethodGet, EncodeKey(key), nil, done)
 }
 
-// GoSet issues an asynchronous set (for load generators).
-func (c *Client) GoSet(key string, value []byte, done chan *rpc.Call) *rpc.Call {
-	return c.rpc.Go(MethodSet, EncodeKeyValue(key, value), nil, done)
-}
-
 // GoGetSpan issues an asynchronous get carrying a span context, tracing the
 // request end to end (used by sampling load generators).
 func (c *Client) GoGetSpan(key string, sc trace.SpanContext, done chan *rpc.Call) *rpc.Call {
@@ -421,6 +415,3 @@ func (c *Client) GoSetSpan(key string, value []byte, sc trace.SpanContext, done 
 
 // Close releases the connection.
 func (c *Client) Close() error { return c.rpc.Close() }
-
-// ErrNoLeaves reports a cluster configured without leaves.
-var ErrNoLeaves = errors.New("router: no leaves configured")

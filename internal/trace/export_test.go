@@ -13,9 +13,11 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// goldenSpans is a fixed span set covering every exported field: two
-// traces, both kinds, notes, errors, and out-of-order input (WriteSpans
-// must sort deterministically).
+// goldenSpans is a fixed span set covering every exported field: three
+// traces, both kinds, notes, errors, a stage record, and out-of-order input
+// (WriteSpans must sort deterministically).  The hdsearch-mid server span is
+// as files written before the typed stage record existed have it — segments
+// as notes, no "stages" field — and its fixture line is from such a file.
 func goldenSpans() []Span {
 	return []Span{
 		{TraceID: 0xdeadbeefcafef00d, SpanID: 0x2, ParentID: 0x1,
@@ -32,6 +34,10 @@ func goldenSpans() []Span {
 		{TraceID: 0x0123456789abcdef, SpanID: 0x4,
 			Name: "router.get", Kind: KindServer, Service: "router-leaf",
 			Start: 1699999999999000000, Duration: 42000, Err: "shed"},
+		{TraceID: 0xfeedfacefeedface, SpanID: 0x5, ParentID: 0x6,
+			Name: "setalgebra.search", Kind: KindServer, Service: "setalgebra-mid",
+			Start: 1700000000000200000, Duration: 640000,
+			Stages: &Stages{Queue: 10000, Compute: 79000, LeafWait: 500000, Merge: 12000}},
 	}
 }
 
@@ -66,6 +72,22 @@ func TestGoldenExport(t *testing.T) {
 	}
 	if len(decoded) != len(goldenSpans()) {
 		t.Fatalf("decoded %d spans, want %d", len(decoded), len(goldenSpans()))
+	}
+	for _, d := range decoded {
+		switch d.SpanID {
+		case 0x3: // the pre-change line
+			if d.Stages != nil || !d.HasNote("queue=10µs") || !d.HasNote("compute=79µs") {
+				t.Fatalf("pre-change stage notes decoded as %+v", d)
+			}
+		case 0x5:
+			if d.Stages == nil || *d.Stages != *goldenSpans()[4].Stages {
+				t.Fatalf("stage record decoded as %+v", d.Stages)
+			}
+		default:
+			if d.Stages != nil {
+				t.Fatalf("span %x grew a stage record: %+v", uint64(d.SpanID), d.Stages)
+			}
+		}
 	}
 	var again bytes.Buffer
 	if err := WriteSpans(&again, decoded); err != nil {
@@ -114,8 +136,8 @@ func TestReadSpansReportsLineNumbers(t *testing.T) {
 	}
 	buf.WriteString("\nnot json\n")
 	_, err := ReadSpans(&buf)
-	if err == nil || !strings.Contains(err.Error(), "line 6") {
-		t.Fatalf("err = %v, want line-6 position", err)
+	if err == nil || !strings.Contains(err.Error(), "line 7") {
+		t.Fatalf("err = %v, want line-7 position", err)
 	}
 }
 
@@ -134,6 +156,7 @@ func FuzzTraceDecode(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"trace":12,"span":34,"name":"n","start":1,"dur":0}`)) // decimal IDs
 	f.Add([]byte(`{"trace":"0", "span":"1","name":"x","start":-1,"dur":1,"notes":[""]}`))
+	f.Add([]byte(`{"trace":"1","span":"1","name":"x","start":1,"dur":1,"stages":{}}`))
 	f.Fuzz(func(t *testing.T, line []byte) {
 		s, err := DecodeSpan(line)
 		if err != nil {

@@ -9,9 +9,9 @@ import (
 	"time"
 )
 
-// Distributed span propagation.  The stage stamps in trace.go attribute
-// latency inside ONE tier; spans tie the tiers together.  A sampled request
-// carries a compact SpanContext on every RPC frame (trace ID, span ID,
+// Distributed span propagation.  The stage record in trace.go attributes
+// latency inside ONE tier and rides that tier's server span; spans tie the
+// tiers together.  A sampled request carries a compact SpanContext on every RPC frame (trace ID, span ID,
 // parent span ID, flags), so the front-end's client span, the mid-tier's
 // server span, every fan-out attempt — primary, hedge, retry, batched
 // member — and each leaf's server span assemble into one tree per request.
@@ -166,8 +166,12 @@ type Span struct {
 	Duration int64  `json:"dur"`
 	Err      string `json:"err,omitempty"`
 	// Notes carries flat annotations: "hedge", "retry", "abandoned",
-	// "batched", "shard=3", stage segments like "queue=12µs", …
+	// "batched", "shard=3", …  (Files written before the typed stage record
+	// existed carry its segments here, as "queue=12µs".)
 	Notes []string `json:"notes,omitempty"`
+	// Stages is the stage record of a mid-tier's server span: where the
+	// request's residence time went inside the tier.  Nil on every other span.
+	Stages *Stages `json:"stages,omitempty"`
 }
 
 // End is the span's finish instant in Unix nanoseconds.

@@ -1,163 +1,85 @@
 package trace
 
 import (
-	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
+// stampAt back-dates a stamp: tests lay out a record at fixed offsets
+// instead of sleeping between Stamp calls.
+func (t *Stamps) stampAt(s Stage, d time.Duration) { t.at[s].CompareAndSwap(0, int64(d)) }
+
 func TestStampFirstWins(t *testing.T) {
-	tr := &Trace{}
-	early := time.Now()
-	tr.StampAt(StageArrival, early)
-	tr.StampAt(StageArrival, early.Add(time.Hour))
-	if !tr.At(StageArrival).Equal(early) {
-		t.Fatal("second stamp overwrote first")
+	tr := NewStamps(time.Now())
+	tr.stampAt(StageWorkerStart, time.Microsecond)
+	tr.Stamp(StageWorkerStart)
+	if got := tr.At(StageWorkerStart); got != time.Microsecond {
+		t.Fatalf("second stamp overwrote first: %v", got)
 	}
 }
 
-func TestNilTraceSafe(t *testing.T) {
-	var tr *Trace
-	tr.Stamp(StageArrival)
-	tr.StampAt(StageReplySent, time.Now())
-	if !tr.At(StageArrival).IsZero() {
-		t.Fatal("nil trace returned a time")
-	}
-	b := tr.Breakdown()
-	if b.Total != 0 || b.Complete {
-		t.Fatalf("nil breakdown: %+v", b)
+func TestStampIsNeverZero(t *testing.T) {
+	// A stamp in the same clock tick as the arrival must still read as set.
+	tr := NewStamps(time.Now().Add(time.Hour))
+	tr.Stamp(StageReplySent)
+	if tr.At(StageReplySent) <= 0 {
+		t.Fatal("stamp at or before arrival reads as not stamped")
 	}
 }
 
-func TestOutOfRangeStageIgnored(t *testing.T) {
-	tr := &Trace{}
-	tr.Stamp(Stage(-1))
-	tr.Stamp(Stage(99))
-	// Reaching here without panic is the property.
-	if Stage(99).String() == "" || StageArrival.String() != "arrival" {
-		t.Fatal("stage names wrong")
+func TestNilStampsSafe(t *testing.T) {
+	var tr *Stamps
+	tr.Stamp(StageEnqueued)
+	if tr.At(StageEnqueued) != 0 {
+		t.Fatal("nil record returned a time")
 	}
 }
 
-func TestBreakdownSegments(t *testing.T) {
-	base := time.Now()
-	tr := &Trace{}
-	tr.StampAt(StageArrival, base)
-	tr.StampAt(StageEnqueued, base.Add(1*time.Microsecond))
-	tr.StampAt(StageWorkerStart, base.Add(11*time.Microsecond))
-	tr.StampAt(StageFanoutIssued, base.Add(31*time.Microsecond))
-	tr.StampAt(StageLastLeafResponse, base.Add(131*time.Microsecond))
-	tr.StampAt(StageReplySent, base.Add(141*time.Microsecond))
-	b := tr.Breakdown()
-	if !b.Complete {
-		t.Fatal("complete trace reported incomplete")
+func TestStagesSegments(t *testing.T) {
+	tr := NewStamps(time.Now())
+	tr.stampAt(StageEnqueued, 1*time.Microsecond)
+	tr.stampAt(StageWorkerStart, 11*time.Microsecond)
+	tr.stampAt(StageFanoutIssued, 31*time.Microsecond)
+	tr.stampAt(StageLastLeafResponse, 131*time.Microsecond)
+	tr.stampAt(StageReplySent, 141*time.Microsecond)
+	st := tr.Stages()
+	want := Stages{
+		Handoff: 1 * time.Microsecond, Queue: 10 * time.Microsecond,
+		Compute: 20 * time.Microsecond, LeafWait: 100 * time.Microsecond,
+		Merge: 10 * time.Microsecond,
 	}
-	if b.Handoff != 1*time.Microsecond || b.Queue != 10*time.Microsecond ||
-		b.Compute != 20*time.Microsecond || b.LeafWait != 100*time.Microsecond ||
-		b.Merge != 10*time.Microsecond || b.Total != 141*time.Microsecond {
-		t.Fatalf("breakdown: %+v", b)
+	if *st != want {
+		t.Fatalf("stages: %+v", *st)
 	}
-	if b.String() == "" {
-		t.Fatal("empty breakdown string")
+	if st.Sum() != tr.At(StageReplySent) {
+		t.Fatalf("a fully stamped record's segments sum to %v, reply at %v", st.Sum(), tr.At(StageReplySent))
+	}
+	if got := st.String(); got != "handoff=1µs queue=10µs compute=20µs leaf-wait=100µs merge=10µs" {
+		t.Fatalf("rendered %q", got)
 	}
 }
 
-func TestBreakdownIncompleteAndNegativeClamped(t *testing.T) {
-	base := time.Now()
-	tr := &Trace{}
-	tr.StampAt(StageArrival, base)
-	tr.StampAt(StageReplySent, base.Add(time.Millisecond))
-	b := tr.Breakdown()
-	if b.Complete {
-		t.Fatal("incomplete trace reported complete")
+func TestStagesMissingAndOutOfOrderAreZero(t *testing.T) {
+	// An in-line request that replied without fanning out: only the worker
+	// start and the reply are stamped.
+	tr := NewStamps(time.Now())
+	tr.stampAt(StageWorkerStart, time.Microsecond)
+	tr.stampAt(StageReplySent, time.Millisecond)
+	if st := tr.Stages(); *st != (Stages{}) || st.String() != "" {
+		t.Fatalf("stages: %+v", *st)
 	}
-	if b.Total != time.Millisecond || b.Queue != 0 {
-		t.Fatalf("breakdown: %+v", b)
-	}
-	// Out-of-order stamps (fanout-issued after last-leaf) clamp to 0.
-	tr2 := &Trace{}
-	tr2.StampAt(StageFanoutIssued, base.Add(time.Second))
-	tr2.StampAt(StageLastLeafResponse, base)
-	if tr2.Breakdown().LeafWait != 0 {
+	// Out-of-order stamps (fan-out issued after the last response) clamp to 0.
+	tr2 := NewStamps(time.Now())
+	tr2.stampAt(StageFanoutIssued, time.Second)
+	tr2.stampAt(StageLastLeafResponse, time.Millisecond)
+	if tr2.Stages().LeafWait != 0 {
 		t.Fatal("negative segment not clamped")
 	}
 }
 
-func TestTracerSamplingRate(t *testing.T) {
-	tr := NewTracer(10, 8)
-	sampled := 0
-	for i := 0; i < 1000; i++ {
-		if tr.Sample() != nil {
-			sampled++
-		}
-	}
-	if sampled != 100 {
-		t.Fatalf("sampled %d of 1000 at 1-in-10", sampled)
-	}
-	// every ≤ 1 samples everything.
-	all := NewTracer(0, 8)
-	for i := 0; i < 50; i++ {
-		if all.Sample() == nil {
-			t.Fatal("rate-1 tracer skipped a request")
-		}
-	}
-}
-
-func TestNilTracerSafe(t *testing.T) {
-	var tr *Tracer
-	if tr.Sample() != nil {
-		t.Fatal("nil tracer sampled")
-	}
-	tr.Finish(&Trace{})
-	if tr.Completed() != 0 || tr.Recent(5) != nil {
-		t.Fatal("nil tracer returned data")
-	}
-	if !strings.Contains(tr.Report(), "disabled") {
-		t.Fatal("nil tracer report")
-	}
-	if tr.StageQuantile("total", 0.5) != 0 {
-		t.Fatal("nil tracer quantile")
-	}
-}
-
-func TestTracerAggregation(t *testing.T) {
-	tr := NewTracer(1, 4)
-	base := time.Now()
-	for i := 0; i < 10; i++ {
-		s := tr.Sample()
-		s.StampAt(StageArrival, base)
-		s.StampAt(StageEnqueued, base.Add(2*time.Microsecond))
-		s.StampAt(StageWorkerStart, base.Add(12*time.Microsecond))
-		s.StampAt(StageFanoutIssued, base.Add(22*time.Microsecond))
-		s.StampAt(StageLastLeafResponse, base.Add(122*time.Microsecond))
-		s.StampAt(StageReplySent, base.Add(132*time.Microsecond))
-		tr.Finish(s)
-	}
-	if tr.Completed() != 10 {
-		t.Fatalf("completed=%d", tr.Completed())
-	}
-	// Ring keeps only the last 4.
-	if got := len(tr.Recent(100)); got != 4 {
-		t.Fatalf("recent=%d want 4", got)
-	}
-	q := tr.StageQuantile("queue", 0.5)
-	if q < 9*time.Microsecond || q > 11*time.Microsecond {
-		t.Fatalf("queue p50=%v", q)
-	}
-	if tr.StageQuantile("bogus", 0.5) != 0 {
-		t.Fatal("unknown segment returned data")
-	}
-	rep := tr.Report()
-	for _, want := range []string{"handoff", "queue", "compute", "leaf-wait", "merge", "total"} {
-		if !strings.Contains(rep, want) {
-			t.Fatalf("report missing %q:\n%s", want, rep)
-		}
-	}
-}
-
-func TestTraceConcurrentStamps(t *testing.T) {
-	tr := &Trace{}
+func TestConcurrentStamps(t *testing.T) {
+	tr := NewStamps(time.Now())
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -169,7 +91,41 @@ func TestTraceConcurrentStamps(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if !tr.Breakdown().Complete {
-		t.Fatal("concurrent stamps left gaps")
+	for s := Stage(0); s < numStages; s++ {
+		if tr.At(s) == 0 {
+			t.Fatalf("concurrent stamps left stage %d unset", s)
+		}
+	}
+}
+
+// TestStageReport pins the -experiment trace table over a fixed span set:
+// six rows, nearest-rank p50 and p99, spans without a stage record ignored.
+func TestStageReport(t *testing.T) {
+	us := time.Microsecond
+	var spans []Span
+	for i := 1; i <= 100; i++ {
+		d := time.Duration(i) * us
+		spans = append(spans, Span{
+			TraceID: 1, SpanID: ID(i), Name: "svc.search", Kind: KindServer,
+			Duration: int64(20 * d),
+			Stages:   &Stages{Handoff: d, Queue: 2 * d, Compute: 3 * d, LeafWait: 10 * d, Merge: 4 * d},
+		})
+	}
+	spans = append(spans,
+		Span{TraceID: 1, SpanID: 1000, Name: "svc.leaf", Kind: KindServer, Duration: int64(time.Hour)},
+		Span{TraceID: 1, SpanID: 1001, Name: "svc.leaf", Kind: KindClient, Duration: int64(time.Hour)})
+	want := "request latency attribution (100 sampled requests)\n" +
+		"  stage      p50          p99         \n" +
+		"  handoff    50µs         99µs        \n" +
+		"  queue      100µs        198µs       \n" +
+		"  compute    150µs        297µs       \n" +
+		"  leaf-wait  500µs        990µs       \n" +
+		"  merge      200µs        396µs       \n" +
+		"  total      1ms          1.98ms      \n"
+	if got := StageReport(spans); got != want {
+		t.Fatalf("report:\n%s\nwant:\n%s", got, want)
+	}
+	if got := StageReport(nil); got == "" {
+		t.Fatal("empty span set rendered nothing")
 	}
 }

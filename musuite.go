@@ -45,7 +45,6 @@ import (
 	"musuite/internal/stats"
 	"musuite/internal/telemetry"
 	"musuite/internal/topo"
-	"musuite/internal/trace"
 	"musuite/internal/vec"
 )
 
@@ -80,10 +79,6 @@ type (
 	// TelemetrySnapshot is a point-in-time copy of a counter table,
 	// indexed by Counter.
 	TelemetrySnapshot = telemetry.Snapshot
-	// Tracer samples requests for per-stage latency attribution; Trace
-	// is one sampled request.
-	Tracer = trace.Tracer
-	Trace  = trace.Trace
 	// KernelConfig tunes a leaf compute engine (scan parallelism, the
 	// reference-scalar switch).
 	KernelConfig = kernel.Config
@@ -118,9 +113,6 @@ func NewProbe() *Probe { return telemetry.NewProbe() }
 // NewKernel builds a leaf compute engine from cfg (zero value: tuned
 // kernels, NumCPU scan parallelism).
 func NewKernel(cfg KernelConfig) *KernelEngine { return kernel.New(cfg) }
-
-// NewTracer creates a 1-in-every sampler retaining keep recent traces.
-func NewTracer(every, keep int) *Tracer { return trace.NewTracer(every, keep) }
 
 // Syscalls lists the tracked syscall proxy classes in display order.
 func Syscalls() []Counter { return telemetry.Syscalls() }
