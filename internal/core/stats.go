@@ -82,8 +82,12 @@ type TierStats struct {
 	// leaf's kernel scans and wall nanoseconds spent inside them —
 	// KernelPoints/KernelNanos·1e9 is the points-scanned/s throughput that
 	// says whether the leaf is compute-bound.
-	KernelPoints uint64 `counter:"kernel.points"`
-	KernelNanos  uint64 `counter:"kernel.nanos"`
+	// KernelRefined is the part of KernelPoints a split-store scan read
+	// twice (kernel.SplitStore): KernelRefined/KernelPoints is how much of
+	// its input the leaf's filter fails to rule out.
+	KernelPoints  uint64 `counter:"kernel.points"`
+	KernelNanos   uint64 `counter:"kernel.nanos"`
+	KernelRefined uint64 `counter:"kernel.refined"`
 	// Admission-control counters (mid-tier only, zero with admission
 	// off): requests admitted, shed at the adaptive limit, and shed
 	// deadline-doomed at worker pickup.

@@ -376,8 +376,9 @@ func scoreBlock(s *Store, q []float32, qn float32, blk []uint32, dist []float32,
 // ScanRowSet is ScanSubset over a sparse bitmap of rows — the HDSearch leaf's
 // per-request computation, on the form its candidates arrive in.  A word past
 // the store is skipped and bits past the last row are masked off (the wire
-// contract ScanSubset's skipped IDs kept), k is clamped to the set's count,
-// and the answer is bit-identical to ScanSubset over the same rows as IDs:
+// contract ScanSubset's skipped IDs kept), k is clamped to the rows that
+// leaves — the rows scored, and the number booked as kernel.points — and the
+// answer is bit-identical to ScanSubset over the same rows as IDs:
 // the masks expand into the same ID block in front of the same scoreBlock.
 func (e *Engine) ScanRowSet(s *Store, q []float32, set RowSet, k int, dst []knn.Neighbor) ([]knn.Neighbor, error) {
 	e = e.orDefault()
@@ -388,14 +389,14 @@ func (e *Engine) ScanRowSet(s *Store, q []float32, set RowSet, k int, dst []knn.
 		return dst, ErrRowSetShape
 	}
 	start := time.Now()
-	points := set.Count()
+	points := set.countIn(s.n)
 	k = min(k, points)
 	sc := getScratch(e.par, k)
 	if e.scalar {
 		top := &sc.heaps[0]
 		for i, w := range set.Words {
 			base := w << 6
-			for m := storeMask(s, w, set.Masks[i]); m != 0; m &= m - 1 {
+			for m := storeMask(s.n, w, set.Masks[i]); m != 0; m &= m - 1 {
 				id := base + uint32(bits.TrailingZeros64(m))
 				top.Consider(id, vec.SquaredEuclidean(q, s.Row(int(id))))
 			}
@@ -418,16 +419,25 @@ func (e *Engine) ScanRowSet(s *Store, q []float32, set RowSet, k int, dst []knn.
 	return dst, nil
 }
 
-// storeMask cuts word w's mask down to the rows the store has.
-func storeMask(s *Store, w uint32, m uint64) uint64 {
-	last := (s.n - 1) >> 6 // −1 for an empty store: every word is past it
+// storeMask cuts word w's mask down to the rows an n-row store has.
+func storeMask(n int, w uint32, m uint64) uint64 {
+	last := (n - 1) >> 6 // −1 for an empty store: every word is past it
 	switch {
 	case int(w) > last:
 		return 0
 	case int(w) == last:
-		return m & (^uint64(0) >> (63 - uint(s.n-1)&63))
+		return m & (^uint64(0) >> (63 - uint(n-1)&63))
 	}
 	return m
+}
+
+// countIn reports how many of the set's rows an n-row store has.
+func (r RowSet) countIn(n int) int {
+	c := 0
+	for i, w := range r.Words {
+		c += bits.OnesCount64(storeMask(n, w, r.Masks[i]))
+	}
+	return c
 }
 
 // scanRowSetRange is scanSubsetRange with the block filled from masks: a word
@@ -440,7 +450,7 @@ func scanRowSetRange(s *Store, q []float32, qn float32, set RowSet, top *TopK) {
 	n := 0
 	for i, w := range set.Words {
 		base := w << 6
-		for m := storeMask(s, w, set.Masks[i]); m != 0; m &= m - 1 {
+		for m := storeMask(s.n, w, set.Masks[i]); m != 0; m &= m - 1 {
 			blk[n] = base + uint32(bits.TrailingZeros64(m))
 			n++
 		}

@@ -669,7 +669,7 @@ func TestRowSetForm(t *testing.T) {
 // real), in scalar mode, at dims that take the assembly and dims that do not,
 // with n not a multiple of 64 and with words and bits past the store.
 func TestScanRowSetEqualsScanSubset(t *testing.T) {
-	engines := []*Engine{New(Config{Parallelism: 1}), New(Config{Parallelism: 2}), New(Config{Parallelism: 8}), New(Config{ForceScalar: true})}
+	engines := scanEngines()
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		dim := 1 + r.Intn(31) // the per-row loop; else a width on the assembly's edges
@@ -709,33 +709,58 @@ func TestScanRowSetEqualsScanSubset(t *testing.T) {
 
 // TestScanRowSetContract: unequal word and mask counts are an error, k is
 // clamped to the set's count (2⁴⁰ is not an 8 TB make), k ≤ 0 and an empty or
-// all-zero set answer nothing, and the counters see what ScanSubset's would.
+// all-zero set answer nothing — a set that ends on a full block and an empty
+// store included — and the counters see the rows scored, not the rows a set
+// names past the store.  One contract, both forms of the rows.
 func TestScanRowSetContract(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	s := randStore(r, 500, 64) // words 0–7, the last 52 rows wide
 	q := randQuery(r, 64)
-	tab := telemetry.NewTable(nil)
-	eng := New(Config{Parallelism: 2}).WithCounters(tab)
-	if _, err := eng.ScanRowSet(s, q, RowSet{Words: []uint32{1, 2}, Masks: []uint64{1}}, 3, nil); !errors.Is(err, ErrRowSetShape) {
-		t.Fatalf("2 words, 1 mask: err %v", err)
-	}
-	if _, err := eng.ScanRowSet(s, q[:5], RowSet{}, 3, nil); !errors.Is(err, vec.ErrDimensionMismatch) {
-		t.Fatalf("short query: err %v", err)
-	}
-	ids := []uint32{3, 77, 78, 400, 499}
-	got, err := eng.ScanRowSet(s, q, packRowSet(append(ids, 500, 511, 9999)), 1<<40, nil)
-	if err != nil || len(got) != len(ids) {
-		t.Fatalf("k = 1<<40 over %d rows of the store returned %d, %v", len(ids), len(got), err)
-	}
-	if points := tab.Load(telemetry.KernelPoints); points != uint64(len(ids)+3) {
-		t.Fatalf("accounted %d points for a set of %d", points, len(ids)+3)
-	}
-	for _, c := range []struct {
-		set RowSet
-		k   int
-	}{{packRowSet(ids), 0}, {packRowSet(ids), -4}, {RowSet{}, 5}, {RowSet{Words: []uint32{0, 7}, Masks: []uint64{0, 0}}, 5}} {
-		if got, err := eng.ScanRowSet(s, q, c.set, c.k, nil); err != nil || len(got) != 0 {
-			t.Fatalf("ScanRowSet(%v, k=%d) = %v, %v", c.set, c.k, got, err)
+	// over scans the store, or an empty one, in the form under test.
+	for name, over := range map[string]func(*Store) func(*Engine, []float32, RowSet, int) ([]knn.Neighbor, error){
+		"fp32": func(s *Store) func(*Engine, []float32, RowSet, int) ([]knn.Neighbor, error) {
+			return func(e *Engine, q []float32, set RowSet, k int) ([]knn.Neighbor, error) {
+				return e.ScanRowSet(s, q, set, k, nil)
+			}
+		},
+		"split": func(s *Store) func(*Engine, []float32, RowSet, int) ([]knn.Neighbor, error) {
+			sp := Split(s)
+			return func(e *Engine, q []float32, set RowSet, k int) ([]knn.Neighbor, error) {
+				return e.ScanRowSetSplit(sp, q, set, k, nil)
+			}
+		},
+	} {
+		scan, scanEmpty := over(s), over(&Store{})
+		tab := telemetry.NewTable(nil)
+		eng := New(Config{Parallelism: 2}).WithCounters(tab)
+		if _, err := scan(eng, q, RowSet{Words: []uint32{1, 2}, Masks: []uint64{1}}, 3); !errors.Is(err, ErrRowSetShape) {
+			t.Fatalf("%s: 2 words, 1 mask: err %v", name, err)
+		}
+		if _, err := scan(eng, q[:5], RowSet{}, 3); !errors.Is(err, vec.ErrDimensionMismatch) {
+			t.Fatalf("%s: short query: err %v", name, err)
+		}
+		ids := []uint32{3, 77, 78, 400, 499}
+		got, err := scan(eng, q, packRowSet(append(ids, 500, 511, 9999)), 1<<40)
+		if err != nil || len(got) != len(ids) {
+			t.Fatalf("%s: k = 1<<40 over %d rows of the store returned %d, %v", name, len(ids), len(got), err)
+		}
+		if points := tab.Load(telemetry.KernelPoints); points != uint64(len(ids)) {
+			t.Fatalf("%s: accounted %d points for the %d rows of the set the store has", name, points, len(ids))
+		}
+		full := ^uint64(0)
+		for _, c := range []struct {
+			set RowSet
+			k   int
+		}{
+			{packRowSet(ids), 0}, {packRowSet(ids), -4}, {RowSet{}, 5}, {RowSet{Words: []uint32{0, 7}, Masks: []uint64{0, 0}}, 5},
+			{RowSet{Words: []uint32{0, 1, 2, 3}, Masks: []uint64{full, full, full, full}}, -1}, // ends on a full block
+		} {
+			if got, err := scan(eng, q, c.set, c.k); err != nil || len(got) != 0 {
+				t.Fatalf("%s(%v, k=%d) = %v, %v", name, c.set, c.k, got, err)
+			}
+		}
+		if got, err := scanEmpty(eng, nil, packRowSet(ids), 3); err != nil || len(got) != 0 {
+			t.Fatalf("%s over an empty store: %v, %v", name, got, err)
 		}
 	}
 }
@@ -770,6 +795,7 @@ func TestScanRowSetAllocs(t *testing.T) {
 // consecutive requests touch different rows and L2 cannot hold them.
 type gatherBench struct {
 	stores  []*Store
+	planes  []*SplitStore
 	queries [][]float32
 	ids     [][][]uint32 // [set][store] → ascending local IDs
 	sets    [][]RowSet   // the same candidates, packed
@@ -785,7 +811,8 @@ func gatherFixture() *gatherBench {
 		const stores, rows, dim, sets, density = 4, 25000, 64, 512, 0.088
 		r := rand.New(rand.NewSource(21))
 		for s := 0; s < stores; s++ {
-			gather.stores = append(gather.stores, randStore(r, rows, dim))
+			st := randStore(r, rows, dim)
+			gather.stores, gather.planes = append(gather.stores, st), append(gather.planes, Split(st))
 		}
 		for i := 0; i < sets; i++ {
 			gather.queries = append(gather.queries, randQuery(r, dim))
@@ -812,7 +839,11 @@ func gatherFixture() *gatherBench {
 // is judged by: "gather" is ScanSubset at the workload's shape; "rowset" is
 // ScanRowSet over the same candidates packed — uniformly scattered here, ~5.6
 // rows a word, so mask expansion at its least amortised (the service's sets
-// are ~30 a word; hdsearch's "ordered-rowset" shape has those); "stream" is a
+// are ~30 a word; hdsearch's "ordered-rowset" shape has those); "split" is
+// ScanRowSetSplit over the same sets and the stores' planes, with the rows a
+// scan (one store) read exactly — few even here, where rows are independent
+// Gaussians: the bound is ~0.1 wide and their distances spread over tens
+// (hdsearch's "ordered-split" shape has the service's rows); "stream" is a
 // sequential Scan of the same stores, the rate this host delivers 256 B rows
 // from beyond L2 — the floor a gather can approach but not beat; "resident"
 // is a Scan of a 2 000-row store that stays in L2, the compute floor under
@@ -845,6 +876,19 @@ func BenchmarkScanSubsetGather(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(points), "ns/point")
+	})
+	b.Run("split", func(b *testing.B) {
+		tab := telemetry.NewTable(nil)
+		eng := eng.WithCounters(tab)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			set := i % len(f.sets)
+			for s, sp := range f.planes {
+				dst, _ = eng.ScanRowSetSplit(sp, f.queries[set], f.sets[set][s], k, dst[:0])
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(tab.Load(telemetry.KernelPoints)), "ns/point")
+		b.ReportMetric(float64(tab.Load(telemetry.KernelRefined))/float64(tab.Load(telemetry.KernelScans)), "re-reads/scan")
 	})
 	b.Run("stream", func(b *testing.B) {
 		points := 0

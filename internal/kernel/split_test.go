@@ -1,0 +1,332 @@
+package kernel
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+	"testing/quick"
+
+	"musuite/internal/knn"
+	"musuite/internal/telemetry"
+)
+
+// neighborsBitEqual is neighborsEqual on the distances' bit patterns, so a
+// NaN equals itself and −0 does not equal +0.
+func neighborsBitEqual(a, b []knn.Neighbor) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].ID != b[i].ID || math.Float32bits(a[i].Distance) != math.Float32bits(b[i].Distance) {
+			return false
+		}
+	}
+	return true
+}
+
+// clusteredStore draws rows around a few centres, hdsearch's corpus in
+// small: distances to a query spread over orders of magnitude, which is
+// what gives a filter something to rule out (randStore's do not).
+func clusteredStore(r *rand.Rand, n, dim, clusters int) (*Store, [][]float32) {
+	centres := make([][]float32, clusters)
+	for c := range centres {
+		centres[c] = randQuery(r, dim)
+	}
+	data := make([]float32, 0, n*dim)
+	for i := 0; i < n; i++ {
+		for _, x := range centres[r.Intn(clusters)] {
+			data = append(data, x+0.15*float32(r.NormFloat64()))
+		}
+	}
+	s, err := FromFlat(data, dim)
+	if err != nil {
+		panic(err)
+	}
+	return s, centres
+}
+
+// TestSplitRoundTrip: (hi − lo>>15)<<16 | lo restores the element, for every
+// upper half — each sign, exponent (zero, denormal, the largest finite, Inf,
+// NaN) and top mantissa bits — against lower halves on both sides of the
+// rounding point, where the carry runs into the exponent, the sign, or off
+// the top.  Row reassembles in Go; where the assembly runs, dotRowsSplit must
+// agree with dotSIMD over the fp32 row on every one of them, one pattern a
+// row so that nothing masks it, in each of the 32 accumulator lanes.
+func TestSplitRoundTrip(t *testing.T) {
+	const dim = 32
+	los := []uint32{0, 1, 0x7FFF, 0x8000, 0x8001, 0xFFFF, 0x1234, 0xBEEF}
+	ones := make([]float32, dim)
+	for i := range ones {
+		ones[i] = 1
+	}
+	row := make([]float32, dim)
+	const chunk = 1 << 10 // upper halves a store
+	for base := uint32(0); base < 1<<16; base += chunk {
+		data := make([]float32, chunk*len(los)*dim)
+		for i := 0; i < chunk*len(los); i++ {
+			bits := (base+uint32(i/len(los)))<<16 | los[i%len(los)]
+			data[i*dim+i%dim] = math.Float32frombits(bits)
+		}
+		s, err := FromFlat(data, dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp := Split(s)
+		if sp.Len() != s.Len() || sp.Dim() != dim || sp.Bytes() < s.Bytes() || sp.Bytes() > s.Bytes()+8*(s.Len()/64+1) {
+			t.Fatalf("%d × %d split: %d × %d, %d bytes against %d", s.Len(), dim, sp.Len(), sp.Dim(), sp.Bytes(), s.Bytes())
+		}
+		ids := make([]uint32, s.Len())
+		for i := range ids {
+			ids[i] = uint32(i)
+			for j, x := range sp.Row(i, row) {
+				if want := s.Row(i)[j]; math.Float32bits(x) != math.Float32bits(want) {
+					t.Fatalf("row %d element %d: %08x reassembled as %08x", i, j, math.Float32bits(want), math.Float32bits(x))
+				}
+			}
+		}
+		if !useSIMD {
+			continue
+		}
+		// Batches of every length up to the look-ahead and past it.
+		got := make([]float32, len(ids))
+		for at, n := 0, 1; at < len(ids); at, n = at+n, n%11+1 {
+			n = min(n, len(ids)-at)
+			dotRowsSplit(&sp.hi[0], &sp.lo[0], dim, &ids[at], n, &ones[0], &got[at])
+		}
+		for i := range ids {
+			if want := dotSIMD(&ones[0], &s.Row(i)[0], dim); math.Float32bits(got[i]) != math.Float32bits(want) {
+				t.Fatalf("row %d (%08x in lane %d): dotRowsSplit %08x, dotSIMD %08x",
+					i, math.Float32bits(s.Row(i)[i%dim]), i%dim, math.Float32bits(got[i]), math.Float32bits(want))
+			}
+		}
+	}
+}
+
+// TestSplitDotsEquivalence: over ordinary rows, at the widths on the
+// assembly's edges and the ones that take the portable loop, the exact pass
+// gives dot8's bits and the filter pass gives q·p̂ — p̂ rebuilt here from the
+// rounding rule — to within the float slack the bound allows for.
+func TestSplitDotsEquivalence(t *testing.T) {
+	r := rand.New(rand.NewSource(27))
+	const rows = 300
+	for _, dim := range append([]int{1, 7, 8, 31, 50, 72}, gatherDims...) {
+		s := randStore(r, rows, dim)
+		sp := Split(s)
+		q := randQuery(r, dim)
+		for _, n := range []int{1, 7, 8, 9, 255, 256} {
+			ids := gatherIDs(r, n, rows)
+			exact, hi := make([]float32, n), make([]float32, n)
+			for at := 0; at < n; at += refineBatch {
+				sp.dots(q, ids[at:min(at+refineBatch, n)], exact[at:])
+			}
+			sp.hiDots(sp.hiQuery(q, nil), ids, hi)
+			for i, id := range ids {
+				if want := dot8(q, s.Row(int(id))); math.Float32bits(exact[i]) != math.Float32bits(want) {
+					t.Fatalf("dim %d n %d: dots[%d] (row %d) = %x, dot8 = %x", dim, n, i, id, math.Float32bits(exact[i]), math.Float32bits(want))
+				}
+				var want, scale float64
+				for j, x := range s.Row(int(id)) {
+					rounded := math.Float32frombits((math.Float32bits(x) + 0x8000) &^ 0xFFFF)
+					want += float64(q[j]) * float64(rounded)
+					scale += math.Abs(float64(q[j]) * float64(rounded))
+				}
+				if math.Abs(float64(hi[i])-want) > float64(2*dim+8)*0x1p-24*scale {
+					t.Fatalf("dim %d n %d: hiDots[%d] (row %d) = %v, q·p̂ = %v", dim, n, i, id, hi[i], want)
+				}
+			}
+		}
+	}
+}
+
+// scanEngines are the engines an equivalence is checked under: serial, two
+// parallel widths, and the scalar reference.
+func scanEngines() []*Engine {
+	return []*Engine{New(Config{Parallelism: 1}), New(Config{Parallelism: 2}), New(Config{Parallelism: 8}), New(Config{ForceScalar: true})}
+}
+
+// TestScanRowSetSplitEqualsScanRowSet: the scan over the planes answers what
+// the scan over the fp32 block answers, bit for bit — IDs, distances, order —
+// serial, parallel (sets large enough that the split is real) and scalar; at
+// dims 32 / 64 / 128, 72 (an 8-element tail after the 32-element blocks) and
+// widths that take the portable loop; with n not a multiple of 64 and words
+// and bits past the store; k = 1, 5, 50 and more than there are candidates;
+// over uniform stores, where nearly every row survives the filter, and
+// clustered ones, where nearly none does.
+func TestScanRowSetSplitEqualsScanRowSet(t *testing.T) {
+	engines := scanEngines()
+	dims := []int{32, 64, 72, 128, 50, 5}
+	prop := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		dim := dims[r.Intn(len(dims))]
+		rows := 1 + r.Intn(3*minParallelPoints)
+		if r.Intn(4) == 0 {
+			rows = 1 + r.Intn(200)
+		}
+		var s *Store
+		var q []float32
+		if r.Intn(2) == 0 {
+			s, q = randStore(r, rows, dim), randQuery(r, dim)
+		} else {
+			var centres [][]float32
+			s, centres = clusteredStore(r, rows, dim, 1+r.Intn(6))
+			q = centres[0]
+			for i := 0; i < rows/16; i++ { // exact copies: distance ties
+				copy(s.data[r.Intn(rows)*dim:][:dim], s.Row(r.Intn(rows)))
+			}
+			s.fillNorms()
+		}
+		sp := Split(s)
+		var set RowSet
+		density := 1 + r.Intn(12)
+		for id := 0; id < rows+200; id++ { // the last 200 are past the store
+			if r.Intn(density) == 0 {
+				set.Add(uint32(id))
+			}
+		}
+		set.Add(uint32(rows + 1<<20))
+		for _, k := range []int{1, 5, 50, set.Count() + 3} {
+			for _, eng := range engines {
+				got, err := eng.ScanRowSetSplit(sp, q, set, k, nil)
+				want, err2 := eng.ScanRowSet(s, q, set, k, nil)
+				if err != nil || err2 != nil || !neighborsBitEqual(got, want) {
+					t.Logf("seed %d: %d rows × %d, %d candidates, k %d: got %v (%v), want %v (%v)", seed, rows, dim, set.Count(), k, got, err, want, err2)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// oddRows overwrites some rows of a store with the values a bound is most
+// easily wrong about: signed zeros, denormals, alternating signs that cancel,
+// norms that overflow, the largest finite value (whose rounding carries into
+// the Inf exponent), and NaN and ±Inf themselves.
+func oddRows(r *rand.Rand, s *Store) {
+	tiny := math.Float32frombits(1)
+	odd := [][]float32{
+		{0, float32(math.Copysign(0, -1))},
+		{tiny, -tiny, math.Float32frombits(0x007FFFFF), math.Float32frombits(0x00008000)},
+		{3, -3, 1e-3, -1e-3},
+		{1e19, -1e19, 2e19},
+		{math.MaxFloat32, -math.MaxFloat32, math.Float32frombits(0x7F7F8000), 1},
+		{float32(math.NaN()), 1, 2},
+		{float32(math.Inf(1)), float32(math.Inf(-1)), 0.5},
+		{1e-20, 1e20},
+	}
+	for c := 0; c < s.n/4+1; c++ {
+		vals := odd[r.Intn(len(odd))]
+		row := s.data[r.Intn(s.n)*s.dim:][:s.dim]
+		for j := range row {
+			if r.Intn(3) > 0 {
+				row[j] = vals[r.Intn(len(vals))]
+			}
+		}
+	}
+	s.fillNorms()
+}
+
+// TestScanRowSetSplitOddValues: the same equality when a quarter of the rows
+// are oddRows' and the query may be one too.  Where the bound cannot be
+// trusted it is +Inf or NaN and the row is read exactly; a row whose exact
+// distance is NaN or Inf is kept out of the answer by the same test that
+// keeps it out of the fp32 scan's.
+func TestScanRowSetSplitOddValues(t *testing.T) {
+	engines := scanEngines()
+	prop := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		dim := []int{32, 64, 72, 50, 4}[r.Intn(5)]
+		rows := 1 + r.Intn(600)
+		s := randStore(r, rows, dim)
+		oddRows(r, s)
+		sp := Split(s)
+		q := randQuery(r, dim)
+		if r.Intn(3) == 0 {
+			q = append([]float32(nil), s.Row(r.Intn(rows))...)
+		}
+		var set RowSet
+		for id := 0; id < rows; id++ {
+			if r.Intn(3) > 0 {
+				set.Add(uint32(id))
+			}
+		}
+		for _, k := range []int{1, 5, 50, rows + 1} {
+			for _, eng := range engines {
+				got, err := eng.ScanRowSetSplit(sp, q, set, k, nil)
+				want, err2 := eng.ScanRowSet(s, q, set, k, nil)
+				if err != nil || err2 != nil || !neighborsBitEqual(got, want) {
+					t.Logf("seed %d: %d rows × %d, k %d: got %v (%v), want %v (%v)", seed, rows, dim, k, got, err, want, err2)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestScanRowSetSplitFilters: on rows with structure the filter does its
+// job — the exact pass reads a small part of what the scan scores — and the
+// counters say so: kernel.points is the rows the store has (not the set's
+// popcount: this set names rows past the store), kernel.refined the rows read
+// twice.  One outlier row, or one that is not finite, costs its own word and
+// no more.
+func TestScanRowSetSplitFilters(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	const rows, dim = 6000, 64
+	s, centres := clusteredStore(r, rows, dim, 8)
+	for j := range s.Row(100) {
+		s.data[100*dim+j] = 1e6 * float32(r.NormFloat64())
+		s.data[4000*dim+j] = float32(math.NaN())
+	}
+	s.fillNorms()
+	sp := Split(s)
+	var set RowSet
+	for id := 0; id < rows+640; id++ {
+		set.Add(uint32(id))
+	}
+	for _, par := range []int{1, 2} {
+		tab := telemetry.NewTable(nil)
+		eng := New(Config{Parallelism: par}).WithCounters(tab)
+		q := centres[3]
+		got, err := eng.ScanRowSetSplit(sp, q, set, 5, nil)
+		want, _ := eng.ScanRowSet(s, q, set, 5, nil)
+		if err != nil || !neighborsBitEqual(got, want) {
+			t.Fatalf("par %d: got %v (%v), want %v", par, got, err, want)
+		}
+		points, refined := tab.Load(telemetry.KernelPoints), tab.Load(telemetry.KernelRefined)
+		if points != 2*rows {
+			t.Fatalf("par %d: %d points booked for two scans of the store's %d rows", par, points, rows)
+		}
+		if refined < 5 || refined > rows/10 {
+			t.Fatalf("par %d: %d of %d rows read exactly", par, refined, rows)
+		}
+	}
+}
+
+// TestScanRowSetSplitAllocs: as TestScanRowSetAllocs — the block, its bounds,
+// the seed heap and the exact pass's batch all live on the stack.
+func TestScanRowSetSplitAllocs(t *testing.T) {
+	if !poolsKeepPuts() {
+		t.Skip("sync.Pool is dropping Puts (race detector)")
+	}
+	r := rand.New(rand.NewSource(10))
+	s, centres := clusteredStore(r, 3000, 64, 4)
+	sp := Split(s)
+	var set RowSet
+	for id := 0; id < 3000; id += 3 {
+		set.Add(uint32(id))
+	}
+	eng := New(Config{Parallelism: 1})
+	dst := make([]knn.Neighbor, 0, 16)
+	scan := func() { dst, _ = eng.ScanRowSetSplit(sp, centres[1], set, 10, dst[:0]) }
+	scan()
+	if a := testing.AllocsPerRun(100, scan); a != 0 {
+		t.Fatalf("steady-state ScanRowSetSplit allocates %v per scan", a)
+	}
+}

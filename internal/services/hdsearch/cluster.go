@@ -73,7 +73,7 @@ type Assembly struct {
 	kind   IndexKind
 	index  IndexConfig
 	annCfg ann.Config
-	shards []LeafData // shards[s].ANN is set once shard s's leaf is built
+	shards []LeafData // shards[s].ANN or .rows is set once shard s's leaf is built
 
 	midIndex CandidateIndex // set by MidTier
 }
@@ -98,19 +98,24 @@ func Prepare(cfg ClusterConfig) *Assembly {
 	return a
 }
 
-// Leaf builds an unstarted leaf over one shard, first building the shard's
-// leaf-resident index when the kind has one (once per shard: replicas share
-// it).
+// Leaf builds an unstarted leaf over one shard, first building what the kind's
+// leaves serve from — the shard's leaf-resident index, or its rows as planes
+// — once per shard: replicas share it.  The shard's Store stays with the
+// Assembly, whose MidTier indexes it, and goes when the Assembly does.
 func (a *Assembly) Leaf(shard int, opts *core.LeafOptions) (*core.Leaf, error) {
 	if shard < 0 || shard >= len(a.shards) {
 		return nil, fmt.Errorf("hdsearch: shard %d outside 0..%d", shard, len(a.shards)-1)
 	}
-	if IsLeafANN(a.kind) && a.shards[shard].ANN == nil {
-		if err := buildLeafANN(&a.shards[shard], a.annCfg, shard); err != nil {
+	data := &a.shards[shard]
+	switch {
+	case !IsLeafANN(a.kind):
+		data.rows = data.scoring().rows
+	case data.ANN == nil:
+		if err := buildLeafANN(data, a.annCfg, shard); err != nil {
 			return nil, err
 		}
 	}
-	return NewLeaf(a.shards[shard], opts), nil
+	return NewLeaf(*data, opts), nil
 }
 
 // MidTier builds the unconnected mid-tier: around the candidate index the

@@ -192,6 +192,22 @@ type LeafData struct {
 	// or HNSW per the build config's Kind); nil leaves serve only the
 	// brute-force candidate-scoring path.
 	ANN ann.Searcher
+	// rows is Store as the candidate-scoring path reads it — two 16-bit
+	// planes that a scan streams half of (kernel.SplitStore, DESIGN §5.5
+	// "Row bytes") — set by scoring.
+	rows *kernel.SplitStore
+}
+
+// scoring returns the shard as a candidate-scoring leaf holds it: its rows as
+// planes, built from Store unless d already carries them (an Assembly builds
+// a shard's once, for every replica), and no Store — the planes are the same
+// bytes, and a leaf that kept both would hold its shard twice.
+func (d LeafData) scoring() LeafData {
+	if d.rows == nil {
+		d.rows = kernel.Split(d.Store)
+	}
+	d.Store = nil
+	return d
 }
 
 // ShardSeed namespaces a base build seed per shard: replicas of the same
@@ -282,13 +298,17 @@ type leafScratch struct {
 
 var leafScratches = sync.Pool{New: func() any { return new(leafScratch) }}
 
-// leafKNN runs the distance kernel for one scoring call against the shard,
-// streaming the distance-sorted global-ID list into reply.  The request
-// decodes into pooled scratch (nothing decoded survives the call), the scan
-// runs on the leaf's compute engine (norm-trick kernel, intra-request
-// parallelism), and the reply bytes go straight into the leaf's pooled
-// encoder, so a steady-state scoring call allocates nothing.
+// leafKNN runs the distance kernel for one scoring call against the shard —
+// data as scoring returns it — streaming the distance-sorted global-ID list
+// into reply.  The request decodes into pooled scratch (nothing decoded
+// survives the call), the scan runs on the leaf's compute engine (an exact
+// filter-and-refine over the shard's planes, intra-request parallelism), and
+// the reply bytes go straight into the leaf's pooled encoder, so a
+// steady-state scoring call allocates nothing.
 func leafKNN(eng *kernel.Engine, data LeafData, payload []byte, reply *wire.Encoder) error {
+	if data.rows == nil {
+		return errors.New("hdsearch leaf: this shard serves a leaf-resident index, not candidate scoring")
+	}
 	sc := leafScratches.Get().(*leafScratch)
 	defer leafScratches.Put(sc)
 	query, set, k, err := decodeLeafRequest(payload, sc.query, sc.set)
@@ -297,10 +317,10 @@ func leafKNN(eng *kernel.Engine, data LeafData, payload []byte, reply *wire.Enco
 		return err
 	}
 	// Validate the query dimension once here; the kernels assume it.
-	if data.Store.Len() > 0 && len(query) != data.Store.Dim() {
+	if data.rows.Len() > 0 && len(query) != data.rows.Dim() {
 		return vec.ErrDimensionMismatch
 	}
-	local, err := eng.ScanRowSet(data.Store, query, set, k, sc.nbrs[:0])
+	local, err := eng.ScanRowSetSplit(data.rows, query, set, k, sc.nbrs[:0])
 	sc.nbrs = local[:0]
 	if err != nil {
 		return err
@@ -353,10 +373,16 @@ func leafANN(eng *kernel.Engine, data LeafData, payload []byte, reply *wire.Enco
 // stream their result lists into pooled encoders; a whole carrier still runs
 // as one worker task, and each query still fails alone.  The shard scan runs
 // on the options' compute engine (EnsureLeafKernel supplies one when unset),
-// whose counters surface in the leaf's TierStats.
+// whose counters surface in the leaf's TierStats.  A shard without a
+// leaf-resident index is held in its scoring form: the leaf keeps no reference
+// to the fp32 block.  One with an index keeps Store, which the index aliases,
+// and answers only MethodLeafANN.
 func NewLeaf(data LeafData, opts *core.LeafOptions) *core.Leaf {
 	opts = core.EnsureLeafKernel(opts)
 	eng := opts.Kernel
+	if data.ANN == nil {
+		data = data.scoring()
+	}
 	return core.NewLeafEncoded(func(method string, payload []byte, reply *wire.Encoder) error {
 		switch method {
 		case MethodLeafKNN:

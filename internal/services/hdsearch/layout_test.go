@@ -12,6 +12,7 @@ import (
 	"musuite/internal/dataset"
 	"musuite/internal/kernel"
 	"musuite/internal/knn"
+	"musuite/internal/telemetry"
 	"musuite/internal/vec"
 )
 
@@ -226,6 +227,7 @@ func TestShardCorpusLayoutChangesNoAnswer(t *testing.T) {
 type orderedBench struct {
 	bits           int
 	stores         []*kernel.Store
+	planes         []*kernel.SplitStore
 	queries        []vec.Vector
 	sets           [][]kernel.RowSet // [query][shard]
 	lists          [][][]uint32      // [query][shard]
@@ -253,7 +255,7 @@ func orderedFixture(b *testing.B, bits int) *orderedBench {
 		b.Fatal(err)
 	}
 	for _, sh := range shards {
-		f.stores = append(f.stores, sh.Store)
+		f.stores, f.planes = append(f.stores, sh.Store), append(f.planes, kernel.Split(sh.Store))
 	}
 	for _, q := range f.queries {
 		sets := index.LookupInto(q, nil)
@@ -275,38 +277,48 @@ func orderedFixture(b *testing.B, bits int) *orderedBench {
 // over the stores ShardCorpus lays out and the candidates BuildIndex names
 // over them, as ID lists, in ns per point, with the lists' rows per run and
 // 4 KB pages per list; "ordered-rowset" is ScanRowSet over the same candidates
-// as the sets they arrive in — what the leaf executes.  "sweep" is "ordered"
+// as the sets they arrive in, and "ordered-split" ScanRowSetSplit over them
+// and the stores' planes — what the leaf executes — with the rows a scan (one
+// shard) read exactly.  "sweep" is "ordered"
 // at other signature widths; with BenchmarkShardCorpus's cost of each it chose
 // localityBits (table in DESIGN §5.5 "Row order"; b=0 is the identity order).
-// One op is one request: all four shards.
+// One op is one request: all four shards, k = 5 as the workload asks (the
+// fp32 shapes do not care; the filter's re-reads grow with k).
 func BenchmarkScanSubsetGather(b *testing.B) {
-	run := func(bits int, rowset bool) func(b *testing.B) {
+	const list, rowset, split = 0, 1, 2
+	run := func(bits, form int) func(b *testing.B) {
 		return func(b *testing.B) {
 			f := orderedFixture(b, bits)
-			eng := kernel.New(kernel.Config{Parallelism: 1})
+			tab := telemetry.NewTable(nil)
+			eng := kernel.New(kernel.Config{Parallelism: 1}).WithCounters(tab)
 			var dst []knn.Neighbor
-			points := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				set := i % len(f.lists)
 				for s, st := range f.stores {
-					if rowset {
-						dst, _ = eng.ScanRowSet(st, f.queries[set], f.sets[set][s], 10, dst[:0])
-					} else {
-						dst, _ = eng.ScanSubset(st, f.queries[set], f.lists[set][s], 10, dst[:0])
+					switch form {
+					case list:
+						dst, _ = eng.ScanSubset(st, f.queries[set], f.lists[set][s], 5, dst[:0])
+					case rowset:
+						dst, _ = eng.ScanRowSet(st, f.queries[set], f.sets[set][s], 5, dst[:0])
+					case split:
+						dst, _ = eng.ScanRowSetSplit(f.planes[s], f.queries[set], f.sets[set][s], 5, dst[:0])
 					}
-					points += len(f.lists[set][s])
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(points), "ns/point")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(tab.Load(telemetry.KernelPoints)), "ns/point")
 			b.ReportMetric(float64(f.rows)/float64(f.runs), "rows/run")
 			b.ReportMetric(float64(f.pg)/float64(4*len(f.lists)), "pages/list")
+			if form == split {
+				b.ReportMetric(float64(tab.Load(telemetry.KernelRefined))/float64(tab.Load(telemetry.KernelScans)), "re-reads/scan")
+			}
 		}
 	}
-	b.Run("ordered", run(localityBits, false))
-	b.Run("ordered-rowset", run(localityBits, true))
+	b.Run("ordered", run(localityBits, list))
+	b.Run("ordered-rowset", run(localityBits, rowset))
+	b.Run("ordered-split", run(localityBits, split))
 	for _, bits := range sweepBits {
-		b.Run(fmt.Sprintf("sweep/b=%d", bits), run(bits, false))
+		b.Run(fmt.Sprintf("sweep/b=%d", bits), run(bits, list))
 	}
 }
 

@@ -172,12 +172,13 @@ func TestLeafRequestContract(t *testing.T) {
 	data := ShardCorpus(corpus, 1)[0] // 150 rows: words 0–2, the last 22 rows wide
 	q := corpus.Queries(1, 3)[0]
 	eng := kernel.New(kernel.Config{Parallelism: 1})
+	leaf := data.scoring()
 	ascending := func(words ...uint32) func(*wire.Encoder) {
 		return func(e *wire.Encoder) { e.AscendingUint32s(words) }
 	}
 	serve := func(payload []byte) ([]Neighbor, error) {
 		var reply wire.Encoder
-		if err := leafKNN(eng, data, payload, &reply); err != nil {
+		if err := leafKNN(eng, leaf, payload, &reply); err != nil {
 			return nil, err
 		}
 		return DecodeNeighbors(reply.Bytes())
@@ -247,6 +248,8 @@ func TestLeafRequestContract(t *testing.T) {
 	})
 }
 
+// testLeaf is one shard of the test corpus in a leaf's scoring form, a query,
+// and every third row of the shard.
 func testLeaf(t *testing.T) (LeafData, vec.Vector, []uint32) {
 	t.Helper()
 	corpus := testCorpus(t)
@@ -255,7 +258,7 @@ func testLeaf(t *testing.T) (LeafData, vec.Vector, []uint32) {
 	for id := 0; id < data.Store.Len(); id += 3 {
 		ids = append(ids, uint32(id))
 	}
-	return data, corpus.Queries(1, 5)[0], ids
+	return data.scoring(), corpus.Queries(1, 5)[0], ids
 }
 
 // TestLeafKNNBoundsK: k crosses the wire unchecked and sizes the scan's
@@ -344,7 +347,7 @@ func FuzzLeafRequestDecode(f *testing.F) {
 	f.Add(EncodeLeafRequest(q, nil, 48))           // asked for or clamped to
 	data := ShardCorpus(dataset.NewImageCorpus(dataset.ImageCorpusConfig{
 		N: 300, Dim: len(q), Clusters: 4, Noise: 0.1, Seed: 1,
-	}), 1)[0]
+	}), 1)[0].scoring()
 	eng := kernel.New(kernel.Config{Parallelism: 1})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		query, set, _, err := decodeLeafRequest(payload, nil, kernel.RowSet{})
@@ -366,21 +369,63 @@ func FuzzLeafRequestDecode(f *testing.F) {
 	})
 }
 
+// oddVectors are the values a filter's error bound is most easily wrong
+// about, one vector each, cycled to dim: signed zeros, denormals, signs that
+// cancel, norms that overflow, the largest finite values (rounding their upper
+// half carries into the Inf exponent), NaN, and ±Inf.
+func oddVectors(dim int) []vec.Vector {
+	tiny := math.Float32frombits(1)
+	kinds := [][]float32{
+		{0, float32(math.Copysign(0, -1))},
+		{tiny, -tiny, math.Float32frombits(0x007FFFFF), math.Float32frombits(0x00008000)},
+		{3, -3, 1e-3, -1e-3, 0.25},
+		{1e19, -1e19, 2e19},
+		{math.MaxFloat32, -math.MaxFloat32, math.Float32frombits(0x7F7F8000), 1},
+		{float32(math.NaN()), 1, 2},
+		{float32(math.Inf(1)), float32(math.Inf(-1)), 0.5},
+		{1e-20, 1e20, -1},
+	}
+	out := make([]vec.Vector, len(kinds))
+	for i, vals := range kinds {
+		out[i] = make(vec.Vector, dim)
+		for j := range out[i] {
+			out[i][j] = vals[(j+j/len(vals))%len(vals)]
+		}
+	}
+	return out
+}
+
 // FuzzLeafKNNRowSet: whatever set a well-formed request names — words inside
-// the store and far past it, any masks, any k — the leaf answers exactly what
-// ScanSubset answers over the rows of it that the store has.  The bytes are
-// read as (gap, mask) pairs: two bytes of gap to the next word, eight of mask.
+// the store and far past it, any masks, any k — and whichever query asks —
+// an ordinary one or one of oddVectors — the leaf answers exactly what
+// ScanSubset answers over the rows of it that the fp32 store has, one row in
+// seven of which is an oddVectors row too: where the filter's bound cannot be
+// trusted the leaf must read exactly, and a row whose distance is NaN or Inf
+// is treated as the fp32 scan treats it.  The rows are wide enough for the
+// assembly.  The bytes are read as (gap, mask) pairs: two bytes of gap to the
+// next word, eight of mask.
 func FuzzLeafKNNRowSet(f *testing.F) {
-	f.Add([]byte{0, 0, 0xFF, 0, 0, 0, 0, 0, 0, 0x80, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8}, uint16(5))
-	f.Add([]byte{4, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, uint16(100)) // the store's last word, every bit
-	f.Add([]byte{0, 0x40, 1, 0, 0, 0, 0, 0, 0, 0}, uint16(1))                        // one word, far past the store
-	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0}, uint16(3))                           // one zero mask
-	f.Add([]byte{}, uint16(2))
-	corpus := dataset.NewImageCorpus(dataset.ImageCorpusConfig{N: 300, Dim: 8, Clusters: 4, Noise: 0.1, Seed: 1})
+	f.Add([]byte{0, 0, 0xFF, 0, 0, 0, 0, 0, 0, 0x80, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8}, uint16(5), uint8(0))
+	f.Add([]byte{4, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, uint16(100), uint8(0)) // the store's last word, every bit
+	f.Add([]byte{0, 0x40, 1, 0, 0, 0, 0, 0, 0, 0}, uint16(1), uint8(0))                        // one word, far past the store
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0}, uint16(3), uint8(0))                           // one zero mask
+	f.Add([]byte{}, uint16(2), uint8(0))
+	everyRow := bytes.Repeat([]byte{0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, 5)
+	for qsel := uint8(0); qsel < 10; qsel++ {
+		f.Add(everyRow, uint16(5), qsel)
+		f.Add(everyRow, uint16(500), qsel)
+	}
+	corpus := dataset.NewImageCorpus(dataset.ImageCorpusConfig{N: 300, Dim: 32, Clusters: 4, Noise: 0.1, Seed: 1})
+	odd := oddVectors(corpus.Dim)
+	for g := 3; g < len(corpus.Vectors); g += 7 {
+		corpus.Vectors[g] = odd[g/7%len(odd)]
+	}
 	data := ShardCorpus(corpus, 1)[0] // 300 rows: words 0–4, the last 44 rows wide
-	q := corpus.Queries(1, 2)[0]
+	leaf := data.scoring()
+	queries := append(corpus.Queries(2, 2), odd...)
 	eng := kernel.New(kernel.Config{Parallelism: 1})
-	f.Fuzz(func(t *testing.T, raw []byte, k uint16) {
+	f.Fuzz(func(t *testing.T, raw []byte, k uint16, qsel uint8) {
+		q := queries[int(qsel)%len(queries)]
 		var set kernel.RowSet
 		var ids []uint32
 		next := uint32(0)
@@ -396,16 +441,13 @@ func FuzzLeafKNNRowSet(f *testing.F) {
 			}
 		}
 		var reply wire.Encoder
-		if err := leafKNN(eng, data, encodeLeafRequest(q, set, int(k)), &reply); err != nil {
+		if err := leafKNN(eng, leaf, encodeLeafRequest(q, set, int(k)), &reply); err != nil {
 			t.Fatal(err)
 		}
 		got, err := DecodeNeighbors(reply.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The two clamp k differently — the leaf to the set's popcount, which
-		// counts rows the store does not have — and either clamp still keeps
-		// min(k, rows scored) neighbours.
 		want, err := eng.ScanSubset(data.Store, q, ids, int(k), nil)
 		if err != nil {
 			t.Fatal(err)

@@ -182,6 +182,9 @@ const (
 	KernelPoints
 	// KernelNanos — wall nanoseconds spent inside the kernels.
 	KernelNanos
+	// KernelRefined — of KernelPoints, the rows a split-store scan's filter
+	// could not rule out and read a second time, exactly.
+	KernelRefined
 
 	// NumCounters is the table size; it is not a counter.
 	NumCounters
@@ -208,6 +211,7 @@ var counterNames = [NumCounters]string{
 	ScalePoll: "scale.poll", ScaleUp: "scale.up", ScaleDown: "scale.down", ScaleHold: "scale.hold",
 	ScaleError:  "scale.error",
 	KernelScans: "kernel.scans", KernelPoints: "kernel.points", KernelNanos: "kernel.nanos",
+	KernelRefined: "kernel.refined",
 }
 
 // String returns the counter's "family.name" label.
