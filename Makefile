@@ -12,7 +12,7 @@ GO ?= go
 # scan, and beating the IVF gate point) — and OverloadGoodput (completed
 # QPS and shed fraction at 2x the measured knee with admission control
 # armed; goodput-qps gates higher-is-better).
-# -count=5 gives benchgate a mean per metric; -benchmem adds B/op and
+# -count=5 gives `musuite gate` a mean per metric; -benchmem adds B/op and
 # allocs/op so memory regressions gate alongside latency.
 BENCH_GATE_CMD = $(GO) test -run=NONE -bench='TailFanout|LeafBatching|HotPathAllocs|LeafScan|TopK|IntersectBitset|IVFScan|PQScan|HNSWScan|OverloadGoodput' -benchtime=2s -count=5 -benchmem .
 
@@ -54,7 +54,7 @@ flake-guard:
 	$(GO) test -short -count=20 ./internal/core ./internal/topo ./internal/cluster ./internal/autoscale ./internal/lsh ./internal/services/hdsearch ./internal/ann ./internal/rpc
 
 bench-smoke: build
-	$(GO) run ./cmd/musuite-bench -experiment tableII
+	$(GO) run ./cmd/musuite bench -experiment tableII
 	$(GO) test -run xxx -bench 'BenchmarkTailFanout' -benchtime 200x .
 
 # Run the gate benchmarks and fail on >15% mean regression against the
@@ -63,13 +63,13 @@ bench-smoke: build
 bench-gate: build
 	$(BENCH_GATE_CMD) > BENCH_ci.txt
 	cat BENCH_ci.txt
-	$(GO) run ./cmd/benchgate -in BENCH_ci.txt -out BENCH_ci.json -baseline BENCH_baseline.json
+	$(GO) run ./cmd/musuite gate -summary BENCH_ci.json -baseline BENCH_baseline.json BENCH_ci.txt
 
 # Refresh the committed baseline (run on a quiet machine, then commit).
 bench-baseline: build
 	$(BENCH_GATE_CMD) > BENCH_baseline.txt
 	cat BENCH_baseline.txt
-	$(GO) run ./cmd/benchgate -in BENCH_baseline.txt -out BENCH_baseline.json
+	$(GO) run ./cmd/musuite gate -summary BENCH_baseline.json BENCH_baseline.txt
 
 # Collect cpu/heap/mutex profiles from the gate benchmarks for hot-path
 # work.  Inspect with e.g.:  go tool pprof musuite.test profile/cpu.out
@@ -83,15 +83,15 @@ profile: build
 # placements stable through both transitions; the output's acceptance line
 # confirms zero failed requests.
 resize-demo: build
-	$(GO) run ./cmd/musuite-bench -experiment resize -routing jump -window 2s -load 500
+	$(GO) run ./cmd/musuite bench -experiment resize -routing jump -window 2s -load 500
 
 # Watch distributed tracing end to end: record every HDSearch request with
 # replicated leaves and forced hedging (so abandoned-loser spans appear),
 # then print the critical-path summary and the first two span trees.
 trace-demo: build
-	$(GO) run ./cmd/musuite-bench -services HDSearch -trace-sample 1 \
+	$(GO) run ./cmd/musuite bench -services HDSearch -trace-sample 1 \
 		-replicas 2 -hedge-delay 100us -trace-out trace-demo.jsonl
-	$(GO) run ./cmd/traceview -dump 2 trace-demo.jsonl
+	$(GO) run ./cmd/musuite trace -dump 2 trace-demo.jsonl
 
 # The full-stack multi-process tracing smoke (the e2e-trace-smoke CI job).
 trace-smoke:
@@ -114,7 +114,7 @@ autoscale-churn:
 # The overload saturation ramp (the overload-goodput CI job): admission
 # control + autoscaler armed, driven open-loop to 3x the measured knee.
 overload-demo: build
-	$(GO) run ./cmd/musuite-bench -experiment overload -window 1s
+	$(GO) run ./cmd/musuite bench -experiment overload -window 1s
 
 # Sweep every HDSearch candidate index — LSH / kd-tree / k-means, the
 # IVF family over its nprobe (probe width) and rerank (exact re-scoring
@@ -123,7 +123,7 @@ overload-demo: build
 # recall@10 floor across all registered kinds (the nightly ann-recall CI
 # job).
 ann-demo: build
-	$(GO) run ./cmd/musuite-bench -experiment indexcmp -window 1s -recall-floor 0.90
+	$(GO) run ./cmd/musuite bench -experiment indexcmp -window 1s -recall-floor 0.90
 
 # Deploy both exemplar topology specs — nested fan-out DAGs composed
 # entirely from YAML over the mid-tier framework — and drive each through
@@ -138,6 +138,6 @@ topo-demo: build
 # goodput must recover to ≥85% of the pre-fault baseline after the fault
 # clears.
 scenario-demo: build
-	$(GO) run ./cmd/musuite-bench -experiment scenario -topo examples/cascade.yaml
+	$(GO) run ./cmd/musuite bench -experiment scenario -topo examples/cascade.yaml
 
 ci: fmt-check vet build race

@@ -60,7 +60,7 @@ func TestBatchEquivalenceHDSearch(t *testing.T) {
 		cl, err := hdsearch.StartCluster(hdsearch.ClusterConfig{
 			Corpus:  corpus,
 			Shards:  3,
-			MidTier: core.Options{Workers: 4, Batch: batch},
+			MidTier: core.Options{Workers: 4, EdgePolicy: core.EdgePolicy{Batch: batch}},
 			Leaf:    core.LeafOptions{Workers: 4},
 		})
 		if err != nil {
@@ -130,7 +130,7 @@ func TestBatchEquivalenceRouter(t *testing.T) {
 		cl, err := router.StartCluster(router.ClusterConfig{
 			Leaves:   4,
 			Replicas: 2,
-			MidTier:  core.Options{Workers: 4, Batch: batch},
+			MidTier:  core.Options{Workers: 4, EdgePolicy: core.EdgePolicy{Batch: batch}},
 			Leaf:     core.LeafOptions{Workers: 4},
 		})
 		if err != nil {
@@ -211,7 +211,7 @@ func TestBatchEquivalenceSetAlgebra(t *testing.T) {
 			Corpus:    corpus,
 			Shards:    3,
 			StopTerms: 5,
-			MidTier:   core.Options{Workers: 4, Batch: batch},
+			MidTier:   core.Options{Workers: 4, EdgePolicy: core.EdgePolicy{Batch: batch}},
 			Leaf:      core.LeafOptions{Workers: 4},
 		})
 		if err != nil {
@@ -284,7 +284,7 @@ func TestBatchEquivalenceRecommend(t *testing.T) {
 			Corpus:  corpus,
 			Shards:  2,
 			Seed:    13,
-			MidTier: core.Options{Workers: 4, Batch: batch},
+			MidTier: core.Options{Workers: 4, EdgePolicy: core.EdgePolicy{Batch: batch}},
 			Leaf:    core.LeafOptions{Workers: 4},
 		})
 		if err != nil {

@@ -1,7 +1,7 @@
 // Top-level benchmark harness: one testing.B benchmark per paper table and
 // figure, so `go test -bench=. -benchmem` regenerates the evaluation's
 // headline numbers in benchmark form.  The richer rendition (violins,
-// per-load sweeps, full syscall tables) lives in cmd/musuite-bench.
+// per-load sweeps, full syscall tables) lives in `musuite bench`.
 package musuite_test
 
 import (
@@ -196,15 +196,15 @@ func benchmarkAblation(b *testing.B, mode musuite.FrameworkMode) {
 }
 
 func BenchmarkAblationDispatchBlocking(b *testing.B) {
-	benchmarkAblation(b, musuite.FrameworkMode{Dispatch: musuite.Dispatched, Wait: musuite.WaitBlocking})
+	benchmarkAblation(b, musuite.FrameworkMode{MidTier: musuite.MidTierOptions{Dispatch: musuite.Dispatched, Wait: musuite.WaitBlocking}})
 }
 
 func BenchmarkAblationDispatchPolling(b *testing.B) {
-	benchmarkAblation(b, musuite.FrameworkMode{Dispatch: musuite.Dispatched, Wait: musuite.WaitPolling})
+	benchmarkAblation(b, musuite.FrameworkMode{MidTier: musuite.MidTierOptions{Dispatch: musuite.Dispatched, Wait: musuite.WaitPolling}})
 }
 
 func BenchmarkAblationInline(b *testing.B) {
-	benchmarkAblation(b, musuite.FrameworkMode{Dispatch: musuite.Inline, Wait: musuite.WaitBlocking})
+	benchmarkAblation(b, musuite.FrameworkMode{MidTier: musuite.MidTierOptions{Dispatch: musuite.Inline, Wait: musuite.WaitBlocking}})
 }
 
 // --- Table II analog ---
@@ -276,7 +276,7 @@ func benchmarkTailFanout(b *testing.B, tail musuite.TailPolicy) {
 			}
 			ctx.Reply([]byte("ok"))
 		})
-	}, &core.Options{Workers: 4, Tail: tail})
+	}, &core.Options{Workers: 4, EdgePolicy: core.EdgePolicy{Tail: tail}})
 	if err := mt.ConnectLeafGroups(groups); err != nil {
 		b.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func benchmarkLeafBatching(b *testing.B, batch musuite.BatchPolicy) {
 			}
 			ctx.Reply([]byte("ok"))
 		})
-	}, &core.Options{Workers: 4, Batch: batch})
+	}, &core.Options{Workers: 4, EdgePolicy: core.EdgePolicy{Batch: batch}})
 	if err := mt.ConnectLeafGroups(groups); err != nil {
 		b.Fatal(err)
 	}
@@ -898,7 +898,7 @@ func BenchmarkHNSWBuild(b *testing.B) {
 
 func BenchmarkOverloadGoodput(b *testing.B) {
 	inst := startInstance(b, "Router", musuite.FrameworkMode{
-		Admit: core.AdmitPolicy{MaxInflight: 128},
+		MidTier: core.Options{Admit: core.AdmitPolicy{MaxInflight: 128}},
 	})
 	const window = 250 * time.Millisecond
 	knee := 0.0

@@ -1,76 +1,47 @@
-// Command musuite-bench regenerates the paper's evaluation: Table II and
-// Figs. 9–19, plus the §VII framework ablation.
-//
-// Usage:
-//
-//	musuite-bench -experiment all
-//	musuite-bench -experiment fig9 -scale small
-//	musuite-bench -experiment fig10 -services HDSearch,Router -window 5s
-//	musuite-bench -experiment fig13 # Set Algebra syscall breakdown only
-//	musuite-bench -experiment ablation -load 200
-//	musuite-bench -experiment scenario -topo examples/cascade.yaml
 package main
 
 import (
 	"flag"
 	"fmt"
-	"os"
 	"strings"
 	"time"
 
 	"musuite/internal/bench"
-	"musuite/internal/cluster"
 	"musuite/internal/cmdutil"
 	"musuite/internal/core"
 	"musuite/internal/topo"
 	"musuite/internal/trace"
 )
 
-func main() {
+// runBench regenerates the paper's evaluation — Table II and Figs. 9–19,
+// plus the §VII framework ablation — and the suite's own experiments:
+//
+//	musuite bench -experiment all
+//	musuite bench -experiment fig9 -scale small
+//	musuite bench -experiment fig10 -services HDSearch,Router -window 5s
+//	musuite bench -experiment fig13 # Set Algebra syscall breakdown only
+//	musuite bench -experiment ablation -load 200
+//	musuite bench -experiment scenario -topo examples/cascade.yaml
+func runBench(fs *flag.FlagSet, args []string) error {
 	var (
-		experiment = flag.String("experiment", "all",
+		experiment = fs.String("experiment", "all",
 			"tableII | fig9 | fig10 | fig11 | fig12 | fig13 | fig14 | fig15 | fig16 | fig17 | fig18 | fig19 | ablation | threadpool | flashcrowd | trace | indexcmp | resize | overload | scenario | all")
-		scaleName = flag.String("scale", "small", "small | paper")
-		services  = flag.String("services", strings.Join(bench.ServiceNames, ","),
+		scaleName = fs.String("scale", "small", "small | paper")
+		services  = fs.String("services", strings.Join(bench.ServiceNames, ","),
 			"comma-separated service subset")
-		window = flag.Duration("window", 0, "override per-load measurement window")
-		load   = flag.Float64("load", 0, "ablation load (default: middle configured load)")
-		trials = flag.Int("trials", 0, "override trial count")
-		outDir = flag.String("out", "", "directory to also write per-figure TSV data files (experiment=all)")
+		window = fs.Duration("window", 0, "override per-load measurement window")
+		load   = fs.Float64("load", 0, "offered load of the single-load experiments (default: middle configured load)")
+		outDir = fs.String("out", "", "directory to also write per-figure TSV data files (experiment=all)")
 
-		replicas   = flag.Int("replicas", 0, "leaf replicas per shard (HDSearch/SetAlgebra/Recommend; 0 = 1)")
-		hedgePct   = flag.Float64("hedge-pct", 0, "hedge leaf calls slower than this latency percentile (0 disables, e.g. 0.95)")
-		hedgeDelay = flag.Duration("hedge-delay", 0, "fixed hedge delay (overrides -hedge-pct)")
-		maxBatch   = flag.Int("max-batch", 0, "coalesce up to this many leaf calls per batched RPC (≤1 disables)")
-		batchDelay = flag.Duration("batch-delay", 0, "fixed batch flush delay (0 tracks the leaf-latency digest)")
-
-		pendingShards = flag.Int("pending-shards", 0, "pending-table shards per leaf connection (0 = default 8, rounded to a power of two)")
-		routing       = flag.String("routing", "modulo", "mid-tier key placement strategy: modulo | jump (jump keeps placements stable through resizes)")
-		leafPar       = flag.Int("leaf-parallelism", 0, "worker goroutines per leaf kernel scan (0 = NumCPU, 1 = serial)")
-		scalarKernels = flag.Bool("scalar-kernels", false, "pin leaves to the reference scalar kernels (ablation baseline for the SoA engine)")
-
-		recallFloor = flag.Float64("recall-floor", 0, "indexcmp: fail (non-zero exit) if any index kind's best recall@10 is below this floor (0 disables)")
-
-		admitLimit    = flag.Int("admit-limit", 0, "arm the mid-tier's adaptive admission controller with this max concurrency ceiling (0 = off; overload experiment defaults it on)")
-		admitDeadline = flag.Duration("admit-deadline", 0, "per-request budget for deadline-aware shedding (0 = off)")
-		admitTol      = flag.Float64("admit-tolerance", 0, "AIMD latency tolerance over the EWMA floor (0 = default 2.0)")
-
-		traceSample = flag.Int("trace-sample", 0, "record end-to-end spans for 1-in-N requests instead of running -experiment (0 = off)")
-		traceOut    = flag.String("trace-out", "", "with -trace-sample: also write the recorded spans (JSONL) here")
-		traceReplay = flag.String("trace-replay", "", "replay a recorded trace file's arrival process instead of running -experiment (service inferred from the spans)")
-		replaySpeed = flag.Float64("replay-speed", 1, "with -trace-replay: replay clock scale (2 = twice the recorded rate)")
-
-		recoveryFloor = flag.Float64("scenario-recovery", topo.DefaultRecoveryFloor,
-			"scenario: final-phase goodput must recover this fraction of the first phase's (0 disables the gate)")
+		recallFloor = fs.Float64("recall-floor", 0, "indexcmp: fail (non-zero exit) if any index kind's best recall@10 is below this floor (0 disables)")
 	)
-	annFlags := cmdutil.RegisterANNFlags(flag.CommandLine)
-	topoFlags := cmdutil.RegisterTopoFlags(flag.CommandLine)
-	flag.Parse()
-
-	strategy, err := cluster.ParseRouting(*routing)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "musuite-bench:", err)
-		os.Exit(2)
+	modeFlags := cmdutil.ModeFlags(fs)
+	var tracing cmdutil.TraceFlags
+	tracing.Register(fs, true)
+	var topoFlags cmdutil.TopoFlags
+	topoFlags.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
 
 	var scale bench.Scale
@@ -80,68 +51,40 @@ func main() {
 	case "paper":
 		scale = bench.PaperScale()
 	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scaleName)
-		os.Exit(2)
+		return fmt.Errorf("unknown scale %q", *scaleName)
 	}
 	if *window > 0 {
 		scale.Window = *window
 	}
-	if *replicas > 0 {
-		scale.LeafReplicas = *replicas
-	}
-	mode := bench.FrameworkMode{
-		Tail: core.TailPolicy{
-			HedgePercentile: *hedgePct,
-			HedgeDelay:      *hedgeDelay,
-		},
-		Batch:           core.BatchPolicy{MaxBatch: *maxBatch, Delay: *batchDelay},
-		Routing:         strategy,
-		PendingShards:   *pendingShards,
-		LeafParallelism: *leafPar,
-		ScalarKernels:   *scalarKernels,
-		Admit: core.AdmitPolicy{
-			MaxInflight: *admitLimit,
-			Deadline:    *admitDeadline,
-			Tolerance:   *admitTol,
-		},
-		Index: annFlags.Kind(),
-		ANN:   annFlags.Config(),
-	}
-	if *trials > 0 {
-		scale.Trials = *trials
+	mode, err := modeFlags(&scale)
+	if err != nil {
+		return err
 	}
 	svcList := parseServices(*services)
 	if len(svcList) == 0 {
-		fmt.Fprintln(os.Stderr, "no valid services selected")
-		os.Exit(2)
+		return fmt.Errorf("no valid services in %q", *services)
 	}
 
-	var err2 error
 	switch {
 	case *experiment == "scenario":
-		err2 = runScenario(topoFlags, *recoveryFloor)
-	case *traceReplay != "":
-		err2 = runTraceReplay(*traceReplay, scale, mode, *replaySpeed)
-	case *traceSample > 0:
-		err2 = runTraceRecord(scale, mode, svcList[0], *load, *traceSample, *traceOut)
-	default:
-		err2 = run(*experiment, scale, mode, svcList, *load, *outDir, *recallFloor)
+		return runScenario(&topoFlags)
+	case tracing.Replay != "":
+		return runTraceReplay(tracing, scale, mode)
+	case tracing.Sample > 0:
+		return runTraceRecord(tracing, scale, mode, svcList[0], *load)
 	}
-	if err2 != nil {
-		fmt.Fprintln(os.Stderr, "musuite-bench:", err2)
-		os.Exit(1)
-	}
+	return run(*experiment, scale, mode, svcList, *load, *outDir, *recallFloor)
 }
 
 // runScenario drives a declarative topology spec through its load shape
 // and timed degradation events, gating on the scenario acceptance
 // criteria: zero untyped errors and post-degradation goodput recovery.
-func runScenario(f *cmdutil.TopoFlags, recoveryFloor float64) error {
+func runScenario(f *cmdutil.TopoFlags) error {
 	spec, err := f.LoadSpec()
 	if err != nil {
 		return err
 	}
-	if err := f.Run(spec, topo.BuildOptions{}, recoveryFloor); err != nil {
+	if err := f.Run(spec, topo.BuildOptions{}, topo.DefaultRecoveryFloor); err != nil {
 		return err
 	}
 	fmt.Println("(scenario acceptance: zero untyped errors, goodput recovered)")
@@ -150,45 +93,39 @@ func runScenario(f *cmdutil.TopoFlags, recoveryFloor float64) error {
 
 // runTraceRecord deploys one service, offers an open-loop load with 1-in-N
 // span sampling, and reports the critical-path breakdown of the recorded
-// traces (optionally exporting them for traceview or replay).
-func runTraceRecord(scale bench.Scale, mode bench.FrameworkMode, service string, load float64, sample int, out string) error {
+// traces (optionally exporting them for `musuite trace` or replay).
+func runTraceRecord(t cmdutil.TraceFlags, scale bench.Scale, mode bench.FrameworkMode, service string, load float64) error {
 	if load <= 0 {
 		load = scale.Loads[len(scale.Loads)/2]
 	}
-	spans, res, err := bench.TraceRun(service, scale, mode, load, scale.Window, sample)
+	spans, res, err := bench.TraceRun(service, scale, mode, load, scale.Window, t.Sample)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s @ %g QPS for %v, tracing 1 in %d requests:\n", service, load, scale.Window, sample)
+	fmt.Printf("%s @ %g QPS for %v, tracing 1 in %d requests:\n", service, load, scale.Window, t.Sample)
 	fmt.Printf("  offered=%d completed=%d errors=%d achieved=%.0f QPS\n",
 		res.Offered, res.Completed, res.Errors, res.AchievedQPS)
 	fmt.Print(trace.Summarize(trace.BuildTrees(spans)).String())
-	if out != "" {
-		if err := trace.WriteFile(out, spans); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %d spans to %s\n", len(spans), out)
-	}
-	return nil
+	return t.Write(spans)
 }
 
 // runTraceReplay re-offers a recorded trace's arrival process against a
 // fresh deployment of the service the spans came from.
-func runTraceReplay(path string, scale bench.Scale, mode bench.FrameworkMode, speed float64) error {
-	spans, err := trace.ReadFile(path)
+func runTraceReplay(t cmdutil.TraceFlags, scale bench.Scale, mode bench.FrameworkMode) error {
+	spans, err := trace.ReadFile(t.Replay)
 	if err != nil {
 		return err
 	}
 	service, ok := bench.ServiceForTrace(spans)
 	if !ok {
-		return fmt.Errorf("%s: cannot infer a service from the span names", path)
+		return fmt.Errorf("%s: cannot infer a service from the span names", t.Replay)
 	}
-	res, err := bench.ReplayRun(service, scale, mode, spans, speed)
+	res, err := bench.ReplayRun(service, scale, mode, spans, t.Speed)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("replay %s: %d recorded arrivals at %gx speed:\n",
-		service, res.Offered, speed)
+		service, res.Offered, t.Speed)
 	fmt.Printf("  offered=%d completed=%d errors=%d dropped=%d achieved=%.0f QPS\n",
 		res.Offered, res.Completed, res.Errors, res.Dropped, res.AchievedQPS)
 	fmt.Printf("  latency: %s\n", res.Latency)
@@ -220,7 +157,7 @@ func run(experiment string, scale bench.Scale, mode bench.FrameworkMode, service
 	// automatic modes.
 	characterize := func(services []string) ([]bench.LoadPoint, error) {
 		paper := mode
-		paper.Dispatch = core.Dispatched
+		paper.MidTier.Dispatch = core.Dispatched
 		return bench.Characterize(scale, services, paper)
 	}
 	switch experiment {

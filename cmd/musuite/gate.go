@@ -1,24 +1,9 @@
-// Command benchgate turns `go test -bench` output into a benchstat-style
-// JSON summary and gates CI on performance regressions.
-//
-// Parse a benchmark run (typically -count=5 so each metric is a mean over
-// repetitions) and write the summary:
-//
-//	go test -run=NONE -bench='TailFanout|LeafBatching' -count=5 . > bench.txt
-//	benchgate -in bench.txt -out BENCH_ci.json
-//
-// Add -baseline to compare against a committed summary; the exit status is
-// non-zero when any lower-is-better metric (ns/op, *-ns, B/op, allocs/op,
-// shed-rate) rises by more than -threshold, when any higher-is-better metric
-// (*-qps) falls by more than it, or when a baseline benchmark is missing
-// from the current run:
-//
-//	benchgate -in bench.txt -out BENCH_ci.json -baseline BENCH_baseline.json
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -50,7 +35,7 @@ var benchLine = regexp.MustCompile(`^Benchmark(\S+)\s+(\d+)\s+(.+)$`)
 
 var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
 
-func parse(r io.Reader) (Summary, error) {
+func parseBenchOutput(r io.Reader) (Summary, error) {
 	type acc struct {
 		sum, min, max float64
 		n             int
@@ -123,8 +108,8 @@ func higherIsBetter(unit string) bool {
 	return strings.HasSuffix(unit, "-qps")
 }
 
-// compare prints a comparison table and returns the regressions.
-func compare(baseline, current Summary, threshold float64) []string {
+// compareSummaries prints a comparison table and returns the regressions.
+func compareSummaries(baseline, current Summary) []string {
 	var regressions []string
 	names := make([]string, 0, len(baseline.Benchmarks))
 	for name := range baseline.Benchmarks {
@@ -161,11 +146,11 @@ func compare(baseline, current Summary, threshold float64) []string {
 			}
 			delta := got.Mean/base.Mean - 1
 			marker := ""
-			if worse > threshold {
+			if worse > gateThreshold {
 				marker = "  << REGRESSION"
 				regressions = append(regressions, fmt.Sprintf(
 					"%s %s: %.0f -> %.0f (%+.1f%%, threshold %.1f%%)",
-					name, unit, base.Mean, got.Mean, delta*100, threshold*100))
+					name, unit, base.Mean, got.Mean, delta*100, gateThreshold*100))
 			}
 			fmt.Printf("%-40s %-16s %14.1f %14.1f %+7.1f%%%s\n",
 				name, unit, base.Mean, got.Mean, delta*100, marker)
@@ -174,64 +159,69 @@ func compare(baseline, current Summary, threshold float64) []string {
 	return regressions
 }
 
-func main() {
+// gateThreshold is the allowed mean regression: a lower-is-better metric may
+// rise, and a higher-is-better one fall, by this fraction of the baseline.
+const gateThreshold = 0.15
+
+// runGate turns `go test -bench` output into a benchstat-style JSON summary
+// and gates CI on performance regressions.  Parse a benchmark run (typically
+// -count=5 so each metric is a mean over repetitions) and write the summary:
+//
+//	go test -run=NONE -bench='TailFanout|LeafBatching' -count=5 . > bench.txt
+//	musuite gate -summary BENCH_ci.json bench.txt
+//
+// Add -baseline to compare against a committed summary; the command fails
+// when any lower-is-better metric (ns/op, *-ns, B/op, allocs/op, shed-rate)
+// rises by more than 15 %, when any higher-is-better metric (*-qps) falls by
+// more than that, or when a baseline benchmark is missing from the run:
+//
+//	musuite gate -summary BENCH_ci.json -baseline BENCH_baseline.json bench.txt
+func runGate(fs *flag.FlagSet, args []string) error {
 	var (
-		in        = flag.String("in", "-", "benchmark output to parse (- = stdin)")
-		out       = flag.String("out", "", "write the parsed JSON summary here")
-		baseline  = flag.String("baseline", "", "baseline JSON summary to gate against")
-		threshold = flag.Float64("threshold", 0.15, "allowed mean regression on lower-is-better metrics")
+		summary  = fs.String("summary", "", "write the parsed JSON summary here")
+		baseline = fs.String("baseline", "", "baseline JSON summary to gate against")
 	)
-	flag.Parse()
-
-	var src io.Reader = os.Stdin
-	if *in != "-" {
-		f, err := os.Open(*in)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		src = f
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-	current, err := parse(src)
+	if fs.NArg() != 1 {
+		return errors.New("usage: musuite gate [flags] bench.txt")
+	}
+	f, err := os.Open(fs.Arg(0))
 	if err != nil {
-		fatal(err)
+		return err
+	}
+	current, err := parseBenchOutput(f)
+	f.Close()
+	if err != nil {
+		return err
 	}
 
-	if *out != "" {
+	if *summary != "" {
 		doc, err := json.MarshalIndent(current, "", "  ")
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		doc = append(doc, '\n')
-		if err := os.WriteFile(*out, doc, 0o644); err != nil {
-			fatal(err)
+		if err := os.WriteFile(*summary, append(doc, '\n'), 0o644); err != nil {
+			return err
 		}
-		fmt.Printf("wrote %s (%d benchmarks)\n", *out, len(current.Benchmarks))
+		fmt.Printf("wrote %s (%d benchmarks)\n", *summary, len(current.Benchmarks))
 	}
 
 	if *baseline == "" {
-		return
+		return nil
 	}
 	doc, err := os.ReadFile(*baseline)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	var base Summary
 	if err := json.Unmarshal(doc, &base); err != nil {
-		fatal(fmt.Errorf("%s: %v", *baseline, err))
+		return fmt.Errorf("%s: %v", *baseline, err)
 	}
-	regressions := compare(base, current, *threshold)
-	if len(regressions) > 0 {
-		fmt.Fprintln(os.Stderr, "\nperformance gate FAILED:")
-		for _, r := range regressions {
-			fmt.Fprintln(os.Stderr, "  "+r)
-		}
-		os.Exit(1)
+	if regressions := compareSummaries(base, current); len(regressions) > 0 {
+		return fmt.Errorf("performance gate FAILED:\n  %s", strings.Join(regressions, "\n  "))
 	}
 	fmt.Println("\nperformance gate passed")
-}
-
-func fatal(v any) {
-	fmt.Fprintln(os.Stderr, "benchgate:", v)
-	os.Exit(1)
+	return nil
 }

@@ -2,18 +2,20 @@ package main
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"time"
 
 	"musuite/internal/bench"
+	"musuite/internal/cmdutil"
 	"musuite/internal/loadgen"
 	"musuite/internal/trace"
 )
 
 // load drives a deployed mid-tier with the service's canonical query stream,
 // generated from the same seed and sizing flags the tiers were started with.
-func load(args []string) error {
-	svc, fs, s, err := serviceFlags("load", args)
+func load(fs *flag.FlagSet, args []string) error {
+	svc, s, err := serviceFlags(fs, args)
 	if err != nil {
 		return err
 	}
@@ -22,24 +24,20 @@ func load(args []string) error {
 		mode     = fs.String("mode", "open", "open | closed | saturate | verify (compare the first replies with an in-process deployment of the same seed and sizes)")
 		qps      = fs.Float64("qps", 1000, "open: offered load")
 		duration = fs.Duration("duration", 10*time.Second, "measurement window")
-		conc     = fs.Int("concurrency", 8, "closed: worker count")
-		shards   = fs.Int("shards", 4, "verify: leaf shards of the deployment under test (per-shard stop lists and models make replies depend on it)")
-
-		traceSample = fs.Int("trace-sample", 0, "trace one in N requests end to end (0 = off)")
-		traceOut    = fs.String("trace-out", "", "write this side's recorded spans (JSONL) on exit")
-		traceReplay = fs.String("trace-replay", "", "open mode: replay the arrival process of this recorded trace file instead of Poisson arrivals")
-		replaySpeed = fs.Float64("replay-speed", 1, "replay clock scale (2 = twice the recorded rate)")
 	)
-	fs.Parse(args[1:])
+	var tracing cmdutil.TraceFlags
+	tracing.Register(fs, true)
+	if err := fs.Parse(args[1:]); err != nil {
+		return err
+	}
 	if *target == "" {
 		return errors.New("-target is required")
 	}
-	s.Shards = *shards
 
 	var fm bench.FrameworkMode
-	if *traceSample > 0 {
-		fm.Spans = trace.NewRecorder("loadgen", trace.DefaultRecorderCap)
-		fm.SpanSample = *traceSample
+	if tracing.Sample > 0 {
+		fm.Spans = trace.NewRecorder("loadgen", 0)
+		fm.SpanSample = tracing.Sample
 	}
 	issue, closeClient, err := svc.Workload(*s, fm, *target)
 	if err != nil {
@@ -50,17 +48,17 @@ func load(args []string) error {
 	switch *mode {
 	case "open":
 		var res loadgen.OpenLoopResult
-		if *traceReplay != "" {
-			spans, err := trace.ReadFile(*traceReplay)
+		if tracing.Replay != "" {
+			spans, err := trace.ReadFile(tracing.Replay)
 			if err != nil {
 				return err
 			}
 			offsets := trace.ArrivalOffsets(spans)
 			if len(offsets) == 0 {
-				return fmt.Errorf("%s: no root spans to replay", *traceReplay)
+				return fmt.Errorf("%s: no root spans to replay", tracing.Replay)
 			}
-			res = loadgen.RunReplay(issue, loadgen.ReplayConfig{Offsets: offsets, Speed: *replaySpeed})
-			fmt.Printf("replay %s: %d recorded arrivals at %gx speed:\n", svc.Kind, len(offsets), *replaySpeed)
+			res = loadgen.RunReplay(issue, loadgen.ReplayConfig{Offsets: offsets, Speed: tracing.Speed})
+			fmt.Printf("replay %s: %d recorded arrivals at %gx speed:\n", svc.Kind, len(offsets), tracing.Speed)
 		} else {
 			res = loadgen.RunOpenLoop(issue, loadgen.OpenLoopConfig{QPS: *qps, Duration: *duration, Seed: s.Seed})
 			fmt.Printf("open-loop %s @ %g QPS for %v:\n", svc.Kind, *qps, *duration)
@@ -69,8 +67,9 @@ func load(args []string) error {
 			res.Offered, res.Completed, res.Shed, res.Errors, res.Dropped, res.AchievedQPS)
 		fmt.Printf("  latency: %s\n", res.Latency)
 	case "closed":
-		res := loadgen.RunClosedLoop(issue, loadgen.ClosedLoopConfig{Concurrency: *conc, Duration: *duration, Warmup: 8})
-		fmt.Printf("closed-loop %s with %d workers for %v:\n", svc.Kind, *conc, *duration)
+		const workers = 8
+		res := loadgen.RunClosedLoop(issue, loadgen.ClosedLoopConfig{Concurrency: workers, Duration: *duration, Warmup: 8})
+		fmt.Printf("closed-loop %s with %d workers for %v:\n", svc.Kind, workers, *duration)
 		fmt.Printf("  throughput=%.0f QPS completed=%d errors=%d\n", res.Throughput, res.Completed, res.Errors)
 		fmt.Printf("  latency: %s\n", res.Latency)
 	case "saturate":
@@ -98,11 +97,11 @@ func load(args []string) error {
 		return fmt.Errorf("unknown mode %q", *mode)
 	}
 
-	if fm.Spans != nil && *traceOut != "" {
-		if err := trace.WriteFile(*traceOut, fm.Spans.Snapshot()); err != nil {
-			return err
+	if fm.Spans != nil {
+		if n := fm.Spans.Dropped(); n > 0 {
+			fmt.Printf("span recorder full: %d spans dropped\n", n)
 		}
-		fmt.Printf("wrote %d spans to %s (%d dropped)\n", fm.Spans.Len(), *traceOut, fm.Spans.Dropped())
+		return tracing.Write(fm.Spans.Snapshot())
 	}
 	return nil
 }

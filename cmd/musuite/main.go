@@ -1,12 +1,17 @@
-// Command musuite is the suite's one service binary.  Each subcommand
-// stands up a piece of a deployment from the service's single definition
+// Command musuite is the suite's one binary.  `serve`, `load` and `topo`
+// stand up and drive a deployment from the service's single definition
 // (internal/bench), so the tiers, the load generator and a topology spec
-// given the same sizes and seed agree on the dataset without shipping files:
+// given the same sizes and seed agree on the dataset without shipping files;
+// `bench`, `trace` and `gate` regenerate the paper's evaluation, inspect
+// exported traces and gate CI on benchmark regressions:
 //
 //	musuite serve <service> -role leaf    -addr :7101 -shard 0 -shards 4
 //	musuite serve <service> -role midtier -addr :7100 -leaves h1:7101,...,h4:7104 -shards 4
 //	musuite load  <service> -target host:7100 -mode open -qps 1000 -duration 30s
 //	musuite topo  -topo examples/social-network.yaml
+//	musuite bench -experiment fig10 -services HDSearch,Router -window 5s
+//	musuite trace -check trace-loadgen.jsonl trace-mid.jsonl trace-leaf0.jsonl
+//	musuite gate  -baseline BENCH_baseline.json bench.txt
 //
 // <service> is hdsearch, router, setalgebra or recommend.  `serve` runs one
 // tier as its own process — the paper's distributed deployment, each
@@ -26,49 +31,48 @@ import (
 	"musuite/internal/topo"
 )
 
+// commands maps each subcommand to its body: it registers its flags on the
+// set it is handed, parses args, and runs.  Flags two subcommands share are
+// registered through internal/cmdutil, so every name has one declaration.
+var commands = map[string]func(fs *flag.FlagSet, args []string) error{
+	"serve": serve,
+	"load":  load,
+	"topo":  runTopo,
+	"bench": runBench,
+	"trace": runTrace,
+	"gate":  runGate,
+}
+
 func main() {
-	if len(os.Args) < 2 {
-		usage()
+	if len(os.Args) < 2 || commands[os.Args[1]] == nil {
+		fmt.Fprintf(os.Stderr, "usage: musuite serve|load <%s> [flags]\n       musuite topo -topo <spec.yaml> [flags]\n       musuite bench [flags]\n       musuite trace [flags] trace.jsonl...\n       musuite gate [flags] bench.txt\n",
+			strings.Join(topo.RegisteredKinds(), "|"))
+		os.Exit(2)
 	}
-	var err error
-	switch args := os.Args[2:]; os.Args[1] {
-	case "serve":
-		err = serve(args)
-	case "load":
-		err = load(args)
-	case "topo":
-		err = runTopo(args)
-	default:
-		usage()
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "musuite:", err)
+	name := "musuite " + os.Args[1]
+	if err := commands[os.Args[1]](flag.NewFlagSet(name, flag.ExitOnError), os.Args[2:]); err != nil {
+		fmt.Fprintln(os.Stderr, name+":", err)
 		os.Exit(1)
 	}
 }
 
-func usage() {
-	fmt.Fprintf(os.Stderr, "usage: musuite serve|load <%s> [flags]\n       musuite topo -topo <spec.yaml> [flags]\n",
-		strings.Join(topo.RegisteredKinds(), "|"))
-	os.Exit(2)
-}
-
-// serviceFlags resolves the <service> argument and starts the subcommand's
-// flag set with what serve and load share: the dataset seed, and the
-// service's sizing flags, generated from its definition (bench.Param).
-func serviceFlags(cmd string, args []string) (*bench.Service, *flag.FlagSet, *bench.Scale, error) {
+// serviceFlags resolves the <service> argument and registers what serve and
+// load share: the dataset seed, the shard count, and the service's sizing
+// flags, generated from its definition (bench.Param).
+func serviceFlags(fs *flag.FlagSet, args []string) (*bench.Service, *bench.Scale, error) {
 	var svc *bench.Service
 	if len(args) > 0 {
 		svc = bench.ServiceByKind(args[0])
 	}
 	if svc == nil {
-		return nil, nil, nil, fmt.Errorf("usage: musuite %s <%s> [flags]", cmd, strings.Join(topo.RegisteredKinds(), "|"))
+		return nil, nil, fmt.Errorf("usage: %s <%s> [flags]", fs.Name(), strings.Join(topo.RegisteredKinds(), "|"))
 	}
-	fs := flag.NewFlagSet("musuite "+cmd+" "+svc.Kind, flag.ExitOnError)
 	s := bench.SmallScale()
-	fs.Int64Var(&s.Seed, "seed", s.Seed, "dataset seed; must match on every tier and the load generator")
+	const match = "; must match on every tier and the load generator"
+	fs.Int64Var(&s.Seed, "seed", s.Seed, "dataset seed"+match)
+	fs.IntVar(&s.Shards, "shards", s.Shards, "leaf shards of the deployment: per-shard stop lists and models make replies depend on it (router: unused, its leaf count is len(-leaves))"+match)
 	for _, p := range svc.Params {
-		fs.IntVar(p.Field(&s), p.Name, *p.Field(&s), p.Help+"; must match on every tier and the load generator")
+		fs.IntVar(p.Field(&s), p.Name, *p.Field(&s), p.Help+match)
 	}
-	return svc, fs, &s, nil
+	return svc, &s, nil
 }

@@ -1,46 +1,48 @@
-// Command traceview inspects exported μSuite traces (JSONL span files).
-// Multiple input files merge into one span set, so the per-process exports
-// of a distributed deployment — the load generator's root spans plus each
-// tier's server and attempt spans — reassemble into complete trees.
-//
-//	traceview trace-loadgen.jsonl trace-mid.jsonl trace-leaf0.jsonl
-//	traceview -dump 3 trace.jsonl
-//	traceview -check -min-traces 10 -require-note abandoned trace-*.jsonl
-//
-// With -check, traceview is a CI gate: it exits non-zero unless every trace
-// forms one connected tree whose critical-path segments sum to the recorded
-// end-to-end latency within -tolerance, and every mid-tier server span that
-// answered carries a stage record accounting for no more than its duration.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"os"
 	"strings"
 	"time"
 
 	"musuite/internal/trace"
 )
 
-func main() {
+// runTrace inspects exported μSuite traces (JSONL span files).  Multiple
+// input files merge into one span set, so the per-process exports of a
+// distributed deployment — the load generator's root spans plus each tier's
+// server and attempt spans — reassemble into complete trees.
+//
+//	musuite trace trace-loadgen.jsonl trace-mid.jsonl trace-leaf0.jsonl
+//	musuite trace -dump 3 trace.jsonl
+//	musuite trace -check -min-traces 10 -require-note abandoned trace-*.jsonl
+//
+// With -check it is a CI gate: it fails unless every trace forms one
+// connected tree whose critical-path segments sum to the recorded end-to-end
+// latency within -tolerance, and every mid-tier server span that answered
+// carries a stage record accounting for no more than its duration.
+func runTrace(fs *flag.FlagSet, args []string) error {
 	var (
-		check     = flag.Bool("check", false, "validate the traces and exit non-zero on violations")
-		tolerance = flag.Duration("tolerance", 0, "check: allowed |critical-path sum − end-to-end| slack per trace")
-		minTraces = flag.Int("min-traces", 1, "check: fail unless at least this many connected traces exist")
-		notes     = flag.String("require-note", "", "check: comma-separated notes that must each appear on some span (e.g. abandoned,hedge)")
-		dump      = flag.Int("dump", 0, "pretty-print the first N trees")
+		check     = fs.Bool("check", false, "validate the traces and exit non-zero on violations")
+		tolerance = fs.Duration("tolerance", 0, "check: allowed |critical-path sum − end-to-end| slack per trace")
+		minTraces = fs.Int("min-traces", 1, "check: fail unless at least this many connected traces exist")
+		notes     = fs.String("require-note", "", "check: comma-separated notes that must each appear on some span (e.g. abandoned,hedge)")
+		dump      = fs.Int("dump", 0, "pretty-print the first N trees")
 	)
-	flag.Parse()
-	if flag.NArg() == 0 {
-		fatal("usage: traceview [flags] trace.jsonl...")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() == 0 {
+		return errors.New("usage: musuite trace [flags] trace.jsonl...")
 	}
 
 	var spans []trace.Span
-	for _, path := range flag.Args() {
+	for _, path := range fs.Args() {
 		part, err := trace.ReadFile(path)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		spans = append(spans, part...)
 	}
@@ -56,10 +58,11 @@ func main() {
 
 	if *check {
 		if err := checkTraces(trees, spans, *tolerance, *minTraces, *notes); err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Printf("check ok: %d traces validated\n", len(trees))
 	}
+	return nil
 }
 
 // checkTraces enforces the CI-smoke invariants over the merged span set.
@@ -169,9 +172,4 @@ func dumpNode(n *trace.Node, base int64, depth int) {
 	for _, c := range n.Children {
 		dumpNode(c, base, depth+1)
 	}
-}
-
-func fatal(v any) {
-	fmt.Fprintln(os.Stderr, "traceview:", v)
-	os.Exit(1)
 }

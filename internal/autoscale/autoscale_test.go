@@ -239,16 +239,6 @@ func TestSpareTargetPool(t *testing.T) {
 	_ = s1
 }
 
-func TestParseSpareGroups(t *testing.T) {
-	got := ParseSpareGroups("a:7001,b:7002; c:7003 ;;")
-	if len(got) != 2 || len(got[0]) != 2 || got[1][0] != "c:7003" {
-		t.Fatalf("parsed %v", got)
-	}
-	if ParseSpareGroups("") != nil {
-		t.Fatal("empty string should parse to nil")
-	}
-}
-
 // churnCycles is the scale-up/drain cycle count for the churn soak, raised
 // to 200 by the nightly job via MUSUITE_AUTOSCALE_CYCLES.
 func churnCycles(t *testing.T) int {

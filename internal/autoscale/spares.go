@@ -2,7 +2,6 @@ package autoscale
 
 import (
 	"errors"
-	"strings"
 	"sync"
 
 	"musuite/internal/cluster"
@@ -12,9 +11,8 @@ import (
 // SpareTarget scales a live topology by moving pre-provisioned spare leaf
 // groups in and out of service: ScaleUp takes the next group from the spare
 // pool and adds it, ScaleDown drains the most recently added group and
-// returns its addresses to the pool.  This is the warm-spares model the
-// service binaries use (-autoscale-spares): the spare processes are already
-// running and loaded, so a scale-up is a dial + topology publish, not a
+// returns its addresses to the pool.  This is the warm-spares model: the
+// spare processes are already running and loaded, so a scale-up is a dial + topology publish, not a
 // cold start.
 type SpareTarget struct {
 	statsFn func() (core.TierStats, error)
@@ -104,23 +102,4 @@ func (s *SpareTarget) ScaleDown() error {
 	s.spares = append(s.spares, g.addrs)
 	s.mu.Unlock()
 	return nil
-}
-
-// ParseSpareGroups parses the -autoscale-spares flag syntax: groups
-// separated by ';', replica addresses within a group by ','.
-// "a:7001,b:7002;c:7003" → [[a:7001 b:7002] [c:7003]].
-func ParseSpareGroups(s string) [][]string {
-	var out [][]string
-	for _, g := range strings.Split(s, ";") {
-		var group []string
-		for _, addr := range strings.Split(g, ",") {
-			if addr = strings.TrimSpace(addr); addr != "" {
-				group = append(group, addr)
-			}
-		}
-		if len(group) > 0 {
-			out = append(out, group)
-		}
-	}
-	return out
 }

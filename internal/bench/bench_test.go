@@ -90,7 +90,7 @@ func TestCharacterizeProducesAllFigures(t *testing.T) {
 	s := tinyScale()
 	// The figures' classes are the paper's dispatched pipeline's: a worker's
 	// wake-up (Active-Exe), the hand-off futexes.
-	points, err := Characterize(s, []string{"SetAlgebra"}, FrameworkMode{Dispatch: core.Dispatched})
+	points, err := Characterize(s, []string{"SetAlgebra"}, FrameworkMode{MidTier: core.Options{Dispatch: core.Dispatched}})
 	if err != nil {
 		t.Fatal(err)
 	}

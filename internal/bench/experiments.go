@@ -144,11 +144,11 @@ type AblationRow struct {
 // hybrid the paper proposes exploring, the in-line variant, and the default —
 // in-line unless more input is waiting behind the request.
 var AblationModes = []FrameworkMode{
-	{Dispatch: core.Dispatched, Wait: core.WaitBlocking},
-	{Dispatch: core.Dispatched, Wait: core.WaitPolling},
-	{Dispatch: core.Dispatched, Wait: core.WaitAdaptive},
-	{Dispatch: core.Inline, Wait: core.WaitBlocking},
-	{Dispatch: core.DispatchAuto, Wait: core.WaitBlocking},
+	{MidTier: core.Options{Dispatch: core.Dispatched, Wait: core.WaitBlocking}},
+	{MidTier: core.Options{Dispatch: core.Dispatched, Wait: core.WaitPolling}},
+	{MidTier: core.Options{Dispatch: core.Dispatched, Wait: core.WaitAdaptive}},
+	{MidTier: core.Options{Dispatch: core.Inline, Wait: core.WaitBlocking}},
+	{MidTier: core.Options{Dispatch: core.DispatchAuto, Wait: core.WaitBlocking}},
 }
 
 // Ablation measures each framework variant at the given load for each
@@ -171,8 +171,8 @@ func Ablation(s Scale, services []string, load float64) ([]AblationRow, error) {
 			inst.Close()
 			row := AblationRow{
 				Service:  name,
-				Dispatch: mode.Dispatch,
-				Wait:     mode.Wait,
+				Dispatch: mode.MidTier.Dispatch,
+				Wait:     mode.MidTier.Wait,
 				Load:     load,
 				Median:   open.Latency.Median,
 				P99:      open.Latency.P99,

@@ -77,12 +77,12 @@ func (r *OverloadResult) Passed() bool { return len(r.Violations) == 0 }
 // ≥ 85% of the pre-knee peak, every refused request surfaces as a *typed*
 // shed (rpc.OverloadError), and nothing fails untyped or times out.
 func Overload(s Scale, mode FrameworkMode) (*OverloadResult, error) {
-	if mode.Admit.MaxInflight <= 0 {
+	if mode.MidTier.Admit.MaxInflight <= 0 {
 		// The experiment is about the controller; arm it with a ceiling
 		// well above the knee so AIMD, not the cap, sets the limit.
-		mode.Admit.MaxInflight = 4 * s.MaxConcurrency
-		if mode.Admit.MaxInflight <= 0 {
-			mode.Admit.MaxInflight = 256
+		mode.MidTier.Admit.MaxInflight = 4 * s.MaxConcurrency
+		if mode.MidTier.Admit.MaxInflight <= 0 {
+			mode.MidTier.Admit.MaxInflight = 256
 		}
 	}
 	// Router's canonical deployment and key stream, on the experiment's own

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"musuite/internal/cluster"
+	"musuite/internal/core"
 )
 
 func TestResizeExperiment(t *testing.T) {
@@ -14,7 +15,7 @@ func TestResizeExperiment(t *testing.T) {
 	}
 	s := tinyScale()
 	s.Window = 400 * time.Millisecond
-	phases, err := Resize(s, FrameworkMode{Routing: cluster.Jump{}}, 150)
+	phases, err := Resize(s, FrameworkMode{MidTier: core.Options{EdgePolicy: core.EdgePolicy{Routing: cluster.Jump{}}}}, 150)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"musuite/internal/ann"
-	"musuite/internal/cluster"
 	"musuite/internal/core"
 	"musuite/internal/dataset"
 	"musuite/internal/kernel"
@@ -122,23 +120,15 @@ func (in *Instance) Close() {
 	in.Cluster.Close()
 }
 
-// FrameworkMode selects the §VII ablation variant of the mid-tier and any
-// per-request attribution tracer to attach.
+// FrameworkMode selects the variant of a deployment an experiment runs: the
+// mid-tier's policy, the leaves' kernel engine, HDSearch's index, and the
+// span recorder every tier reports to.
 type FrameworkMode struct {
-	Dispatch core.DispatchMode
-	Wait     core.WaitMode
-	// Tail configures hedged requests and retry budgets on the mid-tier
-	// fan-out (zero value: disabled).
-	Tail core.TailPolicy
-	// Batch configures cross-request coalescing of leaf RPCs on the
-	// mid-tier fan-out (zero value: disabled).
-	Batch core.BatchPolicy
-	// Routing selects the mid-tier's key→shard placement strategy (nil =
-	// modulo).  cluster.Jump keeps placements stable through resizes.
-	Routing cluster.Router
-	// PendingShards overrides the mid-tier's per-connection pending-table
-	// shard count (0 = default 8, rounded to a power of two).
-	PendingShards int
+	// MidTier is the mid-tier's policy as the tier itself takes it — the
+	// §VII dispatch and wait modes, the default edge's tail tolerance,
+	// batching and routing, admission.  Pool sizes and connection counts
+	// come from the Scale, the recorder and probe from the harness.
+	MidTier core.Options
 	// LeafParallelism caps the worker goroutines a leaf kernel scan may
 	// recruit (0 = NumCPU, 1 = serial).
 	LeafParallelism int
@@ -146,17 +136,9 @@ type FrameworkMode struct {
 	// ablation baseline for the tuned SoA engine.
 	ScalarKernels bool
 	// Index selects HDSearch's candidate index kind ("" = LSH); the ivf*
-	// and hnsw kinds build leaf-resident ANN indexes instead of a
-	// mid-tier candidate generator.
+	// and hnsw kinds build leaf-resident ANN indexes, at the leaf's default
+	// tuning, instead of a mid-tier candidate generator.
 	Index hdsearch.IndexKind
-	// ANN carries the leaf-resident kinds' build/tuning knobs (nlist/
-	// nprobe/rerank for ivf*, m/efConstruction/efSearch for hnsw; zero
-	// fields take the leaf defaults).  Kind and Quant are derived from
-	// Index at the build site.
-	ANN ann.Config
-	// Admit configures the mid-tier's adaptive admission controller
-	// (zero value: disabled).
-	Admit core.AdmitPolicy
 	// Spans, when set, receives distributed-tracing spans from every tier
 	// of the deployment: the front-end client's root span, the mid-tier's
 	// server and leaf-attempt spans, and each leaf's server spans.
@@ -187,20 +169,10 @@ func (mode FrameworkMode) ClientOptions() *rpc.ClientOptions {
 
 // midTierOptions builds the instrumented mid-tier options for a scale.
 func midTierOptions(s Scale, mode FrameworkMode, probe *telemetry.Probe) core.Options {
-	return core.Options{
-		Workers:           s.Workers,
-		ResponseThreads:   s.ResponseThreads,
-		Dispatch:          mode.Dispatch,
-		Wait:              mode.Wait,
-		LeafConnsPerShard: s.LeafConns,
-		Tail:              mode.Tail,
-		Batch:             mode.Batch,
-		Routing:           mode.Routing,
-		PendingShards:     mode.PendingShards,
-		Admit:             mode.Admit,
-		Spans:             mode.Spans,
-		Probe:             probe,
-	}
+	o := mode.MidTier
+	o.Workers, o.ResponseThreads, o.ConnsPerShard = s.Workers, s.ResponseThreads, s.LeafConns
+	o.Spans, o.Probe = mode.Spans, probe
+	return o
 }
 
 func leafOptions(s Scale, mode FrameworkMode) core.LeafOptions {
@@ -349,7 +321,6 @@ func defineHDSearch(s Scale, mode FrameworkMode) definition {
 		Shards:       s.Shards,
 		LeafReplicas: s.LeafReplicas,
 		Kind:         mode.Index,
-		ANN:          mode.ANN,
 	}
 	return definition{
 		start: func(mt core.Options, leaf core.LeafOptions) (Cluster, string, error) {

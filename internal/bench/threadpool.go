@@ -35,7 +35,7 @@ func ThreadPoolSweep(s Scale, service string, workerCounts []int, load float64) 
 		cfg.Workers = w
 		// Dispatched: the sweep's subject is the worker pool, which the
 		// default mode bypasses for every request that arrives alone.
-		inst, err := StartService(service, cfg, FrameworkMode{Dispatch: core.Dispatched})
+		inst, err := StartService(service, cfg, FrameworkMode{MidTier: core.Options{Dispatch: core.Dispatched}})
 		if err != nil {
 			return nil, fmt.Errorf("threadpool %s workers=%d: %w", service, w, err)
 		}

@@ -69,13 +69,12 @@ func TestTraceRunProducesConnectedTrees(t *testing.T) {
 func TestTraceRunWithHedgingRecordsLosers(t *testing.T) {
 	s := tinyScale()
 	s.LeafReplicas = 2
-	mode := FrameworkMode{
-		Tail: core.TailPolicy{
-			HedgeDelay:       50 * time.Microsecond,
-			HedgeMinDelay:    50 * time.Microsecond,
-			RetryBudgetRatio: 10,
-			RetryBudgetBurst: 1 << 20,
-		},
+	var mode FrameworkMode
+	mode.MidTier.Tail = core.TailPolicy{
+		HedgeDelay:       50 * time.Microsecond,
+		HedgeMinDelay:    50 * time.Microsecond,
+		RetryBudgetRatio: 10,
+		RetryBudgetBurst: 1 << 20,
 	}
 	spans, _, err := TraceRun("HDSearch", s, mode, 200, 500*time.Millisecond, 1)
 	if err != nil {

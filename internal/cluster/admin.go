@@ -10,7 +10,7 @@ import (
 )
 
 // Runtime admin surface.  Every service binary can expose its mid-tier's
-// topology on a second listener (-admin): operators query the current view
+// topology on a second listener: operators query the current view
 // and add, drain, or remove leaf groups while the data plane keeps serving.
 // The surface speaks the repo's own RPC substrate, so the same wire tooling
 // (and the same client library) works against it.

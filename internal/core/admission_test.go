@@ -273,7 +273,7 @@ func TestOverloadDoesNotSpendRetryBudget(t *testing.T) {
 
 	mt := NewMidTier(func(ctx *Ctx) {
 		forwardToLeaf(ctx, 0, "q")
-	}, &Options{Workers: 2, Tail: TailPolicy{LeafRetries: 3, RetryBudgetRatio: 1, RetryBudgetBurst: 100}})
+	}, &Options{Workers: 2, EdgePolicy: EdgePolicy{Tail: TailPolicy{LeafRetries: 3, RetryBudgetRatio: 1, RetryBudgetBurst: 100}}})
 	if err := mt.ConnectLeaves([]string{leafAddr}); err != nil {
 		t.Fatal(err)
 	}

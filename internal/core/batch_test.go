@@ -29,8 +29,8 @@ func TestBatchingCoalescesFanout(t *testing.T) {
 	addrA, leafA := startWorkLeaf(t, noDelay)
 	addrB, leafB := startWorkLeaf(t, noDelay)
 	addr, mt := startTailMidTier(t, [][]string{{addrA}, {addrB}}, &Options{
-		Workers: 4,
-		Batch:   BatchPolicy{MaxBatch: 8, Delay: 200 * time.Microsecond},
+		Workers:    4,
+		EdgePolicy: EdgePolicy{Batch: BatchPolicy{MaxBatch: 8, Delay: 200 * time.Microsecond}},
 	}, nil)
 
 	const goroutines, perG = 16, 40
@@ -101,10 +101,10 @@ func TestProbeIsSumOfTierTables(t *testing.T) {
 		groups = append(groups, []string{addr})
 	}
 	addr, mt := startTailMidTier(t, groups, &Options{
-		Workers: 2,
-		Probe:   probe,
-		Batch:   BatchPolicy{MaxBatch: 4, Delay: 100 * time.Microsecond},
-		Admit:   AdmitPolicy{MaxInflight: 64, InitInflight: 64},
+		Workers:    2,
+		Probe:      probe,
+		Admit:      AdmitPolicy{MaxInflight: 64, InitInflight: 64},
+		EdgePolicy: EdgePolicy{Batch: BatchPolicy{MaxBatch: 4, Delay: 100 * time.Microsecond}},
 	}, nil)
 	c, err := rpc.Dial(addr, nil)
 	if err != nil {
@@ -182,8 +182,8 @@ func TestBatchDelayAdaptsToLeafLatency(t *testing.T) {
 	}
 	addrSlow, _ := startWorkLeaf(t, func() time.Duration { return 2 * time.Millisecond })
 	addr, mt := startTailMidTier(t, [][]string{{addrSlow}}, &Options{
-		Workers: 2,
-		Batch:   BatchPolicy{MaxBatch: 4, Fraction: 0.25},
+		Workers:    2,
+		EdgePolicy: EdgePolicy{Batch: BatchPolicy{MaxBatch: 4, Fraction: 0.25}},
 	}, nil)
 	c, err := rpc.Dial(addr, nil)
 	if err != nil {
@@ -208,8 +208,8 @@ func TestBatchDelayAdaptsToLeafLatency(t *testing.T) {
 	// directly; past a refresh window the cached delay must sit at the floor.
 	addrFast, _ := startWorkLeaf(t, noDelay)
 	_, mtFast := startTailMidTier(t, [][]string{{addrFast}}, &Options{
-		Workers: 2,
-		Batch:   BatchPolicy{MaxBatch: 4, MinDelay: 100 * time.Microsecond},
+		Workers:    2,
+		EdgePolicy: EdgePolicy{Batch: BatchPolicy{MaxBatch: 4, MinDelay: 100 * time.Microsecond}},
 	}, nil)
 	for i := 0; i < 2*hedgeRefreshEvery; i++ {
 		mtFast.observeLeafLatency(time.Microsecond)
@@ -238,7 +238,7 @@ func TestBatchShutdownFlushDelivery(t *testing.T) {
 		Workers: 2,
 		// A flush delay far beyond the test's lifetime: only Close can
 		// flush whatever sits in a queue at teardown.
-		Batch: BatchPolicy{MaxBatch: 64, Delay: time.Hour},
+		EdgePolicy: EdgePolicy{Batch: BatchPolicy{MaxBatch: 64, Delay: time.Hour}},
 	})
 	if err := mt.ConnectLeafGroups([][]string{{addrA}}); err != nil {
 		t.Fatal(err)

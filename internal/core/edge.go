@@ -17,25 +17,32 @@ import (
 const DefaultEdge = "leaves"
 
 // EdgePolicy configures one named downstream edge of a mid-tier: where its
-// calls may go and how they behave on the way.  Every knob that used to be a
-// whole-tier Option (fan-out timeout, tail tolerance, batching, routing) is
-// per-edge, so a node in an arbitrary service DAG can hedge aggressively
-// toward its cache tier while calling its store tier plainly.
+// calls may go and how they behave on the way.  It is the one declaration of
+// the fan-out knobs — Options embeds the default edge's, a topology spec's
+// edge decodes into one — and it is per-edge, so a node in an arbitrary
+// service DAG can hedge aggressively toward its cache tier while calling its
+// store tier plainly.
 type EdgePolicy struct {
 	// Timeout bounds each fan-out on this edge; calls still pending then
-	// complete with ErrFanoutTimeout (0 = wait forever).
+	// complete with ErrFanoutTimeout results, so the merge (and the front
+	// end) never hangs on a wedged leaf (0 = wait forever, the paper's
+	// configuration).
 	Timeout time.Duration
-	// Tail configures hedged requests and retries for this edge's calls.
-	// The retry budget itself stays tier-global, so one edge's recovery
-	// traffic cannot starve another's.
+	// Tail configures hedged requests and retries for this edge's calls
+	// (zero value: neither; replica selection is always on).  The retry
+	// budget itself stays tier-global, so one edge's recovery traffic cannot
+	// starve another's.
 	Tail TailPolicy
-	// Batch configures cross-request coalescing of this edge's calls.
+	// Batch configures cross-request coalescing of this edge's calls: those
+	// bound for the same replica share one carrier RPC (zero value: every
+	// call is its own RPC).
 	Batch BatchPolicy
 	// Routing selects the key→shard placement strategy (default
-	// cluster.Modulo).
+	// cluster.Modulo, the classic hash-mod-N).  cluster.Jump keeps ~n/(n+1)
+	// of key placements stable through a resize.
 	Routing cluster.Router
 	// ConnsPerShard is the TCP connection count per downstream replica
-	// (default: the tier's LeafConnsPerShard option).
+	// (default: the tier's, Options.ConnsPerShard).
 	ConnsPerShard int
 }
 
@@ -66,15 +73,14 @@ type edge struct {
 // topology, dialing downstreams with the tier's client plumbing.
 func (m *MidTier) newEdge(name string, p EdgePolicy) *edge {
 	if p.ConnsPerShard <= 0 {
-		p.ConnsPerShard = m.opts.LeafConnsPerShard
+		p.ConnsPerShard = m.opts.ConnsPerShard
 	}
 	e := &edge{name: name, mt: m, policy: p, leafLat: stats.NewHistogram()}
 	cfg := cluster.Config{
 		Dial: func(addr string) (*rpc.Pool, error) {
 			return rpc.DialPool(addr, e.policy.ConnsPerShard, &rpc.ClientOptions{
-				Probe:         m.probe,
-				OnResponse:    m.onLeafResponse,
-				PendingShards: m.opts.PendingShards,
+				Probe:      m.probe,
+				OnResponse: m.onLeafResponse,
 			})
 		},
 		Router:   p.Routing,

@@ -40,7 +40,7 @@ func TestFanoutTimeoutUnwedgesHungLeaf(t *testing.T) {
 			}
 			ctx.Reply([]byte("all-ok"))
 		})
-	}, &Options{FanoutTimeout: 150 * time.Millisecond})
+	}, &Options{EdgePolicy: EdgePolicy{Timeout: 150 * time.Millisecond}})
 	if err := mt.ConnectLeaves([]string{goodAddr, deadAddr}); err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestFanoutTimeoutDoesNotAffectFastLeaves(t *testing.T) {
 	for i := range leafAddrs {
 		leafAddrs[i], _ = startLeaf(t, nil)
 	}
-	opts := Options{FanoutTimeout: 5 * time.Second}
+	opts := Options{EdgePolicy: EdgePolicy{Timeout: 5 * time.Second}}
 	addr, _ := startMidTier(t, leafAddrs, &opts)
 	c, err := rpc.Dial(addr, nil)
 	if err != nil {
@@ -114,7 +114,7 @@ func TestFanoutTimeoutRaceWithLateResponse(t *testing.T) {
 			}
 			ctx.Reply(nil)
 		})
-	}, &Options{FanoutTimeout: 20 * time.Millisecond})
+	}, &Options{EdgePolicy: EdgePolicy{Timeout: 20 * time.Millisecond}})
 	if err := mt.ConnectLeaves([]string{leafAddr}); err != nil {
 		t.Fatal(err)
 	}

@@ -133,7 +133,7 @@ func TestHedgingReducesTailLatency(t *testing.T) {
 				groups[s] = append(groups[s], addr)
 			}
 		}
-		addr, mt := startTailMidTier(t, groups, &Options{Workers: 4, Tail: tail}, nil)
+		addr, mt := startTailMidTier(t, groups, &Options{Workers: 4, EdgePolicy: EdgePolicy{Tail: tail}}, nil)
 		c, err := rpc.Dial(addr, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -178,11 +178,11 @@ func TestRetryBudgetCapsHedging(t *testing.T) {
 	addrB, leafB := startWorkLeaf(t, slow)
 	addr, mt := startTailMidTier(t, [][]string{{addrA, addrB}}, &Options{
 		Workers: 4,
-		Tail: TailPolicy{
+		EdgePolicy: EdgePolicy{Tail: TailPolicy{
 			HedgeDelay:       500 * time.Microsecond,
 			RetryBudgetRatio: 0.1,
 			RetryBudgetBurst: 5,
-		},
+		}},
 	}, nil)
 
 	c, err := rpc.Dial(addr, nil)
@@ -229,11 +229,11 @@ func TestHedgeCancellationNoDoubleMerge(t *testing.T) {
 	var merges atomic.Uint64
 	addr, mt := startTailMidTier(t, [][]string{{addrA, addrB}}, &Options{
 		Workers: 4,
-		Tail: TailPolicy{
+		EdgePolicy: EdgePolicy{Tail: TailPolicy{
 			HedgeDelay:       500 * time.Microsecond,
 			RetryBudgetRatio: 1.0,
 			RetryBudgetBurst: 1000,
-		},
+		}},
 	}, &merges)
 
 	const goroutines, perG = 8, 25

@@ -70,18 +70,10 @@ type Options struct {
 	Dispatch DispatchMode
 	// Wait selects blocking (default) or polling idle threads.
 	Wait WaitMode
-	// LeafConnsPerShard is the number of TCP connections opened to each
-	// leaf (default 2), modelling one connection per serving thread.
-	LeafConnsPerShard int
 	// MaxQueueDepth bounds the dispatch queue; requests beyond it are
 	// shed with a fast error instead of queueing unboundedly past
 	// saturation (0 = unbounded, the paper's configuration).
 	MaxQueueDepth int
-	// FanoutTimeout bounds each fan-out; leaves that have not responded
-	// by then contribute ErrFanoutTimeout results so the merge (and the
-	// front-end) never hangs on a wedged leaf (0 = wait forever, the
-	// paper's configuration).
-	FanoutTimeout time.Duration
 	// Classify, when set, assigns a dispatch priority per request —
 	// §VII's "dispatched models can explicitly prioritize requests".
 	// It runs on the network poller and must be fast.  The queue
@@ -93,21 +85,12 @@ type Options struct {
 	// shedding, both replying with a typed overload error the client
 	// never retries.  The zero value disables admission.
 	Admit AdmitPolicy
-	// Tail configures tail-tolerant fan-out (hedged requests, retries,
-	// and the retry budget).  The zero value disables hedging and
-	// retries; replica selection is always on.
-	Tail TailPolicy
-	// Batch configures adaptive cross-request batching of leaf RPCs: calls
-	// bound for the same leaf replica coalesce into one carrier RPC.  The
-	// zero value disables batching (every leaf call is its own RPC).
-	Batch BatchPolicy
-	// Routing selects the key→shard placement strategy (default
-	// cluster.Modulo, the classic hash-mod-N).  cluster.Jump keeps
-	// ~n/(n+1) of key placements stable through a resize.
-	Routing cluster.Router
-	// PendingShards is the per-connection pending-table shard count
-	// (default 8, rounded up to a power of two by the rpc client).
-	PendingShards int
+	// EdgePolicy is the default edge's policy — the classic leaf fan-out
+	// ConnectLeaves bootstraps: its timeout, tail tolerance, batching, routing
+	// and connections per leaf (default 2, one per serving thread).  The zero
+	// value is the paper's configuration; ConnectEdge can replace it (or add
+	// named siblings) before Start.
+	EdgePolicy
 	// Spans, when set, records distributed-tracing spans for requests that
 	// arrive with a sampled span context: one server span per request,
 	// carrying its stage record, and one client span per leaf attempt —
@@ -128,8 +111,8 @@ func (o *Options) withDefaults() Options {
 	if out.ResponseThreads <= 0 {
 		out.ResponseThreads = 2
 	}
-	if out.LeafConnsPerShard <= 0 {
-		out.LeafConnsPerShard = 2
+	if out.ConnsPerShard <= 0 {
+		out.ConnsPerShard = 2
 	}
 	return out
 }
@@ -218,15 +201,7 @@ func NewMidTier(handler Handler, opts *Options) *MidTier {
 		m.handler(ctx)
 	}
 	m.server = rpc.NewServer(m.onRequest, &rpc.ServerOptions{Probe: o.Probe})
-	// The tier-wide fan-out knobs in Options become the default edge's
-	// policy; ConnectEdge can replace it (or add named siblings) before
-	// Start.
-	m.def = m.newEdge(DefaultEdge, EdgePolicy{
-		Timeout: o.FanoutTimeout,
-		Tail:    o.Tail,
-		Batch:   o.Batch,
-		Routing: o.Routing,
-	})
+	m.def = m.newEdge(DefaultEdge, o.EdgePolicy)
 	m.edges = map[string]*edge{DefaultEdge: m.def}
 	return m
 }
@@ -681,7 +656,7 @@ func (m *MidTier) issueAttempt(slot *fanoutSlot, exclude int, kind attemptKind) 
 		a.start = time.Now()
 	}
 	// The attempt's fan-out hold must predate the send: the response can
-	// land (and run the count-down) before GoRef even returns.
+	// land (and run the count-down) before GoRefSpan even returns.
 	slot.fo.refs.Add(1)
 	// The ref is captured before the frame is written, so a completion that
 	// races this return (and recycles the call) leaves only a harmlessly

@@ -97,11 +97,11 @@ func TestInlinePayloadSurvivesNextFrame(t *testing.T) {
 		copiesA int  // how many copies of A the leaves must receive
 	}{
 		// A's primary is held at its leaf; the hedge goes out after B is in.
-		{name: "hedge", opts: Options{Tail: TailPolicy{HedgeDelay: 5 * time.Millisecond, RetryBudgetRatio: 1, RetryBudgetBurst: 100}}, copiesA: 2},
+		{name: "hedge", opts: Options{EdgePolicy: EdgePolicy{Tail: TailPolicy{HedgeDelay: 5 * time.Millisecond, RetryBudgetRatio: 1, RetryBudgetBurst: 100}}}, copiesA: 2},
 		// A's primary dies with its connection; the retry goes out after B.
-		{name: "retry", opts: Options{Tail: TailPolicy{LeafRetries: 1, RetryBudgetRatio: 1, RetryBudgetBurst: 100}}, flaky: true, copiesA: 1},
+		{name: "retry", opts: Options{EdgePolicy: EdgePolicy{Tail: TailPolicy{LeafRetries: 1, RetryBudgetRatio: 1, RetryBudgetBurst: 100}}}, flaky: true, copiesA: 1},
 		// A's call sits in the batch queue until after B has joined it.
-		{name: "batch", opts: Options{Batch: BatchPolicy{MaxBatch: 8, Delay: 20 * time.Millisecond}}, copiesA: 1},
+		{name: "batch", opts: Options{EdgePolicy: EdgePolicy{Batch: BatchPolicy{MaxBatch: 8, Delay: 20 * time.Millisecond}}}, copiesA: 1},
 	}
 	for _, mode := range []DispatchMode{Inline, DispatchAuto} {
 		for _, v := range variants {

@@ -90,12 +90,12 @@ func TestHedgeLoserSpansParented(t *testing.T) {
 	addr, _ := startTailMidTier(t, [][]string{{addrA, addrB}}, &Options{
 		Workers: 4,
 		Spans:   rec,
-		Tail: TailPolicy{
+		EdgePolicy: EdgePolicy{Tail: TailPolicy{
 			HedgeDelay:       100 * time.Microsecond,
 			HedgeMinDelay:    100 * time.Microsecond,
 			RetryBudgetRatio: 10,
 			RetryBudgetBurst: 1 << 20,
-		},
+		}},
 	}, nil)
 	c, err := rpc.Dial(addr, &rpc.ClientOptions{Spans: rec})
 	if err != nil {
@@ -169,11 +169,11 @@ func TestRetrySpansRecorded(t *testing.T) {
 	addr, mt := startTailMidTier(t, [][]string{{addrA, addrB}}, &Options{
 		Workers: 4,
 		Spans:   rec,
-		Tail: TailPolicy{
+		EdgePolicy: EdgePolicy{Tail: TailPolicy{
 			LeafRetries:      2,
 			RetryBudgetRatio: 10,
 			RetryBudgetBurst: 1 << 20,
-		},
+		}},
 	}, nil)
 
 	// Launch a burst of traced requests so join-the-shortest-queue spreads
@@ -280,9 +280,9 @@ func TestBatchedMemberSpansParented(t *testing.T) {
 	addrA, _ := startSpanLeaf(t, rec, echoAfter(0))
 	addrB, _ := startSpanLeaf(t, rec, echoAfter(0))
 	addr, _ := startTailMidTier(t, [][]string{{addrA}, {addrB}}, &Options{
-		Workers: 4,
-		Spans:   rec,
-		Batch:   BatchPolicy{MaxBatch: 8, Delay: 200 * time.Microsecond},
+		Workers:    4,
+		Spans:      rec,
+		EdgePolicy: EdgePolicy{Batch: BatchPolicy{MaxBatch: 8, Delay: 200 * time.Microsecond}},
 	}, nil)
 
 	const goroutines, perG = 8, 20

@@ -315,36 +315,23 @@ func NewBatcher(pool *Pool, opts BatcherOptions) *Batcher {
 // instant, so observed latency includes time spent waiting for batch-mates.
 // A non-nil done must be buffered, as for Client.Go.
 func (b *Batcher) Go(method string, payload []byte, data any, done chan *Call) *Call {
-	call := b.newCall(method, payload, data, done)
+	call := newCall(method, payload, trace.SpanContext{}, data, done)
 	b.enqueue(call)
 	return call
 }
 
-// GoRefSpan is GoRef for a traced member: sc rides the carrier as a
+// GoRefSpan is Client.GoRefSpan for a member: sc rides the carrier as a
 // per-member span-context header (or the plain frame header if the member
 // ends up flushed alone), so batching never loses a request's identity.
 func (b *Batcher) GoRefSpan(method string, payload []byte, sc trace.SpanContext, data any, done chan *Call) CallRef {
-	call := b.newCall(method, payload, data, done)
-	call.Trace = sc
+	call := newCall(method, payload, sc, data, done)
 	ref := call.Ref()
 	b.enqueue(call)
 	return ref
 }
 
-func (b *Batcher) newCall(method string, payload []byte, data any, done chan *Call) *Call {
-	call := getCall()
-	call.Method, call.Payload, call.Data = method, payload, data
-	if done == nil {
-		done = call.ownedDone()
-	} else if cap(done) == 0 {
-		panic("rpc: done channel must be buffered")
-	}
-	call.Done = done
-	call.Sent = time.Now()
-	return call
-}
-
 func (b *Batcher) enqueue(call *Call) {
+	call.Sent = time.Now()
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()

@@ -16,7 +16,7 @@ import (
 // continues with other work, and a shared reader goroutine later matches the
 // response to this struct through the pending table.
 //
-// Calls are pooled.  A call obtained from Go/GoRef may be returned to the
+// Calls are pooled.  A call obtained from Go/GoSpan may be returned to the
 // pool with Release once its consumer is done with it; callers that never
 // Release simply fall back to garbage collection.  After Release the Call —
 // including Reply, unless detached first — must not be touched: the struct
@@ -208,19 +208,16 @@ type ClientOptions struct {
 	// hands fan-out responses to its response-thread pool.  Returning
 	// false falls through to normal Done delivery.
 	OnResponse func(*Call) bool
-	// PendingShards is the pending-table shard count, rounded up to a
-	// power of two (default 8).  More shards spread pending-table lock
-	// traffic at the cost of a little memory per connection.
-	PendingShards int
 	// Spans, when set, records a client span for every sampled call this
 	// connection completes.  Leave nil on tiers that record their own
 	// attempt spans (the mid-tier fan-out) to avoid double counting.
 	Spans *trace.Recorder
 }
 
-// defaultPendingShards balances lock spread against footprint: at 8, two
-// response threads plus a burst of senders rarely collide on one shard.
-const defaultPendingShards = 8
+// pendingShards is the pending-table stripe count, a power of two.  It
+// balances lock spread against footprint: at 8, two response threads plus a
+// burst of senders rarely collide on one shard.
+const pendingShards = 8
 
 // pendingShard is one stripe of the pending table.  Padded so neighbouring
 // shards' locks do not share a cache line (the HITM source striping exists
@@ -263,7 +260,6 @@ func Dial(addr string, opts *ClientOptions) (*Client, error) {
 		probe      *telemetry.Probe
 		timeout    = 5 * time.Second
 		onResponse func(*Call) bool
-		nshards    = defaultPendingShards
 		spans      *trace.Recorder
 	)
 	if opts != nil {
@@ -272,12 +268,6 @@ func Dial(addr string, opts *ClientOptions) (*Client, error) {
 			timeout = opts.DialTimeout
 		}
 		onResponse = opts.OnResponse
-		if opts.PendingShards > 0 {
-			nshards = 1
-			for nshards < opts.PendingShards {
-				nshards <<= 1
-			}
-		}
 		spans = opts.Spans
 	}
 	nc, err := net.DialTimeout("tcp", addr, timeout)
@@ -290,8 +280,8 @@ func Dial(addr string, opts *ClientOptions) (*Client, error) {
 	c := &Client{
 		conn:       conn,
 		probe:      probe,
-		shards:     make([]pendingShard, nshards),
-		shardMask:  uint64(nshards - 1),
+		shards:     make([]pendingShard, pendingShards),
+		shardMask:  pendingShards - 1,
 		onResponse: onResponse,
 		readerDone: make(chan struct{}),
 		spans:      spans,
@@ -309,6 +299,20 @@ func Dial(addr string, opts *ClientOptions) (*Client, error) {
 	return c, nil
 }
 
+// newCall takes a call from the pool and fills in what every issue entry
+// point — the client's and the batcher's — sets before the call is sent.
+func newCall(method string, payload []byte, sc trace.SpanContext, data any, done chan *Call) *Call {
+	call := getCall()
+	call.Method, call.Payload, call.Data, call.Trace = method, payload, data, sc
+	if done == nil {
+		done = call.ownedDone()
+	} else if cap(done) == 0 {
+		panic("rpc: done channel must be buffered")
+	}
+	call.Done = done
+	return call
+}
+
 // Go issues an asynchronous call carrying opaque data.  done may be nil, in
 // which case the call's own buffered channel is used.  A non-nil done must
 // be buffered — with enough slack for every call that shares it — or Go
@@ -317,32 +321,7 @@ func Dial(addr string, opts *ClientOptions) (*Client, error) {
 // arrives; the OnResponse hook, if configured, fires exactly once per call
 // on every completion path.
 func (c *Client) Go(method string, payload []byte, data any, done chan *Call) *Call {
-	call := getCall()
-	call.Method, call.Payload, call.Data = method, payload, data
-	if done == nil {
-		done = call.ownedDone()
-	} else if cap(done) == 0 {
-		panic("rpc: done channel must be buffered")
-	}
-	call.Done = done
-	c.start(call)
-	return call
-}
-
-// GoRef is Go returning a generation-stamped reference alongside nothing
-// else: the ref is captured before the request can complete, so it is safe
-// to use for Abandon even if the response races the send and the consumer
-// has already recycled the call.
-func (c *Client) GoRef(method string, payload []byte, data any, done chan *Call) CallRef {
-	call := getCall()
-	call.Method, call.Payload, call.Data = method, payload, data
-	if done == nil {
-		done = call.ownedDone()
-	} else if cap(done) == 0 {
-		panic("rpc: done channel must be buffered")
-	}
-	call.Done = done
-	return c.start(call)
+	return c.GoSpan(method, payload, trace.SpanContext{}, data, done)
 }
 
 // GoSpan is Go for a traced call: sc (the context of this RPC's client
@@ -350,29 +329,17 @@ func (c *Client) GoRef(method string, payload []byte, data any, done chan *Call)
 // under it.  Pass a zero sc for an unsampled request — the call then
 // behaves exactly like Go.
 func (c *Client) GoSpan(method string, payload []byte, sc trace.SpanContext, data any, done chan *Call) *Call {
-	call := getCall()
-	call.Method, call.Payload, call.Data, call.Trace = method, payload, data, sc
-	if done == nil {
-		done = call.ownedDone()
-	} else if cap(done) == 0 {
-		panic("rpc: done channel must be buffered")
-	}
-	call.Done = done
+	call := newCall(method, payload, sc, data, done)
 	c.start(call)
 	return call
 }
 
-// GoRefSpan is GoRef for a traced call (see GoSpan).
+// GoRefSpan is GoSpan returning a generation-stamped reference instead of the
+// call: the ref is captured before the request can complete, so it is safe
+// to use for Abandon even if the response races the send and the consumer
+// has already recycled the call.
 func (c *Client) GoRefSpan(method string, payload []byte, sc trace.SpanContext, data any, done chan *Call) CallRef {
-	call := getCall()
-	call.Method, call.Payload, call.Data, call.Trace = method, payload, data, sc
-	if done == nil {
-		done = call.ownedDone()
-	} else if cap(done) == 0 {
-		panic("rpc: done channel must be buffered")
-	}
-	call.Done = done
-	return c.start(call)
+	return c.start(newCall(method, payload, sc, data, done))
 }
 
 // start registers a caller-constructed call and writes its request frame,

@@ -48,8 +48,8 @@ func TestAbandonRecycleRaceStress(t *testing.T) {
 			payload := []byte("hedge-stress")
 			for i := 0; i < iters; i++ {
 				done := make(chan *Call, 2)
-				ref1 := c.GoRef("echo", payload, nil, done)
-				ref2 := c.GoRef("echo", payload, nil, done)
+				ref1 := c.GoRefSpan("echo", payload, trace.SpanContext{}, nil, done)
+				ref2 := c.GoRefSpan("echo", payload, trace.SpanContext{}, nil, done)
 				winner := <-done
 				winnerRef := winner.Ref()
 				loser := ref1

@@ -6,7 +6,7 @@ import (
 )
 
 // Reporting and acceptance for a spec run (Run): what `musuite topo` and
-// `musuite-bench -experiment scenario -topo <spec.yaml>` print and gate on
+// `musuite bench -experiment scenario -topo <spec.yaml>` print and gate on
 // — the spec-driven generalization of the flash-crowd and overload
 // experiments, runnable against any DAG the topology runtime can build.
 

@@ -14,10 +14,6 @@ type RunOptions struct {
 	QPS float64
 	// Duration overrides the spec's offered-load window when positive.
 	Duration time.Duration
-	// Pattern overrides the spec's load pattern when non-empty.
-	Pattern string
-	// Seed overrides the spec's seed when non-zero.
-	Seed int64
 	// DrainTimeout bounds the post-window wait for stragglers.
 	DrainTimeout time.Duration
 }
@@ -44,7 +40,7 @@ func (r *RunResult) Totals() (offered, completed, errors, shed, dropped uint64) 
 
 // Run builds the spec, arms its scenario, offers its load shape at the
 // entry, and tears everything down: the one-call path behind `musuite topo`
-// and `musuite-bench -experiment scenario`.
+// and `musuite bench -experiment scenario`.
 func Run(spec *Spec, opts RunOptions) (*RunResult, error) {
 	load := spec.Load
 	if opts.QPS > 0 {
@@ -52,14 +48,6 @@ func Run(spec *Spec, opts RunOptions) (*RunResult, error) {
 	}
 	if opts.Duration > 0 {
 		load.Duration = opts.Duration
-	}
-	if opts.Pattern != "" {
-		load.Pattern = opts.Pattern
-	}
-	seed := spec.Seed
-	if opts.Seed != 0 {
-		spec.Seed = opts.Seed
-		seed = opts.Seed
 	}
 	dep, err := Build(spec, opts.Build)
 	if err != nil {
@@ -74,7 +62,7 @@ func Run(spec *Spec, opts RunOptions) (*RunResult, error) {
 
 	phases := LoadPhases(load)
 	scenario := dep.StartScenario(spec.Scenario)
-	results := loadgen.RunSchedule(client.Issue, phases, seed, opts.DrainTimeout)
+	results := loadgen.RunSchedule(client.Issue, phases, spec.Seed, opts.DrainTimeout)
 	scenario.Stop()
 	return &RunResult{Phases: results, Events: scenario.Log()}, nil
 }

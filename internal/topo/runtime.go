@@ -179,7 +179,7 @@ func (d *Deployment) buildSyntheticMid(svc *ServiceSpec) (*Service, error) {
 			for _, en := range sortedKeys(svc.Edges) {
 				e := svc.Edges[en]
 				target := d.services[e.To]
-				if err := mt.ConnectEdge(en, target.Groups, edgePolicy(e)); err != nil {
+				if err := mt.ConnectEdge(en, target.Groups, e.EdgePolicy); err != nil {
 					mt.Close()
 					s.close()
 					return nil, fmt.Errorf("topo: wiring %s.%s: %w", svc.Name, en, err)
@@ -198,22 +198,6 @@ func (d *Deployment) buildSyntheticMid(svc *ServiceSpec) (*Service, error) {
 		s.Groups = append(s.Groups, group)
 	}
 	return s, nil
-}
-
-// edgePolicy maps a spec edge to the core framework's per-edge policy.
-func edgePolicy(e *EdgeSpec) core.EdgePolicy {
-	return core.EdgePolicy{
-		Timeout: e.Timeout,
-		Tail: core.TailPolicy{
-			HedgePercentile: e.HedgePct,
-			HedgeDelay:      e.HedgeDelay,
-			LeafRetries:     e.Retries,
-		},
-		Batch: core.BatchPolicy{
-			MaxBatch: e.MaxBatch,
-			Delay:    e.BatchDelay,
-		},
-	}
 }
 
 // Service looks up a built service by name (nil if absent).

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strconv"
 	"time"
+
+	"musuite/internal/core"
 )
 
 // Spec is a parsed topology: a named DAG of services, the load shape to
@@ -67,19 +69,11 @@ type EdgeSpec struct {
 	Name string
 	// To names the target service.
 	To string
-	// Timeout bounds each fan-out on the edge (0 = wait forever).
-	Timeout time.Duration
-	// Retries is the per-call retry allowance.
-	Retries int
-	// HedgePct arms hedged requests tracking this leaf-latency percentile
-	// (0 disables hedging).
-	HedgePct float64
-	// HedgeDelay fixes the hedge delay instead of tracking the percentile.
-	HedgeDelay time.Duration
-	// MaxBatch arms cross-request batching with this carrier cap (≤1 off).
-	MaxBatch int
-	// BatchDelay fixes the batch flush delay instead of digest tracking.
-	BatchDelay time.Duration
+	// EdgePolicy is the call policy, decoded straight into the framework's
+	// own type: `timeout`, `retries` (Tail.LeafRetries), `hedge-pct`
+	// (Tail.HedgePercentile; 0 disables hedging), `hedge-delay`,
+	// `max-batch` (≤1 off) and `batch-delay` (Batch.Delay).
+	core.EdgePolicy
 }
 
 // OpSpec is one declarative operation of a synthetic mid-tier: simulated
@@ -484,19 +478,19 @@ func decodeEdge(svcPath, name string, v any) (*EdgeSpec, error) {
 	if e.Timeout, err = o.duration("timeout", 0); err != nil {
 		return nil, err
 	}
-	if e.Retries, err = o.integer("retries", 0); err != nil {
+	if e.Tail.LeafRetries, err = o.integer("retries", 0); err != nil {
 		return nil, err
 	}
-	if e.HedgePct, err = o.float("hedge-pct", 0); err != nil {
+	if e.Tail.HedgePercentile, err = o.float("hedge-pct", 0); err != nil {
 		return nil, err
 	}
-	if e.HedgeDelay, err = o.duration("hedge-delay", 0); err != nil {
+	if e.Tail.HedgeDelay, err = o.duration("hedge-delay", 0); err != nil {
 		return nil, err
 	}
-	if e.MaxBatch, err = o.integer("max-batch", 0); err != nil {
+	if e.Batch.MaxBatch, err = o.integer("max-batch", 0); err != nil {
 		return nil, err
 	}
-	if e.BatchDelay, err = o.duration("batch-delay", 0); err != nil {
+	if e.Batch.Delay, err = o.duration("batch-delay", 0); err != nil {
 		return nil, err
 	}
 	return e, o.finish()

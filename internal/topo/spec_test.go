@@ -66,7 +66,7 @@ func TestParseSpecHappyPath(t *testing.T) {
 		t.Fatalf("fe: %+v", fe)
 	}
 	e := fe.Edges["mid"]
-	if e.To != "mid" || e.Timeout != 50*time.Millisecond || e.Retries != 1 {
+	if e.To != "mid" || e.Timeout != 50*time.Millisecond || e.Tail.LeafRetries != 1 {
 		t.Fatalf("fe.mid edge: %+v", e)
 	}
 	call := s.Services["mid"].Ops["fetch"].Calls[0]

@@ -109,7 +109,7 @@ func (s *Spec) validateService(svc *ServiceSpec) error {
 		if !isSyntheticKind(target.Kind) {
 			return fmt.Errorf("topo: services.%s.edges.%s: target %q has registered kind %q, which cannot be called from a synthetic service", svc.Name, en, e.To, target.Kind)
 		}
-		if e.HedgePct < 0 || e.HedgePct >= 1 {
+		if e.Tail.HedgePercentile < 0 || e.Tail.HedgePercentile >= 1 {
 			return fmt.Errorf("topo: services.%s.edges.%s: hedge-pct must be in [0,1)", svc.Name, en)
 		}
 	}

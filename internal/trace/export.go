@@ -90,15 +90,6 @@ func (s *Span) validate() error {
 	return nil
 }
 
-// FlushFile writes r's recorded spans to path.  A nil recorder or empty
-// path is a no-op, so service mains can call it unconditionally on shutdown.
-func FlushFile(path string, r *Recorder) error {
-	if r == nil || path == "" {
-		return nil
-	}
-	return WriteFile(path, r.Snapshot())
-}
-
 // ReadSpans decodes a JSONL span stream.  Blank lines are skipped; any
 // malformed line aborts with its line number.
 func ReadSpans(r io.Reader) ([]Span, error) {

@@ -230,16 +230,6 @@ func (r *Recorder) Record(s Span) {
 	r.mu.Unlock()
 }
 
-// Len reports how many spans are held.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.spans)
-}
-
 // Dropped reports how many spans overflowed the capacity bound.
 func (r *Recorder) Dropped() uint64 {
 	if r == nil {

@@ -116,7 +116,7 @@ type Segment struct {
 }
 
 // Segments lists the record's segments in pipeline order — the one reading
-// of a stage record every consumer (the -experiment trace table, traceview)
+// of a stage record every consumer (the -experiment trace table, `musuite trace`)
 // goes through.
 func (st *Stages) Segments() [5]Segment {
 	return [5]Segment{

@@ -23,7 +23,7 @@
 //	neighbors, err := client.Search(corpus.Queries(1, 2)[0], 5)
 //
 // The experiment harness regenerates every figure of the paper's evaluation;
-// see the bench aliases below, cmd/musuite-bench, and EXPERIMENTS.md.
+// see the bench aliases below, `musuite bench`, and EXPERIMENTS.md.
 package musuite
 
 import (
@@ -54,8 +54,12 @@ import (
 // pollers, dispatch worker pools, async fan-out, and response threads.
 type (
 	// MidTierOptions configures a mid-tier tier (workers, response
-	// threads, dispatch/wait modes, telemetry probe).
+	// threads, dispatch/wait modes, telemetry probe) and embeds the
+	// EdgePolicy of its leaf fan-out.
 	MidTierOptions = core.Options
+	// EdgePolicy is one downstream edge's policy: fan-out timeout,
+	// TailPolicy, BatchPolicy, routing, connections per leaf.
+	EdgePolicy = core.EdgePolicy
 	// LeafOptions configures a leaf tier.
 	LeafOptions = core.LeafOptions
 	// DispatchMode selects dispatched or in-line request execution.
@@ -134,7 +138,7 @@ type (
 	// JumpRouting are the shipped strategies.
 	ClusterRouter = cluster.Router
 	// TopologyAdmin is the runtime admin listener a service binary exposes
-	// with -admin; TopologyAdminClient is the operator's typed handle.
+	// with ServeAdmin; TopologyAdminClient is the operator's typed handle.
 	TopologyAdmin       = cluster.AdminServer
 	TopologyAdminClient = cluster.AdminClient
 )
@@ -158,7 +162,7 @@ func ServeTopologyAdmin(t *ClusterTopology, addr string) (*TopologyAdmin, string
 	return cluster.ServeAdmin(t, addr)
 }
 
-// DialTopologyAdmin connects an operator client to a -admin listener.
+// DialTopologyAdmin connects an operator client to a ServeAdmin listener.
 func DialTopologyAdmin(addr string) (*TopologyAdminClient, error) { return cluster.DialAdmin(addr) }
 
 // --- datasets ---
@@ -365,10 +369,6 @@ func NewSpareTarget(
 ) *SpareTarget {
 	return autoscale.NewSpareTarget(stats, add, drain, spares)
 }
-
-// ParseSpareGroups parses the -autoscale-spares flag syntax
-// ("a:7001,b:7002;c:7003" — ';' between groups, ',' between replicas).
-func ParseSpareGroups(s string) [][]string { return autoscale.ParseSpareGroups(s) }
 
 // --- load generation & measurement (paper §V) ---
 

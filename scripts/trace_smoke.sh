@@ -7,7 +7,7 @@
 # for byte against the in-process deployment of the same seed and sizes (the
 # multi-process half of the tier-per-process ≡ in-process anchor), drives it
 # with `musuite load` at 1-in-1 sampling, shuts the tiers down to flush their
-# span files, and then asserts — via traceview -check — that every exported
+# span files, and then asserts — via `musuite trace -check` — that every exported
 # trace reassembles into ONE connected span tree whose critical-path segments
 # sum to the recorded end-to-end latency.  HDSearch additionally runs with
 # replicated leaves and an aggressive hedge delay so abandoned hedge losers
@@ -37,7 +37,7 @@ rm -rf "$OUT"
 mkdir -p "$BIN"
 
 echo "== building =="
-go build -o "$BIN" ./cmd/musuite ./cmd/traceview
+go build -o "$BIN" ./cmd/musuite
 
 PIDS=()
 cleanup() {
@@ -73,13 +73,13 @@ stop_stack() {
 	PIDS=()
 }
 
-# check_traces service [extra traceview flags...] — merge the per-process
+# check_traces service [extra `musuite trace` flags...] — merge the per-process
 # span files and enforce the smoke invariants.
 check_traces() {
 	local svc=$1
 	shift
 	echo "-- $svc: validating merged span files --"
-	"$BIN/traceview" -check -tolerance 10us -min-traces "$MIN_TRACES" "$@" \
+	"$BIN/musuite" trace -check -tolerance 10us -min-traces "$MIN_TRACES" "$@" \
 		"$OUT/$svc"-*.jsonl
 }
 
