@@ -3,7 +3,8 @@ GO ?= go
 .PHONY: build test short race vet fmt-check loc flake-guard bench-smoke bench-gate bench-baseline profile resize-demo trace-demo trace-smoke drain-churn autoscale-churn overload-demo ann-demo topo-demo scenario-demo ci
 
 # Gate benchmarks: TailFanout (hedging), LeafBatching (cross-request
-# coalescing), HotPathAllocs (per-call allocation budget), the leaf
+# coalescing; a leaf runs a carrier's members one by one through its one
+# handler), HotPathAllocs (per-call allocation budget), the leaf
 # compute kernels — LeafScan (SoA norm-trick scan), TopK (streaming
 # selection), IntersectBitset (dense-range posting-list intersection),
 # IVFScan/PQScan (sub-linear ANN leaf path; setup asserts recall@10 and
@@ -14,7 +15,8 @@ GO ?= go
 # armed; goodput-qps gates higher-is-better).
 # -count=5 gives `musuite gate` a mean per metric; -benchmem adds B/op and
 # allocs/op so memory regressions gate alongside latency.
-BENCH_GATE_CMD = $(GO) test -run=NONE -bench='TailFanout|LeafBatching|HotPathAllocs|LeafScan|TopK|IntersectBitset|IVFScan|PQScan|HNSWScan|OverloadGoodput' -benchtime=2s -count=5 -benchmem .
+BENCH_GATE_PATTERN = TailFanout|LeafBatching|HotPathAllocs|LeafScan|TopK|IntersectBitset|IVFScan|PQScan|HNSWScan|OverloadGoodput
+BENCH_GATE_CMD = $(GO) test -run=NONE -bench='$(BENCH_GATE_PATTERN)' -benchtime=2s -count=5 -benchmem .
 
 build:
 	$(GO) build ./...
@@ -55,6 +57,7 @@ flake-guard:
 
 bench-smoke: build
 	$(GO) run ./cmd/musuite bench -experiment tableII
+	$(GO) run ./cmd/musuite bench -experiment fig9 -services Router
 	$(GO) test -run xxx -bench 'BenchmarkTailFanout' -benchtime 200x .
 
 # Run the gate benchmarks and fail on >15% mean regression against the
@@ -75,7 +78,7 @@ bench-baseline: build
 # work.  Inspect with e.g.:  go tool pprof musuite.test profile/cpu.out
 profile: build
 	mkdir -p profile
-	$(GO) test -run=NONE -bench='TailFanout|LeafBatching|HotPathAllocs|LeafScan|TopK|IntersectBitset|IVFScan|PQScan|HNSWScan' -benchtime=2s -benchmem \
+	$(GO) test -run=NONE -bench='$(BENCH_GATE_PATTERN)' -benchtime=2s -benchmem \
 		-cpuprofile profile/cpu.out -memprofile profile/mem.out -mutexprofile profile/mutex.out .
 
 # Watch a live resize: Router serves a steady load while a leaf group is

@@ -10,6 +10,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"musuite/internal/bench"
 )
@@ -177,5 +178,12 @@ func TestSubcommandsRun(t *testing.T) {
 		} else if c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err)) {
 			t.Errorf("musuite %s %v: %v, want an error naming %q", c.cmd, c.args, err, c.err)
 		}
+	}
+	// Fig. 9 is the experiment that turns BatchPolicy.MaxBatch (no flag does):
+	// it must deploy and saturate a service under both of its modes.
+	scale := bench.SmallScale()
+	scale.SaturationWindow, scale.MaxConcurrency = 50*time.Millisecond, 4
+	if err := run("fig9", scale, bench.FrameworkMode{}, []string{"Router"}, 0, "", 0); err != nil {
+		t.Errorf("musuite bench -experiment fig9: %v", err)
 	}
 }

@@ -77,8 +77,11 @@ func TestFig9ProducesPlausibleRows(t *testing.T) {
 	if len(rows[0].Steps) == 0 {
 		t.Fatal("no probe steps recorded")
 	}
+	if rows[0].Batched <= 0 || rows[0].Occupancy < 1 {
+		t.Fatalf("batched bar: %.0f QPS at %.2f leaf calls a carrier", rows[0].Batched, rows[0].Occupancy)
+	}
 	out := RenderFig9(rows)
-	if !strings.Contains(out, "Router") {
+	if !strings.Contains(out, "Router") || !strings.Contains(out, "MaxBatch 16") {
 		t.Fatalf("render: %s", out)
 	}
 }

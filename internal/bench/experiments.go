@@ -10,48 +10,67 @@ import (
 	"musuite/internal/telemetry"
 )
 
-// Fig9Row is one bar of Fig. 9: a service's peak sustainable throughput,
+// Fig9Row is one service's bars of Fig. 9: its peak sustainable throughput,
 // averaged over the scale's configured trials as the paper averages over
-// five.
+// five, and the same with cross-request leaf batching on.
 type Fig9Row struct {
 	Service     string
 	Throughput  float64
 	RelStdDev   float64 // stddev/mean across trials (0 for one trial)
 	Concurrency int
 	Steps       []loadgen.SaturationStep
+	// Batched is the throughput under Fig9Batched, Occupancy the leaf calls a
+	// carrier held on average while it was measured.
+	Batched, Occupancy float64
 }
 
+// Fig9Batched is the mode of Fig. 9's second bar: up to 16 leaf calls bound
+// for one replica share a carrier RPC.
+var Fig9Batched = FrameworkMode{MidTier: core.Options{EdgePolicy: core.EdgePolicy{Batch: core.BatchPolicy{MaxBatch: 16}}}}
+
 // Fig9 measures saturation throughput for each service with the closed-loop
-// load generator, reproducing Fig. 9.
+// load generator, reproducing Fig. 9, and again with batching on — the
+// per-call overhead the paper characterizes, amortized.
 func Fig9(s Scale, services []string) ([]Fig9Row, error) {
-	trials := s.Trials
-	if trials < 1 {
-		trials = 1
-	}
 	var out []Fig9Row
 	for _, name := range services {
-		inst, err := StartService(name, s, FrameworkMode{})
+		row, _, err := saturate(name, s, FrameworkMode{})
 		if err != nil {
-			return nil, fmt.Errorf("fig9 %s: %w", name, err)
+			return nil, err
 		}
-		var agg stats.Trials
-		row := Fig9Row{Service: name}
-		for t := 0; t < trials; t++ {
-			res := loadgen.FindSaturation(inst.Issue, loadgen.SaturationConfig{
-				Window:         s.SaturationWindow,
-				MaxConcurrency: s.MaxConcurrency,
-			})
-			agg.Add(res.Throughput)
-			// Keep the last trial's shape details.
-			row.Concurrency = res.Concurrency
-			row.Steps = res.Steps
+		batched, st, err := saturate(name, s, Fig9Batched)
+		if err != nil {
+			return nil, err
 		}
-		inst.Close()
-		row.Throughput = agg.Mean()
-		row.RelStdDev = agg.RelStdDev()
+		row.Batched = batched.Throughput
+		row.Occupancy = float64(st.BatchMembers) / float64(max(1, st.BatchCarriers))
 		out = append(out, row)
 	}
 	return out, nil
+}
+
+// saturate measures one bar: the scale's trials of the saturation probe
+// against one deployment of the service, and the mid-tier's counters at the
+// end.
+func saturate(name string, s Scale, mode FrameworkMode) (Fig9Row, core.TierStats, error) {
+	inst, err := StartService(name, s, mode)
+	if err != nil {
+		return Fig9Row{}, core.TierStats{}, fmt.Errorf("fig9 %s: %w", name, err)
+	}
+	defer inst.Close()
+	var agg stats.Trials
+	row := Fig9Row{Service: name}
+	for t := 0; t < max(1, s.Trials); t++ {
+		res := loadgen.FindSaturation(inst.Issue, loadgen.SaturationConfig{
+			Window:         s.SaturationWindow,
+			MaxConcurrency: s.MaxConcurrency,
+		})
+		agg.Add(res.Throughput)
+		// Keep the last trial's shape details.
+		row.Concurrency, row.Steps = res.Concurrency, res.Steps
+	}
+	row.Throughput, row.RelStdDev = agg.Mean(), agg.RelStdDev()
+	return row, inst.Cluster.MidTier().Stats(), nil
 }
 
 // LoadPoint is one (service, load) measurement carrying everything Figs.

@@ -29,6 +29,7 @@ func RenderFig9(rows []Fig9Row) string {
 			fmt.Fprintf(&b, ", ±%.1f%% over trials", r.RelStdDev*100)
 		}
 		b.WriteString(")\n")
+		fmt.Fprintf(&b, "  %-11s %10.0f QPS  (MaxBatch 16: %.2fx, %.1f leaf calls a carrier)\n", "", r.Batched, r.Batched/r.Throughput, r.Occupancy)
 	}
 	b.WriteString("  paper (40-core testbed): HDSearch ~11.5K, Router ~12K, SetAlgebra ~16.5K, Recommend ~13K\n")
 	return b.String()

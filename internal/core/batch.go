@@ -12,9 +12,9 @@ import (
 // overheads the paper's §VI–§VII characterization measures one at a time).
 // A per-leaf-replica batcher coalesces outstanding calls bound for the same
 // replica into one carrier RPC, flushing on whichever comes first of
-// MaxBatch members or an adaptive delay — a small fraction of the tracked
-// leaf-latency digest, floored by MinDelay, so waiting for batch-mates
-// never costs a meaningful share of the latency it amortizes.
+// MaxBatch members or an adaptive delay — an eighth of the tracked median
+// leaf latency, floored at 20µs, so waiting for batch-mates never costs a
+// meaningful share of the latency it amortizes.
 
 // BatchPolicy configures cross-request batching of leaf RPCs.
 type BatchPolicy struct {
@@ -24,27 +24,21 @@ type BatchPolicy struct {
 	// Delay, when positive, fixes the flush delay instead of tracking the
 	// leaf-latency digest.
 	Delay time.Duration
-	// MinDelay floors the digest-tracked delay (default 20µs) so noisy
-	// early samples cannot collapse it to zero and defeat coalescing.
-	MinDelay time.Duration
-	// Percentile, in (0,1), is the leaf-latency quantile the adaptive
-	// delay follows (default 0.5, the median).
-	Percentile float64
-	// Fraction scales the tracked quantile into the flush delay (default
-	// 1/8): a batch waits at most a small slice of a typical leaf call.
-	Fraction float64
 }
 
 // enabled reports whether the policy turns batching on.
 func (b BatchPolicy) enabled() bool { return b.MaxBatch > 1 }
 
 const (
-	// defaultBatchMinDelay floors the digest-tracked flush delay.
-	defaultBatchMinDelay = 20 * time.Microsecond
-	// defaultBatchPercentile is the tracked leaf-latency quantile.
-	defaultBatchPercentile = 0.5
-	// defaultBatchFraction scales the quantile into the flush delay.
-	defaultBatchFraction = 0.125
+	// batchMinDelay floors the digest-tracked flush delay so noisy early
+	// samples cannot collapse it to zero and defeat coalescing.
+	batchMinDelay = 20 * time.Microsecond
+	// batchPercentile is the leaf-latency quantile the adaptive delay
+	// follows (the median).
+	batchPercentile = 0.5
+	// batchFraction scales the quantile into the flush delay: a batch waits
+	// at most a small slice of a typical leaf call.
+	batchFraction = 0.125
 	// batchBootstrapDelay is used until the latency digest has samples.
 	batchBootstrapDelay = 50 * time.Microsecond
 )
@@ -69,9 +63,6 @@ func (e *edge) batchDelay() time.Duration {
 	if d := e.batchDelayNs.Load(); d > 0 {
 		return time.Duration(d)
 	}
-	if d := e.policy.Batch.MinDelay; d > 0 {
-		return d
-	}
 	return batchBootstrapDelay
 }
 
@@ -84,25 +75,9 @@ func (e *edge) refreshBatchDelay() {
 	if !p.enabled() || p.Delay > 0 {
 		return
 	}
-	pct := p.Percentile
-	if pct <= 0 || pct >= 1 {
-		pct = defaultBatchPercentile
-	}
-	frac := p.Fraction
-	if frac <= 0 {
-		frac = defaultBatchFraction
-	}
-	min := p.MinDelay
-	if min <= 0 {
-		min = defaultBatchMinDelay
-	}
-	d := time.Duration(float64(e.leafLat.Quantile(pct)) * frac)
-	if d < min {
-		d = min
+	d := time.Duration(float64(e.leafLat.Quantile(batchPercentile)) * batchFraction)
+	if d < batchMinDelay {
+		d = batchMinDelay
 	}
 	e.batchDelayNs.Store(int64(d))
 }
-
-// batchDelay is the default edge's flush delay, kept under its old name for
-// in-package tests that assert the adaptive tracking.
-func (m *MidTier) batchDelay() time.Duration { return m.def.batchDelay() }

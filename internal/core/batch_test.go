@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -9,6 +11,7 @@ import (
 	"musuite/internal/kernel"
 	"musuite/internal/rpc"
 	"musuite/internal/telemetry"
+	"musuite/internal/wire"
 )
 
 // kernelTestStore is a tiny corpus for leaves that must exercise an engine.
@@ -74,6 +77,72 @@ func TestBatchingCoalescesFanout(t *testing.T) {
 	}
 	if st.BatchDelay <= 0 {
 		t.Fatalf("BatchDelay=%v, want positive while batching is enabled", st.BatchDelay)
+	}
+}
+
+// TestCarrierMembersRunOneByOne sends a leaf one carrier of three members —
+// two with the same payload around one whose handler panics — and checks what
+// running them one by one through the leaf's one handler promises: the twins
+// get equal replies, the poisoned member fails alone as a BatchItemError with
+// nothing of its partial encoding in the carrier, and all three count as
+// served.  Both ways of building a leaf are held to it.
+func TestCarrierMembersRunOneByOne(t *testing.T) {
+	builders := map[string]func() *Leaf{
+		"NewLeafEncoded": func() *Leaf {
+			return NewLeafEncoded(func(_ string, payload []byte, reply *wire.Encoder) error {
+				reply.Raw([]byte("re:"))
+				if string(payload) == "boom" {
+					panic("poisoned member")
+				}
+				reply.Raw(payload)
+				return nil
+			}, nil)
+		},
+		"NewLeaf": func() *Leaf {
+			return NewLeaf(func(_ string, payload []byte) ([]byte, error) {
+				if string(payload) == "boom" {
+					panic("poisoned member")
+				}
+				return append([]byte("re:"), payload...), nil
+			}, nil)
+		},
+	}
+	for name, build := range builders {
+		t.Run(name, func(t *testing.T) {
+			leaf := build()
+			addr, err := leaf.Start("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer leaf.Close()
+			pool, err := rpc.DialPool(addr, 1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pool.Close()
+			// Only the size bound can flush: the three members share a carrier.
+			b := rpc.NewBatcher(pool, rpc.BatcherOptions{MaxBatch: 3, Delay: func() time.Duration { return time.Hour }})
+			defer b.Close()
+			var calls [3]*rpc.Call
+			for i, payload := range []string{"same", "boom", "same"} {
+				calls[i] = b.Go("m", []byte(payload), nil, nil)
+			}
+			for _, c := range calls {
+				<-c.Done
+			}
+			for _, i := range []int{0, 2} {
+				if calls[i].Err != nil || !bytes.Equal(calls[i].Reply, []byte("re:same")) {
+					t.Fatalf("member %d: reply %q err %v, want \"re:same\"", i, calls[i].Reply, calls[i].Err)
+				}
+			}
+			var be *rpc.BatchItemError
+			if !errors.As(calls[1].Err, &be) || !strings.Contains(be.Msg, "poisoned member") {
+				t.Fatalf("panicking member got %v, want a BatchItemError naming the panic", calls[1].Err)
+			}
+			if got := leaf.Stats().Served; got != 3 {
+				t.Fatalf("leaf served %d, want 3 (every member of the carrier)", got)
+			}
+		})
 	}
 }
 
@@ -173,9 +242,9 @@ func TestBatchDisabledByDefault(t *testing.T) {
 }
 
 // TestBatchDelayAdaptsToLeafLatency checks the digest-tracked flush delay:
-// after enough slow-leaf observations it must sit at Fraction × quantile
-// rather than the bootstrap constant, and the MinDelay floor must hold when
-// leaves are fast.
+// after enough slow-leaf observations it must sit at batchFraction × the
+// median rather than the bootstrap constant, and the batchMinDelay floor must
+// hold when leaves are fast.
 func TestBatchDelayAdaptsToLeafLatency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive digest tracking")
@@ -183,7 +252,7 @@ func TestBatchDelayAdaptsToLeafLatency(t *testing.T) {
 	addrSlow, _ := startWorkLeaf(t, func() time.Duration { return 2 * time.Millisecond })
 	addr, mt := startTailMidTier(t, [][]string{{addrSlow}}, &Options{
 		Workers:    2,
-		EdgePolicy: EdgePolicy{Batch: BatchPolicy{MaxBatch: 4, Fraction: 0.25}},
+		EdgePolicy: EdgePolicy{Batch: BatchPolicy{MaxBatch: 4}},
 	}, nil)
 	c, err := rpc.Dial(addr, nil)
 	if err != nil {
@@ -197,9 +266,9 @@ func TestBatchDelayAdaptsToLeafLatency(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := mt.batchDelay()
-	// Median leaf latency ≥ 2ms, so 0.25 × p50 ≥ 500µs — far above both
-	// the bootstrap constant and the default floor.
+	got := mt.def.batchDelay()
+	// Median leaf latency ≥ 2ms, so batchFraction × p50 ≥ 250µs — far above
+	// both the bootstrap constant and the floor.
 	if got < 200*time.Microsecond {
 		t.Fatalf("adaptive delay %v did not track the 2ms leaf digest", got)
 	}
@@ -209,13 +278,13 @@ func TestBatchDelayAdaptsToLeafLatency(t *testing.T) {
 	addrFast, _ := startWorkLeaf(t, noDelay)
 	_, mtFast := startTailMidTier(t, [][]string{{addrFast}}, &Options{
 		Workers:    2,
-		EdgePolicy: EdgePolicy{Batch: BatchPolicy{MaxBatch: 4, MinDelay: 100 * time.Microsecond}},
+		EdgePolicy: EdgePolicy{Batch: BatchPolicy{MaxBatch: 4}},
 	}, nil)
 	for i := 0; i < 2*hedgeRefreshEvery; i++ {
 		mtFast.observeLeafLatency(time.Microsecond)
 	}
-	if got := mtFast.batchDelay(); got != 100*time.Microsecond {
-		t.Fatalf("floored delay = %v, want the 100µs MinDelay", got)
+	if got := mtFast.def.batchDelay(); got != batchMinDelay {
+		t.Fatalf("floored delay = %v, want the %v floor", got, batchMinDelay)
 	}
 }
 

@@ -14,28 +14,18 @@ import (
 	"musuite/internal/wire"
 )
 
-// LeafHandler computes one leaf response.  It runs on the network poller or
-// a leaf worker thread and may take the tens-to-hundreds of microseconds
-// that leaf computation (distance kernels, set intersections, kNN
-// prediction) typically costs.  The payload is valid only for the duration
-// of the call; the returned reply may alias it (the reply is copied to the
-// wire before the payload's backing storage is recycled).
-type LeafHandler func(method string, payload []byte) ([]byte, error)
-
-// EncodedLeafHandler is the allocation-free form of LeafHandler: instead of
-// returning a reply slice, the handler appends its encoded reply to a
-// pooled encoder the leaf provides (and recycles after the reply is copied
-// to the wire).  Services on the hot path implement this form so a
-// steady-state leaf response allocates nothing.
+// EncodedLeafHandler computes one leaf response, appending it to a pooled
+// encoder the leaf provides (and recycles after the reply is copied to the
+// wire), so a steady-state leaf response allocates nothing.  It runs on the
+// network poller or a leaf worker thread and may take the tens-to-hundreds of
+// microseconds that leaf computation (distance kernels, set intersections,
+// kNN prediction) typically costs.  The payload is valid only for the
+// duration of the call.
 type EncodedLeafHandler func(method string, payload []byte, reply *wire.Encoder) error
 
-// LeafBatchHandler computes a whole carrier batch at once: parallel method
-// and payload slices in, parallel reply and error slices out (same length,
-// errs[i] non-nil for a rejected item).  Services install one when the
-// computation has a vectorized form — shared decode state, per-user
-// neighborhood caching, duplicate-payload elision — that beats running the
-// scalar handler per item.
-type LeafBatchHandler func(methods []string, payloads [][]byte) ([][]byte, []error)
+// LeafHandler is the handler form that returns its reply as a slice (which
+// may alias the payload); NewLeaf adapts it to an EncodedLeafHandler.
+type LeafHandler func(method string, payload []byte) ([]byte, error)
 
 // LeafOptions configures a leaf microserver.
 type LeafOptions struct {
@@ -45,11 +35,6 @@ type LeafOptions struct {
 	Workers int
 	// Wait selects blocking (default) or polling idle workers.
 	Wait WaitMode
-	// BatchHandler, when set, executes batched carrier RPCs vectorized;
-	// otherwise batch members run through the scalar handler one by one.
-	// Either way a whole carrier is one worker task, amortizing the
-	// dispatch hand-off across its members.
-	BatchHandler LeafBatchHandler
 	// Probe receives telemetry; nil disables instrumentation.
 	Probe *telemetry.Probe
 	// Kernel configures the compute engine the leaf's handlers scan with
@@ -82,30 +67,16 @@ func EnsureLeafKernel(opts *LeafOptions) *LeafOptions {
 	return &out
 }
 
-// LeafOptionsWithBatch clones opts (nil allowed) and installs batch as the
-// BatchHandler unless the caller already set one — the hook services use to
-// default their vectorized handler while letting callers override it.
-func LeafOptionsWithBatch(opts *LeafOptions, batch LeafBatchHandler) *LeafOptions {
-	var out LeafOptions
-	if opts != nil {
-		out = *opts
-	}
-	if out.BatchHandler == nil {
-		out.BatchHandler = batch
-	}
-	return &out
-}
-
 // Leaf is a leaf microserver: an RPC server that runs each request's handler
 // — on the poller, or on a worker when more input is waiting behind the
 // request — and replies when it completes.  It serves multiple concurrent
-// requests from several mid-tier connections.
+// requests from several mid-tier connections.  A batched carrier RPC is one
+// such request: its members run one by one through the same handler into the
+// carrier reply, sharing one dispatch decision and one reply write.
 type Leaf struct {
 	server  *rpc.Server
 	workers *WorkerPool
-	handler LeafHandler
-	encoded EncodedLeafHandler
-	batch   LeafBatchHandler
+	handler EncodedLeafHandler
 	// runFn and batchFn are the worker-pool entry points, bound once so the
 	// per-request submit carries no closure.
 	runFn   func(any)
@@ -122,23 +93,18 @@ type Leaf struct {
 	closed  atomic.Bool
 }
 
-// NewLeaf creates a leaf microserver around handler.
+// NewLeaf creates a leaf microserver around a handler that returns its reply
+// as a slice, which the leaf appends to the reply encoder.
 func NewLeaf(handler LeafHandler, opts *LeafOptions) *Leaf {
-	l := newLeaf(opts)
-	l.handler = handler
-	return l
+	return NewLeafEncoded(func(method string, payload []byte, reply *wire.Encoder) error {
+		b, err := handler(method, payload)
+		reply.Raw(b)
+		return err
+	}, opts)
 }
 
-// NewLeafEncoded creates a leaf whose handler encodes replies into a pooled
-// encoder instead of returning fresh slices — the zero-allocation handler
-// form.
+// NewLeafEncoded creates a leaf microserver around handler.
 func NewLeafEncoded(handler EncodedLeafHandler, opts *LeafOptions) *Leaf {
-	l := newLeaf(opts)
-	l.encoded = handler
-	return l
-}
-
-func newLeaf(opts *LeafOptions) *Leaf {
 	var o LeafOptions
 	if opts != nil {
 		o = *opts
@@ -149,7 +115,7 @@ func newLeaf(opts *LeafOptions) *Leaf {
 	if o.counters == nil {
 		o.counters = telemetry.NewTable(o.Probe.Table())
 	}
-	l := &Leaf{batch: o.BatchHandler, counters: o.counters, spans: o.Spans}
+	l := &Leaf{handler: handler, counters: o.counters, spans: o.Spans}
 	l.runFn = l.runScalar
 	l.batchFn = l.runBatchTask
 	l.workers = NewWorkerPool(o.Workers, o.Wait, o.Probe, telemetry.OverheadActiveExe)
@@ -205,17 +171,9 @@ func (l *Leaf) onRequest(req *rpc.Request) {
 // runScalar executes one plain request.
 func (l *Leaf) runScalar(a any) {
 	req := a.(*rpc.Request)
-	var reply []byte
-	var err error
-	if l.encoded != nil {
-		e := wire.GetEncoder()
-		defer wire.PutEncoder(e)
-		if err = l.runOneEncoded(req.Method, req.Payload, e); err == nil {
-			reply = e.Bytes()
-		}
-	} else {
-		reply, err = l.runOne(req.Method, req.Payload)
-	}
+	e := wire.GetEncoder()
+	defer wire.PutEncoder(e)
+	err := l.runOne(req.Method, req.Payload, e)
 	// Counted before the reply is handed to the wire — the TierStats
 	// contract: a counter is visible no later than the reply it describes.
 	// The handler stops counting as running at the same point, so the
@@ -225,7 +183,7 @@ func (l *Leaf) runScalar(a any) {
 	if err != nil {
 		req.ReplyError(err)
 	} else {
-		req.Reply(reply)
+		req.Reply(e.Bytes())
 	}
 	l.recordServerSpan(req.TraceContext(), req.Method, req, err, false)
 }
@@ -299,8 +257,16 @@ func (l *Leaf) runBatchTask(a any) {
 		req.ReplyError(err)
 		return
 	}
-	enc := wire.GetEncoder()
-	l.appendBatchReplies(enc, sc)
+	// Each member is encoded on its own so a handler that fails or panics
+	// part-way leaves nothing of itself in the carrier reply.
+	enc, member := wire.GetEncoder(), wire.GetEncoder()
+	rpc.AppendBatchReplyHeader(enc, len(sc.methods))
+	for i := range sc.methods {
+		member.Reset()
+		err := l.runOne(sc.methods[i], sc.payloads[i], member)
+		rpc.AppendBatchReplyItem(enc, member.Bytes(), err)
+	}
+	wire.PutEncoder(member)
 	l.counters.Add(telemetry.TierServed, uint64(len(sc.methods)))
 	l.running.Add(-1)
 	req.Reply(enc.Bytes())
@@ -315,85 +281,14 @@ func (l *Leaf) runBatchTask(a any) {
 	}
 }
 
-// appendBatchReplies runs every member and streams the carrier reply into
-// enc.  Vectorized handlers run as before; scalar members (encoded or
-// legacy) are encoded straight into the carrier so no per-member reply
-// slice survives the loop.  A scalar panic fails only its item; a
-// vectorized panic (or a mis-shaped result) fails every member
-// individually — never re-executed scalar, since the vectorized run may
-// already have had effects, and never a carrier-level error, which the
-// mid-tier would misread as a retryable transport failure.
-func (l *Leaf) appendBatchReplies(enc *wire.Encoder, sc *batchScratch) {
-	n := len(sc.methods)
-	if l.batch != nil {
-		replies, errs, ok := l.runVectorized(sc.methods, sc.payloads)
-		if ok {
-			rpc.AppendBatchReply(enc, replies, errs)
-			return
-		}
-		rpc.AppendBatchReplyHeader(enc, n)
-		for i := 0; i < n; i++ {
-			rpc.AppendBatchReplyItem(enc, nil, errVectorizedBatch)
-		}
-		return
-	}
-	rpc.AppendBatchReplyHeader(enc, n)
-	if l.encoded != nil {
-		member := wire.GetEncoder()
-		for i := range sc.methods {
-			member.Reset()
-			if err := l.runOneEncoded(sc.methods[i], sc.payloads[i], member); err != nil {
-				rpc.AppendBatchReplyItem(enc, nil, err)
-			} else {
-				rpc.AppendBatchReplyItem(enc, member.Bytes(), nil)
-			}
-		}
-		wire.PutEncoder(member)
-		return
-	}
-	for i := range sc.methods {
-		reply, err := l.runOne(sc.methods[i], sc.payloads[i])
-		rpc.AppendBatchReplyItem(enc, reply, err)
-	}
-}
-
-// errVectorizedBatch marks members of a batch whose vectorized handler
-// panicked or returned mis-shaped results.
-var errVectorizedBatch = errors.New("leaf batch handler failed")
-
-// runVectorized guards the vectorized handler; ok is false on panic or a
-// result whose shape does not match the input.
-func (l *Leaf) runVectorized(methods []string, payloads [][]byte) (replies [][]byte, errs []error, ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			replies, errs, ok = nil, nil, false
-		}
-	}()
-	replies, errs = l.batch(methods, payloads)
-	if len(replies) != len(methods) || len(errs) != len(methods) {
-		return nil, nil, false
-	}
-	return replies, errs, true
-}
-
-// runOne guards one scalar execution (a plain request or a batch member).
-func (l *Leaf) runOne(method string, payload []byte) (reply []byte, err error) {
+// runOne guards one execution of the handler (a plain request or a batch
+// member).  On an error or a panic e may hold a partial encoding; callers
+// must discard it.
+func (l *Leaf) runOne(method string, payload []byte, e *wire.Encoder) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("leaf handler panic: %v", r)
 		}
 	}()
-	return l.handler(method, payload)
-}
-
-// runOneEncoded guards one encoded scalar execution (a plain request or a
-// batch member).  On panic e may hold a partial encoding; callers must
-// discard it.
-func (l *Leaf) runOneEncoded(method string, payload []byte, e *wire.Encoder) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("leaf handler panic: %v", r)
-		}
-	}()
-	return l.encoded(method, payload, e)
+	return l.handler(method, payload, e)
 }

@@ -87,7 +87,7 @@ func (e *Engine) account(points int, start time.Time) {
 
 // useSIMD is set by per-arch init when the CPU has a vector dot kernel
 // (AVX2+FMA on amd64).  All tuned engine paths go through the same dot8, so
-// which kernel runs never affects serial/parallel/tile equivalence.
+// which kernel runs never affects serial/parallel equivalence.
 var useSIMD bool
 
 // dot8 is the one inner loop every tuned distance reduces to under the norm
@@ -196,7 +196,7 @@ func dotGeneric(a, b []float32) float32 {
 }
 
 // normDist is the per-(query, point) distance every engine path shares —
-// serial, parallel, and tiled scans therefore produce bit-identical floats.
+// serial and parallel scans therefore produce bit-identical floats.
 // The clamp absorbs the small negative results cancellation can produce for
 // near-duplicate points.
 func normDist(q []float32, qn float32, row []float32, rowNorm float32) float32 {
@@ -215,7 +215,7 @@ func normFinish(qn, rowNorm, dot float32) float32 {
 // --- scratch pooling ---
 
 // scanScratch recycles the per-worker heaps of one scan.  heaps is sized
-// par (or par×queries for the tile kernel) and reused across requests.
+// par and reused across requests.
 type scanScratch struct {
 	heaps []TopK
 }
@@ -462,8 +462,6 @@ func scanRowSetRange(s *Store, q []float32, qn float32, set RowSet, top *TopK) {
 	scoreBlock(s, q, qn, blk[:n], dist[:n], top)
 }
 
-// --- multi-query tile scan ---
-
 // --- cosine neighborhoods (Recommend) ---
 
 // cosineDist returns 1 − cosine similarity in the engine's float32 path;
@@ -533,63 +531,4 @@ func (e *Engine) CosineNeighbors(s *Store, row int, include []bool, k int, dst [
 	scanScratches.Put(sc)
 	e.account(s.n, start)
 	return dst, nil
-}
-
-// CosineNeighborsMulti runs CosineNeighbors for several query rows with the
-// tile kernel — the batched-carrier form PredictBatch feeds with its
-// distinct users.
-func (e *Engine) CosineNeighborsMulti(s *Store, rows []int, include []bool, k int) ([][]knn.Neighbor, error) {
-	e = e.orDefault()
-	nq := len(rows)
-	if nq == 0 {
-		return nil, nil
-	}
-	for _, r := range rows {
-		if r < 0 || r >= s.n {
-			return nil, vec.ErrDimensionMismatch
-		}
-	}
-	if e.scalar || nq == 1 {
-		out := make([][]knn.Neighbor, nq)
-		var err error
-		for qi, r := range rows {
-			out[qi], err = e.CosineNeighbors(s, r, include, k, nil)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-	start := time.Now()
-	sc := getScratch(e.par*nq, k)
-	parallelFor(e.par, s.n, func(w, lo, hi int) {
-		heaps := sc.heaps[w*nq : (w+1)*nq]
-		for i := lo; i < hi; i++ {
-			if include != nil && !include[i] {
-				continue
-			}
-			p := s.Row(i)
-			pn := s.norms[i]
-			for qi, r := range rows {
-				if i == r {
-					continue
-				}
-				d := cosineDist(s.Row(r), s.norms[r], p, pn)
-				top := &heaps[qi]
-				if d <= top.Threshold() {
-					top.Consider(uint32(i), d)
-				}
-			}
-		}
-	})
-	out := make([][]knn.Neighbor, nq)
-	for qi := 0; qi < nq; qi++ {
-		for w := 1; w < e.par; w++ {
-			sc.heaps[qi].Merge(&sc.heaps[w*nq+qi])
-		}
-		out[qi] = sc.heaps[qi].AppendSorted(nil)
-	}
-	scanScratches.Put(sc)
-	e.account(s.n*nq, start)
-	return out, nil
 }

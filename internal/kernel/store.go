@@ -1,8 +1,7 @@
 // Package kernel is the leaf compute engine: flat structure-of-arrays
 // vector stores, norm-trick dot-product distance kernels with 8-way unrolled
-// inner loops, a multi-query × point-block tile kernel for batched requests,
-// and an intra-request index-stealing parallel scan with per-worker bounded
-// top-k heaps.  It is the software analog of the paper's SIMD-accelerated
+// inner loops, and an intra-request index-stealing parallel scan with
+// per-worker bounded top-k heaps.  It is the software analog of the paper's SIMD-accelerated
 // HDSearch distance kernel: once RPC overheads are tamed (PRs 1–3), leaf
 // compute dominates service time, and this package makes that compute cache-
 // and core-shaped.

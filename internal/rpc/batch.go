@@ -21,31 +21,12 @@ import (
 // BatchMethod is the reserved method name of a batched carrier RPC.
 const BatchMethod = "rpc.batch"
 
-// BatchItem is one member request inside a carrier payload.
-type BatchItem struct {
-	Method  string
-	Payload []byte
-	// Trace is the member's client-span context.  When any member of a
-	// carrier is sampled, the carrier encodes a per-member span-context
-	// header so each member keeps its own identity across the batch.
-	Trace trace.SpanContext
-}
-
 // Carrier flag bits (one flags byte follows the member count).
 const (
 	// batchMemberTraced — every member is prefixed with a span-context
 	// header (trace ID, span ID, parent ID, flags).
 	batchMemberTraced uint8 = 1 << 0
 )
-
-func anyMemberTraced(items []BatchItem) bool {
-	for i := range items {
-		if items[i].Trace.Sampled() {
-			return true
-		}
-	}
-	return false
-}
 
 func encodeMemberContext(enc *wire.Encoder, sc trace.SpanContext) {
 	enc.Uint64(sc.TraceID)
@@ -81,55 +62,27 @@ type BatchItemError struct {
 
 func (e *BatchItemError) Error() string { return "rpc: batch item error: " + e.Msg }
 
-// EncodeBatch encodes member requests into a carrier payload.  Layout:
-// uvarint count | u8 flags | members, each optionally prefixed with a
-// span-context header when the batchMemberTraced flag is set.
-func EncodeBatch(items []BatchItem) []byte {
-	size := 9
-	for i := range items {
-		size += len(items[i].Method) + len(items[i].Payload) + 8
-	}
+// appendBatch encodes members into a carrier payload.  Layout: uvarint
+// count | u8 flags | members, each (method, payload) prefixed with a
+// span-context header when any member is sampled (batchMemberTraced), so
+// each member keeps its own identity across the batch.
+func appendBatch(enc *wire.Encoder, members []*Call) {
 	var flags uint8
-	if anyMemberTraced(items) {
-		flags |= batchMemberTraced
-		size += 25 * len(items)
+	for _, m := range members {
+		if m.Trace.Sampled() {
+			flags |= batchMemberTraced
+			break
+		}
 	}
-	enc := wire.NewEncoder(size)
-	enc.Uvarint(uint64(len(items)))
+	enc.Uvarint(uint64(len(members)))
 	enc.Uint8(flags)
-	for i := range items {
+	for _, m := range members {
 		if flags&batchMemberTraced != 0 {
-			encodeMemberContext(enc, items[i].Trace)
+			encodeMemberContext(enc, m.Trace)
 		}
-		enc.String(items[i].Method)
-		enc.BytesField(items[i].Payload)
+		enc.String(m.Method)
+		enc.BytesField(m.Payload)
 	}
-	return enc.Bytes()
-}
-
-// DecodeBatch decodes a carrier payload into its member requests.
-func DecodeBatch(b []byte) ([]BatchItem, error) {
-	dec := wire.NewDecoder(b)
-	n := int(dec.Uvarint())
-	flags := dec.Uint8()
-	if err := dec.Err(); err != nil {
-		return nil, err
-	}
-	if n < 0 || n > wire.MaxSliceLen {
-		return nil, wire.ErrTooLarge
-	}
-	items := make([]BatchItem, n)
-	for i := range items {
-		if flags&batchMemberTraced != 0 {
-			items[i].Trace = decodeMemberContext(dec)
-		}
-		items[i].Method = dec.String()
-		items[i].Payload = dec.BytesField()
-	}
-	if err := dec.Err(); err != nil {
-		return nil, err
-	}
-	return items, nil
 }
 
 // DecodeBatchInto decodes a carrier payload into parallel
@@ -139,7 +92,8 @@ func DecodeBatch(b []byte) ([]BatchItem, error) {
 // SpanContext for untraced carriers.  Payloads are views into b, valid
 // only while b is.  Method names are interned against the previous
 // item — a fan-out's carrier typically repeats one method, so in steady
-// state decoding a whole batch allocates nothing.
+// state decoding a whole batch allocates nothing.  A payload that claims
+// more members than it has bytes is rejected before anything is sized from it.
 func DecodeBatchInto(b []byte, methods []string, payloads [][]byte, spans []trace.SpanContext) ([]string, [][]byte, []trace.SpanContext, error) {
 	dec := wire.NewDecoder(b)
 	n := int(dec.Uvarint())
@@ -147,10 +101,10 @@ func DecodeBatchInto(b []byte, methods []string, payloads [][]byte, spans []trac
 	if err := dec.Err(); err != nil {
 		return methods, payloads, spans, err
 	}
-	if n < 0 || n > wire.MaxSliceLen {
+	if n < 0 || n > dec.Remaining() {
 		return methods, payloads, spans, wire.ErrTooLarge
 	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && dec.Err() == nil; i++ {
 		if flags&batchMemberTraced != 0 {
 			spans = append(spans, decodeMemberContext(dec))
 		} else {
@@ -190,56 +144,36 @@ func AppendBatchReplyItem(enc *wire.Encoder, reply []byte, err error) {
 	}
 }
 
-// AppendBatchReply encodes per-item results into enc — the pooled-encoder
-// form of EncodeBatchReply.  replies[i] is encoded when errs[i] is nil, the
-// error text otherwise; the two slices are parallel to the decoded request
-// items.
-func AppendBatchReply(enc *wire.Encoder, replies [][]byte, errs []error) {
-	AppendBatchReplyHeader(enc, len(replies))
-	for i := range replies {
-		AppendBatchReplyItem(enc, replies[i], errs[i])
-	}
-}
-
-// EncodeBatchReply encodes per-item results into a carrier reply.
-func EncodeBatchReply(replies [][]byte, errs []error) []byte {
-	size := 8
-	for i := range replies {
-		size += len(replies[i]) + 8
-	}
-	enc := wire.NewEncoder(size)
-	AppendBatchReply(enc, replies, errs)
-	return enc.Bytes()
-}
-
-// DecodeBatchReply decodes a carrier reply, expecting exactly want items.
-// errs[i] is a *BatchItemError for items the leaf rejected; the outer error
-// reports a malformed reply (a transport-class failure for the whole batch).
-func DecodeBatchReply(b []byte, want int) (replies [][]byte, errs []error, err error) {
-	dec := wire.NewDecoder(b)
-	n := int(dec.Uvarint())
-	if err := dec.Err(); err != nil {
-		return nil, nil, err
+// beginBatchReply positions d at the first item of a carrier reply that must
+// carry exactly want items; anything else is a malformed reply (a
+// transport-class failure for the whole batch).
+func beginBatchReply(d *wire.Decoder, b []byte, want int) error {
+	d.Reset(b)
+	n := int(d.Uvarint())
+	if err := d.Err(); err != nil {
+		return err
 	}
 	if n != want {
-		return nil, nil, fmt.Errorf("rpc: batch reply carries %d items, want %d", n, want)
+		return fmt.Errorf("rpc: batch reply carries %d items, want %d", n, want)
 	}
-	replies = make([][]byte, n)
-	errs = make([]error, n)
-	for i := 0; i < n; i++ {
-		switch dec.Uint8() {
-		case batchOK:
-			replies[i] = dec.BytesField()
-		case batchErr:
-			errs[i] = &BatchItemError{Msg: dec.String()}
-		default:
-			return nil, nil, fmt.Errorf("rpc: batch reply item %d: unknown status", i)
-		}
+	return nil
+}
+
+// nextBatchReplyItem decodes item i: its reply, a view into the carrier
+// reply, or its error — a *BatchItemError for an item the leaf rejected.
+func nextBatchReplyItem(d *wire.Decoder, i int) (view []byte, err error) {
+	switch d.Uint8() {
+	case batchOK:
+		view = d.BytesView()
+	case batchErr:
+		err = &BatchItemError{Msg: d.String()}
+	default:
+		err = fmt.Errorf("rpc: batch reply item %d: unknown status", i)
 	}
-	if err := dec.Err(); err != nil {
-		return nil, nil, err
+	if derr := d.Err(); derr != nil {
+		return nil, derr
 	}
-	return replies, errs, nil
+	return view, err
 }
 
 // BatcherOptions configures a Batcher.
@@ -379,12 +313,6 @@ func (b *Batcher) deadlineFlush(gen uint64) {
 	b.send(members, telemetry.BatchFlushDeadline)
 }
 
-// Abandon cancels a batched call.  Valid only while the caller still owns
-// the call; prefer AbandonRef when its consumer may recycle it concurrently.
-func (b *Batcher) Abandon(call *Call) {
-	b.AbandonRef(call.Ref())
-}
-
 // AbandonRef cancels the referenced member if its generation is still
 // current.  A still-queued member is removed (and recycled) before it is
 // ever sent; a member already in flight is marked cancelled so the
@@ -459,23 +387,8 @@ func (b *Batcher) send(members []*Call, cause telemetry.Counter) {
 		b.pool.Pick().start(call)
 		return
 	}
-	var flags uint8
-	for _, m := range live {
-		if m.Trace.Sampled() {
-			flags |= batchMemberTraced
-			break
-		}
-	}
 	enc := wire.GetEncoder()
-	enc.Uvarint(uint64(len(live)))
-	enc.Uint8(flags)
-	for _, m := range live {
-		if flags&batchMemberTraced != 0 {
-			encodeMemberContext(enc, m.Trace)
-		}
-		enc.String(m.Method)
-		enc.BytesField(m.Payload)
-	}
+	appendBatch(enc, live)
 	carrier := getCall()
 	carrier.Method = BatchMethod
 	carrier.Payload = enc.Bytes()
@@ -495,7 +408,15 @@ func (b *Batcher) demux(members []*Call, carrier *Call) {
 	if received.IsZero() {
 		received = time.Now()
 	}
-	failAll := func(err error) {
+	// A whole-carrier failure — a transport- or server-level error, or a
+	// malformed reply — leaves every member's fate unknown: each fails with
+	// that error so per-item retry policy sees its true class.
+	var d wire.Decoder
+	err := carrier.Err
+	if err == nil {
+		err = beginBatchReply(&d, carrier.Reply, len(members))
+	}
+	if err != nil {
 		for _, m := range members {
 			if m.isCancelled() {
 				m.Release()
@@ -505,46 +426,13 @@ func (b *Batcher) demux(members []*Call, carrier *Call) {
 			m.Received = received
 			b.complete(m)
 		}
-	}
-	if carrier.Err != nil {
-		// Whole-carrier failure: a transport- or server-level error with
-		// every member's fate unknown.  Each member fails with the
-		// carrier's error so per-item retry policy sees its true class.
-		failAll(carrier.Err)
-		carrier.Release()
-		putMemberSlice(members)
-		return
-	}
-	var d wire.Decoder
-	d.Reset(carrier.Reply)
-	n := int(d.Uvarint())
-	if err := d.Err(); err != nil {
-		failAll(err)
-		carrier.Release()
-		putMemberSlice(members)
-		return
-	}
-	if n != len(members) {
-		failAll(fmt.Errorf("rpc: batch reply carries %d items, want %d", n, len(members)))
 		carrier.Release()
 		putMemberSlice(members)
 		return
 	}
 	cbuf := carrier.TakeReplyBuf()
 	for i, m := range members {
-		var view []byte
-		var merr error
-		switch d.Uint8() {
-		case batchOK:
-			view = d.BytesView()
-		case batchErr:
-			merr = &BatchItemError{Msg: d.String()}
-		default:
-			merr = fmt.Errorf("rpc: batch reply item %d: unknown status", i)
-		}
-		if err := d.Err(); err != nil {
-			merr, view = err, nil
-		}
+		view, merr := nextBatchReplyItem(&d, i)
 		if m.isCancelled() {
 			m.Release()
 			continue

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -9,64 +10,190 @@ import (
 	"time"
 
 	"musuite/internal/telemetry"
+	"musuite/internal/trace"
+	"musuite/internal/wire"
 )
 
 // --- carrier codec ---
 
+// encodeCarrier is what Batcher.send puts on the wire for members.
+func encodeCarrier(members ...*Call) []byte {
+	enc := wire.NewEncoder(0)
+	appendBatch(enc, members)
+	return enc.Bytes()
+}
+
+// replyItem is one slot of a carrier reply: a payload or an error text.
+type replyItem struct {
+	reply []byte
+	err   error
+}
+
+// encodeCarrierReply is what a leaf answers a carrier with.
+func encodeCarrierReply(items ...replyItem) []byte {
+	enc := wire.NewEncoder(0)
+	AppendBatchReplyHeader(enc, len(items))
+	for _, it := range items {
+		AppendBatchReplyItem(enc, it.reply, it.err)
+	}
+	return enc.Bytes()
+}
+
+// decodeCarrierReply is Batcher.demux's walk over a carrier reply.
+func decodeCarrierReply(b []byte, want int) ([]replyItem, error) {
+	var d wire.Decoder
+	if err := beginBatchReply(&d, b, want); err != nil {
+		return nil, err
+	}
+	items := make([]replyItem, want)
+	for i := range items {
+		items[i].reply, items[i].err = nextBatchReplyItem(&d, i)
+	}
+	return items, nil
+}
+
 func TestBatchCodecRoundTrip(t *testing.T) {
-	items := []BatchItem{
+	members := []*Call{
 		{Method: "a.one", Payload: []byte("hello")},
 		{Method: "b.two", Payload: nil},
 		{Method: "c.three", Payload: bytes.Repeat([]byte{0xAB}, 300)},
 	}
-	got, err := DecodeBatch(EncodeBatch(items))
+	methods, payloads, spans, err := DecodeBatchInto(encodeCarrier(members...), nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(items) {
-		t.Fatalf("decoded %d items, want %d", len(got), len(items))
+	if len(methods) != len(members) || len(payloads) != len(members) || len(spans) != len(members) {
+		t.Fatalf("decoded %d/%d/%d items, want %d", len(methods), len(payloads), len(spans), len(members))
 	}
-	for i := range items {
-		if got[i].Method != items[i].Method || !bytes.Equal(got[i].Payload, items[i].Payload) {
-			t.Fatalf("item %d: got %q/%q want %q/%q",
-				i, got[i].Method, got[i].Payload, items[i].Method, items[i].Payload)
+	for i, m := range members {
+		if methods[i] != m.Method || !bytes.Equal(payloads[i], m.Payload) {
+			t.Fatalf("item %d: got %q/%q want %q/%q", i, methods[i], payloads[i], m.Method, m.Payload)
+		}
+		if spans[i] != (trace.SpanContext{}) {
+			t.Fatalf("item %d of an untraced carrier decoded span context %+v", i, spans[i])
 		}
 	}
 }
 
+// garbageCarriers are payloads DecodeBatchInto must reject: an absurd member
+// count, and a count the bytes behind it cannot hold.
+var garbageCarriers = [][]byte{
+	{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01},
+	{3, 'x'},
+}
+
 func TestBatchDecodeRejectsGarbage(t *testing.T) {
-	if _, err := DecodeBatch([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}); err == nil {
-		t.Fatal("absurd item count accepted")
-	}
-	if _, err := DecodeBatch([]byte{3, 'x'}); err == nil {
-		t.Fatal("truncated batch accepted")
+	for _, b := range garbageCarriers {
+		if _, _, _, err := DecodeBatchInto(b, nil, nil, nil); err == nil {
+			t.Fatalf("garbage carrier % x accepted", b)
+		}
 	}
 }
 
 func TestBatchReplyPerItemStatus(t *testing.T) {
-	replies := [][]byte{[]byte("ok-0"), nil, []byte("ok-2")}
-	errs := []error{nil, errors.New("poisoned"), nil}
-	gotReplies, gotErrs, err := DecodeBatchReply(EncodeBatchReply(replies, errs), 3)
+	b := encodeCarrierReply(replyItem{reply: []byte("ok-0")}, replyItem{err: errors.New("poisoned")}, replyItem{reply: []byte("ok-2")})
+	got, err := decodeCarrierReply(b, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(gotReplies[0], replies[0]) || !bytes.Equal(gotReplies[2], replies[2]) {
-		t.Fatalf("ok replies corrupted: %q %q", gotReplies[0], gotReplies[2])
+	if !bytes.Equal(got[0].reply, []byte("ok-0")) || !bytes.Equal(got[2].reply, []byte("ok-2")) {
+		t.Fatalf("ok replies corrupted: %q %q", got[0].reply, got[2].reply)
 	}
-	if gotErrs[0] != nil || gotErrs[2] != nil {
-		t.Fatalf("ok items carry errors: %v %v", gotErrs[0], gotErrs[2])
+	if got[0].err != nil || got[2].err != nil {
+		t.Fatalf("ok items carry errors: %v %v", got[0].err, got[2].err)
 	}
 	var be *BatchItemError
-	if !errors.As(gotErrs[1], &be) || be.Msg != "poisoned" {
-		t.Fatalf("failed item decoded as %v, want BatchItemError(poisoned)", gotErrs[1])
+	if !errors.As(got[1].err, &be) || be.Msg != "poisoned" {
+		t.Fatalf("failed item decoded as %v, want BatchItemError(poisoned)", got[1].err)
 	}
 }
 
 func TestBatchReplyCountMismatch(t *testing.T) {
-	b := EncodeBatchReply([][]byte{nil}, []error{nil})
-	if _, _, err := DecodeBatchReply(b, 2); err == nil {
+	if _, err := decodeCarrierReply(encodeCarrierReply(replyItem{}), 2); err == nil {
 		t.Fatal("count mismatch accepted")
 	}
+}
+
+// goldenCarrier is a fixed three-member batch — one traced member, one with
+// an empty payload, one the leaf fails — and the bytes PR 28's codec put on
+// the wire for it in each direction.  The format is shared by every mid-tier
+// and leaf of a deployment, so it may not drift.
+var goldenCarrier = struct {
+	members        []*Call
+	replies        []replyItem
+	request, reply string
+}{
+	members: []*Call{
+		{Method: "svc.get", Payload: []byte("key-1"), Trace: trace.SpanContext{TraceID: 0x0102030405060708, SpanID: 0x1112131415161718, ParentID: 0x2122232425262728, Flags: trace.FlagSampled}},
+		{Method: "svc.get", Payload: nil},
+		{Method: "svc.set", Payload: []byte{0x00, 0xFF, 0x7F}},
+	},
+	replies: []replyItem{
+		{reply: []byte("value-1")},
+		{reply: []byte{}},
+		{err: errors.New("no such key")},
+	},
+	request: "030108070605040302011817161514131211282726252423222101" +
+		"077376632e676574056b65792d31" +
+		"00000000000000000000000000000000000000000000000000" + "077376632e67657400" +
+		"00000000000000000000000000000000000000000000000000" + "077376632e7365740300ff7f",
+	reply: "03" + "000776616c75652d31" + "0000" + "010b6e6f2073756368206b6579",
+}
+
+func TestBatchCarrierGolden(t *testing.T) {
+	g := goldenCarrier
+	req := encodeCarrier(g.members...)
+	if got := hex.EncodeToString(req); got != g.request {
+		t.Fatalf("carrier request bytes\n got %s\nwant %s", got, g.request)
+	}
+	methods, payloads, spans, err := DecodeBatchInto(req, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range g.members {
+		if methods[i] != m.Method || !bytes.Equal(payloads[i], m.Payload) || spans[i] != m.Trace {
+			t.Fatalf("member %d decoded as %q/%q/%+v, want %q/%q/%+v",
+				i, methods[i], payloads[i], spans[i], m.Method, m.Payload, m.Trace)
+		}
+	}
+	reply := encodeCarrierReply(g.replies...)
+	if got := hex.EncodeToString(reply); got != g.reply {
+		t.Fatalf("carrier reply bytes\n got %s\nwant %s", got, g.reply)
+	}
+	items, err := decodeCarrierReply(reply, len(g.replies))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range g.replies {
+		if want.err != nil {
+			var be *BatchItemError
+			if !errors.As(items[i].err, &be) || be.Msg != want.err.Error() {
+				t.Fatalf("item %d decoded as %v, want BatchItemError(%v)", i, items[i].err, want.err)
+			}
+		} else if items[i].err != nil || !bytes.Equal(items[i].reply, want.reply) {
+			t.Fatalf("item %d decoded as %q/%v, want %q", i, items[i].reply, items[i].err, want.reply)
+		}
+	}
+}
+
+// FuzzDecodeBatchInto: a carrier payload arrives from the network, so the
+// decoder may reject it but never panic, and never size its result from a
+// count the payload's bytes cannot back.
+func FuzzDecodeBatchInto(f *testing.F) {
+	golden, _ := hex.DecodeString(goldenCarrier.request)
+	f.Add(golden)
+	for _, b := range garbageCarriers {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		methods, payloads, spans, err := DecodeBatchInto(b, nil, nil, nil)
+		if len(methods) > len(b) || len(payloads) > len(b) || len(spans) > len(b) {
+			t.Fatalf("%d-byte payload decoded into %d/%d/%d members", len(b), len(methods), len(payloads), len(spans))
+		}
+		if err == nil && (len(methods) != len(payloads) || len(methods) != len(spans)) {
+			t.Fatalf("accepted payload decoded into %d/%d/%d members", len(methods), len(payloads), len(spans))
+		}
+	})
 }
 
 func TestClassifyBatchItemError(t *testing.T) {
@@ -97,21 +224,20 @@ func batchEchoServer(t *testing.T) (addr string, carriers, plains *atomic.Uint64
 			return
 		}
 		carriers.Add(1)
-		items, err := DecodeBatch(req.Payload)
+		_, payloads, _, err := DecodeBatchInto(req.Payload, nil, nil, nil)
 		if err != nil {
 			req.ReplyError(err)
 			return
 		}
-		replies := make([][]byte, len(items))
-		errs := make([]error, len(items))
-		for i, it := range items {
-			if string(it.Payload) == "bad" {
-				errs[i] = errors.New("poisoned item")
+		items := make([]replyItem, len(payloads))
+		for i, p := range payloads {
+			if string(p) == "bad" {
+				items[i].err = errors.New("poisoned item")
 			} else {
-				replies[i] = it.Payload
+				items[i].reply = p
 			}
 		}
-		req.Reply(EncodeBatchReply(replies, errs))
+		req.Reply(encodeCarrierReply(items...))
 	}, nil)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
@@ -282,7 +408,7 @@ func TestBatcherAbandonQueuedMember(t *testing.T) {
 	})
 	keep := b.Go("echo", []byte("keep"), nil, nil)
 	drop := b.Go("echo", []byte("drop"), nil, nil)
-	b.Abandon(drop)
+	b.AbandonRef(drop.Ref())
 	waitCalls(t, []*Call{keep})
 	if keep.Err != nil || !bytes.Equal(keep.Reply, []byte("keep")) {
 		t.Fatalf("survivor reply %q err %v", keep.Reply, keep.Err)

@@ -219,49 +219,6 @@ func (lm *LeafModel) predictWith(neighbors []knn.Neighbor, user, item int) float
 	return clamp(rating)
 }
 
-// PredictBatch predicts many {user, item} pairs (parallel slices), running
-// each distinct user's neighborhood scan once no matter how many pairs of
-// the batch share the user — and all distinct users' scans through the
-// engine's multi-query tile kernel, so the batch shares each factor row's
-// memory traffic (the multi-pair form a batched carrier unlocks).
-func (lm *LeafModel) PredictBatch(users, items []int) ([]float64, []bool) {
-	ratings := make([]float64, len(users))
-	oks := make([]bool, len(users))
-	// Gather the distinct rateable users in first-seen order.
-	hoods := make(map[int][]knn.Neighbor)
-	distinct := make([]int, 0, len(users))
-	for i := range users {
-		user := users[i]
-		if !lm.canRate(user, items[i]) {
-			continue
-		}
-		if _, seen := hoods[user]; !seen {
-			hoods[user] = nil
-			distinct = append(distinct, user)
-		}
-	}
-	if len(distinct) > 0 {
-		if multi, err := lm.engine().CosineNeighborsMulti(lm.users, distinct, lm.userKnown, lm.neighbors); err == nil {
-			for j, user := range distinct {
-				hoods[user] = multi[j]
-			}
-		} else {
-			for _, user := range distinct {
-				hoods[user] = lm.neighborhood(user)
-			}
-		}
-	}
-	for i := range users {
-		user, item := users[i], items[i]
-		if !lm.canRate(user, item) {
-			continue
-		}
-		ratings[i] = lm.predictWith(hoods[user], user, item)
-		oks[i] = true
-	}
-	return ratings, oks
-}
-
 // DirectPredict is the pure factor-model prediction, exposed for the
 // neighborhood-vs-direct ablation.
 func (lm *LeafModel) DirectPredict(user, item int) (float64, bool) {
@@ -288,14 +245,12 @@ func clamp(r float64) float64 {
 }
 
 // NewLeaf builds the Recommend leaf microservice over a trained model.  The
-// scalar handler uses the encoded form, streaming each prediction into the
-// leaf's pooled reply encoder; batched carriers take the multi-pair
-// prediction path, where predictions sharing a user reuse one neighborhood
-// scan (PredictBatch).  The leaf and model share one compute engine: the
-// options' engine configuration (else the one the model was trained with,
-// else the default), bound by EnsureLeafKernel to the leaf's counter table,
-// so the serving-time neighborhood scans feed the leaf's TierStats kernel
-// counters either way.
+// handler streams each prediction into the leaf's pooled reply encoder, for
+// a plain request and a member of a batched carrier alike.  The leaf and
+// model share one compute engine: the options' engine configuration (else the
+// one the model was trained with, else the default), bound by
+// EnsureLeafKernel to the leaf's counter table, so the serving-time
+// neighborhood scans feed the leaf's TierStats kernel counters either way.
 func NewLeaf(lm *LeafModel, opts *core.LeafOptions) *core.Leaf {
 	var o core.LeafOptions
 	if opts != nil {
@@ -323,35 +278,7 @@ func NewLeaf(lm *LeafModel, opts *core.LeafOptions) *core.Leaf {
 			return lm.appendTopN(payload, reply)
 		}
 		return errUnknownMethod("leaf", method)
-	}, core.LeafOptionsWithBatch(opts, func(methods []string, payloads [][]byte) ([][]byte, []error) {
-		replies := make([][]byte, len(methods))
-		errs := make([]error, len(methods))
-		users := make([]int, 0, len(methods))
-		items := make([]int, 0, len(methods))
-		slots := make([]int, 0, len(methods)) // member index per gathered pair
-		for i := range methods {
-			switch methods[i] {
-			case MethodPredict:
-				user, item, err := DecodePredictRequest(payloads[i])
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				users = append(users, user)
-				items = append(items, item)
-				slots = append(slots, i)
-			case MethodTopN:
-				replies[i], errs[i] = lm.handleTopN(payloads[i])
-			default:
-				errs[i] = errUnknownMethod("leaf", methods[i])
-			}
-		}
-		ratings, oks := lm.PredictBatch(users, items)
-		for j, i := range slots {
-			replies[i] = EncodePredictResponse(ratings[j], oks[j])
-		}
-		return replies, errs
-	}))
+	}, opts)
 }
 
 // --- mid-tier ---

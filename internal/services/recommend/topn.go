@@ -167,26 +167,8 @@ func (lm *LeafModel) TopN(user, n int) (recs []ItemRating, rated []int, ok bool)
 	return top.drainSorted(), rated, true
 }
 
-// handleTopN is the leaf-side TopN RPC.
-func (lm *LeafModel) handleTopN(payload []byte) ([]byte, error) {
-	user, n, err := DecodeTopNRequest(payload)
-	if err != nil {
-		return nil, err
-	}
-	recs, rated, ok := lm.TopN(user, n)
-	if !ok {
-		return EncodeTopNResponse(nil, nil), nil
-	}
-	rated32 := make([]uint32, len(rated))
-	for i, item := range rated {
-		rated32[i] = uint32(item)
-	}
-	return EncodeTopNResponse(recs, rated32), nil
-}
-
-// appendTopN is handleTopN in streaming form: the response goes straight
-// into the leaf's pooled reply encoder (same wire layout as
-// EncodeTopNResponse).
+// appendTopN is the leaf-side TopN RPC: the response goes straight into the
+// leaf's pooled reply encoder (same wire layout as EncodeTopNResponse).
 func (lm *LeafModel) appendTopN(payload []byte, reply *wire.Encoder) error {
 	user, n, err := DecodeTopNRequest(payload)
 	if err != nil {

@@ -165,47 +165,16 @@ func intersectEncoded(data LeafData, payload []byte, reply *wire.Encoder) error 
 	return nil
 }
 
-// intersect is intersectEncoded returning the reply as its own slice — the
-// form the vectorized batch handler uses so duplicate payloads can share one.
-func intersect(data LeafData, payload []byte) ([]byte, error) {
-	e := wire.GetEncoder()
-	defer wire.PutEncoder(e)
-	if err := intersectEncoded(data, payload, e); err != nil {
-		return nil, err
-	}
-	return slices.Clone(e.Bytes()), nil
-}
-
 // NewLeaf builds the Set Algebra leaf microservice over one indexed shard.
-// Scalar intersections take the encoded zero-copy path; a batched carrier
-// intersects each member's term set as one worker task, and identical term
-// payloads within the batch — common when several front-end requests query
-// trending terms at once — are intersected once and their compressed result
-// shared.
+// Plain requests and the members of a batched carrier take the same
+// allocation-free path.
 func NewLeaf(data LeafData, opts *core.LeafOptions) *core.Leaf {
 	return core.NewLeafEncoded(func(method string, payload []byte, reply *wire.Encoder) error {
 		if method != MethodIntersect {
 			return fmt.Errorf("setalgebra leaf: unknown method %q", method)
 		}
 		return intersectEncoded(data, payload, reply)
-	}, core.LeafOptionsWithBatch(opts, func(methods []string, payloads [][]byte) ([][]byte, []error) {
-		replies := make([][]byte, len(methods))
-		errs := make([]error, len(methods))
-		seen := make(map[string]int, len(methods))
-		for i := range methods {
-			if methods[i] != MethodIntersect {
-				errs[i] = fmt.Errorf("setalgebra leaf: unknown method %q", methods[i])
-				continue
-			}
-			if j, dup := seen[string(payloads[i])]; dup {
-				replies[i], errs[i] = replies[j], errs[j]
-				continue
-			}
-			replies[i], errs[i] = intersect(data, payloads[i])
-			seen[string(payloads[i])] = i
-		}
-		return replies, errs
-	}))
+	}, opts)
 }
 
 // --- mid-tier ---
