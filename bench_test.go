@@ -5,6 +5,7 @@
 package musuite_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -412,44 +413,88 @@ func BenchmarkTailFanoutHedged(b *testing.B) {
 }
 
 // --- Hot-path allocation budget ---
-// One warmed client against an echo leaf, run under -benchmem.  The client
-// half of the path is allocation-free in steady state (pinned exactly by
-// rpc's TestClientSteadyStateAllocFree); what remains in allocs/op is the
-// server-side per-request envelope, so this benchmark is the budget the
-// gate holds the whole round trip to.
+// Run under -benchmem; every tier is in this process, so B/op and allocs/op
+// are end-to-end figures.  RoundTrip is one warmed client against an echo
+// leaf: the client half of the path is allocation-free in steady state
+// (pinned exactly by rpc's TestClientSteadyStateAllocFree); what remains in
+// allocs/op is the server-side per-request envelope.  RouterSet and RouterGet
+// are whole requests over the benchmark's Router shape (4 leaves × 2
+// replicas, a 1 KiB value on a resident key): what the ledger's
+// allocs_per_req / alloc_bytes_per_req read on router_set and router_get
+// (DESIGN §5.3 "What a request allocates"), here so the gate sees a copy come
+// back on the request path.
 
 func BenchmarkHotPathAllocs(b *testing.B) {
-	leaf := core.NewLeaf(func(method string, payload []byte) ([]byte, error) {
-		return payload, nil
-	}, &core.LeafOptions{Workers: 2})
-	addr, err := leaf.Start("127.0.0.1:0")
+	b.Run("RoundTrip", func(b *testing.B) {
+		leaf := core.NewLeaf(func(method string, payload []byte) ([]byte, error) {
+			return payload, nil
+		}, &core.LeafOptions{Workers: 2})
+		addr, err := leaf.Start("127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(leaf.Close)
+		c, err := rpc.Dial(addr, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { c.Close() })
+
+		payload := []byte("hot-path-payload")
+		done := make(chan *rpc.Call, 1)
+		benchmarkWarmed(b, func() {
+			c.Go("q", payload, nil, done)
+			call := <-done
+			if call.Err != nil {
+				b.Fatal(call.Err)
+			}
+			call.Release()
+		})
+	})
+
+	b.Run("RouterSet", func(b *testing.B) { benchmarkRouterOp(b, false) })
+	b.Run("RouterGet", func(b *testing.B) { benchmarkRouterOp(b, true) })
+}
+
+// benchmarkRouterOp measures a set (or a get) of one resident key with a
+// 1 KiB value over a 4 × 2 Router cluster.
+func benchmarkRouterOp(b *testing.B, get bool) {
+	cl, err := musuite.StartRouterCluster(musuite.RouterClusterConfig{Leaves: 4, Replicas: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(leaf.Close)
-	c, err := rpc.Dial(addr, nil)
+	b.Cleanup(cl.Close)
+	c, err := musuite.DialRouter(cl.Addr, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { c.Close() })
-
-	payload := []byte("hot-path-payload")
-	done := make(chan *rpc.Call, 1)
-	roundTrip := func() {
-		c.Go("q", payload, nil, done)
-		call := <-done
-		if call.Err != nil {
-			b.Fatal(call.Err)
-		}
-		call.Release()
+	key, value := "key:00000042", bytes.Repeat([]byte("v"), 1024)
+	if err := c.Set(key, value); err != nil {
+		b.Fatal(err)
 	}
-	for i := 0; i < 200; i++ {
-		roundTrip() // fill the call, buffer, and encoder pools first
+	benchmarkWarmed(b, func() {
+		if !get {
+			err = c.Set(key, value)
+		} else if _, found, gerr := c.Get(key); gerr != nil || !found {
+			err = fmt.Errorf("get: found=%v err=%v", found, gerr)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	})
+}
+
+// benchmarkWarmed runs op 500 times to fill the call, buffer, encoder and
+// fan-out pools, then measures it.
+func benchmarkWarmed(b *testing.B, op func()) {
+	for i := 0; i < 500; i++ {
+		op()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		roundTrip()
+		op()
 	}
 }
 

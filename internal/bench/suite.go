@@ -258,19 +258,21 @@ func (svc *Service) Workload(s Scale, mode FrameworkMode, addr string) (loadgen.
 func CompareReplies(a, b loadgen.IssueFunc, n int) error {
 	done := make(chan *rpc.Call, 1)
 	for i := 0; i < n; i++ {
-		var replies [2][]byte
-		var errs [2]error
+		var calls [2]*rpc.Call
 		for side, issue := range []loadgen.IssueFunc{a, b} {
 			issue(done)
-			call := <-done
-			replies[side], errs[side] = call.DetachReply(), call.Err
-			call.Release()
+			calls[side] = <-done
 		}
-		if errs[0] != nil || errs[1] != nil {
-			return fmt.Errorf("bench: request %d failed: %v / %v", i, errs[0], errs[1])
+		var err error
+		if x, y := calls[0], calls[1]; x.Err != nil || y.Err != nil {
+			err = fmt.Errorf("bench: request %d failed: %v / %v", i, x.Err, y.Err)
+		} else if !bytes.Equal(x.Reply, y.Reply) {
+			err = fmt.Errorf("bench: request %d: replies differ (%d vs %d bytes)", i, len(x.Reply), len(y.Reply))
 		}
-		if !bytes.Equal(replies[0], replies[1]) {
-			return fmt.Errorf("bench: request %d: replies differ (%d vs %d bytes)", i, len(replies[0]), len(replies[1]))
+		calls[0].Release()
+		calls[1].Release()
+		if err != nil {
+			return err
 		}
 	}
 	return nil

@@ -12,6 +12,7 @@ import (
 	"musuite/internal/rpc"
 	"musuite/internal/telemetry"
 	"musuite/internal/trace"
+	"musuite/internal/wire"
 )
 
 // TailPolicy configures tail-tolerant fan-out: hedged requests, retries,
@@ -426,8 +427,12 @@ type Ctx struct {
 	// shed), whose short latency must not feed the AIMD signal.
 	admitted bool
 	shed     bool
+	fin      atomic.Bool // beside the flags: the struct stays in its 128-byte size class
 	errText  string
-	fin      atomic.Bool
+
+	// enc is the encoder LeafEncoder handed out, until the fan-out it was
+	// encoded for takes it (getFanout) or, failing one, finish returns it.
+	enc *wire.Encoder
 
 	// pins tracks the non-default edge snapshots this request pinned via
 	// Edge, released in finish.  Guarded by pinMu: a multi-stage handler
@@ -445,6 +450,20 @@ func (c *Ctx) NumLeaves() int { return c.snap.NumLeaves() }
 // make several placement decisions (a route computed here, a shard read
 // there) take it once so all of them agree on one epoch.
 func (c *Ctx) Snapshot() *cluster.Snapshot { return c.snap }
+
+// LeafEncoder returns a pooled encoder for the payloads of the request's next
+// fan-out: the handler encodes its leaf requests into it and passes slices of
+// its Bytes as LeafCall payloads.  The fan-out owns the encoder from Fanout on
+// (the next call returns a fresh one) and returns it to its pool when no hedge
+// timer, retry or batch queue can still send a slot; a request that never fans
+// out returns it when it finishes.  It is for the one flow of control that
+// goes on to issue that fan-out: concurrent branches encode on their own.
+func (c *Ctx) LeafEncoder() *wire.Encoder {
+	if c.enc == nil {
+		c.enc = wire.GetEncoder()
+	}
+	return c.enc
+}
 
 // Reply completes the request successfully.
 func (c *Ctx) Reply(payload []byte) {
@@ -481,6 +500,7 @@ func (c *Ctx) claim() bool {
 // the admission slot, and records a sampled request's server span.
 func (c *Ctx) finish() {
 	c.snap.Release()
+	wire.PutEncoder(c.enc) // nil unless the handler took one and never fanned out
 	c.pinMu.Lock()
 	pins := c.pins
 	c.pins = nil
@@ -860,8 +880,11 @@ type fanout struct {
 	// reqBuf is a hold on the parent request's payload bytes: handlers
 	// forward Req.Payload as slot payloads, and a slot's payload is read for
 	// as long as something can still issue it — a hedge timer, a retry, a
-	// batch queue — which can be after the reply.  Dropped on recycle.
+	// batch queue — which can be after the reply.  enc is the same hold on
+	// payloads the handler encoded itself (Ctx.LeafEncoder).  The fan-out
+	// owns the bytes its slots point at; both holds drop on recycle.
 	reqBuf *rpc.Buf
+	enc    *wire.Encoder
 	slots  []fanoutSlot
 	// timer is set after AfterFunc returns; the callback can beat the
 	// store, in which case there is nothing left worth stopping.
@@ -887,6 +910,11 @@ func getFanout(c *Ctx, e *edge, snap *cluster.Snapshot, n int, merge func([]Leaf
 	f.tr = c.tr
 	f.span = c.span
 	f.reqBuf = c.Req.HoldPayload()
+	// A write only when a handler asked for an encoder: branches of one
+	// request that fan out concurrently pass here, and they did not.
+	if c.enc != nil {
+		f.enc, c.enc = c.enc, nil
+	}
 	if cap(f.slots) < n {
 		f.results = make([]LeafResult, n)
 		f.bufs = make([]*rpc.Buf, n)
@@ -920,6 +948,8 @@ func (f *fanout) recycle() {
 	f.span = trace.SpanContext{}
 	f.reqBuf.Release()
 	f.reqBuf = nil
+	wire.PutEncoder(f.enc)
+	f.enc = nil
 	f.timer.Store(nil)
 	for i := range f.results {
 		f.results[i] = LeafResult{}

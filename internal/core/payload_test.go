@@ -2,14 +2,17 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"musuite/internal/rpc"
+	"musuite/internal/wire"
 )
 
 // flakyProxy forwards TCP connections to backend, except that the first
@@ -204,5 +207,176 @@ func TestInlinePayloadSurvivesNextFrame(t *testing.T) {
 				waitFor(t, "every frame buffer to be returned", func() bool { return rpc.BufsInUse() <= bufsBefore })
 			})
 		}
+	}
+}
+
+// ownedPayload is what TestFanoutOwnsEncodedPayloads' handler encodes for
+// shard of request req: both numbers, then a run whose length and byte are
+// functions of the pair, so bytes of any other payload — a later request's,
+// written into a recycled encoder — cannot pass for it.
+func ownedPayload(e *wire.Encoder, req uint32, shard int) {
+	e.Uint32(req)
+	e.Uint8(uint8(shard))
+	for i, fill := 0, byte(req*7+uint32(shard)); i < 40+int(req%50); i++ {
+		e.Uint8(fill)
+	}
+}
+
+// checkOwnedPayload reports what is wrong with p as shard's payload, and the
+// request it names.
+func checkOwnedPayload(p []byte, shard int) (req uint32, problem string) {
+	if len(p) < 5 {
+		return 0, "short"
+	}
+	req = binary.LittleEndian.Uint32(p)
+	var want wire.Encoder
+	ownedPayload(&want, req, shard)
+	if !bytes.Equal(p, want.Bytes()) {
+		return req, "not the bytes encoded for this shard"
+	}
+	return req, ""
+}
+
+// TestFanoutOwnsEncodedPayloads: a handler encodes a distinct payload per
+// shard into the encoder Ctx.LeafEncoder hands it, and the fan-out owns that
+// encoder until nothing can issue a slot any more — so every copy a leaf
+// receives, however late it was sent (a hedge, a retry after its connection
+// died, a batch flush, attempts still out when the fan-out timed out), is the
+// payload encoded for that shard of that request, while a stream of later
+// requests keeps the encoder pool turning over.  Once every tier is closed
+// the frame buffers and the encoders are all back.
+func TestFanoutOwnsEncodedPayloads(t *testing.T) {
+	const shards, requests, callers = 3, 240, 4
+	const hold = 20 * time.Millisecond
+	generous := TailPolicy{RetryBudgetRatio: 1, RetryBudgetBurst: 1000}
+	hedged, retried := generous, generous
+	hedged.HedgeDelay = 2 * time.Millisecond
+	retried.LeafRetries = 1
+	variants := []struct {
+		name     string
+		policy   EdgePolicy
+		flaky    bool // leaf connections go through a flakyProxy
+		slowOne  int  // the first arrival of every slowOne-th request is held at its leaf
+		timeouts bool // held requests are expected to fail with ErrFanoutTimeout
+	}{
+		{name: "hedge", policy: EdgePolicy{Tail: hedged}, slowOne: 8},
+		{name: "retry", policy: EdgePolicy{Tail: retried}, flaky: true},
+		{name: "batch", policy: EdgePolicy{Batch: BatchPolicy{MaxBatch: 16}}},
+		{name: "timeout", policy: EdgePolicy{Timeout: 5 * time.Millisecond}, slowOne: 6, timeouts: true},
+	}
+	for _, v := range variants {
+		t.Run(v.name, func(t *testing.T) {
+			bufsBefore, encsBefore := rpc.BufsInUse(), wire.EncodersInUse()
+
+			var mu sync.Mutex
+			arrivals := make(map[[2]uint32]int) // (request, shard) → copies received
+			var dropped atomic.Bool
+			var leaves []*Leaf
+			groups := make([][]string, shards)
+			for s := 0; s < shards; s++ {
+				for r := 0; r < 2; r++ {
+					leaf := NewLeaf(func(_ string, payload []byte) ([]byte, error) {
+						req, problem := checkOwnedPayload(payload, s)
+						if problem != "" {
+							t.Errorf("shard %d received a payload naming request %d that is %s: %q", s, req, problem, payload)
+							return nil, nil
+						}
+						mu.Lock()
+						arrivals[[2]uint32{req, uint32(s)}]++
+						first := arrivals[[2]uint32{req, uint32(s)}] == 1
+						mu.Unlock()
+						if first && v.slowOne > 0 && req%uint32(v.slowOne) == 0 {
+							time.Sleep(hold)
+						}
+						return nil, nil
+					}, nil)
+					addr, err := leaf.Start("127.0.0.1:0")
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(leaf.Close)
+					leaves = append(leaves, leaf)
+					if v.flaky {
+						addr = flakyProxy(t, addr, &dropped, hold)
+					}
+					groups[s] = append(groups[s], addr)
+				}
+			}
+
+			mt := NewMidTier(func(ctx *Ctx) {
+				req := binary.LittleEndian.Uint32(ctx.Req.Payload)
+				e := ctx.LeafEncoder()
+				var calls [shards]LeafCall
+				for s := range calls {
+					start := e.Len()
+					ownedPayload(e, req, s)
+					calls[s] = LeafCall{Shard: s, Method: "work", Payload: e.Bytes()[start:]}
+				}
+				ctx.Fanout(calls[:], func(results []LeafResult) {
+					for _, r := range results {
+						if r.Err != nil {
+							ctx.ReplyError(r.Err)
+							return
+						}
+					}
+					ctx.Reply(nil)
+				})
+			}, &Options{EdgePolicy: v.policy})
+			if err := mt.ConnectLeafGroups(groups); err != nil {
+				t.Fatal(err)
+			}
+			addr, err := mt.Start("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := rpc.Dial(addr, nil)
+			if err != nil {
+				mt.Close()
+				t.Fatal(err)
+			}
+
+			var failed atomic.Int64
+			var wg sync.WaitGroup
+			for w := 0; w < callers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for req := uint32(w); req < requests; req += callers {
+						_, err := c.CallTimeout("q", binary.LittleEndian.AppendUint32(nil, req), 10*time.Second)
+						if err == nil {
+							continue
+						}
+						failed.Add(1)
+						if !v.timeouts || !strings.Contains(err.Error(), ErrFanoutTimeout.Error()) {
+							t.Errorf("request %d: %v", req, err)
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			c.Close()
+			mt.Close()
+			for _, leaf := range leaves {
+				leaf.Close() // waits out the held attempts
+			}
+
+			mu.Lock()
+			for req := uint32(0); req < requests; req++ {
+				for s := uint32(0); s < shards; s++ {
+					if arrivals[[2]uint32{req, s}] == 0 {
+						t.Errorf("shard %d never received request %d's payload", s, req)
+					}
+				}
+			}
+			mu.Unlock()
+			if v.timeouts && failed.Load() == 0 {
+				t.Error("no fan-out timed out: the variant did not have attempts in flight at expiry")
+			}
+			if v.flaky && !dropped.Load() {
+				t.Error("no connection was dropped: the variant did not retry")
+			}
+			waitFor(t, "every frame buffer to be returned", func() bool { return rpc.BufsInUse() <= bufsBefore })
+			waitFor(t, "every encoder to be returned", func() bool { return wire.EncodersInUse() <= encsBefore })
+		})
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"container/list"
 	"errors"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -150,19 +151,37 @@ func (s *Store) lookupLocked(sh *shard, key string) *entry {
 	return e
 }
 
-// storeLocked inserts or replaces key (lock held), evicting LRU entries as
-// needed to stay under the shard byte budget.
+// storeLocked writes key=value (lock held), evicting LRU entries as needed to
+// stay under the shard byte budget.  A key that is already resident is
+// overwritten in place — its entry, its LRU element and, when the new value
+// fits without leaving more than half of it idle, its value array are reused —
+// which is safe because every reader either visits under this lock (View) or
+// copies out under it (Get/Gets).  Only a new entry clones the key, so a
+// caller may look up and overwrite through a transient view of request bytes.
 func (s *Store) storeLocked(sh *shard, key string, value []byte, ttl time.Duration) *entry {
-	if old, ok := sh.items[key]; ok {
-		sh.removeLocked(old)
+	e, ok := sh.items[key]
+	if ok {
+		sh.bytes -= entrySize(e.key, e.value)
+		sh.lru.MoveToFront(e.elem)
+	} else {
+		e = &entry{key: strings.Clone(key)}
+		e.elem = sh.lru.PushFront(e)
+		sh.items[e.key] = e
 	}
-	e := &entry{key: key, value: value, casID: s.casSeq.Add(1)}
+	// The budget charges len(value): an array may outweigh its charge by at
+	// most a factor of two (plus the bookkeeping constant).
+	if n := len(value); n > cap(e.value) || cap(e.value) > 2*n+64 {
+		e.value = make([]byte, n)
+	} else {
+		e.value = e.value[:n]
+	}
+	copy(e.value, value)
+	e.casID = s.casSeq.Add(1)
+	e.expires = time.Time{}
 	if ttl > 0 {
 		e.expires = s.now().Add(ttl)
 	}
-	e.elem = sh.lru.PushFront(e)
-	sh.items[key] = e
-	sh.bytes += entrySize(key, value)
+	sh.bytes += entrySize(e.key, e.value)
 
 	if sh.maxBytes > 0 {
 		for sh.bytes > sh.maxBytes && sh.lru.Len() > 1 {
@@ -221,47 +240,39 @@ func (s *Store) View(key string, visit func(value []byte)) bool {
 
 // Set unconditionally stores key=value with optional TTL (0 = no expiry).
 func (s *Store) Set(key string, value []byte, ttl time.Duration) {
-	v := make([]byte, len(value))
-	copy(v, value)
 	sh := s.shardFor(key)
 	sh.mu.Lock()
-	s.storeLocked(sh, key, v, ttl)
+	s.storeLocked(sh, key, value, ttl)
 	sh.mu.Unlock()
 }
 
 // Add stores only if key is absent.
 func (s *Store) Add(key string, value []byte, ttl time.Duration) error {
-	v := make([]byte, len(value))
-	copy(v, value)
 	sh := s.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if s.lookupLocked(sh, key) != nil {
 		return ErrNotStored
 	}
-	s.storeLocked(sh, key, v, ttl)
+	s.storeLocked(sh, key, value, ttl)
 	return nil
 }
 
 // Replace stores only if key is present.
 func (s *Store) Replace(key string, value []byte, ttl time.Duration) error {
-	v := make([]byte, len(value))
-	copy(v, value)
 	sh := s.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if s.lookupLocked(sh, key) == nil {
 		return ErrNotStored
 	}
-	s.storeLocked(sh, key, v, ttl)
+	s.storeLocked(sh, key, value, ttl)
 	return nil
 }
 
 // CAS stores only if the item is unmodified since the Gets that returned
 // casID.
 func (s *Store) CAS(key string, value []byte, casID uint64, ttl time.Duration) error {
-	v := make([]byte, len(value))
-	copy(v, value)
 	sh := s.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -272,7 +283,7 @@ func (s *Store) CAS(key string, value []byte, casID uint64, ttl time.Duration) e
 	if e.casID != casID {
 		return ErrExists
 	}
-	s.storeLocked(sh, key, v, ttl)
+	s.storeLocked(sh, key, value, ttl)
 	return nil
 }
 

@@ -19,15 +19,15 @@ import (
 // Calls are pooled.  A call obtained from Go/GoSpan may be returned to the
 // pool with Release once its consumer is done with it; callers that never
 // Release simply fall back to garbage collection.  After Release the Call —
-// including Reply, unless detached first — must not be touched: the struct
-// may immediately carry an unrelated RPC.
+// including Reply, unless its buffer was taken first — must not be touched:
+// the struct may immediately carry an unrelated RPC.
 type Call struct {
 	// Method and Payload describe the request.
 	Method  string
 	Payload []byte
 	// Reply holds the response payload after completion.  It may alias a
-	// pooled buffer owned by the Call; DetachReply keeps the bytes alive
-	// past Release.
+	// pooled buffer owned by the Call: copy out what must outlive Release
+	// (the synchronous Call does), or hold the buffer with TakeReplyBuf.
 	Reply []byte
 	// Err holds the failure, if any.
 	Err error
@@ -116,15 +116,6 @@ type CallRef struct {
 	gen  uint32
 }
 
-// DetachReply removes Reply from the call's pooled-buffer accounting and
-// returns it: the bytes stay valid after Release (they are left to the
-// garbage collector instead of the pool).
-func (c *Call) DetachReply() []byte {
-	b := c.Reply
-	c.replyBuf = nil
-	return b
-}
-
 // TakeReplyBuf detaches and returns the pooled buffer backing Reply (nil
 // when the reply is unpooled or empty).  The caller assumes the buffer's
 // reference and must Release it once Reply's bytes are dead — the mid-tier
@@ -138,7 +129,7 @@ func (c *Call) TakeReplyBuf() *Buf {
 
 // Release returns the call to the pool.  Only the call's consumer — whoever
 // received it on Done or observed it via a consuming OnResponse hook — may
-// call it, exactly once; the struct, and Reply unless detached, must not be
+// call it, exactly once; the struct, and Reply unless its buffer was taken, must not be
 // touched afterwards.  Safe no-op for calls not drawn from the pool.
 func (c *Call) Release() {
 	if c == nil || !c.pooled {
@@ -412,13 +403,13 @@ func recordCallSpan(rec *trace.Recorder, call *Call) {
 	rec.Record(s)
 }
 
-// Call issues a synchronous RPC and waits for the response.
+// Call issues a synchronous RPC and waits for the response.  The reply is the
+// caller's own exact-size copy (nil when the response carried no bytes): the
+// buffer the frame was read into goes back to its pool with the call.
 func (c *Client) Call(method string, payload []byte) ([]byte, error) {
 	call := c.Go(method, payload, nil, nil)
 	<-call.Done
-	reply, err := call.DetachReply(), call.Err
-	call.Release()
-	return reply, err
+	return call.consume()
 }
 
 // CallTimeout is Call with a deadline.  On expiry the call is abandoned
@@ -438,8 +429,19 @@ func (c *Client) CallTimeout(method string, payload []byte, d time.Duration) ([]
 		}
 		// The response raced the timeout and won; accept it.
 	}
-	reply, err := call.DetachReply(), call.Err
-	call.Release()
+	return call.consume()
+}
+
+// consume ends a completed synchronous call: it copies the reply out of the
+// pooled frame buffer and releases the call, buffer included.
+func (c *Call) consume() ([]byte, error) {
+	var reply []byte
+	if len(c.Reply) > 0 {
+		reply = make([]byte, len(c.Reply))
+		copy(reply, c.Reply)
+	}
+	err := c.Err
+	c.Release()
 	return reply, err
 }
 

@@ -86,10 +86,11 @@ func TestAbandonRecycleRaceStress(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDetachedReplySurvivesPoolReuse is the testing/quick property behind
-// the DetachReply contract: once detached, a reply's bytes must stay intact
-// no matter how the pool recycles buffers for later traffic.
-func TestDetachedReplySurvivesPoolReuse(t *testing.T) {
+// TestCallReplySurvivesPoolReuse is the testing/quick property behind the
+// synchronous Call's contract: the reply it returns is the caller's own copy,
+// intact no matter how the pool recycles the frame buffer it was read into
+// for later traffic.
+func TestCallReplySurvivesPoolReuse(t *testing.T) {
 	srv := NewServer(func(req *Request) { req.Reply(req.Payload) }, nil)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
@@ -106,15 +107,12 @@ func TestDetachedReplySurvivesPoolReuse(t *testing.T) {
 		if len(payload) > 1<<16 {
 			payload = payload[:1<<16]
 		}
-		call := c.Go("echo", payload, nil, nil)
-		<-call.Done
-		if call.Err != nil {
+		reply, err := c.Call("echo", payload)
+		if err != nil {
 			return false
 		}
-		reply := call.DetachReply()
-		call.Release()
 		// Churn the pools: later calls re-grab the released call struct
-		// and, were the reply still pooled, its buffer too.
+		// and its buffer, which the reply must not alias.
 		filler := bytes.Repeat([]byte{0xA5}, len(payload)+1)
 		for i := 0; i < int(churn%8)+1; i++ {
 			if _, err := c.Call("echo", filler); err != nil {

@@ -11,7 +11,6 @@
 package hdsearch
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
@@ -54,9 +53,13 @@ type Neighbor struct {
 // EncodeSearchRequest encodes a front-end query.
 func EncodeSearchRequest(query vec.Vector, k int) []byte {
 	e := wire.NewEncoder(8 + 4*len(query))
+	appendSearchRequest(e, query, k)
+	return e.Bytes()
+}
+
+func appendSearchRequest(e *wire.Encoder, query vec.Vector, k int) {
 	e.Uvarint(uint64(k))
 	e.Float32s(query)
-	return e.Bytes()
 }
 
 // DecodeSearchRequest decodes a front-end query.
@@ -67,34 +70,31 @@ func DecodeSearchRequest(b []byte) (query vec.Vector, k int, err error) {
 	return query, k, d.Err()
 }
 
-// encodeLeafRequest encodes a mid-tier→leaf scoring call: k, the query, then
-// the shard's candidates as a sparse bitmap — the indices of its non-zero
+// appendLeafRequest encodes a mid-tier→leaf scoring call onto e: k, the query,
+// then the shard's candidates as a sparse bitmap — the indices of its non-zero
 // 64-row words as an ascending-uint32 field (count, first, gaps), then their
 // masks as a uint64 field.  At LSH's densities a word names ~30 candidates
 // for its ~9.5 B, a third of what their gaps cost (DESIGN §5.5.1), and the
-// field is most of what the hop moves; it is the only form the wire has.  The
-// result is a fresh exact-size allocation — hedges, retries and the batcher
-// hold it past the handler — built in a pooled encoder.
-func encodeLeafRequest(query []float32, set kernel.RowSet, k int) []byte {
-	e := wire.GetEncoder()
+// field is most of what the hop moves; it is the only form the wire has.
+func appendLeafRequest(e *wire.Encoder, query []float32, set kernel.RowSet, k int) {
 	e.Uvarint(uint64(k))
 	e.Float32s(query)
 	if e.AscendingUint32s(set.Words) >= 0 {
 		panic("hdsearch: candidate words not strictly ascending")
 	}
 	e.Uint64s(set.Masks)
-	out := bytes.Clone(e.Bytes())
-	wire.PutEncoder(e)
-	return out
 }
 
-// EncodeLeafRequest is encodeLeafRequest for a caller that holds the shard's
+// EncodeLeafRequest is the scoring call for a caller that holds the shard's
 // candidates as IDs: the list — in any order, repeats allowed — is packed
 // into the set it names.
 func EncodeLeafRequest(query vec.Vector, ids []uint32, k int) []byte {
 	var set kernel.RowSet
 	set.Add(ids...)
-	return encodeLeafRequest(query, set, k)
+	// A word costs at most a 5-byte gap and its 8-byte mask.
+	e := wire.NewEncoder(32 + 4*len(query) + 13*len(set.Words))
+	appendLeafRequest(e, query, set, k)
+	return e.Bytes()
 }
 
 // DecodeLeafRequest decodes a mid-tier→leaf scoring call, its candidates
@@ -124,18 +124,16 @@ func decodeLeafRequest(b []byte, query []float32, set kernel.RowSet) ([]float32,
 	return query, set, k, err
 }
 
-// EncodeLeafANNRequest encodes a mid-tier→leaf ANN probe: the query plus
-// the breadth/rerank knobs (0 = the leaf index's build defaults).  The
+// appendLeafANNRequest encodes a mid-tier→leaf ANN probe onto e: the query
+// plus the breadth/rerank knobs (0 = the leaf index's build defaults).  The
 // first knob slot carries the family's search breadth — nprobe for the IVF
 // kinds, efSearch for hnsw — so one wire format serves every leaf-resident
 // kind.  One encoding is broadcast to every shard.
-func EncodeLeafANNRequest(query vec.Vector, k, nprobe, rerank int) []byte {
-	e := wire.NewEncoder(16 + 4*len(query))
+func appendLeafANNRequest(e *wire.Encoder, query vec.Vector, k, nprobe, rerank int) {
 	e.Uvarint(uint64(k))
 	e.Uvarint(uint64(nprobe))
 	e.Uvarint(uint64(rerank))
 	e.Float32s(query)
-	return e.Bytes()
 }
 
 // AppendNeighbors appends a distance-sorted result list to e — the
@@ -157,20 +155,18 @@ func EncodeNeighbors(ns []Neighbor) []byte {
 }
 
 // DecodeNeighborsInto decodes a result list, appending to dst so callers can
-// reuse capacity across replies.
+// reuse capacity across replies.  dst grows once, by a count the bytes behind
+// it bear out (8 per entry): a reply cannot size more than it carries.
 func DecodeNeighborsInto(dst []Neighbor, b []byte) ([]Neighbor, error) {
-	d := wire.NewDecoder(b)
-	n := int(d.Uvarint())
-	if err := d.Err(); err != nil {
+	d, n, err := openNeighbors(b)
+	if err != nil {
 		return dst, err
 	}
-	if n > wire.MaxSliceLen/8 {
-		return dst, wire.ErrTooLarge
-	}
+	dst = slices.Grow(dst, n)
 	for i := 0; i < n; i++ {
 		dst = append(dst, Neighbor{PointID: d.Uint32(), Distance: d.Float32()})
 	}
-	return dst, d.Err()
+	return dst, nil
 }
 
 // DecodeNeighbors decodes a result list.
@@ -423,44 +419,41 @@ type mergeScratch struct {
 
 var mergeScratches = sync.Pool{New: func() any { return new(mergeScratch) }}
 
-// neighborCount reads an encoded neighbor list's length, checked against the
-// bytes that follow it (8 per entry), so the merge can size its heap from it.
-func neighborCount(b []byte) (int, error) {
-	d := wire.NewDecoder(b)
-	n := d.Uvarint()
+// openNeighbors reads an encoded neighbor list's length, checked against the
+// bytes that follow it (8 per entry) — so a caller can size from it, and its
+// n entry reads cannot fail — and returns the decoder at the first entry.
+func openNeighbors(b []byte) (d wire.Decoder, n int, err error) {
+	d.Reset(b)
+	count := d.Uvarint()
 	if err := d.Err(); err != nil {
-		return 0, err
+		return d, 0, err
 	}
-	if n > uint64(d.Remaining()/8) {
-		return 0, wire.ErrTruncated
+	if count > uint64(d.Remaining()/8) {
+		return d, 0, wire.ErrTruncated
 	}
-	return int(n), nil
+	return d, int(count), nil
 }
 
 // considerNeighborList decodes one shard's encoded neighbor list straight
 // into the streaming top-k — no flattened candidate list, no re-sort; each
 // entry is considered (and copied by value) as it decodes.
 func considerNeighborList(top *kernel.TopK, b []byte) error {
-	d := wire.NewDecoder(b)
-	n := int(d.Uvarint())
-	if err := d.Err(); err != nil {
+	d, n, err := openNeighbors(b)
+	if err != nil {
 		return err
-	}
-	if n > wire.MaxSliceLen/8 {
-		return wire.ErrTooLarge
 	}
 	for i := 0; i < n; i++ {
 		top.Consider(d.Uint32(), d.Float32())
 	}
-	return d.Err()
+	return nil
 }
 
 // midScratch is one search request's working memory on the mid-tier: the
 // decoded query, the per-shard candidate sets the index fills, and the leaf
-// calls built from them.  Its lifetime is the handler's: the encoded leaf
-// payloads are fresh allocations and ctx.Fanout copies each LeafCall into
-// its own slots before returning, so nothing here outlives the handler and
-// core/rpc need no ownership rule for it.
+// calls built from them.  Its lifetime is the handler's: the leaf payloads
+// are encoded into the request's fan-out-owned encoder (Ctx.LeafEncoder) and
+// ctx.Fanout copies each LeafCall into its own slots before returning, so
+// nothing here outlives the handler.
 type midScratch struct {
 	query   []float32
 	byShard []kernel.RowSet
@@ -481,7 +474,11 @@ func NewMidTier(index CandidateIndex, opts *core.Options) *core.MidTier {
 		}
 		sc := midScratches.Get().(*midScratch)
 		defer midScratches.Put(sc)
-		d := wire.NewDecoder(ctx.Req.Payload)
+		// A value, not NewDecoder's pointer: the copy of this closure that
+		// inlining NewMidTier into Assembly.MidTier compiles puts that one
+		// on the heap, one allocation a request.
+		var d wire.Decoder
+		d.Reset(ctx.Req.Payload)
 		k := int(d.Uvarint())
 		sc.query = d.Float32sInto(sc.query[:0])
 		if err := d.Err(); err != nil {
@@ -502,23 +499,29 @@ func NewMidTier(index CandidateIndex, opts *core.Options) *core.MidTier {
 		// query (plus the router's nprobe/rerank knobs) and let every
 		// shard probe its own IVF index.
 		if router, ok := index.(*LeafANN); ok {
-			payload := EncodeLeafANNRequest(query, k, router.NProbe(), router.Rerank())
-			ctx.FanoutAll(MethodLeafANN, payload, mergeTopK(ctx, k))
+			e := ctx.LeafEncoder()
+			appendLeafANNRequest(e, query, k, router.NProbe(), router.Rerank())
+			ctx.FanoutAll(MethodLeafANN, e.Bytes(), mergeTopK(ctx, k))
 			return
 		}
 		// Request path: LSH lookup, map point IDs → leaf shards, launch
 		// clients to leaf microservers (paper Fig. 3), in ascending shard
-		// order.
+		// order.  The payloads lie end to end in the encoder the fan-out
+		// will own; one the encoder outgrew stays whole in the array it was
+		// written to.
 		sc.byShard = index.LookupInto(query, sc.byShard)
 		calls := sc.calls[:0]
+		e := ctx.LeafEncoder()
 		for shard, set := range sc.byShard {
 			if len(set.Words) == 0 {
 				continue
 			}
+			start := e.Len()
+			appendLeafRequest(e, query, set, k)
 			calls = append(calls, core.LeafCall{
 				Shard:   shard,
 				Method:  MethodLeafKNN,
-				Payload: encodeLeafRequest(query, set, k),
+				Payload: e.Bytes()[start:e.Len():e.Len()],
 			})
 		}
 		sc.calls = calls
@@ -527,8 +530,8 @@ func NewMidTier(index CandidateIndex, opts *core.Options) *core.MidTier {
 			return
 		}
 		ctx.Fanout(calls, mergeTopK(ctx, k))
-		// The payloads now belong to the fan-out; drop the scratch's
-		// references so the pool does not pin them.
+		// The payloads belong to the fan-out now, and to the pool after it:
+		// the scratch must not point into them.
 		clear(calls)
 	}, opts)
 }
@@ -551,7 +554,7 @@ func mergeTopK(ctx *core.Ctx, k int) func([]core.LeafResult) {
 				ctx.ReplyError(r.Err)
 				return
 			}
-			n, err := neighborCount(r.Reply)
+			_, n, err := openNeighbors(r.Reply)
 			if err != nil {
 				ctx.ReplyError(err)
 				return
@@ -593,13 +596,23 @@ func DialClient(addr string, opts *rpc.ClientOptions) (*Client, error) {
 	return &Client{rpc: c}, nil
 }
 
-// Search returns the k nearest neighbors of query.
+// Search returns the k nearest neighbors of query.  Go + Release rather than
+// Call: the request is encoded in a pooled encoder (the write queue has copied
+// the frame by the time Go returns) and the neighbors are decoded out of the
+// reply, so its buffer goes back to the pool with the call.
 func (c *Client) Search(query vec.Vector, k int) ([]Neighbor, error) {
-	reply, err := c.rpc.Call(MethodSearch, EncodeSearchRequest(query, k))
-	if err != nil {
-		return nil, err
+	e := wire.GetEncoder()
+	appendSearchRequest(e, query, k)
+	call := c.rpc.Go(MethodSearch, e.Bytes(), nil, nil)
+	<-call.Done
+	wire.PutEncoder(e)
+	var ns []Neighbor
+	err := call.Err
+	if err == nil {
+		ns, err = DecodeNeighbors(call.Reply)
 	}
-	return DecodeNeighbors(reply)
+	call.Release()
+	return ns, err
 }
 
 // Go issues an asynchronous search (used by the load generators).

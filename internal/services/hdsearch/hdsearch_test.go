@@ -1,6 +1,7 @@
 package hdsearch
 
 import (
+	"bytes"
 	"slices"
 	"strings"
 	"testing"
@@ -288,4 +289,42 @@ func TestMidTiersOfDifferentWidthsShareAProcess(t *testing.T) {
 		}
 		client.Close()
 	}
+}
+
+// FuzzDecodeNeighbors: whatever bytes come back as a reply, decoding them
+// sizes nothing from a count the bytes behind it do not bear out — every
+// neighbour costs the reply eight bytes — stops at the first error, and
+// yields exactly what a well-formed reply encodes.  The first two seeds are
+// the defect: a five-byte reply whose count of 2²⁵ used to size 268 MB of
+// zero neighbours, and a count of 1000 over a single entry.
+func FuzzDecodeNeighbors(f *testing.F) {
+	f.Add([]byte{0x80, 0x80, 0x80, 0x10, 0x00})
+	f.Add(append([]byte{0xe8, 0x07}, make([]byte, 8)...))
+	f.Add(EncodeNeighbors(nil))
+	f.Add(EncodeNeighbors([]Neighbor{{PointID: 5, Distance: 0.5}, {PointID: 1, Distance: 1.25}}))
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		keep := []Neighbor{{PointID: 77, Distance: 7}}
+		got, err := DecodeNeighborsInto(keep, b)
+		if len(got) < 1 || got[0] != keep[0] {
+			t.Fatalf("the caller's entries were disturbed: %v", got)
+		}
+		// slices.Grow may round the one growth up to a size class.
+		if room := 1 + len(b)/8; cap(got) > 2*room+8 {
+			t.Fatalf("%d bytes sized room for %d neighbours", len(b), cap(got))
+		}
+		if err != nil {
+			if len(got) != 1 {
+				t.Fatalf("a reply refused with %v still appended %d neighbours", err, len(got)-1)
+			}
+			return
+		}
+		// Compared as bytes: a distance may be a NaN.
+		canon := EncodeNeighbors(got[1:])
+		again, err := DecodeNeighbors(canon)
+		if err != nil || !bytes.Equal(EncodeNeighbors(again), canon) {
+			t.Fatalf("decoded %v, which round-trips to %v, %v", got[1:], again, err)
+		}
+	})
 }

@@ -128,7 +128,9 @@ func TestLeafRequestRoundTrip(t *testing.T) {
 		e.AscendingUint32s(set.Words)
 		e.Uint64s(set.Masks)
 		gq, gids, gk, err := DecodeLeafRequest(payload)
-		return bytes.Equal(payload, e.Bytes()) && bytes.Equal(payload, encodeLeafRequest(q, set, int(k))) &&
+		var viaSet wire.Encoder
+		appendLeafRequest(&viaSet, q, set, int(k))
+		return bytes.Equal(payload, e.Bytes()) && bytes.Equal(payload, viaSet.Bytes()) &&
 			err == nil && gk == int(k) && slices.Equal(gq, q) && slices.Equal(gids, ids)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
@@ -152,7 +154,7 @@ func TestEncodeLeafRequestPacksAnyOrder(t *testing.T) {
 }
 
 // rawLeafRequest builds a payload field by field, so a test can send what
-// encodeLeafRequest never would.
+// appendLeafRequest never would.
 func rawLeafRequest(q []float32, k int, words func(*wire.Encoder), masks []uint64) []byte {
 	var e wire.Encoder
 	e.Uvarint(uint64(k))
@@ -440,8 +442,9 @@ func FuzzLeafKNNRowSet(f *testing.F) {
 				}
 			}
 		}
-		var reply wire.Encoder
-		if err := leafKNN(eng, leaf, encodeLeafRequest(q, set, int(k)), &reply); err != nil {
+		var req, reply wire.Encoder
+		appendLeafRequest(&req, q, set, int(k))
+		if err := leafKNN(eng, leaf, req.Bytes(), &reply); err != nil {
 			t.Fatal(err)
 		}
 		got, err := DecodeNeighbors(reply.Bytes())

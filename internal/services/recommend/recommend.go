@@ -54,16 +54,8 @@ func DecodePredictRequest(b []byte) (user, item int, err error) {
 	return user, item, d.Err()
 }
 
-// EncodePredictResponse encodes a leaf's (or the service's) prediction.
-// ok=false means this shard cannot rate the pair (unknown user or item).
-func EncodePredictResponse(rating float64, ok bool) []byte {
-	e := wire.NewEncoder(10)
-	e.Bool(ok)
-	e.Float64(rating)
-	return e.Bytes()
-}
-
-// DecodePredictResponse decodes a prediction.
+// DecodePredictResponse decodes a leaf's (or the service's) prediction.
+// ok=false means the shard cannot rate the pair (unknown user or item).
 func DecodePredictResponse(b []byte) (rating float64, ok bool, err error) {
 	d := wire.NewDecoder(b)
 	ok = d.Bool()

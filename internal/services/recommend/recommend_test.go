@@ -7,6 +7,7 @@ import (
 
 	"musuite/internal/core"
 	"musuite/internal/dataset"
+	"musuite/internal/wire"
 )
 
 func testCorpus(t *testing.T) *dataset.RatingCorpus {
@@ -43,11 +44,18 @@ func TestCodecs(t *testing.T) {
 	if err != nil || u != 42 || i != 7 {
 		t.Fatalf("request codec: %d %d %v", u, i, err)
 	}
-	r, ok, err := DecodePredictResponse(EncodePredictResponse(3.5, true))
+	// A response as the leaf and the mid-tier stream it: the flag, the rating.
+	response := func(rating float64, ok bool) []byte {
+		var e wire.Encoder
+		e.Bool(ok)
+		e.Float64(rating)
+		return e.Bytes()
+	}
+	r, ok, err := DecodePredictResponse(response(3.5, true))
 	if err != nil || !ok || r != 3.5 {
 		t.Fatalf("response codec: %v %v %v", r, ok, err)
 	}
-	r, ok, err = DecodePredictResponse(EncodePredictResponse(0, false))
+	r, ok, err = DecodePredictResponse(response(0, false))
 	if err != nil || ok || r != 0 {
 		t.Fatalf("no-rating codec: %v %v %v", r, ok, err)
 	}

@@ -10,7 +10,7 @@ import (
 
 func TestReplicasInPool(t *testing.T) {
 	pool := []int{3, 5, 9}
-	got := ReplicasInPool("key", pool, 2)
+	got := appendReplicasInPool(nil, []byte("key"), pool, 2)
 	if len(got) != 2 {
 		t.Fatalf("got %v", got)
 	}
@@ -24,10 +24,10 @@ func TestReplicasInPool(t *testing.T) {
 		t.Fatalf("duplicate replicas %v", got)
 	}
 	// Clamping and empty-pool behavior.
-	if got := ReplicasInPool("k", pool, 10); len(got) != 3 {
+	if got := appendReplicasInPool(nil, []byte("k"), pool, 10); len(got) != 3 {
 		t.Fatalf("clamp: %v", got)
 	}
-	if got := ReplicasInPool("k", nil, 2); got != nil {
+	if got := appendReplicasInPool(nil, []byte("k"), nil, 2); got != nil {
 		t.Fatalf("empty pool: %v", got)
 	}
 }
@@ -48,7 +48,7 @@ func TestRouteTableLongestPrefixMatch(t *testing.T) {
 		{"other:key", map[int]bool{0: true, 1: true, 2: true, 3: true, 4: true, 5: true}},
 	}
 	for _, c := range cases {
-		shards := rt.route(c.key, cluster.Modulo{}, 6)
+		shards := rt.route(nil, []byte(c.key), cluster.Modulo{}, 6)
 		for _, s := range shards {
 			if !c.pool[s] {
 				t.Errorf("key %q routed to %d outside pool", c.key, s)
@@ -59,7 +59,7 @@ func TestRouteTableLongestPrefixMatch(t *testing.T) {
 
 func TestRouteTableReplicationWithinPool(t *testing.T) {
 	rt := newRouteTable([]PrefixRule{{Prefix: "a:", Leaves: []int{1, 3, 5}}}, 2)
-	shards := rt.route("a:key", cluster.Modulo{}, 8)
+	shards := rt.route(nil, []byte("a:key"), cluster.Modulo{}, 8)
 	if len(shards) != 2 {
 		t.Fatalf("got %v", shards)
 	}
@@ -70,7 +70,7 @@ func TestRouteTableReplicationWithinPool(t *testing.T) {
 	}
 	// Replication clamps to pool size, not total leaves.
 	rt1 := newRouteTable([]PrefixRule{{Prefix: "a:", Leaves: []int{2}}}, 3)
-	if got := rt1.route("a:key", cluster.Modulo{}, 8); len(got) != 1 || got[0] != 2 {
+	if got := rt1.route(nil, []byte("a:key"), cluster.Modulo{}, 8); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("single-leaf pool: %v", got)
 	}
 }

@@ -11,8 +11,8 @@ package router
 
 import (
 	"fmt"
-	"strings"
 	"sync/atomic"
+	"unsafe"
 
 	"musuite/internal/cluster"
 	"musuite/internal/core"
@@ -101,16 +101,20 @@ func DecodeFound(b []byte) (bool, error) {
 
 // --- leaf ---
 
+// keyView reads b as a string without copying it: the key of a store call
+// that ends before the request's buffer is released.  The store clones a key
+// it keeps (memcache: only a new entry does).
+func keyView(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
 // applyOp executes one store operation for a leaf request, streaming the
-// reply into the pooled encoder.  Set values are read by view (the store
-// copies them in) and get values stream out under the store's shard lock, so
-// the only steady-state allocation is the key string the store's map index
-// requires.
+// reply into the pooled encoder.  Key and set value are read by view (the
+// store copies in what it keeps) and get values stream out under the store's
+// shard lock, so a steady-state operation on a resident key allocates nothing.
 func applyOp(store *memcache.Store, method string, payload []byte, reply *wire.Encoder) error {
 	d := wire.NewDecoder(payload)
+	key := keyView(d.BytesView())
 	switch method {
 	case MethodGet:
-		key := d.String()
 		if err := d.Err(); err != nil {
 			return err
 		}
@@ -124,7 +128,6 @@ func applyOp(store *memcache.Store, method string, payload []byte, reply *wire.E
 		}
 		return nil
 	case MethodSet:
-		key := d.String()
 		value := d.BytesView()
 		if err := d.Err(); err != nil {
 			return err
@@ -132,7 +135,6 @@ func applyOp(store *memcache.Store, method string, payload []byte, reply *wire.E
 		store.Set(key, value, 0)
 		return nil
 	case MethodDelete:
-		key := d.String()
 		if err := d.Err(); err != nil {
 			return err
 		}
@@ -193,43 +195,38 @@ func Replicas(key string, numLeaves, r int) []int {
 // placement survives a resize for all but ~1/(n+1) of keys, which keeps a
 // resized Router deployment's hit rate largely intact.
 func ReplicasRouted(key string, router cluster.Router, numLeaves, r int) []int {
-	if numLeaves <= 0 {
-		return nil
-	}
-	if r < 1 {
-		r = 1
-	}
-	if r > numLeaves {
-		r = numLeaves
-	}
-	h := spooky.Hash64([]byte(key), hashSeed)
-	primary := router.Shard(h, numLeaves)
-	out := make([]int, r)
-	for i := 0; i < r; i++ {
-		out[i] = (primary + i) % numLeaves
-	}
-	return out
+	// Sized once, here: appending to nil would allocate twice for r = 2.
+	dst := make([]int, 0, max(min(r, numLeaves), 1))
+	return appendReplicas(dst, []byte(key), router, numLeaves, r)
 }
 
-// ReplicasInPool places key on r distinct members of an explicit leaf pool:
-// the SpookyHash-selected primary position and the next r−1 pool positions.
-func ReplicasInPool(key string, pool []int, r int) []int {
-	if len(pool) == 0 {
-		return nil
+// appendReplicas is ReplicasRouted on the key's bytes, appending to dst: the
+// request path routes on a view of the payload into an array on its stack.
+func appendReplicas(dst []int, key []byte, router cluster.Router, numLeaves, r int) []int {
+	if numLeaves <= 0 {
+		return dst
 	}
-	if r < 1 {
-		r = 1
-	}
-	if r > len(pool) {
-		r = len(pool)
-	}
-	h := spooky.Hash64([]byte(key), hashSeed)
-	primary := int(h % uint64(len(pool)))
-	out := make([]int, r)
+	r = min(max(r, 1), numLeaves)
+	primary := router.Shard(spooky.Hash64(key, hashSeed), numLeaves)
 	for i := 0; i < r; i++ {
-		out[i] = pool[(primary+i)%len(pool)]
+		dst = append(dst, (primary+i)%numLeaves)
 	}
-	return out
+	return dst
+}
+
+// appendReplicasInPool places key on r distinct members of an explicit leaf
+// pool — the SpookyHash-selected primary position and the next r−1 pool
+// positions — appending them to dst.
+func appendReplicasInPool(dst []int, key []byte, pool []int, r int) []int {
+	if len(pool) == 0 {
+		return dst
+	}
+	r = min(max(r, 1), len(pool))
+	primary := int(spooky.Hash64(key, hashSeed) % uint64(len(pool)))
+	for i := 0; i < r; i++ {
+		dst = append(dst, pool[(primary+i)%len(pool)])
+	}
+	return dst
 }
 
 // routeTable is the compiled prefix-routing state.
@@ -250,19 +247,22 @@ func newRouteTable(rules []PrefixRule, replicas int) *routeTable {
 	return &routeTable{rules: ordered, replicas: replicas}
 }
 
-// route returns the replica set for key.  Callers pass the strategy and
-// leaf count read from one pinned topology snapshot, so every route
+// route appends the replica set for key to dst.  Callers pass the strategy
+// and leaf count read from one pinned topology snapshot, so every route
 // computed for one request agrees on one epoch even while the cluster
 // resizes.  Prefix-pinned pools name explicit leaf indexes and keep their
 // in-pool modulo placement.
-func (rt *routeTable) route(key string, router cluster.Router, numLeaves int) []int {
+func (rt *routeTable) route(dst []int, key []byte, router cluster.Router, numLeaves int) []int {
 	for _, rule := range rt.rules {
-		if strings.HasPrefix(key, rule.Prefix) && len(rule.Leaves) > 0 {
-			return ReplicasInPool(key, rule.Leaves, rt.replicas)
+		if p := rule.Prefix; len(key) >= len(p) && string(key[:len(p)]) == p && len(rule.Leaves) > 0 {
+			return appendReplicasInPool(dst, key, rule.Leaves, rt.replicas)
 		}
 	}
-	return ReplicasRouted(key, router, numLeaves, rt.replicas)
+	return appendReplicas(dst, key, router, numLeaves, rt.replicas)
 }
+
+// maxStackReplicas sizes the handler's stack arrays; a larger set spills.
+const maxStackReplicas = 4
 
 // NewMidTier builds the Router mid-tier.  Call ConnectLeaves then Start.
 func NewMidTier(cfg MidTierConfig) *core.MidTier {
@@ -275,22 +275,11 @@ func NewMidTier(cfg MidTierConfig) *core.MidTier {
 	// way the paper's random replica choice does.
 	var pickSeq atomic.Uint64
 	return core.NewMidTier(func(ctx *core.Ctx) {
-		switch ctx.Req.Method {
+		method := ctx.Req.Method
+		var merge func([]core.LeafResult)
+		switch method {
 		case MethodSet:
-			key, _, err := DecodeKeyValue(ctx.Req.Payload)
-			if err != nil {
-				ctx.ReplyError(err)
-				return
-			}
-			// Forward the set to every replica in the pool so the
-			// same data resides on several leaves.
-			snap := ctx.Snapshot()
-			shards := table.route(key, snap.Router(), snap.NumLeaves())
-			calls := make([]core.LeafCall, len(shards))
-			for i, s := range shards {
-				calls[i] = core.LeafCall{Shard: s, Method: MethodSet, Payload: ctx.Req.Payload}
-			}
-			ctx.Fanout(calls, func(results []core.LeafResult) {
+			merge = func(results []core.LeafResult) {
 				for _, r := range results {
 					if r.Err != nil {
 						ctx.ReplyError(r.Err)
@@ -298,38 +287,18 @@ func NewMidTier(cfg MidTierConfig) *core.MidTier {
 					}
 				}
 				ctx.Reply(nil)
-			})
+			}
 		case MethodGet:
-			key, err := DecodeKey(ctx.Req.Payload)
-			if err != nil {
-				ctx.ReplyError(err)
-				return
+			merge = func(results []core.LeafResult) {
+				r := results[0]
+				if r.Err != nil {
+					ctx.ReplyError(r.Err)
+					return
+				}
+				ctx.Reply(r.Reply)
 			}
-			snap := ctx.Snapshot()
-			shards := table.route(key, snap.Router(), snap.NumLeaves())
-			shard := shards[pickSeq.Add(1)%uint64(len(shards))]
-			ctx.Fanout([]core.LeafCall{{Shard: shard, Method: MethodGet, Payload: ctx.Req.Payload}},
-				func(results []core.LeafResult) {
-					r := results[0]
-					if r.Err != nil {
-						ctx.ReplyError(r.Err)
-						return
-					}
-					ctx.Reply(r.Reply)
-				})
 		case MethodDelete:
-			key, err := DecodeKey(ctx.Req.Payload)
-			if err != nil {
-				ctx.ReplyError(err)
-				return
-			}
-			snap := ctx.Snapshot()
-			shards := table.route(key, snap.Router(), snap.NumLeaves())
-			calls := make([]core.LeafCall, len(shards))
-			for i, s := range shards {
-				calls[i] = core.LeafCall{Shard: s, Method: MethodDelete, Payload: ctx.Req.Payload}
-			}
-			ctx.Fanout(calls, func(results []core.LeafResult) {
+			merge = func(results []core.LeafResult) {
 				found := false
 				for _, r := range results {
 					if r.Err != nil {
@@ -341,10 +310,37 @@ func NewMidTier(cfg MidTierConfig) *core.MidTier {
 					}
 				}
 				ctx.Reply(EncodeFound(found))
-			})
+			}
 		default:
-			ctx.ReplyError(fmt.Errorf("router mid-tier: unknown method %q", ctx.Req.Method))
+			ctx.ReplyError(fmt.Errorf("router mid-tier: unknown method %q", method))
+			return
 		}
+		// The mid-tier routes on the key where it lies in the request and
+		// forwards the payload as it came: a set's value is never touched.
+		d := wire.NewDecoder(ctx.Req.Payload)
+		key := d.BytesView()
+		if method == MethodSet {
+			d.BytesView()
+		}
+		if err := d.Err(); err != nil {
+			ctx.ReplyError(err)
+			return
+		}
+		snap := ctx.Snapshot()
+		var shardArr [maxStackReplicas]int
+		shards := table.route(shardArr[:0], key, snap.Router(), snap.NumLeaves())
+		if method == MethodGet {
+			shards = shards[pickSeq.Add(1)%uint64(len(shards)):][:1]
+		}
+		// Sets and deletes go to every replica in the pool so the same data
+		// resides on several leaves; a get to one.  Fanout copies the calls
+		// into its slots before it returns.
+		var callArr [maxStackReplicas]core.LeafCall
+		calls := callArr[:0]
+		for _, s := range shards {
+			calls = append(calls, core.LeafCall{Shard: s, Method: method, Payload: ctx.Req.Payload})
+		}
+		ctx.Fanout(calls, merge)
 	}, &cfg.Core)
 }
 
@@ -366,35 +362,53 @@ func DialClient(addr string, opts *rpc.ClientOptions) (*Client, error) {
 	return &Client{rpc: c}, nil
 }
 
-// Get reads key, reporting presence.
-func (c *Client) Get(key string) ([]byte, bool, error) {
-	reply, err := c.rpc.Call(MethodGet, EncodeKey(key))
-	if err != nil {
-		return nil, false, err
+// call sends the request encoded in e and waits for its reply.  The write
+// queue has copied the frame by the time Go returns, so e goes back to its
+// pool here; the caller decodes call.Reply and Releases the call, which
+// returns the reply's buffer to its pool too.
+func (c *Client) call(method string, e *wire.Encoder) *rpc.Call {
+	call := c.rpc.Go(method, e.Bytes(), nil, nil)
+	<-call.Done
+	wire.PutEncoder(e)
+	return call
+}
+
+// Get reads key, reporting presence.  The value is the caller's own copy.
+func (c *Client) Get(key string) (value []byte, found bool, err error) {
+	e := wire.GetEncoder()
+	e.String(key)
+	call := c.call(MethodGet, e)
+	if err = call.Err; err == nil {
+		found, value, err = DecodeGetResponse(call.Reply)
 	}
-	found, value, err := DecodeGetResponse(reply)
-	if err != nil {
+	call.Release()
+	if err != nil || !found {
 		return nil, false, err
-	}
-	if !found {
-		return nil, false, nil
 	}
 	return value, true, nil
 }
 
 // Set writes key=value to the replica pool.
 func (c *Client) Set(key string, value []byte) error {
-	_, err := c.rpc.Call(MethodSet, EncodeKeyValue(key, value))
+	e := wire.GetEncoder()
+	e.String(key)
+	e.BytesField(value)
+	call := c.call(MethodSet, e)
+	err := call.Err
+	call.Release()
 	return err
 }
 
 // Delete removes key from all replicas, reporting whether any held it.
-func (c *Client) Delete(key string) (bool, error) {
-	reply, err := c.rpc.Call(MethodDelete, EncodeKey(key))
-	if err != nil {
-		return false, err
+func (c *Client) Delete(key string) (found bool, err error) {
+	e := wire.GetEncoder()
+	e.String(key)
+	call := c.call(MethodDelete, e)
+	if err = call.Err; err == nil {
+		found, err = DecodeFound(call.Reply)
 	}
-	return DecodeFound(reply)
+	call.Release()
+	return found, err
 }
 
 // GoGet issues an asynchronous get (for load generators).

@@ -14,6 +14,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // ErrTruncated reports a decode past the end of the buffer.
@@ -49,11 +50,19 @@ var encPool = sync.Pool{
 	New: func() any { return &Encoder{buf: make([]byte, 0, 512)} },
 }
 
+var encodersInUse atomic.Int64
+
+// EncodersInUse reports how many pooled encoders are taken and not yet put
+// back, process-wide.  A closed deployment holds none: tests assert the count
+// returns to where it started.
+func EncodersInUse() int64 { return encodersInUse.Load() }
+
 // GetEncoder returns a reset pooled encoder.  Pair with PutEncoder once the
 // encoded bytes are no longer referenced.
 func GetEncoder() *Encoder {
 	e := encPool.Get().(*Encoder)
 	e.Reset()
+	encodersInUse.Add(1)
 	return e
 }
 
@@ -61,10 +70,13 @@ func GetEncoder() *Encoder {
 // from e.Bytes() afterwards.  Oversized scratch is dropped rather than
 // pooled so one giant reply does not pin its buffer forever.
 func PutEncoder(e *Encoder) {
-	if e == nil || cap(e.buf) > 1<<20 {
+	if e == nil {
 		return
 	}
-	encPool.Put(e)
+	encodersInUse.Add(-1)
+	if cap(e.buf) <= 1<<20 {
+		encPool.Put(e)
+	}
 }
 
 // Bytes returns the encoded buffer.  The slice aliases internal storage and
