@@ -1,22 +1,6 @@
 GO ?= go
 
-.PHONY: build test short race vet fmt-check loc flake-guard bench-smoke bench-gate bench-baseline profile resize-demo trace-demo trace-smoke drain-churn autoscale-churn overload-demo ann-demo topo-demo scenario-demo ci
-
-# Gate benchmarks: TailFanout (hedging), LeafBatching (cross-request
-# coalescing; a leaf runs a carrier's members one by one through its one
-# handler), HotPathAllocs (per-call allocation budget), the leaf
-# compute kernels — LeafScan (SoA norm-trick scan), TopK (streaming
-# selection), IntersectBitset (dense-range posting-list intersection),
-# IVFScan/PQScan (sub-linear ANN leaf path; setup asserts recall@10 and
-# the PQ compression ratio before timing), HNSWScan (graph ANN leaf path;
-# setup asserts recall@10 ≥ 0.95, a ≥25x speedup over the brute-force
-# scan, and beating the IVF gate point) — and OverloadGoodput (completed
-# QPS and shed fraction at 2x the measured knee with admission control
-# armed; goodput-qps gates higher-is-better).
-# -count=5 gives `musuite gate` a mean per metric; -benchmem adds B/op and
-# allocs/op so memory regressions gate alongside latency.
-BENCH_GATE_PATTERN = TailFanout|LeafBatching|HotPathAllocs|LeafScan|TopK|IntersectBitset|IVFScan|PQScan|HNSWScan|OverloadGoodput
-BENCH_GATE_CMD = $(GO) test -run=NONE -bench='$(BENCH_GATE_PATTERN)' -benchtime=2s -count=5 -benchmem .
+.PHONY: build test short race vet fmt-check loc flake-guard bench-smoke profile resize-demo trace-demo trace-smoke drain-churn autoscale-churn overload-demo ann-demo topo-demo scenario-demo ci
 
 build:
 	$(GO) build ./...
@@ -55,31 +39,28 @@ loc:
 flake-guard:
 	$(GO) test -short -count=20 ./internal/core ./internal/topo ./internal/cluster ./internal/autoscale ./internal/lsh ./internal/services/hdsearch ./internal/ann ./internal/rpc
 
+# The benchmark's four workloads as an end-to-end smoke (the bench-smoke CI
+# job): a 2 s run of each, untraced and traced, must exit 0 and end in a
+# result line with "correct":true and "failed":0.  The eight result lines are
+# collected in bench-smoke.jsonl.
 bench-smoke: build
 	$(GO) run ./cmd/musuite bench -experiment tableII
-	$(GO) run ./cmd/musuite bench -experiment fig9 -services Router
-	$(GO) test -run xxx -bench 'BenchmarkTailFanout' -benchtime 200x .
+	@: > bench-smoke.jsonl
+	@for w in router_get router_set setalgebra_fanout hdsearch_lsh; do for tr in 0 1; do \
+		out=$$(bash benchmarks/run.sh --workload $$w --seconds 2 --trace $$tr) || exit 1; \
+		line=$$(printf '%s\n' "$$out" | tail -n 1); \
+		echo "$$line" | tee -a bench-smoke.jsonl; \
+		case "$$line" in *'"correct":true,'*'"failed":0,'*) ;; \
+		*) echo "bench-smoke: $$w --trace $$tr did not end correct with 0 failed" >&2; exit 1;; esac; \
+	done; done
 
-# Run the gate benchmarks and fail on >15% mean regression against the
-# committed baseline.  The raw output goes to a file first so a non-zero
-# test exit is not hidden behind a pipe.
-bench-gate: build
-	$(BENCH_GATE_CMD) > BENCH_ci.txt
-	cat BENCH_ci.txt
-	$(GO) run ./cmd/musuite gate -summary BENCH_ci.json -baseline BENCH_baseline.json BENCH_ci.txt
-
-# Refresh the committed baseline (run on a quiet machine, then commit).
-bench-baseline: build
-	$(BENCH_GATE_CMD) > BENCH_baseline.txt
-	cat BENCH_baseline.txt
-	$(GO) run ./cmd/musuite gate -summary BENCH_baseline.json BENCH_baseline.txt
-
-# Collect cpu/heap/mutex profiles from the gate benchmarks for hot-path
-# work.  Inspect with e.g.:  go tool pprof musuite.test profile/cpu.out
+# Collect cpu/heap/mutex profiles from the fan-out microbenchmarks (hedging,
+# leaf batching) for hot-path work.  Inspect with e.g.:
+#   go tool pprof profile/core.test profile/cpu.out
 profile: build
 	mkdir -p profile
-	$(GO) test -run=NONE -bench='$(BENCH_GATE_PATTERN)' -benchtime=2s -benchmem \
-		-cpuprofile profile/cpu.out -memprofile profile/mem.out -mutexprofile profile/mutex.out .
+	$(GO) test -run=NONE -bench='TailFanout|LeafBatching' -benchtime=2s -benchmem -o profile/core.test \
+		-cpuprofile profile/cpu.out -memprofile profile/mem.out -mutexprofile profile/mutex.out ./internal/core
 
 # Watch a live resize: Router serves a steady load while a leaf group is
 # added and then gracefully drained mid-window.  Jump routing keeps key

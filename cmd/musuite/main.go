@@ -2,8 +2,8 @@
 // stand up and drive a deployment from the service's single definition
 // (internal/bench), so the tiers, the load generator and a topology spec
 // given the same sizes and seed agree on the dataset without shipping files;
-// `bench`, `trace` and `gate` regenerate the paper's evaluation, inspect
-// exported traces and gate CI on benchmark regressions:
+// `bench` regenerates the paper's evaluation and `trace` inspects exported
+// traces:
 //
 //	musuite serve <service> -role leaf    -addr :7101 -shard 0 -shards 4
 //	musuite serve <service> -role midtier -addr :7100 -leaves h1:7101,...,h4:7104 -shards 4
@@ -11,7 +11,6 @@
 //	musuite topo  -topo examples/social-network.yaml
 //	musuite bench -experiment fig10 -services HDSearch,Router -window 5s
 //	musuite trace -check trace-loadgen.jsonl trace-mid.jsonl trace-leaf0.jsonl
-//	musuite gate  -baseline BENCH_baseline.json bench.txt
 //
 // <service> is hdsearch, router, setalgebra or recommend.  `serve` runs one
 // tier as its own process — the paper's distributed deployment, each
@@ -40,12 +39,11 @@ var commands = map[string]func(fs *flag.FlagSet, args []string) error{
 	"topo":  runTopo,
 	"bench": runBench,
 	"trace": runTrace,
-	"gate":  runGate,
 }
 
 func main() {
 	if len(os.Args) < 2 || commands[os.Args[1]] == nil {
-		fmt.Fprintf(os.Stderr, "usage: musuite serve|load <%s> [flags]\n       musuite topo -topo <spec.yaml> [flags]\n       musuite bench [flags]\n       musuite trace [flags] trace.jsonl...\n       musuite gate [flags] bench.txt\n",
+		fmt.Fprintf(os.Stderr, "usage: musuite serve|load <%s> [flags]\n       musuite topo -topo <spec.yaml> [flags]\n       musuite bench [flags]\n       musuite trace [flags] trace.jsonl...\n",
 			strings.Join(topo.RegisteredKinds(), "|"))
 		os.Exit(2)
 	}

@@ -8,9 +8,11 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+	"unicode"
 
 	"musuite/internal/bench"
 )
@@ -97,6 +99,36 @@ func TestReadmeFlagTablesAreTheFlags(t *testing.T) {
 	}
 }
 
+// TestReadmeMakeListIsTheMakefile: README's `make a | b | …` list names
+// exactly the Makefile's phony targets, less the `ci` aggregate.
+func TestReadmeMakeListIsTheMakefile(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	makefile, err := os.ReadFile("../../Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	phony := regexp.MustCompile(`(?m)^\.PHONY:(.*)$`).FindSubmatch(makefile)
+	list := regexp.MustCompile("`make ([a-z-]+(?:\\s*\\|\\s*[a-z-]+)+)`").FindSubmatch(readme)
+	if phony == nil || list == nil {
+		t.Fatalf("no .PHONY line in Makefile (%v) or no `make a | b` list in README (%v)", phony != nil, list != nil)
+	}
+	var want []string
+	for _, target := range strings.Fields(string(phony[1])) {
+		if target != "ci" {
+			want = append(want, target)
+		}
+	}
+	got := strings.FieldsFunc(string(list[1]), func(r rune) bool { return r == '|' || unicode.IsSpace(r) })
+	slices.Sort(want)
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Errorf("README's make list is %v, the Makefile's phony targets (less ci) are %v", got, want)
+	}
+}
+
 // TestSizingFlagsAreTheTable: `musuite serve <svc>` and `musuite load <svc>`
 // get exactly the service's rows of the sizing table (plus -seed and -shards)
 // from serviceFlags, defaulting to SmallScale, and the README's sizing rows
@@ -137,25 +169,18 @@ func TestSizingFlagsAreTheTable(t *testing.T) {
 	}
 }
 
-// TestSubcommandsRun: the three subcommands that used to be binaries of their
-// own each complete their smallest job, and the two that start servers refuse
-// bad arguments before starting anything — so the fold cannot drop one
-// silently.
+// TestSubcommandsRun: the two subcommands that used to be binaries of their
+// own (bench, trace) each complete their smallest job, and the two that start
+// servers refuse bad arguments before starting anything — so the fold cannot
+// drop one silently.
 func TestSubcommandsRun(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, content string) string {
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
 	// A front-end client span and the leaf's server span under it.
-	spans := write("trace.jsonl", `{"trace":"00000000000000aa","span":"0000000000000001","name":"router.get","kind":"client","svc":"loadgen","start":1000,"dur":5000}
+	spans := filepath.Join(t.TempDir(), "trace.jsonl")
+	if err := os.WriteFile(spans, []byte(`{"trace":"00000000000000aa","span":"0000000000000001","name":"router.get","kind":"client","svc":"loadgen","start":1000,"dur":5000}
 {"trace":"00000000000000aa","span":"0000000000000002","parent":"0000000000000001","name":"router.get","kind":"server","svc":"leaf","start":2000,"dur":3000}
-`)
-	benchOut := write("bench.txt", "BenchmarkTopK-2   \t1000\t 1200 ns/op\t 0 B/op\t 0 allocs/op\nBenchmarkTopK-2   \t1000\t 1300 ns/op\t 0 B/op\t 0 allocs/op\n")
-	summary := filepath.Join(dir, "summary.json")
+`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	for _, c := range []struct {
 		cmd  string
@@ -165,8 +190,6 @@ func TestSubcommandsRun(t *testing.T) {
 		{"bench", []string{"-experiment", "tableII"}, ""},
 		{"trace", []string{"-check", "-min-traces", "1", spans}, ""},
 		{"trace", []string{"-check", "-min-traces", "2", spans}, "connected traces"},
-		{"gate", []string{"-summary", summary, benchOut}, ""},
-		{"gate", []string{"-baseline", summary, benchOut}, ""},
 		{"serve", []string{"router", "-role", "none"}, "-role"},
 		{"load", []string{"router"}, "-target"},
 		{"topo", nil, "-topo"},

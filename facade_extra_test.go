@@ -22,16 +22,6 @@ func fakeIssue(d time.Duration) musuite.IssueFunc {
 	}
 }
 
-func TestFacadeScales(t *testing.T) {
-	small, paper := musuite.SmallScale(), musuite.PaperScale()
-	if small.HDCorpus <= 0 || small.Shards <= 0 || len(small.Loads) == 0 {
-		t.Fatalf("small scale incomplete: %+v", small)
-	}
-	if paper.HDCorpus <= small.HDCorpus || paper.Trials < 5 {
-		t.Fatalf("paper scale not publication-sized: %+v", paper)
-	}
-}
-
 func TestFacadeLoadgenWrappers(t *testing.T) {
 	closed := musuite.RunClosedLoop(fakeIssue(time.Millisecond), musuite.ClosedLoopConfig{
 		Concurrency: 2, Duration: 200 * time.Millisecond,
@@ -146,39 +136,6 @@ func TestFacadeQueryStats(t *testing.T) {
 	}
 	if st.Role != "midtier" || st.Served < 5 {
 		t.Fatalf("stats: %+v", st)
-	}
-}
-
-func TestFacadeCharacterizeTiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration experiment")
-	}
-	s := musuite.SmallScale()
-	s.RouterKeys = 200
-	s.Loads = []float64{60}
-	s.Window = 300 * time.Millisecond
-	points, err := musuite.Characterize(s, []string{"Router"}, musuite.FrameworkMode{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 1 || points[0].Open.Completed == 0 {
-		t.Fatalf("points: %+v", points)
-	}
-}
-
-func TestFacadeFlashCrowdExperimentTiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration experiment")
-	}
-	s := musuite.SmallScale()
-	s.RouterKeys = 200
-	s.Window = 200 * time.Millisecond
-	res, err := musuite.FlashCrowdExperiment(s, "Router", 50, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 3 {
-		t.Fatalf("phases: %d", len(res))
 	}
 }
 

@@ -175,6 +175,18 @@ func TestHostAndTableII(t *testing.T) {
 	}
 }
 
+// TestScales: SmallScale is a complete configuration and PaperScale is
+// publication-sized — larger corpora and the paper's five trials.
+func TestScales(t *testing.T) {
+	small, paper := SmallScale(), PaperScale()
+	if small.HDCorpus <= 0 || small.Shards <= 0 || len(small.Loads) == 0 {
+		t.Fatalf("small scale incomplete: %+v", small)
+	}
+	if paper.HDCorpus <= small.HDCorpus || paper.Trials < 5 {
+		t.Fatalf("paper scale not publication-sized: %+v", paper)
+	}
+}
+
 func TestThreadPoolSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration experiment")

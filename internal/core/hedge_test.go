@@ -12,7 +12,7 @@ import (
 
 // startWorkLeaf launches a leaf whose "work" handler sleeps delay() before
 // echoing, modelling a replica with an injectable latency profile.
-func startWorkLeaf(t *testing.T, delay func() time.Duration) (string, *Leaf) {
+func startWorkLeaf(t testing.TB, delay func() time.Duration) (string, *Leaf) {
 	t.Helper()
 	leaf := NewLeaf(func(method string, payload []byte) ([]byte, error) {
 		if d := delay(); d > 0 {
@@ -32,7 +32,7 @@ func startWorkLeaf(t *testing.T, delay func() time.Duration) (string, *Leaf) {
 
 // startTailMidTier wires a mid-tier that fans "work" to every shard and
 // counts merge invocations, for hedging/cancellation assertions.
-func startTailMidTier(t *testing.T, groups [][]string, opts *Options, merges *atomic.Uint64) (string, *MidTier) {
+func startTailMidTier(t testing.TB, groups [][]string, opts *Options, merges *atomic.Uint64) (string, *MidTier) {
 	t.Helper()
 	mt := NewMidTier(func(ctx *Ctx) {
 		ctx.FanoutAll("work", ctx.Req.Payload, func(results []LeafResult) {

@@ -243,3 +243,34 @@ func BenchmarkUnionIDs(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkIntersectBitset times the dense-range bitset intersection against
+// the galloping kernel on two lists covering half of a 64k-document range —
+// the shape the span heuristic routes to the bitset.
+func BenchmarkIntersectBitset(b *testing.B) {
+	r := rand.New(rand.NewSource(13))
+	build := func() *PostingList {
+		ids := make([]uint32, 0, 32_000)
+		for id := uint32(0); id < 64_000; id++ {
+			if r.Intn(2) == 0 {
+				ids = append(ids, id)
+			}
+		}
+		return New(ids)
+	}
+	pa, pb := build(), build()
+	b.Run("bitset", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if got := Intersect2Bitset(pa, pb); got.Len() == 0 {
+				b.Fatal("empty intersection")
+			}
+		}
+	})
+	b.Run("skip", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if got := Intersect2Skip(pa, pb); got.Len() == 0 {
+				b.Fatal("empty intersection")
+			}
+		}
+	})
+}

@@ -143,7 +143,9 @@ func (h *Histogram) Max() time.Duration {
 }
 
 // Quantile returns the approximate q-quantile (0 ≤ q ≤ 1) of the recorded
-// durations.  Quantization error is bounded by the sub-bucket width.
+// durations: the nearest-rank sample's bucket lower bound, clamped to
+// [Min, Max], and Max itself for the last rank.  It is within one sub-bucket
+// (1/64 relative) below the exact nearest-rank value.
 func (h *Histogram) Quantile(q float64) time.Duration {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -160,11 +162,14 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	if rank == 0 {
 		rank = 1
 	}
+	if rank == h.totalCount {
+		return time.Duration(h.max)
+	}
 	var seen uint64
 	for i, c := range h.counts {
 		seen += c
 		if seen >= rank {
-			return time.Duration(bucketLow(i))
+			return time.Duration(min(max(bucketLow(i), h.min), h.max))
 		}
 	}
 	return time.Duration(h.max)

@@ -199,6 +199,54 @@ func TestExactQuantileProperties(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantileProperties: for any samples, Quantile lies in
+// [Min, Max], is monotone in q, is Max at q = 1, and is at most one
+// sub-bucket (1/64 relative) below ExactQuantile.  One sample of 1 001 ns and
+// the pair {100 µs, 131 µs} are the cases a bucket's lower bound put below
+// Min and short of Max.
+func TestHistogramQuantileProperties(t *testing.T) {
+	check := func(samples []time.Duration, quantiles []float64) bool {
+		h := NewHistogram()
+		for _, s := range samples {
+			h.Record(s)
+		}
+		quantiles = append(quantiles, 0, 0.5, 0.99, 1)
+		sort.Float64s(quantiles)
+		var prev time.Duration
+		for _, q := range quantiles {
+			got, exact := h.Quantile(q), ExactQuantile(samples, q)
+			if got < h.Min() || got > h.Max() || got < prev || got > exact || float64(exact-got) > float64(exact)/histSub {
+				t.Logf("q=%v: got %v, exact %v, min %v, max %v, previous %v", q, got, exact, h.Min(), h.Max(), prev)
+				return false
+			}
+			prev = got
+		}
+		return h.Quantile(1) == h.Max()
+	}
+	for _, samples := range [][]time.Duration{{1001}, {100 * time.Microsecond, 131 * time.Microsecond}} {
+		if !check(samples, nil) {
+			t.Errorf("samples %v", samples)
+		}
+	}
+	f := func(raw []uint32, qs [4]uint16) bool {
+		if len(raw) == 0 {
+			return true
+		}
+		samples := make([]time.Duration, len(raw))
+		for i, r := range raw {
+			samples[i] = time.Duration(r>>(r%32)) + 1 // 1 ns to ~4 s
+		}
+		var quantiles []float64
+		for _, q := range qs {
+			quantiles = append(quantiles, float64(q)/math.MaxUint16)
+		}
+		return check(samples, quantiles)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestExactQuantileNearestRank(t *testing.T) {
 	samples := []time.Duration{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
 	cases := []struct {

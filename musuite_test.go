@@ -97,24 +97,6 @@ func TestFacadeRouter(t *testing.T) {
 	}
 }
 
-// TestFacadeExperiments runs a miniature Fig. 9 through the facade.
-func TestFacadeExperiments(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration experiment")
-	}
-	s := musuite.SmallScale()
-	s.Docs, s.Vocab = 300, 900
-	s.SaturationWindow = 200 * time.Millisecond
-	s.MaxConcurrency = 4
-	rows, err := musuite.Fig9(s, []string{"SetAlgebra"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 || rows[0].Throughput <= 0 {
-		t.Fatalf("rows=%+v", rows)
-	}
-}
-
 // TestFacadeProbe exercises the instrumentation path via the facade types.
 func TestFacadeProbe(t *testing.T) {
 	probe := musuite.NewProbe()
