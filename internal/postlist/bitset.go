@@ -71,10 +71,7 @@ func (sc *IntersectScratch) intersectBitset(dst, a, b []uint32) []uint32 {
 
 // fillBits sets the bit for every id in [lo, hi], bit index id−lo.
 func fillBits(words []uint64, ids []uint32, lo, hi uint32) {
-	// Skip the prefix below the overlap range with a binary-ish scan: lists
-	// are sorted, so find the first in-range element linearly from whichever
-	// end is cheaper is overkill — a simple scan with early exit suffices
-	// because out-of-range prefixes/suffixes were already paid for in len().
+	// ids ascend: skip those below lo and stop at the first above hi.
 	for _, id := range ids {
 		if id < lo {
 			continue
@@ -95,9 +92,9 @@ func fillBits(words []uint64, ids []uint32, lo, hi uint32) {
 // in DESIGN ("Set Algebra's result path").
 const unionSpanFactor = 32
 
-// bitmaps recycles the union's bitmap — at most unionSpanFactor bits per ID,
-// as many bytes as the IDs it unites.  A pooled bitmap is all zero: the union
-// clears each word as it reads it back.
+// bitmaps recycles the unions' bitmap — at most unionSpanFactor bits an ID
+// here, 8·bitmapBytesPerID in SetUnion: no more bytes than the IDs it unites.
+// A pooled bitmap is all zero: a union clears each word as it reads it back.
 var bitmaps = sync.Pool{New: func() any { return new([]uint64) }}
 
 // MergeSortedInto merges already-sorted, deduplicated segments into dst,

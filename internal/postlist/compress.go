@@ -16,17 +16,11 @@ import (
 // ErrCorruptPostings reports an undecodable compressed list.
 var ErrCorruptPostings = errors.New("postlist: corrupt compressed postings")
 
-// CompressIDs delta+varint encodes a sorted, duplicate-free ID list.
-// Unsorted input is an error (the caller owns list discipline).
-func CompressIDs(ids []uint32) ([]byte, error) {
-	return CompressIDsInto(nil, ids)
-}
-
-// CompressIDsInto is CompressIDs appending to dst, so hot-path callers can
-// reuse a scratch buffer across requests.  The gap codec itself is wire's
+// CompressIDs delta+varint encodes a sorted, duplicate-free ID list, the
+// sparse ID set; unsorted input is an error.  The gap codec itself is wire's
 // ascending-uint32 field, which HDSearch's leaf requests share.
-func CompressIDsInto(dst []byte, ids []uint32) ([]byte, error) {
-	out, bad := wire.AppendAscendingUint32s(dst, ids)
+func CompressIDs(ids []uint32) ([]byte, error) {
+	out, bad := wire.AppendAscendingUint32s(nil, ids)
 	if bad >= 0 {
 		return nil, fmt.Errorf("postlist: CompressIDs input unsorted at %d (%d after %d)", bad, ids[bad], ids[bad-1])
 	}

@@ -34,11 +34,15 @@ const (
 // EncodeTerms encodes a term-ID query.
 func EncodeTerms(terms []int) []byte {
 	e := wire.NewEncoder(4 + 4*len(terms))
+	putTerms(e, terms)
+	return e.Bytes()
+}
+
+func putTerms(e *wire.Encoder, terms []int) {
 	e.Uvarint(uint64(len(terms)))
 	for _, t := range terms {
 		e.Uvarint(uint64(t))
 	}
-	return e.Bytes()
 }
 
 // DecodeTerms decodes a term-ID query.
@@ -88,18 +92,17 @@ func termCount(d *wire.Decoder, b []byte) (int, error) {
 	return int(n), nil
 }
 
-// EncodeDocIDs encodes a posting-list result, which must ascend strictly:
-// the ascending-gap field (§III-C's compressed posting-list representation:
-// uvarint count, first ID, then the difference to each next one) that both
-// hops of the response path carry — leaf to mid-tier and mid-tier to front-end.
+// EncodeDocIDs encodes a strictly ascending posting-list result as the ID set
+// both hops of the response path carry: §III-C's compressed (gap) form when
+// sparse, a word-aligned bitmap when dense (postlist.EncodeIDs).
 func EncodeDocIDs(ids []uint32) ([]byte, error) {
-	return postlist.CompressIDs(ids)
+	return postlist.EncodeIDs(ids)
 }
 
-// DecodeDocIDs decodes a posting-list result.  A reply is rejected, before
-// anything is sized from it, if it claims more IDs than it has bytes.
+// DecodeDocIDs decodes a posting-list result in either form.  A reply is
+// rejected, before anything is sized from it, if its bytes cannot hold it.
 func DecodeDocIDs(b []byte) ([]uint32, error) {
-	return postlist.DecompressIDs(b)
+	return postlist.DecodeIDs(b)
 }
 
 // --- leaf ---
@@ -148,8 +151,9 @@ var leafScratches = sync.Pool{New: func() any { return new(leafScratch) }}
 // intersectEncoded runs one multi-term intersection against the shard's
 // index.  The request decodes into pooled scratch, the search intersects on
 // pooled scratch, and one loop maps each local ID to its global ID and writes
-// the gap to the one before straight into the leaf's pooled reply encoder, so
-// a steady-state intersection allocates nothing and touches a result ID once.
+// it — a gap or a bit, in the form the result's density picks — straight into
+// the leaf's pooled reply encoder, so a steady-state intersection allocates
+// nothing and touches a result ID once.
 func intersectEncoded(data LeafData, payload []byte, reply *wire.Encoder) error {
 	sc := leafScratches.Get().(*leafScratch)
 	defer leafScratches.Put(sc)
@@ -158,7 +162,7 @@ func intersectEncoded(data LeafData, payload []byte, reply *wire.Encoder) error 
 		return err
 	}
 	local := data.Index.SearchInto(&sc.search, sc.terms)
-	if bad := reply.AscendingUint32sVia(local, data.GlobalID); bad >= 0 {
+	if bad := postlist.EncodeIDsVia(reply, local, data.GlobalID); bad >= 0 {
 		return fmt.Errorf("setalgebra leaf: global ID %d of local document %d does not ascend",
 			data.GlobalID[local[bad]], local[bad])
 	}
@@ -179,56 +183,25 @@ func NewLeaf(data LeafData, opts *core.LeafOptions) *core.Leaf {
 
 // --- mid-tier ---
 
-// mergeScratch recycles the mid-tier union's working state: the flat slice
-// the per-shard replies decode into, the per-shard segment offsets/views over
-// it, and the merged output.
-type mergeScratch struct {
-	flat  []uint32
-	offs  []int
-	segs  [][]uint32
-	union []uint32
-}
+var unions = sync.Pool{New: func() any { return new(postlist.SetUnion) }}
 
-var mergeScratches = sync.Pool{New: func() any { return new(mergeScratch) }}
-
-// unionEncoded is the response path: each shard's gap-coded list decodes
-// straight into one pooled flat slice (the replies may alias pooled buffers
-// recycled when the merge returns, so the IDs are materialized here).  Every
-// shard's list arrives strictly ascending — the gap decoder rejects one that
-// does not — so the union is a merge of the segments, not a re-sort of the
-// concatenation, and it leaves for the front-end as the same gap field, one
-// hop on.  Segment boundaries are recorded as offsets and sliced only after
-// every decode, since appends may reallocate the flat slice.
+// unionEncoded is the response path: each shard's ID set goes into one pooled
+// postlist.SetUnion — a gap list decoded, a bitmap read in place, so the union
+// is encoded before the replies' pooled buffers are recycled — which writes
+// the union one hop on in whichever form its density picks.
 func unionEncoded(results []core.LeafResult, reply *wire.Encoder) error {
-	sc := mergeScratches.Get().(*mergeScratch)
-	defer mergeScratches.Put(sc)
-	sc.flat = sc.flat[:0]
-	sc.offs = sc.offs[:0]
+	u := unions.Get().(*postlist.SetUnion)
+	defer unions.Put(u)
+	u.Reset()
 	for _, r := range results {
 		if r.Err != nil {
 			return r.Err
 		}
-		sc.offs = append(sc.offs, len(sc.flat))
-		var err error
-		sc.flat, err = postlist.DecompressIDsInto(sc.flat, r.Reply)
-		if err != nil {
+		if err := u.Add(r.Reply); err != nil {
 			return err
 		}
 	}
-	sc.segs = sc.segs[:0]
-	for i, lo := range sc.offs {
-		hi := len(sc.flat)
-		if i+1 < len(sc.offs) {
-			hi = sc.offs[i+1]
-		}
-		if lo < hi {
-			sc.segs = append(sc.segs, sc.flat[lo:hi])
-		}
-	}
-	sc.union = postlist.MergeSortedInto(sc.union[:0], sc.segs)
-	if bad := reply.AscendingUint32s(sc.union); bad >= 0 {
-		return fmt.Errorf("setalgebra mid-tier: union does not ascend at %d", bad)
-	}
+	u.Encode(reply)
 	return nil
 }
 
@@ -277,10 +250,13 @@ func DialClient(addr string, opts *rpc.ClientOptions) (*Client, error) {
 // shard's stop-list filtering), sorted ascending.
 func (c *Client) Search(terms []int) ([]uint32, error) {
 	// Go + Release rather than Call: the IDs are decoded out of the reply, so
-	// its buffer — tens of kilobytes for a one-term query — goes back to the
-	// pool instead of to the collector.
-	call := c.Go(terms, nil)
+	// its buffer goes back to the pool, not to the collector; so does the
+	// query's encoder, which the write queue has copied by the time Go returns.
+	e := wire.GetEncoder()
+	putTerms(e, terms)
+	call := c.rpc.Go(MethodSearch, e.Bytes(), nil, nil)
 	<-call.Done
+	wire.PutEncoder(e)
 	ids, err := []uint32(nil), call.Err
 	if err == nil {
 		ids, err = DecodeDocIDs(call.Reply)

@@ -1,7 +1,9 @@
 package setalgebra
 
 import (
+	"errors"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -10,6 +12,7 @@ import (
 
 	"musuite/internal/core"
 	"musuite/internal/dataset"
+	"musuite/internal/postlist"
 	"musuite/internal/wire"
 )
 
@@ -289,12 +292,22 @@ func TestShardCorpusGlobalIDsAscend(t *testing.T) {
 			}
 		}
 	}
+	// Reversed, the map's ends give it away and the gap form fails; with two
+	// of the longest term's documents swapped, the ends still ascend and the
+	// reply is a bitmap until the loop meets the swap.
 	sh := ShardCorpus(corpus, 4, 5)[0]
 	term := longestTerm(corpus, sh)
-	slices.Reverse(sh.GlobalID)
-	var reply wire.Encoder
-	if err := intersectEncoded(sh, EncodeTerms([]int{term}), &reply); err == nil || reply.Len() != 0 {
-		t.Fatalf("a descending map answered (err %v, %d reply bytes)", err, reply.Len())
+	swapped := slices.Clone(sh.GlobalID)
+	docs := sh.Index.Postings(term).IDs()
+	a, b := docs[len(docs)/2], docs[len(docs)/2+1]
+	swapped[a], swapped[b] = swapped[b], swapped[a]
+	reversed := slices.Clone(sh.GlobalID)
+	slices.Reverse(reversed)
+	for name, m := range map[string][]uint32{"descending": reversed, "swapped": swapped} {
+		var reply wire.Encoder
+		if err := intersectEncoded(LeafData{Index: sh.Index, GlobalID: m}, EncodeTerms([]int{term}), &reply); err == nil || reply.Len() != 0 {
+			t.Fatalf("a %s map answered (err %v, %d reply bytes)", name, err, reply.Len())
+		}
 	}
 }
 
@@ -311,8 +324,8 @@ func longestTerm(corpus *dataset.DocCorpus, sh LeafData) int {
 
 // TestResultPathSteadyStateAllocatesNothing: on warmed pooled scratch a leaf
 // intersects and encodes, and the mid-tier decodes, unions and re-encodes,
-// without allocating — for a one-term query (the longest reply) and for
-// multi-term ones.
+// without allocating — for a one-term query (the longest reply, which both
+// hops send as a bitmap) and for multi-term ones.
 func TestResultPathSteadyStateAllocatesNothing(t *testing.T) {
 	// Under the race detector sync.Pool drops a quarter of all Puts on
 	// purpose, and a pooled path's allocation count says nothing about it.
@@ -327,7 +340,7 @@ func TestResultPathSteadyStateAllocatesNothing(t *testing.T) {
 	corpus := testCorpus(t)
 	shards := ShardCorpus(corpus, 4, 5)
 	queries := append(corpus.Queries(16, 6, 21), []int{longestTerm(corpus, shards[0])})
-	for _, q := range queries {
+	for qi, q := range queries {
 		payload := EncodeTerms(q)
 		results := make([]core.LeafResult, len(shards))
 		var leafReply, reply wire.Encoder
@@ -358,13 +371,49 @@ func TestResultPathSteadyStateAllocatesNothing(t *testing.T) {
 		if want := referenceSearch(corpus, shards, q); err != nil || !slices.Equal(got, want) {
 			t.Errorf("query %v: got %v (%v), want %v", q, got, err, want)
 		}
+		if qi == len(queries)-1 && (!isBitmap(results[0].Reply) || !isBitmap(reply.Bytes())) {
+			t.Errorf("query %v: the longest reply did not take the bitmap path", q)
+		}
 	}
 }
 
-// FuzzDocIDsDecode: no reply — valid, cut short, with a zero gap, with a gap
-// that carries past uint32, with a count it has not the bytes for — panics the
-// front-end decoder or makes it allocate more than four bytes per input byte,
-// and whatever it accepts ascends strictly and survives a round trip.
+// isBitmap reports whether an ID-set field is in the bitmap form.
+func isBitmap(b []byte) bool { return len(b) > 1 && b[0] == 0 }
+
+// bitmapSeeds are bitmap-form replies for the fuzzers to start from: a valid
+// one, and one of each kind the decoders must refuse.
+func bitmapSeeds() [][]byte {
+	header := func(n, base, size uint64, words ...uint64) []byte {
+		var e wire.Encoder
+		e.Uint8(0)
+		e.Uint8(1)
+		e.Uvarint(n)
+		e.Uvarint(base)
+		e.Uvarint(size)
+		for _, w := range words {
+			e.Uint64(w)
+		}
+		return e.Bytes()
+	}
+	return [][]byte{
+		header(6, 3, 16, 0xF0, 0x3),
+		header(5, 3, 16, 0xF0, 0x3),                   // popcount ≠ n
+		header(4, 3, 16, 0, 0xF),                      // a zero first word
+		header(4, 3, 16, 0xF, 0),                      // a zero last word
+		header(4, 3, 1<<20, 0xF),                      // a word count past the payload
+		header(4, 1<<26, 8, 0xF),                      // a base word past 2²⁶
+		header(64, 1<<26-1, 8, math.MaxUint64),        // the last word of the ID space
+		header(10, 1<<20, 16, math.MaxUint8, 1<<63|1), // far from the others
+	}
+}
+
+// FuzzDocIDsDecode: no reply — valid in either form, cut short, with a zero
+// gap, with a gap that carries past uint32, with a count it has not the bytes
+// for, a bitmap whose popcount is not its count, whose first or last word is
+// empty, whose words run past the payload or the ID space — panics the
+// front-end decoder or makes it allocate more than eight IDs (32 B) per input
+// byte (one bitmap byte names eight), and whatever it accepts ascends strictly
+// and survives a round trip.
 func FuzzDocIDsDecode(f *testing.F) {
 	valid, _ := EncodeDocIDs([]uint32{0, 1, 200, 70000, 1 << 31, math.MaxUint32})
 	f.Add(valid)
@@ -373,11 +422,14 @@ func FuzzDocIDsDecode(f *testing.F) {
 	f.Add([]byte{3, 5, 0, 1})                         // zero gap
 	f.Add([]byte{2, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1}) // carries past uint32
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F, 1, 1, 1})    // 2²⁸ IDs claimed
+	for _, seed := range bitmapSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, reply []byte) {
 		ids, err := DecodeDocIDs(reply)
-		// The one slice the decode makes holds at most an ID per input byte
-		// (size classes round a small one up).
-		if 4*cap(ids) > 8*len(reply)+64 {
+		// The one slice the decode makes holds at most eight IDs per input
+		// byte (size classes round a small one up).
+		if 4*cap(ids) > 32*len(reply)+64 {
 			t.Fatalf("decoding %d bytes made a slice of %d IDs", len(reply), cap(ids))
 		}
 		if err != nil {
@@ -397,6 +449,55 @@ func FuzzDocIDsDecode(f *testing.F) {
 		}
 		if back, err := DecodeDocIDs(again); err != nil || !slices.Equal(back, ids) {
 			t.Fatalf("re-encoded reply decodes to %v (%v), want %v", back, err, ids)
+		}
+	})
+}
+
+// FuzzUnionDecode: no set of leaf replies the mid-tier did not encode — the
+// fuzzer's bytes in either form, mixed — panics its union or makes it size
+// anything from a count the bytes do not back; it fails exactly when one of
+// the replies does not decode, and what it accepts is the union of what the
+// front end decodes from each reply.
+func FuzzUnionDecode(f *testing.F) {
+	gap, _ := EncodeDocIDs([]uint32{5, 200, 201, 202, 70000})
+	dense, _ := EncodeDocIDs([]uint32{192, 193, 194, 195, 200, 250, 255})
+	seeds := append(bitmapSeeds(), gap, dense, []byte{0}, nil)
+	for i, a := range seeds {
+		f.Add(a, seeds[(i+1)%len(seeds)], seeds[(i+3)%len(seeds)], dense)
+	}
+	f.Fuzz(func(t *testing.T, a, b, c, d []byte) {
+		replies := [][]byte{a, b, c, d}
+		results := make([]core.LeafResult, len(replies))
+		for s, r := range replies {
+			results[s] = core.LeafResult{Shard: s, Reply: r}
+		}
+		var reply wire.Encoder
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := unionEncoded(results, &reply)
+		runtime.ReadMemStats(&after)
+		in := len(a) + len(b) + len(c) + len(d)
+		// Scratch for every ID (≤ 8 a byte), a second copy for the merge, and
+		// the reply; a word past the bytes would show as megabytes.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(256*in+1<<16) {
+			t.Fatalf("a union of %d reply bytes allocated %d bytes", in, grew)
+		}
+		var decoded [][]uint32
+		var decodeErr error
+		for _, r := range replies {
+			ids, err := DecodeDocIDs(r)
+			decodeErr = errors.Join(decodeErr, err)
+			decoded = append(decoded, ids)
+		}
+		if (err == nil) != (decodeErr == nil) {
+			t.Fatalf("the union says %v, the replies' decode %v", err, decodeErr)
+		}
+		if err != nil {
+			return
+		}
+		got, err := DecodeDocIDs(reply.Bytes())
+		if want := postlist.MergeSortedInto(nil, decoded); err != nil || !slices.Equal(got, want) {
+			t.Fatalf("union decodes to %d IDs (%v), want %d", len(got), err, len(want))
 		}
 	})
 }

@@ -89,6 +89,16 @@ func (e *Encoder) Len() int { return len(e.buf) }
 // Reset clears the encoder, retaining capacity.
 func (e *Encoder) Reset() { e.buf = e.buf[:0] }
 
+// Resize sets the encoding's length to n and returns the encoding: bytes past
+// the old length read zero; a length set back drops what was written after it.
+func (e *Encoder) Resize(n int) []byte {
+	if n > len(e.buf) {
+		e.buf = append(e.buf, make([]byte, n-len(e.buf))...)
+	}
+	e.buf = e.buf[:n]
+	return e.buf
+}
+
 // Uint8 appends one byte.
 func (e *Encoder) Uint8(v uint8) { e.buf = append(e.buf, v) }
 

@@ -445,3 +445,23 @@ func TestAscendingUint32sVia(t *testing.T) {
 		t.Fatalf("empty list: bad=%d, %d bytes appended", bad, via.Len()-before)
 	}
 }
+
+// TestResizeReservesZeroes: growing reserves bytes that read zero even where
+// the buffer's spare capacity held old bytes, and setting the length back
+// drops what was written past it.
+func TestResizeReservesZeroes(t *testing.T) {
+	var e Encoder
+	e.Raw([]byte{1, 2, 3, 4, 5, 6})
+	e.Resize(2)
+	if !bytes.Equal(e.Bytes(), []byte{1, 2}) {
+		t.Fatalf("shrunk to %x", e.Bytes())
+	}
+	b := e.Resize(5)
+	if !bytes.Equal(b, []byte{1, 2, 0, 0, 0}) || e.Len() != 5 {
+		t.Fatalf("regrown over old capacity: %x", b)
+	}
+	b[4] = 9
+	if b = e.Resize(100); len(b) != 100 || b[4] != 9 || !bytes.Equal(b[5:], make([]byte, 95)) {
+		t.Fatalf("grown past capacity: %x", b)
+	}
+}
