@@ -25,19 +25,18 @@ func dotSIMD(a, b *float32, n int) float32
 //go:noescape
 func dotRows(data *float32, dim int, ids *uint32, n int, q, out *float32)
 
-// dotRowsHi is dotRows over plane hi of a SplitStore: out[i] = q · p̂ for row
-// ids[i], p̂ the row's bfloat16 halves as float32s.  dim must be a positive
-// multiple of 8, every id a valid row, and qh the dim floats of
-// SplitStore.hiQuery.  Implemented in dot_amd64.s.
+// filterHi is hiFilter's pass, four rows at a time.  The store's dim must be
+// a multiple of 8 and at least 32, qh hiQuery's, and bound as long as keep.
+// Implemented in dot_amd64.s.
 //
 //go:noescape
-func dotRowsHi(hi *uint16, dim int, ids *uint32, n int, qh, out *float32)
+func filterHi(f *hiFilter)
 
 // dotRowsSplit is dotRows over both planes of a SplitStore: each row's
 // float32 elements are reassembled in registers, and out[i] is bit-identical
-// to dotSIMD over the fp32 row.  Same preconditions as dotRowsHi; the
-// look-ahead covers a whole call of up to 8 rows.  Implemented in
-// dot_amd64.s.
+// to dotSIMD over the fp32 row.  dim must be a positive multiple of 8 and
+// every id a valid row; the look-ahead covers a whole call of up to 8 rows.
+// Implemented in dot_amd64.s.
 //
 //go:noescape
 func dotRowsSplit(hi, lo *uint16, dim int, ids *uint32, n int, q, out *float32)

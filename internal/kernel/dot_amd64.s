@@ -1,5 +1,6 @@
 //go:build amd64
 
+#include "go_asm.h"
 #include "textflag.h"
 
 // func dotSIMD(a, b *float32, n int) float32
@@ -166,116 +167,365 @@ rowsdone:
 	VZEROUPPER
 	RET
 
-// hiAhead is rowsAhead for dotRowsHi, whose rows are half as long: the same
-// sweep at 128-byte rows (DESIGN §5.5 "Row bytes") chose it.
+// hiAhead is how many rows ahead of the group it scores filterHi prefetches.
+// Swept on ordered-split with the group width (DESIGN §5.5 "Row bytes"); a
+// constant, not an option.  ringRows, a power of two, holds the rows from
+// the group's first to the last one prefetched.
 #define hiAhead 12
+#define ringRows 16
 
-// func dotRowsHi(hi *uint16, dim int, ids *uint32, n int, qh *float32, out *float32)
-// dotRows over plane hi of a SplitStore: out[i] = q · p̂, p̂'s elements row
-// ids[i]'s 16-bit halves put back at the top of a float32.  A 32-byte load is
-// sixteen halves; VPSLLD $16 makes floats of the even ones and a mask of the
-// odd ones where they stand, so qh holds each 16 elements of q as its eight
-// even then its eight odd (SplitStore.hiQuery).  That is one load, a shift
-// and an AND for sixteen elements where widening them (VPMOVZXWD) costs two
-// shuffles on the one port that has them — the difference between a kernel
-// bound by that port and one bound by memory.  Only a last 8-element block is
-// widened, against qh in order.  The loop and the look-ahead are dotRows'; a
-// row is dim·2 bytes; the sum's association differs from dotSIMD's, which a
-// filter does not mind.
-TEXT ·dotRowsHi(SB), NOSPLIT, $0-48
-	MOVQ hi+0(FP), R8
-	MOVQ dim+8(FP), R9
-	MOVQ ids+16(FP), R10
-	MOVQ n+24(FP), R11
-	MOVQ qh+32(FP), R12
-	MOVQ out+40(FP), R13
-	TESTQ R11, R11
-	JLE  hidone
+// filterHi's frame: the ring of expanded rows and their words' margins, the
+// four bounds of a group that kept a row, and what the loops would otherwise
+// reload through f.
+#define ringID 0
+#define ringMargin (4*ringRows)
+#define groupBounds (8*ringRows)
+#define wordMargin (8*ringRows+16)
+#define qnVal (8*ringRows+20)
+#define thrVal (8*ringRows+24)
+#define keepLo (8*ringRows+28) // byte: kept rows' plane-lo lines are prefetched
+#define lastWord (8*ringRows+32) // the store's last word and its rows
+#define lastMask (8*ringRows+40)
+#define normsPtr (8*ringRows+48)
+#define loPtr (8*ringRows+56)
+#define keepPtr (8*ringRows+64)
+#define keepLen (8*ringRows+72)
+#define boundPtr (8*ringRows+80)
+#define keptN (8*ringRows+88)
+#define negBlk (8*ringRows+96) // −(a row's bytes in 16-element blocks)
+#define lastByte (8*ringRows+104) // a row's last byte, from where they end
+#define filterFrame 240 // 8·ringRows + 112
+
+// HIROW16(row, ev, od) multiplies the sixteen halves at (row)(CX) — CX the
+// block's offset from the end of the row's 16-element blocks — by the
+// query's eight even (Y8) and eight odd (Y9) elements into accumulators ev
+// and od.  VPSLLD $16 makes floats of the even halves and VPAND 0xFFFF0000
+// (Y10) of the odd ones where they stand.  Y11 and Y12 are scratch.  HIMUL16
+// starts ev and od with the products.
+#define HIROW16(row, ev, od) \
+	VMOVDQU (row)(CX*1), Y11 \
+	VPSLLD $16, Y11, Y12 \
+	VPAND Y10, Y11, Y11 \
+	VFMADD231PS Y8, Y12, ev \
+	VFMADD231PS Y9, Y11, od
+
+#define HIMUL16(row, ev, od) \
+	VMOVDQU (row)(CX*1), Y11 \
+	VPSLLD $16, Y11, Y12 \
+	VPAND Y10, Y11, Y11 \
+	VMULPS Y8, Y12, ev \
+	VMULPS Y9, Y11, od
+
+// HIROW8(row, od) is HIROW16 for an 8-element tail at (row), widened in
+// order against the query's tail in Y8.
+#define HIROW8(row, od) \
+	VPMOVZXWD (row), Y11 \
+	VPSLLD $16, Y11, Y11 \
+	VFMADD231PS Y8, Y11, od
+
+// ROWAT(reg) turns the row in reg into the address where its 16-element
+// blocks end (R8 is plane hi advanced by their bytes).
+#define ROWAT(reg) \
+	IMULQ R9, reg \
+	ADDQ R8, reg
+
+// func filterHi(f *hiFilter)
+// hiFilter's pass.  An expander walks f's words and masks from the cursor
+// into a ring of rows, computing each word's margin once and prefetching
+// every line of each row it expands, until the ring holds the next group and
+// the hiAhead rows after it.  A group of four rows loads each 32-byte block
+// of the query once for the four (qh holds each 16 elements of q as its eight
+// even then its eight odd: SplitStore.hiQuery), reduces the rows' eight
+// accumulators with one VHADDPS tree into four dots, and turns them into four
+// bounds, ((qn + ‖p‖²) − 2·q·p̂) − margin, and a four-bit mask of those not
+// above thr (VCMPPS NGT_UQ: a NaN bound is kept).  A last group of 1–3 rows
+// scores whatever the ring holds past them — valid rows: it starts zeroed —
+// and drops their lanes.  Kept rows and bounds are appended to keep and
+// bound, and the rows' plane-lo lines prefetched for the exact pass unless
+// thr is +Inf (the fill, which keeps every row for its bound).  The call
+// returns after the row that fills keep, the cursor just past it (its word
+// found back from the expander's: words ascend), or once the set is spent.
+//
+// Registers: AX rows scored, R10 rows expanded, R11 the expander's mask,
+// R13 its word's first row, R14 the index of the word after it; R8 plane hi
+// and R12 qh, each advanced past the 16-element blocks; R9 the row bytes.
+TEXT ·filterHi(SB), NOSPLIT, $filterFrame-8
+	MOVQ f+0(FP), DI
+	MOVQ hiFilter_sp(DI), SI
+	MOVQ SplitStore_n(SI), BX
+	DECQ BX                // the store's last row
+	MOVQ BX, CX
+	SHRQ $6, BX
+	MOVQ BX, lastWord(SP)
+	NOTQ CX
+	ANDQ $63, CX           // 63 − (its bit)
+	MOVQ $-1, BX
+	SHRQ CX, BX
+	MOVQ BX, lastMask(SP)
+	MOVL hiFilter_qn(DI), BX
+	MOVL BX, qnVal(SP)
+	MOVL hiFilter_thr(DI), BX
+	MOVL BX, thrVal(SP)
+	CMPL BX, $0x7F800000
+	SETNE keepLo(SP)
+	MOVQ SplitStore_norms(SI), BX
+	MOVQ BX, normsPtr(SP)
+	MOVQ SplitStore_lo(SI), BX
+	MOVQ BX, loPtr(SP)
+	MOVQ hiFilter_keep(DI), BX
+	MOVQ BX, keepPtr(SP)
+	MOVQ (hiFilter_keep+8)(DI), BX
+	MOVQ BX, keepLen(SP)
+	MOVQ hiFilter_bound(DI), BX
+	MOVQ BX, boundPtr(SP)
+	MOVQ hiFilter_kept(DI), BX
+	MOVQ BX, keptN(SP)
+	MOVQ SplitStore_dim(SI), R9
 	SHLQ $1, R9            // row size in bytes
-	VPCMPEQD Y8, Y8, Y8
-	VPSLLD $16, Y8, Y8     // 0xFFFF0000 in every lane
-	MOVQ $-hiAhead, AX     // i
-
-hirowloop:
-	LEAQ hiAhead(AX), BX
-	CMPQ BX, R11
-	JGE  hireduce1
-	MOVL (R10)(BX*4), BX   // ids[i+hiAhead], zero-extended
-	IMULQ R9, BX
-	ADDQ R8, BX
-	MOVQ R9, DX
-hiprefetchline:
-	PREFETCHT0 (BX)
-	ADDQ $64, BX
-	SUBQ $64, DX
-	JG   hiprefetchline
-	PREFETCHT0 -1(BX)(DX*1)
-
-hireduce1:
-	TESTQ AX, AX
-	JL   hinextrow
-	MOVL (R10)(AX*4), SI
-	IMULQ R9, SI
-	ADDQ R8, SI            // row of hi
-	MOVQ R12, DI           // qh
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
 	MOVQ R9, CX
-	SHRQ $6, CX            // 32-element blocks
-	JZ   hitail16
-
-hiloop32:
-	VMOVDQU (SI), Y4
-	VMOVDQU 32(SI), Y6
-	VPSLLD $16, Y4, Y5     // even elements
-	VPAND Y8, Y4, Y4       // odd elements
-	VPSLLD $16, Y6, Y7
-	VPAND Y8, Y6, Y6
-	VFMADD231PS (DI), Y5, Y0
-	VFMADD231PS 32(DI), Y4, Y1
-	VFMADD231PS 64(DI), Y7, Y2
-	VFMADD231PS 96(DI), Y6, Y3
-	ADDQ $64, SI
-	ADDQ $128, DI
+	ANDQ $31, CX
 	DECQ CX
-	JNZ  hiloop32
+	MOVQ CX, lastByte(SP)
+	MOVQ R9, CX
+	ANDQ $-32, CX          // the bytes in 16-element blocks
+	MOVQ SplitStore_hi(SI), R8
+	ADDQ CX, R8
+	MOVQ hiFilter_qh(DI), R12
+	LEAQ (R12)(CX*2), R12
+	NEGQ CX
+	MOVQ CX, negBlk(SP)
+	VPCMPEQD Y10, Y10, Y10
+	VPSLLD $16, Y10, Y10   // 0xFFFF0000 in every lane
+	VPXOR Y0, Y0, Y0
+	XORQ CX, CX
+zeroring:
+	VMOVDQU Y0, ringID(SP)(CX*1)
+	ADDQ $32, CX
+	CMPQ CX, $(4*ringRows)
+	JLT  zeroring
+	XORQ AX, AX
+	XORQ R10, R10
+	MOVQ hiFilter_next(DI), R14
+	MOVQ hiFilter_m(DI), R11
+	TESTQ R11, R11
+	JZ   expand
+	MOVQ hiFilter_words(DI), SI
+	MOVL -4(SI)(R14*4), BX // resuming inside the word before next
+	JMP  wordstart
 
-hitail16:
-	TESTQ $32, R9          // a 16-element block
-	JZ   hitail8
-	VMOVDQU (SI), Y4
-	VPSLLD $16, Y4, Y5
-	VPAND Y8, Y4, Y4
-	VFMADD231PS (DI), Y5, Y0
-	VFMADD231PS 32(DI), Y4, Y1
-	ADDQ $32, SI
-	ADDQ $64, DI
+expand:
+	LEAQ (hiAhead+4)(AX), BX
+	CMPQ R10, BX
+	JGE  score
+	TESTQ R11, R11
+	JNZ  expandrow
+	MOVQ f+0(FP), DI
+	CMPQ R14, (hiFilter_words+8)(DI)
+	JGE  score             // the set is spent
+	MOVQ hiFilter_words(DI), SI
+	MOVL (SI)(R14*4), BX   // the next word
+	INCQ R14
+	CMPQ BX, lastWord(SP)
+	JHI  pastend
+	MOVQ hiFilter_masks(DI), SI
+	MOVQ -8(SI)(R14*8), R11
+	JNE  wordstart         // flags still CMPQ's
+	ANDQ lastMask(SP), R11
 
-hitail8:
-	TESTQ $16, R9          // an 8-element block
-	JZ   hirowreduce
-	VPMOVZXWD (SI), Y4
-	VPSLLD $16, Y4, Y4
-	VFMADD231PS (DI), Y4, Y2
+wordstart:
+	// Word BX: its first row and its margin, qs·resid[w] + (slack[w] + qe).
+	MOVQ BX, R13
+	SHLQ $6, R13
+	MOVQ f+0(FP), DI
+	MOVQ hiFilter_sp(DI), SI
+	MOVQ SplitStore_resid(SI), CX
+	VMOVSS (CX)(BX*4), X11
+	VMULSS hiFilter_qs(DI), X11, X11
+	MOVQ SplitStore_slack(SI), CX
+	VMOVSS (CX)(BX*4), X12
+	VADDSS hiFilter_qe(DI), X12, X12
+	VADDSS X12, X11, X11
+	VMOVSS X11, wordMargin(SP)
+	JMP  expand
 
-hirowreduce:
+pastend:
+	// Words ascend: this one and every one after it are past the store.
+	MOVQ (hiFilter_words+8)(DI), R14
+	JMP  score
+
+expandrow:
+	BSFQ R11, BX
+	LEAQ -1(R11), CX
+	ANDQ CX, R11
+	ADDQ R13, BX           // the row
+	MOVQ R10, CX
+	ANDQ $(ringRows-1), CX
+	MOVL BX, ringID(SP)(CX*4)
+	MOVL wordMargin(SP), DX
+	MOVL DX, ringMargin(SP)(CX*4)
+	INCQ R10
+	ROWAT(BX)
+	MOVQ negBlk(SP), CX
+prefetchline:
+	PREFETCHT0 (BX)(CX*1)
+	ADDQ $64, CX
+	JMI  prefetchline
+	MOVQ lastByte(SP), CX  // its last byte: the stride may step over its line
+	PREFETCHT0 (BX)(CX*1)
+	JMP  expand
+
+score:
+	MOVQ R10, DX
+	SUBQ AX, DX            // rows expanded and not yet scored
+	JLE  spent
+	MOVQ AX, CX
+	ANDQ $(ringRows-1), CX
+	VMOVUPS ringMargin(SP)(CX*4), X14
+	MOVL ringID(SP)(CX*4), SI
+	MOVL (ringID+4)(SP)(CX*4), DI
+	MOVL (ringID+8)(SP)(CX*4), BX
+	MOVL (ringID+12)(SP)(CX*4), DX
+	MOVQ normsPtr(SP), CX
+	VMOVSS (CX)(SI*4), X13
+	VINSERTPS $0x10, (CX)(DI*4), X13, X13
+	VINSERTPS $0x20, (CX)(BX*4), X13, X13
+	VINSERTPS $0x30, (CX)(DX*4), X13, X13
+	VBROADCASTSS qnVal(SP), X11
+	VADDPS X13, X11, X13   // qn + ‖p‖²
+	ROWAT(SI)
+	ROWAT(DI)
+	ROWAT(BX)
+	ROWAT(DX)
+	MOVQ negBlk(SP), CX
+	VMOVUPS (R12)(CX*2), Y8
+	VMOVUPS 32(R12)(CX*2), Y9
+	HIMUL16(SI, Y0, Y1)
+	HIMUL16(DI, Y2, Y3)
+	HIMUL16(BX, Y4, Y5)
+	HIMUL16(DX, Y6, Y7)
+	ADDQ $32, CX           // dim ≥ 32: a second block follows
+
+block16:
+	VMOVUPS (R12)(CX*2), Y8
+	VMOVUPS 32(R12)(CX*2), Y9
+	HIROW16(SI, Y0, Y1)
+	HIROW16(DI, Y2, Y3)
+	HIROW16(BX, Y4, Y5)
+	HIROW16(DX, Y6, Y7)
+	ADDQ $32, CX
+	JNZ  block16
+
+	TESTQ $16, R9          // an 8-element tail
+	JZ   reduce
+	VMOVUPS (R12), Y8
+	HIROW8(SI, Y1)
+	HIROW8(DI, Y3)
+	HIROW8(BX, Y5)
+	HIROW8(DX, Y7)
+
+reduce:
 	VADDPS Y1, Y0, Y0
 	VADDPS Y3, Y2, Y2
-	VADDPS Y2, Y0, Y0
+	VADDPS Y5, Y4, Y4
+	VADDPS Y7, Y6, Y6
+	VHADDPS Y2, Y0, Y0
+	VHADDPS Y6, Y4, Y4
+	VHADDPS Y4, Y0, Y0
 	VEXTRACTF128 $1, Y0, X1
-	VADDPS X1, X0, X0
-	VHADDPS X0, X0, X0
-	VHADDPS X0, X0, X0
-	VMOVSS X0, (R13)(AX*4)
+	VADDPS X1, X0, X0      // the four rows' q·p̂
+	VADDPS X0, X0, X0
+	VSUBPS X0, X13, X0
+	VSUBPS X14, X0, X0     // the four bounds
+	VBROADCASTSS thrVal(SP), X12
+	VCMPPS $0x1a, X12, X0, X11
+	VMOVMSKPS X11, SI      // bit j: row AX+j is kept
+	MOVQ R10, DX
+	SUBQ AX, DX
+	CMPQ DX, $4
+	JGE  tested
+	MOVQ DX, CX            // 1–3 rows: drop the other lanes
+	MOVL $1, BX
+	SHLQ CX, BX
+	DECQ BX
+	ANDQ BX, SI
 
-hinextrow:
-	INCQ AX
-	CMPQ AX, R11
-	JL   hirowloop
+tested:
+	TESTQ SI, SI
+	JZ   nextgroup
+	VMOVUPS X0, groupBounds(SP)
 
-hidone:
+keeprow:
+	BSFQ SI, CX            // lane j
+	LEAQ (AX)(CX*1), BX
+	ANDQ $(ringRows-1), BX
+	MOVL ringID(SP)(BX*4), BX
+	MOVQ keptN(SP), DX
+	MOVQ keepPtr(SP), DI
+	MOVL BX, (DI)(DX*4)
+	MOVQ boundPtr(SP), DI
+	VMOVSS groupBounds(SP)(CX*4), X11
+	VMOVSS X11, (DI)(DX*4)
+	INCQ DX
+	MOVQ DX, keptN(SP)
+	CMPB keepLo(SP), $0
+	JEQ  keptrow
+	IMULQ R9, BX           // its plane-lo lines, for the exact pass
+	ADDQ loPtr(SP), BX
+	PREFETCHT0 (BX)
+	MOVQ R9, DI
+prefetchlo:
+	PREFETCHT0 -1(BX)(DI*1)
+	SUBQ $64, DI
+	JGT  prefetchlo
+
+keptrow:
+	CMPQ DX, keepLen(SP)
+	JGE  full
+	LEAQ -1(SI), BX
+	ANDQ BX, SI
+	JNZ  keeprow
+
+nextgroup:
+	ADDQ $4, AX
+	JMP  expand
+
+full:
+	// keep is full: the cursor goes just past row AX+j.
+	LEAQ (AX)(CX*1), BX
+	ANDQ $(ringRows-1), BX
+	MOVL ringID(SP)(BX*4), CX
+	MOVL CX, BX
+	SHRL $6, BX            // its word
+	MOVQ f+0(FP), DI
+	MOVQ DX, hiFilter_kept(DI)
+	MOVQ hiFilter_words(DI), SI
+	MOVQ R14, DX
+findword:
+	DECQ DX
+	CMPL (SI)(DX*4), BX
+	JNE  findword
+	LEAQ 1(DX), SI
+	MOVQ SI, hiFilter_next(DI)
+	MOVQ hiFilter_masks(DI), SI
+	MOVQ (SI)(DX*8), SI
+	CMPQ BX, lastWord(SP)
+	JNE  abovekept
+	ANDQ lastMask(SP), SI
+
+abovekept:
+	MOVQ $-2, BX
+	SHLQ CX, BX            // the word's rows above the kept one
+	ANDQ BX, SI
+	MOVQ SI, hiFilter_m(DI)
+	VZEROUPPER
+	RET
+
+spent:
+	MOVQ f+0(FP), DI
+	MOVQ keptN(SP), DX
+	MOVQ DX, hiFilter_kept(DI)
+	MOVQ R14, hiFilter_next(DI)
+	MOVQ $0, hiFilter_m(DI)
 	VZEROUPPER
 	RET
 

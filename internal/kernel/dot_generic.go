@@ -10,9 +10,7 @@ func dotRows(data *float32, dim int, ids *uint32, n int, q, out *float32) {
 	panic("kernel: dotRows without SIMD support")
 }
 
-func dotRowsHi(hi *uint16, dim int, ids *uint32, n int, qh, out *float32) {
-	panic("kernel: dotRowsHi without SIMD support")
-}
+func filterHi(f *hiFilter) { panic("kernel: filterHi without SIMD support") }
 
 func dotRowsSplit(hi, lo *uint16, dim int, ids *uint32, n int, q, out *float32) {
 	panic("kernel: dotRowsSplit without SIMD support")

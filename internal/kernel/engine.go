@@ -218,6 +218,7 @@ func normFinish(qn, rowNorm, dot float32) float32 {
 // par and reused across requests.
 type scanScratch struct {
 	heaps []TopK
+	buf   []float32 // a split scan's reordered query and rows
 }
 
 var scanScratches = sync.Pool{New: func() any { return new(scanScratch) }}

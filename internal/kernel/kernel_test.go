@@ -705,8 +705,9 @@ func TestScanRowSetEqualsScanSubset(t *testing.T) {
 // TestScanRowSetContract: unequal word and mask counts are an error, k is
 // clamped to the set's count (2⁴⁰ is not an 8 TB make), k ≤ 0 and an empty or
 // all-zero set answer nothing — a set that ends on a full block and an empty
-// store included — and the counters see the rows scored, not the rows a set
-// names past the store.  One contract, both forms of the rows.
+// store, asked with a query of any length, included — and the counters see
+// the rows scored, not the rows a set names past the store.  One contract,
+// both forms of the rows.
 func TestScanRowSetContract(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	s := randStore(r, 500, 64) // words 0–7, the last 52 rows wide
@@ -725,7 +726,7 @@ func TestScanRowSetContract(t *testing.T) {
 			}
 		},
 	} {
-		scan, scanEmpty := over(s), over(&Store{})
+		scan, scanEmpty := over(s), over(&Store{dim: 64})
 		tab := telemetry.NewTable(nil)
 		eng := New(Config{Parallelism: 2}).WithCounters(tab)
 		if _, err := scan(eng, q, RowSet{Words: []uint32{1, 2}, Masks: []uint64{1}}, 3); !errors.Is(err, ErrRowSetShape) {
@@ -754,8 +755,11 @@ func TestScanRowSetContract(t *testing.T) {
 				t.Fatalf("%s(%v, k=%d) = %v, %v", name, c.set, c.k, got, err)
 			}
 		}
-		if got, err := scanEmpty(eng, nil, packRowSet(ids), 3); err != nil || len(got) != 0 {
-			t.Fatalf("%s over an empty store: %v, %v", name, got, err)
+		// An empty store takes a query of any length: no row holds it to one.
+		for _, q := range [][]float32{nil, q[:8], q[:15], q} {
+			if got, err := scanEmpty(eng, q, packRowSet(ids), 3); err != nil || len(got) != 0 {
+				t.Fatalf("%s over an empty store, %d-float query: %v, %v", name, len(q), got, err)
+			}
 		}
 	}
 }

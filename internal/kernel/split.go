@@ -125,17 +125,14 @@ func (sp *SplitStore) Row(i int, dst []float32) []float32 {
 func (sp *SplitStore) wide() bool { return useSIMD && sp.dim >= 32 && sp.dim%8 == 0 }
 
 // hiQuery returns the query in the order the filter pass multiplies it: as
-// it is for the portable loop; for dotRowsHi, each 16 elements as the eight
-// even ones then the eight odd ones — one 32-byte load of plane hi is sixteen
-// halves, a shift and a mask part them into those two vectors, and which
-// element meets which is all that has to match.  An 8-element tail stays in
-// order.  buf is used when it is long enough.
+// it is for the portable loop; for filterHi, written into buf (Dim() long)
+// with each 16 elements as the eight even ones then the eight odd ones — one
+// 32-byte load of plane hi is sixteen halves, a shift and a mask part them
+// into those two vectors, and which element meets which is all that has to
+// match.  An 8-element tail stays in order.
 func (sp *SplitStore) hiQuery(q, buf []float32) []float32 {
 	if !sp.wide() {
 		return q
-	}
-	if len(buf) < sp.dim {
-		buf = make([]float32, sp.dim)
 	}
 	buf = buf[:sp.dim]
 	g := 0
@@ -148,33 +145,69 @@ func (sp *SplitStore) hiQuery(q, buf []float32) []float32 {
 	return buf
 }
 
-// hiDots writes q·p̂ for each listed row into out; qh is hiQuery's.
-func (sp *SplitStore) hiDots(qh []float32, ids []uint32, out []float32) {
-	if sp.wide() {
-		dotRowsHi(&sp.hi[0], sp.dim, &ids[0], len(ids), &qh[0], &out[0])
-		return
+// hiFilter is the filter pass over plane hi, resumable.  From the cursor on,
+// in row order, it bounds each row at
+//
+//	((‖q‖² + ‖p‖²) − 2·q·p̂) − (qs·resid[w] + (slack[w] + qe)),  w the row's word,
+//
+// and appends the row and its bound to keep and bound unless the bound is
+// above thr (a NaN bound is not), returning after the row that fills keep,
+// the cursor just past it, or at the set's end.  filterHi (dot_amd64.s) runs
+// it in the assembly's widths, filterGo in the others.
+type hiFilter struct {
+	sp         *SplitStore
+	qh         []float32 // hiQuery's
+	qn, qs, qe float32   // ‖q‖², and a margin's query-side terms
+	thr        float32
+	words      []uint32
+	masks      []uint64
+	next       int // the cursor: rows m (storeMask'd) of words[next−1], then words[next:]
+	m          uint64
+	keep       []uint32
+	bound      []float32
+	kept       int
+}
+
+func (f *hiFilter) filter() {
+	if f.sp.wide() {
+		filterHi(f)
+	} else {
+		f.filterGo()
 	}
-	for i, id := range ids {
+}
+
+// filterGo is filterHi a row at a time, multiplying in order.
+func (f *hiFilter) filterGo() {
+	sp := f.sp
+	for f.kept < len(f.keep) {
+		for ; f.m == 0; f.next++ {
+			if f.next == len(f.words) {
+				return
+			}
+			f.m = storeMask(sp.n, f.words[f.next], f.masks[f.next])
+		}
+		w := f.words[f.next-1]
+		id := w<<6 | uint32(bits.TrailingZeros64(f.m))
+		f.m &= f.m - 1
 		var s float32
 		for j, h := range sp.hi[int(id)*sp.dim:][:sp.dim] {
-			s += qh[j] * math.Float32frombits(uint32(h)<<16)
+			s += f.qh[j] * math.Float32frombits(uint32(h)<<16)
 		}
-		out[i] = s
+		if b := f.qn + sp.norms[id] - 2*s - (f.qs*sp.resid[w] + (sp.slack[w] + f.qe)); !(b > f.thr) {
+			f.keep[f.kept], f.bound[f.kept] = id, b
+			f.kept++
+		}
 	}
 }
 
 // dots writes q·p for each listed row into out, each bit-identical to dot8
 // over the fp32 row: the assembly reassembles in registers and reduces in
-// dotSIMD's order; anywhere else the row is reassembled and handed to dot8.
-func (sp *SplitStore) dots(q []float32, ids []uint32, out []float32) {
+// dotSIMD's order; anywhere else the row is reassembled into row (Dim() long)
+// and handed to dot8.
+func (sp *SplitStore) dots(q []float32, ids []uint32, out, row []float32) {
 	if sp.wide() {
 		dotRowsSplit(&sp.hi[0], &sp.lo[0], sp.dim, &ids[0], len(ids), &q[0], &out[0])
 		return
-	}
-	var buf [64]float32
-	row := buf[:]
-	if sp.dim > len(buf) {
-		row = make([]float32, sp.dim)
 	}
 	for i, id := range ids {
 		out[i] = dot8(q, sp.Row(int(id), row))
@@ -197,27 +230,42 @@ func (e *Engine) ScanRowSetSplit(sp *SplitStore, q []float32, set RowSet, k int,
 	}
 	start := time.Now()
 	points := set.countIn(sp.n)
+	if points == 0 {
+		// Nothing to score, and q need not be a row's length.
+		e.account(0, start)
+		return dst, nil
+	}
 	k = min(k, points)
 	sc := getScratch(e.par, k)
+	// The reordered query (the scalar path's row), then each worker's row
+	// for the portable exact pass.
+	stride := 0
+	if !sp.wide() {
+		stride = sp.dim
+	}
+	if cap(sc.buf) < sp.dim+e.par*stride {
+		sc.buf = make([]float32, sp.dim+e.par*stride)
+	}
+	buf := sc.buf[:cap(sc.buf)]
 	refined := 0
 	switch {
 	case e.scalar:
 		top := &sc.heaps[0]
-		row := make([]float32, sp.dim)
 		for i, w := range set.Words {
 			base := w << 6
 			for m := storeMask(sp.n, w, set.Masks[i]); m != 0; m &= m - 1 {
 				id := base + uint32(bits.TrailingZeros64(m))
-				top.Consider(id, vec.SquaredEuclidean(q, sp.Row(int(id), row)))
+				top.Consider(id, vec.SquaredEuclidean(q, sp.Row(int(id), buf)))
 			}
 		}
 		refined = points
 	case staysOnCaller(e.par, points):
-		refined = scanSplitRange(sp, q, set, &sc.heaps[0])
+		refined = newSplitScan(sp, q, sp.hiQuery(q, buf)).run(set, &sc.heaps[0], buf[sp.dim:][:stride])
 	default:
+		qh := sp.hiQuery(q, buf)
 		var sum atomic.Int64
 		forkJoin(e.par, len(set.Words), chunkPoints/64, func(w, lo, hi int) {
-			sum.Add(int64(scanSplitRange(sp, q, RowSet{set.Words[lo:hi], set.Masks[lo:hi]}, &sc.heaps[w])))
+			sum.Add(int64(newSplitScan(sp, q, qh).run(RowSet{set.Words[lo:hi], set.Masks[lo:hi]}, &sc.heaps[w], buf[sp.dim+w*stride:][:stride])))
 		})
 		refined = int(sum.Load())
 	}
@@ -235,10 +283,9 @@ const refineBatch = 8
 
 // splitScan is one worker's filter-and-refine over a range of a set.
 type splitScan struct {
-	sp  *SplitStore
+	f   hiFilter
 	q   []float32
-	qh  []float32 // q as hiDots wants it
-	qn  float32   // ‖q‖²
+	row []float32 // where the portable exact pass reassembles a row
 	top *TopK
 
 	pend    [refineBatch]uint32 // rows the filter could not rule out
@@ -246,94 +293,89 @@ type splitScan struct {
 	refined int
 }
 
-// scanSplitRange scores a set's rows into top and reports how many it read
-// exactly.  The blocks are scanRowSetRange's, with each row's margin — what
-// its d̃ may overstate its distance by, a property of its word — beside it.
-func scanSplitRange(sp *SplitStore, q []float32, set RowSet, top *TopK) int {
-	var qbuf [128]float32
+// newSplitScan prepares a scan of sp for q, qh = sp.hiQuery(q).
+func newSplitScan(sp *SplitStore, q, qh []float32) splitScan {
 	qn := dot8(q, q)
-	sc := splitScan{sp: sp, q: q, qh: sp.hiQuery(q, qbuf[:]), qn: qn, top: top}
-	// 2·‖q‖, rounded up past what qn's own rounding hides, multiplies a
-	// word's residual; the float slack's query-side term has a floor for
-	// products that underflow, where rounding error stops being relative.
-	qs := float32(2 * math.Sqrt(float64(qn)) * (1 + 0x1p-12 + float64(sp.dim)*0x1p-24))
-	qe := slackPerNorm(sp.dim)*qn + 0x1p-120
-	var (
-		blk    [subsetBlock]uint32
-		margin [subsetBlock]float32
-		bound  [subsetBlock]float32
-	)
-	n := 0
-	for i, w := range set.Words {
-		m := storeMask(sp.n, w, set.Masks[i])
-		if m == 0 {
-			continue
+	return splitScan{q: q, f: hiFilter{sp: sp, qh: qh, qn: qn,
+		// 2·‖q‖, rounded up past what qn's own rounding hides, multiplies a
+		// word's residual; the float slack's query-side term has a floor for
+		// products that underflow, where rounding error stops being relative.
+		qs: float32(2 * math.Sqrt(float64(qn)) * (1 + 0x1p-12 + float64(sp.dim)*0x1p-24)),
+		qe: slackPerNorm(sp.dim)*qn + 0x1p-120,
+	}}
+}
+
+// run scores a set's rows into top and reports how many it read exactly;
+// row is its own.  While the heap is short of k the set is filled a block at
+// a time — scanRowSetRange's blocks — and the rest is one filter pass, which
+// stops only to hand the exact pass a full batch.
+func (sc splitScan) run(set RowSet, top *TopK, row []float32) int {
+	sc.top, sc.row = top, row
+	f := sc.f // this worker's pass: its cursor and keep point into this frame
+	var blk [subsetBlock]uint32
+	var bound [subsetBlock]float32
+	i := 0
+	for i < len(set.Words) && top.Len() < top.k {
+		j, n := i, 0
+		for ; j < len(set.Words) && n <= subsetBlock-64; j++ {
+			n += bits.OnesCount64(storeMask(f.sp.n, set.Words[j], set.Masks[j]))
 		}
-		base, mw := w<<6, qs*sp.resid[w]+(sp.slack[w]+qe)
-		for ; m != 0; m &= m - 1 {
-			blk[n], margin[n] = base+uint32(bits.TrailingZeros64(m)), mw
-			n++
-		}
-		if n > subsetBlock-64 {
-			sc.block(blk[:n], margin[:n], bound[:n])
-			n = 0
-		}
+		// No bound is above +Inf: the pass keeps every row of the block.
+		f.words, f.masks, f.next, f.m = set.Words[i:j], set.Masks[i:j], 0, 0
+		f.thr, f.keep, f.bound, f.kept = float32(math.Inf(1)), blk[:n], bound[:n], 0
+		f.filter()
+		sc.fill(blk[:f.kept], bound[:f.kept])
+		i = j
 	}
-	sc.block(blk[:n], margin[:n], bound[:n])
+	f.words, f.masks, f.next, f.m = set.Words[i:], set.Masks[i:], 0, 0
+	f.keep, f.bound = sc.pend[:], bound[:refineBatch]
+	for {
+		f.thr, f.kept = top.Threshold(), sc.np
+		f.filter()
+		if sc.np = f.kept; sc.np < refineBatch {
+			break
+		}
+		sc.refine()
+	}
 	sc.refine()
 	return sc.refined
 }
 
-// block filters one block of valid rows: bound[i] becomes a proved lower
-// bound on row blk[i]'s exact distance, and a row goes on to the exact pass
-// unless its bound is already past the heap's threshold.  That threshold is
-// always an exact distance; while the heap is short of k — the first block
-// of a scan — it is filled from the rows with the least bounds first, so the
-// rest of the block already meets a threshold worth the name.
-func (sc *splitScan) block(blk []uint32, margin, bound []float32) {
-	if len(blk) == 0 {
-		return
-	}
+// fill filters one block of rows and their bounds while the heap is short of
+// k.  The heap is filled from the least bounds first, so the rest of the
+// block already meets a threshold worth the name — or, with room for the
+// whole block, from every row.
+func (sc *splitScan) fill(blk []uint32, bound []float32) {
 	need := sc.top.k - sc.top.Len()
 	if need >= len(blk) {
-		// The heap has room for every row: nothing to filter.
 		for _, id := range blk {
 			sc.push(id)
 		}
 		sc.refine()
 		return
 	}
-	sc.sp.hiDots(sc.qh, blk, bound)
-	norms, qn := sc.sp.norms, sc.qn
-	margin = margin[:len(bound)]
-	for i, id := range blk[:len(bound)] {
-		// normFinish's sum without its clamp: a bound may be negative.
-		bound[i] = qn + norms[id] - 2*bound[i] - margin[i]
-	}
-	if need > 0 {
-		// least[:m] indexes the m least bounds so far, ascending: an
-		// insertion sort that stops taking rows past the need-th.
-		var least [subsetBlock]uint16
-		m := 0
-		for i, b := range bound {
-			if m == need && !(b < bound[least[m-1]]) {
-				continue
-			}
-			if m < need {
-				m++
-			}
-			j := m - 1
-			for ; j > 0 && b < bound[least[j-1]]; j-- {
-				least[j] = least[j-1]
-			}
-			least[j] = uint16(i)
+	// least[:m] indexes the m least bounds so far, ascending: an insertion
+	// sort that stops taking rows past the need-th.
+	var least [subsetBlock]uint16
+	m := 0
+	for i, b := range bound {
+		if m == need && !(b < bound[least[m-1]]) {
+			continue
 		}
-		for _, i := range least[:m] {
-			sc.push(blk[i])
-			bound[i] = float32(math.Inf(1)) // past any threshold: not again below
+		if m < need {
+			m++
 		}
-		sc.refine()
+		j := m - 1
+		for ; j > 0 && b < bound[least[j-1]]; j-- {
+			least[j] = least[j-1]
+		}
+		least[j] = uint16(i)
 	}
+	for _, i := range least[:m] {
+		sc.push(blk[i])
+		bound[i] = float32(math.Inf(1)) // past any threshold: not again below
+	}
+	sc.refine()
 	thr := sc.top.Threshold()
 	for i, b := range bound {
 		// A NaN bound is not past anything: the row is read exactly, and
@@ -367,11 +409,11 @@ func (sc *splitScan) refine() {
 	}
 	var dots [refineBatch]float32
 	ids := sc.pend[:sc.np]
-	sc.sp.dots(sc.q, ids, dots[:])
+	sc.f.sp.dots(sc.q, ids, dots[:], sc.row)
 	thr := sc.top.Threshold()
 	for i, id := range ids {
 		// ≤ for the same reason as scanRange.
-		if d := normFinish(sc.qn, sc.sp.norms[id], dots[i]); d <= thr {
+		if d := normFinish(sc.f.qn, sc.f.sp.norms[id], dots[i]); d <= thr {
 			sc.top.Consider(id, d)
 			thr = sc.top.Threshold()
 		}

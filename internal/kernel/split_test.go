@@ -1,8 +1,10 @@
 package kernel
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -104,37 +106,278 @@ func TestSplitRoundTrip(t *testing.T) {
 
 // TestSplitDotsEquivalence: over ordinary rows, at the widths on the
 // assembly's edges and the ones that take the portable loop, the exact pass
-// gives dot8's bits and the filter pass gives q·p̂ — p̂ rebuilt here from the
-// rounding rule — to within the float slack the bound allows for.
+// gives dot8's bits and the filter pass, its margins zeroed, bounds a row at
+// (‖q‖² + ‖p‖²) − 2·q·p̂ — p̂ rebuilt here from the rounding rule — to within
+// the float slack the bound allows for.
 func TestSplitDotsEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(27))
 	const rows = 300
 	for _, dim := range append([]int{1, 7, 8, 31, 50, 72}, gatherDims...) {
 		s := randStore(r, rows, dim)
 		sp := Split(s)
+		flat := *sp
+		flat.resid, flat.slack = make([]float32, len(sp.resid)), make([]float32, len(sp.slack))
 		q := randQuery(r, dim)
+		f := newSplitScan(&flat, q, flat.hiQuery(q, make([]float32, dim))).f
+		f.qs, f.qe = 0, 0
+		row := make([]float32, dim)
 		for _, n := range []int{1, 7, 8, 9, 255, 256} {
 			ids := gatherIDs(r, n, rows)
-			exact, hi := make([]float32, n), make([]float32, n)
+			exact := make([]float32, n)
 			for at := 0; at < n; at += refineBatch {
-				sp.dots(q, ids[at:min(at+refineBatch, n)], exact[at:])
+				sp.dots(q, ids[at:min(at+refineBatch, n)], exact[at:], row)
 			}
-			sp.hiDots(sp.hiQuery(q, nil), ids, hi)
 			for i, id := range ids {
 				if want := dot8(q, s.Row(int(id))); math.Float32bits(exact[i]) != math.Float32bits(want) {
 					t.Fatalf("dim %d n %d: dots[%d] (row %d) = %x, dot8 = %x", dim, n, i, id, math.Float32bits(exact[i]), math.Float32bits(want))
 				}
-				var want, scale float64
+			}
+			set := packRowSet(ids)
+			kept, bound := filterAll(f, set, float32(math.Inf(1)), n)
+			if !slices.Equal(kept, set.AppendIDs(nil)) {
+				t.Fatalf("dim %d n %d: under +Inf the filter kept %v of %v", dim, n, kept, set.AppendIDs(nil))
+			}
+			for i, id := range kept {
+				var dot, scale float64
 				for j, x := range s.Row(int(id)) {
 					rounded := math.Float32frombits((math.Float32bits(x) + 0x8000) &^ 0xFFFF)
-					want += float64(q[j]) * float64(rounded)
+					dot += float64(q[j]) * float64(rounded)
 					scale += math.Abs(float64(q[j]) * float64(rounded))
 				}
-				if math.Abs(float64(hi[i])-want) > float64(2*dim+8)*0x1p-24*scale {
-					t.Fatalf("dim %d n %d: hiDots[%d] (row %d) = %v, q·p̂ = %v", dim, n, i, id, hi[i], want)
+				sum := float64(f.qn) + float64(s.norms[id])
+				if want := sum - 2*dot; math.Abs(float64(bound[i])-want) > (2*float64(2*dim+8)*scale+4*(sum+2*scale))*0x1p-24 {
+					t.Fatalf("dim %d n %d: row %d bounded at %v, (‖q‖² + ‖p‖²) − 2·q·p̂ = %v", dim, n, id, bound[i], want)
 				}
 			}
 		}
+	}
+}
+
+// filterAll runs f's pass over set under thr, room rows a call, and returns
+// what it kept.  f's kernel is whichever useSIMD picks.
+func filterAll(f hiFilter, set RowSet, thr float32, room int) (kept []uint32, bound []float32) {
+	f.words, f.masks, f.thr = set.Words, set.Masks, thr
+	for {
+		f.keep, f.bound, f.kept = make([]uint32, room), make([]float32, room), 0
+		f.filter()
+		kept, bound = append(kept, f.keep[:f.kept]...), append(bound, f.bound[:f.kept]...)
+		if f.kept < room {
+			return kept, bound
+		}
+	}
+}
+
+// TestSplitFilterContract: the filter pass's contract, held by the assembly
+// and by its Go twin (useSIMD off), over random, clustered and oddRows
+// stores at the assembly's edge widths and the paper's 2048, over sets that
+// run past the store and have zero masks, with keep 1–8 rows or the whole
+// set long and thresholds anywhere:
+//
+//	(i)   under +Inf each kernel keeps every row of the set the store has,
+//	      once each, in order, and no finite bound is above its row's exact
+//	      distance;
+//	(ii)  under any threshold each kernel keeps exactly the rows whose bound
+//	      it wrote under +Inf is not above it — so every row whose exact
+//	      distance is within the threshold, or NaN — in order; a call that
+//	      keeps fewer than keep's length has spent the set, and none writes
+//	      past keep;
+//	(iii) the two kernels' bounds fall on the same side of the threshold
+//	      wherever they are farther from it than their rounding can move
+//	      them;
+//	(iv)  a pass that switches kernel at random from call to call — each
+//	      resuming the other's cursor — keeps every row both keep, only rows
+//	      one keeps, in order.
+func TestSplitFilterContract(t *testing.T) {
+	simd := useSIMD
+	t.Cleanup(func() { useSIMD = simd })
+	dims := []int{32, 40, 64, 72, 128, 2048}
+	const sentinel = -12345
+	prop := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		dim := dims[r.Intn(len(dims))]
+		rows := 1 + r.Intn(600*64/dim+10)
+		var s *Store
+		q := randQuery(r, dim)
+		switch r.Intn(3) {
+		case 0:
+			s = randStore(r, rows, dim)
+		case 1:
+			var centres [][]float32
+			s, centres = clusteredStore(r, rows, dim, 1+r.Intn(6))
+			q = centres[0]
+		default:
+			s = randStore(r, rows, dim)
+			oddRows(r, s)
+			if r.Intn(3) == 0 {
+				q = append([]float32(nil), s.Row(r.Intn(rows))...)
+			}
+		}
+		sp := Split(s)
+		var set RowSet
+		density := 1 + r.Intn(8)
+		for id := 0; id < rows+130; id++ { // past the store's last word too
+			if r.Intn(density) == 0 {
+				set.Add(uint32(id))
+			}
+		}
+		for i := range set.Masks {
+			if r.Intn(8) == 0 {
+				set.Masks[i] = 0
+			}
+		}
+		var want []uint32 // the set's rows the store has
+		for _, id := range set.AppendIDs(nil) {
+			if int(id) < rows {
+				want = append(want, id)
+			}
+		}
+		qn := dot8(q, q)
+		exact := make([]float32, rows)
+		for i := range exact {
+			exact[i] = normFinish(qn, s.norms[i], dot8(q, s.Row(i)))
+		}
+		// Each kernel's pass, with the query in the order it multiplies.
+		var twins [2]hiFilter
+		for side, asm := range []bool{true, false} {
+			useSIMD = asm && simd
+			twins[side] = newSplitScan(sp, q, sp.hiQuery(q, make([]float32, dim))).f
+			twins[side].words, twins[side].masks = set.Words, set.Masks
+		}
+		useSIMD = simd
+		fail := func(format string, args ...any) bool {
+			t.Logf("seed %d, %d × %d, %d rows of the set: %s", seed, rows, dim, len(want), fmt.Sprintf(format, args...))
+			return false
+		}
+		// call runs one call of a kernel's pass under thr from the cursor
+		// (next, m), with room rows of keep, and reports whether it wrote
+		// past them.
+		call := func(asm bool, thr float32, next int, m uint64, room int) (hiFilter, bool) {
+			f := twins[0]
+			if !asm {
+				f = twins[1]
+			}
+			keep, bound := make([]uint32, room+1), make([]float32, room+1)
+			keep[room], bound[room] = math.MaxUint32, sentinel
+			f.thr, f.next, f.m, f.keep, f.bound, f.kept = thr, next, m, keep[:room], bound[:room], 0
+			useSIMD = asm && simd
+			f.filter()
+			useSIMD = simd
+			return f, keep[room] == math.MaxUint32 && bound[room] == sentinel
+		}
+		// pass runs a pass over the whole set, each call on the assembly
+		// when asm says so.
+		pass := func(thr float32, room int, asm func() bool) (kept []uint32, bound []float32, ok bool) {
+			var f hiFilter
+			for {
+				var clean bool
+				if f, clean = call(asm(), thr, f.next, f.m, room); !clean {
+					return nil, nil, fail("wrote past keep")
+				}
+				kept, bound = append(kept, f.keep[:f.kept]...), append(bound, f.bound[:f.kept]...)
+				if f.kept == room {
+					continue
+				}
+				if f.next != len(f.words) || f.m != 0 {
+					return nil, nil, fail("kept %d of %d and stopped at word %d, mask %x", f.kept, room, f.next, f.m)
+				}
+				return kept, bound, true
+			}
+		}
+		always := func(b bool) func() bool { return func() bool { return b } }
+		var bounds [2][]float32 // under +Inf: the assembly's, the twin's
+		for side, asm := range []bool{true, false} {
+			kept, bound, ok := pass(float32(math.Inf(1)), 1+r.Intn(refineBatch), always(asm))
+			if !ok {
+				return false
+			}
+			if !slices.Equal(kept, want) {
+				return fail("assembly %v kept %v under +Inf", asm, kept)
+			}
+			for i, id := range kept {
+				if b, e := bound[i], exact[id]; !math.IsNaN(float64(b)) && !math.IsInf(float64(b), 0) && e == e && b > e {
+					return fail("assembly %v: row %d bounded at %v, above its exact distance %v", asm, id, b, e)
+				}
+			}
+			bounds[side] = bound
+		}
+		for trial := 0; trial < 6; trial++ {
+			var thr float32
+			switch r.Intn(7) {
+			case 0:
+				thr = float32(math.NaN())
+			case 1:
+				thr = -1
+			case 2:
+				thr = maxFloat32
+			case 3: // a bound itself: the row it bounds is kept
+				if len(want) > 0 {
+					thr = bounds[r.Intn(2)][r.Intn(len(want))]
+				}
+			default:
+				if len(want) > 0 {
+					thr = exact[want[r.Intn(len(want))]] * (1 + float32(r.NormFloat64())*0x1p-20)
+				}
+			}
+			room := 1 + r.Intn(refineBatch)
+			if r.Intn(4) == 0 {
+				room = len(want) + 1
+			}
+			var keptBy [2]map[uint32]bool
+			for side, asm := range []bool{true, false} {
+				kept, _, ok := pass(thr, room, always(asm))
+				if !ok {
+					return false
+				}
+				var within []uint32
+				for i, id := range want {
+					if !(bounds[side][i] > thr) {
+						within = append(within, id)
+					} else if e := exact[id]; e <= thr || e != e {
+						return fail("assembly %v: row %d (exact %v) bounded past %v at %v", asm, id, e, thr, bounds[side][i])
+					}
+				}
+				if !slices.Equal(kept, within) {
+					return fail("assembly %v under %v kept %v, the bounds say %v", asm, thr, kept, within)
+				}
+				keptBy[side] = map[uint32]bool{}
+				for _, id := range kept {
+					keptBy[side][id] = true
+				}
+			}
+			for i, id := range want {
+				ba, bg := float64(bounds[0][i]), float64(bounds[1][i])
+				slack := float64(slackPerNorm(dim))*(float64(qn)+float64(s.norms[id])) + 0x1p-22*math.Abs(ba) + 0x1p-120
+				if math.IsInf(slack, 0) || math.IsNaN(slack) || math.IsInf(ba, 0) || math.IsNaN(ba) || math.Abs(ba-float64(thr)) <= slack {
+					continue
+				}
+				if (ba > float64(thr)) != (bg > float64(thr)) {
+					return fail("row %d bounded at %v by the assembly and %v by Go, threshold %v, slack %v", id, ba, bg, thr, slack)
+				}
+			}
+			mixed, _, ok := pass(thr, room, func() bool { return r.Intn(2) == 0 })
+			if !ok {
+				return false
+			}
+			at := 0
+			for _, id := range want {
+				both, either := keptBy[0][id] && keptBy[1][id], keptBy[0][id] || keptBy[1][id]
+				if at < len(mixed) && mixed[at] == id {
+					if !either {
+						return fail("switching kernels kept row %d, which neither keeps", id)
+					}
+					at++
+				} else if both {
+					return fail("switching kernels dropped row %d, which both keep", id)
+				}
+			}
+			if at != len(mixed) {
+				return fail("switching kernels kept %v, not in row order", mixed)
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -310,23 +553,29 @@ func TestScanRowSetSplitFilters(t *testing.T) {
 }
 
 // TestScanRowSetSplitAllocs: as TestScanRowSetAllocs — the block, its bounds,
-// the seed heap and the exact pass's batch all live on the stack.
+// the seed heap and the exact pass's batch live on the stack, the reordered
+// query and the portable path's row in the pooled scratch — at every width:
+// the assembly's (32, 64, 128, 256: past any fixed buffer), the portable
+// loop's (36), and in scalar mode.
 func TestScanRowSetSplitAllocs(t *testing.T) {
 	if !poolsKeepPuts() {
 		t.Skip("sync.Pool is dropping Puts (race detector)")
 	}
-	r := rand.New(rand.NewSource(10))
-	s, centres := clusteredStore(r, 3000, 64, 4)
-	sp := Split(s)
-	var set RowSet
-	for id := 0; id < 3000; id += 3 {
-		set.Add(uint32(id))
-	}
-	eng := New(Config{Parallelism: 1})
-	dst := make([]knn.Neighbor, 0, 16)
-	scan := func() { dst, _ = eng.ScanRowSetSplit(sp, centres[1], set, 10, dst[:0]) }
-	scan()
-	if a := testing.AllocsPerRun(100, scan); a != 0 {
-		t.Fatalf("steady-state ScanRowSetSplit allocates %v per scan", a)
+	for _, dim := range []int{32, 36, 64, 128, 256} {
+		r := rand.New(rand.NewSource(10))
+		s, centres := clusteredStore(r, 3000, dim, 4)
+		sp := Split(s)
+		var set RowSet
+		for id := 0; id < 3000; id += 3 {
+			set.Add(uint32(id))
+		}
+		for _, eng := range []*Engine{New(Config{Parallelism: 1}), New(Config{Parallelism: 1, ForceScalar: true})} {
+			dst := make([]knn.Neighbor, 0, 16)
+			scan := func() { dst, _ = eng.ScanRowSetSplit(sp, centres[1], set, 10, dst[:0]) }
+			scan()
+			if a := testing.AllocsPerRun(100, scan); a != 0 {
+				t.Fatalf("dim %d, scalar %v: steady-state ScanRowSetSplit allocates %v per scan", dim, eng.scalar, a)
+			}
+		}
 	}
 }

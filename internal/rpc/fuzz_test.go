@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"testing"
+	"time"
 
 	"musuite/internal/trace"
 )
@@ -31,6 +32,16 @@ func FuzzFrameRead(f *testing.F) {
 	// Traced kind with a body too short to hold the trace header.
 	f.Add([]byte{11, 0, 0, 0, 4, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 
+	// Each input compares the process-wide buffer count before and after,
+	// and an earlier test's tiers release their last buffers on their own
+	// goroutines a moment after it ends: start once the count has held
+	// still for 50 ms.
+	deadline := time.Now().Add(hardTimeout)
+	for last, since := BufsInUse(), time.Now(); time.Since(since) < 50*time.Millisecond && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if now := BufsInUse(); now != last {
+			last, since = now, time.Now()
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		held := BufsInUse()
 		frames, err := feedParser(data)

@@ -405,7 +405,9 @@ func oddVectors(dim int) []vec.Vector {
 // trusted the leaf must read exactly, and a row whose distance is NaN or Inf
 // is treated as the fp32 scan treats it.  The rows are wide enough for the
 // assembly.  The bytes are read as (gap, mask) pairs: two bytes of gap to the
-// next word, eight of mask.
+// next word, eight of mask.  A qsel with its top bit set asks an empty shard
+// of the same width instead, with a query of qsel's low four bits' floats:
+// it answers nothing and does not fail, whatever the query's length.
 func FuzzLeafKNNRowSet(f *testing.F) {
 	f.Add([]byte{0, 0, 0xFF, 0, 0, 0, 0, 0, 0, 0x80, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8}, uint16(5), uint8(0))
 	f.Add([]byte{4, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, uint16(100), uint8(0)) // the store's last word, every bit
@@ -417,6 +419,9 @@ func FuzzLeafKNNRowSet(f *testing.F) {
 		f.Add(everyRow, uint16(5), qsel)
 		f.Add(everyRow, uint16(500), qsel)
 	}
+	for _, qsel := range []uint8{0x80, 0x81, 0x88, 0x8F} { // an empty shard: 0, 1, 8 and 15 floats
+		f.Add(everyRow, uint16(5), qsel)
+	}
 	corpus := dataset.NewImageCorpus(dataset.ImageCorpusConfig{N: 300, Dim: 32, Clusters: 4, Noise: 0.1, Seed: 1})
 	odd := oddVectors(corpus.Dim)
 	for g := 3; g < len(corpus.Vectors); g += 7 {
@@ -425,9 +430,17 @@ func FuzzLeafKNNRowSet(f *testing.F) {
 	data := ShardCorpus(corpus, 1)[0] // 300 rows: words 0–4, the last 44 rows wide
 	leaf := data.scoring()
 	queries := append(corpus.Queries(2, 2), odd...)
+	none, err := kernel.FromFlat(nil, corpus.Dim)
+	if err != nil {
+		f.Fatal(err)
+	}
+	empty := LeafData{Store: none}.scoring()
 	eng := kernel.New(kernel.Config{Parallelism: 1})
 	f.Fuzz(func(t *testing.T, raw []byte, k uint16, qsel uint8) {
 		q := queries[int(qsel)%len(queries)]
+		if qsel&0x80 != 0 {
+			q = q[:qsel&15]
+		}
 		var set kernel.RowSet
 		var ids []uint32
 		next := uint32(0)
@@ -444,6 +457,15 @@ func FuzzLeafKNNRowSet(f *testing.F) {
 		}
 		var req, reply wire.Encoder
 		appendLeafRequest(&req, q, set, int(k))
+		if qsel&0x80 != 0 {
+			if err := leafKNN(eng, empty, req.Bytes(), &reply); err != nil {
+				t.Fatalf("an empty shard asked with a %d-float query: %v", len(q), err)
+			}
+			if got, err := DecodeNeighbors(reply.Bytes()); err != nil || len(got) != 0 {
+				t.Fatalf("an empty shard answered %v, %v", got, err)
+			}
+			return
+		}
 		if err := leafKNN(eng, leaf, req.Bytes(), &reply); err != nil {
 			t.Fatal(err)
 		}
