@@ -48,7 +48,7 @@ func serve(fs *flag.FlagSet, args []string) error {
 	case "leaf":
 		leaf, err := svc.Leaf(*s, mode, *shard, core.LeafOptions{
 			Spans:  spans,
-			Kernel: kernel.New(kernel.Config{Parallelism: mode.LeafParallelism, ForceScalar: mode.ScalarKernels}),
+			Kernel: kernel.New(kernel.Config{Parallelism: mode.LeafParallelism}),
 		})
 		if err != nil {
 			return err

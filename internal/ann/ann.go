@@ -26,8 +26,6 @@ import (
 
 	"musuite/internal/kernel"
 	"musuite/internal/kmeans"
-	"musuite/internal/knn"
-	"musuite/internal/vec"
 )
 
 // Quant selects the candidate-scoring store.
@@ -228,15 +226,15 @@ func Build(store *kernel.Store, cfg Config) (*Index, error) {
 
 // sampleRows returns up to max rows by fixed stride, as vector views
 // aliasing the store.
-func sampleRows(s *kernel.Store, max int) []vec.Vector {
+func sampleRows(s *kernel.Store, max int) [][]float32 {
 	n := s.Len()
 	step := 1
 	if n > max {
 		step = (n + max - 1) / max
 	}
-	out := make([]vec.Vector, 0, (n+step-1)/step)
+	out := make([][]float32, 0, (n+step-1)/step)
 	for i := 0; i < n; i += step {
-		out = append(out, vec.Vector(s.Row(i)))
+		out = append(out, s.Row(i))
 	}
 	return out
 }
@@ -266,12 +264,12 @@ func (x *Index) CompressedBytes() int {
 
 // searchScratch recycles one search's intermediate state.
 type searchScratch struct {
-	cents  []knn.Neighbor // probed centroids
-	ids    []uint32       // gathered candidate row IDs
-	approx []knn.Neighbor // compressed-store scores
-	rerank []uint32       // re-rank candidate row IDs
-	lut    []float32      // PQ ADC lookup table
-	heaps  []kernel.TopK  // per-worker heaps for the compressed scans
+	cents  []kernel.Neighbor // probed centroids
+	ids    []uint32          // gathered candidate row IDs
+	approx []kernel.Neighbor // compressed-store scores
+	rerank []uint32          // re-rank candidate row IDs
+	lut    []float32         // PQ ADC lookup table
+	heaps  []kernel.TopK     // per-worker heaps for the compressed scans
 }
 
 var searchScratches = sync.Pool{New: func() any { return new(searchScratch) }}
@@ -284,12 +282,12 @@ var searchScratches = sync.Pool{New: func() any { return new(searchScratch) }}
 // (≤ 0: build default, floor k); it is ignored by QuantNone, whose
 // candidate scoring is already exact.  Final distances always come from the
 // float32 kernels.
-func (x *Index) Search(eng *kernel.Engine, q []float32, k, nprobe, rerank int, dst []knn.Neighbor) ([]knn.Neighbor, error) {
+func (x *Index) Search(eng *kernel.Engine, q []float32, k, nprobe, rerank int, dst []kernel.Neighbor) ([]kernel.Neighbor, error) {
 	if x.store.Len() == 0 {
 		return dst, nil
 	}
 	if len(q) != x.store.Dim() {
-		return dst, vec.ErrDimensionMismatch
+		return dst, kernel.ErrDimensionMismatch
 	}
 	if k <= 0 {
 		return dst, nil
@@ -331,9 +329,10 @@ func (x *Index) Search(eng *kernel.Engine, q []float32, k, nprobe, rerank int, d
 			rerank = 32
 		}
 	}
-	if rerank < k {
-		rerank = k
-	}
+	// rerank comes off the wire and sizes the approximate pass's heaps; one
+	// bounded past the candidates keeps every candidate, as one bounded at
+	// them does.
+	rerank = min(max(rerank, k), len(sc.ids))
 
 	// Approximate pass: score every candidate on the compressed store,
 	// keeping the rerank best.
@@ -369,7 +368,7 @@ func (sc *searchScratch) scanHeaps(workers, k int) []kernel.TopK {
 
 // mergeHeapsSorted folds heaps[1:] into heaps[0] and drains it sorted into
 // dst.
-func mergeHeapsSorted(heaps []kernel.TopK, dst []knn.Neighbor) []knn.Neighbor {
+func mergeHeapsSorted(heaps []kernel.TopK, dst []kernel.Neighbor) []kernel.Neighbor {
 	for i := 1; i < len(heaps); i++ {
 		heaps[0].Merge(&heaps[i])
 	}

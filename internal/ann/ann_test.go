@@ -7,8 +7,6 @@ import (
 
 	"musuite/internal/dataset"
 	"musuite/internal/kernel"
-	"musuite/internal/knn"
-	"musuite/internal/vec"
 )
 
 func clusteredStore(t testing.TB, n, dim, clusters int, seed int64) (*dataset.ImageCorpus, *kernel.Store) {
@@ -23,7 +21,7 @@ func clusteredStore(t testing.TB, n, dim, clusters int, seed int64) (*dataset.Im
 	return corpus, store
 }
 
-func sameNeighbors(a, b []knn.Neighbor) bool {
+func sameNeighbors(a, b []kernel.Neighbor) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -135,13 +133,13 @@ func TestIVFRecall(t *testing.T) {
 func TestInt8RoundTripBound(t *testing.T) {
 	prop := func(raw []int16) bool {
 		dim := 16
-		v := make(vec.Vector, dim)
+		v := make([]float32, dim)
 		for i := range v {
 			if len(raw) > 0 {
 				v[i] = float32(raw[i%len(raw)]) / 997
 			}
 		}
-		store, err := kernel.BuildStore([]vec.Vector{v})
+		store, err := kernel.BuildStore([][]float32{v})
 		if err != nil {
 			return false
 		}
@@ -323,7 +321,7 @@ func TestSearchEdgeCases(t *testing.T) {
 // TestTinyCorpus: stores smaller than the default cluster count must still
 // build and search exactly.
 func TestTinyCorpus(t *testing.T) {
-	points := []vec.Vector{{1, 2}, {3, 4}, {5, 6}}
+	points := [][]float32{{1, 2}, {3, 4}, {5, 6}}
 	store, err := kernel.BuildStore(points)
 	if err != nil {
 		t.Fatal(err)

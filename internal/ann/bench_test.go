@@ -6,8 +6,6 @@ import (
 
 	"musuite/internal/dataset"
 	"musuite/internal/kernel"
-	"musuite/internal/knn"
-	"musuite/internal/vec"
 )
 
 // Leaf-index microbenchmarks on one 100k × 64 shard drawn from the clustered
@@ -24,7 +22,7 @@ import (
 // time, so it needs no lock.
 var benchShard struct {
 	store   *kernel.Store
-	queries []vec.Vector
+	queries [][]float32
 	built   map[Config]*benchIndex
 }
 
@@ -36,7 +34,7 @@ type benchIndex struct {
 	recall, evals float64
 }
 
-func benchCorpus() (*kernel.Store, []vec.Vector) {
+func benchCorpus() (*kernel.Store, [][]float32) {
 	if benchShard.store == nil {
 		corpus := dataset.NewImageCorpus(dataset.ImageCorpusConfig{
 			N: 100_000, Dim: 64, Clusters: 64, Seed: 17,
@@ -63,7 +61,7 @@ func benchBuild(b *testing.B, cfg Config) *benchIndex {
 	eng := kernel.Default()
 	const k = 10
 	hits := 0
-	var truth, got []knn.Neighbor
+	var truth, got []kernel.Neighbor
 	for _, q := range queries {
 		if truth, err = eng.Scan(store, q, k, truth[:0]); err != nil {
 			b.Fatal(err)
@@ -108,7 +106,7 @@ var hnswBenchConfig = Config{Kind: KindHNSW, EFSearch: 32, Seed: 19}
 func benchSearch(b *testing.B, x *benchIndex) {
 	_, queries := benchCorpus()
 	eng := kernel.Default()
-	var dst []knn.Neighbor
+	var dst []kernel.Neighbor
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -172,9 +170,9 @@ func BenchmarkHNSWScan(b *testing.B) {
 	}
 	ivf := benchBuild(b, ivfBenchConfig(QuantNone))
 	eng := kernel.Default()
-	var dst []knn.Neighbor
+	var dst []kernel.Neighbor
 	// pass returns the mean latency a query of one pass over the query set.
-	pass := func(search func(q vec.Vector) ([]knn.Neighbor, error)) time.Duration {
+	pass := func(search func(q []float32) ([]kernel.Neighbor, error)) time.Duration {
 		start := time.Now()
 		for _, q := range queries {
 			var err error
@@ -184,9 +182,9 @@ func BenchmarkHNSWScan(b *testing.B) {
 		}
 		return time.Since(start) / time.Duration(len(queries))
 	}
-	scanSearch := func(q vec.Vector) ([]knn.Neighbor, error) { return eng.Scan(store, q, 10, dst[:0]) }
-	hnswSearch := func(q vec.Vector) ([]knn.Neighbor, error) { return x.Search(eng, q, 10, 0, 0, dst[:0]) }
-	ivfSearch := func(q vec.Vector) ([]knn.Neighbor, error) { return ivf.Search(eng, q, 10, 0, 0, dst[:0]) }
+	scanSearch := func(q []float32) ([]kernel.Neighbor, error) { return eng.Scan(store, q, 10, dst[:0]) }
+	hnswSearch := func(q []float32) ([]kernel.Neighbor, error) { return x.Search(eng, q, 10, 0, 0, dst[:0]) }
+	ivfSearch := func(q []float32) ([]kernel.Neighbor, error) { return ivf.Search(eng, q, 10, 0, 0, dst[:0]) }
 	var scanX, ivfX float64 // best per-pass scan/hnsw and ivf/hnsw ratios
 	for p := 0; p < 5; p++ {
 		scan, hnsw, ivfL := pass(scanSearch), pass(hnswSearch), pass(ivfSearch)

@@ -8,8 +8,6 @@ import (
 	"sync/atomic"
 
 	"musuite/internal/kernel"
-	"musuite/internal/knn"
-	"musuite/internal/vec"
 )
 
 // HNSW is a hierarchical navigable-small-world graph over one leaf shard's
@@ -378,7 +376,7 @@ func (h *HNSW) mergeBand(node int, L int32, adds []pendEdge, sc *hnswScratch) {
 		// union with exact distances to the owning node, sorted.
 		union := sc.union[:0]
 		row, rn := h.store.Row(node), h.store.Norm2(node)
-		seen := func(id uint32, list []knn.Neighbor) bool {
+		seen := func(id uint32, list []kernel.Neighbor) bool {
 			for _, u := range list {
 				if u.ID == id {
 					return true
@@ -387,11 +385,11 @@ func (h *HNSW) mergeBand(node int, L int32, adds []pendEdge, sc *hnswScratch) {
 			return false
 		}
 		for _, id := range band[:n] {
-			union = append(union, knn.Neighbor{ID: id, Distance: kernel.DistAt(h.store, row, rn, int(id))})
+			union = append(union, kernel.Neighbor{ID: id, Distance: kernel.DistAt(h.store, row, rn, int(id))})
 		}
 		for _, a := range adds {
 			if !seen(a.src, union) {
-				union = append(union, knn.Neighbor{ID: a.src, Distance: kernel.DistAt(h.store, row, rn, int(a.src))})
+				union = append(union, kernel.Neighbor{ID: a.src, Distance: kernel.DistAt(h.store, row, rn, int(a.src))})
 			}
 		}
 		sortNeighbors(union)
@@ -406,7 +404,7 @@ func (h *HNSW) mergeBand(node int, L int32, adds []pendEdge, sc *hnswScratch) {
 
 // sortNeighbors orders by (distance, id) ascending — the engine's total
 // order — with an insertion sort (bands and candidate lists are short).
-func sortNeighbors(ns []knn.Neighbor) {
+func sortNeighbors(ns []kernel.Neighbor) {
 	for i := 1; i < len(ns); i++ {
 		e := ns[i]
 		j := i - 1
@@ -427,7 +425,7 @@ func sortNeighbors(ns []knn.Neighbor) {
 // wastes degree budget.  Pairwise distances run on the store's SIMD row
 // kernel.  Candidates must arrive sorted by (distance, id); the result is
 // deterministic.
-func (h *HNSW) selectNeighbors(node int, cands []knn.Neighbor, k int, sc *hnswScratch) []uint32 {
+func (h *HNSW) selectNeighbors(node int, cands []kernel.Neighbor, k int, sc *hnswScratch) []uint32 {
 	sel := sc.sel[:0]
 	pruned := sc.pruned[:0]
 	for _, c := range cands {
@@ -502,10 +500,10 @@ type hnswScratch struct {
 	// hot path never contend with the vector rows for cache lines the way
 	// a word-per-node epoch array does.
 	visited []uint64
-	cand    []knn.Neighbor // min-heap by (distance, id)
+	cand    []kernel.Neighbor // min-heap by (distance, id)
 	top     kernel.TopK
 	ids     []uint32
-	union   []knn.Neighbor
+	union   []kernel.Neighbor
 	sel     []uint32
 	pruned  []uint32
 	nbrIDs  []uint32  // unvisited slice of the band being expanded
@@ -538,14 +536,14 @@ func (sc *hnswScratch) clearVisited() {
 // candidate min-heap: nearest on top, ties by ID — the same total order as
 // the engine's TopK, so traversal order (and with it the whole build) is
 // deterministic.
-func candLess(a, b knn.Neighbor) bool {
+func candLess(a, b kernel.Neighbor) bool {
 	if a.Distance != b.Distance {
 		return a.Distance < b.Distance
 	}
 	return a.ID < b.ID
 }
 
-func (sc *hnswScratch) candPush(n knn.Neighbor) {
+func (sc *hnswScratch) candPush(n kernel.Neighbor) {
 	sc.cand = append(sc.cand, n)
 	h := sc.cand
 	i := len(h) - 1
@@ -559,7 +557,7 @@ func (sc *hnswScratch) candPush(n knn.Neighbor) {
 	}
 }
 
-func (sc *hnswScratch) candPop() knn.Neighbor {
+func (sc *hnswScratch) candPop() kernel.Neighbor {
 	h := sc.cand
 	top := h[0]
 	last := len(h) - 1
@@ -589,14 +587,14 @@ func (sc *hnswScratch) candPop() knn.Neighbor {
 // found so far.  Every neighbor evaluation is one norm-trick SIMD distance
 // plus a streaming TopK threshold test; the visited set is a cache-resident
 // bitmap.  Returns the ef nearest found, sorted ascending, in sc.union.
-func (h *HNSW) searchLayer(q []float32, qn float32, ep int32, epD float32, ef int, L int32, sc *hnswScratch) []knn.Neighbor {
+func (h *HNSW) searchLayer(q []float32, qn float32, ep int32, epD float32, ef int, L int32, sc *hnswScratch) []kernel.Neighbor {
 	sc.clearVisited()
 	sc.cand = sc.cand[:0]
 	sc.top.Reset(ef)
 
 	sc.visit(uint32(ep))
 	sc.top.Consider(uint32(ep), epD)
-	sc.candPush(knn.Neighbor{ID: uint32(ep), Distance: epD})
+	sc.candPush(kernel.Neighbor{ID: uint32(ep), Distance: epD})
 
 	for len(sc.cand) > 0 {
 		c := sc.candPop()
@@ -622,7 +620,7 @@ func (h *HNSW) searchLayer(q []float32, qn float32, ep int32, epD float32, ef in
 			// test is both "still filling" and "beats the worst kept".
 			if d := sc.nbrD[i]; d <= sc.top.Threshold() {
 				sc.top.Consider(nb, d)
-				sc.candPush(knn.Neighbor{ID: nb, Distance: d})
+				sc.candPush(kernel.Neighbor{ID: nb, Distance: d})
 			}
 		}
 	}
@@ -674,12 +672,12 @@ func (h *HNSW) Fingerprint() uint64 {
 // selection, so reported distances come from the same accounted kernel path
 // as every other leaf scan.  Search takes no locks: after Build the graph
 // is immutable, so any number of searches proceed concurrently.
-func (h *HNSW) Search(eng *kernel.Engine, q []float32, k, ef, _ int, dst []knn.Neighbor) ([]knn.Neighbor, error) {
+func (h *HNSW) Search(eng *kernel.Engine, q []float32, k, ef, _ int, dst []kernel.Neighbor) ([]kernel.Neighbor, error) {
 	if h.store.Len() == 0 {
 		return dst, nil
 	}
 	if len(q) != h.store.Dim() {
-		return dst, vec.ErrDimensionMismatch
+		return dst, kernel.ErrDimensionMismatch
 	}
 	if k <= 0 {
 		return dst, nil
@@ -687,9 +685,9 @@ func (h *HNSW) Search(eng *kernel.Engine, q []float32, k, ef, _ int, dst []knn.N
 	if ef <= 0 {
 		ef = h.defEF
 	}
-	if ef < k {
-		ef = k
-	}
+	// ef comes off the wire and sizes the beam's heap; one bounded past the
+	// rows keeps every row it meets, as one bounded at the rows does.
+	ef = min(max(ef, k), h.store.Len())
 
 	sc := h.scratch.Get().(*hnswScratch)
 	sc.evals = 1 // the entry point's, next

@@ -8,13 +8,11 @@ import (
 	"testing/quick"
 
 	"musuite/internal/kernel"
-	"musuite/internal/knn"
-	"musuite/internal/vec"
 )
 
 // hnswRecall builds the default graph over store and returns recall@10 of the
 // default efSearch against the engine's brute-force scan of the same store.
-func hnswRecall(t *testing.T, store *kernel.Store, queries []vec.Vector) float64 {
+func hnswRecall(t *testing.T, store *kernel.Store, queries [][]float32) float64 {
 	t.Helper()
 	h, err := BuildHNSW(store, Config{Kind: KindHNSW, Seed: 5})
 	if err != nil {
@@ -145,7 +143,7 @@ func TestHNSWSearchEdgeCases(t *testing.T) {
 	if got, err := h.Search(eng, make([]float32, 16), 0, 0, 0, nil); err != nil || len(got) != 0 {
 		t.Fatalf("k=0: got %v, %v", got, err)
 	}
-	if _, err := h.Search(eng, make([]float32, 7), 3, 0, 0, nil); err != vec.ErrDimensionMismatch {
+	if _, err := h.Search(eng, make([]float32, 7), 3, 0, 0, nil); err != kernel.ErrDimensionMismatch {
 		t.Fatalf("dim mismatch: want ErrDimensionMismatch, got %v", err)
 	}
 	// k > n with an exhaustive beam must return every row.
@@ -158,9 +156,9 @@ func TestHNSWSearchEdgeCases(t *testing.T) {
 	}
 
 	for _, n := range []int{1, 2, 3, 5} {
-		rows := make([]vec.Vector, n)
+		rows := make([][]float32, n)
 		for i := range rows {
-			rows[i] = vec.Vector{float32(i), float32(i * i)}
+			rows[i] = []float32{float32(i), float32(i * i)}
 		}
 		tiny, err := kernel.BuildStore(rows)
 		if err != nil {
@@ -170,7 +168,7 @@ func TestHNSWSearchEdgeCases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := h.Search(eng, vec.Vector{0, 0}, n, n, 0, nil)
+		got, err := h.Search(eng, []float32{0, 0}, n, n, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,9 +191,9 @@ func TestHNSWExhaustiveBeamMatchesBruteForce(t *testing.T) {
 		n := 20 + int(nRaw)%180
 		dim := 4 + int(dimRaw)%12
 		rng := rand.New(rand.NewSource(seed))
-		rows := make([]vec.Vector, n)
+		rows := make([][]float32, n)
 		for i := range rows {
-			v := make(vec.Vector, dim)
+			v := make([]float32, dim)
 			for j := range v {
 				v[j] = float32(rng.NormFloat64())
 			}
@@ -276,7 +274,7 @@ func TestHNSWConcurrentSearch(t *testing.T) {
 	}
 	eng := kernel.Default()
 	queries := corpus.Queries(32, 58)
-	want := make([][]knn.Neighbor, len(queries))
+	want := make([][]kernel.Neighbor, len(queries))
 	for i, q := range queries {
 		if want[i], err = h.Search(eng, q, 10, 0, 0, nil); err != nil {
 			t.Fatal(err)

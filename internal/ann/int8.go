@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"musuite/internal/kernel"
-	"musuite/internal/knn"
 )
 
 // Int8Store is the scalar-quantized mirror of a kernel.Store: each row is
@@ -126,7 +125,7 @@ func dotF32I8(q []float32, c []int8) float32 {
 // scanSubset scores the candidate rows on the quantized codes and returns
 // the r best (ascending approximate distance) — the approximate pass the
 // exact re-rank then corrects.
-func (st *Int8Store) scanSubset(par int, q []float32, ids []uint32, r int, sc *searchScratch) []knn.Neighbor {
+func (st *Int8Store) scanSubset(par int, q []float32, ids []uint32, r int, sc *searchScratch) []kernel.Neighbor {
 	qn := kernel.Dot(q, q)
 	heaps := sc.scanHeaps(par, r)
 	kernel.ParallelFor(par, len(ids), func(w, lo, hi int) {

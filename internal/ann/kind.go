@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"musuite/internal/kernel"
-	"musuite/internal/knn"
 )
 
 // Kind selects the index family a build constructs.
@@ -40,7 +39,7 @@ func (k Kind) String() string {
 // family scores approximately (IVF compressed stores); HNSW accepts and
 // ignores it, since its traversal is already exact.
 type Searcher interface {
-	Search(eng *kernel.Engine, q []float32, k, knob, rerank int, dst []knn.Neighbor) ([]knn.Neighbor, error)
+	Search(eng *kernel.Engine, q []float32, k, knob, rerank int, dst []kernel.Neighbor) ([]kernel.Neighbor, error)
 	Len() int
 	Dim() int
 	// CompressedBytes reports the resident compressed candidate store size

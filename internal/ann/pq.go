@@ -5,8 +5,6 @@ import (
 
 	"musuite/internal/kernel"
 	"musuite/internal/kmeans"
-	"musuite/internal/knn"
-	"musuite/internal/vec"
 )
 
 // PQStore is a product-quantized mirror of a kernel.Store: the dimensions
@@ -68,7 +66,7 @@ func BuildPQ(s *kernel.Store, cfg PQConfig) (*PQStore, error) {
 		st.kc = len(sample)
 	}
 	st.codebook = make([]float32, st.m*st.kc*st.subDim)
-	subViews := make([]vec.Vector, len(sample))
+	subViews := make([][]float32, len(sample))
 	for sub := 0; sub < st.m; sub++ {
 		lo, hi := sub*st.subDim, (sub+1)*st.subDim
 		for i, row := range sample {
@@ -185,7 +183,7 @@ func (st *PQStore) ADC(q []float32, i int) float32 {
 
 // scanSubset scores the candidate rows by ADC and returns the r best
 // (ascending approximate distance) for the exact re-rank.
-func (st *PQStore) scanSubset(par int, q []float32, ids []uint32, r int, sc *searchScratch) []knn.Neighbor {
+func (st *PQStore) scanSubset(par int, q []float32, ids []uint32, r int, sc *searchScratch) []kernel.Neighbor {
 	sc.lut = st.lutInto(q, sc.lut[:0])
 	lut := sc.lut
 	heaps := sc.scanHeaps(par, r)

@@ -8,11 +8,10 @@ import (
 
 	"musuite/internal/ann"
 	"musuite/internal/dataset"
-	"musuite/internal/knn"
+	"musuite/internal/kernel"
 	"musuite/internal/loadgen"
 	"musuite/internal/rpc"
 	"musuite/internal/services/hdsearch"
-	"musuite/internal/vec"
 )
 
 // IndexRow compares one candidate-index configuration on HDSearch: recall
@@ -68,9 +67,9 @@ func IndexComparison(s Scale, load float64) ([]IndexRow, error) {
 	if len(recallSample) > sample {
 		recallSample = recallSample[:sample]
 	}
-	truth := make([][]knn.Neighbor, len(recallSample))
+	truth := make([][]kernel.Neighbor, len(recallSample))
 	for i, q := range recallSample {
-		truth[i] = knn.BruteForce(q, corpus.Vectors, 10)
+		truth[i] = kernel.BruteForce(q, corpus.Vectors, 10)
 	}
 
 	var out []IndexRow
@@ -157,7 +156,7 @@ func IndexComparison(s Scale, load float64) ([]IndexRow, error) {
 
 // recallAt scores one configuration's recall@1 and recall@10 against the
 // precomputed brute-force ground truth.
-func recallAt(client *hdsearch.Client, sample []vec.Vector, truth [][]knn.Neighbor) (r1, r10 float64, err error) {
+func recallAt(client *hdsearch.Client, sample [][]float32, truth [][]kernel.Neighbor) (r1, r10 float64, err error) {
 	hits1, hits10, want10 := 0, 0, 0
 	for i, q := range sample {
 		got, err := client.Search(q, 10)

@@ -132,9 +132,6 @@ type FrameworkMode struct {
 	// LeafParallelism caps the worker goroutines a leaf kernel scan may
 	// recruit (0 = NumCPU, 1 = serial).
 	LeafParallelism int
-	// ScalarKernels pins the leaves to the reference scalar kernels — the
-	// ablation baseline for the tuned SoA engine.
-	ScalarKernels bool
 	// Index selects HDSearch's candidate index kind ("" = LSH); the ivf*
 	// and hnsw kinds build leaf-resident ANN indexes, at the leaf's default
 	// tuning, instead of a mid-tier candidate generator.
@@ -179,10 +176,7 @@ func leafOptions(s Scale, mode FrameworkMode) core.LeafOptions {
 	return core.LeafOptions{
 		Workers: s.LeafWorkers,
 		Spans:   mode.Spans,
-		Kernel: kernel.New(kernel.Config{
-			Parallelism: mode.LeafParallelism,
-			ForceScalar: mode.ScalarKernels,
-		}),
+		Kernel:  kernel.New(kernel.Config{Parallelism: mode.LeafParallelism}),
 	}
 }
 

@@ -34,7 +34,6 @@ func ModeFlags(fs *flag.FlagSet) func(s *bench.Scale) (bench.FrameworkMode, erro
 	fs.Float64Var(&tail.RetryBudgetRatio, "retry-budget", 0, "mid-tier: hedge/retry budget as a fraction of primary traffic (0 = default 0.1)")
 	routing := fs.String("routing", "modulo", "mid-tier: key placement strategy: modulo | jump (jump keeps placements stable through resizes)")
 	fs.IntVar(&mode.LeafParallelism, "leaf-parallelism", 0, "leaf (hdsearch, recommend): worker goroutines per kernel scan (0 = NumCPU, 1 = serial)")
-	fs.BoolVar(&mode.ScalarKernels, "scalar-kernels", false, "leaf (hdsearch, recommend): use the reference scalar kernels (the ablation baseline for the tuned SoA engine)")
 	fs.StringVar((*string)(&mode.Index), "index", string(hdsearch.IndexLSH),
 		"hdsearch: candidate index: lsh | kdtree | kmeans | ivf | ivfsq | ivfpq | hnsw (leaf-resident kinds build per-shard indexes)")
 	replicas := fs.Int("replicas", 0, "leaf replicas per shard; router: replication pool size (0 = the scale's: 1, router 2)")

@@ -3,9 +3,17 @@ package dataset
 import (
 	"math"
 	"testing"
-
-	"musuite/internal/vec"
 )
+
+// euclidean is ‖a−b‖.
+func euclidean(a, b []float32) float64 {
+	var s float64
+	for i := range a {
+		d := float64(a[i] - b[i])
+		s += d * d
+	}
+	return math.Sqrt(s)
+}
 
 func TestImageCorpusDeterministic(t *testing.T) {
 	cfg := ImageCorpusConfig{N: 100, Dim: 16, Clusters: 4, Seed: 7}
@@ -32,7 +40,7 @@ func TestImageCorpusClusterLocality(t *testing.T) {
 	var nIntra, nInter int
 	for i := 0; i < 200; i++ {
 		for j := i + 1; j < 200; j++ {
-			d := float64(vec.Euclidean(c.Vectors[i], c.Vectors[j]))
+			d := euclidean(c.Vectors[i], c.Vectors[j])
 			if c.ClusterOf[i] == c.ClusterOf[j] {
 				intra += d
 				nIntra++
@@ -60,9 +68,9 @@ func TestImageCorpusQueriesNearCorpus(t *testing.T) {
 		if len(q) != c.Dim {
 			t.Fatal("query dimension mismatch")
 		}
-		best := float32(math.MaxFloat32)
+		best := math.MaxFloat64
 		for _, v := range c.Vectors {
-			if d := vec.Euclidean(q, v); d < best {
+			if d := euclidean(q, v); d < best {
 				best = d
 			}
 		}

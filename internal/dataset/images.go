@@ -15,8 +15,6 @@ package dataset
 import (
 	"fmt"
 	"math/rand"
-
-	"musuite/internal/vec"
 )
 
 // ImageCorpus is a synthetic stand-in for Inception-V3 feature vectors of an
@@ -25,13 +23,13 @@ import (
 // LSH indexing effective.
 type ImageCorpus struct {
 	// Vectors holds one feature vector per image, indexed by point ID.
-	Vectors []vec.Vector
+	Vectors [][]float32
 	// Dim is the feature dimensionality.
 	Dim int
 	// ClusterOf records the generating cluster of each point (useful for
 	// sanity checks; a real corpus has no such labels).
 	ClusterOf []int
-	centers   []vec.Vector
+	centers   [][]float32
 	noise     float64
 	seed      int64
 }
@@ -62,15 +60,15 @@ func NewImageCorpus(cfg ImageCorpusConfig) *ImageCorpus {
 		cfg.Noise = 0.15
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	centers := make([]vec.Vector, cfg.Clusters)
+	centers := make([][]float32, cfg.Clusters)
 	for c := range centers {
-		centers[c] = make(vec.Vector, cfg.Dim)
+		centers[c] = make([]float32, cfg.Dim)
 		for d := 0; d < cfg.Dim; d++ {
 			centers[c][d] = float32(rng.Float64()*2 - 1)
 		}
 	}
 	corpus := &ImageCorpus{
-		Vectors:   make([]vec.Vector, cfg.N),
+		Vectors:   make([][]float32, cfg.N),
 		Dim:       cfg.Dim,
 		ClusterOf: make([]int, cfg.N),
 		centers:   centers,
@@ -80,7 +78,7 @@ func NewImageCorpus(cfg ImageCorpusConfig) *ImageCorpus {
 	for i := 0; i < cfg.N; i++ {
 		c := rng.Intn(cfg.Clusters)
 		corpus.ClusterOf[i] = c
-		v := make(vec.Vector, cfg.Dim)
+		v := make([]float32, cfg.Dim)
 		for d := 0; d < cfg.Dim; d++ {
 			v[d] = centers[c][d] + float32(rng.NormFloat64()*cfg.Noise)
 		}
@@ -91,12 +89,12 @@ func NewImageCorpus(cfg ImageCorpusConfig) *ImageCorpus {
 
 // Queries generates n query vectors that perturb random corpus points, the
 // way a user's query image resembles — but does not equal — stored images.
-func (c *ImageCorpus) Queries(n int, seed int64) []vec.Vector {
+func (c *ImageCorpus) Queries(n int, seed int64) [][]float32 {
 	rng := rand.New(rand.NewSource(seed ^ 0x5DEECE66D))
-	out := make([]vec.Vector, n)
+	out := make([][]float32, n)
 	for i := 0; i < n; i++ {
 		base := c.Vectors[rng.Intn(len(c.Vectors))]
-		q := make(vec.Vector, c.Dim)
+		q := make([]float32, c.Dim)
 		for d := 0; d < c.Dim; d++ {
 			q[d] = base[d] + float32(rng.NormFloat64()*c.noise*0.5)
 		}

@@ -17,8 +17,7 @@ import (
 	"fmt"
 	"sort"
 
-	"musuite/internal/knn"
-	"musuite/internal/vec"
+	"musuite/internal/kernel"
 )
 
 // Ref identifies an indexed point: the leaf shard storing it and its local
@@ -37,7 +36,7 @@ type Config struct {
 
 // Tree is an immutable k-d tree built once over the full corpus.
 type Tree struct {
-	points []vec.Vector
+	points [][]float32
 	refs   []Ref
 	root   *node
 	dim    int
@@ -54,7 +53,7 @@ type node struct {
 
 // Build constructs the tree.  points[i] is referenced by refs[i]; both
 // slices are captured (not copied) and must not be mutated afterwards.
-func Build(points []vec.Vector, refs []Ref, cfg Config) (*Tree, error) {
+func Build(points [][]float32, refs []Ref, cfg Config) (*Tree, error) {
 	if len(points) == 0 {
 		return nil, fmt.Errorf("kdtree: empty corpus")
 	}
@@ -167,11 +166,11 @@ type Result struct {
 
 // Search returns up to k nearest refs under a budget of at most checks
 // scored points (checks ≤ 0 or ≥ Size() searches exhaustively → exact).
-func (t *Tree) Search(q vec.Vector, k, checks int) []Result {
+func (t *Tree) Search(q []float32, k, checks int) []Result {
 	if checks <= 0 || checks > len(t.points) {
 		checks = len(t.points)
 	}
-	cands := make([]knn.Neighbor, 0, checks)
+	top := kernel.NewTopK(min(k, checks))
 	scored := 0
 
 	var pending branchHeap
@@ -191,10 +190,7 @@ func (t *Tree) Search(q vec.Vector, k, checks int) []Result {
 			n = near
 		}
 		for _, idx := range n.bucket {
-			cands = append(cands, knn.Neighbor{
-				ID:       uint32(idx),
-				Distance: vec.SquaredEuclidean(q, t.points[idx]),
-			})
+			top.Consider(uint32(idx), kernel.SquaredEuclidean(q, t.points[idx]))
 			scored++
 			if scored >= checks {
 				break
@@ -202,9 +198,9 @@ func (t *Tree) Search(q vec.Vector, k, checks int) []Result {
 		}
 	}
 
-	top := knn.Select(cands, k)
-	out := make([]Result, len(top))
-	for i, n := range top {
+	ns := top.AppendSorted(nil)
+	out := make([]Result, len(ns))
+	for i, n := range ns {
 		out[i] = Result{Ref: t.refs[n.ID], Distance: n.Distance}
 	}
 	return out
@@ -213,7 +209,7 @@ func (t *Tree) Search(q vec.Vector, k, checks int) []Result {
 // LookupByShard returns candidate point IDs grouped by shard — the same
 // shape lsh.Index.LookupByShard produces, so HDSearch's mid-tier can use a
 // kd-tree interchangeably.  candidates bounds the total candidate count.
-func (t *Tree) LookupByShard(q vec.Vector, candidates, checks int) map[int32][]uint32 {
+func (t *Tree) LookupByShard(q []float32, candidates, checks int) map[int32][]uint32 {
 	if candidates <= 0 {
 		candidates = 64
 	}

@@ -5,8 +5,7 @@ import (
 	"testing"
 
 	"musuite/internal/dataset"
-	"musuite/internal/knn"
-	"musuite/internal/vec"
+	"musuite/internal/kernel"
 )
 
 func buildCorpusTree(t *testing.T, n, dim int) (*dataset.ImageCorpus, *Tree) {
@@ -29,27 +28,31 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := Build(nil, nil, Config{}); err == nil {
 		t.Fatal("empty corpus accepted")
 	}
-	if _, err := Build([]vec.Vector{{1, 2}}, nil, Config{}); err == nil {
+	if _, err := Build([][]float32{{1, 2}}, nil, Config{}); err == nil {
 		t.Fatal("mismatched refs accepted")
 	}
-	if _, err := Build([]vec.Vector{{1, 2}, {1}}, make([]Ref, 2), Config{}); err == nil {
+	if _, err := Build([][]float32{{1, 2}, {1}}, make([]Ref, 2), Config{}); err == nil {
 		t.Fatal("ragged dims accepted")
 	}
 }
 
 // TestExhaustiveSearchIsExact: with an unlimited checks budget, the tree
-// must return exactly the brute-force k-NN.
+// must return exactly the brute-force k-NN, for k from nothing to past the
+// corpus.
 func TestExhaustiveSearchIsExact(t *testing.T) {
-	corpus, tree := buildCorpusTree(t, 800, 16)
+	const n = 800
+	corpus, tree := buildCorpusTree(t, n, 16)
 	for qi, q := range corpus.Queries(40, 5) {
-		got := tree.Search(q, 5, 0)
-		want := knn.BruteForce(q, corpus.Vectors, 5)
-		if len(got) != len(want) {
-			t.Fatalf("query %d: %d results want %d", qi, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Ref.PointID != want[i].ID || got[i].Distance != want[i].Distance {
-				t.Fatalf("query %d rank %d: got %+v want %+v", qi, i, got[i], want[i])
+		for _, k := range []int{0, 1, 5, n, n + 2} {
+			got := tree.Search(q, k, 0)
+			want := kernel.BruteForce(q, corpus.Vectors, k)
+			if len(got) != len(want) {
+				t.Fatalf("query %d, k=%d: %d results want %d", qi, k, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].Ref.PointID != want[i].ID || got[i].Distance != want[i].Distance {
+					t.Fatalf("query %d, k=%d rank %d: got %+v want %+v", qi, k, i, got[i], want[i])
+				}
 			}
 		}
 	}
@@ -64,7 +67,7 @@ func TestBoundedChecksRecall(t *testing.T) {
 	hits := 0
 	const checks = 300 // 10% of the corpus
 	for _, q := range queries {
-		truth := knn.BruteForce(q, corpus.Vectors, 1)[0].ID
+		truth := kernel.BruteForce(q, corpus.Vectors, 1)[0].ID
 		for _, r := range tree.Search(q, 1, checks) {
 			if r.Ref.PointID == truth {
 				hits++
@@ -84,7 +87,7 @@ func TestMoreChecksRaiseRecall(t *testing.T) {
 	recallAt := func(checks int) float64 {
 		hits := 0
 		for _, q := range queries {
-			truth := knn.BruteForce(q, corpus.Vectors, 1)[0].ID
+			truth := kernel.BruteForce(q, corpus.Vectors, 1)[0].ID
 			for _, r := range tree.Search(q, 1, checks) {
 				if r.Ref.PointID == truth {
 					hits++
@@ -117,17 +120,17 @@ func TestSearchResultsSorted(t *testing.T) {
 func TestDuplicatePointsHandled(t *testing.T) {
 	// A corpus of identical points must build (degenerate splits) and
 	// search without infinite recursion.
-	points := make([]vec.Vector, 100)
+	points := make([][]float32, 100)
 	refs := make([]Ref, 100)
 	for i := range points {
-		points[i] = vec.Vector{1, 2, 3}
+		points[i] = []float32{1, 2, 3}
 		refs[i] = Ref{PointID: uint32(i)}
 	}
 	tree, err := Build(points, refs, Config{BucketSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := tree.Search(vec.Vector{1, 2, 3}, 5, 0)
+	res := tree.Search([]float32{1, 2, 3}, 5, 0)
 	if len(res) != 5 {
 		t.Fatalf("results=%d", len(res))
 	}
@@ -178,10 +181,10 @@ func BenchmarkTreeSearch5K(b *testing.B) {
 
 func BenchmarkTreeBuild(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
-	points := make([]vec.Vector, 2000)
+	points := make([][]float32, 2000)
 	refs := make([]Ref, 2000)
 	for i := range points {
-		v := make(vec.Vector, 32)
+		v := make([]float32, 32)
 		for d := range v {
 			v[d] = rng.Float32()
 		}

@@ -3,25 +3,22 @@ package kernel
 import (
 	"math/rand"
 	"testing"
-
-	"musuite/internal/knn"
-	"musuite/internal/vec"
 )
 
 // Leaf-compute microbenchmarks at one full shard: the engine's scan against
-// the pre-engine scalar path, and streaming top-k against reference
-// selection.  Nothing gates on them;
+// the direct-sum BruteForce, and streaming top-k against selection by a full
+// sort.  Nothing gates on them;
 // `go test -run '^$' -bench 'LeafScan|TopK' ./internal/kernel`.
 
 // leafScanCorpus builds the benchmark shard: 100k points × 64 dims, both as a
-// Store and as the []vec.Vector layout the pre-engine path scanned.
-func leafScanCorpus() (*Store, []vec.Vector, []float32) {
+// Store and as the [][]float32 layout BruteForce scans.
+func leafScanCorpus() (*Store, [][]float32, []float32) {
 	const n, dim = 100_000, 64
 	r := rand.New(rand.NewSource(7))
 	s := randStore(r, n, dim)
-	vecs := make([]vec.Vector, n)
+	vecs := make([][]float32, n)
 	for i := range vecs {
-		vecs[i] = vec.Vector(s.Row(i))
+		vecs[i] = s.Row(i)
 	}
 	return s, vecs, randQuery(r, dim)
 }
@@ -31,7 +28,7 @@ func BenchmarkLeafScan(b *testing.B) {
 	const k = 10
 	b.Run("engine", func(b *testing.B) {
 		eng := New(Config{})
-		var dst []knn.Neighbor
+		var dst []Neighbor
 		for i := 0; i < b.N; i++ {
 			var err error
 			dst, err = eng.Scan(s, q, k, dst[:0])
@@ -41,10 +38,10 @@ func BenchmarkLeafScan(b *testing.B) {
 		}
 	})
 	b.Run("prepr", func(b *testing.B) {
-		// The pre-engine leaf computation: per-point diff-squared distance
-		// into the heap-based reference selection.
+		// The pre-engine leaf computation: per-point diff-squared distance,
+		// every candidate offered to the heap.
 		for i := 0; i < b.N; i++ {
-			if got := knn.BruteForce(vec.Vector(q), vecs, k); len(got) != k {
+			if got := BruteForce(q, vecs, k); len(got) != k {
 				b.Fatal("short result")
 			}
 		}
@@ -54,13 +51,13 @@ func BenchmarkLeafScan(b *testing.B) {
 func BenchmarkTopK(b *testing.B) {
 	const n, k = 100_000, 10
 	r := rand.New(rand.NewSource(11))
-	cands := make([]knn.Neighbor, n)
+	cands := make([]Neighbor, n)
 	for i := range cands {
-		cands[i] = knn.Neighbor{ID: uint32(i), Distance: r.Float32()}
+		cands[i] = Neighbor{ID: uint32(i), Distance: r.Float32()}
 	}
 	b.Run("stream", func(b *testing.B) {
 		top := NewTopK(k)
-		var dst []knn.Neighbor
+		var dst []Neighbor
 		for i := 0; i < b.N; i++ {
 			top.Reset(k)
 			// The engine's scan idiom: one inline threshold compare
@@ -78,9 +75,9 @@ func BenchmarkTopK(b *testing.B) {
 			b.Fatal("short result")
 		}
 	})
-	b.Run("select", func(b *testing.B) {
+	b.Run("sort", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if got := knn.Select(cands, k); len(got) != k {
+			if got := refSelect(cands, k); len(got) != k {
 				b.Fatal("short result")
 			}
 		}

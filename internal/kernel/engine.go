@@ -8,9 +8,7 @@ import (
 	"sync"
 	"time"
 
-	"musuite/internal/knn"
 	"musuite/internal/telemetry"
-	"musuite/internal/vec"
 )
 
 // Config tunes an Engine.
@@ -18,18 +16,13 @@ type Config struct {
 	// Parallelism caps how many cores one request's scan may use
 	// (0 = NumCPU; 1 = serial).  The -leaf-parallelism flag lands here.
 	Parallelism int
-	// ForceScalar switches every scan to the scalar reference kernels
-	// (diff-squared distance, no tiling, no parallelism) — the
-	// -scalar-kernels flag, kept so equivalence is testable end to end.
-	ForceScalar bool
 }
 
 // Engine executes leaf scans.  It is a thin config plus a counter sink — the
 // helper goroutines live in one process-global pool — so every leaf can own
 // an engine (making its TierStats counters per-leaf) without goroutine cost.
 type Engine struct {
-	par    int
-	scalar bool
+	par int
 	// counters receives the kernel.* counters — the owning leaf's table,
 	// bound by WithCounters; nil (a freshly built engine) counts nothing.
 	counters *telemetry.Table
@@ -41,7 +34,7 @@ func New(cfg Config) *Engine {
 	if par <= 0 {
 		par = runtime.NumCPU()
 	}
-	return &Engine{par: par, scalar: cfg.ForceScalar}
+	return &Engine{par: par}
 }
 
 var (
@@ -49,8 +42,8 @@ var (
 	defaultEngine *Engine
 )
 
-// Default returns the process-wide default engine (NumCPU parallelism,
-// tuned kernels) — the fallback for components constructed without one.
+// Default returns the process-wide default engine (NumCPU parallelism) —
+// the fallback for components constructed without one.
 func Default() *Engine {
 	defaultOnce.Do(func() { defaultEngine = New(Config{}) })
 	return defaultEngine
@@ -68,9 +61,9 @@ func (e *Engine) orDefault() *Engine {
 // engine's configured core budget.
 func (e *Engine) Parallelism() int { return e.orDefault().par }
 
-// WithCounters returns a copy of the engine (same parallelism and kernel
-// selection; nil means the default engine) that counts into t — how one
-// configured engine becomes a per-leaf engine.
+// WithCounters returns a copy of the engine (same parallelism; nil means the
+// default engine) that counts into t — how one configured engine becomes a
+// per-leaf engine.
 func (e *Engine) WithCounters(t *telemetry.Table) *Engine {
 	c := *e.orDefault()
 	c.counters = t
@@ -237,7 +230,7 @@ func getScratch(heaps, k int) *scanScratch {
 }
 
 // mergeAppend folds heaps[1:] into heaps[0] and drains it sorted into dst.
-func mergeAppend(heaps []TopK, dst []knn.Neighbor) []knn.Neighbor {
+func mergeAppend(heaps []TopK, dst []Neighbor) []Neighbor {
 	for i := 1; i < len(heaps); i++ {
 		heaps[0].Merge(&heaps[i])
 	}
@@ -248,21 +241,19 @@ func mergeAppend(heaps []TopK, dst []knn.Neighbor) []knn.Neighbor {
 
 // Scan scores the query against every store row and appends the k nearest
 // (by squared Euclidean distance, ties by ID) to dst.
-func (e *Engine) Scan(s *Store, q []float32, k int, dst []knn.Neighbor) ([]knn.Neighbor, error) {
+func (e *Engine) Scan(s *Store, q []float32, k int, dst []Neighbor) ([]Neighbor, error) {
 	e = e.orDefault()
 	if len(q) != s.dim && s.n > 0 {
-		return dst, vec.ErrDimensionMismatch
+		return dst, ErrDimensionMismatch
 	}
 	start := time.Now()
+	// As in ScanSubset: k comes off the wire and sizes every worker's heap.
+	k = min(k, s.n)
 	sc := getScratch(e.par, k)
-	if e.scalar {
-		scanScalarRange(s, q, 0, s.n, &sc.heaps[0])
-	} else {
-		qn := dot8(q, q)
-		parallelFor(e.par, s.n, func(w, lo, hi int) {
-			scanRange(s, q, qn, lo, hi, &sc.heaps[w])
-		})
-	}
+	qn := dot8(q, q)
+	parallelFor(e.par, s.n, func(w, lo, hi int) {
+		scanRange(s, q, qn, lo, hi, &sc.heaps[w])
+	})
 	dst = mergeAppend(sc.heaps, dst)
 	scanScratches.Put(sc)
 	e.account(s.n, start)
@@ -284,46 +275,28 @@ func scanRange(s *Store, q []float32, qn float32, lo, hi int, top *TopK) {
 	}
 }
 
-// scanScalarRange is the reference: per-point diff-squared distance (the
-// pre-engine vec kernel), same selection.
-func scanScalarRange(s *Store, q []float32, lo, hi int, top *TopK) {
-	for i := lo; i < hi; i++ {
-		top.Consider(uint32(i), vec.SquaredEuclidean(q, s.Row(i)))
-	}
-}
-
 // --- subset scan ---
 
 // ScanSubset scores the query against the rows named by ids (out-of-range
 // IDs are skipped, mirroring the wire contract) and appends the k nearest to
 // dst — the HDSearch leaf's per-request computation.
-func (e *Engine) ScanSubset(s *Store, q []float32, ids []uint32, k int, dst []knn.Neighbor) ([]knn.Neighbor, error) {
+func (e *Engine) ScanSubset(s *Store, q []float32, ids []uint32, k int, dst []Neighbor) ([]Neighbor, error) {
 	e = e.orDefault()
 	if len(q) != s.dim && s.n > 0 {
-		return dst, vec.ErrDimensionMismatch
+		return dst, ErrDimensionMismatch
 	}
 	start := time.Now()
 	// k sizes every worker's heap, and callers take it off the wire: a scan
 	// cannot keep more neighbours than it was given candidates.
 	k = min(k, len(ids))
 	sc := getScratch(e.par, k)
-	if e.scalar {
-		top := &sc.heaps[0]
-		for _, id := range ids {
-			if int(id) >= s.n {
-				continue
-			}
-			top.Consider(id, vec.SquaredEuclidean(q, s.Row(int(id))))
-		}
+	qn := dot8(q, q)
+	if staysOnCaller(e.par, len(ids)) {
+		scanSubsetRange(s, q, qn, ids, &sc.heaps[0])
 	} else {
-		qn := dot8(q, q)
-		if staysOnCaller(e.par, len(ids)) {
-			scanSubsetRange(s, q, qn, ids, &sc.heaps[0])
-		} else {
-			parallelFor(e.par, len(ids), func(w, lo, hi int) {
-				scanSubsetRange(s, q, qn, ids[lo:hi], &sc.heaps[w])
-			})
-		}
+		parallelFor(e.par, len(ids), func(w, lo, hi int) {
+			scanSubsetRange(s, q, qn, ids[lo:hi], &sc.heaps[w])
+		})
 	}
 	dst = mergeAppend(sc.heaps, dst)
 	scanScratches.Put(sc)
@@ -381,10 +354,10 @@ func scoreBlock(s *Store, q []float32, qn float32, blk []uint32, dist []float32,
 // leaves — the rows scored, and the number booked as kernel.points — and the
 // answer is bit-identical to ScanSubset over the same rows as IDs:
 // the masks expand into the same ID block in front of the same scoreBlock.
-func (e *Engine) ScanRowSet(s *Store, q []float32, set RowSet, k int, dst []knn.Neighbor) ([]knn.Neighbor, error) {
+func (e *Engine) ScanRowSet(s *Store, q []float32, set RowSet, k int, dst []Neighbor) ([]Neighbor, error) {
 	e = e.orDefault()
 	if len(q) != s.dim && s.n > 0 {
-		return dst, vec.ErrDimensionMismatch
+		return dst, ErrDimensionMismatch
 	}
 	if len(set.Words) != len(set.Masks) {
 		return dst, ErrRowSetShape
@@ -393,26 +366,15 @@ func (e *Engine) ScanRowSet(s *Store, q []float32, set RowSet, k int, dst []knn.
 	points := set.countIn(s.n)
 	k = min(k, points)
 	sc := getScratch(e.par, k)
-	if e.scalar {
-		top := &sc.heaps[0]
-		for i, w := range set.Words {
-			base := w << 6
-			for m := storeMask(s.n, w, set.Masks[i]); m != 0; m &= m - 1 {
-				id := base + uint32(bits.TrailingZeros64(m))
-				top.Consider(id, vec.SquaredEuclidean(q, s.Row(int(id))))
-			}
-		}
+	qn := dot8(q, q)
+	// The split rule is ScanSubset's, on the same number — candidates — and
+	// a claim is at most as many rows: chunkPoints/64 words.
+	if staysOnCaller(e.par, points) {
+		scanRowSetRange(s, q, qn, set, &sc.heaps[0])
 	} else {
-		qn := dot8(q, q)
-		// The split rule is ScanSubset's, on the same number — candidates —
-		// and a claim is at most as many rows: chunkPoints/64 words.
-		if staysOnCaller(e.par, points) {
-			scanRowSetRange(s, q, qn, set, &sc.heaps[0])
-		} else {
-			forkJoin(e.par, len(set.Words), chunkPoints/64, func(w, lo, hi int) {
-				scanRowSetRange(s, q, qn, RowSet{set.Words[lo:hi], set.Masks[lo:hi]}, &sc.heaps[w])
-			})
-		}
+		forkJoin(e.par, len(set.Words), chunkPoints/64, func(w, lo, hi int) {
+			scanRowSetRange(s, q, qn, RowSet{set.Words[lo:hi], set.Masks[lo:hi]}, &sc.heaps[w])
+		})
 	}
 	dst = mergeAppend(sc.heaps, dst)
 	scanScratches.Put(sc)
@@ -466,7 +428,7 @@ func scanRowSetRange(s *Store, q []float32, qn float32, set RowSet, top *TopK) {
 // --- cosine neighborhoods (Recommend) ---
 
 // cosineDist returns 1 − cosine similarity in the engine's float32 path;
-// zero-norm rows score distance 1 (similarity 0), matching the reference.
+// zero-norm rows score distance 1 (similarity 0).
 func cosineDist(q []float32, qn float32, row []float32, rn float32) float32 {
 	if qn == 0 || rn == 0 {
 		return 1
@@ -474,60 +436,34 @@ func cosineDist(q []float32, qn float32, row []float32, rn float32) float32 {
 	return 1 - dot8(q, row)/float32(math.Sqrt(float64(qn)*float64(rn)))
 }
 
-// cosineDistScalar is the reference: float64 accumulation with per-pair
-// norms, the pre-engine knn.CosineMetric arithmetic.
-func cosineDistScalar(q, row []float32) float32 {
-	var dot, na, nb float64
-	for i := range q {
-		a, b := float64(q[i]), float64(row[i])
-		dot += a * b
-		na += a * a
-		nb += b * b
-	}
-	if na == 0 || nb == 0 {
-		return 1
-	}
-	return float32(1 - dot/(math.Sqrt(na)*math.Sqrt(nb)))
-}
-
 // CosineNeighbors finds the k rows most cosine-similar to row `row`,
 // excluding the row itself and any row whose include mask entry is false
 // (nil includes all) — Recommend's user-neighborhood scan over its
 // latent-factor store, with the exclusion applied inline instead of through
 // a per-request exclusion map.
-func (e *Engine) CosineNeighbors(s *Store, row int, include []bool, k int, dst []knn.Neighbor) ([]knn.Neighbor, error) {
+func (e *Engine) CosineNeighbors(s *Store, row int, include []bool, k int, dst []Neighbor) ([]Neighbor, error) {
 	e = e.orDefault()
 	if row < 0 || row >= s.n {
-		return dst, vec.ErrDimensionMismatch
+		return dst, ErrDimensionMismatch
 	}
 	start := time.Now()
 	q := s.Row(row)
 	qn := s.norms[row]
 	sc := getScratch(e.par, k)
-	if e.scalar {
-		top := &sc.heaps[0]
-		for i := 0; i < s.n; i++ {
+	parallelFor(e.par, s.n, func(w, lo, hi int) {
+		top := &sc.heaps[w]
+		thr := top.Threshold()
+		for i := lo; i < hi; i++ {
 			if i == row || (include != nil && !include[i]) {
 				continue
 			}
-			top.Consider(uint32(i), cosineDistScalar(q, s.Row(i)))
-		}
-	} else {
-		parallelFor(e.par, s.n, func(w, lo, hi int) {
-			top := &sc.heaps[w]
-			thr := top.Threshold()
-			for i := lo; i < hi; i++ {
-				if i == row || (include != nil && !include[i]) {
-					continue
-				}
-				d := cosineDist(q, qn, s.Row(i), s.norms[i])
-				if d <= thr {
-					top.Consider(uint32(i), d)
-					thr = top.Threshold()
-				}
+			d := cosineDist(q, qn, s.Row(i), s.norms[i])
+			if d <= thr {
+				top.Consider(uint32(i), d)
+				thr = top.Threshold()
 			}
-		})
-	}
+		}
+	})
 	dst = mergeAppend(sc.heaps, dst)
 	scanScratches.Put(sc)
 	e.account(s.n, start)

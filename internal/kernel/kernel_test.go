@@ -13,9 +13,7 @@ import (
 	"testing/quick"
 	"unsafe"
 
-	"musuite/internal/knn"
 	"musuite/internal/telemetry"
-	"musuite/internal/vec"
 )
 
 // randStore builds a deterministic random store.  A few rows are exact
@@ -44,7 +42,7 @@ func randQuery(r *rand.Rand, dim int) []float32 {
 	return q
 }
 
-func neighborsEqual(a, b []knn.Neighbor) bool {
+func neighborsEqual(a, b []Neighbor) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -56,17 +54,44 @@ func neighborsEqual(a, b []knn.Neighbor) bool {
 	return true
 }
 
-// TestTopKMatchesSelect: the streaming bounded heap selects exactly what the
-// reference knn.Select selects, including its tie order — bit for bit.
+// nearRef reports whether got is the diff-squared reference's want within
+// the documented bound, rank by rank: cancellation in ‖q‖²+‖p‖²−2·q·p is
+// proportional to the norms' magnitude, not the distance's.  IDs may swap
+// across near-ties; distances may not drift, from the reference's or from
+// the reported row's own diff-squared distance.
+func nearRef(t *testing.T, s *Store, q []float32, got, want []Neighbor) bool {
+	if len(got) != len(want) {
+		t.Logf("%d neighbours, reference %d", len(got), len(want))
+		return false
+	}
+	qn := dot8(q, q)
+	for i := range got {
+		tol := 1e-4 * (qn + s.Norm2(int(got[i].ID)) + 1)
+		if diff := got[i].Distance - want[i].Distance; diff > tol || diff < -tol {
+			t.Logf("rank %d: engine %v reference %v tol %v", i, got[i], want[i], tol)
+			return false
+		}
+		ref := SquaredEuclidean(q, s.Row(int(got[i].ID)))
+		if diff := got[i].Distance - ref; diff > tol || diff < -tol {
+			t.Logf("rank %d: reported %v recomputed %v", i, got[i].Distance, ref)
+			return false
+		}
+	}
+	return true
+}
+
+// TestTopKMatchesSelect: the streaming bounded heap selects exactly what a
+// full sort selects, including its tie order — bit for bit — for every k from
+// nothing to more than there are candidates.
 func TestTopKMatchesSelect(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(500)
-		k := 1 + r.Intn(20)
-		cands := make([]knn.Neighbor, n)
+		k := r.Intn(22)
+		cands := make([]Neighbor, n)
 		for i := range cands {
 			// Coarse quantization manufactures duplicate distances.
-			cands[i] = knn.Neighbor{
+			cands[i] = Neighbor{
 				ID:       uint32(r.Intn(n)),
 				Distance: float32(r.Intn(32)) / 4,
 			}
@@ -75,9 +100,7 @@ func TestTopKMatchesSelect(t *testing.T) {
 		for _, c := range cands {
 			top.Consider(c.ID, c.Distance)
 		}
-		got := top.AppendSorted(nil)
-		want := knn.Select(cands, k)
-		return neighborsEqual(got, want)
+		return neighborsEqual(top.AppendSorted(nil), refSelect(cands, k))
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -98,7 +121,7 @@ func TestTopKReset(t *testing.T) {
 	top.Consider(8, 1)
 	top.Consider(9, 3)
 	got := top.AppendSorted(nil)
-	want := []knn.Neighbor{{ID: 8, Distance: 1}, {ID: 7, Distance: 2}}
+	want := []Neighbor{{ID: 8, Distance: 1}, {ID: 7, Distance: 2}}
 	if !neighborsEqual(got, want) {
 		t.Fatalf("got %v want %v", got, want)
 	}
@@ -158,11 +181,9 @@ func TestScanEquivalenceParallelSerial(t *testing.T) {
 }
 
 // TestScanEquivalenceScalar: the norm-trick engine agrees with the scalar
-// diff-squared reference within float32 cancellation tolerance, rank by rank
-// (IDs may swap across near-ties, distances may not drift).
+// diff-squared reference within float32 cancellation tolerance (nearRef).
 func TestScanEquivalenceScalar(t *testing.T) {
 	tuned := New(Config{Parallelism: 4})
-	scalar := New(Config{ForceScalar: true})
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 200 + r.Intn(800)
@@ -170,25 +191,10 @@ func TestScanEquivalenceScalar(t *testing.T) {
 		k := 1 + r.Intn(10)
 		s := randStore(r, n, dim)
 		q := randQuery(r, dim)
-		a, err1 := tuned.Scan(s, q, k, nil)
-		b, err2 := scalar.Scan(s, q, k, nil)
-		if err1 != nil || err2 != nil || len(a) != len(b) {
+		got, err := tuned.Scan(s, q, k, nil)
+		if err != nil || !nearRef(t, s, q, got, refScan(s, q, k)) {
+			t.Logf("seed %d", seed)
 			return false
-		}
-		qn := dot8(q, q)
-		for i := range a {
-			// The documented bound: cancellation in ‖q‖²+‖p‖²−2·q·p is
-			// proportional to the norms' magnitude, not the distance's.
-			tol := 1e-4 * (qn + s.Norm2(int(a[i].ID)) + 1)
-			if diff := a[i].Distance - b[i].Distance; diff > tol || diff < -tol {
-				t.Logf("seed %d rank %d: tuned %v scalar %v tol %v", seed, i, a[i], b[i], tol)
-				return false
-			}
-			ref := vec.SquaredEuclidean(q, s.Row(int(a[i].ID)))
-			if diff := a[i].Distance - ref; diff > tol || diff < -tol {
-				t.Logf("seed %d rank %d: reported %v recomputed %v", seed, i, a[i].Distance, ref)
-				return false
-			}
 		}
 		return true
 	}
@@ -197,13 +203,12 @@ func TestScanEquivalenceScalar(t *testing.T) {
 	}
 }
 
-// TestScanSubsetEquivalence: the subset scan matches both the serial engine
-// and (via the scalar engine) the pre-engine knn.Subset reference bit for
-// bit.  IDs include duplicates and out-of-range entries.
+// TestScanSubsetEquivalence: the parallel subset scan matches the serial one
+// bit for bit, and the diff-squared reference within nearRef's bound.  IDs
+// include duplicates and out-of-range entries.
 func TestScanSubsetEquivalence(t *testing.T) {
 	serial := New(Config{Parallelism: 1})
 	par := New(Config{Parallelism: 8})
-	scalar := New(Config{ForceScalar: true})
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 300 + r.Intn(300)
@@ -220,16 +225,7 @@ func TestScanSubsetEquivalence(t *testing.T) {
 		if err1 != nil || err2 != nil || !neighborsEqual(a, b) {
 			return false
 		}
-		// Scalar engine == knn.Subset: same distances, same total order.
-		vecs := make([]vec.Vector, n)
-		for i := range vecs {
-			vecs[i] = vec.Vector(s.Row(i))
-		}
-		c, err3 := scalar.ScanSubset(s, q, ids, k, nil)
-		if err3 != nil {
-			return false
-		}
-		return neighborsEqual(c, knn.Subset(q, vecs, ids, k))
+		return nearRef(t, s, q, a, refScanSubset(s, q, ids, k))
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
@@ -240,7 +236,6 @@ func TestScanSubsetEquivalence(t *testing.T) {
 // of the float64 reference arithmetic.
 func TestCosineEquivalence(t *testing.T) {
 	eng := New(Config{Parallelism: 4})
-	scalar := New(Config{ForceScalar: true})
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 100 + r.Intn(200)
@@ -260,8 +255,8 @@ func TestCosineEquivalence(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			ref, err := scalar.CosineNeighbors(s, row, include, k, nil)
-			if err != nil || len(single) != len(ref) {
+			ref := refCosineNeighbors(s, row, include, k)
+			if len(single) != len(ref) {
 				return false
 			}
 			for i := range single {
@@ -311,7 +306,7 @@ func TestParallelScanStress(t *testing.T) {
 		queries[i] = randQuery(r, dim)
 	}
 	serial := New(Config{Parallelism: 1})
-	want := make([][]knn.Neighbor, len(queries))
+	want := make([][]Neighbor, len(queries))
 	for i, q := range queries {
 		var err error
 		want[i], err = serial.Scan(s, q, k, nil)
@@ -327,7 +322,7 @@ func TestParallelScanStress(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			var dst []knn.Neighbor
+			var dst []Neighbor
 			for iter := 0; iter < 50; iter++ {
 				qi := (g + iter) % len(queries)
 				var err error
@@ -356,7 +351,7 @@ func TestParallelScanStress(t *testing.T) {
 
 // TestStoreValidation: ragged builds are rejected; conversions round-trip.
 func TestStoreValidation(t *testing.T) {
-	if _, err := BuildStore([]vec.Vector{{1, 2}, {3}}); err == nil {
+	if _, err := BuildStore([][]float32{{1, 2}, {3}}); err == nil {
 		t.Fatal("ragged corpus accepted")
 	}
 	if _, err := FromFlat(make([]float32, 7), 2); err == nil {
@@ -370,7 +365,7 @@ func TestStoreValidation(t *testing.T) {
 		t.Fatalf("Row(1) = %v", got)
 	}
 	q := []float32{1, 2} // wrong dim
-	if _, err := New(Config{}).Scan(s, q, 1, nil); err != vec.ErrDimensionMismatch {
+	if _, err := New(Config{}).Scan(s, q, 1, nil); err != ErrDimensionMismatch {
 		t.Fatalf("dim mismatch not rejected: %v", err)
 	}
 }
@@ -536,7 +531,7 @@ func TestScanSubsetScanEquivalence(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		var want []knn.Neighbor
+		var want []Neighbor
 		for _, nb := range all {
 			if in[nb.ID] && len(want) < k {
 				want = append(want, nb)
@@ -551,24 +546,24 @@ func TestScanSubsetScanEquivalence(t *testing.T) {
 
 // TestScanSubsetBoundsK: k arrives off the wire and sizes the heaps, so a
 // request naming 2⁴⁰ neighbours gets every candidate, sorted, from heaps no
-// larger than the candidate list — not an 8 TB make.
+// larger than the candidate list — not an 8 TB make.  A full scan is bounded
+// by the store's rows the same way.
 func TestScanSubsetBoundsK(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	s := randStore(r, 500, 64)
 	q := randQuery(r, 64)
 	ids := []uint32{3, 77, 78, 400, 499, 9999}
-	for _, eng := range []*Engine{New(Config{Parallelism: 2}), New(Config{ForceScalar: true})} {
+	for _, eng := range []*Engine{New(Config{Parallelism: 1}), New(Config{Parallelism: 2})} {
 		got, err := eng.ScanSubset(s, q, ids, 1<<40, nil)
-		if err != nil {
-			t.Fatal(err)
+		if err != nil || !neighborsEqual(got, refSelect(got, len(got))) {
+			t.Fatalf("ScanSubset: %v, %v", got, err)
 		}
 		if len(got) != len(ids)-1 {
 			t.Fatalf("k = 1<<40 over %d in-range candidates returned %d", len(ids)-1, len(got))
 		}
-		for i := 1; i < len(got); i++ {
-			if further(got[i-1], got[i]) {
-				t.Fatalf("result not sorted at %d: %v", i, got)
-			}
+		all, err := eng.Scan(s, q, 1<<40, nil)
+		if err != nil || len(all) != s.Len() || !neighborsEqual(all, refSelect(all, len(all))) {
+			t.Fatalf("Scan with k = 1<<40 over %d rows: %d neighbours, %v", s.Len(), len(all), err)
 		}
 	}
 }
@@ -599,7 +594,7 @@ func TestScanSubsetAllocs(t *testing.T) {
 		ids = append(ids, uint32(id))
 	}
 	eng := New(Config{Parallelism: 1})
-	dst := make([]knn.Neighbor, 0, 16)
+	dst := make([]Neighbor, 0, 16)
 	scan := func() { dst, _ = eng.ScanSubset(s, q, ids, 10, dst[:0]) }
 	scan()
 	if a := testing.AllocsPerRun(100, scan); a != 0 {
@@ -661,8 +656,9 @@ func TestRowSetForm(t *testing.T) {
 
 // TestScanRowSetEqualsScanSubset: scan(pack(ids)) ≡ ScanSubset(ids), bit for
 // bit — serial, at parallel widths 1/2/8 (sets large enough that the split is
-// real), in scalar mode, at dims that take the assembly and dims that do not,
-// with n not a multiple of 64 and with words and bits past the store.
+// real), at dims that take the assembly and dims that do not, with n not a
+// multiple of 64 and with words and bits past the store — and the row-set
+// reference within nearRef's bound.
 func TestScanRowSetEqualsScanSubset(t *testing.T) {
 	engines := scanEngines()
 	prop := func(seed int64) bool {
@@ -695,7 +691,8 @@ func TestScanRowSetEqualsScanSubset(t *testing.T) {
 				return false
 			}
 		}
-		return true
+		got, _ := engines[0].ScanRowSet(s, q, set, k, nil)
+		return nearRef(t, s, q, got, refScanRowSet(s, q, set, k))
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -713,15 +710,15 @@ func TestScanRowSetContract(t *testing.T) {
 	s := randStore(r, 500, 64) // words 0–7, the last 52 rows wide
 	q := randQuery(r, 64)
 	// over scans the store, or an empty one, in the form under test.
-	for name, over := range map[string]func(*Store) func(*Engine, []float32, RowSet, int) ([]knn.Neighbor, error){
-		"fp32": func(s *Store) func(*Engine, []float32, RowSet, int) ([]knn.Neighbor, error) {
-			return func(e *Engine, q []float32, set RowSet, k int) ([]knn.Neighbor, error) {
+	for name, over := range map[string]func(*Store) func(*Engine, []float32, RowSet, int) ([]Neighbor, error){
+		"fp32": func(s *Store) func(*Engine, []float32, RowSet, int) ([]Neighbor, error) {
+			return func(e *Engine, q []float32, set RowSet, k int) ([]Neighbor, error) {
 				return e.ScanRowSet(s, q, set, k, nil)
 			}
 		},
-		"split": func(s *Store) func(*Engine, []float32, RowSet, int) ([]knn.Neighbor, error) {
+		"split": func(s *Store) func(*Engine, []float32, RowSet, int) ([]Neighbor, error) {
 			sp := Split(s)
-			return func(e *Engine, q []float32, set RowSet, k int) ([]knn.Neighbor, error) {
+			return func(e *Engine, q []float32, set RowSet, k int) ([]Neighbor, error) {
 				return e.ScanRowSetSplit(sp, q, set, k, nil)
 			}
 		},
@@ -732,7 +729,7 @@ func TestScanRowSetContract(t *testing.T) {
 		if _, err := scan(eng, q, RowSet{Words: []uint32{1, 2}, Masks: []uint64{1}}, 3); !errors.Is(err, ErrRowSetShape) {
 			t.Fatalf("%s: 2 words, 1 mask: err %v", name, err)
 		}
-		if _, err := scan(eng, q[:5], RowSet{}, 3); !errors.Is(err, vec.ErrDimensionMismatch) {
+		if _, err := scan(eng, q[:5], RowSet{}, 3); !errors.Is(err, ErrDimensionMismatch) {
 			t.Fatalf("%s: short query: err %v", name, err)
 		}
 		ids := []uint32{3, 77, 78, 400, 499}
@@ -778,7 +775,7 @@ func TestScanRowSetAllocs(t *testing.T) {
 		set.Add(uint32(id))
 	}
 	eng := New(Config{Parallelism: 1})
-	dst := make([]knn.Neighbor, 0, 16)
+	dst := make([]Neighbor, 0, 16)
 	scan := func() { dst, _ = eng.ScanRowSet(s, q, set, 10, dst[:0]) }
 	scan()
 	if a := testing.AllocsPerRun(100, scan); a != 0 {
@@ -851,7 +848,7 @@ func BenchmarkScanSubsetGather(b *testing.B) {
 	f := gatherFixture()
 	eng := New(Config{Parallelism: 1})
 	const k = 10
-	var dst []knn.Neighbor
+	var dst []Neighbor
 	b.Run("gather", func(b *testing.B) {
 		points := 0
 		b.ResetTimer()

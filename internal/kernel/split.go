@@ -7,9 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"musuite/internal/knn"
 	"musuite/internal/telemetry"
-	"musuite/internal/vec"
 )
 
 // SplitStore is a Store's rows as two 16-bit planes (DESIGN §5.5 "Row
@@ -220,10 +218,10 @@ func (sp *SplitStore) dots(q []float32, ids []uint32, out, row []float32) {
 // contract and its answer bit for bit — IDs, distances, order — from about
 // half the bytes: an exact filter-and-refine, the filter on plane hi, the
 // refine through both.  It books the rows it re-read as kernel.refined.
-func (e *Engine) ScanRowSetSplit(sp *SplitStore, q []float32, set RowSet, k int, dst []knn.Neighbor) ([]knn.Neighbor, error) {
+func (e *Engine) ScanRowSetSplit(sp *SplitStore, q []float32, set RowSet, k int, dst []Neighbor) ([]Neighbor, error) {
 	e = e.orDefault()
 	if len(q) != sp.dim && sp.n > 0 {
-		return dst, vec.ErrDimensionMismatch
+		return dst, ErrDimensionMismatch
 	}
 	if len(set.Words) != len(set.Masks) {
 		return dst, ErrRowSetShape
@@ -237,8 +235,8 @@ func (e *Engine) ScanRowSetSplit(sp *SplitStore, q []float32, set RowSet, k int,
 	}
 	k = min(k, points)
 	sc := getScratch(e.par, k)
-	// The reordered query (the scalar path's row), then each worker's row
-	// for the portable exact pass.
+	// The reordered query, then each worker's row for the portable exact
+	// pass.
 	stride := 0
 	if !sp.wide() {
 		stride = sp.dim
@@ -247,22 +245,11 @@ func (e *Engine) ScanRowSetSplit(sp *SplitStore, q []float32, set RowSet, k int,
 		sc.buf = make([]float32, sp.dim+e.par*stride)
 	}
 	buf := sc.buf[:cap(sc.buf)]
-	refined := 0
-	switch {
-	case e.scalar:
-		top := &sc.heaps[0]
-		for i, w := range set.Words {
-			base := w << 6
-			for m := storeMask(sp.n, w, set.Masks[i]); m != 0; m &= m - 1 {
-				id := base + uint32(bits.TrailingZeros64(m))
-				top.Consider(id, vec.SquaredEuclidean(q, sp.Row(int(id), buf)))
-			}
-		}
-		refined = points
-	case staysOnCaller(e.par, points):
-		refined = newSplitScan(sp, q, sp.hiQuery(q, buf)).run(set, &sc.heaps[0], buf[sp.dim:][:stride])
-	default:
-		qh := sp.hiQuery(q, buf)
+	qh := sp.hiQuery(q, buf)
+	var refined int
+	if staysOnCaller(e.par, points) {
+		refined = newSplitScan(sp, q, qh).run(set, &sc.heaps[0], buf[sp.dim:][:stride])
+	} else {
 		var sum atomic.Int64
 		forkJoin(e.par, len(set.Words), chunkPoints/64, func(w, lo, hi int) {
 			sum.Add(int64(newSplitScan(sp, q, qh).run(RowSet{set.Words[lo:hi], set.Masks[lo:hi]}, &sc.heaps[w], buf[sp.dim+w*stride:][:stride])))

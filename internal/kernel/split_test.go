@@ -8,13 +8,12 @@ import (
 	"testing"
 	"testing/quick"
 
-	"musuite/internal/knn"
 	"musuite/internal/telemetry"
 )
 
 // neighborsBitEqual is neighborsEqual on the distances' bit patterns, so a
 // NaN equals itself and −0 does not equal +0.
-func neighborsBitEqual(a, b []knn.Neighbor) bool {
+func neighborsBitEqual(a, b []Neighbor) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -381,15 +380,15 @@ func TestSplitFilterContract(t *testing.T) {
 	}
 }
 
-// scanEngines are the engines an equivalence is checked under: serial, two
-// parallel widths, and the scalar reference.
+// scanEngines are the engines an equivalence is checked under: serial and
+// two parallel widths.
 func scanEngines() []*Engine {
-	return []*Engine{New(Config{Parallelism: 1}), New(Config{Parallelism: 2}), New(Config{Parallelism: 8}), New(Config{ForceScalar: true})}
+	return []*Engine{New(Config{Parallelism: 1}), New(Config{Parallelism: 2}), New(Config{Parallelism: 8})}
 }
 
 // TestScanRowSetSplitEqualsScanRowSet: the scan over the planes answers what
 // the scan over the fp32 block answers, bit for bit — IDs, distances, order —
-// serial, parallel (sets large enough that the split is real) and scalar; at
+// serial and parallel (sets large enough that the split is real); at
 // dims 32 / 64 / 128, 72 (an 8-element tail after the 32-element blocks) and
 // widths that take the portable loop; with n not a multiple of 64 and words
 // and bits past the store; k = 1, 5, 50 and more than there are candidates;
@@ -555,8 +554,8 @@ func TestScanRowSetSplitFilters(t *testing.T) {
 // TestScanRowSetSplitAllocs: as TestScanRowSetAllocs — the block, its bounds,
 // the seed heap and the exact pass's batch live on the stack, the reordered
 // query and the portable path's row in the pooled scratch — at every width:
-// the assembly's (32, 64, 128, 256: past any fixed buffer), the portable
-// loop's (36), and in scalar mode.
+// the assembly's (32, 64, 128, 256: past any fixed buffer) and the portable
+// loop's (36).
 func TestScanRowSetSplitAllocs(t *testing.T) {
 	if !poolsKeepPuts() {
 		t.Skip("sync.Pool is dropping Puts (race detector)")
@@ -569,13 +568,12 @@ func TestScanRowSetSplitAllocs(t *testing.T) {
 		for id := 0; id < 3000; id += 3 {
 			set.Add(uint32(id))
 		}
-		for _, eng := range []*Engine{New(Config{Parallelism: 1}), New(Config{Parallelism: 1, ForceScalar: true})} {
-			dst := make([]knn.Neighbor, 0, 16)
-			scan := func() { dst, _ = eng.ScanRowSetSplit(sp, centres[1], set, 10, dst[:0]) }
-			scan()
-			if a := testing.AllocsPerRun(100, scan); a != 0 {
-				t.Fatalf("dim %d, scalar %v: steady-state ScanRowSetSplit allocates %v per scan", dim, eng.scalar, a)
-			}
+		eng := New(Config{Parallelism: 1})
+		dst := make([]Neighbor, 0, 16)
+		scan := func() { dst, _ = eng.ScanRowSetSplit(sp, centres[1], set, 10, dst[:0]) }
+		scan()
+		if a := testing.AllocsPerRun(100, scan); a != 0 {
+			t.Fatalf("dim %d: steady-state ScanRowSetSplit allocates %v per scan", dim, a)
 		}
 	}
 }

@@ -8,21 +8,22 @@
 //
 // Every engine path produces results bit-identical to its own serial scan
 // (the per-(query, point) arithmetic is shared and the top-k order is total),
-// and equal to the package's scalar reference within a documented float
-// tolerance (the norm trick reassociates the sum).  The reference is kept
-// behind Config.ForceScalar so equivalence stays testable end to end.
+// and equal to a diff-squared reference — kept in the package's tests —
+// within a documented float tolerance (the norm trick reassociates the sum).
 package kernel
 
 import (
+	"errors"
 	"runtime"
 	"sync/atomic"
-
-	"musuite/internal/vec"
 )
+
+// ErrDimensionMismatch reports vectors or rows of unequal length.
+var ErrDimensionMismatch = errors.New("kernel: dimension mismatch")
 
 // Store is a flat structure-of-arrays vector set: all rows live in one
 // contiguous []float32 block at a fixed stride, with each row's squared norm
-// precomputed.  Compared with []vec.Vector it removes one pointer chase and
+// precomputed.  Compared with [][]float32 it removes one pointer chase and
 // a slice-header load per point, streams linearly through memory, and feeds
 // the norm-trick kernel its ‖p‖² term for free.
 type Store struct {
@@ -35,28 +36,28 @@ type Store struct {
 // BuildStore copies vectors into a flat store, validating once that every
 // row has the same dimension — the single place dimension checking happens,
 // so the kernels themselves can assume rectangular input.
-func BuildStore(vectors []vec.Vector) (*Store, error) {
-	return buildStore(len(vectors), func(i int) vec.Vector { return vectors[i] })
+func BuildStore(vectors [][]float32) (*Store, error) {
+	return buildStore(len(vectors), func(i int) []float32 { return vectors[i] })
 }
 
 // BuildStoreOrdered is BuildStore over a selection of vectors in a given
 // order: row i of the store is vectors[order[i]].  A caller that lays rows
 // out in its own order (an HDSearch shard, DESIGN §5.5 "Row order") builds
 // straight from the source vectors, with no gathered copy in between.
-func BuildStoreOrdered(vectors []vec.Vector, order []uint32) (*Store, error) {
-	return buildStore(len(order), func(i int) vec.Vector { return vectors[order[i]] })
+func BuildStoreOrdered(vectors [][]float32, order []uint32) (*Store, error) {
+	return buildStore(len(order), func(i int) []float32 { return vectors[order[i]] })
 }
 
 // buildStore fills an n-row store whose row i is at(i), copying each row and
 // taking its norm while it is hot, on the parallel-for: rows are independent,
 // so the store does not depend on how the range was split.
-func buildStore(n int, at func(i int) vec.Vector) (*Store, error) {
+func buildStore(n int, at func(i int) []float32) (*Store, error) {
 	if n == 0 {
 		return &Store{}, nil
 	}
 	dim := len(at(0))
 	if dim == 0 {
-		return nil, vec.ErrDimensionMismatch
+		return nil, ErrDimensionMismatch
 	}
 	s := &Store{
 		data:  make([]float32, n*dim),
@@ -78,7 +79,7 @@ func buildStore(n int, at func(i int) vec.Vector) (*Store, error) {
 		}
 	})
 	if ragged.Load() {
-		return nil, vec.ErrDimensionMismatch
+		return nil, ErrDimensionMismatch
 	}
 	return s, nil
 }
@@ -87,7 +88,7 @@ func buildStore(n int, at func(i int) vec.Vector) (*Store, error) {
 // multiple of dim).  The store takes ownership of data.
 func FromFlat(data []float32, dim int) (*Store, error) {
 	if dim <= 0 || len(data)%dim != 0 {
-		return nil, vec.ErrDimensionMismatch
+		return nil, ErrDimensionMismatch
 	}
 	s := &Store{data: data, n: len(data) / dim, dim: dim}
 	s.norms = make([]float32, s.n)
@@ -100,7 +101,7 @@ func FromFlat(data []float32, dim int) (*Store, error) {
 // per point.
 func FromFloat64(data []float64, dim int) (*Store, error) {
 	if dim <= 0 || len(data)%dim != 0 {
-		return nil, vec.ErrDimensionMismatch
+		return nil, ErrDimensionMismatch
 	}
 	f := make([]float32, len(data))
 	for i, v := range data {

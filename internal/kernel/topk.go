@@ -1,8 +1,11 @@
 package kernel
 
-import (
-	"musuite/internal/knn"
-)
+// Neighbor is one scored result: a point ID and its squared distance (or
+// generic score, smaller = nearer).
+type Neighbor struct {
+	ID       uint32
+	Distance float32
+}
 
 // TopK is a bounded max-heap over (distance, id) keeping the k nearest
 // candidates seen so far, with the current worst on top for O(1) rejection.
@@ -13,7 +16,7 @@ import (
 // free of interface boxing on the hot path.
 type TopK struct {
 	k int
-	h []knn.Neighbor
+	h []Neighbor
 }
 
 // NewTopK returns a heap bounded at k.
@@ -27,7 +30,7 @@ func NewTopK(k int) *TopK {
 func (t *TopK) Reset(k int) {
 	t.k = k
 	if cap(t.h) < k {
-		t.h = make([]knn.Neighbor, 0, k)
+		t.h = make([]Neighbor, 0, k)
 	} else {
 		t.h = t.h[:0]
 	}
@@ -53,7 +56,7 @@ func (t *TopK) Threshold() float32 {
 const maxFloat32 = 0x1p127 * (1 + (1 - 0x1p-23)) // math.MaxFloat32 without the import
 
 // further is the heap priority: a sorts after b in the final order.
-func further(a, b knn.Neighbor) bool {
+func further(a, b Neighbor) bool {
 	if a.Distance != b.Distance {
 		return a.Distance > b.Distance
 	}
@@ -65,7 +68,7 @@ func (t *TopK) Consider(id uint32, dist float32) {
 	if t.k <= 0 {
 		return
 	}
-	n := knn.Neighbor{ID: id, Distance: dist}
+	n := Neighbor{ID: id, Distance: dist}
 	if len(t.h) < t.k {
 		t.h = append(t.h, n)
 		t.siftUp(len(t.h) - 1)
@@ -87,7 +90,7 @@ func (t *TopK) Merge(o *TopK) {
 
 // AppendSorted drains the heap into dst in ascending (distance, id) order.
 // The heap is emptied; Reset before reuse.
-func (t *TopK) AppendSorted(dst []knn.Neighbor) []knn.Neighbor {
+func (t *TopK) AppendSorted(dst []Neighbor) []Neighbor {
 	m := len(t.h)
 	start := len(dst)
 	dst = append(dst, t.h...)
@@ -115,7 +118,7 @@ func (t *TopK) siftUp(i int) {
 
 func (t *TopK) siftDown(i int) { siftDownSlice(t.h, i) }
 
-func siftDownSlice(h []knn.Neighbor, i int) {
+func siftDownSlice(h []Neighbor, i int) {
 	n := len(h)
 	for {
 		worst := i

@@ -14,10 +14,9 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 
 	"musuite/internal/kernel"
-	"musuite/internal/knn"
-	"musuite/internal/vec"
 )
 
 // Ref identifies an indexed point, mirroring kdtree.Ref.
@@ -40,9 +39,9 @@ type Config struct {
 
 // Index is the trained cluster index.
 type Index struct {
-	points    []vec.Vector
+	points    [][]float32
 	refs      []Ref
-	centroids []vec.Vector
+	centroids [][]float32
 	members   [][]int // point indexes per cluster
 	// InertiaTrace records the total within-cluster squared distance
 	// after each sweep; Lloyd's algorithm never increases it.
@@ -53,7 +52,7 @@ type Index struct {
 // engine's dot product, so centroid assignment runs on the SIMD kernel when
 // the CPU has one.  The clamp absorbs the small negative results
 // cancellation can produce for near-coincident points.
-func dist2(p vec.Vector, pn float32, c vec.Vector, cn float32) float32 {
+func dist2(p []float32, pn float32, c []float32, cn float32) float32 {
 	d := pn + cn - 2*kernel.Dot(p, c)
 	if d < 0 {
 		return 0
@@ -62,7 +61,7 @@ func dist2(p vec.Vector, pn float32, c vec.Vector, cn float32) float32 {
 }
 
 // norms2 precomputes ‖v‖² for a vector set.
-func norms2(vs []vec.Vector) []float32 {
+func norms2(vs [][]float32) []float32 {
 	out := make([]float32, len(vs))
 	for i, v := range vs {
 		out[i] = kernel.Dot(v, v)
@@ -75,7 +74,7 @@ func norms2(vs []vec.Vector) []float32 {
 // the shared trainer behind Build, the ann IVF coarse quantizer, and the ann
 // PQ subspace codebooks.  The returned centroids are freshly allocated and
 // do not alias points.
-func TrainCentroids(points []vec.Vector, cfg Config) ([]vec.Vector, []float64, error) {
+func TrainCentroids(points [][]float32, cfg Config) ([][]float32, []float64, error) {
 	if len(points) == 0 {
 		return nil, nil, fmt.Errorf("kmeans: empty corpus")
 	}
@@ -108,8 +107,8 @@ func TrainCentroids(points []vec.Vector, cfg Config) ([]vec.Vector, []float64, e
 
 	// k-means++ initialization: spread the seeds proportionally to
 	// squared distance from the seeds chosen so far.
-	centroids := make([]vec.Vector, 0, k)
-	centroids = append(centroids, points[rng.Intn(len(points))].Clone())
+	centroids := make([][]float32, 0, k)
+	centroids = append(centroids, slices.Clone(points[rng.Intn(len(points))]))
 	d2 := make([]float64, len(points))
 	for len(centroids) < k {
 		total := 0.0
@@ -124,7 +123,7 @@ func TrainCentroids(points []vec.Vector, cfg Config) ([]vec.Vector, []float64, e
 		}
 		if total == 0 {
 			// All remaining points coincide with a centroid.
-			centroids = append(centroids, points[rng.Intn(len(points))].Clone())
+			centroids = append(centroids, slices.Clone(points[rng.Intn(len(points))]))
 			continue
 		}
 		r := rng.Float64() * total
@@ -136,7 +135,7 @@ func TrainCentroids(points []vec.Vector, cfg Config) ([]vec.Vector, []float64, e
 				break
 			}
 		}
-		centroids = append(centroids, points[pick].Clone())
+		centroids = append(centroids, slices.Clone(points[pick]))
 	}
 
 	var inertiaTrace []float64
@@ -173,9 +172,9 @@ func TrainCentroids(points []vec.Vector, cfg Config) ([]vec.Vector, []float64, e
 
 		// Update step.
 		counts := make([]int, k)
-		sums := make([]vec.Vector, k)
+		sums := make([][]float32, k)
 		for c := range sums {
-			sums[c] = make(vec.Vector, dim)
+			sums[c] = make([]float32, dim)
 		}
 		for i, p := range points {
 			c := assign[i]
@@ -207,7 +206,7 @@ func TrainCentroids(points []vec.Vector, cfg Config) ([]vec.Vector, []float64, e
 
 // Build clusters the corpus and constructs the index.  points and refs are
 // captured, not copied.
-func Build(points []vec.Vector, refs []Ref, cfg Config) (*Index, error) {
+func Build(points [][]float32, refs []Ref, cfg Config) (*Index, error) {
 	if len(points) != len(refs) {
 		return nil, fmt.Errorf("kmeans: %d points but %d refs", len(points), len(refs))
 	}
@@ -222,7 +221,7 @@ func Build(points []vec.Vector, refs []Ref, cfg Config) (*Index, error) {
 	for i, p := range points {
 		best, bestD := 0, float32(0)
 		for c, cent := range idx.centroids {
-			d := vec.SquaredEuclidean(p, cent)
+			d := kernel.SquaredEuclidean(p, cent)
 			if c == 0 || d < bestD {
 				best, bestD = c, d
 			}
@@ -263,34 +262,28 @@ type Result struct {
 	Distance float32
 }
 
+// nearest ranks the centroids by distance to q and returns the `probes`
+// nearest (at least one, at most all), nearest first.
+func (x *Index) nearest(q []float32, probes int) []kernel.Neighbor {
+	top := kernel.NewTopK(min(max(probes, 1), len(x.centroids)))
+	for c, cent := range x.centroids {
+		top.Consider(uint32(c), kernel.SquaredEuclidean(q, cent))
+	}
+	return top.AppendSorted(nil)
+}
+
 // Search probes the `probes` nearest clusters and returns the k nearest
 // points among their members (probes ≥ K scores everything → exact).
-func (x *Index) Search(q vec.Vector, k, probes int) []Result {
-	if probes <= 0 {
-		probes = 1
-	}
-	if probes > len(x.centroids) {
-		probes = len(x.centroids)
-	}
-	// Rank centroids by distance.
-	cents := make([]knn.Neighbor, len(x.centroids))
-	for c, cent := range x.centroids {
-		cents[c] = knn.Neighbor{ID: uint32(c), Distance: vec.SquaredEuclidean(q, cent)}
-	}
-	nearest := knn.Select(cents, probes)
-
-	var cands []knn.Neighbor
-	for _, cn := range nearest {
+func (x *Index) Search(q []float32, k, probes int) []Result {
+	top := kernel.NewTopK(min(k, len(x.points)))
+	for _, cn := range x.nearest(q, probes) {
 		for _, i := range x.members[cn.ID] {
-			cands = append(cands, knn.Neighbor{
-				ID:       uint32(i),
-				Distance: vec.SquaredEuclidean(q, x.points[i]),
-			})
+			top.Consider(uint32(i), kernel.SquaredEuclidean(q, x.points[i]))
 		}
 	}
-	top := knn.Select(cands, k)
-	out := make([]Result, len(top))
-	for i, n := range top {
+	ns := top.AppendSorted(nil)
+	out := make([]Result, len(ns))
+	for i, n := range ns {
 		out[i] = Result{Ref: x.refs[n.ID], Distance: n.Distance}
 	}
 	return out
@@ -298,19 +291,9 @@ func (x *Index) Search(q vec.Vector, k, probes int) []Result {
 
 // LookupByShard returns the probed clusters' candidate point IDs grouped by
 // shard — interchangeable with the LSH and kd-tree indexes in HDSearch.
-func (x *Index) LookupByShard(q vec.Vector, probes int) map[int32][]uint32 {
-	if probes <= 0 {
-		probes = 1
-	}
-	if probes > len(x.centroids) {
-		probes = len(x.centroids)
-	}
-	cents := make([]knn.Neighbor, len(x.centroids))
-	for c, cent := range x.centroids {
-		cents[c] = knn.Neighbor{ID: uint32(c), Distance: vec.SquaredEuclidean(q, cent)}
-	}
+func (x *Index) LookupByShard(q []float32, probes int) map[int32][]uint32 {
 	out := make(map[int32][]uint32)
-	for _, cn := range knn.Select(cents, probes) {
+	for _, cn := range x.nearest(q, probes) {
 		for _, i := range x.members[cn.ID] {
 			r := x.refs[i]
 			out[r.Shard] = append(out[r.Shard], r.PointID)

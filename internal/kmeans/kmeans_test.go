@@ -4,8 +4,7 @@ import (
 	"testing"
 
 	"musuite/internal/dataset"
-	"musuite/internal/knn"
-	"musuite/internal/vec"
+	"musuite/internal/kernel"
 )
 
 func buildCorpusIndex(t *testing.T, n, dim, k int) (*dataset.ImageCorpus, *Index) {
@@ -28,10 +27,10 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := Build(nil, nil, Config{}); err == nil {
 		t.Fatal("empty corpus accepted")
 	}
-	if _, err := Build([]vec.Vector{{1}}, make([]Ref, 2), Config{}); err == nil {
+	if _, err := Build([][]float32{{1}}, make([]Ref, 2), Config{}); err == nil {
 		t.Fatal("mismatched refs accepted")
 	}
-	if _, err := Build([]vec.Vector{{1, 2}, {1}}, make([]Ref, 2), Config{}); err == nil {
+	if _, err := Build([][]float32{{1, 2}, {1}}, make([]Ref, 2), Config{}); err == nil {
 		t.Fatal("ragged dims accepted")
 	}
 }
@@ -106,17 +105,22 @@ func TestRecoverPlantedClusters(t *testing.T) {
 	t.Logf("cluster purity %.3f", purity)
 }
 
+// TestExhaustiveProbesExact: probing every cluster returns exactly the
+// brute-force k-NN, for k from nothing to past the corpus.
 func TestExhaustiveProbesExact(t *testing.T) {
-	corpus, idx := buildCorpusIndex(t, 600, 12, 10)
+	const n = 600
+	corpus, idx := buildCorpusIndex(t, n, 12, 10)
 	for qi, q := range corpus.Queries(30, 8) {
-		got := idx.Search(q, 5, idx.K())
-		want := knn.BruteForce(q, corpus.Vectors, 5)
-		if len(got) != len(want) {
-			t.Fatalf("query %d: %d results want %d", qi, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Ref.PointID != want[i].ID {
-				t.Fatalf("query %d rank %d: got %d want %d", qi, i, got[i].Ref.PointID, want[i].ID)
+		for _, k := range []int{0, 1, 5, n, n + 2} {
+			got := idx.Search(q, k, idx.K())
+			want := kernel.BruteForce(q, corpus.Vectors, k)
+			if len(got) != len(want) {
+				t.Fatalf("query %d, k=%d: %d results want %d", qi, k, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].Ref.PointID != want[i].ID || got[i].Distance != want[i].Distance {
+					t.Fatalf("query %d, k=%d rank %d: got %+v want %+v", qi, k, i, got[i], want[i])
+				}
 			}
 		}
 	}
@@ -127,7 +131,7 @@ func TestFewProbesHighRecall(t *testing.T) {
 	queries := corpus.Queries(120, 9)
 	hits := 0
 	for _, q := range queries {
-		truth := knn.BruteForce(q, corpus.Vectors, 1)[0].ID
+		truth := kernel.BruteForce(q, corpus.Vectors, 1)[0].ID
 		for _, r := range idx.Search(q, 1, 3) {
 			if r.Ref.PointID == truth {
 				hits++
@@ -211,17 +215,17 @@ func TestLookupByShardGrouping(t *testing.T) {
 
 func TestDegenerateCorpora(t *testing.T) {
 	// Identical points: must terminate and cluster trivially.
-	points := make([]vec.Vector, 50)
+	points := make([][]float32, 50)
 	refs := make([]Ref, 50)
 	for i := range points {
-		points[i] = vec.Vector{7, 7}
+		points[i] = []float32{7, 7}
 		refs[i] = Ref{PointID: uint32(i)}
 	}
 	idx, err := Build(points, refs, Config{K: 4, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := idx.Search(vec.Vector{7, 7}, 3, idx.K())
+	res := idx.Search([]float32{7, 7}, 3, idx.K())
 	if len(res) != 3 || res[0].Distance != 0 {
 		t.Fatalf("degenerate search: %+v", res)
 	}

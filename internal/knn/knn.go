@@ -1,164 +1,8 @@
-// Package knn provides exact k-nearest-neighbor primitives: a brute-force
-// linear scan (HDSearch's accuracy ground truth, per the paper), a top-k
-// selection over candidate distance lists (the leaf and mid-tier merge
-// steps), and the allknn-style neighborhood search Recommend's leaves use
-// for collaborative filtering.
+// Package knn is kept only for the name benchmarks/layers.go imports; the
+// neighbour type, top-k selection and brute-force scan live in kernel.
 package knn
 
-import (
-	"container/heap"
-	"sort"
+import "musuite/internal/kernel"
 
-	"musuite/internal/vec"
-)
-
-// Neighbor is one scored result: a point ID and its squared distance (or
-// generic score, smaller = nearer).
-type Neighbor struct {
-	ID       uint32
-	Distance float32
-}
-
-// nearer is the total order on neighbors: ascending distance, ties broken by
-// ascending ID so results are deterministic.
-func nearer(a, b Neighbor) bool {
-	if a.Distance != b.Distance {
-		return a.Distance < b.Distance
-	}
-	return a.ID < b.ID
-}
-
-// maxHeap keeps the k current-worst neighbors on top for O(n log k) select.
-type maxHeap []Neighbor
-
-func (h maxHeap) Len() int            { return len(h) }
-func (h maxHeap) Less(i, j int) bool  { return nearer(h[j], h[i]) }
-func (h maxHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *maxHeap) Push(x interface{}) { *h = append(*h, x.(Neighbor)) }
-func (h *maxHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// Select returns the k nearest of the given scored candidates, sorted by
-// ascending distance (ties broken by ID for determinism).
-func Select(candidates []Neighbor, k int) []Neighbor {
-	if k <= 0 {
-		return nil
-	}
-	if len(candidates) <= k {
-		out := make([]Neighbor, len(candidates))
-		copy(out, candidates)
-		sortNeighbors(out)
-		return out
-	}
-	h := make(maxHeap, 0, k)
-	for _, c := range candidates {
-		if len(h) < k {
-			heap.Push(&h, c)
-		} else if nearer(c, h[0]) {
-			h[0] = c
-			heap.Fix(&h, 0)
-		}
-	}
-	out := []Neighbor(h)
-	sortNeighbors(out)
-	return out
-}
-
-func sortNeighbors(ns []Neighbor) {
-	sort.Slice(ns, func(i, j int) bool {
-		if ns[i].Distance != ns[j].Distance {
-			return ns[i].Distance < ns[j].Distance
-		}
-		return ns[i].ID < ns[j].ID
-	})
-}
-
-// Merge combines per-shard sorted neighbor lists into the global top-k —
-// the mid-tier's response-path merge in HDSearch.
-func Merge(lists [][]Neighbor, k int) []Neighbor {
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	all := make([]Neighbor, 0, total)
-	for _, l := range lists {
-		all = append(all, l...)
-	}
-	return Select(all, k)
-}
-
-// BruteForce scans every corpus vector and returns the exact top-k by
-// squared Euclidean distance.  IDs index the corpus slice.
-func BruteForce(query vec.Vector, corpus []vec.Vector, k int) []Neighbor {
-	h := make(maxHeap, 0, k)
-	for id, v := range corpus {
-		c := Neighbor{ID: uint32(id), Distance: vec.SquaredEuclidean(query, v)}
-		if len(h) < k {
-			heap.Push(&h, c)
-		} else if nearer(c, h[0]) {
-			h[0] = c
-			heap.Fix(&h, 0)
-		}
-	}
-	out := []Neighbor(h)
-	sortNeighbors(out)
-	return out
-}
-
-// Subset computes distances from query to the corpus points named by ids
-// and returns the k nearest — the HDSearch leaf's per-request computation
-// (the point list arrives from the mid-tier's LSH lookup).
-func Subset(query vec.Vector, corpus []vec.Vector, ids []uint32, k int) []Neighbor {
-	cands := make([]Neighbor, 0, len(ids))
-	for _, id := range ids {
-		if int(id) >= len(corpus) {
-			continue
-		}
-		cands = append(cands, Neighbor{ID: id, Distance: vec.SquaredEuclidean(query, corpus[int(id)])})
-	}
-	return Select(cands, k)
-}
-
-// Metric scores the similarity between two vectors for neighborhood search;
-// smaller is nearer.  Metrics are defined over vec.Vector (float32) so
-// neighborhood search shares the vec kernels instead of converting per
-// point; callers with float64 data (e.g. trained latent-factor matrices)
-// convert once at build time.
-type Metric func(a, b vec.Vector) float32
-
-// EuclideanMetric is squared Euclidean distance, delegating to the unrolled
-// vec kernel (equal lengths required — the kernel panics on ragged input).
-func EuclideanMetric(a, b vec.Vector) float32 {
-	return vec.SquaredEuclidean(a, b)
-}
-
-// CosineMetric is 1 − cosine similarity, so smaller is nearer, matching
-// allknn's cosine option.  Zero vectors score distance 1 (similarity 0).
-func CosineMetric(a, b vec.Vector) float32 {
-	na, nb := vec.Norm(a), vec.Norm(b)
-	if na == 0 || nb == 0 {
-		return 1
-	}
-	return 1 - vec.Dot(a, b)/(na*nb)
-}
-
-// AllKNN finds, for the single query row, the k nearest rows of points under
-// metric, excluding any row index listed in exclude.  This is the reference
-// for the neighborhood step of Recommend's user-based collaborative
-// filtering: given a user's latent factors, find the most similar users (the
-// kernel engine holds the tuned version).
-func AllKNN(query vec.Vector, points []vec.Vector, k int, metric Metric, exclude map[int]bool) []Neighbor {
-	cands := make([]Neighbor, 0, len(points))
-	for i, p := range points {
-		if exclude != nil && exclude[i] {
-			continue
-		}
-		cands = append(cands, Neighbor{ID: uint32(i), Distance: metric(query, p)})
-	}
-	return Select(cands, k)
-}
+// Neighbor is kernel.Neighbor.
+type Neighbor = kernel.Neighbor

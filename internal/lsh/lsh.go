@@ -18,12 +18,11 @@
 // (kernel.RowSet), so no candidate is handled as an integer and a lookup into
 // caller-owned buffers allocates nothing.
 //
-// Signs are taken from kernel.Dot, which sums in a different order from the
-// 4-way scalar vec.Dot the index used before (AVX2/FMA lanes against four
-// scalar accumulators).  A point or query whose projection onto some plane
-// is within float32 rounding of zero can therefore land in the neighbouring
-// bucket of that one table; everything else hashes identically for the same
-// seed, which the package tests pin against a map-based reference.
+// Signs are taken from kernel.Dot, whose summation order (AVX2/FMA lanes
+// where the CPU has them) decides the sign of a projection within float32
+// rounding of zero: such a point or query may land in the neighbouring
+// bucket of that one table under any other dot product.  The package tests
+// pin the index against a map-based reference.
 package lsh
 
 import (
@@ -37,7 +36,6 @@ import (
 	"sync"
 
 	"musuite/internal/kernel"
-	"musuite/internal/vec"
 )
 
 // Config parameterizes an index.  More tables and probes raise recall at the
@@ -322,7 +320,7 @@ func (idx *Index) lookup(dense []uint64, q []float32, dst []kernel.RowSet) []ker
 // LookupByShard returns LookupInto's candidates as a freshly allocated map,
 // shard → ascending point IDs, which the caller owns — the list view of the
 // sets, for callers that hold IDs.  Shards with no candidates are absent.
-func (idx *Index) LookupByShard(q vec.Vector) map[int32][]uint32 {
+func (idx *Index) LookupByShard(q []float32) map[int32][]uint32 {
 	out := make(map[int32][]uint32, idx.shards)
 	sc := idx.scratch.Get().(*lookupScratch)
 	sc.sets = idx.lookup(sc.dense, q, sc.sets)

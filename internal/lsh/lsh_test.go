@@ -13,8 +13,6 @@ import (
 
 	"musuite/internal/dataset"
 	"musuite/internal/kernel"
-	"musuite/internal/knn"
-	"musuite/internal/vec"
 )
 
 // --- reference oracle ---
@@ -28,7 +26,7 @@ type Entry struct {
 
 // refIndex is the map-based index this package shipped before it moved to
 // flat arrays, kept as the oracle the new one is pinned against.  dot is the
-// projection kernel: kernel.Dot reproduces the new index exactly, vec.Dot
+// projection kernel: kernel.Dot reproduces the new index exactly, scalarDot
 // the old one.
 type refIndex struct {
 	cfg    Config
@@ -102,7 +100,22 @@ func (r *refIndex) lookup(q []float32, shards int) []map[uint32]bool {
 	return out
 }
 
-func vecDot(a, b []float32) float32 { return vec.Dot(a, b) }
+// scalarDot is the 4-way unrolled dot product the index took its signs from
+// before it used kernel.Dot.
+func scalarDot(a, b []float32) float32 {
+	var s0, s1, s2, s3 float32
+	i := 0
+	for ; i+4 <= len(a); i += 4 {
+		s0 += a[i] * b[i]
+		s1 += a[i+1] * b[i+1]
+		s2 += a[i+2] * b[i+2]
+		s3 += a[i+3] * b[i+3]
+	}
+	for ; i < len(a); i++ {
+		s0 += a[i] * b[i]
+	}
+	return s0 + s1 + s2 + s3
+}
 
 // --- fixtures ---
 
@@ -110,9 +123,9 @@ func vecDot(a, b []float32) float32 { return vec.Dot(a, b) }
 // and keeps each shard in ascending global order: global point g is row
 // g/shards of store g%shards.  (hdsearch.ShardCorpus has the same membership
 // and its own row order; the index is indifferent to either.)
-func shardStores(t testing.TB, vectors []vec.Vector, shards int) []*kernel.Store {
+func shardStores(t testing.TB, vectors [][]float32, shards int) []*kernel.Store {
 	t.Helper()
-	split := make([][]vec.Vector, shards)
+	split := make([][][]float32, shards)
 	for g, v := range vectors {
 		split[g%shards] = append(split[g%shards], v)
 	}
@@ -140,7 +153,7 @@ func refOver(stores []*kernel.Store, cfg Config, dim int, dot func(a, b []float3
 
 // globalCandidates flattens a lookup to global point IDs under shardStores'
 // numbering.
-func globalCandidates(idx *Index, q vec.Vector) []uint32 {
+func globalCandidates(idx *Index, q []float32) []uint32 {
 	var out []uint32
 	for s, set := range idx.LookupInto(q, nil) {
 		for _, id := range set.AppendIDs(nil) {
@@ -198,8 +211,8 @@ func TestBuildRejectsBadInput(t *testing.T) {
 	if _, err := Build([]*kernel.Store{{}, {}}, Config{}); err == nil {
 		t.Fatal("index over zero vectors accepted")
 	}
-	a, _ := kernel.BuildStore([]vec.Vector{make(vec.Vector, 8)})
-	b, _ := kernel.BuildStore([]vec.Vector{make(vec.Vector, 4)})
+	a, _ := kernel.BuildStore([][]float32{make([]float32, 8)})
+	b, _ := kernel.BuildStore([][]float32{make([]float32, 4)})
 	if _, err := Build([]*kernel.Store{a, b}, Config{}); err == nil {
 		t.Fatal("mixed dimensions accepted")
 	}
@@ -344,7 +357,7 @@ func TestLookupEqualsReference(t *testing.T) {
 		}
 		ref := refOver(stores, cfg, dim, kernel.Dot)
 		var dst []kernel.RowSet
-		for _, q := range append(corpus.Queries(20, seed+1), corpus.Vectors[0], make(vec.Vector, dim)) {
+		for _, q := range append(corpus.Queries(20, seed+1), corpus.Vectors[0], make([]float32, dim)) {
 			dst = checkAgainstRef(t, idx, ref, stores, q, dst)
 		}
 		assertScratchZero(t, idx)
@@ -369,8 +382,8 @@ func assertScratchZero(t *testing.T, idx *Index) {
 }
 
 // TestScalarReferenceDiffersOnlyAtZeroMargins compares against the index
-// this package used to be — same planes, signs from the 4-way scalar
-// vec.Dot — on a corpus shaped like the benchmark's (64-d, 10 clusters, 4
+// this package used to be — same planes, signs from the 4-way scalarDot —
+// on a corpus shaped like the benchmark's (64-d, 10 clusters, 4
 // shards, its seed).  The two kernels sum in different orders, so a
 // projection within float32 rounding of zero may change sign; a candidate
 // may differ between the two only where that happened to the point or to
@@ -388,7 +401,7 @@ func TestScalarReferenceDiffersOnlyAtZeroMargins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := refOver(stores, cfg, dim, vecDot)
+	ref := refOver(stores, cfg, dim, scalarDot)
 
 	// fragile reports whether v's signature differs between the kernels in
 	// any table, checking that every bit that differs has a margin that is
@@ -404,7 +417,7 @@ func TestScalarReferenceDiffersOnlyAtZeroMargins(t *testing.T) {
 				}
 				differs = true
 				plane := ref.planes[tb][b]
-				bound := 1e-5 * math.Sqrt(float64(vecDot(plane, plane))*float64(vecDot(v, v)))
+				bound := 1e-5 * math.Sqrt(float64(scalarDot(plane, plane))*float64(scalarDot(v, v)))
 				if math.Abs(float64(margins[b])) > bound {
 					t.Fatalf("table %d bit %d flipped at margin %g (bound %g)", tb, b, margins[b], bound)
 				}
@@ -430,7 +443,7 @@ func TestScalarReferenceDiffersOnlyAtZeroMargins(t *testing.T) {
 	}
 	var sets []kernel.RowSet
 	var dst [][]uint32
-	var truth []knn.Neighbor
+	var truth []kernel.Neighbor
 	hitsNew, hitsRef, diffs := 0, 0, 0
 	for _, q := range corpus.Queries(nq, 5) {
 		sets = idx.LookupInto(q, sets)
@@ -456,7 +469,7 @@ func TestScalarReferenceDiffersOnlyAtZeroMargins(t *testing.T) {
 				if _, found := slices.BinarySearch(ids, id); !found {
 					diffs++
 					if !fragileQuery && !fragile(stores[s].Row(int(id))) {
-						t.Fatalf("shard %d point %d: candidate only under vec.Dot, yet no margin near zero", s, id)
+						t.Fatalf("shard %d point %d: candidate only under scalarDot, yet no margin near zero", s, id)
 					}
 				}
 			}
@@ -486,7 +499,7 @@ func TestRecallAtLeast93(t *testing.T) {
 	queries := corpus.Queries(200, 5)
 	hits := 0
 	for _, q := range queries {
-		truth := knn.BruteForce(q, corpus.Vectors, 1)[0].ID
+		truth := kernel.BruteForce(q, corpus.Vectors, 1)[0].ID
 		if slices.Contains(globalCandidates(idx, q), truth) {
 			hits++
 		}
@@ -530,7 +543,7 @@ func TestMoreProbesRaiseRecall(t *testing.T) {
 		}
 		hits := 0
 		for _, q := range queries {
-			truth := knn.BruteForce(q, corpus.Vectors, 1)[0].ID
+			truth := kernel.BruteForce(q, corpus.Vectors, 1)[0].ID
 			cands := globalCandidates(idx, q)
 			candidates += len(cands)
 			if slices.Contains(cands, truth) {
@@ -602,9 +615,9 @@ func TestSelfLookupProperty(t *testing.T) {
 		if len(raws) == 0 {
 			return true
 		}
-		vectors := make([]vec.Vector, len(raws))
+		vectors := make([][]float32, len(raws))
 		for i, raw := range raws {
-			vectors[i] = make(vec.Vector, 6)
+			vectors[i] = make([]float32, 6)
 			for d, r := range raw {
 				vectors[i][d] = float32(r) / 16
 			}

@@ -6,7 +6,7 @@ import (
 
 	"musuite/internal/ann"
 	"musuite/internal/core"
-	"musuite/internal/knn"
+	"musuite/internal/kernel"
 )
 
 func startANNCluster(t *testing.T, kind IndexKind, cfg ann.Config) (*Cluster, *Client) {
@@ -50,7 +50,7 @@ func TestANNKindsServeSearches(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				truth := knn.BruteForce(q, corpus.Vectors, 1)[0].ID
+				truth := kernel.BruteForce(q, corpus.Vectors, 1)[0].ID
 				if len(got) > 0 && got[0].PointID == truth {
 					hits++
 				}
@@ -87,7 +87,7 @@ func TestANNExhaustiveMatchesBruteForce(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := knn.BruteForce(q, corpus.Vectors, 5)
+				want := kernel.BruteForce(q, corpus.Vectors, 5)
 				if len(got) != len(want) {
 					t.Fatalf("query %d: %d results, want %d", qi, len(got), len(want))
 				}
@@ -122,7 +122,7 @@ func TestANNRouterRetune(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			truth := knn.BruteForce(q, corpus.Vectors, 1)[0].ID
+			truth := kernel.BruteForce(q, corpus.Vectors, 1)[0].ID
 			if len(got) > 0 && got[0].PointID == truth {
 				hits++
 			}
@@ -155,7 +155,7 @@ func TestHNSWRouterRetuneEFSearch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			truth := knn.BruteForce(q, corpus.Vectors, 1)[0].ID
+			truth := kernel.BruteForce(q, corpus.Vectors, 1)[0].ID
 			if len(got) > 0 && got[0].PointID == truth {
 				hits++
 			}

@@ -6,9 +6,8 @@ import (
 	"musuite/internal/ann"
 	"musuite/internal/core"
 	"musuite/internal/dataset"
-	"musuite/internal/knn"
+	"musuite/internal/kernel"
 	"musuite/internal/lsh"
-	"musuite/internal/vec"
 )
 
 // ClusterConfig assembles a complete in-process HDSearch deployment: sharded
@@ -160,15 +159,15 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 // does: the cosine similarity between the reported nearest neighbor's
 // feature vector and the true nearest neighbor's.  A perfect answer scores
 // 1.0; the paper tunes LSH for a minimum accuracy of 0.93.
-func (c *Cluster) Accuracy(query vec.Vector, reported []Neighbor) float32 {
+func (c *Cluster) Accuracy(query []float32, reported []Neighbor) float32 {
 	if len(reported) == 0 {
 		return 0
 	}
-	truth := knn.BruteForce(query, c.corpus.Vectors, 1)
+	truth := kernel.BruteForce(query, c.corpus.Vectors, 1)
 	if len(truth) == 0 {
 		return 0
 	}
 	got := c.corpus.Vectors[reported[0].PointID]
 	want := c.corpus.Vectors[truth[0].ID]
-	return vec.CosineSimilarity(got, want)
+	return kernel.CosineSimilarity(got, want)
 }

@@ -2,11 +2,12 @@ package hdsearch
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 
+	"musuite/internal/kernel"
 	"musuite/internal/memcache"
-	"musuite/internal/vec"
 	"musuite/internal/wire"
 )
 
@@ -25,7 +26,7 @@ import (
 type FrontEnd struct {
 	client  *Client
 	dim     int
-	planes  []vec.Vector // projection rows, seeded
+	planes  [][]float32 // projection rows, seeded
 	vecs    *memcache.Store
 	urls    *memcache.Store
 	hits    atomic.Uint64
@@ -69,7 +70,7 @@ func NewFrontEnd(cfg FrontEndConfig) (*FrontEnd, error) {
 	// A fixed bank of projection rows generated from the seed via
 	// SplitMix-style hashing keeps construction O(dim) per row without
 	// math/rand state.
-	fe.planes = make([]vec.Vector, cfg.Dim)
+	fe.planes = make([][]float32, cfg.Dim)
 	state := uint64(cfg.Seed)*0x9E3779B97F4A7C15 + 0xBF58476D1CE4E5B9
 	nextF := func() float32 {
 		state += 0x9E3779B97F4A7C15
@@ -80,7 +81,7 @@ func NewFrontEnd(cfg FrontEndConfig) (*FrontEnd, error) {
 		return float32(int32(uint32(z))) / float32(1<<31) // in (-1, 1)
 	}
 	for d := 0; d < cfg.Dim; d++ {
-		row := make(vec.Vector, 64)
+		row := make([]float32, 64)
 		for i := range row {
 			row[i] = nextF()
 		}
@@ -101,7 +102,7 @@ func (fe *FrontEnd) CacheStats() (hits, misses uint64) {
 // raw image.  The image bytes are folded into 64 buckets and projected
 // through the seeded plane bank — a stand-in for the Inception V3 forward
 // pass.
-func (fe *FrontEnd) ExtractFeatures(image []byte) vec.Vector {
+func (fe *FrontEnd) ExtractFeatures(image []byte) []float32 {
 	key := imageKey(image)
 	if cached, ok := fe.vecs.Get(key); ok {
 		if v, err := decodeVector(cached, fe.dim); err == nil {
@@ -117,11 +118,17 @@ func (fe *FrontEnd) ExtractFeatures(image []byte) vec.Vector {
 		summary[i%64] += float32(b) / 255
 	}
 	// Project into feature space.
-	out := make(vec.Vector, fe.dim)
+	out := make([]float32, fe.dim)
 	for d := 0; d < fe.dim; d++ {
-		out[d] = vec.Dot(fe.planes[d], summary[:])
+		out[d] = kernel.Dot(fe.planes[d], summary[:])
 	}
-	vec.Normalize(out)
+	// Unit length; a zero vector stays zero.
+	if n := float32(math.Sqrt(float64(kernel.Dot(out, out)))); n != 0 {
+		inv := 1 / n
+		for i := range out {
+			out[i] *= inv
+		}
+	}
 	fe.vecs.Set(key, encodeVector(out), 10*time.Minute)
 	return out
 }
@@ -147,7 +154,7 @@ func (fe *FrontEnd) Search(image []byte, k int) ([]Result, error) {
 
 // SearchVector bypasses extraction for callers that already hold a feature
 // vector (the path the paper's study measures).
-func (fe *FrontEnd) SearchVector(query vec.Vector, k int) ([]Result, error) {
+func (fe *FrontEnd) SearchVector(query []float32, k int) ([]Result, error) {
 	neighbors, err := fe.client.Search(query, k)
 	if err != nil {
 		return nil, err
@@ -185,15 +192,15 @@ func imageKey(image []byte) string {
 
 func pointKey(id uint32) string { return fmt.Sprintf("url:%d", id) }
 
-func encodeVector(v vec.Vector) []byte {
+func encodeVector(v []float32) []byte {
 	e := wire.NewEncoder(4 + 4*len(v))
 	e.Float32s(v)
 	return e.Bytes()
 }
 
-func decodeVector(b []byte, wantDim int) (vec.Vector, error) {
+func decodeVector(b []byte, wantDim int) ([]float32, error) {
 	d := wire.NewDecoder(b)
-	v := vec.Vector(d.Float32s())
+	v := d.Float32s()
 	if err := d.Err(); err != nil {
 		return nil, err
 	}

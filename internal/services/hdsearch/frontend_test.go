@@ -5,7 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"musuite/internal/vec"
+	"musuite/internal/kernel"
 )
 
 func startFrontEnd(t *testing.T) (*Cluster, *FrontEnd) {
@@ -39,7 +39,7 @@ func TestFrontEndExtractDeterministic(t *testing.T) {
 		}
 	}
 	// Unit-normalized.
-	if n := vec.Norm(a); n < 0.99 || n > 1.01 {
+	if n := kernel.Dot(a, a); n < 0.99 || n > 1.01 {
 		t.Fatalf("norm=%v", n)
 	}
 }

@@ -21,11 +21,9 @@ import (
 	"musuite/internal/core"
 	"musuite/internal/dataset"
 	"musuite/internal/kernel"
-	"musuite/internal/knn"
 	"musuite/internal/lsh"
 	"musuite/internal/rpc"
 	"musuite/internal/trace"
-	"musuite/internal/vec"
 	"musuite/internal/wire"
 )
 
@@ -51,22 +49,22 @@ type Neighbor struct {
 // --- wire codecs ---
 
 // EncodeSearchRequest encodes a front-end query.
-func EncodeSearchRequest(query vec.Vector, k int) []byte {
+func EncodeSearchRequest(query []float32, k int) []byte {
 	e := wire.NewEncoder(8 + 4*len(query))
 	appendSearchRequest(e, query, k)
 	return e.Bytes()
 }
 
-func appendSearchRequest(e *wire.Encoder, query vec.Vector, k int) {
+func appendSearchRequest(e *wire.Encoder, query []float32, k int) {
 	e.Uvarint(uint64(k))
 	e.Float32s(query)
 }
 
 // DecodeSearchRequest decodes a front-end query.
-func DecodeSearchRequest(b []byte) (query vec.Vector, k int, err error) {
+func DecodeSearchRequest(b []byte) (query []float32, k int, err error) {
 	d := wire.NewDecoder(b)
 	k = int(d.Uvarint())
-	query = vec.Vector(d.Float32s())
+	query = d.Float32s()
 	return query, k, d.Err()
 }
 
@@ -88,7 +86,7 @@ func appendLeafRequest(e *wire.Encoder, query []float32, set kernel.RowSet, k in
 // EncodeLeafRequest is the scoring call for a caller that holds the shard's
 // candidates as IDs: the list — in any order, repeats allowed — is packed
 // into the set it names.
-func EncodeLeafRequest(query vec.Vector, ids []uint32, k int) []byte {
+func EncodeLeafRequest(query []float32, ids []uint32, k int) []byte {
 	var set kernel.RowSet
 	set.Add(ids...)
 	// A word costs at most a 5-byte gap and its 8-byte mask.
@@ -99,7 +97,7 @@ func EncodeLeafRequest(query vec.Vector, ids []uint32, k int) []byte {
 
 // DecodeLeafRequest decodes a mid-tier→leaf scoring call, its candidates
 // expanded to ascending IDs.
-func DecodeLeafRequest(b []byte) (query vec.Vector, ids []uint32, k int, err error) {
+func DecodeLeafRequest(b []byte) (query []float32, ids []uint32, k int, err error) {
 	query, set, k, err := decodeLeafRequest(b, nil, kernel.RowSet{})
 	if err != nil {
 		return nil, nil, 0, err
@@ -129,7 +127,7 @@ func decodeLeafRequest(b []byte, query []float32, set kernel.RowSet) ([]float32,
 // first knob slot carries the family's search breadth — nprobe for the IVF
 // kinds, efSearch for hnsw — so one wire format serves every leaf-resident
 // kind.  One encoding is broadcast to every shard.
-func appendLeafANNRequest(e *wire.Encoder, query vec.Vector, k, nprobe, rerank int) {
+func appendLeafANNRequest(e *wire.Encoder, query []float32, k, nprobe, rerank int) {
 	e.Uvarint(uint64(k))
 	e.Uvarint(uint64(nprobe))
 	e.Uvarint(uint64(rerank))
@@ -289,7 +287,7 @@ func shardCorpus(c *dataset.ImageCorpus, n, bits int) []LeafData {
 type leafScratch struct {
 	query []float32
 	set   kernel.RowSet
-	nbrs  []knn.Neighbor
+	nbrs  []kernel.Neighbor
 }
 
 var leafScratches = sync.Pool{New: func() any { return new(leafScratch) }}
@@ -314,7 +312,7 @@ func leafKNN(eng *kernel.Engine, data LeafData, payload []byte, reply *wire.Enco
 	}
 	// Validate the query dimension once here; the kernels assume it.
 	if data.rows.Len() > 0 && len(query) != data.rows.Dim() {
-		return vec.ErrDimensionMismatch
+		return kernel.ErrDimensionMismatch
 	}
 	local, err := eng.ScanRowSetSplit(data.rows, query, set, k, sc.nbrs[:0])
 	sc.nbrs = local[:0]
@@ -414,7 +412,7 @@ func BuildIndex(shards []LeafData, cfg IndexConfig) (*lsh.Index, error) {
 // mid-tier response path uses to merge per-shard replies.
 type mergeScratch struct {
 	top    kernel.TopK
-	merged []knn.Neighbor
+	merged []kernel.Neighbor
 }
 
 var mergeScratches = sync.Pool{New: func() any { return new(mergeScratch) }}
@@ -492,7 +490,7 @@ func NewMidTier(index CandidateIndex, opts *core.Options) *core.MidTier {
 		// Reject mis-dimensioned queries here, before they reach index
 		// probes or leaf kernels that assume the corpus dimensionality.
 		if dim := index.Dim(); dim > 0 && len(query) != dim {
-			ctx.ReplyError(vec.ErrDimensionMismatch)
+			ctx.ReplyError(kernel.ErrDimensionMismatch)
 			return
 		}
 		// Leaf-resident ANN kinds carry no candidate IDs: broadcast the
@@ -600,7 +598,7 @@ func DialClient(addr string, opts *rpc.ClientOptions) (*Client, error) {
 // Call: the request is encoded in a pooled encoder (the write queue has copied
 // the frame by the time Go returns) and the neighbors are decoded out of the
 // reply, so its buffer goes back to the pool with the call.
-func (c *Client) Search(query vec.Vector, k int) ([]Neighbor, error) {
+func (c *Client) Search(query []float32, k int) ([]Neighbor, error) {
 	e := wire.GetEncoder()
 	appendSearchRequest(e, query, k)
 	call := c.rpc.Go(MethodSearch, e.Bytes(), nil, nil)
@@ -616,13 +614,13 @@ func (c *Client) Search(query vec.Vector, k int) ([]Neighbor, error) {
 }
 
 // Go issues an asynchronous search (used by the load generators).
-func (c *Client) Go(query vec.Vector, k int, done chan *rpc.Call) *rpc.Call {
+func (c *Client) Go(query []float32, k int, done chan *rpc.Call) *rpc.Call {
 	return c.rpc.Go(MethodSearch, EncodeSearchRequest(query, k), nil, done)
 }
 
 // GoSpan issues an asynchronous search carrying a span context, tracing the
 // request end to end (used by sampling load generators).
-func (c *Client) GoSpan(query vec.Vector, k int, sc trace.SpanContext, done chan *rpc.Call) *rpc.Call {
+func (c *Client) GoSpan(query []float32, k int, sc trace.SpanContext, done chan *rpc.Call) *rpc.Call {
 	return c.rpc.GoSpan(MethodSearch, EncodeSearchRequest(query, k), sc, nil, done)
 }
 

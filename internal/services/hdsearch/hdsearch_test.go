@@ -9,9 +9,8 @@ import (
 
 	"musuite/internal/core"
 	"musuite/internal/dataset"
-	"musuite/internal/knn"
+	"musuite/internal/kernel"
 	"musuite/internal/trace"
-	"musuite/internal/vec"
 )
 
 func testCorpus(t *testing.T) *dataset.ImageCorpus {
@@ -42,7 +41,7 @@ func startShardedCluster(t *testing.T, corpus *dataset.ImageCorpus, shards int) 
 }
 
 func TestCodecsRoundTrip(t *testing.T) {
-	q := vec.Vector{1.5, -2, 0.25}
+	q := []float32{1.5, -2, 0.25}
 	b := EncodeSearchRequest(q, 7)
 	gq, k, err := DecodeSearchRequest(b)
 	if err != nil || k != 7 || len(gq) != 3 || gq[1] != -2 {
@@ -102,7 +101,7 @@ func TestEndToEndSearchExactTopK(t *testing.T) {
 				t.Fatalf("query %d: results unsorted", qi)
 			}
 			// Reported distance must match a recomputation.
-			want := vec.SquaredEuclidean(q, corpus.Vectors[got[i].PointID])
+			want := kernel.SquaredEuclidean(q, corpus.Vectors[got[i].PointID])
 			if diff := got[i].Distance - want; diff > 1e-3 || diff < -1e-3 {
 				t.Fatalf("query %d: distance %v, recomputed %v", qi, got[i].Distance, want)
 			}
@@ -155,7 +154,7 @@ func TestRecallAgainstBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		truth := knn.BruteForce(q, corpus.Vectors, 1)[0].ID
+		truth := kernel.BruteForce(q, corpus.Vectors, 1)[0].ID
 		if len(got) > 0 && got[0].PointID == truth {
 			hits++
 		}

@@ -10,7 +10,6 @@ import (
 	"musuite/internal/kdtree"
 	"musuite/internal/kernel"
 	"musuite/internal/kmeans"
-	"musuite/internal/vec"
 )
 
 // CandidateIndex is the mid-tier's pluggable candidate source: given a query
@@ -259,11 +258,11 @@ type indexRef struct {
 // shard-major and, within a shard, in ascending global-ID order, not row
 // order: a k-means seeding or a kd-tree split depends on the sequence it is
 // given, and the candidates named may not depend on a leaf's row layout.
-func flattenShards(shards []LeafData) ([]vec.Vector, []indexRef, error) {
+func flattenShards(shards []LeafData) ([][]float32, []indexRef, error) {
 	if len(shards) == 0 {
 		return nil, nil, errors.New("hdsearch: no shards")
 	}
-	var points []vec.Vector
+	var points [][]float32
 	var refs []indexRef
 	var byGlobal []uint64 // global<<32 | local
 	for s, shard := range shards {
@@ -273,7 +272,7 @@ func flattenShards(shards []LeafData) ([]vec.Vector, []indexRef, error) {
 		}
 		slices.Sort(byGlobal)
 		for _, w := range byGlobal {
-			points = append(points, vec.Vector(shard.Store.Row(int(uint32(w)))))
+			points = append(points, shard.Store.Row(int(uint32(w))))
 			refs = append(refs, indexRef{Shard: int32(s), PointID: uint32(w)})
 		}
 	}

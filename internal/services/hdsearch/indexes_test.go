@@ -5,7 +5,6 @@ import (
 
 	"musuite/internal/core"
 	"musuite/internal/kernel"
-	"musuite/internal/knn"
 )
 
 func startClusterWithIndex(t *testing.T, kind IndexKind) (*Cluster, *Client) {
@@ -44,7 +43,7 @@ func TestAllIndexKindsServeSearches(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				truth := knn.BruteForce(q, corpus.Vectors, 1)[0].ID
+				truth := kernel.BruteForce(q, corpus.Vectors, 1)[0].ID
 				if len(got) > 0 && got[0].PointID == truth {
 					hits++
 				}

@@ -11,9 +11,7 @@ import (
 	"musuite/internal/core"
 	"musuite/internal/dataset"
 	"musuite/internal/kernel"
-	"musuite/internal/knn"
 	"musuite/internal/telemetry"
-	"musuite/internal/vec"
 )
 
 // The row order of a leaf store (DESIGN §5.5 "Row order") is a layout, not a
@@ -27,7 +25,7 @@ func identityShards(t testing.TB, c *dataset.ImageCorpus, n int) []LeafData {
 	t.Helper()
 	out := make([]LeafData, n)
 	for s, ids := range c.Shard(n) {
-		vecs := make([]vec.Vector, len(ids))
+		vecs := make([][]float32, len(ids))
 		out[s].GlobalID = make([]uint32, len(ids))
 		for local, g := range ids {
 			vecs[local] = c.Vectors[g]
@@ -129,7 +127,7 @@ func listShape(ids []uint32, dim int) (runs, pages int) {
 }
 
 // shapeOf sums listShape over the LSH candidate lists of the queries.
-func shapeOf(t testing.TB, shards []LeafData, queries []vec.Vector) (rows, runs, pages int) {
+func shapeOf(t testing.TB, shards []LeafData, queries [][]float32) (rows, runs, pages int) {
 	t.Helper()
 	index, err := BuildIndex(shards, IndexConfig{Seed: 5})
 	if err != nil {
@@ -228,7 +226,7 @@ type orderedBench struct {
 	bits           int
 	stores         []*kernel.Store
 	planes         []*kernel.SplitStore
-	queries        []vec.Vector
+	queries        [][]float32
 	sets           [][]kernel.RowSet // [query][shard]
 	lists          [][][]uint32      // [query][shard]
 	rows, runs, pg int
@@ -291,7 +289,7 @@ func BenchmarkScanSubsetGather(b *testing.B) {
 			f := orderedFixture(b, bits)
 			tab := telemetry.NewTable(nil)
 			eng := kernel.New(kernel.Config{Parallelism: 1}).WithCounters(tab)
-			var dst []knn.Neighbor
+			var dst []kernel.Neighbor
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				set := i % len(f.lists)

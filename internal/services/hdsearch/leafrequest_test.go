@@ -13,7 +13,6 @@ import (
 
 	"musuite/internal/dataset"
 	"musuite/internal/kernel"
-	"musuite/internal/vec"
 	"musuite/internal/wire"
 )
 
@@ -115,7 +114,7 @@ func TestFillByShardSetsEveryBit(t *testing.T) {
 func TestLeafRequestRoundTrip(t *testing.T) {
 	prop := func(seed int64, k uint16) bool {
 		r := rand.New(rand.NewSource(seed))
-		q := make(vec.Vector, 1+r.Intn(64))
+		q := make([]float32, 1+r.Intn(64))
 		for i := range q {
 			q[i] = float32(r.NormFloat64())
 		}
@@ -144,7 +143,7 @@ func TestLeafRequestRoundTrip(t *testing.T) {
 func TestEncodeLeafRequestPacksAnyOrder(t *testing.T) {
 	in := []uint32{153, 53, 9, 153, 7, 9, 20000, 64}
 	keep := slices.Clone(in)
-	_, ids, _, err := DecodeLeafRequest(EncodeLeafRequest(vec.Vector{1, 2}, in, 3))
+	_, ids, _, err := DecodeLeafRequest(EncodeLeafRequest([]float32{1, 2}, in, 3))
 	if err != nil || !slices.Equal(ids, []uint32{7, 9, 53, 64, 153, 20000}) {
 		t.Fatalf("decoded %v, %v", ids, err)
 	}
@@ -252,7 +251,7 @@ func TestLeafRequestContract(t *testing.T) {
 
 // testLeaf is one shard of the test corpus in a leaf's scoring form, a query,
 // and every third row of the shard.
-func testLeaf(t *testing.T) (LeafData, vec.Vector, []uint32) {
+func testLeaf(t *testing.T) (LeafData, []float32, []uint32) {
 	t.Helper()
 	corpus := testCorpus(t)
 	data := ShardCorpus(corpus, 4)[0]
@@ -332,7 +331,7 @@ func TestLeafKNNAllocs(t *testing.T) {
 // — what it yields is strictly ascending, and the scoring call built on it
 // returns an answer or an error.
 func FuzzLeafRequestDecode(f *testing.F) {
-	q := vec.Vector{1, 2, 3, 4}
+	q := []float32{1, 2, 3, 4}
 	valid := EncodeLeafRequest(q, []uint32{0, 1, 7, 130, 20000}, 3)
 	head := EncodeLeafRequest(q, nil, 3)[:18] // k and the query
 	f.Add(valid)
@@ -375,7 +374,7 @@ func FuzzLeafRequestDecode(f *testing.F) {
 // about, one vector each, cycled to dim: signed zeros, denormals, signs that
 // cancel, norms that overflow, the largest finite values (rounding their upper
 // half carries into the Inf exponent), NaN, and ±Inf.
-func oddVectors(dim int) []vec.Vector {
+func oddVectors(dim int) [][]float32 {
 	tiny := math.Float32frombits(1)
 	kinds := [][]float32{
 		{0, float32(math.Copysign(0, -1))},
@@ -387,9 +386,9 @@ func oddVectors(dim int) []vec.Vector {
 		{float32(math.Inf(1)), float32(math.Inf(-1)), 0.5},
 		{1e-20, 1e20, -1},
 	}
-	out := make([]vec.Vector, len(kinds))
+	out := make([][]float32, len(kinds))
 	for i, vals := range kinds {
-		out[i] = make(vec.Vector, dim)
+		out[i] = make([]float32, dim)
 		for j := range out[i] {
 			out[i][j] = vals[(j+j/len(vals))%len(vals)]
 		}

@@ -16,7 +16,6 @@ import (
 	"musuite/internal/core"
 	"musuite/internal/dataset"
 	"musuite/internal/kernel"
-	"musuite/internal/knn"
 	"musuite/internal/matfac"
 	"musuite/internal/rpc"
 	"musuite/internal/trace"
@@ -181,7 +180,7 @@ func (lm *LeafModel) canRate(user, item int) bool {
 // a prediction (an exhaustive scan over the shard's latent user vectors).
 // The engine applies the known-users mask inline and excludes the query user
 // itself, so no per-request exclusion map is built.
-func (lm *LeafModel) neighborhood(user int) []knn.Neighbor {
+func (lm *LeafModel) neighborhood(user int) []kernel.Neighbor {
 	nbrs, err := lm.engine().CosineNeighbors(lm.users, user, lm.userKnown, lm.neighbors, nil)
 	if err != nil {
 		return nil
@@ -190,7 +189,7 @@ func (lm *LeafModel) neighborhood(user int) []knn.Neighbor {
 }
 
 // predictWith scores item from a precomputed neighborhood of user.
-func (lm *LeafModel) predictWith(neighbors []knn.Neighbor, user, item int) float64 {
+func (lm *LeafModel) predictWith(neighbors []kernel.Neighbor, user, item int) float64 {
 	var weighted, weights float64
 	for _, n := range neighbors {
 		sim := 1 - float64(n.Distance) // cosine similarity

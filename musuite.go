@@ -44,7 +44,6 @@ import (
 	"musuite/internal/stats"
 	"musuite/internal/telemetry"
 	"musuite/internal/topo"
-	"musuite/internal/vec"
 )
 
 // --- framework (paper §IV) ---
@@ -82,8 +81,8 @@ type (
 	// TelemetrySnapshot is a point-in-time copy of a counter table,
 	// indexed by Counter.
 	TelemetrySnapshot = telemetry.Snapshot
-	// KernelConfig tunes a leaf compute engine (scan parallelism, the
-	// reference-scalar switch).
+	// KernelConfig tunes a leaf compute engine: how many cores one scan
+	// may use.
 	KernelConfig = kernel.Config
 	// KernelEngine is the leaf compute engine: SoA vector stores,
 	// norm-trick distance kernels, intra-request parallel scans, and
@@ -178,7 +177,7 @@ type (
 	KVTrace            = dataset.KVTrace
 	KVTraceConfig      = dataset.KVTraceConfig
 	KVOp               = dataset.KVOp
-	Vector             = vec.Vector
+	Vector             = []float32
 )
 
 // Key-value operation kinds of the Router trace.
