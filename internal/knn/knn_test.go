@@ -1,38 +1,27 @@
 package knn
 
 import (
-	"math"
-	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
 
-	"musuite/internal/vec"
+	"musuite/internal/kernel"
 )
 
-func TestSelectBasics(t *testing.T) {
-	cands := []Neighbor{{ID: 1, Distance: 5}, {ID: 2, Distance: 1}, {ID: 3, Distance: 3}, {ID: 4, Distance: 2}}
-	got := Select(cands, 2)
-	if len(got) != 2 || got[0].ID != 2 || got[1].ID != 4 {
-		t.Fatalf("got %v", got)
+// selectTop is top-k selection as every caller now does it: offer each
+// candidate to a kernel.TopK bounded at k and drain it in order.
+func selectTop(cands []Neighbor, k int) []Neighbor {
+	top := kernel.NewTopK(k)
+	for _, c := range cands {
+		top.Consider(c.ID, c.Distance)
 	}
-	if got := Select(cands, 0); got != nil {
-		t.Fatalf("k=0 → %v", got)
-	}
-	if got := Select(nil, 3); len(got) != 0 {
-		t.Fatalf("empty candidates → %v", got)
-	}
-	// k larger than candidates returns everything sorted.
-	all := Select(cands, 10)
-	if len(all) != 4 || all[0].ID != 2 || all[3].ID != 1 {
-		t.Fatalf("got %v", all)
-	}
+	return top.AppendSorted(nil)
 }
 
 func TestSelectTieBreaksByID(t *testing.T) {
 	cands := []Neighbor{{ID: 9, Distance: 1}, {ID: 3, Distance: 1}, {ID: 7, Distance: 1}}
-	got := Select(cands, 2)
-	if got[0].ID != 3 || got[1].ID != 7 {
+	got := selectTop(cands, 2)
+	if len(got) != 2 || got[0].ID != 3 || got[1].ID != 7 {
 		t.Fatalf("tie-break wrong: %v", got)
 	}
 }
@@ -44,7 +33,7 @@ func TestSelectMatchesFullSort(t *testing.T) {
 		for i, r := range raw {
 			cands[i] = Neighbor{ID: uint32(i), Distance: float32(r % 1000)}
 		}
-		got := Select(cands, k)
+		got := selectTop(cands, k)
 
 		ref := make([]Neighbor, len(cands))
 		copy(ref, cands)
@@ -73,118 +62,19 @@ func TestSelectMatchesFullSort(t *testing.T) {
 	}
 }
 
-func TestBruteForce(t *testing.T) {
-	corpus := []vec.Vector{{0, 0}, {1, 0}, {0, 2}, {5, 5}}
-	got := BruteForce(vec.Vector{0.1, 0}, corpus, 2)
-	if len(got) != 2 || got[0].ID != 0 || got[1].ID != 1 {
-		t.Fatalf("got %v", got)
-	}
-}
-
 func TestSubsetRespectsIDListAndBounds(t *testing.T) {
-	corpus := []vec.Vector{{0, 0}, {1, 0}, {0, 2}, {5, 5}}
-	got := Subset(vec.Vector{0, 0}, corpus, []uint32{1, 3, 99}, 5)
+	s, err := kernel.BuildStore([][]float32{{0, 0}, {1, 0}, {0, 2}, {5, 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := kernel.Default().ScanSubset(s, []float32{0, 0}, []uint32{1, 3, 99}, 5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != 2 {
 		t.Fatalf("got %v (out-of-range ID not skipped?)", got)
 	}
 	if got[0].ID != 1 || got[1].ID != 3 {
 		t.Fatalf("got %v", got)
-	}
-}
-
-func TestMergeEqualsGlobalSelect(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	corpus := make([]vec.Vector, 200)
-	for i := range corpus {
-		corpus[i] = vec.Vector{rng.Float32(), rng.Float32(), rng.Float32()}
-	}
-	q := vec.Vector{0.5, 0.5, 0.5}
-	// Shard into 4 and take per-shard top-10, then merge.
-	const k = 10
-	var lists [][]Neighbor
-	for s := 0; s < 4; s++ {
-		var ids []uint32
-		for id := s; id < len(corpus); id += 4 {
-			ids = append(ids, uint32(id))
-		}
-		lists = append(lists, Subset(q, corpus, ids, k))
-	}
-	merged := Merge(lists, k)
-	exact := BruteForce(q, corpus, k)
-	if len(merged) != k {
-		t.Fatalf("merged len=%d", len(merged))
-	}
-	for i := range exact {
-		if merged[i] != exact[i] {
-			t.Fatalf("merge differs from brute force at %d: %v vs %v", i, merged[i], exact[i])
-		}
-	}
-}
-
-func TestMetrics(t *testing.T) {
-	a := vec.Vector{1, 0}
-	b := vec.Vector{0, 1}
-	if d := EuclideanMetric(a, b); d != 2 {
-		t.Errorf("euclidean=%v", d)
-	}
-	if d := EuclideanMetric(a, a); d != 0 {
-		t.Errorf("self euclidean=%v", d)
-	}
-	if d := CosineMetric(a, b); math.Abs(float64(d)-1) > 1e-6 {
-		t.Errorf("orthogonal cosine metric=%v", d)
-	}
-	if d := CosineMetric(a, vec.Vector{2, 0}); math.Abs(float64(d)) > 1e-6 {
-		t.Errorf("parallel cosine metric=%v", d)
-	}
-	if d := CosineMetric(a, vec.Vector{0, 0}); d != 1 {
-		t.Errorf("zero-vector cosine metric=%v", d)
-	}
-}
-
-func TestAllKNN(t *testing.T) {
-	points := []vec.Vector{
-		{0, 0},   // 0
-		{0.1, 0}, // 1 nearest to 0
-		{1, 1},   // 2
-		{5, 5},   // 3
-	}
-	got := AllKNN(points[0], points, 2, EuclideanMetric, map[int]bool{0: true})
-	if len(got) != 2 || got[0].ID != 1 || got[1].ID != 2 {
-		t.Fatalf("got %v", got)
-	}
-	// Without exclusion the query point itself wins at distance 0.
-	got = AllKNN(points[0], points, 1, EuclideanMetric, nil)
-	if got[0].ID != 0 {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func BenchmarkBruteForce10K(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	corpus := make([]vec.Vector, 10000)
-	for i := range corpus {
-		v := make(vec.Vector, 64)
-		for d := range v {
-			v[d] = rng.Float32()
-		}
-		corpus[i] = v
-	}
-	q := corpus[0]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BruteForce(q, corpus, 10)
-	}
-}
-
-func BenchmarkSelect1K(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	cands := make([]Neighbor, 1000)
-	for i := range cands {
-		cands[i] = Neighbor{ID: uint32(i), Distance: rng.Float32()}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Select(cands, 10)
 	}
 }
