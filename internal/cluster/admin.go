@@ -162,9 +162,36 @@ func ServeAdmin(topo *Topology, addr string) (*AdminServer, string, error) {
 	return a, bound, nil
 }
 
-// onRequest dispatches one admin RPC.  Drains block for up to their
-// deadline, so they move off the connection's reader goroutine.
+// onRequest dispatches one admin RPC and recycles the request once it is
+// answered.  Drains block for up to their deadline, so they move off the
+// connection's reader goroutine.
 func (a *AdminServer) onRequest(req *rpc.Request) {
+	if req.Method == MethodDrain {
+		go func() {
+			a.drain(req)
+			req.Recycle()
+		}()
+		return
+	}
+	a.serve(req)
+	req.Recycle()
+}
+
+// drain answers one drain RPC once the shard has drained or failed to.
+func (a *AdminServer) drain(req *rpc.Request) {
+	shard, deadline, err := DecodeDrainRequest(req.Payload)
+	if err == nil {
+		err = a.topo.DrainGroup(shard, deadline)
+	}
+	if err != nil {
+		req.ReplyError(err)
+		return
+	}
+	req.Reply(nil)
+}
+
+// serve answers every admin RPC but a drain, synchronously.
+func (a *AdminServer) serve(req *rpc.Request) {
 	switch req.Method {
 	case MethodTopology:
 		req.Reply(EncodeView(a.topo.View()))
@@ -180,19 +207,6 @@ func (a *AdminServer) onRequest(req *rpc.Request) {
 			return
 		}
 		req.Reply(EncodeShard(shard))
-	case MethodDrain:
-		shard, deadline, err := DecodeDrainRequest(req.Payload)
-		if err != nil {
-			req.ReplyError(err)
-			return
-		}
-		go func() {
-			if err := a.topo.DrainGroup(shard, deadline); err != nil {
-				req.ReplyError(err)
-				return
-			}
-			req.Reply(nil)
-		}()
 	case MethodRemove:
 		shard, err := DecodeShard(req.Payload)
 		if err != nil {

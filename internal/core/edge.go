@@ -196,8 +196,10 @@ type edgePin struct {
 
 // Edge resolves a named downstream edge for this request, pinning the edge's
 // topology snapshot on first use (the default edge reuses the pin taken at
-// arrival).  All pins release when the request finishes.
+// arrival).  All pins release when the request finishes; a named edge
+// resolved after that is an error, and pins nothing.
 func (c *Ctx) Edge(name string) (EdgeCtx, error) {
+	c.live()
 	m := c.mt
 	if name == "" || name == DefaultEdge {
 		return EdgeCtx{c: c, e: m.def, snap: c.snap}, nil
@@ -207,6 +209,10 @@ func (c *Ctx) Edge(name string) (EdgeCtx, error) {
 		return EdgeCtx{}, fmt.Errorf("core: no edge %q", name)
 	}
 	c.pinMu.Lock()
+	if c.swept {
+		c.pinMu.Unlock()
+		return EdgeCtx{}, fmt.Errorf("core: edge %q resolved after the request was answered", name)
+	}
 	for _, p := range c.pins {
 		if p.e == e {
 			c.pinMu.Unlock()
@@ -221,16 +227,21 @@ func (c *Ctx) Edge(name string) (EdgeCtx, error) {
 
 // Shard maps a key hash to a downstream shard using the edge's routing
 // strategy, against the pinned snapshot.
-func (ec EdgeCtx) Shard(hash uint64) int { return ec.snap.Shard(hash) }
+func (ec EdgeCtx) Shard(hash uint64) int {
+	ec.c.live()
+	return ec.snap.Shard(hash)
+}
 
 // Fanout asynchronously issues calls to this edge's shards and invokes merge
 // with all results once the last response arrives — Ctx.Fanout, on a named
 // edge, under the edge's timeout/tail/batch policy.
 func (ec EdgeCtx) Fanout(calls []LeafCall, merge func([]LeafResult)) {
+	ec.c.live()
 	ec.c.fanoutOn(ec.e, ec.snap, calls, merge)
 }
 
 // FanoutAll broadcasts one payload to every shard of this edge.
 func (ec EdgeCtx) FanoutAll(method string, payload []byte, merge func([]LeafResult)) {
+	ec.c.live()
 	ec.c.fanoutAllOn(ec.e, ec.snap, method, payload, merge)
 }

@@ -138,6 +138,7 @@ func (l *Leaf) Close() {
 func (l *Leaf) onRequest(req *rpc.Request) {
 	if req.Method == StatsMethod {
 		req.Reply(encodeTierStats(l.Stats()))
+		req.Recycle()
 		return
 	}
 	fn := l.runFn
@@ -165,6 +166,7 @@ func (l *Leaf) onRequest(req *rpc.Request) {
 		// client span has the shed under it.  (A carrier is untraced; its
 		// members' contexts are inside the payload the shed never decodes.)
 		l.recordServerSpan(req.TraceContext(), req.Method, req, err, false)
+		req.Recycle()
 	}
 }
 
@@ -186,6 +188,7 @@ func (l *Leaf) runScalar(a any) {
 		req.Reply(e.Bytes())
 	}
 	l.recordServerSpan(req.TraceContext(), req.Method, req, err, false)
+	req.Recycle()
 }
 
 // recordServerSpan emits the leaf's server span for one sampled request:
@@ -255,6 +258,7 @@ func (l *Leaf) runBatchTask(a any) {
 	if err != nil {
 		l.running.Add(-1)
 		req.ReplyError(err)
+		req.Recycle()
 		return
 	}
 	// Each member is encoded on its own so a handler that fails or panics
@@ -279,6 +283,7 @@ func (l *Leaf) runBatchTask(a any) {
 			l.recordServerSpan(sc.spans[i], sc.methods[i], req, nil, true)
 		}
 	}
+	req.Recycle()
 }
 
 // runOne guards one execution of the handler (a plain request or a batch

@@ -188,7 +188,6 @@ func NewMidTier(handler Handler, opts *Options) *MidTier {
 		m.admit = newAdmitController(o.Admit, m.counters)
 	}
 	m.handleFn = func(a any) {
-		defer m.running.Add(-1)
 		ctx := a.(*Ctx)
 		if m.admit != nil && m.admit.doomed(ctx.Req.Arrival) {
 			// Deadline-aware shed at worker pickup: the queue wait has
@@ -196,10 +195,12 @@ func NewMidTier(handler Handler, opts *Options) *MidTier {
 			// time, so reject instead of burning a worker on doomed work.
 			ctx.shed = true
 			ctx.ReplyError(rpc.Overloadf("deadline: remaining budget below tracked p99 service time"))
-			return
+		} else {
+			ctx.tr.Stamp(trace.StageWorkerStart)
+			m.handler(ctx)
 		}
-		ctx.tr.Stamp(trace.StageWorkerStart)
-		m.handler(ctx)
+		m.running.Add(-1)
+		ctx.drop(1) // the handler hold
 	}
 	m.server = rpc.NewServer(m.onRequest, &rpc.ServerOptions{Probe: o.Probe})
 	m.def = m.newEdge(DefaultEdge, o.EdgePolicy)
@@ -287,6 +288,7 @@ func (m *MidTier) Close() {
 func (m *MidTier) onRequest(req *rpc.Request) {
 	if req.Method == StatsMethod {
 		req.Reply(encodeTierStats(m.Stats()))
+		req.Recycle()
 		return
 	}
 	// Priority is classified before admission so the controller's
@@ -309,6 +311,7 @@ func (m *MidTier) onRequest(req *rpc.Request) {
 		// snapshot pin, payload copy, or worker wakeup is spent on a
 		// request the tier cannot absorb.
 		m.shed(req, span, rpc.Overloadf("admission limit"))
+		req.Recycle()
 		return
 	}
 	// The request pins the topology snapshot it arrived under: every
@@ -316,7 +319,8 @@ func (m *MidTier) onRequest(req *rpc.Request) {
 	// hedges, retries) resolves against this one epoch, and a concurrent
 	// drain waits for the pin before closing anything the request may
 	// still call.  Released in finish (or below if dispatch sheds it).
-	ctx := &Ctx{Req: req, mt: m, snap: m.def.topo.Acquire(), admitted: m.admit != nil, span: span}
+	ctx := getCtx()
+	ctx.Req, ctx.mt, ctx.snap, ctx.admitted, ctx.span = req, m, m.def.topo.Acquire(), m.admit != nil, span
 	if span.Sampled() {
 		ctx.tr = trace.NewStamps(req.Arrival)
 	}
@@ -328,6 +332,7 @@ func (m *MidTier) onRequest(req *rpc.Request) {
 		ctx.tr.Stamp(trace.StageWorkerStart)
 		m.handler(ctx)
 		m.running.Add(-1)
+		ctx.drop(1) // the handler hold
 		return
 	}
 	handoffStart := m.probe.Start()
@@ -346,13 +351,15 @@ func (m *MidTier) onRequest(req *rpc.Request) {
 		}
 		m.shed(req, span, err)
 		// Shed before the handler ever ran: release the pin (and the
-		// admission slot, without feeding the latency signal) directly —
-		// not via finish, which would count the request as served.
+		// admission slot, without feeding the latency signal) and both the
+		// handler's and the reply's holds directly — not via finish, which
+		// would count the request as served.
 		m.running.Add(-1)
 		ctx.snap.Release()
 		if ctx.admitted {
 			m.admit.cancel()
 		}
+		ctx.drop(2)
 		return
 	}
 	// The poller's hand-off cost before it re-enters its blocking read —
@@ -409,6 +416,20 @@ type LeafResult struct {
 }
 
 // Ctx is the per-request context handed to the mid-tier handler.
+//
+// Contexts are pooled, and a Ctx returns to its pool — taking its Req back
+// to the server's — when the last of its holds drops:
+//
+//   - the handler's, dropped when the handler returns;
+//   - the reply's, dropped once the reply is written and finish has run;
+//   - one per fan-out, dropped right after that fan-out's merge returns.
+//
+// So anything that touches the Ctx after the handler returns is covered by
+// an unsent reply or a fan-out whose merge has not returned.  A timer or
+// goroutine that may run after both must not keep the Ctx (nor an EdgeCtx,
+// nor Req): it may by then be serving another request.  In a musuite_debug
+// build a returned Ctx is marked dead instead, and any later method call on
+// it panics.
 type Ctx struct {
 	// Req is the originating front-end request.
 	Req *rpc.Request
@@ -435,30 +456,111 @@ type Ctx struct {
 	enc *wire.Encoder
 
 	// pins tracks the non-default edge snapshots this request pinned via
-	// Edge, released in finish.  Guarded by pinMu: a multi-stage handler
-	// may resolve edges from concurrent merge callbacks.
+	// Edge, released in finish; swept marks that finish has taken them, after
+	// which Edge pins nothing.  Guarded by pinMu: a multi-stage handler may
+	// resolve edges from concurrent merge callbacks.
 	pinMu sync.Mutex
 	pins  []edgePin
+	swept bool
+
+	// holds counts the parties that may still touch the Ctx (see the type's
+	// doc); the last to drop returns it.  dead marks a returned Ctx in a
+	// musuite_debug build, which never reuses one.
+	holds atomic.Int32
+	dead  bool
+}
+
+// ctxPool recycles request contexts; see Ctx.
+var ctxPool sync.Pool
+
+// loudPools is rpc.LoudPools: in a musuite_debug build a returned context is
+// marked dead instead of pooled, and its methods panic.
+const loudPools = rpc.LoudPools
+
+// contextsInUse counts the contexts taken and not yet returned, in a
+// musuite_debug build.
+var contextsInUse atomic.Int64
+
+// ContextsInUse reports how many request contexts are taken and not yet
+// returned, process-wide.  It counts only in a musuite_debug build (and is
+// zero otherwise).  A context returns a moment after its reply — on whichever
+// thread drops its last hold — so a test waits for the count to fall back
+// rather than reading it once.
+func ContextsInUse() int64 { return contextsInUse.Load() }
+
+// getCtx returns a zeroed context holding the handler's and the reply's holds.
+func getCtx() *Ctx {
+	var c *Ctx
+	if loudPools {
+		contextsInUse.Add(1)
+	} else {
+		c, _ = ctxPool.Get().(*Ctx)
+	}
+	if c == nil {
+		c = new(Ctx)
+	}
+	c.holds.Store(2)
+	return c
+}
+
+// drop releases n holds.  The last returns what the context still holds —
+// the encoder of a handler that never fanned out — clears it, pools it and
+// recycles its Req.
+func (c *Ctx) drop(n int32) {
+	left := c.holds.Add(-n)
+	if left > 0 {
+		return
+	}
+	if loudPools && left < 0 {
+		panic("core: Ctx hold dropped twice")
+	}
+	req := c.Req
+	wire.PutEncoder(c.enc)
+	if loudPools {
+		c.dead = true
+		contextsInUse.Add(-1)
+		req.Recycle()
+		return
+	}
+	pins := c.pins
+	clear(pins)
+	*c = Ctx{pins: pins[:0]}
+	ctxPool.Put(c)
+	req.Recycle()
+}
+
+// live panics, in a musuite_debug build, on a context already returned.
+func (c *Ctx) live() {
+	if loudPools && c.dead {
+		panic("core: Ctx used after its last hold dropped")
+	}
 }
 
 // NumLeaves reports the fan-out width available to this request.  It is
 // stable for the request's lifetime even while the cluster resizes: the
 // value comes from the snapshot pinned at arrival.
-func (c *Ctx) NumLeaves() int { return c.snap.NumLeaves() }
+func (c *Ctx) NumLeaves() int {
+	c.live()
+	return c.snap.NumLeaves()
+}
 
 // Snapshot is the topology snapshot pinned for this request — handlers that
 // make several placement decisions (a route computed here, a shard read
 // there) take it once so all of them agree on one epoch.
-func (c *Ctx) Snapshot() *cluster.Snapshot { return c.snap }
+func (c *Ctx) Snapshot() *cluster.Snapshot {
+	c.live()
+	return c.snap
+}
 
 // LeafEncoder returns a pooled encoder for the payloads of the request's next
 // fan-out: the handler encodes its leaf requests into it and passes slices of
 // its Bytes as LeafCall payloads.  The fan-out owns the encoder from Fanout on
 // (the next call returns a fresh one) and returns it to its pool when no hedge
 // timer, retry or batch queue can still send a slot; a request that never fans
-// out returns it when it finishes.  It is for the one flow of control that
+// out returns it with its context.  It is for the one flow of control that
 // goes on to issue that fan-out: concurrent branches encode on their own.
 func (c *Ctx) LeafEncoder() *wire.Encoder {
+	c.live()
 	if c.enc == nil {
 		c.enc = wire.GetEncoder()
 	}
@@ -467,6 +569,7 @@ func (c *Ctx) LeafEncoder() *wire.Encoder {
 
 // Reply completes the request successfully.
 func (c *Ctx) Reply(payload []byte) {
+	c.live()
 	if c.claim() {
 		c.Req.Reply(payload)
 		c.finish()
@@ -475,6 +578,7 @@ func (c *Ctx) Reply(payload []byte) {
 
 // ReplyError completes the request with an error.
 func (c *Ctx) ReplyError(err error) {
+	c.live()
 	if !c.claim() {
 		return
 	}
@@ -497,13 +601,13 @@ func (c *Ctx) claim() bool {
 }
 
 // finish runs after the reply is written: it releases the topology pins and
-// the admission slot, and records a sampled request's server span.
+// the admission slot, records a sampled request's server span, and drops the
+// reply's hold.
 func (c *Ctx) finish() {
 	c.snap.Release()
-	wire.PutEncoder(c.enc) // nil unless the handler took one and never fanned out
 	c.pinMu.Lock()
+	c.swept = true // no later Edge appends: pins is finish's alone
 	pins := c.pins
-	c.pins = nil
 	c.pinMu.Unlock()
 	for _, p := range pins {
 		p.snap.Release()
@@ -515,14 +619,15 @@ func (c *Ctx) finish() {
 			c.mt.admit.release(time.Since(c.Req.Arrival))
 		}
 	}
-	if c.tr == nil {
-		return
+	if c.tr != nil {
+		// Every other stamp happens-before this one (Enqueued before the
+		// worker hand-off, FanoutIssued before the first attempt is sent, the
+		// last response before the merge that replied), so the record is
+		// complete.
+		c.tr.Stamp(trace.StageReplySent)
+		c.mt.recordServerSpan(c.span, c.Req, c.tr.At(trace.StageReplySent), c.errText, c.tr.Stages())
 	}
-	// Every other stamp happens-before this one (Enqueued before the worker
-	// hand-off, FanoutIssued before the first attempt is sent, the last
-	// response before the merge that replied), so the record is complete.
-	c.tr.Stamp(trace.StageReplySent)
-	c.mt.recordServerSpan(c.span, c.Req, c.tr.At(trace.StageReplySent), c.errText, c.tr.Stages())
+	c.drop(1) // the reply hold
 }
 
 // recordServerSpan emits this tier's server span for one sampled request:
@@ -551,6 +656,7 @@ func (m *MidTier) recordServerSpan(span trace.SpanContext, req *rpc.Request, dur
 // the §IV asynchronous design.  merge runs on a response thread (or, for an
 // empty call list, synchronously) and must call Reply/ReplyError.
 func (c *Ctx) Fanout(calls []LeafCall, merge func([]LeafResult)) {
+	c.live()
 	c.fanoutOn(c.mt.def, c.snap, calls, merge)
 }
 
@@ -571,6 +677,7 @@ func (c *Ctx) fanoutOn(e *edge, snap *cluster.Snapshot, calls []LeafCall, merge 
 // FanoutAll broadcasts one payload to every leaf shard.  The calls are
 // synthesized straight into the fan-out's slots — no LeafCall slice.
 func (c *Ctx) FanoutAll(method string, payload []byte, merge func([]LeafResult)) {
+	c.live()
 	c.fanoutAllOn(c.mt.def, c.snap, method, payload, merge)
 }
 
@@ -855,6 +962,9 @@ var ErrFanoutTimeout = errors.New("core: leaf response timed out")
 // depends on the pool.
 type fanout struct {
 	mt *MidTier
+	// ctx is the request the fan-out holds (one Ctx hold) until its merge
+	// returns.
+	ctx *Ctx
 	// e is the edge this fan-out issues on: its policy governs timeout,
 	// hedging, retries, and batching, and its digest absorbs the latency
 	// observations.
@@ -903,6 +1013,8 @@ var fanoutPool = sync.Pool{New: func() any { return new(fanout) }}
 // getFanout readies a pooled fan-out of request c for n slots.
 func getFanout(c *Ctx, e *edge, snap *cluster.Snapshot, n int, merge func([]LeafResult)) *fanout {
 	f := fanoutPool.Get().(*fanout)
+	c.holds.Add(1)
+	f.ctx = c
 	f.mt = e.mt
 	f.e = e
 	f.snap = snap
@@ -941,6 +1053,7 @@ func (f *fanout) unref() {
 // has resolved, so nothing can reach the slots anymore.
 func (f *fanout) recycle() {
 	f.mt = nil
+	f.ctx = nil
 	f.e = nil
 	f.snap = nil
 	f.merge = nil
@@ -1188,7 +1301,8 @@ func (f *fanout) deliverSlot(slot *fanoutSlot, res LeafResult, winner *rpc.Call)
 			b.Release()
 			f.bufs[i] = nil
 		}
-		f.unref() // the merge hold
+		f.ctx.drop(1) // the request's hold
+		f.unref()     // the merge hold
 	}
 }
 

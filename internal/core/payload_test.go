@@ -109,7 +109,7 @@ func TestInlinePayloadSurvivesNextFrame(t *testing.T) {
 	for _, mode := range []DispatchMode{Inline, DispatchAuto} {
 		for _, v := range variants {
 			t.Run(mode.String()+"/"+v.name, func(t *testing.T) {
-				bufsBefore := rpc.BufsInUse()
+				bufsBefore, pooled := rpc.BufsInUse(), pooledNow()
 
 				var mu sync.Mutex
 				var seen []string
@@ -205,6 +205,7 @@ func TestInlinePayloadSurvivesNextFrame(t *testing.T) {
 				// buffer (the proxies' connections unwind on their own
 				// goroutines, hence the wait).
 				waitFor(t, "every frame buffer to be returned", func() bool { return rpc.BufsInUse() <= bufsBefore })
+				waitPooledBack(t, pooled)
 			})
 		}
 	}
@@ -266,7 +267,7 @@ func TestFanoutOwnsEncodedPayloads(t *testing.T) {
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			bufsBefore, encsBefore := rpc.BufsInUse(), wire.EncodersInUse()
+			bufsBefore, encsBefore, pooled := rpc.BufsInUse(), wire.EncodersInUse(), pooledNow()
 
 			var mu sync.Mutex
 			arrivals := make(map[[2]uint32]int) // (request, shard) → copies received
@@ -377,6 +378,7 @@ func TestFanoutOwnsEncodedPayloads(t *testing.T) {
 			}
 			waitFor(t, "every frame buffer to be returned", func() bool { return rpc.BufsInUse() <= bufsBefore })
 			waitFor(t, "every encoder to be returned", func() bool { return wire.EncodersInUse() <= encsBefore })
+			waitPooledBack(t, pooled)
 		})
 	}
 }

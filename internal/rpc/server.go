@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"musuite/internal/telemetry"
@@ -14,6 +15,10 @@ import (
 // goroutine that read the frame hands the Request to the server's handler;
 // Reply and ReplyError may be called later from any goroutine — there is no
 // thread↔RPC affinity, matching μSuite's asynchronous design.
+//
+// Requests are pooled.  Payload is valid until Reply; the Request until its
+// owner recycles it (Recycle).  A handler that never recycles leaves the
+// Request to the collector.
 type Request struct {
 	// Method names the remote procedure.
 	Method string
@@ -40,13 +45,66 @@ type Request struct {
 	spanID     uint64
 	traceFlags uint8
 	replied    bool
+	dead       bool // recycled, in a musuite_debug build (which never reuses one)
 	buf        *Buf // backs Payload; released once the reply is on the write path
+}
+
+// requestPool recycles Requests across frames; see Recycle.
+var requestPool sync.Pool
+
+// requestsInUse counts the Requests handed to handlers and not yet recycled,
+// in a musuite_debug build.
+var requestsInUse atomic.Int64
+
+// RequestsInUse reports how many Requests have been handed to handlers and
+// not recycled, process-wide.  It counts only in a musuite_debug build (and
+// is zero otherwise): a closed deployment whose handlers all recycle holds
+// none, so tests assert the count returns to where it started.
+func RequestsInUse() int64 { return requestsInUse.Load() }
+
+// getRequest returns a zeroed Request, pooled unless pools are loud.
+func getRequest() *Request {
+	if LoudPools {
+		requestsInUse.Add(1)
+		return new(Request)
+	}
+	if r, _ := requestPool.Get().(*Request); r != nil {
+		return r
+	}
+	return new(Request)
+}
+
+// Recycle returns the Request to the server's pool.  It is the owner's last
+// touch: after the reply, and after every read of the Request's fields
+// (Method, Arrival and TraceContext included).  A payload hold taken with
+// HoldPayload outlives it.  In a musuite_debug build the Request is marked
+// dead instead of pooled, and any later method call on it panics.
+func (r *Request) Recycle() {
+	r.live()
+	if LoudPools {
+		if !r.replied {
+			panic("rpc: Request recycled before its reply")
+		}
+		r.dead = true
+		requestsInUse.Add(-1)
+		return
+	}
+	*r = Request{}
+	requestPool.Put(r)
+}
+
+// live panics, in a musuite_debug build, on a Request already recycled.
+func (r *Request) live() {
+	if LoudPools && r.dead {
+		panic("rpc: Request used after Recycle")
+	}
 }
 
 // TraceContext returns the caller's span context as carried on the frame:
 // the context of the CLIENT span that issued this RPC.  A server records
 // its own span as TraceContext().Child().  Zero for untraced requests.
 func (r *Request) TraceContext() trace.SpanContext {
+	r.live()
 	return trace.SpanContext{TraceID: r.traceID, SpanID: r.spanID, Flags: r.traceFlags}
 }
 
@@ -56,6 +114,7 @@ func (r *Request) TraceContext() trace.SpanContext {
 // immediately reuse (or recycle) its storage — and may pass a reply that
 // aliases the request's Payload, which dies only after that copy.
 func (r *Request) Reply(payload []byte) {
+	r.live()
 	if r.replied {
 		return
 	}
@@ -67,6 +126,7 @@ func (r *Request) Reply(payload []byte) {
 // kindReject frame so the client can distinguish a deliberate shed from an
 // application failure; everything else is a kindError.
 func (r *Request) ReplyError(err error) {
+	r.live()
 	if r.replied {
 		return
 	}
@@ -93,6 +153,7 @@ func (r *Request) finish() {
 // is dead by then (a nil *Buf is safe to Release).  Like Reply, it is for
 // the goroutine that currently owns the request.
 func (r *Request) HoldPayload() *Buf {
+	r.live()
 	if r.replied || r.buf == nil {
 		return nil
 	}
@@ -102,7 +163,8 @@ func (r *Request) HoldPayload() *Buf {
 
 // Handler processes one request.  It runs on the network poller goroutine of
 // the connection that received the frame, and may reply there or hand the
-// request on; frames behind this one are read once it returns.
+// request on; frames behind this one are read once it returns.  Whoever
+// touches the request last may Recycle it.
 type Handler func(*Request)
 
 // ServerOptions configures a Server.
@@ -244,7 +306,8 @@ func (sc *serverConn) onFrame(f *frame, backlogged bool) {
 	if f.kind != kindRequest && f.kind != kindRequestTraced {
 		return // tolerate stray frames
 	}
-	sc.srv.handler(&Request{
+	r := getRequest()
+	*r = Request{
 		Method:     f.method,
 		Payload:    f.payload,
 		Arrival:    time.Now(),
@@ -255,7 +318,8 @@ func (sc *serverConn) onFrame(f *frame, backlogged bool) {
 		spanID:     f.sc.SpanID,
 		traceFlags: f.sc.Flags,
 		buf:        f.take(),
-	})
+	}
+	sc.srv.handler(r)
 }
 
 // send queues one response frame: concurrent response threads append under a
