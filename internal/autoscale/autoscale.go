@@ -1,7 +1,7 @@
 // Package autoscale closes the control loop the paper's §V saturation
 // methodology leaves open: it watches a mid-tier's operational counters
-// (core.TierStats — queue depth, shed deltas, the admission controller's
-// p99 service-time estimate) and grows or shrinks the leaf topology through
+// (core.TierStats — queue depth and the admission controller's shed
+// deltas) and grows or shrinks the leaf topology through
 // the PR 4 admin surface (AddGroup/DrainGroup) in response.  Hysteresis —
 // N consecutive breach polls before acting — and a post-action cooldown
 // keep the loop from flapping on transient bursts, the failure mode that
@@ -46,6 +46,10 @@ func (f Funcs) ScaleUp() (int, error) { return f.UpFn() }
 // ScaleDown implements Target.
 func (f Funcs) ScaleDown() error { return f.DownFn() }
 
+// upQueueDepth marks a poll hot when the dispatch queue is at least this
+// deep.  Sheds since the previous poll always mark it hot.
+const upQueueDepth = 4
+
 // Config tunes the control loop.  The zero value gets workable defaults:
 // 250ms polls, 4-poll cooldown, scale up after 2 consecutive hot polls,
 // down after 8 consecutive cold ones.
@@ -60,13 +64,6 @@ type Config struct {
 	// (resp. cold) polls required before acting (defaults 2 and 8 —
 	// shrinking is cheaper to delay than growing).
 	UpAfter, DownAfter int
-	// UpQueueDepth marks a poll hot when the dispatch queue is at least
-	// this deep (default 4).  Sheds since the previous poll always mark
-	// it hot.
-	UpQueueDepth int
-	// UpP99 marks a poll hot when the tracked p99 service time reaches
-	// it (0 = ignore the latency signal).
-	UpP99 time.Duration
 	// MinLeaves and MaxLeaves bound the capacity the loop may reach.
 	// MaxLeaves 0 means "whatever the target can provide".
 	MinLeaves, MaxLeaves int
@@ -87,9 +84,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DownAfter <= 0 {
 		c.DownAfter = 8
-	}
-	if c.UpQueueDepth <= 0 {
-		c.UpQueueDepth = 4
 	}
 	if c.MinLeaves <= 0 {
 		c.MinLeaves = 1
@@ -228,27 +222,19 @@ func (a *Autoscaler) Poll() {
 	// Shed deltas: any typed shed since the last poll is the strongest
 	// "out of capacity" signal — the admission controller is refusing
 	// work the cluster should be absorbing.
-	shed := st.Shed + st.ShedLimit + st.ShedDeadline
 	shedDelta := uint64(0)
-	if a.havePrev && shed >= a.prevShed {
-		shedDelta = shed - a.prevShed
+	if a.havePrev && st.ShedLimit >= a.prevShed {
+		shedDelta = st.ShedLimit - a.prevShed
 	}
-	a.prevShed = shed
+	a.prevShed = st.ShedLimit
 	a.havePrev = true
 
-	hot := shedDelta > 0 || st.QueueDepth >= a.cfg.UpQueueDepth ||
-		(a.cfg.UpP99 > 0 && st.AdmitP99 >= a.cfg.UpP99)
-	cold := shedDelta == 0 && st.QueueDepth == 0 &&
-		(a.cfg.UpP99 <= 0 || st.AdmitP99 < a.cfg.UpP99/2)
+	hot := shedDelta > 0 || st.QueueDepth >= upQueueDepth
+	cold := shedDelta == 0 && st.QueueDepth == 0
 
-	reason := ""
-	switch {
-	case shedDelta > 0:
+	reason := "queue-depth"
+	if shedDelta > 0 {
 		reason = "sheds"
-	case st.QueueDepth >= a.cfg.UpQueueDepth:
-		reason = "queue-depth"
-	case hot:
-		reason = "p99"
 	}
 
 	if hot {

@@ -67,7 +67,7 @@ func (f *fakeTarget) ScaleDown() error {
 // consecutive hot polls must.
 func TestHysteresisDelaysScaleUp(t *testing.T) {
 	ft := &fakeTarget{leaves: 2}
-	a := New(ft, Config{UpAfter: 3, DownAfter: 100, UpQueueDepth: 4, MinLeaves: 2})
+	a := New(ft, Config{UpAfter: 3, DownAfter: 100, MinLeaves: 2})
 
 	hot := core.TierStats{QueueDepth: 10}
 	cold := core.TierStats{}
@@ -98,7 +98,7 @@ func TestHysteresisDelaysScaleUp(t *testing.T) {
 func TestCooldownHoldsActions(t *testing.T) {
 	ft := &fakeTarget{leaves: 1}
 	a := New(ft, Config{
-		UpAfter: 1, DownAfter: 100, UpQueueDepth: 4,
+		UpAfter: 1, DownAfter: 100,
 		Cooldown: 50 * time.Millisecond, MinLeaves: 1,
 	})
 	ft.set(core.TierStats{QueueDepth: 10})
@@ -142,7 +142,7 @@ func TestScaleDownRespectsMinLeaves(t *testing.T) {
 // *growing* count marks a poll hot.
 func TestShedDeltaTriggers(t *testing.T) {
 	ft := &fakeTarget{leaves: 1}
-	a := New(ft, Config{UpAfter: 2, DownAfter: 100, UpQueueDepth: 1000, MinLeaves: 1})
+	a := New(ft, Config{UpAfter: 2, DownAfter: 100, MinLeaves: 1})
 	// A large but static shed count (accumulated before the loop began)
 	// must not trigger.
 	ft.set(core.TierStats{ShedLimit: 500})

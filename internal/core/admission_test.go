@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -52,9 +53,7 @@ func startAdmitMidTier(t *testing.T, pol AdmitPolicy, opts Options, work time.Du
 // overload errors (never plain failures), successes must still flow, and
 // the stats counters must account for every outcome.
 func TestAdmitLimitShedsTyped(t *testing.T) {
-	c := startAdmitMidTier(t, AdmitPolicy{
-		MaxInflight: 1, InitInflight: 1, MinInflight: 1,
-	}, Options{Workers: 2, Dispatch: Dispatched}, 2*time.Millisecond)
+	c := startAdmitMidTier(t, AdmitPolicy{MaxInflight: 1}, Options{Workers: 2, Dispatch: Dispatched}, 2*time.Millisecond)
 
 	const callers = 8
 	var ok, shed, other atomic.Uint64
@@ -94,83 +93,19 @@ func TestAdmitLimitShedsTyped(t *testing.T) {
 		t.Fatalf("stats: admitted=%d shedLimit=%d", st.Admitted, st.ShedLimit)
 	}
 	if st.AdmitLimit < 1 {
-		t.Fatalf("limit gauge %d below MinInflight", st.AdmitLimit)
-	}
-}
-
-// TestAdmitDeadlineShed sets a deadline smaller than the handler's service
-// time: once the p99 estimate exists, dispatched requests whose remaining
-// budget cannot cover it are shed typed at worker pickup.
-func TestAdmitDeadlineShed(t *testing.T) {
-	c := startAdmitMidTier(t, AdmitPolicy{
-		MaxInflight: 64, Deadline: 500 * time.Microsecond,
-	}, Options{Workers: 1, Dispatch: Dispatched}, 2*time.Millisecond)
-
-	// Concurrent bursts make queue wait exceed the 500µs budget.
-	var shed atomic.Uint64
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 25; j++ {
-				if _, err := c.Call("q", []byte("x")); rpc.IsOverload(err) {
-					shed.Add(1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	st, err := QueryStats(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.ShedDeadline == 0 {
-		t.Fatalf("no deadline sheds (typed sheds seen: %d, stats: %+v)", shed.Load(), st)
-	}
-}
-
-// TestAdmitPriorityHeadroom exercises the controller directly: with the
-// normal-priority limit full, high-priority requests still fit in the
-// headroom, so overload sheds normal traffic first.
-func TestAdmitPriorityHeadroom(t *testing.T) {
-	a := newAdmitController(AdmitPolicy{
-		MaxInflight: 100, InitInflight: 10, PriorityHeadroom: 0.5,
-	}, nil)
-	for i := 0; i < 10; i++ {
-		if !a.acquire(PriorityNormal) {
-			t.Fatalf("acquire %d within limit shed", i)
-		}
-	}
-	if a.acquire(PriorityNormal) {
-		t.Fatal("normal admitted past the limit")
-	}
-	for i := 0; i < 5; i++ {
-		if !a.acquire(PriorityHigh) {
-			t.Fatalf("high-priority acquire %d within headroom shed", i)
-		}
-	}
-	if a.acquire(PriorityHigh) {
-		t.Fatal("high-priority admitted past limit+headroom")
-	}
-	for i := 0; i < 15; i++ {
-		a.cancel()
-	}
-	if got := a.currentInflight(); got != 0 {
-		t.Fatalf("inflight %d after full release", got)
+		t.Fatalf("limit gauge %d below the floor of 1", st.AdmitLimit)
 	}
 }
 
 // TestAIMDConvergence checks both directions of the control law: latencies
 // riding at the floor grow the limit to MaxInflight; latencies far above
-// the established floor collapse it toward MinInflight — and never below.
+// the established floor collapse it toward the floor of 1 — and never below.
 func TestAIMDConvergence(t *testing.T) {
-	a := newAdmitController(AdmitPolicy{
-		MaxInflight: 32, InitInflight: 4, MinInflight: 1, Tolerance: 2,
-	}, nil)
+	a := newAdmitController(AdmitPolicy{MaxInflight: 32}, nil)
+	a.setLimit(4)
 	feed := func(d time.Duration, n int) {
 		for i := 0; i < n; i++ {
-			if a.acquire(PriorityNormal) {
+			if a.acquire() {
 				a.release(d)
 			}
 		}
@@ -181,7 +116,7 @@ func TestAIMDConvergence(t *testing.T) {
 	if got := a.currentLimit(); got != 32 {
 		t.Fatalf("limit %d after low-latency regime, want 32", got)
 	}
-	// 10× the floor with tolerance 2: multiplicative decrease to the min.
+	// 10× the floor: multiplicative decrease to the min.
 	feed(10*time.Millisecond, 64*64)
 	if got := a.currentLimit(); got != 1 {
 		t.Fatalf("limit %d after overload regime, want 1", got)
@@ -193,20 +128,65 @@ func TestAIMDConvergence(t *testing.T) {
 	}
 }
 
+// TestAIMDTrajectoryGolden pins the controller's fixed parameters — starting
+// limit 16, floor 1, tolerance 2.0, slack 1 ms — by the limit it reaches after
+// every window of seeded latencies.  At a 1 ms floor the latencies ride at the
+// floor, at 10× it, and at the floor again; at a 100 µs floor, 5× stays
+// inside the slack; at a 5 ms floor, 2.5× exceeds the tolerance.
+func TestAIMDTrajectoryGolden(t *testing.T) {
+	type phase struct {
+		mult    float64
+		windows int
+	}
+	for _, tc := range []struct {
+		floor  time.Duration
+		phases []phase
+		want   []int
+	}{
+		{time.Millisecond, []phase{{1, 24}, {10, 24}, {1, 24}}, []int{
+			17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 32, 32, 32, 32, 32, 32, 32, 32,
+			28, 25, 22, 19, 17, 15, 13, 11, 9, 8, 7, 6, 5, 4, 3, 2, 1, 1, 1, 1, 1, 1, 1, 1,
+			2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25,
+		}},
+		{100 * time.Microsecond, []phase{{1, 8}, {5, 8}}, []int{
+			17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32,
+		}},
+		{5 * time.Millisecond, []phase{{1, 8}, {2.5, 8}}, []int{
+			17, 18, 19, 20, 21, 22, 23, 24, 21, 18, 16, 14, 12, 10, 9, 8,
+		}},
+	} {
+		a := newAdmitController(AdmitPolicy{MaxInflight: 32}, nil)
+		rng := rand.New(rand.NewSource(20181031))
+		var got []int
+		for _, ph := range tc.phases {
+			for w := 0; w < ph.windows; w++ {
+				for i := 0; i < admitAdjustEvery; i++ {
+					if !a.acquire() {
+						t.Fatalf("floor %v: a lone request was shed", tc.floor)
+					}
+					jitter := time.Duration(rng.Int63n(int64(tc.floor / 5)))
+					a.release(time.Duration(ph.mult*float64(tc.floor)) + jitter)
+				}
+				got = append(got, a.currentLimit())
+			}
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("floor %v: limits\n%v\nwant\n%v", tc.floor, got, tc.want)
+		}
+	}
+}
+
 // TestAIMDLimitBoundsProperty feeds random latency sequences and checks
 // the invariants the control loop must never violate: the limit stays in
-// [MinInflight, MaxInflight] and inflight returns to zero.
+// [1, MaxInflight] and inflight returns to zero.
 func TestAIMDLimitBoundsProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		max := 1 + rng.Intn(64)
-		a := newAdmitController(AdmitPolicy{
-			MaxInflight:  max,
-			InitInflight: 1 + rng.Intn(max),
-			MinInflight:  1,
-		}, nil)
+		a := newAdmitController(AdmitPolicy{MaxInflight: max}, nil)
+		a.setLimit(int64(1 + rng.Intn(max)))
 		for i := 0; i < 2000; i++ {
-			if a.acquire(Priority(rng.Intn(2))) {
+			if a.acquire() {
 				a.release(time.Duration(rng.Intn(10_000_000)))
 			}
 			lim := a.currentLimit()
@@ -222,13 +202,12 @@ func TestAIMDLimitBoundsProperty(t *testing.T) {
 }
 
 // TestAdmitNoDeadlockAtLimitOne hammers a limit-1 controller from many
-// goroutines: every admitted slot is released, so the system must keep
-// making progress and end idle — the "never deadlocks at limit=1" half of
+// goroutines: every admitted slot is given back — by release, or by cancel
+// for a request shed before its handler ran — so the system must keep
+// making progress and end idle: the "never deadlocks at limit=1" half of
 // the nightly property.
 func TestAdmitNoDeadlockAtLimitOne(t *testing.T) {
-	a := newAdmitController(AdmitPolicy{
-		MaxInflight: 1, InitInflight: 1, MinInflight: 1,
-	}, nil)
+	a := newAdmitController(AdmitPolicy{MaxInflight: 1}, nil)
 	var admitted atomic.Uint64
 	var wg sync.WaitGroup
 	deadline := time.Now().Add(200 * time.Millisecond)
@@ -237,9 +216,12 @@ func TestAdmitNoDeadlockAtLimitOne(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for time.Now().Before(deadline) {
-				if a.acquire(PriorityNormal) {
-					admitted.Add(1)
-					a.release(time.Microsecond)
+				if a.acquire() {
+					if admitted.Add(1)%2 == 0 {
+						a.cancel()
+					} else {
+						a.release(time.Microsecond)
+					}
 				}
 			}
 		}()
@@ -251,8 +233,20 @@ func TestAdmitNoDeadlockAtLimitOne(t *testing.T) {
 	if a.currentInflight() != 0 {
 		t.Fatalf("inflight %d after quiesce", a.currentInflight())
 	}
-	if a.currentLimit() < 1 {
-		t.Fatalf("limit %d dropped below 1", a.currentLimit())
+	if a.currentLimit() != 1 {
+		t.Fatalf("limit %d, want 1", a.currentLimit())
+	}
+	// cancel frees the slot it took: the next arrival is admitted.
+	if !a.acquire() || a.acquire() {
+		t.Fatal("limit-1 controller did not admit exactly one")
+	}
+	a.cancel()
+	if !a.acquire() {
+		t.Fatal("cancel did not free the slot")
+	}
+	a.cancel()
+	if got := a.currentInflight(); got != 0 {
+		t.Fatalf("inflight %d after cancel", got)
 	}
 }
 

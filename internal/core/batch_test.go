@@ -172,9 +172,10 @@ func TestProbeIsSumOfTierTables(t *testing.T) {
 	addr, mt := startTailMidTier(t, groups, &Options{
 		Workers:    2,
 		Probe:      probe,
-		Admit:      AdmitPolicy{MaxInflight: 64, InitInflight: 64},
+		Admit:      AdmitPolicy{MaxInflight: 64},
 		EdgePolicy: EdgePolicy{Batch: BatchPolicy{MaxBatch: 4, Delay: 100 * time.Microsecond}},
 	}, nil)
+	mt.admit.setLimit(64) // no call of the 50 below is shed
 	c, err := rpc.Dial(addr, nil)
 	if err != nil {
 		t.Fatal(err)

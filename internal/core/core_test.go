@@ -26,7 +26,7 @@ func TestWorkerPoolExecutesAll(t *testing.T) {
 			const n = 500
 			wg.Add(n)
 			for i := 0; i < n; i++ {
-				if err := p.Submit(func() {
+				if err := submit(p, func() {
 					count.Add(1)
 					wg.Done()
 				}); err != nil {
@@ -44,7 +44,7 @@ func TestWorkerPoolExecutesAll(t *testing.T) {
 func TestWorkerPoolStopRejectsSubmit(t *testing.T) {
 	p := NewWorkerPool(2, WaitBlocking, nil, telemetry.OverheadActiveExe)
 	p.Stop()
-	if err := p.Submit(func() {}); err != ErrPoolClosed {
+	if err := submit(p, func() {}); err != ErrPoolClosed {
 		t.Fatalf("err=%v want ErrPoolClosed", err)
 	}
 	// Stop is idempotent.
@@ -62,7 +62,7 @@ func TestWorkerPoolConcurrency(t *testing.T) {
 	var wg sync.WaitGroup
 	wg.Add(4)
 	for i := 0; i < 4; i++ {
-		p.Submit(func() {
+		submit(p, func() {
 			started.Done()
 			<-release
 			wg.Done()
@@ -87,7 +87,7 @@ func TestWorkerPoolTelemetry(t *testing.T) {
 	const n = 50
 	wg.Add(n)
 	for i := 0; i < n; i++ {
-		p.Submit(func() { wg.Done() })
+		submit(p, func() { wg.Done() })
 	}
 	wg.Wait()
 	if got := probe.Load(telemetry.SysWrite); got != n {
@@ -114,7 +114,7 @@ func TestPollingModeAvoidsFutex(t *testing.T) {
 	const n = 20
 	wg.Add(n)
 	for i := 0; i < n; i++ {
-		p.Submit(func() { wg.Done() })
+		submit(p, func() { wg.Done() })
 	}
 	wg.Wait()
 	p.Stop()
@@ -128,7 +128,7 @@ func TestPollingModeAvoidsFutex(t *testing.T) {
 		var wg2 sync.WaitGroup
 		wg2.Add(n)
 		for i := 0; i < n; i++ {
-			p2.Submit(func() { wg2.Done() })
+			submit(p2, func() { wg2.Done() })
 			time.Sleep(time.Millisecond) // force a park between tasks
 		}
 		wg2.Wait()
@@ -138,6 +138,11 @@ func TestPollingModeAvoidsFutex(t *testing.T) {
 		t.Errorf("polling futex=%d not below blocking futex=%d", futex, blocking)
 	}
 }
+
+// submit enqueues fn through the pool's one submit path.
+func submit(p *WorkerPool, fn func()) error { return p.SubmitArg(callFunc, fn) }
+
+func callFunc(fn any) { fn.(func())() }
 
 // waitFor polls cond until it holds.  It is for observations the stats
 // contract does not cover because they time the reply write itself and so
@@ -491,7 +496,7 @@ func TestAdaptiveModeExecutesAll(t *testing.T) {
 	const n = 300
 	wg.Add(n)
 	for i := 0; i < n; i++ {
-		if err := p.Submit(func() {
+		if err := submit(p, func() {
 			count.Add(1)
 			wg.Done()
 		}); err != nil {
@@ -523,7 +528,7 @@ func TestAdaptiveFewerParksThanBlocking(t *testing.T) {
 		const n = 400
 		var ran atomic.Int64
 		for i := int64(1); i <= n; i++ {
-			p.Submit(func() { ran.Add(1) })
+			submit(p, func() { ran.Add(1) })
 			for ran.Load() < i {
 				runtime.Gosched() // a spinning producer reacts in well under the budget
 			}

@@ -51,6 +51,7 @@ func sendBurst(t *testing.T, addr string, methods []string, payload []byte) net.
 // Reply frame kinds of internal/rpc's wire layout.
 const (
 	wireResponse = 2
+	wireError    = 3
 	wireReject   = 5
 )
 

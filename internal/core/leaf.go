@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -33,8 +32,6 @@ type LeafOptions struct {
 	// leaves to fixed core counts with tasksets; the worker count is the
 	// equivalent knob here.
 	Workers int
-	// Wait selects blocking (default) or polling idle workers.
-	Wait WaitMode
 	// Probe receives telemetry; nil disables instrumentation.
 	Probe *telemetry.Probe
 	// Kernel configures the compute engine the leaf's handlers scan with
@@ -118,7 +115,7 @@ func NewLeafEncoded(handler EncodedLeafHandler, opts *LeafOptions) *Leaf {
 	l := &Leaf{handler: handler, counters: o.counters, spans: o.Spans}
 	l.runFn = l.runScalar
 	l.batchFn = l.runBatchTask
-	l.workers = NewWorkerPool(o.Workers, o.Wait, o.Probe, telemetry.OverheadActiveExe)
+	l.workers = NewWorkerPool(o.Workers, WaitBlocking, o.Probe, telemetry.OverheadActiveExe)
 	l.server = rpc.NewServer(l.onRequest, &rpc.ServerOptions{Probe: o.Probe})
 	return l
 }
@@ -155,12 +152,6 @@ func (l *Leaf) onRequest(req *rpc.Request) {
 	}
 	if err := l.workers.SubmitArg(fn, req); err != nil {
 		l.running.Add(-1)
-		if errors.Is(err, ErrQueueFull) {
-			// A leaf past its queue bound sheds with the typed overload
-			// error: the mid-tier's retry machinery must not re-issue
-			// (or spend budget on) deliberate backpressure.
-			err = rpc.Overloadf("leaf dispatch queue full")
-		}
 		req.ReplyError(err)
 		// A sampled request keeps its server span, so the caller's failed
 		// client span has the shed under it.  (A carrier is untraced; its

@@ -69,22 +69,12 @@ type Options struct {
 	// another request's handler is still queued or running; Dispatched and
 	// Inline fix the choice (the §VII ablation).
 	Dispatch DispatchMode
-	// Wait selects blocking (default) or polling idle threads.
+	// Wait selects how idle threads await work: blocking (default),
+	// polling, or adaptive (the §VII ablation).
 	Wait WaitMode
-	// MaxQueueDepth bounds the dispatch queue; requests beyond it are
-	// shed with a fast error instead of queueing unboundedly past
-	// saturation (0 = unbounded, the paper's configuration).
-	MaxQueueDepth int
-	// Classify, when set, assigns a dispatch priority per request —
-	// §VII's "dispatched models can explicitly prioritize requests".
-	// It runs on the network poller and must be fast.  The queue
-	// reordering is ignored by the in-line mode, but the admission
-	// controller's priority headroom applies in every mode.
-	Classify func(*rpc.Request) Priority
 	// Admit configures the adaptive admission controller: an AIMD
-	// concurrency limit with priority headroom plus deadline-aware
-	// shedding, both replying with a typed overload error the client
-	// never retries.  The zero value disables admission.
+	// concurrency limit whose sheds reply with a typed overload error the
+	// client never retries.  The zero value disables admission.
 	Admit AdmitPolicy
 	// EdgePolicy is the default edge's policy — the classic leaf fan-out
 	// ConnectLeaves bootstraps: its timeout, tail tolerance, batching, routing
@@ -159,7 +149,7 @@ type MidTier struct {
 	// running counts the requests whose handler is queued or executing, on a
 	// worker or a poller.  DispatchAuto runs a request in-line only when it
 	// is the only one: the queue behind the workers is then empty, so there
-	// is nothing to reorder, shed or bound that the request would bypass.
+	// is nothing the request would overtake.
 	running atomic.Int32
 
 	// admit is the adaptive admission controller; nil when Options.Admit
@@ -178,7 +168,7 @@ func NewMidTier(handler Handler, opts *Options) *MidTier {
 	m := &MidTier{opts: o, handler: handler, probe: o.Probe, spans: o.Spans}
 	m.counters = telemetry.NewTable(o.Probe.Table())
 	m.budget = newRetryBudget(o.Tail.RetryBudgetRatio, o.Tail.RetryBudgetBurst, m.counters)
-	m.workers = NewBoundedWorkerPool(o.Workers, o.MaxQueueDepth, o.Wait, o.Probe, telemetry.OverheadActiveExe)
+	m.workers = NewWorkerPool(o.Workers, o.Wait, o.Probe, telemetry.OverheadActiveExe)
 	m.responses = NewWorkerPool(o.ResponseThreads, o.Wait, o.Probe, telemetry.OverheadSched)
 	m.deliverFn = func(a any) {
 		call := a.(*rpc.Call)
@@ -189,16 +179,8 @@ func NewMidTier(handler Handler, opts *Options) *MidTier {
 	}
 	m.handleFn = func(a any) {
 		ctx := a.(*Ctx)
-		if m.admit != nil && m.admit.doomed(ctx.Req.Arrival) {
-			// Deadline-aware shed at worker pickup: the queue wait has
-			// consumed too much of the budget for the reply to arrive in
-			// time, so reject instead of burning a worker on doomed work.
-			ctx.shed = true
-			ctx.ReplyError(rpc.Overloadf("deadline: remaining budget below tracked p99 service time"))
-		} else {
-			ctx.tr.Stamp(trace.StageWorkerStart)
-			m.handler(ctx)
-		}
+		ctx.tr.Stamp(trace.StageWorkerStart)
+		m.handler(ctx)
 		m.running.Add(-1)
 		ctx.drop(1) // the handler hold
 	}
@@ -291,13 +273,6 @@ func (m *MidTier) onRequest(req *rpc.Request) {
 		req.Recycle()
 		return
 	}
-	// Priority is classified before admission so the controller's
-	// headroom can prefer high-priority traffic; the same value orders
-	// the dispatch queue below.
-	pri := PriorityNormal
-	if m.opts.Classify != nil {
-		pri = m.opts.Classify(req)
-	}
 	// A request that arrived with a sampled span context gets this tier's
 	// server span, a child of the caller's client span; the leaf attempts
 	// below will be children of that.  Everything per-request tracing costs
@@ -306,7 +281,7 @@ func (m *MidTier) onRequest(req *rpc.Request) {
 	if m.spans != nil && req.TraceContext().Sampled() {
 		span = req.TraceContext().Child()
 	}
-	if m.admit != nil && !m.admit.acquire(pri) {
+	if m.admit != nil && !m.admit.acquire() {
 		// Shed at the door: a typed reject on the poller, before any
 		// snapshot pin, payload copy, or worker wakeup is spent on a
 		// request the tier cannot absorb.
@@ -337,18 +312,11 @@ func (m *MidTier) onRequest(req *rpc.Request) {
 	}
 	handoffStart := m.probe.Start()
 	// Stamped before the hand-off: a fast worker can reply — and cut the
-	// record into the server span — before SubmitPriorityArg even returns,
-	// and a stamp after that would be lost.
+	// record into the server span — before SubmitArg even returns, and a
+	// stamp after that would be lost.
 	ctx.tr.Stamp(trace.StageEnqueued)
-	err := m.workers.SubmitPriorityArg(m.handleFn, ctx, pri)
-	if err != nil {
-		if errors.Is(err, ErrQueueFull) {
-			// The dispatch queue is the hard backstop behind the adaptive
-			// limit; its sheds carry the same typed overload error so the
-			// client treats both identically (no retry, no budget spend).
-			m.counters.Add(telemetry.AdmitShedQueue, 1)
-			err = rpc.Overloadf("dispatch queue full")
-		}
+	if err := m.workers.SubmitArg(m.handleFn, ctx); err != nil {
+		// Only a stopped pool (shutdown) refuses the task.
 		m.shed(req, span, err)
 		// Shed before the handler ever ran: release the pin (and the
 		// admission slot, without feeding the latency signal) and both the
@@ -444,11 +412,9 @@ type Ctx struct {
 	tr   *trace.Stamps
 	span trace.SpanContext
 	// admitted marks a request holding an admission slot; finish must
-	// release it.  shed marks one rejected after admission (deadline
-	// shed), whose short latency must not feed the AIMD signal.
+	// release it.
 	admitted bool
-	shed     bool
-	fin      atomic.Bool // beside the flags: the struct stays in its 128-byte size class
+	fin      atomic.Bool // beside the flag, so the two share one word
 	errText  string
 
 	// enc is the encoder LeafEncoder handed out, until the fan-out it was
@@ -613,11 +579,7 @@ func (c *Ctx) finish() {
 		p.snap.Release()
 	}
 	if c.admitted {
-		if c.shed {
-			c.mt.admit.cancel()
-		} else {
-			c.mt.admit.release(time.Since(c.Req.Arrival))
-		}
+		c.mt.admit.release(time.Since(c.Req.Arrival))
 	}
 	if c.tr != nil {
 		// Every other stamp happens-before this one (Enqueued before the

@@ -61,9 +61,9 @@ const (
 	// (rpc.Request.Backlogged) or another request's handler is still queued
 	// or running: the cases in which a hand-off buys overlap — the worker
 	// computes while the poller decodes the next frame — and in which the
-	// queue has something to order, bound or shed.  Otherwise the poller
-	// would only go back to sleep, and the hand-off would cost a wake-up
-	// (DESIGN §5.3) for nothing.  §VII's "dynamic adaptation system that
+	// queue holds work a request run in-line would overtake.  Otherwise the
+	// poller would only go back to sleep, and the hand-off would cost a
+	// wake-up (DESIGN §5.3) for nothing.  §VII's "dynamic adaptation system that
 	// judiciously chooses to dispatch requests", with no threshold.
 	DispatchAuto DispatchMode = iota
 	// Dispatched always hands the request to the worker pool — the paper's
@@ -88,33 +88,12 @@ func (d DispatchMode) String() string {
 // ErrPoolClosed reports a submit to a stopped pool.
 var ErrPoolClosed = errors.New("core: worker pool closed")
 
-// ErrQueueFull reports a submit rejected by the queue bound — the overload
-// signal a shedding mid-tier converts into a fast error, rather than letting
-// queueing grow unbounded past saturation (§V: "the offered load is
-// unsustainable and queuing grows unbounded").
-var ErrQueueFull = errors.New("core: dispatch queue full")
-
-// Priority orders dispatched work.  The paper's §VII notes that, unlike
-// in-line designs, "dispatched models can explicitly prioritize requests" —
-// this is that mechanism.
-type Priority int
-
-const (
-	// PriorityNormal is the default class.
-	PriorityNormal Priority = iota
-	// PriorityHigh work overtakes any queued normal work.
-	PriorityHigh
-)
-
-// task carries one queued unit of work and — when a probe will record it —
-// its enqueue instant, from which the dispatch/wakeup latency (the paper's
-// Active-Exe analog) is measured.
-// Work arrives either as a closure (fn) or, on the hot path, as a shared
-// function plus argument (argFn/arg) so per-task closure allocation is
-// avoided.
+// task carries one queued unit of work — a shared function plus its
+// argument, so a submit allocates no closure — and, when a probe will record
+// it, its enqueue instant, from which the dispatch/wakeup latency (the
+// paper's Active-Exe analog) is measured.
 type task struct {
-	fn       func()
-	argFn    func(any)
+	fn       func(any)
 	arg      any
 	enqueued time.Time
 }
@@ -168,8 +147,7 @@ func (r *taskRing) reset() {
 type WorkerPool struct {
 	mu     *telemetry.Mutex
 	cond   *telemetry.Cond
-	queue  taskRing // normal-priority FIFO
-	urgent taskRing // high-priority FIFO, always drained first
+	queue  taskRing
 	closed bool
 
 	mode     WaitMode
@@ -177,18 +155,11 @@ type WorkerPool struct {
 	overhead telemetry.Overhead
 	done     chan struct{} // closed when all workers exit
 	workers  int
-	maxDepth int // 0 = unbounded
 }
 
 // NewWorkerPool starts n workers.  overhead selects the telemetry class for
 // the enqueue→execution latency of this pool's tasks.
 func NewWorkerPool(n int, mode WaitMode, probe *telemetry.Probe, overhead telemetry.Overhead) *WorkerPool {
-	return NewBoundedWorkerPool(n, 0, mode, probe, overhead)
-}
-
-// NewBoundedWorkerPool is NewWorkerPool with a queue-depth bound; submits
-// beyond maxDepth queued tasks fail fast with ErrQueueFull (0 = unbounded).
-func NewBoundedWorkerPool(n, maxDepth int, mode WaitMode, probe *telemetry.Probe, overhead telemetry.Overhead) *WorkerPool {
 	if n < 1 {
 		n = 1
 	}
@@ -198,7 +169,6 @@ func NewBoundedWorkerPool(n, maxDepth int, mode WaitMode, probe *telemetry.Probe
 		overhead: overhead,
 		done:     make(chan struct{}),
 		workers:  n,
-		maxDepth: maxDepth,
 	}
 	p.mu = telemetry.NewMutex(probe)
 	p.cond = telemetry.NewCond(p.mu, probe)
@@ -223,48 +193,17 @@ func NewBoundedWorkerPool(n, maxDepth int, mode WaitMode, probe *telemetry.Probe
 // Workers reports the pool size.
 func (p *WorkerPool) Workers() int { return p.workers }
 
-// Submit enqueues fn at normal priority.  It returns ErrPoolClosed after
-// Stop.
-func (p *WorkerPool) Submit(fn func()) error {
-	return p.SubmitPriority(fn, PriorityNormal)
-}
-
-// SubmitPriority enqueues fn in the given class; high-priority work is
-// executed before any queued normal work.
-func (p *WorkerPool) SubmitPriority(fn func(), pri Priority) error {
-	return p.enqueue(task{fn: fn, enqueued: p.probe.Start()}, pri)
-}
-
-// SubmitArg enqueues fn(arg) at normal priority.  Passing a long-lived fn
-// with a per-task arg avoids the closure allocation Submit would incur —
-// the leaf-response hot path routes every completed call this way (a
-// pointer arg boxes into the interface word without allocating).
+// SubmitArg enqueues fn(arg); it returns ErrPoolClosed after Stop.  Callers
+// pass a long-lived fn and a per-task arg, so a submit allocates no closure
+// (a pointer arg boxes into the interface word without allocating).
 func (p *WorkerPool) SubmitArg(fn func(any), arg any) error {
-	return p.enqueue(task{argFn: fn, arg: arg, enqueued: p.probe.Start()}, PriorityNormal)
-}
-
-// SubmitPriorityArg is SubmitArg with a priority class — the request
-// dispatch hot path, where the closure SubmitPriority would allocate per
-// request is replaced by one long-lived fn and the request context as arg.
-func (p *WorkerPool) SubmitPriorityArg(fn func(any), arg any, pri Priority) error {
-	return p.enqueue(task{argFn: fn, arg: arg, enqueued: p.probe.Start()}, pri)
-}
-
-func (p *WorkerPool) enqueue(t task, pri Priority) error {
+	t := task{fn: fn, arg: arg, enqueued: p.probe.Start()}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		return ErrPoolClosed
 	}
-	if p.maxDepth > 0 && p.queue.len()+p.urgent.len() >= p.maxDepth {
-		p.mu.Unlock()
-		return ErrQueueFull
-	}
-	if pri == PriorityHigh {
-		p.urgent.push(t)
-	} else {
-		p.queue.push(t)
-	}
+	p.queue.push(t)
 	// The hand-off signal is the write(2)-on-eventfd analog.  Polling
 	// workers never park, so only the modes with parked waiters signal.
 	p.probe.Add(telemetry.SysWrite, 1)
@@ -279,7 +218,7 @@ func (p *WorkerPool) enqueue(t task, pri Priority) error {
 func (p *WorkerPool) QueueDepth() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.queue.len() + p.urgent.len()
+	return p.queue.len()
 }
 
 // Stop drains nothing: queued but unexecuted tasks are dropped.  It blocks
@@ -293,7 +232,6 @@ func (p *WorkerPool) Stop() {
 	}
 	p.closed = true
 	p.queue.reset()
-	p.urgent.reset()
 	// Wake any parked workers (blocking or adaptive); harmlessly a no-op
 	// for polling workers, which observe the closed flag on their next
 	// spin.
@@ -311,11 +249,7 @@ func (p *WorkerPool) run() {
 			return
 		}
 		p.probe.ObserveSince(p.overhead, t.enqueued)
-		if t.argFn != nil {
-			t.argFn(t.arg)
-		} else {
-			t.fn()
-		}
+		t.fn(t.arg)
 	}
 }
 
@@ -324,7 +258,7 @@ func (p *WorkerPool) next() (task, bool) {
 	spins := 0
 	for {
 		p.mu.Lock()
-		for p.queue.len() == 0 && p.urgent.len() == 0 && !p.closed {
+		for p.queue.len() == 0 && !p.closed {
 			switch p.mode {
 			case WaitBlocking:
 				p.cond.Wait()
@@ -350,12 +284,7 @@ func (p *WorkerPool) next() (task, bool) {
 			p.mu.Unlock()
 			return task{}, false
 		}
-		var t task
-		if p.urgent.len() > 0 {
-			t = p.urgent.pop()
-		} else {
-			t = p.queue.pop()
-		}
+		t := p.queue.pop()
 		// Consuming the hand-off is the read(2)-on-eventfd analog.
 		p.probe.Add(telemetry.SysRead, 1)
 		p.mu.Unlock()

@@ -1,55 +1,22 @@
 package core
 
 import (
-	"errors"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"musuite/internal/rpc"
 	"musuite/internal/telemetry"
+	"musuite/internal/trace"
 )
-
-func TestBoundedPoolShedsBeyondDepth(t *testing.T) {
-	p := NewBoundedWorkerPool(1, 3, WaitBlocking, nil, telemetry.OverheadActiveExe)
-	defer p.Stop()
-
-	// Occupy the worker.
-	release := make(chan struct{})
-	started := make(chan struct{})
-	p.Submit(func() {
-		close(started)
-		<-release
-	})
-	<-started
-
-	// Fill the queue to its bound.
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		if err := p.Submit(func() { wg.Done() }); err != nil {
-			t.Fatalf("submit %d within bound: %v", i, err)
-		}
-	}
-	// The next submit sheds.
-	if err := p.Submit(func() {}); err != ErrQueueFull {
-		t.Fatalf("over-bound submit: %v want ErrQueueFull", err)
-	}
-	// Queued work still runs after the worker frees up.
-	close(release)
-	wg.Wait()
-	// And capacity is available again.
-	done := make(chan struct{})
-	if err := p.Submit(func() { close(done) }); err != nil {
-		t.Fatalf("post-drain submit: %v", err)
-	}
-	<-done
-}
 
 func TestUnboundedPoolNeverSheds(t *testing.T) {
 	p := NewWorkerPool(1, WaitBlocking, nil, telemetry.OverheadActiveExe)
 	defer p.Stop()
 	release := make(chan struct{})
 	started := make(chan struct{})
-	p.Submit(func() {
+	submit(p, func() {
 		close(started)
 		<-release
 	})
@@ -57,7 +24,7 @@ func TestUnboundedPoolNeverSheds(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 500; i++ {
 		wg.Add(1)
-		if err := p.Submit(func() { wg.Done() }); err != nil {
+		if err := submit(p, func() { wg.Done() }); err != nil {
 			t.Fatalf("unbounded submit %d: %v", i, err)
 		}
 	}
@@ -65,70 +32,125 @@ func TestUnboundedPoolNeverSheds(t *testing.T) {
 	wg.Wait()
 }
 
-// TestMidTierShedsUnderOverload floods a deliberately tiny mid-tier: shed
-// requests must fail fast with the queue-full error while accepted ones
-// complete, and the shed counter must account for the rejections.  The flood
-// is one Write, so it meets the dispatch queue under the zero-value Options
-// too: a request in-lines only when no other is queued or running.
-func TestMidTierShedsUnderOverload(t *testing.T) {
-	for _, mode := range []DispatchMode{DispatchAuto, Dispatched} {
-		t.Run(mode.String(), func(t *testing.T) {
-			leafAddr, _ := startLeaf(t, nil)
-			gate := make(chan struct{})
-			mt := NewMidTier(func(ctx *Ctx) {
-				<-gate // every request blocks until released
-				ctx.Reply(nil)
-			}, &Options{Dispatch: mode, Workers: 1, MaxQueueDepth: 2})
-			if err := mt.ConnectLeaves([]string{leafAddr}); err != nil {
-				t.Fatal(err)
+// TestClosedPoolShedReleasesItsHolds drives the one path on which a tier
+// turns a request away after taking it off the wire and before running its
+// handler: a hand-off to a stopped worker pool.  On a mid-tier the request
+// has by then been admitted and pinned a topology snapshot, and its Ctx holds
+// the handler's and the reply's holds; every one must be given back without
+// the request counting as served.
+func TestClosedPoolShedReleasesItsHolds(t *testing.T) {
+	t.Run("midtier", func(t *testing.T) {
+		base := pooledNow()
+		rec := trace.NewRecorder("mid", 0)
+		gate, entered := make(chan struct{}), make(chan struct{}, 1)
+		open := sync.OnceFunc(func() { close(gate) })
+		mt := NewMidTier(func(ctx *Ctx) {
+			if ctx.Req.Method == "block" {
+				entered <- struct{}{}
+				<-gate
 			}
-			addr, err := mt.Start("127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(mt.Close)
+			ctx.Reply(nil)
+		}, &Options{Spans: rec, Admit: AdmitPolicy{MaxInflight: 64}})
+		a, _ := startLeaf(t, nil)
+		b, _ := startLeaf(t, nil)
+		if err := mt.ConnectLeaves([]string{a, b}); err != nil {
+			t.Fatal(err)
+		}
+		addr, err := mt.Start("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(mt.Close)
+		t.Cleanup(open) // first: Close waits for the parked handler
 
-			const n = 12
-			methods := make([]string, n)
-			for i := range methods {
-				methods[i] = "q"
+		blocked := parkOnPoller(t, addr, entered)
+		mt.workers.Stop()
+		expectPoolClosed(t, addr, rec)
+		waitFor(t, "the sheds' admission slots", func() bool { return mt.admit.currentInflight() == 1 })
+		open()
+		if call := <-blocked; call.Err != nil {
+			t.Fatal(call.Err)
+		}
+		waitPooledBack(t, base)
+		waitFor(t, "every admission slot", func() bool { return mt.admit.currentInflight() == 0 })
+		if got := mt.Stats().Served; got != 1 {
+			t.Fatalf("served %d, want only the parked request", got)
+		}
+		// A pin a shed kept would hold the drain to its deadline.
+		if err := mt.DrainLeafGroup(1, time.Second); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("leaf", func(t *testing.T) {
+		base := pooledNow()
+		rec := trace.NewRecorder("leaf", 0)
+		gate, entered := make(chan struct{}), make(chan struct{}, 1)
+		open := sync.OnceFunc(func() { close(gate) })
+		leaf := NewLeaf(func(method string, _ []byte) ([]byte, error) {
+			if method == "block" {
+				entered <- struct{}{}
+				<-gate
 			}
-			conn := sendBurst(t, addr, methods, nil)
-			// At most 1 running + 2 queued are accepted; pickup timing may
-			// shed one more.  The sheds are answered while the accepted
-			// requests still block on the gate.
-			waitFor(t, "the burst to be shed", func() bool { return mt.Stats().Shed >= n-3 })
-			close(gate)
+			return nil, nil
+		}, &LeafOptions{Spans: rec})
+		addr, err := leaf.Start("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(leaf.Close)
+		t.Cleanup(open) // first: Close waits for the parked handler
 
-			successes, sheds := 0, 0
-			for id, kind := range readReplies(t, conn, n) {
-				switch kind {
-				case wireResponse:
-					successes++
-				case wireReject:
-					sheds++
-				default:
-					t.Fatalf("request %d: reply kind %d", id, kind)
-				}
-			}
-			if successes < 1 || successes > 3 {
-				t.Fatalf("successes=%d want 1..3", successes)
-			}
-			if sheds != n-successes {
-				t.Fatalf("sheds=%d successes=%d", sheds, successes)
-			}
-			if got := mt.Stats().Shed; got != uint64(sheds) {
-				t.Fatalf("Shed()=%d want %d", got, sheds)
-			}
-			if got := mt.Stats().Inlined; got != 0 {
-				t.Fatalf("%d requests of the flood bypassed the queue on the poller", got)
-			}
-		})
-	}
+		blocked := parkOnPoller(t, addr, entered)
+		leaf.workers.Stop()
+		expectPoolClosed(t, addr, rec)
+		open()
+		if call := <-blocked; call.Err != nil {
+			t.Fatal(call.Err)
+		}
+		waitPooledBack(t, base)
+	})
 }
 
-func TestShedErrorIsDistinguishable(t *testing.T) {
-	if !errors.Is(ErrQueueFull, ErrQueueFull) || errors.Is(ErrQueueFull, ErrPoolClosed) {
-		t.Fatal("sentinel identity broken")
+// parkOnPoller sends a lone "block" request, which runs on its connection's
+// poller, and returns once the handler has signalled entered.  While it is
+// parked every other request to the tier is handed to the worker pool.
+func parkOnPoller(t *testing.T, addr string, entered chan struct{}) chan *rpc.Call {
+	t.Helper()
+	c, err := rpc.Dial(addr, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(func() { c.Close() })
+	done := make(chan *rpc.Call, 1)
+	c.Go("block", nil, nil, done)
+	<-entered
+	return done
+}
+
+// expectPoolClosed sends a one-Write burst and one traced call to a tier
+// whose worker pool is stopped, and checks that each gets the pool's error
+// and that the traced one's server span carries it.
+func expectPoolClosed(t *testing.T, addr string, rec *trace.Recorder) {
+	t.Helper()
+	const n = 6
+	methods := make([]string, n)
+	for i := range methods {
+		methods[i] = "q"
+	}
+	for id, kind := range readReplies(t, sendBurst(t, addr, methods, nil), n) {
+		if kind != wireError {
+			t.Fatalf("request %d: reply kind %d, want an error", id, kind)
+		}
+	}
+	c, err := rpc.Dial(addr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	done := make(chan *rpc.Call, 1)
+	c.GoSpan("q", nil, trace.NewRootContext(), nil, done)
+	if call := <-done; call.Err == nil || !strings.Contains(call.Err.Error(), ErrPoolClosed.Error()) {
+		t.Fatalf("traced call: err=%v, want %v", call.Err, ErrPoolClosed)
+	}
+	assertShedSpans(t, rec, 1, ErrPoolClosed.Error())
 }

@@ -32,8 +32,6 @@ type TierStats struct {
 	Role string
 	// Served counts completed requests.
 	Served uint64 `counter:"tier.served"`
-	// Shed counts requests rejected by the dispatch-queue bound.
-	Shed uint64 `counter:"admit.shed-queue"`
 	// Inlined counts requests run to completion on their poller.
 	Inlined uint64 `counter:"tier.inlined"`
 	// QueueDepth is the instantaneous dispatch-queue occupancy.
@@ -89,19 +87,14 @@ type TierStats struct {
 	KernelNanos   uint64 `counter:"kernel.nanos"`
 	KernelRefined uint64 `counter:"kernel.refined"`
 	// Admission-control counters (mid-tier only, zero with admission
-	// off): requests admitted, shed at the adaptive limit, and shed
-	// deadline-doomed at worker pickup.
-	Admitted     uint64 `counter:"admit.admitted"`
-	ShedLimit    uint64 `counter:"admit.shed-limit"`
-	ShedDeadline uint64 `counter:"admit.shed-deadline"`
+	// off): requests admitted and requests shed at the adaptive limit.
+	Admitted  uint64 `counter:"admit.admitted"`
+	ShedLimit uint64 `counter:"admit.shed-limit"`
 	// AdmitLimit and AdmitInflight are the live AIMD concurrency limit
 	// and the admitted requests currently in flight — the gauges an
 	// autoscaler reads to tell "limited by policy" from "limited by
 	// capacity".
 	AdmitLimit, AdmitInflight int
-	// AdmitP99 is the tracked p99 service-time estimate the deadline
-	// shed compares remaining budget against.
-	AdmitP99 time.Duration
 }
 
 // counterFields maps the index of every TierStats field tagged
@@ -217,7 +210,6 @@ func (m *MidTier) Stats() TierStats {
 	if m.admit != nil {
 		s.AdmitLimit = m.admit.currentLimit()
 		s.AdmitInflight = m.admit.currentInflight()
-		s.AdmitP99 = m.admit.p99()
 	}
 	return s
 }

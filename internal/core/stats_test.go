@@ -32,7 +32,7 @@ func TestTierStatsRejectsTruncation(t *testing.T) {
 	for c := range snap {
 		snap[c] = uint64(c) << (c % 40) // one- to six-byte varints
 	}
-	in := TierStats{Role: "midtier", QueueDepth: 2, Workers: 4, Leaves: 16, HedgeDelay: time.Millisecond, AdmitP99: 300}
+	in := TierStats{Role: "midtier", QueueDepth: 2, Workers: 4, Leaves: 16, HedgeDelay: time.Millisecond, AdmitLimit: 300}
 	in.fillCounters(snap)
 	full := encodeTierStats(in)
 	for cut := 0; cut < len(full); cut++ {
@@ -133,7 +133,7 @@ func TestStatsReflectSheds(t *testing.T) {
 	mt := NewMidTier(func(ctx *Ctx) {
 		<-gate
 		ctx.Reply(nil)
-	}, &Options{Workers: 1, MaxQueueDepth: 1})
+	}, &Options{Workers: 1, Admit: AdmitPolicy{MaxInflight: 1}})
 	if err := mt.ConnectLeaves([]string{leafAddr}); err != nil {
 		t.Fatal(err)
 	}
@@ -148,18 +148,19 @@ func TestStatsReflectSheds(t *testing.T) {
 	}
 	defer c.Close()
 
-	// One Write, so the requests meet the queue: a lone first request would
-	// run on its poller and hold the others back in the socket.
+	// One Write, so the first request goes to the worker and the poller
+	// reads on: a lone first request would run on its poller and hold the
+	// others back in the socket.
 	conn := sendBurst(t, addr, []string{"q", "q", "q", "q", "q", "q"}, nil)
-	// Stats remain answerable while workers are saturated (served on the
-	// poller, not dispatched).
-	waitFor(t, "a shed", func() bool { return mt.Stats().Shed > 0 })
+	// Stats remain answerable while the worker is saturated (served on the
+	// poller, not dispatched, and never admitted or shed).
+	waitFor(t, "the sheds", func() bool { return mt.Stats().ShedLimit == 5 })
 	st, err := QueryStats(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Shed == 0 {
-		t.Fatalf("stats show no sheds under overload: %+v", st)
+	if st.ShedLimit != 5 || st.Admitted != 1 || st.AdmitInflight != 1 {
+		t.Fatalf("stats under overload: %+v", st)
 	}
 	close(gate)
 	readReplies(t, conn, 6)

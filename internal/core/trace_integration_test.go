@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"musuite/internal/rpc"
-	"musuite/internal/telemetry"
 	"musuite/internal/trace"
 )
 
@@ -208,66 +207,20 @@ func TestTwoEdgeFanoutsStampConcurrently(t *testing.T) {
 	}
 }
 
-// TestShedRequestKeepsItsSpan: a sampled request rejected before its handler
-// runs — at the mid-tier's admission door, on its full dispatch queue, on a
-// leaf's full queue — still records the server span, carrying the overload
-// text and no stage record, so its trace has the shed under the failed
-// client span.
+// TestShedRequestKeepsItsSpan: a sampled request rejected at the mid-tier's
+// admission door, before its handler runs, still records the server span,
+// carrying the overload text and no stage record, so its trace has the shed
+// under the failed client span.  (TestClosedPoolShedReleasesItsHolds checks
+// the same of a request a stopped worker pool turns away.)
 func TestShedRequestKeepsItsSpan(t *testing.T) {
-	// flood issues n traced calls at once against a tier whose handlers all
-	// block on gate, waits for the sheds among them to be answered, opens
-	// the gate, and returns how many were shed.
-	flood := func(t *testing.T, c *rpc.Client, n, admitted int, gate chan struct{}) int {
-		t.Helper()
-		done := make(chan *rpc.Call, n)
-		for i := 0; i < n; i++ {
-			c.GoSpan("work", []byte("x"), trace.NewRootContext(), nil, done)
-		}
-		shed := 0
-		for ; shed < n-admitted; shed++ {
-			if call := <-done; !rpc.IsOverload(call.Err) {
-				t.Fatalf("reply %d while the gate is shut: err=%v", shed, call.Err)
-			}
-		}
-		close(gate)
-		for i := shed; i < n; i++ {
-			if call := <-done; rpc.IsOverload(call.Err) {
-				shed++
-			} else if call.Err != nil {
-				t.Fatal(call.Err)
-			}
-		}
-		return shed
-	}
-	// assertShedSpans checks rec holds exactly shed server spans that carry
-	// text as their error, each parented and without stages.
-	assertShedSpans := func(t *testing.T, rec *trace.Recorder, shed int, text string) {
-		t.Helper()
-		count := func() (n int) {
-			for _, s := range serverSpans(rec) {
-				if strings.Contains(s.Err, text) {
-					n++
-				}
-			}
-			return n
-		}
-		waitFor(t, "the shed requests' spans", func() bool { return count() >= shed })
-		if got := count(); got != shed {
-			t.Fatalf("%d spans carry %q, %d requests were shed", got, text, shed)
-		}
-		for _, s := range serverSpans(rec) {
-			if strings.Contains(s.Err, text) && (s.Stages != nil || s.ParentID == 0 || s.Duration < 0) {
-				t.Fatalf("shed span: %+v", s)
-			}
-		}
-	}
-	startGated := func(t *testing.T, opts *Options, gate chan struct{}) *rpc.Client {
-		t.Helper()
+	t.Run("admission door", func(t *testing.T) {
+		rec := trace.NewRecorder("mid", 0)
+		gate := make(chan struct{})
 		leafAddr, _ := startLeaf(t, nil)
 		mt := NewMidTier(func(ctx *Ctx) {
 			<-gate
 			ctx.Reply(nil)
-		}, opts)
+		}, &Options{Dispatch: Dispatched, Workers: 2, Spans: rec, Admit: AdmitPolicy{MaxInflight: 1}})
 		if err := mt.ConnectLeaves([]string{leafAddr}); err != nil {
 			t.Fatal(err)
 		}
@@ -280,61 +233,47 @@ func TestShedRequestKeepsItsSpan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { c.Close() })
-		return c
-	}
-
-	t.Run("admission door", func(t *testing.T) {
-		rec := trace.NewRecorder("mid", 0)
-		gate := make(chan struct{})
-		c := startGated(t, &Options{
-			Dispatch: Dispatched, Workers: 2, Spans: rec,
-			Admit: AdmitPolicy{MaxInflight: 1, InitInflight: 1},
-		}, gate)
-		shed := flood(t, c, 6, 1, gate)
-		assertShedSpans(t, rec, shed, "admission limit")
-	})
-	t.Run("dispatch queue", func(t *testing.T) {
-		rec := trace.NewRecorder("mid", 0)
-		gate := make(chan struct{})
-		c := startGated(t, &Options{Dispatch: Dispatched, Workers: 1, MaxQueueDepth: 1, Spans: rec}, gate)
-		// One request runs on the worker and one queues behind it.
-		shed := flood(t, c, 8, 2, gate)
-		assertShedSpans(t, rec, shed, "dispatch queue full")
-	})
-	t.Run("leaf queue", func(t *testing.T) {
-		rec := trace.NewRecorder("leaf", 0)
-		gate := make(chan struct{})
-		entered := make(chan struct{}, 16)
-		leaf := NewLeaf(func(string, []byte) ([]byte, error) {
-			entered <- struct{}{}
-			<-gate
-			return nil, nil
-		}, &LeafOptions{Spans: rec})
-		// A leaf's queue is unbounded as shipped; bound it so it can fill.
-		leaf.workers.Stop()
-		leaf.workers = NewBoundedWorkerPool(1, 1, WaitBlocking, nil, telemetry.OverheadActiveExe)
-		addr, err := leaf.Start("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(leaf.Close)
-		// A lone request runs on its connection's poller; with that one
-		// parked on the gate, every later request meets the queue.
-		blocker, err := rpc.Dial(addr, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer blocker.Close()
-		blocker.Go("work", nil, nil, nil)
-		<-entered
-		c, err := rpc.Dial(addr, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
 		defer c.Close()
-		// One request runs on the worker and one queues behind it.
-		shed := flood(t, c, 8, 2, gate)
-		assertShedSpans(t, rec, shed, "leaf dispatch queue full")
+
+		// Six traced calls at once: one is admitted and blocks on the gate,
+		// the other five are shed and answered while it is shut.
+		const n = 6
+		done := make(chan *rpc.Call, n)
+		for i := 0; i < n; i++ {
+			c.GoSpan("work", []byte("x"), trace.NewRootContext(), nil, done)
+		}
+		for i := 0; i < n-1; i++ {
+			if call := <-done; !rpc.IsOverload(call.Err) {
+				t.Fatalf("reply %d while the gate is shut: err=%v", i, call.Err)
+			}
+		}
+		close(gate)
+		if call := <-done; call.Err != nil {
+			t.Fatal(call.Err)
+		}
+		assertShedSpans(t, rec, n-1, "admission limit")
 	})
+}
+
+// assertShedSpans checks rec holds exactly shed server spans that carry text
+// as their error, each parented and without stages.
+func assertShedSpans(t *testing.T, rec *trace.Recorder, shed int, text string) {
+	t.Helper()
+	count := func() (n int) {
+		for _, s := range serverSpans(rec) {
+			if strings.Contains(s.Err, text) {
+				n++
+			}
+		}
+		return n
+	}
+	waitFor(t, "the shed requests' spans", func() bool { return count() >= shed })
+	if got := count(); got != shed {
+		t.Fatalf("%d spans carry %q, %d requests were shed", got, text, shed)
+	}
+	for _, s := range serverSpans(rec) {
+		if strings.Contains(s.Err, text) && (s.Stages != nil || s.ParentID == 0 || s.Duration < 0) {
+			t.Fatalf("shed span: %+v", s)
+		}
+	}
 }

@@ -18,8 +18,7 @@ type RemoteError struct {
 func (e *RemoteError) Error() string { return "rpc: remote error: " + e.Msg }
 
 // OverloadError is a typed shed: the server refused the request before
-// doing its work — admission limit hit, remaining deadline budget too small
-// to cover the tracked service time, or dispatch queue full.  It travels as
+// doing its work, e.g. because its admission limit was hit.  It travels as
 // a kindReject frame.  Sheds are deliberate backpressure, so they are never
 // retried and never consume retry budget: retrying into an overloaded tier
 // multiplies the load that caused the shed.

@@ -29,11 +29,11 @@ const (
 	// path is byte-identical with tracing compiled in.
 	kindRequestTraced byte = 4
 	// kindReject is a typed shed: the server refused the request before
-	// executing it (admission limit, deadline-doomed, queue full).  Same
-	// layout as kindError with the shed reason as payload, but the client
-	// surfaces it as an OverloadError so callers can tell load shedding
-	// apart from application failures — sheds are never retried and never
-	// consume retry budget.
+	// executing it (e.g. its admission limit).  Same layout as kindError
+	// with the shed reason as payload, but the client surfaces it as an
+	// OverloadError so callers can tell load shedding apart from
+	// application failures — sheds are never retried and never consume
+	// retry budget.
 	kindReject byte = 5
 )
 

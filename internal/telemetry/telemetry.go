@@ -40,14 +40,12 @@ import (
 type Counter uint8
 
 const (
-	// The sys family: the system calls the paper's syscount breakdown
-	// tracks (Figs. 11–14), in the order the paper's figures list them.  The
-	// framework increments the proxy counter at the point where a native
-	// thread-pool server would issue the real call.
-	SysMprotect Counter = iota
-	SysOpenat
-	SysBrk
-	SysSendmsg
+	// The sys family: the system calls of the paper's syscount breakdown
+	// (Figs. 11–14) that the framework's request path issues, in the order
+	// the paper's figures list them.  The framework increments the proxy
+	// counter at the point where a native thread-pool server would issue
+	// the real call.
+	SysSendmsg Counter = iota
 	SysEpollPwait
 	SysWrite
 	SysRead
@@ -55,8 +53,6 @@ const (
 	SysClose
 	SysFutex
 	SysClone
-	SysMmap
-	SysMunmap
 
 	// The os family (paper Fig. 19).
 	//
@@ -137,15 +133,8 @@ const (
 	// AdmitAdmitted — a request passed admission and entered the pipeline.
 	AdmitAdmitted
 	// AdmitShedLimit — a request was rejected at arrival because the
-	// adaptive concurrency limit (plus any priority headroom) was full.
+	// adaptive concurrency limit was full.
 	AdmitShedLimit
-	// AdmitShedDeadline — a request was rejected at worker pickup because
-	// its remaining deadline budget could not cover the tracked p99
-	// service time.
-	AdmitShedDeadline
-	// AdmitShedQueue — a request passed the limit but the dispatch queue
-	// was full; shed with the same typed overload error.
-	AdmitShedQueue
 	// AdmitLimitUp — the AIMD controller raised the concurrency limit
 	// (additive increase: observed latency near its EWMA floor).
 	AdmitLimitUp
@@ -193,10 +182,9 @@ const (
 // counterNames labels every counter "family.name"; sys names are the
 // kernel's, so the figure rows read futex, sendmsg, ….
 var counterNames = [NumCounters]string{
-	SysMprotect: "sys.mprotect", SysOpenat: "sys.openat", SysBrk: "sys.brk",
 	SysSendmsg: "sys.sendmsg", SysEpollPwait: "sys.epoll_pwait", SysWrite: "sys.write",
 	SysRead: "sys.read", SysRecvmsg: "sys.recvmsg", SysClose: "sys.close",
-	SysFutex: "sys.futex", SysClone: "sys.clone", SysMmap: "sys.mmap", SysMunmap: "sys.munmap",
+	SysFutex: "sys.futex", SysClone: "sys.clone",
 	CtxSwitch: "os.ctx-switch", HITM: "os.hitm", TCPRetransmit: "os.tcp-retransmit",
 	TierServed: "tier.served", TierInlined: "tier.inlined",
 	TailHedge: "tail.hedge", TailHedgeWin: "tail.hedge-win", TailRetry: "tail.retry",
@@ -206,7 +194,6 @@ var counterNames = [NumCounters]string{
 	TopoAdd: "topo.add", TopoDrain: "topo.drain", TopoRemove: "topo.remove",
 	TopoDrainTimeout: "topo.drain-timeout",
 	AdmitAdmitted:    "admit.admitted", AdmitShedLimit: "admit.shed-limit",
-	AdmitShedDeadline: "admit.shed-deadline", AdmitShedQueue: "admit.shed-queue",
 	AdmitLimitUp: "admit.limit-up", AdmitLimitDown: "admit.limit-down",
 	ScalePoll: "scale.poll", ScaleUp: "scale.up", ScaleDown: "scale.down", ScaleHold: "scale.hold",
 	ScaleError:  "scale.error",

@@ -60,9 +60,11 @@ type (
 	EdgePolicy = core.EdgePolicy
 	// LeafOptions configures a leaf tier.
 	LeafOptions = core.LeafOptions
-	// DispatchMode selects dispatched or in-line request execution.
+	// DispatchMode selects where a request's handler runs: per request
+	// (DispatchAuto), always dispatched to a worker, or always in-line.
 	DispatchMode = core.DispatchMode
-	// WaitMode selects blocking or polling idle threads.
+	// WaitMode selects how idle threads await work: blocking, polling, or
+	// adaptive (spin, then park).
 	WaitMode = core.WaitMode
 	// TailPolicy configures tail-tolerant fan-out: hedged leaf requests,
 	// retry budgets, and per-call retries across shard replicas.
@@ -331,9 +333,9 @@ type (
 	// AdmitPolicy configures the mid-tier admission controller
 	// (MidTierOptions.Admit); the zero value disables it.
 	AdmitPolicy = core.AdmitPolicy
-	// OverloadError is the typed shed a mid-tier returns instead of
-	// queueing doomed work; it is never retried and never consumes
-	// retry budget.
+	// OverloadError is the typed shed a mid-tier's admission controller
+	// returns instead of queueing work past its limit; it is never retried
+	// and never consumes retry budget.
 	OverloadError = rpc.OverloadError
 	// Autoscaler runs the poll→decide→act scaling loop.
 	Autoscaler = autoscale.Autoscaler
