@@ -1,9 +1,9 @@
 // Package autoscale closes the control loop the paper's §V saturation
 // methodology leaves open: it watches a mid-tier's operational counters
 // (core.TierStats — queue depth and the admission controller's shed
-// deltas) and grows or shrinks the leaf topology through
-// the PR 4 admin surface (AddGroup/DrainGroup) in response.  Hysteresis —
-// N consecutive breach polls before acting — and a post-action cooldown
+// deltas) and grows or shrinks the leaf topology through its add and drain
+// operations (AddGroup/DrainGroup) in response.  Hysteresis — N consecutive
+// breach polls before acting — and a post-action cooldown
 // keep the loop from flapping on transient bursts, the failure mode that
 // makes naive autoscalers amplify the load swings they exist to absorb.
 package autoscale

@@ -435,7 +435,7 @@ type View struct {
 	Groups []GroupView
 }
 
-// View captures the current topology for the admin surface.
+// View captures the current topology for an operator or a report.
 func (t *Topology) View() View {
 	s := t.cur.Load()
 	v := View{Epoch: s.epoch, Router: s.router.Name()}

@@ -82,9 +82,8 @@ func StartTiers(shards, replicas int, opts *LeafOptions, newLeaf func(shard int,
 	return t, nil
 }
 
-// MidTier exposes the deployment's framework mid-tier — the runtime
-// topology admin surface (cluster.ServeAdmin on MidTier().Topology()) and
-// resize drivers hang off it.
+// MidTier exposes the deployment's framework mid-tier — resize drivers hang
+// off it.
 func (t *Tiers) MidTier() *MidTier { return t.midTier }
 
 // Close tears the deployment down, mid-tier first so no request is served

@@ -216,8 +216,7 @@ func (m *MidTier) ConnectLeafGroups(groups [][]string) error {
 	return nil
 }
 
-// Topology exposes the mid-tier's live leaf topology (the default edge's) —
-// the runtime admin surface (cluster.ServeAdmin) binds to it.
+// Topology exposes the mid-tier's live leaf topology (the default edge's).
 func (m *MidTier) Topology() *cluster.Topology { return m.def.topo }
 
 // AddLeafGroup dials a new leaf replica group and places it in service at

@@ -181,7 +181,7 @@ func QueryStats(c *rpc.Client) (TierStats, error) {
 // over the wire, in-process for collocated consumers like the autoscaler.
 // Leaves/Replicas sum across all connected edges (identical to the classic
 // values when only the default edge exists); the epoch comes from the default
-// edge, whose topology the admin surface binds to.
+// edge, whose topology MidTier.Topology returns.
 func (m *MidTier) Stats() TierStats {
 	leaves, replicas := 0, 0
 	m.edgeMu.Lock()

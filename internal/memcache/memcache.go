@@ -1,31 +1,16 @@
 // Package memcache is an in-memory key-value store with memcached
 // semantics: sharded hash tables, per-shard LRU eviction under a byte
-// budget, optional TTL expiry, and the classic command set (get/gets, set,
-// add, replace, cas, delete, incr/decr, flush).  Router's leaf microservice
-// wraps one Store behind an RPC interface, exactly as the paper wraps a
-// memcached server process.
+// budget, optional lazy TTL expiry, and the get/set/delete commands Router
+// uses.  Router's leaf microservice wraps one Store behind an RPC
+// interface, exactly as the paper wraps a memcached server process.
 package memcache
 
 import (
 	"container/list"
-	"errors"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
-)
-
-// Errors mirroring memcached's protocol-level responses.
-var (
-	// ErrNotFound reports a miss on an operation requiring presence.
-	ErrNotFound = errors.New("memcache: key not found")
-	// ErrExists reports a CAS conflict (item modified since Gets).
-	ErrExists = errors.New("memcache: cas conflict")
-	// ErrNotStored reports an Add on a present key or Replace on absent.
-	ErrNotStored = errors.New("memcache: not stored")
-	// ErrNotNumeric reports Incr/Decr on a non-numeric value.
-	ErrNotNumeric = errors.New("memcache: value is not a number")
 )
 
 // Config parameterizes a Store.
@@ -58,14 +43,12 @@ type Store struct {
 	misses    atomic.Uint64
 	evictions atomic.Uint64
 	expired   atomic.Uint64
-	casSeq    atomic.Uint64
 }
 
 type entry struct {
 	key     string
 	value   []byte
 	expires time.Time // zero = never
-	casID   uint64
 	elem    *list.Element
 }
 
@@ -125,11 +108,6 @@ func entrySize(key string, value []byte) int64 {
 	return int64(len(key) + len(value) + 64) // 64 ≈ bookkeeping overhead
 }
 
-// expired reports whether e is past its TTL at time t.
-func (e *entry) expiredAt(t time.Time) bool {
-	return !e.expires.IsZero() && t.After(e.expires)
-}
-
 // removeLocked drops e from the shard (lock held).
 func (sh *shard) removeLocked(e *entry) {
 	delete(sh.items, e.key)
@@ -137,13 +115,14 @@ func (sh *shard) removeLocked(e *entry) {
 	sh.bytes -= entrySize(e.key, e.value)
 }
 
-// lookupLocked finds a live entry, expiring it lazily (lock held).
+// lookupLocked finds a live entry, expiring it lazily (lock held).  The clock
+// is read only for an entry that has a TTL.
 func (s *Store) lookupLocked(sh *shard, key string) *entry {
 	e, ok := sh.items[key]
 	if !ok {
 		return nil
 	}
-	if e.expiredAt(s.now()) {
+	if !e.expires.IsZero() && s.now().After(e.expires) {
 		sh.removeLocked(e)
 		s.expired.Add(1)
 		return nil
@@ -156,9 +135,9 @@ func (s *Store) lookupLocked(sh *shard, key string) *entry {
 // overwritten in place — its entry, its LRU element and, when the new value
 // fits without leaving more than half of it idle, its value array are reused —
 // which is safe because every reader either visits under this lock (View) or
-// copies out under it (Get/Gets).  Only a new entry clones the key, so a
+// copies out under it (Get).  Only a new entry clones the key, so a
 // caller may look up and overwrite through a transient view of request bytes.
-func (s *Store) storeLocked(sh *shard, key string, value []byte, ttl time.Duration) *entry {
+func (s *Store) storeLocked(sh *shard, key string, value []byte, ttl time.Duration) {
 	e, ok := sh.items[key]
 	if ok {
 		sh.bytes -= entrySize(e.key, e.value)
@@ -176,7 +155,6 @@ func (s *Store) storeLocked(sh *shard, key string, value []byte, ttl time.Durati
 		e.value = e.value[:n]
 	}
 	copy(e.value, value)
-	e.casID = s.casSeq.Add(1)
 	e.expires = time.Time{}
 	if ttl > 0 {
 		e.expires = s.now().Add(ttl)
@@ -190,32 +168,24 @@ func (s *Store) storeLocked(sh *shard, key string, value []byte, ttl time.Durati
 			s.evictions.Add(1)
 		}
 	}
-	return e
 }
 
-// Get returns the value for key, updating recency.
+// Get returns a copy of key's value, updating recency.
 func (s *Store) Get(key string) ([]byte, bool) {
-	v, _, ok := s.Gets(key)
-	return v, ok
-}
-
-// Gets returns the value and CAS token for key.
-func (s *Store) Gets(key string) ([]byte, uint64, bool) {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
 	e := s.lookupLocked(sh, key)
 	if e == nil {
 		sh.mu.Unlock()
 		s.misses.Add(1)
-		return nil, 0, false
+		return nil, false
 	}
 	sh.lru.MoveToFront(e.elem)
 	val := make([]byte, len(e.value))
 	copy(val, e.value)
-	cas := e.casID
 	sh.mu.Unlock()
 	s.hits.Add(1)
-	return val, cas, true
+	return val, true
 }
 
 // View invokes visit with key's live value while holding the shard lock —
@@ -246,47 +216,6 @@ func (s *Store) Set(key string, value []byte, ttl time.Duration) {
 	sh.mu.Unlock()
 }
 
-// Add stores only if key is absent.
-func (s *Store) Add(key string, value []byte, ttl time.Duration) error {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if s.lookupLocked(sh, key) != nil {
-		return ErrNotStored
-	}
-	s.storeLocked(sh, key, value, ttl)
-	return nil
-}
-
-// Replace stores only if key is present.
-func (s *Store) Replace(key string, value []byte, ttl time.Duration) error {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if s.lookupLocked(sh, key) == nil {
-		return ErrNotStored
-	}
-	s.storeLocked(sh, key, value, ttl)
-	return nil
-}
-
-// CAS stores only if the item is unmodified since the Gets that returned
-// casID.
-func (s *Store) CAS(key string, value []byte, casID uint64, ttl time.Duration) error {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e := s.lookupLocked(sh, key)
-	if e == nil {
-		return ErrNotFound
-	}
-	if e.casID != casID {
-		return ErrExists
-	}
-	s.storeLocked(sh, key, value, ttl)
-	return nil
-}
-
 // Delete removes key, reporting whether it was present.
 func (s *Store) Delete(key string) bool {
 	sh := s.shardFor(key)
@@ -298,74 +227,6 @@ func (s *Store) Delete(key string) bool {
 	}
 	sh.removeLocked(e)
 	return true
-}
-
-// Incr adds delta to a numeric value, returning the new value.  Like
-// memcached, the value is an unsigned decimal string and Incr wraps.
-func (s *Store) Incr(key string, delta uint64) (uint64, error) {
-	return s.addDelta(key, delta, false)
-}
-
-// Decr subtracts delta, clamping at zero as memcached does.
-func (s *Store) Decr(key string, delta uint64) (uint64, error) {
-	return s.addDelta(key, delta, true)
-}
-
-func (s *Store) addDelta(key string, delta uint64, negative bool) (uint64, error) {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e := s.lookupLocked(sh, key)
-	if e == nil {
-		return 0, ErrNotFound
-	}
-	n, err := strconv.ParseUint(string(e.value), 10, 64)
-	if err != nil {
-		return 0, ErrNotNumeric
-	}
-	if negative {
-		if delta > n {
-			n = 0
-		} else {
-			n -= delta
-		}
-	} else {
-		n += delta
-	}
-	newVal := []byte(strconv.FormatUint(n, 10))
-	sh.bytes += int64(len(newVal) - len(e.value))
-	e.value = newVal
-	e.casID = s.casSeq.Add(1)
-	sh.lru.MoveToFront(e.elem)
-	return n, nil
-}
-
-// Touch updates a key's TTL without reading it.
-func (s *Store) Touch(key string, ttl time.Duration) error {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e := s.lookupLocked(sh, key)
-	if e == nil {
-		return ErrNotFound
-	}
-	if ttl > 0 {
-		e.expires = s.now().Add(ttl)
-	} else {
-		e.expires = time.Time{}
-	}
-	return nil
-}
-
-// Flush removes every item.
-func (s *Store) Flush() {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		sh.items = make(map[string]*entry)
-		sh.lru.Init()
-		sh.bytes = 0
-		sh.mu.Unlock()
-	}
 }
 
 // Len reports the number of live items (expired items may be counted until

@@ -63,49 +63,6 @@ func TestDelete(t *testing.T) {
 	}
 }
 
-func TestAddReplaceSemantics(t *testing.T) {
-	s := New(Config{})
-	if err := s.Add("k", []byte("v1"), 0); err != nil {
-		t.Fatalf("add to empty: %v", err)
-	}
-	if err := s.Add("k", []byte("v2"), 0); err != ErrNotStored {
-		t.Fatalf("add to present: %v", err)
-	}
-	if err := s.Replace("k", []byte("v3"), 0); err != nil {
-		t.Fatalf("replace present: %v", err)
-	}
-	if err := s.Replace("nope", []byte("v"), 0); err != ErrNotStored {
-		t.Fatalf("replace absent: %v", err)
-	}
-	got, _ := s.Get("k")
-	if string(got) != "v3" {
-		t.Fatalf("got %q", got)
-	}
-}
-
-func TestCASSemantics(t *testing.T) {
-	s := New(Config{})
-	s.Set("k", []byte("v1"), 0)
-	_, cas, ok := s.Gets("k")
-	if !ok {
-		t.Fatal("gets missed")
-	}
-	if err := s.CAS("k", []byte("v2"), cas, 0); err != nil {
-		t.Fatalf("cas with fresh token: %v", err)
-	}
-	// Stale token now conflicts.
-	if err := s.CAS("k", []byte("v3"), cas, 0); err != ErrExists {
-		t.Fatalf("stale cas: %v", err)
-	}
-	if err := s.CAS("missing", []byte("v"), cas, 0); err != ErrNotFound {
-		t.Fatalf("cas on absent: %v", err)
-	}
-	got, _ := s.Get("k")
-	if string(got) != "v2" {
-		t.Fatalf("got %q", got)
-	}
-}
-
 func TestTTLExpiry(t *testing.T) {
 	now := time.Unix(1000, 0)
 	s := New(Config{Now: func() time.Time { return now }})
@@ -122,37 +79,25 @@ func TestTTLExpiry(t *testing.T) {
 	}
 }
 
-func TestTouch(t *testing.T) {
-	now := time.Unix(1000, 0)
-	s := New(Config{Now: func() time.Time { return now }})
-	s.Set("k", []byte("v"), time.Second)
-	if err := s.Touch("k", 10*time.Second); err != nil {
-		t.Fatal(err)
+// TestNoClockReadWithoutTTL: an entry set without a TTL is never checked for
+// expiry, so no read, write or delete of it consults the clock.
+func TestNoClockReadWithoutTTL(t *testing.T) {
+	reads := 0
+	s := New(Config{Now: func() time.Time { reads++; return time.Unix(1000, 0) }})
+	s.Set("k", []byte("v"), 0)
+	s.Set("k", []byte("w"), 0)
+	if got, ok := s.Get("k"); !ok || string(got) != "w" {
+		t.Fatalf("get=%q ok=%v", got, ok)
 	}
-	now = now.Add(5 * time.Second)
-	if _, ok := s.Get("k"); !ok {
-		t.Fatal("touched item expired early")
+	if !s.View("k", func([]byte) {}) {
+		t.Fatal("view missed")
 	}
-	if err := s.Touch("missing", time.Second); err != ErrNotFound {
-		t.Fatalf("touch absent: %v", err)
+	s.Get("missing")
+	if !s.Delete("k") {
+		t.Fatal("delete missed")
 	}
-}
-
-func TestIncrDecr(t *testing.T) {
-	s := New(Config{})
-	s.Set("n", []byte("10"), 0)
-	if v, err := s.Incr("n", 5); err != nil || v != 15 {
-		t.Fatalf("incr: %d %v", v, err)
-	}
-	if v, err := s.Decr("n", 20); err != nil || v != 0 {
-		t.Fatalf("decr clamps at zero: %d %v", v, err)
-	}
-	if _, err := s.Incr("missing", 1); err != ErrNotFound {
-		t.Fatalf("incr absent: %v", err)
-	}
-	s.Set("txt", []byte("abc"), 0)
-	if _, err := s.Incr("txt", 1); err != ErrNotNumeric {
-		t.Fatalf("incr non-numeric: %v", err)
+	if reads != 0 {
+		t.Fatalf("clock read %d times on entries without a TTL", reads)
 	}
 }
 
@@ -194,20 +139,6 @@ func TestLRURecencyOnGet(t *testing.T) {
 	}
 }
 
-func TestFlush(t *testing.T) {
-	s := New(Config{})
-	for i := 0; i < 50; i++ {
-		s.Set(fmt.Sprintf("k%d", i), []byte("v"), 0)
-	}
-	s.Flush()
-	if s.Len() != 0 {
-		t.Fatalf("len after flush=%d", s.Len())
-	}
-	if st := s.Stats(); st.Bytes != 0 || st.Items != 0 {
-		t.Fatalf("stats after flush=%+v", st)
-	}
-}
-
 func TestStatsCounters(t *testing.T) {
 	s := New(Config{})
 	s.Set("k", []byte("v"), 0)
@@ -237,7 +168,7 @@ func TestConcurrentMixedOps(t *testing.T) {
 				case 2:
 					s.Delete(key)
 				case 3:
-					s.Gets(key)
+					s.View(key, func([]byte) {})
 				}
 			}
 		}(g)

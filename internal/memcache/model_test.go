@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,7 +19,6 @@ type modelStore struct {
 	items    map[string]*modelEntry
 	order    []string // most recently used first
 	maxBytes int64
-	cas      uint64
 	now      func() time.Time
 
 	hits, misses, evictions, expired uint64
@@ -29,7 +27,6 @@ type modelStore struct {
 type modelEntry struct {
 	value   []byte
 	expires time.Time
-	cas     uint64
 }
 
 func (m *modelStore) bytes() int64 {
@@ -70,8 +67,7 @@ func (m *modelStore) lookup(key string) *modelEntry {
 // store is an unconditional write: it does not look the key up, so it neither
 // counts an expired predecessor nor cares that there was one.
 func (m *modelStore) store(key string, value []byte, ttl time.Duration) {
-	m.cas++
-	e := &modelEntry{value: bytes.Clone(value), cas: m.cas}
+	e := &modelEntry{value: bytes.Clone(value)}
 	if ttl > 0 {
 		e.expires = m.now().Add(ttl)
 	}
@@ -83,43 +79,15 @@ func (m *modelStore) store(key string, value []byte, ttl time.Duration) {
 	}
 }
 
-func (m *modelStore) get(key string) ([]byte, uint64, bool) {
+func (m *modelStore) get(key string) ([]byte, bool) {
 	e := m.lookup(key)
 	if e == nil {
 		m.misses++
-		return nil, 0, false
+		return nil, false
 	}
 	m.hits++
 	m.touchLRU(key)
-	return e.value, e.cas, true
-}
-
-func (m *modelStore) add(key string, v []byte, ttl time.Duration) error {
-	if m.lookup(key) != nil {
-		return ErrNotStored
-	}
-	m.store(key, v, ttl)
-	return nil
-}
-
-func (m *modelStore) replace(key string, v []byte, ttl time.Duration) error {
-	if m.lookup(key) == nil {
-		return ErrNotStored
-	}
-	m.store(key, v, ttl)
-	return nil
-}
-
-func (m *modelStore) casWrite(key string, v []byte, cas uint64, ttl time.Duration) error {
-	e := m.lookup(key)
-	if e == nil {
-		return ErrNotFound
-	}
-	if e.cas != cas {
-		return ErrExists
-	}
-	m.store(key, v, ttl)
-	return nil
+	return e.value, true
 }
 
 func (m *modelStore) del(key string) bool {
@@ -128,39 +96,6 @@ func (m *modelStore) del(key string) bool {
 	}
 	m.remove(key)
 	return true
-}
-
-// incr adds delta, or with down set subtracts it, stopping at zero.
-func (m *modelStore) incr(key string, delta uint64, down bool) (uint64, error) {
-	e := m.lookup(key)
-	if e == nil {
-		return 0, ErrNotFound
-	}
-	n, err := strconv.ParseUint(string(e.value), 10, 64)
-	if err != nil {
-		return 0, ErrNotNumeric
-	}
-	if down {
-		n -= min(n, delta)
-	} else {
-		n += delta
-	}
-	m.cas++
-	e.value, e.cas = []byte(strconv.FormatUint(n, 10)), m.cas
-	m.touchLRU(key)
-	return n, nil
-}
-
-func (m *modelStore) touch(key string, ttl time.Duration) error {
-	e := m.lookup(key)
-	if e == nil {
-		return ErrNotFound
-	}
-	e.expires = time.Time{}
-	if ttl > 0 {
-		e.expires = m.now().Add(ttl)
-	}
-	return nil
 }
 
 // audit compares the Store's whole state with the model's, reading the one
@@ -188,9 +123,6 @@ func audit(t *testing.T, step int, op string, s *Store, m *modelStore) {
 		if !e.expires.Equal(me.expires) {
 			t.Fatalf("step %d (%s): %q expires %v, model %v", step, op, e.key, e.expires, me.expires)
 		}
-		if e.casID != me.cas {
-			t.Fatalf("step %d (%s): %q cas %d, model %d", step, op, e.key, e.casID, me.cas)
-		}
 		sum += entrySize(e.key, e.value)
 	}
 	st := s.Stats()
@@ -205,11 +137,10 @@ func audit(t *testing.T, step int, op string, s *Store, m *modelStore) {
 
 // TestModelConformance drives the Store and the model through one seeded
 // random operation stream and compares their whole state after every step:
-// values, presence, expiry, CAS tokens, LRU order (so: victim order), byte
-// accounting and counters.  Values shrink, fit and outgrow the resident array;
-// the budget is small enough to evict; a fake clock runs the TTLs.  On top of
-// the model's own semantics it pins what the in-place overwrite must keep: a
-// successful write's CAS token exceeds every earlier one, a write to a
+// values, presence, expiry, LRU order (so: victim order), byte accounting and
+// counters.  Values shrink, fit and outgrow the resident array; the budget is
+// small enough to evict; a fake clock runs the TTLs.  On top of the model's
+// own semantics it pins what the in-place overwrite must keep: a write to a
 // resident key reuses its entry and LRU element — and its value array when
 // the value fits without idling more than half of it — and a ttl == 0 write
 // clears an earlier expiry.
@@ -225,9 +156,6 @@ func TestModelConformance(t *testing.T) {
 		keys[i] = fmt.Sprintf("key-%d", i)
 	}
 	val := func() []byte {
-		if rng.Intn(8) == 0 {
-			return []byte(strconv.Itoa(rng.Intn(1000))) // something Incr accepts
-		}
 		sizes := []int{0, 1 + rng.Intn(24), 40 + rng.Intn(40), 300 + rng.Intn(100), 900 + rng.Intn(200)}
 		v := make([]byte, sizes[rng.Intn(len(sizes))])
 		rng.Read(v)
@@ -240,16 +168,11 @@ func TestModelConformance(t *testing.T) {
 		return time.Duration(1+rng.Intn(20)) * time.Second
 	}
 	sh := store.shards[0]
-	var lastCAS uint64
 	var inPlace, reallocated, clearedExpiry int
 	// wrote checks a successful write of v to key against the entry that was
 	// resident before it (nil if none).
 	wrote := func(step int, key string, v []byte, before *entry, beforeArr []byte, hadExpiry bool, ttl time.Duration) {
 		e := sh.items[key]
-		if e.casID <= lastCAS {
-			t.Fatalf("step %d: write to %q got cas %d, not above %d", step, key, e.casID, lastCAS)
-		}
-		lastCAS = e.casID
 		if before == nil {
 			return
 		}
@@ -284,7 +207,7 @@ func TestModelConformance(t *testing.T) {
 			beforeArr, hadExpiry = before.value[:0:cap(before.value)], !before.expires.IsZero()
 		}
 		var op string
-		switch rng.Intn(12) {
+		switch rng.Intn(8) {
 		case 0, 1, 2:
 			op = "set"
 			v, d := val(), ttl()
@@ -292,88 +215,29 @@ func TestModelConformance(t *testing.T) {
 			model.store(key, v, d)
 			wrote(step, key, v, before, beforeArr, hadExpiry, d)
 		case 3:
-			op = "add"
-			v, d := val(), ttl()
-			got, want := store.Add(key, v, d), model.add(key, v, d)
-			if got != want {
-				t.Fatalf("step %d: add(%q)=%v want %v", step, key, got, want)
-			}
-			if got == nil {
-				// Add stores only over an absent or just-collected key.
-				wrote(step, key, v, nil, nil, false, d)
-			}
-		case 4:
-			op = "replace"
-			v, d := val(), ttl()
-			got, want := store.Replace(key, v, d), model.replace(key, v, d)
-			if got != want {
-				t.Fatalf("step %d: replace(%q)=%v want %v", step, key, got, want)
-			}
-			if got == nil {
-				wrote(step, key, v, before, beforeArr, hadExpiry, d)
-			}
-		case 5:
-			op = "cas"
-			v, d := val(), ttl()
-			_, token, ok := model.get(key)
-			if _, gotToken, gotOK := store.Gets(key); gotOK != ok || gotToken != token {
-				t.Fatalf("step %d: gets(%q)=(%d,%v) want (%d,%v)", step, key, gotToken, gotOK, token, ok)
-			}
-			if rng.Intn(3) == 0 {
-				token-- // a stale token
-			}
-			got, want := store.CAS(key, v, token, d), model.casWrite(key, v, token, d)
-			if got != want {
-				t.Fatalf("step %d: cas(%q)=%v want %v", step, key, got, want)
-			}
-			if got == nil {
-				wrote(step, key, v, before, beforeArr, hadExpiry, d)
-			}
-		case 6:
 			op = "delete"
 			if got, want := store.Delete(key), model.del(key); got != want {
 				t.Fatalf("step %d: delete(%q)=%v want %v", step, key, got, want)
 			}
-		case 7:
-			op = "incr/decr"
-			delta, down := uint64(rng.Intn(600)), rng.Intn(2) == 0
-			apply := store.Incr
-			if down {
-				apply = store.Decr
-			}
-			got, gotErr := apply(key, delta)
-			want, wantErr := model.incr(key, delta, down)
-			if got != want || gotErr != wantErr {
-				t.Fatalf("step %d: incr/decr(%q, %d, down=%v)=(%d,%v) want (%d,%v)", step, key, delta, down, got, gotErr, want, wantErr)
-			}
-			if gotErr == nil {
-				wrote(step, key, nil, nil, nil, false, 0)
-			}
-		case 8:
-			op = "touch"
-			d := ttl()
-			if got, want := store.Touch(key, d), model.touch(key, d); got != want {
-				t.Fatalf("step %d: touch(%q)=%v want %v", step, key, got, want)
-			}
-		case 9:
+		case 4:
 			op = "get"
-			got, gotCAS, gotOK := store.Gets(key)
-			want, wantCAS, wantOK := model.get(key)
-			if gotOK != wantOK || gotCAS != wantCAS || !bytes.Equal(got, want) {
-				t.Fatalf("step %d: gets(%q)=(%.16q,%d,%v) want (%.16q,%d,%v)", step, key, got, gotCAS, gotOK, want, wantCAS, wantOK)
+			got, gotOK := store.Get(key)
+			want, wantOK := model.get(key)
+			if gotOK != wantOK || !bytes.Equal(got, want) {
+				t.Fatalf("step %d: get(%q)=(%.16q,%v) want (%.16q,%v)", step, key, got, gotOK, want, wantOK)
 			}
 			if gotOK && len(got) > 0 && &got[0] == &sh.items[key].value[0] {
-				t.Fatalf("step %d: gets(%q) returned the resident array, which the next write overwrites", step, key)
+				t.Fatalf("step %d: get(%q) returned the resident array, which the next write overwrites", step, key)
 			}
-		case 10:
+		case 5:
 			op = "view"
 			var got []byte
 			gotOK := store.View(key, func(v []byte) { got = bytes.Clone(v) })
-			want, _, wantOK := model.get(key)
+			want, wantOK := model.get(key)
 			if gotOK != wantOK || !bytes.Equal(got, want) {
 				t.Fatalf("step %d: view(%q)=(%.16q,%v) want (%.16q,%v)", step, key, got, gotOK, want, wantOK)
 			}
-		case 11:
+		case 6, 7:
 			op = "clock"
 			now = now.Add(time.Duration(rng.Intn(4000)) * time.Millisecond)
 		}

@@ -19,35 +19,18 @@ type ClusterConfig struct {
 	// Replicas is the replication pool size (default 2; paper uses 3 on
 	// its 16-leaf testbed).
 	Replicas int
-	// StoreBytes bounds each leaf store (0 = unlimited).
-	StoreBytes int64
-	// PrefixRules optionally pins key namespaces to leaf pools
-	// (McRouter-style prefix routing).
-	PrefixRules []PrefixRule
-	// SweepInterval, when positive, runs a background expiry sweeper on
-	// every leaf store (memcached's LRU-crawler analog).
-	SweepInterval time.Duration
 	// MidTier and Leaf configure the framework tiers.
 	MidTier core.Options
 	Leaf    core.LeafOptions
 }
 
-// leafNode bundles one leaf's process-local pieces — the store, the serving
-// leaf, and its optional sweeper — so runtime add/drain can manage them as a
-// unit alongside the mid-tier's topology entry.
+// leafNode bundles one leaf's process-local pieces — the store and the
+// serving leaf — so runtime add/drain can manage them as a unit alongside the
+// mid-tier's topology entry.
 type leafNode struct {
-	addr    string
-	store   *memcache.Store
-	leaf    *core.Leaf
-	sweeper *memcache.Sweeper
-}
-
-// stop shuts the node's server and sweeper down.
-func (n *leafNode) stop() {
-	n.leaf.Close()
-	if n.sweeper != nil {
-		n.sweeper.Stop()
-	}
+	addr  string
+	store *memcache.Store
+	leaf  *core.Leaf
 }
 
 // Cluster is a running Router deployment.
@@ -85,30 +68,27 @@ func Prepare(cfg ClusterConfig) *Assembly {
 // Leaf builds an unstarted leaf over a fresh store; every Router leaf is
 // alike, so the shard index is unused.
 func (a *Assembly) Leaf(_ int, opts *core.LeafOptions) (*core.Leaf, error) {
-	return NewLeaf(memcache.New(memcache.Config{MaxBytes: a.cfg.StoreBytes}), opts), nil
+	return NewLeaf(memcache.New(memcache.Config{}), opts), nil
 }
 
 // MidTier builds the unconnected replicating mid-tier.
 func (a *Assembly) MidTier(opts *core.Options) (*core.MidTier, error) {
-	cfg := MidTierConfig{Replicas: a.cfg.Replicas, PrefixRules: a.cfg.PrefixRules}
+	cfg := MidTierConfig{Replicas: a.cfg.Replicas}
 	if opts != nil {
 		cfg.Core = *opts
 	}
 	return NewMidTier(cfg), nil
 }
 
-// startLeaf spawns one leaf node (store + serving leaf + optional sweeper).
+// startLeaf spawns one leaf node (store + serving leaf).
 func (a *Assembly) startLeaf() (*leafNode, error) {
-	store := memcache.New(memcache.Config{MaxBytes: a.cfg.StoreBytes})
+	store := memcache.New(memcache.Config{})
 	n := &leafNode{store: store, leaf: NewLeaf(store, &a.cfg.Leaf)}
 	addr, err := n.leaf.Start("127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
 	n.addr = addr
-	if a.cfg.SweepInterval > 0 {
-		n.sweeper = n.store.StartSweeper(a.cfg.SweepInterval)
-	}
 	return n, nil
 }
 
@@ -147,8 +127,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	return cl, nil
 }
 
-// MidTier exposes the deployment's mid-tier — resize drivers and the admin
-// surface (cluster.ServeAdmin on MidTier().Topology()) hang off it.
+// MidTier exposes the deployment's mid-tier — resize drivers hang off it.
 func (c *Cluster) MidTier() *core.MidTier { return c.midTier }
 
 // AddLeaf spins up a whole new leaf node — store, serving leaf — and places
@@ -160,7 +139,7 @@ func (c *Cluster) AddLeaf() (int, error) {
 	}
 	shard, err := c.midTier.AddLeafGroup([]string{n.addr})
 	if err != nil {
-		n.stop()
+		n.leaf.Close()
 		return 0, err
 	}
 	c.mu.Lock()
@@ -170,10 +149,10 @@ func (c *Cluster) AddLeaf() (int, error) {
 }
 
 // DrainLeaf gracefully retires shard's leaf node: the mid-tier drains the
-// group (in-flight traffic finishes, pools close), then the leaf server and
-// its sweeper stop.  Shards above shift down one index, mirroring the
-// topology.  The node also stops on a drain timeout — the topology closed
-// the group anyway — but stays up when the drain was rejected outright.
+// group (in-flight traffic finishes, pools close), then the leaf server
+// stops.  Shards above shift down one index, mirroring the topology.  The
+// node also stops on a drain timeout — the topology closed the group anyway
+// — but stays up when the drain was rejected outright.
 func (c *Cluster) DrainLeaf(shard int, deadline time.Duration) error {
 	err := c.midTier.DrainLeafGroup(shard, deadline)
 	if err != nil && !errors.Is(err, cluster.ErrDrainTimeout) {
@@ -184,7 +163,7 @@ func (c *Cluster) DrainLeaf(shard int, deadline time.Duration) error {
 		n := c.nodes[shard]
 		c.nodes = append(c.nodes[:shard], c.nodes[shard+1:]...)
 		c.mu.Unlock()
-		n.stop()
+		n.leaf.Close()
 	} else {
 		c.mu.Unlock()
 	}
@@ -243,6 +222,6 @@ func (c *Cluster) Close() {
 	c.nodes = nil
 	c.mu.Unlock()
 	for _, n := range nodes {
-		n.stop()
+		n.leaf.Close()
 	}
 }

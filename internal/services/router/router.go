@@ -159,24 +159,11 @@ func NewLeaf(store *memcache.Store, opts *core.LeafOptions) *core.Leaf {
 
 // --- mid-tier ---
 
-// PrefixRule routes keys with a given prefix to a restricted leaf subset —
-// McRouter's "prefix routing" feature (different key namespaces pinned to
-// different memcached pools).
-type PrefixRule struct {
-	// Prefix matches keys by longest-prefix; "" matches everything.
-	Prefix string
-	// Leaves is the pool of leaf indexes serving matching keys.
-	Leaves []int
-}
-
 // MidTierConfig parameterizes routing.
 type MidTierConfig struct {
-	// Replicas is the replication-pool size per key (paper: 3).  Must
-	// not exceed the (pool's) leaf count.
+	// Replicas is the replication-pool size per key (paper: 3), clamped to
+	// the leaf count.
 	Replicas int
-	// PrefixRules optionally partitions the key space across leaf pools
-	// by longest-prefix match; keys matching no rule use all leaves.
-	PrefixRules []PrefixRule
 	// Core configures the framework tier.
 	Core core.Options
 }
@@ -214,53 +201,6 @@ func appendReplicas(dst []int, key []byte, router cluster.Router, numLeaves, r i
 	return dst
 }
 
-// appendReplicasInPool places key on r distinct members of an explicit leaf
-// pool — the SpookyHash-selected primary position and the next r−1 pool
-// positions — appending them to dst.
-func appendReplicasInPool(dst []int, key []byte, pool []int, r int) []int {
-	if len(pool) == 0 {
-		return dst
-	}
-	r = min(max(r, 1), len(pool))
-	primary := int(spooky.Hash64(key, hashSeed) % uint64(len(pool)))
-	for i := 0; i < r; i++ {
-		dst = append(dst, pool[(primary+i)%len(pool)])
-	}
-	return dst
-}
-
-// routeTable is the compiled prefix-routing state.
-type routeTable struct {
-	rules    []PrefixRule // longest prefix first
-	replicas int
-}
-
-func newRouteTable(rules []PrefixRule, replicas int) *routeTable {
-	ordered := make([]PrefixRule, len(rules))
-	copy(ordered, rules)
-	// Longest prefix first gives longest-prefix-match by first hit.
-	for i := 1; i < len(ordered); i++ {
-		for j := i; j > 0 && len(ordered[j].Prefix) > len(ordered[j-1].Prefix); j-- {
-			ordered[j], ordered[j-1] = ordered[j-1], ordered[j]
-		}
-	}
-	return &routeTable{rules: ordered, replicas: replicas}
-}
-
-// route appends the replica set for key to dst.  Callers pass the strategy
-// and leaf count read from one pinned topology snapshot, so every route
-// computed for one request agrees on one epoch even while the cluster
-// resizes.  Prefix-pinned pools name explicit leaf indexes and keep their
-// in-pool modulo placement.
-func (rt *routeTable) route(dst []int, key []byte, router cluster.Router, numLeaves int) []int {
-	for _, rule := range rt.rules {
-		if p := rule.Prefix; len(key) >= len(p) && string(key[:len(p)]) == p && len(rule.Leaves) > 0 {
-			return appendReplicasInPool(dst, key, rule.Leaves, rt.replicas)
-		}
-	}
-	return appendReplicas(dst, key, router, numLeaves, rt.replicas)
-}
-
 // maxStackReplicas sizes the handler's stack arrays; a larger set spills.
 const maxStackReplicas = 4
 
@@ -270,7 +210,6 @@ func NewMidTier(cfg MidTierConfig) *core.MidTier {
 	if replicas <= 0 {
 		replicas = 3
 	}
-	table := newRouteTable(cfg.PrefixRules, replicas)
 	// pickSeq rotates gets across a key's replicas, balancing load the
 	// way the paper's random replica choice does.
 	var pickSeq atomic.Uint64
@@ -326,9 +265,12 @@ func NewMidTier(cfg MidTierConfig) *core.MidTier {
 			ctx.ReplyError(err)
 			return
 		}
+		// The strategy and leaf count come from one pinned topology snapshot,
+		// so a request's replica set agrees on one epoch while the cluster
+		// resizes.
 		snap := ctx.Snapshot()
 		var shardArr [maxStackReplicas]int
-		shards := table.route(shardArr[:0], key, snap.Router(), snap.NumLeaves())
+		shards := appendReplicas(shardArr[:0], key, snap.Router(), snap.NumLeaves(), replicas)
 		if method == MethodGet {
 			shards = shards[pickSeq.Add(1)%uint64(len(shards)):][:1]
 		}

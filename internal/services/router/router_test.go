@@ -3,10 +3,12 @@ package router
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"musuite/internal/cluster"
 	"musuite/internal/core"
 	"musuite/internal/dataset"
 )
@@ -129,28 +131,53 @@ func TestGetSetDeleteEndToEnd(t *testing.T) {
 	}
 }
 
-// TestReplicationInvariant: every set lands on exactly R distinct leaves,
-// the ones SpookyHash names.
+// TestReplicationInvariant: every set lands on exactly the R distinct leaves
+// ReplicasRouted names for the mid-tier's routing strategy — under Jump also
+// after a leaf joins, where fresh keys follow the grown leaf count.
 func TestReplicationInvariant(t *testing.T) {
-	cl, client := startTestCluster(t, 5, 3)
+	for _, routing := range []cluster.Router{cluster.Modulo{}, cluster.Jump{}} {
+		t.Run(routing.Name(), func(t *testing.T) {
+			cl, err := StartCluster(ClusterConfig{
+				Leaves:   5,
+				Replicas: 3,
+				MidTier:  core.Options{Workers: 2, ResponseThreads: 2, EdgePolicy: core.EdgePolicy{Routing: routing}},
+				Leaf:     core.LeafOptions{Workers: 2},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(cl.Close)
+			client, err := DialClient(cl.Addr, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { client.Close() })
+			checkPlacement(t, cl, client, routing, "rep", 5)
+			if _, ok := routing.(cluster.Jump); !ok {
+				return
+			}
+			if _, err := cl.AddLeaf(); err != nil {
+				t.Fatal(err)
+			}
+			checkPlacement(t, cl, client, routing, "grown", 6)
+		})
+	}
+}
+
+// checkPlacement sets 40 fresh keys and checks each is held by exactly the
+// leaves ReplicasRouted names over numLeaves.
+func checkPlacement(t *testing.T, cl *Cluster, client *Client, routing cluster.Router, prefix string, numLeaves int) {
+	t.Helper()
 	for i := 0; i < 40; i++ {
-		key := fmt.Sprintf("rep-%d", i)
+		key := fmt.Sprintf("%s-%d", prefix, i)
 		if err := client.Set(key, []byte("x")); err != nil {
 			t.Fatal(err)
 		}
 		holding := cl.LeafHolding(key)
-		if len(holding) != 3 {
-			t.Fatalf("key %q on %v (want 3 leaves)", key, holding)
-		}
-		want := Replicas(key, 5, 3)
-		wantSet := map[int]bool{}
-		for _, s := range want {
-			wantSet[s] = true
-		}
-		for _, h := range holding {
-			if !wantSet[h] {
-				t.Fatalf("key %q on unexpected leaf %d (want %v)", key, h, want)
-			}
+		want := ReplicasRouted(key, routing, numLeaves, 3)
+		slices.Sort(want)
+		if !slices.Equal(holding, want) {
+			t.Fatalf("key %q on leaves %v, want %v", key, holding, want)
 		}
 	}
 }

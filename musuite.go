@@ -127,7 +127,7 @@ func Overheads() []Overhead { return telemetry.Overheads() }
 // --- live cluster topology ---
 
 // Live-topology types: the epoch-versioned leaf topology every mid-tier
-// serves from, its routing strategies, and the runtime admin surface.
+// serves from and its routing strategies.
 type (
 	// ClusterTopology owns a mid-tier's leaf groups and the add/drain/
 	// remove operations that resize it under load (MidTier.Topology()).
@@ -137,10 +137,6 @@ type (
 	// ClusterRouter maps key hashes onto shards; ModuloRouting and
 	// JumpRouting are the shipped strategies.
 	ClusterRouter = cluster.Router
-	// TopologyAdmin is the runtime admin listener a service binary exposes
-	// with ServeAdmin; TopologyAdminClient is the operator's typed handle.
-	TopologyAdmin       = cluster.AdminServer
-	TopologyAdminClient = cluster.AdminClient
 )
 
 // The shipped routing strategies.
@@ -155,15 +151,6 @@ var (
 // ParseRouting resolves a -routing flag value ("modulo", "jump") to a
 // strategy.
 func ParseRouting(name string) (ClusterRouter, error) { return cluster.ParseRouting(name) }
-
-// ServeTopologyAdmin exposes a mid-tier's topology on its own admin
-// listener (":0" picks a port), returning the server and bound address.
-func ServeTopologyAdmin(t *ClusterTopology, addr string) (*TopologyAdmin, string, error) {
-	return cluster.ServeAdmin(t, addr)
-}
-
-// DialTopologyAdmin connects an operator client to a ServeAdmin listener.
-func DialTopologyAdmin(addr string) (*TopologyAdminClient, error) { return cluster.DialAdmin(addr) }
 
 // --- datasets ---
 
@@ -252,9 +239,6 @@ type (
 	RouterClusterConfig = router.ClusterConfig
 	RouterCluster       = router.Cluster
 	RouterClient        = router.Client
-	// RouterPrefixRule pins a key-prefix namespace to a leaf pool
-	// (McRouter-style prefix routing).
-	RouterPrefixRule = router.PrefixRule
 )
 
 // StartRouterCluster launches an in-process Router deployment.
