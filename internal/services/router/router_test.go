@@ -15,10 +15,17 @@ import (
 
 func startTestCluster(t *testing.T, leaves, replicas int) (*Cluster, *Client) {
 	t.Helper()
+	return startRoutedCluster(t, leaves, replicas, nil)
+}
+
+// startRoutedCluster starts a cluster whose mid-tier places keys with routing
+// (nil: the default, modulo).
+func startRoutedCluster(t *testing.T, leaves, replicas int, routing cluster.Router) (*Cluster, *Client) {
+	t.Helper()
 	cl, err := StartCluster(ClusterConfig{
 		Leaves:   leaves,
 		Replicas: replicas,
-		MidTier:  core.Options{Workers: 2, ResponseThreads: 2},
+		MidTier:  core.Options{Workers: 2, ResponseThreads: 2, EdgePolicy: core.EdgePolicy{Routing: routing}},
 		Leaf:     core.LeafOptions{Workers: 2},
 	})
 	if err != nil {
@@ -137,21 +144,7 @@ func TestGetSetDeleteEndToEnd(t *testing.T) {
 func TestReplicationInvariant(t *testing.T) {
 	for _, routing := range []cluster.Router{cluster.Modulo{}, cluster.Jump{}} {
 		t.Run(routing.Name(), func(t *testing.T) {
-			cl, err := StartCluster(ClusterConfig{
-				Leaves:   5,
-				Replicas: 3,
-				MidTier:  core.Options{Workers: 2, ResponseThreads: 2, EdgePolicy: core.EdgePolicy{Routing: routing}},
-				Leaf:     core.LeafOptions{Workers: 2},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(cl.Close)
-			client, err := DialClient(cl.Addr, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { client.Close() })
+			cl, client := startRoutedCluster(t, 5, 3, routing)
 			checkPlacement(t, cl, client, routing, "rep", 5)
 			if _, ok := routing.(cluster.Jump); !ok {
 				return
