@@ -11,7 +11,6 @@ import (
 
 	"musuite/internal/cmdutil"
 	"musuite/internal/core"
-	"musuite/internal/kernel"
 	"musuite/internal/trace"
 )
 
@@ -46,10 +45,7 @@ func serve(fs *flag.FlagSet, args []string) error {
 	}
 	switch *role {
 	case "leaf":
-		leaf, err := svc.Leaf(*s, mode, *shard, core.LeafOptions{
-			Spans:  spans,
-			Kernel: kernel.New(kernel.Config{Parallelism: mode.LeafParallelism}),
-		})
+		leaf, err := svc.Leaf(*s, mode, *shard, core.LeafOptions{Spans: spans})
 		if err != nil {
 			return err
 		}

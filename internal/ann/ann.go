@@ -12,8 +12,8 @@
 // kernel machinery: the coarse quantizer trains through kmeans.
 // TrainCentroids, centroid probing and the exact re-rank run on the SIMD
 // norm-trick kernels and streaming top-k, and the compressed-store scans
-// ride the same index-stealing parallel-for, so large leaves still use all
-// cores inside one request.
+// stream into one heap on the serving goroutine, as the engine's do.  Builds
+// spread over the cores with kernel.ParallelFor.
 //
 // Builds are deterministic from Config.Seed: training samples are taken by
 // fixed stride and every k-means descent is seeded, so the same corpus and
@@ -22,6 +22,7 @@ package ann
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"musuite/internal/kernel"
@@ -191,7 +192,7 @@ func Build(store *kernel.Store, cfg Config) (*Index, error) {
 	// parallel over rows, then a serial deterministic list build.
 	assign := make([]int32, n)
 	nc := x.cents.Len()
-	kernel.ParallelFor(kernel.Default().Parallelism(), n, func(_, lo, hi int) {
+	kernel.ParallelFor(runtime.NumCPU(), n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			row, rn := store.Row(i), store.Norm2(i)
 			best, bestD := 0, float32(0)
@@ -269,7 +270,7 @@ type searchScratch struct {
 	approx []kernel.Neighbor // compressed-store scores
 	rerank []uint32          // re-rank candidate row IDs
 	lut    []float32         // PQ ADC lookup table
-	heaps  []kernel.TopK     // per-worker heaps for the compressed scans
+	top    kernel.TopK       // the compressed scans' heap
 }
 
 var searchScratches = sync.Pool{New: func() any { return new(searchScratch) }}
@@ -316,7 +317,7 @@ func (x *Index) Search(eng *kernel.Engine, q []float32, k, nprobe, rerank int, d
 
 	if x.quant == QuantNone {
 		// Plain IVF: the candidate lists feed the exact SIMD subset scan
-		// directly (intra-request parallel-for, streaming top-k).
+		// directly (streaming top-k).
 		return eng.ScanSubset(x.store, q, sc.ids, k, dst)
 	}
 
@@ -338,9 +339,9 @@ func (x *Index) Search(eng *kernel.Engine, q []float32, k, nprobe, rerank int, d
 	// keeping the rerank best.
 	switch x.quant {
 	case QuantInt8:
-		sc.approx = x.i8.scanSubset(eng.Parallelism(), q, sc.ids, rerank, sc)
+		sc.approx = x.i8.scanSubset(q, sc.ids, rerank, sc)
 	case QuantPQ:
-		sc.approx = x.pq.scanSubset(eng.Parallelism(), q, sc.ids, rerank, sc)
+		sc.approx = x.pq.scanSubset(q, sc.ids, rerank, sc)
 	}
 
 	// Exact re-rank: the survivors go back through the float32 kernel, so
@@ -351,26 +352,4 @@ func (x *Index) Search(eng *kernel.Engine, q []float32, k, nprobe, rerank int, d
 		sc.rerank = append(sc.rerank, n.ID)
 	}
 	return eng.ScanSubset(x.store, q, sc.rerank, k, dst)
-}
-
-// scanHeaps sizes the scratch's per-worker heap set.
-func (sc *searchScratch) scanHeaps(workers, k int) []kernel.TopK {
-	if cap(sc.heaps) < workers {
-		sc.heaps = make([]kernel.TopK, workers)
-	} else {
-		sc.heaps = sc.heaps[:workers]
-	}
-	for i := range sc.heaps {
-		sc.heaps[i].Reset(k)
-	}
-	return sc.heaps
-}
-
-// mergeHeapsSorted folds heaps[1:] into heaps[0] and drains it sorted into
-// dst.
-func mergeHeapsSorted(heaps []kernel.TopK, dst []kernel.Neighbor) []kernel.Neighbor {
-	for i := 1; i < len(heaps); i++ {
-		heaps[0].Merge(&heaps[i])
-	}
-	return heaps[0].AppendSorted(dst)
 }

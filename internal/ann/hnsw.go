@@ -168,7 +168,7 @@ func (cfg *Config) fillHNSW() error {
 // deterministic: nodes join the graph in a seeded permutation of the rows
 // (insertionOrder), in fixed-size rounds, and
 // within a round every insertion's beam search runs against the frozen
-// pre-round graph on the index-stealing parallel-for (the expensive part —
+// pre-round graph on kernel.ParallelFor (the expensive part —
 // all distance evaluations — is embarrassingly parallel).  Each insertion
 // writes its own adjacency bands directly (nothing else touches them while
 // the round's searches cannot reach in-round nodes) and records the
@@ -217,7 +217,7 @@ func BuildHNSW(store *kernel.Store, cfg Config) (*HNSW, error) {
 	h.entry, h.maxLevel = order[0], h.levels[order[0]]
 
 	pend := make([]pendList, n)
-	par := kernel.Default().Parallelism()
+	par := runtime.NumCPU()
 
 	for done := 1; done < n; {
 		// Round size: half the built prefix, capped.  In-round nodes cannot
@@ -241,7 +241,7 @@ func BuildHNSW(store *kernel.Store, cfg Config) (*HNSW, error) {
 		// Phase A: every insertion in the round searches the frozen
 		// pre-round graph and links itself outward.
 		entry, maxLevel := h.entry, h.maxLevel
-		kernel.ParallelFor(par, batch, func(_, lo, hi int) {
+		kernel.ParallelFor(par, batch, func(lo, hi int) {
 			sc := h.scratch.Get().(*hnswScratch)
 			for idx := lo; idx < hi; idx++ {
 				h.insert(int(order[done+idx]), entry, maxLevel, pend, sc)
@@ -254,7 +254,7 @@ func BuildHNSW(store *kernel.Store, cfg Config) (*HNSW, error) {
 		// heuristic re-selection on overflow.  Deterministic because the
 		// edge multiset is fixed by phase A and each target is processed
 		// alone.
-		kernel.ParallelFor(par, done+batch, func(_, lo, hi int) {
+		kernel.ParallelFor(par, done+batch, func(lo, hi int) {
 			sc := h.scratch.Get().(*hnswScratch)
 			for _, i := range order[lo:hi] {
 				if len(pend[i].edges) > 0 {

@@ -2,6 +2,7 @@ package ann
 
 import (
 	"math"
+	"runtime"
 
 	"musuite/internal/kernel"
 )
@@ -31,7 +32,7 @@ func BuildInt8(s *kernel.Store) *Int8Store {
 		n:     n,
 		dim:   dim,
 	}
-	kernel.ParallelFor(kernel.Default().Parallelism(), n, func(_, lo, hi int) {
+	kernel.ParallelFor(runtime.NumCPU(), n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			row := s.Row(i)
 			var maxAbs float32
@@ -125,22 +126,20 @@ func dotF32I8(q []float32, c []int8) float32 {
 // scanSubset scores the candidate rows on the quantized codes and returns
 // the r best (ascending approximate distance) — the approximate pass the
 // exact re-rank then corrects.
-func (st *Int8Store) scanSubset(par int, q []float32, ids []uint32, r int, sc *searchScratch) []kernel.Neighbor {
+func (st *Int8Store) scanSubset(q []float32, ids []uint32, r int, sc *searchScratch) []kernel.Neighbor {
 	qn := kernel.Dot(q, q)
-	heaps := sc.scanHeaps(par, r)
-	kernel.ParallelFor(par, len(ids), func(w, lo, hi int) {
-		top := &heaps[w]
-		thr := top.Threshold()
-		for _, id := range ids[lo:hi] {
-			if int(id) >= st.n {
-				continue
-			}
-			d := st.dist2(q, qn, int(id))
-			if d <= thr {
-				top.Consider(id, d)
-				thr = top.Threshold()
-			}
+	top := &sc.top
+	top.Reset(r)
+	thr := top.Threshold()
+	for _, id := range ids {
+		if int(id) >= st.n {
+			continue
 		}
-	})
-	return mergeHeapsSorted(heaps, sc.approx[:0])
+		d := st.dist2(q, qn, int(id))
+		if d <= thr {
+			top.Consider(id, d)
+			thr = top.Threshold()
+		}
+	}
+	return top.AppendSorted(sc.approx[:0])
 }

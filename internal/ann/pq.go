@@ -2,6 +2,7 @@ package ann
 
 import (
 	"fmt"
+	"runtime"
 
 	"musuite/internal/kernel"
 	"musuite/internal/kmeans"
@@ -91,7 +92,7 @@ func BuildPQ(s *kernel.Store, cfg PQConfig) (*PQStore, error) {
 	// Encode: nearest codebook entry per subspace, exact diff-squared on
 	// the short sub-vectors.
 	st.codes = make([]uint8, n*st.m)
-	kernel.ParallelFor(kernel.Default().Parallelism(), n, func(_, lo, hi int) {
+	kernel.ParallelFor(runtime.NumCPU(), n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			row := s.Row(i)
 			for sub := 0; sub < st.m; sub++ {
@@ -183,23 +184,20 @@ func (st *PQStore) ADC(q []float32, i int) float32 {
 
 // scanSubset scores the candidate rows by ADC and returns the r best
 // (ascending approximate distance) for the exact re-rank.
-func (st *PQStore) scanSubset(par int, q []float32, ids []uint32, r int, sc *searchScratch) []kernel.Neighbor {
+func (st *PQStore) scanSubset(q []float32, ids []uint32, r int, sc *searchScratch) []kernel.Neighbor {
 	sc.lut = st.lutInto(q, sc.lut[:0])
-	lut := sc.lut
-	heaps := sc.scanHeaps(par, r)
-	kernel.ParallelFor(par, len(ids), func(w, lo, hi int) {
-		top := &heaps[w]
-		thr := top.Threshold()
-		for _, id := range ids[lo:hi] {
-			if int(id) >= st.n {
-				continue
-			}
-			d := st.adc(lut, int(id))
-			if d <= thr {
-				top.Consider(id, d)
-				thr = top.Threshold()
-			}
+	top := &sc.top
+	top.Reset(r)
+	thr := top.Threshold()
+	for _, id := range ids {
+		if int(id) >= st.n {
+			continue
 		}
-	})
-	return mergeHeapsSorted(heaps, sc.approx[:0])
+		d := st.adc(sc.lut, int(id))
+		if d <= thr {
+			top.Consider(id, d)
+			thr = top.Threshold()
+		}
+	}
+	return top.AppendSorted(sc.approx[:0])
 }

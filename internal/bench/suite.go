@@ -9,7 +9,6 @@ import (
 
 	"musuite/internal/core"
 	"musuite/internal/dataset"
-	"musuite/internal/kernel"
 	"musuite/internal/loadgen"
 	"musuite/internal/rpc"
 	"musuite/internal/services/hdsearch"
@@ -121,17 +120,14 @@ func (in *Instance) Close() {
 }
 
 // FrameworkMode selects the variant of a deployment an experiment runs: the
-// mid-tier's policy, the leaves' kernel engine, HDSearch's index, and the
-// span recorder every tier reports to.
+// mid-tier's policy, HDSearch's index, and the span recorder every tier
+// reports to.
 type FrameworkMode struct {
 	// MidTier is the mid-tier's policy as the tier itself takes it — the
 	// §VII dispatch and wait modes, the default edge's tail tolerance,
 	// batching and routing, admission.  Pool sizes and connection counts
 	// come from the Scale, the recorder and probe from the harness.
 	MidTier core.Options
-	// LeafParallelism caps the worker goroutines a leaf kernel scan may
-	// recruit (0 = NumCPU, 1 = serial).
-	LeafParallelism int
 	// Index selects HDSearch's candidate index kind ("" = LSH); the ivf*
 	// and hnsw kinds build leaf-resident ANN indexes, at the leaf's default
 	// tuning, instead of a mid-tier candidate generator.
@@ -176,7 +172,6 @@ func leafOptions(s Scale, mode FrameworkMode) core.LeafOptions {
 	return core.LeafOptions{
 		Workers: s.LeafWorkers,
 		Spans:   mode.Spans,
-		Kernel:  kernel.New(kernel.Config{Parallelism: mode.LeafParallelism}),
 	}
 }
 

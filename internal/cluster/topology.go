@@ -318,9 +318,9 @@ func (t *Topology) AddGroup(addrs []string) (int, error) {
 	return s.NumLeaves() - 1, nil
 }
 
-// removeLocked unpublishes shard's group, marking it with the given state,
-// and returns it.  Later shards shift down one index.
-func (t *Topology) removeLocked(shard int, to GroupState) (*Group, error) {
+// removeLocked unpublishes shard's group, marking it draining, and returns
+// it.  Later shards shift down one index.
+func (t *Topology) removeLocked(shard int) (*Group, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
@@ -334,7 +334,7 @@ func (t *Topology) removeLocked(shard int, to GroupState) (*Group, error) {
 		return nil, errors.New("cluster: cannot remove the last leaf group")
 	}
 	g := cur.groups[shard]
-	g.state.Store(int32(to))
+	g.state.Store(int32(GroupDraining))
 	rest := make([]*Group, 0, len(cur.groups)-1)
 	rest = append(rest, cur.groups[:shard]...)
 	rest = append(rest, cur.groups[shard+1:]...)
@@ -354,7 +354,7 @@ func (t *Topology) removeLocked(shard int, to GroupState) (*Group, error) {
 // the topology stays consistent, but calls still in flight against the
 // group fail with connection errors.
 func (t *Topology) DrainGroup(shard int, deadline time.Duration) error {
-	g, err := t.removeLocked(shard, GroupDraining)
+	g, err := t.removeLocked(shard)
 	if err != nil {
 		return err
 	}
@@ -379,21 +379,6 @@ func (t *Topology) DrainGroup(shard int, deadline time.Duration) error {
 		t.cfg.Counters.Add(telemetry.TopoDrainTimeout, 1)
 	}
 	return err
-}
-
-// RemoveGroup forcefully removes shard's leaf group, closing its pools
-// immediately.  Calls in flight against the group fail with connection
-// errors (the tail-tolerant retry machinery may recover them on another
-// shard's replica only for replicated data).  Prefer DrainGroup; this is
-// the operator's escape hatch for a wedged group a drain cannot quiesce.
-func (t *Topology) RemoveGroup(shard int) error {
-	g, err := t.removeLocked(shard, GroupClosed)
-	if err != nil {
-		return err
-	}
-	t.cfg.Counters.Add(telemetry.TopoRemove, 1)
-	g.Close()
-	return nil
 }
 
 // Close shuts down every group in the current snapshot and rejects further

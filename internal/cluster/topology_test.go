@@ -178,7 +178,7 @@ func TestDrainGroupTimesOutUnderPinnedReader(t *testing.T) {
 	pinned.Release()
 }
 
-func TestRemoveGroupRefusesLastAndBadShard(t *testing.T) {
+func TestDrainGroupRefusesLastAndBadShard(t *testing.T) {
 	addrs := startLeaves(t, 2)
 	topo := New(testConfig())
 	defer topo.Close()
@@ -186,17 +186,17 @@ func TestRemoveGroupRefusesLastAndBadShard(t *testing.T) {
 		t.Fatalf("Bootstrap: %v", err)
 	}
 
-	if err := topo.RemoveGroup(5); err == nil || !strings.Contains(err.Error(), "no such leaf shard") {
-		t.Errorf("RemoveGroup(5) = %v, want no-such-shard error", err)
+	if err := topo.DrainGroup(5, time.Second); err == nil || !strings.Contains(err.Error(), "no such leaf shard") {
+		t.Errorf("DrainGroup(5) = %v, want no-such-shard error", err)
 	}
-	if err := topo.RemoveGroup(0); err != nil {
-		t.Fatalf("RemoveGroup(0): %v", err)
+	if err := topo.DrainGroup(0, time.Second); err != nil {
+		t.Fatalf("DrainGroup(0): %v", err)
 	}
-	if err := topo.RemoveGroup(0); err == nil || !strings.Contains(err.Error(), "last leaf group") {
-		t.Errorf("RemoveGroup(last) = %v, want last-group refusal", err)
+	if err := topo.DrainGroup(0, time.Second); err == nil || !strings.Contains(err.Error(), "last leaf group") {
+		t.Errorf("DrainGroup(last) = %v, want last-group refusal", err)
 	}
-	if got := count(topo, telemetry.TopoRemove); got != 1 {
-		t.Errorf("topo.remove = %d, want 1", got)
+	if got := count(topo, telemetry.TopoDrain); got != 1 {
+		t.Errorf("topo.drain = %d, want 1", got)
 	}
 }
 

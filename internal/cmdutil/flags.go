@@ -22,8 +22,8 @@ import (
 
 // ModeFlags registers the flags that select a deployment variant (`musuite
 // serve` and `musuite bench`): the mid-tier's policy — the flags become the
-// core.Options a tier is built from, with no struct in between — then the
-// leaves' kernel engine, HDSearch's candidate index and the replica count.
+// core.Options a tier is built from, with no struct in between — then
+// HDSearch's candidate index and the replica count.
 // The returned function, called after Parse, applies -replicas to s and
 // builds the mode.
 func ModeFlags(fs *flag.FlagSet) func(s *bench.Scale) (bench.FrameworkMode, error) {
@@ -33,7 +33,6 @@ func ModeFlags(fs *flag.FlagSet) func(s *bench.Scale) (bench.FrameworkMode, erro
 	fs.DurationVar(&tail.HedgeDelay, "hedge-delay", 0, "mid-tier: fixed hedge delay (overrides -hedge-pct)")
 	fs.Float64Var(&tail.RetryBudgetRatio, "retry-budget", 0, "mid-tier: hedge/retry budget as a fraction of primary traffic (0 = default 0.1)")
 	routing := fs.String("routing", "modulo", "mid-tier: key placement strategy: modulo | jump (jump keeps placements stable through resizes)")
-	fs.IntVar(&mode.LeafParallelism, "leaf-parallelism", 0, "leaf (hdsearch, recommend): worker goroutines per kernel scan (0 = NumCPU, 1 = serial)")
 	fs.StringVar((*string)(&mode.Index), "index", string(hdsearch.IndexLSH),
 		"hdsearch: candidate index: lsh | kdtree | kmeans | ivf | ivfsq | ivfpq | hnsw (leaf-resident kinds build per-shard indexes)")
 	replicas := fs.Int("replicas", 0, "leaf replicas per shard; router: replication pool size (0 = the scale's: 1, router 2)")

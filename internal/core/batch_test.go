@@ -156,8 +156,8 @@ func TestProbeIsSumOfTierTables(t *testing.T) {
 	var leaves [2]*Leaf
 	var groups [][]string
 	for i := range leaves {
-		opts := EnsureLeafKernel(&LeafOptions{Workers: 2, Probe: probe})
-		eng, store := opts.Kernel, kernelTestStore(t)
+		opts, eng := EnsureLeafKernel(&LeafOptions{Workers: 2, Probe: probe})
+		store := kernelTestStore(t)
 		leaves[i] = NewLeaf(func(_ string, payload []byte) ([]byte, error) {
 			_, err := eng.Scan(store, []float32{1, 2, 3, 4}, 1, nil)
 			return payload, err

@@ -34,12 +34,6 @@ type LeafOptions struct {
 	Workers int
 	// Probe receives telemetry; nil disables instrumentation.
 	Probe *telemetry.Probe
-	// Kernel configures the compute engine the leaf's handlers scan with
-	// (parallelism, kernel selection).  Services call EnsureLeafKernel,
-	// which rebinds it to count into the leaf's own table, so a leaf always
-	// has an engine and its TierStats kernel counters are per-leaf even
-	// when several leaves were configured from one engine.
-	Kernel *kernel.Engine
 	// Spans, when set, records a server span for every sampled request
 	// (and every sampled member of a batched carrier), parented to the
 	// caller's client span carried on the wire.
@@ -51,17 +45,17 @@ type LeafOptions struct {
 }
 
 // EnsureLeafKernel clones opts (nil allowed), creates the table of the leaf
-// the options will build, and binds the compute engine (the caller's, or a
-// default one) to it — the hook services use so every leaf owns per-leaf
-// kernel counters.  Each call's result configures exactly one leaf.
-func EnsureLeafKernel(opts *LeafOptions) *LeafOptions {
+// the options will build, and returns the clone with the compute engine that
+// counts into that table — the hook services use so every leaf's handlers
+// scan with an engine of its own and its TierStats kernel counters are
+// per-leaf.  Each call's result configures exactly one leaf.
+func EnsureLeafKernel(opts *LeafOptions) (*LeafOptions, *kernel.Engine) {
 	var out LeafOptions
 	if opts != nil {
 		out = *opts
 	}
 	out.counters = telemetry.NewTable(out.Probe.Table())
-	out.Kernel = out.Kernel.WithCounters(out.counters)
-	return &out
+	return &out, kernel.Default().WithCounters(out.counters)
 }
 
 // Leaf is a leaf microserver: an RPC server that runs each request's handler

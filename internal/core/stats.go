@@ -66,15 +66,14 @@ type TierStats struct {
 	// zero when batching is disabled.
 	BatchDelay time.Duration
 	// Epoch is the default edge's cluster topology version (mid-tier
-	// only); it increments on every add/drain/remove, so a monitor can
+	// only); it increments on every add and drain, so a monitor can
 	// detect a resize by watching this gauge.
 	Epoch uint64
 	// Topology mutation counters (mid-tier only, summed over its edges):
-	// leaf groups added, gracefully drained, forcefully removed, and drains
-	// whose quiescence wait exceeded its deadline.
+	// leaf groups added, gracefully drained, and drains whose quiescence
+	// wait exceeded its deadline.
 	TopoAdds          uint64 `counter:"topo.add"`
 	TopoDrains        uint64 `counter:"topo.drain"`
-	TopoRemoves       uint64 `counter:"topo.remove"`
 	TopoDrainTimeouts uint64 `counter:"topo.drain-timeout"`
 	// Compute-engine counters (leaf only): candidate points scored by the
 	// leaf's kernel scans and wall nanoseconds spent inside them —

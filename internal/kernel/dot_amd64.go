@@ -7,7 +7,7 @@ package kernel
 // the same Σ aᵢ·bᵢ reduction as dotGeneric with a different association
 // order, so results may differ from the pure-Go path in the last ulps —
 // which is why equivalence against the scalar reference is specified with a
-// tolerance, while serial and parallel engine paths stay bit-identical
+// tolerance, while the engine's scan paths stay bit-identical to each other
 // (they all call the same dot8).
 
 // dotSIMD computes the dot product of a[0:n]·b[0:n].  n must be a positive

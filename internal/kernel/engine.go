@@ -3,7 +3,6 @@ package kernel
 import (
 	"math"
 	"math/bits"
-	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -11,76 +10,51 @@ import (
 	"musuite/internal/telemetry"
 )
 
-// Config tunes an Engine.
-type Config struct {
-	// Parallelism caps how many cores one request's scan may use
-	// (0 = NumCPU; 1 = serial).  The -leaf-parallelism flag lands here.
-	Parallelism int
-}
+// Config is what New takes.  It has no fields: a scan runs on the goroutine
+// that calls it, so there is nothing left to tune.
+type Config struct{}
 
-// Engine executes leaf scans.  It is a thin config plus a counter sink — the
-// helper goroutines live in one process-global pool — so every leaf can own
-// an engine (making its TierStats counters per-leaf) without goroutine cost.
+// Engine executes leaf scans on the calling goroutine — a query's
+// parallelism comes from its shards, each leaf scanning its own — and books
+// each scan into a counter table.  It is that counter sink alone, so every
+// leaf owns one (making its TierStats counters per-leaf) at no cost.
 type Engine struct {
-	par int
 	// counters receives the kernel.* counters — the owning leaf's table,
 	// bound by WithCounters; nil (a freshly built engine) counts nothing.
 	counters *telemetry.Table
 }
 
-// New builds an engine.
-func New(cfg Config) *Engine {
-	par := cfg.Parallelism
-	if par <= 0 {
-		par = runtime.NumCPU()
-	}
-	return &Engine{par: par}
-}
+// New builds an engine that counts nothing.
+func New(Config) *Engine { return new(Engine) }
 
-var (
-	defaultOnce   sync.Once
-	defaultEngine *Engine
-)
+var uncounted Engine
 
-// Default returns the process-wide default engine (NumCPU parallelism) —
-// the fallback for components constructed without one.
-func Default() *Engine {
-	defaultOnce.Do(func() { defaultEngine = New(Config{}) })
-	return defaultEngine
-}
+// Default returns the process-wide engine that counts nothing — for scans
+// outside a serving leaf.
+func Default() *Engine { return &uncounted }
 
-func (e *Engine) orDefault() *Engine {
+// WithCounters returns an engine that counts into t — how a leaf gets its
+// own engine.
+func (*Engine) WithCounters(t *telemetry.Table) *Engine { return &Engine{counters: t} }
+
+// account books one scan that scored points rows and read refined of them a
+// second time; a nil engine counts nothing.
+func (e *Engine) account(points, refined int, start time.Time) {
 	if e == nil {
-		return Default()
+		return
 	}
-	return e
-}
-
-// Parallelism reports the engine's per-scan worker cap, so callers running
-// their own ParallelFor loops (the ann compressed-store scans) match the
-// engine's configured core budget.
-func (e *Engine) Parallelism() int { return e.orDefault().par }
-
-// WithCounters returns a copy of the engine (same parallelism; nil means the
-// default engine) that counts into t — how one configured engine becomes a
-// per-leaf engine.
-func (e *Engine) WithCounters(t *telemetry.Table) *Engine {
-	c := *e.orDefault()
-	c.counters = t
-	return &c
-}
-
-func (e *Engine) account(points int, start time.Time) {
 	e.counters.Add(telemetry.KernelScans, 1)
 	e.counters.Add(telemetry.KernelPoints, uint64(points))
+	if refined != 0 {
+		e.counters.Add(telemetry.KernelRefined, uint64(refined))
+	}
 	e.counters.Add(telemetry.KernelNanos, uint64(time.Since(start)))
 }
 
 // --- inner kernels ---
 
 // useSIMD is set by per-arch init when the CPU has a vector dot kernel
-// (AVX2+FMA on amd64).  All tuned engine paths go through the same dot8, so
-// which kernel runs never affects serial/parallel equivalence.
+// (AVX2+FMA on amd64).  All tuned engine paths go through the same dot8.
 var useSIMD bool
 
 // dot8 is the one inner loop every tuned distance reduces to under the norm
@@ -188,8 +162,8 @@ func dotGeneric(a, b []float32) float32 {
 	return ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))
 }
 
-// normDist is the per-(query, point) distance every engine path shares —
-// serial and parallel scans therefore produce bit-identical floats.
+// normDist is the per-(query, point) distance every engine path shares, so
+// every scan scores a pair to the same bits.
 // The clamp absorbs the small negative results cancellation can produce for
 // near-duplicate points.
 func normDist(q []float32, qn float32, row []float32, rowNorm float32) float32 {
@@ -207,34 +181,25 @@ func normFinish(qn, rowNorm, dot float32) float32 {
 
 // --- scratch pooling ---
 
-// scanScratch recycles the per-worker heaps of one scan.  heaps is sized
-// par and reused across requests.
+// scanScratch recycles one scan's heap and buffer across requests.
 type scanScratch struct {
-	heaps []TopK
-	buf   []float32 // a split scan's reordered query and rows
+	top TopK
+	buf []float32 // a split scan's reordered query and row
 }
 
 var scanScratches = sync.Pool{New: func() any { return new(scanScratch) }}
 
-func getScratch(heaps, k int) *scanScratch {
+func getScratch(k int) *scanScratch {
 	sc := scanScratches.Get().(*scanScratch)
-	if cap(sc.heaps) < heaps {
-		sc.heaps = make([]TopK, heaps)
-	} else {
-		sc.heaps = sc.heaps[:heaps]
-	}
-	for i := range sc.heaps {
-		sc.heaps[i].Reset(k)
-	}
+	sc.top.Reset(k)
 	return sc
 }
 
-// mergeAppend folds heaps[1:] into heaps[0] and drains it sorted into dst.
-func mergeAppend(heaps []TopK, dst []Neighbor) []Neighbor {
-	for i := 1; i < len(heaps); i++ {
-		heaps[0].Merge(&heaps[i])
-	}
-	return heaps[0].AppendSorted(dst)
+// finish drains the scan's heap sorted into dst and returns the scratch.
+func (sc *scanScratch) finish(dst []Neighbor) []Neighbor {
+	dst = sc.top.AppendSorted(dst)
+	scanScratches.Put(sc)
+	return dst
 }
 
 // --- full-store scan ---
@@ -242,29 +207,23 @@ func mergeAppend(heaps []TopK, dst []Neighbor) []Neighbor {
 // Scan scores the query against every store row and appends the k nearest
 // (by squared Euclidean distance, ties by ID) to dst.
 func (e *Engine) Scan(s *Store, q []float32, k int, dst []Neighbor) ([]Neighbor, error) {
-	e = e.orDefault()
 	if len(q) != s.dim && s.n > 0 {
 		return dst, ErrDimensionMismatch
 	}
 	start := time.Now()
-	// As in ScanSubset: k comes off the wire and sizes every worker's heap.
-	k = min(k, s.n)
-	sc := getScratch(e.par, k)
-	qn := dot8(q, q)
-	parallelFor(e.par, s.n, func(w, lo, hi int) {
-		scanRange(s, q, qn, lo, hi, &sc.heaps[w])
-	})
-	dst = mergeAppend(sc.heaps, dst)
-	scanScratches.Put(sc)
-	e.account(s.n, start)
+	// As in ScanSubset: k comes off the wire and sizes the heap.
+	sc := getScratch(min(k, s.n))
+	scanStore(s, q, dot8(q, q), &sc.top)
+	dst = sc.finish(dst)
+	e.account(s.n, 0, start)
 	return dst, nil
 }
 
-// scanRange is the tuned per-chunk loop: stream rows, norm-trick distance,
+// scanStore is the tuned full-store loop: stream rows, norm-trick distance,
 // threshold test before touching the heap.
-func scanRange(s *Store, q []float32, qn float32, lo, hi int, top *TopK) {
+func scanStore(s *Store, q []float32, qn float32, top *TopK) {
 	thr := top.Threshold()
-	for i := lo; i < hi; i++ {
+	for i := 0; i < s.n; i++ {
 		d := normDist(q, qn, s.Row(i), s.norms[i])
 		// ≤ keeps equal-distance smaller-ID candidates eligible, so the
 		// result matches the reference selection exactly.
@@ -281,26 +240,16 @@ func scanRange(s *Store, q []float32, qn float32, lo, hi int, top *TopK) {
 // IDs are skipped, mirroring the wire contract) and appends the k nearest to
 // dst — the HDSearch leaf's per-request computation.
 func (e *Engine) ScanSubset(s *Store, q []float32, ids []uint32, k int, dst []Neighbor) ([]Neighbor, error) {
-	e = e.orDefault()
 	if len(q) != s.dim && s.n > 0 {
 		return dst, ErrDimensionMismatch
 	}
 	start := time.Now()
-	// k sizes every worker's heap, and callers take it off the wire: a scan
-	// cannot keep more neighbours than it was given candidates.
-	k = min(k, len(ids))
-	sc := getScratch(e.par, k)
-	qn := dot8(q, q)
-	if staysOnCaller(e.par, len(ids)) {
-		scanSubsetRange(s, q, qn, ids, &sc.heaps[0])
-	} else {
-		parallelFor(e.par, len(ids), func(w, lo, hi int) {
-			scanSubsetRange(s, q, qn, ids[lo:hi], &sc.heaps[w])
-		})
-	}
-	dst = mergeAppend(sc.heaps, dst)
-	scanScratches.Put(sc)
-	e.account(len(ids), start)
+	// k sizes the heap, and callers take it off the wire: a scan cannot keep
+	// more neighbours than it was given candidates.
+	sc := getScratch(min(k, len(ids)))
+	scanSubsetRange(s, q, dot8(q, q), ids, &sc.top)
+	dst = sc.finish(dst)
+	e.account(len(ids), 0, start)
 	return dst, nil
 }
 
@@ -337,7 +286,7 @@ func scoreBlock(s *Store, q []float32, qn float32, blk []uint32, dist []float32,
 	distRows(s, q, qn, blk, dist)
 	thr := top.Threshold()
 	for i, d := range dist[:len(blk)] {
-		// ≤ for the same reason as scanRange.
+		// ≤ for the same reason as scanStore.
 		if d <= thr {
 			top.Consider(blk[i], d)
 			thr = top.Threshold()
@@ -355,7 +304,6 @@ func scoreBlock(s *Store, q []float32, qn float32, blk []uint32, dist []float32,
 // answer is bit-identical to ScanSubset over the same rows as IDs:
 // the masks expand into the same ID block in front of the same scoreBlock.
 func (e *Engine) ScanRowSet(s *Store, q []float32, set RowSet, k int, dst []Neighbor) ([]Neighbor, error) {
-	e = e.orDefault()
 	if len(q) != s.dim && s.n > 0 {
 		return dst, ErrDimensionMismatch
 	}
@@ -364,21 +312,10 @@ func (e *Engine) ScanRowSet(s *Store, q []float32, set RowSet, k int, dst []Neig
 	}
 	start := time.Now()
 	points := set.countIn(s.n)
-	k = min(k, points)
-	sc := getScratch(e.par, k)
-	qn := dot8(q, q)
-	// The split rule is ScanSubset's, on the same number — candidates — and
-	// a claim is at most as many rows: chunkPoints/64 words.
-	if staysOnCaller(e.par, points) {
-		scanRowSetRange(s, q, qn, set, &sc.heaps[0])
-	} else {
-		forkJoin(e.par, len(set.Words), chunkPoints/64, func(w, lo, hi int) {
-			scanRowSetRange(s, q, qn, RowSet{set.Words[lo:hi], set.Masks[lo:hi]}, &sc.heaps[w])
-		})
-	}
-	dst = mergeAppend(sc.heaps, dst)
-	scanScratches.Put(sc)
-	e.account(points, start)
+	sc := getScratch(min(k, points))
+	scanRowSetRange(s, q, dot8(q, q), set, &sc.top)
+	dst = sc.finish(dst)
+	e.account(points, 0, start)
 	return dst, nil
 }
 
@@ -442,30 +379,26 @@ func cosineDist(q []float32, qn float32, row []float32, rn float32) float32 {
 // latent-factor store, with the exclusion applied inline instead of through
 // a per-request exclusion map.
 func (e *Engine) CosineNeighbors(s *Store, row int, include []bool, k int, dst []Neighbor) ([]Neighbor, error) {
-	e = e.orDefault()
 	if row < 0 || row >= s.n {
 		return dst, ErrDimensionMismatch
 	}
 	start := time.Now()
 	q := s.Row(row)
 	qn := s.norms[row]
-	sc := getScratch(e.par, k)
-	parallelFor(e.par, s.n, func(w, lo, hi int) {
-		top := &sc.heaps[w]
-		thr := top.Threshold()
-		for i := lo; i < hi; i++ {
-			if i == row || (include != nil && !include[i]) {
-				continue
-			}
-			d := cosineDist(q, qn, s.Row(i), s.norms[i])
-			if d <= thr {
-				top.Consider(uint32(i), d)
-				thr = top.Threshold()
-			}
+	sc := getScratch(k)
+	top := &sc.top
+	thr := top.Threshold()
+	for i := 0; i < s.n; i++ {
+		if i == row || (include != nil && !include[i]) {
+			continue
 		}
-	})
-	dst = mergeAppend(sc.heaps, dst)
-	scanScratches.Put(sc)
-	e.account(s.n, start)
+		d := cosineDist(q, qn, s.Row(i), s.norms[i])
+		if d <= thr {
+			top.Consider(uint32(i), d)
+			thr = top.Threshold()
+		}
+	}
+	dst = sc.finish(dst)
+	e.account(s.n, 0, start)
 	return dst, nil
 }

@@ -141,7 +141,7 @@ func TestTopKBoundedAtNothing(t *testing.T) {
 			t.Fatalf("k=%d: kept %v", k, got)
 		}
 	}
-	eng := New(Config{Parallelism: 1})
+	eng := New(Config{})
 	s := randStore(rand.New(rand.NewSource(3)), 50, 64)
 	for _, ids := range [][]uint32{nil, {1, 2, 3}} {
 		got, err := eng.ScanSubset(s, s.Row(0), ids, 0, nil)
@@ -154,36 +154,10 @@ func TestTopKBoundedAtNothing(t *testing.T) {
 	}
 }
 
-// TestScanEquivalenceParallelSerial: chunked parallel scans return the exact
-// neighbors of a serial scan — the shared per-pair arithmetic and total
-// (distance, ID) order make the result independent of chunking.
-func TestScanEquivalenceParallelSerial(t *testing.T) {
-	serial := New(Config{Parallelism: 1})
-	par := New(Config{Parallelism: 8})
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		// Past minParallelPoints so parallelFor actually chunks.
-		n := minParallelPoints + r.Intn(3*chunkPoints)
-		dim := 1 + r.Intn(40)
-		k := 1 + r.Intn(16)
-		s := randStore(r, n, dim)
-		q := randQuery(r, dim)
-		a, err1 := serial.Scan(s, q, k, nil)
-		b, err2 := par.Scan(s, q, k, nil)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		return neighborsEqual(a, b)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 8}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestScanEquivalenceScalar: the norm-trick engine agrees with the scalar
 // diff-squared reference within float32 cancellation tolerance (nearRef).
 func TestScanEquivalenceScalar(t *testing.T) {
-	tuned := New(Config{Parallelism: 4})
+	tuned := New(Config{})
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 200 + r.Intn(800)
@@ -203,12 +177,11 @@ func TestScanEquivalenceScalar(t *testing.T) {
 	}
 }
 
-// TestScanSubsetEquivalence: the parallel subset scan matches the serial one
-// bit for bit, and the diff-squared reference within nearRef's bound.  IDs
-// include duplicates and out-of-range entries.
+// TestScanSubsetEquivalence: the subset scan matches the diff-squared
+// reference within nearRef's bound.  IDs include duplicates and out-of-range
+// entries.
 func TestScanSubsetEquivalence(t *testing.T) {
-	serial := New(Config{Parallelism: 1})
-	par := New(Config{Parallelism: 8})
+	eng := New(Config{})
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 300 + r.Intn(300)
@@ -216,13 +189,12 @@ func TestScanSubsetEquivalence(t *testing.T) {
 		k := 1 + r.Intn(10)
 		s := randStore(r, n, dim)
 		q := randQuery(r, dim)
-		ids := make([]uint32, minParallelPoints+r.Intn(chunkPoints))
+		ids := make([]uint32, 4096+r.Intn(1024))
 		for i := range ids {
 			ids[i] = uint32(r.Intn(n + n/8)) // some out of range
 		}
-		a, err1 := serial.ScanSubset(s, q, ids, k, nil)
-		b, err2 := par.ScanSubset(s, q, ids, k, nil)
-		if err1 != nil || err2 != nil || !neighborsEqual(a, b) {
+		a, err := eng.ScanSubset(s, q, ids, k, nil)
+		if err != nil {
 			return false
 		}
 		return nearRef(t, s, q, a, refScanSubset(s, q, ids, k))
@@ -235,7 +207,7 @@ func TestScanSubsetEquivalence(t *testing.T) {
 // TestCosineEquivalence: the tuned float32 cosine path stays within tolerance
 // of the float64 reference arithmetic.
 func TestCosineEquivalence(t *testing.T) {
-	eng := New(Config{Parallelism: 4})
+	eng := New(Config{})
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 100 + r.Intn(200)
@@ -274,13 +246,13 @@ func TestCosineEquivalence(t *testing.T) {
 	}
 }
 
-// TestParallelScanCoversEveryIndex: parallelFor visits each index exactly
+// TestParallelScanCoversEveryIndex: ParallelFor visits each index exactly
 // once whatever the parallelism and size.
 func TestParallelScanCoversEveryIndex(t *testing.T) {
 	for _, par := range []int{1, 2, 8} {
 		for _, n := range []int{0, 1, chunkPoints - 1, minParallelPoints, minParallelPoints + 3*chunkPoints + 17} {
 			visits := make([]atomic.Int32, n)
-			parallelFor(par, n, func(_, lo, hi int) {
+			ParallelFor(par, n, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					visits[i].Add(1)
 				}
@@ -294,28 +266,27 @@ func TestParallelScanCoversEveryIndex(t *testing.T) {
 	}
 }
 
-// TestParallelScanStress hammers one engine from many goroutines — run
-// under -race this checks the scratch pooling and the helper pool, and every
-// result must still equal the serial answer.
+// TestParallelScanStress hammers one engine from many goroutines at once —
+// run under -race this checks the scratch pooling and the shared counter
+// table, and every result must still equal the one-goroutine answer.
 func TestParallelScanStress(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
-	const n, dim, k = 2 * minParallelPoints, 24, 8
+	const n, dim, k = 8192, 24, 8
 	s := randStore(r, n, dim)
 	queries := make([][]float32, 8)
 	for i := range queries {
 		queries[i] = randQuery(r, dim)
 	}
-	serial := New(Config{Parallelism: 1})
 	want := make([][]Neighbor, len(queries))
 	for i, q := range queries {
 		var err error
-		want[i], err = serial.Scan(s, q, k, nil)
+		want[i], err = Default().Scan(s, q, k, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
 	tab := telemetry.NewTable(nil)
-	eng := New(Config{Parallelism: 8}).WithCounters(tab)
+	eng := New(Config{}).WithCounters(tab)
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {
@@ -332,7 +303,7 @@ func TestParallelScanStress(t *testing.T) {
 					return
 				}
 				if !neighborsEqual(dst, want[qi]) {
-					t.Errorf("goroutine %d iter %d: parallel result diverged", g, iter)
+					t.Errorf("goroutine %d iter %d: result diverged", g, iter)
 					return
 				}
 			}
@@ -504,7 +475,7 @@ func TestDistManyEquivalence(t *testing.T) {
 // agree bit for bit — with out-of-range IDs mixed into the blocks and
 // skipped, at widths that take the assembly.
 func TestScanSubsetScanEquivalence(t *testing.T) {
-	eng := New(Config{Parallelism: 4})
+	eng := New(Config{})
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		dim := gatherDims[r.Intn(len(gatherDims))]
@@ -544,8 +515,8 @@ func TestScanSubsetScanEquivalence(t *testing.T) {
 	}
 }
 
-// TestScanSubsetBoundsK: k arrives off the wire and sizes the heaps, so a
-// request naming 2⁴⁰ neighbours gets every candidate, sorted, from heaps no
+// TestScanSubsetBoundsK: k arrives off the wire and sizes the heap, so a
+// request naming 2⁴⁰ neighbours gets every candidate, sorted, from a heap no
 // larger than the candidate list — not an 8 TB make.  A full scan is bounded
 // by the store's rows the same way.
 func TestScanSubsetBoundsK(t *testing.T) {
@@ -553,18 +524,17 @@ func TestScanSubsetBoundsK(t *testing.T) {
 	s := randStore(r, 500, 64)
 	q := randQuery(r, 64)
 	ids := []uint32{3, 77, 78, 400, 499, 9999}
-	for _, eng := range []*Engine{New(Config{Parallelism: 1}), New(Config{Parallelism: 2})} {
-		got, err := eng.ScanSubset(s, q, ids, 1<<40, nil)
-		if err != nil || !neighborsEqual(got, refSelect(got, len(got))) {
-			t.Fatalf("ScanSubset: %v, %v", got, err)
-		}
-		if len(got) != len(ids)-1 {
-			t.Fatalf("k = 1<<40 over %d in-range candidates returned %d", len(ids)-1, len(got))
-		}
-		all, err := eng.Scan(s, q, 1<<40, nil)
-		if err != nil || len(all) != s.Len() || !neighborsEqual(all, refSelect(all, len(all))) {
-			t.Fatalf("Scan with k = 1<<40 over %d rows: %d neighbours, %v", s.Len(), len(all), err)
-		}
+	eng := New(Config{})
+	got, err := eng.ScanSubset(s, q, ids, 1<<40, nil)
+	if err != nil || !neighborsEqual(got, refSelect(got, len(got))) {
+		t.Fatalf("ScanSubset: %v, %v", got, err)
+	}
+	if len(got) != len(ids)-1 {
+		t.Fatalf("k = 1<<40 over %d in-range candidates returned %d", len(ids)-1, len(got))
+	}
+	all, err := eng.Scan(s, q, 1<<40, nil)
+	if err != nil || len(all) != s.Len() || !neighborsEqual(all, refSelect(all, len(all))) {
+		t.Fatalf("Scan with k = 1<<40 over %d rows: %d neighbours, %v", s.Len(), len(all), err)
 	}
 }
 
@@ -580,25 +550,32 @@ func poolsKeepPuts() bool {
 	return news <= 2
 }
 
+// allocInputs are the candidate shapes the allocation pins scan: every third
+// row of 3 000, and 12 288 rows together.
+var allocInputs = []struct{ rows, step int }{{3000, 3}, {12288, 1}}
+
 // TestScanSubsetAllocs: a steady-state subset scan allocates nothing — the
-// ID block and its distances are on the stack, the heaps pooled.
+// ID block and its distances are on the stack, the heap pooled — on small
+// candidate lists and large ones alike.
 func TestScanSubsetAllocs(t *testing.T) {
 	if !poolsKeepPuts() {
 		t.Skip("sync.Pool is dropping Puts (race detector)")
 	}
-	r := rand.New(rand.NewSource(10))
-	s := randStore(r, 3000, 64)
-	q := randQuery(r, 64)
-	ids := make([]uint32, 0, 1000)
-	for id := 0; id < 3000; id += 3 {
-		ids = append(ids, uint32(id))
-	}
-	eng := New(Config{Parallelism: 1})
-	dst := make([]Neighbor, 0, 16)
-	scan := func() { dst, _ = eng.ScanSubset(s, q, ids, 10, dst[:0]) }
-	scan()
-	if a := testing.AllocsPerRun(100, scan); a != 0 {
-		t.Fatalf("steady-state ScanSubset allocates %v per scan", a)
+	for _, c := range allocInputs {
+		r := rand.New(rand.NewSource(10))
+		s := randStore(r, c.rows, 64)
+		q := randQuery(r, 64)
+		var ids []uint32
+		for id := 0; id < c.rows; id += c.step {
+			ids = append(ids, uint32(id))
+		}
+		eng := New(Config{})
+		dst := make([]Neighbor, 0, 16)
+		scan := func() { dst, _ = eng.ScanSubset(s, q, ids, 10, dst[:0]) }
+		scan()
+		if a := testing.AllocsPerRun(100, scan); a != 0 {
+			t.Fatalf("%d candidates: steady-state ScanSubset allocates %v per scan", len(ids), a)
+		}
 	}
 }
 
@@ -655,19 +632,18 @@ func TestRowSetForm(t *testing.T) {
 }
 
 // TestScanRowSetEqualsScanSubset: scan(pack(ids)) ≡ ScanSubset(ids), bit for
-// bit — serial, at parallel widths 1/2/8 (sets large enough that the split is
-// real), at dims that take the assembly and dims that do not, with n not a
-// multiple of 64 and with words and bits past the store — and the row-set
-// reference within nearRef's bound.
+// bit — on sets of up to ~12 000 rows, at dims that take the assembly and
+// dims that do not, with n not a multiple of 64 and with words and bits past
+// the store — and the row-set reference within nearRef's bound.
 func TestScanRowSetEqualsScanSubset(t *testing.T) {
-	engines := scanEngines()
+	eng := New(Config{})
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		dim := 1 + r.Intn(31) // the per-row loop; else a width on the assembly's edges
 		if i := r.Intn(len(gatherDims) + 1); i < len(gatherDims) {
 			dim = gatherDims[i]
 		}
-		rows := 1 + r.Intn(3*minParallelPoints)
+		rows := 1 + r.Intn(12288)
 		if r.Intn(4) == 0 {
 			rows = 1 + r.Intn(200)
 		}
@@ -683,15 +659,12 @@ func TestScanRowSetEqualsScanSubset(t *testing.T) {
 		}
 		ids = append(ids, uint32(rows+1<<20))
 		set := packRowSet(ids)
-		for _, eng := range engines {
-			got, err := eng.ScanRowSet(s, q, set, k, nil)
-			want, err2 := eng.ScanSubset(s, q, ids, k, nil)
-			if err != nil || err2 != nil || !neighborsEqual(got, want) {
-				t.Logf("seed %d: %d rows × %d, %d ids: got %v (%v), want %v (%v)", seed, rows, dim, len(ids), got, err, want, err2)
-				return false
-			}
+		got, err := eng.ScanRowSet(s, q, set, k, nil)
+		want, err2 := eng.ScanSubset(s, q, ids, k, nil)
+		if err != nil || err2 != nil || !neighborsEqual(got, want) {
+			t.Logf("seed %d: %d rows × %d, %d ids: got %v (%v), want %v (%v)", seed, rows, dim, len(ids), got, err, want, err2)
+			return false
 		}
-		got, _ := engines[0].ScanRowSet(s, q, set, k, nil)
 		return nearRef(t, s, q, got, refScanRowSet(s, q, set, k))
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
@@ -725,7 +698,7 @@ func TestScanRowSetContract(t *testing.T) {
 	} {
 		scan, scanEmpty := over(s), over(&Store{dim: 64})
 		tab := telemetry.NewTable(nil)
-		eng := New(Config{Parallelism: 2}).WithCounters(tab)
+		eng := New(Config{}).WithCounters(tab)
 		if _, err := scan(eng, q, RowSet{Words: []uint32{1, 2}, Masks: []uint64{1}}, 3); !errors.Is(err, ErrRowSetShape) {
 			t.Fatalf("%s: 2 words, 1 mask: err %v", name, err)
 		}
@@ -767,19 +740,21 @@ func TestScanRowSetAllocs(t *testing.T) {
 	if !poolsKeepPuts() {
 		t.Skip("sync.Pool is dropping Puts (race detector)")
 	}
-	r := rand.New(rand.NewSource(10))
-	s := randStore(r, 3000, 64)
-	q := randQuery(r, 64)
-	var set RowSet
-	for id := 0; id < 3000; id += 3 {
-		set.Add(uint32(id))
-	}
-	eng := New(Config{Parallelism: 1})
-	dst := make([]Neighbor, 0, 16)
-	scan := func() { dst, _ = eng.ScanRowSet(s, q, set, 10, dst[:0]) }
-	scan()
-	if a := testing.AllocsPerRun(100, scan); a != 0 {
-		t.Fatalf("steady-state ScanRowSet allocates %v per scan", a)
+	for _, c := range allocInputs {
+		r := rand.New(rand.NewSource(10))
+		s := randStore(r, c.rows, 64)
+		q := randQuery(r, 64)
+		var set RowSet
+		for id := 0; id < c.rows; id += c.step {
+			set.Add(uint32(id))
+		}
+		eng := New(Config{})
+		dst := make([]Neighbor, 0, 16)
+		scan := func() { dst, _ = eng.ScanRowSet(s, q, set, 10, dst[:0]) }
+		scan()
+		if a := testing.AllocsPerRun(100, scan); a != 0 {
+			t.Fatalf("%d rows: steady-state ScanRowSet allocates %v per scan", set.Count(), a)
+		}
 	}
 }
 
@@ -846,7 +821,7 @@ func gatherFixture() *gatherBench {
 // both.  One op is one request: all four stores.
 func BenchmarkScanSubsetGather(b *testing.B) {
 	f := gatherFixture()
-	eng := New(Config{Parallelism: 1})
+	eng := New(Config{})
 	const k = 10
 	var dst []Neighbor
 	b.Run("gather", func(b *testing.B) {

@@ -4,10 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
-	"sync/atomic"
 	"time"
-
-	"musuite/internal/telemetry"
 )
 
 // SplitStore is a Store's rows as two 16-bit planes (DESIGN §5.5 "Row
@@ -61,7 +58,7 @@ func Split(s *Store) *SplitStore {
 		dim:   s.dim,
 	}
 	perNorm := float64(slackPerNorm(s.dim))
-	parallelFor(runtime.NumCPU(), words, func(_, from, to int) {
+	ParallelFor(runtime.NumCPU(), words, func(from, to int) {
 		for w := from; w < to; w++ {
 			var resid, norm float64
 			for i := w * 64; i < min(w*64+64, s.n); i++ {
@@ -219,7 +216,6 @@ func (sp *SplitStore) dots(q []float32, ids []uint32, out, row []float32) {
 // half the bytes: an exact filter-and-refine, the filter on plane hi, the
 // refine through both.  It books the rows it re-read as kernel.refined.
 func (e *Engine) ScanRowSetSplit(sp *SplitStore, q []float32, set RowSet, k int, dst []Neighbor) ([]Neighbor, error) {
-	e = e.orDefault()
 	if len(q) != sp.dim && sp.n > 0 {
 		return dst, ErrDimensionMismatch
 	}
@@ -230,36 +226,18 @@ func (e *Engine) ScanRowSetSplit(sp *SplitStore, q []float32, set RowSet, k int,
 	points := set.countIn(sp.n)
 	if points == 0 {
 		// Nothing to score, and q need not be a row's length.
-		e.account(0, start)
+		e.account(0, 0, start)
 		return dst, nil
 	}
-	k = min(k, points)
-	sc := getScratch(e.par, k)
-	// The reordered query, then each worker's row for the portable exact
-	// pass.
-	stride := 0
-	if !sp.wide() {
-		stride = sp.dim
+	sc := getScratch(min(k, points))
+	// The reordered query, then the portable exact pass's row.
+	if cap(sc.buf) < 2*sp.dim {
+		sc.buf = make([]float32, 2*sp.dim)
 	}
-	if cap(sc.buf) < sp.dim+e.par*stride {
-		sc.buf = make([]float32, sp.dim+e.par*stride)
-	}
-	buf := sc.buf[:cap(sc.buf)]
-	qh := sp.hiQuery(q, buf)
-	var refined int
-	if staysOnCaller(e.par, points) {
-		refined = newSplitScan(sp, q, qh).run(set, &sc.heaps[0], buf[sp.dim:][:stride])
-	} else {
-		var sum atomic.Int64
-		forkJoin(e.par, len(set.Words), chunkPoints/64, func(w, lo, hi int) {
-			sum.Add(int64(newSplitScan(sp, q, qh).run(RowSet{set.Words[lo:hi], set.Masks[lo:hi]}, &sc.heaps[w], buf[sp.dim+w*stride:][:stride])))
-		})
-		refined = int(sum.Load())
-	}
-	dst = mergeAppend(sc.heaps, dst)
-	scanScratches.Put(sc)
-	e.account(points, start)
-	e.counters.Add(telemetry.KernelRefined, uint64(refined))
+	buf := sc.buf[:2*sp.dim]
+	refined := newSplitScan(sp, q, sp.hiQuery(q, buf)).run(set, &sc.top, buf[sp.dim:])
+	dst = sc.finish(dst)
+	e.account(points, refined, start)
 	return dst, nil
 }
 
@@ -268,7 +246,7 @@ func (e *Engine) ScanRowSetSplit(sp *SplitStore, q []float32, set RowSet, k int,
 // threshold tightens several times inside a block.
 const refineBatch = 8
 
-// splitScan is one worker's filter-and-refine over a range of a set.
+// splitScan is one filter-and-refine over a set.
 type splitScan struct {
 	f   hiFilter
 	q   []float32
@@ -293,12 +271,13 @@ func newSplitScan(sp *SplitStore, q, qh []float32) splitScan {
 }
 
 // run scores a set's rows into top and reports how many it read exactly;
-// row is its own.  While the heap is short of k the set is filled a block at
-// a time — scanRowSetRange's blocks — and the rest is one filter pass, which
-// stops only to hand the exact pass a full batch.
+// row is where the portable exact pass reassembles one.  While the heap is
+// short of k the set is filled a block at a time — scanRowSetRange's blocks —
+// and the rest is one filter pass, which stops only to hand the exact pass a
+// full batch.
 func (sc splitScan) run(set RowSet, top *TopK, row []float32) int {
 	sc.top, sc.row = top, row
-	f := sc.f // this worker's pass: its cursor and keep point into this frame
+	f := sc.f // this scan's pass: its cursor and keep point into this frame
 	var blk [subsetBlock]uint32
 	var bound [subsetBlock]float32
 	i := 0
@@ -399,7 +378,7 @@ func (sc *splitScan) refine() {
 	sc.f.sp.dots(sc.q, ids, dots[:], sc.row)
 	thr := sc.top.Threshold()
 	for i, id := range ids {
-		// ≤ for the same reason as scanRange.
+		// ≤ for the same reason as scanStore.
 		if d := normFinish(sc.f.qn, sc.f.sp.norms[id], dots[i]); d <= thr {
 			sc.top.Consider(id, d)
 			thr = sc.top.Threshold()

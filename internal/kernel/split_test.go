@@ -380,27 +380,20 @@ func TestSplitFilterContract(t *testing.T) {
 	}
 }
 
-// scanEngines are the engines an equivalence is checked under: serial and
-// two parallel widths.
-func scanEngines() []*Engine {
-	return []*Engine{New(Config{Parallelism: 1}), New(Config{Parallelism: 2}), New(Config{Parallelism: 8})}
-}
-
 // TestScanRowSetSplitEqualsScanRowSet: the scan over the planes answers what
 // the scan over the fp32 block answers, bit for bit — IDs, distances, order —
-// serial and parallel (sets large enough that the split is real); at
-// dims 32 / 64 / 128, 72 (an 8-element tail after the 32-element blocks) and
-// widths that take the portable loop; with n not a multiple of 64 and words
+// on sets of up to ~12 000 rows; at dims 32 / 64 / 128, 72 (an 8-element tail
+// after the 32-element blocks) and widths that take the portable loop; with n not a multiple of 64 and words
 // and bits past the store; k = 1, 5, 50 and more than there are candidates;
 // over uniform stores, where nearly every row survives the filter, and
 // clustered ones, where nearly none does.
 func TestScanRowSetSplitEqualsScanRowSet(t *testing.T) {
-	engines := scanEngines()
+	eng := New(Config{})
 	dims := []int{32, 64, 72, 128, 50, 5}
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		dim := dims[r.Intn(len(dims))]
-		rows := 1 + r.Intn(3*minParallelPoints)
+		rows := 1 + r.Intn(12288)
 		if r.Intn(4) == 0 {
 			rows = 1 + r.Intn(200)
 		}
@@ -427,13 +420,11 @@ func TestScanRowSetSplitEqualsScanRowSet(t *testing.T) {
 		}
 		set.Add(uint32(rows + 1<<20))
 		for _, k := range []int{1, 5, 50, set.Count() + 3} {
-			for _, eng := range engines {
-				got, err := eng.ScanRowSetSplit(sp, q, set, k, nil)
-				want, err2 := eng.ScanRowSet(s, q, set, k, nil)
-				if err != nil || err2 != nil || !neighborsBitEqual(got, want) {
-					t.Logf("seed %d: %d rows × %d, %d candidates, k %d: got %v (%v), want %v (%v)", seed, rows, dim, set.Count(), k, got, err, want, err2)
-					return false
-				}
+			got, err := eng.ScanRowSetSplit(sp, q, set, k, nil)
+			want, err2 := eng.ScanRowSet(s, q, set, k, nil)
+			if err != nil || err2 != nil || !neighborsBitEqual(got, want) {
+				t.Logf("seed %d: %d rows × %d, %d candidates, k %d: got %v (%v), want %v (%v)", seed, rows, dim, set.Count(), k, got, err, want, err2)
+				return false
 			}
 		}
 		return true
@@ -477,7 +468,7 @@ func oddRows(r *rand.Rand, s *Store) {
 // distance is NaN or Inf is kept out of the answer by the same test that
 // keeps it out of the fp32 scan's.
 func TestScanRowSetSplitOddValues(t *testing.T) {
-	engines := scanEngines()
+	eng := New(Config{})
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		dim := []int{32, 64, 72, 50, 4}[r.Intn(5)]
@@ -496,13 +487,11 @@ func TestScanRowSetSplitOddValues(t *testing.T) {
 			}
 		}
 		for _, k := range []int{1, 5, 50, rows + 1} {
-			for _, eng := range engines {
-				got, err := eng.ScanRowSetSplit(sp, q, set, k, nil)
-				want, err2 := eng.ScanRowSet(s, q, set, k, nil)
-				if err != nil || err2 != nil || !neighborsBitEqual(got, want) {
-					t.Logf("seed %d: %d rows × %d, k %d: got %v (%v), want %v (%v)", seed, rows, dim, k, got, err, want, err2)
-					return false
-				}
+			got, err := eng.ScanRowSetSplit(sp, q, set, k, nil)
+			want, err2 := eng.ScanRowSet(s, q, set, k, nil)
+			if err != nil || err2 != nil || !neighborsBitEqual(got, want) {
+				t.Logf("seed %d: %d rows × %d, k %d: got %v (%v), want %v (%v)", seed, rows, dim, k, got, err, want, err2)
+				return false
 			}
 		}
 		return true
@@ -532,22 +521,20 @@ func TestScanRowSetSplitFilters(t *testing.T) {
 	for id := 0; id < rows+640; id++ {
 		set.Add(uint32(id))
 	}
-	for _, par := range []int{1, 2} {
-		tab := telemetry.NewTable(nil)
-		eng := New(Config{Parallelism: par}).WithCounters(tab)
-		q := centres[3]
-		got, err := eng.ScanRowSetSplit(sp, q, set, 5, nil)
-		want, _ := eng.ScanRowSet(s, q, set, 5, nil)
-		if err != nil || !neighborsBitEqual(got, want) {
-			t.Fatalf("par %d: got %v (%v), want %v", par, got, err, want)
-		}
-		points, refined := tab.Load(telemetry.KernelPoints), tab.Load(telemetry.KernelRefined)
-		if points != 2*rows {
-			t.Fatalf("par %d: %d points booked for two scans of the store's %d rows", par, points, rows)
-		}
-		if refined < 5 || refined > rows/10 {
-			t.Fatalf("par %d: %d of %d rows read exactly", par, refined, rows)
-		}
+	tab := telemetry.NewTable(nil)
+	eng := New(Config{}).WithCounters(tab)
+	q := centres[3]
+	got, err := eng.ScanRowSetSplit(sp, q, set, 5, nil)
+	want, _ := eng.ScanRowSet(s, q, set, 5, nil)
+	if err != nil || !neighborsBitEqual(got, want) {
+		t.Fatalf("got %v (%v), want %v", got, err, want)
+	}
+	points, refined := tab.Load(telemetry.KernelPoints), tab.Load(telemetry.KernelRefined)
+	if points != 2*rows {
+		t.Fatalf("%d points booked for two scans of the store's %d rows", points, rows)
+	}
+	if refined < 5 || refined > rows/10 {
+		t.Fatalf("%d of %d rows read exactly", refined, rows)
 	}
 }
 
@@ -555,25 +542,27 @@ func TestScanRowSetSplitFilters(t *testing.T) {
 // the seed heap and the exact pass's batch live on the stack, the reordered
 // query and the portable path's row in the pooled scratch — at every width:
 // the assembly's (32, 64, 128, 256: past any fixed buffer) and the portable
-// loop's (36).
+// loop's (36), on a 1 000-row set and a 12 288-row one.
 func TestScanRowSetSplitAllocs(t *testing.T) {
 	if !poolsKeepPuts() {
 		t.Skip("sync.Pool is dropping Puts (race detector)")
 	}
-	for _, dim := range []int{32, 36, 64, 128, 256} {
-		r := rand.New(rand.NewSource(10))
-		s, centres := clusteredStore(r, 3000, dim, 4)
-		sp := Split(s)
-		var set RowSet
-		for id := 0; id < 3000; id += 3 {
-			set.Add(uint32(id))
-		}
-		eng := New(Config{Parallelism: 1})
-		dst := make([]Neighbor, 0, 16)
-		scan := func() { dst, _ = eng.ScanRowSetSplit(sp, centres[1], set, 10, dst[:0]) }
-		scan()
-		if a := testing.AllocsPerRun(100, scan); a != 0 {
-			t.Fatalf("dim %d: steady-state ScanRowSetSplit allocates %v per scan", dim, a)
+	for _, c := range allocInputs {
+		for _, dim := range []int{32, 36, 64, 128, 256} {
+			r := rand.New(rand.NewSource(10))
+			s, centres := clusteredStore(r, c.rows, dim, 4)
+			sp := Split(s)
+			var set RowSet
+			for id := 0; id < c.rows; id += c.step {
+				set.Add(uint32(id))
+			}
+			eng := New(Config{})
+			dst := make([]Neighbor, 0, 16)
+			scan := func() { dst, _ = eng.ScanRowSetSplit(sp, centres[1], set, 10, dst[:0]) }
+			scan()
+			if a := testing.AllocsPerRun(100, scan); a != 0 {
+				t.Fatalf("dim %d, %d rows: steady-state ScanRowSetSplit allocates %v per scan", dim, set.Count(), a)
+			}
 		}
 	}
 }

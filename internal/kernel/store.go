@@ -1,15 +1,16 @@
 // Package kernel is the leaf compute engine: flat structure-of-arrays
 // vector stores, norm-trick dot-product distance kernels with 8-way unrolled
-// inner loops, and an intra-request index-stealing parallel scan with
-// per-worker bounded top-k heaps.  It is the software analog of the paper's SIMD-accelerated
-// HDSearch distance kernel: once RPC overheads are tamed (PRs 1–3), leaf
-// compute dominates service time, and this package makes that compute cache-
-// and core-shaped.
+// inner loops, and scans into one bounded top-k heap on the goroutine that
+// serves the request — a query's parallelism comes from its shards.  It is
+// the software analog of the paper's SIMD-accelerated HDSearch distance
+// kernel: once RPC overheads are tamed, leaf compute dominates service time,
+// and this package makes that compute cache-shaped.  Offline builds (stores,
+// planes, indexes) spread over the cores with ParallelFor.
 //
-// Every engine path produces results bit-identical to its own serial scan
-// (the per-(query, point) arithmetic is shared and the top-k order is total),
-// and equal to a diff-squared reference — kept in the package's tests —
-// within a documented float tolerance (the norm trick reassociates the sum).
+// Every scan path scores a (query, point) pair to the same bits and selects
+// in one total order, and its answer equals a diff-squared reference — kept
+// in the package's tests — within a documented float tolerance (the norm
+// trick reassociates the sum).
 package kernel
 
 import (
@@ -49,7 +50,7 @@ func BuildStoreOrdered(vectors [][]float32, order []uint32) (*Store, error) {
 }
 
 // buildStore fills an n-row store whose row i is at(i), copying each row and
-// taking its norm while it is hot, on the parallel-for: rows are independent,
+// taking its norm while it is hot, on ParallelFor: rows are independent,
 // so the store does not depend on how the range was split.
 func buildStore(n int, at func(i int) []float32) (*Store, error) {
 	if n == 0 {
@@ -66,7 +67,7 @@ func buildStore(n int, at func(i int) []float32) (*Store, error) {
 		dim:   dim,
 	}
 	var ragged atomic.Bool
-	parallelFor(runtime.NumCPU(), n, func(_, lo, hi int) {
+	ParallelFor(runtime.NumCPU(), n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			v := at(i)
 			if len(v) != dim {

@@ -10,9 +10,9 @@ type Neighbor struct {
 // TopK is a bounded max-heap over (distance, id) keeping the k nearest
 // candidates seen so far, with the current worst on top for O(1) rejection.
 // The order is total — ascending distance, ties broken by ascending ID — so
-// any chunking of the same candidate multiset selects the same top-k, which
-// is what makes the parallel scan bit-identical to the serial one.  The heap
-// is hand-rolled (no container/heap) so Consider stays inlineable-ish and
+// the same candidate multiset selects the same top-k in any arrival order,
+// which is what lets every scan path (and the references in the tests) agree
+// bit for bit.  The heap is hand-rolled (no container/heap) so Consider stays inlineable-ish and
 // free of interface boxing on the hot path.
 type TopK struct {
 	k int
@@ -79,13 +79,6 @@ func (t *TopK) Consider(id uint32, dist float32) {
 	}
 	t.h[0] = n
 	t.siftDown(0)
-}
-
-// Merge folds another heap's contents into t (o is left unchanged).
-func (t *TopK) Merge(o *TopK) {
-	for _, n := range o.h {
-		t.Consider(n.ID, n.Distance)
-	}
 }
 
 // AppendSorted drains the heap into dst in ascending (distance, id) order.

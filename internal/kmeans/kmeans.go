@@ -150,7 +150,7 @@ func TrainCentroids(points [][]float32, cfg Config) ([][]float32, []float64, err
 		for c, cent := range centroids {
 			cNorms[c] = kernel.Dot(cent, cent)
 		}
-		kernel.ParallelFor(runtime.NumCPU(), len(points), func(_, lo, hi int) {
+		kernel.ParallelFor(runtime.NumCPU(), len(points), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				p := points[i]
 				best, bestD := 0, float32(0)

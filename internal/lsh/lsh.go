@@ -163,7 +163,7 @@ func build(stores []*kernel.Store, cfg Config, par int) (*Index, error) {
 	// Every row's signatures, table-major.  Rows are independent, so the
 	// result does not depend on how the range is split.
 	sigs := make([]uint32, cfg.Tables*n)
-	kernel.ParallelFor(par, n, func(_, lo, hi int) {
+	kernel.ParallelFor(par, n, func(lo, hi int) {
 		s := 0
 		for g := lo; g < hi; g++ {
 			for g >= rowStart[s+1] {

@@ -254,7 +254,7 @@ func shardCorpus(c *dataset.ImageCorpus, n, bits int) []LeafData {
 	// and the ID it carries along are in the word.
 	planes := lsh.NewPlanes(localitySeed, bits, c.Dim)
 	words := make([]uint64, len(c.Vectors))
-	kernel.ParallelFor(runtime.NumCPU(), len(words), func(_, lo, hi int) {
+	kernel.ParallelFor(runtime.NumCPU(), len(words), func(lo, hi int) {
 		for g := lo; g < hi; g++ {
 			words[g] = uint64(lsh.Signature(planes, 0, bits, c.Vectors[g], nil))<<32 | uint64(g)
 		}
@@ -296,7 +296,7 @@ var leafScratches = sync.Pool{New: func() any { return new(leafScratch) }}
 // data as scoring returns it — streaming the distance-sorted global-ID list
 // into reply.  The request decodes into pooled scratch (nothing decoded
 // survives the call), the scan runs on the leaf's compute engine (an exact
-// filter-and-refine over the shard's planes, intra-request parallelism), and
+// filter-and-refine over the shard's planes, on the serving goroutine), and
 // the reply bytes go straight into the leaf's pooled encoder, so a
 // steady-state scoring call allocates nothing.
 func leafKNN(eng *kernel.Engine, data LeafData, payload []byte, reply *wire.Encoder) error {
@@ -366,14 +366,13 @@ func leafANN(eng *kernel.Engine, data LeafData, payload []byte, reply *wire.Enco
 // uses the encoded form, so scalar requests and batch-carrier members alike
 // stream their result lists into pooled encoders; a whole carrier still runs
 // as one worker task, and each query still fails alone.  The shard scan runs
-// on the options' compute engine (EnsureLeafKernel supplies one when unset),
-// whose counters surface in the leaf's TierStats.  A shard without a
+// on the leaf's own compute engine (EnsureLeafKernel's), whose counters
+// surface in the leaf's TierStats.  A shard without a
 // leaf-resident index is held in its scoring form: the leaf keeps no reference
 // to the fp32 block.  One with an index keeps Store, which the index aliases,
 // and answers only MethodLeafANN.
 func NewLeaf(data LeafData, opts *core.LeafOptions) *core.Leaf {
-	opts = core.EnsureLeafKernel(opts)
-	eng := opts.Kernel
+	opts, eng := core.EnsureLeafKernel(opts)
 	if data.ANN == nil {
 		data = data.scoring()
 	}

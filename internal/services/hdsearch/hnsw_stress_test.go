@@ -9,18 +9,17 @@ import (
 	"musuite/internal/ann"
 	"musuite/internal/core"
 	"musuite/internal/dataset"
-	"musuite/internal/kernel"
 )
 
-// TestHNSWSearchUnderTopologyChurn is the graph-index variant of the
-// parallel-scan churn stress: an hnsw-kind cluster with multi-worker leaf
-// kernels serves concurrent searches while (a) leaf groups are added and
-// drained underneath the fan-out and (b) a background goroutine repeatedly
-// runs fresh parallel HNSW builds over the same shard data — the
-// warm-handoff picture, where a replacement leaf builds its graph while the
-// drained one keeps serving read-only searches.  Run under -race this
-// checks the round-synchronized build (index-stealing parallel-for,
-// per-node spinlocked pending lists) against the lock-free search path;
+// TestHNSWSearchUnderTopologyChurn is the graph-index variant of the scan
+// churn stress: an hnsw-kind cluster serves concurrent searches while (a)
+// leaf groups are added and drained underneath the fan-out and (b) a
+// background goroutine repeatedly runs fresh parallel HNSW builds over the
+// same shard data — the warm-handoff picture, where a replacement leaf
+// builds its graph while the drained one keeps serving read-only searches.
+// Run under -race this checks the round-synchronized build (chunk-claiming
+// ParallelFor, per-node spinlocked pending lists) against the lock-free
+// search path;
 // functionally every search must still return sorted, in-range results and
 // every rebuild must reproduce the serving index's fingerprint.
 func TestHNSWSearchUnderTopologyChurn(t *testing.T) {
@@ -34,10 +33,7 @@ func TestHNSWSearchUnderTopologyChurn(t *testing.T) {
 		Kind:    IndexHNSW,
 		ANN:     annCfg,
 		MidTier: core.Options{Workers: 2, ResponseThreads: 2},
-		Leaf: core.LeafOptions{
-			Workers: 2,
-			Kernel:  kernel.New(kernel.Config{Parallelism: 8}),
-		},
+		Leaf:    core.LeafOptions{Workers: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -55,10 +51,7 @@ func TestHNSWSearchUnderTopologyChurn(t *testing.T) {
 	}
 	spareData := shards[0]
 	spareData.ANN = spareIdx
-	spare := NewLeaf(spareData, &core.LeafOptions{
-		Workers: 2,
-		Kernel:  kernel.New(kernel.Config{Parallelism: 8}),
-	})
+	spare := NewLeaf(spareData, &core.LeafOptions{Workers: 2})
 	spareAddr, err := spare.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -288,7 +288,7 @@ func BenchmarkScanSubsetGather(b *testing.B) {
 		return func(b *testing.B) {
 			f := orderedFixture(b, bits)
 			tab := telemetry.NewTable(nil)
-			eng := kernel.New(kernel.Config{Parallelism: 1}).WithCounters(tab)
+			eng := kernel.New(kernel.Config{}).WithCounters(tab)
 			var dst []kernel.Neighbor
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

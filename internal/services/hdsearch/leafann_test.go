@@ -41,7 +41,7 @@ func TestLeafANNBoundsKnobs(t *testing.T) {
 	for _, kind := range []IndexKind{IndexHNSW, IndexIVFSQ, IndexIVFPQ} {
 		data, queries := annShard(t, kind)
 		n := data.Store.Len()
-		eng := kernel.New(kernel.Config{Parallelism: 1})
+		eng := kernel.New(kernel.Config{})
 		answer := func(q []float32, knobs [3]int) []byte {
 			var reply wire.Encoder
 			if err := leafANN(eng, data, annProbe(q, knobs), &reply); err != nil {
@@ -79,7 +79,7 @@ func FuzzLeafANNRequest(f *testing.F) {
 		f.Add(uint8(i), annProbe(queries[1][:7], [3]int{5, 0, 0})) // a short query
 		f.Add(uint8(i), []byte{})
 	}
-	eng := kernel.New(kernel.Config{Parallelism: 1})
+	eng := kernel.New(kernel.Config{})
 	f.Fuzz(func(t *testing.T, shard uint8, payload []byte) {
 		data := shards[shard&1]
 		var reply wire.Encoder

@@ -172,7 +172,7 @@ func TestLeafRequestContract(t *testing.T) {
 	corpus := dataset.NewImageCorpus(dataset.ImageCorpusConfig{N: 150, Dim: 8, Clusters: 3, Seed: 2})
 	data := ShardCorpus(corpus, 1)[0] // 150 rows: words 0–2, the last 22 rows wide
 	q := corpus.Queries(1, 3)[0]
-	eng := kernel.New(kernel.Config{Parallelism: 1})
+	eng := kernel.New(kernel.Config{})
 	leaf := data.scoring()
 	ascending := func(words ...uint32) func(*wire.Encoder) {
 		return func(e *wire.Encoder) { e.AscendingUint32s(words) }
@@ -268,7 +268,7 @@ func testLeaf(t *testing.T) (LeafData, []float32, []uint32) {
 // not an 8 TB allocation.
 func TestLeafKNNBoundsK(t *testing.T) {
 	data, q, ids := testLeaf(t)
-	eng := kernel.New(kernel.Config{Parallelism: 1})
+	eng := kernel.New(kernel.Config{})
 	payload := EncodeLeafRequest(q, ids, 1<<40)
 	var reply wire.Encoder
 	var before, after runtime.MemStats
@@ -310,7 +310,7 @@ func TestLeafKNNAllocs(t *testing.T) {
 		t.Skip("sync.Pool is dropping Puts (race detector)")
 	}
 	data, q, ids := testLeaf(t)
-	eng := kernel.New(kernel.Config{Parallelism: 1})
+	eng := kernel.New(kernel.Config{})
 	payload := EncodeLeafRequest(q, ids, 10)
 	var reply wire.Encoder
 	call := func() {
@@ -349,7 +349,7 @@ func FuzzLeafRequestDecode(f *testing.F) {
 	data := ShardCorpus(dataset.NewImageCorpus(dataset.ImageCorpusConfig{
 		N: 300, Dim: len(q), Clusters: 4, Noise: 0.1, Seed: 1,
 	}), 1)[0].scoring()
-	eng := kernel.New(kernel.Config{Parallelism: 1})
+	eng := kernel.New(kernel.Config{})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		query, set, _, err := decodeLeafRequest(payload, nil, kernel.RowSet{})
 		if err == nil {
@@ -434,7 +434,7 @@ func FuzzLeafKNNRowSet(f *testing.F) {
 		f.Fatal(err)
 	}
 	empty := LeafData{Store: none}.scoring()
-	eng := kernel.New(kernel.Config{Parallelism: 1})
+	eng := kernel.New(kernel.Config{})
 	f.Fuzz(func(t *testing.T, raw []byte, k uint16, qsel uint8) {
 		q := queries[int(qsel)%len(queries)]
 		if qsel&0x80 != 0 {

@@ -8,15 +8,13 @@ import (
 
 	"musuite/internal/core"
 	"musuite/internal/dataset"
-	"musuite/internal/kernel"
 )
 
-// TestParallelScanUnderTopologyChurn drives searches through leaves whose
-// kernel engine is forced to multi-worker parallel scans while leaf groups
-// are added and drained underneath the fan-out.  Run under -race this checks
-// the scan scratch pooling, the global helper pool, and the topology
-// snapshot publishes against each other; functionally every search must
-// still return sorted, in-range results.
+// TestParallelScanUnderTopologyChurn drives concurrent searches through the
+// leaves while leaf groups are added and drained underneath the fan-out.
+// Run under -race this checks the scan scratch pooling, the per-leaf counter
+// tables and the topology snapshot publishes against each other;
+// functionally every search must still return sorted, in-range results.
 func TestParallelScanUnderTopologyChurn(t *testing.T) {
 	corpus := dataset.NewImageCorpus(dataset.ImageCorpusConfig{
 		N: 1200, Dim: 32, Clusters: 10, Noise: 0.12, Seed: 42,
@@ -25,10 +23,7 @@ func TestParallelScanUnderTopologyChurn(t *testing.T) {
 		Corpus:  corpus,
 		Shards:  4,
 		MidTier: core.Options{Workers: 2, ResponseThreads: 2},
-		Leaf: core.LeafOptions{
-			Workers: 2,
-			Kernel:  kernel.New(kernel.Config{Parallelism: 8}),
-		},
+		Leaf:    core.LeafOptions{Workers: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -37,10 +32,7 @@ func TestParallelScanUnderTopologyChurn(t *testing.T) {
 
 	// A spare leaf (serving shard 0's data) to churn in and out.
 	shards := ShardCorpus(corpus, 4)
-	spare := NewLeaf(shards[0], &core.LeafOptions{
-		Workers: 2,
-		Kernel:  kernel.New(kernel.Config{Parallelism: 8}),
-	})
+	spare := NewLeaf(shards[0], &core.LeafOptions{Workers: 2})
 	spareAddr, err := spare.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

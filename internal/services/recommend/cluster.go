@@ -77,9 +77,6 @@ func (a *Assembly) Leaf(shard int, opts *core.LeafOptions) (*core.Leaf, error) {
 			Neighbors: a.cfg.Neighbors,
 			Seed:      a.cfg.Seed + int64(shard),
 		}
-		if opts != nil {
-			cfg.Core = *opts
-		}
 		lm, err := TrainLeaf(a.ratings[shard], cfg)
 		if err != nil {
 			return nil, err

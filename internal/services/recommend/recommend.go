@@ -74,8 +74,6 @@ type LeafConfig struct {
 	Seed             int64
 	// Neighbors is the allknn neighborhood size (default 10).
 	Neighbors int
-	// Core configures the serving tier.
-	Core core.LeafOptions
 }
 
 // LeafModel is one shard's trained state: the NMF factors plus which users
@@ -83,24 +81,15 @@ type LeafConfig struct {
 // initialization and must not contribute predictions).  The user factors are
 // additionally held as a flat float32 kernel store — converted once at
 // training time — so the per-query neighborhood scan runs on the compute
-// engine instead of re-walking [][]float64 rows.
+// engine instead of re-walking [][]float64 rows.  Replicas of a shard share
+// one model; each scans with its own leaf's engine.
 type LeafModel struct {
 	model     *matfac.Model
 	userKnown []bool
 	itemKnown []bool
 	ratedBy   map[int]map[int]bool // user → items rated in this shard
 	users     *kernel.Store        // model.W as float32, one row per user
-	eng       *kernel.Engine       // scan engine; nil falls back to kernel.Default
 	neighbors int
-}
-
-// engine returns the model's compute engine, defaulting lazily so models
-// built outside a serving leaf still predict.
-func (lm *LeafModel) engine() *kernel.Engine {
-	if lm.eng != nil {
-		return lm.eng
-	}
-	return kernel.Default()
 }
 
 // TrainLeaf factorizes one shard of ratings (the offline step the paper's
@@ -151,7 +140,6 @@ func TrainLeaf(ratings []dataset.Rating, cfg LeafConfig) (*LeafModel, error) {
 		itemKnown: itemKnown,
 		ratedBy:   ratedBy,
 		users:     users,
-		eng:       cfg.Core.Kernel,
 		neighbors: nb,
 	}, nil
 }
@@ -160,12 +148,18 @@ func TrainLeaf(ratings []dataset.Rating, cfg LeafConfig) (*LeafModel, error) {
 // user-neighborhood approach: find the allknn most similar known users in
 // latent-factor space (cosine), then average their factor-model ratings for
 // the item, weighted by similarity.  ok is false when the shard has never
-// seen the user or the item.
+// seen the user or the item.  The scan is counted nowhere; a leaf predicts
+// with its own engine.
 func (lm *LeafModel) Predict(user, item int) (float64, bool) {
+	return lm.predict(kernel.Default(), user, item)
+}
+
+// predict is Predict with the neighborhood scanned on eng.
+func (lm *LeafModel) predict(eng *kernel.Engine, user, item int) (float64, bool) {
 	if !lm.canRate(user, item) {
 		return 0, false
 	}
-	return lm.predictWith(lm.neighborhood(user), user, item), true
+	return lm.predictWith(lm.neighborhood(eng, user), user, item), true
 }
 
 // canRate reports whether this shard has observations for both the user and
@@ -180,8 +174,8 @@ func (lm *LeafModel) canRate(user, item int) bool {
 // a prediction (an exhaustive scan over the shard's latent user vectors).
 // The engine applies the known-users mask inline and excludes the query user
 // itself, so no per-request exclusion map is built.
-func (lm *LeafModel) neighborhood(user int) []kernel.Neighbor {
-	nbrs, err := lm.engine().CosineNeighbors(lm.users, user, lm.userKnown, lm.neighbors, nil)
+func (lm *LeafModel) neighborhood(eng *kernel.Engine, user int) []kernel.Neighbor {
+	nbrs, err := eng.CosineNeighbors(lm.users, user, lm.userKnown, lm.neighbors, nil)
 	if err != nil {
 		return nil
 	}
@@ -237,23 +231,12 @@ func clamp(r float64) float64 {
 
 // NewLeaf builds the Recommend leaf microservice over a trained model.  The
 // handler streams each prediction into the leaf's pooled reply encoder, for
-// a plain request and a member of a batched carrier alike.  The leaf and
-// model share one compute engine: the options' engine configuration (else the
-// one the model was trained with, else the default), bound by
-// EnsureLeafKernel to the leaf's counter table, so the serving-time
-// neighborhood scans feed the leaf's TierStats kernel counters either way.
+// a plain request and a member of a batched carrier alike, and scans the
+// neighborhood with the leaf's own engine (EnsureLeafKernel's), so the scans
+// feed this leaf's TierStats kernel counters — also when replicas share the
+// model.
 func NewLeaf(lm *LeafModel, opts *core.LeafOptions) *core.Leaf {
-	var o core.LeafOptions
-	if opts != nil {
-		o = *opts
-	}
-	if o.Kernel == nil {
-		o.Kernel = lm.eng
-	}
-	opts = core.EnsureLeafKernel(&o)
-	// Pre-serving, single-threaded: the model is not yet handling requests
-	// when the leaf is constructed.
-	lm.eng = opts.Kernel
+	opts, eng := core.EnsureLeafKernel(opts)
 	return core.NewLeafEncoded(func(method string, payload []byte, reply *wire.Encoder) error {
 		switch method {
 		case MethodPredict:
@@ -261,7 +244,7 @@ func NewLeaf(lm *LeafModel, opts *core.LeafOptions) *core.Leaf {
 			if err != nil {
 				return err
 			}
-			rating, ok := lm.Predict(user, item)
+			rating, ok := lm.predict(eng, user, item)
 			reply.Bool(ok)
 			reply.Float64(rating)
 			return nil

@@ -7,6 +7,7 @@ import (
 
 	"musuite/internal/core"
 	"musuite/internal/dataset"
+	"musuite/internal/rpc"
 	"musuite/internal/wire"
 )
 
@@ -214,5 +215,68 @@ func TestUnknownMethodRejected(t *testing.T) {
 	_, client := startTestCluster(t, corpus)
 	if _, err := client.rpc.Call("recommend.train", nil); err == nil || !strings.Contains(err.Error(), "unknown method") {
 		t.Fatalf("err=%v", err)
+	}
+}
+
+// TestReplicaLeavesCountTheirOwnScans: replicas of a shard share one trained
+// model, and each books the neighborhood scans it runs in its own counters —
+// a leaf that served every Predict shows every scanned row, its idle twin
+// none.
+func TestReplicaLeavesCountTheirOwnScans(t *testing.T) {
+	corpus := testCorpus(t)
+	a := Prepare(ClusterConfig{Corpus: corpus, Shards: 2, Rank: 4, Seed: 3})
+	var addrs [2]string
+	for i := range addrs {
+		leaf, err := a.Leaf(0, &core.LeafOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if addrs[i], err = leaf.Start("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(leaf.Close)
+	}
+	lm := a.models[0]
+	user, item := -1, -1
+	for u := 0; u < corpus.Users && user < 0; u++ {
+		for i := 0; i < corpus.Items; i++ {
+			if lm.canRate(u, i) {
+				user, item = u, i
+				break
+			}
+		}
+	}
+	if user < 0 {
+		t.Fatal("shard 0 can rate no pair")
+	}
+	stats := func(addr string) core.TierStats {
+		c, err := rpc.Dial(addr, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		st, err := core.QueryStats(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	c, err := rpc.Dial(addrs[0], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const calls = 20
+	for i := 0; i < calls; i++ {
+		if _, err := c.Call(MethodPredict, EncodePredictRequest(user, item)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	busy, idle := stats(addrs[0]), stats(addrs[1])
+	if want := uint64(calls * lm.users.Len()); busy.Served != calls || busy.KernelPoints != want {
+		t.Errorf("serving leaf: served %d, kernel points %d; want %d and %d", busy.Served, busy.KernelPoints, calls, want)
+	}
+	if idle.Served != 0 || idle.KernelPoints != 0 {
+		t.Errorf("idle replica: served %d, kernel points %d; want 0 and 0", idle.Served, idle.KernelPoints)
 	}
 }

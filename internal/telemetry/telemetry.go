@@ -117,9 +117,6 @@ const (
 	// TopoDrain — a leaf group was removed gracefully: routing stopped,
 	// outstanding and batched calls completed, pools closed.
 	TopoDrain
-	// TopoRemove — a leaf group was removed forcefully, failing its
-	// in-flight calls.
-	TopoRemove
 	// TopoDrainTimeout — a drain's quiescence wait exceeded its deadline
 	// and the group was closed with work still pending.
 	TopoDrainTimeout
@@ -191,9 +188,8 @@ var counterNames = [NumCounters]string{
 	TailBudgetDenied: "tail.budget-denied",
 	BatchCarriers:    "batch.carriers", BatchMembers: "batch.members", BatchFlushSize: "batch.flush-size",
 	BatchFlushDeadline: "batch.flush-deadline", BatchFlushShutdown: "batch.flush-shutdown",
-	TopoAdd: "topo.add", TopoDrain: "topo.drain", TopoRemove: "topo.remove",
-	TopoDrainTimeout: "topo.drain-timeout",
-	AdmitAdmitted:    "admit.admitted", AdmitShedLimit: "admit.shed-limit",
+	TopoAdd: "topo.add", TopoDrain: "topo.drain", TopoDrainTimeout: "topo.drain-timeout",
+	AdmitAdmitted: "admit.admitted", AdmitShedLimit: "admit.shed-limit",
 	AdmitLimitUp: "admit.limit-up", AdmitLimitDown: "admit.limit-down",
 	ScalePoll: "scale.poll", ScaleUp: "scale.up", ScaleDown: "scale.down", ScaleHold: "scale.hold",
 	ScaleError:  "scale.error",

@@ -142,7 +142,7 @@ func (d *Deployment) buildLeafService(svc *ServiceSpec) (*Service, error) {
 		Spans:   d.opts.Spans,
 	}
 	leaves, groups, err := core.StartLeaves(svc.Shards, svc.Replicas, opts, func(_ int, opts *core.LeafOptions) (*core.Leaf, error) {
-		return newSyntheticLeaf(svc, s.deg, core.EnsureLeafKernel(opts))
+		return newSyntheticLeaf(svc, s.deg, opts)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("topo: starting %s leaves: %w", svc.Name, err)

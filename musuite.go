@@ -34,7 +34,6 @@ import (
 	"musuite/internal/cluster"
 	"musuite/internal/core"
 	"musuite/internal/dataset"
-	"musuite/internal/kernel"
 	"musuite/internal/loadgen"
 	"musuite/internal/rpc"
 	"musuite/internal/services/hdsearch"
@@ -83,13 +82,6 @@ type (
 	// TelemetrySnapshot is a point-in-time copy of a counter table,
 	// indexed by Counter.
 	TelemetrySnapshot = telemetry.Snapshot
-	// KernelConfig tunes a leaf compute engine: how many cores one scan
-	// may use.
-	KernelConfig = kernel.Config
-	// KernelEngine is the leaf compute engine: SoA vector stores,
-	// norm-trick distance kernels, intra-request parallel scans, and
-	// streaming top-k selection.  Hand one to LeafOptions.Kernel.
-	KernelEngine = kernel.Engine
 )
 
 // Framework mode constants.
@@ -113,10 +105,6 @@ const (
 
 // NewProbe creates a telemetry probe to attach to a mid-tier under study.
 func NewProbe() *Probe { return telemetry.NewProbe() }
-
-// NewKernel builds a leaf compute engine from cfg (zero value: tuned
-// kernels, NumCPU scan parallelism).
-func NewKernel(cfg KernelConfig) *KernelEngine { return kernel.New(cfg) }
 
 // Syscalls lists the tracked syscall proxy classes in display order.
 func Syscalls() []Counter { return telemetry.Syscalls() }
