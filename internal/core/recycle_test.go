@@ -12,22 +12,24 @@ import (
 	"musuite/internal/rpc"
 )
 
-// pooledCounts is what the loud pools report in use: Requests handed to
-// handlers and not recycled, contexts taken and not returned.  Both read
-// zero outside a musuite_debug build.
-type pooledCounts struct{ reqs, ctxs int64 }
+// pooledCounts is what the pools report in use: Requests handed to handlers
+// and not recycled, contexts taken and not returned (both zero outside a
+// musuite_debug build), and read buffers borrowed (counted in every build).
+type pooledCounts struct{ reqs, ctxs, readBufs int64 }
 
 func pooledNow() pooledCounts {
-	return pooledCounts{reqs: rpc.RequestsInUse(), ctxs: ContextsInUse()}
+	return pooledCounts{reqs: rpc.RequestsInUse(), ctxs: ContextsInUse(), readBufs: rpc.ReadBufsInUse()}
 }
 
-// waitPooledBack waits for both loud-pool counts to fall back to base: a
-// tier returns its Request and Ctx a moment after the reply, on whichever
-// thread drops the last hold.
+// waitPooledBack waits for the pool counts to fall back to base: a tier
+// returns its Request and Ctx a moment after the reply, on whichever thread
+// drops the last hold, and a reader returns its read buffer before it
+// delivers or parks.
 func waitPooledBack(t *testing.T, base pooledCounts) {
 	t.Helper()
 	waitFor(t, "every Request to be recycled", func() bool { return rpc.RequestsInUse() <= base.reqs })
 	waitFor(t, "every Ctx to be returned", func() bool { return ContextsInUse() <= base.ctxs })
+	waitFor(t, "every read buffer to be returned", func() bool { return rpc.ReadBufsInUse() <= base.readBufs })
 }
 
 // TestEdgeAfterReplyPinsNothing: a handler that resolves a named edge after

@@ -30,6 +30,8 @@ type Buf struct {
 	b     []byte
 	class int8 // pool index, -1 for unpooled oversize buffers
 	refs  atomic.Int32
+	// next chains the bodies a frameParser has cut and not yet delivered.
+	next *Buf
 }
 
 // bufsInUse counts the Bufs taken and not yet released for the last time.
@@ -89,4 +91,69 @@ func (b *Buf) Release() {
 		return
 	}
 	bufPools[b.class].Put(b)
+}
+
+// Read buffers.  A reader needs its readBufSize buffer only from a read(2)
+// until the frames that read completed are cut into their own Bufs, so it
+// borrows one for exactly that span and returns it before delivering
+// anything (DESIGN §5.3, "How a connection is read"): a parked reader, a
+// running handler or hook and a blocked write hold none, and the buffers
+// number about GOMAXPROCS however many connections are open.
+//
+// The free list is a row of slots, taken and refilled lowest first, so the
+// same few buffers circulate.  It is not a sync.Pool: a collection empties a
+// sync.Pool, and each buffer it dropped would be allocated again after every
+// collection.  Nor does it take a lock: a reader that parked on a
+// contended mutex to return its buffer would let other readers borrow past
+// it, and the list would grow beyond the readers that can run at once.
+var readBufs struct {
+	// out shares a cache line with the lowest slots, which every borrow and
+	// return touch: one line moves between CPUs instead of two.
+	out  atomic.Int64 // borrowed and not yet returned
+	free [readBufSlots]atomic.Pointer[[readBufSize]byte]
+	made atomic.Int64 // ever allocated
+}
+
+// readBufSlots bounds the free list; a buffer returned to a full list is
+// left to the collector.
+const readBufSlots = 256
+
+// readBufPoison fills the part of a returned read buffer that was read into,
+// in a musuite_debug build: whatever still aliases it reads garbage.
+const readBufPoison = 0xDB
+
+// ReadBufsInUse reports how many read buffers are borrowed process-wide.  A
+// reader holds one only between a read and the cut of what it read, so idle
+// and closed connections hold none: tests assert the count returns to where
+// it started.
+func ReadBufsInUse() int64 { return readBufs.out.Load() }
+
+// borrowReadBuf takes the lowest free read buffer, or a new one.
+func borrowReadBuf() *[readBufSize]byte {
+	readBufs.out.Add(1)
+	for i := range readBufs.free {
+		if readBufs.free[i].Load() != nil {
+			if b := readBufs.free[i].Swap(nil); b != nil {
+				return b
+			}
+		}
+	}
+	readBufs.made.Add(1)
+	return new([readBufSize]byte)
+}
+
+// returnReadBuf puts b in the lowest empty slot; its first dirty bytes were
+// read into.
+func returnReadBuf(b *[readBufSize]byte, dirty int) {
+	if LoudPools {
+		for i := range b[:dirty] {
+			b[i] = readBufPoison
+		}
+	}
+	for i := range readBufs.free {
+		if readBufs.free[i].CompareAndSwap(nil, b) {
+			break
+		}
+	}
+	readBufs.out.Add(-1)
 }

@@ -33,7 +33,8 @@ type writeQueue struct {
 	notified bool
 }
 
-// maxIdleWriteBuf bounds how much scratch capacity an idle queue retains.
+// maxIdleWriteBuf bounds the capacity an idle queue retains in each of buf
+// and scratch: a swap can leave a big frame's buffer in either.
 const maxIdleWriteBuf = 1 << 20
 
 func newWriteQueue(conn io.Writer, probe *telemetry.Probe, onError func(error)) *writeQueue {
@@ -80,6 +81,9 @@ func (q *writeQueue) enqueue(kind byte, id uint64, sc trace.SpanContext, method 
 	q.flushing = false
 	if cap(q.scratch) > maxIdleWriteBuf {
 		q.scratch = nil
+	}
+	if cap(q.buf) > maxIdleWriteBuf {
+		q.buf = nil
 	}
 	var notify error
 	if q.err != nil && !q.notified {

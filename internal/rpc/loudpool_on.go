@@ -6,5 +6,7 @@ package rpc
 // and request contexts (core) are loud: returning an object marks it dead
 // instead of pooling it, every method of a dead object panics, and
 // RequestsInUse / core.ContextsInUse count the objects not yet returned.
-// Nothing is reused, so allocation counts are not the default build's.
+// Nothing is reused, so allocation counts are not the default build's.  A
+// read buffer is still reused, but the bytes read into it are poisoned when
+// it goes back on the free list (ReadBufsInUse counts in every build).
 const LoudPools = true

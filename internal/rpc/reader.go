@@ -12,8 +12,9 @@ import (
 	"musuite/internal/telemetry"
 )
 
-// readBufSize is a connection's read buffer: one read(2) takes up to this
-// much off the socket, so under load pipelined frames share a syscall.
+// readBufSize is the read buffer a reader borrows for each read(2): one read
+// takes up to this much off the socket, so under load pipelined frames share
+// a syscall.
 const readBufSize = 64 << 10
 
 // eofCheckInterval bounds how long a parked reader can miss a hang-up.  The
@@ -25,63 +26,110 @@ const readBufSize = 64 << 10
 const eofCheckInterval = time.Second
 
 // frameParser cuts frames out of a byte stream delivered in arbitrary
-// pieces.  The caller reads into dst(), reports the count with advance and
-// calls drain; whatever a piece leaves unfinished — a split length prefix, a
-// body with bytes still to come — is carried to the next piece.
+// pieces.  The caller reads into dst() and hands the count to parse; whatever
+// a piece leaves unfinished — a split length prefix, a body with bytes still
+// to come — is carried to the next piece.  The read buffer is borrowed by dst
+// and returned by parse before any frame is delivered, so between reads the
+// parser holds at most three bytes of a prefix and the Buf of a body in
+// progress.
 type frameParser struct {
 	probe *telemetry.Probe
 
-	// buf[r:w] has been read and not yet parsed.  Bodies are copied out as
-	// they arrive, so what stays behind a drain is at most a partial prefix.
-	buf  []byte
+	// buf is the borrowed read buffer, nil between reads; buf[r:w] has been
+	// read and not yet cut.
+	buf  *[readBufSize]byte
 	r, w int
+	// carry[:ncarry] is what a read left of a length prefix.  Bodies are
+	// copied out as they arrive, so nothing else stays behind a cut.
+	carry  [3]byte
+	ncarry int
 
-	// f is the frame being assembled and then the one being delivered; its
-	// method string persists across frames (see decode).
-	f frame
-	// body is the length of the body being gathered into f.buf, zero between
+	// in is the Buf the body in progress is gathered into, nil between
 	// frames; got of its bytes have arrived.
-	body, got int
+	in  *Buf
+	got int
 	// firstByte is when the frame in progress was first seen (probed only).
 	firstByte time.Time
+
+	// head…tail chain, through Buf.next, the bodies the last read completed
+	// and parse has not yet delivered.
+	head, tail *Buf
+	// f is the frame being delivered; its method string persists across
+	// frames (see decode).
+	f frame
 }
 
-// direct reports that the next read goes straight into the frame's own Buf,
-// saving the copy: a body with at least a buffer's worth still to come (which
-// finds the buffer empty — drain has moved everything read into the Buf).
-func (p *frameParser) direct() bool { return p.body-p.got >= len(p.buf) }
+// direct reports that the next read goes straight into the body's own Buf,
+// saving the copy and the read buffer: a body with at least a buffer's worth
+// still to come.
+func (p *frameParser) direct() bool { return p.in != nil && len(p.in.bytes())-p.got >= readBufSize }
 
-// dst returns where the next read lands.
+// dst returns where the next read lands, borrowing a read buffer (and putting
+// the carried prefix at its start) unless the read goes direct.
 func (p *frameParser) dst() []byte {
 	if p.direct() {
-		return p.f.buf.bytes()[p.got:]
+		return p.in.bytes()[p.got:]
 	}
-	if p.r == p.w {
-		p.r, p.w = 0, 0
-	} else if p.r > 0 {
-		p.w = copy(p.buf, p.buf[p.r:p.w])
-		p.r = 0
+	if p.buf == nil {
+		p.buf = borrowReadBuf()
+		p.w = copy(p.buf[:], p.carry[:p.ncarry])
 	}
 	return p.buf[p.w:]
 }
 
-// advance records that n bytes were read into the last dst.
-func (p *frameParser) advance(n int) {
-	if p.direct() {
-		p.got += n
-	} else {
-		p.w += n
+// returnBuf returns the read buffer, if one is borrowed, keeping in carry
+// what a cut left of a length prefix.  A read that took nothing returns it
+// too: a reader parks and leaves holding none.
+func (p *frameParser) returnBuf() {
+	if p.buf == nil {
+		return
 	}
+	p.ncarry = copy(p.carry[:], p.buf[p.r:p.w])
+	returnReadBuf(p.buf, p.w)
+	p.buf, p.r, p.w = nil, 0, 0
 }
 
-// drain hands every frame completed by the bytes read so far to deliver, with
-// whether more input was already buffered behind it (Request.Backlogged).
-// deliver owns the frame for the duration of the call and keeps its bytes by
-// taking f.buf.  An error means the stream is malformed: nothing after it can
-// be framed.
-func (p *frameParser) drain(deliver func(f *frame, backlogged bool)) error {
+// parse takes the n bytes the last read put where dst said.  It cuts every
+// frame they complete into its own Buf, returns the read buffer, and only
+// then delivers the frames in order, each with whether more input had
+// already been read behind it (Request.Backlogged).  deliver owns the frame
+// for the duration of the call and keeps its bytes by taking f.buf.  An error
+// means the stream is malformed: the frames before the fault are delivered,
+// and nothing after it can be framed.
+func (p *frameParser) parse(n int, deliver func(f *frame, backlogged bool)) error {
+	var err error
+	if p.buf == nil {
+		p.got += n
+		if p.got == len(p.in.bytes()) {
+			p.chain()
+		}
+	} else {
+		p.w += n
+		err = p.cut()
+		p.returnBuf()
+	}
+	behind := p.ncarry > 0 || p.in != nil
+	for p.head != nil {
+		p.f.buf, p.head = p.head, p.head.next
+		p.f.buf.next = nil
+		decodeStart := p.probe.Start()
+		if derr := p.f.decode(); derr != nil {
+			p.release()
+			return derr
+		}
+		p.probe.ObserveSince(telemetry.OverheadHardirq, decodeStart)
+		deliver(&p.f, p.head != nil || behind)
+		p.f.take().Release()
+	}
+	p.tail = nil
+	return err
+}
+
+// cut moves the bytes read into buf to the bodies they belong to, chaining
+// each body it completes.
+func (p *frameParser) cut() error {
 	for {
-		if p.body == 0 {
+		if p.in == nil {
 			if p.w-p.r < 4 {
 				return nil
 			}
@@ -95,29 +143,43 @@ func (p *frameParser) drain(deliver func(f *frame, backlogged bool)) error {
 				return ErrFrameTooLarge
 			}
 			p.r += 4
-			p.f.buf = grabBuf(body)
-			p.body, p.got = body, 0
+			p.in, p.got = grabBuf(body), 0
 		}
-		n := copy(p.f.buf.bytes()[p.got:], p.buf[p.r:p.w])
+		n := copy(p.in.bytes()[p.got:], p.buf[p.r:p.w])
 		p.got += n
 		p.r += n
-		if p.got < p.body {
+		if p.got < len(p.in.bytes()) {
 			return nil
 		}
-		p.body = 0
-		p.probe.ObserveSince(telemetry.OverheadNetRx, p.firstByte)
-		decodeStart := p.probe.Start()
-		if err := p.f.decode(); err != nil {
-			return err
-		}
-		p.probe.ObserveSince(telemetry.OverheadHardirq, decodeStart)
-		deliver(&p.f, p.w > p.r)
-		p.f.take().Release()
+		p.chain()
 	}
 }
 
-// release returns the buffer of a frame the stream ended in the middle of.
-func (p *frameParser) release() { p.f.take().Release() }
+// chain queues the completed body for delivery.
+func (p *frameParser) chain() {
+	p.probe.ObserveSince(telemetry.OverheadNetRx, p.firstByte)
+	if p.tail == nil {
+		p.head = p.in
+	} else {
+		p.tail.next = p.in
+	}
+	p.tail, p.in = p.in, nil
+}
+
+// release returns everything the parser holds: the read buffer, the body in
+// progress, the frame being delivered and any cut frames behind it.
+func (p *frameParser) release() {
+	p.returnBuf()
+	p.in.Release()
+	p.in = nil
+	p.f.take().Release()
+	for p.head != nil {
+		b := p.head
+		p.head, b.next = b.next, nil
+		b.Release()
+	}
+	p.tail = nil
+}
 
 // connReader is the read side of one connection, client or server; the
 // goroutine that calls run is the connection's network poller (DESIGN §5.3,
@@ -133,6 +195,10 @@ func (p *frameParser) release() { p.f.take().Release() }
 // kept by the poll descriptor.  RawConn.Read is entered once, not per frame:
 // entering resets the descriptor, and a reader that then parked would sleep
 // through an edge that arrived since its last read.
+//
+// Each read borrows a read buffer, and the buffer is back on the free list
+// before the first frame that read completed is delivered, and before the
+// reader parks or leaves: a connection costs its readers nothing while idle.
 //
 // Frames are delivered — handlers and response hooks run — inside the
 // callback, with the descriptor's read lock held, and net.Conn.Close waits
@@ -150,14 +216,14 @@ type connReader struct {
 }
 
 func newConnReader(conn *net.TCPConn, probe *telemetry.Probe, deliver func(f *frame, backlogged bool)) *connReader {
-	r := &connReader{conn: conn, deliver: deliver, p: frameParser{probe: probe, buf: make([]byte, readBufSize)}}
+	r := &connReader{conn: conn, deliver: deliver, p: frameParser{probe: probe}}
 	r.poll = r.readReady
 	return r
 }
 
 // run reads and delivers frames until the connection ends and reports why:
 // io.EOF, a read or framing error, or net.ErrClosed when it was closed
-// locally.  Every frame buffer the reader still held is released.
+// locally.  Every buffer the reader still held is returned.
 func (r *connReader) run() error {
 	defer r.p.release()
 	rc, err := r.conn.SyscallConn()
@@ -189,6 +255,9 @@ func (r *connReader) readReady(fd uintptr) bool {
 		// later than anything the call leads to.
 		r.p.probe.Add(telemetry.SysRecvmsg, 1)
 		n, err := syscall.Read(int(fd), dst)
+		if err != nil || n == 0 {
+			r.p.returnBuf()
+		}
 		switch {
 		case err == syscall.EINTR:
 			continue
@@ -201,8 +270,7 @@ func (r *connReader) readReady(fd uintptr) bool {
 			r.err = io.EOF
 			return true
 		}
-		r.p.advance(n)
-		if r.err = r.p.drain(r.deliver); r.err != nil {
+		if r.err = r.p.parse(n, r.deliver); r.err != nil {
 			return true
 		}
 		if n < len(dst) {

@@ -144,11 +144,12 @@ func TestParserResumesAtAnyCut(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantBufsReturned(t, held)
+	wantNoReadBufs(t, "after the feeds")
 }
 
 // TestParserMalformedEndsCleanly: input that cannot be framed ends the
 // stream with an error after the frames before it, wherever the reads cut
-// it, and the buffer of the frame it broke in goes back to the pool.
+// it, and the buffer of the frame it broke in and the read buffer go back.
 func TestParserMalformedEndsCleanly(t *testing.T) {
 	good, _ := appendFrame(nil, kindRequest, 1, trace.SpanContext{}, "m", []byte("ok"))
 	oversize := MaxFrameSize + 1
@@ -173,6 +174,7 @@ func TestParserMalformedEndsCleanly(t *testing.T) {
 	if _, err := feedParser([]byte{byte(oversize), byte(oversize >> 8), byte(oversize >> 16), byte(oversize >> 24)}); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("oversize frame: err %v, want ErrFrameTooLarge", err)
 	}
+	wantNoReadBufs(t, "after the malformed feeds")
 }
 
 // resetConn closes c so that the peer receives a reset, not an orderly

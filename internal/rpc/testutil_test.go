@@ -24,14 +24,15 @@ func (g gotFrame) sameFrame(o gotFrame) bool {
 		bytes.Equal(g.payload, o.payload)
 }
 
-// feedParser runs stream through a fresh connection-sized parser the way a
-// connReader would if its reads returned the pieces that end at cuts
-// (ascending offsets into stream; the rest follows as one last piece): each
-// piece goes where dst says, as much as fits at a time, and is drained.  It
-// returns the frames delivered, the error that ended the stream (nil if it
-// was consumed to the end) and releases whatever the parser still held.
+// feedParser runs stream through a fresh parser the way a connReader would
+// if its reads returned the pieces that end at cuts (ascending offsets into
+// stream; the rest follows as one last piece): each piece goes where dst says
+// (borrowing a read buffer), as much as fits at a time, and is parsed (which
+// returns the buffer before delivering).  It returns the frames delivered,
+// the error that ended the stream (nil if it was consumed to the end) and
+// releases whatever the parser still held.
 func feedParser(stream []byte, cuts ...int) ([]gotFrame, error) {
-	p := frameParser{buf: make([]byte, readBufSize)}
+	var p frameParser
 	defer p.release()
 	var (
 		got      []gotFrame
@@ -49,8 +50,7 @@ func feedParser(stream []byte, cuts ...int) ([]gotFrame, error) {
 		for fed < cut {
 			n := copy(p.dst(), stream[fed:cut])
 			fed += n
-			p.advance(n)
-			if err := p.drain(deliver); err != nil {
+			if err := p.parse(n, deliver); err != nil {
 				return got, err
 			}
 		}

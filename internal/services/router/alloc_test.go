@@ -84,11 +84,12 @@ func TestGetAllocs(t *testing.T) {
 }
 
 // TestClientReturnsWhatItBorrows: the typed client's synchronous calls put
-// their request encoder and the reply's frame buffer back, and every tier
-// returns the Requests and contexts it served them with.
+// their request encoder and the reply's frame buffer back, every tier
+// returns the Requests and contexts it served them with, and every reader
+// its read buffer.
 func TestClientReturnsWhatItBorrows(t *testing.T) {
 	client, key, value := warmCluster(t)
-	bufs, encs, reqs, ctxs := rpc.BufsInUse(), wire.EncodersInUse(), rpc.RequestsInUse(), core.ContextsInUse()
+	bufs, encs, reqs, ctxs, readBufs := rpc.BufsInUse(), wire.EncodersInUse(), rpc.RequestsInUse(), core.ContextsInUse(), rpc.ReadBufsInUse()
 	for i := 0; i < 100; i++ {
 		if err := client.Set(key, value); err != nil {
 			t.Fatal(err)
@@ -109,6 +110,7 @@ func TestClientReturnsWhatItBorrows(t *testing.T) {
 	// musuite_debug build, zero otherwise) just after its reply too.
 	waitFlat(t, "requests", reqs, rpc.RequestsInUse)
 	waitFlat(t, "request contexts", ctxs, core.ContextsInUse)
+	waitFlat(t, "read buffers", readBufs, rpc.ReadBufsInUse)
 }
 
 // TestLeafKeepsNoViewOfTheRequest: the leaf looks keys up through a view of
