@@ -72,7 +72,6 @@ func TestTraceRunWithHedgingRecordsLosers(t *testing.T) {
 	var mode FrameworkMode
 	mode.MidTier.Tail = core.TailPolicy{
 		HedgeDelay:       50 * time.Microsecond,
-		HedgeMinDelay:    50 * time.Microsecond,
 		RetryBudgetRatio: 10,
 		RetryBudgetBurst: 1 << 20,
 	}

@@ -20,10 +20,10 @@ import (
 type BatchPolicy struct {
 	// MaxBatch caps the members coalesced into one carrier RPC; reaching
 	// it flushes immediately.  Values ≤ 1 disable batching.
-	MaxBatch int
+	MaxBatch int `spec:"max-batch"`
 	// Delay, when positive, fixes the flush delay instead of tracking the
 	// leaf-latency digest.
-	Delay time.Duration
+	Delay time.Duration `spec:"batch-delay"`
 }
 
 // enabled reports whether the policy turns batching on.

@@ -62,7 +62,6 @@ func BenchmarkTailFanoutNoHedge(b *testing.B) {
 func BenchmarkTailFanoutHedged(b *testing.B) {
 	benchmarkTailFanout(b, TailPolicy{
 		HedgePercentile: 0.95,
-		HedgeMinDelay:   500 * time.Microsecond,
 	})
 }
 

@@ -21,22 +21,24 @@ const DefaultEdge = "leaves"
 // the fan-out knobs — Options embeds the default edge's, a topology spec's
 // edge decodes into one — and it is per-edge, so a node in an arbitrary
 // service DAG can hedge aggressively toward its cache tier while calling its
-// store tier plainly.
+// store tier plainly.  A field tagged `spec:"key"` is that key of a spec's
+// edge (`,inline` lends a struct's keys to the edge); core never reads the
+// tags, and an untagged field cannot be set from a spec.
 type EdgePolicy struct {
 	// Timeout bounds each fan-out on this edge; calls still pending then
 	// complete with ErrFanoutTimeout results, so the merge (and the front
 	// end) never hangs on a wedged leaf (0 = wait forever, the paper's
 	// configuration).
-	Timeout time.Duration
+	Timeout time.Duration `spec:"timeout"`
 	// Tail configures hedged requests and retries for this edge's calls
 	// (zero value: neither; replica selection is always on).  The retry
 	// budget itself stays tier-global, so one edge's recovery traffic cannot
 	// starve another's.
-	Tail TailPolicy
+	Tail TailPolicy `spec:",inline"`
 	// Batch configures cross-request coalescing of this edge's calls: those
 	// bound for the same replica share one carrier RPC (zero value: every
 	// call is its own RPC).
-	Batch BatchPolicy
+	Batch BatchPolicy `spec:",inline"`
 	// Routing selects the key→shard placement strategy (default
 	// cluster.Modulo, the classic hash-mod-N).  cluster.Jump keeps ~n/(n+1)
 	// of key placements stable through a resize.
@@ -154,14 +156,7 @@ func (e *edge) refreshHedgeDelay() {
 	if !t.hedging() || t.HedgeDelay > 0 {
 		return
 	}
-	q := e.leafLat.Quantile(t.HedgePercentile)
-	min := t.HedgeMinDelay
-	if min <= 0 {
-		min = defaultHedgeMinDelay
-	}
-	if q < min {
-		q = min
-	}
+	q := max(e.leafLat.Quantile(t.HedgePercentile), hedgeMinDelay)
 	e.hedgeDelayNs.Store(int64(q))
 }
 

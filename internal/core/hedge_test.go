@@ -151,7 +151,7 @@ func TestHedgingReducesTailLatency(t *testing.T) {
 	}
 
 	unhedgedP99, _ := run(TailPolicy{})
-	hedgedP99, st := run(TailPolicy{HedgePercentile: 0.95, HedgeMinDelay: time.Millisecond})
+	hedgedP99, st := run(TailPolicy{HedgePercentile: 0.95})
 
 	t.Logf("p99 unhedged=%v hedged=%v (hedges=%d wins=%d denied=%d)",
 		unhedgedP99, hedgedP99, st.Hedges, st.HedgeWins, st.BudgetDenied)

@@ -24,14 +24,11 @@ type TailPolicy struct {
 	// after this quantile of observed leaf latency gets a duplicate sent
 	// to another replica, and the first response wins (the loser is
 	// cancelled).  Zero disables hedging unless HedgeDelay is set.
-	HedgePercentile float64
+	HedgePercentile float64 `spec:"hedge-pct"`
 	// HedgeDelay, when positive, fixes the hedge delay instead of
-	// tracking HedgePercentile through the latency digest.
-	HedgeDelay time.Duration
-	// HedgeMinDelay floors the tracked delay so sub-millisecond leaf
-	// latencies don't turn hedging into a duplicate-everything storm
-	// (default 500µs).
-	HedgeMinDelay time.Duration
+	// tracking HedgePercentile (floored at 500 µs) through the latency
+	// digest.
+	HedgeDelay time.Duration `spec:"hedge-delay"`
 	// RetryBudgetRatio bounds hedges+retries to this fraction of primary
 	// leaf traffic (default 0.1).
 	RetryBudgetRatio float64
@@ -41,15 +38,17 @@ type TailPolicy struct {
 	// LeafRetries is the maximum re-issues per leaf call after a
 	// retryable failure — timeout- or connection-class, never
 	// application errors (default 0, no retries).
-	LeafRetries int
+	LeafRetries int `spec:"retries"`
 }
 
 // hedging reports whether the policy arms hedged requests.
 func (t TailPolicy) hedging() bool { return t.HedgePercentile > 0 || t.HedgeDelay > 0 }
 
 const (
-	// defaultHedgeMinDelay floors the percentile-tracked hedge delay.
-	defaultHedgeMinDelay = 500 * time.Microsecond
+	// hedgeMinDelay floors the percentile-tracked hedge delay so
+	// sub-millisecond leaf latencies don't turn hedging into a
+	// duplicate-everything storm.
+	hedgeMinDelay = 500 * time.Microsecond
 	// hedgeBootstrapDelay is used until the latency digest has samples.
 	hedgeBootstrapDelay = time.Millisecond
 	// hedgeRefreshEvery is how many latency observations elapse between

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"io"
 	"net"
@@ -256,14 +257,19 @@ func TestFanoutOwnsEncodedPayloads(t *testing.T) {
 	variants := []struct {
 		name     string
 		policy   EdgePolicy
-		flaky    bool // leaf connections go through a flakyProxy
-		slowOne  int  // the first arrival of every slowOne-th request is held at its leaf
-		timeouts bool // held requests are expected to fail with ErrFanoutTimeout
+		flaky    bool          // leaf connections go through a flakyProxy
+		slowOne  int           // the first arrival of every slowOne-th request is held at its leaf
+		holdFor  time.Duration // how long a held arrival is held (default hold)
+		timeouts bool          // held requests are expected to fail with ErrFanoutTimeout
 	}{
 		{name: "hedge", policy: EdgePolicy{Tail: hedged}, slowOne: 8},
 		{name: "retry", policy: EdgePolicy{Tail: retried}, flaky: true},
 		{name: "batch", policy: EdgePolicy{Batch: BatchPolicy{MaxBatch: 16}}},
-		{name: "timeout", policy: EdgePolicy{Timeout: 5 * time.Millisecond}, slowOne: 6, timeouts: true},
+		// The timeout must be far above the issue loop's time under -race
+		// (a descheduled issuer waits out 4 ms scheduler ticks): a fan-out
+		// that expires mid-loop rightly never sends its remaining slots, and
+		// then a shard would miss a payload through no fault of the fan-out.
+		{name: "timeout", policy: EdgePolicy{Timeout: 50 * time.Millisecond}, slowOne: 6, holdFor: 150 * time.Millisecond, timeouts: true},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
@@ -287,7 +293,7 @@ func TestFanoutOwnsEncodedPayloads(t *testing.T) {
 						first := arrivals[[2]uint32{req, uint32(s)}] == 1
 						mu.Unlock()
 						if first && v.slowOne > 0 && req%uint32(v.slowOne) == 0 {
-							time.Sleep(hold)
+							time.Sleep(cmp.Or(v.holdFor, hold))
 						}
 						return nil, nil
 					}, nil)

@@ -92,7 +92,6 @@ func TestHedgeLoserSpansParented(t *testing.T) {
 		Spans:   rec,
 		EdgePolicy: EdgePolicy{Tail: TailPolicy{
 			HedgeDelay:       100 * time.Microsecond,
-			HedgeMinDelay:    100 * time.Microsecond,
 			RetryBudgetRatio: 10,
 			RetryBudgetBurst: 1 << 20,
 		}},

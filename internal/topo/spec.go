@@ -3,8 +3,11 @@ package topo
 import (
 	"fmt"
 	"os"
+	"reflect"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"musuite/internal/core"
@@ -12,121 +15,123 @@ import (
 
 // Spec is a parsed topology: a named DAG of services, the load shape to
 // offer its entry, and an optional scenario script of timed degradations.
+// Each field's `spec` tag names its key in the YAML format (see decode).
 type Spec struct {
 	// Name labels the topology in output.
-	Name string
+	Name string `spec:"topology"`
 	// Entry names the service the load generator drives.
-	Entry string
+	Entry string `spec:"entry"`
 	// Seed drives every deterministic choice (datasets, key streams, load).
-	Seed int64
+	Seed int64 `spec:"seed" default:"1"`
 	// Services maps name → definition.
-	Services map[string]*ServiceSpec
+	Services map[string]*ServiceSpec `spec:"services,required"`
 	// Load is the offered-load shape (optional; runners have defaults).
-	Load LoadSpec
+	Load LoadSpec `spec:"load"`
 	// Scenario is the timed degradation script (optional).
-	Scenario []EventSpec
+	Scenario []EventSpec `spec:"scenario"`
 }
 
 // ServiceSpec defines one node of the DAG.
 type ServiceSpec struct {
 	// Name is the service's key in Spec.Services.
-	Name string
+	Name string `spec:",key"`
 	// Kind selects the builder: the synthetic kinds "synthetic" (a
 	// mid-tier running declarative ops), "compute", "cache", and "store"
 	// (leaf tiers), or a registered benchmark kind ("hdsearch", "router",
 	// "setalgebra", "recommend").
-	Kind string
+	Kind string `spec:"kind,required"`
 	// Shards and Replicas size the tier: Shards data partitions, each
 	// served by Replicas instances (defaults 1/1).
-	Shards, Replicas int
+	Shards   int `spec:"shards" default:"1"`
+	Replicas int `spec:"replicas" default:"1"`
 	// Workers sizes each instance's worker pool (default: core's; for a
 	// leaf service, the instance's share of the cores).
-	Workers int
+	Workers int `spec:"workers"`
 	// Work is the simulated service time per request of synthetic kinds.
-	Work time.Duration
+	Work time.Duration `spec:"work"`
 	// ReplyBytes pads synthetic replies to model response weight.
-	ReplyBytes int
+	ReplyBytes int `spec:"reply-bytes"`
 	// HitRatio, for cache kinds, short-circuits a real store with a
 	// key-stable probabilistic hit model in [0,1]; zero keeps real lookups.
-	HitRatio float64
+	HitRatio float64 `spec:"hit-ratio"`
 	// MaxInflight, when positive, arms the core admission controller with
 	// this initial/max concurrency limit (synthetic mid-tiers only).
-	MaxInflight int
+	MaxInflight int `spec:"max-inflight"`
 	// Edges maps edge name → downstream policy (synthetic mid-tiers only).
-	Edges map[string]*EdgeSpec
+	Edges map[string]*EdgeSpec `spec:"edges"`
 	// Ops maps method name → declarative call program (synthetic mid-tiers
 	// only).
-	Ops map[string]*OpSpec
+	Ops map[string]*OpSpec `spec:"ops"`
 	// Params carries kind-specific scalars (corpus sizes, value sizes...)
 	// interpreted by registered kind builders.
-	Params map[string]string
+	Params map[string]string `spec:"params"`
 }
 
 // EdgeSpec is one named downstream edge: its target service and the
 // per-edge call policy the core framework applies to every call it carries.
 type EdgeSpec struct {
 	// Name is the edge's key in ServiceSpec.Edges.
-	Name string
+	Name string `spec:",key"`
 	// To names the target service.
-	To string
+	To string `spec:"to,required"`
 	// EdgePolicy is the call policy, decoded straight into the framework's
-	// own type: `timeout`, `retries` (Tail.LeafRetries), `hedge-pct`
-	// (Tail.HedgePercentile; 0 disables hedging), `hedge-delay`,
-	// `max-batch` (≤1 off) and `batch-delay` (Batch.Delay).
-	core.EdgePolicy
+	// own type: its tagged fields' keys (`timeout`, `retries`, `hedge-pct`,
+	// `hedge-delay`, `max-batch`, `batch-delay`) sit beside `to`.
+	core.EdgePolicy `spec:",inline"`
 }
 
 // OpSpec is one declarative operation of a synthetic mid-tier: simulated
 // local work plus a staged program of downstream calls.
 type OpSpec struct {
 	// Name is the op's key in ServiceSpec.Ops and its RPC method name.
-	Name string
+	Name string `spec:",key"`
 	// Work is simulated local service time before the calls issue.
-	Work time.Duration
+	Work time.Duration `spec:"work"`
 	// Calls is the downstream program; calls sharing a Stage issue in
 	// parallel, stages run in ascending order.
-	Calls []CallSpec
+	Calls []CallSpec `spec:"calls"`
 }
 
 // CallSpec is one downstream call of an op.
 type CallSpec struct {
 	// Edge names the edge the call travels.
-	Edge string
+	Edge string `spec:"edge,required"`
 	// Method is the downstream method ("do"/"get"/"set" for synthetic
 	// leaves, an op name for synthetic mid-tiers).
-	Method string
+	Method string `spec:"method" default:"do"`
 	// Mode is "one" (route by key hash, default) or "all" (broadcast to
 	// every shard and merge).
-	Mode string
+	Mode string `spec:"mode" default:"one"`
 	// Stage orders the call; equal stages run in parallel (default 0).
-	Stage int
+	Stage int `spec:"stage"`
 	// Optional calls tolerate failure: an error or miss degrades the
 	// response instead of failing it.
-	Optional bool
+	Optional bool `spec:"optional"`
 	// MissEdge, on a cache-get miss, names the edge to fetch from.
-	MissEdge string
+	MissEdge string `spec:"miss-edge"`
 	// Fill writes a miss-fetched value back through Edge ("set") before
 	// the op completes.
-	Fill bool
+	Fill bool `spec:"fill"`
 }
 
 // LoadSpec is the offered-load shape for the runner.
 type LoadSpec struct {
 	// Pattern is "steady" (default), "diurnal", "flashcrowd", or "burst".
-	Pattern string
+	Pattern string `spec:"pattern" default:"steady"`
 	// QPS is the base offered rate (pattern peak rates derive from it).
-	QPS float64
+	QPS float64 `spec:"qps"`
 	// Duration is the offered-load window.
-	Duration time.Duration
+	Duration time.Duration `spec:"duration"`
 	// Factor scales bursts/spikes over the base rate (default 4).
-	Factor float64
+	Factor float64 `spec:"factor"`
 	// Period and Duty shape the burst square wave.
-	Period, Duty time.Duration
+	Period time.Duration `spec:"period"`
+	Duty   time.Duration `spec:"duty"`
 	// Steps is the diurnal staircase's steps per side (default 3).
-	Steps int
+	Steps int `spec:"steps"`
 	// Mix weights entry ops (op name → relative weight); empty drives the
 	// entry's ops uniformly.
-	Mix map[string]int
+	Mix map[string]int `spec:"mix"`
 }
 
 // EventSpec is one timed scenario event.  Exactly one of Target (a
@@ -135,17 +140,18 @@ type LoadSpec struct {
 type EventSpec struct {
 	// At is the event's start offset from the beginning of the run; For is
 	// its duration (0 = permanent).
-	At, For time.Duration
+	At  time.Duration `spec:"at"`
+	For time.Duration `spec:"for"`
 	// Target names a synthetic service to degrade.
-	Target string
+	Target string `spec:"target"`
 	// Slow adds simulated service time to every request of Target.
-	Slow time.Duration
+	Slow time.Duration `spec:"slow"`
 	// ErrorRate fails this fraction of Target's requests in [0,1].
-	ErrorRate float64
+	ErrorRate float64 `spec:"error-rate"`
 	// Edge names a "service/edge" to inject latency on (caller side).
-	Edge string
+	Edge string `spec:"edge"`
 	// Delay is the injected per-call latency on Edge.
-	Delay time.Duration
+	Delay time.Duration `spec:"delay"`
 }
 
 // LoadSpec pattern names.
@@ -162,8 +168,8 @@ func ParseSpec(src []byte) (*Spec, error) {
 	if err != nil {
 		return nil, err
 	}
-	spec, err := decodeSpec(root)
-	if err != nil {
+	spec := &Spec{}
+	if err := decode(root, reflect.ValueOf(spec).Elem(), "spec", ""); err != nil {
 		return nil, err
 	}
 	if err := spec.Validate(); err != nil {
@@ -197,24 +203,181 @@ func (s *Spec) ServiceNames() []string {
 
 // --- strict tree → spec decoding ---
 
-// obj wraps one decoded mapping for strict field-by-field extraction:
-// every read marks its key used, and finish() fails on unknown keys, so a
-// typo in a spec is an error instead of a silently ignored knob.
-type obj struct {
-	m    map[string]any
-	used map[string]bool
-	path string
+// decode fills rv from the decoded YAML tree v, walking the spec types by
+// their tags: a field tagged `spec:"name"` takes the mapping's "name" key,
+// with the options `,required` (absent or empty is an error), `,key` (the
+// field takes the enclosing map key instead) and `,inline` (a struct whose
+// keys sit in the enclosing mapping); `default:"v"` stands in for an absent
+// scalar.  Untagged fields are not part of the format, and a key that names
+// no field is an error, so a typo in a spec is not a silently ignored knob.
+// path names v in errors; key is v's key in its enclosing map.
+func decode(v any, rv reflect.Value, path, key string) error {
+	switch rv.Kind() {
+	case reflect.Pointer:
+		rv.Set(reflect.New(rv.Type().Elem()))
+		return decode(v, rv.Elem(), path, key)
+	case reflect.Struct:
+		m, err := mapping(v, path)
+		if err != nil {
+			return err
+		}
+		known := map[string]bool{}
+		if err := decodeFields(m, known, rv, path, key); err != nil {
+			return err
+		}
+		for _, k := range sortedKeys(m) {
+			if !known[k] {
+				return fmt.Errorf("topo: %s: unknown field %q", path, k)
+			}
+		}
+	case reflect.Map:
+		m, err := mapping(v, path)
+		if err != nil {
+			return err
+		}
+		rv.Set(reflect.MakeMapWithSize(rv.Type(), len(m)))
+		for _, k := range sortedKeys(m) {
+			ev := reflect.New(rv.Type().Elem()).Elem()
+			if err := decode(m[k], ev, path+"."+k, k); err != nil {
+				return err
+			}
+			rv.SetMapIndex(reflect.ValueOf(k), ev)
+		}
+	case reflect.Slice:
+		if v == nil {
+			return nil
+		}
+		seq, ok := v.([]any)
+		if !ok {
+			return fmt.Errorf("topo: %s: expected a sequence, got %s", path, typeName(v))
+		}
+		for i, ev := range seq {
+			rv.Set(reflect.Append(rv, reflect.Zero(rv.Type().Elem())))
+			if err := decode(ev, rv.Index(i), fmt.Sprintf("%s[%d]", path, i), ""); err != nil {
+				return err
+			}
+		}
+	default:
+		return scalar(v, rv, path, "")
+	}
+	return nil
 }
 
-func asObj(v any, path string) (*obj, error) {
-	if v == nil {
-		return &obj{m: map[string]any{}, used: map[string]bool{}, path: path}, nil
+// decodeFields fills struct rv's tagged fields from mapping m, marking
+// each key it reads in known.
+func decodeFields(m map[string]any, known map[string]bool, rv reflect.Value, path, key string) error {
+	for i := 0; i < rv.NumField(); i++ {
+		sf, f := rv.Type().Field(i), rv.Field(i)
+		tag, ok := sf.Tag.Lookup("spec")
+		if !ok {
+			continue
+		}
+		name, opts, _ := strings.Cut(tag, ",")
+		opt := strings.Split(opts, ",")
+		switch {
+		case slices.Contains(opt, "key"):
+			f.SetString(key)
+			continue
+		case slices.Contains(opt, "inline"):
+			if err := decodeFields(m, known, f, path, ""); err != nil {
+				return err
+			}
+			continue
+		}
+		known[name] = true
+		// The root's containers are named by their bare key ("services.fe",
+		// not "spec.services.fe"); its scalars read "spec.seed".
+		p := path + "." + name
+		var err error
+		switch raw, present := m[name]; {
+		case !composite(f.Kind()):
+			err = scalar(raw, f, p, sf.Tag.Get("default"))
+		case present:
+			if path == "spec" {
+				p = name
+			}
+			err = decode(raw, f, p, "")
+		}
+		if err != nil {
+			return err
+		}
+		if slices.Contains(opt, "required") && f.IsZero() {
+			return fmt.Errorf("topo: %s: missing required field %q", path, name)
+		}
 	}
+	return nil
+}
+
+func composite(k reflect.Kind) bool {
+	return k == reflect.Struct || k == reflect.Map || k == reflect.Slice || k == reflect.Pointer
+}
+
+// mapping reads v as a mapping; an empty value is an empty mapping.
+func mapping(v any, path string) (map[string]any, error) {
 	m, ok := v.(map[string]any)
-	if !ok {
+	if !ok && v != nil {
 		return nil, fmt.Errorf("topo: %s: expected a mapping, got %s", path, typeName(v))
 	}
-	return &obj{m: m, used: map[string]bool{}, path: path}, nil
+	return m, nil
+}
+
+var durationType = reflect.TypeOf(time.Duration(0))
+
+// scalar fills a string, integer, float, boolean or non-negative
+// time.Duration from v.  def stands in for an absent value, and for an
+// empty one except in a string.
+func scalar(v any, rv reflect.Value, path, def string) error {
+	if v == nil {
+		v = def
+	}
+	s, ok := v.(string)
+	if !ok {
+		return fmt.Errorf("topo: %s: expected a scalar, got %s", path, typeName(v))
+	}
+	if rv.Kind() == reflect.String {
+		rv.SetString(s)
+		return nil
+	}
+	if s == "" {
+		s = def
+	}
+	if s == "" {
+		return nil
+	}
+	switch {
+	case rv.Type() == durationType:
+		d, err := time.ParseDuration(s)
+		if err != nil {
+			return fmt.Errorf("topo: %s: invalid duration %q", path, s)
+		}
+		if d < 0 {
+			return fmt.Errorf("topo: %s: negative duration %q", path, s)
+		}
+		rv.SetInt(int64(d))
+	case rv.CanInt():
+		n, err := strconv.ParseInt(s, 10, rv.Type().Bits())
+		if err != nil {
+			return fmt.Errorf("topo: %s: invalid integer %q", path, s)
+		}
+		rv.SetInt(n)
+	case rv.CanFloat():
+		f, err := strconv.ParseFloat(s, rv.Type().Bits())
+		if err != nil {
+			return fmt.Errorf("topo: %s: invalid number %q", path, s)
+		}
+		rv.SetFloat(f)
+	case rv.Kind() == reflect.Bool:
+		switch s {
+		case "true", "yes", "on":
+			rv.SetBool(true)
+		case "false", "no", "off":
+		default:
+			return fmt.Errorf("topo: %s: invalid boolean %q", path, s)
+		}
+	default:
+		panic(fmt.Sprintf("topo: %s: a spec field cannot be a %s", path, rv.Type()))
+	}
+	return nil
 }
 
 func typeName(v any) string {
@@ -225,105 +388,9 @@ func typeName(v any) string {
 		return "sequence"
 	case string:
 		return "scalar"
-	case nil:
-		return "empty value"
 	default:
 		return fmt.Sprintf("%T", v)
 	}
-}
-
-func (o *obj) raw(key string) (any, bool) {
-	v, ok := o.m[key]
-	if ok {
-		o.used[key] = true
-	}
-	return v, ok
-}
-
-func (o *obj) str(key, def string) (string, error) {
-	v, ok := o.raw(key)
-	if !ok || v == nil {
-		return def, nil
-	}
-	s, ok := v.(string)
-	if !ok {
-		return "", fmt.Errorf("topo: %s.%s: expected a scalar, got %s", o.path, key, typeName(v))
-	}
-	return s, nil
-}
-
-func (o *obj) integer(key string, def int) (int, error) {
-	s, err := o.str(key, "")
-	if err != nil || s == "" {
-		return def, err
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, fmt.Errorf("topo: %s.%s: invalid integer %q", o.path, key, s)
-	}
-	return n, nil
-}
-
-func (o *obj) int64(key string, def int64) (int64, error) {
-	s, err := o.str(key, "")
-	if err != nil || s == "" {
-		return def, err
-	}
-	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("topo: %s.%s: invalid integer %q", o.path, key, s)
-	}
-	return n, nil
-}
-
-func (o *obj) float(key string, def float64) (float64, error) {
-	s, err := o.str(key, "")
-	if err != nil || s == "" {
-		return def, err
-	}
-	f, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, fmt.Errorf("topo: %s.%s: invalid number %q", o.path, key, s)
-	}
-	return f, nil
-}
-
-func (o *obj) duration(key string, def time.Duration) (time.Duration, error) {
-	s, err := o.str(key, "")
-	if err != nil || s == "" {
-		return def, err
-	}
-	d, err := time.ParseDuration(s)
-	if err != nil {
-		return 0, fmt.Errorf("topo: %s.%s: invalid duration %q", o.path, key, s)
-	}
-	if d < 0 {
-		return 0, fmt.Errorf("topo: %s.%s: negative duration %q", o.path, key, s)
-	}
-	return d, nil
-}
-
-func (o *obj) boolean(key string, def bool) (bool, error) {
-	s, err := o.str(key, "")
-	if err != nil || s == "" {
-		return def, err
-	}
-	switch s {
-	case "true", "yes", "on":
-		return true, nil
-	case "false", "no", "off":
-		return false, nil
-	}
-	return false, fmt.Errorf("topo: %s.%s: invalid boolean %q", o.path, key, s)
-}
-
-func (o *obj) finish() error {
-	for k := range o.m {
-		if !o.used[k] {
-			return fmt.Errorf("topo: %s: unknown field %q", o.path, k)
-		}
-	}
-	return nil
 }
 
 // sortedKeys iterates a mapping — decoded YAML, edges, ops, params —
@@ -335,322 +402,4 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-func decodeSpec(root any) (*Spec, error) {
-	o, err := asObj(root, "spec")
-	if err != nil {
-		return nil, err
-	}
-	spec := &Spec{Services: map[string]*ServiceSpec{}}
-	if spec.Name, err = o.str("topology", ""); err != nil {
-		return nil, err
-	}
-	if spec.Entry, err = o.str("entry", ""); err != nil {
-		return nil, err
-	}
-	if spec.Seed, err = o.int64("seed", 1); err != nil {
-		return nil, err
-	}
-	rawSvcs, ok := o.raw("services")
-	if !ok {
-		return nil, fmt.Errorf("topo: spec: missing required field %q", "services")
-	}
-	svcs, err := asObj(rawSvcs, "services")
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range sortedKeys(svcs.m) {
-		v, _ := svcs.raw(name)
-		svc, err := decodeService(name, v)
-		if err != nil {
-			return nil, err
-		}
-		spec.Services[name] = svc
-	}
-	if raw, ok := o.raw("load"); ok {
-		if spec.Load, err = decodeLoad(raw); err != nil {
-			return nil, err
-		}
-	}
-	if raw, ok := o.raw("scenario"); ok {
-		if spec.Scenario, err = decodeScenario(raw); err != nil {
-			return nil, err
-		}
-	}
-	return spec, o.finish()
-}
-
-func decodeService(name string, v any) (*ServiceSpec, error) {
-	path := "services." + name
-	o, err := asObj(v, path)
-	if err != nil {
-		return nil, err
-	}
-	svc := &ServiceSpec{Name: name}
-	if svc.Kind, err = o.str("kind", ""); err != nil {
-		return nil, err
-	}
-	if svc.Kind == "" {
-		return nil, fmt.Errorf("topo: %s: missing required field %q", path, "kind")
-	}
-	if svc.Shards, err = o.integer("shards", 1); err != nil {
-		return nil, err
-	}
-	if svc.Replicas, err = o.integer("replicas", 1); err != nil {
-		return nil, err
-	}
-	if svc.Workers, err = o.integer("workers", 0); err != nil {
-		return nil, err
-	}
-	if svc.Work, err = o.duration("work", 0); err != nil {
-		return nil, err
-	}
-	if svc.ReplyBytes, err = o.integer("reply-bytes", 0); err != nil {
-		return nil, err
-	}
-	if svc.HitRatio, err = o.float("hit-ratio", 0); err != nil {
-		return nil, err
-	}
-	if svc.MaxInflight, err = o.integer("max-inflight", 0); err != nil {
-		return nil, err
-	}
-	if raw, ok := o.raw("edges"); ok {
-		eo, err := asObj(raw, path+".edges")
-		if err != nil {
-			return nil, err
-		}
-		svc.Edges = map[string]*EdgeSpec{}
-		for _, en := range sortedKeys(eo.m) {
-			ev, _ := eo.raw(en)
-			edge, err := decodeEdge(path, en, ev)
-			if err != nil {
-				return nil, err
-			}
-			svc.Edges[en] = edge
-		}
-	}
-	if raw, ok := o.raw("ops"); ok {
-		oo, err := asObj(raw, path+".ops")
-		if err != nil {
-			return nil, err
-		}
-		svc.Ops = map[string]*OpSpec{}
-		for _, on := range sortedKeys(oo.m) {
-			ov, _ := oo.raw(on)
-			op, err := decodeOp(path, on, ov)
-			if err != nil {
-				return nil, err
-			}
-			svc.Ops[on] = op
-		}
-	}
-	if raw, ok := o.raw("params"); ok {
-		po, err := asObj(raw, path+".params")
-		if err != nil {
-			return nil, err
-		}
-		svc.Params = map[string]string{}
-		for _, pn := range sortedKeys(po.m) {
-			pv, err := po.str(pn, "")
-			if err != nil {
-				return nil, err
-			}
-			svc.Params[pn] = pv
-		}
-	}
-	return svc, o.finish()
-}
-
-func decodeEdge(svcPath, name string, v any) (*EdgeSpec, error) {
-	path := svcPath + ".edges." + name
-	o, err := asObj(v, path)
-	if err != nil {
-		return nil, err
-	}
-	e := &EdgeSpec{Name: name}
-	if e.To, err = o.str("to", ""); err != nil {
-		return nil, err
-	}
-	if e.To == "" {
-		return nil, fmt.Errorf("topo: %s: missing required field %q", path, "to")
-	}
-	if e.Timeout, err = o.duration("timeout", 0); err != nil {
-		return nil, err
-	}
-	if e.Tail.LeafRetries, err = o.integer("retries", 0); err != nil {
-		return nil, err
-	}
-	if e.Tail.HedgePercentile, err = o.float("hedge-pct", 0); err != nil {
-		return nil, err
-	}
-	if e.Tail.HedgeDelay, err = o.duration("hedge-delay", 0); err != nil {
-		return nil, err
-	}
-	if e.Batch.MaxBatch, err = o.integer("max-batch", 0); err != nil {
-		return nil, err
-	}
-	if e.Batch.Delay, err = o.duration("batch-delay", 0); err != nil {
-		return nil, err
-	}
-	return e, o.finish()
-}
-
-func decodeOp(svcPath, name string, v any) (*OpSpec, error) {
-	path := svcPath + ".ops." + name
-	o, err := asObj(v, path)
-	if err != nil {
-		return nil, err
-	}
-	op := &OpSpec{Name: name}
-	if op.Work, err = o.duration("work", 0); err != nil {
-		return nil, err
-	}
-	if raw, ok := o.raw("calls"); ok && raw != nil {
-		seq, ok := raw.([]any)
-		if !ok {
-			return nil, fmt.Errorf("topo: %s.calls: expected a sequence, got %s", path, typeName(raw))
-		}
-		for i, cv := range seq {
-			call, err := decodeCallSpec(fmt.Sprintf("%s.calls[%d]", path, i), cv)
-			if err != nil {
-				return nil, err
-			}
-			op.Calls = append(op.Calls, call)
-		}
-	}
-	return op, o.finish()
-}
-
-func decodeCallSpec(path string, v any) (CallSpec, error) {
-	o, err := asObj(v, path)
-	if err != nil {
-		return CallSpec{}, err
-	}
-	var c CallSpec
-	if c.Edge, err = o.str("edge", ""); err != nil {
-		return c, err
-	}
-	if c.Edge == "" {
-		return c, fmt.Errorf("topo: %s: missing required field %q", path, "edge")
-	}
-	if c.Method, err = o.str("method", "do"); err != nil {
-		return c, err
-	}
-	if c.Mode, err = o.str("mode", "one"); err != nil {
-		return c, err
-	}
-	if c.Mode != "one" && c.Mode != "all" {
-		return c, fmt.Errorf("topo: %s: invalid mode %q (want \"one\" or \"all\")", path, c.Mode)
-	}
-	if c.Stage, err = o.integer("stage", 0); err != nil {
-		return c, err
-	}
-	if c.Optional, err = o.boolean("optional", false); err != nil {
-		return c, err
-	}
-	if c.MissEdge, err = o.str("miss-edge", ""); err != nil {
-		return c, err
-	}
-	if c.Fill, err = o.boolean("fill", false); err != nil {
-		return c, err
-	}
-	return c, o.finish()
-}
-
-func decodeLoad(v any) (LoadSpec, error) {
-	o, err := asObj(v, "load")
-	if err != nil {
-		return LoadSpec{}, err
-	}
-	var l LoadSpec
-	if l.Pattern, err = o.str("pattern", PatternSteady); err != nil {
-		return l, err
-	}
-	switch l.Pattern {
-	case PatternSteady, PatternDiurnal, PatternFlashCrowd, PatternBurst:
-	default:
-		return l, fmt.Errorf("topo: load.pattern: unknown pattern %q", l.Pattern)
-	}
-	if l.QPS, err = o.float("qps", 0); err != nil {
-		return l, err
-	}
-	if l.Duration, err = o.duration("duration", 0); err != nil {
-		return l, err
-	}
-	if l.Factor, err = o.float("factor", 0); err != nil {
-		return l, err
-	}
-	if l.Period, err = o.duration("period", 0); err != nil {
-		return l, err
-	}
-	if l.Duty, err = o.duration("duty", 0); err != nil {
-		return l, err
-	}
-	if l.Steps, err = o.integer("steps", 0); err != nil {
-		return l, err
-	}
-	if raw, ok := o.raw("mix"); ok {
-		mo, err := asObj(raw, "load.mix")
-		if err != nil {
-			return l, err
-		}
-		l.Mix = map[string]int{}
-		for _, k := range sortedKeys(mo.m) {
-			w, err := mo.integer(k, 0)
-			if err != nil {
-				return l, err
-			}
-			if w <= 0 {
-				return l, fmt.Errorf("topo: load.mix.%s: weight must be positive", k)
-			}
-			l.Mix[k] = w
-		}
-	}
-	return l, o.finish()
-}
-
-func decodeScenario(v any) ([]EventSpec, error) {
-	if v == nil {
-		return nil, nil
-	}
-	seq, ok := v.([]any)
-	if !ok {
-		return nil, fmt.Errorf("topo: scenario: expected a sequence, got %s", typeName(v))
-	}
-	var events []EventSpec
-	for i, ev := range seq {
-		path := fmt.Sprintf("scenario[%d]", i)
-		o, err := asObj(ev, path)
-		if err != nil {
-			return nil, err
-		}
-		var e EventSpec
-		if e.At, err = o.duration("at", 0); err != nil {
-			return nil, err
-		}
-		if e.For, err = o.duration("for", 0); err != nil {
-			return nil, err
-		}
-		if e.Target, err = o.str("target", ""); err != nil {
-			return nil, err
-		}
-		if e.Slow, err = o.duration("slow", 0); err != nil {
-			return nil, err
-		}
-		if e.ErrorRate, err = o.float("error-rate", 0); err != nil {
-			return nil, err
-		}
-		if e.Edge, err = o.str("edge", ""); err != nil {
-			return nil, err
-		}
-		if e.Delay, err = o.duration("delay", 0); err != nil {
-			return nil, err
-		}
-		if err := o.finish(); err != nil {
-			return nil, err
-		}
-		events = append(events, e)
-	}
-	return events, nil
 }

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -118,6 +119,7 @@ func TestParseSpecErrors(t *testing.T) {
 		{"hedge-on-store", mutate("to: db, timeout: 10ms", "to: db, timeout: 10ms, hedge-pct: 1.0"), "hedge-pct must be in [0,1)"},
 		{"bad-duration", mutate("work: 20us", "work: fast"), `invalid duration "fast"`},
 		{"negative-shards", mutate("shards: 2", "shards: -1"), "must be ≥ 1"},
+		{"negative-reply-bytes", mutate("shards: 2", "shards: 2\n    reply-bytes: -100"), "services.fe: reply-bytes must be ≥ 0"},
 		{"bad-pattern", mutate("pattern: diurnal", "pattern: sawtooth"), `unknown pattern "sawtooth"`},
 		{"no-ops", mutate("ops:\n      q:\n        calls:\n          - {edge: mid, method: fetch}", "workers: 1"), "declares no ops"},
 	}
@@ -170,13 +172,9 @@ func TestValidateTimeoutBudget(t *testing.T) {
 }
 
 func TestExampleSpecsParse(t *testing.T) {
-	files := []string{
-		"../../examples/social-network.yaml",
-		"../../examples/hotel-reservation.yaml",
-		"../../examples/hdsearch.yaml",
-		"../../examples/router.yaml",
-		"../../examples/setalgebra.yaml",
-		"../../examples/recommend.yaml",
+	files, err := filepath.Glob("../../examples/*.yaml")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no example specs: %v", err)
 	}
 	for _, f := range files {
 		s, err := LoadSpecFile(f)

@@ -38,7 +38,8 @@ var leafMethods = map[string][]string{
 
 // Validate checks the spec's structural integrity: every reference
 // resolves, the service graph is acyclic, kinds carry only the fields they
-// understand, and every configured edge timeout covers its downstream's
+// understand, every mode, pattern, weight and size is one the runtime can
+// run, and every configured edge timeout covers its downstream's
 // worst-case budget.  Build refuses unvalidated specs, so a bad spec fails
 // at parse time, not as a hung deployment.
 func (s *Spec) Validate() error {
@@ -81,6 +82,9 @@ func (s *Spec) validateService(svc *ServiceSpec) error {
 	}
 	if svc.Shards < 1 || svc.Replicas < 1 {
 		return fmt.Errorf("topo: services.%s: shards and replicas must be ≥ 1", svc.Name)
+	}
+	if svc.ReplyBytes < 0 {
+		return fmt.Errorf("topo: services.%s: reply-bytes must be ≥ 0", svc.Name)
 	}
 	if svc.HitRatio < 0 || svc.HitRatio > 1 {
 		return fmt.Errorf("topo: services.%s: hit-ratio must be in [0,1]", svc.Name)
@@ -125,6 +129,9 @@ func (s *Spec) validateOp(svc *ServiceSpec, op *OpSpec) error {
 	path := fmt.Sprintf("services.%s.ops.%s", svc.Name, op.Name)
 	for i, c := range op.Calls {
 		cpath := fmt.Sprintf("%s.calls[%d]", path, i)
+		if c.Mode != "one" && c.Mode != "all" {
+			return fmt.Errorf("topo: %s: invalid mode %q (want \"one\" or \"all\")", cpath, c.Mode)
+		}
 		edge, ok := svc.Edges[c.Edge]
 		if !ok {
 			return fmt.Errorf("topo: %s: unknown edge %q", cpath, c.Edge)
@@ -291,6 +298,16 @@ func (s *Spec) checkBudgets() error {
 }
 
 func (s *Spec) validateLoad(entry *ServiceSpec) error {
+	switch s.Load.Pattern {
+	case "", PatternSteady, PatternDiurnal, PatternFlashCrowd, PatternBurst: // "": no load section
+	default:
+		return fmt.Errorf("topo: load.pattern: unknown pattern %q", s.Load.Pattern)
+	}
+	for _, op := range sortedKeys(s.Load.Mix) {
+		if s.Load.Mix[op] <= 0 {
+			return fmt.Errorf("topo: load.mix.%s: weight must be positive", op)
+		}
+	}
 	if len(s.Load.Mix) == 0 {
 		return nil
 	}

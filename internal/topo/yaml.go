@@ -17,9 +17,10 @@ import (
 // with spaces, "- " sequence items (inline mappings allowed on the dash
 // line), flow collections ({k: v}, [a, b]), single- and double-quoted
 // scalars, and # comments.  Everything decodes to map[string]any /
-// []any / string; typed conversion happens in the spec layer.  Duplicate
-// keys, tab indentation, and structural ambiguity are errors — a config
-// language that guesses is worse than one that refuses.
+// []any / string; typed conversion happens in the tag-driven decoder
+// (spec.go's decode).  Duplicate keys, tab indentation, and structural
+// ambiguity are errors — a config language that guesses is worse than one
+// that refuses.
 
 // DecodeYAML parses src into nested map[string]any / []any / string
 // values.  An empty document decodes to nil.

@@ -1,6 +1,8 @@
 package topo
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -123,9 +125,9 @@ func TestDecodeYAMLEmpty(t *testing.T) {
 	}
 }
 
-// FuzzYAMLDecode asserts the decoder is total: any input either decodes or
-// returns an error — never a panic or a hang.  Valid inputs re-validate
-// through the spec layer without crashing either.
+// FuzzYAMLDecode asserts the spec front end is total: any input either
+// parses — YAML, then the tag-driven decoder, then Validate — or returns an
+// error, never a panic or a hang.  The example specs seed it.
 func FuzzYAMLDecode(f *testing.F) {
 	seeds := []string{
 		"a: 1",
@@ -141,14 +143,15 @@ func FuzzYAMLDecode(f *testing.F) {
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
-	f.Fuzz(func(t *testing.T, src []byte) {
-		v, err := DecodeYAML(src)
+	examples, _ := filepath.Glob("../../examples/*.yaml")
+	for _, path := range examples {
+		src, err := os.ReadFile(path)
 		if err != nil {
-			return
+			f.Fatal(err)
 		}
-		// A decoded tree must be spec-decodable or cleanly rejected.
-		if spec, err := decodeSpec(v); err == nil && spec != nil {
-			_ = spec.Validate()
-		}
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src []byte) {
+		_, _ = ParseSpec(src)
 	})
 }
