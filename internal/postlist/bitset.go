@@ -44,7 +44,7 @@ func useBitset(a, b []uint32) bool {
 // is identical to Intersect2; only the cost shape differs.
 func Intersect2Bitset(a, b *PostingList) *PostingList {
 	var sc IntersectScratch
-	return fromSorted(sc.intersectBitset(nil, a.ids, b.ids), a.skipSize)
+	return &PostingList{ids: sc.intersectBitset(nil, a.ids, b.ids), stride: a.stride}
 }
 
 // intersectBitset appends a ∩ b to dst by the bitset kernel, on sc's bitmaps.

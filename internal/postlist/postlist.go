@@ -5,10 +5,7 @@
 // the exact operations the paper's leaves and mid-tier perform.
 package postlist
 
-import (
-	"slices"
-	"sort"
-)
+import "slices"
 
 // DefaultSkipSize is the skip interval; √n-ish skips are classical, but a
 // fixed stride keeps construction O(n) and works well across list lengths.
@@ -17,11 +14,11 @@ const DefaultSkipSize = 16
 // PostingList is the sorted list of document IDs containing one term, with
 // skip pointers for sub-linear intersection.  For a term t this is the
 // paper's tuple (St, Ct): St the skip sequence, Ct the documents between
-// skips.
+// skips.  The skips are implicit — the k-th points at ids[k·stride], k ≥ 1 —
+// so a list stores nothing beside its IDs and its stride.
 type PostingList struct {
-	ids      []uint32
-	skips    []int // indexes into ids at skipSize strides
-	skipSize int
+	ids    []uint32
+	stride int
 }
 
 // New builds a posting list from doc IDs (any order, duplicates tolerated).
@@ -31,20 +28,9 @@ func New(ids []uint32) *PostingList {
 
 // NewWithSkipSize builds a posting list with an explicit skip stride.
 func NewWithSkipSize(ids []uint32, skipSize int) *PostingList {
-	if skipSize < 2 {
-		skipSize = 2
-	}
-	sorted := make([]uint32, len(ids))
-	copy(sorted, ids)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	// Dedup in place.
-	out := sorted[:0]
-	for i, id := range sorted {
-		if i == 0 || id != out[len(out)-1] {
-			out = append(out, id)
-		}
-	}
-	return fromSorted(out, skipSize)
+	sorted := slices.Clone(ids)
+	slices.Sort(sorted)
+	return &PostingList{ids: slices.Compact(sorted), stride: max(skipSize, 2)}
 }
 
 // Len reports the number of documents in the list.
@@ -54,14 +40,14 @@ func (p *PostingList) Len() int { return len(p.ids) }
 func (p *PostingList) IDs() []uint32 { return p.ids }
 
 // Skips reports the number of skip pointers (diagnostics).
-func (p *PostingList) Skips() int { return len(p.skips) }
+func (p *PostingList) Skips() int { return max(len(p.ids)-1, 0) / p.stride }
 
 // Contains reports whether doc is in the list, using skips then a bounded
 // scan.
 func (p *PostingList) Contains(doc uint32) bool {
 	lo, hi := 0, len(p.ids)
 	// Narrow with skip pointers first.
-	for _, s := range p.skips {
+	for s := p.stride; s < len(p.ids); s += p.stride {
 		if p.ids[s] <= doc {
 			lo = s
 		} else {
@@ -98,7 +84,7 @@ func Intersect2(a, b *PostingList) *PostingList {
 			j++
 		}
 	}
-	return fromSorted(out, a.skipSize)
+	return &PostingList{ids: out, stride: a.stride}
 }
 
 // Intersect2Skip intersects using skip pointers on the longer list: when the
@@ -108,20 +94,20 @@ func Intersect2Skip(a, b *PostingList) *PostingList {
 	if len(a.ids) > len(b.ids) {
 		a, b = b, a
 	}
-	return fromSorted(intersectSkip(make([]uint32, 0, len(a.ids)), a.ids, b), a.skipSize)
+	return &PostingList{ids: intersectSkip(make([]uint32, 0, len(a.ids)), a.ids, *b), stride: a.stride}
 }
 
 // intersectSkip appends a ∩ b to dst, walking a and skipping through b's
 // blocks.  An output never passes the input it came from, so dst may be
 // a[:0]: an intermediate result is intersected in place.
-func intersectSkip(dst, a []uint32, b *PostingList) []uint32 {
-	j := 0        // position in b
-	nextSkip := 0 // index into b.skips
+func intersectSkip(dst, a []uint32, b PostingList) []uint32 {
+	j := 0           // position in b
+	next := b.stride // b's next skip target
 	for _, doc := range a {
 		// Fast-forward over skip blocks.
-		for nextSkip < len(b.skips) && b.ids[b.skips[nextSkip]] <= doc {
-			j = b.skips[nextSkip]
-			nextSkip++
+		for next < len(b.ids) && b.ids[next] <= doc {
+			j = next
+			next += b.stride
 		}
 		for j < len(b.ids) && b.ids[j] < doc {
 			j++
@@ -138,18 +124,21 @@ func intersectSkip(dst, a []uint32, b *PostingList) []uint32 {
 // yields a copy.
 func Intersect(lists ...*PostingList) *PostingList {
 	if len(lists) == 0 {
-		return fromSorted(nil, DefaultSkipSize)
+		return &PostingList{stride: DefaultSkipSize}
 	}
-	sc := IntersectScratch{lists: slices.Clone(lists)}
+	sc := IntersectScratch{lists: make([]PostingList, len(lists))}
+	for i, l := range lists {
+		sc.lists[i] = *l
+	}
 	out := slices.Clone(sc.intersect())
-	return fromSorted(out, sc.lists[0].skipSize)
+	return &PostingList{ids: out, stride: sc.lists[0].stride}
 }
 
 // IntersectScratch is the working state of a multi-list intersection: the
 // lists, the running result and the dense kernel's bitmaps.  A caller that
 // keeps one across queries (Index.SearchInto) intersects without allocating.
 type IntersectScratch struct {
-	lists []*PostingList
+	lists []PostingList
 	acc   []uint32
 	words []uint64
 }
@@ -169,7 +158,7 @@ func (sc *IntersectScratch) intersect() []uint32 {
 	case 1:
 		return sc.lists[0].ids
 	}
-	slices.SortFunc(sc.lists, func(a, b *PostingList) int { return len(a.ids) - len(b.ids) })
+	slices.SortFunc(sc.lists, func(a, b PostingList) int { return len(a.ids) - len(b.ids) })
 	acc := sc.lists[0].ids
 	sc.acc = slices.Grow(sc.acc[:0], len(acc))
 	for _, l := range sc.lists[1:] {
@@ -190,9 +179,9 @@ func (sc *IntersectScratch) intersect() []uint32 {
 func Union(lists ...*PostingList) *PostingList {
 	switch len(lists) {
 	case 0:
-		return fromSorted(nil, DefaultSkipSize)
+		return &PostingList{stride: DefaultSkipSize}
 	case 1:
-		return fromSorted(append([]uint32(nil), lists[0].ids...), lists[0].skipSize)
+		return &PostingList{ids: slices.Clone(lists[0].ids), stride: lists[0].stride}
 	}
 	// Lists are already sorted and deduplicated, so a linear k-way merge
 	// does the union in O(total · k) comparisons with no re-sort.
@@ -203,13 +192,5 @@ func Union(lists ...*PostingList) *PostingList {
 		segs[i] = l.ids
 	}
 	out := MergeSortedInto(make([]uint32, 0, total), segs)
-	return fromSorted(out, lists[0].skipSize)
-}
-
-func fromSorted(sorted []uint32, skipSize int) *PostingList {
-	p := &PostingList{ids: sorted, skipSize: skipSize}
-	for i := skipSize; i < len(sorted); i += skipSize {
-		p.skips = append(p.skips, i)
-	}
-	return p
+	return &PostingList{ids: out, stride: lists[0].stride}
 }

@@ -117,26 +117,38 @@ type LeafData struct {
 }
 
 // ShardCorpus splits the corpus round-robin and builds one inverted index
-// per shard.  stopTerms is the per-shard stop-list size.  Local IDs are dealt
-// in ascending global order whatever order the split lists a shard's
-// documents in, which is what makes every LeafData's GlobalID ascend.
+// per shard, the shards concurrently.  stopTerms is the per-shard stop-list
+// size.  A shard's build reads only the corpus and its own documents, so the
+// result does not depend on how the builds interleave.
 func ShardCorpus(c *dataset.DocCorpus, n, stopTerms int) []LeafData {
-	idLists := c.Shard(n)
 	out := make([]LeafData, n)
-	for s, ids := range idLists {
-		slices.Sort(ids)
-		docs := make([][]int, len(ids))
-		gids := make([]uint32, len(ids))
-		for local, global := range ids {
-			docs[local] = c.Docs[global]
-			gids[local] = uint32(global)
-		}
-		out[s] = LeafData{
-			Index:    postlist.BuildIndex(docs, postlist.IndexConfig{StopTerms: stopTerms}),
-			GlobalID: gids,
-		}
+	var wg sync.WaitGroup
+	for s, ids := range c.Shard(n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[s] = buildShard(c, ids, stopTerms)
+		}()
 	}
+	wg.Wait()
 	return out
+}
+
+// buildShard indexes the documents ids names.  Local IDs are dealt in
+// ascending global order whatever order the split lists a shard's documents
+// in, which is what makes every LeafData's GlobalID ascend.
+func buildShard(c *dataset.DocCorpus, ids []int, stopTerms int) LeafData {
+	slices.Sort(ids)
+	docs := make([][]int, len(ids))
+	gids := make([]uint32, len(ids))
+	for local, global := range ids {
+		docs[local] = c.Docs[global]
+		gids[local] = uint32(global)
+	}
+	return LeafData{
+		Index:    postlist.BuildIndex(docs, postlist.IndexConfig{StopTerms: stopTerms}),
+		GlobalID: gids,
+	}
 }
 
 // leafScratch recycles an intersection's decoded term list and the index
@@ -307,13 +319,14 @@ type Cluster struct {
 	Shards []LeafData
 }
 
-// Assembly is the offline half of a deployment: the corpus, sharded and
-// indexed when the first leaf is constructed, so the mid-tier process —
-// which only fans out and merges — indexes nothing.  A deployment is
-// assembled from one goroutine; an Assembly is not safe for concurrent use.
+// Assembly is the offline half of a deployment: the corpus, each shard
+// indexed when the first leaf serving it is constructed, so the mid-tier
+// process — which only fans out and merges — indexes nothing, and a leaf
+// process indexes only its own shard.  A deployment is assembled from one
+// goroutine; an Assembly is not safe for concurrent use.
 type Assembly struct {
 	cfg    ClusterConfig
-	shards []LeafData // nil until the first leaf is built
+	shards []LeafData // a shard's Index is nil until a leaf for it is built
 }
 
 // Prepare resolves cfg's defaults.  It reads cfg's data fields only; the
@@ -325,7 +338,7 @@ func Prepare(cfg ClusterConfig) *Assembly {
 	if cfg.StopTerms <= 0 {
 		cfg.StopTerms = 10
 	}
-	return &Assembly{cfg: cfg}
+	return &Assembly{cfg: cfg, shards: make([]LeafData, cfg.Shards)}
 }
 
 // Leaf builds an unstarted leaf over one shard's inverted index.
@@ -333,8 +346,8 @@ func (a *Assembly) Leaf(shard int, opts *core.LeafOptions) (*core.Leaf, error) {
 	if shard < 0 || shard >= a.cfg.Shards {
 		return nil, fmt.Errorf("setalgebra: shard %d outside 0..%d", shard, a.cfg.Shards-1)
 	}
-	if a.shards == nil {
-		a.shards = ShardCorpus(a.cfg.Corpus, a.cfg.Shards, a.cfg.StopTerms)
+	if a.shards[shard].Index == nil {
+		a.shards[shard] = buildShard(a.cfg.Corpus, a.cfg.Corpus.Shard(a.cfg.Shards)[shard], a.cfg.StopTerms)
 	}
 	return NewLeaf(a.shards[shard], opts), nil
 }
@@ -344,9 +357,11 @@ func (a *Assembly) MidTier(opts *core.Options) (*core.MidTier, error) {
 	return NewMidTier(opts), nil
 }
 
-// StartCluster launches the deployment.
+// StartCluster launches the deployment.  It serves every shard, so it builds
+// them all up front, concurrently.
 func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	a := Prepare(cfg)
+	a.shards = ShardCorpus(a.cfg.Corpus, a.cfg.Shards, a.cfg.StopTerms)
 	tiers, err := core.StartTiers(a.cfg.Shards, cfg.LeafReplicas, &cfg.Leaf, a.Leaf,
 		func() (*core.MidTier, error) { return a.MidTier(&cfg.MidTier) })
 	if err != nil {

@@ -1,6 +1,9 @@
 package setalgebra
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"math"
 	"runtime"
@@ -223,12 +226,68 @@ func TestEmptyAndStopOnlyQueries(t *testing.T) {
 	t.Log("no universally stopped term; skipping stop-only case")
 }
 
+// TestUnknownTermMatchesNothing: a term no shard's index has a slot for is an
+// empty answer, not an error or a panic — on each leaf's handler and through
+// a deployment — whether it is past the vocabulary (vocabulary + 5, + 100) or
+// the wire's largest term, 2⁶⁴−1, a negative int once decoded; alone or beside
+// the term shard 0 indexes most.
 func TestUnknownTermMatchesNothing(t *testing.T) {
 	corpus := testCorpus(t)
-	_, client := startTestCluster(t, corpus)
+	cl, client := startTestCluster(t, corpus)
 	got, err := client.Search([]int{corpus.VocabSize + 100})
 	if err != nil || len(got) != 0 {
 		t.Fatalf("unknown term: %v %v", got, err)
+	}
+	live := uint64(longestTerm(corpus, cl.Shards[0]))
+	for _, terms := range [][]uint64{
+		{math.MaxUint64}, {uint64(corpus.VocabSize) + 5}, {live, math.MaxUint64}, {live, uint64(corpus.VocabSize) + 5},
+	} {
+		e := wire.NewEncoder(32)
+		e.Uvarint(uint64(len(terms)))
+		for _, term := range terms {
+			e.Uvarint(term)
+		}
+		for s, sh := range cl.Shards {
+			var reply wire.Encoder
+			if err := intersectEncoded(sh, e.Bytes(), &reply); err != nil {
+				t.Fatalf("%v, shard %d: %v", terms, s, err)
+			}
+			if ids, err := DecodeDocIDs(reply.Bytes()); err != nil || len(ids) != 0 {
+				t.Fatalf("%v, shard %d: %v %v", terms, s, ids, err)
+			}
+		}
+		reply, err := client.rpc.Call(MethodSearch, e.Bytes())
+		if err != nil {
+			t.Fatalf("%v through the deployment: %v", terms, err)
+		}
+		if ids, err := DecodeDocIDs(reply); err != nil || len(ids) != 0 {
+			t.Fatalf("%v through the deployment: %v %v", terms, ids, err)
+		}
+	}
+}
+
+// TestLeafBuildsOnlyItsShard: a leaf process indexes the shard it serves and
+// no other; a second leaf for the same shard (a replica) reuses the index.
+func TestLeafBuildsOnlyItsShard(t *testing.T) {
+	a := Prepare(ClusterConfig{Corpus: testCorpus(t), Shards: 4})
+	leaf, err := a.Leaf(2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leaf.Close()
+	for s, sh := range a.shards {
+		if built := sh.Index != nil; built != (s == 2) {
+			t.Fatalf("after Leaf(2), shard %d built: %v", s, built)
+		}
+	}
+	index := a.shards[2].Index
+	replica, err := a.Leaf(2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replica.Close()
+	if a.shards[2].Index != index {
+		t.Fatal("a replica's leaf indexed its shard again")
 	}
 }
 
@@ -500,4 +559,57 @@ func FuzzUnionDecode(f *testing.F) {
 			t.Fatalf("union decodes to %d IDs (%v), want %d", len(got), err, len(want))
 		}
 	})
+}
+
+// benchmarkCorpus is a document corpus of the benchmark's shape.
+func benchmarkCorpus() *dataset.DocCorpus {
+	return dataset.NewDocCorpus(dataset.DocCorpusConfig{Docs: 20000, VocabSize: 3000, MeanDocLen: 60, Seed: 1})
+}
+
+// TestShardCorpusGolden pins what ShardCorpus builds at the benchmark's shape
+// (20 000 documents, vocabulary 3 000, mean length 60, 4 shards, 10 stop
+// terms, seed 1): each shard's stop set, every term's posting list and the
+// local→global map, hashed.  The hash was recorded from the map-based index
+// that the flat one replaced, so a build that reorders, drops or duplicates a
+// posting, or stops a different term on a frequency tie, fails here.
+func TestShardCorpusGolden(t *testing.T) {
+	const want = "ca5dd006e08f0368aea584a6a48daa9fb6ec4be852036a851c74e1f5980cdeae"
+	corpus := benchmarkCorpus()
+	h := sha256.New()
+	var buf []byte
+	for _, sh := range ShardCorpus(corpus, 4, 10) {
+		buf = binary.LittleEndian.AppendUint32(buf[:0], uint32(sh.Index.Docs()))
+		for w := 0; w < corpus.VocabSize; w++ {
+			var ids []uint32
+			if p := sh.Index.Postings(w); p != nil {
+				ids = p.IDs()
+			}
+			stop := uint32(0)
+			if sh.Index.IsStopWord(w) {
+				stop = 1
+			}
+			buf = binary.LittleEndian.AppendUint32(buf, stop)
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ids)))
+			for _, id := range ids {
+				buf = binary.LittleEndian.AppendUint32(buf, id)
+			}
+		}
+		for _, gid := range sh.GlobalID {
+			buf = binary.LittleEndian.AppendUint32(buf, gid)
+		}
+		h.Write(buf)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("ShardCorpus digest %s, want %s", got, want)
+	}
+}
+
+// BenchmarkShardCorpus times indexing a corpus of the benchmark's shape into
+// 4 shards: what a deployment's set-up spends on Set Algebra's indexes.
+func BenchmarkShardCorpus(b *testing.B) {
+	corpus := benchmarkCorpus()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ShardCorpus(corpus, 4, 10)
+	}
 }
