@@ -83,3 +83,34 @@ func BenchmarkTopK(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkSplit is one HDSearch leaf's planes at the benchmark's shape: a
+// 25 000 × 64 shard (100 000 rows over four leaves).
+func BenchmarkSplit(b *testing.B) {
+	s, _ := clusteredStore(rand.New(rand.NewSource(9)), 25000, 64, 10)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Split(s)
+	}
+}
+
+// BenchmarkProject is one row's projection onto the benchmark index's planes
+// (8 tables × 12 bits, dim 64): Project's one call against a Dot per plane.
+func BenchmarkProject(b *testing.B) {
+	r := rand.New(rand.NewSource(3))
+	planes := randStore(r, 96, 64)
+	v := randQuery(r, 64)
+	out := make([]float32, 96)
+	b.Run("project", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			Project(planes, 0, v, out)
+		}
+	})
+	b.Run("dot", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for j := range out {
+				out[j] = Dot(planes.Row(j), v)
+			}
+		}
+	})
+}

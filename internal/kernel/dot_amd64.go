@@ -25,6 +25,20 @@ func dotSIMD(a, b *float32, n int) float32
 //go:noescape
 func dotRows(data *float32, dim int, ids *uint32, n int, q, out *float32)
 
+// project8 writes out[j] = v · plane j over n8 elements for j in
+// [0, 8·groups), plane j at planes+j·stride; n8 must be a positive multiple
+// of 8.  Each out[j] is bit-identical to dotSIMD over that plane and v.
+// Implemented in dot_amd64.s.
+//
+//go:noescape
+func project8(planes *float32, stride, n8, groups int, v, out *float32)
+
+// nonNegative8 is NonNegative for n8 elements, a multiple of 8 from 8 to
+// 64.  Implemented in dot_amd64.s.
+//
+//go:noescape
+func nonNegative8(x *float32, n8 int) uint64
+
 // filterHi is hiFilter's pass, four rows at a time.  The store's dim must be
 // a multiple of 8 and at least 32, qh hiQuery's, and bound as long as keep.
 // Implemented in dot_amd64.s.

@@ -167,6 +167,165 @@ rowsdone:
 	VZEROUPPER
 	RET
 
+// func project8(planes *float32, stride, n8, groups int, v *float32, out *float32)
+// out[j] = v · plane j over its first n8 elements, plane j at planes+j·stride
+// (stride in elements), for j in [0, 8·groups).  n8 must be a positive
+// multiple of 8.  Each plane is reduced exactly as dotSIMD reduces it — the
+// same four accumulators over 32-element blocks, leftover 8-element blocks
+// through the first, the same additions in the same order — so out[j] is
+// dotSIMD(plane j, v, n8)'s bits.  What a group of eight planes shares is
+// the work around that: planes j and j+4 (j < 4) are multiplied in one pass,
+// each 32-byte load of v feeding both, their halves folded into one register
+// ([j's lanes 0–3 + 4–7 | j+4's]); and the four pairs' horizontal sums are
+// one VHADDPS tree whose two rounds are dotSIMD's two, leaving the eight
+// dots in order in one register.
+//
+// Registers: R8 the group's first plane, SI the pair's, R9 stride and R14
+// 4·stride in bytes, R10 n8, R11 groups left, R12 v, R13 out, AX the pair
+// in the group, DI, BX and DX the pass's cursors in v and the two planes;
+// Y0–Y3 and Y4–Y7 the pair's accumulators, Y8–Y11 v's blocks, Y12 and Y13
+// the tree, Y15 a folded pair.
+TEXT ·project8(SB), NOSPLIT, $0-48
+	MOVQ planes+0(FP), R8
+	MOVQ stride+8(FP), R9
+	MOVQ n8+16(FP), R10
+	MOVQ groups+24(FP), R11
+	MOVQ v+32(FP), R12
+	MOVQ out+40(FP), R13
+	TESTQ R11, R11
+	JLE  projdone
+	SHLQ $2, R9            // stride in bytes
+	MOVQ R9, R14
+	SHLQ $2, R14           // planes j and j+4 apart
+
+projgroup:
+	MOVQ R8, SI
+	XORQ AX, AX
+
+projpair:
+	MOVQ R12, DI           // v
+	MOVQ SI, BX            // plane j
+	LEAQ (SI)(R14*1), DX   // plane j+4
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	MOVQ R10, CX
+	SHRQ $5, CX            // 32-element blocks
+	JZ   projtail8
+
+projloop32:
+	VMOVUPS (DI), Y8
+	VMOVUPS 32(DI), Y9
+	VMOVUPS 64(DI), Y10
+	VMOVUPS 96(DI), Y11
+	VFMADD231PS (BX), Y8, Y0
+	VFMADD231PS 32(BX), Y9, Y1
+	VFMADD231PS 64(BX), Y10, Y2
+	VFMADD231PS 96(BX), Y11, Y3
+	VFMADD231PS (DX), Y8, Y4
+	VFMADD231PS 32(DX), Y9, Y5
+	VFMADD231PS 64(DX), Y10, Y6
+	VFMADD231PS 96(DX), Y11, Y7
+	ADDQ $128, DI
+	ADDQ $128, BX
+	ADDQ $128, DX
+	DECQ CX
+	JNZ  projloop32
+
+projtail8:
+	MOVQ R10, CX
+	ANDQ $31, CX
+	SHRQ $3, CX            // remaining 8-element blocks
+	JZ   projfold
+
+projloop8:
+	VMOVUPS (DI), Y8
+	VFMADD231PS (BX), Y8, Y0
+	VFMADD231PS (DX), Y8, Y4
+	ADDQ $32, DI
+	ADDQ $32, BX
+	ADDQ $32, DX
+	DECQ CX
+	JNZ  projloop8
+
+projfold:
+	VADDPS Y1, Y0, Y0
+	VADDPS Y3, Y2, Y2
+	VADDPS Y2, Y0, Y0
+	VADDPS Y5, Y4, Y4
+	VADDPS Y7, Y6, Y6
+	VADDPS Y6, Y4, Y4
+	VPERM2F128 $0x20, Y4, Y0, Y1 // [j lanes 0–3 | j+4 lanes 0–3]
+	VPERM2F128 $0x31, Y4, Y0, Y2 // [j lanes 4–7 | j+4 lanes 4–7]
+	VADDPS Y2, Y1, Y15
+
+	// Pairs 0 and 1 round into Y12, 2 and 3 into Y13, then Y12 and Y13
+	// into the eight dots.
+	CMPQ AX, $1
+	JA   projpair23
+	JE   projpair1
+	VMOVAPS Y15, Y12
+	JMP  projnextpair
+projpair1:
+	VHADDPS Y15, Y12, Y12
+	JMP  projnextpair
+projpair23:
+	CMPQ AX, $3
+	JE   projpair3
+	VMOVAPS Y15, Y13
+	JMP  projnextpair
+projpair3:
+	VHADDPS Y15, Y13, Y13
+	VHADDPS Y13, Y12, Y12
+	VMOVUPS Y12, (R13)
+
+projnextpair:
+	ADDQ R9, SI
+	INCQ AX
+	CMPQ AX, $4
+	JL   projpair
+
+	LEAQ (R8)(R14*2), R8   // the next group: eight planes on
+	ADDQ $32, R13
+	DECQ R11
+	JNZ  projgroup
+
+projdone:
+	VZEROUPPER
+	RET
+
+// func nonNegative8(x *float32, n8 int) uint64
+// Bit i of the result is set when x[i] ≥ 0 — an ordered compare, so −0 is
+// and a NaN is not — for i < n8, a multiple of 8 from 8 to 64.  The blocks
+// are read last first, each one's eight bits shifted in below the ones
+// after it.
+TEXT ·nonNegative8(SB), NOSPLIT, $0-24
+	MOVQ x+0(FP), SI
+	MOVQ n8+8(FP), CX
+	LEAQ -32(SI)(CX*4), SI // the last block
+	SHRQ $3, CX
+	XORQ AX, AX
+	VXORPS Y1, Y1, Y1
+
+signloop:
+	VMOVUPS (SI), Y0
+	VCMPPS $0x1D, Y1, Y0, Y0 // GE_OQ
+	VMOVMSKPS Y0, BX
+	SHLQ $8, AX
+	ORQ  BX, AX
+	SUBQ $32, SI
+	DECQ CX
+	JNZ  signloop
+
+	VZEROUPPER
+	MOVQ AX, ret+16(FP)
+	RET
+
 // hiAhead is how many rows ahead of the group it scores filterHi prefetches.
 // Swept on ordered-split with the group width (DESIGN §5.5 "Row bytes"); a
 // constant, not an option.  ringRows, a power of two, holds the rows from

@@ -81,6 +81,65 @@ func dot8(a, b []float32) float32 {
 // with every kernel in this package.
 func Dot(a, b []float32) float32 { return dot8(a, b) }
 
+// Project writes v's dot product with each of len(out) consecutive rows of
+// planes from row first: out[i] = Dot(planes.Row(first+i), v), bit for bit
+// (a NaN's payload aside where a plane and v both hold one), in one call —
+// how a sign pattern against random hyperplanes is formed.  Where Dot takes
+// the vector kernel, each eight planes go through project8, which shares
+// v's loads and the horizontal sums across them; the rest, and v's scalar
+// tail, take Dot's own path.  len(v) must be planes.Dim().
+func Project(planes *Store, first int, v, out []float32) {
+	if len(out) == 0 {
+		return
+	}
+	dim := planes.dim
+	rows := planes.data[first*dim : (first+len(out))*dim]
+	v = v[:dim]
+	if !useSIMD || dim < 32 {
+		for i := range out {
+			out[i] = dotGeneric(rows[i*dim:(i+1)*dim], v)
+		}
+		return
+	}
+	n8 := dim &^ 7
+	groups := len(out) / 8
+	if groups > 0 {
+		project8(&rows[0], dim, n8, groups, &v[0], &out[0])
+	}
+	for i := 8 * groups; i < len(out); i++ {
+		out[i] = dotSIMD(&rows[i*dim], &v[0], n8)
+	}
+	if n8 < dim {
+		for i := range out {
+			row, s := rows[i*dim:(i+1)*dim], out[i]
+			for j := n8; j < dim; j++ {
+				s += row[j] * v[j]
+			}
+			out[i] = s
+		}
+	}
+}
+
+// NonNegative is the sign pattern of up to 64 projections: bit i is set
+// when x[i] ≥ 0 (−0 included, a NaN not).
+func NonNegative(x []float32) uint64 {
+	if len(x) > 64 {
+		panic("kernel: NonNegative over more than 64 values")
+	}
+	var bits uint64
+	n8 := 0
+	if useSIMD && len(x) >= 8 {
+		n8 = len(x) &^ 7
+		bits = nonNegative8(&x[0], n8)
+	}
+	for i := n8; i < len(x); i++ {
+		if x[i] >= 0 {
+			bits |= 1 << i
+		}
+	}
+	return bits
+}
+
 // DistAt exposes the engine's per-(query, point) norm-trick distance for a
 // single store row — the subset-distance helper the ann graph traversals
 // (HNSW neighbor expansions) evaluate point by point.  qn is ‖q‖², computed

@@ -406,6 +406,71 @@ func TestDotRowsEquivalence(t *testing.T) {
 	}
 }
 
+// TestProjectEquivalence: Project writes, plane for plane, Dot's bits — at
+// widths below, on and off the vector kernel's blocks, for blocks of planes
+// that are and are not whole groups of eight, from any first plane, and for
+// a v holding NaN, ±Inf, zeros of both signs and magnitudes whose products
+// overflow (the planes' values are finite, as random hyperplanes are).
+func TestProjectEquivalence(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	odd := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 0, float32(math.Copysign(0, -1)), 3e38, -3e38, 1e-40}
+	for _, dim := range []int{1, 7, 8, 16, 31, 32, 36, 40, 64, 72, 96, 100, 128, 136} {
+		planes := randStore(r, 120, dim)
+		for trial := 0; trial < 4; trial++ {
+			v := randQuery(r, dim)
+			switch trial {
+			case 1:
+				v[r.Intn(dim)] = odd[r.Intn(len(odd))]
+			case 2:
+				clear(v)
+			case 3:
+				for i := range v {
+					v[i] *= 1e37
+				}
+			}
+			for _, n := range []int{0, 1, 7, 8, 9, 12, 16, 17, 96, 120} {
+				first := r.Intn(120 - n + 1)
+				out := make([]float32, n+1)
+				out[n] = 42 // past the block: untouched
+				Project(planes, first, v, out[:n])
+				for i := 0; i < n; i++ {
+					if got, want := math.Float32bits(out[i]), math.Float32bits(Dot(planes.Row(first+i), v)); got != want {
+						t.Fatalf("dim %d trial %d: %d planes from %d: plane %d projects to %08x, Dot %08x", dim, trial, n, first, i, got, want)
+					}
+				}
+				if out[n] != 42 {
+					t.Fatalf("dim %d: %d planes: wrote past the block", dim, n)
+				}
+			}
+		}
+	}
+}
+
+// TestNonNegative: the sign pattern is x[i] >= 0's, bit for bit, at every
+// length to 64, for signed zeros, NaNs of both signs and infinities too.
+func TestNonNegative(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	odd := []float32{0, float32(math.Copysign(0, -1)), float32(math.NaN()), math.Float32frombits(0xFFC00001),
+		float32(math.Inf(1)), float32(math.Inf(-1)), math.Float32frombits(1), math.Float32frombits(0x80000001)}
+	for n := 0; n <= 64; n++ {
+		for trial := 0; trial < 20; trial++ {
+			x := make([]float32, n)
+			var want uint64
+			for i := range x {
+				if x[i] = float32(r.NormFloat64()); r.Intn(3) == 0 {
+					x[i] = odd[r.Intn(len(odd))]
+				}
+				if x[i] >= 0 {
+					want |= 1 << i
+				}
+			}
+			if got := NonNegative(x); got != want {
+				t.Fatalf("%d values %v: %x, want %x", n, x, got, want)
+			}
+		}
+	}
+}
+
 // TestDotRowsEquivalenceAtGuardPage: the look-ahead reads ids[i+rowsAhead]
 // only after comparing that index with n.  The ID list here ends on the last
 // bytes of a mapped page and the next page is PROT_NONE, so a kernel that

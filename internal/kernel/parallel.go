@@ -29,18 +29,24 @@ func ParallelFor(par, n int, fn func(lo, hi int)) {
 		fn(0, n)
 		return
 	}
+	ParallelEach(par, (n+chunkPoints-1)/chunkPoints, func(c int) {
+		fn(c*chunkPoints, min(c*chunkPoints+chunkPoints, n))
+	})
+}
+
+// ParallelEach runs fn(0) … fn(n−1) on the caller and up to par−1
+// goroutines started for the call, each taking the next index from a shared
+// cursor, and returns once all have returned — ParallelFor's chunks, or a
+// few large items of their own: an index's tables, a corpus's shards.
+func ParallelEach(par, n int, fn func(i int)) {
 	var next atomic.Int64
 	run := func() {
-		for {
-			lo := int(next.Add(chunkPoints)) - chunkPoints
-			if lo >= n {
-				return
-			}
-			fn(lo, min(lo+chunkPoints, n))
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			fn(i)
 		}
 	}
 	var wg sync.WaitGroup
-	for i := min(par, (n+chunkPoints-1)/chunkPoints) - 1; i > 0; i-- {
+	for w := min(par, n) - 1; w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

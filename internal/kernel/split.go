@@ -45,8 +45,16 @@ func slackPerNorm(dim int) float32 { return float32(4*dim+48) * 0x1p-24 }
 
 // Split lays a store's rows out as planes.  The result shares the store's
 // norms and nothing else: once the caller drops the store, the fp32 block is
-// garbage.
-func Split(s *Store) *SplitStore {
+// garbage.  Rows are laid out on ParallelFor, whose chunks are whole 64-row
+// words, so each word's bounds are one participant's and the planes do not
+// depend on how the range was split.
+func Split(s *Store) *SplitStore { return split(s, runtime.NumCPU()) }
+
+// ParallelFor's chunks start on word boundaries.
+var _ = [1]struct{}{}[chunkPoints%64]
+
+// split is Split at a given parallel width.
+func split(s *Store, par int) *SplitStore {
 	words := (s.n + 63) / 64
 	sp := &SplitStore{
 		hi:    make([]uint16, len(s.data)),
@@ -58,20 +66,12 @@ func Split(s *Store) *SplitStore {
 		dim:   s.dim,
 	}
 	perNorm := float64(slackPerNorm(s.dim))
-	ParallelFor(runtime.NumCPU(), words, func(from, to int) {
-		for w := from; w < to; w++ {
+	ParallelFor(par, s.n, func(from, to int) {
+		for w := from / 64; w < (to+63)/64; w++ {
 			var resid, norm float64
 			for i := w * 64; i < min(w*64+64, s.n); i++ {
-				var r2 float64
-				for j := i * s.dim; j < (i+1)*s.dim; j++ {
-					b := math.Float32bits(s.data[j])
-					// Half up on the magnitude: hi − lo>>15 is then the
-					// upper half again, whatever the carry did.
-					h := uint16((b + 0x8000) >> 16)
-					sp.hi[j], sp.lo[j] = h, uint16(b)
-					e := float64(s.data[j]) - float64(math.Float32frombits(uint32(h)<<16))
-					r2 += e * e
-				}
+				at := i * s.dim
+				r2 := splitRow(s.data[at:at+s.dim], sp.hi[at:at+s.dim], sp.lo[at:at+s.dim])
 				resid = max(resid, roundUp(math.Sqrt(r2)))
 				norm = max(norm, roundUp(float64(s.norms[i])))
 			}
@@ -81,6 +81,26 @@ func Split(s *Store) *SplitStore {
 		}
 	})
 	return sp
+}
+
+// splitRow writes a row's halves into hi and lo, as long as it, and returns
+// ‖p − p̂‖², p̂ the row rounded to bfloat16, summed in element order.
+func splitRow(row []float32, hi, lo []uint16) float64 {
+	hi, lo = hi[:len(row)], lo[:len(row)]
+	var r2 float64
+	for j, x := range row {
+		b := math.Float32bits(x)
+		// Half up on the magnitude: hi − lo>>15 is then the upper half
+		// again, whatever the carry did.
+		h := uint16((b + 0x8000) >> 16)
+		hi[j], lo[j] = h, uint16(b)
+		// x − p̂ is exact in float32 — Sterbenz's lemma, p̂ being x to 8
+		// significant bits; a zero p̂ subtracts nothing and an Inf one
+		// gives the float64 result too — so one conversion does for two.
+		e := float64(x - math.Float32frombits(uint32(h)<<16))
+		r2 += e * e
+	}
+	return r2
 }
 
 // roundUp widens a non-negative bound past what float64 accumulation and the

@@ -103,6 +103,43 @@ func TestSplitRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSplitIdenticalAtAnyWidth: planes, residuals and slack are the same bits
+// however many participants lay the rows out (the store is large enough that
+// ParallelFor really splits it, and ends mid-word), and each word's residual
+// is the one summed from float64 differences — the float32 difference the
+// layout takes is exact — on rows that include oddRows' values.
+func TestSplitIdenticalAtAnyWidth(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	s, _ := clusteredStore(r, 20001, 40, 6)
+	oddRows(r, s)
+	serial := split(s, 1)
+	for w := range serial.resid {
+		var resid float64
+		for i := w * 64; i < min(w*64+64, s.n); i++ {
+			var r2 float64
+			for j, x := range s.Row(i) {
+				e := float64(x) - float64(math.Float32frombits(uint32(serial.hi[i*s.dim+j])<<16))
+				r2 += e * e
+			}
+			resid = max(resid, roundUp(math.Sqrt(r2)))
+		}
+		if got, want := math.Float32bits(serial.resid[w]), math.Float32bits(float32(resid)); got != want {
+			t.Fatalf("word %d: residual %08x, from float64 differences %08x", w, got, want)
+		}
+	}
+	for _, par := range []int{2, 8} {
+		sp := split(s, par)
+		if !slices.Equal(sp.hi, serial.hi) || !slices.Equal(sp.lo, serial.lo) {
+			t.Fatalf("width %d: planes differ from the serial layout", par)
+		}
+		for w := range sp.resid {
+			if math.Float32bits(sp.resid[w]) != math.Float32bits(serial.resid[w]) || math.Float32bits(sp.slack[w]) != math.Float32bits(serial.slack[w]) {
+				t.Fatalf("width %d: word %d bounds (%v, %v), serial (%v, %v)", par, w, sp.resid[w], sp.slack[w], serial.resid[w], serial.slack[w])
+			}
+		}
+	}
+}
+
 // TestSplitDotsEquivalence: over ordinary rows, at the widths on the
 // assembly's edges and the ones that take the portable loop, the exact pass
 // gives dot8's bits and the filter pass, its margins zeroed, bounds a row at

@@ -10,19 +10,21 @@
 // mid-tier can fan one RPC out to each leaf.
 //
 // The index lives on flat arrays (DESIGN §5.5.1).  The hyperplanes are one
-// tables×bits-row kernel.Store, so a signature is one pass of the leaves'
-// dot kernel over it; each table's buckets are CSR ranges, grouped by shard
-// when the index is built, of (word, mask) entries — a bucket's members 64
+// tables×bits-row kernel.Store, so every table's signature of a vector is
+// one kernel.Project call over it; each table's buckets are CSR ranges,
+// placed by a radix sort on both cores when the index is built and grouped
+// by shard, of (word, mask) entries — a bucket's members 64
 // local point IDs at a time; and a query ORs its buckets into a pooled
 // per-shard bitmap whose non-zero words are the answer as they stand
 // (kernel.RowSet), so no candidate is handled as an integer and a lookup into
 // caller-owned buffers allocates nothing.
 //
-// Signs are taken from kernel.Dot, whose summation order (AVX2/FMA lanes
-// where the CPU has them) decides the sign of a projection within float32
-// rounding of zero: such a point or query may land in the neighbouring
-// bucket of that one table under any other dot product.  The package tests
-// pin the index against a map-based reference.
+// Signs are taken from kernel.Project, each product kernel.Dot's bits, whose
+// summation order (AVX2/FMA lanes where the CPU has them) decides the sign
+// of a projection within float32 rounding of zero: such a point or query may
+// land in the neighbouring bucket of that one table under any other dot
+// product.  The package tests pin the index against a map-based reference
+// and its bytes to golden hashes.
 package lsh
 
 import (
@@ -56,8 +58,8 @@ type Config struct {
 	Seed int64
 }
 
-// maxBits caps the signature width; it also sizes the per-table stack
-// buffers a lookup uses.
+// maxBits caps the signature width; it also sizes the stack buffer a
+// lookup ranks a table's probe flips in.
 const maxBits = 30
 
 func (c Config) withDefaults() Config {
@@ -112,9 +114,11 @@ type Index struct {
 
 // lookupScratch is one lookup's dedup bitmap, one bit per indexed point.  It
 // is all zero between lookups: collecting the answer clears what the gather
-// set.  sets is LookupByShard's answer before it is expanded.
+// set.  proj receives the query's projections onto every plane; sets is
+// LookupByShard's answer before it is expanded.
 type lookupScratch struct {
 	dense []uint64
+	proj  []float32
 	sets  []kernel.RowSet
 }
 
@@ -152,96 +156,180 @@ func build(stores []*kernel.Store, cfg Config, par int) (*Index, error) {
 	}
 	n := rowStart[len(stores)]
 	// Entries are at most a point per table, a table's (bucket, shard)
-	// ranges at most its points times the shards: both are numbered in 32 bits.
-	if uint64(max(cfg.Tables, len(stores)))*uint64(n) > math.MaxUint32 {
+	// ranges at most its points times the shards, and a row's position with
+	// each shard starting on a word of its own (table.keys) under 64 a word:
+	// all are numbered in 32 bits.
+	if uint64(max(cfg.Tables, len(stores)))*uint64(n) > math.MaxUint32 || uint64(idx.wordStart[len(stores)])*64 > math.MaxUint32+1 {
 		return nil, fmt.Errorf("lsh: %d points in %d tables over %d shards overflow the 32-bit entry offsets", n, cfg.Tables, len(stores))
 	}
 	idx.size = n
 
 	idx.planes = NewPlanes(cfg.Seed, cfg.Tables*cfg.Bits, idx.dim)
 
-	// Every row's signatures, table-major.  Rows are independent, so the
-	// result does not depend on how the range is split.
+	// Every row's signatures, table-major, from one projection per row onto
+	// all the planes.  Rows are independent, so the result does not depend
+	// on how the range is split.
 	sigs := make([]uint32, cfg.Tables*n)
 	kernel.ParallelFor(par, n, func(lo, hi int) {
+		proj := make([]float32, cfg.Tables*cfg.Bits)
+		pattern := make([]uint64, (len(proj)+63)/64) // proj's signs, bit b for plane b
 		s := 0
 		for g := lo; g < hi; g++ {
 			for g >= rowStart[s+1] {
 				s++
 			}
-			row := stores[s].Row(g - rowStart[s])
+			kernel.Project(idx.planes, 0, stores[s].Row(g-rowStart[s]), proj)
+			for w := range pattern {
+				pattern[w] = kernel.NonNegative(proj[w*64 : min(w*64+64, len(proj))])
+			}
 			for t := 0; t < cfg.Tables; t++ {
-				sigs[t*n+g] = idx.signature(t, row, nil)
+				// Table t's bits, which may straddle two words.
+				at := uint(t * cfg.Bits)
+				sig := pattern[at/64] >> (at % 64)
+				if at%64+uint(cfg.Bits) > 64 {
+					sig |= pattern[at/64+1] << (64 - at%64)
+				}
+				sigs[t*n+g] = uint32(sig) & (1<<cfg.Bits - 1)
 			}
 		}
 	})
 
-	// Counting sort per table into (bucket, shard) ranges of (word, mask)
-	// entries.  Rows are visited in shard-major, local-ascending order, so
-	// within a range a row either falls in the word of the row before it or
-	// opens the next entry.  The first pass overwrites each signature with
-	// its range and sizes the ranges; the second fills them.
+	// Each table's rows in bucket order, counted, then placed: tables are
+	// independent, and where one's buckets and entries start in the shared
+	// arrays is the sum of the sizes of those before it.
+	tabs := make([]table, cfg.Tables)
+	kernel.ParallelEach(par, cfg.Tables, func(t int) {
+		tabs[t].sort(sigs[t*n:(t+1)*n], rowStart, idx.wordStart, cfg.Bits)
+	})
 	idx.tableStart = make([]int, cfg.Tables+1)
-	var keys, last []uint32
-	for t := 0; t < cfg.Tables; t++ {
-		tsigs := sigs[t*n : (t+1)*n]
-		keys = append(keys[:0], tsigs...)
-		slices.Sort(keys)
-		keys = slices.Compact(keys)
-		idx.keys = append(idx.keys, keys...)
-		idx.tableStart[t+1] = len(idx.keys)
-
-		// offs holds each range's entry count until the prefix sum below;
-		// last is the word of the range's newest entry.
-		base := len(idx.offs)
-		idx.offs = append(idx.offs, make([]uint32, len(keys)*idx.shards)...)
-		counts := idx.offs[base:]
-		last = slices.Grow(last[:0], len(counts))[:len(counts)]
-		for i := range last {
-			last[i] = math.MaxUint32
-		}
-		for s := range stores {
-			for g := rowStart[s]; g < rowStart[s+1]; g++ {
-				b, _ := slices.BinarySearch(keys, tsigs[g])
-				slot := uint32(b*idx.shards + s)
-				tsigs[g] = slot
-				if w := uint32(g-rowStart[s]) >> 6; last[slot] != w {
-					last[slot] = w
-					counts[slot]++
-				}
-			}
-		}
+	entryStart := make([]int, cfg.Tables+1)
+	for t, tab := range tabs {
+		idx.tableStart[t+1] = idx.tableStart[t] + tab.buckets
+		entryStart[t+1] = entryStart[t] + tab.entries
 	}
-	entries := uint32(0)
-	for i, c := range idx.offs {
-		idx.offs[i] = entries
-		entries += c
-	}
-	idx.offs = append(idx.offs, entries)
-	idx.words = make([]uint32, entries)
-	idx.masks = make([]uint64, entries)
-	var next []uint32 // each range's fill cursor in the current table
-	for t := 0; t < cfg.Tables; t++ {
-		slots := sigs[t*n : (t+1)*n]
-		first := idx.tableStart[t] * idx.shards
-		next = append(next[:0], idx.offs[first:idx.tableStart[t+1]*idx.shards]...)
-		for s := range stores {
-			for g := rowStart[s]; g < rowStart[s+1]; g++ {
-				slot, local := slots[g], uint32(g-rowStart[s])
-				at := next[slot]
-				if at == idx.offs[first+int(slot)] || idx.words[at-1] != local>>6 {
-					idx.words[at] = local >> 6
-					at++
-					next[slot] = at
-				}
-				idx.masks[at-1] |= 1 << (local & 63)
-			}
-		}
-	}
+	idx.keys = make([]uint32, idx.tableStart[cfg.Tables])
+	idx.offs = make([]uint32, idx.tableStart[cfg.Tables]*idx.shards+1)
+	idx.words = make([]uint32, entryStart[cfg.Tables])
+	idx.masks = make([]uint64, entryStart[cfg.Tables])
+	kernel.ParallelEach(par, cfg.Tables, func(t int) {
+		tabs[t].place(idx, idx.tableStart[t], entryStart[t])
+	})
+	idx.offs[len(idx.offs)-1] = uint32(len(idx.words))
 
 	dense := idx.wordStart[idx.shards]
-	idx.scratch.New = func() any { return &lookupScratch{dense: make([]uint64, dense)} }
+	proj := cfg.Tables * cfg.Bits
+	idx.scratch.New = func() any {
+		return &lookupScratch{dense: make([]uint64, dense), proj: make([]float32, proj)}
+	}
 	return idx, nil
+}
+
+// table is one table's rows in bucket order, between the sort that finds
+// its sizes and the pass that places it.  A row is keyed as
+//
+//	signature<<32 | wordStart[s]·64 + local
+//
+// for row local of shard s — its position with each shard's rows starting
+// on a word of their own — so a key ascends with the signature, then the
+// shard, then the row, and key>>6 names the entry the row belongs to.
+type table struct {
+	keys             []uint64
+	buckets, entries int
+}
+
+// sort orders a table's rows by signature — stably, so a bucket's rows keep
+// the shard-major, local-ascending order the keys are made in — and counts
+// its buckets and entries.
+func (tb *table) sort(sigs []uint32, rowStart, wordStart []int, bits int) {
+	keys := make([]uint64, len(sigs))
+	for s := 0; s+1 < len(rowStart); s++ {
+		pos := uint64(wordStart[s]) * 64
+		for g := rowStart[s]; g < rowStart[s+1]; g++ {
+			keys[g] = uint64(sigs[g])<<32 | (pos + uint64(g-rowStart[s]))
+		}
+	}
+	keys = SortBySignature(keys, bits)
+	tb.keys = keys
+	tb.buckets, tb.entries = 0, 0
+	for i, k := range keys {
+		if i == 0 || k>>32 != keys[i-1]>>32 {
+			tb.buckets++
+		}
+		if i == 0 || k>>6 != keys[i-1]>>6 {
+			tb.entries++
+		}
+	}
+}
+
+// SortBySignature sorts words of the form signature<<32 | payload by
+// signature, each below 1<<bits, stably — words with one signature keep
+// their order — and returns them, in words or in a new slice as long.  It is
+// the LSD radix sort a table's rows are placed by: passes of at most 16
+// bits, so one path serves every width up to 32, every pass's digits
+// counted in one read before the first.
+func SortBySignature(words []uint64, bits int) []uint64 {
+	if bits <= 0 {
+		return words
+	}
+	passes := (bits + 15) / 16
+	width := uint(bits+passes-1) / uint(passes)
+	digits, mask := 1<<width, uint64(1)<<width-1
+	at := make([]uint32, passes*digits) // pass p's cursors from p·digits
+	for _, w := range words {
+		for p := 0; p < passes; p++ {
+			at[p*digits+int(w>>(32+uint(p)*width)&mask)]++
+		}
+	}
+	for p := 0; p < passes; p++ {
+		cur, next := at[p*digits:(p+1)*digits], uint32(0)
+		for d, c := range cur {
+			cur[d] = next
+			next += c
+		}
+	}
+	src, dst := words, make([]uint64, len(words))
+	for p := 0; p < passes; p++ {
+		cur, shift := at[p*digits:(p+1)*digits], 32+uint(p)*width
+		for _, w := range src {
+			d := w >> shift & mask
+			dst[cur[d]] = w
+			cur[d]++
+		}
+		src, dst = dst, src
+	}
+	return src
+}
+
+// place writes the sorted table into idx, its buckets from ordinal bucket and
+// its entries from entry on: each bucket's key, its (bucket, shard) range
+// starts, and each range's (word, mask) entries.
+func (tb *table) place(idx *Index, bucket, entry int) {
+	shards, wordStart := idx.shards, idx.wordStart
+	// next is the first range whose start is unwritten; a range starts
+	// where the entries stand when its first row, or a later range's, comes.
+	next, b, s := bucket*shards, bucket-1, 0
+	e := entry
+	for i, k := range tb.keys {
+		if i == 0 || k>>32 != tb.keys[i-1]>>32 {
+			b, s = b+1, 0
+			idx.keys[b] = uint32(k >> 32)
+		}
+		pos := uint32(k)
+		for pos>>6 >= uint32(wordStart[s+1]) {
+			s++
+		}
+		for ; next <= b*shards+s; next++ {
+			idx.offs[next] = uint32(e)
+		}
+		if i == 0 || k>>6 != tb.keys[i-1]>>6 {
+			idx.words[e] = pos>>6 - uint32(wordStart[s])
+			e++
+		}
+		idx.masks[e-1] |= 1 << (pos & 63)
+	}
+	for ; next < (bucket+tb.buckets)*shards; next++ {
+		idx.offs[next] = uint32(e)
+	}
 }
 
 // Size reports the number of indexed entries.
@@ -252,12 +340,6 @@ func (idx *Index) Dim() int { return idx.dim }
 
 // Shards reports the number of leaf shards the index was built over.
 func (idx *Index) Shards() int { return idx.shards }
-
-// signature computes the table-t hash of v.  A non-nil proj receives the
-// per-bit projections, whose magnitudes order the multi-probe flips.
-func (idx *Index) signature(t int, v []float32, proj []float32) uint32 {
-	return Signature(idx.planes, t*idx.cfg.Bits, idx.cfg.Bits, v, proj)
-}
 
 // NewPlanes draws n random hyperplane normals of dimension dim > 0 as one
 // kernel.Store, row → dim from one seeded stream — the order the index's
@@ -278,19 +360,15 @@ func NewPlanes(seed int64, n, dim int) *kernel.Store {
 // Signature is the sign pattern of v against planes first … first+bits−1,
 // bit b set when v is on the non-negative side of plane first+b — the hash
 // under the index's tables and under an HDSearch leaf store's row order.  A
-// non-nil proj receives the bits projections.
+// non-nil proj receives the bits projections.  bits is at most 32.
 func Signature(planes *kernel.Store, first, bits int, v, proj []float32) uint32 {
-	var sig uint32
-	for b := 0; b < bits; b++ {
-		p := kernel.Dot(planes.Row(first+b), v)
-		if proj != nil {
-			proj[b] = p
-		}
-		if p >= 0 {
-			sig |= 1 << uint(b)
-		}
+	var buf [32]float32
+	if proj == nil {
+		proj = buf[:]
 	}
-	return sig
+	proj = proj[:bits]
+	kernel.Project(planes, first, v, proj)
+	return uint32(kernel.NonNegative(proj))
 }
 
 // LookupInto gathers query q's candidates across all tables, with
@@ -302,17 +380,17 @@ func Signature(planes *kernel.Store, first, bits int, v, proj []float32) uint32 
 // steady-state lookup allocation-free.  len(q) must equal Dim().
 func (idx *Index) LookupInto(q []float32, dst []kernel.RowSet) []kernel.RowSet {
 	sc := idx.scratch.Get().(*lookupScratch)
-	dst = idx.lookup(sc.dense, q, dst)
+	dst = idx.lookup(sc, q, dst)
 	idx.scratch.Put(sc)
 	return dst
 }
 
-// lookup is LookupInto on a given all-zero bitmap, which it leaves all zero.
-func (idx *Index) lookup(dense []uint64, q []float32, dst []kernel.RowSet) []kernel.RowSet {
+// lookup is LookupInto on a given scratch, whose bitmap it leaves all zero.
+func (idx *Index) lookup(sc *lookupScratch, q []float32, dst []kernel.RowSet) []kernel.RowSet {
 	dst = slices.Grow(dst[:0], idx.shards)[:idx.shards]
-	idx.gather(dense, q)
+	idx.gather(sc.dense, sc.proj, q)
 	for s := range dst {
-		dst[s].Collect(dense[idx.wordStart[s]:idx.wordStart[s+1]])
+		dst[s].Collect(sc.dense[idx.wordStart[s]:idx.wordStart[s+1]])
 	}
 	return dst
 }
@@ -323,7 +401,7 @@ func (idx *Index) lookup(dense []uint64, q []float32, dst []kernel.RowSet) []ker
 func (idx *Index) LookupByShard(q []float32) map[int32][]uint32 {
 	out := make(map[int32][]uint32, idx.shards)
 	sc := idx.scratch.Get().(*lookupScratch)
-	sc.sets = idx.lookup(sc.dense, q, sc.sets)
+	sc.sets = idx.lookup(sc, q, sc.sets)
 	for s, set := range sc.sets {
 		if n := set.Count(); n > 0 {
 			out[int32(s)] = set.AppendIDs(make([]uint32, 0, n))
@@ -336,13 +414,14 @@ func (idx *Index) LookupByShard(q []float32) map[int32][]uint32 {
 // gather sets, in an all-zero bitmap, the bit of every point sharing a
 // bucket with q: the exact bucket of each table plus, with Probes > 0, the
 // buckets across the Probes hyperplanes q lies closest to — the likeliest
-// misclassifications.
-func (idx *Index) gather(dense []uint64, q []float32) {
+// misclassifications.  q is projected onto every table's planes in one call,
+// into all (Tables·Bits long).
+func (idx *Index) gather(dense []uint64, all, q []float32) {
 	nbits, probes := idx.cfg.Bits, idx.cfg.Probes
+	kernel.Project(idx.planes, 0, q, all)
 	for t := 0; t < idx.cfg.Tables; t++ {
-		var projBuf [maxBits]float32
-		proj := projBuf[:nbits]
-		sig := idx.signature(t, q, proj)
+		proj := all[t*nbits : (t+1)*nbits]
+		sig := uint32(kernel.NonNegative(proj))
 		idx.mark(dense, t, sig)
 		if probes == 0 {
 			continue

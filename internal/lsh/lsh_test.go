@@ -1,6 +1,7 @@
 package lsh
 
 import (
+	"cmp"
 	"encoding/binary"
 	"hash/fnv"
 	"math"
@@ -410,7 +411,7 @@ func TestScalarReferenceDiffersOnlyAtZeroMargins(t *testing.T) {
 		differs := false
 		for tb := range ref.tables {
 			sig, margins := ref.signature(tb, v)
-			diff := sig ^ idx.signature(tb, v, nil)
+			diff := sig ^ Signature(idx.planes, tb*idx.cfg.Bits, idx.cfg.Bits, v, nil)
 			for b := 0; diff != 0; b, diff = b+1, diff>>1 {
 				if diff&1 == 0 {
 					continue
@@ -789,4 +790,87 @@ func BenchmarkLookupInto(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/lookup")
 	b.ReportMetric(float64(words)/float64(len(queries)), "words/query")
 	b.ReportMetric(float64(candidates)/float64(len(queries)), "candidates/query")
+}
+
+// TestBuildGolden pins the build to bytes recorded before its signature pass
+// and bucket placement were rewritten: the fingerprint of each index, and a
+// hash of 100 queries' candidate sets at Probes 0 and 2 (the lookup's gather
+// forms its signs through the same projection kernel as the build).  The
+// shapes cover one and two radix passes (Bits ≤ 16 and above), plane blocks
+// that are not a multiple of the kernel's, and dims on the SIMD path with and
+// without a scalar tail and below it.
+func TestBuildGolden(t *testing.T) {
+	cases := []struct {
+		n, dim, shards        int
+		cfg                   Config
+		index, cands0, cands2 uint64
+	}{
+		{20000, 64, 4, Config{Seed: 31}, 0xb7c8333bc793b3d0, 0x3f32dab3fe8371b9, 0x94a4073869b8c4c1},
+		{20000, 64, 4, Config{Tables: 3, Bits: 20, Seed: 32}, 0xb39fa9f40a86784d, 0x42e2a16ca356a192, 0xeeaebc709ecd8618},
+		{20000, 64, 4, Config{Tables: 2, Bits: 30, Seed: 33}, 0x85ef9aca52e5b8ff, 0xc1ea61e3330b2ba9, 0xb550835ef88b02b2},
+		{6000, 36, 3, Config{Tables: 5, Bits: 17, Seed: 34}, 0x874553e988775aa3, 0xc067da8aed85d03b, 0x0ad619addcc75eec},
+		{6000, 16, 7, Config{Tables: 4, Bits: 9, Seed: 35}, 0x076e1f40a0dd5547, 0xda5e59fe65294665, 0x67c68d3f49fb11d0},
+	}
+	for _, c := range cases {
+		corpus := dataset.NewImageCorpus(dataset.ImageCorpusConfig{N: c.n, Dim: c.dim, Clusters: 10, Seed: 23})
+		stores := shardStores(t, corpus.Vectors, c.shards)
+		queries := corpus.Queries(100, 24)
+		for i, probes := range []int{0, 2} {
+			cfg := c.cfg
+			cfg.Probes = probes
+			idx, err := Build(stores, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fp := fingerprint(idx); fp != c.index {
+				t.Errorf("%d×%d, %+v: fingerprint %016x, golden %016x", c.n, c.dim, cfg, fp, c.index)
+			}
+			h := fnv.New64a()
+			var dst []kernel.RowSet
+			for _, q := range queries {
+				dst = idx.LookupInto(q, dst)
+				for _, set := range dst {
+					binary.Write(h, binary.LittleEndian, uint64(len(set.Words)))
+					binary.Write(h, binary.LittleEndian, set.Words)
+					binary.Write(h, binary.LittleEndian, set.Masks)
+				}
+			}
+			if got, want := h.Sum64(), []uint64{c.cands0, c.cands2}[i]; got != want {
+				t.Errorf("%d×%d, %+v: candidate hash %016x, golden %016x", c.n, c.dim, cfg, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkBuild is the mid-tier's offline index build at the benchmark's
+// shape: 100 000 × 64 in 10 clusters on 4 shards in locality order, the
+// corpus and the planes from its seed.
+func BenchmarkBuild(b *testing.B) {
+	const seed = 20180930
+	corpus := dataset.NewImageCorpus(dataset.ImageCorpusConfig{N: 100000, Dim: 64, Clusters: 10, Seed: seed})
+	stores := localityStores(b, corpus, testShards)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Build(stores, Config{Seed: seed}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestSortBySignature: the radix sort is a stable sort by the upper 32 bits,
+// at every width from none to 32, one pass and two.
+func TestSortBySignature(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	for bits := 0; bits <= 32; bits++ {
+		words := make([]uint64, 3000)
+		for i := range words {
+			words[i] = uint64(r.Int63n(1<<bits))<<32 | uint64(i)
+		}
+		want := slices.Clone(words)
+		slices.SortStableFunc(want, func(a, b uint64) int { return cmp.Compare(a>>32, b>>32) })
+		if got := SortBySignature(words, bits); !slices.Equal(got, want) {
+			t.Fatalf("%d bits: not the stable sort by signature", bits)
+		}
+	}
 }

@@ -250,8 +250,8 @@ func ShardCorpus(c *dataset.ImageCorpus, n int) []LeafData {
 // shardCorpus is ShardCorpus at a given signature width, for the sweep that
 // chose localityBits (0 bits is the round-robin order itself).
 func shardCorpus(c *dataset.ImageCorpus, n, bits int) []LeafData {
-	// One word per point, signature<<32 | global ID: the sort's tie-break
-	// and the ID it carries along are in the word.
+	// One word per point, signature<<32 | global ID: the sort carries the
+	// ID along with its key.
 	planes := lsh.NewPlanes(localitySeed, bits, c.Dim)
 	words := make([]uint64, len(c.Vectors))
 	kernel.ParallelFor(runtime.NumCPU(), len(words), func(lo, hi int) {
@@ -259,14 +259,17 @@ func shardCorpus(c *dataset.ImageCorpus, n, bits int) []LeafData {
 			words[g] = uint64(lsh.Signature(planes, 0, bits, c.Vectors[g], nil))<<32 | uint64(g)
 		}
 	})
+	// Shards are independent: each is sorted and copied on its own.  A
+	// shard's members ascend, so a stable sort by signature alone leaves
+	// ties in global-ID order.
+	members := c.Shard(n)
 	out := make([]LeafData, n)
-	var shard []uint64
-	for s, ids := range c.Shard(n) {
-		shard = shard[:0]
-		for _, global := range ids {
-			shard = append(shard, words[global])
+	kernel.ParallelEach(runtime.NumCPU(), n, func(s int) {
+		shard := make([]uint64, len(members[s]))
+		for i, global := range members[s] {
+			shard[i] = words[global]
 		}
-		slices.Sort(shard)
+		shard = lsh.SortBySignature(shard, bits)
 		ld := LeafData{GlobalID: make([]uint32, len(shard))}
 		for local, w := range shard {
 			ld.GlobalID[local] = uint32(w)
@@ -277,7 +280,7 @@ func shardCorpus(c *dataset.ImageCorpus, n, bits int) []LeafData {
 		}
 		ld.Store = st
 		out[s] = ld
-	}
+	})
 	return out
 }
 

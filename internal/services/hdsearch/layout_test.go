@@ -1,12 +1,16 @@
 package hdsearch
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
+	"reflect"
 	"runtime"
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"musuite/internal/core"
 	"musuite/internal/dataset"
@@ -106,6 +110,47 @@ func TestShardCorpusDeterministic(t *testing.T) {
 	if err := sameShards(first, serial); err != nil {
 		t.Fatalf("GOMAXPROCS=1: %v", err)
 	}
+}
+
+// TestShardLayoutGolden pins, at layoutCorpus's shape, each shard's row order
+// (GlobalID) and the planes a leaf scores from (every field of the shard's
+// kernel.Split) to hashes recorded before the row-order signatures and Split
+// were moved onto the projection kernel and both cores.
+func TestShardLayoutGolden(t *testing.T) {
+	golden := []struct{ order, planes uint64 }{
+		{0x256336cbc2ce34ad, 0x2d7e25a5af6c9b11},
+		{0x86e3a72b7b475c25, 0xfa2a256d9d1a47db},
+		{0x16cb0ebabc3a13dd, 0x8693c63f077e7330},
+		{0xec5d4cf8875df8c1, 0x5ca7338cde5a682c},
+	}
+	for s, sh := range ShardCorpus(layoutCorpus(), 4) {
+		h := fnv.New64a()
+		binary.Write(h, binary.LittleEndian, sh.GlobalID)
+		order := h.Sum64()
+		if planes := hashFields(kernel.Split(sh.Store)); order != golden[s].order || planes != golden[s].planes {
+			t.Errorf("shard %d: order %016x planes %016x, golden %016x %016x", s, order, planes, golden[s].order, golden[s].planes)
+		}
+	}
+}
+
+// hashFields hashes every field of the struct p points to — slices of fixed-
+// size elements as their bytes, integers as 64-bit words — unexported ones
+// included: what a leaf holds is not all visible from outside its package.
+func hashFields(p any) uint64 {
+	h := fnv.New64a()
+	v := reflect.ValueOf(p).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Slice:
+			size := int(f.Type().Elem().Size())
+			h.Write(unsafe.Slice((*byte)(f.UnsafePointer()), f.Len()*size))
+		case reflect.Int:
+			binary.Write(h, binary.LittleEndian, f.Int())
+		default:
+			panic("hashFields: field " + v.Type().Field(i).Name + " of kind " + f.Kind().String())
+		}
+	}
+	return h.Sum64()
 }
 
 // listShape reports a candidate list's runs of consecutive IDs and the
