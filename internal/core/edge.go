@@ -227,16 +227,27 @@ func (ec EdgeCtx) Shard(hash uint64) int {
 	return ec.snap.Shard(hash)
 }
 
-// Fanout asynchronously issues calls to this edge's shards and invokes merge
-// with all results once the last response arrives — Ctx.Fanout, on a named
-// edge, under the edge's timeout/tail/batch policy.
-func (ec EdgeCtx) Fanout(calls []LeafCall, merge func([]LeafResult)) {
+// FanoutTo asynchronously issues calls to this edge's shards and invokes
+// merge with the request's context and all results once the last response
+// arrives — Ctx.FanoutTo, on a named edge, under the edge's
+// timeout/tail/batch policy.
+func (ec EdgeCtx) FanoutTo(calls []LeafCall, merge func(*Ctx, []LeafResult)) {
 	ec.c.live()
 	ec.c.fanoutOn(ec.e, ec.snap, calls, merge)
 }
 
-// FanoutAll broadcasts one payload to every shard of this edge.
-func (ec EdgeCtx) FanoutAll(method string, payload []byte, merge func([]LeafResult)) {
+// Fanout is FanoutTo for a merge closure; see Ctx.Fanout.
+func (ec EdgeCtx) Fanout(calls []LeafCall, merge func([]LeafResult)) {
+	ec.FanoutTo(calls, ignoreCtx(merge))
+}
+
+// FanoutAllTo broadcasts one payload to every shard of this edge.
+func (ec EdgeCtx) FanoutAllTo(method string, payload []byte, merge func(*Ctx, []LeafResult)) {
 	ec.c.live()
 	ec.c.fanoutAllOn(ec.e, ec.snap, method, payload, merge)
+}
+
+// FanoutAll is FanoutAllTo for a merge closure; see Ctx.Fanout.
+func (ec EdgeCtx) FanoutAll(method string, payload []byte, merge func([]LeafResult)) {
+	ec.FanoutAllTo(method, payload, ignoreCtx(merge))
 }

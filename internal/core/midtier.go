@@ -609,21 +609,34 @@ func (m *MidTier) recordServerSpan(span trace.SpanContext, req *rpc.Request, dur
 	})
 }
 
-// Fanout asynchronously issues calls to leaf shards and invokes merge with
-// all results once the last response arrives.  The worker returns
-// immediately after issuing the sub-requests ("fork for fan-out"); response
-// threads count down and merge, with only the final one doing real work —
-// the §IV asynchronous design.  merge runs on a response thread (or, for an
-// empty call list, synchronously) and must call Reply/ReplyError.
-func (c *Ctx) Fanout(calls []LeafCall, merge func([]LeafResult)) {
+// FanoutTo asynchronously issues calls to leaf shards and invokes merge with
+// the request's context and all results once the last response arrives.  The
+// worker returns immediately after issuing the sub-requests ("fork for
+// fan-out"); response threads count down and merge, with only the final one
+// doing real work — the §IV asynchronous design.  merge runs on a response
+// thread (or, for an empty call list, synchronously) and must call
+// Reply/ReplyError on the Ctx it is handed.  A merge that is a package-level
+// function captures nothing, so the fan-out allocates nothing for it: what a
+// merge needs of the request it reads back from the Ctx (Req.Payload stays
+// valid through the merge, the fan-out holding it).
+func (c *Ctx) FanoutTo(calls []LeafCall, merge func(*Ctx, []LeafResult)) {
 	c.live()
 	c.fanoutOn(c.mt.def, c.snap, calls, merge)
 }
 
-// fanoutOn is Fanout against one edge's policy and pinned snapshot.
-func (c *Ctx) fanoutOn(e *edge, snap *cluster.Snapshot, calls []LeafCall, merge func([]LeafResult)) {
+// Fanout is FanoutTo for a merge closure that captured what it needs — its
+// Ctx included — itself; the adapter costs one allocation a fan-out.
+func (c *Ctx) Fanout(calls []LeafCall, merge func([]LeafResult)) { c.FanoutTo(calls, ignoreCtx(merge)) }
+
+// ignoreCtx adapts a closure merge to the form a fan-out stores.
+func ignoreCtx(merge func([]LeafResult)) func(*Ctx, []LeafResult) {
+	return func(_ *Ctx, results []LeafResult) { merge(results) }
+}
+
+// fanoutOn is FanoutTo against one edge's policy and pinned snapshot.
+func (c *Ctx) fanoutOn(e *edge, snap *cluster.Snapshot, calls []LeafCall, merge func(*Ctx, []LeafResult)) {
 	if len(calls) == 0 {
-		merge(nil)
+		merge(c, nil)
 		return
 	}
 	fo := getFanout(c, e, snap, len(calls), merge)
@@ -634,18 +647,23 @@ func (c *Ctx) fanoutOn(e *edge, snap *cluster.Snapshot, calls []LeafCall, merge 
 	c.runFanout(fo)
 }
 
-// FanoutAll broadcasts one payload to every leaf shard.  The calls are
+// FanoutAllTo broadcasts one payload to every leaf shard.  The calls are
 // synthesized straight into the fan-out's slots — no LeafCall slice.
-func (c *Ctx) FanoutAll(method string, payload []byte, merge func([]LeafResult)) {
+func (c *Ctx) FanoutAllTo(method string, payload []byte, merge func(*Ctx, []LeafResult)) {
 	c.live()
 	c.fanoutAllOn(c.mt.def, c.snap, method, payload, merge)
 }
 
-// fanoutAllOn is FanoutAll against one edge's policy and pinned snapshot.
-func (c *Ctx) fanoutAllOn(e *edge, snap *cluster.Snapshot, method string, payload []byte, merge func([]LeafResult)) {
+// FanoutAll is FanoutAllTo for a merge closure; see Fanout.
+func (c *Ctx) FanoutAll(method string, payload []byte, merge func([]LeafResult)) {
+	c.FanoutAllTo(method, payload, ignoreCtx(merge))
+}
+
+// fanoutAllOn is FanoutAllTo against one edge's policy and pinned snapshot.
+func (c *Ctx) fanoutAllOn(e *edge, snap *cluster.Snapshot, method string, payload []byte, merge func(*Ctx, []LeafResult)) {
 	n := snap.NumLeaves()
 	if n == 0 {
-		merge(nil)
+		merge(c, nil)
 		return
 	}
 	fo := getFanout(c, e, snap, n, merge)
@@ -942,7 +960,7 @@ type fanout struct {
 	// returns.
 	bufs      []*rpc.Buf
 	remaining atomic.Int32
-	merge     func([]LeafResult)
+	merge     func(*Ctx, []LeafResult)
 	tr        *trace.Stamps
 	// span is the parent request's server span; each attempt's client span
 	// is derived from it.  Zero when the request is unsampled.
@@ -971,7 +989,7 @@ type fanout struct {
 var fanoutPool = sync.Pool{New: func() any { return new(fanout) }}
 
 // getFanout readies a pooled fan-out of request c for n slots.
-func getFanout(c *Ctx, e *edge, snap *cluster.Snapshot, n int, merge func([]LeafResult)) *fanout {
+func getFanout(c *Ctx, e *edge, snap *cluster.Snapshot, n int, merge func(*Ctx, []LeafResult)) *fanout {
 	f := fanoutPool.Get().(*fanout)
 	c.holds.Add(1)
 	f.ctx = c
@@ -1253,7 +1271,7 @@ func (f *fanout) deliverSlot(slot *fanoutSlot, res LeafResult, winner *rpc.Call)
 			f.unref() // expire will never run; its hold is ours
 		}
 		f.tr.Stamp(trace.StageLastLeafResponse)
-		f.merge(f.results)
+		f.merge(f.ctx, f.results)
 		// The merge has returned (and with it the front-end reply has been
 		// copied to the write path), so every reply view is dead: recycle
 		// the buffers backing them.

@@ -53,7 +53,7 @@ func (c DocCorpusConfig) withDefaults() DocCorpusConfig {
 func NewDocCorpus(cfg DocCorpusConfig) *DocCorpus {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	zipf := rand.NewZipf(rng, cfg.ZipfS, 1, uint64(cfg.VocabSize-1))
+	zipf := newZipf(rng, cfg.ZipfS, 1, uint64(cfg.VocabSize-1))
 	corpus := &DocCorpus{
 		Docs:      make([][]int, cfg.Docs),
 		VocabSize: cfg.VocabSize,
@@ -87,7 +87,7 @@ func (c *DocCorpus) Queries(n, maxTerms int, seed int64) [][]int {
 		maxTerms = 1
 	}
 	rng := rand.New(rand.NewSource(seed ^ 0x9E3779B9))
-	zipf := rand.NewZipf(rng, c.zipfS, 1, uint64(c.VocabSize-1))
+	zipf := newZipf(rng, c.zipfS, 1, uint64(c.VocabSize-1))
 	out := make([][]int, n)
 	for i := 0; i < n; i++ {
 		// Real search queries skew short: geometric-ish length.

@@ -59,7 +59,7 @@ func (c KVTraceConfig) withDefaults() KVTraceConfig {
 type KVTrace struct {
 	cfg  KVTraceConfig
 	rng  *rand.Rand
-	zipf *rand.Zipf
+	zipf *zipfSampler
 }
 
 // NewKVTrace creates a trace generator.
@@ -69,7 +69,7 @@ func NewKVTrace(cfg KVTraceConfig) *KVTrace {
 	return &KVTrace{
 		cfg:  cfg,
 		rng:  rng,
-		zipf: rand.NewZipf(rng, cfg.ZipfS, 1, uint64(cfg.Keys-1)),
+		zipf: newZipf(rng, cfg.ZipfS, 1, uint64(cfg.Keys-1)),
 	}
 }
 

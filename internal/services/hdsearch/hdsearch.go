@@ -244,17 +244,18 @@ const (
 // of (corpus, n) on any number of CPUs.  (The corpus is rectangular by
 // construction, so the store build cannot fail.)
 func ShardCorpus(c *dataset.ImageCorpus, n int) []LeafData {
-	return shardCorpus(c, n, localityBits)
+	return shardCorpus(c, n, localityBits, runtime.NumCPU())
 }
 
 // shardCorpus is ShardCorpus at a given signature width, for the sweep that
-// chose localityBits (0 bits is the round-robin order itself).
-func shardCorpus(c *dataset.ImageCorpus, n, bits int) []LeafData {
+// chose localityBits (0 bits is the round-robin order itself), and a given
+// parallel width.
+func shardCorpus(c *dataset.ImageCorpus, n, bits, par int) []LeafData {
 	// One word per point, signature<<32 | global ID: the sort carries the
 	// ID along with its key.
 	planes := lsh.NewPlanes(localitySeed, bits, c.Dim)
 	words := make([]uint64, len(c.Vectors))
-	kernel.ParallelFor(runtime.NumCPU(), len(words), func(lo, hi int) {
+	kernel.ParallelFor(par, len(words), func(lo, hi int) {
 		for g := lo; g < hi; g++ {
 			words[g] = uint64(lsh.Signature(planes, 0, bits, c.Vectors[g], nil))<<32 | uint64(g)
 		}
@@ -264,7 +265,7 @@ func shardCorpus(c *dataset.ImageCorpus, n, bits int) []LeafData {
 	// ties in global-ID order.
 	members := c.Shard(n)
 	out := make([]LeafData, n)
-	kernel.ParallelEach(runtime.NumCPU(), n, func(s int) {
+	kernel.ParallelEach(par, n, func(s int) {
 		shard := make([]uint64, len(members[s]))
 		for i, global := range members[s] {
 			shard[i] = words[global]
@@ -448,6 +449,9 @@ func considerNeighborList(top *kernel.TopK, b []byte) error {
 	return nil
 }
 
+// searchK reads a search request's k, at least 1, from its first field.
+func searchK(d *wire.Decoder) int { return max(int(d.Uvarint()), 1) }
+
 // midScratch is one search request's working memory on the mid-tier: the
 // decoded query, the per-shard candidate sets the index fills, and the leaf
 // calls built from them.  Its lifetime is the handler's: the leaf payloads
@@ -479,16 +483,13 @@ func NewMidTier(index CandidateIndex, opts *core.Options) *core.MidTier {
 		// on the heap, one allocation a request.
 		var d wire.Decoder
 		d.Reset(ctx.Req.Payload)
-		k := int(d.Uvarint())
+		k := searchK(&d)
 		sc.query = d.Float32sInto(sc.query[:0])
 		if err := d.Err(); err != nil {
 			ctx.ReplyError(err)
 			return
 		}
 		query := sc.query
-		if k <= 0 {
-			k = 1
-		}
 		// Reject mis-dimensioned queries here, before they reach index
 		// probes or leaf kernels that assume the corpus dimensionality.
 		if dim := index.Dim(); dim > 0 && len(query) != dim {
@@ -501,7 +502,7 @@ func NewMidTier(index CandidateIndex, opts *core.Options) *core.MidTier {
 		if router, ok := index.(*LeafANN); ok {
 			e := ctx.LeafEncoder()
 			appendLeafANNRequest(e, query, k, router.NProbe(), router.Rerank())
-			ctx.FanoutAll(MethodLeafANN, e.Bytes(), mergeTopK(ctx, k))
+			ctx.FanoutAllTo(MethodLeafANN, e.Bytes(), mergeTopK)
 			return
 		}
 		// Request path: LSH lookup, map point IDs → leaf shards, launch
@@ -529,7 +530,7 @@ func NewMidTier(index CandidateIndex, opts *core.Options) *core.MidTier {
 			ctx.Reply(EncodeNeighbors(nil))
 			return
 		}
-		ctx.Fanout(calls, mergeTopK(ctx, k))
+		ctx.FanoutTo(calls, mergeTopK)
 		// The payloads belong to the fan-out now, and to the pool after it:
 		// the scratch must not point into them.
 		clear(calls)
@@ -541,43 +542,51 @@ func NewMidTier(index CandidateIndex, opts *core.Options) *core.MidTier {
 // heap — each reply entry is considered as it decodes (and copied by value,
 // since replies may alias pooled buffers recycled when the merge returns),
 // so the merge is O(total·log k) with no flattened candidate list and no
-// full sort.  The final reply streams through a pooled encoder.
-func mergeTopK(ctx *core.Ctx, k int) func([]core.LeafResult) {
-	return func(results []core.LeafResult) {
-		sc := mergeScratches.Get().(*mergeScratch)
-		defer mergeScratches.Put(sc)
-		// k is the client's number and sizes the heap; the merge cannot
-		// keep more neighbours than the replies hold.
-		total := 0
-		for _, r := range results {
-			if r.Err != nil {
-				ctx.ReplyError(r.Err)
-				return
-			}
-			_, n, err := openNeighbors(r.Reply)
-			if err != nil {
-				ctx.ReplyError(err)
-				return
-			}
-			total += n
+// full sort.  The final reply streams through a pooled encoder.  It is a
+// package-level function handed its request's Ctx, so a search's fan-out
+// allocates nothing for its response path: k is read back from the request,
+// whose payload the fan-out holds until the merge has returned.
+func mergeTopK(ctx *core.Ctx, results []core.LeafResult) {
+	var d wire.Decoder
+	d.Reset(ctx.Req.Payload)
+	replyTopK(ctx, results, searchK(&d))
+}
+
+// replyTopK answers ctx with the k nearest of the shards' neighbour lists.
+func replyTopK(ctx *core.Ctx, results []core.LeafResult, k int) {
+	sc := mergeScratches.Get().(*mergeScratch)
+	defer mergeScratches.Put(sc)
+	// k is the client's number and sizes the heap; the merge cannot
+	// keep more neighbours than the replies hold.
+	total := 0
+	for _, r := range results {
+		if r.Err != nil {
+			ctx.ReplyError(r.Err)
+			return
 		}
-		sc.top.Reset(min(k, total))
-		for _, r := range results {
-			if err := considerNeighborList(&sc.top, r.Reply); err != nil {
-				ctx.ReplyError(err)
-				return
-			}
+		_, n, err := openNeighbors(r.Reply)
+		if err != nil {
+			ctx.ReplyError(err)
+			return
 		}
-		sc.merged = sc.top.AppendSorted(sc.merged[:0])
-		e := wire.GetEncoder()
-		e.Uvarint(uint64(len(sc.merged)))
-		for _, n := range sc.merged {
-			e.Uint32(n.ID)
-			e.Float32(n.Distance)
-		}
-		ctx.Reply(e.Bytes())
-		wire.PutEncoder(e)
+		total += n
 	}
+	sc.top.Reset(min(k, total))
+	for _, r := range results {
+		if err := considerNeighborList(&sc.top, r.Reply); err != nil {
+			ctx.ReplyError(err)
+			return
+		}
+	}
+	sc.merged = sc.top.AppendSorted(sc.merged[:0])
+	e := wire.GetEncoder()
+	e.Uvarint(uint64(len(sc.merged)))
+	for _, n := range sc.merged {
+		e.Uint32(n.ID)
+		e.Float32(n.Distance)
+	}
+	ctx.Reply(e.Bytes())
+	wire.PutEncoder(e)
 }
 
 // --- front-end client ---

@@ -227,6 +227,7 @@ func TestLeafCallsIssuedInShardOrder(t *testing.T) {
 		if call.Err != nil {
 			t.Fatal(call.Err)
 		}
+		call.Release()
 	}
 	// Client spans are recorded as replies land, all before the request's
 	// own reply; the mid-tier's server span trails it.

@@ -112,6 +112,21 @@ func TestShardCorpusDeterministic(t *testing.T) {
 	}
 }
 
+// TestShardCorpusIdenticalAtAnyWidth: the layout is a pure function of
+// (corpus, n) — the same at parallel widths 1, 2 and 8, however the signature
+// range and the shards are split between goroutines.  (GOMAXPROCS alone cannot
+// show this: the width comes from runtime.NumCPU, which it leaves alone.)
+func TestShardCorpusIdenticalAtAnyWidth(t *testing.T) {
+	// Above kernel's parallel threshold, so a width above 1 splits the range.
+	corpus := layoutCorpus()
+	serial := shardCorpus(corpus, 4, localityBits, 1)
+	for _, par := range []int{2, 8} {
+		if err := sameShards(serial, shardCorpus(corpus, 4, localityBits, par)); err != nil {
+			t.Fatalf("width %d against width 1: %v", par, err)
+		}
+	}
+}
+
 // TestShardLayoutGolden pins, at layoutCorpus's shape, each shard's row order
 // (GlobalID) and the planes a leaf scores from (every field of the shard's
 // kernel.Split) to hashes recorded before the row-order signatures and Split
@@ -292,7 +307,7 @@ func orderedFixture(b *testing.B, bits int) *orderedBench {
 	}
 	corpus := orderedCorpus()
 	f := &orderedBench{bits: bits, queries: corpus.Queries(512, 1)}
-	shards := shardCorpus(corpus, 4, bits)
+	shards := shardCorpus(corpus, 4, bits, runtime.NumCPU())
 	index, err := BuildIndex(shards, IndexConfig{Seed: 20180930})
 	if err != nil {
 		b.Fatal(err)
@@ -375,7 +390,7 @@ func BenchmarkShardCorpus(b *testing.B) {
 	for _, bits := range sweepBits {
 		b.Run(fmt.Sprintf("b=%d", bits), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				shardCorpus(corpus, 4, bits)
+				shardCorpus(corpus, 4, bits, runtime.NumCPU())
 			}
 		})
 	}

@@ -270,15 +270,10 @@ func NewMidTier(opts *core.Options) *core.MidTier {
 			}
 			// Ask each leaf for a deeper local list so the merged
 			// global top-n is not starved by per-shard truncation.
-			perLeaf := EncodeTopNRequest(user, 2*n+10)
-			ctx.FanoutAll(MethodTopN, perLeaf, func(results []core.LeafResult) {
-				reply, err := mergeTopN(results, n)
-				if err != nil {
-					ctx.ReplyError(err)
-					return
-				}
-				ctx.Reply(reply)
-			})
+			e := ctx.LeafEncoder()
+			e.Uvarint(uint64(user))
+			e.Uvarint(uint64(2*n + 10))
+			ctx.FanoutAllTo(MethodTopN, e.Bytes(), replyTopN)
 			return
 		}
 		if ctx.Req.Method != MethodPredict {
@@ -289,36 +284,58 @@ func NewMidTier(opts *core.Options) *core.MidTier {
 			ctx.ReplyError(err)
 			return
 		}
-		ctx.FanoutAll(MethodPredict, ctx.Req.Payload, func(results []core.LeafResult) {
-			var sum float64
-			var n int
-			for _, r := range results {
-				if r.Err != nil {
-					ctx.ReplyError(r.Err)
-					return
-				}
-				rating, ok, err := DecodePredictResponse(r.Reply)
-				if err != nil {
-					ctx.ReplyError(err)
-					return
-				}
-				if ok {
-					sum += rating
-					n++
-				}
-			}
-			e := wire.GetEncoder()
-			if n == 0 {
-				e.Bool(false)
-				e.Float64(0)
-			} else {
-				e.Bool(true)
-				e.Float64(sum / float64(n))
-			}
-			ctx.Reply(e.Bytes())
-			wire.PutEncoder(e)
-		})
+		ctx.FanoutAllTo(MethodPredict, ctx.Req.Payload, replyPredict)
 	}, opts)
+}
+
+// The merges are package-level functions handed their request's Ctx, so a
+// request's fan-out allocates nothing for its response path.
+
+// replyTopN merges the leaves' lists into the global top-n, n read back from
+// the request the fan-out holds.
+func replyTopN(ctx *core.Ctx, results []core.LeafResult) {
+	_, n, err := DecodeTopNRequest(ctx.Req.Payload)
+	if err != nil {
+		ctx.ReplyError(err)
+		return
+	}
+	reply, err := mergeTopN(results, n)
+	if err != nil {
+		ctx.ReplyError(err)
+		return
+	}
+	ctx.Reply(reply)
+}
+
+// replyPredict averages the ratings of the shards that could rate the pair.
+func replyPredict(ctx *core.Ctx, results []core.LeafResult) {
+	var sum float64
+	var n int
+	for _, r := range results {
+		if r.Err != nil {
+			ctx.ReplyError(r.Err)
+			return
+		}
+		rating, ok, err := DecodePredictResponse(r.Reply)
+		if err != nil {
+			ctx.ReplyError(err)
+			return
+		}
+		if ok {
+			sum += rating
+			n++
+		}
+	}
+	e := wire.GetEncoder()
+	if n == 0 {
+		e.Bool(false)
+		e.Float64(0)
+	} else {
+		e.Bool(true)
+		e.Float64(sum / float64(n))
+	}
+	ctx.Reply(e.Bytes())
+	wire.PutEncoder(e)
 }
 
 // --- front-end client ---

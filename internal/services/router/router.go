@@ -215,41 +215,14 @@ func NewMidTier(cfg MidTierConfig) *core.MidTier {
 	var pickSeq atomic.Uint64
 	return core.NewMidTier(func(ctx *core.Ctx) {
 		method := ctx.Req.Method
-		var merge func([]core.LeafResult)
+		var merge func(*core.Ctx, []core.LeafResult)
 		switch method {
 		case MethodSet:
-			merge = func(results []core.LeafResult) {
-				for _, r := range results {
-					if r.Err != nil {
-						ctx.ReplyError(r.Err)
-						return
-					}
-				}
-				ctx.Reply(nil)
-			}
+			merge = mergeSet
 		case MethodGet:
-			merge = func(results []core.LeafResult) {
-				r := results[0]
-				if r.Err != nil {
-					ctx.ReplyError(r.Err)
-					return
-				}
-				ctx.Reply(r.Reply)
-			}
+			merge = mergeGet
 		case MethodDelete:
-			merge = func(results []core.LeafResult) {
-				found := false
-				for _, r := range results {
-					if r.Err != nil {
-						ctx.ReplyError(r.Err)
-						return
-					}
-					if f, err := DecodeFound(r.Reply); err == nil && f {
-						found = true
-					}
-				}
-				ctx.Reply(EncodeFound(found))
-			}
+			merge = mergeDelete
 		default:
 			ctx.ReplyError(fmt.Errorf("router mid-tier: unknown method %q", method))
 			return
@@ -282,8 +255,47 @@ func NewMidTier(cfg MidTierConfig) *core.MidTier {
 		for _, s := range shards {
 			calls = append(calls, core.LeafCall{Shard: s, Method: method, Payload: ctx.Req.Payload})
 		}
-		ctx.Fanout(calls, merge)
+		ctx.FanoutTo(calls, merge)
 	}, &cfg.Core)
+}
+
+// The merges are package-level functions handed their request's Ctx, so a
+// request's fan-out allocates nothing for its response path.
+
+// mergeSet acknowledges a set once every replica has stored it.
+func mergeSet(ctx *core.Ctx, results []core.LeafResult) {
+	for _, r := range results {
+		if r.Err != nil {
+			ctx.ReplyError(r.Err)
+			return
+		}
+	}
+	ctx.Reply(nil)
+}
+
+// mergeGet forwards the one replica's reply as it came.
+func mergeGet(ctx *core.Ctx, results []core.LeafResult) {
+	r := results[0]
+	if r.Err != nil {
+		ctx.ReplyError(r.Err)
+		return
+	}
+	ctx.Reply(r.Reply)
+}
+
+// mergeDelete reports whether any replica held the key.
+func mergeDelete(ctx *core.Ctx, results []core.LeafResult) {
+	found := false
+	for _, r := range results {
+		if r.Err != nil {
+			ctx.ReplyError(r.Err)
+			return
+		}
+		if f, err := DecodeFound(r.Reply); err == nil && f {
+			found = true
+		}
+	}
+	ctx.Reply(EncodeFound(found))
 }
 
 // --- front-end client ---

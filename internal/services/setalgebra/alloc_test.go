@@ -9,10 +9,10 @@ import (
 
 // TestSearchAllocs pins what a warmed search allocates end to end — client,
 // mid-tier and four leaves together, the benchmark's allocs_per_req.  What
-// remains is the mid-tier handler's merge closure and the caller's own IDs,
-// decoded out of the reply's pooled buffer; the Requests, the Ctx, the
-// fan-out, the frame buffers, the encoders and the union's scratch all come
-// from pools (DESIGN §5.3 "What a request allocates").
+// remains is the caller's own IDs, decoded out of the reply's pooled buffer;
+// the Requests, the Ctx, the fan-out, the frame buffers, the encoders and the
+// union's scratch all come from pools, and the merge is a package-level
+// function, not a closure (DESIGN §5.3 "What a request allocates").
 func TestSearchAllocs(t *testing.T) {
 	if !poolsKeepPuts() {
 		t.Skip("sync.Pool is dropping Puts (race detector)")
@@ -46,8 +46,8 @@ func TestSearchAllocs(t *testing.T) {
 		i++
 	})
 	t.Logf("search: %.2f allocs", got)
-	if got > 2 {
-		t.Errorf("a search allocates %.2f times end to end, want ≤ 2 (the merge closure and the caller's IDs)", got)
+	if got > 1 {
+		t.Errorf("a search allocates %.2f times end to end, want ≤ 1 (the caller's IDs)", got)
 	}
 }
 

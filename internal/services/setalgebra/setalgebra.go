@@ -230,16 +230,21 @@ func NewMidTier(opts *core.Options) *core.MidTier {
 			ctx.ReplyError(err)
 			return
 		}
-		ctx.FanoutAll(MethodIntersect, ctx.Req.Payload, func(results []core.LeafResult) {
-			e := wire.GetEncoder()
-			defer wire.PutEncoder(e)
-			if err := unionEncoded(results, e); err != nil {
-				ctx.ReplyError(err)
-				return
-			}
-			ctx.Reply(e.Bytes())
-		})
+		ctx.FanoutAllTo(MethodIntersect, ctx.Req.Payload, mergeUnion)
 	}, opts)
+}
+
+// mergeUnion answers a search with the union of the shards' ID sets.  It is
+// a package-level function handed its request's Ctx, so a search's fan-out
+// allocates nothing for its response path.
+func mergeUnion(ctx *core.Ctx, results []core.LeafResult) {
+	e := wire.GetEncoder()
+	defer wire.PutEncoder(e)
+	if err := unionEncoded(results, e); err != nil {
+		ctx.ReplyError(err)
+		return
+	}
+	ctx.Reply(e.Bytes())
 }
 
 // --- front-end client ---
