@@ -6,6 +6,8 @@
 // breach polls before acting — and a post-action cooldown
 // keep the loop from flapping on transient bursts, the failure mode that
 // makes naive autoscalers amplify the load swings they exist to absorb.
+// The policy is one pure step, decide, which is handed the poll's time;
+// Poll is the shell that reads the clock, fetches stats and acts.
 package autoscale
 
 import (
@@ -46,24 +48,27 @@ func (f Funcs) ScaleUp() (int, error) { return f.UpFn() }
 // ScaleDown implements Target.
 func (f Funcs) ScaleDown() error { return f.DownFn() }
 
-// upQueueDepth marks a poll hot when the dispatch queue is at least this
-// deep.  Sheds since the previous poll always mark it hot.
-const upQueueDepth = 4
+// The loop's fixed parameters.  No experiment turns them.
+const (
+	// upQueueDepth marks a poll hot when the dispatch queue is at least
+	// this deep.  Sheds since the previous poll always mark it hot.
+	upQueueDepth = 4
+	// upAfter and downAfter are the hysteresis depths: consecutive hot
+	// (resp. cold) polls required before acting.  Shrinking is cheaper to
+	// delay than growing.
+	upAfter   = 2
+	downAfter = 20
+	// cooldownPolls is the minimum gap after an action before the next
+	// one, in poll intervals: capacity changes need time to show up in
+	// the signals, and acting on pre-change readings double-counts.
+	cooldownPolls = 4
+)
 
-// Config tunes the control loop.  The zero value gets workable defaults:
-// 250ms polls, 4-poll cooldown, scale up after 2 consecutive hot polls,
-// down after 8 consecutive cold ones.
+// Config tunes the control loop.  The zero value polls every 250ms and
+// never shrinks below one leaf.
 type Config struct {
 	// Interval is the stats poll period (default 250ms).
 	Interval time.Duration
-	// Cooldown is the minimum gap after an action before the next one
-	// (default 4×Interval): capacity changes need time to show up in the
-	// signals, and acting on pre-change readings double-counts.
-	Cooldown time.Duration
-	// UpAfter and DownAfter are the hysteresis depths: consecutive hot
-	// (resp. cold) polls required before acting (defaults 2 and 8 —
-	// shrinking is cheaper to delay than growing).
-	UpAfter, DownAfter int
 	// MinLeaves and MaxLeaves bound the capacity the loop may reach.
 	// MaxLeaves 0 means "whatever the target can provide".
 	MinLeaves, MaxLeaves int
@@ -76,19 +81,75 @@ func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
 		c.Interval = 250 * time.Millisecond
 	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 4 * c.Interval
-	}
-	if c.UpAfter <= 0 {
-		c.UpAfter = 2
-	}
-	if c.DownAfter <= 0 {
-		c.DownAfter = 8
-	}
 	if c.MinLeaves <= 0 {
 		c.MinLeaves = 1
 	}
 	return c
+}
+
+// observation is what one poll sees: the tier's signals, its leaf count,
+// and the poll's time.
+type observation struct {
+	ShedLimit  uint64
+	QueueDepth int
+	Leaves     int
+	Now        time.Time
+}
+
+// state is what the loop carries from one poll to the next.
+type state struct {
+	upRun, downRun int
+	coolUntil      time.Time // no action before this
+	prevShed       uint64
+	havePrev       bool
+}
+
+// action is one poll's verdict.  Dir is "up" or "down" to act, "hold" for a
+// breach withheld by the cooldown or a capacity bound, and "" otherwise.
+type action struct {
+	Dir, Reason string
+}
+
+// decide is the loop's policy, one poll at a time.  Its state assumes the
+// action it returns is taken: the cooldown starts and the hysteresis run
+// starts over, whether or not the actuator then succeeds.
+func (c Config) decide(st state, obs observation) (state, action) {
+	// Shed deltas: any typed shed since the last poll is the strongest
+	// "out of capacity" signal — the admission controller is refusing
+	// work the cluster should be absorbing.
+	shed := st.havePrev && obs.ShedLimit > st.prevShed
+	st.prevShed, st.havePrev = obs.ShedLimit, true
+
+	hot := shed || obs.QueueDepth >= upQueueDepth
+	cold := !shed && obs.QueueDepth == 0
+	switch {
+	case hot:
+		st.upRun, st.downRun = st.upRun+1, 0
+	case cold:
+		st.upRun, st.downRun = 0, st.downRun+1
+	default:
+		st.upRun, st.downRun = 0, 0
+	}
+
+	var act action
+	switch {
+	case hot && st.upRun >= upAfter && c.MaxLeaves > 0 && obs.Leaves >= c.MaxLeaves:
+		return st, action{Dir: "hold"}
+	case hot && st.upRun >= upAfter && shed:
+		act = action{Dir: "up", Reason: "sheds"}
+	case hot && st.upRun >= upAfter:
+		act = action{Dir: "up", Reason: "queue-depth"}
+	case cold && st.downRun >= downAfter && obs.Leaves > c.MinLeaves:
+		act = action{Dir: "down", Reason: "idle"}
+	default:
+		return st, action{}
+	}
+	if obs.Now.Before(st.coolUntil) {
+		return st, action{Dir: "hold"}
+	}
+	st.upRun, st.downRun = 0, 0
+	st.coolUntil = obs.Now.Add(cooldownPolls * c.Interval)
+	return st, act
 }
 
 // Event is one scale action taken by the loop, kept for reporting.
@@ -111,22 +172,18 @@ type Autoscaler struct {
 	cfg    Config
 	target Target
 	// counters books the loop's decisions (the scale.* family): polls,
-	// ups, downs, holds (breaches withheld by hysteresis, cooldown, or a
-	// capacity bound) and errors (failed polls or actions).
+	// ups, downs, holds (breaches withheld by the cooldown or a capacity
+	// bound) and errors (failed polls or actions).
 	counters *telemetry.Table
 
-	mu       sync.Mutex
-	events   []Event
-	lastErr  error
-	stopCh   chan struct{}
-	doneCh   chan struct{}
-	started  bool
-	stopped  bool
-	upRun    int
-	downRun  int
-	lastAct  time.Time
-	prevShed uint64
-	havePrev bool
+	mu      sync.Mutex
+	st      state
+	events  []Event
+	lastErr error
+	stopCh  chan struct{}
+	doneCh  chan struct{}
+	started bool
+	stopped bool
 }
 
 // New builds an autoscaler over target; Start arms it.
@@ -143,30 +200,22 @@ func New(target Target, cfg Config) *Autoscaler {
 // Start launches the control loop.
 func (a *Autoscaler) Start() {
 	a.mu.Lock()
-	if a.started || a.stopped {
-		a.mu.Unlock()
-		return
+	defer a.mu.Unlock()
+	if !a.started && !a.stopped {
+		a.started = true
+		go a.loop()
 	}
-	a.started = true
-	a.mu.Unlock()
-	go a.loop()
 }
 
 // Stop halts the loop and waits for it to exit.  Idempotent.
 func (a *Autoscaler) Stop() {
 	a.mu.Lock()
-	if a.stopped {
-		started := a.started
-		a.mu.Unlock()
-		if started {
-			<-a.doneCh
-		}
-		return
+	if !a.stopped {
+		a.stopped = true
+		close(a.stopCh)
 	}
-	a.stopped = true
 	started := a.started
 	a.mu.Unlock()
-	close(a.stopCh)
 	if started {
 		<-a.doneCh
 	}
@@ -208,8 +257,12 @@ func (a *Autoscaler) loop() {
 // Poll runs one observe→decide→act cycle.  The loop calls it on every
 // tick; tests (and step-driven harnesses) may call it directly on a
 // non-Started autoscaler for deterministic pacing.
-func (a *Autoscaler) Poll() {
-	st, err := a.target.Stats()
+func (a *Autoscaler) Poll() { a.poll(time.Now()) }
+
+// poll is Poll at a given time: it fetches the target's stats, hands them
+// to decide, and takes the action decided.
+func (a *Autoscaler) poll(now time.Time) {
+	ts, err := a.target.Stats()
 	a.mu.Lock()
 	if err != nil {
 		a.counters.Add(telemetry.ScaleError, 1)
@@ -218,89 +271,32 @@ func (a *Autoscaler) Poll() {
 		return
 	}
 	a.counters.Add(telemetry.ScalePoll, 1)
-
-	// Shed deltas: any typed shed since the last poll is the strongest
-	// "out of capacity" signal — the admission controller is refusing
-	// work the cluster should be absorbing.
-	shedDelta := uint64(0)
-	if a.havePrev && st.ShedLimit >= a.prevShed {
-		shedDelta = st.ShedLimit - a.prevShed
-	}
-	a.prevShed = st.ShedLimit
-	a.havePrev = true
-
-	hot := shedDelta > 0 || st.QueueDepth >= upQueueDepth
-	cold := shedDelta == 0 && st.QueueDepth == 0
-
-	reason := "queue-depth"
-	if shedDelta > 0 {
-		reason = "sheds"
-	}
-
-	if hot {
-		a.upRun++
-		a.downRun = 0
-	} else if cold {
-		a.downRun++
-		a.upRun = 0
-	} else {
-		a.upRun, a.downRun = 0, 0
-	}
-
-	now := time.Now()
-	cooling := !a.lastAct.IsZero() && now.Sub(a.lastAct) < a.cfg.Cooldown
-
-	if hot && a.upRun >= a.cfg.UpAfter {
-		if cooling || (a.cfg.MaxLeaves > 0 && st.Leaves >= a.cfg.MaxLeaves) {
-			a.counters.Add(telemetry.ScaleHold, 1)
-			a.mu.Unlock()
-			return
-		}
-		a.mu.Unlock()
-		shard, err := a.target.ScaleUp()
-		a.mu.Lock()
-		if err != nil {
-			a.counters.Add(telemetry.ScaleError, 1)
-			a.lastErr = err
-		} else {
-			a.counters.Add(telemetry.ScaleUp, 1)
-			a.events = append(a.events, Event{
-				When: now, Dir: "up", Shard: shard,
-				Leaves: st.Leaves + 1, Reason: reason,
-			})
-			a.lastAct = now
-			a.upRun = 0
-		}
-		a.mu.Unlock()
-		return
-	}
-	if cold && a.downRun >= a.cfg.DownAfter {
-		if cooling || st.Leaves <= a.cfg.MinLeaves {
-			if st.Leaves > a.cfg.MinLeaves {
-				a.counters.Add(telemetry.ScaleHold, 1)
-			}
-			a.mu.Unlock()
-			return
-		}
-		a.mu.Unlock()
-		err := a.target.ScaleDown()
-		a.mu.Lock()
-		if err != nil {
-			a.counters.Add(telemetry.ScaleError, 1)
-			a.lastErr = err
-		} else {
-			a.counters.Add(telemetry.ScaleDown, 1)
-			a.events = append(a.events, Event{
-				When: now, Dir: "down", Shard: -1,
-				Leaves: st.Leaves - 1, Reason: "idle",
-			})
-			a.lastAct = now
-			a.downRun = 0
-		}
-		a.mu.Unlock()
-		return
-	}
+	var act action
+	a.st, act = a.cfg.decide(a.st, observation{
+		ShedLimit: ts.ShedLimit, QueueDepth: ts.QueueDepth, Leaves: ts.Leaves, Now: now,
+	})
 	a.mu.Unlock()
+
+	ev := Event{When: now, Dir: act.Dir, Shard: -1, Reason: act.Reason}
+	counter := telemetry.ScaleHold
+	switch act.Dir {
+	case "":
+		return
+	case "up":
+		ev.Shard, err = a.target.ScaleUp()
+		ev.Leaves, counter = ts.Leaves+1, telemetry.ScaleUp
+	case "down":
+		err = a.target.ScaleDown()
+		ev.Leaves, counter = ts.Leaves-1, telemetry.ScaleDown
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if err != nil {
+		counter, a.lastErr = telemetry.ScaleError, err
+	} else if counter != telemetry.ScaleHold {
+		a.events = append(a.events, ev)
+	}
+	a.counters.Add(counter, 1)
 }
 
 // ErrNoSpares reports a scale-up with the spare pool empty.

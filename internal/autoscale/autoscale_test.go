@@ -3,11 +3,14 @@ package autoscale
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
+	"reflect"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"musuite/internal/core"
@@ -63,106 +66,208 @@ func (f *fakeTarget) ScaleDown() error {
 	return nil
 }
 
-// TestHysteresisDelaysScaleUp: a single hot poll must not act; UpAfter
-// consecutive hot polls must.
+// t0 is the first poll's time; decision tests advance it by hand.
+var t0 = time.Date(2018, 9, 30, 0, 0, 0, 0, time.UTC)
+
+// stepper runs decide one poll at a time, an Interval apart unless a test
+// moves now, and applies each action to its leaf count as a target that
+// never fails would.
+type stepper struct {
+	cfg    Config
+	st     state
+	now    time.Time
+	leaves int
+}
+
+func newStepper(cfg Config, leaves int) *stepper {
+	return &stepper{cfg: cfg.withDefaults(), now: t0, leaves: leaves}
+}
+
+func (d *stepper) poll(shed uint64, queue int) string {
+	var act action
+	d.st, act = d.cfg.decide(d.st, observation{ShedLimit: shed, QueueDepth: queue, Leaves: d.leaves, Now: d.now})
+	switch act.Dir {
+	case "up":
+		d.leaves++
+	case "down":
+		d.leaves--
+	}
+	d.now = d.now.Add(d.cfg.Interval)
+	return act.Dir
+}
+
+// hot and cold are queue depths past and at the two thresholds; lukewarm is
+// between them, neither hot nor cold.
+const hot, lukewarm, cold = 10, 2, 0
+
+// TestHysteresisDelaysScaleUp: fewer than upAfter consecutive hot polls do
+// not act, a cold or lukewarm poll restarts the run, and upAfter consecutive
+// hot polls do act.
 func TestHysteresisDelaysScaleUp(t *testing.T) {
-	ft := &fakeTarget{leaves: 2}
-	a := New(ft, Config{UpAfter: 3, DownAfter: 100, MinLeaves: 2})
-
-	hot := core.TierStats{QueueDepth: 10}
-	cold := core.TierStats{}
-
-	ft.set(hot)
-	a.Poll()
-	a.Poll()
-	if ft.ups != 0 {
-		t.Fatalf("scaled up after 2/3 hot polls")
+	d := newStepper(Config{MinLeaves: 2}, 2)
+	var got []string
+	for _, q := range []int{hot, cold, hot, lukewarm, hot, hot} {
+		got = append(got, d.poll(0, q))
 	}
-	// A cold poll resets the run.
-	ft.set(cold)
-	a.Poll()
-	ft.set(hot)
-	a.Poll()
-	a.Poll()
-	if ft.ups != 0 {
-		t.Fatalf("hot run survived a cold poll")
-	}
-	a.Poll()
-	if ft.ups != 1 {
-		t.Fatalf("ups=%d after 3 consecutive hot polls, want 1", ft.ups)
+	want := []string{"", "", "", "", "", "up"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("verdicts %q, want %q (upAfter %d)", got, want, upAfter)
 	}
 }
 
-// TestCooldownHoldsActions: right after a scale-up, further breaches hold
-// until the cooldown elapses.
+// TestCooldownHoldsActions: right after a scale-up the hysteresis run starts
+// over, and breaches past it hold until cooldownPolls intervals have passed,
+// measured in the time decide is handed, not in polls.
 func TestCooldownHoldsActions(t *testing.T) {
-	ft := &fakeTarget{leaves: 1}
-	a := New(ft, Config{
-		UpAfter: 1, DownAfter: 100,
-		Cooldown: 50 * time.Millisecond, MinLeaves: 1,
-	})
-	ft.set(core.TierStats{QueueDepth: 10})
-	a.Poll()
-	if ft.ups != 1 {
-		t.Fatalf("first breach did not scale (ups=%d)", ft.ups)
+	d := newStepper(Config{}, 1)
+	var got []string
+	for i := 0; i < 6; i++ {
+		got = append(got, d.poll(0, hot))
 	}
-	a.Poll()
-	a.Poll()
-	if ft.ups != 1 {
-		t.Fatalf("scaled during cooldown (ups=%d)", ft.ups)
+	want := []string{"", "up", "", "hold", "hold", "up"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("verdicts %q, want %q", got, want)
 	}
-	if a.Counters()[telemetry.ScaleHold] == 0 {
-		t.Fatal("cooldown holds not counted")
+	// The second up was at t0 + 5 intervals.  Breaches eight times an
+	// interval take no action until the cooldown ends, and one a nanosecond
+	// before its end holds; one at its end acts.
+	upAt := t0.Add(5 * d.cfg.Interval)
+	end := upAt.Add(cooldownPolls * d.cfg.Interval)
+	breach := func(now time.Time) string {
+		var act action
+		d.st, act = d.cfg.decide(d.st, observation{QueueDepth: hot, Leaves: d.leaves, Now: now})
+		return act.Dir
 	}
-	time.Sleep(60 * time.Millisecond)
-	a.Poll()
-	if ft.ups != 2 {
-		t.Fatalf("did not scale after cooldown (ups=%d)", ft.ups)
+	for now := upAt.Add(d.cfg.Interval / 8); now.Before(end); now = now.Add(d.cfg.Interval / 8) {
+		if dir := breach(now); dir == "up" {
+			t.Fatalf("%v after the up: scaled up inside the cooldown", now.Sub(upAt))
+		}
+	}
+	if dir := breach(end.Add(-time.Nanosecond)); dir != "hold" {
+		t.Fatalf("1ns before the cooldown ends: verdict %q, want hold", dir)
+	}
+	if dir := breach(end); dir != "up" {
+		t.Fatalf("at the end of the cooldown: verdict %q, want up", dir)
 	}
 }
 
-// TestScaleDownRespectsMinLeaves: sustained cold polls shrink only down to
-// the floor.
+// TestScaleDownRespectsMinLeaves: downAfter consecutive cold polls shrink by
+// one leaf, and sustained cold polls shrink only down to the floor, where
+// they hold nothing either.
 func TestScaleDownRespectsMinLeaves(t *testing.T) {
-	ft := &fakeTarget{leaves: 4}
-	a := New(ft, Config{UpAfter: 100, DownAfter: 2, MinLeaves: 3})
-	ft.set(core.TierStats{})
-	for i := 0; i < 20; i++ {
-		a.Poll()
+	d := newStepper(Config{MinLeaves: 3}, 4)
+	for i := 1; i <= 100; i++ {
+		dir := d.poll(0, cold)
+		switch {
+		case i == downAfter && dir != "down":
+			t.Fatalf("poll %d: verdict %q, want down", i, dir)
+		case i != downAfter && dir != "":
+			t.Fatalf("poll %d: verdict %q, want none", i, dir)
+		}
 	}
-	if ft.leaves != 3 {
-		t.Fatalf("leaves=%d, want floor 3", ft.leaves)
-	}
-	if ft.downs != 1 {
-		t.Fatalf("downs=%d, want 1", ft.downs)
+	if d.leaves != 3 {
+		t.Fatalf("leaves=%d, want floor 3", d.leaves)
 	}
 }
 
 // TestShedDeltaTriggers: the shed counters are cumulative, so only a
-// *growing* count marks a poll hot.
+// *growing* count marks a poll hot.  It drives the shell, Poll at a given
+// time, so it also checks what the shell books: the event, its time, and a
+// hold.
 func TestShedDeltaTriggers(t *testing.T) {
 	ft := &fakeTarget{leaves: 1}
-	a := New(ft, Config{UpAfter: 2, DownAfter: 100, MinLeaves: 1})
+	a := New(ft, Config{MinLeaves: 1})
+	now := t0
+	poll := func(shed uint64) {
+		ft.set(core.TierStats{ShedLimit: shed})
+		a.poll(now)
+		now = now.Add(a.cfg.Interval)
+	}
 	// A large but static shed count (accumulated before the loop began)
 	// must not trigger.
-	ft.set(core.TierStats{ShedLimit: 500})
 	for i := 0; i < 5; i++ {
-		a.Poll()
+		poll(500)
 	}
 	if ft.ups != 0 {
 		t.Fatalf("static shed count triggered scale-up")
 	}
 	// Growth does.
-	ft.set(core.TierStats{ShedLimit: 501})
-	a.Poll()
-	ft.set(core.TierStats{ShedLimit: 502})
-	a.Poll()
+	poll(501)
+	upAt := now
+	poll(502)
 	if ft.ups != 1 {
 		t.Fatalf("ups=%d after shed growth, want 1", ft.ups)
 	}
 	ev := a.Events()
-	if len(ev) != 1 || ev[0].Reason != "sheds" || ev[0].Dir != "up" {
-		t.Fatalf("events=%+v", ev)
+	want := Event{When: upAt, Dir: "up", Shard: 1, Leaves: 2, Reason: "sheds"}
+	if len(ev) != 1 || ev[0] != want {
+		t.Fatalf("events=%+v, want [%+v]", ev, want)
+	}
+	// A new hot run inside the cooldown holds, and the shell counts it.
+	poll(503)
+	poll(504)
+	if ft.ups != 1 || a.Counters()[telemetry.ScaleHold] != 1 {
+		t.Fatalf("ups=%d holds=%d in the cooldown, want 1 and 1", ft.ups, a.Counters()[telemetry.ScaleHold])
+	}
+}
+
+// TestDecideNeverFlapsProperty drives decide through random signals, at
+// random gaps of half to two intervals, and checks it against the rules
+// stated plainly: actions lie at least the cooldown apart, an up follows
+// upAfter hot polls in a row and a down downAfter cold ones, and the leaf
+// count stays within its bounds.
+func TestDecideNeverFlapsProperty(t *testing.T) {
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		minL := 1 + rng.Intn(3)
+		d := newStepper(Config{MinLeaves: minL, MaxLeaves: minL + rng.Intn(4)}, minL)
+		var shed, prevShed uint64
+		var lastAct time.Time
+		var queue, hotRun, coldRun int
+		for i := 0; i < 1000; i++ {
+			// Signals hold for ten polls on average, so both runs complete.
+			if rng.Intn(10) == 0 {
+				queue = []int{cold, lukewarm, hot}[rng.Intn(3)]
+			}
+			if rng.Intn(30) == 0 {
+				shed += uint64(1 + rng.Intn(50))
+			}
+			grew := i > 0 && shed > prevShed
+			prevShed = shed
+			isHot, isCold := queue == hot || grew, queue == cold && !grew
+			hotRun, coldRun = hotRun+1, coldRun+1
+			if !isHot {
+				hotRun = 0
+			}
+			if !isCold {
+				coldRun = 0
+			}
+			now := d.now
+			d.now = now.Add(d.cfg.Interval/2 + time.Duration(rng.Int63n(int64(3*d.cfg.Interval/2))))
+			var act action
+			d.st, act = d.cfg.decide(d.st, observation{ShedLimit: shed, QueueDepth: queue, Leaves: d.leaves, Now: now})
+			switch act.Dir {
+			case "up":
+				d.leaves++
+			case "down":
+				d.leaves--
+			default:
+				continue
+			}
+			bad := (!lastAct.IsZero() && now.Sub(lastAct) < cooldownPolls*d.cfg.Interval) ||
+				(act.Dir == "up" && hotRun < upAfter) || (act.Dir == "down" && coldRun < downAfter) ||
+				d.leaves < minL || d.leaves > d.cfg.MaxLeaves
+			if bad {
+				t.Logf("seed %d poll %d: %s to %d leaves, hot run %d, cold run %d, %v after the last action",
+					seed, i, act.Dir, d.leaves, hotRun, coldRun, now.Sub(lastAct))
+				return false
+			}
+			lastAct, hotRun, coldRun = now, 0, 0
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -293,11 +398,14 @@ func TestAutoscaleChurnStress(t *testing.T) {
 			return cl.DrainLeaf(cl.NumLeaves()-1, 10*time.Second)
 		},
 	}
-	a := New(target, Config{
-		UpAfter: 1, DownAfter: 1,
-		Cooldown:  time.Nanosecond,
-		MinLeaves: base, MaxLeaves: base + 1,
-	})
+	a := New(target, Config{MinLeaves: base, MaxLeaves: base + 1})
+	// Polls run back to back; the time handed to each advances by one
+	// interval, so the cooldown and the hysteresis hold as in a live loop.
+	now := t0
+	poll := func() {
+		a.poll(now)
+		now = now.Add(a.cfg.Interval)
+	}
 
 	// Client traffic through the whole churn.
 	stop := make(chan struct{})
@@ -336,14 +444,14 @@ func TestAutoscaleChurnStress(t *testing.T) {
 			if time.Now().After(deadline) {
 				t.Fatalf("cycle %d: scale-up stuck at %d leaves", cycle, cl.NumLeaves())
 			}
-			a.Poll()
+			poll()
 		}
 		wantUp.Store(false)
 		for cl.NumLeaves() > base {
 			if time.Now().After(deadline) {
 				t.Fatalf("cycle %d: scale-down stuck at %d leaves", cycle, cl.NumLeaves())
 			}
-			a.Poll()
+			poll()
 		}
 	}
 	close(stop)

@@ -136,8 +136,6 @@ func Overload(s Scale, mode FrameworkMode) (*OverloadResult, error) {
 		},
 	}, autoscale.Config{
 		Interval:  100 * time.Millisecond,
-		UpAfter:   2,
-		DownAfter: 20,
 		MinLeaves: base,
 		MaxLeaves: base + 1,
 		Probe:     probe,

@@ -43,13 +43,46 @@ const (
 	admitAdjustEvery = 64
 )
 
-// admitFloorAlpha is the EWMA weight of the newest window minimum in the
+// admitFloorAlpha is the EWMA weight of the newest window mean in the
 // latency floor estimate.
 const admitFloorAlpha = 0.1
 
-// admitController enforces an AdmitPolicy.  acquire/release bracket every
-// admitted request; the hot path is two atomics, with the AIMD adjustment
-// amortized over admitAdjustEvery completions.
+// admitState is what the AIMD law carries from one window to the next.
+type admitState struct {
+	limit int64
+	// floor is the EWMA of uncongested windows' mean latencies: the
+	// no-queueing baseline a window is judged against, 0 before the first.
+	floor time.Duration
+}
+
+// admitStep is the AIMD law, one window of completions at a time: it judges
+// the window's mean latency against the floor and moves the limit within
+// [admitMinInflight, maxInflight].  The first window seeds the floor with its
+// own mean, so it is never congested.  The floor and the window are the same
+// statistic, so a latency mix with two modes reads the same on both sides of
+// the comparison however rare its fast mode is.
+func admitStep(st admitState, mean time.Duration, maxInflight int64) admitState {
+	if st.floor == 0 {
+		st.floor = mean
+	}
+	if mean > max(admitTolerance*st.floor, st.floor+admitSlack) {
+		// Multiplicative decrease: latency has detached from its floor,
+		// so queueing — not service time — is filling the window.  The
+		// floor keeps its value: folding a congested window in would
+		// re-baseline sustained overload as the new normal and let the
+		// limit climb right back into it.
+		st.limit = max(st.limit*9/10, admitMinInflight)
+		return st
+	}
+	// Additive increase: probe for headroom one slot at a time.
+	st.floor = time.Duration((1-admitFloorAlpha)*float64(st.floor) + admitFloorAlpha*float64(mean))
+	st.limit = min(st.limit+1, maxInflight)
+	return st
+}
+
+// admitController enforces an AdmitPolicy: acquire/release bracket every
+// admitted request, and every admitAdjustEvery completions release hands the
+// window's mean latency to admitStep.  The hot path is two atomics.
 type admitController struct {
 	maxInflight int64
 	// counters is the owning tier's table; it receives the admit.* events.
@@ -58,13 +91,11 @@ type admitController struct {
 	inflight atomic.Int64
 	limit    atomic.Int64 // current AIMD concurrency limit
 
-	// AIMD window state: the min and mean of the last admitAdjustEvery
-	// completion latencies, folded into the EWMA floor under mu.
-	mu      sync.Mutex
-	winMin  time.Duration
-	winSum  time.Duration
-	winN    int
-	floorNs atomic.Int64 // EWMA of window minima (the no-queueing baseline)
+	// The open window's latency sum and count, and the law's floor.
+	mu     sync.Mutex
+	winSum time.Duration
+	winN   int
+	floor  time.Duration
 }
 
 func newAdmitController(pol AdmitPolicy, counters *telemetry.Table) *admitController {
@@ -102,54 +133,21 @@ func (a *admitController) cancel() {
 func (a *admitController) release(d time.Duration) {
 	a.inflight.Add(-1)
 	a.mu.Lock()
-	if a.winN == 0 || d < a.winMin {
-		a.winMin = d
-	}
 	a.winSum += d
 	a.winN++
 	if a.winN < admitAdjustEvery {
 		a.mu.Unlock()
 		return
 	}
-	avg := a.winSum / time.Duration(a.winN)
-	floor := time.Duration(a.floorNs.Load())
-	threshold := time.Duration(admitTolerance * float64(floor))
-	if pad := floor + admitSlack; pad > threshold {
-		threshold = pad
-	}
-	congested := floor > 0 && avg > threshold
-	if floor == 0 {
-		floor = a.winMin
-		a.floorNs.Store(int64(floor))
-	} else if !congested {
-		// The floor tracks the no-queueing baseline, so only healthy
-		// windows update it: folding a congested window's minimum in
-		// would re-baseline sustained overload as the new normal and let
-		// the limit climb right back into it.  When intrinsic service
-		// time genuinely rises, the first post-decrease uncongested
-		// window carries the new minimum and the floor follows.
-		floor = time.Duration((1-admitFloorAlpha)*float64(floor) + admitFloorAlpha*float64(a.winMin))
-		a.floorNs.Store(int64(floor))
-	}
-	a.winMin, a.winSum, a.winN = 0, 0, 0
+	prev := admitState{limit: a.limit.Load(), floor: a.floor}
+	next := admitStep(prev, a.winSum/admitAdjustEvery, a.maxInflight)
+	a.limit.Store(next.limit)
+	a.floor, a.winSum, a.winN = next.floor, 0, 0
 	a.mu.Unlock()
-
-	lim := a.limit.Load()
-	if congested {
-		// Multiplicative decrease: latency has detached from its floor,
-		// so queueing — not service time — is filling the window.
-		next := lim * 9 / 10
-		if next == lim {
-			next = lim - 1
-		}
-		a.setLimit(next)
-		if a.limit.Load() < lim {
-			a.counters.Add(telemetry.AdmitLimitDown, 1)
-		}
-	} else if lim < a.maxInflight {
-		// Additive increase: probe for headroom one slot at a time.
-		a.setLimit(lim + 1)
+	if next.limit > prev.limit {
 		a.counters.Add(telemetry.AdmitLimitUp, 1)
+	} else if next.limit < prev.limit {
+		a.counters.Add(telemetry.AdmitLimitDown, 1)
 	}
 }
 

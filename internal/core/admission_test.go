@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -201,6 +203,137 @@ func TestAIMDLimitBoundsProperty(t *testing.T) {
 	}
 }
 
+// latencyProcess draws one request's latency.  The admission properties
+// draw them independent of in-flight count: nothing queues, so the only
+// right limit is the cap.
+type latencyProcess func(rng *rand.Rand) time.Duration
+
+// uniformAround draws uniformly from d·(1 ± frac).
+func uniformAround(rng *rand.Rand, d time.Duration, frac float64) time.Duration {
+	return time.Duration(float64(d) * (1 + frac*(2*rng.Float64()-1)))
+}
+
+// stationaryProcess derives one of three latency shapes from rng: one mode
+// (±10 %); two modes 0.1–5 ms apart with 1–10 % of requests in the fast one;
+// or a log-normal tail (σ 0.25–1).  Every base latency lies in 20 µs–5 ms.
+func stationaryProcess(rng *rand.Rand) (string, latencyProcess) {
+	base := time.Duration(20_000 + rng.Int63n(int64(5*time.Millisecond)))
+	switch rng.Intn(3) {
+	case 0:
+		return fmt.Sprintf("one mode %v", base), func(r *rand.Rand) time.Duration {
+			return uniformAround(r, base, 0.1)
+		}
+	case 1:
+		gap := time.Duration(100_000 + rng.Int63n(int64(4900*time.Microsecond)))
+		fast := 0.01 + 0.09*rng.Float64()
+		return fmt.Sprintf("two modes %v and %v, %.1f%% fast", base, base+gap, 100*fast), func(r *rand.Rand) time.Duration {
+			if r.Float64() < fast {
+				return uniformAround(r, base, 0.04)
+			}
+			return uniformAround(r, base+gap, 0.04)
+		}
+	default:
+		sigma := 0.25 + 0.75*rng.Float64()
+		return fmt.Sprintf("log-normal %v σ %.2f", base, sigma), func(r *rand.Rand) time.Duration {
+			return time.Duration(float64(base) * math.Exp(sigma*r.NormFloat64()))
+		}
+	}
+}
+
+// feedWindow runs one AIMD window through the controller, one request at a
+// time, and returns the limit after it.
+func feedWindow(t *testing.T, a *admitController, draw func() time.Duration) int {
+	t.Helper()
+	for i := 0; i < admitAdjustEvery; i++ {
+		if !a.acquire() {
+			t.Fatal("a lone request was shed")
+		}
+		a.release(draw())
+	}
+	return a.currentLimit()
+}
+
+// TestAIMDTwoModeLatencyKeepsTheCap is the cascade scenario's latch with no
+// sockets and no clock.  A 100 µs sleep on a 250 Hz host usually takes
+// ~1.1 ms and now and then returns in ~0.2 ms, so the scenario's store
+// answers in two modes over 1 ms apart.  Nothing queues, so the limit must
+// hold its cap of 8.  A floor that follows the rare fast mode, as a window
+// minimum does, judges every window congested, and since a congested window
+// never moves the floor, the limit falls to 1 and stays there.
+func TestAIMDTwoModeLatencyKeepsTheCap(t *testing.T) {
+	for _, fastPct := range []int{2, 5, 10} {
+		a := newAdmitController(AdmitPolicy{MaxInflight: 8}, nil)
+		rng := rand.New(rand.NewSource(20181031))
+		first := true
+		draw := func() time.Duration {
+			if first || rng.Intn(100) < fastPct {
+				first = false
+				return 210 * time.Microsecond
+			}
+			return 1250*time.Microsecond + time.Duration(rng.Int63n(int64(100*time.Microsecond)))
+		}
+		var limits []int
+		for w := 0; w < 40; w++ {
+			limits = append(limits, feedWindow(t, a, draw))
+		}
+		if limits[39] != 8 {
+			t.Errorf("%d%% fast: limit %d at window 40, want 8; by window: %v", fastPct, limits[39], limits)
+		}
+	}
+}
+
+// TestAIMDLivenessProperty: a fresh controller fed stationary latency, of one
+// mode, two modes or a heavy tail, reaches MaxInflight.  It climbs one slot a
+// window from min(16, MaxInflight), so K allows every climb 32 windows for
+// the heavy tail's rare cuts.
+func TestAIMDLivenessProperty(t *testing.T) {
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		maxIn := 1 + rng.Intn(64)
+		name, proc := stationaryProcess(rng)
+		a := newAdmitController(AdmitPolicy{MaxInflight: maxIn}, nil)
+		k := max(maxIn-admitInitInflight, 0) + 32
+		for w := 1; w <= k; w++ {
+			if feedWindow(t, a, func() time.Duration { return proc(rng) }) == maxIn {
+				return true
+			}
+		}
+		t.Logf("seed %d, %s, MaxInflight %d: limit %d after %d windows", seed, name, maxIn, a.currentLimit(), k)
+		return false
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAIMDProtectionProperty: once the floor has settled on stationary
+// latency, a window whose every latency rides above max(2 × floor,
+// floor + 1 ms) cuts the limit in that window.
+func TestAIMDProtectionProperty(t *testing.T) {
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		maxIn := 2 + rng.Intn(63)
+		name, proc := stationaryProcess(rng)
+		a := newAdmitController(AdmitPolicy{MaxInflight: maxIn}, nil)
+		for w := 0; w < 40; w++ {
+			feedWindow(t, a, func() time.Duration { return proc(rng) })
+		}
+		before := a.currentLimit()
+		a.mu.Lock()
+		threshold := max(2*a.floor, a.floor+time.Millisecond)
+		a.mu.Unlock()
+		after := feedWindow(t, a, func() time.Duration { return threshold + proc(rng) })
+		if before > 1 && after >= before {
+			t.Logf("seed %d, %s, MaxInflight %d: limit %d → %d over a window above %v", seed, name, maxIn, before, after, threshold)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestAdmitNoDeadlockAtLimitOne hammers a limit-1 controller from many
 // goroutines: every admitted slot is given back — by release, or by cancel
 // for a request shed before its handler ran — so the system must keep
@@ -210,12 +343,11 @@ func TestAdmitNoDeadlockAtLimitOne(t *testing.T) {
 	a := newAdmitController(AdmitPolicy{MaxInflight: 1}, nil)
 	var admitted atomic.Uint64
 	var wg sync.WaitGroup
-	deadline := time.Now().Add(200 * time.Millisecond)
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for time.Now().Before(deadline) {
+			for i := 0; i < 20_000; i++ {
 				if a.acquire() {
 					if admitted.Add(1)%2 == 0 {
 						a.cancel()

@@ -1,13 +1,16 @@
 package core
 
 import (
+	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"musuite/internal/rpc"
+	"musuite/internal/stats"
 )
 
 // startWorkLeaf launches a leaf whose "work" handler sleeps delay() before
@@ -271,5 +274,38 @@ func TestHedgeCancellationNoDoubleMerge(t *testing.T) {
 	}
 	if st := mt.Stats(); st.Hedges == 0 {
 		t.Fatalf("no hedges issued: test exercised nothing (stats=%+v)", st)
+	}
+}
+
+// TestHedgeDelayTracksPercentileProperty feeds an edge's latency digest
+// seeded samples, a whole number of refresh windows of them.  The cached
+// hedge delay must sit within one histogram sub-bucket (1/64) below the
+// configured percentile of everything fed, never under the 500 µs floor, and
+// a fixed HedgeDelay must override it.
+func TestHedgeDelayTracksPercentileProperty(t *testing.T) {
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		pct := 0.5 + 0.499*rng.Float64()
+		_, proc := stationaryProcess(rng)
+		fixed := time.Duration(1 + rng.Int63n(int64(10*time.Millisecond)))
+		tracked := &edge{policy: EdgePolicy{Tail: TailPolicy{HedgePercentile: pct}}, leafLat: stats.NewHistogram()}
+		pinned := &edge{policy: EdgePolicy{Tail: TailPolicy{HedgePercentile: pct, HedgeDelay: fixed}}, leafLat: stats.NewHistogram()}
+		samples := make([]time.Duration, (1+rng.Intn(20))*hedgeRefreshEvery)
+		for i := range samples {
+			samples[i] = proc(rng)
+			tracked.observeLatency(samples[i])
+			pinned.observeLatency(samples[i])
+		}
+		want := max(stats.ExactQuantile(samples, pct), hedgeMinDelay)
+		got := tracked.hedgeDelay()
+		if got < hedgeMinDelay || got > want || float64(got) < float64(want)*(1-1.0/64) || pinned.hedgeDelay() != fixed {
+			t.Logf("seed %d, p%.3f of %d samples: tracked %v, want %v; fixed %v reads %v",
+				seed, 100*pct, len(samples), got, want, fixed, pinned.hedgeDelay())
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
 	}
 }

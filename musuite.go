@@ -311,7 +311,9 @@ type (
 	OverloadError = rpc.OverloadError
 	// Autoscaler runs the poll→decide→act scaling loop.
 	Autoscaler = autoscale.Autoscaler
-	// AutoscaleConfig tunes its hysteresis, cooldown, and bounds.
+	// AutoscaleConfig sets its poll interval, capacity bounds and probe; its
+	// hysteresis (2 hot polls up, 20 cold down) and cooldown (4 intervals)
+	// are constants.
 	AutoscaleConfig = autoscale.Config
 	// AutoscaleTarget is the capacity surface the loop drives.
 	AutoscaleTarget = autoscale.Target
