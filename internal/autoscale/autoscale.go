@@ -87,15 +87,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// observation is what one poll sees: the tier's signals, its leaf count,
-// and the poll's time.
-type observation struct {
-	ShedLimit  uint64
-	QueueDepth int
-	Leaves     int
-	Now        time.Time
-}
-
 // state is what the loop carries from one poll to the next.
 type state struct {
 	upRun, downRun int
@@ -110,18 +101,19 @@ type action struct {
 	Dir, Reason string
 }
 
-// decide is the loop's policy, one poll at a time.  Its state assumes the
-// action it returns is taken: the cooldown starts and the hysteresis run
-// starts over, whether or not the actuator then succeeds.
-func (c Config) decide(st state, obs observation) (state, action) {
+// decide is the loop's policy for one poll of ts at now.  An action it
+// returns has not happened yet: acted books it once the actuator succeeds,
+// and a failed action leaves the hysteresis run standing, so the next hot
+// poll tries again.
+func (c Config) decide(st state, ts core.TierStats, now time.Time) (state, action) {
 	// Shed deltas: any typed shed since the last poll is the strongest
 	// "out of capacity" signal — the admission controller is refusing
 	// work the cluster should be absorbing.
-	shed := st.havePrev && obs.ShedLimit > st.prevShed
-	st.prevShed, st.havePrev = obs.ShedLimit, true
+	shed := st.havePrev && ts.ShedLimit > st.prevShed
+	st.prevShed, st.havePrev = ts.ShedLimit, true
 
-	hot := shed || obs.QueueDepth >= upQueueDepth
-	cold := !shed && obs.QueueDepth == 0
+	hot := shed || ts.QueueDepth >= upQueueDepth
+	cold := !shed && ts.QueueDepth == 0
 	switch {
 	case hot:
 		st.upRun, st.downRun = st.upRun+1, 0
@@ -133,23 +125,29 @@ func (c Config) decide(st state, obs observation) (state, action) {
 
 	var act action
 	switch {
-	case hot && st.upRun >= upAfter && c.MaxLeaves > 0 && obs.Leaves >= c.MaxLeaves:
+	case hot && st.upRun >= upAfter && c.MaxLeaves > 0 && ts.Leaves >= c.MaxLeaves:
 		return st, action{Dir: "hold"}
 	case hot && st.upRun >= upAfter && shed:
 		act = action{Dir: "up", Reason: "sheds"}
 	case hot && st.upRun >= upAfter:
 		act = action{Dir: "up", Reason: "queue-depth"}
-	case cold && st.downRun >= downAfter && obs.Leaves > c.MinLeaves:
+	case cold && st.downRun >= downAfter && ts.Leaves > c.MinLeaves:
 		act = action{Dir: "down", Reason: "idle"}
 	default:
 		return st, action{}
 	}
-	if obs.Now.Before(st.coolUntil) {
+	if now.Before(st.coolUntil) {
 		return st, action{Dir: "hold"}
 	}
-	st.upRun, st.downRun = 0, 0
-	st.coolUntil = obs.Now.Add(cooldownPolls * c.Interval)
 	return st, act
+}
+
+// acted is st after an action taken at now: the hysteresis run starts over
+// and the cooldown begins.
+func (c Config) acted(st state, now time.Time) state {
+	st.upRun, st.downRun = 0, 0
+	st.coolUntil = now.Add(cooldownPolls * c.Interval)
+	return st
 }
 
 // Event is one scale action taken by the loop, kept for reporting.
@@ -272,9 +270,7 @@ func (a *Autoscaler) poll(now time.Time) {
 	}
 	a.counters.Add(telemetry.ScalePoll, 1)
 	var act action
-	a.st, act = a.cfg.decide(a.st, observation{
-		ShedLimit: ts.ShedLimit, QueueDepth: ts.QueueDepth, Leaves: ts.Leaves, Now: now,
-	})
+	a.st, act = a.cfg.decide(a.st, ts, now)
 	a.mu.Unlock()
 
 	ev := Event{When: now, Dir: act.Dir, Shard: -1, Reason: act.Reason}
@@ -291,9 +287,11 @@ func (a *Autoscaler) poll(now time.Time) {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if err != nil {
+	switch {
+	case err != nil:
 		counter, a.lastErr = telemetry.ScaleError, err
-	} else if counter != telemetry.ScaleHold {
+	case counter != telemetry.ScaleHold:
+		a.st = a.cfg.acted(a.st, now)
 		a.events = append(a.events, ev)
 	}
 	a.counters.Add(counter, 1)

@@ -70,8 +70,8 @@ func (f *fakeTarget) ScaleDown() error {
 var t0 = time.Date(2018, 9, 30, 0, 0, 0, 0, time.UTC)
 
 // stepper runs decide one poll at a time, an Interval apart unless a test
-// moves now, and applies each action to its leaf count as a target that
-// never fails would.
+// moves now, and takes each action as a target that never fails would: it
+// books the action and moves its leaf count.
 type stepper struct {
 	cfg    Config
 	st     state
@@ -84,15 +84,25 @@ func newStepper(cfg Config, leaves int) *stepper {
 }
 
 func (d *stepper) poll(shed uint64, queue int) string {
+	dir := d.step(core.TierStats{ShedLimit: shed, QueueDepth: queue}, d.now)
+	d.now = d.now.Add(d.cfg.Interval)
+	return dir
+}
+
+// step decides one poll of ts at now and takes the action decided.
+func (d *stepper) step(ts core.TierStats, now time.Time) string {
 	var act action
-	d.st, act = d.cfg.decide(d.st, observation{ShedLimit: shed, QueueDepth: queue, Leaves: d.leaves, Now: d.now})
+	ts.Leaves = d.leaves
+	d.st, act = d.cfg.decide(d.st, ts, now)
 	switch act.Dir {
 	case "up":
 		d.leaves++
 	case "down":
 		d.leaves--
+	default:
+		return act.Dir
 	}
-	d.now = d.now.Add(d.cfg.Interval)
+	d.st = d.cfg.acted(d.st, now)
 	return act.Dir
 }
 
@@ -133,11 +143,7 @@ func TestCooldownHoldsActions(t *testing.T) {
 	// before its end holds; one at its end acts.
 	upAt := t0.Add(5 * d.cfg.Interval)
 	end := upAt.Add(cooldownPolls * d.cfg.Interval)
-	breach := func(now time.Time) string {
-		var act action
-		d.st, act = d.cfg.decide(d.st, observation{QueueDepth: hot, Leaves: d.leaves, Now: now})
-		return act.Dir
-	}
+	breach := func(now time.Time) string { return d.step(core.TierStats{QueueDepth: hot}, now) }
 	for now := upAt.Add(d.cfg.Interval / 8); now.Before(end); now = now.Add(d.cfg.Interval / 8) {
 		if dir := breach(now); dir == "up" {
 			t.Fatalf("%v after the up: scaled up inside the cooldown", now.Sub(upAt))
@@ -211,6 +217,47 @@ func TestShedDeltaTriggers(t *testing.T) {
 	}
 }
 
+// TestFailedScaleUpRetries drives the shell with an actuator that fails.  A
+// failed scale-up books an error and no event, starts no cooldown and keeps
+// the hot run, so the next hot poll tries again; the first one that
+// succeeds books the event and starts the cooldown.
+func TestFailedScaleUpRetries(t *testing.T) {
+	errFull := errors.New("no capacity")
+	ft := &fakeTarget{leaves: 1, upErr: errFull}
+	ft.set(core.TierStats{QueueDepth: hot})
+	a := New(ft, Config{})
+	now := t0
+	poll := func() {
+		a.poll(now)
+		now = now.Add(a.cfg.Interval)
+	}
+	for i := 1; i <= 4; i++ {
+		poll()
+		if got, want := a.Counters()[telemetry.ScaleError], uint64(max(i-upAfter+1, 0)); got != want {
+			t.Fatalf("poll %d: %d scale errors, want %d", i, got, want)
+		}
+	}
+	if a.LastErr() != errFull || len(a.Events()) != 0 || a.Counters()[telemetry.ScaleHold] != 0 {
+		t.Fatalf("after failed ups: LastErr %v, events %+v, holds %d; want %v, none, 0",
+			a.LastErr(), a.Events(), a.Counters()[telemetry.ScaleHold], errFull)
+	}
+	ft.mu.Lock()
+	ft.upErr = nil
+	ft.mu.Unlock()
+	upAt := now
+	poll()
+	want := Event{When: upAt, Dir: "up", Shard: 1, Leaves: 2, Reason: "queue-depth"}
+	if ev := a.Events(); ft.ups != 1 || len(ev) != 1 || ev[0] != want {
+		t.Fatalf("ups=%d events=%+v after the actuator recovered, want 1 and [%+v]", ft.ups, ev, want)
+	}
+	for i := 1; i < cooldownPolls; i++ {
+		poll()
+	}
+	if ft.ups != 1 || a.Counters()[telemetry.ScaleError] != 3 {
+		t.Fatalf("ups=%d errors=%d inside the cooldown, want 1 and 3", ft.ups, a.Counters()[telemetry.ScaleError])
+	}
+}
+
 // TestDecideNeverFlapsProperty drives decide through random signals, at
 // random gaps of half to two intervals, and checks it against the rules
 // stated plainly: actions lie at least the cooldown apart, an up follows
@@ -244,22 +291,16 @@ func TestDecideNeverFlapsProperty(t *testing.T) {
 			}
 			now := d.now
 			d.now = now.Add(d.cfg.Interval/2 + time.Duration(rng.Int63n(int64(3*d.cfg.Interval/2))))
-			var act action
-			d.st, act = d.cfg.decide(d.st, observation{ShedLimit: shed, QueueDepth: queue, Leaves: d.leaves, Now: now})
-			switch act.Dir {
-			case "up":
-				d.leaves++
-			case "down":
-				d.leaves--
-			default:
+			dir := d.step(core.TierStats{ShedLimit: shed, QueueDepth: queue}, now)
+			if dir != "up" && dir != "down" {
 				continue
 			}
 			bad := (!lastAct.IsZero() && now.Sub(lastAct) < cooldownPolls*d.cfg.Interval) ||
-				(act.Dir == "up" && hotRun < upAfter) || (act.Dir == "down" && coldRun < downAfter) ||
+				(dir == "up" && hotRun < upAfter) || (dir == "down" && coldRun < downAfter) ||
 				d.leaves < minL || d.leaves > d.cfg.MaxLeaves
 			if bad {
 				t.Logf("seed %d poll %d: %s to %d leaves, hot run %d, cold run %d, %v after the last action",
-					seed, i, act.Dir, d.leaves, hotRun, coldRun, now.Sub(lastAct))
+					seed, i, dir, d.leaves, hotRun, coldRun, now.Sub(lastAct))
 				return false
 			}
 			lastAct, hotRun, coldRun = now, 0, 0

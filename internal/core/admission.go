@@ -26,10 +26,8 @@ const (
 	admitMinInflight = 1
 	// admitInitInflight is the starting limit (capped at MaxInflight).
 	admitInitInflight = 16
-	// admitTolerance is how far observed latency may ride above its EWMA
-	// floor before the limit is cut: a window averaging more than
-	// admitTolerance × floor triggers multiplicative decrease, at or below
-	// it additive increase.
+	// admitTolerance is the multiple of the floor past which a window's
+	// mean is congested and cuts the limit.
 	admitTolerance = 2.0
 	// admitSlack is an absolute pad on the congestion threshold: a window
 	// only counts as congested when its average exceeds floor + admitSlack
@@ -41,17 +39,20 @@ const (
 	// admitAdjustEvery is how many completions amortize one AIMD window
 	// evaluation.
 	admitAdjustEvery = 64
+	// admitFloorAlpha is the EWMA weight of the newest window mean in the
+	// floor.
+	admitFloorAlpha = 0.1
+	// admitFloorBand bounds the means the floor takes in: only a window
+	// whose mean is within admitFloorBand × floor moves it, so queueing
+	// that grows the mean with the limit cannot drag the floor up with it.
+	admitFloorBand = 1.1
 )
-
-// admitFloorAlpha is the EWMA weight of the newest window mean in the
-// latency floor estimate.
-const admitFloorAlpha = 0.1
 
 // admitState is what the AIMD law carries from one window to the next.
 type admitState struct {
 	limit int64
-	// floor is the EWMA of uncongested windows' mean latencies: the
-	// no-queueing baseline a window is judged against, 0 before the first.
+	// floor is the EWMA of in-band window means: the no-queueing baseline
+	// a window is judged against, 0 before the first.
 	floor time.Duration
 }
 
@@ -74,8 +75,11 @@ func admitStep(st admitState, mean time.Duration, maxInflight int64) admitState 
 		st.limit = max(st.limit*9/10, admitMinInflight)
 		return st
 	}
-	// Additive increase: probe for headroom one slot at a time.
-	st.floor = time.Duration((1-admitFloorAlpha)*float64(st.floor) + admitFloorAlpha*float64(mean))
+	// Additive increase: probe for headroom one slot at a time.  The floor
+	// follows a mean that holds still or falls, not one that climbs.
+	if mean <= time.Duration(admitFloorBand*float64(st.floor)) {
+		st.floor = time.Duration((1-admitFloorAlpha)*float64(st.floor) + admitFloorAlpha*float64(mean))
+	}
 	st.limit = min(st.limit+1, maxInflight)
 	return st
 }

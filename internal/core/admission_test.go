@@ -334,6 +334,48 @@ func TestAIMDProtectionProperty(t *testing.T) {
 	}
 }
 
+// TestAIMDQueueingKeepsTheFloorProperty: latency that comes from queueing.
+// A request takes the service time svc (±5 %) and, once the limit passes the
+// knee, waits a uniform share of svc·g·(limit − knee) more.  Some requests
+// do not wait, so a window's minimum stays near svc while its mean climbs a
+// step with every slot the limit gains.  The knee is at or above the
+// starting limit, so the first window, which seeds the floor, does not
+// queue.  The floor must not climb with the mean: the limit must settle
+// before the mean reaches twice the threshold, 2·max(2·svc, svc + 1 ms).  A
+// floor that followed every clean window's mean would let it climb to
+// MaxInflight, which lies past that point.
+func TestAIMDQueueingKeepsTheFloorProperty(t *testing.T) {
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		svc := time.Duration(100e3 * math.Exp(rng.Float64()*math.Log(50)))
+		g := 0.05 * math.Exp(rng.Float64()*math.Log(20))
+		knee := admitInitInflight + rng.Intn(41)
+		threshold := max(2*svc, svc+time.Millisecond)
+		// The mean is svc·(1 + g·(limit − knee)/2), twice the threshold here.
+		bound := knee + int(2*(2*float64(threshold)/float64(svc)-1)/g)
+		maxIn := bound + 16
+		a := newAdmitController(AdmitPolicy{MaxInflight: maxIn}, nil)
+		var limits []int
+		for w := 0; w < 3*maxIn; w++ {
+			wait := float64(svc) * g * float64(max(a.currentLimit()-knee, 0))
+			limits = append(limits, feedWindow(t, a, func() time.Duration {
+				return time.Duration(float64(svc)*(0.95+0.1*rng.Float64()) + wait*rng.Float64())
+			}))
+		}
+		for w := 2 * maxIn; w < len(limits); w++ {
+			if limits[w] > bound {
+				t.Logf("seed %d, svc %v, g %.3f, knee %d: limit %d at window %d, past %d; floor %v",
+					seed, svc, g, knee, limits[w], w+1, bound, a.floor)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestAdmitNoDeadlockAtLimitOne hammers a limit-1 controller from many
 // goroutines: every admitted slot is given back — by release, or by cancel
 // for a request shed before its handler ran — so the system must keep
