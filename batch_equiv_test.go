@@ -20,6 +20,7 @@ import (
 	"musuite/internal/services/recommend"
 	"musuite/internal/services/router"
 	"musuite/internal/services/setalgebra"
+	"musuite/internal/trace"
 )
 
 // equivBatch is the policy under test: deep enough to coalesce a whole
@@ -171,7 +172,7 @@ func TestBatchEquivalenceRouter(t *testing.T) {
 		// into multiget carriers.
 		done := make(chan *rpc.Call, len(keys))
 		for _, k := range keys {
-			batched.GoGet(k, done)
+			batched.GoGetSpan(k, trace.SpanContext{}, done)
 		}
 		for range keys {
 			if call := <-done; call.Err != nil {

@@ -4,7 +4,8 @@
 // The example trains a Recommend deployment on a MovieLens-shaped rating
 // corpus (NMF per leaf, offline), predicts ratings for unrated {user, item}
 // pairs exactly as the paper queries the "empty cells" of the utility
-// matrix, and evaluates prediction quality against held-out ratings.
+// matrix, evaluates prediction quality against held-out ratings, and ranks
+// one user's unrated movies by predicted rating.
 //
 //	go run ./examples/recsys
 package main
@@ -13,6 +14,7 @@ import (
 	"fmt"
 	"log"
 	"math"
+	"sort"
 
 	"musuite"
 )
@@ -81,14 +83,28 @@ func main() {
 	fmt.Printf("  service RMSE        %.3f stars\n", math.Sqrt(seModel/float64(n)))
 	fmt.Printf("  mean-guess RMSE     %.3f stars\n", math.Sqrt(seMean/float64(n)))
 
-	// Top-N recommendation — the extension §III-D proposes ("recommend
-	// items which were not rated by the user").
-	fmt.Println("\ntop-5 recommendations for user 0 (unrated movies only):")
-	recs, err := client.TopN(0, 5)
-	if err != nil {
-		log.Fatal(err)
+	// Recommending items the user has not rated, the extension §III-D
+	// proposes: predict every empty cell of user 0's row and rank them.
+	type rec struct {
+		item   int
+		rating float64
 	}
-	for i, r := range recs {
-		fmt.Printf("  %d. movie %3d — predicted %.2f stars\n", i+1, r.Item, r.Rating)
+	var recs []rec
+	for item := 0; item < corpus.Items; item++ {
+		if corpus.Rated(0, item) {
+			continue
+		}
+		rating, ok, err := client.Predict(0, item)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if ok {
+			recs = append(recs, rec{item, rating})
+		}
+	}
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].rating > recs[j].rating })
+	fmt.Println("\ntop-5 unrated movies for user 0, ranked by predicted rating:")
+	for i, r := range recs[:min(5, len(recs))] {
+		fmt.Printf("  %d. movie %3d — predicted %.2f stars\n", i+1, r.item, r.rating)
 	}
 }

@@ -20,9 +20,8 @@ import (
 )
 
 // Target is the capacity surface the autoscaler drives: a stats source
-// plus scale-up/scale-down actuators.  Implementations: Funcs (in-process
-// closures over a bench deployment), SpareTarget (a pre-provisioned spare
-// pool moved in and out of a live topology via the admin RPC).
+// plus scale-up/scale-down actuators.  Funcs adapts closures over a
+// deployment to it.
 type Target interface {
 	// Stats reports the observed tier's current counters.
 	Stats() (core.TierStats, error)
@@ -296,9 +295,6 @@ func (a *Autoscaler) poll(now time.Time) {
 	}
 	a.counters.Add(counter, 1)
 }
-
-// ErrNoSpares reports a scale-up with the spare pool empty.
-var ErrNoSpares = errors.New("autoscale: no spare leaf groups available")
 
 // ErrNothingAdded reports a scale-down with no autoscaler-added group left.
 var ErrNothingAdded = errors.New("autoscale: no added leaf group to drain")

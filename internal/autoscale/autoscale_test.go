@@ -312,79 +312,6 @@ func TestDecideNeverFlapsProperty(t *testing.T) {
 	}
 }
 
-// TestSpareTargetPool walks the pool through up/down cycles and the error
-// edges: exhaustion, nothing-to-drain, and an actuator failure returning
-// the group to the pool.
-func TestSpareTargetPool(t *testing.T) {
-	added := map[int][]string{}
-	next := 3 // baseline shards 0..2
-	var addErr, drainErr error
-	st := NewSpareTarget(
-		func() (core.TierStats, error) { return core.TierStats{}, nil },
-		func(addrs []string) (int, error) {
-			if addErr != nil {
-				return -1, addErr
-			}
-			shard := next
-			next++
-			added[shard] = addrs
-			return shard, nil
-		},
-		func(shard int) error {
-			if drainErr != nil {
-				return drainErr
-			}
-			delete(added, shard)
-			return nil
-		},
-		[][]string{{"a:1", "a:2"}, {"b:1"}},
-	)
-
-	if st.Spares() != 2 {
-		t.Fatalf("spares=%d", st.Spares())
-	}
-	if err := st.ScaleDown(); !errors.Is(err, ErrNothingAdded) {
-		t.Fatalf("drain with nothing added: %v", err)
-	}
-	s1, err := st.ScaleUp()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err = st.ScaleUp(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err = st.ScaleUp(); !errors.Is(err, ErrNoSpares) {
-		t.Fatalf("scale-up past the pool: %v", err)
-	}
-	// A failing drain keeps the group added.
-	drainErr = errors.New("drain refused")
-	if err = st.ScaleDown(); err == nil {
-		t.Fatal("drain error swallowed")
-	}
-	drainErr = nil
-	if err = st.ScaleDown(); err != nil {
-		t.Fatal(err)
-	}
-	if err = st.ScaleDown(); err != nil {
-		t.Fatal(err)
-	}
-	if len(added) != 0 {
-		t.Fatalf("groups left in service: %v", added)
-	}
-	if st.Spares() != 2 {
-		t.Fatalf("pool not refilled: %d", st.Spares())
-	}
-	// A failing add returns the spare.
-	addErr = errors.New("dial failed")
-	if _, err = st.ScaleUp(); err == nil {
-		t.Fatal("add error swallowed")
-	}
-	if st.Spares() != 2 {
-		t.Fatalf("spare lost on failed add: %d", st.Spares())
-	}
-	_ = s1
-}
-
 // churnCycles is the scale-up/drain cycle count for the churn soak, raised
 // to 200 by the nightly job via MUSUITE_AUTOSCALE_CYCLES.
 func churnCycles(t *testing.T) int {

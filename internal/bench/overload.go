@@ -46,8 +46,10 @@ type OverloadStep struct {
 
 // OverloadResult is the saturation-ramp experiment's full report.
 type OverloadResult struct {
-	// SatQPS is the measured knee: the goodput of the last probe window
-	// whose completions still tracked the offered load.
+	// SatQPS is the measured knee: the largest goodput of any probe window,
+	// the first window whose completions fell below 90 % of its offered
+	// load included.  Taking only the windows that held would halve the
+	// knee whenever the doubling lands just past capacity (ROADMAP 2(a)).
 	SatQPS float64
 	// Probe records the knee search's doubling steps.
 	Probe []OverloadProbeStep

@@ -1,6 +1,6 @@
 // Package memcache is an in-memory key-value store with memcached
 // semantics: sharded hash tables, per-shard LRU eviction under a byte
-// budget, optional lazy TTL expiry, and the get/set/delete commands Router
+// budget, optional lazy TTL expiry, and the get/set commands Router
 // uses.  Router's leaf microservice wraps one Store behind an RPC
 // interface, exactly as the paper wraps a memcached server process.
 package memcache
@@ -214,19 +214,6 @@ func (s *Store) Set(key string, value []byte, ttl time.Duration) {
 	sh.mu.Lock()
 	s.storeLocked(sh, key, value, ttl)
 	sh.mu.Unlock()
-}
-
-// Delete removes key, reporting whether it was present.
-func (s *Store) Delete(key string) bool {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e := s.lookupLocked(sh, key)
-	if e == nil {
-		return false
-	}
-	sh.removeLocked(e)
-	return true
 }
 
 // Len reports the number of live items (expired items may be counted until

@@ -8,6 +8,21 @@ import (
 	"time"
 )
 
+// Delete removes key, reporting whether it was present.  No service deletes
+// by key; the tests do, so that the model check reaches removeLocked, which
+// eviction and expiry share, from any point of the LRU list.
+func (s *Store) Delete(key string) bool {
+	sh := s.shardFor(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	e := s.lookupLocked(sh, key)
+	if e == nil {
+		return false
+	}
+	sh.removeLocked(e)
+	return true
+}
+
 func TestGetAfterSet(t *testing.T) {
 	s := New(Config{})
 	s.Set("k", []byte("v"), 0)

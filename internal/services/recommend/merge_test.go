@@ -9,24 +9,10 @@ import (
 	"musuite/internal/wire"
 )
 
-// TestMergeMatchesClosureForm: Recommend's merges, package-level functions
-// handed their Ctx, answer the same leaf replies with the same bytes as the
-// closures they replaced (their bodies kept here as they were): top-n, which
-// reads n back from the request where the closure captured the n its handler
-// decoded, and predict.
+// TestMergeMatchesClosureForm: Recommend's merge, a package-level function
+// handed its Ctx, answers the same leaf replies with the same bytes as the
+// closure it replaced (its body kept here as it was).
 func TestMergeMatchesClosureForm(t *testing.T) {
-	topN := func(n int) func(*core.Ctx) func([]core.LeafResult) {
-		return func(ctx *core.Ctx) func([]core.LeafResult) {
-			return func(results []core.LeafResult) {
-				reply, err := mergeTopN(results, n)
-				if err != nil {
-					ctx.ReplyError(err)
-					return
-				}
-				ctx.Reply(reply)
-			}
-		}
-	}
 	predict := func(ctx *core.Ctx) func([]core.LeafResult) {
 		return func(results []core.LeafResult) {
 			var sum float64
@@ -64,12 +50,6 @@ func TestMergeMatchesClosureForm(t *testing.T) {
 		e.Float64(r)
 		return e.Bytes()
 	}
-	lists := [][]byte{
-		EncodeTopNResponse([]ItemRating{{1, 4.5}, {2, 3}, {7, 2.5}}, []uint32{9}),
-		EncodeTopNResponse([]ItemRating{{2, 4}, {9, 5}, {3, 1}}, []uint32{1}),
-		EncodeTopNResponse(nil, nil),
-		EncodeTopNResponse([]ItemRating{{4, 3.25}, {7, 3.5}}, []uint32{3, 5}),
-	}
 	for _, tc := range []struct {
 		name    string
 		payload []byte
@@ -77,10 +57,6 @@ func TestMergeMatchesClosureForm(t *testing.T) {
 		closure func(*core.Ctx) func([]core.LeafResult)
 		replies [][]byte
 	}{
-		{"top-1", EncodeTopNRequest(3, 1), replyTopN, topN(1), lists},
-		{"top-4", EncodeTopNRequest(3, 4), replyTopN, topN(4), lists},
-		{"top-n beyond the lists", EncodeTopNRequest(3, 40), replyTopN, topN(40), lists},
-		{"top-n failed shard", EncodeTopNRequest(3, 4), replyTopN, topN(4), [][]byte{lists[0], nil, lists[2], lists[3]}},
 		{"predict", EncodePredictRequest(3, 4), replyPredict, predict, [][]byte{rating(true, 4), rating(false, 0), rating(true, 2.5), rating(true, 1)}},
 		{"predict unrated", EncodePredictRequest(3, 4), replyPredict, predict, [][]byte{rating(false, 0), rating(false, 0)}},
 		{"predict garbled", EncodePredictRequest(3, 4), replyPredict, predict, [][]byte{rating(true, 4), {1}}},

@@ -87,8 +87,7 @@ type LeafModel struct {
 	model     *matfac.Model
 	userKnown []bool
 	itemKnown []bool
-	ratedBy   map[int]map[int]bool // user → items rated in this shard
-	users     *kernel.Store        // model.W as float32, one row per user
+	users     *kernel.Store // model.W as float32, one row per user
 	neighbors int
 }
 
@@ -101,7 +100,6 @@ func TrainLeaf(ratings []dataset.Rating, cfg LeafConfig) (*LeafModel, error) {
 	data := make([]matfac.Triplet, len(ratings))
 	userKnown := make([]bool, cfg.Users)
 	itemKnown := make([]bool, cfg.Items)
-	ratedBy := make(map[int]map[int]bool)
 	for i, r := range ratings {
 		data[i] = matfac.Triplet{Row: r.User, Col: r.Item, Val: r.Value}
 		if r.User >= 0 && r.User < cfg.Users {
@@ -109,11 +107,6 @@ func TrainLeaf(ratings []dataset.Rating, cfg LeafConfig) (*LeafModel, error) {
 		}
 		if r.Item >= 0 && r.Item < cfg.Items {
 			itemKnown[r.Item] = true
-		}
-		if m := ratedBy[r.User]; m == nil {
-			ratedBy[r.User] = map[int]bool{r.Item: true}
-		} else {
-			m[r.Item] = true
 		}
 	}
 	sparse, err := matfac.NewSparse(cfg.Users, cfg.Items, data)
@@ -138,7 +131,6 @@ func TrainLeaf(ratings []dataset.Rating, cfg LeafConfig) (*LeafModel, error) {
 		model:     model,
 		userKnown: userKnown,
 		itemKnown: itemKnown,
-		ratedBy:   ratedBy,
 		users:     users,
 		neighbors: nb,
 	}, nil
@@ -248,8 +240,6 @@ func NewLeaf(lm *LeafModel, opts *core.LeafOptions) *core.Leaf {
 			reply.Bool(ok)
 			reply.Float64(rating)
 			return nil
-		case MethodTopN:
-			return lm.appendTopN(payload, reply)
 		}
 		return errUnknownMethod("leaf", method)
 	}, opts)
@@ -262,20 +252,6 @@ func NewLeaf(lm *LeafModel, opts *core.LeafOptions) *core.Leaf {
 // ConnectLeaves then Start.
 func NewMidTier(opts *core.Options) *core.MidTier {
 	return core.NewMidTier(func(ctx *core.Ctx) {
-		if ctx.Req.Method == MethodTopN {
-			user, n, err := DecodeTopNRequest(ctx.Req.Payload)
-			if err != nil {
-				ctx.ReplyError(err)
-				return
-			}
-			// Ask each leaf for a deeper local list so the merged
-			// global top-n is not starved by per-shard truncation.
-			e := ctx.LeafEncoder()
-			e.Uvarint(uint64(user))
-			e.Uvarint(uint64(2*n + 10))
-			ctx.FanoutAllTo(MethodTopN, e.Bytes(), replyTopN)
-			return
-		}
 		if ctx.Req.Method != MethodPredict {
 			ctx.ReplyError(errUnknownMethod("mid-tier", ctx.Req.Method))
 			return
@@ -288,26 +264,9 @@ func NewMidTier(opts *core.Options) *core.MidTier {
 	}, opts)
 }
 
-// The merges are package-level functions handed their request's Ctx, so a
-// request's fan-out allocates nothing for its response path.
-
-// replyTopN merges the leaves' lists into the global top-n, n read back from
-// the request the fan-out holds.
-func replyTopN(ctx *core.Ctx, results []core.LeafResult) {
-	_, n, err := DecodeTopNRequest(ctx.Req.Payload)
-	if err != nil {
-		ctx.ReplyError(err)
-		return
-	}
-	reply, err := mergeTopN(results, n)
-	if err != nil {
-		ctx.ReplyError(err)
-		return
-	}
-	ctx.Reply(reply)
-}
-
 // replyPredict averages the ratings of the shards that could rate the pair.
+// It is a package-level function handed its request's Ctx, so a request's
+// fan-out allocates nothing for its response path.
 func replyPredict(ctx *core.Ctx, results []core.LeafResult) {
 	var sum float64
 	var n int
@@ -336,6 +295,11 @@ func replyPredict(ctx *core.Ctx, results []core.LeafResult) {
 	}
 	ctx.Reply(e.Bytes())
 	wire.PutEncoder(e)
+}
+
+// errUnknownMethod builds the standard rejection.
+func errUnknownMethod(tier, method string) error {
+	return fmt.Errorf("recommend %s: unknown method %q", tier, method)
 }
 
 // --- front-end client ---

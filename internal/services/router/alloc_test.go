@@ -96,7 +96,7 @@ func TestClientReturnsWhatItBorrows(t *testing.T) {
 		if _, _, err := client.Get(key); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := client.Delete(fmt.Sprintf("absent:%d", i)); err != nil {
+		if _, _, err := client.Get(fmt.Sprintf("absent:%d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}

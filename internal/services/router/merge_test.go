@@ -34,21 +34,6 @@ func TestMergeMatchesClosureForm(t *testing.T) {
 			ctx.Reply(r.Reply)
 		}
 	}
-	closureDelete := func(ctx *core.Ctx) func([]core.LeafResult) {
-		return func(results []core.LeafResult) {
-			found := false
-			for _, r := range results {
-				if r.Err != nil {
-					ctx.ReplyError(r.Err)
-					return
-				}
-				if f, err := DecodeFound(r.Reply); err == nil && f {
-					found = true
-				}
-			}
-			ctx.Reply(EncodeFound(found))
-		}
-	}
 	for _, tc := range []struct {
 		name    string
 		merge   func(*core.Ctx, []core.LeafResult)
@@ -60,9 +45,6 @@ func TestMergeMatchesClosureForm(t *testing.T) {
 		{"get failed", mergeGet, closureGet, [][]byte{nil}},
 		{"set", mergeSet, closureSet, [][]byte{{}, {}}},
 		{"set half failed", mergeSet, closureSet, [][]byte{{}, nil}},
-		{"delete found", mergeDelete, closureDelete, [][]byte{EncodeFound(false), EncodeFound(true)}},
-		{"delete absent", mergeDelete, closureDelete, [][]byte{EncodeFound(false), EncodeFound(false)}},
-		{"delete garbled", mergeDelete, closureDelete, [][]byte{{0xff}, EncodeFound(false)}},
 	} {
 		static, closed := mergeBothWays(t, tc.replies, EncodeKey("k"), tc.merge, tc.closure)
 		if static != closed {

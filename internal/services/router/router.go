@@ -29,8 +29,6 @@ const (
 	MethodGet = "router.get"
 	// MethodSet writes a key (front-end→mid-tier and mid-tier→leaf).
 	MethodSet = "router.set"
-	// MethodDelete removes a key from all replicas.
-	MethodDelete = "router.delete"
 )
 
 // hashSeed fixes the SpookyHash seed so every mid-tier instance routes
@@ -39,14 +37,14 @@ const hashSeed uint64 = 0x5EED0F5EED
 
 // --- wire codecs ---
 
-// EncodeKey encodes a get/delete request.
+// EncodeKey encodes a get request.
 func EncodeKey(key string) []byte {
 	e := wire.NewEncoder(2 + len(key))
 	e.String(key)
 	return e.Bytes()
 }
 
-// DecodeKey decodes a get/delete request.
+// DecodeKey decodes a get request.
 func DecodeKey(b []byte) (string, error) {
 	d := wire.NewDecoder(b)
 	key := d.String()
@@ -85,20 +83,6 @@ func DecodeGetResponse(b []byte) (found bool, value []byte, err error) {
 	return found, value, d.Err()
 }
 
-// EncodeFound encodes a delete result.
-func EncodeFound(found bool) []byte {
-	e := wire.NewEncoder(1)
-	e.Bool(found)
-	return e.Bytes()
-}
-
-// DecodeFound decodes a delete result.
-func DecodeFound(b []byte) (bool, error) {
-	d := wire.NewDecoder(b)
-	f := d.Bool()
-	return f, d.Err()
-}
-
 // --- leaf ---
 
 // keyView reads b as a string without copying it: the key of a store call
@@ -133,12 +117,6 @@ func applyOp(store *memcache.Store, method string, payload []byte, reply *wire.E
 			return err
 		}
 		store.Set(key, value, 0)
-		return nil
-	case MethodDelete:
-		if err := d.Err(); err != nil {
-			return err
-		}
-		reply.Bool(store.Delete(key))
 		return nil
 	}
 	return fmt.Errorf("router leaf: unknown method %q", method)
@@ -221,8 +199,6 @@ func NewMidTier(cfg MidTierConfig) *core.MidTier {
 			merge = mergeSet
 		case MethodGet:
 			merge = mergeGet
-		case MethodDelete:
-			merge = mergeDelete
 		default:
 			ctx.ReplyError(fmt.Errorf("router mid-tier: unknown method %q", method))
 			return
@@ -247,8 +223,8 @@ func NewMidTier(cfg MidTierConfig) *core.MidTier {
 		if method == MethodGet {
 			shards = shards[pickSeq.Add(1)%uint64(len(shards)):][:1]
 		}
-		// Sets and deletes go to every replica in the pool so the same data
-		// resides on several leaves; a get to one.  Fanout copies the calls
+		// Sets go to every replica in the pool so the same data resides on
+		// several leaves; a get to one.  Fanout copies the calls
 		// into its slots before it returns.
 		var callArr [maxStackReplicas]core.LeafCall
 		calls := callArr[:0]
@@ -281,21 +257,6 @@ func mergeGet(ctx *core.Ctx, results []core.LeafResult) {
 		return
 	}
 	ctx.Reply(r.Reply)
-}
-
-// mergeDelete reports whether any replica held the key.
-func mergeDelete(ctx *core.Ctx, results []core.LeafResult) {
-	found := false
-	for _, r := range results {
-		if r.Err != nil {
-			ctx.ReplyError(r.Err)
-			return
-		}
-		if f, err := DecodeFound(r.Reply); err == nil && f {
-			found = true
-		}
-	}
-	ctx.Reply(EncodeFound(found))
 }
 
 // --- front-end client ---
@@ -351,23 +312,6 @@ func (c *Client) Set(key string, value []byte) error {
 	err := call.Err
 	call.Release()
 	return err
-}
-
-// Delete removes key from all replicas, reporting whether any held it.
-func (c *Client) Delete(key string) (found bool, err error) {
-	e := wire.GetEncoder()
-	e.String(key)
-	call := c.call(MethodDelete, e)
-	if err = call.Err; err == nil {
-		found, err = DecodeFound(call.Reply)
-	}
-	call.Release()
-	return found, err
-}
-
-// GoGet issues an asynchronous get (for load generators).
-func (c *Client) GoGet(key string, done chan *rpc.Call) *rpc.Call {
-	return c.rpc.Go(MethodGet, EncodeKey(key), nil, done)
 }
 
 // GoGetSpan issues an asynchronous get carrying a span context, tracing the

@@ -20,7 +20,6 @@ func FuzzWireDecoder(f *testing.F) {
 	var e Encoder
 	e.Uint8(7)
 	e.Bool(true)
-	e.Uint16(512)
 	e.Uint32(1 << 20)
 	e.Uint64(1 << 40)
 	e.Uvarint(300)
@@ -29,19 +28,18 @@ func FuzzWireDecoder(f *testing.F) {
 	e.String("method")
 	e.BytesField([]byte{1, 2, 3})
 	e.Float32s([]float32{1, 2})
-	e.Uint32s([]uint32{9, 8})
 	e.Uint64s([]uint64{5})
 	e.AscendingUint32s([]uint32{0, 1, 200, 1 << 31})
-	f.Add(e.Bytes(), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14})
+	f.Add(e.Bytes(), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12})
 	// Fixed-width slices: a count the bytes do not cover, a cut last element.
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F, 1, 2, 3, 4}, []byte{16, 15, 17})
-	f.Add([]byte{2, 1, 0, 0, 0, 2, 0, 0}, []byte{16})
-	f.Add([]byte{}, []byte{5, 5, 5})
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F, 1, 2, 3, 4}, []byte{13, 13, 14})
+	f.Add([]byte{2, 1, 0, 0, 0, 2, 0, 0}, []byte{13})
+	f.Add([]byte{}, []byte{4, 4, 4})
 	// Pathological uvarint: max shift then length-prefix lies.
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 1}, []byte{5, 9, 9})
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 1}, []byte{4, 8, 8})
 	// Ascending fields: a zero gap, and a gap that carries past uint32.
-	f.Add([]byte{3, 5, 0, 1}, []byte{14})
-	f.Add([]byte{2, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1}, []byte{14})
+	f.Add([]byte{3, 5, 0, 1}, []byte{12})
+	f.Add([]byte{2, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1}, []byte{12})
 
 	f.Fuzz(func(t *testing.T, data []byte, ops []byte) {
 		d := NewDecoder(data)
@@ -49,38 +47,34 @@ func FuzzWireDecoder(f *testing.F) {
 		var scratchU32 []uint32
 		var scratchU64 []uint64
 		for _, op := range ops {
-			switch op % 18 {
+			switch op % 15 {
 			case 0:
 				d.Uint8()
 			case 1:
 				d.Bool()
 			case 2:
-				d.Uint16()
-			case 3:
 				d.Uint32()
-			case 4:
+			case 3:
 				d.Uint64()
-			case 5:
+			case 4:
 				d.Uvarint()
-			case 6:
+			case 5:
 				d.Float32()
-			case 7:
+			case 6:
 				d.Float64()
-			case 8:
+			case 7:
 				_ = d.String()
-			case 9:
+			case 8:
 				if v := d.BytesView(); len(v) > len(data) {
 					t.Fatalf("BytesView returned %d bytes from a %d-byte input", len(v), len(data))
 				}
-			case 10:
+			case 9:
 				scratchF = d.Float32sInto(scratchF[:0])
-			case 11:
-				scratchU32 = d.Uint32sInto(scratchU32[:0])
-			case 12:
+			case 10:
 				scratchU64 = d.Uint64sInto(scratchU64[:0])
-			case 13:
+			case 11:
 				d.BytesField()
-			case 14:
+			case 12:
 				// Appends: the scratch is deliberately not truncated, so the
 				// bound covers what the field added to what was there.
 				before := len(scratchU32)
@@ -96,15 +90,11 @@ func FuzzWireDecoder(f *testing.F) {
 				}
 			// The allocating forms size their result from the count: it must be
 			// one the input had the bytes for.
-			case 15:
+			case 13:
 				if v := d.Float32s(); 4*len(v) > len(data) {
 					t.Fatalf("Float32s returned %d values from a %d-byte input", len(v), len(data))
 				}
-			case 16:
-				if v := d.Uint32s(); 4*len(v) > len(data) {
-					t.Fatalf("Uint32s returned %d values from a %d-byte input", len(v), len(data))
-				}
-			case 17:
+			case 14:
 				if v := d.Uint64s(); 8*len(v) > len(data) {
 					t.Fatalf("Uint64s returned %d values from a %d-byte input", len(v), len(data))
 				}
@@ -126,11 +116,9 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 	f.Add(uint64(0), []byte{}, "")
 	f.Add(uint64(1), []byte{0, 0, 0x80, 0x7F, 0xFF, 0xFF, 0xFF, 0xFF, 1, 0, 0, 0, 0, 0, 0xC0, 0x7F}, "nan")
 	f.Fuzz(func(t *testing.T, v uint64, blob []byte, s string) {
-		var u32 []uint32
 		var u64 []uint64
 		var f32 []float32
 		for b := blob; len(b) >= 4; b = b[4:] {
-			u32 = append(u32, binary.LittleEndian.Uint32(b))
 			f32 = append(f32, math.Float32frombits(binary.LittleEndian.Uint32(b)))
 		}
 		for b := blob; len(b) >= 8; b = b[8:] {
@@ -152,7 +140,6 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 		e.Uvarint(v)
 		e.BytesField(blob)
 		e.String(s)
-		e.Uint32s(u32)
 		e.Float32s(f32)
 		e.Uint64s(u64)
 		direct := e.Len()
@@ -175,9 +162,6 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 		}
 		if got := d.String(); got != s {
 			t.Fatalf("String: got %q, want %q", got, s)
-		}
-		if got := d.Uint32s(); !slices.Equal(got, u32) {
-			t.Fatalf("Uint32s: got %v, want %v", got, u32)
 		}
 		// Floats compare by bits: the blob holds NaNs.
 		got32 := d.Float32sInto(make([]float32, 0, 2))

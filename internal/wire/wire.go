@@ -111,11 +111,6 @@ func (e *Encoder) Bool(v bool) {
 	}
 }
 
-// Uint16 appends a little-endian uint16.
-func (e *Encoder) Uint16(v uint16) {
-	e.buf = append(e.buf, byte(v), byte(v>>8))
-}
-
 // Uint32 appends a little-endian uint32.
 func (e *Encoder) Uint32(v uint32) {
 	e.buf = append(e.buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
@@ -191,15 +186,6 @@ func (e *Encoder) Uint64s(v []uint64) {
 	for _, x := range v {
 		binary.LittleEndian.PutUint64(b, x)
 		b = b[8:]
-	}
-}
-
-// Uint32s appends a length-prefixed []uint32.
-func (e *Encoder) Uint32s(v []uint32) {
-	b := e.fixed(len(v), 4)
-	for _, x := range v {
-		binary.LittleEndian.PutUint32(b, x)
-		b = b[4:]
 	}
 }
 
@@ -340,15 +326,6 @@ func (d *Decoder) Uint8() uint8 {
 // Bool reads a boolean.
 func (d *Decoder) Bool() bool { return d.Uint8() != 0 }
 
-// Uint16 reads a little-endian uint16.
-func (d *Decoder) Uint16() uint16 {
-	b := d.take(2)
-	if b == nil {
-		return 0
-	}
-	return uint16(b[0]) | uint16(b[1])<<8
-}
-
 // Uint32 reads a little-endian uint32.
 func (d *Decoder) Uint32() uint32 {
 	b := d.take(4)
@@ -468,16 +445,6 @@ func (d *Decoder) Float32sInto(dst []float32) []float32 {
 	return dst
 }
 
-// Uint32sInto reads a length-prefixed []uint32 into dst, reusing capacity.
-func (d *Decoder) Uint32sInto(dst []uint32) []uint32 {
-	dst, b := fixedInto(d, dst, 4)
-	for i := range dst {
-		dst[i] = binary.LittleEndian.Uint32(b)
-		b = b[4:]
-	}
-	return dst
-}
-
 // Uint64sInto reads a length-prefixed []uint64 into dst, reusing capacity.
 func (d *Decoder) Uint64sInto(dst []uint64) []uint64 {
 	dst, b := fixedInto(d, dst, 8)
@@ -566,9 +533,6 @@ func (d *Decoder) Float32s() []float32 { return d.Float32sInto(nil) }
 
 // Uint64s reads a length-prefixed []uint64 (nil when empty or on error).
 func (d *Decoder) Uint64s() []uint64 { return d.Uint64sInto(nil) }
-
-// Uint32s reads a length-prefixed []uint32 (nil when empty or on error).
-func (d *Decoder) Uint32s() []uint32 { return d.Uint32sInto(nil) }
 
 // Strings reads a length-prefixed []string.  Each string costs at least one
 // length byte, so the element count is validated against Remaining before

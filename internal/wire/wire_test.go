@@ -13,7 +13,6 @@ func TestRoundTripScalars(t *testing.T) {
 	e.Uint8(0xAB)
 	e.Bool(true)
 	e.Bool(false)
-	e.Uint16(0xBEEF)
 	e.Uint32(0xDEADBEEF)
 	e.Uint64(0x0123456789ABCDEF)
 	e.Int64(-42)
@@ -28,7 +27,7 @@ func TestRoundTripScalars(t *testing.T) {
 	if d.Uint8() != 0xAB || !d.Bool() || d.Bool() {
 		t.Error("uint8/bool mismatch")
 	}
-	if d.Uint16() != 0xBEEF || d.Uint32() != 0xDEADBEEF || d.Uint64() != 0x0123456789ABCDEF {
+	if d.Uint32() != 0xDEADBEEF || d.Uint64() != 0x0123456789ABCDEF {
 		t.Error("fixed ints mismatch")
 	}
 	if d.Int64() != -42 {
@@ -54,7 +53,6 @@ func TestRoundTripSlices(t *testing.T) {
 	e.String("hello μSuite")
 	e.Float32s([]float32{1.5, -2.5, 0})
 	e.Uint64s([]uint64{0, 1, math.MaxUint64})
-	e.Uint32s([]uint32{7, 8})
 	e.Strings([]string{"a", "", "ccc"})
 
 	d := NewDecoder(e.Bytes())
@@ -72,10 +70,6 @@ func TestRoundTripSlices(t *testing.T) {
 	u := d.Uint64s()
 	if len(u) != 3 || u[2] != math.MaxUint64 {
 		t.Errorf("uint64s=%v", u)
-	}
-	u32 := d.Uint32s()
-	if len(u32) != 2 || u32[0] != 7 {
-		t.Errorf("uint32s=%v", u32)
 	}
 	ss := d.Strings()
 	if len(ss) != 3 || ss[1] != "" || ss[2] != "ccc" {
@@ -159,10 +153,9 @@ func TestEncoderReset(t *testing.T) {
 }
 
 func TestQuickRoundTrip(t *testing.T) {
-	f := func(u8 uint8, u16 uint16, u32 uint32, u64 uint64, i int64, s string, bs []byte, fs []float32, us []uint64) bool {
+	f := func(u8 uint8, u32 uint32, u64 uint64, i int64, s string, bs []byte, fs []float32, us []uint64) bool {
 		e := NewEncoder(0)
 		e.Uint8(u8)
-		e.Uint16(u16)
 		e.Uint32(u32)
 		e.Uint64(u64)
 		e.Int64(i)
@@ -173,7 +166,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		e.Uint64s(us)
 
 		d := NewDecoder(e.Bytes())
-		if d.Uint8() != u8 || d.Uint16() != u16 || d.Uint32() != u32 || d.Uint64() != u64 {
+		if d.Uint8() != u8 || d.Uint32() != u32 || d.Uint64() != u64 {
 			return false
 		}
 		if d.Int64() != i || d.Uvarint() != u64 || d.String() != s {
@@ -346,21 +339,15 @@ func TestAscendingUint32sRejectsCorrupt(t *testing.T) {
 // little-endian — in both directions, and to failing before anything is sized
 // when the count is a lie.
 func TestFixedWidthSliceLayout(t *testing.T) {
-	u32 := []uint32{0, 1, 0x01020304, math.MaxUint32}
 	f32 := []float32{0, -1.5, float32(math.Inf(1)), math.SmallestNonzeroFloat32}
 	u64 := []uint64{0, 1, 0x0102030405060708, math.MaxUint64}
-	for n := 0; n <= len(u32); n++ {
+	for n := 0; n <= len(f32); n++ {
 		var bulk, loop Encoder
 		// A live prefix: the bulk form must append after it, not over it.
 		bulk.String("prefix")
 		loop.String("prefix")
-		bulk.Uint32s(u32[:n])
 		bulk.Float32s(f32[:n])
 		bulk.Uint64s(u64[:n])
-		loop.Uvarint(uint64(n))
-		for _, x := range u32[:n] {
-			loop.Uint32(x)
-		}
 		loop.Uvarint(uint64(n))
 		for _, x := range f32[:n] {
 			loop.Float32(x)
@@ -377,14 +364,13 @@ func TestFixedWidthSliceLayout(t *testing.T) {
 		for _, room := range []int{0, n, n + 3} {
 			d := NewDecoder(loop.Bytes())
 			_ = d.String()
-			g32 := d.Uint32sInto(make([]uint32, 0, room))
 			gf := d.Float32sInto(make([]float32, 0, room))
 			g64 := d.Uint64sInto(make([]uint64, 0, room))
 			if d.Err() != nil || d.Remaining() != 0 {
 				t.Fatalf("n=%d room=%d: err %v, %d bytes left", n, room, d.Err(), d.Remaining())
 			}
-			if !slices.Equal(g32, u32[:n]) || !slices.Equal(gf, f32[:n]) || !slices.Equal(g64, u64[:n]) {
-				t.Fatalf("n=%d room=%d: decoded %v %v %v", n, room, g32, gf, g64)
+			if !slices.Equal(gf, f32[:n]) || !slices.Equal(g64, u64[:n]) {
+				t.Fatalf("n=%d room=%d: decoded %v %v", n, room, gf, g64)
 			}
 		}
 	}
@@ -394,10 +380,8 @@ func TestFixedWidthSliceLayout(t *testing.T) {
 		width int
 		read  func(*Decoder) int
 	}{
-		{"Uint32s", 4, func(d *Decoder) int { return len(d.Uint32s()) }},
 		{"Float32s", 4, func(d *Decoder) int { return len(d.Float32s()) }},
 		{"Uint64s", 8, func(d *Decoder) int { return len(d.Uint64s()) }},
-		{"Uint32sInto", 4, func(d *Decoder) int { return len(d.Uint32sInto(make([]uint32, 0, 4))) }},
 		{"Float32sInto", 4, func(d *Decoder) int { return len(d.Float32sInto(make([]float32, 0, 4))) }},
 		{"Uint64sInto", 8, func(d *Decoder) int { return len(d.Uint64sInto(make([]uint64, 0, 4))) }},
 	}

@@ -261,8 +261,6 @@ type (
 	RecommendClusterConfig = recommend.ClusterConfig
 	RecommendCluster       = recommend.Cluster
 	RecommendClient        = recommend.Client
-	// RecommendItemRating is one top-N recommendation result.
-	RecommendItemRating = recommend.ItemRating
 )
 
 // StartRecommendCluster launches an in-process Recommend deployment.
@@ -321,8 +319,6 @@ type (
 	AutoscaleFuncs = autoscale.Funcs
 	// AutoscaleEvent is one scale action taken by the loop.
 	AutoscaleEvent = autoscale.Event
-	// SpareTarget scales a live topology over a warm-spares pool.
-	SpareTarget = autoscale.SpareTarget
 )
 
 // IsOverload reports whether err is (or wraps) a typed overload shed.
@@ -331,17 +327,6 @@ func IsOverload(err error) bool { return rpc.IsOverload(err) }
 // NewAutoscaler builds an autoscaler over target; Start arms it.
 func NewAutoscaler(target AutoscaleTarget, cfg AutoscaleConfig) *Autoscaler {
 	return autoscale.New(target, cfg)
-}
-
-// NewSpareTarget builds a warm-spares capacity surface from a stats source,
-// topology actuators, and the spare address-group pool.
-func NewSpareTarget(
-	stats func() (TierStats, error),
-	add func(addrs []string) (int, error),
-	drain func(shard int) error,
-	spares [][]string,
-) *SpareTarget {
-	return autoscale.NewSpareTarget(stats, add, drain, spares)
 }
 
 // --- load generation & measurement (paper §V) ---
