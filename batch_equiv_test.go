@@ -314,7 +314,7 @@ func TestBatchEquivalenceRecommend(t *testing.T) {
 		}
 		done := make(chan *rpc.Call, len(burst))
 		for _, p := range burst {
-			batched.Go(p.user, p.item, done)
+			batched.GoSpan(p.user, p.item, trace.SpanContext{}, done)
 		}
 		for range burst {
 			if call := <-done; call.Err != nil {

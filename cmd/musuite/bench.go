@@ -31,7 +31,6 @@ func runBench(fs *flag.FlagSet, args []string) error {
 			"comma-separated service subset")
 		window = fs.Duration("window", 0, "override per-load measurement window")
 		load   = fs.Float64("load", 0, "offered load of the single-load experiments (default: middle configured load)")
-		outDir = fs.String("out", "", "directory to also write per-figure TSV data files (experiment=all)")
 
 		recallFloor = fs.Float64("recall-floor", 0, "indexcmp: fail (non-zero exit) if any index kind's best recall@10 is below this floor (0 disables)")
 	)
@@ -73,7 +72,7 @@ func runBench(fs *flag.FlagSet, args []string) error {
 	case tracing.Sample > 0:
 		return runTraceRecord(tracing, scale, mode, svcList[0], *load)
 	}
-	return run(*experiment, scale, mode, svcList, *load, *outDir, *recallFloor)
+	return run(*experiment, scale, mode, svcList, *load, *recallFloor)
 }
 
 // runScenario drives a declarative topology spec through its load shape
@@ -147,7 +146,7 @@ func parseServices(csv string) []string {
 // 13/17 SetAlgebra, 14/18 Recommend.
 func figureService(fig int) string { return bench.ServiceNames[(fig-11)%4] }
 
-func run(experiment string, scale bench.Scale, mode bench.FrameworkMode, services []string, load float64, outDir string, recallFloor float64) error {
+func run(experiment string, scale bench.Scale, mode bench.FrameworkMode, services []string, load, recallFloor float64) error {
 	start := time.Now()
 	defer func() { fmt.Printf("\n(total experiment time: %v)\n", time.Since(start).Round(time.Millisecond)) }()
 
@@ -302,12 +301,6 @@ func run(experiment string, scale bench.Scale, mode bench.FrameworkMode, service
 			return err
 		}
 		fmt.Print(bench.RenderAblation(ab))
-		if outDir != "" {
-			if err := bench.WriteTSV(outDir, rows, points); err != nil {
-				return err
-			}
-			fmt.Printf("\n(per-figure TSV data written to %s)\n", outDir)
-		}
 		return nil
 	}
 	return fmt.Errorf("unknown experiment %q", experiment)

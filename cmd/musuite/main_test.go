@@ -206,7 +206,7 @@ func TestSubcommandsRun(t *testing.T) {
 	// it must deploy and saturate a service under both of its modes.
 	scale := bench.SmallScale()
 	scale.SaturationWindow, scale.MaxConcurrency = 50*time.Millisecond, 4
-	if err := run("fig9", scale, bench.FrameworkMode{}, []string{"Router"}, 0, "", 0); err != nil {
+	if err := run("fig9", scale, bench.FrameworkMode{}, []string{"Router"}, 0, 0); err != nil {
 		t.Errorf("musuite bench -experiment fig9: %v", err)
 	}
 }

@@ -59,14 +59,21 @@ func (q Quant) String() string {
 	return fmt.Sprintf("quant(%d)", uint8(q))
 }
 
+// The build constants no caller tunes: every k-means (the coarse quantizer's
+// and each PQ codebook's) trains on at most trainSample rows, sampled by
+// fixed stride so builds stay deterministic, for at most kmeansIters Lloyd
+// sweeps; a search that passes nprobe 0 probes defaultNProbe lists.
+const (
+	trainSample   = 16384
+	kmeansIters   = 10
+	defaultNProbe = 8
+)
+
 // Config tunes an index build.
 type Config struct {
 	// NList is the coarse-quantizer cluster count (default √n, the
 	// classic IVF rule).
 	NList int
-	// NProbe is the default number of clusters a search probes when the
-	// caller passes 0 (default 8).  More probes trade latency for recall.
-	NProbe int
 	// Rerank is the default exact re-rank depth over approximately-scored
 	// candidates when the caller passes 0 (default max(4k, 32)).  Only
 	// meaningful with a compressed store.
@@ -77,11 +84,6 @@ type Config struct {
 	// (default: dim/8 when divisible, else the largest of dim/4, dim/2,
 	// dim that divides evenly).
 	PQM int
-	// TrainSample caps the points each k-means trains on (default 16384);
-	// sampling is by fixed stride so builds stay deterministic.
-	TrainSample int
-	// KMeansIters bounds the Lloyd sweeps per training run (default 10).
-	KMeansIters int
 	// Seed namespaces every k-means initialization in the build and the
 	// HNSW level-assignment RNG.
 	Seed int64
@@ -111,15 +113,6 @@ func (cfg *Config) fill(n, dim int) error {
 	}
 	if cfg.NList < 1 {
 		cfg.NList = 1
-	}
-	if cfg.NProbe <= 0 {
-		cfg.NProbe = 8
-	}
-	if cfg.TrainSample <= 0 {
-		cfg.TrainSample = 16384
-	}
-	if cfg.KMeansIters <= 0 {
-		cfg.KMeansIters = 10
 	}
 	if cfg.Quant == QuantPQ {
 		if cfg.PQM <= 0 {
@@ -156,7 +149,7 @@ type Index struct {
 	i8    *Int8Store
 	pq    *PQStore
 
-	defNProbe, defRerank int
+	defRerank int
 }
 
 // Build trains the coarse quantizer (and the configured compressed store)
@@ -171,14 +164,13 @@ func Build(store *kernel.Store, cfg Config) (*Index, error) {
 	if err := cfg.fill(n, dim); err != nil {
 		return nil, err
 	}
-	x.defNProbe = cfg.NProbe
 	x.defRerank = cfg.Rerank
 
 	// Train the coarse quantizer on a strided sample — deterministic, and
 	// far cheaper than clustering every row at μSuite corpus sizes.
-	sample := sampleRows(store, cfg.TrainSample)
+	sample := sampleRows(store, trainSample)
 	centroids, _, err := kmeans.TrainCentroids(sample, kmeans.Config{
-		K: cfg.NList, Iterations: cfg.KMeansIters, Seed: cfg.Seed,
+		K: cfg.NList, Iterations: kmeansIters, Seed: cfg.Seed,
 	})
 	if err != nil {
 		return nil, err
@@ -214,10 +206,7 @@ func Build(store *kernel.Store, cfg Config) (*Index, error) {
 	case QuantInt8:
 		x.i8 = BuildInt8(store)
 	case QuantPQ:
-		x.pq, err = BuildPQ(store, PQConfig{
-			M: cfg.PQM, TrainSample: cfg.TrainSample,
-			KMeansIters: cfg.KMeansIters, Seed: cfg.Seed,
-		})
+		x.pq, err = BuildPQ(store, PQConfig{M: cfg.PQM, Seed: cfg.Seed})
 		if err != nil {
 			return nil, err
 		}
@@ -239,15 +228,6 @@ func sampleRows(s *kernel.Store, max int) [][]float32 {
 	}
 	return out
 }
-
-// NList reports the coarse-quantizer cluster count.
-func (x *Index) NList() int { return len(x.lists) }
-
-// Len reports the number of indexed rows.
-func (x *Index) Len() int { return x.store.Len() }
-
-// Dim reports the indexed dimensionality.
-func (x *Index) Dim() int { return x.store.Dim() }
 
 // CompressedBytes reports the resident size of the compressed candidate
 // store (0 for QuantNone, which scores on the full store directly).
@@ -277,7 +257,7 @@ var searchScratches = sync.Pool{New: func() any { return new(searchScratch) }}
 
 // Search appends the k nearest rows to the query (by squared Euclidean
 // distance, ties by ID) among the members of the nprobe nearest clusters.
-// nprobe ≤ 0 takes the build's default; nprobe ≥ NList scans every list,
+// nprobe ≤ 0 probes defaultNProbe lists; nprobe ≥ NList scans every list,
 // making the plain IVF index exactly equivalent to a brute-force scan.
 // rerank bounds the exact re-rank depth over compressed-store candidates
 // (≤ 0: build default, floor k); it is ignored by QuantNone, whose
@@ -294,7 +274,7 @@ func (x *Index) Search(eng *kernel.Engine, q []float32, k, nprobe, rerank int, d
 		return dst, nil
 	}
 	if nprobe <= 0 {
-		nprobe = x.defNProbe
+		nprobe = defaultNProbe
 	}
 	if nprobe > len(x.lists) {
 		nprobe = len(x.lists)

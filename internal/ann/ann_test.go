@@ -44,7 +44,7 @@ func TestExhaustiveProbesExact(t *testing.T) {
 	}
 	eng := kernel.Default()
 	for qi, q := range corpus.Queries(40, 32) {
-		got, err := x.Search(eng, q, 10, x.NList(), 0, nil)
+		got, err := x.Search(eng, q, 10, len(x.lists), 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func TestCompressedExhaustiveFullRerank(t *testing.T) {
 			t.Fatal(err)
 		}
 		for qi, q := range corpus.Queries(20, 34) {
-			got, err := x.Search(eng, q, 10, x.NList(), store.Len(), nil)
+			got, err := x.Search(eng, q, 10, len(x.lists), store.Len(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,9 +121,9 @@ func TestIVFRecall(t *testing.T) {
 		}
 		recall := float64(hits) / float64(want)
 		if recall < 0.9 {
-			t.Fatalf("%v recall@10 = %.3f with 8/%d probes", quant, recall, x.NList())
+			t.Fatalf("%v recall@10 = %.3f with 8/%d probes", quant, recall, len(x.lists))
 		}
-		t.Logf("%v recall@10 = %.3f with 8/%d probes", quant, recall, x.NList())
+		t.Logf("%v recall@10 = %.3f with 8/%d probes", quant, recall, len(x.lists))
 	}
 }
 
@@ -145,7 +145,7 @@ func TestInt8RoundTripBound(t *testing.T) {
 		}
 		st := BuildInt8(store)
 		dec := st.Decode(0, nil)
-		bound := st.Scale(0)/2 + 1e-6
+		bound := st.scale[0]/2 + 1e-6
 		for i := range v {
 			if float32(math.Abs(float64(dec[i]-v[i]))) > bound {
 				return false
@@ -260,8 +260,8 @@ func TestBuildReproducible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.NList() != b.NList() {
-		t.Fatalf("nlist %d vs %d", a.NList(), b.NList())
+	if len(a.lists) != len(b.lists) {
+		t.Fatalf("nlist %d vs %d", len(a.lists), len(b.lists))
 	}
 	for c := range a.lists {
 		if len(a.lists[c]) != len(b.lists[c]) {
@@ -305,7 +305,7 @@ func TestSearchEdgeCases(t *testing.T) {
 	if res, err := x.Search(eng, q, 0, 0, 0, nil); err != nil || len(res) != 0 {
 		t.Fatalf("k=0: %v, %v", res, err)
 	}
-	res, err := x.Search(eng, q, 500, x.NList(), 0, nil)
+	res, err := x.Search(eng, q, 500, len(x.lists), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestTinyCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := x.Search(kernel.Default(), []float32{3, 4}, 2, x.NList(), 3, nil)
+	res, err := x.Search(kernel.Default(), []float32{3, 4}, 2, len(x.lists), 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

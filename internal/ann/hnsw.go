@@ -630,12 +630,6 @@ func (h *HNSW) searchLayer(q []float32, qn float32, ep int32, epD float32, ef in
 
 // --- public surface ---
 
-// Len reports the number of indexed rows.
-func (h *HNSW) Len() int { return h.store.Len() }
-
-// Dim reports the indexed dimensionality.
-func (h *HNSW) Dim() int { return h.store.Dim() }
-
 // CompressedBytes implements Searcher; HNSW keeps no compressed candidate
 // store (all scoring is exact float32), so it reports 0.
 func (h *HNSW) CompressedBytes() int { return 0 }

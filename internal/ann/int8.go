@@ -66,12 +66,6 @@ func BuildInt8(s *kernel.Store) *Int8Store {
 	return st
 }
 
-// Len reports the number of quantized rows.
-func (st *Int8Store) Len() int { return st.n }
-
-// Dim reports the row dimensionality.
-func (st *Int8Store) Dim() int { return st.dim }
-
 // Bytes reports the resident size: 1-byte codes plus the per-row scale and
 // norm.
 func (st *Int8Store) Bytes() int {
@@ -88,10 +82,6 @@ func (st *Int8Store) Decode(i int, dst []float32) []float32 {
 	}
 	return dst
 }
-
-// Scale returns row i's dequantization scale (the per-element round-trip
-// error bound is scale/2).
-func (st *Int8Store) Scale(i int) float32 { return st.scale[i] }
 
 // dist2 is the approximate squared distance between the query and the
 // dequantized row, via the norm trick on the mixed f32×i8 dot product.

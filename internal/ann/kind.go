@@ -40,8 +40,6 @@ func (k Kind) String() string {
 // ignores it, since its traversal is already exact.
 type Searcher interface {
 	Search(eng *kernel.Engine, q []float32, k, knob, rerank int, dst []kernel.Neighbor) ([]kernel.Neighbor, error)
-	Len() int
-	Dim() int
 	// CompressedBytes reports the resident compressed candidate store size
 	// (0 where scoring is exact-only).
 	CompressedBytes() int

@@ -35,11 +35,6 @@ type PQStore struct {
 type PQConfig struct {
 	// M is the subspace count; it must divide the store dimensionality.
 	M int
-	// TrainSample caps the rows the per-subspace codebooks train on
-	// (default 16384), sampled by fixed stride.
-	TrainSample int
-	// KMeansIters bounds the Lloyd sweeps per codebook (default 10).
-	KMeansIters int
 	// Seed namespaces the per-subspace k-means seeds.
 	Seed int64
 }
@@ -51,17 +46,11 @@ func BuildPQ(s *kernel.Store, cfg PQConfig) (*PQStore, error) {
 	if cfg.M <= 0 || dim%cfg.M != 0 {
 		return nil, fmt.Errorf("ann: pq m=%d does not divide dim %d", cfg.M, dim)
 	}
-	if cfg.TrainSample <= 0 {
-		cfg.TrainSample = 16384
-	}
-	if cfg.KMeansIters <= 0 {
-		cfg.KMeansIters = 10
-	}
 	st := &PQStore{m: cfg.M, subDim: dim / cfg.M, n: n, dim: dim}
 
 	// Train one codebook per subspace on sub-vector views of the sampled
 	// rows (TrainCentroids never mutates its inputs, so views are safe).
-	sample := sampleRows(s, cfg.TrainSample)
+	sample := sampleRows(s, trainSample)
 	st.kc = 256
 	if st.kc > len(sample) {
 		st.kc = len(sample)
@@ -75,7 +64,7 @@ func BuildPQ(s *kernel.Store, cfg PQConfig) (*PQStore, error) {
 		}
 		cents, _, err := kmeans.TrainCentroids(subViews, kmeans.Config{
 			K:          st.kc,
-			Iterations: cfg.KMeansIters,
+			Iterations: kmeansIters,
 			Seed:       cfg.Seed + int64(sub+1)*7919,
 		})
 		if err != nil {
@@ -128,12 +117,6 @@ func subDist2(a, b []float32) float32 {
 	}
 	return s
 }
-
-// Len reports the number of encoded rows.
-func (st *PQStore) Len() int { return st.n }
-
-// Dim reports the original row dimensionality.
-func (st *PQStore) Dim() int { return st.dim }
 
 // Bytes reports the resident size: one byte per (row, subspace) plus the
 // shared codebooks.

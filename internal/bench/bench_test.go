@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -209,47 +207,6 @@ func TestThreadPoolSweep(t *testing.T) {
 	}
 	if !strings.Contains(RenderThreadPool(rows), "workers") {
 		t.Fatal("render incomplete")
-	}
-}
-
-func TestWriteTSV(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration experiment")
-	}
-	s := tinyScale()
-	s.Window = 300 * time.Millisecond
-	points, err := Characterize(s, []string{"Router"}, FrameworkMode{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fig9 := []Fig9Row{{Service: "Router", Throughput: 1234, Concurrency: 2}}
-	dir := t.TempDir()
-	if err := WriteTSV(dir, fig9, points); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"fig9.tsv", "fig10.tsv", "fig11to14.tsv", "fig15to18.tsv", "fig19.tsv"} {
-		raw, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
-		if len(lines) < 2 {
-			t.Fatalf("%s has no data rows", name)
-		}
-		cols := len(strings.Split(lines[0], "\t"))
-		for i, line := range lines {
-			if got := len(strings.Split(line, "\t")); got != cols {
-				t.Fatalf("%s line %d has %d columns, header has %d", name, i, got, cols)
-			}
-		}
-	}
-	// Empty inputs skip files without error.
-	dir2 := t.TempDir()
-	if err := WriteTSV(dir2, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir2, "fig9.tsv")); !os.IsNotExist(err) {
-		t.Fatal("empty fig9 still wrote a file")
 	}
 }
 

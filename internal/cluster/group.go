@@ -57,18 +57,8 @@ type Group struct {
 	once  sync.Once
 }
 
-// NewGroup assembles a group over already-dialed replica pools.  batchers
-// may be nil (no batching) or parallel to pools.  Exposed for tests and
-// custom assemblies; Topology dials its own groups.
-func NewGroup(addrs []string, pools []*rpc.Pool, batchers []*rpc.Batcher) *Group {
-	return &Group{addrs: addrs, pools: pools, batchers: batchers}
-}
-
 // Size reports the replica count.
 func (g *Group) Size() int { return len(g.pools) }
-
-// Addrs lists the replica addresses.  The caller must not mutate it.
-func (g *Group) Addrs() []string { return g.addrs }
 
 // State reports the group's drain state.
 func (g *Group) State() GroupState { return GroupState(g.state.Load()) }

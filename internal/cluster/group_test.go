@@ -17,7 +17,7 @@ func dialGroupT(t *testing.T, addrs []string) *Group {
 		}
 		pools[i] = p
 	}
-	g := NewGroup(addrs, pools, nil)
+	g := &Group{addrs: addrs, pools: pools}
 	t.Cleanup(g.Close)
 	return g
 }

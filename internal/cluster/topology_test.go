@@ -145,7 +145,7 @@ func TestDrainGroupShiftsShardsDown(t *testing.T) {
 		t.Errorf("after drain: leaves=%d epoch=%d, want 2/2", s.NumLeaves(), s.Epoch())
 	}
 	// The surviving shards shifted: shard 1 now serves what was shard 2.
-	if got := s.Group(1).Addrs()[0]; got != addrs[2] {
+	if got := s.Group(1).addrs[0]; got != addrs[2] {
 		t.Errorf("shard 1 addr = %s, want %s (shifted down)", got, addrs[2])
 	}
 	if d, dt := count(topo, telemetry.TopoDrain), count(topo, telemetry.TopoDrainTimeout); d != 1 || dt != 0 {

@@ -11,6 +11,7 @@ import (
 	"musuite/internal/kernel"
 	"musuite/internal/rpc"
 	"musuite/internal/telemetry"
+	"musuite/internal/trace"
 	"musuite/internal/wire"
 )
 
@@ -124,11 +125,13 @@ func TestCarrierMembersRunOneByOne(t *testing.T) {
 			b := rpc.NewBatcher(pool, rpc.BatcherOptions{MaxBatch: 3, Delay: func() time.Duration { return time.Hour }})
 			defer b.Close()
 			var calls [3]*rpc.Call
+			done := make(chan *rpc.Call, len(calls))
 			for i, payload := range []string{"same", "boom", "same"} {
-				calls[i] = b.Go("m", []byte(payload), nil, nil)
+				b.GoRefSpan("m", []byte(payload), trace.SpanContext{}, i, done)
 			}
-			for _, c := range calls {
-				<-c.Done
+			for range calls {
+				c := <-done
+				calls[c.Data.(int)] = c
 			}
 			for _, i := range []int{0, 2} {
 				if calls[i].Err != nil || !bytes.Equal(calls[i].Reply, []byte("re:same")) {
@@ -282,7 +285,7 @@ func TestBatchDelayAdaptsToLeafLatency(t *testing.T) {
 		EdgePolicy: EdgePolicy{Batch: BatchPolicy{MaxBatch: 4}},
 	}, nil)
 	for i := 0; i < 2*hedgeRefreshEvery; i++ {
-		mtFast.observeLeafLatency(time.Microsecond)
+		mtFast.def.observeLatency(time.Microsecond)
 	}
 	if got := mtFast.def.batchDelay(); got != batchMinDelay {
 		t.Fatalf("floored delay = %v, want the %v floor", got, batchMinDelay)

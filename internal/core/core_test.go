@@ -14,7 +14,22 @@ import (
 
 	"musuite/internal/rpc"
 	"musuite/internal/telemetry"
+	"musuite/internal/wire"
 )
+
+// LeafHandler is the handler form the tests' leaves take: it returns its
+// reply as a slice (which may alias the payload).
+type LeafHandler func(method string, payload []byte) ([]byte, error)
+
+// NewLeaf creates a leaf microserver around a LeafHandler, appending its
+// reply to the reply encoder.
+func NewLeaf(handler LeafHandler, opts *LeafOptions) *Leaf {
+	return NewLeafEncoded(func(method string, payload []byte, reply *wire.Encoder) error {
+		b, err := handler(method, payload)
+		reply.Raw(b)
+		return err
+	}, opts)
+}
 
 func TestWorkerPoolExecutesAll(t *testing.T) {
 	for _, mode := range []WaitMode{WaitBlocking, WaitPolling} {
@@ -90,16 +105,16 @@ func TestWorkerPoolTelemetry(t *testing.T) {
 		submit(p, func() { wg.Done() })
 	}
 	wg.Wait()
-	if got := probe.Load(telemetry.SysWrite); got != n {
+	if got := probe.Snapshot()[telemetry.SysWrite]; got != n {
 		t.Errorf("write proxies=%d want %d", got, n)
 	}
-	if got := probe.Load(telemetry.SysRead); got != n {
+	if got := probe.Snapshot()[telemetry.SysRead]; got != n {
 		t.Errorf("read proxies=%d want %d", got, n)
 	}
-	if probe.Load(telemetry.SysClone) < 2 {
+	if probe.Snapshot()[telemetry.SysClone] < 2 {
 		t.Error("clone proxies < worker count")
 	}
-	if probe.Load(telemetry.SysFutex) == 0 {
+	if probe.Snapshot()[telemetry.SysFutex] == 0 {
 		t.Error("no futex proxies from cond traffic")
 	}
 	if probe.OverheadSnapshot(telemetry.OverheadActiveExe).Count != n {
@@ -120,7 +135,7 @@ func TestPollingModeAvoidsFutex(t *testing.T) {
 	p.Stop()
 	// Polling workers never Wait/Signal; futex count stays at (near) zero —
 	// only contended mutex acquisitions could contribute.
-	futex := probe.Load(telemetry.SysFutex)
+	futex := probe.Snapshot()[telemetry.SysFutex]
 	blocking := func() uint64 {
 		probe2 := telemetry.NewProbe()
 		p2 := NewWorkerPool(1, WaitBlocking, probe2, telemetry.OverheadActiveExe)
@@ -132,7 +147,7 @@ func TestPollingModeAvoidsFutex(t *testing.T) {
 			time.Sleep(time.Millisecond) // force a park between tasks
 		}
 		wg2.Wait()
-		return probe2.Load(telemetry.SysFutex)
+		return probe2.Snapshot()[telemetry.SysFutex]
 	}()
 	if futex >= blocking {
 		t.Errorf("polling futex=%d not below blocking futex=%d", futex, blocking)
@@ -191,7 +206,7 @@ func startLeaf(t *testing.T, probe *telemetry.Probe) (string, *Leaf) {
 // own payload — a point read, made the way Router's get makes it: as a
 // one-call fan-out.
 func forwardToLeaf(ctx *Ctx, shard int, method string) {
-	ctx.Fanout([]LeafCall{{Shard: shard, Method: method, Payload: ctx.Req.Payload}}, func(results []LeafResult) {
+	ctx.FanoutTo([]LeafCall{{Shard: shard, Method: method, Payload: ctx.Req.Payload}}, func(_ *Ctx, results []LeafResult) {
 		if err := results[0].Err; err != nil {
 			ctx.ReplyError(err)
 			return
@@ -235,7 +250,7 @@ func startMidTier(t *testing.T, leafAddrs []string, opts *Options) (string, *Mid
 				ctx.Reply([]byte("no failure?"))
 			})
 		case "badshard":
-			ctx.Fanout([]LeafCall{{Shard: 99, Method: "echo"}}, func(results []LeafResult) {
+			ctx.FanoutTo([]LeafCall{{Shard: 99, Method: "echo"}}, func(_ *Ctx, results []LeafResult) {
 				ctx.ReplyError(results[0].Err)
 			})
 		default:
@@ -432,7 +447,7 @@ func TestMidTierTelemetryPipeline(t *testing.T) {
 	waitFor(t, "the Net sample of every front-end response", func() bool {
 		return probe.OverheadSnapshot(telemetry.OverheadNet).Count >= n
 	})
-	if probe.Load(telemetry.SysFutex) == 0 {
+	if probe.Snapshot()[telemetry.SysFutex] == 0 {
 		t.Error("no futex traffic in dispatch pipeline")
 	}
 }
@@ -458,7 +473,7 @@ func TestConnectLeavesDialFailure(t *testing.T) {
 func TestFanoutEmptyCallList(t *testing.T) {
 	leafAddr, _ := startLeaf(t, nil)
 	mt := NewMidTier(func(ctx *Ctx) {
-		ctx.Fanout(nil, func(results []LeafResult) {
+		ctx.FanoutTo(nil, func(_ *Ctx, results []LeafResult) {
 			if len(results) != 0 {
 				ctx.ReplyError(errors.New("unexpected results"))
 				return
@@ -533,7 +548,7 @@ func TestAdaptiveFewerParksThanBlocking(t *testing.T) {
 				runtime.Gosched() // a spinning producer reacts in well under the budget
 			}
 		}
-		return probe.Load(telemetry.CtxSwitch)
+		return probe.Snapshot()[telemetry.CtxSwitch]
 	}
 	// Whether the spin pays off is the scheduler's call.  After a test that
 	// loaded both CPUs, or beside a package under test next door, the

@@ -187,7 +187,7 @@ func TestBlockingHandlerServesFramesBehindIt(t *testing.T) {
 	mt := NewMidTier(func(ctx *Ctx) {
 		entered <- struct{}{}
 		answered := make(chan struct{})
-		ctx.Fanout([]LeafCall{{Shard: 0, Method: "slow"}}, func(results []LeafResult) {
+		ctx.FanoutTo([]LeafCall{{Shard: 0, Method: "slow"}}, func(_ *Ctx, results []LeafResult) {
 			defer close(answered)
 			if err := results[0].Err; err != nil {
 				ctx.ReplyError(err)

@@ -236,7 +236,8 @@ func (ec EdgeCtx) FanoutTo(calls []LeafCall, merge func(*Ctx, []LeafResult)) {
 	ec.c.fanoutOn(ec.e, ec.snap, calls, merge)
 }
 
-// Fanout is FanoutTo for a merge closure; see Ctx.Fanout.
+// Fanout is FanoutTo for a merge closure that captured what it needs itself;
+// the adapter costs one allocation a fan-out.
 func (ec EdgeCtx) Fanout(calls []LeafCall, merge func([]LeafResult)) {
 	ec.FanoutTo(calls, ignoreCtx(merge))
 }
@@ -247,7 +248,7 @@ func (ec EdgeCtx) FanoutAllTo(method string, payload []byte, merge func(*Ctx, []
 	ec.c.fanoutAllOn(ec.e, ec.snap, method, payload, merge)
 }
 
-// FanoutAll is FanoutAllTo for a merge closure; see Ctx.Fanout.
+// FanoutAll is FanoutAllTo for a merge closure; see Fanout.
 func (ec EdgeCtx) FanoutAll(method string, payload []byte, merge func([]LeafResult)) {
 	ec.FanoutAllTo(method, payload, ignoreCtx(merge))
 }

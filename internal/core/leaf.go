@@ -22,10 +22,6 @@ import (
 // duration of the call.
 type EncodedLeafHandler func(method string, payload []byte, reply *wire.Encoder) error
 
-// LeafHandler is the handler form that returns its reply as a slice (which
-// may alias the payload); NewLeaf adapts it to an EncodedLeafHandler.
-type LeafHandler func(method string, payload []byte) ([]byte, error)
-
 // LeafOptions configures a leaf microserver.
 type LeafOptions struct {
 	// Workers sizes the leaf's worker pool (default 4).  The paper pins
@@ -82,16 +78,6 @@ type Leaf struct {
 	// (see MidTier.running).
 	running atomic.Int32
 	closed  atomic.Bool
-}
-
-// NewLeaf creates a leaf microserver around a handler that returns its reply
-// as a slice, which the leaf appends to the reply encoder.
-func NewLeaf(handler LeafHandler, opts *LeafOptions) *Leaf {
-	return NewLeafEncoded(func(method string, payload []byte, reply *wire.Encoder) error {
-		b, err := handler(method, payload)
-		reply.Raw(b)
-		return err
-	}, opts)
 }
 
 // NewLeafEncoded creates a leaf microserver around handler.

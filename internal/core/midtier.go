@@ -109,7 +109,7 @@ func (o *Options) withDefaults() Options {
 
 // Handler is the service-specific mid-tier request logic.  It runs on the
 // network poller or a worker thread (Options.Dispatch), typically: decode the
-// request, compute the per-leaf sub-queries, call Ctx.Fanout, and return.
+// request, compute the per-leaf sub-queries, call Ctx.FanoutTo, and return.
 // The reply is sent later by the fan-out merge callback.
 type Handler func(*Ctx)
 
@@ -201,7 +201,7 @@ func (m *MidTier) ConnectLeaves(addrs []string) error {
 
 // ConnectLeafGroups dials every leaf shard's replica set: groups[i] lists
 // the addresses of the replicas serving shard i (all must hold the same
-// shard data).  Fanout routes each call to the least-loaded replica of its
+// shard data).  A fan-out routes each call to the least-loaded replica of its
 // shard, and hedges/retries go to a different replica than the attempt they
 // back up.  Must be called before Start.
 func (m *MidTier) ConnectLeafGroups(groups [][]string) error {
@@ -500,14 +500,6 @@ func (c *Ctx) live() {
 	}
 }
 
-// NumLeaves reports the fan-out width available to this request.  It is
-// stable for the request's lifetime even while the cluster resizes: the
-// value comes from the snapshot pinned at arrival.
-func (c *Ctx) NumLeaves() int {
-	c.live()
-	return c.snap.NumLeaves()
-}
-
 // Snapshot is the topology snapshot pinned for this request — handlers that
 // make several placement decisions (a route computed here, a shard read
 // there) take it once so all of them agree on one epoch.
@@ -518,7 +510,7 @@ func (c *Ctx) Snapshot() *cluster.Snapshot {
 
 // LeafEncoder returns a pooled encoder for the payloads of the request's next
 // fan-out: the handler encodes its leaf requests into it and passes slices of
-// its Bytes as LeafCall payloads.  The fan-out owns the encoder from Fanout on
+// its Bytes as LeafCall payloads.  The fan-out owns the encoder from FanoutTo on
 // (the next call returns a fresh one) and returns it to its pool when no hedge
 // timer, retry or batch queue can still send a slot; a request that never fans
 // out returns it with its context.  It is for the one flow of control that
@@ -624,10 +616,6 @@ func (c *Ctx) FanoutTo(calls []LeafCall, merge func(*Ctx, []LeafResult)) {
 	c.fanoutOn(c.mt.def, c.snap, calls, merge)
 }
 
-// Fanout is FanoutTo for a merge closure that captured what it needs — its
-// Ctx included — itself; the adapter costs one allocation a fan-out.
-func (c *Ctx) Fanout(calls []LeafCall, merge func([]LeafResult)) { c.FanoutTo(calls, ignoreCtx(merge)) }
-
 // ignoreCtx adapts a closure merge to the form a fan-out stores.
 func ignoreCtx(merge func([]LeafResult)) func(*Ctx, []LeafResult) {
 	return func(_ *Ctx, results []LeafResult) { merge(results) }
@@ -654,7 +642,8 @@ func (c *Ctx) FanoutAllTo(method string, payload []byte, merge func(*Ctx, []Leaf
 	c.fanoutAllOn(c.mt.def, c.snap, method, payload, merge)
 }
 
-// FanoutAll is FanoutAllTo for a merge closure; see Fanout.
+// FanoutAll is FanoutAllTo for a merge closure that captured what it needs
+// itself; the adapter costs one allocation a fan-out.
 func (c *Ctx) FanoutAll(method string, payload []byte, merge func([]LeafResult)) {
 	c.FanoutAllTo(method, payload, ignoreCtx(merge))
 }
@@ -916,11 +905,6 @@ func (m *MidTier) recordAttemptSpan(method string, shard int, a *attempt, end ti
 		Notes:    notes,
 	})
 }
-
-// observeLeafLatency feeds the default edge's latency digest — the
-// per-edge observe path (edge.observeLatency) under its old name, kept for
-// in-package tests that seed the digest directly.
-func (m *MidTier) observeLeafLatency(d time.Duration) { m.def.observeLatency(d) }
 
 // ErrFanoutTimeout marks a leaf slot whose response missed the fan-out
 // deadline.

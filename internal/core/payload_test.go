@@ -319,7 +319,7 @@ func TestFanoutOwnsEncodedPayloads(t *testing.T) {
 					ownedPayload(e, req, s)
 					calls[s] = LeafCall{Shard: s, Method: "work", Payload: e.Bytes()[start:]}
 				}
-				ctx.Fanout(calls[:], func(results []LeafResult) {
+				ctx.FanoutTo(calls[:], func(_ *Ctx, results []LeafResult) {
 					for _, r := range results {
 						if r.Err != nil {
 							ctx.ReplyError(r.Err)

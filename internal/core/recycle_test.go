@@ -261,7 +261,7 @@ func TestLoudPoolsPanicOnUseAfterReturn(t *testing.T) {
 	waitPooledBack(t, base)
 	for name, use := range map[string]func(){
 		"Ctx.Reply":       func() { ctx.Reply(nil) },
-		"Ctx.NumLeaves":   func() { ctx.NumLeaves() },
+		"Ctx.Snapshot":    func() { ctx.Snapshot() },
 		"Ctx.Edge":        func() { ctx.Edge("") },
 		"Request.Reply":   func() { ctx.Req.Reply(nil) },
 		"Request.Recycle": func() { ctx.Req.Recycle() },

@@ -21,14 +21,14 @@ func startPinCheckMidTier(t *testing.T, leafAddrs []string) (string, *MidTier) {
 	mt := NewMidTier(func(ctx *Ctx) {
 		switch ctx.Req.Method {
 		case "pincheck":
-			before := ctx.NumLeaves()
+			before := ctx.Snapshot().NumLeaves()
 			// Hit the highest shard — the one an in-flight drain targets.
-			ctx.Fanout([]LeafCall{{Shard: before - 1, Method: "echo", Payload: ctx.Req.Payload}}, func(results []LeafResult) {
+			ctx.FanoutTo([]LeafCall{{Shard: before - 1, Method: "echo", Payload: ctx.Req.Payload}}, func(_ *Ctx, results []LeafResult) {
 				if err := results[0].Err; err != nil {
 					ctx.ReplyError(err)
 					return
 				}
-				after := ctx.NumLeaves()
+				after := ctx.Snapshot().NumLeaves()
 				if before != after {
 					ctx.ReplyError(fmt.Errorf("leaf count changed mid-request: %d then %d", before, after))
 					return

@@ -273,23 +273,6 @@ func TestRatingQueryPairsUnrated(t *testing.T) {
 	}
 }
 
-func TestRatingShardByItem(t *testing.T) {
-	c := NewRatingCorpus(RatingCorpusConfig{Users: 30, Items: 40, Ratings: 500, Seed: 14})
-	shards := c.ShardByItem(4)
-	total := 0
-	for s, ratings := range shards {
-		total += len(ratings)
-		for _, r := range ratings {
-			if r.Item%4 != s {
-				t.Fatalf("rating for item %d landed in shard %d", r.Item, s)
-			}
-		}
-	}
-	if total != 500 {
-		t.Fatalf("sharded %d of 500", total)
-	}
-}
-
 func TestRatingsCappedAtMatrixSize(t *testing.T) {
 	c := NewRatingCorpus(RatingCorpusConfig{Users: 5, Items: 5, Ratings: 100, Seed: 15})
 	if len(c.Ratings) != 25 {

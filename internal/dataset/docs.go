@@ -14,7 +14,6 @@ type DocCorpus struct {
 	Docs [][]int
 	// VocabSize is the number of distinct words.
 	VocabSize int
-	zipfS     float64
 	seed      int64
 }
 
@@ -26,9 +25,6 @@ type DocCorpusConfig struct {
 	VocabSize int
 	// MeanDocLen is the average words per document.
 	MeanDocLen int
-	// ZipfS is the word-frequency skew (>1; default 1.3 — natural
-	// language is near 1).
-	ZipfS float64
 	// Seed makes generation deterministic.
 	Seed int64
 }
@@ -43,21 +39,21 @@ func (c DocCorpusConfig) withDefaults() DocCorpusConfig {
 	if c.MeanDocLen <= 0 {
 		c.MeanDocLen = 100
 	}
-	if c.ZipfS <= 1 {
-		c.ZipfS = 1.3
-	}
 	return c
 }
+
+// docZipfS is the word-frequency skew of every corpus and query stream
+// (natural language is near 1).
+const docZipfS = 1.3
 
 // NewDocCorpus generates a document corpus.
 func NewDocCorpus(cfg DocCorpusConfig) *DocCorpus {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	zipf := newZipf(rng, cfg.ZipfS, 1, uint64(cfg.VocabSize-1))
+	zipf := newZipf(rng, docZipfS, 1, uint64(cfg.VocabSize-1))
 	corpus := &DocCorpus{
 		Docs:      make([][]int, cfg.Docs),
 		VocabSize: cfg.VocabSize,
-		zipfS:     cfg.ZipfS,
 		seed:      cfg.Seed,
 	}
 	for d := 0; d < cfg.Docs; d++ {
@@ -87,7 +83,7 @@ func (c *DocCorpus) Queries(n, maxTerms int, seed int64) [][]int {
 		maxTerms = 1
 	}
 	rng := rand.New(rand.NewSource(seed ^ 0x9E3779B9))
-	zipf := newZipf(rng, c.zipfS, 1, uint64(c.VocabSize-1))
+	zipf := newZipf(rng, docZipfS, 1, uint64(c.VocabSize-1))
 	out := make([][]int, n)
 	for i := 0; i < n; i++ {
 		// Real search queries skew short: geometric-ish length.

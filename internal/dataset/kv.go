@@ -32,9 +32,6 @@ type KVTraceConfig struct {
 	ValueSize int
 	// GetFraction is the probability an op is a get (YCSB-A: 0.5).
 	GetFraction float64
-	// ZipfS is the Zipf skew of key popularity (>1; default 1.1,
-	// matching the heavy skew of social-media object popularity).
-	ZipfS float64
 	// Seed makes generation deterministic.
 	Seed int64
 }
@@ -49,11 +46,12 @@ func (c KVTraceConfig) withDefaults() KVTraceConfig {
 	if c.GetFraction <= 0 {
 		c.GetFraction = 0.5
 	}
-	if c.ZipfS <= 1 {
-		c.ZipfS = 1.1
-	}
 	return c
 }
+
+// kvZipfS is the Zipf skew of key popularity, the heavy skew of social-media
+// object popularity.
+const kvZipfS = 1.1
 
 // KVTrace generates Router operations on demand.
 type KVTrace struct {
@@ -69,7 +67,7 @@ func NewKVTrace(cfg KVTraceConfig) *KVTrace {
 	return &KVTrace{
 		cfg:  cfg,
 		rng:  rng,
-		zipf: newZipf(rng, cfg.ZipfS, 1, uint64(cfg.Keys-1)),
+		zipf: newZipf(rng, kvZipfS, 1, uint64(cfg.Keys-1)),
 	}
 }
 

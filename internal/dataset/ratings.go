@@ -160,17 +160,3 @@ func (c *RatingCorpus) ShardRoundRobin(n int) [][]Rating {
 	}
 	return shards
 }
-
-// ShardByItem splits ratings across n leaves by item ID, so each leaf
-// factorizes and serves its own shard of the utility matrix.
-func (c *RatingCorpus) ShardByItem(n int) [][]Rating {
-	if n < 1 {
-		n = 1
-	}
-	shards := make([][]Rating, n)
-	for _, r := range c.Ratings {
-		s := r.Item % n
-		shards[s] = append(shards[s], r)
-	}
-	return shards
-}

@@ -15,8 +15,8 @@ var zipfShapes = []struct {
 	s    float64
 	imax uint64
 }{
-	{1.3, 2999},
-	{1.1, 9999},
+	{docZipfS, 2999},
+	{kvZipfS, 9999},
 	{1.01, 9999},
 	{2.5, 99},
 	{1.5, 0},

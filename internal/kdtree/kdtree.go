@@ -79,9 +79,6 @@ func Build(points [][]float32, refs []Ref, cfg Config) (*Tree, error) {
 	return t, nil
 }
 
-// Size reports the number of indexed points.
-func (t *Tree) Size() int { return len(t.points) }
-
 // Dim reports the indexed vector dimensionality.
 func (t *Tree) Dim() int { return t.dim }
 

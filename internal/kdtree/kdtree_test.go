@@ -78,7 +78,7 @@ func TestBoundedChecksRecall(t *testing.T) {
 	if recall < 0.9 {
 		t.Fatalf("recall@1 = %.3f with %d checks", recall, checks)
 	}
-	t.Logf("recall@1 = %.3f at %d/%d checks", recall, checks, tree.Size())
+	t.Logf("recall@1 = %.3f at %d/%d checks", recall, checks, len(tree.points))
 }
 
 func TestMoreChecksRaiseRecall(t *testing.T) {

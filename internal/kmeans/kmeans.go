@@ -239,9 +239,6 @@ func isqrt(n int) int {
 	return r
 }
 
-// K reports the cluster count.
-func (x *Index) K() int { return len(x.centroids) }
-
 // Dim reports the indexed vector dimensionality (0 for an empty index).
 func (x *Index) Dim() int {
 	if len(x.centroids) == 0 {
@@ -249,12 +246,6 @@ func (x *Index) Dim() int {
 	}
 	return len(x.centroids[0])
 }
-
-// Size reports the number of indexed points.
-func (x *Index) Size() int { return len(x.points) }
-
-// ClusterSize reports cluster c's member count.
-func (x *Index) ClusterSize(c int) int { return len(x.members[c]) }
 
 // Result is one scored neighbor.
 type Result struct {

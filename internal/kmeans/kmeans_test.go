@@ -52,8 +52,8 @@ func TestAllPointsAssignedExactlyOnce(t *testing.T) {
 	_, idx := buildCorpusIndex(t, 500, 12, 10)
 	seen := make(map[int]bool)
 	total := 0
-	for c := 0; c < idx.K(); c++ {
-		total += idx.ClusterSize(c)
+	for c := 0; c < len(idx.centroids); c++ {
+		total += len(idx.members[c])
 		for _, i := range idx.members[c] {
 			if seen[i] {
 				t.Fatalf("point %d in two clusters", i)
@@ -61,8 +61,8 @@ func TestAllPointsAssignedExactlyOnce(t *testing.T) {
 			seen[i] = true
 		}
 	}
-	if total != idx.Size() {
-		t.Fatalf("assigned %d of %d", total, idx.Size())
+	if total != len(idx.points) {
+		t.Fatalf("assigned %d of %d", total, len(idx.points))
 	}
 }
 
@@ -81,8 +81,8 @@ func TestRecoverPlantedClusters(t *testing.T) {
 		t.Fatal(err)
 	}
 	pure, total := 0, 0
-	for c := 0; c < idx.K(); c++ {
-		if idx.ClusterSize(c) == 0 {
+	for c := 0; c < len(idx.centroids); c++ {
+		if len(idx.members[c]) == 0 {
 			continue
 		}
 		counts := make(map[int]int)
@@ -96,7 +96,7 @@ func TestRecoverPlantedClusters(t *testing.T) {
 			}
 		}
 		pure += max
-		total += idx.ClusterSize(c)
+		total += len(idx.members[c])
 	}
 	purity := float64(pure) / float64(total)
 	if purity < 0.8 {
@@ -112,7 +112,7 @@ func TestExhaustiveProbesExact(t *testing.T) {
 	corpus, idx := buildCorpusIndex(t, n, 12, 10)
 	for qi, q := range corpus.Queries(30, 8) {
 		for _, k := range []int{0, 1, 5, n, n + 2} {
-			got := idx.Search(q, k, idx.K())
+			got := idx.Search(q, k, len(idx.centroids))
 			want := kernel.BruteForce(q, corpus.Vectors, k)
 			if len(got) != len(want) {
 				t.Fatalf("query %d, k=%d: %d results want %d", qi, k, len(got), len(want))
@@ -140,9 +140,9 @@ func TestFewProbesHighRecall(t *testing.T) {
 	}
 	recall := float64(hits) / float64(len(queries))
 	if recall < 0.9 {
-		t.Fatalf("recall@1 = %.3f with 3 of %d probes", recall, idx.K())
+		t.Fatalf("recall@1 = %.3f with 3 of %d probes", recall, len(idx.centroids))
 	}
-	t.Logf("recall@1 = %.3f with 3/%d probes", recall, idx.K())
+	t.Logf("recall@1 = %.3f with 3/%d probes", recall, len(idx.centroids))
 }
 
 // TestTrainCentroidsReproducible: equal seeds over equal inputs must yield
@@ -225,7 +225,7 @@ func TestDegenerateCorpora(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := idx.Search([]float32{7, 7}, 3, idx.K())
+	res := idx.Search([]float32{7, 7}, 3, len(idx.centroids))
 	if len(res) != 3 || res[0].Distance != 0 {
 		t.Fatalf("degenerate search: %+v", res)
 	}
@@ -234,8 +234,8 @@ func TestDegenerateCorpora(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx2.K() > 3 {
-		t.Fatalf("k=%d exceeds corpus", idx2.K())
+	if len(idx2.centroids) > 3 {
+		t.Fatalf("k=%d exceeds corpus", len(idx2.centroids))
 	}
 }
 

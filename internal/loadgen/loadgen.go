@@ -110,10 +110,11 @@ type SaturationConfig struct {
 	Window time.Duration
 	// MaxConcurrency bounds the search (default 64).
 	MaxConcurrency int
-	// PlateauFraction stops the search when doubling concurrency gains
-	// less than this fraction of throughput (default 0.05).
-	PlateauFraction float64
 }
+
+// saturationPlateau stops the saturation search when doubling concurrency
+// gains less than this fraction of throughput.
+const saturationPlateau = 0.05
 
 // SaturationResult reports the discovered peak.
 type SaturationResult struct {
@@ -140,9 +141,6 @@ func FindSaturation(issue IssueFunc, cfg SaturationConfig) SaturationResult {
 	if cfg.MaxConcurrency <= 0 {
 		cfg.MaxConcurrency = 64
 	}
-	if cfg.PlateauFraction <= 0 {
-		cfg.PlateauFraction = 0.05
-	}
 	var res SaturationResult
 	best := 0.0
 	for conc := 1; conc <= cfg.MaxConcurrency; conc *= 2 {
@@ -153,7 +151,7 @@ func FindSaturation(issue IssueFunc, cfg SaturationConfig) SaturationResult {
 		})
 		res.Steps = append(res.Steps, SaturationStep{Concurrency: conc, Throughput: r.Throughput})
 		if r.Throughput > best {
-			if best > 0 && (r.Throughput-best)/best < cfg.PlateauFraction {
+			if best > 0 && (r.Throughput-best)/best < saturationPlateau {
 				best = r.Throughput
 				res.Throughput = best
 				res.Concurrency = conc

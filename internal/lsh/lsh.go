@@ -332,14 +332,8 @@ func (tb *table) place(idx *Index, bucket, entry int) {
 	}
 }
 
-// Size reports the number of indexed entries.
-func (idx *Index) Size() int { return idx.size }
-
 // Dim reports the indexed vector dimensionality.
 func (idx *Index) Dim() int { return idx.dim }
-
-// Shards reports the number of leaf shards the index was built over.
-func (idx *Index) Shards() int { return idx.shards }
 
 // NewPlanes draws n random hyperplane normals of dimension dim > 0 as one
 // kernel.Store, row → dim from one seeded stream — the order the index's
@@ -373,8 +367,8 @@ func Signature(planes *kernel.Store, first, bits int, v, proj []float32) uint32 
 
 // LookupInto gathers query q's candidates across all tables, with
 // multi-probe expansion, and writes them grouped by shard: dst is resized
-// to exactly Shards() sets — a longer dst, say one last used with an index
-// over more shards, is cut to size — and set s is emptied and refilled with
+// to one set a shard — a longer dst, say one last used with an index over
+// more shards, is cut to size — and set s is emptied and refilled with
 // shard s's candidate points, the non-zero words of the lookup's dedup
 // bitmap.  The sets are the caller's; reusing dst across calls makes a
 // steady-state lookup allocation-free.  len(q) must equal Dim().

@@ -158,7 +158,7 @@ func globalCandidates(idx *Index, q []float32) []uint32 {
 	var out []uint32
 	for s, set := range idx.LookupInto(q, nil) {
 		for _, id := range set.AppendIDs(nil) {
-			out = append(out, id*uint32(idx.Shards())+uint32(s))
+			out = append(out, id*uint32(idx.shards)+uint32(s))
 		}
 	}
 	return out
@@ -222,8 +222,8 @@ func TestBuildRejectsBadInput(t *testing.T) {
 func TestStats(t *testing.T) {
 	_, idx := buildClustered(t, 200, 16)
 	s := idx.Stats()
-	if s.Entries != 200 || s.Tables != 8 || idx.Size() != 200 || idx.Shards() != testShards || idx.Dim() != 16 {
-		t.Fatalf("stats=%+v size=%d shards=%d dim=%d", s, idx.Size(), idx.Shards(), idx.Dim())
+	if s.Entries != 200 || s.Tables != 8 || idx.shards != testShards || idx.Dim() != 16 {
+		t.Fatalf("stats=%+v shards=%d dim=%d", s, idx.shards, idx.Dim())
 	}
 	if s.Buckets == 0 || s.MaxBucketSize == 0 {
 		t.Fatalf("empty stats=%+v", s)
@@ -598,7 +598,7 @@ func TestLookupByShardMatchesLookupInto(t *testing.T) {
 func TestLookupIntoCutsLongerDst(t *testing.T) {
 	corpus, idx := buildClustered(t, 400, 16)
 	for _, q := range corpus.Queries(5, 3) {
-		dst := make([]kernel.RowSet, idx.Shards()+3)
+		dst := make([]kernel.RowSet, idx.shards+3)
 		for s := range dst {
 			dst[s] = kernel.RowSet{Words: []uint32{1 << 24, 1<<24 + 1}, Masks: []uint64{1, 2}}
 		}
@@ -644,7 +644,7 @@ func TestSelfLookupProperty(t *testing.T) {
 func TestLookupAllocations(t *testing.T) {
 	corpus, idx := buildClustered(t, 3000, 32)
 	queries := corpus.Queries(16, 9)
-	dst := make([]kernel.RowSet, idx.Shards())
+	dst := make([]kernel.RowSet, idx.shards)
 	for s := range dst { // warmed: capacity for any answer
 		dst[s] = kernel.RowSet{Words: make([]uint32, 0, 3000/64+1), Masks: make([]uint64, 0, 3000/64+1)}
 	}

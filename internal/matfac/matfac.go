@@ -241,26 +241,6 @@ func (m *Model) Predict(row, col int) float64 {
 	return dot(m.W.Row(row), m.H.Row(col))
 }
 
-// PredictClamped is Predict bounded to [lo, hi] — ratings live on 1..5.
-func (m *Model) PredictClamped(row, col int, lo, hi float64) float64 {
-	p := m.Predict(row, col)
-	if p < lo {
-		return lo
-	}
-	if p > hi {
-		return hi
-	}
-	return p
-}
-
-// FinalRMSE reports the last recorded reconstruction error.
-func (m *Model) FinalRMSE() float64 {
-	if len(m.ErrorTrace) == 0 {
-		return math.NaN()
-	}
-	return m.ErrorTrace[len(m.ErrorTrace)-1]
-}
-
 func dot(a, b []float64) float64 {
 	s := 0.0
 	for k := range a {

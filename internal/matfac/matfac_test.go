@@ -65,8 +65,8 @@ func TestExactLowRankRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.FinalRMSE() > 0.02 {
-		t.Fatalf("RMSE=%v on exactly low-rank data", m.FinalRMSE())
+	if rmse := m.ErrorTrace[len(m.ErrorTrace)-1]; rmse > 0.02 {
+		t.Fatalf("RMSE=%v on exactly low-rank data", rmse)
 	}
 }
 
@@ -191,7 +191,7 @@ func TestPredictGeneralizes(t *testing.T) {
 	}
 	var seModel, seMean float64
 	for _, r := range test {
-		p := m.PredictClamped(r.User, r.Item, 1, 5)
+		p := min(max(m.Predict(r.User, r.Item), 1), 5) // ratings live on 1..5
 		seModel += (p - r.Value) * (p - r.Value)
 		seMean += (mean - r.Value) * (mean - r.Value)
 	}
@@ -202,14 +202,11 @@ func TestPredictGeneralizes(t *testing.T) {
 		math.Sqrt(seModel/float64(len(test))), math.Sqrt(seMean/float64(len(test))))
 }
 
-func TestPredictClampedAndBounds(t *testing.T) {
+func TestPredictOutOfRange(t *testing.T) {
 	s, _ := NewSparse(2, 2, []Triplet{{0, 0, 5}, {1, 1, 5}})
 	m, err := Factorize(s, Config{Rank: 2, Iterations: 30, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if p := m.PredictClamped(0, 0, 1, 5); p < 1 || p > 5 {
-		t.Fatalf("clamped prediction %v outside bounds", p)
 	}
 	// Out-of-range indices predict 0 rather than panicking.
 	if p := m.Predict(-1, 0); p != 0 {

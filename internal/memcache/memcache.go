@@ -216,18 +216,6 @@ func (s *Store) Set(key string, value []byte, ttl time.Duration) {
 	sh.mu.Unlock()
 }
 
-// Len reports the number of live items (expired items may be counted until
-// lazily collected).
-func (s *Store) Len() int {
-	n := 0
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		n += len(sh.items)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
 // Stats returns cumulative counters and current occupancy.
 func (s *Store) Stats() Stats {
 	st := Stats{

@@ -43,8 +43,8 @@ func TestSetOverwrites(t *testing.T) {
 	if string(got) != "v2" {
 		t.Fatalf("got %q", got)
 	}
-	if s.Len() != 1 {
-		t.Fatalf("len=%d", s.Len())
+	if n := s.Stats().Items; n != 1 {
+		t.Fatalf("items=%d", n)
 	}
 }
 

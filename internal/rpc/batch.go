@@ -244,19 +244,11 @@ func NewBatcher(pool *Pool, opts BatcherOptions) *Batcher {
 	return b
 }
 
-// Go enqueues an asynchronous call for the batcher's destination.  The
-// returned Call completes like a Client.Go call; Sent is the enqueue
-// instant, so observed latency includes time spent waiting for batch-mates.
-// A non-nil done must be buffered, as for Client.Go.
-func (b *Batcher) Go(method string, payload []byte, data any, done chan *Call) *Call {
-	call := newCall(method, payload, trace.SpanContext{}, data, done)
-	b.enqueue(call)
-	return call
-}
-
 // GoRefSpan is Client.GoRefSpan for a member: sc rides the carrier as a
 // per-member span-context header (or the plain frame header if the member
 // ends up flushed alone), so batching never loses a request's identity.
+// Sent is the enqueue instant, so observed latency includes time spent
+// waiting for batch-mates.
 func (b *Batcher) GoRefSpan(method string, payload []byte, sc trace.SpanContext, data any, done chan *Call) CallRef {
 	call := newCall(method, payload, sc, data, done)
 	ref := call.Ref()

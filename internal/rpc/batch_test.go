@@ -14,6 +14,12 @@ import (
 	"musuite/internal/wire"
 )
 
+// goMember enqueues an untraced member and returns its call, which completes
+// like a Client.Go call.
+func goMember(b *Batcher, method string, payload []byte) *Call {
+	return b.GoRefSpan(method, payload, trace.SpanContext{}, nil, nil).call
+}
+
 // --- carrier codec ---
 
 // encodeCarrier is what Batcher.send puts on the wire for members.
@@ -290,7 +296,7 @@ func TestBatcherFlushOnSize(t *testing.T) {
 	})
 	calls := make([]*Call, 4)
 	for i := range calls {
-		calls[i] = b.Go("echo", []byte{byte('a' + i)}, nil, nil)
+		calls[i] = goMember(b, "echo", []byte{byte('a' + i)})
 	}
 	waitCalls(t, calls)
 	for i, c := range calls {
@@ -318,8 +324,8 @@ func TestBatcherFlushOnDeadline(t *testing.T) {
 		Delay:    func() time.Duration { return 2 * time.Millisecond },
 		Counters: tab,
 	})
-	c1 := b.Go("echo", []byte("x"), nil, nil)
-	c2 := b.Go("echo", []byte("y"), nil, nil)
+	c1 := goMember(b, "echo", []byte("x"))
+	c2 := goMember(b, "echo", []byte("y"))
 	waitCalls(t, []*Call{c1, c2})
 	if c1.Err != nil || c2.Err != nil {
 		t.Fatalf("errors: %v %v", c1.Err, c2.Err)
@@ -340,7 +346,7 @@ func TestBatcherFlushOnShutdown(t *testing.T) {
 	})
 	calls := make([]*Call, 3)
 	for i := range calls {
-		calls[i] = b.Go("echo", []byte{byte('0' + i)}, nil, nil)
+		calls[i] = goMember(b, "echo", []byte{byte('0' + i)})
 	}
 	b.Close()
 	waitCalls(t, calls)
@@ -354,7 +360,7 @@ func TestBatcherFlushOnShutdown(t *testing.T) {
 	}
 	wantFlush(t, tab, 3, telemetry.BatchFlushShutdown)
 	// Post-close enqueues are rejected, not silently queued.
-	late := b.Go("echo", []byte("late"), nil, nil)
+	late := goMember(b, "echo", []byte("late"))
 	waitCalls(t, []*Call{late})
 	if !errors.Is(late.Err, ErrClientClosed) {
 		t.Fatalf("post-close call got %v, want ErrClientClosed", late.Err)
@@ -367,7 +373,7 @@ func TestBatcherSingletonSkipsCarrier(t *testing.T) {
 		MaxBatch: 8,
 		Delay:    func() time.Duration { return time.Millisecond },
 	})
-	c := b.Go("echo", []byte("solo"), nil, nil)
+	c := goMember(b, "echo", []byte("solo"))
 	waitCalls(t, []*Call{c})
 	if c.Err != nil || !bytes.Equal(c.Reply, []byte("solo")) {
 		t.Fatalf("reply %q err %v", c.Reply, c.Err)
@@ -384,9 +390,9 @@ func TestBatcherPerItemFailureIsolated(t *testing.T) {
 		MaxBatch: 3,
 		Delay:    func() time.Duration { return time.Hour },
 	})
-	good1 := b.Go("echo", []byte("g1"), nil, nil)
-	bad := b.Go("echo", []byte("bad"), nil, nil)
-	good2 := b.Go("echo", []byte("g2"), nil, nil)
+	good1 := goMember(b, "echo", []byte("g1"))
+	bad := goMember(b, "echo", []byte("bad"))
+	good2 := goMember(b, "echo", []byte("g2"))
 	waitCalls(t, []*Call{good1, bad, good2})
 	if good1.Err != nil || good2.Err != nil {
 		t.Fatalf("healthy batch-mates condemned: %v %v", good1.Err, good2.Err)
@@ -406,8 +412,8 @@ func TestBatcherAbandonQueuedMember(t *testing.T) {
 		MaxBatch: 8,
 		Delay:    func() time.Duration { return 5 * time.Millisecond },
 	})
-	keep := b.Go("echo", []byte("keep"), nil, nil)
-	drop := b.Go("echo", []byte("drop"), nil, nil)
+	keep := goMember(b, "echo", []byte("keep"))
+	drop := goMember(b, "echo", []byte("drop"))
 	b.AbandonRef(drop.Ref())
 	waitCalls(t, []*Call{keep})
 	if keep.Err != nil || !bytes.Equal(keep.Reply, []byte("keep")) {
@@ -442,8 +448,8 @@ func TestBatcherWholeCarrierFailureFailsEveryMember(t *testing.T) {
 		MaxBatch: 2,
 		Delay:    func() time.Duration { return time.Hour },
 	})
-	c1 := b.Go("echo", []byte("a"), nil, nil)
-	c2 := b.Go("echo", []byte("b"), nil, nil)
+	c1 := goMember(b, "echo", []byte("a"))
+	c2 := goMember(b, "echo", []byte("b"))
 	waitCalls(t, []*Call{c1, c2})
 	for i, c := range []*Call{c1, c2} {
 		if c.Err == nil {

@@ -21,7 +21,7 @@ func TestAbandonDropsResponse(t *testing.T) {
 	if got := c.Pending(); got != 1 {
 		t.Fatalf("pending=%d before abandon, want 1", got)
 	}
-	c.Abandon(call)
+	c.AbandonRef(call.Ref())
 	// The server is still working on it: the load probe keeps counting the
 	// call until its response has come and gone.
 	if got := c.Pending(); got != 1 {
@@ -60,7 +60,7 @@ func TestFinishDropsCancelledCall(t *testing.T) {
 
 func TestStaleCancelDoesNotStick(t *testing.T) {
 	// A cancel aimed at generation g must not affect the call once it has
-	// been recycled into generation g+1 (a late Abandon via a stale ref).
+	// been recycled into generation g+1 (a late AbandonRef via a stale ref).
 	call := getCall()
 	gen := call.gen.Load()
 	call.Release()

@@ -47,7 +47,7 @@ type Call struct {
 
 	id uint64
 	// gen counts the struct's reuses.  Every cancellation and reference is
-	// stamped with the generation it was issued against, so a late Abandon
+	// stamped with the generation it was issued against, so a late AbandonRef
 	// from a hedge loser's previous life can never touch the call's next
 	// occupant.
 	gen atomic.Uint32
@@ -327,7 +327,7 @@ func (c *Client) GoSpan(method string, payload []byte, sc trace.SpanContext, dat
 
 // GoRefSpan is GoSpan returning a generation-stamped reference instead of the
 // call: the ref is captured before the request can complete, so it is safe
-// to use for Abandon even if the response races the send and the consumer
+// to use for AbandonRef even if the response races the send and the consumer
 // has already recycled the call.
 func (c *Client) GoRefSpan(method string, payload []byte, sc trace.SpanContext, data any, done chan *Call) CallRef {
 	return c.start(newCall(method, payload, sc, data, done))
@@ -445,18 +445,11 @@ func (c *Call) consume() ([]byte, error) {
 	return reply, err
 }
 
-// Abandon cancels an outstanding call: its pending-table entry is removed,
-// so a late response is silently discarded at the reader, and the call is
-// never delivered on Done.  Valid only while the caller still owns the call
-// (before Release); prefer AbandonRef where the call's consumer may recycle
-// it concurrently.  The server may still execute the request —
-// cancellation stops waiting, not remote work.
-func (c *Client) Abandon(call *Call) {
-	c.AbandonRef(call.Ref())
-}
-
 // AbandonRef cancels the referenced call if its generation is still
-// current.  Used to cancel the losing side of a hedged request pair: the
+// current: its pending-table entry is removed, so a late response is
+// silently discarded at the reader, and the call is never delivered on Done.
+// The server may still execute the request — cancellation stops waiting, not
+// remote work.  Used to cancel the losing side of a hedged request pair: the
 // loser's consumer may complete and recycle it at any moment, which a stale
 // ref tolerates by doing nothing.
 //
@@ -615,9 +608,6 @@ func (c *Client) Close() error {
 	return err
 }
 
-// Addr reports the remote address.
-func (c *Client) Addr() string { return c.conn.RemoteAddr().String() }
-
 // Closed reports whether the connection has shut down (locally closed or
 // failed).
 func (c *Client) Closed() bool {
@@ -723,9 +713,6 @@ func (p *Pool) redial(s *poolSlot, dead *Client) {
 		nc.Close()
 	}
 }
-
-// Size reports the number of pooled connections.
-func (p *Pool) Size() int { return len(p.slots) }
 
 // Outstanding reports the number of in-flight calls across the pool's
 // connections — the load signal replica selection uses ("join the shortest

@@ -2,7 +2,6 @@ package rpc
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 	"time"
 )
@@ -47,8 +46,8 @@ func TestClientAddrAndClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Addr(); !strings.HasPrefix(got, "127.0.0.1:") {
-		t.Fatalf("addr=%q", got)
+	if got := c.conn.RemoteAddr().String(); got != addr {
+		t.Fatalf("addr=%q, want %q", got, addr)
 	}
 	if c.Closed() {
 		t.Fatal("fresh client reports closed")

@@ -86,7 +86,7 @@ func TestPrefixSplitAcrossPark(t *testing.T) {
 			}
 			payload := bytes.Repeat([]byte{byte(id)}, 100+int(id))
 			f, _ := appendFrame(nil, kindRequest, id, trace.SpanContext{}, "echo", payload)
-			parks := probe.Load(telemetry.SysEpollPwait)
+			parks := probe.Snapshot()[telemetry.SysEpollPwait]
 			if _, err := conn.Write(append(lead, f[:split]...)); err != nil {
 				t.Fatal(err)
 			}
@@ -96,7 +96,7 @@ func TestPrefixSplitAcrossPark(t *testing.T) {
 				}
 			}
 			// The poller has read the split bytes once it parks again.
-			for deadline := time.Now().Add(hardTimeout); probe.Load(telemetry.SysEpollPwait) == parks; time.Sleep(time.Millisecond) {
+			for deadline := time.Now().Add(hardTimeout); probe.Snapshot()[telemetry.SysEpollPwait] == parks; time.Sleep(time.Millisecond) {
 				if time.Now().After(deadline) {
 					t.Fatal("the poller never parked after the split prefix")
 				}

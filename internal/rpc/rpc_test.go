@@ -259,8 +259,8 @@ func TestPoolRoundRobin(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if p.Size() != 3 {
-		t.Fatalf("size=%d", p.Size())
+	if len(p.slots) != 3 {
+		t.Fatalf("size=%d", len(p.slots))
 	}
 	seen := make(map[*Client]int)
 	for i := 0; i < 9; i++ {
@@ -298,16 +298,16 @@ func TestTelemetryCountsFlow(t *testing.T) {
 	}
 	// Request + response per call, both directions instrumented on the
 	// same probe: ≥ 2n sendmsg.
-	if got := probe.Load(telemetry.SysSendmsg); got < 2*n {
+	if got := probe.Snapshot()[telemetry.SysSendmsg]; got < 2*n {
 		t.Errorf("sendmsg=%d want ≥%d", got, 2*n)
 	}
-	if got := probe.Load(telemetry.SysRecvmsg); got == 0 {
+	if got := probe.Snapshot()[telemetry.SysRecvmsg]; got == 0 {
 		t.Error("recvmsg=0")
 	}
-	if got := probe.Load(telemetry.SysEpollPwait); got == 0 {
+	if got := probe.Snapshot()[telemetry.SysEpollPwait]; got == 0 {
 		t.Error("epoll_pwait=0")
 	}
-	if probe.Load(telemetry.SysClone) < 2 {
+	if probe.Snapshot()[telemetry.SysClone] < 2 {
 		t.Error("clone<2 (poller + client reader)")
 	}
 	if probe.OverheadSnapshot(telemetry.OverheadNetTx).Count == 0 {

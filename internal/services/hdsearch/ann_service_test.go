@@ -74,13 +74,13 @@ func TestANNExhaustiveMatchesBruteForce(t *testing.T) {
 	for _, kind := range []IndexKind{IndexIVF, IndexIVFSQ, IndexIVFPQ, IndexHNSW} {
 		t.Run(string(kind), func(t *testing.T) {
 			cl, client := startANNCluster(t, kind, ann.Config{NList: 12, Seed: 13})
+			knob := 12 // every IVF list
 			if kind == IndexHNSW {
 				// An efSearch covering any shard makes the beam exhaustive
 				// over the shard's (connected) base layer.
-				cl.ANNRouter().SetEFSearch(len(corpus.Vectors))
-			} else {
-				cl.ANNRouter().SetNProbe(12)
+				knob = len(corpus.Vectors)
 			}
+			cl.ANNRouter().SetNProbe(knob)
 			cl.ANNRouter().SetRerank(len(corpus.Vectors))
 			for qi, q := range corpus.Queries(25, 19) {
 				got, err := client.Search(q, 5)
@@ -141,14 +141,14 @@ func TestANNRouterRetune(t *testing.T) {
 }
 
 // TestHNSWRouterRetuneEFSearch: the hnsw beam width must be retunable on a
-// live cluster through the EFSearch alias of the shared knob slot, and a
-// wider beam must not lower recall.
+// live cluster through the shared knob slot (SetNProbe), and a wider beam
+// must not lower recall.
 func TestHNSWRouterRetuneEFSearch(t *testing.T) {
 	corpus := testCorpus(t)
 	cl, client := startANNCluster(t, IndexHNSW, ann.Config{Seed: 27})
 	queries := corpus.Queries(40, 31)
 	recallAt := func(ef int) float64 {
-		cl.ANNRouter().SetEFSearch(ef)
+		cl.ANNRouter().SetNProbe(ef)
 		hits := 0
 		for _, q := range queries {
 			got, err := client.Search(q, 1)

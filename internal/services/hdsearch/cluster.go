@@ -122,7 +122,7 @@ func (a *Assembly) Leaf(shard int, opts *core.LeafOptions) (*core.Leaf, error) {
 // broadcasts the query with the breadth and rerank knobs.
 func (a *Assembly) MidTier(opts *core.Options) (*core.MidTier, error) {
 	if IsLeafANN(a.kind) {
-		knob := a.annCfg.NProbe
+		knob := 0 // an IVF leaf probes its index's default nprobe
 		if a.kind == IndexHNSW {
 			knob = a.annCfg.EFSearch
 		}

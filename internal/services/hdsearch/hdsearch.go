@@ -134,21 +134,14 @@ func appendLeafANNRequest(e *wire.Encoder, query []float32, k, nprobe, rerank in
 	e.Float32s(query)
 }
 
-// AppendNeighbors appends a distance-sorted result list to e — the
-// streaming form the leaf and mid-tier reply paths use with pooled
-// encoders.
-func AppendNeighbors(e *wire.Encoder, ns []Neighbor) {
+// EncodeNeighbors encodes a distance-sorted result list.
+func EncodeNeighbors(ns []Neighbor) []byte {
+	e := wire.NewEncoder(8 + 8*len(ns))
 	e.Uvarint(uint64(len(ns)))
 	for _, n := range ns {
 		e.Uint32(n.PointID)
 		e.Float32(n.Distance)
 	}
-}
-
-// EncodeNeighbors encodes a distance-sorted result list.
-func EncodeNeighbors(ns []Neighbor) []byte {
-	e := wire.NewEncoder(8 + 8*len(ns))
-	AppendNeighbors(e, ns)
 	return e.Bytes()
 }
 

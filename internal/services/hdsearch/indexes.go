@@ -116,7 +116,7 @@ func LeafANNConfig(kind IndexKind, cfg ann.Config) (ann.Config, bool) {
 // mutable so experiment sweeps can retune a live cluster without rebuilding
 // the leaf indexes.  The first knob slot is the family's search-breadth
 // control — nprobe for the IVF kinds, efSearch for hnsw — carried in the
-// same wire position; SetEFSearch aliases it under the graph family's name.
+// same wire position, so SetNProbe sets an hnsw leaf's efSearch.
 type LeafANN struct {
 	dim    int
 	nprobe atomic.Int32
@@ -149,9 +149,6 @@ func (x *LeafANN) Rerank() int { return int(x.rerank.Load()) }
 
 // SetRerank retunes the re-rank depth for subsequent requests.
 func (x *LeafANN) SetRerank(n int) { x.rerank.Store(int32(n)) }
-
-// SetEFSearch retunes the hnsw beam width for subsequent requests.
-func (x *LeafANN) SetEFSearch(n int) { x.nprobe.Store(int32(n)) }
 
 // KDTreeIndex adapts a kd-tree to the CandidateIndex interface.
 type KDTreeIndex struct {

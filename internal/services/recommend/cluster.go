@@ -17,8 +17,6 @@ type ClusterConfig struct {
 	Shards int
 	// Rank and Iterations tune each leaf's NMF (defaults from matfac).
 	Rank, Iterations int
-	// Neighbors is the allknn neighborhood size (default 10).
-	Neighbors int
 	// Seed controls model initialization.
 	Seed int64
 	// LeafReplicas is the number of leaf processes serving each shard
@@ -74,8 +72,7 @@ func (a *Assembly) Leaf(shard int, opts *core.LeafOptions) (*core.Leaf, error) {
 		cfg := LeafConfig{
 			Users: a.cfg.Corpus.Users, Items: a.cfg.Corpus.Items,
 			Rank: a.cfg.Rank, Iterations: a.cfg.Iterations,
-			Neighbors: a.cfg.Neighbors,
-			Seed:      a.cfg.Seed + int64(shard),
+			Seed: a.cfg.Seed + int64(shard),
 		}
 		lm, err := TrainLeaf(a.ratings[shard], cfg)
 		if err != nil {

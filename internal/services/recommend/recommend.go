@@ -72,9 +72,10 @@ type LeafConfig struct {
 	// Rank, Iterations, Seed tune the NMF (see matfac.Config).
 	Rank, Iterations int
 	Seed             int64
-	// Neighbors is the allknn neighborhood size (default 10).
-	Neighbors int
 }
+
+// allknnNeighbors is the allknn neighborhood size of every prediction.
+const allknnNeighbors = 10
 
 // LeafModel is one shard's trained state: the NMF factors plus which users
 // actually have observations in this shard (cold users keep their random
@@ -88,7 +89,6 @@ type LeafModel struct {
 	userKnown []bool
 	itemKnown []bool
 	users     *kernel.Store // model.W as float32, one row per user
-	neighbors int
 }
 
 // TrainLeaf factorizes one shard of ratings (the offline step the paper's
@@ -119,10 +119,6 @@ func TrainLeaf(ratings []dataset.Rating, cfg LeafConfig) (*LeafModel, error) {
 	if err != nil {
 		return nil, err
 	}
-	nb := cfg.Neighbors
-	if nb <= 0 {
-		nb = 10
-	}
 	users, err := kernel.FromFloat64(model.W.Data, model.W.Stride)
 	if err != nil {
 		return nil, err
@@ -132,21 +128,14 @@ func TrainLeaf(ratings []dataset.Rating, cfg LeafConfig) (*LeafModel, error) {
 		userKnown: userKnown,
 		itemKnown: itemKnown,
 		users:     users,
-		neighbors: nb,
 	}, nil
 }
 
-// Predict computes this shard's rating estimate for {user, item} via the
+// predict computes this shard's rating estimate for {user, item} via the
 // user-neighborhood approach: find the allknn most similar known users in
-// latent-factor space (cosine), then average their factor-model ratings for
-// the item, weighted by similarity.  ok is false when the shard has never
-// seen the user or the item.  The scan is counted nowhere; a leaf predicts
-// with its own engine.
-func (lm *LeafModel) Predict(user, item int) (float64, bool) {
-	return lm.predict(kernel.Default(), user, item)
-}
-
-// predict is Predict with the neighborhood scanned on eng.
+// latent-factor space (cosine) on eng, then average their factor-model
+// ratings for the item, weighted by similarity.  ok is false when the shard
+// has never seen the user or the item.
 func (lm *LeafModel) predict(eng *kernel.Engine, user, item int) (float64, bool) {
 	if !lm.canRate(user, item) {
 		return 0, false
@@ -167,7 +156,7 @@ func (lm *LeafModel) canRate(user, item int) bool {
 // The engine applies the known-users mask inline and excludes the query user
 // itself, so no per-request exclusion map is built.
 func (lm *LeafModel) neighborhood(eng *kernel.Engine, user int) []kernel.Neighbor {
-	nbrs, err := eng.CosineNeighbors(lm.users, user, lm.userKnown, lm.neighbors, nil)
+	nbrs, err := eng.CosineNeighbors(lm.users, user, lm.userKnown, allknnNeighbors, nil)
 	if err != nil {
 		return nil
 	}
@@ -194,18 +183,6 @@ func (lm *LeafModel) predictWith(neighbors []kernel.Neighbor, user, item int) fl
 		rating = lm.model.Predict(user, item)
 	}
 	return clamp(rating)
-}
-
-// DirectPredict is the pure factor-model prediction, exposed for the
-// neighborhood-vs-direct ablation.
-func (lm *LeafModel) DirectPredict(user, item int) (float64, bool) {
-	if user < 0 || user >= len(lm.userKnown) || item < 0 || item >= len(lm.itemKnown) {
-		return 0, false
-	}
-	if !lm.userKnown[user] || !lm.itemKnown[item] {
-		return 0, false
-	}
-	return clamp(lm.model.Predict(user, item)), true
 }
 
 func clamp(r float64) float64 {
@@ -327,11 +304,6 @@ func (c *Client) Predict(user, item int) (float64, bool, error) {
 	}
 	rating, ok, err := DecodePredictResponse(reply)
 	return rating, ok, err
-}
-
-// Go issues an asynchronous prediction (for load generators).
-func (c *Client) Go(user, item int, done chan *rpc.Call) *rpc.Call {
-	return c.rpc.Go(MethodPredict, EncodePredictRequest(user, item), nil, done)
 }
 
 // GoSpan issues an asynchronous prediction carrying a span context, tracing

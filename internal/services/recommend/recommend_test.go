@@ -7,6 +7,7 @@ import (
 
 	"musuite/internal/core"
 	"musuite/internal/dataset"
+	"musuite/internal/kernel"
 	"musuite/internal/rpc"
 	"musuite/internal/wire"
 )
@@ -84,7 +85,7 @@ func TestLeafPredictBoundsAndKnownness(t *testing.T) {
 	}
 	// Known pair: in-bounds rating.
 	r := corpus.Ratings[0]
-	rating, ok := lm.Predict(r.User, r.Item)
+	rating, ok := lm.predict(kernel.Default(), r.User, r.Item)
 	if !ok {
 		t.Fatal("known pair not rated")
 	}
@@ -92,15 +93,11 @@ func TestLeafPredictBoundsAndKnownness(t *testing.T) {
 		t.Fatalf("rating %v outside [%v,%v]", rating, MinRating, MaxRating)
 	}
 	// Out-of-range pair.
-	if _, ok := lm.Predict(-1, 0); ok {
+	if _, ok := lm.predict(kernel.Default(), -1, 0); ok {
 		t.Fatal("negative user rated")
 	}
-	if _, ok := lm.Predict(0, corpus.Items+5); ok {
+	if _, ok := lm.predict(kernel.Default(), 0, corpus.Items+5); ok {
 		t.Fatal("out-of-range item rated")
-	}
-	// DirectPredict agrees on knownness.
-	if _, ok := lm.DirectPredict(r.User, r.Item); !ok {
-		t.Fatal("direct predict unknown for known pair")
 	}
 }
 
@@ -124,7 +121,7 @@ func TestLeafPredictBeatsMeanBaseline(t *testing.T) {
 	var seModel, seMean float64
 	evaluated := 0
 	for _, r := range test {
-		p, ok := lm.Predict(r.User, r.Item)
+		p, ok := lm.predict(kernel.Default(), r.User, r.Item)
 		if !ok {
 			continue
 		}
@@ -180,7 +177,7 @@ func TestMidTierAveragesLeaves(t *testing.T) {
 		var sum float64
 		var n int
 		for _, lm := range cl.Models {
-			if r, lok := lm.Predict(p[0], p[1]); lok {
+			if r, lok := lm.predict(kernel.Default(), p[0], p[1]); lok {
 				sum += r
 				n++
 			}

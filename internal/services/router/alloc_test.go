@@ -128,8 +128,8 @@ func TestLeafKeepsNoViewOfTheRequest(t *testing.T) {
 	if v, ok := store.Get("alpha"); !ok || string(v) != "one" {
 		t.Fatalf("after the request buffer was reused the store holds %q (present=%v), want \"one\"", v, ok)
 	}
-	if store.Len() != 1 {
-		t.Fatalf("store holds %d items, want 1", store.Len())
+	if n := store.Stats().Items; n != 1 {
+		t.Fatalf("store holds %d items, want 1", n)
 	}
 }
 

@@ -35,16 +35,6 @@ func Hash64(message []byte, seed uint64) uint64 {
 	return h1
 }
 
-// Hash32 computes a 32-bit hash (the low bits of Hash64).
-func Hash32(message []byte, seed uint32) uint32 {
-	return uint32(Hash64(message, uint64(seed)))
-}
-
-// HashString is Hash128 over the bytes of s without an explicit copy.
-func HashString(s string, seed1, seed2 uint64) (uint64, uint64) {
-	return Hash128([]byte(s), seed1, seed2)
-}
-
 // le64 reads a little-endian uint64; the reference implementation assumes a
 // little-endian host and we reproduce that byte order portably.
 func le64(b []byte) uint64 {

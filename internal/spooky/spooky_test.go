@@ -112,22 +112,11 @@ func TestUniformBucketing(t *testing.T) {
 	}
 }
 
-func TestHash64And32Consistency(t *testing.T) {
+func TestHash64IsHash128FirstHalf(t *testing.T) {
 	m := []byte("consistency")
 	h1, _ := Hash128(m, 5, 5)
 	if Hash64(m, 5) != h1 {
 		t.Error("Hash64 != first half of Hash128 with equal seeds")
-	}
-	if Hash32(m, 5) != uint32(Hash64(m, 5)) {
-		t.Error("Hash32 != low bits of Hash64")
-	}
-}
-
-func TestHashString(t *testing.T) {
-	b1, b2 := Hash128([]byte("routing-key"), 3, 4)
-	s1, s2 := HashString("routing-key", 3, 4)
-	if b1 != s1 || b2 != s2 {
-		t.Error("HashString differs from Hash128 over the same bytes")
 	}
 }
 

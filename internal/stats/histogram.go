@@ -175,31 +175,6 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	return time.Duration(h.max)
 }
 
-// Merge folds other into h.  Both histograms remain usable.
-func (h *Histogram) Merge(other *Histogram) {
-	other.mu.Lock()
-	counts := make([]uint64, len(other.counts))
-	copy(counts, other.counts)
-	oTotal, oSum, oMin, oMax := other.totalCount, other.sum, other.min, other.max
-	other.mu.Unlock()
-
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for i, c := range counts {
-		h.counts[i] += c
-	}
-	h.totalCount += oTotal
-	h.sum += oSum
-	if oTotal > 0 {
-		if oMin < h.min {
-			h.min = oMin
-		}
-		if oMax > h.max {
-			h.max = oMax
-		}
-	}
-}
-
 // Reset clears all recorded observations.
 func (h *Histogram) Reset() {
 	h.mu.Lock()

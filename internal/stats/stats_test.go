@@ -98,29 +98,6 @@ func TestHistogramNegativeClamped(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram(), NewHistogram()
-	for i := 0; i < 100; i++ {
-		a.Record(time.Duration(i+1) * time.Microsecond)
-		b.Record(time.Duration(i+1) * time.Millisecond)
-	}
-	a.Merge(b)
-	if a.Count() != 200 {
-		t.Fatalf("merged count=%d", a.Count())
-	}
-	if a.Min() != time.Microsecond {
-		t.Errorf("merged min=%v", a.Min())
-	}
-	if a.Max() != 100*time.Millisecond {
-		t.Errorf("merged max=%v", a.Max())
-	}
-	// Median should fall at the boundary between the two populations.
-	med := a.Quantile(0.5)
-	if med < 90*time.Microsecond || med > 2*time.Millisecond {
-		t.Errorf("merged median=%v", med)
-	}
-}
-
 func TestHistogramReset(t *testing.T) {
 	h := NewHistogram()
 	h.Record(time.Millisecond)
@@ -347,8 +324,8 @@ func TestTrials(t *testing.T) {
 	for _, v := range []float64{10, 12, 8, 11, 9} {
 		tr.Add(v)
 	}
-	if tr.N() != 5 {
-		t.Fatalf("n=%d", tr.N())
+	if len(tr.values) != 5 {
+		t.Fatalf("n=%d", len(tr.values))
 	}
 	if math.Abs(tr.Mean()-10) > 1e-9 {
 		t.Errorf("mean=%v", tr.Mean())

@@ -125,9 +125,6 @@ type Trials struct {
 // Add records one trial's value.
 func (t *Trials) Add(v float64) { t.values = append(t.values, v) }
 
-// N reports the number of trials recorded.
-func (t *Trials) N() int { return len(t.values) }
-
 // Mean reports the mean over trials (0 if none).
 func (t *Trials) Mean() float64 {
 	if len(t.values) == 0 {

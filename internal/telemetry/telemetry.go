@@ -365,9 +365,6 @@ func (p *Probe) Table() *Table {
 // Add counts n occurrences of c.
 func (p *Probe) Add(c Counter, n uint64) { p.Table().Add(c, n) }
 
-// Load reports the count of c.
-func (p *Probe) Load(c Counter) uint64 { return p.Table().Load(c) }
-
 // Snapshot captures the current counter values; the experiment harness
 // differences two of them per measurement window.
 func (p *Probe) Snapshot() Snapshot { return p.Table().Snapshot() }

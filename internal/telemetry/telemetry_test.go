@@ -14,7 +14,7 @@ func TestNilProbeSafe(t *testing.T) {
 	p.Add(CtxSwitch, 1)
 	p.ObserveOverhead(OverheadActiveExe, time.Millisecond)
 	p.Reset()
-	if p.Load(SysFutex) != 0 || p.Load(CtxSwitch) != 0 || p.Table() != nil {
+	if p.Snapshot()[SysFutex] != 0 || p.Snapshot()[CtxSwitch] != 0 || p.Table() != nil {
 		t.Fatal("nil probe returned non-zero")
 	}
 	if p.OverheadSnapshot(OverheadNet).Count != 0 {
@@ -35,20 +35,20 @@ func TestCounters(t *testing.T) {
 	p.Add(SysFutex, 1)
 	p.Add(SysFutex, 1)
 	p.Add(SysRecvmsg, 5)
-	if p.Load(SysFutex) != 2 {
-		t.Errorf("futex=%d", p.Load(SysFutex))
+	if p.Snapshot()[SysFutex] != 2 {
+		t.Errorf("futex=%d", p.Snapshot()[SysFutex])
 	}
-	if p.Load(SysRecvmsg) != 5 {
-		t.Errorf("recvmsg=%d", p.Load(SysRecvmsg))
+	if p.Snapshot()[SysRecvmsg] != 5 {
+		t.Errorf("recvmsg=%d", p.Snapshot()[SysRecvmsg])
 	}
 	p.Add(CtxSwitch, 1)
 	p.Add(HITM, 1)
 	p.Add(TCPRetransmit, 1)
-	if p.Load(CtxSwitch) != 1 || p.Load(HITM) != 1 || p.Load(TCPRetransmit) != 1 {
+	if p.Snapshot()[CtxSwitch] != 1 || p.Snapshot()[HITM] != 1 || p.Snapshot()[TCPRetransmit] != 1 {
 		t.Error("scalar counters wrong")
 	}
 	p.Reset()
-	if p.Load(SysFutex) != 0 || p.Load(CtxSwitch) != 0 {
+	if p.Snapshot()[SysFutex] != 0 || p.Snapshot()[CtxSwitch] != 0 {
 		t.Error("reset failed")
 	}
 }
@@ -63,14 +63,14 @@ func TestTableForwardsToParent(t *testing.T) {
 	b.Add(TierServed, 4)
 	b.Add(KernelPoints, 100)
 	p.Add(SysFutex, 9) // booked on the root directly: no child sees it
-	if a.Load(TierServed) != 3 || b.Load(TierServed) != 4 || p.Load(TierServed) != 7 {
-		t.Errorf("served: a=%d b=%d root=%d", a.Load(TierServed), b.Load(TierServed), p.Load(TierServed))
+	if a.Load(TierServed) != 3 || b.Load(TierServed) != 4 || p.Snapshot()[TierServed] != 7 {
+		t.Errorf("served: a=%d b=%d root=%d", a.Load(TierServed), b.Load(TierServed), p.Snapshot()[TierServed])
 	}
-	if a.Load(KernelPoints) != 0 || p.Load(KernelPoints) != 100 || a.Load(SysFutex) != 0 {
+	if a.Load(KernelPoints) != 0 || p.Snapshot()[KernelPoints] != 100 || a.Load(SysFutex) != 0 {
 		t.Error("counts leaked between sibling tables")
 	}
 	p.Reset()
-	if p.Load(TierServed) != 0 || b.Load(TierServed) != 4 {
+	if p.Snapshot()[TierServed] != 0 || b.Load(TierServed) != 4 {
 		t.Error("probe reset must clear the root and only the root")
 	}
 }
@@ -179,8 +179,8 @@ func TestProbedMutexContention(t *testing.T) {
 	// Uncontended: no HITM.
 	m.Lock()
 	m.Unlock()
-	if p.Load(HITM) != 0 {
-		t.Fatalf("uncontended lock counted HITM: %d", p.Load(HITM))
+	if p.Snapshot()[HITM] != 0 {
+		t.Fatalf("uncontended lock counted HITM: %d", p.Snapshot()[HITM])
 	}
 	// Force contention: goroutine holds the lock while we acquire.
 	m.Lock()
@@ -193,10 +193,10 @@ func TestProbedMutexContention(t *testing.T) {
 	time.Sleep(5 * time.Millisecond) // let the goroutine reach the contended path
 	m.Unlock()
 	<-done
-	if p.Load(HITM) == 0 {
+	if p.Snapshot()[HITM] == 0 {
 		t.Error("contended lock did not count HITM")
 	}
-	if p.Load(SysFutex) == 0 {
+	if p.Snapshot()[SysFutex] == 0 {
 		t.Error("contended lock did not count futex")
 	}
 }
@@ -222,11 +222,11 @@ func TestProbedCond(t *testing.T) {
 	m.Unlock()
 	<-done
 	// One Wait + one Signal = at least 2 futex proxies; Wait also counts a CS.
-	if p.Load(SysFutex) < 2 {
-		t.Errorf("futex=%d want ≥2", p.Load(SysFutex))
+	if p.Snapshot()[SysFutex] < 2 {
+		t.Errorf("futex=%d want ≥2", p.Snapshot()[SysFutex])
 	}
-	if p.Load(CtxSwitch) < 1 {
-		t.Errorf("cs=%d want ≥1", p.Load(CtxSwitch))
+	if p.Snapshot()[CtxSwitch] < 1 {
+		t.Errorf("cs=%d want ≥1", p.Snapshot()[CtxSwitch])
 	}
 }
 
@@ -244,8 +244,8 @@ func TestProbeConcurrency(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if p.Load(SysFutex) != 8000 {
-		t.Fatalf("futex=%d", p.Load(SysFutex))
+	if p.Snapshot()[SysFutex] != 8000 {
+		t.Fatalf("futex=%d", p.Snapshot()[SysFutex])
 	}
 	if p.OverheadSnapshot(OverheadNet).Count != 8000 {
 		t.Fatalf("overhead count=%d", p.OverheadSnapshot(OverheadNet).Count)
@@ -276,7 +276,7 @@ func TestCondBroadcast(t *testing.T) {
 	c.Broadcast()
 	m.Unlock()
 	wg.Wait()
-	if p.Load(CtxSwitch) < waiters {
-		t.Errorf("cs=%d want ≥%d", p.Load(CtxSwitch), waiters)
+	if p.Snapshot()[CtxSwitch] < waiters {
+		t.Errorf("cs=%d want ≥%d", p.Snapshot()[CtxSwitch], waiters)
 	}
 }

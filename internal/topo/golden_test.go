@@ -294,7 +294,7 @@ services:
 `, BuildOptions{Probe: probe})
 	done := make(chan *rpc.Call, 32)
 	for i := 0; i < cap(done); i++ {
-		d.Service("search").issue.Issue(done)
+		d.services["search"].issue.Issue(done)
 	}
 	for i := 0; i < cap(done); i++ {
 		if call := <-done; call.Err != nil {
@@ -302,14 +302,14 @@ services:
 		}
 	}
 	var sum uint64
-	for _, g := range d.Service("search").MidTiers()[0].Topology().View().Groups {
+	for _, g := range d.services["search"].mids[0].Topology().View().Groups {
 		st := tierStats(t, g.Addrs[0])
 		if st.Role != "leaf" || st.KernelPoints == 0 {
 			t.Fatalf("leaf %s: role=%q kernel points=%d", g.Addrs[0], st.Role, st.KernelPoints)
 		}
 		sum += st.KernelPoints
 	}
-	if total := probe.Load(telemetry.KernelPoints); sum != total {
+	if total := probe.Snapshot()[telemetry.KernelPoints]; sum != total {
 		t.Fatalf("Σ leaf KernelPoints = %d, the probe counted %d", sum, total)
 	}
 }

@@ -44,19 +44,6 @@ type Service struct {
 	closer []func()
 }
 
-// Stats snapshots every mid-tier instance of the service (synthetic
-// mid-tiers and registered kinds; empty for leaf kinds).
-func (s *Service) Stats() []core.TierStats {
-	out := make([]core.TierStats, 0, len(s.mids))
-	for _, m := range s.mids {
-		out = append(out, m.Stats())
-	}
-	return out
-}
-
-// MidTiers exposes the service's mid-tier instances (introspection/tests).
-func (s *Service) MidTiers() []*core.MidTier { return s.mids }
-
 // Deployment is a running topology: every service built in dependency
 // order and wired together over the core framework's named edges.
 type Deployment struct {
@@ -199,9 +186,6 @@ func (d *Deployment) buildSyntheticMid(svc *ServiceSpec) (*Service, error) {
 	}
 	return s, nil
 }
-
-// Service looks up a built service by name (nil if absent).
-func (d *Deployment) Service(name string) *Service { return d.services[name] }
 
 // Entry is the spec's entry service.
 func (d *Deployment) Entry() *Service { return d.services[d.Spec.Entry] }

@@ -72,10 +72,10 @@ func dialEntry(t *testing.T, d *Deployment) *rpc.Client {
 
 func TestBuildFourDeepRoundTrip(t *testing.T) {
 	d := buildSpec(t, fourDeepSpec, BuildOptions{})
-	if got := len(d.Service("leaf").leaves); got != 2 {
+	if got := len(d.services["leaf"].leaves); got != 2 {
 		t.Fatalf("leaf instances=%d want 2", got)
 	}
-	if got := len(d.Service("agg").mids); got != 2 {
+	if got := len(d.services["agg"].mids); got != 2 {
 		t.Fatalf("agg instances=%d want 2", got)
 	}
 	c := dialEntry(t, d)
@@ -91,9 +91,9 @@ func TestBuildFourDeepRoundTrip(t *testing.T) {
 	}
 	// Every tier actually served: the request really traversed 4 levels.
 	for _, svc := range []string{"fe", "agg", "mid"} {
-		stats := d.Service(svc).Stats()
 		var served uint64
-		for _, s := range stats {
+		for _, m := range d.services[svc].mids {
+			s := m.Stats()
 			if s.Role != "midtier" {
 				t.Fatalf("%s role=%q", svc, s.Role)
 			}
@@ -104,7 +104,7 @@ func TestBuildFourDeepRoundTrip(t *testing.T) {
 		}
 	}
 	var leafServed uint64
-	for _, l := range d.Service("leaf").leaves {
+	for _, l := range d.services["leaf"].leaves {
 		leafServed += l.Stats().Served
 	}
 	if leafServed < 3 {
@@ -148,21 +148,21 @@ func TestCacheMissFillThenHit(t *testing.T) {
 	if _, err := c.Call("get", encodeSynthetic(key, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if got := served(d.Service("db")); got != 1 {
+	if got := served(d.services["db"]); got != 1 {
 		t.Fatalf("db served=%d after miss, want 1 (probe missed, store fetched)", got)
 	}
 	// probe (miss) + fill set
-	if got := served(d.Service("cache")); got != 2 {
+	if got := served(d.services["cache"]); got != 2 {
 		t.Fatalf("cache served=%d after miss+fill, want 2", got)
 	}
 
 	if _, err := c.Call("get", encodeSynthetic(key, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if got := served(d.Service("db")); got != 1 {
+	if got := served(d.services["db"]); got != 1 {
 		t.Fatalf("db served=%d after warm hit, want still 1", got)
 	}
-	if got := served(d.Service("cache")); got != 3 {
+	if got := served(d.services["cache"]); got != 3 {
 		t.Fatalf("cache served=%d after warm hit, want 3", got)
 	}
 }
@@ -205,7 +205,7 @@ func TestScenarioDegradeAndRevert(t *testing.T) {
 	if lat, err := callLatency(t, c, 2); err != nil || lat < 30*time.Millisecond {
 		t.Fatalf("degraded window: lat=%v err=%v, want ≥30ms", lat, err)
 	}
-	sc.Wait()
+	sc.wg.Wait()
 	if lat, err := callLatency(t, c, 3); err != nil || lat > 25*time.Millisecond {
 		t.Fatalf("after revert: lat=%v err=%v, want fast again", lat, err)
 	}
@@ -454,7 +454,8 @@ func TestStatsShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"fe", "agg", "mid"} {
-		for i, st := range d.Service(name).Stats() {
+		for i, m := range d.services[name].mids {
+			st := m.Stats()
 			if st.Role != "midtier" {
 				t.Errorf("%s[%d].Role=%q", name, i, st.Role)
 			}

@@ -123,9 +123,6 @@ func (sc *Scenario) arm(at time.Duration, what string, start time.Time, fire fun
 	sc.timers = append(sc.timers, t)
 }
 
-// Wait blocks until every armed transition has fired.
-func (sc *Scenario) Wait() { sc.wg.Wait() }
-
 // Stop cancels transitions that have not fired yet (already-applied events
 // stay applied; Wait still returns).
 func (sc *Scenario) Stop() {

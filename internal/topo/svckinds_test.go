@@ -44,7 +44,7 @@ func TestKindParamsAreTheSizingTable(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer ref.Close()
-			if err := bench.CompareReplies(d.Service("x").issue.Issue, ref.Issue, 16); err != nil {
+			if err := bench.CompareReplies(d.services["x"].issue.Issue, ref.Issue, 16); err != nil {
 				t.Errorf("no-params node does not serve SmallScale sizes: %v", err)
 			}
 		})

@@ -123,9 +123,6 @@ func (e *Encoder) Uint64(v uint64) {
 		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
 }
 
-// Int64 appends a little-endian int64 (two's complement).
-func (e *Encoder) Int64(v int64) { e.Uint64(uint64(v)) }
-
 // Uvarint appends an unsigned LEB128 varint.
 func (e *Encoder) Uvarint(v uint64) { e.buf = appendUvarint(e.buf, v) }
 
@@ -262,14 +259,6 @@ func (e *Encoder) AscendingUint32sVia(idx, table []uint32) (bad int) {
 	return bad
 }
 
-// Strings appends a length-prefixed []string.
-func (e *Encoder) Strings(v []string) {
-	e.Uvarint(uint64(len(v)))
-	for _, s := range v {
-		e.String(s)
-	}
-}
-
 // Decoder consumes encoded values from a byte slice.  Decode errors are
 // sticky: after the first error every subsequent read returns the zero value
 // and Err reports the failure, so callers may decode a whole message and
@@ -344,9 +333,6 @@ func (d *Decoder) Uint64() uint64 {
 	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
 		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }
-
-// Int64 reads a little-endian int64.
-func (d *Decoder) Int64() int64 { return int64(d.Uint64()) }
 
 // Uvarint reads an unsigned LEB128 varint.
 func (d *Decoder) Uvarint() uint64 {
@@ -530,24 +516,3 @@ func (d *Decoder) String() string {
 
 // Float32s reads a length-prefixed []float32 (nil when empty or on error).
 func (d *Decoder) Float32s() []float32 { return d.Float32sInto(nil) }
-
-// Uint64s reads a length-prefixed []uint64 (nil when empty or on error).
-func (d *Decoder) Uint64s() []uint64 { return d.Uint64sInto(nil) }
-
-// Strings reads a length-prefixed []string.  Each string costs at least one
-// length byte, so the element count is validated against Remaining before
-// the slice is sized.
-func (d *Decoder) Strings() []string {
-	n := d.prefixedLen(1)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]string, n)
-	for i := range out {
-		out[i] = d.String()
-		if d.err != nil {
-			return nil
-		}
-	}
-	return out
-}

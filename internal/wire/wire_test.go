@@ -15,7 +15,6 @@ func TestRoundTripScalars(t *testing.T) {
 	e.Bool(false)
 	e.Uint32(0xDEADBEEF)
 	e.Uint64(0x0123456789ABCDEF)
-	e.Int64(-42)
 	e.Uvarint(0)
 	e.Uvarint(127)
 	e.Uvarint(128)
@@ -29,9 +28,6 @@ func TestRoundTripScalars(t *testing.T) {
 	}
 	if d.Uint32() != 0xDEADBEEF || d.Uint64() != 0x0123456789ABCDEF {
 		t.Error("fixed ints mismatch")
-	}
-	if d.Int64() != -42 {
-		t.Error("int64 mismatch")
 	}
 	if d.Uvarint() != 0 || d.Uvarint() != 127 || d.Uvarint() != 128 || d.Uvarint() != math.MaxUint64 {
 		t.Error("uvarint mismatch")
@@ -53,7 +49,6 @@ func TestRoundTripSlices(t *testing.T) {
 	e.String("hello μSuite")
 	e.Float32s([]float32{1.5, -2.5, 0})
 	e.Uint64s([]uint64{0, 1, math.MaxUint64})
-	e.Strings([]string{"a", "", "ccc"})
 
 	d := NewDecoder(e.Bytes())
 	b := d.BytesField()
@@ -67,13 +62,9 @@ func TestRoundTripSlices(t *testing.T) {
 	if len(f) != 3 || f[1] != -2.5 {
 		t.Errorf("float32s=%v", f)
 	}
-	u := d.Uint64s()
+	u := d.Uint64sInto(nil)
 	if len(u) != 3 || u[2] != math.MaxUint64 {
 		t.Errorf("uint64s=%v", u)
-	}
-	ss := d.Strings()
-	if len(ss) != 3 || ss[1] != "" || ss[2] != "ccc" {
-		t.Errorf("strings=%v", ss)
 	}
 	if d.Err() != nil {
 		t.Fatal(d.Err())
@@ -153,12 +144,11 @@ func TestEncoderReset(t *testing.T) {
 }
 
 func TestQuickRoundTrip(t *testing.T) {
-	f := func(u8 uint8, u32 uint32, u64 uint64, i int64, s string, bs []byte, fs []float32, us []uint64) bool {
+	f := func(u8 uint8, u32 uint32, u64 uint64, s string, bs []byte, fs []float32, us []uint64) bool {
 		e := NewEncoder(0)
 		e.Uint8(u8)
 		e.Uint32(u32)
 		e.Uint64(u64)
-		e.Int64(i)
 		e.Uvarint(u64)
 		e.String(s)
 		e.BytesField(bs)
@@ -169,7 +159,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		if d.Uint8() != u8 || d.Uint32() != u32 || d.Uint64() != u64 {
 			return false
 		}
-		if d.Int64() != i || d.Uvarint() != u64 || d.String() != s {
+		if d.Uvarint() != u64 || d.String() != s {
 			return false
 		}
 		gb := d.BytesField()
@@ -191,7 +181,7 @@ func TestQuickRoundTrip(t *testing.T) {
 				return false
 			}
 		}
-		gu := d.Uint64s()
+		gu := d.Uint64sInto(nil)
 		if len(gu) != len(us) {
 			return false
 		}
@@ -213,7 +203,7 @@ func TestQuickDecoderNeverPanics(t *testing.T) {
 		_ = d.Uvarint()
 		_ = d.String()
 		_ = d.Float32s()
-		_ = d.Uint64s()
+		_ = d.Uint64sInto(nil)
 		_ = d.Uint32()
 		_ = d.BytesField()
 		return true // reaching here without panic is the property
@@ -381,7 +371,7 @@ func TestFixedWidthSliceLayout(t *testing.T) {
 		read  func(*Decoder) int
 	}{
 		{"Float32s", 4, func(d *Decoder) int { return len(d.Float32s()) }},
-		{"Uint64s", 8, func(d *Decoder) int { return len(d.Uint64s()) }},
+		{"Uint64sInto(nil)", 8, func(d *Decoder) int { return len(d.Uint64sInto(nil)) }},
 		{"Float32sInto", 4, func(d *Decoder) int { return len(d.Float32sInto(make([]float32, 0, 4))) }},
 		{"Uint64sInto", 8, func(d *Decoder) int { return len(d.Uint64sInto(make([]uint64, 0, 4))) }},
 	}

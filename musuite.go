@@ -187,8 +187,8 @@ type (
 	HDSearchIndexKind = hdsearch.IndexKind
 	// HDSearchANNConfig tunes the leaf-resident ANN index builds for the
 	// ivf* and hnsw kinds (ClusterConfig.ANN): coarse-quantizer cluster
-	// count and nprobe/rerank defaults for IVF, the M/efConstruction/
-	// efSearch graph knobs for HNSW, and training-sample/seed knobs.
+	// count, PQ subspaces and the rerank default for IVF, the
+	// M/efConstruction/efSearch graph knobs for HNSW, and the seed.
 	HDSearchANNConfig = ann.Config
 )
 

@@ -120,7 +120,7 @@ func TestFacadeProbe(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if probe.Load(musuite.CtxSwitch) == 0 {
+	if probe.Snapshot()[musuite.CtxSwitch] == 0 {
 		t.Fatal("probe saw no activity")
 	}
 }

@@ -1,18 +1,25 @@
 #!/usr/bin/env bash
-# reach.sh — which statements the repository's own runs reach, and which
-# exported functions none of them reaches.
+# reach.sh — which statements the repository's own runs reach, which
+# functions none of them reaches, and which knobs no code sets.
 #
 # It builds `musuite` and the benchmark with coverage (`go build -cover
 # -coverpkg=musuite/...`), runs under GOCOVERDIR every step of ci.yml and
 # nightly.yml that drives a built binary or script rather than `go test`,
 # merges the data with `go tool covdata`, and prints:
 #   1. each package's statement reach;
-#   2. every exported function reached 0 %, with the non-test code that
-#      calls it or names it as a value (callers.go below).  A caller in
+#   2. every function, exported or not, reached 0 %, with the non-test code
+#      that calls it or names it as a value (census.go below).  A caller in
 #      musuite.go is marked (facade), one under examples/ (example): the six
 #      examples are callers, not runs, so an API only an example uses is
 #      listed.  A function with no caller other than the facade and the
-#      examples is marked UNCALLED.
+#      examples is marked UNCALLED.  Each line starts with the name's
+#      category in scripts/reach-keep.txt, or NEW when the keep list lacks
+#      it; a keep-list entry whose function no longer exists prints GONE;
+#   3. every exported field of a struct named *Config, *Options or *Policy
+#      that no non-test code sets: no composite-literal key or address taken
+#      (a flag binding) anywhere, no assignment or increment outside the
+#      field's own package (inside it, one is a default), and no `spec:` key
+#      of a topology file under examples/.  This section reads source only.
 #
 # A step that exits non-zero is reported and the census goes on: the gates
 # judge themselves in CI, and a failed run still reached what it ran.
@@ -76,16 +83,18 @@ step "$mu" bench -experiment all -window 1s
 unset GOFLAGS GOCOVERDIR
 go tool covdata textfmt -i="$COV" -o "$OUT/reach.out"
 
-# callers.go reads the "file:line Name" of every function reached 0 % and
-# prints each exported one with the non-test code that names it, found by
-# type-checking every package of the module from source (a method called
-# through an interface its receiver implements counts too).  A caller that
-# sits in a function reached 0 % itself is marked (0 %).  It is written out
-# here, into a temporary directory outside the module, rather than kept as a
-# .go file, so that `make loc` and `go build ./...` see only the program.
-helper=$(mktemp -d "${TMPDIR:-/tmp}/reach-callers.XXXXXX")
+# census.go type-checks every package of the module from source (non-test
+# files only).  Given on stdin the "file:line Name" of every function reached
+# 0 %, it prints each with the non-test code that names it (a method called
+# through an interface its receiver implements counts too; a caller that sits
+# in a function reached 0 % itself is marked (0 %)) and its keep-list
+# category, then the keep list's GONE entries, then the knobs no code sets.
+# It is written out here, into a temporary directory outside the module,
+# rather than kept as a .go file, so that `make loc` and `go build ./...` see
+# only the program.
+helper=$(mktemp -d "${TMPDIR:-/tmp}/reach-census.XXXXXX")
 trap 'rm -rf "$helper"' EXIT
-cat >"$helper/callers.go" <<'GO'
+cat >"$helper/census.go" <<'GO'
 package main
 
 import (
@@ -99,9 +108,26 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"regexp"
 	"slices"
 	"strings"
 )
+
+// categories are the reasons a function the runs never reach stays.
+var categories = map[string]bool{
+	"fault":      true, // an error or teardown path only an injected fault takes
+	"platform":   true, // a fallback for a CPU without AVX2
+	"reference":  true, // a simpler form a test pins a reached path against
+	"instrument": true, // a counter or probe only tests (and nightly assertions) read
+	"facade":     true, // the public API in musuite.go
+	"example":    true, // what an examples/ program calls
+	"fmt":        true, // a String method only fmt calls, through an interface
+	"benchmarks": true, // code under benchmarks/, which only a benchmark change edits
+	"flag":       true, // its caller runs only under a flag, experiment, spec value or knob no step sets
+	"input":      true, // a branch only an input or load shape no census run sends takes
+	"interface":  true, // a method only an interface needs; no path calls it through it
+}
 
 type loader struct {
 	fset  *token.FileSet
@@ -110,6 +136,7 @@ type loader struct {
 	info  *types.Info
 	done  map[string]*types.Package
 	std   types.Importer
+	pkgs  map[*ast.File]*types.Package // every non-test file, with its package
 	decls []*ast.FuncDecl
 }
 
@@ -136,6 +163,9 @@ func (l *loader) Import(path string) (*types.Package, error) {
 	}
 	p, err := (&types.Config{Importer: l}).Check(path, l.fset, files, l.info)
 	l.done[path] = p
+	for _, f := range files {
+		l.pkgs[f] = p
+	}
 	return p, err
 }
 
@@ -146,6 +176,7 @@ type use struct {
 }
 
 func main() {
+	keepPath, examples := os.Args[1], os.Args[2]
 	out, err := exec.Command("go", "list", "-f", "{{.ImportPath}}\t{{.Dir}}\t{{join .GoFiles \" \"}}", "./...").Output()
 	if err != nil {
 		panic(err)
@@ -153,7 +184,7 @@ func main() {
 	root, _ := os.Getwd()
 	l := &loader{fset: token.NewFileSet(), dirs: map[string]string{}, files: map[string][]string{},
 		info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
-		done: map[string]*types.Package{}}
+		done: map[string]*types.Package{}, pkgs: map[*ast.File]*types.Package{}}
 	l.std = importer.ForCompiler(l.fset, "source", nil)
 	var paths []string
 	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
@@ -166,17 +197,27 @@ func main() {
 			panic(err)
 		}
 	}
-	rel := func(pos token.Pos) string {
+	rel := func(pos token.Pos) (string, int) {
 		p := l.fset.Position(pos)
 		r, _ := filepath.Rel(root, p.Filename)
-		return fmt.Sprintf("%s:%d", r, p.Line)
+		return r, p.Line
 	}
+	at := func(pos token.Pos) string {
+		file, line := rel(pos)
+		return fmt.Sprintf("%s:%d", file, line)
+	}
+
 	funcs := map[string]*types.Func{} // "file:line Name" → its definition
+	keys := map[string]bool{}         // "file:Name" of every function, the keep list's form
 	for id, obj := range l.info.Defs {
 		if fn, ok := obj.(*types.Func); ok {
-			funcs[rel(id.Pos())+" "+id.Name] = fn
+			funcs[at(id.Pos())+" "+id.Name] = fn
+			file, _ := rel(id.Pos())
+			keys[file+":"+qualified(fn)] = true
 		}
 	}
+	keep := readKeep(keepPath)
+
 	uses := map[string][]use{} // by function name
 	for id, obj := range l.info.Uses {
 		fn, ok := obj.(*types.Func)
@@ -193,7 +234,7 @@ func main() {
 	enclosing := func(pos token.Pos) string {
 		for _, fd := range l.decls {
 			if fd.Pos() <= pos && pos < fd.End() {
-				return rel(fd.Name.Pos()) + " " + fd.Name.Name
+				return at(fd.Name.Pos()) + " " + fd.Name.Name
 			}
 		}
 		return ""
@@ -202,10 +243,12 @@ func main() {
 	unreached := map[string]bool{}
 	for in := bufio.NewScanner(os.Stdin); in.Scan(); {
 		unreached[in.Text()] = true
-		if f := strings.Fields(in.Text()); ast.IsExported(f[1]) {
-			targets = append(targets, in.Text())
-		}
+		targets = append(targets, in.Text())
 	}
+
+	fmt.Println("## functions reached 0 %, with their keep-list category and non-test callers")
+	counts := map[string]int{}
+	listed := map[string]bool{}
 	for _, t := range targets {
 		fn := funcs[t]
 		if fn == nil {
@@ -222,7 +265,7 @@ func main() {
 			if u.iface == nil && u.fn != fn || u.iface != nil && (recv == nil || !implements(recv, u.iface)) {
 				continue
 			}
-			c := rel(u.at)
+			c := at(u.at)
 			switch {
 			case strings.HasPrefix(c, "musuite.go:"):
 				c += "(facade)"
@@ -246,10 +289,14 @@ func main() {
 		if !code {
 			mark = "UNCALLED  "
 		}
-		name := fn.Name()
-		if recv != nil {
-			name = "(" + types.TypeString(recv, types.RelativeTo(fn.Pkg())) + ")." + name
+		pos := strings.Fields(t)[0]
+		key := pos[:strings.LastIndex(pos, ":")] + ":" + qualified(fn)
+		listed[key] = true
+		cat := keep[key]
+		if cat == "" {
+			cat = "NEW"
 		}
+		counts[cat]++
 		list := " none"
 		if n := len(callers); n > 0 {
 			list = " " + strings.Join(callers[:min(n, 6)], " ")
@@ -257,7 +304,172 @@ func main() {
 				list += fmt.Sprintf(" +%d more", n-6)
 			}
 		}
-		fmt.Printf("%s%s %s.%s  callers:%s\n", mark, strings.Fields(t)[0], fn.Pkg().Name(), name, list)
+		fmt.Printf("%-10s %s%s %s.%s  callers:%s\n", cat, mark, pos, fn.Pkg().Name(), qualified(fn), list)
+	}
+	var gone, reached []string
+	for key := range keep {
+		switch {
+		case !keys[key]:
+			gone = append(gone, key)
+		case !listed[key]:
+			reached = append(reached, key)
+		}
+	}
+	slices.Sort(gone)
+	slices.Sort(reached)
+	for _, key := range gone {
+		fmt.Printf("%-10s %s (in the keep list, defined nowhere)\n", "GONE", key)
+	}
+	fmt.Println()
+	var cats []string
+	for c := range counts {
+		cats = append(cats, c)
+	}
+	slices.Sort(cats)
+	fmt.Printf("%d listed:", len(targets))
+	for _, c := range cats {
+		fmt.Printf(" %s %d,", c, counts[c])
+	}
+	fmt.Printf(" GONE %d\n", len(gone))
+	if len(reached) > 0 {
+		fmt.Printf("keep-list names these runs reached (%d): %s\n", len(reached), strings.Join(reached, " "))
+	}
+
+	fmt.Println()
+	unset(l, at, specKeys(examples))
+}
+
+// qualified is a function's name as the keep list spells it: Name, or
+// (T).Name / (*T).Name for a method.
+func qualified(fn *types.Func) string {
+	r := fn.Type().(*types.Signature).Recv()
+	if r == nil {
+		return fn.Name()
+	}
+	return "(" + types.TypeString(r.Type(), types.RelativeTo(fn.Pkg())) + ")." + fn.Name()
+}
+
+// readKeep reads the keep list: "<category> <file>:<Name> <reason>" a line,
+// blank lines and # comments ignored.
+func readKeep(path string) map[string]string {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		panic(err)
+	}
+	keep := map[string]string{}
+	for i, line := range strings.Split(string(raw), "\n") {
+		if line = strings.TrimSpace(line); line == "" || line[0] == '#' {
+			continue
+		}
+		f := strings.Fields(line)
+		if len(f) < 3 || !categories[f[0]] || !strings.Contains(f[1], ":") {
+			fmt.Fprintf(os.Stderr, "%s:%d: want \"<category> <file>:<Name> <reason>\" with a known category: %s\n", path, i+1, line)
+			os.Exit(1)
+		}
+		if keep[f[1]] != "" {
+			fmt.Fprintf(os.Stderr, "%s:%d: %s listed twice\n", path, i+1, f[1])
+			os.Exit(1)
+		}
+		keep[f[1]] = f[0]
+	}
+	return keep
+}
+
+// specKeys collects every mapping key the topology files under dir use, in
+// block and in flow ({to: db, timeout: 200ms}) style.
+func specKeys(dir string) map[string]bool {
+	key := regexp.MustCompile(`(?:^|[\s{,])([A-Za-z][A-Za-z0-9_-]*):(?:\s|$)`)
+	keys := map[string]bool{}
+	files, _ := filepath.Glob(filepath.Join(dir, "*.yaml"))
+	for _, name := range files {
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			panic(err)
+		}
+		for _, line := range strings.Split(string(raw), "\n") {
+			line, _, _ = strings.Cut(line, "#")
+			for _, m := range key.FindAllStringSubmatch(line, -1) {
+				keys[m[1]] = true
+			}
+		}
+	}
+	return keys
+}
+
+// unset prints every exported field of a *Config, *Options or *Policy struct
+// that no non-test code sets and no topology file names.  An assignment in
+// the field's own package is a default (`if cfg.X <= 0 { cfg.X = 8 }`), not
+// a setting.
+func unset(l *loader, at func(token.Pos) string, spec map[string]bool) {
+	set := map[*types.Var]bool{}
+	mark := func(id *ast.Ident, from *types.Package) {
+		if v, ok := l.info.Uses[id].(*types.Var); ok && v.IsField() && v.Pkg() != from {
+			set[v] = true
+		}
+	}
+	assigned := func(e ast.Expr, from *types.Package) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			mark(sel.Sel, from)
+		}
+	}
+	for f, pkg := range l.pkgs {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok {
+					mark(id, nil)
+				}
+			case *ast.UnaryExpr:
+				if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok && n.Op == token.AND {
+					mark(sel.Sel, nil)
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					assigned(lhs, pkg)
+				}
+			case *ast.IncDecStmt:
+				assigned(n.X, pkg)
+			}
+			return true
+		})
+	}
+	var fields []*types.Var
+	owner := map[*types.Var]*types.TypeName{}
+	total := 0
+	for _, obj := range l.info.Defs {
+		tn, ok := obj.(*types.TypeName)
+		if !ok || tn.IsAlias() || !(strings.HasSuffix(tn.Name(), "Config") ||
+			strings.HasSuffix(tn.Name(), "Options") || strings.HasSuffix(tn.Name(), "Policy")) {
+			continue
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := range st.NumFields() {
+			v := st.Field(i)
+			if !v.Exported() {
+				continue
+			}
+			total++
+			name, _, _ := strings.Cut(reflect.StructTag(st.Tag(i)).Get("spec"), ",")
+			if set[v] || name != "" && spec[name] {
+				continue
+			}
+			fields = append(fields, v)
+			owner[v] = tn
+		}
+	}
+	slices.SortFunc(fields, func(a, b *types.Var) int {
+		pa, pb := l.fset.Position(a.Pos()), l.fset.Position(b.Pos())
+		if c := strings.Compare(pa.Filename, pb.Filename); c != 0 {
+			return c
+		}
+		return pa.Line - pb.Line
+	})
+	fmt.Printf("## Config/Options/Policy fields no non-test code sets (%d of %d exported fields)\n", len(fields), total)
+	for _, v := range fields {
+		fmt.Printf("  %s %s.%s.%s\n", at(v.Pos()), v.Pkg().Name(), owner[v].Name(), v.Name())
 	}
 }
 
@@ -279,10 +491,9 @@ report() {
 		sort -k2
 	go tool cover -func="$OUT/reach.out" | awk '/^total:/ { printf "%7s  total\n", $NF }'
 	echo
-	echo "## exported functions reached 0 %, with their non-test callers"
 	go tool cover -func="$OUT/reach.out" |
 		awk -F'[\t ]+' '$NF == "0.0%" { sub(/^musuite\//, "", $1); sub(/:$/, "", $1); print $1, $2 }' |
-		CGO_ENABLED=0 go run "$helper/callers.go"
+		CGO_ENABLED=0 go run "$helper/census.go" scripts/reach-keep.txt examples
 	if ((${#failed[@]})); then
 		echo
 		echo "## steps that exited non-zero"
